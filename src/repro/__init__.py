@@ -25,7 +25,7 @@ The package layout mirrors the system inventory in ``DESIGN.md``:
 ``repro.net``
     The distributed substrate: DNS-style name service, message
     transport, organizing agents (OAs), sensing agents (SAs) and
-    cluster assembly, plus a live threaded runtime.
+    cluster assembly, plus a TCP runtime over real sockets.
 ``repro.sim``
     A discrete-event simulator with a calibrated cost model used to
     regenerate the paper's cluster experiments (Figures 7-11).

@@ -2,17 +2,17 @@
 
 The paper's deployment -- organizing agents on Internet-connected PCs,
 sensor proxies feeding them, DNS carrying the node-to-site mapping --
-rebuilt in-process with deterministic loopback delivery (and a locking
-variant for genuinely concurrent execution).  The fault layer --
-retries with deterministic backoff, per-peer circuit breakers, partial
-answers and the seeded :class:`FaultyNetwork` -- lives in
+rebuilt in-process with deterministic loopback delivery (serialized
+per site, so concurrent clients are safe) and, in
+:mod:`repro.net.tcpruntime`, over real localhost sockets.  The fault
+layer -- retries with deterministic backoff, per-peer circuit breakers,
+partial answers and the seeded :class:`FaultyNetwork` -- lives in
 :mod:`repro.net.retry` and :mod:`repro.net.faults`.
 """
 
 from repro.net.cluster import Cluster
 from repro.net.continuous import ContinuousQueryManager, Subscription
 from repro.net.dns import DnsRecord, DnsResolver, DnsServer
-from repro.net.aioruntime import AsyncSiteServer, PipelinedTcpNetwork
 from repro.net.errors import (
     CircuitOpenError,
     FrameTooLarge,
@@ -24,7 +24,7 @@ from repro.net.errors import (
     UnknownSite,
 )
 from repro.net.faults import FaultyNetwork, InjectedFault, SiteDown
-from repro.net.framing import FrameAssembler, FrameReader
+from repro.net.framing import FrameReader
 from repro.net.messages import (
     AckMessage,
     AdoptMessage,
@@ -48,12 +48,6 @@ from repro.net.retry import (
     RetryPolicy,
     SiteHealthTracker,
 )
-from repro.net.runtime import (
-    ClientWorkloadResult,
-    LockingNetwork,
-    make_concurrent_cluster,
-    run_concurrent_clients,
-)
 from repro.net.sa import RandomSensorModel, SensingAgent
 from repro.net.tcpruntime import TcpCluster, TcpNetwork, TcpSiteServer
 from repro.net.transport import LoopbackNetwork, TrafficLog
@@ -70,13 +64,9 @@ __all__ = [
     "DnsResolver",
     "DnsRecord",
     "LoopbackNetwork",
-    "LockingNetwork",
     "TcpCluster",
     "TcpNetwork",
     "TcpSiteServer",
-    "AsyncSiteServer",
-    "PipelinedTcpNetwork",
-    "FrameAssembler",
     "FrameReader",
     "TrafficLog",
     "FaultyNetwork",
@@ -100,9 +90,6 @@ __all__ = [
     "RehydrateRequest",
     "RehydrateAnswer",
     "clean_results",
-    "make_concurrent_cluster",
-    "run_concurrent_clients",
-    "ClientWorkloadResult",
     "NetError",
     "FrameTooLarge",
     "NameNotFound",

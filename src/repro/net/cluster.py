@@ -61,43 +61,25 @@ class Cluster:
             else None
         )
 
-        # Replication: a ReplicationConfig turns on k-replica fragment
-        # ownership.  It may arrive either as a cluster kwarg (mirrored
-        # onto a copy of the OA config so a shared config object is
-        # never mutated) or pre-set on the OA config directly; disabled
-        # either way means no replication traffic at all.
-        if replication is not None:
+        # Opt-in subsystems: a ReplicationConfig turns on k-replica
+        # fragment ownership, an AggregationConfig hierarchical
+        # aggregate answering + derived sensors, a RebalanceConfig the
+        # adaptive load balancer (hot-spot detection + live fragment
+        # migration).  Each may arrive either as a cluster kwarg
+        # (mirrored onto a copy of the OA config so a shared config
+        # object is never mutated) or pre-set on the OA config directly;
+        # disabled either way means no trace of the subsystem at all.
+        given = {"replication": replication, "aggregation": aggregation,
+                 "rebalance": rebalance}
+        if any(config is not None for config in given.values()):
             self.oa_config = copy.copy(self.oa_config)
-            self.oa_config.replication = replication
-        configured = getattr(self.oa_config, "replication", None)
-        self.replication_config = (
-            configured if configured is not None and configured.enabled
-            else None
-        )
-
-        # Aggregation: an AggregationConfig turns on hierarchical
-        # aggregate answering + derived sensors, mirrored onto the OA
-        # config exactly like replication (copy guard included).
-        if aggregation is not None:
-            self.oa_config = copy.copy(self.oa_config)
-            self.oa_config.aggregation = aggregation
-        configured = getattr(self.oa_config, "aggregation", None)
-        self.aggregation_config = (
-            configured if configured is not None and configured.enabled
-            else None
-        )
-
-        # Rebalancing: a RebalanceConfig turns on the adaptive load
-        # balancer (hot-spot detection + live fragment migration),
-        # mirrored onto the OA config like the subsystems above.
-        if rebalance is not None:
-            self.oa_config = copy.copy(self.oa_config)
-            self.oa_config.rebalance = rebalance
-        configured = getattr(self.oa_config, "rebalance", None)
-        self.rebalance_config = (
-            configured if configured is not None and configured.enabled
-            else None
-        )
+        for name, config in given.items():
+            if config is not None:
+                setattr(self.oa_config, name, config)
+            configured = getattr(self.oa_config, name, None)
+            setattr(self, f"{name}_config",
+                    configured if configured is not None
+                    and configured.enabled else None)
 
         databases = plan.build_databases(global_document,
                                          default_clock=self.clock)

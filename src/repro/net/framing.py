@@ -1,29 +1,20 @@
-"""Length-prefixed wire framing shared by both TCP runtimes.
+"""Length-prefixed wire framing of the TCP runtime.
 
 One frame is a 4-byte big-endian payload length followed by the UTF-8
-encoded XML envelope.  The format predates this module (it is what
-:mod:`repro.net.tcpruntime` has always spoken); the threaded runtime,
-the reactor runtime and the pipelined client all import it from here so
-the bytes on the wire stay identical no matter which runtime produced
-them.
+encoded XML envelope; :mod:`repro.net.tcpruntime`'s server and client
+both read and write it through this module.
 
-Two decoding surfaces cover the two I/O styles:
-
-:class:`FrameReader`
-    a *pull* decoder for blocking sockets.  It owns one reusable
-    ``bytearray`` receive buffer per connection and reads with
-    ``recv_into`` + ``memoryview`` slicing -- no per-chunk allocations,
-    no chunk-list concatenation -- so a connection serving thousands of
-    pipelined frames touches each byte once.
-
-:class:`FrameAssembler`
-    a *push* decoder for event-loop callbacks (``data_received`` hands
-    us whatever the kernel had): feed bytes in, get completed payloads
-    out, carrying partial frames across calls.
+:func:`recv_framed` reads exactly one frame from a socket the caller
+may hand elsewhere afterwards (the pooled client).  :class:`FrameReader`
+is the connection-lifetime decoder (the server's handler): it owns one
+reusable ``bytearray`` receive buffer and reads with ``recv_into`` +
+``memoryview`` slicing -- no per-chunk allocations, no chunk-list
+concatenation.
 
 Both raise :class:`~repro.net.errors.FrameTooLarge` (a ``NetError``)
-on an oversized length prefix, carrying the offending size so servers
-can answer with a structured ``frame-too-large`` error before closing.
+on an oversized length prefix, carrying the offending size so the
+server can answer with a structured ``frame-too-large`` error before
+closing.
 """
 
 import struct
@@ -92,8 +83,8 @@ class FrameReader:
     The reader owns a single growable receive buffer; ``recv_into``
     lands bytes directly in it and completed payloads are decoded from
     ``memoryview`` slices.  Bytes beyond the current frame stay
-    buffered for the next call, which is what makes pipelining cheap:
-    a burst of N frames arrives in O(syscalls), not O(N) of them.
+    buffered for the next call, so a burst of N frames arrives in
+    O(syscalls), not O(N) of them.
     """
 
     def __init__(self, sock, limit=MAX_MESSAGE_BYTES, initial_capacity=65536):
@@ -153,60 +144,3 @@ class FrameReader:
         if self._start == self._end:
             self._start = self._end = 0
         return payload
-
-
-class FrameAssembler:
-    """Push-style frame decoding for event-loop data callbacks.
-
-    ``feed(data)`` returns every payload completed by *data* (possibly
-    none) and keeps the partial tail buffered.  Consumed prefixes are
-    reclaimed lazily so a long-lived connection does not shift bytes
-    on every frame.
-    """
-
-    _RECLAIM_THRESHOLD = 1 << 16
-
-    def __init__(self, limit=MAX_MESSAGE_BYTES):
-        self.limit = limit
-        self._buffer = bytearray()
-        self._offset = 0
-        self._frame_length = None  # header parsed, body incomplete
-
-    def buffered(self):
-        return len(self._buffer) - self._offset
-
-    def feed(self, data):
-        """Append *data*; return the list of completed payloads.
-
-        Raises :class:`FrameTooLarge` as soon as an oversized length
-        prefix is parsed -- before waiting for (or buffering) the
-        impossible body.
-        """
-        self._buffer += data
-        payloads = []
-        while True:
-            available = len(self._buffer) - self._offset
-            if self._frame_length is None:
-                if available < HEADER_SIZE:
-                    break
-                (self._frame_length,) = _HEADER.unpack_from(
-                    self._buffer, self._offset)
-                if self._frame_length > self.limit:
-                    raise FrameTooLarge(self._frame_length)
-                self._offset += HEADER_SIZE
-                available -= HEADER_SIZE
-            if available < self._frame_length:
-                break
-            with memoryview(self._buffer) as view:
-                payloads.append(str(
-                    view[self._offset:self._offset + self._frame_length],
-                    "utf-8"))
-            self._offset += self._frame_length
-            self._frame_length = None
-        if self._offset == len(self._buffer):
-            del self._buffer[:]
-            self._offset = 0
-        elif self._offset > self._RECLAIM_THRESHOLD:
-            del self._buffer[:self._offset]
-            self._offset = 0
-        return payloads

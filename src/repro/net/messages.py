@@ -2,8 +2,8 @@
 
 Messages encode to self-describing XML envelopes (parsed by our own
 :mod:`repro.xmlkit`), so the same message types drive the synchronous
-loopback network, the threaded live runtime and the byte accounting in
-the simulator's communication cost model.
+loopback network, the TCP runtime and the byte accounting in the
+simulator's communication cost model.
 """
 
 import itertools
@@ -860,8 +860,7 @@ class RehydrateAnswer(Message):
     ``fragment`` is ``None`` when the replier holds no replica of the
     owner (or none of the requested regions); ``stamps`` cover every
     path in the fragment so the asker can judge freshness itself.
-    Carries ``replyTo`` like every reply kind, so pipelined runtimes
-    correlate it without decoding.
+    Carries ``replyTo`` like every reply kind.
     """
 
     kind = "rehydrate-answer"
@@ -977,7 +976,7 @@ class PartialAggregateAnswer(Message):
     rational sum as ``num``/``den``, NaN/infinity flags, finite
     extrema) plus its data timestamp, so any merge order at the asker
     reproduces the same aggregate.  Carries ``replyTo`` like every
-    reply kind, so pipelined runtimes correlate it without decoding.
+    reply kind.
     """
 
     kind = "partial-agg-answer"
@@ -1025,49 +1024,6 @@ class PartialAggregateAnswer(Message):
         return (f"PartialAggregateAnswer(id={self.message_id}, "
                 f"replyTo={self.in_reply_to}, entries={len(self.state)}, "
                 f"sender={self.sender!r}{self._repr_size()})")
-
-
-def _peek_envelope_int(text, attr):
-    """An integer attribute of the envelope's opening tag, or ``None``.
-
-    A plain string scan -- no XML parse -- bounded to the first ``>``,
-    which (attribute values being escaped by our serializer) closes the
-    envelope tag.  Used on hot paths that must correlate or shed frames
-    without paying for a full decode: the pipelined client matching
-    replies, and the reactor's overload shedding.
-    """
-    end = text.find(">")
-    head = text if end == -1 else text[:end]
-    needle = f' {attr}="'
-    position = head.find(needle)
-    if position == -1:
-        return None
-    position += len(needle)
-    stop = head.find('"', position)
-    if stop == -1:
-        return None
-    try:
-        return int(head[position:stop])
-    except ValueError:
-        return None
-
-
-def peek_message_id(text):
-    """The encoded message's ``id`` without decoding it (or ``None``)."""
-    return _peek_envelope_int(text, "id")
-
-
-def peek_reply_to(text):
-    """The encoded reply's correlation id without decoding it.
-
-    Every reply kind (answer, batch-answer, error, ack) carries
-    ``replyTo`` -- the id of the request it answers -- so a pipelined
-    connection can route a frame to its waiter before (and without)
-    parsing the XML.  ``None`` marks a frame with no correlation id
-    (e.g. a bare error for an undecodable request): the caller falls
-    back to serial, oldest-first delivery.
-    """
-    return _peek_envelope_int(text, "replyTo")
 
 
 def clean_results(results):

@@ -906,9 +906,8 @@ class OrganizingAgent:
     def _handle_replicate(self, message):
         """Accept an owner's replication batch into the replica store.
 
-        Always returns a real (correlatable) reply: under pipelined
-        runtimes an empty frame could not be routed to its waiter.
-        The sender fire-and-forgets, so a refusal costs it nothing.
+        Always returns a real reply, never an empty frame; the sender
+        fire-and-forgets, so a refusal costs it nothing.
         """
         if self.replication is None:
             return AckMessage(message.message_id, ok=False,

@@ -33,9 +33,14 @@ from repro.obs.tracing import TRACER, attach_context
 
 logger = logging.getLogger(__name__)
 
+#: How often an idle accept loop looks for a shutdown request.
+#: ``socketserver``'s default of 0.5 s is what every ``shutdown()`` waits
+#: out, one site after another when a cluster closes.
+ACCEPT_POLL_S = 0.05
+
 
 class AdmissionGate:
-    """Bounded inbound admission, shared by both server runtimes.
+    """Bounded inbound admission for one site's server.
 
     At most *max_pending* requests may be admitted (decoded/queued on
     or holding the agent lock) at once; :meth:`admit` returns ``False``
@@ -43,8 +48,7 @@ class AdmissionGate:
     ``server-overloaded`` error.  :meth:`begin_drain` flips admission
     off permanently (graceful shutdown); :meth:`wait_idle` blocks until
     every admitted request has been released.  The live depth is pushed
-    into *gauge* (an obs :class:`~repro.obs.registry.Gauge`), which is
-    also what the reactor runtime's read-pause watermarks key off.
+    into *gauge* (an obs :class:`~repro.obs.registry.Gauge`).
     """
 
     def __init__(self, max_pending, gauge=None):
@@ -143,8 +147,6 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
                 return
             if payload is None:
                 return
-            if self.server.wan_rtt:
-                time.sleep(self.server.wan_rtt)
             close_after_reply = False
             message = None
             try:
@@ -253,7 +255,7 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, agent, host="127.0.0.1", port=0, max_pending=64,
-                 wan_rtt=0.0, service_delay=0.0):
+                 service_delay=0.0):
         super().__init__((host, port), _AgentRequestHandler)
         from repro.obs.registry import Gauge
 
@@ -268,16 +270,6 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
         #: in parallel) -- it is what lets the rebalancing bench show a
         #: hot *site*, not a hot interpreter.
         self.service_delay = service_delay
-        #: Emulated wide-area round-trip time per request (seconds).
-        #: Everything in this repo runs on localhost, but the paper's
-        #: deployment target is wide-area links where each framed
-        #: exchange pays tens of milliseconds of propagation.  With
-        #: ``wan_rtt`` set, the handler sleeps that long between
-        #: reading a request and processing it -- on this runtime the
-        #: delay occupies the connection's thread, exactly as a real
-        #: WAN occupies the connection (the serial framing protocol
-        #: allows one outstanding frame per connection either way).
-        self.wan_rtt = wan_rtt
         # The loopback runtime serializes each site with a lock; the
         # TCP runtime does the same, mirroring one-OA-per-site.
         self.agent_lock = threading.Lock()
@@ -341,8 +333,9 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
 
     # -- lifecycle ------------------------------------------------------
     def start(self):
-        self._thread = threading.Thread(target=self.serve_forever,
-                                        daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever,
+            kwargs={"poll_interval": ACCEPT_POLL_S}, daemon=True)
         self._thread.start()
         return self
 
@@ -580,53 +573,23 @@ class TcpCluster:
     server's inbound queue (overload protection); pass a
     ``durability=DurabilityConfig(...)`` cluster kwarg to make the
     sites crash-recoverable via :meth:`kill_site`/:meth:`restart_site`.
-
-    ``runtime`` selects how each site serves its sockets:
-    ``"threaded"`` (the default) is the classic connection-per-thread
-    :class:`TcpSiteServer`; ``"reactor"`` hosts every site on a
-    :class:`~repro.net.aioruntime.AsyncSiteServer` -- one event loop
-    per site driving all of its sockets.  ``pipelining`` controls the
-    client side: ``True`` multiplexes many in-flight frames per pooled
-    connection (:class:`~repro.net.aioruntime.PipelinedTcpNetwork`),
-    ``False`` keeps the strictly serial exchange; the default follows
-    the runtime (pipelined with the reactor, serial with threads).
-    The wire format is identical in all four combinations.
     """
 
     def __init__(self, global_document, plan, network_wrapper=None,
-                 max_pending=64, runtime="threaded", pipelining=None,
-                 wan_rtt=0.0, service_delay=0.0, **cluster_kwargs):
+                 max_pending=64, service_delay=0.0, **cluster_kwargs):
         from repro.net.cluster import Cluster
 
-        if runtime not in ("threaded", "reactor"):
-            raise ValueError(f"unknown runtime {runtime!r}")
-        self.runtime = runtime
-        if pipelining is None:
-            pipelining = runtime == "reactor"
-        self.pipelining = pipelining
-        if runtime == "reactor":
-            from repro.net.aioruntime import AsyncSiteServer
-            self._server_cls = AsyncSiteServer
-        else:
-            self._server_cls = TcpSiteServer
-        if pipelining:
-            from repro.net.aioruntime import PipelinedTcpNetwork
-            self.tcp_network = PipelinedTcpNetwork()
-        else:
-            self.tcp_network = TcpNetwork()
-
+        self.tcp_network = TcpNetwork()
         self.cluster = Cluster(global_document, plan, **cluster_kwargs)
         self.max_pending = max_pending
-        self.wan_rtt = wan_rtt
         self.service_delay = service_delay
         self.network = (self.tcp_network if network_wrapper is None
                         else network_wrapper(self.tcp_network))
         self.servers = {}
         self._parked_addresses = {}
         for site, agent in self.cluster.agents.items():
-            server = self._server_cls(agent, max_pending=max_pending,
-                                      wan_rtt=wan_rtt,
-                                      service_delay=service_delay).start()
+            server = TcpSiteServer(agent, max_pending=max_pending,
+                                   service_delay=service_delay).start()
             self.servers[site] = server
             self.network.register_address(site, server.address)
         for agent in self.cluster.agents.values():
@@ -665,10 +628,9 @@ class TcpCluster:
         host, port = self._parked_addresses.pop(site)
         agent = self.cluster.restart_site(site)
         agent.network = self.network
-        server = self._server_cls(agent, host=host, port=port,
-                                  max_pending=self.max_pending,
-                                  wan_rtt=self.wan_rtt,
-                                  service_delay=self.service_delay).start()
+        server = TcpSiteServer(agent, host=host, port=port,
+                               max_pending=self.max_pending,
+                               service_delay=self.service_delay).start()
         self.servers[site] = server
         self.network.register_address(site, server.address)
         return agent

@@ -2,9 +2,9 @@
 
 :class:`LoopbackNetwork` delivers messages by direct synchronous calls
 -- deterministic and fast, used by the integration tests, the examples
-and (with the cost model layered on top) the simulator.  The threaded
-live runtime in :mod:`repro.net.runtime` provides truly asynchronous
-delivery over queues with the same interface.
+and (with the cost model layered on top) the simulator.
+:class:`~repro.net.tcpruntime.TcpNetwork` carries the same interface
+over real sockets.
 
 All traffic is counted (messages and approximate bytes, per link), so
 experiments can report communication costs.

@@ -15,6 +15,7 @@ Two layers:
 """
 
 import math
+import sys
 
 __all__ = [
     "Migration",
@@ -31,7 +32,11 @@ def n_new_fragments(current_load, capacity, incoming_load=0.0,
     ``overflow = (current_load + incoming_load) - capacity``; when it
     is positive, ``ceil(overflow / fragment_load)`` fragments of
     average load *fragment_load* have to move for the remainder to fit
-    under *capacity*.  Zero when the site already fits.
+    under *capacity*.  Zero when the site already fits.  A fragment
+    load so small that the quotient is not a finite float (a denormal
+    mean against a real overflow) saturates at ``sys.maxsize``: no
+    number of such fragments fits in a plan, and callers clamp to their
+    move budget.
     """
     if capacity <= 0:
         raise ValueError("capacity must be positive")
@@ -42,7 +47,10 @@ def n_new_fragments(current_load, capacity, incoming_load=0.0,
     overflow = (float(current_load) + float(incoming_load)) - float(capacity)
     if overflow <= 0:
         return 0
-    return int(math.ceil(overflow / float(fragment_load)))
+    needed = overflow / float(fragment_load)
+    if not math.isfinite(needed):
+        return sys.maxsize
+    return int(math.ceil(needed))
 
 
 def detect_overloaded(site_loads, ratio=2.0, min_load=16):

@@ -250,15 +250,10 @@ def run_open_loop(cluster, workload, target_qps, duration, seed=0,
     site) or an :class:`UpdateWorkload` (each arrival fires an
     :class:`~repro.net.messages.UpdateMessage` at the owning site --
     the wide-area ingest pattern, fanning out across every leaf).
-    Either way the request goes to the wire:
-
-    * on a pipelining transport (``request_async``), in-flight requests
-      cost a correlation-table entry -- one dispatcher thread sustains
-      hundreds of outstanding frames;
-    * on the serial transport, each in-flight request needs a worker
-      thread and its own pooled connection (*max_workers* of them) --
-      arrivals beyond that queue, and their queueing time is charged to
-      their latency, per coordinated-omission rules.
+    Either way the request goes to the wire.  Each in-flight request
+    needs a worker thread and its own pooled connection (*max_workers*
+    of them) -- arrivals beyond that queue, and their queueing time is
+    charged to their latency, per coordinated-omission rules.
 
     Returns an :class:`OpenLoopResult`.
     """
@@ -269,9 +264,6 @@ def run_open_loop(cluster, workload, target_qps, duration, seed=0,
     from repro.net.messages import QueryMessage, UpdateMessage
 
     network = cluster.network
-    use_async = (hasattr(network, "request_async")
-                 and getattr(network, "pipelining", False))
-
     rng = random.Random(seed)
     arrivals = []  # offsets from window start
     offset = 0.0
@@ -330,21 +322,6 @@ def run_open_loop(cluster, workload, target_qps, duration, seed=0,
             if state["in_flight"] == 0:
                 done.set()
 
-    def fire_async(site, message, scheduled):
-        begin()
-        try:
-            future = network.request_async("client", site, message)
-        except (OSError, NetError):
-            finish(scheduled, ok=False)
-            return
-
-        def completed(fut):
-            ok = (fut.exception() is None
-                  and getattr(fut.result(), "kind", "") != "error")
-            finish(scheduled, ok)
-
-        future.add_done_callback(completed)
-
     def fire_sync(site, message, scheduled):
         try:
             reply = network.request("client", site, message)
@@ -353,10 +330,8 @@ def run_open_loop(cluster, workload, target_qps, duration, seed=0,
             ok = False
         finish(scheduled, ok)
 
-    executor = None
-    if not use_async:
-        executor = ThreadPoolExecutor(max_workers=max_workers,
-                                      thread_name_prefix="openloop")
+    executor = ThreadPoolExecutor(max_workers=max_workers,
+                                  thread_name_prefix="openloop")
     start = clock()
     try:
         for offset, (site, build) in zip(arrivals, plan):
@@ -365,11 +340,8 @@ def run_open_loop(cluster, workload, target_qps, duration, seed=0,
             if delay > 0:
                 time.sleep(delay)
             message = build()
-            if use_async:
-                fire_async(site, message, scheduled)
-            else:
-                begin()
-                executor.submit(fire_sync, site, message, scheduled)
+            begin()
+            executor.submit(fire_sync, site, message, scheduled)
         # Drain: requests offered inside the window may complete after
         # it; they count.  Whatever is still unfinished past the grace
         # period is dropped (the backlog of a saturated run).
@@ -381,8 +353,7 @@ def run_open_loop(cluster, workload, target_qps, duration, seed=0,
             done.clear()
             done.wait(min(0.25, max(0.0, deadline - clock())))
     finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
 
     with lock:
         dropped = state["in_flight"]

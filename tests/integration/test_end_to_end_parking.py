@@ -194,15 +194,32 @@ class TestLoadBalancingUnderTraffic:
 
 class TestConcurrentRuntime:
     def test_parallel_clients_get_correct_answers(self):
-        from repro.net import make_concurrent_cluster, run_concurrent_clients
+        import threading
 
         config = ParkingConfig.tiny()
         document = build_parking_document(config)
-        cluster = make_concurrent_cluster(document,
-                                          hierarchical(config, 9).plan)
+        cluster = Cluster(document.copy(), hierarchical(config, 9).plan)
         workload = QueryWorkload.qw_mix(config, seed=21)
-        result = run_concurrent_clients(cluster, workload, n_clients=4,
-                                        queries_per_client=10)
-        assert result.completed == 40
-        assert result.throughput > 0
+        # Sampled up front: the workload's generator is not thread-safe.
+        queries = [workload() for _ in range(40)]
+        answers = []
+        errors = []
+
+        def client(share):
+            try:
+                for query in share:
+                    answers.append((query, cluster_answer(cluster, query)))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(queries[i::4],))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not errors
+        assert len(answers) == 40
+        for query, answer in answers:
+            assert answer == reference_answer(document, query), query
         assert cluster.validate() == []

@@ -11,7 +11,7 @@ tick can shuffle ownership around but never make the hot spot hotter.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.rebalance import detect_overloaded, n_new_fragments, plan_moves
 
@@ -85,11 +85,20 @@ class TestDetection:
                                  ratio=2.0, min_load=0) == []
 
 
+#: Loads the planner meets are query counts over a window (possibly
+#: decayed): zero, or at least a hundredth of a query -- never a
+#: denormal.
+planned_loads = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.01, max_value=10_000.0,
+              allow_nan=False, allow_infinity=False))
+
+
 @st.composite
 def planning_inputs(draw):
-    site_loads = {site: draw(loads) for site in SITES}
+    site_loads = {site: draw(planned_loads) for site in SITES}
     unit_loads = {
-        unit: draw(loads)
+        unit: draw(planned_loads)
         for unit in draw(st.sets(st.sampled_from(UNITS), min_size=1))
     }
     source = draw(st.sampled_from(SITES))
@@ -136,6 +145,11 @@ class TestPlanInvariants:
         assert all(move.target == "s1" for move in moves)
 
     @given(inputs=planning_inputs())
+    # A denormal mean unit load once made the move budget ceil(inf).
+    @example(inputs=("s0",
+                     {"s0": 100.0, "s1": 0.0, "s2": 0.0, "s3": 0.0,
+                      "s4": 0.0},
+                     {UNITS[0]: 5e-324}, 1))
     def test_plan_is_deterministic(self, inputs):
         source, site_loads, unit_loads, max_moves = inputs
         first = plan_moves(source, site_loads, unit_loads,

@@ -1,11 +1,9 @@
-"""Edge cases of the shared length-prefixed framing layer.
+"""Edge cases of the length-prefixed framing layer.
 
-Both decoding surfaces -- the pull-style :class:`FrameReader` for
-blocking sockets and the push-style :class:`FrameAssembler` for event
-loops -- must agree on every boundary condition: zero-length frames,
-closes mid-frame, headers trickling in one byte at a time (slow
-loris), oversized length prefixes, and bursts of pipelined frames
-landing in a single read.
+:func:`recv_framed` and :class:`FrameReader` must agree on every
+boundary condition: zero-length frames, closes mid-frame, headers
+trickling in one byte at a time (slow loris), oversized length
+prefixes, and bursts of frames landing in a single read.
 """
 
 import socket
@@ -17,7 +15,6 @@ import pytest
 from repro.net.errors import FrameTooLarge, NetError
 from repro.net.framing import (
     HEADER_SIZE,
-    FrameAssembler,
     FrameReader,
     encode_frame,
     recv_framed,
@@ -166,43 +163,3 @@ class TestFrameReader:
             assert reader.recv_frame() == payload
         finally:
             feeder.join()
-
-
-class TestFrameAssembler:
-    def test_burst_in_one_feed(self):
-        assembler = FrameAssembler()
-        burst = b"".join(encode_frame(f"<m>{i}</m>") for i in range(20))
-        assert assembler.feed(burst) == [f"<m>{i}</m>" for i in range(20)]
-        assert assembler.buffered() == 0
-
-    def test_byte_at_a_time_slow_loris(self):
-        assembler = FrameAssembler()
-        frame = encode_frame("<m>drip</m>")
-        payloads = []
-        for index in range(len(frame)):
-            payloads.extend(assembler.feed(frame[index:index + 1]))
-        assert payloads == ["<m>drip</m>"]
-        assert assembler.buffered() == 0
-
-    def test_partial_tail_carries_across_feeds(self):
-        assembler = FrameAssembler()
-        both = encode_frame("<m>a</m>") + encode_frame("<m>b</m>")
-        cut = len(both) - 3
-        assert assembler.feed(both[:cut]) == ["<m>a</m>"]
-        assert assembler.feed(both[cut:]) == ["<m>b</m>"]
-
-    def test_zero_length_frame(self):
-        assembler = FrameAssembler()
-        assert assembler.feed(encode_frame("")) == [""]
-
-    def test_oversized_prefix_raises_on_header_parse(self):
-        assembler = FrameAssembler(limit=1024)
-        # The error fires as soon as the header is parsed -- no body
-        # bytes are required (or buffered) first.
-        with pytest.raises(FrameTooLarge) as excinfo:
-            assembler.feed(struct.pack(">I", 1 << 20))
-        assert excinfo.value.length == 1 << 20
-
-    def test_empty_feed_returns_nothing(self):
-        assembler = FrameAssembler()
-        assert assembler.feed(b"") == []

@@ -1,4 +1,4 @@
-"""Unit tests for the concurrent runtime and ownership helpers."""
+"""Unit tests for per-site delivery locking and ownership helpers."""
 
 import threading
 
@@ -12,13 +12,7 @@ from repro.core import (
     get_status,
     relinquish_ownership,
 )
-from repro.net import (
-    AckMessage,
-    LockingNetwork,
-    QueryMessage,
-    make_concurrent_cluster,
-    run_concurrent_clients,
-)
+from repro.net import AckMessage, LoopbackNetwork, QueryMessage
 
 from tests.conftest import OAKLAND
 
@@ -41,8 +35,10 @@ class _SlowAgent:
 
 
 class TestLockingNetwork:
+    """:class:`LoopbackNetwork` holds one reentrant lock per site."""
+
     def test_serializes_per_site(self):
-        network = LockingNetwork()
+        network = LoopbackNetwork()
         event = threading.Event()
         agent = _SlowAgent(event)
         network.register("busy", agent)
@@ -61,7 +57,7 @@ class TestLockingNetwork:
         assert agent.max_active == 1  # never concurrent at one site
 
     def test_different_sites_run_in_parallel(self):
-        network = LockingNetwork()
+        network = LoopbackNetwork()
         barrier = threading.Barrier(2, timeout=5)
 
         class _BarrierAgent:
@@ -81,9 +77,30 @@ class TestLockingNetwork:
         for thread in threads:
             thread.join()  # would deadlock if sites serialized globally
 
+    def test_reentrant_delivery_does_not_deadlock(self):
+        network = LoopbackNetwork()
+
+        class _SelfAskingAgent:
+            def handle_message(self, message):
+                if message.query == "/outer":
+                    # A handler asking its own site back through the
+                    # network re-enters the lock it is served under.
+                    return network.request("s", "s", QueryMessage("/inner"))
+                return AckMessage(message.message_id, ok=True)
+
+        network.register("s", _SelfAskingAgent())
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(
+                network.request("c", "s", QueryMessage("/outer"))),
+            daemon=True)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert replies and replies[0].ok
 
     def test_close_releases_per_site_locks(self):
-        network = LockingNetwork()
+        network = LoopbackNetwork()
         event = threading.Event()
         event.set()
         network.register("busy", _SlowAgent(event))
@@ -96,35 +113,9 @@ class TestLockingNetwork:
         assert reply.ok
 
     def test_repeated_close_is_idempotent(self):
-        network = LockingNetwork()
+        network = LoopbackNetwork()
         network.close()
         network.close()
-
-
-class TestConcurrentClusterHelpers:
-    def test_make_concurrent_cluster_swaps_network(self, paper_doc,
-                                                   paper_plan):
-        cluster = make_concurrent_cluster(paper_doc, paper_plan)
-        assert isinstance(cluster.network, LockingNetwork)
-        for agent in cluster.agents.values():
-            assert agent.network is cluster.network
-
-    def test_run_concurrent_clients_reports(self, paper_doc, paper_plan):
-        cluster = make_concurrent_cluster(paper_doc, paper_plan)
-        query = ("/usRegion[@id='NE']/state[@id='PA']"
-                 "/county[@id='Allegheny']/city[@id='Pittsburgh']"
-                 "/neighborhood[@id='Oakland']/block[@id='1']")
-        result = run_concurrent_clients(cluster, lambda: query,
-                                        n_clients=3, queries_per_client=5)
-        assert result.completed == 15
-        assert result.mean_latency > 0
-        assert result.percentile_latency(0.95) >= result.percentile_latency(0.5)
-
-    def test_client_errors_surface(self, paper_doc, paper_plan):
-        cluster = make_concurrent_cluster(paper_doc, paper_plan)
-        with pytest.raises(Exception):
-            run_concurrent_clients(cluster, lambda: "not a query ///",
-                                   n_clients=2, queries_per_client=1)
 
 
 class TestOwnershipHelpers:

@@ -1,13 +1,17 @@
 """Tests for the TCP runtime: the same system over real sockets."""
 
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
 from repro.net import AckMessage, QueryMessage
 from repro.net.errors import NetError, UnknownSite
+from repro.net.messages import Message
 from repro.net.tcpruntime import (
+    MAX_MESSAGE_BYTES,
     TcpCluster,
     TcpNetwork,
     TcpSiteServer,
@@ -162,10 +166,34 @@ class TestTcpCluster:
             tcp.network.request("x", "shady", QueryMessage("/a"))
         tcp.close()
 
+    def test_closing_an_idle_cluster_is_quick(self):
+        from repro.arch import hierarchical
+        from repro.service import ParkingConfig, build_parking_document
+
+        config = ParkingConfig.tiny()
+        tcp = TcpCluster(build_parking_document(config),
+                         hierarchical(config, 7).plan)
+        assert len(tcp.servers) == 7
+        started = time.perf_counter()
+        tcp.close()
+        # socketserver's default accept poll made this 0.5 s per site.
+        assert time.perf_counter() - started < 1.0
+
 
 class _AckAgent:
     def handle_message(self, message):
         return AckMessage(message.message_id, ok=True, sender="echo")
+
+
+class _SlowAckAgent(_AckAgent):
+    site_id = "echo"  # the shed path names the refusing site
+
+    def __init__(self, delay):
+        self.delay = delay
+
+    def handle_message(self, message):
+        time.sleep(self.delay)
+        return super().handle_message(message)
 
 
 @pytest.fixture
@@ -178,7 +206,117 @@ def echo_net():
     server.stop()
 
 
+class TestServerSafety:
+    def test_oversized_frame_answered_then_closed(self, echo_net):
+        """A lying length prefix gets a structured non-retryable
+        refusal before the connection dies."""
+        _network, server = echo_net
+        sock = socket.create_connection(server.address)
+        try:
+            sock.sendall(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
+            reply = Message.decode(recv_framed(sock))
+            assert reply.kind == "error"
+            assert reply.code == "frame-too-large"
+            assert reply.retryable is False
+            assert str(MAX_MESSAGE_BYTES + 1) in reply.detail
+            # The stream cannot be resynchronised: the server closes.
+            assert recv_framed(sock) is None
+            assert server.server_stats()["oversized_frames"] == 1
+        finally:
+            sock.close()
+
+    def test_overload_sheds_with_retryable_error(self):
+        server = TcpSiteServer(_SlowAckAgent(0.2), max_pending=2).start()
+        network = TcpNetwork()
+        network.register_address("echo", server.address)
+        messages = [QueryMessage(f"/q{i}") for i in range(8)]
+        replies = {}
+
+        def client(message):
+            replies[message.message_id] = network.request(
+                "c", "echo", message)
+
+        # Eight connections at once: one request holds the agent lock,
+        # one queues behind it, and the admission gate must shed the
+        # rest rather than let them pile up on the lock.
+        threads = [threading.Thread(target=client, args=(m,), daemon=True)
+                   for m in messages]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert len(replies) == 8
+            sheds = [r for r in replies.values() if r.kind == "error"]
+            assert sheds, "8 requests past max_pending=2 must shed"
+            for request_id, reply in replies.items():
+                assert reply.in_reply_to == request_id
+            for shed in sheds:
+                assert shed.code == "server-overloaded"
+                assert shed.retryable is True
+            stats = server.server_stats()
+            assert stats["overload_rejections"] == len(sheds)
+            assert stats["admitted"] == 8 - len(sheds)
+            assert stats["max_queue_depth"] <= 2
+        finally:
+            network.close()
+            server.stop()
+
+    def test_drain_sheds_closes_and_settles(self):
+        server = TcpSiteServer(_SlowAckAgent(0.0)).start()
+        sock = socket.create_connection(server.address)
+        try:
+            send_framed(sock, QueryMessage("/a").encode())
+            assert Message.decode(recv_framed(sock)).ok
+            server.begin_drain()
+            # The established connection gets a structured, retryable
+            # refusal and then loses the connection -- a draining
+            # site's pooled sockets must not linger.
+            message = QueryMessage("/b")
+            send_framed(sock, message.encode())
+            reply = Message.decode(recv_framed(sock))
+            assert reply.kind == "error"
+            assert reply.code == "server-overloaded"
+            assert reply.retryable is True
+            assert reply.in_reply_to == message.message_id
+            assert "draining" in reply.detail
+            assert recv_framed(sock) is None
+            assert server.wait_drained(timeout=5)
+            assert server.server_stats()["drain_rejections"] == 1
+        finally:
+            sock.close()
+            server.stop()
+
+
 class TestConnectionPool:
+    def test_threads_sharing_the_pool_get_their_own_replies(self, echo_net):
+        """32 threads, 4 exchanges each, at most 8 pooled sockets."""
+        network, _server = echo_net
+        errors = []
+
+        def client():
+            try:
+                for _ in range(4):
+                    message = QueryMessage("/q")
+                    reply = network.request("c", "echo", message)
+                    assert reply.ok
+                    assert reply.in_reply_to == message.message_id
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, daemon=True)
+                   for _ in range(32)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = network.pool_stats
+        assert stats["connects"] + stats["reuses"] == 32 * 4
+        assert stats["connects"] <= 32
+        assert network.idle_connection_count() <= network.max_idle_per_site
+
     def test_connection_reused_across_requests(self, echo_net):
         network, _server = echo_net
         for _ in range(3):

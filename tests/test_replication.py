@@ -353,14 +353,14 @@ class TestVersionStamps:
 
 
 class TestTcpReplication:
-    def _tcp(self, **kwargs):
+    def _tcp(self):
         return TcpCluster(
             parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
             oa_config=OAConfig(retry_policy=fast_retries(),
                                partial_answers=True,
                                breaker=BreakerPolicy(failure_threshold=3,
                                                      reset_timeout=0.05)),
-            replication=ReplicationConfig(k=2), **kwargs)
+            replication=ReplicationConfig(k=2))
 
     def test_kill_failover_restart_over_sockets(self):
         with self._tcp() as tcp:
@@ -381,17 +381,6 @@ class TestTcpReplication:
             results, _, healed = tcp.cluster.query(FIGURE2_QUERY,
                                                    at_site="top")
             assert healed.complete
-            assert answer_set(results) == answer_set(baseline)
-
-    def test_pipelined_runtime_carries_replication(self):
-        with self._tcp(runtime="reactor", pipelining=True) as tcp:
-            baseline, _, outcome = tcp.cluster.query(FIGURE2_QUERY,
-                                                     at_site="top")
-            assert outcome.complete
-            tcp.kill_site("oak")
-            results, _, failed_over = tcp.cluster.query(FIGURE2_QUERY,
-                                                        at_site="top")
-            assert failed_over.complete
             assert answer_set(results) == answer_set(baseline)
 
 
