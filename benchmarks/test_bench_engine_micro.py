@@ -78,10 +78,10 @@ def test_xml_serialize_paper_database(benchmark, document):
 def test_xpath_compile_figure2_query(benchmark, config):
     query = type3_query(config, "Pittsburgh", "Oakland", "Shadyside", "1",
                         selection="available")
-    from repro.xpath.compiler import _parse_cached
+    from repro.xpath.parser import parse_cached
 
     def compile_fresh():
-        _parse_cached.cache_clear()
+        parse_cached.cache_clear()
         compile_xpath(query)
 
     benchmark(compile_fresh)

@@ -95,12 +95,23 @@ class AnswerBuilder:
     The builder lazily materializes the root path of every included
     node with local ID information (satisfying C2) and marks statuses
     from the receiver's point of view.
+
+    Building costs O(nodes included): the builder remembers which
+    database elements already have their ID information -- hence that
+    of their whole ancestor chain -- in the answer, so including it
+    again is a set lookup that skips the status check the first
+    inclusion passed.  That is sound because the database is not
+    mutated while an answer is built: a builder lives inside one pass
+    over the site database, and passes and merges at a site are
+    serialized by the site's lock (``agent_lock`` on the TCP runtime,
+    the per-site lock on loopback).
     """
 
     def __init__(self, database):
         self.database = database
         self.root = None
         self._mapping = {}  # id(db element) -> answer element
+        self._id_included = set()  # id(db element) with ID information in
 
     @property
     def is_empty(self):
@@ -108,7 +119,12 @@ class AnswerBuilder:
 
     # ------------------------------------------------------------------
     def _ensure(self, element):
-        """Answer-side element for *element*, creating ancestors as needed."""
+        """Answer-side element for *element*, creating ancestors as needed.
+
+        The stub of every IDable child is put in the mapping when it is
+        appended, so the sibling scan below only runs for an element
+        that is not an IDable child of its parent.
+        """
         key = id(element)
         if key in self._mapping:
             return self._mapping[key]
@@ -142,6 +158,16 @@ class AnswerBuilder:
         if get_status(answer_element).rank < status.rank:
             set_status(answer_element, status)
 
+    def _add_child_stubs(self, target, children):
+        """Append an ID stub to *target* for each of *children* without one."""
+        mapping = self._mapping
+        for child in children:
+            if id(child) not in mapping:
+                stub = id_stub(child)
+                set_status(stub, Status.INCOMPLETE)
+                target.append(stub)
+                mapping[id(child)] = stub
+
     # ------------------------------------------------------------------
     def include_id_information(self, element):
         """Include the local ID information of *element* (pass-through node).
@@ -150,26 +176,29 @@ class AnswerBuilder:
         information (guaranteed by I2 for any node it stores data
         below).
         """
-        if not get_status(element).has_id_information:
+        key = id(element)
+        if key in self._id_included:
+            return self._mapping[key]
+        status = get_status(element)
+        if not status.has_id_information:
             raise CoreError(
                 f"cannot include ID information of {node_id(element)}: "
-                f"sender only has status {get_status(element).value}"
+                f"sender only has status {status.value}"
             )
         self.include_ancestors(element)
         target = self._ensure(element)
         self._upgrade_status(target, Status.ID_COMPLETE)
-        existing = {node_id(c) for c in idable_children(target)}
-        for child in idable_children(element):
-            if node_id(child) not in existing:
-                stub = id_stub(child)
-                set_status(stub, Status.INCOMPLETE)
-                target.append(stub)
+        self._add_child_stubs(target, idable_children(element))
+        self._id_included.add(key)
         return target
 
     def include_ancestors(self, element):
-        """Include local ID information of every proper ancestor (C2)."""
-        for ancestor in element.ancestors():
-            self.include_id_information(ancestor)
+        """Include local ID information of every proper ancestor (C2).
+
+        One step up: the parent's inclusion covers its own ancestors.
+        """
+        if element.parent is not None:
+            self.include_id_information(element.parent)
 
     def include_local_information(self, element):
         """Include the full local information of *element*.
@@ -194,17 +223,16 @@ class AnswerBuilder:
         if stamp is not None:
             set_timestamp(target, stamp)
         # Non-IDable content, replacing whatever scaffolding was there.
-        for child in list(non_idable_children(target)):
+        for child in non_idable_children(target):
             target.remove(child)
-        for child in non_idable_children(element):
-            target.append(child.copy())
-        # Child ID stubs.
-        existing = {node_id(c) for c in idable_children(target)}
-        for child in idable_children(element):
-            if node_id(child) not in existing:
-                stub = id_stub(child)
-                set_status(stub, Status.INCOMPLETE)
-                target.append(stub)
+        # One idable_children() pass serves the content and the stubs.
+        idable = idable_children(element)
+        skip = {id(child) for child in idable}
+        for child in element.children:
+            if id(child) not in skip:
+                target.append(child.copy())
+        self._add_child_stubs(target, idable)
+        self._id_included.add(id(element))
         return target
 
     def include_subtree(self, element, on_missing=None):

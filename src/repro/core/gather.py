@@ -654,8 +654,8 @@ class GatherDriver:
         if canon is not None:
             ast = canon.ast
         else:
-            ast = xpath_parser.parse(query) if isinstance(query, str) \
-                else query
+            ast = xpath_parser.parse_cached(query) \
+                if isinstance(query, str) else query
             # The wrapper is evaluated over the gathered view from this
             # ast directly (compile only rewrites the gathered path), so
             # de-sugar here too -- otherwise ``timestamp``/``now`` sugar
@@ -713,7 +713,7 @@ class GatherDriver:
 
         Used by the network layer when a message arrives from a peer.
         """
-        ast = xpath_parser.parse(query)
+        ast = xpath_parser.parse_cached(query)
         if isinstance(ast, LocationPath):
             return self.answer_subquery(ast, now=now)
         return self.answer_scalar(ast, now=now)

@@ -18,7 +18,7 @@ system rests on.
 
 from repro.core.errors import UnknownNodeError
 from repro.core.status import INTERNAL_ATTRIBUTES, STATUS_ATTRIBUTE
-from repro.xmlkit.nodes import Element
+from repro.xmlkit.nodes import Element, Text
 
 
 def node_id(element):
@@ -42,6 +42,8 @@ def is_idable(element):
 
 
 def _locally_idable(element):
+    if isinstance(element, Text):
+        return False
     identifier = element.attrib.get("id")
     if identifier is None:
         return False

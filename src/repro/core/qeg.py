@@ -50,6 +50,7 @@ from repro.core.consistency import strip_consistency_predicates
 from repro.core.errors import UnsupportedDistributedQueryError
 from repro.core.semcache import canonicalize_expression
 from repro.core.idable import (
+    _locally_idable,
     id_path_of,
     idable_children,
     lowest_idable_ancestor_or_self,
@@ -281,7 +282,7 @@ def compile_pattern(query, schema=None, rewrite_sugar=True, use_cache=True):
                 return cached
     if isinstance(query, str):
         source = query
-        ast = xpath_parser.parse(query)
+        ast = xpath_parser.parse_cached(query)
     else:
         ast = query
         source = ast.unparse()
@@ -801,22 +802,6 @@ class _Walker:
         anchor_path = id_path_of(element)
         self.ask(Subquery(render_id_path_query(anchor_path), anchor_path,
                           Subquery.MISSING_SUBTREE, subtree=True))
-
-
-def _locally_idable(element):
-    if isinstance(element, Text):
-        return False
-    if element.attrib.get("id") is None:
-        return False
-    parent = element.parent
-    if parent is None:
-        return True
-    count = sum(
-        1
-        for sibling in parent.element_children(element.tag)
-        if sibling.attrib.get("id") == element.attrib.get("id")
-    )
-    return count == 1
 
 
 def run_qeg(db, pattern, now=None, probe_results=None,

@@ -283,7 +283,7 @@ def canonicalize(query, buckets=None):
         if cached is not None:
             return cached
         source = query
-        ast = xpath_parser.parse(query)
+        ast = xpath_parser.parse_cached(query)
     else:
         ast = query
         source = ast.unparse()

@@ -32,44 +32,45 @@ TIMESTAMP_ATTRIBUTE = "timestamp"
 INTERNAL_ATTRIBUTES = frozenset({STATUS_ATTRIBUTE})
 
 
+#: Information ordering: owned > complete > id-complete > incomplete.
+_RANKS = {"owned": 3, "complete": 2, "id-complete": 1, "incomplete": 0}
+
+
 class Status(enum.Enum):
-    """Storage status of an IDable node at a site."""
+    """Storage status of an IDable node at a site.
+
+    Each member carries three plain attributes, fixed when the class is
+    created (the answer path reads them once per included node):
+
+    ``rank``
+        the information ordering above;
+    ``has_local_information``
+        whether the full local information of the node is stored;
+    ``has_id_information``
+        whether at least the local ID information is stored.
+    """
 
     OWNED = "owned"
     COMPLETE = "complete"
     ID_COMPLETE = "id-complete"
     INCOMPLETE = "incomplete"
 
-    @property
-    def has_local_information(self):
-        """Whether the full local information of the node is stored."""
-        return self in (Status.OWNED, Status.COMPLETE)
-
-    @property
-    def has_id_information(self):
-        """Whether at least the local ID information is stored."""
-        return self is not Status.INCOMPLETE
-
-    @property
-    def rank(self):
-        """Information ordering: owned > complete > id-complete > incomplete."""
-        return _RANKS[self]
+    def __init__(self, value):
+        self.rank = _RANKS[value]
+        self.has_local_information = value in ("owned", "complete")
+        self.has_id_information = value != "incomplete"
 
 
-_RANKS = {
-    Status.OWNED: 3,
-    Status.COMPLETE: 2,
-    Status.ID_COMPLETE: 1,
-    Status.INCOMPLETE: 0,
-}
+_BY_VALUE = {status.value: status for status in Status}
 
 
 def parse_status(value):
     """Parse a status attribute value, raising on junk."""
-    for status in Status:
-        if status.value == value:
-            return status
-    raise CoreError(f"invalid status attribute value: {value!r}")
+    try:
+        return _BY_VALUE[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise CoreError(
+            f"invalid status attribute value: {value!r}") from None
 
 
 def get_status(element, default=Status.INCOMPLETE):

@@ -246,7 +246,8 @@ class Cluster:
         The DNS-style name is extracted from the query string itself --
         no global information, no schema -- then resolved.
         """
-        ast = xpath_parser.parse(query) if isinstance(query, str) else query
+        ast = xpath_parser.parse_cached(query) \
+            if isinstance(query, str) else query
         if isinstance(ast, FunctionCall) and ast.arguments and \
                 isinstance(ast.arguments[0], LocationPath):
             ast = ast.arguments[0]

@@ -12,6 +12,7 @@ keeps children in a list, but all comparison and caching logic in the
 rest of the system is order-insensitive.
 """
 
+import functools
 import itertools
 
 from repro.xmlkit.errors import XmlStructureError
@@ -30,7 +31,13 @@ _VERSION_CLOCK = itertools.count(1)
 
 _ABSENT = object()
 
+#: Bound of the name-check memo.  A deployment uses a few dozen element
+#: and attribute names, and every ``Element()`` / ``set()`` -- hence
+#: every ``copy()`` and ID stub -- checks one.
+NAME_MEMO_SIZE = 1024
 
+
+@functools.lru_cache(maxsize=NAME_MEMO_SIZE)
 def is_valid_name(name):
     """Return ``True`` if *name* is a legal element/attribute name.
 

@@ -133,7 +133,7 @@ def anchor_id_path(query):
     from repro.xpath import parser as _parser
 
     try:
-        ast = _parser.parse(query) if isinstance(query, str) else query
+        ast = _parser.parse_cached(query) if isinstance(query, str) else query
         if isinstance(ast, FunctionCall) and ast.arguments and \
                 isinstance(ast.arguments[0], LocationPath):
             ast = ast.arguments[0]

@@ -1,12 +1,10 @@
 """Public compile/evaluate API for XPath queries.
 
 ``compile_xpath`` parses once and returns a reusable
-:class:`XPathQuery`; a small cache makes repeated compilation of the
-same query string cheap, mirroring how the organizing agents reuse
-compiled queries.
+:class:`XPathQuery`; the parse memo (:func:`repro.xpath.parser.parse_cached`)
+makes repeated compilation of the same query string cheap, mirroring
+how the organizing agents reuse compiled queries.
 """
-
-import functools
 
 from repro.xpath import parser
 from repro.xpath.ast import LocationPath
@@ -69,18 +67,13 @@ class XPathQuery:
 _DEFAULT_EVALUATOR = Evaluator()
 
 
-@functools.lru_cache(maxsize=4096)
-def _parse_cached(source):
-    return parser.parse(source)
-
-
 def compile_xpath(source, extension_functions=None):
     """Compile *source* into an :class:`XPathQuery`.
 
     *extension_functions* is an optional mapping of name -> callable
     layered over the core function library.
     """
-    ast = _parse_cached(source)
+    ast = parser.parse_cached(source)
     evaluator = (
         Evaluator(extension_functions) if extension_functions else None
     )

@@ -6,6 +6,8 @@ fragment -- document-order axes, ``position()``/``last()`` and numeric
 paper's data model (Section 3.1).
 """
 
+import functools
+
 from repro.xpath import lexer
 from repro.xpath.ast import (
     ORDERED_AXES,
@@ -37,6 +39,13 @@ _PATH_START_KINDS = {
 }
 
 _ORDER_DEPENDENT_FUNCTIONS = {"position", "last"}
+
+#: Bound of the parse memo, in distinct query texts (about 6 KB each).
+#: It only has to span one operation -- the client, the asking site and
+#: the sites its subqueries reach parse the same few texts within
+#: milliseconds; repeats further apart are caught downstream by the
+#: canonicalizer memo and the pattern cache, which are keyed by text.
+PARSE_MEMO_SIZE = 256
 
 
 def _descendant_step():
@@ -299,3 +308,18 @@ class _Parser:
 def parse(source):
     """Parse *source* into an AST :class:`~repro.xpath.ast.Expression`."""
     return _Parser(source).parse()
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def parse_cached(source):
+    """The AST of *source*, parsed once per distinct text.
+
+    One bounded memo for the whole query path -- routing, anchor
+    extraction, canonicalization, pattern compilation and
+    :func:`~repro.xpath.compiler.compile_xpath` each used to parse the
+    same text.  The tree is shared by every caller and **must not be
+    mutated**: rewrites (canonicalization, sugar, subquery slicing)
+    build new nodes.  Callers that want a tree of their own use
+    :func:`parse`.  Syntax errors are raised afresh on every call.
+    """
+    return parse(source)

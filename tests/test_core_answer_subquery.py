@@ -1,7 +1,11 @@
 """Unit tests for the answer builder (C1/C2) and subquery rendering."""
 
+from collections import Counter
+
 import pytest
 
+import repro.core.answer as answer_module
+import repro.core.idable as idable_module
 from repro.core import (
     AnswerBuilder,
     CoreError,
@@ -14,7 +18,9 @@ from repro.core import (
     render_id_path_query,
     render_residual_query,
 )
+from repro.core.idable import iter_idable
 from repro.core.qeg import compile_pattern
+from repro.xmlkit import Element
 from repro.xpath import parse
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
@@ -96,6 +102,105 @@ class TestAnswerBuilder:
         fragment = builder.build()
         city = fragment.child("state").child("county").child("city")
         assert len(list(city.element_children("neighborhood"))) == 2
+
+
+class _CountingBuilder(AnswerBuilder):
+    """Counts ``include_id_information`` *bodies*: a call that got past
+    the already-included lookup is the one that goes on to call
+    ``include_ancestors`` for the same element (nothing else is called
+    from inside it with that element)."""
+
+    def __init__(self, database):
+        super().__init__(database)
+        self.id_calls = 0
+        self.id_bodies = Counter()
+        self._inside = []
+
+    def include_id_information(self, element):
+        self.id_calls += 1
+        self._inside.append(element)
+        try:
+            return super().include_id_information(element)
+        finally:
+            self._inside.pop()
+
+    def include_ancestors(self, element):
+        if self._inside and self._inside[-1] is element:
+            self.id_bodies[id(element)] += 1
+        return super().include_ancestors(element)
+
+
+def _chain_with_fan_out(depth=8, held_from=3):
+    """A chain ``depth`` levels deep; every chain node also has two
+    leaves, one held and one known by ID only.  The site holds ID
+    information above level *held_from* and local information below.
+    Returns ``(root, node at held_from, deepest chain node)``."""
+    root = Element("n", attrib={"id": "c0", "status": "id-complete"})
+    node, held = root, None
+    for level in range(1, depth + 1):
+        status = "owned" if level >= held_from else "id-complete"
+        child = Element("n", attrib={"id": f"c{level}", "status": status})
+        if level >= held_from:
+            child.append(Element("v", text=str(level)))
+        node.append(child)
+        if level >= held_from:
+            leaf = Element("leaf", attrib={"id": "held", "status": "owned"})
+            leaf.append(Element("v", text="x"))
+            child.append(leaf)
+            child.append(Element("leaf", attrib={"id": "far",
+                                                 "status": "id-complete"}))
+        if level == held_from:
+            held = child
+        node = child
+    return root, held, node
+
+
+class TestAnswerCostIsLinear:
+    """Counts, not times: one inclusion at depth d cost 2^d calls in
+    the seed builder (``include_id_information`` and
+    ``include_ancestors`` recursed into each other with no memory)."""
+
+    @pytest.fixture
+    def idable_calls(self, monkeypatch):
+        calls = []
+        original = idable_module.idable_children
+
+        def counting(element):
+            calls.append(element)
+            return original(element)
+
+        # answer.py binds the name at import; non_idable_children
+        # reaches it through the idable module.
+        monkeypatch.setattr(idable_module, "idable_children", counting)
+        monkeypatch.setattr(answer_module, "idable_children", counting)
+        return calls
+
+    def test_subtree_inclusion_is_linear_in_nodes_included(
+            self, idable_calls):
+        _root, held, _deepest = _chain_with_fan_out()
+        builder = _CountingBuilder(None)
+        missing = []
+        builder.include_subtree(held, on_missing=missing.append)
+        calls = len(idable_calls)
+        included = [node for node in iter_idable(builder.build())
+                    if get_status(node) is not Status.INCOMPLETE]
+        # 3 ancestors + 6 chain nodes + 6 held leaves + 6 far leaves.
+        assert len(included) == 21
+        assert len(missing) == 6
+        assert max(builder.id_bodies.values()) == 1
+        assert builder.id_calls <= 2 * len(included)
+        assert calls <= 3 * len(included)
+
+    def test_repeated_ancestor_inclusion_is_free(self, idable_calls):
+        _root, _held, deepest = _chain_with_fan_out()
+        builder = _CountingBuilder(None)
+        builder.include_ancestors(deepest)
+        assert len(builder.id_bodies) == 8  # c0..c7, once each
+        before = len(idable_calls), builder.id_calls
+        builder.include_ancestors(deepest)
+        assert len(idable_calls) == before[0]
+        assert builder.id_calls == before[1] + 1
+        assert max(builder.id_bodies.values()) == 1
 
 
 class TestSubqueryRendering:

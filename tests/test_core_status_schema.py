@@ -44,6 +44,17 @@ class TestStatus:
         with pytest.raises(CoreError):
             parse_status("half-done")
 
+    def test_parse_round_trips_every_value(self):
+        for status in Status:
+            assert parse_status(status.value) is status
+
+    @pytest.mark.parametrize("junk", ["", "Owned", None, []])
+    def test_parse_raises_core_error_on_any_junk(self, junk):
+        # A dict lookup underneath: neither its KeyError nor the
+        # TypeError of an unhashable value may escape.
+        with pytest.raises(CoreError, match="invalid status"):
+            parse_status(junk)
+
     def test_timestamps(self):
         element = Element("a")
         assert get_timestamp(element) is None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Status, get_status, get_timestamp
 from repro.net import Cluster, MigrationError, OAConfig
+from repro.xpath import parser as xpath_parser
 
 from tests.conftest import (
     FIGURE2_QUERY,
@@ -42,6 +43,51 @@ class TestRouting:
         before = paper_cluster.stats["lca_cache_hits"]
         paper_cluster.route_query(FIGURE2_QUERY)
         assert paper_cluster.stats["lca_cache_hits"] == before + 1
+
+
+class TestOneParsePerQueryText:
+    """Routing, anchor extraction, canonicalization and pattern
+    compilation at the asking site, and every site a subquery reaches,
+    share one parse memo (``repro.xpath.parser.parse_cached``)."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The texts the real parser ran on, in order."""
+        texts = []
+        self.real_parse = xpath_parser.parse
+        monkeypatch.setattr(
+            xpath_parser, "parse",
+            lambda source: texts.append(source) or self.real_parse(source))
+        xpath_parser.parse_cached.cache_clear()
+        return texts
+
+    def test_a_fresh_query_is_parsed_once_per_distinct_text(
+            self, paper_cluster, parsed):
+        query = FIGURE2_QUERY + "[price >= 0]"
+        results, site, outcome = paper_cluster.query(query)
+        assert len(results) == 3 and outcome.complete
+        assert site == "top"
+        # Oakland and Shadyside were asked: their subquery texts were
+        # parsed too, each once, by whichever site met it first.
+        assert query in parsed and len(parsed) > 1
+        assert len(parsed) == len(set(parsed))
+
+    def test_consumers_leave_the_shared_trees_as_parsed(
+            self, paper_cluster, parsed):
+        queries = [
+            FIGURE2_QUERY,
+            PREFIX + "/neighborhood[@id='Oakland']/block"
+                     "[timestamp > now - 30][@id='1']",
+            PREFIX + "//parkingSpace['yes' = available]",
+        ]
+        for query in queries:
+            paper_cluster.query(query)
+            paper_cluster.route_query(query)
+        paper_cluster.scalar(f"count({PREFIX}//parkingSpace)")
+        assert parsed
+        for text in list(parsed):
+            assert xpath_parser.parse_cached(text).unparse() == \
+                self.real_parse(text).unparse()
 
 
 class TestQueries:

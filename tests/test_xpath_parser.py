@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.xpath import parse
+from repro.xpath import compile_xpath, parse
+from repro.xpath import parser as parser_module
 from repro.xpath.ast import (
     BinaryOperation,
     FilterExpression,
@@ -194,3 +195,44 @@ class TestUnparse:
 
     def test_dot_dotdot_roundtrip(self):
         assert parse("./../a").unparse() == "./../a"
+
+
+class TestParseMemo:
+    """``parse_cached``: one shared tree per query text, bounded."""
+
+    QUERY = "/a[@id='1']/b[price > 5 and timestamp > now - 30]//c"
+
+    def test_one_parse_per_distinct_text(self, monkeypatch):
+        parsed = []
+        real = parser_module.parse
+        monkeypatch.setattr(
+            parser_module, "parse",
+            lambda source: parsed.append(source) or real(source))
+        parser_module.parse_cached.cache_clear()
+        first = parser_module.parse_cached(self.QUERY)
+        assert parser_module.parse_cached(self.QUERY) is first
+        assert compile_xpath(self.QUERY).ast is first
+        assert parsed == [self.QUERY]
+
+    def test_memo_is_bounded_by_the_module_constant(self):
+        info = parser_module.parse_cached.cache_info()
+        assert info.maxsize == parser_module.PARSE_MEMO_SIZE
+        for index in range(parser_module.PARSE_MEMO_SIZE + 10):
+            parser_module.parse_cached(f"/a[@id='{index}']")
+        assert parser_module.parse_cached.cache_info().currsize == \
+            parser_module.PARSE_MEMO_SIZE
+
+    def test_mutating_a_parsed_tree_cannot_poison_the_memo(self):
+        # ``parse`` is the API that hands a caller a tree of its own.
+        shared = parser_module.parse_cached(self.QUERY)
+        mine = parse(self.QUERY)
+        assert mine is not shared
+        mine.steps.pop()
+        mine.steps[0].predicates.clear()
+        assert parser_module.parse_cached(self.QUERY) is shared
+        assert shared.unparse() == parse(self.QUERY).unparse()
+
+    def test_syntax_errors_are_raised_every_time(self):
+        for _ in range(2):
+            with pytest.raises(XPathSyntaxError):
+                parser_module.parse_cached("/a[")
