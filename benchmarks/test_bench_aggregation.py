@@ -200,7 +200,7 @@ def test_summary_rollups_vs_naive_fanout():
 
     # -- the rollup path -----------------------------------------------
     cluster = Cluster(document, build_plan(config), clock=lambda: NOW,
-                      aggregation=AggregationConfig())
+                      subsystems=[AggregationConfig()])
     agg_cold, agg_warm = {}, {}
     for shape in SHAPES:
         value, agg_cold[shape] = _timed(
@@ -211,7 +211,7 @@ def test_summary_rollups_vs_naive_fanout():
             lambda q=queries[shape]: cluster.scalar(q, at_site="root",
                                                     now=NOW))
         check(shape, value, "agg_warm")
-    counters = cluster.agents["root"].aggregation.counters()
+    counters = cluster.agents["root"].subsystem("aggregation").metrics()
     cluster.shutdown(final_checkpoint=False)
     del cluster
     gc.collect()

@@ -29,7 +29,7 @@ from repro.net import (
     OAConfig,
     RetryPolicy,
 )
-from repro.sim.metrics import collect_fault_counters
+from repro.obs.registry import fault_counters
 from repro.xmlkit import Element
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
@@ -92,7 +92,7 @@ def _run_rate(drop_rate):
         if outcome.complete:
             complete += 1
     ordered = sorted(latencies)
-    fault_totals = collect_fault_counters(cluster.agents)
+    fault_totals = fault_counters(cluster.agents)
     return {
         "drop_rate": drop_rate,
         "queries": len(latencies),

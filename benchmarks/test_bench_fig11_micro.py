@@ -155,9 +155,8 @@ def _routed_total(config, document, entry_level, fast, cost):
                     + len(config.city_names()) + 1)
     sim = SimulatedCluster(document.copy(),
                            hierarchical(config, n_sites=needed_sites),
-                           oa_config=OAConfig(fast_codegen=fast,
-                                              cache_results=False),
-                           cost_model=cost)
+                           oa_config=OAConfig(cache_results=False),
+                           cost_model=cost, fast_codegen=fast)
     query = type1_query(config, "Pittsburgh", "Oakland", "1")
     owner_of = sim.cluster.owner_map
     level_paths = {

@@ -95,16 +95,17 @@ def _workload(seed):
 
 def _one_window(balanced, rate, seed):
     """A fresh cluster: warmup (+ one tick when balanced), one window."""
-    rebalance = (RebalanceConfig(min_queries=16, overload_ratio=1.5)
-                 if balanced else None)
+    subsystems = ([RebalanceConfig(min_queries=16, overload_ratio=1.5)]
+                  if balanced else [])
     with TcpCluster(build_document(CONFIG), build_plan(CONFIG),
                     oa_config=_oa_config(), max_pending=MAX_PENDING,
                     service_delay=SERVICE_DELAY,
-                    rebalance=rebalance) as tcp:
+                    subsystems=subsystems) as tcp:
         run_open_loop(tcp.cluster, _workload(seed=11),
                       target_qps=WARMUP_QPS, duration=WARMUP_S,
                       seed=11, drain_timeout=DRAIN_TIMEOUT)
-        moves = tcp.balancer.tick() if balanced else []
+        moves = (tcp.cluster.subsystem("rebalance").tick()
+                 if balanced else [])
         result = run_open_loop(tcp.cluster, _workload(seed=seed),
                                target_qps=rate, duration=DURATION,
                                seed=seed, drain_timeout=DRAIN_TIMEOUT)
@@ -236,8 +237,8 @@ def test_rebalance_stress_million(benchmark):
     config = million_config()
     cluster = Cluster(build_document(config), build_plan(config),
                       oa_config=_oa_config(),
-                      rebalance=RebalanceConfig(min_queries=16,
-                                                overload_ratio=1.5))
+                      subsystems=[RebalanceConfig(min_queries=16,
+                                                  overload_ratio=1.5)])
 
     def _stress():
         workload = ScenarioWorkload(config, shape="sum", skew=SKEW,
@@ -245,13 +246,13 @@ def test_rebalance_stress_million(benchmark):
                                     seed=5)
         first = run_open_loop(cluster, workload, target_qps=150.0,
                               duration=8.0, seed=9, drain_timeout=120.0)
-        moves = cluster.balancer.tick()
+        moves = cluster.subsystem("rebalance").tick()
         second = run_open_loop(cluster, workload, target_qps=150.0,
                                duration=8.0, seed=10,
                                drain_timeout=120.0)
         return {"first": first.summary(), "second": second.summary(),
                 "migrations": len(moves),
-                "balancer": cluster.balancer.counters()}
+                "balancer": cluster.subsystem("rebalance").metrics()}
 
     outcome = benchmark.pedantic(_stress, rounds=1, iterations=1)
     write_report(

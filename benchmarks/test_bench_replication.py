@@ -87,7 +87,7 @@ def _run_scenario(k, kill):
             breaker=BreakerPolicy(failure_threshold=3,
                                   reset_timeout=30.0),
             partial_answers=True),
-        replication=ReplicationConfig(k=k))
+        subsystems=[ReplicationConfig(k=k)])
     try:
         if kill:
             tcp.kill_site(VICTIM)

@@ -52,14 +52,14 @@ def main():
         "root": [[("region", "R")]],
         "north": [[("region", "R"), ("group", "north")]],
         "south": [[("region", "R"), ("group", "south")]],
-    }, clock=clock, aggregation=AggregationConfig())
-    manager = cluster.agent("root").aggregation
+    }, clock=clock, subsystems=[AggregationConfig()])
+    manager = cluster.agent("root").subsystem("aggregation")
 
     print("== Rollups: tuples on the wire, not subtrees ==")
     for shape in ("count", "sum", "avg", "min", "max"):
         value = cluster.scalar(f"{shape}({BOUNDED})", at_site="root")
         print(f"  {shape:>5}: {value:g}")
-    counters = manager.counters()
+    counters = manager.metrics()
     print(f"  -> {counters['partials_fetched']} partial-aggregate "
           f"subqueries sent, {counters['summary']['hits']} summary hits "
           "(count prewarmed the rest: one merge-state serves all five "
@@ -79,7 +79,7 @@ def main():
           " (recomputed; only the re-stamped sensor is inside the bound)")
 
     print("\n== A derived sensor is an ordinary node ==")
-    sensor = cluster.register_derived_sensor(
+    sensor = cluster.subsystem("aggregation").register_derived_sensor(
         (("region", "R"),), "spread",
         f"max({ALL_VALUES}) - min({ALL_VALUES})")
     print(f"  registered spread = max - min -> {sensor.last_value:g}")

@@ -10,16 +10,25 @@ sensors define virtual readings as formulas over those aggregates,
 re-evaluated through continuous-query subscriptions on their input
 regions.
 
-Disabled (the default), the subsystem adds no wire messages and no
-envelope bytes: traffic is byte-identical to a build without it.
+Switched on by listing an :class:`AggregationConfig` in
+``Cluster(subsystems=[...])``; everything it does -- its two wire
+kinds, the per-agent manager, derived-sensor registration, its metrics
+and EXPLAIN sections -- lives in this package and reaches the agents
+through :mod:`repro.net.subsystem`.  Not listed (the default), it adds
+no wire messages and no envelope bytes: traffic is byte-identical to a
+build without it.
 """
 
 from repro.agg.derived import DerivedSensor, FormulaError, compile_formula
+from repro.agg.config import AggregationConfig, ClusterAggregation
 from repro.agg.manager import (
-    AggregationConfig,
     AggregationManager,
     AggregationUnavailable,
     AggregationUnsupported,
+)
+from repro.agg.messages import (
+    PartialAggregateAnswer,
+    PartialAggregateRequest,
 )
 from repro.agg.partial import (
     SHAPES,
@@ -35,9 +44,12 @@ __all__ = [
     "AggregationManager",
     "AggregationUnavailable",
     "AggregationUnsupported",
+    "ClusterAggregation",
     "DerivedSensor",
     "FormulaError",
     "Partial",
+    "PartialAggregateAnswer",
+    "PartialAggregateRequest",
     "SHAPES",
     "SummaryCache",
     "collapse",

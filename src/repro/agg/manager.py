@@ -1,10 +1,12 @@
 """The per-site aggregation manager: summaries, rollups, derived input.
 
-One :class:`AggregationManager` hangs off each organizing agent when
-``OAConfig.aggregation`` is an enabled :class:`AggregationConfig`.
-Aggregate queries still arrive through the ordinary scalar entry point
-(:meth:`OrganizingAgent.answer_scalar` consults the manager first);
-the manager answers the shapes it supports hierarchically:
+One :class:`AggregationManager` registers with each organizing agent
+whose ``OAConfig.subsystems`` lists an :class:`AggregationConfig` (see
+:mod:`repro.net.subsystem` for the hooks).  Aggregate queries still
+arrive through the ordinary scalar entry point
+(:meth:`OrganizingAgent.answer_scalar` offers them to the manager's
+``try_scalar`` hook first); the manager answers the shapes it supports
+hierarchically:
 
 * **summary first**: the rollup's merge-state may already be cached in
   the :class:`~repro.agg.summary.SummaryCache`, keyed by (region,
@@ -17,7 +19,7 @@ the manager answers the shapes it supports hierarchically:
 * **partial-aggregate subqueries**: every IDable *frontier* (an
   unowned IDable node the inner path can reach) is asked for its
   collapsed merge-state with one
-  :class:`~repro.net.messages.PartialAggregateRequest` -- tuples on
+  :class:`~repro.agg.messages.PartialAggregateRequest` -- tuples on
   the wire, never subtrees -- and child sites recurse, so interior
   OAs cache intermediate rollups and the hierarchy amortizes.
 
@@ -26,43 +28,37 @@ algebra) degrades to the naive gather fan-out for ``count``/``sum``
 (the evaluator's own shapes); ``avg``/``min``/``max`` exist only here
 and surface the error instead.
 
-Disabled (the default), the subsystem adds no wire messages and no
-envelope bytes: traffic is byte-identical to a build without it.
+Without the config (the default) nothing here exists: no wire messages,
+no envelope bytes, traffic byte-identical to a build without it.
 """
 
 import threading
+from collections import namedtuple
 
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.idable import idable_children, node_id
-from repro.core.semcache import (
-    DEFAULT_BUCKET_BOUNDARIES,
-    FreshnessBuckets,
-    canonicalize,
-)
+from repro.core.semcache import canonicalize
 from repro.core.status import Status, get_status, get_timestamp
 from repro.net.errors import NetError
-from repro.net.messages import (
-    ErrorMessage,
-    PartialAggregateAnswer,
-    PartialAggregateRequest,
-)
+from repro.net.messages import ErrorMessage, as_id_path
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import (
     REF_CONSISTENCY,
     REF_ID,
     classify_predicate,
     extract_id_path,
+    iter_conjuncts,
     single_id_value,
 )
-from repro.xpath.ast import (
-    BinaryOperation,
-    FunctionCall,
-    LocationPath,
-    NameTest,
-)
+from repro.xpath.ast import FunctionCall, LocationPath, NameTest
 from repro.xpath.evaluator import Evaluator
 from repro.xpath.types import AttributeRef, node_string_value, to_number
 
+from repro.agg.derived import DerivedSensor
+from repro.agg.messages import (
+    PartialAggregateAnswer,
+    PartialAggregateRequest,
+)
 from repro.agg.partial import (
     SHAPES,
     Partial,
@@ -83,72 +79,19 @@ class AggregationUnavailable(CoreError):
     """A rollup could not complete (dead child, disabled peer, ...)."""
 
 
-class AggregationConfig:
-    """Tunables for hierarchical aggregation at one site.
-
-    ``enabled``
-        master switch; ``False`` keeps the wire byte-identical to a
-        build without the subsystem;
-    ``buckets``
-        the :class:`~repro.core.semcache.FreshnessBuckets` used to
-        loosen in-query tolerances before computing (and keying)
-        rollups -- shared boundaries with the semantic cache so both
-        subsystems coalesce the same jitter;
-    ``max_entries`` / ``max_bytes``
-        the :class:`~repro.agg.summary.SummaryCache` LRU budget.
-    """
-
-    def __init__(self, enabled=True, buckets=DEFAULT_BUCKET_BOUNDARIES,
-                 max_entries=256, max_bytes=4 * 1024 * 1024):
-        self.enabled = bool(enabled)
-        if buckets is None:
-            self.buckets = None
-        elif isinstance(buckets, FreshnessBuckets):
-            self.buckets = buckets
-        else:
-            self.buckets = FreshnessBuckets(buckets)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-
-    def __repr__(self):
-        state = "on" if self.enabled else "off"
-        return f"AggregationConfig({state}, max_entries={self.max_entries})"
-
-
-class _Plan:
-    """One supported aggregate ask, decomposed."""
-
-    __slots__ = ("shape", "inner", "inner_source", "anchor",
-                 "tolerance", "bucket_bound")
-
-    def __init__(self, shape, inner, inner_source, anchor, tolerance,
-                 bucket_bound):
-        self.shape = shape
-        self.inner = inner
-        self.inner_source = inner_source
-        self.anchor = anchor
-        self.tolerance = tolerance
-        self.bucket_bound = bucket_bound
-
-
-def _conjuncts(predicate):
-    if isinstance(predicate, BinaryOperation) and predicate.operator == "and":
-        yield from _conjuncts(predicate.left)
-        yield from _conjuncts(predicate.right)
-    else:
-        yield predicate
-
-
-def _as_path(id_path):
-    return tuple(tuple(entry) for entry in id_path)
+#: One supported aggregate ask, decomposed.
+_Plan = namedtuple("_Plan", "shape inner inner_source anchor tolerance "
+                            "bucket_bound")
 
 
 class AggregationManager:
     """One site's hierarchical-aggregation state (see module docstring)."""
 
-    def __init__(self, agent):
+    name = "aggregation"
+
+    def __init__(self, agent, config):
         self.agent = agent
-        self.config = agent.config.aggregation
+        self.config = config
         self.summaries = SummaryCache(
             max_entries=self.config.max_entries,
             max_bytes=self.config.max_bytes,
@@ -166,16 +109,27 @@ class AggregationManager:
             "unsupported_queries": 0,
             "derived_refreshes": 0,
             "derived_refresh_errors": 0,
+            "migration_summary_evictions": 0,
         }
 
-    @property
-    def enabled(self):
-        return self.config is not None and self.config.enabled
+    # ------------------------------------------------------------------
+    # The seam (repro.net.subsystem)
+    # ------------------------------------------------------------------
+    def handlers(self):
+        return {PartialAggregateRequest: self.answer_partial}
+
+    def on_ownership_change(self, paths, gained, peer):
+        """Summaries over a region handed away lose their invalidation
+        feed (local updates) with it: evict them."""
+        if not gained:
+            with self._lock:
+                self.stats["migration_summary_evictions"] += \
+                    self.summaries.evict_regions(paths)
 
     # ------------------------------------------------------------------
     # The query-side entry point
     # ------------------------------------------------------------------
-    def try_answer(self, query, now=None, max_age=None, precision=None):
+    def try_scalar(self, query, now=None, max_age=None, precision=None):
         """Answer an aggregate query from summaries, or decline.
 
         Returns ``(handled, value)``.  ``handled`` is ``False`` when
@@ -184,8 +138,6 @@ class AggregationManager:
         gather path untouched.  ``avg``/``min``/``max`` have no naive
         fallback: an unsupported or failed rollup raises.
         """
-        if not self.enabled:
-            return False, None
         plan = self._plan(query)
         if plan is None:
             return False, None
@@ -218,7 +170,10 @@ class AggregationManager:
             self.stats["answers"] += 1
         return True, partial.finalize(plan.shape)
 
-    def _plan(self, query):
+    def _analyze(self, query):
+        """``(shape, inner, anchor, problem, canon)`` for an aggregate-
+        shaped *query*, or ``None`` for anything else.  Side-effect
+        free: planning and EXPLAIN share it."""
         try:
             canon = canonicalize(query, buckets=self.config.buckets)
         except Exception:
@@ -226,23 +181,28 @@ class AggregationManager:
         ast = canon.bucket_ast
         if not isinstance(ast, FunctionCall) or ast.name not in SHAPES:
             return None
-        supported = (
-            len(ast.arguments) == 1
-            and isinstance(ast.arguments[0], LocationPath)
-            and ast.arguments[0].absolute
-        )
-        problem = None if supported else "argument is not an absolute path"
-        inner = ast.arguments[0] if supported else None
-        anchor = _as_path(extract_id_path(inner)) if supported else ()
-        if problem is None:
-            problem = self._support_problem(inner, anchor)
+        if len(ast.arguments) != 1 or \
+                not isinstance(ast.arguments[0], LocationPath) or \
+                not ast.arguments[0].absolute:
+            return (ast.name, None, (),
+                    "argument is not an absolute path", canon)
+        inner = ast.arguments[0]
+        anchor = as_id_path(extract_id_path(inner))
+        return (ast.name, inner, anchor,
+                self._support_problem(inner, anchor), canon)
+
+    def _plan(self, query):
+        analysis = self._analyze(query)
+        if analysis is None:
+            return None
+        shape, inner, anchor, problem, canon = analysis
         if problem is not None:
             with self._lock:
                 self.stats["unsupported_queries"] += 1
-            if ast.name in ("count", "sum"):
+            if shape in ("count", "sum"):
                 return None  # the evaluator's own shapes: naive path
             raise AggregationUnsupported(
-                f"{ast.name}() not answerable hierarchically: {problem}")
+                f"{shape}() not answerable hierarchically: {problem}")
         tolerance = canon.min_tolerance
         if tolerance is None:
             bucket_bound = None
@@ -250,7 +210,7 @@ class AggregationManager:
             bucket_bound = self.config.buckets.ceiling(tolerance)
         else:
             bucket_bound = tolerance
-        return _Plan(ast.name, inner, inner.unparse(), anchor,
+        return _Plan(shape, inner, inner.unparse(), anchor,
                      tolerance, bucket_bound)
 
     def _support_problem(self, inner, anchor):
@@ -277,7 +237,7 @@ class AggregationManager:
             if not isinstance(step.node_test, NameTest):
                 return "unsupported node test"
             for predicate in step.predicates:
-                for conjunct in _conjuncts(predicate):
+                for conjunct in iter_conjuncts(predicate):
                     refs = classify_predicate(conjunct)
                     if refs <= frozenset({REF_ID}):
                         continue
@@ -400,7 +360,7 @@ class AggregationManager:
                 if self._reaches(steps, child_path, len(region)):
                     frontiers.append(child_path)
 
-        visit(region_el, _as_path(region))
+        visit(region_el, as_id_path(region))
         return frontiers
 
     def _reaches(self, steps, child_path, anchor_len):
@@ -418,16 +378,6 @@ class AggregationManager:
     # ------------------------------------------------------------------
     # The wire: ask a frontier's owner, serve a parent's ask
     # ------------------------------------------------------------------
-    def _resolve_owner(self, region):
-        from repro.net.errors import NameNotFound
-
-        name = self.agent.resolver.server.name_for(region)
-        try:
-            target, _hops = self.agent.resolver.resolve(name)
-        except NameNotFound:
-            return None
-        return target
-
     def _remote_partial(self, region, inner_source, bound, now):
         """One frontier's collapsed merge-state, fetched from its owner.
 
@@ -437,7 +387,7 @@ class AggregationManager:
         raises :class:`AggregationUnavailable` and the whole ask
         degrades to the naive path.
         """
-        target = self._resolve_owner(region)
+        target = self.agent.resolve_owner(region)
         if target is None:
             return {}
         if target == self.agent.site_id:
@@ -489,7 +439,7 @@ class AggregationManager:
         now = float(message.now) if message.now is not None \
             else float(self.agent.clock())
         bound = message.bound
-        region = _as_path(message.region)
+        region = as_id_path(message.region)
         try:
             inner = xpath_parser.parse(message.query)
         except Exception as exc:
@@ -544,8 +494,6 @@ class AggregationManager:
         :class:`~repro.agg.derived.DerivedSensor` after its first
         evaluation.
         """
-        from repro.agg.derived import DerivedSensor
-
         sensor = DerivedSensor(identifier, node_path, formula)
         element = self.agent.database.find(sensor.node_path)
         if element is None or get_status(element) is not Status.OWNED:
@@ -566,7 +514,8 @@ class AggregationManager:
         """Re-evaluate one derived sensor and write its value back.
 
         The write-back mirrors the update handler: apply to the owned
-        node, wake continuous queries, re-replicate.  Reentrant calls
+        node, then tell every subsystem (continuous queries wake,
+        replicas refresh).  Reentrant calls
         (the write-back itself fires a covering subscription) are
         absorbed by the per-sensor guard.
         """
@@ -582,9 +531,7 @@ class AggregationManager:
             sensor.last_value = value
             with self._lock:
                 self.stats["derived_refreshes"] += 1
-            self.agent.continuous.on_update(sensor.node_path)
-            if self.agent.replication is not None:
-                self.agent.replication.note_update(sensor.node_path)
+            self.agent.notify_update(sensor.node_path)
             return value
         except Exception:
             with self._lock:
@@ -596,7 +543,7 @@ class AggregationManager:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def counters(self):
+    def metrics(self):
         """Aggregation counters for the metrics registry / EXPLAIN."""
         with self._lock:
             counters = dict(self.stats)
@@ -605,6 +552,56 @@ class AggregationManager:
         counters["summary"] = summary
         counters["summary_hit_ratio"] = (
             round(summary["hits"] / asked, 6) if asked else 0.0)
-        counters["enabled"] = self.enabled
         counters["derived_sensors"] = sorted(self.derived)
         return counters
+
+    def explain(self, context):
+        """The hierarchical-aggregation view of an EXPLAIN run.
+
+        Rebuilds the plan side-effect-free and ``peek``s the summary
+        cache, so an EXPLAIN never distorts the hit/miss counters it
+        reports.
+        """
+        info = self._explain_info(context.source, context.now)
+        if info["shape"] is None:
+            lines = ["aggregation: (not an aggregate query)"]
+        elif not info["supported"]:
+            lines = [f"aggregation: {info['shape']}() via naive gather"
+                     f" ({info['problem']})"]
+        else:
+            lines = [f"aggregation: {info['shape']}() via summary rollup",
+                     f"  summary:   {info['summary_key']}"]
+            entry = info.get("summary")
+            if entry is None:
+                lines.append("  summary-cache miss (rollup would compute)")
+            else:
+                bound = entry["tolerance"]
+                bound_text = f", bound {bound:g}s" if bound is not None \
+                    else ""
+                lines.append(
+                    f"  summary-cache hit candidate (age {entry['age']:g}s,"
+                    f" hits {entry['hits']}{bound_text})")
+        context.add_section(self.name, info, lines)
+
+    def _explain_info(self, source, now):
+        info = {"enabled": True, "shape": None,
+                "summaries_held": len(self.summaries),
+                "derived_sensors": sorted(self.derived)}
+        analysis = self._analyze(source)
+        if analysis is None:
+            return info
+        info["shape"], inner, anchor, problem, _canon = analysis
+        info["supported"] = problem is None
+        if problem is not None:
+            info["problem"] = problem
+            return info
+        key = summary_key(anchor, inner)
+        info["summary_key"] = key
+        entry = self.summaries.peek(key)
+        if entry is not None:
+            info["summary"] = {
+                "age": round(entry.age(now), 3),
+                "hits": entry.hits,
+                "tolerance": entry.tolerance,
+            }
+        return info

@@ -1,6 +1,6 @@
 """Aggregation smoke check: a real TCP rollup plus a derived sensor.
 
-``python -m repro.agg.smoke`` (needs ``PYTHONPATH=src:.``) stands up a
+``python -m repro.smoke aggregation`` (needs ``PYTHONPATH=src:.``) stands up a
 three-site TCP deployment with aggregation enabled and walks the
 tentpole loop over real sockets:
 
@@ -14,30 +14,23 @@ tentpole loop over real sockets:
   (through the OA's update handler, over TCP) re-fires it through the
   continuous-query subscription.
 
-A JSON summary of the rollup/summary/derived counters is written
-under ``--artifacts`` (default ``agg-smoke/``) so CI can archive what
-the hierarchy actually did.
+The summary carries the rollup/summary/derived counters, so CI can
+archive what the hierarchy actually did.
 """
 
-import argparse
-import json
-import os
-import sys
+from repro.smoke import (
+    impatient_oa_config,
+    three_site_document,
+    three_site_plan,
+    ticking_clock,
+)
 
 
 def _document():
     from repro.xmlkit import Element
 
-    root = Element("region", attrib={"id": "R"})
-    for group_index in range(2):
-        group = Element("group", attrib={"id": f"g{group_index}"})
-        root.append(group)
-        for sensor_index in range(3):
-            sensor = Element("sensor",
-                             attrib={"id": f"s{sensor_index}"})
-            sensor.append(Element(
-                "value", text=str(10 * group_index + sensor_index)))
-            group.append(sensor)
+    root = three_site_document(
+        value=lambda group, sensor: 10 * group + sensor)
     # One sensor owned by the root site itself: the local tick that
     # wakes root-hosted continuous subscriptions (the documented
     # continuous-query scope -- remote updates are seen on the next
@@ -46,16 +39,6 @@ def _document():
     heartbeat.append(Element("value", text="0"))
     root.append(heartbeat)
     return root
-
-
-def _plan():
-    from repro.core import PartitionPlan
-
-    return PartitionPlan({
-        "top": [(("region", "R"),)],
-        "mid": [(("region", "R"), ("group", "g0"))],
-        "leaf": [(("region", "R"), ("group", "g1"))],
-    })
 
 
 ALL_VALUES = "/region[@id='R']/group/sensor/value"
@@ -68,26 +51,16 @@ HEARTBEAT = (("region", "R"), ("sensor", "hb"))
 FORMULA = f"max({ALL_VALUES}) - min({ALL_VALUES})"
 
 
-def _run():
+def run(artifacts):
     from repro.agg import AggregationConfig
-    from repro.net import BreakerPolicy, OAConfig, RetryPolicy
     from repro.net.messages import UpdateMessage
     from repro.net.tcpruntime import TcpCluster
 
     problems = []
-    oa_config = OAConfig(
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0,
-                                 max_delay=0.0, jitter=0.0,
-                                 sleep=lambda seconds: None),
-        breaker=BreakerPolicy(failure_threshold=3, reset_timeout=0.05))
-    ticks = {"now": 0.0}
-
-    def clock():
-        ticks["now"] += 1.0
-        return ticks["now"]
-
-    tcp = TcpCluster(_document(), _plan(), oa_config=oa_config,
-                     aggregation=AggregationConfig(), clock=clock)
+    tcp = TcpCluster(_document(), three_site_plan(),
+                     oa_config=impatient_oa_config(),
+                     subsystems=[AggregationConfig()],
+                     clock=ticking_clock())
     try:
         cluster = tcp.cluster
 
@@ -98,23 +71,23 @@ def _run():
             if value != expected:
                 problems.append(
                     f"{shape}: rollup said {value!r}, truth {expected!r}")
-        manager = cluster.agents["top"].aggregation
-        if manager.counters()["partials_fetched"] == 0:
+        manager = cluster.agents["top"].subsystem("aggregation")
+        if manager.metrics()["partials_fetched"] == 0:
             problems.append("no partial-aggregate subquery was sent")
 
         # 2. The bounded ask twice: *both* are summary hits -- the
         #    unbounded rollups above already stored the merge-state
         #    under the same freshness-stripped key (cross-shape and
         #    cross-bound sharing).
-        before = manager.counters()["summary"]["hits"]
+        before = manager.metrics()["summary"]["hits"]
         for _ in range(2):
             cluster.scalar(f"avg({BOUNDED})", at_site="top")
-        if manager.counters()["summary"]["hits"] != before + 2:
+        if manager.metrics()["summary"]["hits"] != before + 2:
             problems.append("bounded asks were not summary-served")
 
         # 3. A derived sensor: spread = max - min, refreshed by an
         #    update that arrives at a *child* site over TCP.
-        sensor = cluster.register_derived_sensor(
+        sensor = cluster.subsystem("aggregation").register_derived_sensor(
             (("region", "R"),), "spread", FORMULA)
         if sensor.last_value != 12.0:
             problems.append(
@@ -135,49 +108,22 @@ def _run():
         if derived_answer != 1.0:
             problems.append("derived sensor is not queryable")
 
-        counters = manager.counters()
+        counters = manager.metrics()
         summary = {
             "shapes_checked": sorted(TRUTH),
             "formula": FORMULA,
             "derived_final_value": sensor.last_value,
             "site_counters": {
-                site: cluster.agents[site].aggregation.counters()
+                site: cluster.agents[site].subsystem("aggregation").metrics()
                 for site in ("top", "mid", "leaf")},
             "summary_hit_ratio": counters["summary_hit_ratio"],
-            "ok": not problems,
         }
+        summary["headline"] = (
+            f"five shapes rolled up over TCP "
+            f"({summary['site_counters']['top']['partials_fetched']} "
+            f"partial-aggregate subqueries from 'top'), repeat ask "
+            f"summary-served, derived sensor 'spread' re-fired to "
+            f"{sensor.last_value:g}.")
         return problems, summary
     finally:
         tcp.close()
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="hierarchical aggregation + derived sensor smoke check")
-    parser.add_argument("--artifacts", default="agg-smoke",
-                        help="directory for the rollup summary")
-    args = parser.parse_args(argv)
-
-    problems, summary = _run()
-
-    os.makedirs(args.artifacts, exist_ok=True)
-    summary_path = os.path.join(args.artifacts, "rollup.json")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        return 1
-    fetched = summary["site_counters"]["top"]["partials_fetched"]
-    print(f"OK: five shapes rolled up over TCP ({fetched} partial-"
-          f"aggregate subqueries from 'top'), repeat ask summary-served, "
-          f"derived sensor 'spread' re-fired to "
-          f"{summary['derived_final_value']:g}.")
-    print(f"Artifacts in {args.artifacts}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

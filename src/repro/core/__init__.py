@@ -7,7 +7,7 @@ the per-node status scheme, query-evaluate-gather, generalized
 consistency, ownership migration and the nesting-depth extensions.
 """
 
-from repro.core.aggregates import AggregateCache, CachedScalar
+from repro.core.aggregates import AggregateCache
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.consistency import (
     extract_tolerance,
@@ -101,7 +101,6 @@ __all__ = [
     "GatherOutcome",
     "GatherError",
     "AggregateCache",
-    "CachedScalar",
     "AnswerBuilder",
     "Subquery",
     "CompiledPattern",

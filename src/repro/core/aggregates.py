@@ -16,13 +16,7 @@ is honoured by ``max_age = p / r``.  :class:`AggregateCache` exposes
 exactly that conversion.
 """
 
-
 from repro.core.semcache import SemanticCache, SemanticCacheConfig
-
-#: Back-compat alias: lookups return :class:`~repro.core.semcache.CacheEntry`
-#: objects, which carry the same ``value``/``computed_at``/``age(now)``
-#: surface the old CachedScalar did.
-from repro.core.semcache import CacheEntry as CachedScalar  # noqa: F401
 
 
 class AggregateCache:

@@ -1,26 +1,28 @@
 """Semantic-cache smoke check: log, prewarm, replay, assert a floor.
 
-``python -m repro.core.semcache_smoke`` drives a skewed parking
-workload against a live loopback cluster while capturing the query
-log (exactly as ``service.run_live`` does in production), then
+``python -m repro.smoke semcache`` (needs ``PYTHONPATH=src:.``) drives
+a skewed parking workload against a live loopback cluster while
+capturing the query log (exactly as ``service.run_live`` does in
+production), then
 
 * saves the log as JSONL,
 * prewarms a **fresh, cold** cluster from the saved log
   (:func:`repro.core.semcache.prewarm`), and
 * replays the logged trace against the warmed cluster, asserting that
-  at least ``--floor`` of the queries are served entirely from warmed
+  at least :data:`FLOOR` of the queries are served entirely from warmed
   caches (zero new wire subqueries).
 
-The report (replay hit rates cold vs warmed, prewarm stats, the
-cluster's semcache counters) is written to
-``<artifacts>/SEMCACHE_smoke.json`` and the captured log to
-``<artifacts>/queries.jsonl`` so CI can archive both.
+The summary carries the replay hit rates cold vs warmed, the prewarm
+stats and the cluster's semcache counters; the captured log is written
+to ``<artifacts>/queries.jsonl`` so CI can archive both.
 """
 
-import argparse
-import json
 import os
-import sys
+
+#: How many workload queries to log, and the minimum warmed-replay
+#: cache-served rate.
+COUNT = 40
+FLOOR = 0.6
 
 
 def _build_cluster():
@@ -74,21 +76,18 @@ def _replay(cluster, entries):
     return served_warm
 
 
-def run_smoke(artifacts="semcache-smoke", count=40, floor=0.6):
-    """Run the smoke; returns a list of problems (empty = pass)."""
+def run(artifacts):
     from repro.core.semcache import QueryLog, prewarm
     from repro.obs.registry import build_cluster_registry
     from repro.service import QueryWorkload, run_live
 
-    os.makedirs(artifacts, exist_ok=True)
     log_path = os.path.join(artifacts, "queries.jsonl")
-    report_path = os.path.join(artifacts, "SEMCACHE_smoke.json")
 
     # Live traffic on a cold cluster, query log attached.
     config, cold_cluster = _build_cluster()
     workload = QueryWorkload.qw_mix(config, skew=0.8, seed=11)
     query_log = QueryLog()
-    run_live(cold_cluster, workload, count, query_log=query_log)
+    run_live(cold_cluster, workload, COUNT, query_log=query_log)
 
     # Jittered scalar aggregates exercise the semantic keys directly:
     # the second spelling of each pair must hit the first one's entry.
@@ -123,17 +122,17 @@ def run_smoke(artifacts="semcache-smoke", count=40, floor=0.6):
     cold_rate = served_cold / len(entries) if entries else 0.0
 
     problems = []
-    if saved != count + len(scalar_pairs):
+    if saved != COUNT + len(scalar_pairs):
         problems.append(
-            f"logged {saved} queries, expected {count + len(scalar_pairs)}")
+            f"logged {saved} queries, expected {COUNT + len(scalar_pairs)}")
     if prewarm_report["failures"]:
         problems.append(f"prewarm failures: {prewarm_report['failures']}")
     if prewarm_report["replayed"] == 0:
         problems.append("prewarm replayed nothing")
-    if warm_rate < floor:
+    if warm_rate < FLOOR:
         problems.append(
             f"warmed replay served {warm_rate:.0%} from cache, "
-            f"floor is {floor:.0%}")
+            f"floor is {FLOOR:.0%}")
     if warm_rate <= cold_rate:
         problems.append(
             f"prewarming did not help: warm {warm_rate:.0%} "
@@ -150,8 +149,8 @@ def run_smoke(artifacts="semcache-smoke", count=40, floor=0.6):
             f"expected >= {len(scalar_pairs)}")
 
     report = {
-        "count": count,
-        "floor": floor,
+        "count": COUNT,
+        "floor": FLOOR,
         "prewarm": prewarm_report,
         "replay": {
             "warm_served_from_cache": served_warm,
@@ -160,36 +159,10 @@ def run_smoke(artifacts="semcache-smoke", count=40, floor=0.6):
             "cold_rate": round(cold_rate, 4),
         },
         "semcache": {"cold": cold_snapshot, "warm": warm_snapshot},
-        "problems": problems,
+        "headline": (
+            f"prewarmed {prewarm_report['replayed']} unique queries "
+            f"across {sorted(prewarm_report['by_site'])}; replay served "
+            f"warm {warm_rate:.0%} vs cold {cold_rate:.0%} from cache "
+            f"(floor {FLOOR:.0%})."),
     }
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"prewarm: {prewarm_report['replayed']} unique queries "
-          f"across {sorted(prewarm_report['by_site'])}")
-    print(f"replay: warm {warm_rate:.0%} vs cold {cold_rate:.0%} "
-          f"served from cache (floor {floor:.0%}) -> {report_path}")
-    return problems
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.semcache_smoke", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--artifacts", default="semcache-smoke",
-                        help="directory for the log + report artifacts")
-    parser.add_argument("--count", type=int, default=40,
-                        help="how many workload queries to log")
-    parser.add_argument("--floor", type=float, default=0.6,
-                        help="minimum warmed-replay cache-served rate")
-    args = parser.parse_args(argv)
-
-    problems = run_smoke(artifacts=args.artifacts, count=args.count,
-                         floor=args.floor)
-    for problem in problems:
-        print(f"FAIL: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return problems, report

@@ -56,9 +56,10 @@ def partition_fingerprint(database):
 class DurabilityConfig:
     """Tunables for the per-site durability managers.
 
-    ``enabled``
-        ``False`` makes the whole subsystem a no-op -- no directory is
-        touched, agents run exactly as before this subsystem existed.
+    Pass it as ``Cluster(durability=...)`` to journal every site; not
+    passing it leaves agents exactly as before this subsystem existed
+    (no directory is touched).
+
     ``directory``
         root directory; each site journals under ``<directory>/<site>``.
         ``None`` creates a fresh temporary directory on first use.
@@ -77,10 +78,9 @@ class DurabilityConfig:
         the cache verbatim.
     """
 
-    def __init__(self, enabled=True, directory=None, sync_every=64,
+    def __init__(self, directory=None, sync_every=64,
                  checkpoint_interval=256, keep_checkpoints=2,
                  revalidate_max_age=None):
-        self.enabled = enabled
         self.directory = directory
         self.sync_every = sync_every
         self.checkpoint_interval = checkpoint_interval
@@ -101,8 +101,7 @@ class DurabilityConfig:
         return path
 
     def __repr__(self):
-        state = "enabled" if self.enabled else "disabled"
-        return (f"DurabilityConfig({state}, dir={self.directory!r}, "
+        return (f"DurabilityConfig(dir={self.directory!r}, "
                 f"sync_every={self.sync_every}, "
                 f"checkpoint_interval={self.checkpoint_interval})")
 
@@ -257,13 +256,17 @@ def apply_record(database, record):
 
 
 class DurabilityManager:
-    """One site's journal, checkpointer and recovery path."""
+    """One site's journal, checkpointer and recovery path.
+
+    The agent takes it as a constructor argument -- it supplies the
+    recovered database before the agent exists -- and then registers it
+    like any subsystem (:mod:`repro.net.subsystem`): ``flush`` /
+    ``close`` / ``abort`` / ``metrics`` are its hooks.
+    """
+
+    name = "durability"
 
     def __init__(self, config, site_id, clock=None):
-        if not config.enabled:
-            raise DurabilityError(
-                "DurabilityManager needs an enabled DurabilityConfig "
-                "(disabled durability means no manager at all)")
         self.config = config
         self.site_id = site_id
         self.clock = clock or time.time
@@ -471,7 +474,7 @@ class DurabilityManager:
                 self.database.journal = None
             self.database = None
 
-    def counters(self):
+    def metrics(self):
         """Snapshot for the metrics registry."""
         with self._lock:
             out = dict(self.stats)

@@ -1,6 +1,6 @@
 """Durability smoke check: kill and recover a TCP site, end to end.
 
-``python -m repro.durability.smoke`` (needs ``PYTHONPATH=src:.``)
+``python -m repro.smoke durability`` (needs ``PYTHONPATH=src:.``)
 stands up a three-site TCP deployment twice over the same workload —
 once as a *victim* whose mid-tier site is killed mid-workload and
 restarted from its WAL + checkpoint, once as a never-killed *control*
@@ -11,51 +11,22 @@ restarted from its WAL + checkpoint, once as a never-killed *control*
 * the post-recovery query suite answers byte-identically.
 
 The victim's durability directory (WAL + checkpoints, as left after
-the run) and a JSON summary of the recovery counters are written
-under ``--artifacts`` (default ``durability-smoke/``) so CI can
-archive what recovery actually consumed.
+the run) is copied under the artifacts directory and the summary
+carries the recovery counters, so CI can archive what recovery actually
+consumed.
 """
 
-import argparse
-import json
 import os
 import shutil
-import sys
 import tempfile
 
+from repro.smoke import (
+    G0_S1,
+    THREE_SITE_QUERIES as QUERIES,
+    three_site_document,
+    three_site_plan,
+)
 
-def _document():
-    from repro.xmlkit import Element
-
-    root = Element("region", attrib={"id": "R"})
-    for group_index in range(2):
-        group = Element("group", attrib={"id": f"g{group_index}"})
-        root.append(group)
-        for sensor_index in range(3):
-            sensor = Element("sensor",
-                             attrib={"id": f"s{sensor_index}"})
-            sensor.append(Element("value", text="0"))
-            group.append(sensor)
-    return root
-
-
-def _plan():
-    from repro.core import PartitionPlan
-
-    return PartitionPlan({
-        "top": [(("region", "R"),)],
-        "mid": [(("region", "R"), ("group", "g0"))],
-        "leaf": [(("region", "R"), ("group", "g1"))],
-    })
-
-
-QUERIES = [
-    "/region[@id='R']/group[@id='g0']/sensor[@id='s1']/value",
-    "/region[@id='R']/group[@id='g0']/sensor",
-    "/region[@id='R']/group[@id='g1']/sensor[@id='s2']",
-]
-
-G0_S1 = (("region", "R"), ("group", "g0"), ("sensor", "s1"))
 G0_S2 = (("region", "R"), ("group", "g0"), ("sensor", "s2"))
 
 
@@ -66,7 +37,8 @@ def _run(directory, kill):
 
     config = DurabilityConfig(directory=directory, sync_every=4,
                               checkpoint_interval=3)
-    cluster = TcpCluster(_document(), _plan(), durability=config,
+    cluster = TcpCluster(three_site_document(), three_site_plan(),
+                         durability=config,
                          clock=lambda: 1000.0)
     try:
         mid = cluster.cluster.agents["mid"].database
@@ -78,7 +50,7 @@ def _run(directory, kill):
         if kill:
             cluster.kill_site("mid")
             agent = cluster.restart_site("mid")
-            recovery = agent.durability.counters()
+            recovery = agent.subsystem("durability").metrics()
 
         cluster.cluster.agents["mid"].database.apply_update(
             G0_S1, values={"value": "11"})
@@ -98,14 +70,7 @@ def _run(directory, kill):
         cluster.close()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="kill-and-recover TCP smoke check")
-    parser.add_argument("--artifacts", default="durability-smoke",
-                        help="directory for WAL/checkpoint artifacts "
-                             "and the recovery summary")
-    args = parser.parse_args(argv)
-
+def run(artifacts):
     scratch = tempfile.mkdtemp(prefix="durability-smoke-")
     victim_dir = os.path.join(scratch, "victim")
     control_dir = os.path.join(scratch, "control")
@@ -122,34 +87,21 @@ def main(argv=None):
         if not recovery or recovery["recoveries"] != 1:
             problems.append("victim did not record exactly one recovery")
 
-        os.makedirs(args.artifacts, exist_ok=True)
         # The victim's durability directory as the run left it --
         # what a real recovery would read.
-        kept = os.path.join(args.artifacts, "victim-durability")
+        kept = os.path.join(artifacts, "victim-durability")
         shutil.rmtree(kept, ignore_errors=True)
         shutil.copytree(victim_dir, kept)
-        summary_path = os.path.join(args.artifacts, "recovery.json")
-        with open(summary_path, "w", encoding="utf-8") as handle:
-            json.dump({"recovery_counters": recovery,
-                       "queries": QUERIES,
-                       "sites": sorted(control_fps),
-                       "byte_identical": not problems},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-        if problems:
-            for problem in problems:
-                print(f"FAIL: {problem}", file=sys.stderr)
-            return 1
-        print(f"OK: site 'mid' killed and recovered "
-              f"({recovery['last_recovery_replayed']} records replayed, "
-              f"{recovery['replay_skipped']} covered by the checkpoint); "
-              f"answers and partitions byte-identical to control.")
-        print(f"Artifacts in {args.artifacts}/")
-        return 0
+        summary = {"recovery_counters": recovery,
+                   "queries": QUERIES,
+                   "sites": sorted(control_fps),
+                   "byte_identical": not problems}
+        if recovery:
+            summary["headline"] = (
+                f"site 'mid' killed and recovered "
+                f"({recovery['last_recovery_replayed']} records replayed, "
+                f"{recovery['replay_skipped']} covered by the checkpoint); "
+                f"answers and partitions byte-identical to control.")
+        return problems, summary
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -25,6 +25,7 @@ from repro.net.errors import (
 )
 from repro.net.faults import FaultyNetwork, InjectedFault, SiteDown
 from repro.net.framing import FrameReader
+from repro.net.load import PathLoadTracker
 from repro.net.messages import (
     AckMessage,
     AdoptMessage,
@@ -34,9 +35,6 @@ from repro.net.messages import (
     ErrorMessage,
     Message,
     QueryMessage,
-    RehydrateAnswer,
-    RehydrateRequest,
-    ReplicateMessage,
     UpdateMessage,
     clean_results,
 )
@@ -58,6 +56,7 @@ __all__ = [
     "Subscription",
     "OrganizingAgent",
     "OAConfig",
+    "PathLoadTracker",
     "SensingAgent",
     "RandomSensorModel",
     "DnsServer",
@@ -86,9 +85,6 @@ __all__ = [
     "UpdateMessage",
     "AckMessage",
     "AdoptMessage",
-    "ReplicateMessage",
-    "RehydrateRequest",
-    "RehydrateAnswer",
     "clean_results",
     "NetError",
     "FrameTooLarge",

@@ -19,6 +19,7 @@ from repro.net.dns import DnsResolver, DnsServer
 from repro.net.messages import QueryMessage
 from repro.net.oa import OAConfig, OrganizingAgent
 from repro.net.sa import SensingAgent
+from repro.net.subsystem import CLUSTER_HOOKS, HookTable
 from repro.net.transport import LoopbackNetwork
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import extract_id_path
@@ -31,8 +32,7 @@ class Cluster:
     def __init__(self, global_document, plan, service="parking",
                  zone="intel-iris.net", oa_config=None, clock=None,
                  count_bytes=False, schema=None, network=None,
-                 durability=None, replication=None, aggregation=None,
-                 rebalance=None):
+                 durability=None, subsystems=()):
         if not isinstance(plan, PartitionPlan):
             plan = PartitionPlan(plan)
         from repro.xmlkit.nodes import Document as _Document
@@ -54,32 +54,18 @@ class Cluster:
             self.dns.register_id_path(path, site)
 
         # Durability: a DurabilityConfig turns on per-site WAL +
-        # checkpoints (None, or enabled=False, leaves agents exactly as
-        # before the subsystem existed).
-        self.durability_config = (
-            durability if durability is not None and durability.enabled
-            else None
-        )
+        # checkpoints (None leaves agents exactly as before the
+        # subsystem existed).
+        self.durability_config = durability
 
-        # Opt-in subsystems: a ReplicationConfig turns on k-replica
-        # fragment ownership, an AggregationConfig hierarchical
-        # aggregate answering + derived sensors, a RebalanceConfig the
-        # adaptive load balancer (hot-spot detection + live fragment
-        # migration).  Each may arrive either as a cluster kwarg
-        # (mirrored onto a copy of the OA config so a shared config
-        # object is never mutated) or pre-set on the OA config directly;
-        # disabled either way means no trace of the subsystem at all.
-        given = {"replication": replication, "aggregation": aggregation,
-                 "rebalance": rebalance}
-        if any(config is not None for config in given.values()):
+        # Opt-in subsystems (repro.net.subsystem): each config object,
+        # given here or pre-set on the OA config, builds its per-agent
+        # part inside every agent and its per-cluster part below.  The
+        # cluster's own list is mirrored onto a copy of the OA config
+        # so a shared config object is never mutated.
+        if subsystems:
             self.oa_config = copy.copy(self.oa_config)
-        for name, config in given.items():
-            if config is not None:
-                setattr(self.oa_config, name, config)
-            configured = getattr(self.oa_config, name, None)
-            setattr(self, f"{name}_config",
-                    configured if configured is not None
-                    and configured.enabled else None)
+            self.oa_config.subsystems += tuple(subsystems)
 
         databases = plan.build_databases(global_document,
                                          default_clock=self.clock)
@@ -87,27 +73,23 @@ class Cluster:
         for site, database in databases.items():
             self.agents[site] = self._build_agent(site, database)
 
+        #: The :class:`~repro.net.tcpruntime.TcpCluster` hosting the
+        #: agents behind sockets, or ``None`` on the loopback network.
+        self.runtime = None
         self.client_resolver = DnsResolver(self.dns, clock=self.clock)
         self.sensing_agents = []
         self.stats = {"client_queries": 0, "lca_cache_hits": 0,
-                      "site_kills": 0, "site_restarts": 0,
-                      "site_rehydrations": 0, "rehydrated_bytes": 0}
-        self._wire_replication()
+                      "site_kills": 0, "site_restarts": 0}
+        self._subsystems = HookTable(CLUSTER_HOOKS)
+        for config in self.oa_config.subsystems:
+            subsystem = config.cluster_subsystem(self)
+            if subsystem is not None:
+                self._subsystems.register(subsystem)
+        self._subsystems.fire("cluster_started")
 
-        #: The adaptive load balancer, or ``None`` while the subsystem
-        #: is off.  The balancer is passive until :meth:`LoadBalancer
-        #: .tick` (or ``.start()``) is called, and it only ever acts
-        #: through the agents' existing protocol, so merely enabling
-        #: it adds no wire traffic on an unskewed workload.
-        self.balancer = None
-        if self.rebalance_config is not None:
-            from repro.rebalance import LoadBalancer
-            self.balancer = LoadBalancer(self, self.rebalance_config)
-            # DNS invalidation fan-out: when a migration re-points a
-            # record, drop it from every resolver cache immediately so
-            # the next query routes to the new owner instead of
-            # waiting out a TTL on the old one.
-            self.dns.subscribe(self._invalidate_resolver_caches)
+    def subsystem(self, name):
+        """The cluster-level part of subsystem *name*, or ``None``."""
+        return self._subsystems.by_name.get(name)
 
     def _build_agent(self, site, database, prefer_database=False):
         """One OA, durably journalled when durability is configured.
@@ -119,10 +101,12 @@ class Cluster:
         *prefer_database* says the given database is fresher than the
         durable state (peer rehydration; the caller re-checkpoints).
         """
-        from repro.durability import DurabilityManager
-
         manager = None
         if self.durability_config is not None:
+            # The one subsystem the cluster names: it is what the
+            # agent's database comes from, so it has to exist first.
+            from repro.durability import DurabilityManager
+
             manager = DurabilityManager(self.durability_config, site,
                                         clock=self.clock)
             if manager.has_state() and not prefer_database:
@@ -139,9 +123,14 @@ class Cluster:
             # Loopback-style delivery; the TCP runtime registers
             # addresses instead (TcpCluster handles that).
             self.network.register(site, agent)
+        if manager is not None and prefer_database:
+            # The given copy supersedes whatever checkpoint + WAL
+            # survived a crash; snapshot it so a second crash does not
+            # replay a stale journal over the fresher state.
+            manager.checkpoint()
         return agent
 
-    def _invalidate_resolver_caches(self, name, site):
+    def invalidate_resolver_caches(self, name, site):
         """DNS fan-out target: purge *name* from every resolver cache."""
         self.client_resolver.invalidate(name)
         for agent in self.agents.values():
@@ -150,81 +139,6 @@ class Cluster:
             resolver = getattr(sensing_agent, "resolver", None)
             if resolver is not None:
                 resolver.invalidate(name)
-
-    def _wire_replication(self):
-        """Pin the site ring on every agent and seed the replica sets.
-
-        The ring comes from the static partition plan, so every site
-        (and every future asker) agrees on who replicates whom without
-        a membership protocol.  The bootstrap push runs over whatever
-        network the cluster currently has -- for a TcpCluster that is
-        the in-process loopback, before any socket exists.
-        """
-        if self.replication_config is None:
-            return
-        sites = self.plan.sites
-        for agent in self.agents.values():
-            agent.replication.set_topology(sites)
-        for agent in self.agents.values():
-            agent.replication.replicate_owned()
-
-    def _rehydrate_from_peers(self, site):
-        """Rebuild a dead site's fragment from its replicas, or ``None``.
-
-        Asks each of the site's ring-successor peers for their full
-        replica copy and merges the answers.  Succeeds only when the
-        merged copy covers **every** node the partition plan assigns to
-        the site (anything less would restart the owner with silent
-        holes); on success the owned paths are promoted and the
-        database is ready to serve.
-        """
-        from repro.core.database import SensorDatabase
-        from repro.core.status import get_status
-        from repro.net.errors import NetError
-        from repro.net.messages import RehydrateAnswer, RehydrateRequest
-        from repro.replication import replica_peers
-
-        owned = sorted(
-            (path for path, owner in self.owner_map.items()
-             if owner == site),
-            key=len,
-        )
-        if not owned:
-            return None
-        database = None
-        received = 0
-        for peer in replica_peers(site, self.plan.sites,
-                                  self.replication_config.k):
-            if peer not in self.agents:
-                continue
-            message = RehydrateRequest(site, sender=site)
-            try:
-                reply = self.network.request(site, peer, message)
-            except (OSError, NetError):
-                continue
-            if not isinstance(reply, RehydrateAnswer) or \
-                    reply.fragment is None:
-                continue
-            received += reply.encoded_size()
-            if database is None:
-                database = SensorDatabase(reply.fragment.copy(),
-                                          clock=self.clock, site_id=site)
-            else:
-                database.store_fragment(reply.fragment)
-        if database is None:
-            return None
-        for path in owned:
-            element = database.find(path)
-            if element is None or \
-                    not get_status(element).has_local_information:
-                # The replicas do not cover the whole fragment: fall
-                # back to WAL replay rather than restart with holes.
-                return None
-        for path in owned:
-            database.mark_owned(path)
-        self.stats["site_rehydrations"] += 1
-        self.stats["rehydrated_bytes"] += received
-        return database
 
     # ------------------------------------------------------------------
     @property
@@ -392,37 +306,6 @@ class Cluster:
         self.owner_map[new_path] = owner
         return element
 
-    def register_derived_sensor(self, parent_path, identifier, formula,
-                                tag="derived", attributes=None):
-        """Register a formula-defined virtual sensor (needs aggregation).
-
-        Creates an IDable ``<derived>`` node under *parent_path* via the
-        ordinary schema-evolution path (DNS entry included), then
-        registers the formula with the owner's aggregation manager,
-        subscribing each dependency region through
-        :meth:`subscribe`/:mod:`repro.net.continuous` so the sensor
-        re-evaluates when its inputs change.  Returns the
-        :class:`~repro.agg.derived.DerivedSensor`.
-        """
-        if self.aggregation_config is None:
-            raise QueryRoutingError(
-                "derived sensors need Cluster(aggregation=AggregationConfig())")
-        parent_path = tuple(tuple(entry) for entry in parent_path)
-        owner = self.owner_map.get(parent_path)
-        if owner is None:
-            raise QueryRoutingError(f"unknown parent {parent_path}")
-        merged = {"formula": formula}
-        if attributes:
-            merged.update(attributes)
-        self.add_node(parent_path, tag, identifier,
-                      attributes=merged, values={"value": "NaN"})
-        node_path = parent_path + ((tag, identifier),)
-        return self.agents[owner].aggregation.register_derived(
-            identifier, node_path, formula,
-            subscribe=lambda query, callback: self.subscribe(
-                query, callback, fire_immediately=False),
-        )
-
     def remove_node(self, path):
         """Schema evolution: delete an IDable node via its parent's owner."""
         path = tuple(tuple(entry) for entry in path)
@@ -452,27 +335,28 @@ class Cluster:
             raise QueryRoutingError(f"unknown site {site!r}")
         if hasattr(self.network, "unregister"):
             self.network.unregister(site)
-        if agent.durability is not None:
-            agent.durability.abort()
+        agent.abort()
         self.stats["site_kills"] += 1
         return agent
 
     def restart_site(self, site):
-        """Bring a killed site back: peer replicas first, then WAL.
+        """Bring a killed site back.
 
-        With replication enabled the restarting owner asks its ring
-        peers for their copies and, when those cover the whole owned
-        fragment, restarts from them -- typically fresher than the last
-        checkpoint and available even without durability.  Otherwise it
-        falls back to WAL + checkpoint recovery (PR 5); with neither,
-        the fragment died with the process and only a full redeploy can
+        A subsystem may rebuild the fragment first (its
+        ``restore_site`` hook -- read replication restarts an owner
+        from its peers' copies, typically fresher than the last
+        checkpoint and available even without durability).  Otherwise
+        the site recovers from WAL + checkpoint; with neither, the
+        fragment died with the process and only a full redeploy can
         recreate it.  Returns the new agent.
         """
         if site in self.agents:
             raise QueryRoutingError(f"site {site!r} is already running")
         database = None
-        if self.replication_config is not None:
-            database = self._rehydrate_from_peers(site)
+        for restore in self._subsystems.listeners["restore_site"]:
+            database = restore(site)
+            if database is not None:
+                break
         if database is None and self.durability_config is None:
             raise QueryRoutingError(
                 f"cannot restart {site!r}: cluster has no durability "
@@ -481,14 +365,7 @@ class Cluster:
                                   prefer_database=database is not None)
         self.agents[site] = agent
         self.stats["site_restarts"] += 1
-        if database is not None and agent.durability is not None:
-            # The rehydrated copy supersedes whatever checkpoint + WAL
-            # survived the crash; snapshot it so a second crash does
-            # not replay a stale journal over the fresher state.
-            agent.durability.checkpoint()
-        if agent.replication is not None:
-            agent.replication.set_topology(self.plan.sites)
-            agent.replication.replicate_owned()
+        self._subsystems.fire("site_restarted", agent)
         return agent
 
     def bind_lifecycle(self, faulty):
@@ -505,8 +382,7 @@ class Cluster:
         stop-accepting/finish-in-flight phase on top (see
         :meth:`~repro.net.tcpruntime.TcpCluster.close`).
         """
-        if self.balancer is not None:
-            self.balancer.stop()
+        self._subsystems.fire("close")
         for agent in self.agents.values():
             agent.shutdown(final_checkpoint=final_checkpoint)
         if close_network and hasattr(self.network, "close"):

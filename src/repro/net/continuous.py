@@ -67,7 +67,14 @@ class Subscription:
 
 
 class ContinuousQueryManager:
-    """Per-OA registry of continuous queries, driven by updates."""
+    """Per-OA registry of continuous queries, driven by updates.
+
+    Always on, and registered through the same seam as the opt-in
+    subsystems (:mod:`repro.net.subsystem`): the agent reaches it via
+    the ``on_update`` and ``metrics`` hooks.
+    """
+
+    name = "continuous"
 
     def __init__(self, agent):
         self.agent = agent
@@ -101,6 +108,9 @@ class ContinuousQueryManager:
         for subscription in list(self._subscriptions.values()):
             if subscription.covers(id_path):
                 self._evaluate(subscription)
+
+    def metrics(self):
+        return dict(self.stats)
 
     def _evaluate(self, subscription):
         self.stats["evaluations"] += 1

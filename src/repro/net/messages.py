@@ -17,12 +17,38 @@ from repro.xmlkit.serializer import serialize
 
 _SEQUENCE = itertools.count(1)
 
+#: ``kind`` attribute -> message class, for :meth:`Message.decode`.
+_KINDS = {}
+
 
 def _next_id():
     return next(_SEQUENCE)
 
 
-def _encode_id_path(id_path):
+def register_kind(cls):
+    """Class decorator: make *cls* decodable under its ``kind``.
+
+    The kind-keyed envelope is the wire's one extension surface: a
+    subsystem package registers its own kinds on import, and a process
+    that never imported it rejects them as undecodable.
+    """
+    if _KINDS.setdefault(cls.kind, cls) is not cls:
+        raise ValueError(f"message kind {cls.kind!r} is already registered")
+    return cls
+
+
+# ----------------------------------------------------------------------
+# Envelope parts shared by several kinds
+# ----------------------------------------------------------------------
+def as_id_path(id_path):
+    return tuple(tuple(entry) for entry in id_path)
+
+
+def as_id_paths(id_paths):
+    return [as_id_path(path) for path in id_paths]
+
+
+def encode_id_path(id_path):
     holder = Element("path")
     for tag, identifier in id_path:
         entry = Element("entry", attrib={"tag": tag})
@@ -32,11 +58,72 @@ def _encode_id_path(id_path):
     return holder
 
 
-def _decode_id_path(holder):
+def decode_id_path(holder):
     return tuple(
         (entry.get("tag"), entry.get("id"))
         for entry in holder.element_children("entry")
     )
+
+
+def encode_id_paths(id_paths):
+    """A ``<paths>`` holder: one ``<path>`` per id path."""
+    holder = Element("paths")
+    for path in id_paths:
+        holder.append(encode_id_path(path))
+    return holder
+
+
+def decode_id_paths(envelope):
+    """The id paths under *envelope*'s ``<paths>`` (``[]`` if absent)."""
+    holder = envelope.child("paths")
+    if holder is None:
+        return []
+    return [decode_id_path(path) for path in holder.element_children("path")]
+
+
+def encode_fragment(fragment):
+    """A ``<fragment>`` holder around a copy of *fragment*.
+
+    The copy keeps the subtree's serialization memos, so clean subtrees
+    contribute their cached bytes to the envelope.
+    """
+    holder = Element("fragment")
+    holder.append(fragment.copy())
+    return holder
+
+
+def decode_fragment(parent):
+    """A detached copy of the fragment under *parent*'s ``<fragment>``
+    holder, or ``None`` when the holder is absent or empty."""
+    holder = parent.child("fragment")
+    if holder is None:
+        return None
+    children = list(holder.element_children())
+    return children[0].copy() if children else None
+
+
+def _encode_scalar(value):
+    holder = Element("scalar", attrib={"type": type(value).__name__})
+    if isinstance(value, bool):
+        text = "true" if value else "false"
+    else:
+        text = str(value)
+    holder.append(Text(text))
+    return holder
+
+
+def _decode_scalar(holder):
+    type_name = holder.get("type")
+    text = holder.text or ""
+    if type_name == "bool":
+        return text == "true"
+    if type_name == "float":
+        return float(text)
+    if type_name == "int":
+        return int(text)
+    if type_name == "NoneType":
+        return None
+    return text
 
 
 class Message:
@@ -115,28 +202,44 @@ class Message:
         cls = _KINDS.get(kind)
         if cls is None:
             raise MessageError(f"unknown message kind {kind!r}")
-        message = cls._parse(envelope)
+        message = cls(sender=envelope.get("sender"),
+                      message_id=int(envelope.get("id")),
+                      **cls._parse(envelope))
         trace = envelope.get("trace")
         if trace is not None:
             message.trace_ctx = TraceContext.decode(trace)
         return message
 
-    @classmethod
-    def _parse(cls, envelope):
+    @staticmethod
+    def _parse(envelope):
+        """The constructor keywords *envelope*'s body decodes to
+        (``sender`` and ``message_id`` are the envelope's own)."""
         raise NotImplementedError
 
-    def _repr_size(self):
-        """``, size=N`` once the message has been encoded (never forces
-        an encode: repr must stay side-effect free)."""
-        if self._encoded is None:
-            return ""
-        return f", size={len(self._encoded)}"
-
     def __repr__(self):
-        return (f"{type(self).__name__}(id={self.message_id}, "
-                f"kind={self.kind!r}{self._repr_size()})")
+        """Every field, payloads abbreviated, plus ``size=N`` once the
+        message has been encoded (never forces an encode: repr must
+        stay side-effect free)."""
+        fields = "".join(
+            f", {name}={_brief(value)}"
+            for name, value in vars(self).items()
+            if name not in ("message_id", "trace_ctx", "_encoded"))
+        size = "" if self._encoded is None else f", size={len(self._encoded)}"
+        return f"{type(self).__name__}(id={self.message_id}{fields}{size})"
 
 
+def _brief(value):
+    """One message field for ``repr``: elements by tag, collections by
+    length, long strings cut."""
+    if isinstance(value, Element):
+        return f"<{value.tag}>"
+    if isinstance(value, (list, tuple, dict)) and value:
+        return f"{type(value).__name__}[{len(value)}]"
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:57]}...{text[-1]}"
+
+
+@register_kind
 class QueryMessage(Message):
     """A user query or an inter-site subquery.
 
@@ -164,29 +267,18 @@ class QueryMessage(Message):
         envelope.set("user", "1" if self.user else "0")
         envelope.append(Element("q", text=self.query))
 
-    @classmethod
-    def _parse(cls, envelope):
-        q = envelope.child("q")
+    @staticmethod
+    def _parse(envelope):
         now = envelope.get("now")
-        return cls(
-            query=q.text or "",
-            now=float(now) if now is not None else None,
-            scalar=envelope.get("scalar") == "1",
-            user=envelope.get("user") == "1",
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        flags = "".join((
-            " scalar" if self.scalar else "",
-            " user" if self.user else "",
-        ))
-        return (f"QueryMessage(id={self.message_id}, "
-                f"query={self.query!r},{flags} "
-                f"sender={self.sender!r}{self._repr_size()})")
+        return {
+            "query": envelope.child("q").text or "",
+            "now": float(now) if now is not None else None,
+            "scalar": envelope.get("scalar") == "1",
+            "user": envelope.get("user") == "1",
+        }
 
 
+@register_kind
 class AnswerMessage(Message):
     """The reply to a :class:`QueryMessage`.
 
@@ -214,14 +306,9 @@ class AnswerMessage(Message):
         if self.completeness is not None:
             envelope.append(_encode_completeness(self.completeness))
         if self.scalar is not None:
-            holder = Element("scalar",
-                             attrib={"type": type(self.scalar).__name__})
-            holder.append(Text(_scalar_to_text(self.scalar)))
-            envelope.append(holder)
+            envelope.append(_encode_scalar(self.scalar))
         if self.fragment is not None:
-            holder = Element("fragment")
-            holder.append(self.fragment.copy())
-            envelope.append(holder)
+            envelope.append(encode_fragment(self.fragment))
         if self.results is not None:
             holder = Element("results")
             for result in self.results:
@@ -231,19 +318,13 @@ class AnswerMessage(Message):
                     holder.append(Text(result.value))
             envelope.append(holder)
 
-    @classmethod
-    def _parse(cls, envelope):
-        fragment = None
+    @staticmethod
+    def _parse(envelope):
         scalar = None
         results = None
-        holder = envelope.child("fragment")
-        if holder is not None:
-            children = list(holder.element_children())
-            fragment = children[0].copy() if children else None
         scalar_holder = envelope.child("scalar")
         if scalar_holder is not None:
-            scalar = _scalar_from_text(scalar_holder.get("type"),
-                                       scalar_holder.text or "")
+            scalar = _decode_scalar(scalar_holder)
         results_holder = envelope.child("results")
         if results_holder is not None:
             results = [child.copy() for child in
@@ -253,32 +334,13 @@ class AnswerMessage(Message):
             _decode_completeness(completeness_holder)
             if completeness_holder is not None else None
         )
-        return cls(
-            in_reply_to=int(envelope.get("replyTo")),
-            fragment=fragment,
-            scalar=scalar,
-            results=results,
-            completeness=completeness,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        if self.results is not None:
-            payload = f"results={len(self.results)}"
-        elif self.fragment is not None:
-            payload = f"fragment=<{self.fragment.tag}>"
-        elif self.scalar is not None:
-            payload = f"scalar={self.scalar!r}"
-        else:
-            payload = "empty"
-        partial = ""
-        if self.completeness is not None and \
-                not self.completeness.get("complete", True):
-            partial = ", PARTIAL"
-        return (f"AnswerMessage(id={self.message_id}, "
-                f"replyTo={self.in_reply_to}, {payload}{partial}, "
-                f"sender={self.sender!r}{self._repr_size()})")
+        return {
+            "in_reply_to": int(envelope.get("replyTo")),
+            "fragment": decode_fragment(envelope),
+            "scalar": scalar,
+            "results": results,
+            "completeness": completeness,
+        }
 
 
 def _encode_completeness(report):
@@ -292,7 +354,7 @@ def _encode_completeness(report):
                 "attempts": str(entry.get("attempts", 0)),
                 "scalar": "1" if entry.get("scalar") else "0",
             })
-            item.append(_encode_id_path(entry.get("id_path", ())))
+            item.append(encode_id_path(entry.get("id_path", ())))
             item.append(Element("q", text=entry.get("query", "")))
             for cause in entry.get("causes", ()):
                 item.append(Element("cause", text=cause))
@@ -307,7 +369,7 @@ def _encode_completeness(report):
             "owner": str(entry.get("owner", "")),
             "age": repr(float(entry.get("age", 0.0))),
         })
-        item.append(_encode_id_path(entry.get("id_path", ())))
+        item.append(encode_id_path(entry.get("id_path", ())))
         item.append(Element("q", text=entry.get("query", "")))
         holder.append(item)
     return holder
@@ -328,7 +390,7 @@ def _decode_completeness(holder):
         query = item.child("q")
         report[section].append({
             "id_path": [list(entry) for entry
-                        in _decode_id_path(item.child("path"))],
+                        in decode_id_path(item.child("path"))],
             "query": (query.text or "") if query is not None else "",
             "scalar": item.get("scalar") == "1",
             "attempts": int(item.get("attempts") or 0),
@@ -339,7 +401,7 @@ def _decode_completeness(holder):
         query = item.child("q")
         report["served_by_replica"].append({
             "id_path": [list(entry) for entry
-                        in _decode_id_path(item.child("path"))],
+                        in decode_id_path(item.child("path"))],
             "query": (query.text or "") if query is not None else "",
             "replica": item.get("site") or "",
             "owner": item.get("owner") or "",
@@ -348,24 +410,7 @@ def _decode_completeness(holder):
     return report
 
 
-def _scalar_to_text(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _scalar_from_text(type_name, text):
-    if type_name == "bool":
-        return text == "true"
-    if type_name == "float":
-        return float(text)
-    if type_name == "int":
-        return int(text)
-    if type_name == "NoneType":
-        return None
-    return text
-
-
+@register_kind
 class BatchQueryMessage(Message):
     """Several subqueries for one destination site in one envelope.
 
@@ -391,27 +436,20 @@ class BatchQueryMessage(Message):
                                     attrib={"scalar": "1" if scalar else "0"},
                                     text=query))
 
-    @classmethod
-    def _parse(cls, envelope):
+    @staticmethod
+    def _parse(envelope):
         now = envelope.get("now")
-        return cls(
-            items=[(sub.text or "", sub.get("scalar") == "1")
-                   for sub in envelope.element_children("sub")],
-            now=float(now) if now is not None else None,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
+        return {
+            "items": [(sub.text or "", sub.get("scalar") == "1")
+                      for sub in envelope.element_children("sub")],
+            "now": float(now) if now is not None else None,
+        }
 
     def __len__(self):
         return len(self.items)
 
-    def __repr__(self):
-        preview = self.items[0][0] if self.items else ""
-        return (f"BatchQueryMessage(id={self.message_id}, "
-                f"items={len(self.items)}, first={preview!r}, "
-                f"sender={self.sender!r}{self._repr_size()})")
 
-
+@register_kind
 class BatchAnswerMessage(Message):
     """Positional replies to a :class:`BatchQueryMessage`.
 
@@ -434,49 +472,28 @@ class BatchAnswerMessage(Message):
             item = Element("item")
             if isinstance(answer, tuple) and answer and \
                     answer[0] == "scalar":
-                value = answer[1]
-                holder = Element("scalar",
-                                 attrib={"type": type(value).__name__})
-                holder.append(Text(_scalar_to_text(value)))
-                item.append(holder)
+                item.append(_encode_scalar(answer[1]))
             elif answer is not None:
-                holder = Element("fragment")
-                holder.append(answer.copy())
-                item.append(holder)
+                item.append(encode_fragment(answer))
             envelope.append(item)
 
-    @classmethod
-    def _parse(cls, envelope):
+    @staticmethod
+    def _parse(envelope):
         answers = []
         for item in envelope.element_children("item"):
             scalar_holder = item.child("scalar")
-            fragment_holder = item.child("fragment")
             if scalar_holder is not None:
-                answers.append(("scalar",
-                                _scalar_from_text(scalar_holder.get("type"),
-                                                  scalar_holder.text or "")))
-            elif fragment_holder is not None:
-                children = list(fragment_holder.element_children())
-                answers.append(children[0].copy() if children else None)
+                answers.append(("scalar", _decode_scalar(scalar_holder)))
             else:
-                answers.append(None)
-        return cls(
-            in_reply_to=int(envelope.get("replyTo")),
-            answers=answers,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
+                answers.append(decode_fragment(item))
+        return {"in_reply_to": int(envelope.get("replyTo")),
+                "answers": answers}
 
     def __len__(self):
         return len(self.answers)
 
-    def __repr__(self):
-        return (f"BatchAnswerMessage(id={self.message_id}, "
-                f"replyTo={self.in_reply_to}, "
-                f"answers={len(self.answers)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
 
-
+@register_kind
 class ErrorMessage(Message):
     """A structured failure reply.
 
@@ -505,25 +522,18 @@ class ErrorMessage(Message):
         if self.detail:
             envelope.append(Element("detail", text=self.detail))
 
-    @classmethod
-    def _parse(cls, envelope):
+    @staticmethod
+    def _parse(envelope):
         detail = envelope.child("detail")
-        return cls(
-            in_reply_to=int(envelope.get("replyTo")),
-            code=envelope.get("code") or "error",
-            detail=(detail.text or "") if detail is not None else "",
-            retryable=envelope.get("retryable") == "1",
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        retry = "retryable" if self.retryable else "terminal"
-        return (f"ErrorMessage(id={self.message_id}, "
-                f"replyTo={self.in_reply_to}, code={self.code!r}, "
-                f"{retry}, sender={self.sender!r}{self._repr_size()})")
+        return {
+            "in_reply_to": int(envelope.get("replyTo")),
+            "code": envelope.get("code") or "error",
+            "detail": (detail.text or "") if detail is not None else "",
+            "retryable": envelope.get("retryable") == "1",
+        }
 
 
+@register_kind
 class UpdateMessage(Message):
     """A sensor update from an SA (or a forward from a non-owner OA)."""
 
@@ -532,12 +542,12 @@ class UpdateMessage(Message):
     def __init__(self, id_path, attributes=None, values=None, sender=None,
                  message_id=None):
         super().__init__(sender=sender, message_id=message_id)
-        self.id_path = tuple(tuple(entry) for entry in id_path)
+        self.id_path = as_id_path(id_path)
         self.attributes = dict(attributes or {})
         self.values = dict(values or {})
 
     def _fill(self, envelope):
-        envelope.append(_encode_id_path(self.id_path))
+        envelope.append(encode_id_path(self.id_path))
         attrs = Element("attrs")
         for name, value in self.attributes.items():
             attrs.append(Element("a", attrib={"name": name, "value": value}))
@@ -547,32 +557,22 @@ class UpdateMessage(Message):
             values.append(Element("v", attrib={"name": tag}, text=str(text)))
         envelope.append(values)
 
-    @classmethod
-    def _parse(cls, envelope):
-        attributes = {
-            a.get("name"): a.get("value")
-            for a in envelope.child("attrs").element_children("a")
+    @staticmethod
+    def _parse(envelope):
+        return {
+            "id_path": decode_id_path(envelope.child("path")),
+            "attributes": {
+                a.get("name"): a.get("value")
+                for a in envelope.child("attrs").element_children("a")
+            },
+            "values": {
+                v.get("name"): (v.text or "")
+                for v in envelope.child("values").element_children("v")
+            },
         }
-        values = {
-            v.get("name"): (v.text or "")
-            for v in envelope.child("values").element_children("v")
-        }
-        return cls(
-            id_path=_decode_id_path(envelope.child("path")),
-            attributes=attributes,
-            values=values,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        target = "/".join(
-            f"{tag}={identifier}" for tag, identifier in self.id_path)
-        return (f"UpdateMessage(id={self.message_id}, target={target!r}, "
-                f"values={len(self.values)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
 
 
+@register_kind
 class AckMessage(Message):
     """A generic acknowledgement."""
 
@@ -591,24 +591,17 @@ class AckMessage(Message):
         if self.detail:
             envelope.append(Element("detail", text=self.detail))
 
-    @classmethod
-    def _parse(cls, envelope):
+    @staticmethod
+    def _parse(envelope):
         detail = envelope.child("detail")
-        return cls(
-            in_reply_to=int(envelope.get("replyTo")),
-            ok=envelope.get("ok") == "1",
-            detail=(detail.text or "") if detail is not None else "",
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        status = "ok" if self.ok else f"refused {self.detail!r}"
-        return (f"AckMessage(id={self.message_id}, "
-                f"replyTo={self.in_reply_to}, {status}, "
-                f"sender={self.sender!r}{self._repr_size()})")
+        return {
+            "in_reply_to": int(envelope.get("replyTo")),
+            "ok": envelope.get("ok") == "1",
+            "detail": (detail.text or "") if detail is not None else "",
+        }
 
 
+@register_kind
 class AdoptMessage(Message):
     """Ownership migration: "take ownership of these nodes" (steps 1-3).
 
@@ -620,38 +613,20 @@ class AdoptMessage(Message):
 
     def __init__(self, id_paths, fragment, sender=None, message_id=None):
         super().__init__(sender=sender, message_id=message_id)
-        self.id_paths = [tuple(tuple(e) for e in path) for path in id_paths]
+        self.id_paths = as_id_paths(id_paths)
         self.fragment = fragment
 
     def _fill(self, envelope):
-        paths = Element("paths")
-        for path in self.id_paths:
-            paths.append(_encode_id_path(path))
-        envelope.append(paths)
-        holder = Element("fragment")
-        holder.append(self.fragment.copy())
-        envelope.append(holder)
+        envelope.append(encode_id_paths(self.id_paths))
+        envelope.append(encode_fragment(self.fragment))
 
-    @classmethod
-    def _parse(cls, envelope):
-        paths = [
-            _decode_id_path(p)
-            for p in envelope.child("paths").element_children("path")
-        ]
-        children = list(envelope.child("fragment").element_children())
-        return cls(
-            id_paths=paths,
-            fragment=children[0].copy() if children else None,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        return (f"AdoptMessage(id={self.message_id}, "
-                f"nodes={len(self.id_paths)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
+    @staticmethod
+    def _parse(envelope):
+        return {"id_paths": decode_id_paths(envelope),
+                "fragment": decode_fragment(envelope)}
 
 
+@register_kind
 class MigrateReleaseMessage(Message):
     """Migration rollback: "release the nodes I asked you to adopt".
 
@@ -668,362 +643,14 @@ class MigrateReleaseMessage(Message):
 
     def __init__(self, id_paths, sender=None, message_id=None):
         super().__init__(sender=sender, message_id=message_id)
-        self.id_paths = [tuple(tuple(e) for e in path) for path in id_paths]
+        self.id_paths = as_id_paths(id_paths)
 
     def _fill(self, envelope):
-        paths = Element("paths")
-        for path in self.id_paths:
-            paths.append(_encode_id_path(path))
-        envelope.append(paths)
+        envelope.append(encode_id_paths(self.id_paths))
 
-    @classmethod
-    def _parse(cls, envelope):
-        paths = [
-            _decode_id_path(p)
-            for p in envelope.child("paths").element_children("path")
-        ]
-        return cls(
-            id_paths=paths,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        return (f"MigrateReleaseMessage(id={self.message_id}, "
-                f"nodes={len(self.id_paths)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
-
-
-class ReplicaRetireMessage(Message):
-    """Ring re-placement: "drop the replicas you hold for me here".
-
-    After an owner migrates a subtree away, the replicas it pushed to
-    its ring successors are stale forever -- the new owner replicates
-    to *its own* successors instead.  Retiring them keeps a later
-    failover from serving the frozen copy.  One-way and best-effort,
-    like :class:`ReplicateMessage`.
-    """
-
-    kind = "replica-retire"
-
-    def __init__(self, owner, id_paths, sender=None, message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.owner = owner
-        self.id_paths = [tuple(tuple(e) for e in path) for path in id_paths]
-
-    def _fill(self, envelope):
-        envelope.set("owner", self.owner)
-        paths = Element("paths")
-        for path in self.id_paths:
-            paths.append(_encode_id_path(path))
-        envelope.append(paths)
-
-    @classmethod
-    def _parse(cls, envelope):
-        paths = [
-            _decode_id_path(p)
-            for p in envelope.child("paths").element_children("path")
-        ]
-        return cls(
-            owner=envelope.get("owner"),
-            id_paths=paths,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        return (f"ReplicaRetireMessage(id={self.message_id}, "
-                f"owner={self.owner!r}, nodes={len(self.id_paths)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
-
-
-def _encode_stamps(stamps):
-    """``{id_path: (timestamp, version)}`` as a ``<stamps>`` holder."""
-    holder = Element("stamps")
-    for path, (timestamp, version) in sorted(
-            stamps.items(), key=lambda entry: repr(entry[0])):
-        item = Element("stamp", attrib={
-            "ts": repr(float(timestamp)),
-            "v": str(int(version)),
-        })
-        item.append(_encode_id_path(path))
-        holder.append(item)
-    return holder
-
-
-def _decode_stamps(holder):
-    stamps = {}
-    if holder is None:
-        return stamps
-    for item in holder.element_children("stamp"):
-        path = _decode_id_path(item.child("path"))
-        stamps[path] = (float(item.get("ts") or 0.0),
-                        int(item.get("v") or 0))
-    return stamps
-
-
-class ReplicateMessage(Message):
-    """An owner's fire-and-forget replication batch to one replica peer.
-
-    Carries the wire fragment (C1/C2, root-rooted -- the same shape as
-    any generalized answer) for the replicated nodes plus per-path
-    *stamps*: ``(data timestamp, database subtree version)``.  The
-    version lets a replica drop reordered stale batches; the timestamp
-    is what failover later judges against a query's freshness bound.
-    Loss is tolerated by design -- the next update re-replicates.
-    """
-
-    kind = "replicate"
-
-    def __init__(self, owner, fragment, stamps, sender=None,
-                 message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.owner = owner
-        self.fragment = fragment
-        self.stamps = {
-            tuple(tuple(entry) for entry in path):
-                (float(timestamp), int(version))
-            for path, (timestamp, version) in dict(stamps).items()
-        }
-
-    def _fill(self, envelope):
-        envelope.set("owner", str(self.owner))
-        envelope.append(_encode_stamps(self.stamps))
-        holder = Element("fragment")
-        holder.append(self.fragment.copy())
-        envelope.append(holder)
-
-    @classmethod
-    def _parse(cls, envelope):
-        children = list(envelope.child("fragment").element_children())
-        return cls(
-            owner=envelope.get("owner"),
-            fragment=children[0].copy() if children else None,
-            stamps=_decode_stamps(envelope.child("stamps")),
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        return (f"ReplicateMessage(id={self.message_id}, "
-                f"owner={self.owner!r}, stamps={len(self.stamps)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
-
-
-class RehydrateRequest(Message):
-    """"Send me your replica of *owner*'s data" (failover + recovery).
-
-    With *id_paths* only those regions are wanted (an asker failing a
-    subquery group over to a replica); without, the whole per-owner
-    copy ships (a restarted owner rebuilding its fragment from peers).
-    """
-
-    kind = "rehydrate"
-
-    def __init__(self, owner, id_paths=(), sender=None, message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.owner = owner
-        self.id_paths = [tuple(tuple(entry) for entry in path)
-                         for path in id_paths]
-
-    def _fill(self, envelope):
-        envelope.set("owner", str(self.owner))
-        paths = Element("paths")
-        for path in self.id_paths:
-            paths.append(_encode_id_path(path))
-        envelope.append(paths)
-
-    @classmethod
-    def _parse(cls, envelope):
-        paths_holder = envelope.child("paths")
-        paths = [
-            _decode_id_path(p)
-            for p in paths_holder.element_children("path")
-        ] if paths_holder is not None else []
-        return cls(
-            owner=envelope.get("owner"),
-            id_paths=paths,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        scope = len(self.id_paths) or "all"
-        return (f"RehydrateRequest(id={self.message_id}, "
-                f"owner={self.owner!r}, regions={scope}, "
-                f"sender={self.sender!r}{self._repr_size()})")
-
-
-class RehydrateAnswer(Message):
-    """The reply to a :class:`RehydrateRequest`.
-
-    ``fragment`` is ``None`` when the replier holds no replica of the
-    owner (or none of the requested regions); ``stamps`` cover every
-    path in the fragment so the asker can judge freshness itself.
-    Carries ``replyTo`` like every reply kind.
-    """
-
-    kind = "rehydrate-answer"
-
-    def __init__(self, in_reply_to, owner, fragment=None, stamps=None,
-                 sender=None, message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.in_reply_to = int(in_reply_to)
-        self.owner = owner
-        self.fragment = fragment
-        self.stamps = {
-            tuple(tuple(entry) for entry in path):
-                (float(timestamp), int(version))
-            for path, (timestamp, version) in dict(stamps or {}).items()
-        }
-
-    def _fill(self, envelope):
-        envelope.set("replyTo", str(self.in_reply_to))
-        envelope.set("owner", str(self.owner))
-        if self.stamps:
-            envelope.append(_encode_stamps(self.stamps))
-        if self.fragment is not None:
-            holder = Element("fragment")
-            holder.append(self.fragment.copy())
-            envelope.append(holder)
-
-    @classmethod
-    def _parse(cls, envelope):
-        fragment = None
-        holder = envelope.child("fragment")
-        if holder is not None:
-            children = list(holder.element_children())
-            fragment = children[0].copy() if children else None
-        return cls(
-            in_reply_to=int(envelope.get("replyTo")),
-            owner=envelope.get("owner"),
-            fragment=fragment,
-            stamps=_decode_stamps(envelope.child("stamps")),
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        payload = ("empty" if self.fragment is None
-                   else f"fragment=<{self.fragment.tag}>")
-        return (f"RehydrateAnswer(id={self.message_id}, "
-                f"replyTo={self.in_reply_to}, owner={self.owner!r}, "
-                f"{payload}, stamps={len(self.stamps)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
-
-
-class PartialAggregateRequest(Message):
-    """"Roll up *query* under *region* and send me the merge-state."
-
-    The hierarchical-aggregation ask: instead of gathering a frontier's
-    whole subtree, its owner is asked for the (count, sum, min, max)
-    partial of the matches under *region* -- tuples on the wire, never
-    data.  ``query`` is the inner location path (freshness tolerances
-    already bucket-loosened by the asker); ``bound`` is that loosened
-    freshness bound in seconds (absent for an unbounded ask, which the
-    owner must recompute); ``now`` pins the evaluation clock so
-    consistency predicates filter identically at every level.
-
-    Only sent while ``OAConfig.aggregation`` is enabled -- a disabled
-    build never emits or answers one (wire parity).
-    """
-
-    kind = "partial-agg"
-
-    def __init__(self, region, query, bound=None, now=None, sender=None,
-                 message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.region = tuple(tuple(entry) for entry in region)
-        self.query = query
-        self.bound = float(bound) if bound is not None else None
-        self.now = float(now) if now is not None else None
-
-    def _fill(self, envelope):
-        envelope.set("q", self.query)
-        if self.bound is not None:
-            envelope.set("bound", repr(self.bound))
-        if self.now is not None:
-            envelope.set("now", repr(self.now))
-        envelope.append(_encode_id_path(self.region))
-
-    @classmethod
-    def _parse(cls, envelope):
-        bound = envelope.get("bound")
-        now = envelope.get("now")
-        return cls(
-            region=_decode_id_path(envelope.child("path")),
-            query=envelope.get("q"),
-            bound=float(bound) if bound is not None else None,
-            now=float(now) if now is not None else None,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        bound = "none" if self.bound is None else f"{self.bound:g}s"
-        return (f"PartialAggregateRequest(id={self.message_id}, "
-                f"region={self.region}, bound={bound}, "
-                f"sender={self.sender!r}{self._repr_size()})")
-
-
-class PartialAggregateAnswer(Message):
-    """The reply to a :class:`PartialAggregateRequest`.
-
-    ``state`` is a merge-state -- ``{region id_path: (Partial,
-    data_ts)}`` -- normally collapsed to a single entry keyed by the
-    asked region.  Each entry ships the partial's exact encoding (see
-    :meth:`repro.agg.partial.Partial.to_attrs`: integer count, the
-    rational sum as ``num``/``den``, NaN/infinity flags, finite
-    extrema) plus its data timestamp, so any merge order at the asker
-    reproduces the same aggregate.  Carries ``replyTo`` like every
-    reply kind.
-    """
-
-    kind = "partial-agg-answer"
-
-    def __init__(self, in_reply_to, state, sender=None, message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.in_reply_to = int(in_reply_to)
-        self.state = {
-            tuple(tuple(entry) for entry in region): (partial, float(ts))
-            for region, (partial, ts) in dict(state or {}).items()
-        }
-
-    def _fill(self, envelope):
-        envelope.set("replyTo", str(self.in_reply_to))
-        holder = Element("state")
-        for region in sorted(self.state, key=repr):
-            partial, data_ts = self.state[region]
-            part = Element("part", attrib=partial.to_attrs())
-            part.set("ts", repr(float(data_ts)))
-            part.append(_encode_id_path(region))
-            holder.append(part)
-        envelope.append(holder)
-
-    @classmethod
-    def _parse(cls, envelope):
-        # Lazy: repro.agg imports repro.net for these very messages, so
-        # a module-level import here would make package order matter.
-        from repro.agg.partial import Partial
-
-        state = {}
-        holder = envelope.child("state")
-        if holder is not None:
-            for part in holder.element_children("part"):
-                region = _decode_id_path(part.child("path"))
-                state[region] = (Partial.from_attrs(part.attrib),
-                                 float(part.get("ts")))
-        return cls(
-            in_reply_to=int(envelope.get("replyTo")),
-            state=state,
-            sender=envelope.get("sender"),
-            message_id=int(envelope.get("id")),
-        )
-
-    def __repr__(self):
-        return (f"PartialAggregateAnswer(id={self.message_id}, "
-                f"replyTo={self.in_reply_to}, entries={len(self.state)}, "
-                f"sender={self.sender!r}{self._repr_size()})")
+    @staticmethod
+    def _parse(envelope):
+        return {"id_paths": decode_id_paths(envelope)}
 
 
 def clean_results(results):
@@ -1035,14 +662,3 @@ def clean_results(results):
         else:
             cleaned.append(result)
     return cleaned
-
-
-_KINDS = {
-    cls.kind: cls
-    for cls in (QueryMessage, AnswerMessage, BatchQueryMessage,
-                BatchAnswerMessage, ErrorMessage, UpdateMessage,
-                AckMessage, AdoptMessage, MigrateReleaseMessage,
-                ReplicaRetireMessage, ReplicateMessage,
-                RehydrateRequest, RehydrateAnswer,
-                PartialAggregateRequest, PartialAggregateAnswer)
-}

@@ -13,10 +13,7 @@ from repro.core.errors import CoreError
 from repro.core.executors import SerialExecutor, resolve_executor
 from repro.core.gather import GatherDriver, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
-from repro.core.ownership import (
-    export_local_information,
-    relinquish_ownership,
-)
+from repro.core.ownership import relinquish_ownership
 from repro.core.evolution import add_idable_child, remove_idable_child
 from repro.core.qeg import FETCH_SUBTREE, GENERALIZE_ANSWER
 from repro.core.status import Status, get_status
@@ -24,9 +21,11 @@ from repro.net.continuous import ContinuousQueryManager
 from repro.net.errors import (
     CircuitOpenError,
     MigrationError,
+    NameNotFound,
     NetError,
     RemoteError,
 )
+from repro.net.load import PathLoadTracker
 from repro.net.messages import (
     AckMessage,
     AdoptMessage,
@@ -35,12 +34,7 @@ from repro.net.messages import (
     BatchQueryMessage,
     ErrorMessage,
     MigrateReleaseMessage,
-    PartialAggregateRequest,
     QueryMessage,
-    ReplicaRetireMessage,
-    RehydrateAnswer,
-    RehydrateRequest,
-    ReplicateMessage,
     UpdateMessage,
     clean_results,
 )
@@ -50,6 +44,7 @@ from repro.net.retry import (
     Deadline,
     SiteHealthTracker,
 )
+from repro.net.subsystem import SITE_HOOKS, HookTable
 from repro.obs.tracing import TRACER, attach_context, propagate
 
 
@@ -65,10 +60,6 @@ class OAConfig:
     ``nesting_strategy``
         ``fetch-subtree`` (paper's implemented approach) or
         ``boolean-probe`` (the proposed alternative);
-    ``fast_codegen``
-        use the pre-compiled QEG/XSLT skeleton (Section 4, "Speeding up
-        XSLT processing"); only affects the accounted processing cost,
-        not results.
     ``executor``
         how one gather round's subqueries are dispatched: ``None`` (the
         default shared thread executor -- one WAN round-trip per
@@ -103,39 +94,22 @@ class OAConfig:
         cache's admission/eviction budget.  ``None`` uses the defaults
         (semantic keying on); pass ``SemanticCacheConfig(enabled=False)``
         for the legacy exact-string behaviour.
-    ``replication``
-        the :class:`~repro.replication.ReplicationConfig` governing
-        k-replica fragment ownership: owners push their local
-        information to k ring-successor peers, subquery dispatch fails
-        over to a replica when the owner is dead (freshness-checked),
-        and restarts rehydrate from peers.  ``None`` (the default) or
-        a disabled config keeps the wire byte-identical to a build
-        without the subsystem.
-    ``aggregation``
-        the :class:`~repro.agg.AggregationConfig` governing hierarchical
-        aggregation: aggregate queries answered from per-subtree
-        summary caches, partial-aggregate subqueries (merge-state
-        tuples, not subtrees) to child sites, and derived sensors.
-        ``None`` (the default) or a disabled config keeps the wire
-        byte-identical to a build without the subsystem.
-    ``rebalance``
-        the :class:`~repro.rebalance.RebalanceConfig` governing the
-        adaptive load balancer (hot-spot detection, fragment splits,
-        live migration).  The balancer itself is a cluster-level loop;
-        the per-agent effects are the always-local load tracker and
-        the migration-safety hooks, so ``None`` (the default) or a
-        disabled config keeps the wire byte-identical.
+    ``subsystems``
+        config objects of the opt-in subsystems this agent runs (read
+        replication, hierarchical aggregation, the load balancer, ...;
+        see :mod:`repro.net.subsystem`).  Each config builds its own
+        per-agent part; a subsystem is on iff its config is listed, and
+        with none listed (the default) the wire is byte-identical to a
+        build without any of them.
     """
 
     def __init__(self, cache_results=True, nesting_strategy=FETCH_SUBTREE,
-                 fast_codegen=True, generalization=GENERALIZE_ANSWER,
+                 generalization=GENERALIZE_ANSWER,
                  executor=None, retry_policy=None, breaker=None,
                  partial_answers=True, stale_on_error=False,
-                 semcache=None, replication=None, aggregation=None,
-                 rebalance=None):
+                 semcache=None, subsystems=()):
         self.cache_results = cache_results
         self.nesting_strategy = nesting_strategy
-        self.fast_codegen = fast_codegen
         self.generalization = generalization
         self.executor = executor
         self.retry_policy = retry_policy
@@ -143,9 +117,7 @@ class OAConfig:
         self.partial_answers = partial_answers
         self.stale_on_error = stale_on_error
         self.semcache = semcache
-        self.replication = replication
-        self.aggregation = aggregation
-        self.rebalance = rebalance
+        self.subsystems = tuple(subsystems)
 
 
 class OrganizingAgent:
@@ -154,7 +126,6 @@ class OrganizingAgent:
     def __init__(self, site_id, database, network, resolver, schema=None,
                  config=None, clock=None, durability=None):
         self.site_id = site_id
-        self.durability = durability
         if durability is not None and database is None:
             # Startup recovery: rebuild the partition from the site's
             # checkpoint + WAL instead of a caller-provided fragment.
@@ -194,35 +165,12 @@ class OrganizingAgent:
             stale_on_error=self.config.stale_on_error,
             semcache=self.config.semcache,
         )
-        self.continuous = ContinuousQueryManager(self)
-        replication = self.config.replication
-        #: The replication manager, or ``None`` while the subsystem is
-        #: off -- every hook below is gated on that, so the disabled
-        #: path stays wire-identical to a replication-free build.
-        #: (Imported lazily: ``repro.replication`` imports ``repro.net``
-        #: for the wire messages, so a module-level import here would
-        #: make the package import order matter.)
-        if replication is not None and replication.enabled:
-            from repro.replication import ReplicationManager
-            self.replication = ReplicationManager(self)
-        else:
-            self.replication = None
-        aggregation = self.config.aggregation
-        #: The aggregation manager, or ``None`` while the subsystem is
-        #: off -- the scalar entry point and the message dispatcher
-        #: gate on that, so the disabled path stays wire-identical.
-        #: (Lazily imported for the same package-order reason as
-        #: replication above.)
-        if aggregation is not None and aggregation.enabled:
-            from repro.agg import AggregationManager
-            self.aggregation = AggregationManager(self)
-        else:
-            self.aggregation = None
         #: Per-anchor served-query counters (always on: strictly local
-        #: state, no wire traffic, no clock reads -- the balancer's
-        #: detection signal, and harmless without a balancer).
-        from repro.rebalance.tracker import PathLoadTracker
+        #: state, no wire traffic, no clock reads).
         self.load = PathLoadTracker()
+        #: Wire retries for one migration's adopt exchange and for
+        #: forwarding its held updates (adoption is idempotent).
+        self.adopt_attempts = 3
         #: Migration-in-progress bookkeeping: while a region is being
         #: handed off, updates to it are applied locally (this site
         #: still owns it) *and* recorded, then forwarded to the new
@@ -248,18 +196,59 @@ class OrganizingAgent:
             "held_updates_forwarded": 0,
             "held_updates_lost": 0,
             "migration_cache_evictions": 0,
-            "migration_summary_evictions": 0,
             "retries": 0,
             "subquery_failures": 0,
             "circuit_fast_fails": 0,
             "dns_refreshes": 0,
         }
+        self._handlers = {
+            QueryMessage: self._handle_query,
+            BatchQueryMessage: self._handle_batch,
+            UpdateMessage: self._handle_update,
+            AdoptMessage: self._handle_adopt,
+            MigrateReleaseMessage: self._handle_migrate_release,
+        }
+        self._subsystems = HookTable(SITE_HOOKS)
+        self.continuous = ContinuousQueryManager(self)
+        self._register(self.continuous)
+        if durability is not None:
+            # A storage dependency first (it supplied the database
+            # above), a subsystem second: its flush / close / abort /
+            # metrics ride the same hooks as everyone else's.
+            self._register(durability)
+        for subsystem_config in self.config.subsystems:
+            subsystem = subsystem_config.site_subsystem(self)
+            if subsystem is not None:
+                self._register(subsystem)
+
+    # ------------------------------------------------------------------
+    # Subsystems (see repro.net.subsystem)
+    # ------------------------------------------------------------------
+    def _register(self, subsystem):
+        self._subsystems.register(subsystem)
+        handlers = getattr(subsystem, "handlers", None)
+        if handlers is not None:
+            self._handlers.update(handlers())
+
+    def subsystem(self, name):
+        """The registered subsystem called *name*, or ``None``."""
+        return self._subsystems.by_name.get(name)
+
+    @property
+    def subsystems(self):
+        """``{name: subsystem}`` in registration order (a copy)."""
+        return dict(self._subsystems.by_name)
+
+    def notify_update(self, id_path):
+        """Tell every subsystem an owned node at *id_path* changed."""
+        self._subsystems.fire("on_update", id_path)
 
     # ------------------------------------------------------------------
     # Outgoing subqueries
     # ------------------------------------------------------------------
-    def _resolve_target(self, subquery, refresh=False):
-        """The responsible site, or ``None`` when DNS retired the node.
+    def resolve_owner(self, id_path, refresh=False):
+        """The site responsible for the node at *id_path*, or ``None``
+        when DNS retired the node.
 
         A missing record means the node was deleted (schema evolution)
         and our stub is a transient leftover: authoritative DNS says it
@@ -271,9 +260,7 @@ class OrganizingAgent:
         the cache may be the problem (the owner migrated or was
         delegated away and our entry is stale).
         """
-        from repro.net.errors import NameNotFound
-
-        name = self.resolver.server.name_for(subquery.anchor_path)
+        name = self.resolver.server.name_for(id_path)
         if refresh:
             self.resolver.invalidate(name)
             self.stats["dns_refreshes"] += 1
@@ -285,7 +272,7 @@ class OrganizingAgent:
 
     def _send_subquery(self, subquery):
         """Route a QEG subquery to the responsible site and await the reply."""
-        target = self._resolve_target(subquery)
+        target = self.resolve_owner(subquery.anchor_path)
         if target is None:
             return None
         self.stats["subqueries_sent"] += 1
@@ -306,7 +293,7 @@ class OrganizingAgent:
         replies = [None] * len(subqueries)
         groups = {}
         for index, subquery in enumerate(subqueries):
-            target = self._resolve_target(subquery)
+            target = self.resolve_owner(subquery.anchor_path)
             if target is None:
                 continue
             self.stats["subqueries_sent"] += 1
@@ -409,7 +396,7 @@ class OrganizingAgent:
             # with a dead site): re-resolve through authoritative DNS
             # before the next attempt.
             new_targets = {
-                self._resolve_target(subquery, refresh=True)
+                self.resolve_owner(subquery.anchor_path, refresh=True)
                 for subquery in subqueries
             }
             if len(new_targets) == 1:
@@ -424,18 +411,17 @@ class OrganizingAgent:
                 # landed mid-retry): finish each ask independently.
                 return [self._redispatch(subquery)
                         for subquery in subqueries]
-        if self.replication is not None:
+        for answer_for in self._subsystems.listeners["on_dispatch_failure"]:
             # The owner is terminally unreachable (budget exhausted or
-            # breaker open): try its replica set.  Fresh copies come
-            # back as ReplicaServed and merge like owner answers; the
-            # rest are ordinary failures (with the replicas' refusals
-            # appended to the causes).
-            replies = self.replication.failover(target, subqueries,
-                                                attempts, causes)
+            # breaker open): a subsystem may answer in its place.  Data
+            # it vouches for merges like an owner answer; the rest come
+            # back as ordinary failures with its refusals appended to
+            # the causes.
+            replies = answer_for(target, subqueries, attempts, causes)
             if replies is not None:
-                failed = [reply for reply in replies
-                          if isinstance(reply, SubqueryFailure)]
-                if failed and not self.config.partial_answers:
+                if not self.config.partial_answers and any(
+                        isinstance(reply, SubqueryFailure)
+                        for reply in replies):
                     raise last_error
                 return replies
         if not self.config.partial_answers:
@@ -445,7 +431,7 @@ class OrganizingAgent:
 
     def _redispatch(self, subquery):
         """Restart one subquery on fresh DNS (post-divergence path)."""
-        target = self._resolve_target(subquery)
+        target = self.resolve_owner(subquery.anchor_path)
         if target is None:
             return None
         return self._dispatch_with_retry(target, [subquery])[0]
@@ -538,27 +524,18 @@ class OrganizingAgent:
             return reply
 
     def _dispatch_message(self, message):
-        if isinstance(message, QueryMessage):
-            return self._handle_query(message)
-        if isinstance(message, BatchQueryMessage):
-            return self._handle_batch(message)
-        if isinstance(message, UpdateMessage):
-            return self._handle_update(message)
-        if isinstance(message, AdoptMessage):
-            return self._handle_adopt(message)
-        if isinstance(message, MigrateReleaseMessage):
-            return self._handle_migrate_release(message)
-        if isinstance(message, ReplicaRetireMessage):
-            return self._handle_replica_retire(message)
-        if isinstance(message, ReplicateMessage):
-            return self._handle_replicate(message)
-        if isinstance(message, RehydrateRequest):
-            return self._handle_rehydrate(message)
-        if isinstance(message, PartialAggregateRequest):
-            return self._handle_partial_aggregate(message)
-        raise NetError(
-            f"OA {self.site_id!r} cannot handle {type(message).__name__}"
-        )
+        handler = self._handlers.get(type(message))
+        if handler is None:
+            # A kind no part of this agent serves -- a reply kind sent
+            # as a request, or the ask of a subsystem this site does
+            # not run.  Refuse it once, structurally: the same request
+            # will fail the same way, so it is not retryable.
+            return ErrorMessage(
+                message.message_id, code="unhandled-kind",
+                detail=(f"site {self.site_id!r} runs no handler for "
+                        f"{message.kind!r} messages"),
+                retryable=False, sender=self.site_id)
+        return handler(message)
 
     def _handle_query(self, message):
         self.load.record_query(message.query)
@@ -605,31 +582,21 @@ class OrganizingAgent:
                                   sender=self.site_id)
 
     def answer_scalar(self, query, now=None, max_age=None, precision=None):
-        """Answer a scalar query, hierarchically when possible.
+        """Answer a scalar query: the site-level scalar entry point.
 
-        The site-level scalar entry point: with aggregation enabled,
-        supported aggregate shapes are answered from summary caches and
-        partial-aggregate rollups; everything else (and every query
-        while the subsystem is off) takes the gather driver's ordinary
-        scalar path unchanged -- same arguments, same answers, same
-        wire bytes.
+        A subsystem may answer ahead of the gather driver (its
+        ``try_scalar`` hook); every query none of them takes -- and
+        every query while none is registered -- goes down the driver's
+        ordinary scalar path unchanged: same arguments, same answers,
+        same wire bytes.
         """
-        if self.aggregation is not None:
-            handled, value = self.aggregation.try_answer(
-                query, now=now, max_age=max_age, precision=precision)
+        for try_scalar in self._subsystems.listeners["try_scalar"]:
+            handled, value = try_scalar(query, now=now, max_age=max_age,
+                                        precision=precision)
             if handled:
                 return value
         return self.driver.answer_scalar(query, now=now, max_age=max_age,
                                          precision=precision)
-
-    def _handle_partial_aggregate(self, message):
-        """Serve a partial-aggregate subquery (rollup merge-state)."""
-        if self.aggregation is None:
-            return ErrorMessage(message.message_id,
-                                code="aggregation-disabled",
-                                detail="aggregation is not enabled here",
-                                retryable=False, sender=self.site_id)
-        return self.aggregation.answer_partial(message)
 
     # ------------------------------------------------------------------
     # Sensor updates
@@ -648,9 +615,7 @@ class OrganizingAgent:
                 # it, so it must also follow the data to the new owner
                 # once the hand-off commits.
                 self._note_held_update(message)
-            self.continuous.on_update(message.id_path)
-            if self.replication is not None:
-                self.replication.note_update(message.id_path)
+            self.notify_update(message.id_path)
             return AckMessage(message.message_id, ok=True,
                               sender=self.site_id)
         # Not owned here (e.g. a stale-DNS straggler after a migration):
@@ -697,8 +662,8 @@ class OrganizingAgent:
           answered from the demoted complete copy (queries);
         - after the commit, cached aggregates and summaries covering
           the migrated region are evicted (their invalidation feed --
-          local updates -- just moved away) and this site's replicas
-          of the region are retired from its ring peers.
+          local updates -- just moved away) and every subsystem hears
+          of the ownership change.
         """
         id_path = tuple(tuple(entry) for entry in id_path)
         element = self.database.find(id_path)
@@ -713,7 +678,8 @@ class OrganizingAgent:
         committed = False
         try:
             fragment = self._export_region(region)
-            reply, last_error = self._send_adopt(new_owner, paths, fragment)
+            reply, last_error = self._request_patiently(
+                new_owner, AdoptMessage(paths, fragment, sender=self.site_id))
             if not (isinstance(reply, AckMessage) and reply.ok):
                 self._abort_migration(new_owner, paths)
                 detail = (getattr(reply, "detail", reply)
@@ -730,27 +696,24 @@ class OrganizingAgent:
             held = self._end_migration()
         self._forward_held_updates(new_owner, held)
         self._evict_migrated(paths)
-        if self.replication is not None:
-            self.replication.retire_paths(paths)
+        self._subsystems.fire("on_ownership_change", paths, gained=False,
+                              peer=new_owner)
         self.stats["migrations_out"] += 1
         self.migration_log.append(
             {"direction": "out", "peer": new_owner, "paths": list(paths)})
         return paths
 
-    def _adopt_attempts(self):
-        rebalance = getattr(self.config, "rebalance", None)
-        if rebalance is not None:
-            return max(1, rebalance.adopt_attempts)
-        return 3
+    def _request_patiently(self, target, message):
+        """One migration exchange, tried up to ``adopt_attempts`` times.
 
-    def _send_adopt(self, new_owner, paths, fragment):
-        """The retried adopt exchange; returns ``(reply, last_error)``."""
-        adopt = AdoptMessage(paths, fragment, sender=self.site_id)
+        Returns ``(reply, last_error)``; *reply* is ``None`` when every
+        try hit a transport error or a retryable refusal.
+        """
         reply = None
         last_error = None
-        for _attempt in range(self._adopt_attempts()):
+        for _attempt in range(self.adopt_attempts):
             try:
-                reply = self.network.request(self.site_id, new_owner, adopt)
+                reply = self.network.request(self.site_id, target, message)
             except (NetError, OSError) as exc:
                 last_error = exc
                 reply = None
@@ -806,38 +769,21 @@ class OrganizingAgent:
         for path, attributes, values in held:
             message = UpdateMessage(path, attributes=attributes,
                                     values=values, sender=self.site_id)
-            delivered = False
-            for _attempt in range(self._adopt_attempts()):
-                try:
-                    reply = self.network.request(
-                        self.site_id, new_owner, message)
-                except (NetError, OSError):
-                    continue
-                if isinstance(reply, ErrorMessage) and reply.retryable:
-                    continue
-                delivered = True
-                break
-            if delivered:
-                self.stats["held_updates_forwarded"] += 1
-            else:
-                self.stats["held_updates_lost"] += 1
+            reply, _error = self._request_patiently(new_owner, message)
+            self.stats["held_updates_forwarded" if reply is not None
+                       else "held_updates_lost"] += 1
 
     def _evict_migrated(self, paths):
         """Drop cached state whose invalidation feed just moved away.
 
-        The old owner's cached aggregates and summaries over the
-        migrated region were kept honest by local updates; those
-        updates now flow to the new owner, so the entries would serve
-        stale values for ever.  Evicting them turns the next hit into
-        an ordinary (correct) re-fetch.
+        The old owner's cached aggregates over the migrated region
+        were kept honest by local updates; those updates now flow to
+        the new owner, so the entries would serve stale values for
+        ever.  Evicting them turns the next hit into an ordinary
+        (correct) re-fetch.
         """
-        aggregates = getattr(self.driver, "aggregates", None)
-        if aggregates is not None:
-            evicted = aggregates.evict_paths(paths)
-            self.stats["migration_cache_evictions"] += evicted
-        if self.aggregation is not None:
-            dropped = self.aggregation.summaries.evict_regions(paths)
-            self.stats["migration_summary_evictions"] += dropped
+        evicted = self.driver.aggregates.evict_paths(paths)
+        self.stats["migration_cache_evictions"] += evicted
 
     def _handle_migrate_release(self, message):
         """Demote paths adopted in a migration the old owner aborted."""
@@ -849,19 +795,9 @@ class OrganizingAgent:
                 released += 1
         if released:
             self.stats["migrations_released"] += 1
-            if self.replication is not None:
-                self.replication.retire_paths(message.id_paths)
+            self._subsystems.fire("on_ownership_change", message.id_paths,
+                                  gained=False, peer=message.sender)
         return AckMessage(message.message_id, ok=True, detail=str(released),
-                          sender=self.site_id)
-
-    def _handle_replica_retire(self, message):
-        """Drop replica stamps for a region *message.owner* migrated."""
-        if self.replication is None:
-            return AckMessage(message.message_id, ok=False,
-                              detail="replication disabled",
-                              sender=self.site_id)
-        dropped = self.replication.retire(message.owner, message.id_paths)
-        return AckMessage(message.message_id, ok=True, detail=str(dropped),
                           sender=self.site_id)
 
     def _owned_region(self, element):
@@ -895,38 +831,9 @@ class OrganizingAgent:
         self.migration_log.append(
             {"direction": "in", "peer": message.sender,
              "paths": list(message.id_paths)})
-        if self.replication is not None:
-            # The adopted region is now this site's to replicate.
-            self.replication.note_owned(message.id_paths)
+        self._subsystems.fire("on_ownership_change", message.id_paths,
+                              gained=True, peer=message.sender)
         return AckMessage(message.message_id, ok=True, sender=self.site_id)
-
-    # ------------------------------------------------------------------
-    # Replication (replica side)
-    # ------------------------------------------------------------------
-    def _handle_replicate(self, message):
-        """Accept an owner's replication batch into the replica store.
-
-        Always returns a real reply, never an empty frame; the sender
-        fire-and-forgets, so a refusal costs it nothing.
-        """
-        if self.replication is None:
-            return AckMessage(message.message_id, ok=False,
-                              detail="replication disabled",
-                              sender=self.site_id)
-        accepted = self.replication.accept(message)
-        return AckMessage(message.message_id, ok=True,
-                          detail=str(accepted), sender=self.site_id)
-
-    def _handle_rehydrate(self, message):
-        """Serve this site's replica of *owner*'s data (or an empty
-        answer when none is held -- the asker tries the next peer)."""
-        fragment, stamps = (None, {})
-        if self.replication is not None:
-            fragment, stamps = self.replication.export_for(
-                message.owner, message.id_paths)
-        return RehydrateAnswer(message.message_id, message.owner,
-                               fragment=fragment, stamps=stamps,
-                               sender=self.site_id)
 
     # ------------------------------------------------------------------
     # Schema evolution (Section 4)
@@ -939,7 +846,8 @@ class OrganizingAgent:
                                    identifier, attributes=attributes,
                                    values=values)
         if dns_server is not None:
-            path = tuple(tuple(e) for e in parent_path) +                 ((tag, identifier),)
+            path = tuple(tuple(e) for e in parent_path) + \
+                ((tag, identifier),)
             dns_server.register_id_path(path, self.site_id)
         if self.schema is not None:
             self.schema.register_child(parent_path[-1][0], tag)
@@ -966,8 +874,8 @@ class OrganizingAgent:
         *process-wide* memo counters -- every OA in this process shares
         the serializer -- so they are tagged ``"scope": "process"`` and
         must not be summed across sites (aggregate them once at cluster
-        level, as :func:`repro.sim.metrics.collect_engine_counters`
-        does).  They are best-effort under concurrency.
+        level, as :func:`repro.obs.registry.engine_counters` does).
+        They are best-effort under concurrency.
         """
         from repro.xmlkit.serializer import serialization_stats
 
@@ -978,14 +886,22 @@ class OrganizingAgent:
             "serialization": dict(serialization_stats(), scope="process"),
         }
 
-    def shutdown(self, final_checkpoint=True):
-        """Graceful local teardown: drain the WAL, snapshot, detach.
+    def flush(self):
+        """Drain what subsystems buffer (the WAL) to disk."""
+        self._subsystems.fire("flush")
 
-        Safe without durability (a no-op).  Runtimes call this after
-        their drain phase -- no requests may be in flight.
+    def shutdown(self, final_checkpoint=True):
+        """Graceful local teardown: every subsystem closes (the journal
+        drains, snapshots and detaches).
+
+        Runtimes call this after their drain phase -- no requests may
+        be in flight.
         """
-        if self.durability is not None:
-            self.durability.close(final_checkpoint=final_checkpoint)
+        self._subsystems.fire("close", final_checkpoint=final_checkpoint)
+
+    def abort(self):
+        """Crash-style teardown: nothing is flushed or snapshotted."""
+        self._subsystems.fire("abort")
 
     def health_snapshot(self):
         """Per-peer circuit-breaker state, ``{}`` when breaking is off."""
@@ -1016,8 +932,3 @@ class OrganizingAgent:
             f"OrganizingAgent({self.site_id!r}, "
             f"owns={len(self.database.owned_nodes())} nodes)"
         )
-
-
-def export_single_node(database, id_path):
-    """Convenience wrapper kept for symmetry with :mod:`repro.core.ownership`."""
-    return export_local_information(database, id_path)

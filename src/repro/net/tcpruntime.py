@@ -352,8 +352,9 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
         acknowledged mutations off the disk).
         """
         drained = self.gate.wait_idle(timeout)
-        if getattr(self.agent, "durability", None) is not None:
-            self.agent.durability.flush()
+        flush = getattr(self.agent, "flush", None)  # stub agents lack it
+        if flush is not None:
+            flush()
         return drained
 
     def stop(self, drain=True, timeout=5.0):
@@ -595,14 +596,7 @@ class TcpCluster:
         for agent in self.cluster.agents.values():
             agent.network = self.network
         self.cluster.network = self.network
-        if self.cluster.balancer is not None:
-            # Server pressure (admission sheds, queue depth) joins the
-            # served-query counters as an overload signal.
-            self.cluster.balancer.attach_runtime(self)
-
-    @property
-    def balancer(self):
-        return self.cluster.balancer
+        self.cluster.runtime = self
 
     def __enter__(self):
         return self

@@ -26,10 +26,11 @@ from repro.obs.registry import (
     build_cluster_registry,
     build_site_registry,
     cluster_metrics,
-    durability_counters,
     engine_counters,
     fault_counters,
     site_metrics,
+    sum_numeric,
+    sum_per_site,
 )
 from repro.obs.tracing import (
     TRACER,
@@ -65,9 +66,10 @@ __all__ = [
     "build_cluster_registry",
     "site_metrics",
     "cluster_metrics",
-    "durability_counters",
     "engine_counters",
     "fault_counters",
+    "sum_numeric",
+    "sum_per_site",
     "ExplainReport",
     "ExplainObserver",
     "build_explain",

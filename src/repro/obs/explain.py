@@ -23,12 +23,12 @@ import json
 
 from repro.core.answer import Subquery
 from repro.core.gather import SubqueryFailure
-from repro.core.idable import id_path_of
+from repro.core.idable import format_id_path, id_path_of
 from repro.core.qeg import run_qeg
 from repro.core.semcache import canonicalize
 from repro.core.status import Status
 from repro.xpath import parser as xpath_parser
-from repro.xpath.analysis import extract_id_path
+from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath
 
 #: Decision labels, the EXPLAIN vocabulary.
@@ -38,10 +38,6 @@ STALE = "stale"
 SUBQUERY = "subquery"
 PRUNED = "pruned"
 MATCH = "match"
-
-
-def _format_id_path(id_path):
-    return "/".join(f"{tag}={identifier}" for tag, identifier in id_path)
 
 
 class ExplainObserver:
@@ -88,8 +84,7 @@ class ExplainReport:
 
     def __init__(self, query, site, lca_path, decisions, plan,
                  local_results, routed_site=None, analyze=None,
-                 cache=None, replication=None, aggregation=None,
-                 rebalance=None):
+                 cache=None):
         self.query = query
         self.site = site
         self.lca_path = tuple(tuple(entry) for entry in lca_path)
@@ -102,17 +97,17 @@ class ExplainReport:
         #: mapping, and the aggregate-cache entry that would serve this
         #: query (``None`` when the subsystem is disabled).
         self.cache = cache
-        #: Read-replication view: k, this site's ring peers, and the
-        #: replica sets it holds (``None`` when the subsystem is off).
-        self.replication = replication
-        #: Hierarchical-aggregation view: whether the query rolls up
-        #: through summaries, its summary key, and the cached entry
-        #: that would serve it (``None`` when the subsystem is off).
-        self.aggregation = aggregation
-        #: Recent ownership migrations at this site touching the
-        #: query's LCA ("ownership moved" annotations; ``None`` when
-        #: the site has seen none).
-        self.rebalance = rebalance
+        #: What the site's subsystems added through their ``explain``
+        #: hook: ``{name: data}`` (the JSON view) and, per name, the
+        #: text lines :meth:`render` prints for it.
+        self.sections = {}
+        self._section_lines = {}
+
+    def add_section(self, name, data, lines):
+        """Report *data* under *name* (``to_dict``) and *lines* in the
+        text rendering (indented under the report)."""
+        self.sections[name] = data
+        self._section_lines[name] = list(lines)
 
     @property
     def complete_locally(self):
@@ -141,12 +136,7 @@ class ExplainReport:
         }
         if self.cache is not None:
             out["cache"] = self.cache
-        if self.replication is not None:
-            out["replication"] = self.replication
-        if self.aggregation is not None:
-            out["aggregation"] = self.aggregation
-        if self.rebalance is not None:
-            out["rebalance"] = self.rebalance
+        out.update(self.sections)
         if self.analyze is not None:
             out["analyze"] = self.analyze
         return out
@@ -160,12 +150,12 @@ class ExplainReport:
         routed = self.routed_site or self.site
         lines.append(
             f"  routed to site {routed!r}"
-            f" (LCA {_format_id_path(self.lca_path) or '/'})")
+            f" (LCA {format_id_path(self.lca_path) or '/'})")
         lines.append("  decisions:")
         if not self.decisions:
             lines.append("    (no IDable node matched)")
         for entry in self.decisions:
-            path = _format_id_path(entry["id_path"])
+            path = format_id_path(entry["id_path"])
             lines.append(
                 f"    {path:<50} {entry['status']:<12} "
                 f"-> {entry['decision']}")
@@ -182,10 +172,8 @@ class ExplainReport:
                     lines.append(
                         f"    {'':<12} ~> {entry['wire_query']}"
                         "  [freshness bucket]")
-                if entry.get("replicas"):
-                    peers = ", ".join(entry["replicas"])
-                    lines.append(
-                        f"    {'':<12} failover: {peers}")
+                for note in entry.get("notes", ()):
+                    lines.append(f"    {'':<12} {note}")
         else:
             lines.append("  subquery plan: (none -- answerable locally)")
         if self.cache is not None and self.cache.get("enabled"):
@@ -206,45 +194,8 @@ class ExplainReport:
                     f"    aggregate: cached ({kind} candidate, "
                     f"age {aggregate['age']:g}s, "
                     f"hits {aggregate['hits']})")
-        if self.replication is not None:
-            peers = ", ".join(self.replication.get("peers", [])) or "(none)"
-            lines.append(
-                f"  replication: k={self.replication.get('k')}"
-                f" peers={peers}")
-        if self.aggregation is not None:
-            agg = self.aggregation
-            if agg.get("shape") is None:
-                lines.append("  aggregation: (not an aggregate query)")
-            elif not agg.get("supported"):
-                lines.append(
-                    f"  aggregation: {agg['shape']}() via naive gather"
-                    f" ({agg.get('problem')})")
-            else:
-                lines.append(
-                    f"  aggregation: {agg['shape']}() via summary rollup")
-                lines.append(f"    summary:   {agg['summary_key']}")
-                entry = agg.get("summary")
-                if entry is not None:
-                    bound = entry.get("tolerance")
-                    bound_text = (f", bound {bound:g}s"
-                                  if bound is not None else "")
-                    lines.append(
-                        f"    summary-cache hit candidate "
-                        f"(age {entry['age']:g}s, hits {entry['hits']}"
-                        f"{bound_text})")
-                else:
-                    lines.append(
-                        "    summary-cache miss (rollup would compute)")
-        if self.rebalance is not None:
-            lines.append("  rebalance:")
-            for entry in self.rebalance:
-                arrow = "<-" if entry["direction"] == "in" else "->"
-                moved = (" [ownership moved]"
-                         if entry.get("covers_query") else "")
-                paths = ", ".join(
-                    _format_id_path(path) for path in entry["paths"])
-                lines.append(
-                    f"    {arrow} {entry['peer']}: {paths}{moved}")
+        for section in self._section_lines.values():
+            lines.extend(f"  {line}" for line in section)
         lines.append(f"  local results: {self.local_results}")
         if self.analyze is not None:
             a = self.analyze
@@ -266,17 +217,24 @@ class ExplainReport:
                 f"plan={len(self.plan)} subqueries)")
 
 
-def _resolve_target(agent, anchor_path):
-    """Best-effort owner resolution for a plan entry (``None`` if
-    retired from DNS)."""
-    from repro.net.errors import NameNotFound
+class ExplainContext:
+    """What a subsystem's ``explain(context)`` hook sees.
 
-    try:
-        name = agent.resolver.server.name_for(anchor_path)
-        target, _hops = agent.resolver.resolve(name)
-    except NameNotFound:
-        return None
-    return target
+    ``agent`` / ``source`` (the query text) / ``now`` / ``lca_path``
+    describe the run; ``entries`` are the plan entries (planned and,
+    in analyze mode, dispatched) -- a hook may annotate them, e.g.
+    append to an entry's ``notes`` for the text rendering;
+    ``add_section(name, data, lines)`` is
+    :meth:`ExplainReport.add_section`.
+    """
+
+    def __init__(self, agent, source, now, report, entries):
+        self.agent = agent
+        self.source = source
+        self.now = now
+        self.lca_path = report.lca_path
+        self.entries = entries
+        self.add_section = report.add_section
 
 
 def _plan_entry(agent, subquery, failed=None):
@@ -285,18 +243,11 @@ def _plan_entry(agent, subquery, failed=None):
         "anchor_path": [list(e) for e in subquery.anchor_path],
         "reason": subquery.reason,
         "scalar": subquery.scalar,
-        "target": _resolve_target(agent, subquery.anchor_path),
+        "target": agent.resolve_owner(subquery.anchor_path),
     }
     wire = _bucketed_wire(agent.driver, subquery)
     if wire is not None:
         entry["wire_query"] = wire
-    manager = getattr(agent, "replication", None)
-    if manager is not None and entry["target"] is not None and \
-            not subquery.scalar:
-        from repro.replication import replica_peers
-
-        entry["replicas"] = replica_peers(
-            entry["target"], manager.topology, manager.config.k)
     if failed is not None:
         entry["failed"] = failed
     return entry
@@ -346,109 +297,6 @@ def _cache_section(driver, source, now):
     return info
 
 
-def _replication_section(agent):
-    """The read-replication view for the report (``None`` when off)."""
-    manager = getattr(agent, "replication", None)
-    if manager is None:
-        return None
-    counters = manager.counters()
-    return {
-        "enabled": True,
-        "k": manager.config.k,
-        "peers": list(manager.peers()),
-        "replicas_held": counters.get("replicas_held", {}),
-    }
-
-
-def _aggregation_section(agent, source, now):
-    """The hierarchical-aggregation view (``None`` when off).
-
-    Rebuilds the manager's plan side-effect-free and ``peek``s the
-    summary cache, so -- like :func:`_cache_section` -- an EXPLAIN
-    never distorts the hit/miss counters it reports.
-    """
-    manager = getattr(agent, "aggregation", None)
-    if manager is None:
-        return None
-    from repro.agg import SHAPES, summary_key
-
-    info = {"enabled": True, "shape": None,
-            "summaries_held": len(manager.summaries),
-            "derived_sensors": sorted(manager.derived)}
-    try:
-        canon = canonicalize(source, buckets=manager.config.buckets)
-    except Exception:
-        return info
-    ast = canon.bucket_ast
-    if not isinstance(ast, FunctionCall) or ast.name not in SHAPES:
-        return info
-    info["shape"] = ast.name
-    if len(ast.arguments) != 1 or \
-            not isinstance(ast.arguments[0], LocationPath) or \
-            not ast.arguments[0].absolute:
-        info["supported"] = False
-        info["problem"] = "argument is not an absolute path"
-        return info
-    inner = ast.arguments[0]
-    anchor = tuple(tuple(entry) for entry in extract_id_path(inner))
-    problem = manager._support_problem(inner, anchor)
-    if problem is not None:
-        info["supported"] = False
-        info["problem"] = problem
-        return info
-    info["supported"] = True
-    key = summary_key(anchor, inner)
-    info["summary_key"] = key
-    entry = manager.summaries.peek(key)
-    if entry is not None:
-        info["summary"] = {
-            "age": round(entry.age(now), 3),
-            "hits": entry.hits,
-            "tolerance": entry.tolerance,
-        }
-    return info
-
-
-def _rebalance_section(agent, lca_path):
-    """Recent ownership migrations at *agent* (``None`` when none).
-
-    Each entry of the OA's ``migration_log`` is reported with its
-    direction and peer; entries whose paths overlap the query's LCA are
-    flagged ``covers_query`` -- the "ownership moved" annotation that
-    explains why a fragment this site used to answer now routes
-    elsewhere (or vice versa).
-    """
-    log = list(getattr(agent, "migration_log", ()))
-    if not log:
-        return None
-    lca = tuple(tuple(entry) for entry in lca_path)
-
-    def overlaps(path):
-        path = tuple(tuple(entry) for entry in path)
-        return path[:len(lca)] == lca or lca[:len(path)] == path
-
-    return [
-        {
-            "direction": entry["direction"],
-            "peer": entry["peer"],
-            "paths": [[list(e) for e in path] for path in entry["paths"]],
-            "covers_query": any(overlaps(path) for path in entry["paths"]),
-        }
-        for entry in log
-    ]
-
-
-def _extraction_lca(query):
-    ast = xpath_parser.parse(query) if isinstance(query, str) else query
-    if isinstance(ast, FunctionCall) and ast.arguments and \
-            isinstance(ast.arguments[0], LocationPath):
-        ast = ast.arguments[0]
-    try:
-        return extract_id_path(ast)
-    except Exception:
-        return ()
-
-
 def build_explain(agent, query, analyze=False, now=None,
                   routed_site=None):
     """Build an :class:`ExplainReport` for *query* at *agent*.
@@ -496,18 +344,21 @@ def build_explain(agent, query, analyze=False, now=None,
                 if not isinstance(subquery, SubqueryFailure)
             ],
         }
-    lca_path = _extraction_lca(source)
-    return ExplainReport(
+    report = ExplainReport(
         query=source,
         site=agent.site_id,
-        lca_path=lca_path,
+        lca_path=anchor_id_path(source) or (),
         decisions=observer.decisions,
         plan=plan,
         local_results=result.stats.get("results_local", 0),
         routed_site=routed_site,
         analyze=analysis,
         cache=_cache_section(driver, source, now),
-        replication=_replication_section(agent),
-        aggregation=_aggregation_section(agent, source, now),
-        rebalance=_rebalance_section(agent, lca_path),
     )
+    entries = plan + (analysis["dispatched"] if analysis else [])
+    context = ExplainContext(agent, source, now, report, entries)
+    for subsystem in agent.subsystems.values():
+        explain = getattr(subsystem, "explain", None)
+        if explain is not None:
+            explain(context)
+    return report

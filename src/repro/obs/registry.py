@@ -1,8 +1,7 @@
 """Unified metrics: counter/gauge/histogram primitives + collectors.
 
-The repo grew three ad-hoc metric surfaces -- the per-database
-``stats`` dicts, the simulator's ``collect_engine_counters`` /
-``collect_fault_counters`` aggregations, and the DNS/connection-pool
+The repo grew several ad-hoc metric surfaces -- the per-database
+``stats`` dicts, per-subsystem counters, and the DNS/connection-pool
 stats dicts.  This module puts one registry in front of all of them:
 
 * **Primitives** (:class:`Counter`, :class:`Gauge`,
@@ -12,11 +11,12 @@ stats dicts.  This module puts one registry in front of all of them:
   is exactly what every existing ``stats`` surface already is -- so the
   legacy dicts keep working untouched and the registry absorbs them at
   snapshot time;
-* **Aggregation helpers** (:func:`engine_counters`,
-  :func:`fault_counters`, :func:`site_metrics`,
-  :func:`cluster_metrics`): the canonical implementations behind the
-  back-compat aliases in :mod:`repro.sim.metrics` and the new
-  ``OrganizingAgent.metrics()`` / ``Cluster.metrics()`` surfaces.
+* **Aggregation helpers**: :func:`sum_numeric` / :func:`sum_per_site`
+  (the one "sum the numeric keys, keep per-site snapshots" rule that
+  every subsystem's ``metrics()`` hook feeds), the engine / fault /
+  semantic-cache roll-ups built on it, and :func:`site_metrics` /
+  :func:`cluster_metrics` behind ``OrganizingAgent.metrics()`` /
+  ``Cluster.metrics()``.
 """
 
 import threading
@@ -121,11 +121,7 @@ class Histogram:
     def percentile(self, fraction):
         """Approximate percentile over the recent reservoir."""
         with self._lock:
-            sample = sorted(self._recent)
-        if not sample:
-            return 0.0
-        index = min(len(sample) - 1, int(fraction * len(sample)))
-        return sample[index]
+            return self._percentile_locked(fraction)
 
     def snapshot(self):
         with self._lock:
@@ -213,9 +209,43 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Canonical aggregations (the back-compat aliases in repro.sim.metrics
-# delegate here).
+# Canonical aggregations
 # ----------------------------------------------------------------------
+def _values(mapping_or_iterable):
+    if hasattr(mapping_or_iterable, "values"):
+        return mapping_or_iterable.values()
+    return mapping_or_iterable
+
+
+def sum_numeric(snapshots, keys=None):
+    """Key-wise sum of the numeric values across *snapshots* (dicts).
+
+    With *keys* only those are summed and each is present (zero when no
+    snapshot carries it); without, every top-level ``int``/``float``
+    value is (``bool`` flags, lists and nested dicts are skipped).
+    """
+    totals = dict.fromkeys(keys, 0) if keys is not None else {}
+    for snapshot in snapshots:
+        for key in (snapshot if keys is None else keys):
+            value = snapshot.get(key, 0)
+            if isinstance(value, (int, float)) and \
+                    not isinstance(value, bool):
+                totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def sum_per_site(snapshots):
+    """Cluster-wide totals of one subsystem's per-site ``metrics()``.
+
+    *snapshots* maps site -> that site's flat counters dict.  Numeric
+    keys are summed; the per-site dicts are kept under ``sites``.  With
+    no sites the result is just ``{"sites": {}}``.
+    """
+    totals = sum_numeric(snapshots.values())
+    totals["sites"] = dict(sorted(snapshots.items()))
+    return totals
+
+
 def engine_counters(databases):
     """Aggregate hot-path engine counters across site databases.
 
@@ -226,12 +256,9 @@ def engine_counters(databases):
     """
     from repro.xmlkit.serializer import serialization_stats
 
-    if hasattr(databases, "values"):
-        databases = databases.values()
-    totals = {"index_hits": 0, "index_misses": 0, "index_rebuilds": 0}
-    for database in databases:
-        for key in totals:
-            totals[key] += database.stats.get(key, 0)
+    totals = sum_numeric(
+        (database.stats for database in _values(databases)),
+        keys=("index_hits", "index_misses", "index_rebuilds"))
     serialization = serialization_stats()
     reused = serialization["cache_hits"]
     rebuilt = serialization["cache_misses"]
@@ -256,213 +283,20 @@ def fault_counters(agents):
     circuit-breaker snapshot into ``breakers`` (keyed
     ``observing_site -> peer``).
     """
-    if hasattr(agents, "values"):
-        agents = agents.values()
-    totals = {
-        "retries": 0,
-        "subquery_failures": 0,
-        "circuit_fast_fails": 0,
-        "dns_refreshes": 0,
-        "failed_subqueries": 0,
-        "partial_gathers": 0,
-        "stale_served": 0,
-    }
+    agents = list(_values(agents))
+    totals = sum_numeric(
+        (agent.stats for agent in agents),
+        keys=("retries", "subquery_failures", "circuit_fast_fails",
+              "dns_refreshes"))
+    totals.update(sum_numeric(
+        (getattr(agent.driver, "stats", {}) for agent in agents),
+        keys=("failed_subqueries", "partial_gathers", "stale_served")))
     breakers = {}
     for agent in agents:
-        for key in ("retries", "subquery_failures",
-                    "circuit_fast_fails", "dns_refreshes"):
-            totals[key] += agent.stats.get(key, 0)
-        driver_stats = getattr(agent.driver, "stats", {})
-        for key in ("failed_subqueries", "partial_gathers", "stale_served"):
-            totals[key] += driver_stats.get(key, 0)
         snapshot = agent.health_snapshot()
         if snapshot:
             breakers[agent.site_id] = snapshot
     totals["breakers"] = breakers
-    return totals
-
-
-def durability_counters(agents):
-    """Aggregate WAL/checkpoint/recovery counters across agents.
-
-    Sums every durable OA's :meth:`DurabilityManager.counters` and
-    keeps the per-site snapshots under ``sites``.  Agents without
-    durability contribute nothing; with none at all the totals are
-    zero and ``sites`` is empty (the subsystem is off).
-    """
-    if hasattr(agents, "values"):
-        agents = dict(agents)
-    else:
-        agents = {getattr(a, "site_id", i): a
-                  for i, a in enumerate(agents)}
-    totals = {
-        "records_appended": 0,
-        "checkpoints_written": 0,
-        "recoveries": 0,
-        "records_replayed": 0,
-        "replay_skipped": 0,
-        "cache_entries_expired": 0,
-        "torn_bytes_dropped": 0,
-        "wal_bytes": 0,
-        "wal_fsyncs": 0,
-    }
-    sites = {}
-    for site, agent in sorted(agents.items()):
-        manager = getattr(agent, "durability", None)
-        if manager is None:
-            continue
-        snapshot = manager.counters()
-        sites[site] = snapshot
-        for key in totals:
-            totals[key] += snapshot.get(key, 0)
-    totals["sites"] = sites
-    return totals
-
-
-def replication_counters(agents):
-    """Aggregate read-replication counters across organizing agents.
-
-    Sums every replicating OA's :meth:`ReplicationManager.counters`
-    numeric figures (batches/bytes shipped, failovers, lag) and keeps
-    the per-site snapshots under ``sites``.  Agents without replication
-    contribute nothing; with none at all the totals are zero and
-    ``sites`` is empty (the subsystem is off).
-    """
-    if hasattr(agents, "values"):
-        agents = dict(agents)
-    else:
-        agents = {getattr(a, "site_id", i): a
-                  for i, a in enumerate(agents)}
-    totals = {
-        "replicated_batches": 0,
-        "replicated_entries": 0,
-        "replicated_bytes": 0,
-        "replica_batches_accepted": 0,
-        "replica_batches_stale_dropped": 0,
-        "failover_attempts": 0,
-        "failover_served": 0,
-        "replica_too_stale": 0,
-        "failover_no_replica": 0,
-        "rehydrations_served": 0,
-    }
-    sites = {}
-    lag_total = 0.0
-    lag_count = 0
-    lag_max = 0.0
-    for site, agent in sorted(agents.items()):
-        manager = getattr(agent, "replication", None)
-        if manager is None:
-            continue
-        snapshot = manager.counters()
-        sites[site] = snapshot
-        for key in totals:
-            totals[key] += snapshot.get(key, 0)
-        lag_total += snapshot.get("lag_total", 0.0)
-        lag_count += snapshot.get("lag_count", 0)
-        lag_max = max(lag_max, snapshot.get("lag_max", 0.0))
-    totals["replication_lag_mean"] = (
-        round(lag_total / lag_count, 6) if lag_count else 0.0
-    )
-    totals["replication_lag_max"] = lag_max
-    totals["sites"] = sites
-    return totals
-
-
-def aggregation_counters(agents):
-    """Aggregate hierarchical-aggregation counters across agents.
-
-    Sums every aggregating OA's
-    :meth:`AggregationManager.counters` numeric figures (answers,
-    rollups, partial fetches, derived refreshes) plus the summary-cache
-    hit/miss counters, recomputes the cluster-wide
-    ``summary_hit_ratio``, and keeps the per-site snapshots under
-    ``sites``.  Agents without aggregation contribute nothing; with
-    none at all the totals are zero (the subsystem is off).
-    """
-    if hasattr(agents, "values"):
-        agents = dict(agents)
-    else:
-        agents = {getattr(a, "site_id", i): a
-                  for i, a in enumerate(agents)}
-    totals = {
-        "answers": 0,
-        "rollups": 0,
-        "rollup_matches": 0,
-        "partials_fetched": 0,
-        "partials_served": 0,
-        "partial_failures": 0,
-        "fallbacks": 0,
-        "unsupported_queries": 0,
-        "derived_refreshes": 0,
-        "derived_refresh_errors": 0,
-    }
-    summary_totals = {}
-    sites = {}
-    for site, agent in sorted(agents.items()):
-        manager = getattr(agent, "aggregation", None)
-        if manager is None:
-            continue
-        snapshot = manager.counters()
-        sites[site] = snapshot
-        for key in totals:
-            totals[key] += snapshot.get(key, 0)
-        for key, value in snapshot.get("summary", {}).items():
-            if isinstance(value, (int, float)):
-                summary_totals[key] = summary_totals.get(key, 0) + value
-    totals["summary"] = summary_totals
-    asked = summary_totals.get("hits", 0) + summary_totals.get("misses", 0)
-    totals["summary_hit_ratio"] = (
-        round(summary_totals.get("hits", 0) / asked, 6) if asked else 0.0
-    )
-    totals["sites"] = sites
-    return totals
-
-
-def rebalance_counters(agents, balancer=None):
-    """Aggregate adaptive-rebalancing counters across agents.
-
-    Sums every OA's migration-safety stats (migrations in/out/aborted,
-    held updates forwarded/lost, migration-driven cache evictions) and
-    its :class:`~repro.rebalance.tracker.PathLoadTracker` figures, and
-    -- when a cluster :class:`~repro.rebalance.balancer.LoadBalancer`
-    is passed -- merges its control-loop counters under ``balancer``.
-    The per-site tracker snapshots live under ``sites``.
-    """
-    if hasattr(agents, "values"):
-        agents = dict(agents)
-    else:
-        agents = {getattr(a, "site_id", i): a
-                  for i, a in enumerate(agents)}
-    totals = {
-        "migrations_in": 0,
-        "migrations_out": 0,
-        "migrations_aborted": 0,
-        "migrations_released": 0,
-        "held_updates_forwarded": 0,
-        "held_updates_lost": 0,
-        "migration_cache_evictions": 0,
-        "migration_summary_evictions": 0,
-        "tracked_queries": 0,
-        "tracked_anchors": 0,
-    }
-    sites = {}
-    for site, agent in sorted(agents.items()):
-        for key in ("migrations_in", "migrations_out",
-                    "migrations_aborted", "migrations_released",
-                    "held_updates_forwarded", "held_updates_lost",
-                    "migration_cache_evictions",
-                    "migration_summary_evictions"):
-            totals[key] += agent.stats.get(key, 0)
-        tracker = getattr(agent, "load", None)
-        if tracker is None:
-            continue
-        snapshot = tracker.counters()
-        sites[site] = snapshot
-        totals["tracked_queries"] += snapshot.get("queries", 0)
-        totals["tracked_anchors"] += snapshot.get("anchors", 0)
-    totals["sites"] = sites
-    if balancer is not None:
-        totals["balancer"] = balancer.counters()
     return totals
 
 
@@ -474,11 +308,6 @@ def health_snapshots(agents):
     always present (empty dicts for sites that tracked no peer yet),
     so dashboards can rely on the key existing.
     """
-    if hasattr(agents, "values"):
-        agents = dict(agents)
-    else:
-        agents = {getattr(a, "site_id", i): a
-                  for i, a in enumerate(agents)}
     return {site: agent.health_snapshot()
             for site, agent in sorted(agents.items())}
 
@@ -494,32 +323,15 @@ def semcache_counters(agents):
     from repro.core.qeg import pattern_key_stats
     from repro.core.semcache import canonicalization_stats
 
-    if hasattr(agents, "values"):
-        agents = agents.values()
-    totals = {
-        "hits": 0,
-        "misses": 0,
-        "stores": 0,
-        "stale_rejects": 0,
-        "bucket_coalesced_hits": 0,
-        "admission_rejects": 0,
-        "evictions": 0,
-        "entries": 0,
-        "bytes": 0,
-        "bucket_generalized": 0,
-        "bucket_rechecks": 0,
-        "prewarm_queries": 0,
-    }
-    for agent in agents:
-        driver = agent.driver
-        aggregate = driver.aggregates.metrics()
-        for key in ("hits", "misses", "stores", "stale_rejects",
-                    "bucket_coalesced_hits", "admission_rejects",
-                    "evictions", "entries", "bytes"):
-            totals[key] += aggregate.get(key, 0)
-        for key in ("bucket_generalized", "bucket_rechecks",
-                    "prewarm_queries"):
-            totals[key] += driver.stats.get(key, 0)
+    drivers = [agent.driver for agent in _values(agents)]
+    totals = sum_numeric(
+        (driver.aggregates.metrics() for driver in drivers),
+        keys=("hits", "misses", "stores", "stale_rejects",
+              "bucket_coalesced_hits", "admission_rejects", "evictions",
+              "entries", "bytes"))
+    totals.update(sum_numeric(
+        (driver.stats for driver in drivers),
+        keys=("bucket_generalized", "bucket_rechecks", "prewarm_queries")))
     lookups = totals["hits"] + totals["misses"]
     totals["hit_ratio"] = (
         round(totals["hits"] / lookups, 3) if lookups else 0.0
@@ -545,25 +357,28 @@ def build_site_registry(agent):
                                 lambda: dict(agent.database.stats))
     registry.register_collector("dns_cache",
                                 lambda: dict(agent.resolver.stats))
-    registry.register_collector("continuous",
-                                lambda: dict(agent.continuous.stats))
     registry.register_collector("engine", agent.engine_counters)
     registry.register_collector("semcache", agent.driver.semcache_counters)
     registry.register_collector("breakers", agent.health_snapshot)
-    if getattr(agent, "durability", None) is not None:
-        registry.register_collector("durability", agent.durability.counters)
-    if getattr(agent, "replication", None) is not None:
-        registry.register_collector("replication",
-                                    agent.replication.counters)
-    if getattr(agent, "aggregation", None) is not None:
-        registry.register_collector("aggregation",
-                                    agent.aggregation.counters)
-    if getattr(agent, "load", None) is not None:
-        # The migration-safety stats (migrations_in/out/aborted, held
-        # updates, eviction counts) already flow through the "oa"
-        # collector; this adds the per-path load attribution figures.
-        registry.register_collector("load", agent.load.counters)
+    # The migration-safety stats (migrations_in/out/aborted, held
+    # updates, eviction counts) already flow through the "oa"
+    # collector; this adds the per-path load attribution figures.
+    registry.register_collector("load", agent.load.counters)
+    # One section per registered subsystem that reports metrics
+    # (continuous queries always; durability, replication, ... when on).
+    for name, collect in subsystem_collectors(agent).items():
+        registry.register_collector(name, collect)
     return registry
+
+
+def subsystem_collectors(agent):
+    """``{name: metrics}`` for *agent*'s subsystems that define the
+    ``metrics()`` hook (see :mod:`repro.net.subsystem`)."""
+    return {
+        name: subsystem.metrics
+        for name, subsystem in agent.subsystems.items()
+        if hasattr(subsystem, "metrics")
+    }
 
 
 def build_cluster_registry(cluster):
@@ -589,20 +404,14 @@ def build_cluster_registry(cluster):
         "faults", lambda: fault_counters(cluster.agents))
     registry.register_collector(
         "semcache", lambda: semcache_counters(cluster.agents))
-    if getattr(cluster, "durability_config", None) is not None:
+    # One summed section per subsystem any site runs: the generic
+    # per-site sum of its metrics() hook, post-processed by the
+    # subsystem's cluster-level rollup() when it has one.
+    names = {name for agent in cluster.agents.values()
+             for name in subsystem_collectors(agent)}
+    for name in sorted(names):
         registry.register_collector(
-            "durability", lambda: durability_counters(cluster.agents))
-    if getattr(cluster, "replication_config", None) is not None:
-        registry.register_collector(
-            "replication", lambda: replication_counters(cluster.agents))
-    if getattr(cluster, "aggregation_config", None) is not None:
-        registry.register_collector(
-            "aggregation", lambda: aggregation_counters(cluster.agents))
-    if getattr(cluster, "balancer", None) is not None:
-        registry.register_collector(
-            "rebalance",
-            lambda: rebalance_counters(cluster.agents,
-                                       balancer=cluster.balancer))
+            name, lambda name=name: _subsystem_section(cluster, name))
     registry.register_collector(
         "health", lambda: health_snapshots(cluster.agents))
 
@@ -612,6 +421,17 @@ def build_cluster_registry(cluster):
 
     registry.register_collector("sites", per_site)
     return registry
+
+
+def _subsystem_section(cluster, name):
+    snapshots = {}
+    for site, agent in cluster.agents.items():
+        collect = getattr(agent.subsystem(name), "metrics", None)
+        if collect is not None:
+            snapshots[site] = collect()
+    totals = sum_per_site(snapshots)
+    rollup = getattr(cluster.subsystem(name), "rollup", None)
+    return rollup(totals) if rollup is not None else totals
 
 
 def site_metrics(agent):

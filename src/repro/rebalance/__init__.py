@@ -5,8 +5,9 @@ between sites atomically -- but nothing in the paper *drives* it, so a
 zipf-skewed workload melts one owner while its peers idle.  This
 package closes the loop:
 
-- :class:`~repro.rebalance.tracker.PathLoadTracker` -- per-site,
-  per-id-path served-query counters (local, zero wire cost);
+- :class:`~repro.net.load.PathLoadTracker` (always on, in
+  :mod:`repro.net`) -- per-site, per-id-path served-query counters the
+  balancer reads (local, zero wire cost);
 - :mod:`~repro.rebalance.planner` -- pure split-sizing and placement
   math: which subtrees leave an overloaded site, and where they go;
 - :class:`~repro.rebalance.balancer.LoadBalancer` -- the per-cluster
@@ -15,9 +16,10 @@ package closes the loop:
   Section-4 protocol + DNS re-mapping, and reconcile ownership against
   DNS after failures.
 
-Disabled (``RebalanceConfig(enabled=False)`` or no config at all) the
-wire and behaviour are byte-identical to a build without the
-subsystem, matching every prior subsystem's convention.
+Switched on by listing a :class:`RebalanceConfig` in
+``Cluster(subsystems=[...])``; both halves reach the deployment through
+:mod:`repro.net.subsystem`.  Not listed, the wire and behaviour are
+byte-identical to a build without the subsystem.
 """
 
 from repro.rebalance.balancer import LoadBalancer
@@ -28,14 +30,15 @@ from repro.rebalance.planner import (
     n_new_fragments,
     plan_moves,
 )
-from repro.rebalance.tracker import PathLoadTracker
+from repro.rebalance.site import SiteRebalance, migration_counters
 
 __all__ = [
     "LoadBalancer",
     "Migration",
-    "PathLoadTracker",
     "RebalanceConfig",
+    "SiteRebalance",
     "detect_overloaded",
+    "migration_counters",
     "n_new_fragments",
     "plan_moves",
 ]

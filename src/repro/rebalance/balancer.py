@@ -35,7 +35,10 @@ import logging
 import threading
 from collections import deque
 
+from repro.core.errors import CoreError
+from repro.core.idable import id_path_of, idable_children
 from repro.core.ownership import relinquish_ownership
+from repro.core.status import Status, get_status
 from repro.rebalance.planner import detect_overloaded, plan_moves
 
 logger = logging.getLogger(__name__)
@@ -44,12 +47,21 @@ __all__ = ["LoadBalancer"]
 
 
 class LoadBalancer:
-    """Hot-spot detection and live migration for one cluster."""
+    """Hot-spot detection and live migration for one cluster.
+
+    The cluster-level half of the subsystem (see
+    :mod:`repro.net.subsystem`): passive until :meth:`tick` (or
+    :meth:`start`) is called, and it only ever acts through the agents'
+    existing protocol, so merely listing a
+    :class:`~repro.rebalance.RebalanceConfig` adds no wire traffic on
+    an unskewed workload.
+    """
+
+    name = "rebalance"
 
     def __init__(self, cluster, config):
         self.cluster = cluster
         self.config = config
-        self.runtime = None  # optional TcpCluster, for server pressure
         self._prev = {}      # site -> {anchor path: cumulative count}
         self._prev_pressure = {}  # site -> cumulative shed count
         self._lock = threading.Lock()
@@ -71,20 +83,19 @@ class LoadBalancer:
     # ------------------------------------------------------------------
     # Signals
     # ------------------------------------------------------------------
-    def attach_runtime(self, runtime):
-        """Fold a TCP runtime's server stats into overload detection."""
-        self.runtime = runtime
-        return self
+    def cluster_started(self):
+        # DNS invalidation fan-out: when a migration re-points a
+        # record, drop it from every resolver cache immediately so the
+        # next query routes to the new owner instead of waiting out a
+        # TTL on the old one.
+        self.cluster.dns.subscribe(self.cluster.invalidate_resolver_caches)
 
     def _tracker_deltas(self):
         """Per-site per-anchor served-query deltas since the last tick."""
         deltas = {}
         snapshots = {}
         for site, agent in self.cluster.agents.items():
-            tracker = getattr(agent, "load", None)
-            if tracker is None:
-                continue
-            counts = tracker.snapshot()
+            counts = agent.load.snapshot()
             snapshots[site] = counts
             previous = self._prev.get(site, {})
             delta = {}
@@ -99,16 +110,14 @@ class LoadBalancer:
         return deltas
 
     def _pressure_deltas(self):
-        """Admission-shed deltas per site from the attached runtime."""
-        if self.runtime is None:
-            return {}
-        servers = getattr(self.runtime, "servers", None)
+        """Admission-shed deltas per site from the TCP runtime's
+        servers (none on the loopback network)."""
+        servers = getattr(self.cluster.runtime, "servers", None)
         if not servers:
             return {}
         deltas = {}
         current = {}
         for site, server in servers.items():
-            stats = {}
             try:
                 stats = server.server_stats()
             except Exception:
@@ -145,9 +154,6 @@ class LoadBalancer:
         anchored *above* every unit (at the assignment root) cannot be
         shed by splitting and stay out of the unit loads.
         """
-        from repro.core.idable import id_path_of, idable_children
-        from repro.core.status import Status, get_status
-
         assigned = self._assigned_paths(site)
         if not assigned:
             return {}
@@ -247,8 +253,6 @@ class LoadBalancer:
         demotes them, restoring the one-owner invariant without any
         wire traffic.
         """
-        from repro.core.errors import CoreError
-
         self.stats["reconcile_runs"] += 1
         demoted = 0
         dns = self.cluster.dns
@@ -288,7 +292,8 @@ class LoadBalancer:
         self._thread.start()
         return self
 
-    def stop(self):
+    def close(self):
+        """Stop the background thread (a no-op if it never started)."""
         if self._thread is None:
             return
         self._stop_event.set()
@@ -297,9 +302,15 @@ class LoadBalancer:
         self._stop_event = None
 
     # ------------------------------------------------------------------
-    def counters(self):
-        """Metrics-registry view of the balancer's activity."""
+    def metrics(self):
+        """The control loop's own counters."""
         with_history = dict(self.stats)
         with_history["history"] = len(self.history)
         with_history["running"] = 1 if self._thread is not None else 0
         return with_history
+
+    def rollup(self, totals):
+        """The cluster-wide section: the agents' summed migration
+        counters plus this loop's, under ``balancer``."""
+        totals["balancer"] = self.metrics()
+        return totals

@@ -1,12 +1,16 @@
 """Configuration for the adaptive rebalancer."""
 
+from repro.rebalance.balancer import LoadBalancer
+from repro.rebalance.site import SiteRebalance
+
 
 class RebalanceConfig:
     """Tuning knobs for the load balancer.
 
-    ``enabled``
-        master switch; a disabled config is exactly equivalent to no
-        config (parity-tested);
+    Pass it in ``Cluster(subsystems=[...])`` to switch the balancer on;
+    not passing it leaves wire and behaviour byte-identical to a build
+    without the subsystem.
+
     ``overload_ratio``
         a site is *overloaded* when its served-query delta for the
         tick exceeds ``overload_ratio`` times the cluster mean;
@@ -34,7 +38,9 @@ class RebalanceConfig:
         forces it on the next tick regardless.
     """
 
-    def __init__(self, enabled=True, overload_ratio=2.0, min_queries=16,
+    name = "rebalance"
+
+    def __init__(self, overload_ratio=2.0, min_queries=16,
                  headroom=1.25, max_moves_per_tick=4, interval=1.0,
                  adopt_attempts=3, reconcile_every=8):
         if overload_ratio < 1.0:
@@ -47,7 +53,6 @@ class RebalanceConfig:
             raise ValueError("adopt_attempts must be >= 1")
         if reconcile_every < 1:
             raise ValueError("reconcile_every must be >= 1")
-        self.enabled = enabled
         self.overload_ratio = overload_ratio
         self.min_queries = min_queries
         self.headroom = headroom
@@ -56,8 +61,14 @@ class RebalanceConfig:
         self.adopt_attempts = adopt_attempts
         self.reconcile_every = reconcile_every
 
+    def site_subsystem(self, agent):
+        return SiteRebalance(agent, self)
+
+    def cluster_subsystem(self, cluster):
+        return LoadBalancer(cluster, self)
+
     def __repr__(self):
-        return (f"RebalanceConfig(enabled={self.enabled}, "
+        return (f"RebalanceConfig("
                 f"overload_ratio={self.overload_ratio}, "
                 f"min_queries={self.min_queries}, "
                 f"headroom={self.headroom}, "

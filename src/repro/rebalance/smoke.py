@@ -1,6 +1,6 @@
 """Rebalancing smoke check: a hot site splits and tail latency drops.
 
-``python -m repro.rebalance.smoke`` (needs ``PYTHONPATH=src:.``) stands
+``python -m repro.smoke rebalance`` (needs ``PYTHONPATH=src:.``) stands
 up a three-site TCP deployment from the scenario generator (root +
 ``oa-z0`` + ``oa-z1``), then:
 
@@ -23,21 +23,18 @@ suite only has a handful of distinct queries, and a semantic cache
 would serve them all without any site ever getting hot (a fine
 production outcome, but this check is about the balancer).
 
-A JSON summary (per-window latency, the executed moves, the balancer
-and migration counters) is written under ``--artifacts`` (default
-``rebalance-smoke/``) so CI can archive what the balancer actually did.
+The summary carries per-window latency, the executed moves and the
+balancer and migration counters, so CI can archive what the balancer
+actually did.
 """
 
-import argparse
-import json
-import os
-import sys
 import time
 
+from repro.smoke import impatient_oa_config
 
-def _run():
+
+def run(artifacts):
     from repro.core.semcache import SemanticCacheConfig
-    from repro.net import BreakerPolicy, OAConfig, RetryPolicy
     from repro.net.tcpruntime import TcpCluster
     from repro.rebalance import RebalanceConfig
     from repro.service.scenarios import (
@@ -53,13 +50,8 @@ def _run():
     problems = []
     config = ScenarioConfig(fanout=2, depth=2, sensors_per_group=25,
                             site_depth=1, seed=7)
-    oa_config = OAConfig(
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0,
-                                 max_delay=0.0, jitter=0.0,
-                                 sleep=lambda seconds: None),
-        breaker=BreakerPolicy(failure_threshold=8, reset_timeout=0.05),
-        partial_answers=True,
-        cache_results=False,
+    oa_config = impatient_oa_config(
+        failure_threshold=8, cache_results=False,
         semcache=SemanticCacheConfig(enabled=False))
     # ``service_delay`` gives every site a per-machine service time
     # (slept under the agent lock, GIL-free): per-*site* capacity is
@@ -69,7 +61,7 @@ def _run():
     tcp = TcpCluster(
         build_document(config), build_plan(config),
         oa_config=oa_config, max_pending=4096, service_delay=0.025,
-        rebalance=RebalanceConfig(min_queries=32, overload_ratio=1.5))
+        subsystems=[RebalanceConfig(min_queries=32, overload_ratio=1.5)])
     try:
         cluster = tcp.cluster
         hot_site = site_name((0,))
@@ -103,7 +95,7 @@ def _run():
                                  seed=seed, drain_timeout=60.0)
 
         before = window(seed=1)
-        moves = cluster.balancer.tick()
+        moves = cluster.subsystem("rebalance").tick()
         after = window(seed=2)
 
         for stage, result in (("before", before), ("after", after)):
@@ -143,42 +135,15 @@ def _run():
                             "held_updates_forwarded",
                             "held_updates_lost",
                             "migration_cache_evictions")},
-            "ok": not problems,
         }
+        moved = ", ".join(
+            "/".join(f"{tag}={value}" for tag, value in move.id_path)
+            + f" -> {move.target}" for move in moves)
+        summary["headline"] = (
+            f"hot site split under load ({moved}); p99 "
+            f"{summary['before']['latency_ms']['p99']}ms -> "
+            f"{summary['after']['latency_ms']['p99']}ms at "
+            f"{summary['target_qps']} qps, zero failed queries.")
         return problems, summary
     finally:
         tcp.close()
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="hot-spot split-and-migrate rebalancing smoke check")
-    parser.add_argument("--artifacts", default="rebalance-smoke",
-                        help="directory for the rebalancing summary")
-    args = parser.parse_args(argv)
-
-    problems, summary = _run()
-
-    os.makedirs(args.artifacts, exist_ok=True)
-    summary_path = os.path.join(args.artifacts, "rebalance.json")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        return 1
-    moved = ", ".join(
-        "/".join(f"{tag}={value}" for tag, value in move["id_path"])
-        + f" -> {move['target']}" for move in summary["moves"])
-    print(f"OK: hot site split under load ({moved}); p99 "
-          f"{summary['before']['latency_ms']['p99']}ms -> "
-          f"{summary['after']['latency_ms']['p99']}ms at "
-          f"{summary['target_qps']} qps, zero failed queries.")
-    print(f"Artifacts in {args.artifacts}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

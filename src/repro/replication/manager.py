@@ -1,8 +1,10 @@
 """The per-site replication manager: replicate out, serve back, fail over.
 
-One :class:`ReplicationManager` hangs off each organizing agent when
-``OAConfig.replication`` is an enabled :class:`ReplicationConfig`.  It
-plays three roles at once:
+One :class:`ReplicationManager` registers with each organizing agent
+whose ``OAConfig.subsystems`` lists a
+:class:`~repro.replication.ReplicationConfig` with ``k > 0`` (see
+:mod:`repro.net.subsystem` for the hooks).  It plays three roles at
+once:
 
 * **Owner**: after every applied update (and on bootstrap/adoption)
   the owner exports the changed nodes' local information as a wire
@@ -16,7 +18,7 @@ plays three roles at once:
   must not masquerade as this site's cache), with per-path stamps
   recording data timestamp, version and arrival time (replication lag).
 * **Failover client**: when a dispatch group exhausts its retry budget
-  against a dead owner, :meth:`failover` asks the owner's replicas for
+  against a dead owner, :meth:`on_dispatch_failure` asks its replicas for
   the region and serves the copy **only** when its stamp satisfies the
   subquery's freshness bound -- the bound is read from the wire-form
   query, so freshness-bucketed asks are judged at their (loosened)
@@ -25,9 +27,9 @@ plays three roles at once:
   tolerance afterwards.  A too-stale replica degrades to the ordinary
   partial answer, annotated ``replica_too_stale``.
 
-Everything here is invisible on the wire while disabled: no messages
-are sent, no envelope fields are added, and answers are byte-identical
-to a replication-free build.
+Without the config nothing here exists: no messages are sent, no
+envelope fields are added, and answers are byte-identical to a
+replication-free build.
 """
 
 import threading
@@ -35,47 +37,16 @@ import threading
 from repro.core.answer import AnswerBuilder
 from repro.core.database import SensorDatabase
 from repro.core.gather import ReplicaServed, SubqueryFailure
-from repro.core.consistency import (
-    extract_tolerance,
-    rewrite_consistency_sugar,
-)
+from repro.core.semcache import canonicalize
 from repro.core.status import get_status, get_timestamp
 from repro.net.errors import NetError
-from repro.net.messages import (
-    ErrorMessage,
+from repro.net.messages import AckMessage, as_id_path
+from repro.replication.messages import (
     RehydrateAnswer,
     RehydrateRequest,
     ReplicaRetireMessage,
     ReplicateMessage,
 )
-from repro.xpath import parser as xpath_parser
-from repro.xpath.analysis import REF_CONSISTENCY, classify_predicate
-from repro.xpath.ast import (
-    BinaryOperation,
-    FunctionCall,
-    LocationPath,
-    walk,
-)
-
-
-class ReplicationConfig:
-    """Tunables for read replication.
-
-    ``k``
-        how many ring-successor peers hold a copy of each owner's
-        fragment (the SwarmAdaptiveMemory-style top-k nearest peers);
-    ``enabled``
-        master switch; ``False`` (or ``k <= 0``) leaves the wire
-        byte-identical to a build without the subsystem.
-    """
-
-    def __init__(self, k=2, enabled=True):
-        self.k = int(k)
-        self.enabled = bool(enabled) and self.k > 0
-
-    def __repr__(self):
-        state = "on" if self.enabled else "off"
-        return f"ReplicationConfig(k={self.k}, {state})"
 
 
 def replica_peers(owner, sites, k):
@@ -100,51 +71,19 @@ def replica_peers(owner, sites, k):
     return peers
 
 
-def _conjuncts(predicate):
-    if isinstance(predicate, BinaryOperation) and predicate.operator == "and":
-        yield from _conjuncts(predicate.left)
-        yield from _conjuncts(predicate.right)
-    else:
-        yield predicate
-
-
 def freshness_bound(query):
     """The tightest freshness tolerance *query* demands, in seconds.
 
-    Scans every step predicate for canonical consistency conjuncts
-    (``timestamp() > current-time() - N``, sugar included) and returns
-    the minimum ``N`` -- the bound replica data must satisfy to be
+    The minimum ``N`` over every consistency conjunct
+    (``timestamp() > current-time() - N``, sugar included) in the
+    query's canonical form -- the bound replica data must satisfy to be
     served in this query's answer.  ``None`` means the query tolerates
-    arbitrarily old data.
+    arbitrarily old data (or does not parse).
     """
     try:
-        ast = xpath_parser.parse(query) if isinstance(query, str) else query
+        return canonicalize(query).min_tolerance
     except Exception:
         return None
-    if isinstance(ast, FunctionCall) and ast.arguments and \
-            isinstance(ast.arguments[0], LocationPath):
-        ast = ast.arguments[0]
-    ast = rewrite_consistency_sugar(ast)
-    bound = None
-    for node in walk(ast):
-        if not isinstance(node, LocationPath):
-            continue
-        for step in node.steps:
-            for predicate in step.predicates:
-                for conjunct in _conjuncts(predicate):
-                    if classify_predicate(conjunct) != \
-                            frozenset({REF_CONSISTENCY}):
-                        continue
-                    seconds = extract_tolerance(conjunct)
-                    if seconds is None:
-                        continue
-                    bound = seconds if bound is None \
-                        else min(bound, seconds)
-    return bound
-
-
-def _as_path(id_path):
-    return tuple(tuple(entry) for entry in id_path)
 
 
 def _is_prefix(shorter, longer):
@@ -160,7 +99,7 @@ def region_age(stamps, anchor_path, now):
     a subtree fresher than its stalest member.  ``None`` means the
     replica holds no data for the region at all.
     """
-    anchor = _as_path(anchor_path)
+    anchor = as_id_path(anchor_path)
     related = [
         stamp[0] for path, stamp in stamps.items()
         if _is_prefix(anchor, path)
@@ -224,7 +163,7 @@ class _ReplicaStore:
         if anchor_paths:
             stamps = {}
             for anchor in anchor_paths:
-                anchor = _as_path(anchor)
+                anchor = as_id_path(anchor)
                 element = self.database.find(anchor)
                 if element is None or \
                         not get_status(element).has_local_information:
@@ -255,9 +194,11 @@ class _ReplicaStore:
 class ReplicationManager:
     """One site's replication state machine (see module docstring)."""
 
-    def __init__(self, agent):
+    name = "replication"
+
+    def __init__(self, agent, config):
         self.agent = agent
-        self.config = agent.config.replication
+        self.config = config
         self.topology = ()
         self._stores = {}
         self._lock = threading.Lock()
@@ -280,9 +221,43 @@ class ReplicationManager:
             "lag_max": 0.0,
         }
 
-    @property
-    def enabled(self):
-        return self.config is not None and self.config.enabled
+    # -- the seam (repro.net.subsystem) ----------------------------------
+    def handlers(self):
+        return {
+            ReplicateMessage: self._handle_replicate,
+            ReplicaRetireMessage: self._handle_retire,
+            RehydrateRequest: self._handle_rehydrate,
+        }
+
+    def on_update(self, id_path):
+        """An update landed on an owned node: re-replicate it."""
+        self._replicate([as_id_path(id_path)])
+
+    def on_ownership_change(self, paths, gained, peer):
+        """Adopted regions are this site's to replicate; regions handed
+        away must stop being vouched for by this site's ring."""
+        if gained:
+            self._replicate([as_id_path(path) for path in paths])
+        else:
+            self.retire_paths(paths)
+
+    def _handle_replicate(self, message):
+        accepted = self.accept(message)
+        return AckMessage(message.message_id, ok=True,
+                          detail=str(accepted), sender=self.agent.site_id)
+
+    def _handle_retire(self, message):
+        dropped = self.retire(message.owner, message.id_paths)
+        return AckMessage(message.message_id, ok=True, detail=str(dropped),
+                          sender=self.agent.site_id)
+
+    def _handle_rehydrate(self, message):
+        """Serve this site's replica of *owner*'s data (or an empty
+        answer when none is held -- the asker tries the next peer)."""
+        fragment, stamps = self.export_for(message.owner, message.id_paths)
+        return RehydrateAnswer(message.message_id, message.owner,
+                               fragment=fragment, stamps=stamps,
+                               sender=self.agent.site_id)
 
     # -- topology -------------------------------------------------------
     def set_topology(self, sites):
@@ -295,17 +270,9 @@ class ReplicationManager:
                              self.config.k)
 
     # -- owner side: replicate out --------------------------------------
-    def note_update(self, id_path):
-        """An update landed on an owned node: re-replicate it."""
-        self._replicate([_as_path(id_path)])
-
-    def note_owned(self, id_paths):
-        """Nodes were adopted (migration): replicate the new region."""
-        self._replicate([_as_path(path) for path in id_paths])
-
     def replicate_owned(self):
         """Bootstrap: push every owned node to this site's replica set."""
-        self._replicate([_as_path(path)
+        self._replicate([as_id_path(path)
                          for path in self.agent.database.owned_paths()])
 
     def retire_paths(self, id_paths):
@@ -313,25 +280,22 @@ class ReplicationManager:
 
         The replicas this site pushed for the region are stale for
         ever -- the new owner replicates to *its own* ring successors
-        (``note_owned`` on adoption).  Telling our peers to drop their
+        (on adoption).  Telling our peers to drop their
         stamps keeps a later failover from serving the frozen copy.
         Fire-and-forget, like replication itself: a lost retire only
         leaves a stamp whose age keeps growing, which the freshness
         check already refuses to serve eventually.
         """
-        if not self.enabled:
-            return 0
         peers = self.peers()
         if not peers or not id_paths:
-            return 0
+            return
         message = ReplicaRetireMessage(
-            self.agent.site_id, [_as_path(path) for path in id_paths],
+            self.agent.site_id, [as_id_path(path) for path in id_paths],
             sender=self.agent.site_id)
         for peer in peers:
             self.agent.network.tell(self.agent.site_id, peer, message)
         with self._lock:
             self.stats["retires_sent"] += len(peers)
-        return len(peers)
 
     def retire(self, owner, id_paths):
         """Replica side: drop stamps for a region *owner* gave up.
@@ -348,7 +312,7 @@ class ReplicationManager:
         frozen node can never satisfy a bound it has outlived.
         Returns the number of stamps dropped.
         """
-        targets = [_as_path(path) for path in id_paths]
+        targets = [as_id_path(path) for path in id_paths]
         dropped = 0
         with self._lock:
             store = self._stores.get(owner)
@@ -367,8 +331,6 @@ class ReplicationManager:
         return dropped
 
     def _replicate(self, paths):
-        if not self.enabled:
-            return
         peers = self.peers()
         if not peers or not paths:
             return
@@ -444,7 +406,7 @@ class ReplicationManager:
             return store is not None and store.database is not None
 
     # -- asker side: failover -------------------------------------------
-    def failover(self, target, subqueries, attempts, causes):
+    def on_dispatch_failure(self, target, subqueries, attempts, causes):
         """Serve a dead owner's subqueries from its replicas, if fresh.
 
         Returns one reply per subquery -- a
@@ -452,11 +414,11 @@ class ReplicationManager:
         fragment when a copy satisfies the (wire) query's freshness
         bound, otherwise a :class:`SubqueryFailure` whose causes append
         what each replica said (``replica_too_stale`` set when a copy
-        existed but was too old).  Returns ``None`` when replication is
-        off or the owner has no replicas: the caller falls back to the
-        legacy partial-answer path untouched.
+        existed but was too old).  Returns ``None`` when the owner has
+        no replicas: the caller falls back to the ordinary
+        partial-answer path untouched.
         """
-        if not self.enabled or not self.topology:
+        if not self.topology:
             return None
         peers = replica_peers(target, self.topology, self.config.k)
         if not peers:
@@ -540,8 +502,7 @@ class ReplicationManager:
                 if health is not None:
                     health.record_failure(peer)
                 continue
-            if isinstance(reply, ErrorMessage) or \
-                    not isinstance(reply, RehydrateAnswer):
+            if not isinstance(reply, RehydrateAnswer):
                 continue
             if health is not None:
                 health.record_success(peer)
@@ -550,7 +511,7 @@ class ReplicationManager:
         return views
 
     # -- introspection ---------------------------------------------------
-    def counters(self):
+    def metrics(self):
         """Replication counters for the metrics registry / EXPLAIN."""
         now = float(self.agent.clock())
         with self._lock:
@@ -563,8 +524,28 @@ class ReplicationManager:
                 ages = store.ages(now)
                 if ages is not None:
                     stores[owner] = ages
-        counters["enabled"] = self.enabled
-        counters["k"] = self.config.k if self.config is not None else 0
-        counters["peers"] = list(self.peers()) if self.enabled else []
+        counters["k"] = self.config.k
+        counters["peers"] = list(self.peers())
         counters["replicas_held"] = stores
         return counters
+
+    def explain(self, context):
+        """The read-replication view: k, this site's ring peers, the
+        replica sets it holds, and each plan entry's failover
+        candidates."""
+        for entry in context.entries:
+            if entry["target"] is None or entry["scalar"]:
+                continue
+            entry["replicas"] = replica_peers(
+                entry["target"], self.topology, self.config.k)
+            if entry["replicas"]:
+                entry.setdefault("notes", []).append(
+                    "failover: " + ", ".join(entry["replicas"]))
+        peers = list(self.peers())
+        context.add_section(self.name, {
+            "enabled": True,
+            "k": self.config.k,
+            "peers": peers,
+            "replicas_held": self.metrics()["replicas_held"],
+        }, [f"replication: k={self.config.k}"
+            f" peers={', '.join(peers) or '(none)'}"])

@@ -1,6 +1,6 @@
 """Replication smoke check: kill an owner, serve from replicas, rehydrate.
 
-``python -m repro.replication.smoke`` (needs ``PYTHONPATH=src:.``)
+``python -m repro.smoke replication`` (needs ``PYTHONPATH=src:.``)
 stands up a three-site TCP deployment with ``ReplicationConfig(k=2)``
 and **no durability at all**, then walks the full availability loop:
 
@@ -12,49 +12,18 @@ and **no durability at all**, then walks the full availability loop:
   (``site_rehydrations``), since there is no WAL to replay, and the
   suite answers byte-identically again.
 
-A JSON summary of the replication/failover/rehydration counters is
-written under ``--artifacts`` (default ``replication-smoke/``) so CI
-can archive what failover actually did.
+The summary carries the replication/failover/rehydration counters, so
+CI can archive what failover actually did.
 """
 
-import argparse
-import json
-import os
-import sys
-
-
-def _document():
-    from repro.xmlkit import Element
-
-    root = Element("region", attrib={"id": "R"})
-    for group_index in range(2):
-        group = Element("group", attrib={"id": f"g{group_index}"})
-        root.append(group)
-        for sensor_index in range(3):
-            sensor = Element("sensor",
-                             attrib={"id": f"s{sensor_index}"})
-            sensor.append(Element("value", text="0"))
-            group.append(sensor)
-    return root
-
-
-def _plan():
-    from repro.core import PartitionPlan
-
-    return PartitionPlan({
-        "top": [(("region", "R"),)],
-        "mid": [(("region", "R"), ("group", "g0"))],
-        "leaf": [(("region", "R"), ("group", "g1"))],
-    })
-
-
-QUERIES = [
-    "/region[@id='R']/group[@id='g0']/sensor[@id='s1']/value",
-    "/region[@id='R']/group[@id='g0']/sensor",
-    "/region[@id='R']/group[@id='g1']/sensor[@id='s2']",
-]
-
-G0_S1 = (("region", "R"), ("group", "g0"), ("sensor", "s1"))
+from repro.smoke import (
+    G0_S1,
+    THREE_SITE_QUERIES as QUERIES,
+    impatient_oa_config,
+    three_site_document,
+    three_site_plan,
+    ticking_clock,
+)
 
 
 def _ask_all(cluster, problems, stage, at_site="top"):
@@ -79,32 +48,20 @@ def _ask_all(cluster, problems, stage, at_site="top"):
     return answers, served
 
 
-def _run():
-    from repro.net import BreakerPolicy, OAConfig, RetryPolicy
+def run(artifacts):
+    from repro.net.messages import UpdateMessage
     from repro.net.tcpruntime import TcpCluster
     from repro.replication import ReplicationConfig
 
     problems = []
-    oa_config = OAConfig(
-        retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0,
-                                 max_delay=0.0, jitter=0.0,
-                                 sleep=lambda seconds: None),
-        breaker=BreakerPolicy(failure_threshold=3, reset_timeout=0.05),
-        partial_answers=True)
-    # A deterministic *advancing* clock: replica merges arbitrate by
-    # data timestamp, so updates must carry a newer stamp than the
-    # bootstrap copy (the default clock is a constant).
-    ticks = {"now": 0.0}
-
-    def clock():
-        ticks["now"] += 1.0
-        return ticks["now"]
-
-    tcp = TcpCluster(_document(), _plan(), oa_config=oa_config,
-                     replication=ReplicationConfig(k=2), clock=clock)
+    # An *advancing* clock: replica merges arbitrate by data timestamp,
+    # so updates must carry a newer stamp than the bootstrap copy (the
+    # default clock is a constant).
+    tcp = TcpCluster(three_site_document(), three_site_plan(),
+                     oa_config=impatient_oa_config(),
+                     subsystems=[ReplicationConfig(k=2)],
+                     clock=ticking_clock())
     try:
-        from repro.net.messages import UpdateMessage
-
         cluster = tcp.cluster
         # Through the OA, not the bare database: the handler is what
         # re-replicates the touched region to the owner's peers.
@@ -144,39 +101,12 @@ def _run():
                             "replica_too_stale", "failover_no_replica",
                             "replicated_batches",
                             "replica_batches_accepted")},
-            "ok": not problems,
         }
+        summary["headline"] = (
+            f"owner 'mid' killed with zero failed queries "
+            f"({counters['failover_served']} subqueries replica-served), "
+            f"then restarted from peer replicas "
+            f"({summary['rehydrated_bytes']} bytes rehydrated, no WAL).")
         return problems, summary
     finally:
         tcp.close()
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="kill-an-owner replication smoke check")
-    parser.add_argument("--artifacts", default="replication-smoke",
-                        help="directory for the failover summary")
-    args = parser.parse_args(argv)
-
-    problems, summary = _run()
-
-    os.makedirs(args.artifacts, exist_ok=True)
-    summary_path = os.path.join(args.artifacts, "failover.json")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}", file=sys.stderr)
-        return 1
-    print(f"OK: owner 'mid' killed with zero failed queries "
-          f"({summary['cluster_counters']['failover_served']} subqueries "
-          f"replica-served), then restarted from peer replicas "
-          f"({summary['rehydrated_bytes']} bytes rehydrated, no WAL).")
-    print(f"Artifacts in {args.artifacts}/")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

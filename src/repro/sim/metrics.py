@@ -1,44 +1,4 @@
-"""Metrics collection for simulated experiments.
-
-The aggregation helpers that started here moved to the unified
-registry in :mod:`repro.obs.registry`; ``collect_engine_counters`` and
-``collect_fault_counters`` remain as back-compat aliases with their
-original names and output shapes.
-"""
-
-from repro.obs.registry import (
-    durability_counters,
-    engine_counters,
-    fault_counters,
-)
-
-
-def collect_engine_counters(databases):
-    """Aggregate hot-path engine counters across site databases.
-
-    Back-compat alias for :func:`repro.obs.registry.engine_counters`
-    (same input conventions, same output shape).
-    """
-    return engine_counters(databases)
-
-
-def collect_fault_counters(agents):
-    """Aggregate the fault-handling counters across organizing agents.
-
-    Back-compat alias for :func:`repro.obs.registry.fault_counters`
-    (same input conventions, same output shape).
-    """
-    return fault_counters(agents)
-
-
-def collect_durability_counters(agents):
-    """Aggregate WAL/checkpoint/recovery counters across agents.
-
-    Back-compat-style alias for
-    :func:`repro.obs.registry.durability_counters` (same input
-    conventions, same output shape).
-    """
-    return durability_counters(agents)
+"""Throughput and latency accounting for simulated experiments."""
 
 
 class WorkloadMetrics:

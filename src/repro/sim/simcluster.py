@@ -12,6 +12,7 @@ from repro.net.cluster import Cluster
 from repro.net.dns import DnsResolver
 from repro.net.oa import OAConfig
 from repro.net.sa import SensingAgent
+from repro.obs.registry import engine_counters
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Environment
 from repro.sim.metrics import WorkloadMetrics
@@ -21,11 +22,19 @@ _DB_SIZE_REFRESH = 200
 
 
 class SimulatedCluster:
-    """A cluster wrapped in a discrete-event queueing model."""
+    """A cluster wrapped in a discrete-event queueing model.
+
+    *fast_codegen* selects which accounted processing cost a query is
+    charged: the pre-compiled QEG/XSLT skeleton (Section 4, "Speeding
+    up XSLT processing") or per-query compilation.  Results are the
+    same either way -- only the simulated service time differs.
+    """
 
     def __init__(self, document, architecture, cost_model=None,
-                 oa_config=None, service="parking", count_bytes=False):
+                 oa_config=None, service="parking", count_bytes=False,
+                 fast_codegen=True):
         self.env = Environment()
+        self.fast_codegen = fast_codegen
         self.cost = cost_model or CostModel()
         self.architecture = architecture
         self.oa_config = oa_config or OAConfig()
@@ -72,7 +81,7 @@ class SimulatedCluster:
             return self.cost.migration_cost
         return self.cost.query_service(
             self._db_size(node.site),
-            fast=self.oa_config.fast_codegen,
+            fast=self.fast_codegen,
             messages=node.messages,
             forwarded=bool(node.children),
         )
@@ -206,9 +215,7 @@ class SimulatedCluster:
 
     def engine_counters(self):
         """Index and serialization cache counters across all sites."""
-        from repro.sim.metrics import collect_engine_counters
-
-        return collect_engine_counters(
+        return engine_counters(
             {site: agent.database
              for site, agent in self.cluster.agents.items()}
         )

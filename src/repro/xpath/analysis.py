@@ -54,7 +54,7 @@ def single_id_value(step):
             values.add(value)
         else:
             # An AND chain may still contain an id conjunct.
-            for conjunct in _iter_conjuncts(predicate):
+            for conjunct in iter_conjuncts(predicate):
                 value = _id_equality_value(conjunct)
                 if value is not None:
                     values.add(value)
@@ -63,10 +63,11 @@ def single_id_value(step):
     return None
 
 
-def _iter_conjuncts(expression):
+def iter_conjuncts(expression):
+    """The operands of a (possibly nested) ``and`` chain, in order."""
     if isinstance(expression, BinaryOperation) and expression.operator == "and":
-        yield from _iter_conjuncts(expression.left)
-        yield from _iter_conjuncts(expression.right)
+        yield from iter_conjuncts(expression.left)
+        yield from iter_conjuncts(expression.right)
     else:
         yield expression
 
@@ -325,7 +326,7 @@ def split_predicates(predicates):
     consistency_predicates = []
     rest_predicates = []
     for predicate in predicates:
-        for conjunct in _iter_conjuncts(predicate):
+        for conjunct in iter_conjuncts(predicate):
             categories = classify_predicate(conjunct)
             if categories <= {REF_ID}:
                 id_predicates.append(conjunct)

@@ -16,7 +16,6 @@ import random
 import repro.core.answer
 import repro.core.ownership
 import repro.core.qeg
-import repro.replication.manager
 from repro.arch import hierarchical
 from repro.core import render_id_path_query
 from repro.net import Cluster, OAConfig
@@ -34,8 +33,15 @@ from repro.xmlkit import serialize
 
 from tests.property.test_prop_answer_builder import ReferenceAnswerBuilder
 
-_BINDINGS = (repro.core.answer, repro.core.qeg, repro.core.ownership,
-             repro.replication.manager)
+try:
+    import repro.replication.manager as _replication_manager
+except ModuleNotFoundError:  # the removability drill deleted the package
+    _replication_manager = None
+
+#: Every module that binds ``AnswerBuilder`` by name.
+_BINDINGS = tuple(module for module in (
+    repro.core.answer, repro.core.qeg, repro.core.ownership,
+    _replication_manager) if module is not None)
 _CLOCK_START = 1000.0
 
 

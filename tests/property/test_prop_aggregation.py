@@ -168,7 +168,7 @@ def test_summary_answers_print_identically_to_naive(scenario, shape):
     root, assignments, inner = scenario
     plan = PartitionPlan(assignments)
     summary_cluster = Cluster(root.copy(), plan,
-                              aggregation=AggregationConfig())
+                              subsystems=[AggregationConfig()])
     served = summary_cluster.scalar(f"{shape}({inner})",
                                     at_site="root", now=10.0)
 

@@ -13,12 +13,11 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.replication import ReplicationConfig, ReplicationManager, \
-    freshness_bound, replica_peers
+from repro.replication import RehydrateAnswer, ReplicationConfig, \
+    ReplicationManager, freshness_bound, replica_peers
 from repro.replication.manager import _ReplicaStore, region_age
 from repro.core.gather import ReplicaServed, SubqueryFailure
 from repro.core.answer import Subquery
-from repro.net.messages import RehydrateAnswer
 from repro.xmlkit import Element
 
 NOW = 1_000_000.0
@@ -32,11 +31,6 @@ tolerances = st.integers(min_value=1, max_value=400)
 
 
 # -- stubs ---------------------------------------------------------------
-
-class _StubConfig:
-    def __init__(self, k):
-        self.replication = ReplicationConfig(k=k)
-
 
 class _StubNetwork:
     """Answers rehydration probes from a canned per-peer table."""
@@ -52,9 +46,8 @@ class _StubNetwork:
 
 
 class _StubAgent:
-    def __init__(self, k, answers, site_id="asker"):
+    def __init__(self, answers, site_id="asker"):
         self.site_id = site_id
-        self.config = _StubConfig(k)
         self.clock = lambda: NOW
         self.health = None
         self.network = _StubNetwork(answers)
@@ -174,8 +167,8 @@ class TestFailoverFreshnessSafety:
             for peer, age in peer_ages.items()
             if age is not None and peer != "asker"
         }
-        agent = _StubAgent(k, answers)
-        manager = ReplicationManager(agent)
+        agent = _StubAgent(answers)
+        manager = ReplicationManager(agent, ReplicationConfig(k=k))
         manager.set_topology(topology)
 
         query = "/usRegion[@id='NE']/state[@id='PA']"
@@ -183,8 +176,8 @@ class TestFailoverFreshnessSafety:
             query += f"[timestamp() > current-time() - {tolerance}]"
         subquery = Subquery(query, ANCHOR, Subquery.INCOMPLETE)
 
-        replies = manager.failover(target, [subquery], attempts=3,
-                                   causes=["dead"])
+        replies = manager.on_dispatch_failure(
+            target, [subquery], attempts=3, causes=["dead"])
         assert replies is not None and len(replies) == 1
         reply = replies[0]
 
@@ -219,14 +212,14 @@ class TestFailoverFreshnessSafety:
         topology = tuple(sorted(SITES))
         answers = {peer: _answer(target, age)
                    for peer in replica_peers(target, topology, k)}
-        agent = _StubAgent(k, answers)
-        manager = ReplicationManager(agent)
+        agent = _StubAgent(answers)
+        manager = ReplicationManager(agent, ReplicationConfig(k=k))
         manager.set_topology(topology)
 
         probe = Subquery("boolean(/usRegion[@id='NE'])", ANCHOR,
                          Subquery.NESTED_PROBE, scalar=True)
-        replies = manager.failover(target, [probe], attempts=3,
-                                   causes=["dead"])
+        replies = manager.on_dispatch_failure(
+            target, [probe], attempts=3, causes=["dead"])
         assert len(replies) == 1
         assert isinstance(replies[0], SubqueryFailure)
         assert any("scalar" in cause for cause in replies[0].causes)

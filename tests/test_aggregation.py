@@ -17,6 +17,8 @@ from repro.agg import (
     AggregationConfig,
     FormulaError,
     Partial,
+    PartialAggregateAnswer,
+    PartialAggregateRequest,
     SHAPES,
     collapse,
     compile_formula,
@@ -25,13 +27,8 @@ from repro.agg import (
     summary_key,
 )
 from repro.core import PartitionPlan
-from repro.core.errors import QueryRoutingError
 from repro.net import Cluster, NetError, OAConfig
-from repro.net.messages import (
-    Message,
-    PartialAggregateAnswer,
-    PartialAggregateRequest,
-)
+from repro.net.messages import Message
 from repro.service.scenarios import (
     build_document,
     build_plan,
@@ -70,9 +67,9 @@ ALL_VALUES = "/region[@id='R']/group/sensor/value"
 
 def build_cluster(aggregation=True, plan=PLAN, document=DOCUMENT,
                   clock=None, **kwargs):
-    config = AggregationConfig() if aggregation is True else aggregation
+    subsystems = [AggregationConfig()] if aggregation else []
     return Cluster(parse_fragment(document), PartitionPlan(plan),
-                   clock=clock, aggregation=config, **kwargs)
+                   clock=clock, subsystems=subsystems, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +189,7 @@ class TestHierarchicalRollup:
                  "[timestamp() > current-time() - 60])")
         cluster.scalar(query, at_site="root")
         cluster.scalar(query, at_site="root")
-        counters = cluster.agents["root"].aggregation.counters()
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["summary"]["hits"] == 1
         assert counters["answers"] == 2
 
@@ -202,25 +199,26 @@ class TestHierarchicalRollup:
         bound = "[timestamp() > current-time() - 60]"
         cluster.scalar(f"count({ALL_VALUES}{bound})", at_site="root")
         cluster.scalar(f"avg({ALL_VALUES}{bound})", at_site="root")
-        counters = cluster.agents["root"].aggregation.counters()
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["summary"]["hits"] == 1
-        assert len(cluster.agents["root"].aggregation.summaries) == 1
+        manager = cluster.agents["root"].subsystem("aggregation")
+        assert len(manager.summaries) == 1
 
     def test_unbounded_ask_never_serves_from_summary(self):
         cluster = build_cluster(clock=lambda: 100.0)
         query = f"avg({ALL_VALUES})"
         cluster.scalar(query, at_site="root")
         cluster.scalar(query, at_site="root")
-        counters = cluster.agents["root"].aggregation.counters()
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["summary"]["hits"] == 0
         assert counters["rollups"] >= 2
 
     def test_frontier_dispatch_asks_owners_not_leaves(self):
         cluster = build_cluster()
         cluster.scalar(f"sum({ALL_VALUES})", at_site="root")
-        root = cluster.agents["root"].aggregation.counters()
-        mid = cluster.agents["mid"].aggregation.counters()
-        leaf = cluster.agents["leaf"].aggregation.counters()
+        root = cluster.agents["root"].subsystem("aggregation").metrics()
+        mid = cluster.agents["mid"].subsystem("aggregation").metrics()
+        leaf = cluster.agents["leaf"].subsystem("aggregation").metrics()
         assert root["partials_fetched"] == 2
         assert mid["partials_served"] == 1
         assert leaf["partials_served"] == 1
@@ -255,7 +253,7 @@ class TestFallbacks:
         cluster = build_cluster()
         assert cluster.scalar("count(/region[@id='R']//value)",
                               at_site="root") == 5.0
-        counters = cluster.agents["root"].aggregation.counters()
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["unsupported_queries"] == 1
         assert counters["answers"] == 0
 
@@ -270,20 +268,21 @@ class TestFallbacks:
         cluster.network.unregister("leaf")
         with pytest.raises((OSError, NetError)):
             cluster.scalar(f"avg({ALL_VALUES})", at_site="root")
-        counters = cluster.agents["root"].aggregation.counters()
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["fallbacks"] == 1
 
     def test_disabled_manager_is_absent(self):
         cluster = build_cluster(aggregation=None)
-        assert cluster.agents["root"].aggregation is None
-        assert cluster.aggregation_config is None
+        assert cluster.agents["root"].subsystem("aggregation") is None
+        assert cluster.subsystem("aggregation") is None
 
     def test_partial_request_to_disabled_site_errors(self):
         cluster = build_cluster(aggregation=None)
         message = PartialAggregateRequest(
             (("region", "R"),), ALL_VALUES, sender="tester")
         reply = cluster.network.request("root", "root", message)
-        assert reply.code == "aggregation-disabled"
+        assert reply.code == "unhandled-kind"
+        assert not reply.retryable
 
     def test_partial_request_for_unowned_region_errors(self):
         cluster = build_cluster()
@@ -339,7 +338,7 @@ class TestDerivedSensors:
 
     def test_registration_writes_initial_value(self):
         cluster = build_cluster()
-        sensor = cluster.register_derived_sensor(
+        sensor = cluster.subsystem("aggregation").register_derived_sensor(
             (("region", "R"),), "d0", self.FORMULA)
         assert sensor.last_value == 25.0
         results, _, _ = cluster.query(
@@ -350,7 +349,7 @@ class TestDerivedSensors:
     def test_update_triggers_refresh_through_continuous(self):
         clock = {"now": 100.0}
         cluster = build_cluster(clock=lambda: clock["now"])
-        sensor = cluster.register_derived_sensor(
+        sensor = cluster.subsystem("aggregation").register_derived_sensor(
             (("region", "R"),), "d0", self.FORMULA)
         assert sensor.last_value == 25.0
         clock["now"] = 200.0
@@ -362,10 +361,11 @@ class TestDerivedSensors:
         assert sensor.last_value == 37.0
 
     def test_derived_sensor_requires_aggregation(self):
+        # Registration is the subsystem's own method: without the
+        # config there is nothing to register a derived sensor with.
         cluster = build_cluster(aggregation=None)
-        with pytest.raises(QueryRoutingError):
-            cluster.register_derived_sensor(
-                (("region", "R"),), "d0", self.FORMULA)
+        assert cluster.subsystem("aggregation") is None
+        assert not hasattr(cluster, "register_derived_sensor")
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +402,7 @@ class TestScenarios:
     def test_rollup_query_is_supported_by_the_algebra(self):
         config = quick_config()
         cluster = Cluster(build_document(config), build_plan(config),
-                          aggregation=AggregationConfig())
+                          subsystems=[AggregationConfig()])
         for shape in SHAPES:
             value = cluster.scalar(rollup_query(config, shape),
                                    at_site="root", now=5.0)
@@ -411,7 +411,7 @@ class TestScenarios:
     def test_pinned_rollup_only_counts_the_zone(self):
         config = quick_config()
         cluster = Cluster(build_document(config), build_plan(config),
-                          aggregation=AggregationConfig())
+                          subsystems=[AggregationConfig()])
         whole = cluster.scalar(rollup_query(config, "count"),
                                at_site="root", now=5.0)
         zone = cluster.scalar(rollup_query(config, "count", zone=(0,)),
@@ -455,10 +455,10 @@ class TestObservability:
         query = ("avg(" + ALL_VALUES +
                  "[timestamp() > current-time() - 60])")
         cluster.scalar(query, at_site="root")
-        before = cluster.agents["root"].aggregation.summaries.metrics()
+        summaries = cluster.agents["root"].subsystem("aggregation").summaries
+        before = summaries.metrics()
         cluster.explain(query)
-        assert cluster.agents["root"].aggregation.summaries.metrics() \
-            == before
+        assert summaries.metrics() == before
 
     def test_explain_reports_naive_path_for_unsupported(self):
         cluster = build_cluster()
@@ -485,14 +485,9 @@ class TestWireParity:
         return (cluster.network.traffic.messages,
                 cluster.network.traffic.bytes)
 
-    def test_disabled_config_is_byte_identical_to_absent(self):
-        absent = self._traffic(None)
-        disabled = self._traffic(AggregationConfig(enabled=False))
-        assert disabled == absent
-
     def test_enabled_config_changes_the_traffic(self):
         # Guard the guard: partial-aggregate tuples replace subtree
         # gathers, so enabling must move the byte count.
-        enabled = self._traffic(AggregationConfig())
+        enabled = self._traffic(True)
         absent = self._traffic(None)
         assert enabled != absent

@@ -8,7 +8,7 @@ must be caught by the version stamp and repaired by a lazy rebuild.
 import pytest
 
 from repro.core import PartitionPlan, SensorDatabase, Status, get_status
-from repro.sim.metrics import collect_engine_counters
+from repro.obs.registry import engine_counters
 from repro.xmlkit import parse_fragment, serialize
 from repro.xmlkit.serializer import (
     reset_serialization_stats,
@@ -285,7 +285,7 @@ class TestEngineCounters:
         top_db.find(ETNA)
         serialize(oak_db.root)
         serialize(oak_db.root)
-        counters = collect_engine_counters({"oak": oak_db, "top": top_db})
+        counters = engine_counters({"oak": oak_db, "top": top_db})
         assert counters["index_hits"] >= 2
         assert counters["index_rebuilds"] >= 2
         assert counters["serialization_reused"] >= 1

@@ -86,12 +86,6 @@ class TestManager:
                 set_status(node, Status.OWNED)
         return SensorDatabase(root, clock=lambda: 1000.0, site_id="oak")
 
-    def test_disabled_config_refuses_manager(self, tmp_path):
-        with pytest.raises(DurabilityError):
-            DurabilityManager(
-                DurabilityConfig(enabled=False, directory=str(tmp_path)),
-                "oak")
-
     def test_attach_writes_initial_checkpoint(self, tmp_path):
         manager = self._manager(tmp_path)
         assert not manager.has_state()
@@ -173,7 +167,7 @@ class TestManager:
     def test_counters_snapshot(self, tmp_path):
         manager = self._manager(tmp_path)
         manager.attach(self._database())
-        counters = manager.counters()
+        counters = manager.metrics()
         assert counters["checkpoints_written"] == 1
         assert "wal_bytes" in counters and "wal_last_lsn" in counters
         manager.close()
@@ -193,7 +187,7 @@ class TestCacheRevalidation:
         cluster.kill_site("top")
         clock.now += 3600.0
         agent = cluster.restart_site("top")
-        assert agent.durability.stats["cache_entries_expired"] > 0
+        assert agent.subsystem("durability").stats["cache_entries_expired"] > 0
         # The stale cached subtree is gone; owned data survived.
         from repro.core.status import Status, get_status
 
@@ -213,7 +207,8 @@ class TestCacheRevalidation:
         clock.now += 60.0  # well inside the bound
         agent = cluster.restart_site("top")
         assert partition_fingerprint(agent.database) == before
-        assert agent.durability.stats["cache_entries_expired"] == 0
+        assert agent.subsystem("durability").stats[
+            "cache_entries_expired"] == 0
         cluster.shutdown()
 
 
@@ -283,8 +278,8 @@ class TestClusterRecovery:
             assert [canonical(r) for r in results] == expected
         reborn.shutdown()
 
-    def test_disabled_durability_wire_parity(self, tmp_path, monkeypatch):
-        """DurabilityConfig(enabled=False): byte-identical traffic."""
+    def test_durability_wire_parity(self, tmp_path, monkeypatch):
+        """Journalling is strictly local: byte-identical traffic."""
         import itertools
 
         from repro.net import messages as messages_module
@@ -305,11 +300,10 @@ class TestClusterRecovery:
             return answers, cluster.network.traffic.summary()
 
         plain_answers, plain_traffic = run(None)
-        disabled_answers, disabled_traffic = run(
-            DurabilityConfig(enabled=False,
-                             directory=str(tmp_path / "unused")))
-        assert disabled_answers == plain_answers
-        assert disabled_traffic == plain_traffic
+        durable_answers, durable_traffic = run(
+            DurabilityConfig(directory=str(tmp_path), sync_every=0))
+        assert durable_answers == plain_answers
+        assert durable_traffic == plain_traffic
 
     def test_bind_lifecycle_kill_and_restart(self, tmp_path):
         from repro.net import FaultyNetwork

@@ -24,7 +24,6 @@ from repro.net import (
     ErrorMessage,
     FaultyNetwork,
     LoopbackNetwork,
-    NetError,
     OAConfig,
     QueryMessage,
     RetryPolicy,
@@ -565,12 +564,12 @@ class TestChaosProperty:
 
 class TestFaultMetrics:
     def test_collect_fault_counters(self):
-        from repro.sim.metrics import collect_fault_counters
+        from repro.obs.registry import fault_counters
 
         cluster = make_cluster()
         cluster.network.unregister("shady")
         cluster.query(SHADY_BLOCK, at_site="top")
-        totals = collect_fault_counters(cluster.agents)
+        totals = fault_counters(cluster.agents)
         assert totals["retries"] == 2
         assert totals["subquery_failures"] == 3
         assert totals["failed_subqueries"] == 1
@@ -611,8 +610,11 @@ class TestBadInputs:
             def encoded_size(self):
                 return 1
 
-        with pytest.raises(NetError):
-            paper_cluster.agent("top").handle_message(_Weird())
+        # One structured, terminal refusal -- not an escaped exception.
+        reply = paper_cluster.agent("top").handle_message(_Weird())
+        assert isinstance(reply, ErrorMessage)
+        assert reply.code == "unhandled-kind" and not reply.retryable
+        assert reply.in_reply_to == 1
 
 
 class TestCorruptionDetection:

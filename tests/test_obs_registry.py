@@ -12,8 +12,9 @@ from repro.obs.registry import (
     engine_counters,
     fault_counters,
     site_metrics,
+    sum_numeric,
+    sum_per_site,
 )
-from repro.sim.metrics import collect_engine_counters, collect_fault_counters
 
 
 class TestPrimitives:
@@ -86,17 +87,29 @@ class TestRegistry:
 
 
 class TestAggregations:
-    def test_back_compat_aliases_agree(self, paper_cluster):
-        paper_cluster.query(
-            "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
-            "/city[@id='Pittsburgh']/neighborhood[@id='Oakland']"
-            "/block[@id='1']/parkingSpace[available='yes']")
+    def test_sum_numeric_skips_flags_lists_and_nested_dicts(self):
+        snapshots = [{"hits": 2, "lag": 0.5, "on": True, "peers": ["a"],
+                      "nested": {"hits": 9}},
+                     {"hits": 3, "lag": 0.25, "extra": 1}]
+        assert sum_numeric(snapshots) == \
+            {"hits": 5, "lag": 0.75, "extra": 1}
+        assert sum_numeric(snapshots, keys=("hits", "absent")) == \
+            {"hits": 5, "absent": 0}
+        assert sum_numeric([], keys=("hits",)) == {"hits": 0}
+
+    def test_sum_per_site_keeps_the_site_snapshots(self):
+        per_site = {"oak": {"hits": 1, "peers": ["top"]},
+                    "top": {"hits": 4, "peers": []}}
+        assert sum_per_site(per_site) == {"hits": 5, "sites": per_site}
+        assert sum_per_site({}) == {"sites": {}}
+
+    def test_aggregators_take_mappings_or_iterables(self, paper_cluster):
         databases = {site: agent.database
                      for site, agent in paper_cluster.agents.items()}
-        assert collect_engine_counters(databases) == \
-            engine_counters(databases)
-        assert collect_fault_counters(paper_cluster.agents) == \
-            fault_counters(paper_cluster.agents)
+        assert engine_counters(databases) == \
+            engine_counters(list(databases.values()))
+        assert fault_counters(paper_cluster.agents) == \
+            fault_counters(list(paper_cluster.agents.values()))
 
     def test_site_metrics_absorbs_every_surface(self, paper_cluster):
         agent = paper_cluster.agents["top"]

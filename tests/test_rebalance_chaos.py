@@ -41,8 +41,8 @@ def chaos_cluster():
         oa_config=OAConfig(retry_policy=fast_retries(),
                            partial_answers=True),
         network=network,
-        rebalance=RebalanceConfig(min_queries=4, overload_ratio=1.5,
-                                  adopt_attempts=3),
+        subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5,
+                                    adopt_attempts=3)],
     )
     cluster.bind_lifecycle(network)
     return cluster, network
@@ -66,13 +66,14 @@ class TestAdoptRequestDropped:
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
         network.add_trigger("adopt", action="drop", times=3)
-        moves = cluster.balancer.tick()
+        moves = cluster.subsystem("rebalance").tick()
         return cluster, network, baseline, moves
 
     def test_rollback_keeps_old_owner(self):
         cluster, network, _, moves = self._failed_migration()
         assert moves == []
-        assert cluster.balancer.counters()["migrations_failed"] == 1
+        assert cluster.subsystem("rebalance").metrics()[
+            "migrations_failed"] == 1
         assert cluster.owner_map[OAK_BLOCK1_PATH] == "oak"
         assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == "oak"
         assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
@@ -101,13 +102,13 @@ class TestAdoptReplyLost:
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
         network.add_trigger("adopt", action="reset", times=1)
-        [move] = cluster.balancer.tick()
+        [move] = cluster.subsystem("rebalance").tick()
         # The adopter saw the message twice, but ownership is single.
         assert owners_of(cluster, OAK_BLOCK1_PATH) == [move.target]
         assert cluster.owner_map[OAK_BLOCK1_PATH] == move.target
         assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == \
             move.target
-        assert cluster.balancer.reconcile() == 0
+        assert cluster.subsystem("rebalance").reconcile() == 0
         for site in cluster.agents:
             results, _, outcome = cluster.query(OAK_BLOCK, at_site=site)
             assert outcome.complete
@@ -122,9 +123,10 @@ class TestAdopterKilled:
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
         network.add_trigger("adopt", action="kill", times=1)
-        moves = cluster.balancer.tick()
+        moves = cluster.subsystem("rebalance").tick()
         assert moves == []
-        assert cluster.balancer.counters()["migrations_failed"] == 1
+        assert cluster.subsystem("rebalance").metrics()[
+            "migrations_failed"] == 1
         assert cluster.owner_map[OAK_BLOCK1_PATH] == "oak"
         assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
         results, _, outcome = cluster.query(OAK_BLOCK, at_site="oak")
@@ -141,11 +143,12 @@ class TestDoubleLoss:
         skewed_load(cluster)
         network.add_trigger("adopt", action="reset", times=3)
         network.add_trigger("migrate-release", action="drop", times=1)
-        moves = cluster.balancer.tick()
+        moves = cluster.subsystem("rebalance").tick()
         assert moves == []
         # The tick force-reconciled after the failure: the adopter's
         # stray OWNED copy is demoted, DNS's owner keeps the path.
-        assert cluster.balancer.counters()["reconciled_demotions"] >= 1
+        assert cluster.subsystem("rebalance").metrics()[
+            "reconciled_demotions"] >= 1
         assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
         assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == "oak"
         results, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
@@ -160,7 +163,7 @@ class TestUpdatesInFlight:
             parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
             oa_config=OAConfig(retry_policy=fast_retries(),
                                partial_answers=True),
-            rebalance=RebalanceConfig(min_queries=4, overload_ratio=1.5),
+            subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5)],
         )
         skewed_load(cluster)
         network = cluster.network
@@ -176,7 +179,7 @@ class TestUpdatesInFlight:
                     SPACE1_PATH, values={"price": "99"}))
 
         network.interceptors.append(inject_update)
-        [move] = cluster.balancer.tick()
+        [move] = cluster.subsystem("rebalance").tick()
         oak = cluster.agents["oak"]
         assert oak.stats["held_updates_forwarded"] == 1
         assert oak.stats["held_updates_lost"] == 0
@@ -192,7 +195,7 @@ class TestUpdatesInFlight:
         # stale sensor proxy) is forwarded to the new owner, not lost.
         cluster, network = chaos_cluster()
         skewed_load(cluster)
-        [move] = cluster.balancer.tick()
+        [move] = cluster.subsystem("rebalance").tick()
         reply = network.request("sensor", "oak", UpdateMessage(
             SPACE1_PATH, values={"price": "77"}))
         assert reply.ok
@@ -207,7 +210,7 @@ class TestStaleDnsQueries:
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        cluster.balancer.tick()
+        cluster.subsystem("rebalance").tick()
         # A client holding the stale mapping still lands on oak; the
         # demoted copy answers it completely and correctly.
         results, _, outcome = cluster.query(OAK_BLOCK, at_site="oak")
@@ -218,7 +221,7 @@ class TestStaleDnsQueries:
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        [move] = cluster.balancer.tick()
+        [move] = cluster.subsystem("rebalance").tick()
         cluster.kill_site("oak")
         # Default routing resolves the *new* DNS entry and asks the
         # adopter directly; the old owner's death is invisible.

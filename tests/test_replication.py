@@ -50,16 +50,14 @@ FRESH_OAK_BLOCK = OAK_BLOCK + "[timestamp() > current-time() - 30]"
 
 
 def replicated_cluster(k=2, network=None, clock=None, oa_config=None,
-                       durability=None, count_bytes=False,
-                       replication=None):
+                       durability=None, count_bytes=False):
     return Cluster(
         parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
         oa_config=oa_config or OAConfig(retry_policy=fast_retries(),
                                         partial_answers=True),
         network=network, clock=clock, count_bytes=count_bytes,
         durability=durability,
-        replication=(ReplicationConfig(k=k) if replication is None
-                     else replication),
+        subsystems=[ReplicationConfig(k=k)],
     )
 
 
@@ -87,7 +85,6 @@ class TestReplicaRing:
 
     def test_config_disabled_when_k_zero(self):
         assert not ReplicationConfig(k=0).enabled
-        assert not ReplicationConfig(k=2, enabled=False).enabled
         assert ReplicationConfig(k=1).enabled
 
 
@@ -143,7 +140,7 @@ class TestFailoverServesFreshReplica:
         network.kill_agent("oak")
         cluster.query(OAK_BLOCK, at_site="top")
         top = cluster.agent("top")
-        counters = top.replication.counters()
+        counters = top.subsystem("replication").metrics()
         assert counters["failover_attempts"] >= 1
         assert counters["failover_served"] >= 1
         assert top.driver.stats["replica_served"] >= 1
@@ -159,8 +156,8 @@ class TestFailoverServesFreshReplica:
         top = cluster.agent("top")
         probe = Subquery(f"boolean({OAK_BLOCK})", OAKLAND,
                          Subquery.NESTED_PROBE, scalar=True)
-        [reply] = top.replication.failover("oak", [probe], attempts=3,
-                                           causes=["dead"])
+        [reply] = top.subsystem("replication").on_dispatch_failure(
+            "oak", [probe], attempts=3, causes=["dead"])
         assert isinstance(reply, SubqueryFailure)
         assert "scalar" in reply.cause
 
@@ -190,7 +187,8 @@ class TestStaleReplicaDegrades:
         # own heading -- not double-counted as plain unreachable.
         assert report["unreachable"] == []
         top = cluster.agent("top")
-        assert top.replication.counters()["replica_too_stale"] >= 1
+        assert top.subsystem("replication").metrics()[
+            "replica_too_stale"] >= 1
 
     def test_unbounded_query_accepts_old_copy(self):
         cluster, network, clock = self._aged_cluster()
@@ -236,33 +234,27 @@ class TestDoubleFailureTerminates:
 
 
 class TestWireParity:
-    """Disabled replication leaves the wire byte-identical."""
+    """Replication off leaves the wire byte-identical (the golden
+    capture lives in ``tests/test_subsystem_seam.py``)."""
 
     QUERIES = (FIGURE2_QUERY, SHADY_BLOCK, OAK_BLOCK)
 
-    def _traffic(self, replication):
+    def _traffic(self, subsystems):
         cluster = Cluster(
             parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
             oa_config=OAConfig(retry_policy=fast_retries()),
-            count_bytes=True, replication=replication)
+            count_bytes=True, subsystems=subsystems)
         for query in self.QUERIES:
             cluster.query(query, at_site="top")
         cluster.scalar(f"count({OAK_BLOCK})", at_site="top")
         return (cluster.network.traffic.messages,
                 cluster.network.traffic.bytes)
 
-    def test_disabled_config_is_byte_identical_to_absent(self):
-        absent = self._traffic(None)
-        disabled = self._traffic(ReplicationConfig(k=2, enabled=False))
-        k_zero = self._traffic(ReplicationConfig(k=0))
-        assert disabled == absent
-        assert k_zero == absent
-
     def test_enabled_config_does_add_traffic(self):
-        # Guard the guard: the parity assertion above is vacuous if
-        # enabling the subsystem were also traffic-neutral.
-        enabled = self._traffic(ReplicationConfig(k=2))
-        absent = self._traffic(None)
+        # Guard the guard: the parity assertion is vacuous if enabling
+        # the subsystem were also traffic-neutral.
+        enabled = self._traffic([ReplicationConfig(k=2)])
+        absent = self._traffic([])
         assert enabled[1] > absent[1]
 
 
@@ -301,7 +293,8 @@ class TestPeerRehydration:
         # re-checkpointed so a second crash does not replay a stale
         # journal over it.
         assert cluster.stats["site_rehydrations"] == 1
-        assert agent.durability.counters()["checkpoints_written"] >= 1
+        assert agent.subsystem("durability").metrics()[
+            "checkpoints_written"] >= 1
         _, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
         assert outcome.complete
 
@@ -320,7 +313,7 @@ class TestPeerRehydration:
         # No replica answered: the site recovered from WAL+checkpoint.
         assert cluster.stats["site_rehydrations"] == 0
         agent = cluster.agent("oak")
-        assert agent.durability.counters()["recoveries"] == 1
+        assert agent.subsystem("durability").metrics()["recoveries"] == 1
         assert get_status(agent.database.find(OAKLAND)) is Status.OWNED
 
 
@@ -329,27 +322,28 @@ class TestVersionStamps:
         cluster = replicated_cluster(k=2)
         oak = cluster.agent("oak")
         shady = cluster.agent("shady")
-        from repro.net.messages import ReplicateMessage
+        from repro.replication import ReplicateMessage
 
-        before = shady.replication.stats["replica_batches_stale_dropped"]
+        manager = shady.subsystem("replication")
+        before = manager.stats["replica_batches_stale_dropped"]
         current = oak.database.root.subtree_version
         stale = ReplicateMessage(
             "oak", None,
             {OAKLAND: (0.0, current - 1000)}, sender="oak")
-        assert shady.replication.accept(stale) == 0
-        assert shady.replication.stats["replica_batches_stale_dropped"] \
-            == before + 1
+        assert manager.accept(stale) == 0
+        assert manager.stats["replica_batches_stale_dropped"] == before + 1
 
     def test_update_triggers_re_replication(self):
         cluster = replicated_cluster(k=2)
         oak = cluster.agent("oak")
-        batches_before = oak.replication.stats["replicated_batches"]
+        manager = oak.subsystem("replication")
+        batches_before = manager.stats["replicated_batches"]
         space = OAKLAND + (("block", "1"), ("parkingSpace", "1"))
         from repro.net.messages import UpdateMessage
 
         oak.handle_message(UpdateMessage(
             space, values={"available": "no"}, sender="sensor"))
-        assert oak.replication.stats["replicated_batches"] > batches_before
+        assert manager.stats["replicated_batches"] > batches_before
 
 
 class TestTcpReplication:
@@ -360,7 +354,7 @@ class TestTcpReplication:
                                partial_answers=True,
                                breaker=BreakerPolicy(failure_threshold=3,
                                                      reset_timeout=0.05)),
-            replication=ReplicationConfig(k=2))
+            subsystems=[ReplicationConfig(k=2)])
 
     def test_kill_failover_restart_over_sockets(self):
         with self._tcp() as tcp:
@@ -405,7 +399,7 @@ class TestObservability:
     def test_explain_lists_failover_candidates(self):
         cluster = replicated_cluster(k=2)
         report = cluster.explain(FIGURE2_QUERY)
-        assert report.replication["k"] == 2
+        assert report.sections["replication"]["k"] == 2
         oak_entries = [entry for entry in report.plan
                        if entry["target"] == "oak"]
         assert oak_entries

@@ -128,6 +128,20 @@ class TestSimulatedCluster:
                             n_clients=16, duration=10, warmup=2)
         assert m_heavy.mean_latency > m_light.mean_latency
 
+    def test_fast_codegen_is_a_simulator_argument(self, sim):
+        # The knob only changes the accounted cost, so it lives on the
+        # simulator, not on the live OAConfig.
+        config, _ = sim
+        document = build_parking_document(config)
+        latency = {}
+        for fast in (True, False):
+            cluster = SimulatedCluster(document.copy(), hierarchical(config),
+                                       fast_codegen=fast)
+            metrics = cluster.run(QueryWorkload.qw(config, 1, seed=3),
+                                  n_clients=1, duration=10, warmup=2)
+            latency[fast] = metrics.mean_latency
+        assert latency[True] < latency[False]
+
     def test_utilizations_reported(self, sim):
         config, sim_cluster = sim
         workload = QueryWorkload.qw(config, 1, seed=3)
