@@ -319,7 +319,7 @@ class SensorDatabase:
     # ------------------------------------------------------------------
     # Merging answer fragments (caching)
     # ------------------------------------------------------------------
-    def store_fragment(self, fragment):
+    def store_fragment(self, fragment, handed_over=False):
         """Merge a wire-format answer *fragment* into this database.
 
         The fragment is a tree rooted at the global root in which each
@@ -339,32 +339,43 @@ class SensorDatabase:
         * equal ``complete`` ranks are resolved by timestamp: newer
           data replaces older ("replaces it if a fresh copy of the same
           data is available", Section 3.3).
+
+        Content is copied out of *fragment* unless the caller passes
+        ``handed_over=True``: a fragment nobody else holds (the gather
+        driver's owner replies) gives its non-IDable content to the
+        database and is left gutted -- only its IDable skeleton remains.
         """
         if node_id(fragment) != node_id(self.root):
             raise CacheError(
                 f"fragment rooted at {node_id(fragment)} does not match "
                 f"database root {node_id(self.root)}"
             )
-        self._ensure_index()
-        self._merge_node(self.root, fragment, (node_id(self.root),))
-        self.stats["fragments_merged"] += 1
-        self._mark_index_current()
+        xml = None
         if self.journal is not None:
-            # The merge never mutates the incoming fragment, so its
-            # wire bytes journal the cache fill verbatim (and reuse the
-            # serialization memo the wire path already populated).
+            # Taken before the merge (a handed-over fragment does not
+            # survive it): the wire bytes journal the cache fill
+            # verbatim and reuse the serialization memo the wire path
+            # already populated.
             from repro.xmlkit.serializer import serialize
 
-            self._journal_record("fragment", xml=serialize(fragment))
+            xml = serialize(fragment)
+        self._ensure_index()
+        self._merge_node(self.root, fragment, (node_id(self.root),),
+                         handed_over)
+        self.stats["fragments_merged"] += 1
+        self._mark_index_current()
+        if xml is not None:
+            self._journal_record("fragment", xml=xml)
 
-    def _merge_node(self, target, incoming, path):
+    def _merge_node(self, target, incoming, path, handed_over):
         target_status = get_status(target)
         incoming_status = get_status(incoming)
 
         if target_status is Status.OWNED:
             pass  # authoritative; never touched by cached data
         elif incoming_status.rank > target_status.rank:
-            self._adopt_content(target, incoming, incoming_status)
+            self._adopt_content(target, incoming, incoming_status,
+                                handed_over)
             self.stats["nodes_upgraded"] += 1
         elif (
             incoming_status.rank == target_status.rank
@@ -373,7 +384,8 @@ class SensorDatabase:
             new_time = get_timestamp(incoming)
             old_time = get_timestamp(target)
             if new_time is not None and (old_time is None or new_time > old_time):
-                self._adopt_content(target, incoming, incoming_status)
+                self._adopt_content(target, incoming, incoming_status,
+                                    handed_over)
                 self.stats["nodes_refreshed"] += 1
 
         # Recurse into matched IDable children; graft unmatched ones.
@@ -383,9 +395,9 @@ class SensorDatabase:
             existing = index.get(key)
             if existing is None:
                 grafted = self._graft_stub(target, child, path)
-                self._merge_node(grafted, child, path + (key,))
+                self._merge_node(grafted, child, path + (key,), handed_over)
             else:
-                self._merge_node(existing, child, path + (key,))
+                self._merge_node(existing, child, path + (key,), handed_over)
 
     def _graft_stub(self, target, incoming_child, parent_path):
         stub = id_stub(incoming_child)
@@ -404,8 +416,9 @@ class SensorDatabase:
             self._invalidate_index()
         return stub
 
-    def _adopt_content(self, target, incoming, incoming_status):
-        """Replace *target*'s own-level content with *incoming*'s."""
+    def _adopt_content(self, target, incoming, incoming_status, handed_over):
+        """Replace *target*'s own-level content with *incoming*'s: moved
+        out of a *handed_over* fragment, copied out of any other."""
         if incoming_status.has_local_information:
             # Replace attributes (except id) and non-IDable children.
             for name in list(target.attrib):
@@ -426,7 +439,11 @@ class SensorDatabase:
             for child in outgoing:
                 target.remove(child)
             for child in adopted:
-                target.append(child.copy())
+                if handed_over:
+                    incoming.remove(child)
+                    target.append(child)
+                else:
+                    target.append(child.copy())
         set_status(target, incoming_status)
 
     # ------------------------------------------------------------------

@@ -466,7 +466,10 @@ class GatherDriver:
                         if subquery.scalar:
                             probe_results[subquery.query] = reply
                         elif reply is not None:
-                            view.store_fragment(reply)
+                            # An owner reply is this gather's alone
+                            # (built for the ask, or decoded off the
+                            # wire), so the merge may take its nodes.
+                            view.store_fragment(reply, handed_over=True)
             else:
                 raise GatherError(
                     f"gathering {pattern.source!r} did not converge within "

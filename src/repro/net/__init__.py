@@ -36,7 +36,6 @@ from repro.net.messages import (
     Message,
     QueryMessage,
     UpdateMessage,
-    clean_results,
 )
 from repro.net.oa import OAConfig, OrganizingAgent
 from repro.net.retry import (
@@ -85,7 +84,6 @@ __all__ = [
     "UpdateMessage",
     "AckMessage",
     "AdoptMessage",
-    "clean_results",
     "NetError",
     "FrameTooLarge",
     "NameNotFound",

@@ -8,9 +8,9 @@ simulator's communication cost model.
 
 import itertools
 
-from repro.core.status import strip_internal_attributes
 from repro.net.errors import MessageError
 from repro.obs.tracing import TraceContext
+from repro.xmlkit.errors import XmlError
 from repro.xmlkit.nodes import Element, Text
 from repro.xmlkit.parser import parse_fragment
 from repro.xmlkit.serializer import serialize
@@ -81,25 +81,38 @@ def decode_id_paths(envelope):
     return [decode_id_path(path) for path in holder.element_children("path")]
 
 
-def encode_fragment(fragment):
-    """A ``<fragment>`` holder around a copy of *fragment*.
+def _lend(holder, payload):
+    """List *payload* under *holder* without adopting it.
 
-    The copy keeps the subtree's serialization memos, so clean subtrees
-    contribute their cached bytes to the envelope.
+    The envelope is a private transient that exists only to be
+    serialized, so it borrows its payloads: *payload* keeps its parent
+    (or none) and its version stamp, the serializer memoizes bytes on
+    the payload's own nodes (and writes them back to database origins),
+    and an exception leaves nothing to undo.
     """
+    holder.children.append(payload)
+
+
+def encode_fragment(fragment):
+    """A ``<fragment>`` holder that lists *fragment* without owning it
+    (see :func:`_lend`): the envelope serializes around the payload."""
     holder = Element("fragment")
-    holder.append(fragment.copy())
+    _lend(holder, fragment)
     return holder
 
 
 def decode_fragment(parent):
-    """A detached copy of the fragment under *parent*'s ``<fragment>``
-    holder, or ``None`` when the holder is absent or empty."""
+    """The fragment under *parent*'s ``<fragment>`` holder, detached
+    from the envelope, or ``None`` when the holder is absent or empty.
+
+    The parsed envelope is private to :meth:`Message.decode`, so the
+    subtree is handed over rather than copied.
+    """
     holder = parent.child("fragment")
     if holder is None:
         return None
-    children = list(holder.element_children())
-    return children[0].copy() if children else None
+    fragment = next(holder.element_children(), None)
+    return fragment.detach() if fragment is not None else None
 
 
 def _encode_scalar(value):
@@ -174,9 +187,12 @@ class Message:
 
         Messages are write-once, so the envelope is built and
         serialized only on the first call; ``encoded_size`` plus the
-        actual send then share one serialization.  Fragment payloads
-        are copied into the envelope with their serialization memos
-        intact, so clean subtrees contribute their cached bytes.
+        actual send then share one serialization.  The envelope is
+        serialized *around* its fragment and result payloads (see
+        :func:`_lend`): they are neither copied nor touched, and clean
+        subtrees contribute their memoized bytes.  A decoded message
+        keeps the bytes it arrived as, so sizing a received message
+        serializes nothing.
         """
         if self._encoded is None:
             self._encoded = serialize(self.to_element())
@@ -196,18 +212,31 @@ class Message:
 
     @staticmethod
     def decode(text):
-        """Parse an encoded message back into its typed object."""
-        envelope = parse_fragment(text)
-        kind = envelope.get("kind")
-        cls = _KINDS.get(kind)
-        if cls is None:
-            raise MessageError(f"unknown message kind {kind!r}")
-        message = cls(sender=envelope.get("sender"),
-                      message_id=int(envelope.get("id")),
-                      **cls._parse(envelope))
-        trace = envelope.get("trace")
-        if trace is not None:
-            message.trace_ctx = TraceContext.decode(trace)
+        """Parse an encoded message back into its typed object.
+
+        Payload subtrees are detached from the parsed envelope, not
+        copied, and *text* becomes the message's memoized encoding.
+        Any malformed envelope -- unparsable XML, an unknown kind, a
+        missing or ill-typed field -- raises :class:`MessageError`
+        chained from the underlying error, so transports can treat an
+        undecodable frame like any other failed exchange.
+        """
+        try:
+            envelope = parse_fragment(text)
+            kind = envelope.get("kind")
+            cls = _KINDS.get(kind)
+            if cls is None:
+                raise MessageError(f"unknown message kind {kind!r}")
+            message = cls(sender=envelope.get("sender"),
+                          message_id=int(envelope.get("id")),
+                          **cls._parse(envelope))
+            trace = envelope.get("trace")
+            if trace is not None:
+                message.trace_ctx = TraceContext.decode(trace)
+        except (XmlError, TypeError, ValueError, AttributeError,
+                LookupError) as exc:
+            raise MessageError(f"{type(exc).__name__}: {exc}") from exc
+        message._encoded = text
         return message
 
     @staticmethod
@@ -310,13 +339,7 @@ class AnswerMessage(Message):
         if self.fragment is not None:
             envelope.append(encode_fragment(self.fragment))
         if self.results is not None:
-            holder = Element("results")
-            for result in self.results:
-                if isinstance(result, Element):
-                    holder.append(result.copy())
-                else:
-                    holder.append(Text(result.value))
-            envelope.append(holder)
+            envelope.append(_encode_results(self.results))
 
     @staticmethod
     def _parse(envelope):
@@ -327,8 +350,7 @@ class AnswerMessage(Message):
             scalar = _decode_scalar(scalar_holder)
         results_holder = envelope.child("results")
         if results_holder is not None:
-            results = [child.copy() for child in
-                       results_holder.element_children()]
+            results = _decode_results(results_holder)
         completeness_holder = envelope.child("completeness")
         completeness = (
             _decode_completeness(completeness_holder)
@@ -341,6 +363,37 @@ class AnswerMessage(Message):
             "results": results,
             "completeness": completeness,
         }
+
+
+def _encode_results(results):
+    """A ``<results>`` holder listing the result elements (lent, like a
+    fragment) in order.
+
+    Character data cannot sit between the elements -- the parser folds
+    an element's text into one trailing node -- so a text result ships
+    as ``<t v="..."/>`` and the holder's ``text`` attribute lists the
+    positions that are text.  Element-only answers carry no attribute.
+    """
+    holder = Element("results")
+    text_positions = []
+    for position, result in enumerate(results):
+        if isinstance(result, Element):
+            _lend(holder, result)
+        else:
+            text_positions.append(str(position))
+            holder.append(Element("t", attrib={"v": result.value}))
+    if text_positions:
+        holder.set("text", " ".join(text_positions))
+    return holder
+
+
+def _decode_results(holder):
+    """The results under *holder*, detached from the envelope."""
+    results = list(holder.element_children())
+    holder.clear_children()
+    for position in map(int, (holder.get("text") or "").split()):
+        results[position] = Text(results[position].attrib["v"])
+    return results
 
 
 def _encode_completeness(report):
@@ -651,14 +704,3 @@ class MigrateReleaseMessage(Message):
     @staticmethod
     def _parse(envelope):
         return {"id_paths": decode_id_paths(envelope)}
-
-
-def clean_results(results):
-    """Strip system attributes from a result list (defensive copy)."""
-    cleaned = []
-    for result in results:
-        if isinstance(result, Element):
-            cleaned.append(strip_internal_attributes(result.copy()))
-        else:
-            cleaned.append(result)
-    return cleaned

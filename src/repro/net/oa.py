@@ -36,7 +36,6 @@ from repro.net.messages import (
     MigrateReleaseMessage,
     QueryMessage,
     UpdateMessage,
-    clean_results,
 )
 from repro.net.retry import (
     DEFAULT_RETRY_POLICY,
@@ -552,7 +551,7 @@ class OrganizingAgent:
                 # regions are missing or came from a replica.
                 completeness = outcome.completeness_report()
             return AnswerMessage(message.message_id,
-                                 results=clean_results(results),
+                                 results=results,
                                  completeness=completeness,
                                  sender=self.site_id)
         self.stats["subqueries_served"] += 1

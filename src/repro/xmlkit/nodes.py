@@ -377,8 +377,9 @@ class Element:
 
         Valid serialization memos travel with the copy: the clone is
         content-identical, so bytes cached for this subtree serialize
-        the clone too.  This is what lets the wire paths (which copy
-        fragments into message envelopes) reuse clean subtrees' bytes.
+        the clone too.  This is what lets an answer fragment (built by
+        copying database content, then serialized in place inside its
+        message envelope) reuse clean subtrees' bytes.
         """
         clone = Element(self.tag, attrib=self.attrib)
         for child in self.children:

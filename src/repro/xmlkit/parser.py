@@ -7,81 +7,51 @@ the five predefined entities plus numeric character references.
 As a convenience, attribute names may be written with a leading ``@``
 (``<usRegion @id='NE'>``), matching the notation used in the paper's
 figures; the ``@`` is stripped.
+
+The parser is a tokenizer of compiled regular expressions (a name, one
+whole attribute or the tag's end, a closing tag; text runs are found
+with ``str.find``) driving an explicit stack of open elements, so the
+work per character happens in C.  Where a token does not match, the input at that position
+is examined once more to say exactly what is wrong and where.
 """
+
+import re
 
 from repro.xmlkit.errors import XmlParseError
 from repro.xmlkit.nodes import Document, Element, Text, is_valid_name
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
-_WHITESPACE = " \t\r\n"
+_WS = r"[ \t\r\n]*"
+#: What a name runs over; whether it is a *valid* name is checked after.
+_NAME = r"[^=/> \t\r\n<'\"]"
+
+_skip_whitespace = re.compile(_WS).match
+_read_name = re.compile(f"{_NAME}*").match
+#: Inside a start tag: its end (group 1: the ``/`` of ``/>``), or one
+#: whole attribute (group 2: name; 3 or 4: the quoted value).
+_read_tag_part = re.compile(
+    f"{_WS}(?:(/?)>|({_NAME}+){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)'))").match
+#: After ``</``: the name, then (group 2) the ``>`` if it is there.
+_read_close = re.compile(f"({_NAME}*){_WS}(>?)").match
 
 
-class _Scanner:
-    """Character scanner with line/column tracking."""
-
-    def __init__(self, source):
-        self.source = source
-        self.pos = 0
-        self.length = len(source)
-
-    def location(self, pos=None):
-        """Return (line, column), both 1-based, for *pos* (default: current)."""
-        if pos is None:
-            pos = self.pos
-        line = self.source.count("\n", 0, pos) + 1
-        last_newline = self.source.rfind("\n", 0, pos)
-        column = pos - last_newline
-        return line, column
-
-    def error(self, message, pos=None):
-        line, column = self.location(pos)
-        return XmlParseError(message, line, column)
-
-    def at_end(self):
-        return self.pos >= self.length
-
-    def peek(self):
-        if self.pos >= self.length:
-            return ""
-        return self.source[self.pos]
-
-    def advance(self):
-        ch = self.source[self.pos]
-        self.pos += 1
-        return ch
-
-    def startswith(self, prefix):
-        return self.source.startswith(prefix, self.pos)
-
-    def consume(self, literal):
-        if not self.source.startswith(literal, self.pos):
-            raise self.error(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def skip_whitespace(self):
-        while self.pos < self.length and self.source[self.pos] in _WHITESPACE:
-            self.pos += 1
-
-    def read_until(self, terminator):
-        """Read up to (not including) *terminator*; error if absent."""
-        end = self.source.find(terminator, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated construct, expected {terminator!r}")
-        chunk = self.source[self.pos:end]
-        self.pos = end + len(terminator)
-        return chunk
-
-    def read_name(self):
-        start = self.pos
-        while self.pos < self.length and self.source[self.pos] not in "=/> \t\r\n<'\"":
-            self.pos += 1
-        name = self.source[start:self.pos]
-        if not name:
-            raise self.error("expected a name", start)
-        return name
+def _error(source, message, pos):
+    """An :class:`XmlParseError` at *pos* (line and column 1-based)."""
+    line = source.count("\n", 0, pos) + 1
+    column = pos - source.rfind("\n", 0, pos)
+    return XmlParseError(message, line, column)
 
 
-def _decode_entities(text, scanner, base_pos):
+def _after(source, terminator, pos):
+    """The position just past the next *terminator*; error if absent."""
+    end = source.find(terminator, pos)
+    if end < 0:
+        raise _error(source,
+                     f"unterminated construct, expected {terminator!r}", pos)
+    return end + len(terminator)
+
+
+def _decode_entities(text, source, base_pos):
     """Expand entity and character references in *text*."""
     if "&" not in text:
         return text
@@ -95,133 +65,74 @@ def _decode_entities(text, scanner, base_pos):
         parts.append(text[i:amp])
         semi = text.find(";", amp + 1)
         if semi < 0:
-            raise scanner.error("unterminated entity reference", base_pos + amp)
+            raise _error(source, "unterminated entity reference",
+                         base_pos + amp)
         name = text[amp + 1:semi]
         if name.startswith("#x") or name.startswith("#X"):
             try:
                 parts.append(chr(int(name[2:], 16)))
             except ValueError:
-                raise scanner.error(f"bad character reference &{name};", base_pos + amp) from None
+                raise _error(source, f"bad character reference &{name};",
+                             base_pos + amp) from None
         elif name.startswith("#"):
             try:
                 parts.append(chr(int(name[1:])))
             except ValueError:
-                raise scanner.error(f"bad character reference &{name};", base_pos + amp) from None
+                raise _error(source, f"bad character reference &{name};",
+                             base_pos + amp) from None
         elif name in _ENTITIES:
             parts.append(_ENTITIES[name])
         else:
-            raise scanner.error(f"unknown entity &{name};", base_pos + amp)
+            raise _error(source, f"unknown entity &{name};", base_pos + amp)
         i = semi + 1
     return "".join(parts)
 
 
-def _parse_attributes(scanner):
-    """Parse attributes up to the ``>`` or ``/>`` of a start tag."""
-    attrib = {}
-    while True:
-        scanner.skip_whitespace()
-        ch = scanner.peek()
-        if ch in (">", "/") or ch == "":
-            return attrib
-        name_pos = scanner.pos
-        name = scanner.read_name()
-        if name.startswith("@"):
-            name = name[1:]  # paper-figure notation: <tag @id='x'>
-        if not is_valid_name(name):
-            raise scanner.error(f"invalid attribute name {name!r}", name_pos)
-        if name in attrib:
-            raise scanner.error(f"duplicate attribute {name!r}", name_pos)
-        scanner.skip_whitespace()
-        scanner.consume("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        value_pos = scanner.pos
-        raw = scanner.read_until(quote)
-        if "<" in raw:
-            raise scanner.error("'<' not allowed in attribute value", value_pos)
-        attrib[name] = _decode_entities(raw, scanner, value_pos)
+def _attribute_name(source, raw, pos, attrib):
+    """The attribute name spelled *raw* at *pos*, checked against the
+    attributes read so far."""
+    name = raw[1:] if raw.startswith("@") else raw  # <tag @id='x'>
+    if not is_valid_name(name):
+        raise _error(source, f"invalid attribute name {name!r}", pos)
+    if name in attrib:
+        raise _error(source, f"duplicate attribute {name!r}", pos)
+    return name
 
 
-def _skip_misc(scanner):
+def _start_tag_error(source, pos, attrib):
+    """What is wrong at *pos*, where neither an attribute nor the end of
+    the start tag could be read."""
+    pos = _skip_whitespace(source, pos).end()
+    if source[pos:pos + 1] in ("/", ""):
+        return _error(source, "expected '>'", pos)
+    name = _read_name(source, pos)
+    if not name.group():
+        return _error(source, "expected a name", pos)
+    _attribute_name(source, name.group(), pos, attrib)
+    pos = _skip_whitespace(source, name.end()).end()
+    if source[pos:pos + 1] != "=":
+        return _error(source, "expected '='", pos)
+    pos = _skip_whitespace(source, pos + 1).end()
+    quote = source[pos:pos + 1]
+    if quote not in ("'", '"'):
+        return _error(source, "attribute value must be quoted", pos)
+    return _error(source, f"unterminated construct, expected {quote!r}",
+                  pos + 1)
+
+
+def _skip_misc(source, pos):
     """Skip whitespace, comments, PIs and doctype between top-level items."""
     while True:
-        scanner.skip_whitespace()
-        if scanner.startswith("<!--"):
-            scanner.pos += 4
-            scanner.read_until("-->")
-        elif scanner.startswith("<?"):
-            scanner.pos += 2
-            scanner.read_until("?>")
-        elif scanner.startswith("<!DOCTYPE"):
+        pos = _skip_whitespace(source, pos).end()
+        if source.startswith("<!--", pos):
+            pos = _after(source, "-->", pos + 4)
+        elif source.startswith("<?", pos):
+            pos = _after(source, "?>", pos + 2)
+        elif source.startswith("<!DOCTYPE", pos):
             # Naive doctype skip: no internal subset support.
-            scanner.read_until(">")
+            pos = _after(source, ">", pos)
         else:
-            return
-
-
-def _parse_element(scanner):
-    """Parse one element (the scanner must be positioned at its ``<``)."""
-    start_pos = scanner.pos
-    scanner.consume("<")
-    name_pos = scanner.pos
-    tag = scanner.read_name()
-    if not is_valid_name(tag):
-        raise scanner.error(f"invalid element name {tag!r}", name_pos)
-    attrib = _parse_attributes(scanner)
-    element = Element(tag, attrib=attrib)
-    if scanner.startswith("/>"):
-        scanner.pos += 2
-        return element
-    scanner.consume(">")
-
-    text_start = scanner.pos
-    text_parts = []
-
-    def flush_text():
-        if scanner.pos > text_start:
-            raw = scanner.source[text_start:scanner.pos]
-            text_parts.append(_decode_entities(raw, scanner, text_start))
-
-    while True:
-        if scanner.at_end():
-            raise scanner.error(f"unclosed element <{tag}>", start_pos)
-        ch = scanner.peek()
-        if ch == "<":
-            flush_text()
-            if scanner.startswith("</"):
-                scanner.pos += 2
-                close_pos = scanner.pos
-                close_tag = scanner.read_name()
-                if close_tag != tag:
-                    raise scanner.error(
-                        f"mismatched closing tag </{close_tag}>, expected </{tag}>",
-                        close_pos,
-                    )
-                scanner.skip_whitespace()
-                scanner.consume(">")
-                break
-            if scanner.startswith("<!--"):
-                scanner.pos += 4
-                scanner.read_until("-->")
-            elif scanner.startswith("<![CDATA["):
-                scanner.pos += 9
-                text_parts.append(scanner.read_until("]]>"))
-            elif scanner.startswith("<?"):
-                scanner.pos += 2
-                scanner.read_until("?>")
-            else:
-                element.append(_parse_element(scanner))
-            text_start = scanner.pos
-        else:
-            scanner.pos += 1
-
-    text = "".join(text_parts)
-    if text.strip():
-        element.append(Text(text.strip()))
-    return element
+            return pos
 
 
 def parse_fragment(source):
@@ -231,15 +142,91 @@ def parse_fragment(source):
     around the single top-level element.  Surrounding whitespace inside
     text content is stripped (sensor documents are data-centric).
     """
-    scanner = _Scanner(source)
-    _skip_misc(scanner)
-    if scanner.peek() != "<":
-        raise scanner.error("expected start of an element")
-    element = _parse_element(scanner)
-    _skip_misc(scanner)
-    if not scanner.at_end():
-        raise scanner.error("unexpected content after the root element")
-    return element
+    pos = _skip_misc(source, 0)
+    if source[pos:pos + 1] != "<":
+        raise _error(source, "expected start of an element", pos)
+    find = source.find
+    startswith = source.startswith
+    #: The open elements, innermost last: ``(element, position of its
+    #: "<", text parts)``.  A child joins its parent when it closes, so
+    #: every append stamps one level, not the whole spine.
+    stack = []
+    while True:
+        # -- a start tag: *pos* is at its "<" ---------------------------
+        name = _read_name(source, pos + 1)
+        tag = name.group()
+        if not tag:
+            raise _error(source, "expected a name", pos + 1)
+        if not is_valid_name(tag):
+            raise _error(source, f"invalid element name {tag!r}", pos + 1)
+        opened_at, pos = pos, name.end()
+        attrib = {}
+        while True:
+            part = _read_tag_part(source, pos)
+            if part is None:
+                raise _start_tag_error(source, pos, attrib)
+            pos = part.end()
+            quoted = part.lastindex
+            if quoted == 1:
+                break
+            name = _attribute_name(source, part.group(2), part.start(2),
+                                   attrib)
+            raw = part.group(quoted)
+            if "<" in raw:
+                raise _error(source, "'<' not allowed in attribute value",
+                             part.start(quoted))
+            attrib[name] = _decode_entities(raw, source, part.start(quoted))
+        closed = Element(tag, attrib=attrib)
+        if not part.group(1):
+            stack.append((closed, opened_at, []))
+            closed = None
+        # -- content, up to the next start tag --------------------------
+        while True:
+            if closed is not None:
+                if not stack:
+                    pos = _skip_misc(source, pos)
+                    if pos < len(source):
+                        raise _error(
+                            source,
+                            "unexpected content after the root element", pos)
+                    return closed
+                stack[-1][0].append(closed)
+                closed = None
+            element, opened_at, text_parts = stack[-1]
+            less_than = find("<", pos)
+            if less_than < 0:
+                raise _error(source, f"unclosed element <{element.tag}>",
+                             opened_at)
+            if less_than > pos:
+                text_parts.append(
+                    _decode_entities(source[pos:less_than], source, pos))
+            marker = source[less_than + 1:less_than + 2]
+            if marker == "/":
+                close = _read_close(source, less_than + 2)
+                if not close.group(1):
+                    raise _error(source, "expected a name", less_than + 2)
+                if close.group(1) != element.tag:
+                    raise _error(
+                        source,
+                        f"mismatched closing tag </{close.group(1)}>, "
+                        f"expected </{element.tag}>", less_than + 2)
+                pos = close.end()
+                if not close.group(2):
+                    raise _error(source, "expected '>'", pos)
+                text = "".join(text_parts).strip()
+                if text:
+                    element.append(Text(text))
+                closed = stack.pop()[0]
+            elif marker == "?":
+                pos = _after(source, "?>", less_than + 2)
+            elif startswith("<!--", less_than):
+                pos = _after(source, "-->", less_than + 4)
+            elif startswith("<![CDATA[", less_than):
+                pos = _after(source, "]]>", less_than + 9)
+                text_parts.append(source[less_than + 9:pos - 3])
+            else:
+                pos = less_than
+                break
 
 
 def parse_document(source):

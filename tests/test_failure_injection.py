@@ -30,6 +30,7 @@ from repro.net import (
     TcpNetwork,
     UnknownSite,
 )
+from repro.net.errors import MessageError
 from repro.net.messages import AnswerMessage, Message
 from repro.net.retry import CLOSED, HALF_OPEN, OPEN, hash_fraction
 from repro.net.tcpruntime import TcpCluster, recv_framed, send_framed
@@ -423,6 +424,77 @@ class TestTcpRobustness:
                                   AnswerMessage)
             finally:
                 sock.close()
+
+    @pytest.mark.parametrize("garbled", [
+        "this is not xml",                      # XmlParseError
+        "<message kind='answer'/>",             # TypeError: no id
+        "<message kind='answer' id='x'/>",      # ValueError
+        "<message kind='update' id='3'/>",      # AttributeError
+        "<message kind='nope' id='3'/>",        # unknown kind
+    ])
+    def test_decode_raises_message_error_for_any_malformed_envelope(
+            self, garbled):
+        with pytest.raises(MessageError) as info:
+            Message.decode(garbled)
+        if "nope" not in garbled:
+            assert info.value.__cause__ is not None
+            assert type(info.value.__cause__).__name__ in str(info.value)
+
+    @staticmethod
+    def _garbling(direction, site, times):
+        """A ``network_wrapper`` that corrupts the bytes of the first
+        *times* requests to (or replies from) *site*."""
+        def wrap(network):
+            exchange = network._exchange
+            left = [times]
+
+            def garbled_exchange(dst, encoded, message=None):
+                if dst != site or left[0] <= 0:
+                    return exchange(dst, encoded, message)
+                left[0] -= 1
+                if direction == "request":
+                    return exchange(dst, encoded[:-9], message)
+                return exchange(dst, encoded, message)[:-9]
+
+            network._exchange = garbled_exchange
+            return network
+        return wrap
+
+    def _garbled_cluster(self, direction, times):
+        return TcpCluster(
+            parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
+            oa_config=OAConfig(retry_policy=fast_retries()),
+            network_wrapper=self._garbling(direction, "shady", times))
+
+    def test_one_garbled_reply_is_a_failed_attempt_not_a_crash(self):
+        with self._garbled_cluster("reply", times=1) as tcp:
+            results, _, outcome = tcp.cluster.query(SHADY_BLOCK,
+                                                    at_site="top")
+            assert len(results) == 1 and outcome.complete
+            assert tcp.cluster.agent("top").stats["retries"] == 1
+
+    def test_garbled_replies_degrade_to_a_partial_answer(self):
+        with self._garbled_cluster("reply", times=99) as tcp:
+            results, _, outcome = tcp.cluster.query(FIGURE2_QUERY,
+                                                    at_site="top")
+            assert len(results) == 1  # Oakland's space still answers
+            assert outcome.unreachable_paths == (SHADYSIDE,)
+            [miss] = outcome.completeness_report()["unreachable"]
+            assert miss["attempts"] == 3
+            assert all("MessageError: XmlParseError" in cause
+                       for cause in miss["causes"])
+
+    def test_garbled_request_is_refused_once_with_a_readable_detail(self):
+        with self._garbled_cluster("request", times=99) as tcp:
+            results, _, outcome = tcp.cluster.query(FIGURE2_QUERY,
+                                                    at_site="top")
+            assert len(results) == 1
+            assert outcome.unreachable_paths == (SHADYSIDE,)
+            [miss] = outcome.completeness_report()["unreachable"]
+            assert miss["attempts"] == 1  # bad-message is not retryable
+            [cause] = miss["causes"]
+            assert "bad-message: MessageError: XmlParseError: " in cause
+            assert "(line 1, column" in cause
 
     def test_tell_is_fire_and_forget(self):
         network = TcpNetwork(addresses={"ghost": ("127.0.0.1", 1)},

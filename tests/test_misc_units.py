@@ -1,7 +1,7 @@
 """Remaining small-unit coverage: traces, stats, architectures, helpers."""
 
 from repro.arch import centralized, hierarchical
-from repro.net import AnswerMessage, QueryMessage, clean_results
+from repro.net import AnswerMessage, QueryMessage
 from repro.service import ParkingConfig, build_parking_document
 from repro.sim import TraceNode
 
@@ -23,20 +23,6 @@ class TestTraceNode:
         root.children.append(child)
         assert root.total_calls() == 3
         assert root.sites_touched() == {"a", "b", "c"}
-
-
-class TestCleanResults:
-    def test_strips_status_everywhere(self):
-        from repro.xmlkit import parse_fragment
-
-        dirty = parse_fragment(
-            "<a status='complete' timestamp='5'>"
-            "<b status='incomplete'/></a>")
-        cleaned = clean_results([dirty])
-        assert cleaned[0].get("status") is None
-        assert cleaned[0].child("b").get("status") is None
-        # Original untouched (defensive copy).
-        assert dirty.get("status") == "complete"
 
 
 class TestArchitectureRouting:

@@ -97,6 +97,29 @@ class TestTcpCluster:
             FIGURE2_QUERY)
         assert len(results) == 3
 
+    @pytest.mark.parametrize("query, expected", [
+        (FIGURE2_QUERY, 3),
+        (PREFIX + "/neighborhood[@id='Oakland']/block[@id='1']"
+         "/parkingSpace/available/text()", 2),
+        (PREFIX + "/neighborhood[@id='Oakland']/block[@id='9']", 0),
+    ], ids=["elements", "text", "empty"])
+    def test_query_via_messages_answers_like_query(self, tcp_cluster,
+                                                   query, expected):
+        """Text results used to vanish between ``_fill`` and ``_parse``
+        (``[]`` over TCP against two text nodes from ``query``)."""
+        from repro.xmlkit import Text, serialize
+
+        def plain(results):
+            return [result.value if isinstance(result, Text)
+                    else serialize(result, use_cache=False)
+                    for result in results]
+
+        direct, site, _outcome = tcp_cluster.cluster.query(query)
+        wired, wired_site = tcp_cluster.cluster.query_via_messages(query)
+        assert wired_site == site
+        assert len(direct) == expected
+        assert plain(wired) == plain(direct)
+
     def test_updates_over_sockets(self, tcp_cluster):
         space = OAKLAND + (("block", "1"), ("parkingSpace", "2"))
         sa = tcp_cluster.cluster.add_sensing_agent("sa-tcp", [space])

@@ -15,7 +15,7 @@ import importlib
 import pytest
 
 from repro.net import messages as m
-from repro.xmlkit import parse_fragment, serialize
+from repro.xmlkit import Text, parse_fragment, serialize
 
 
 def _optional(module):
@@ -263,4 +263,42 @@ def test_decode_round_trips(message):
     decoded = m.Message.decode(message.encode())
     assert type(decoded) is type(message)
     assert _fields(decoded) == _fields(message)
+    # A decoded message keeps the bytes it arrived as; drop them so the
+    # comparison is between two real encodings.
+    decoded.invalidate_encoding()
     assert decoded.encode() == message.encode()
+
+
+#: ``<results>`` answers: element-only results are the bytes the
+#: pre-PR-17 encoder produced (no attribute on the holder); a text
+#: result ships as ``<t v=.../>`` at a position the holder lists.
+RESULTS_GOLDEN = [
+    (lambda: [parse_fragment("<available>yes</available>"),
+              parse_fragment("<parkingSpace id='2'><price>25</price>"
+                             "</parkingSpace>")],
+     '<message kind="answer" id="56" sender="oak" replyTo="41"><results>'
+     '<available>yes</available><parkingSpace id="2"><price>25</price>'
+     '</parkingSpace></results></message>'),
+    (lambda: [],
+     '<message kind="answer" id="56" sender="oak" replyTo="41"><results/>'
+     '</message>'),
+    (lambda: [Text("yes"), parse_fragment("<t v='x'/>"),
+              Text(" a<b&\"c' "), Text("")],
+     '<message kind="answer" id="56" sender="oak" replyTo="41">'
+     '<results text="0 2 3"><t v="yes"/><t v="x"/>'
+     '<t v=" a&lt;b&amp;&quot;c\' "/><t v=""/></results></message>'),
+]
+
+
+@pytest.mark.parametrize("build, expected", RESULTS_GOLDEN,
+                         ids=["elements", "empty", "text"])
+def test_results_round_trip_one_for_one_and_in_order(build, expected):
+    message = m.AnswerMessage(41, results=build(), sender="oak",
+                              message_id=56)
+    assert message.encode() == expected
+    decoded = m.Message.decode(expected)
+    assert [type(result) for result in decoded.results] == \
+        [type(result) for result in build()]
+    assert _fields(decoded) == _fields(message)
+    decoded.invalidate_encoding()
+    assert decoded.encode() == expected
