@@ -37,7 +37,7 @@ from repro.agg.partial import (
     merge_states,
     state_of,
 )
-from repro.agg.summary import SummaryCache, summary_key
+from repro.agg.summary import summary_key
 
 __all__ = [
     "AggregationConfig",
@@ -51,7 +51,6 @@ __all__ = [
     "PartialAggregateAnswer",
     "PartialAggregateRequest",
     "SHAPES",
-    "SummaryCache",
     "collapse",
     "compile_formula",
     "merge_states",

@@ -14,9 +14,7 @@ class AggregationConfig:
         the :class:`~repro.core.semcache.FreshnessBuckets` used to
         loosen in-query tolerances before computing (and keying)
         rollups -- shared boundaries with the semantic cache so both
-        subsystems coalesce the same jitter;
-    ``max_entries`` / ``max_bytes``
-        the :class:`~repro.agg.summary.SummaryCache` LRU budget.
+        subsystems coalesce the same jitter.
 
     Pass it in ``Cluster(subsystems=[...])`` (or
     ``OAConfig(subsystems=[...])``) to switch the subsystem on; not
@@ -25,14 +23,11 @@ class AggregationConfig:
 
     name = "aggregation"
 
-    def __init__(self, buckets=DEFAULT_BUCKET_BOUNDARIES,
-                 max_entries=256, max_bytes=4 * 1024 * 1024):
+    def __init__(self, buckets=DEFAULT_BUCKET_BOUNDARIES):
         if buckets is None or isinstance(buckets, FreshnessBuckets):
             self.buckets = buckets
         else:
             self.buckets = FreshnessBuckets(buckets)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
 
     def site_subsystem(self, agent):
         return AggregationManager(agent, self)
@@ -41,7 +36,7 @@ class AggregationConfig:
         return ClusterAggregation(cluster)
 
     def __repr__(self):
-        return f"AggregationConfig(max_entries={self.max_entries})"
+        return f"AggregationConfig(buckets={self.buckets!r})"
 
 
 class ClusterAggregation:

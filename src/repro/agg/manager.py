@@ -9,8 +9,8 @@ arrive through the ordinary scalar entry point
 hierarchically:
 
 * **summary first**: the rollup's merge-state may already be cached in
-  the :class:`~repro.agg.summary.SummaryCache`, keyed by (region,
-  freshness-stripped inner path) and served under the caller's
+  ``summaries`` (a :class:`~repro.core.semcache.SemanticCache`), keyed
+  by (region, freshness-stripped inner path) and served under the caller's
   original bound -- semcache bucketing reuse, so jitter-equivalent
   tolerances share one entry;
 * **local rollup**: matches whose whole IDable chain from the region
@@ -37,7 +37,11 @@ from collections import namedtuple
 
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.idable import idable_children, node_id
-from repro.core.semcache import canonicalize
+from repro.core.semcache import (
+    SemanticCache,
+    SemanticCacheConfig,
+    canonicalize,
+)
 from repro.core.status import Status, get_status, get_timestamp
 from repro.net.errors import NetError
 from repro.net.messages import ErrorMessage, as_id_path
@@ -66,9 +70,14 @@ from repro.agg.partial import (
     merge_states,
     state_of,
 )
-from repro.agg.summary import SummaryCache, summary_key
+from repro.agg.summary import summary_key
 
 _EVALUATOR = Evaluator()
+
+#: The summary cache's LRU budget.  Keys are already freshness-stripped
+#: (see :func:`~repro.agg.summary.summary_key`), so it does no bucketing.
+SUMMARY_MAX_ENTRIES = 256
+SUMMARY_MAX_BYTES = 4 * 1024 * 1024
 
 
 class AggregationUnsupported(UnsupportedDistributedQueryError):
@@ -92,10 +101,9 @@ class AggregationManager:
     def __init__(self, agent, config):
         self.agent = agent
         self.config = config
-        self.summaries = SummaryCache(
-            max_entries=self.config.max_entries,
-            max_bytes=self.config.max_bytes,
-        )
+        self.summaries = SemanticCache(SemanticCacheConfig(
+            buckets=None, max_entries=SUMMARY_MAX_ENTRIES,
+            max_bytes=SUMMARY_MAX_BYTES))
         self.derived = {}
         self._lock = threading.Lock()
         self.stats = {
@@ -119,17 +127,17 @@ class AggregationManager:
         return {PartialAggregateRequest: self.answer_partial}
 
     def on_ownership_change(self, paths, gained, peer):
-        """Summaries over a region handed away lose their invalidation
-        feed (local updates) with it: evict them."""
+        """Summaries over a region handed away were rolled up along the
+        old ownership: evict them."""
         if not gained:
             with self._lock:
                 self.stats["migration_summary_evictions"] += \
-                    self.summaries.evict_regions(paths)
+                    self.summaries.evict_paths(paths)
 
     # ------------------------------------------------------------------
     # The query-side entry point
     # ------------------------------------------------------------------
-    def try_scalar(self, query, now=None, max_age=None, precision=None):
+    def try_scalar(self, query, now=None, max_age=None):
         """Answer an aggregate query from summaries, or decline.
 
         Returns ``(handled, value)``.  ``handled`` is ``False`` when
@@ -141,9 +149,6 @@ class AggregationManager:
         plan = self._plan(query)
         if plan is None:
             return False, None
-        if precision is not None and max_age is None:
-            max_age = self.agent.driver.aggregates.max_age_for_precision(
-                precision)
         now = float(now) if now is not None \
             else float(self.agent.clock())
         try:
@@ -260,8 +265,15 @@ class AggregationManager:
         state = self._compute_state(plan.anchor, plan.inner,
                                     plan.inner_source, plan.bucket_bound,
                                     now)
-        self.summaries.store(key, state, now, tolerance=plan.bucket_bound)
+        self._store_summary(key, plan.anchor, state, now, plan.bucket_bound)
         return state
+
+    def _store_summary(self, key, region, state, now, tolerance):
+        """Cache *state*, rolled up over *region* at *now* under the
+        (bucketed) bound *tolerance*."""
+        self.summaries.store(key, state, now, region=region,
+                             nbytes=96 + 160 * len(state),
+                             tolerance=tolerance)
 
     def _compute_state(self, region, inner, inner_source, bound, now):
         database = self.agent.database
@@ -471,7 +483,7 @@ class AggregationManager:
                     message.message_id, code="agg-unavailable",
                     detail=str(exc), retryable=True,
                     sender=self.agent.site_id)
-            self.summaries.store(key, state, now, tolerance=bound)
+            self._store_summary(key, region, state, now, bound)
         partial, data_ts = collapse(state, now)
         with self._lock:
             self.stats["partials_served"] += 1

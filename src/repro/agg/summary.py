@@ -1,26 +1,27 @@
-"""The per-site summary cache: merge-states keyed by (region, path).
+"""Summary keys: merge-states cached by (region, path).
 
-A :class:`SummaryCache` stores the merged merge-state of one rollup --
-``{region: (Partial, data_ts)}`` -- under a key combining the region's
-id path with the *freshness-stripped* canonical text of the inner
-location path.  Stripping the consistency predicates from the key is
-the semcache bucketing reuse: ``sensor[timestamp() > current-time() -
-28]`` and ``... - 30`` canonicalize (bucketed) to the same loosened
-bound, compute the same rollup, and share one summary entry; serving
-is still subsumption-checked against each caller's **original** bound
-by the underlying :class:`~repro.core.semcache.SemanticCache` (entry
-tolerance slack charged against the allowed age, PR 7 discipline).
+The aggregation manager's ``summaries`` -- a plain
+:class:`~repro.core.semcache.SemanticCache` -- stores the merged
+merge-state of one rollup, ``{region: (Partial, data_ts)}``, under a
+key combining the region's id path with the *freshness-stripped*
+canonical text of the inner location path.  The entry's ``region``
+field is that same id path; it, not the key, is what migration-time
+eviction compares.
+
+Stripping the consistency predicates from the key is the semcache
+bucketing reuse: ``sensor[timestamp() > current-time() - 28]`` and
+``... - 30`` canonicalize (bucketed) to the same loosened bound,
+compute the same rollup, and share one summary entry; serving is still
+subsumption-checked against each caller's **original** bound by the
+cache (entry tolerance slack charged against the allowed age, PR 7
+discipline).
 
 All shapes over the same inner path share one entry too: the stored
 value is the full ``(count, sum, min, max)`` merge-state, so a
 ``count`` rollup prewarms the ``avg`` that follows it.
-
-The cache inherits the semcache's size-aware LRU, counters and
-``peek`` (EXPLAIN reads without distorting hit ratios) wholesale.
 """
 
 from repro.core.idable import format_id_path
-from repro.core.semcache import SemanticCache, SemanticCacheConfig
 from repro.xpath.analysis import REF_CONSISTENCY, classify_predicate
 from repro.xpath.ast import LocationPath, Step
 
@@ -46,70 +47,3 @@ def summary_key(region, inner_path):
     """The cache key for *inner_path* rolled up under *region*."""
     stripped = strip_consistency(inner_path)
     return f"{format_id_path(region)}::{stripped.unparse()}"
-
-
-class SummaryCache:
-    """A :class:`SemanticCache` of merge-states (see module docstring)."""
-
-    def __init__(self, max_entries=256, max_bytes=4 * 1024 * 1024):
-        self._cache = SemanticCache(SemanticCacheConfig(
-            enabled=True, buckets=None,
-            max_entries=max_entries, max_bytes=max_bytes,
-        ))
-
-    def lookup(self, key, now, max_age=None, tolerance=None):
-        """The cached merge-state entry iff it satisfies *max_age*.
-
-        *max_age* is the caller's original freshness bound; ``None``
-        never serves (an unbounded aggregate always recomputes, exactly
-        like the scalar :class:`~repro.core.aggregates.AggregateCache`).
-        """
-        return self._cache.lookup(key, now, max_age=max_age,
-                                  tolerance=tolerance)
-
-    def store(self, key, state, now, tolerance=None):
-        """Cache *state* computed at *now* under *tolerance* (the
-        bucketed bound it was computed with)."""
-        nbytes = 96 + 160 * len(state)
-        return self._cache.store(key, state, now, nbytes=nbytes,
-                                 tolerance=tolerance)
-
-    def peek(self, key):
-        return self._cache.peek(key)
-
-    def invalidate(self, key=None):
-        self._cache.invalidate(key)
-
-    def evict_regions(self, id_paths):
-        """Drop every summary whose region overlaps one of *id_paths*.
-
-        Called on the old owner when a subtree migrates away: its
-        summaries over that region stop seeing the updates that kept
-        them honest, so they must go.  Region containment is checked
-        on the formatted id-path prefix (both directions -- a summary
-        *under* a migrated path is orphaned, and a summary *above* it
-        folded the migrated data in).  Returns the eviction count.
-        """
-        targets = [format_id_path(tuple(tuple(entry) for entry in path))
-                   for path in id_paths]
-
-        def overlaps(key):
-            region = key.split("::", 1)[0]
-            for target in targets:
-                if region == target or \
-                        region.startswith(target + "/") or \
-                        target.startswith(region + "/"):
-                    return True
-            return False
-
-        return self._cache.evict_matching(overlaps)
-
-    def __len__(self):
-        return len(self._cache)
-
-    def metrics(self):
-        """Counter snapshot (hits/misses/stale_rejects/stores/...)."""
-        return self._cache.metrics()
-
-    def __repr__(self):
-        return f"SummaryCache({len(self)} entries)"

@@ -7,7 +7,6 @@ the per-node status scheme, query-evaluate-gather, generalized
 consistency, ownership migration and the nesting-depth extensions.
 """
 
-from repro.core.aggregates import AggregateCache
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.consistency import (
     extract_tolerance,
@@ -100,7 +99,6 @@ __all__ = [
     "GatherDriver",
     "GatherOutcome",
     "GatherError",
-    "AggregateCache",
     "AnswerBuilder",
     "Subquery",
     "CompiledPattern",

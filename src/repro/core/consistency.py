@@ -16,7 +16,11 @@ The paper's figures write the sugar form ``[timestamp > now - 30]``;
 function-call form.
 """
 
-from repro.xpath.analysis import REF_CONSISTENCY, classify_predicate
+from repro.xpath.analysis import (
+    REF_CONSISTENCY,
+    classify_predicate,
+    iter_conjuncts,
+)
 from repro.xpath.ast import (
     BinaryOperation,
     FilterExpression,
@@ -125,19 +129,11 @@ def rewrite_consistency_sugar(expression):
 # ----------------------------------------------------------------------
 # Stripping (for final answer extraction)
 # ----------------------------------------------------------------------
-def _iter_conjuncts(expression):
-    if isinstance(expression, BinaryOperation) and expression.operator == "and":
-        yield from _iter_conjuncts(expression.left)
-        yield from _iter_conjuncts(expression.right)
-    else:
-        yield expression
-
-
 def _without_consistency(predicates):
     kept = []
     for predicate in predicates:
         conjuncts = [
-            c for c in _iter_conjuncts(predicate)
+            c for c in iter_conjuncts(predicate)
             if classify_predicate(c) != frozenset({REF_CONSISTENCY})
         ]
         if not conjuncts:
@@ -183,7 +179,7 @@ def has_consistency_predicates(expression):
             steps = node.steps if isinstance(node, LocationPath) else ()
             for step in steps:
                 for predicate in step.predicates:
-                    for conjunct in _iter_conjuncts(predicate):
+                    for conjunct in iter_conjuncts(predicate):
                         if classify_predicate(conjunct) == \
                                 frozenset({REF_CONSISTENCY}):
                             return True
@@ -207,7 +203,7 @@ def bucket_consistency_tolerances(expression, bucket_fn):
     def bucket_conjuncts(predicate):
         changed = False
         rebuilt = []
-        for conjunct in _iter_conjuncts(predicate):
+        for conjunct in iter_conjuncts(predicate):
             seconds = extract_tolerance(conjunct)
             if seconds is not None and classify_predicate(conjunct) == \
                     frozenset({REF_CONSISTENCY}):

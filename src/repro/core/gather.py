@@ -22,14 +22,14 @@ materialized.
 
 import threading
 
-from repro.core.aggregates import AggregateCache
 from repro.core.database import SensorDatabase
 from repro.core.errors import CoreError
 from repro.core.executors import resolve_executor
 from repro.core.idable import (
     id_path_of,
-    idable_children,
+    id_paths_overlap,
     lowest_idable_ancestor_or_self,
+    subtree_materialized,
 )
 from repro.core.answer import Subquery
 from repro.core.consistency import rewrite_consistency_sugar
@@ -41,6 +41,7 @@ from repro.core.qeg import (
     run_qeg,
 )
 from repro.core.semcache import (
+    SemanticCache,
     SemanticCacheConfig,
     canonicalization_stats,
     canonicalize,
@@ -48,6 +49,7 @@ from repro.core.semcache import (
 from repro.core.status import get_status, strip_internal_attributes
 from repro.obs.tracing import TRACER, propagate
 from repro.xmlkit.nodes import Element, Text
+from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath
 from repro.xpath.evaluator import Evaluator
 from repro.xpath import parser as xpath_parser
@@ -256,16 +258,6 @@ def _subsumed_by(pending, answered, pattern):
     return False
 
 
-def _subtree_materialized(element):
-    stack = [element]
-    while stack:
-        node = stack.pop()
-        if not get_status(node).has_local_information:
-            return False
-        stack.extend(idable_children(node))
-    return True
-
-
 class GatherDriver:
     """Drives QEG-plus-subqueries for one site.
 
@@ -305,11 +297,11 @@ class GatherDriver:
         self.send_many = send_many
         self.stale_on_error = stale_on_error
         #: Semantic caching policy: canonical keys, freshness buckets,
-        #: and the aggregate-cache budget (see ``repro.core.semcache``).
+        #: and the scalar-answer cache budget (``repro.core.semcache``).
         self.semcache = semcache if semcache is not None \
             else SemanticCacheConfig()
-        self.aggregates = AggregateCache(database.clock,
-                                         config=self.semcache)
+        #: Scalar answers of this site, stamped with the database clock.
+        self.aggregates = SemanticCache(self.semcache)
         self._stats_lock = threading.Lock()
         self.stats = {
             "queries": 0,
@@ -513,32 +505,38 @@ class GatherDriver:
                 get_status(anchor).has_local_information:
             failure.stale_served = True
 
-    def _wire_subquery(self, subquery, bucketed_keys, escalated_keys):
-        """The wire form of *subquery*: bucket-loosened when eligible.
+    def bucketed_wire_query(self, subquery):
+        """The bucket-loosened spelling *subquery* is first dispatched
+        under, or ``None`` when it goes out verbatim.
 
         Non-scalar asks with bucketable freshness tolerances go out
         spelled at the bucket boundary, so every mid-tier cache between
         here and the owner sees one canonical ask per bucket instead of
-        one per jittered tolerance.  Scalars (probes) and escalated
-        re-asks always go out verbatim.
+        one per jittered tolerance.  Scalars (probes) go out verbatim.
         """
-        if not self.semcache.enabled or self.semcache.buckets is None:
-            return subquery
-        if subquery.scalar:
-            return subquery
-        key = (subquery.query, subquery.scalar)
-        if key in escalated_keys:
-            return subquery
+        if not self.semcache.enabled or self.semcache.buckets is None \
+                or subquery.scalar:
+            return None
         try:
             canon = canonicalize(subquery.query,
                                  buckets=self.semcache.buckets)
         except Exception:
+            return None
+        return canon.bucket_key if canon.bucketed else None
+
+    def _wire_subquery(self, subquery, bucketed_keys, escalated_keys):
+        """The wire form of *subquery*: bucket-loosened when eligible
+        (see :meth:`bucketed_wire_query`), verbatim for an escalated
+        re-ask."""
+        key = (subquery.query, subquery.scalar)
+        if key in escalated_keys:
             return subquery
-        if not canon.bucketed:
+        wire_query = self.bucketed_wire_query(subquery)
+        if wire_query is None:
             return subquery
         bucketed_keys.add(key)
         return Subquery(
-            canon.bucket_key, subquery.anchor_path, subquery.reason,
+            wire_query, subquery.anchor_path, subquery.reason,
             scalar=subquery.scalar, consumed=subquery.consumed,
             descendant_gap=subquery.descendant_gap,
             subtree=subquery.subtree,
@@ -587,7 +585,7 @@ class GatherDriver:
             anchor = lowest_idable_ancestor_or_self(match)
             if not get_status(anchor).has_local_information:
                 continue  # an ID stub, not real data
-            if anchor is match and not _subtree_materialized(match):
+            if anchor is match and not subtree_materialized(match):
                 continue  # partially gathered artifact
             results.append(strip_internal_attributes(match.copy()))
         return results, outcome
@@ -603,20 +601,16 @@ class GatherDriver:
         """
         if not unreachable or element is None:
             return False
-        anchor = lowest_idable_ancestor_or_self(element)
-        anchor_path = tuple(tuple(entry) for entry in id_path_of(anchor))
-        return any(
-            _is_path_prefix(failed, anchor_path)
-            or _is_path_prefix(anchor_path, failed)
-            for failed in unreachable
-        )
+        anchor_path = id_path_of(lowest_idable_ancestor_or_self(element))
+        return any(id_paths_overlap(failed, anchor_path)
+                   for failed in unreachable)
 
     def answer_subquery(self, query, now=None):
         """Answer a subquery from a peer site: the generalized wire fragment."""
         outcome = self.gather(query, now=now)
         return outcome.wire_answer
 
-    def answer_scalar(self, query, now=None, max_age=None, precision=None):
+    def answer_scalar(self, query, now=None, max_age=None):
         """Answer a scalar query: a supported wrapper around an inner path.
 
         Supports ``boolean(p)``, ``count(p)``, ``sum(p)``, ``string(p)``
@@ -624,10 +618,14 @@ class GatherDriver:
         the inner path is gathered distributedly and the wrapper is
         evaluated over the assembled data.
 
-        *max_age* (seconds) or *precision* (fraction, needs the
-        aggregate cache's drift rate) opt into the paper's "acceptable
+        *max_age* (seconds) opts into the paper's "acceptable
         precision" extension: a recent enough cached value of the same
         aggregate is returned without touching the network (Section 4).
+        A caller holding a fractional tolerance ``p`` for an aggregate
+        that drifts at most ``r`` per second asks with
+        ``max_age = p / r``.  Only the value of a complete gather with
+        nothing served stale is cached: a partial count would otherwise
+        be served as the whole one after the missing site recovers.
         """
         canon = None
         if self.semcache.enabled:
@@ -644,13 +642,12 @@ class GatherDriver:
             query_key = query if isinstance(query, str) else query.unparse()
             exact_key = query_key
             tolerance = None
-        if max_age is not None or precision is not None:
+        if max_age is not None:
             with TRACER.span("cache-lookup",
                              site=self.database.site_id) as lookup_span:
-                cached = self.aggregates.lookup(query_key, max_age=max_age,
-                                                precision=precision,
-                                                exact_key=exact_key,
-                                                tolerance=tolerance)
+                cached = self.aggregates.lookup(
+                    query_key, self.database.clock(), max_age=max_age,
+                    exact_key=exact_key, tolerance=tolerance)
                 lookup_span.set_tag("hit", cached is not None)
             if cached is not None:
                 return cached.value
@@ -683,8 +680,12 @@ class GatherDriver:
         if now is None:
             now = self.database.clock()
         value = _EVALUATOR.evaluate(ast, outcome.view.root, now=now)
-        self.aggregates.store(query_key, value, exact_key=exact_key,
-                              tolerance=tolerance)
+        # A failure is a region either excised or served stale: neither
+        # value may outlive this answer.
+        if not outcome.failures:
+            self.aggregates.store(query_key, value, self.database.clock(),
+                                  region=anchor_id_path(ast),
+                                  exact_key=exact_key, tolerance=tolerance)
         return value
 
     def note_prewarm(self):

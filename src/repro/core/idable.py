@@ -17,7 +17,11 @@ system rests on.
 """
 
 from repro.core.errors import UnknownNodeError
-from repro.core.status import INTERNAL_ATTRIBUTES, STATUS_ATTRIBUTE
+from repro.core.status import (
+    INTERNAL_ATTRIBUTES,
+    STATUS_ATTRIBUTE,
+    get_status,
+)
 from repro.xmlkit.nodes import Element, Text
 
 
@@ -91,6 +95,18 @@ def id_path_of(element):
 def format_id_path(id_path):
     """Human-readable rendering of an ID path, e.g. ``usRegion=NE/state=PA``."""
     return "/".join(f"{tag}={identifier}" for tag, identifier in id_path)
+
+
+def id_paths_overlap(a, b):
+    """Whether the regions rooted at id paths *a* and *b* overlap.
+
+    They do exactly when one path is a prefix of the other (equal paths
+    included): the shorter one's subtree contains the longer one's.
+    Entries compare as whole ``(tag, id)`` tuples, so an id containing
+    ``/`` is never mistaken for a deeper path.
+    """
+    shared = min(len(a), len(b))
+    return tuple(a[:shared]) == tuple(b[:shared])
 
 
 def find_by_id_path(root, id_path, required=False):
@@ -174,6 +190,13 @@ def iter_idable(root):
         element = stack.pop()
         yield element
         stack.extend(reversed(idable_children(element)))
+
+
+def subtree_materialized(element):
+    """Whether every IDable node at or below *element* is stored here
+    with its local information (none is a bare ID stub)."""
+    return all(get_status(node).has_local_information
+               for node in iter_idable(element))
 
 
 def iter_idable_with_paths(root):

@@ -54,6 +54,7 @@ from repro.core.idable import (
     id_path_of,
     idable_children,
     lowest_idable_ancestor_or_self,
+    subtree_materialized,
 )
 from repro.core.status import Status, get_status
 from repro.core.subquery import (
@@ -66,10 +67,10 @@ from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import (
     REF_ID,
     classify_predicate,
+    iter_conjuncts,
     split_predicates,
 )
 from repro.xpath.ast import (
-    BinaryOperation,
     LocationPath,
     NameTest,
     NodeTypeTest,
@@ -91,14 +92,6 @@ GENERALIZE_ANSWER = "answer"
 GENERALIZE_AGGRESSIVE = "aggressive"
 
 _EVALUATOR = Evaluator()
-
-
-def _iter_conjuncts(expression):
-    if isinstance(expression, BinaryOperation) and expression.operator == "and":
-        yield from _iter_conjuncts(expression.left)
-        yield from _iter_conjuncts(expression.right)
-    else:
-        yield expression
 
 
 def _path_is_nested(path, is_idable_tag):
@@ -166,10 +159,10 @@ class PatternItem:
         residual = []
         for predicate in step.predicates:
             conjuncts = [
-                c for c in _iter_conjuncts(predicate)
+                c for c in iter_conjuncts(predicate)
                 if classify_predicate(c) != frozenset({REF_ID})
             ]
-            if len(conjuncts) == len(list(_iter_conjuncts(predicate))):
+            if len(conjuncts) == len(list(iter_conjuncts(predicate))):
                 residual.append(predicate)
             else:
                 for conjunct in conjuncts:
@@ -703,18 +696,9 @@ class _Walker:
     # ------------------------------------------------------------------
     # Nesting depth > 0
     # ------------------------------------------------------------------
-    def _subtree_fully_local(self, element):
-        stack = [element]
-        while stack:
-            node = stack.pop()
-            if not get_status(node).has_local_information:
-                return False
-            stack.extend(idable_children(node))
-        return True
-
     def _collect_and_evaluate(self, element):
         """Fetch-subtree strategy at the collect point (Section 4)."""
-        if not self._subtree_fully_local(element):
+        if not subtree_materialized(element):
             anchor_path = id_path_of(element)
             self.ask(Subquery(render_id_path_query(anchor_path), anchor_path,
                               Subquery.NESTED_FETCH, subtree=True))
@@ -757,7 +741,7 @@ class _Walker:
         """
         if not _locally_idable(node):
             return self.evaluate(item.nested_predicates, node)
-        if self._subtree_fully_local(node):
+        if subtree_materialized(node):
             return self.evaluate(item.nested_predicates, node)
         anchor_path = id_path_of(node)
         all_known = True

@@ -29,10 +29,10 @@ satisfies the *original* (tighter) bound, and the gather driver
 re-asks exactly when a bucket-loosened wire answer fails the original
 predicate (see ``GatherDriver``).
 
-**Measured admission and eviction** (:class:`SemanticCache`).  A
-size-aware LRU with per-entry hit/byte counters replaces unbounded
-growth, with an optional second-chance (doorkeeper) admission policy
-so one-shot queries do not churn entries that earn their keep.
+**The answer cache** (:class:`SemanticCache`).  One size-aware LRU
+class with per-entry hit/byte counters holds every cached answer; each
+entry carries the id path of the region it was computed over, so an
+ownership change evicts by region (``evict_paths``).
 
 **Prewarming** (:class:`QueryLog`, :func:`prewarm`).  A query log
 captured by ``service.run_live`` replays against a cold cluster to
@@ -44,11 +44,13 @@ Everything reports through the metrics registry (see
 
 import json
 import threading
+from collections import OrderedDict
 
 from repro.core.consistency import (
     bucket_consistency_tolerances,
     rewrite_consistency_sugar,
 )
+from repro.core.idable import id_paths_overlap
 from repro.core.lru import LRUCache
 from repro.xpath import parser as xpath_parser
 from repro.xpath.ast import (
@@ -315,10 +317,6 @@ def canonicalization_stats():
 # ----------------------------------------------------------------------
 # The measured cache
 # ----------------------------------------------------------------------
-ADMIT_ALWAYS = "always"
-ADMIT_SECOND_CHANCE = "second-chance"
-
-
 class SemanticCacheConfig:
     """Tunables for semantic caching at one site.
 
@@ -331,18 +329,11 @@ class SemanticCacheConfig:
         used for region keys and wire-subquery generalization;
         ``None`` disables bucketing but keeps canonical keys;
     ``max_entries`` / ``max_bytes``
-        the size-aware LRU budget of each :class:`SemanticCache`;
-    ``admission``
-        ``"always"`` admits every store; ``"second-chance"`` admits a
-        key only on its second store within the ghost window, so
-        one-shot queries never displace proven entries;
-    ``ghost_entries``
-        how many rejected first-sighting keys the doorkeeper remembers.
+        the size-aware LRU budget of each :class:`SemanticCache`.
     """
 
     def __init__(self, enabled=True, buckets=DEFAULT_BUCKET_BOUNDARIES,
-                 max_entries=512, max_bytes=8 * 1024 * 1024,
-                 admission=ADMIT_ALWAYS, ghost_entries=1024):
+                 max_entries=512, max_bytes=8 * 1024 * 1024):
         self.enabled = enabled
         if buckets is None:
             self.buckets = None
@@ -352,14 +343,9 @@ class SemanticCacheConfig:
             self.buckets = FreshnessBuckets(buckets)
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        if admission not in (ADMIT_ALWAYS, ADMIT_SECOND_CHANCE):
-            raise ValueError(f"unknown admission policy {admission!r}")
-        self.admission = admission
-        self.ghost_entries = ghost_entries
 
     def __repr__(self):
         return (f"SemanticCacheConfig(enabled={self.enabled}, "
-                f"admission={self.admission!r}, "
                 f"max_entries={self.max_entries})")
 
 
@@ -389,6 +375,11 @@ def estimate_bytes(value):
 class CacheEntry:
     """One cached value plus its accounting.
 
+    ``region`` is the id path (a tuple of ``(tag, id)`` tuples) of the
+    subtree the value was computed over -- what
+    :meth:`SemanticCache.evict_paths` compares -- or ``None`` for a
+    value with no IDable anchor, which is never region-evicted.
+
     ``tolerance`` records the in-query freshness tolerance of the query
     that *produced* the value (its tightest bound), so a later query
     sharing the bucket key but demanding a tighter bound can have the
@@ -396,16 +387,17 @@ class CacheEntry:
     """
 
     __slots__ = ("key", "exact_key", "value", "nbytes", "computed_at",
-                 "hits", "tolerance")
+                 "hits", "region", "tolerance")
 
     def __init__(self, key, exact_key, value, nbytes, computed_at,
-                 tolerance=None):
+                 region=None, tolerance=None):
         self.key = key
         self.exact_key = exact_key
         self.value = value
         self.nbytes = nbytes
         self.computed_at = computed_at
         self.hits = 0
+        self.region = region
         self.tolerance = tolerance
 
     def age(self, now):
@@ -417,22 +409,25 @@ class CacheEntry:
 
 
 class SemanticCache:
-    """A size-aware LRU of freshness-stamped values, thread-safe.
+    """The answer cache: a size-aware LRU of freshness-stamped values.
+
+    One class holds every cached answer at a site -- the gather
+    driver's scalar answers and the aggregation manager's rollup
+    summaries are two instances of it.  Thread-safe.
 
     Keys are (bucketed) canonical query strings; each entry remembers
     the *exact* canonical key that produced it, so a hit under a
     different exact key is counted as a **bucket-coalesced** hit --
     the measurement the whole subsystem exists to improve.  Serving is
     always subsumption-checked: an entry is returned only when its age
-    satisfies the caller's (original, tighter) bound.
+    satisfies the caller's (original, tighter) bound.  Each entry also
+    carries the region it was computed over, so ownership changes
+    evict by id path (:meth:`evict_paths`) without reading keys.
     """
 
     def __init__(self, config=None):
         self.config = config or SemanticCacheConfig()
-        self._entries = {}
-        self._order = []  # LRU order, least-recent first (small caches)
-        self._ghost = {}
-        self._ghost_order = []
+        self._entries = OrderedDict()  # least-recently-used first
         self._bytes = 0
         self._lock = threading.Lock()
         self.stats = {
@@ -441,48 +436,10 @@ class SemanticCache:
             "stale_rejects": 0,
             "bucket_coalesced_hits": 0,
             "stores": 0,
-            "admission_rejects": 0,
             "evictions": 0,
             "evicted_bytes": 0,
             "predicate_evictions": 0,
         }
-
-    # -- internals (call with the lock held) ---------------------------
-    def _touch(self, key):
-        try:
-            self._order.remove(key)
-        except ValueError:
-            pass
-        self._order.append(key)
-
-    def _evict_to_budget(self):
-        config = self.config
-        while self._order and (
-            len(self._entries) > config.max_entries
-            or self._bytes > config.max_bytes
-        ):
-            victim = self._order.pop(0)
-            entry = self._entries.pop(victim, None)
-            if entry is not None:
-                self._bytes -= entry.nbytes
-                self.stats["evictions"] += 1
-                self.stats["evicted_bytes"] += entry.nbytes
-
-    def _admit(self, key):
-        if self.config.admission == ADMIT_ALWAYS:
-            return True
-        if key in self._entries:
-            return True  # refreshing an existing entry is always allowed
-        if key in self._ghost:
-            del self._ghost[key]
-            self._ghost_order.remove(key)
-            return True
-        self._ghost[key] = True
-        self._ghost_order.append(key)
-        while len(self._ghost_order) > self.config.ghost_entries:
-            dropped = self._ghost_order.pop(0)
-            self._ghost.pop(dropped, None)
-        return False
 
     # -- the public surface --------------------------------------------
     def lookup(self, key, now, max_age=None, exact_key=None,
@@ -516,33 +473,38 @@ class SemanticCache:
             self.stats["hits"] += 1
             if exact_key is not None and entry.exact_key != exact_key:
                 self.stats["bucket_coalesced_hits"] += 1
-            self._touch(key)
+            self._entries.move_to_end(key)
             return entry
 
-    def store(self, key, value, now, exact_key=None, nbytes=None,
-              tolerance=None):
-        """Admit *value* under *key*; returns the entry or ``None``.
+    def store(self, key, value, now, region=None, exact_key=None,
+              nbytes=None, tolerance=None):
+        """Cache *value*, computed at *now* over *region*, under *key*.
 
-        ``None`` means the admission policy turned the store down (a
-        first-sighting key under second-chance admission).
+        Replaces any entry already under *key*, then evicts
+        least-recently-used entries until the budget holds again.
+        Returns the new entry.
         """
+        if nbytes is None:
+            nbytes = estimate_bytes(value) + 64
+        entry = CacheEntry(key, exact_key if exact_key is not None else key,
+                           value, nbytes, now, region=region,
+                           tolerance=tolerance)
+        config = self.config
         with self._lock:
-            if not self._admit(key):
-                self.stats["admission_rejects"] += 1
-                return None
-            old = self._entries.get(key)
+            old = self._entries.pop(key, None)
             if old is not None:
                 self._bytes -= old.nbytes
-            if nbytes is None:
-                nbytes = estimate_bytes(value) + 64
-            entry = CacheEntry(key, exact_key if exact_key is not None
-                               else key, value, nbytes, now,
-                               tolerance=tolerance)
             self._entries[key] = entry
             self._bytes += nbytes
-            self._touch(key)
             self.stats["stores"] += 1
-            self._evict_to_budget()
+            while self._entries and (
+                len(self._entries) > config.max_entries
+                or self._bytes > config.max_bytes
+            ):
+                _victim, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted.nbytes
+                self.stats["evictions"] += 1
+                self.stats["evicted_bytes"] += evicted.nbytes
             return entry
 
     def peek(self, key):
@@ -558,38 +520,33 @@ class SemanticCache:
         with self._lock:
             if key is None:
                 self._entries.clear()
-                self._order.clear()
                 self._bytes = 0
             else:
                 entry = self._entries.pop(key, None)
                 if entry is not None:
                     self._bytes -= entry.nbytes
-                    try:
-                        self._order.remove(key)
-                    except ValueError:
-                        pass
 
-    def evict_matching(self, predicate):
-        """Evict every entry whose key satisfies *predicate*.
+    def evict_paths(self, id_paths):
+        """Evict every entry whose region overlaps one of *id_paths*.
 
-        The targeted-invalidation surface for ownership changes: when
-        a subtree migrates away, the entries covering it must go as
-        one batch (their invalidation feed -- local updates -- moved
-        with the subtree).  Counted under ``predicate_evictions``,
-        separate from budget ``evictions``; returns how many entries
-        were dropped.
+        The one targeted-invalidation surface, used when ownership of
+        a subtree changes hands: an entry at or below a given path was
+        computed from the moved region, and one above it folded the
+        moved region in.  Entries without a region are left alone.
+        Counted under ``predicate_evictions``, separate from budget
+        ``evictions``; returns how many entries were dropped.
         """
+        targets = [tuple(tuple(pair) for pair in path)
+                   for path in id_paths]
         with self._lock:
-            doomed = [key for key in self._order if predicate(key)]
+            doomed = [
+                key for key, entry in self._entries.items()
+                if entry.region is not None and any(
+                    id_paths_overlap(entry.region, target)
+                    for target in targets)
+            ]
             for key in doomed:
-                entry = self._entries.pop(key, None)
-                if entry is None:
-                    continue
-                self._bytes -= entry.nbytes
-                try:
-                    self._order.remove(key)
-                except ValueError:
-                    pass
+                self._bytes -= self._entries.pop(key).nbytes
             self.stats["predicate_evictions"] += len(doomed)
             return len(doomed)
 
@@ -599,7 +556,7 @@ class SemanticCache:
 
     def keys(self):
         with self._lock:
-            return list(self._order)
+            return list(self._entries)
 
     def __len__(self):
         with self._lock:
@@ -616,7 +573,6 @@ class SemanticCache:
                 self.stats,
                 entries=len(self._entries),
                 bytes=self._bytes,
-                ghost_entries=len(self._ghost),
             )
 
     def __repr__(self):

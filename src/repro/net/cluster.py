@@ -208,18 +208,18 @@ class Cluster:
         reply = self.network.request("client", site, message)
         return reply.results, site
 
-    def scalar(self, query, now=None, at_site=None, max_age=None,
-               precision=None):
+    def scalar(self, query, now=None, at_site=None, max_age=None):
         """Pose a scalar (boolean/count/sum/...) query.
 
-        *max_age*/*precision* enable the acceptable-precision extension
-        (Section 4): a fresh-enough cached aggregate short-circuits the
-        distributed gather.
+        *max_age* enables the acceptable-precision extension (Section
+        4): a fresh-enough cached aggregate short-circuits the
+        distributed gather.  A precision ``p`` under a drift rate ``r``
+        is ``max_age = p / r``; the caller does the division.
         """
         if at_site is None:
             at_site, _path = self.route_query(query)
         return self.agents[at_site].answer_scalar(
-            query, now=now, max_age=max_age, precision=precision)
+            query, now=now, max_age=max_age)
 
     def explain(self, query, analyze=False, now=None):
         """EXPLAIN *query* as the cluster would answer it.

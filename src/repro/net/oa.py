@@ -89,8 +89,8 @@ class OAConfig:
         ``stale_served`` in the completeness report.  Off by default.
     ``semcache``
         the :class:`~repro.core.semcache.SemanticCacheConfig` governing
-        canonical cache keys, freshness bucketing, and the aggregate
-        cache's admission/eviction budget.  ``None`` uses the defaults
+        canonical cache keys, freshness bucketing, and the scalar-answer
+        cache's eviction budget.  ``None`` uses the defaults
         (semantic keying on); pass ``SemanticCacheConfig(enabled=False)``
         for the legacy exact-string behaviour.
     ``subsystems``
@@ -580,7 +580,7 @@ class OrganizingAgent:
         return BatchAnswerMessage(message.message_id, answers=answers,
                                   sender=self.site_id)
 
-    def answer_scalar(self, query, now=None, max_age=None, precision=None):
+    def answer_scalar(self, query, now=None, max_age=None):
         """Answer a scalar query: the site-level scalar entry point.
 
         A subsystem may answer ahead of the gather driver (its
@@ -590,12 +590,10 @@ class OrganizingAgent:
         same wire bytes.
         """
         for try_scalar in self._subsystems.listeners["try_scalar"]:
-            handled, value = try_scalar(query, now=now, max_age=max_age,
-                                        precision=precision)
+            handled, value = try_scalar(query, now=now, max_age=max_age)
             if handled:
                 return value
-        return self.driver.answer_scalar(query, now=now, max_age=max_age,
-                                         precision=precision)
+        return self.driver.answer_scalar(query, now=now, max_age=max_age)
 
     # ------------------------------------------------------------------
     # Sensor updates
@@ -773,13 +771,14 @@ class OrganizingAgent:
                        else "held_updates_lost"] += 1
 
     def _evict_migrated(self, paths):
-        """Drop cached state whose invalidation feed just moved away.
+        """Drop the scalar answers computed over a region that moved.
 
-        The old owner's cached aggregates over the migrated region
-        were kept honest by local updates; those updates now flow to
-        the new owner, so the entries would serve stale values for
-        ever.  Evicting them turns the next hit into an ordinary
-        (correct) re-fetch.
+        Nothing invalidates a cached scalar on update -- only the
+        caller's ``max_age`` bounds how old a served value may be -- so
+        this is not about freshness.  The entries were computed while
+        this site owned the region; evicting them makes the next ask
+        gather again along the new ownership instead of answering from
+        the old one.
         """
         evicted = self.driver.aggregates.evict_paths(paths)
         self.stats["migration_cache_evictions"] += evicted

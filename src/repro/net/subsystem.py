@@ -27,7 +27,7 @@ Per-agent part, fired by the agent in registration order
 ``on_dispatch_failure(target, subqueries, attempts, causes)``
     a subquery group exhausted its retry budget against *target*;
     return one reply per subquery to answer for it, or ``None``;
-``try_scalar(query, now, max_age, precision)``
+``try_scalar(query, now, max_age)``
     ``(handled, value)`` -- answer a scalar query ahead of the gather
     driver, or decline with ``(False, None)``;
 ``flush()`` / ``close(final_checkpoint)`` / ``abort()``

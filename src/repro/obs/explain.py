@@ -245,25 +245,12 @@ def _plan_entry(agent, subquery, failed=None):
         "scalar": subquery.scalar,
         "target": agent.resolve_owner(subquery.anchor_path),
     }
-    wire = _bucketed_wire(agent.driver, subquery)
+    wire = agent.driver.bucketed_wire_query(subquery)
     if wire is not None:
         entry["wire_query"] = wire
     if failed is not None:
         entry["failed"] = failed
     return entry
-
-
-def _bucketed_wire(driver, subquery):
-    """The bucket-loosened wire spelling the driver would dispatch,
-    or ``None`` when the ask goes out verbatim."""
-    config = driver.semcache
-    if not config.enabled or config.buckets is None or subquery.scalar:
-        return None
-    try:
-        canon = canonicalize(subquery.query, buckets=config.buckets)
-    except Exception:
-        return None
-    return canon.bucket_key if canon.bucketed else None
 
 
 def _cache_section(driver, source, now):
@@ -287,7 +274,7 @@ def _cache_section(driver, source, now):
         "tolerances": [[orig, bucket]
                        for orig, bucket in canon.tolerances],
     }
-    entry = driver.aggregates.cache.peek(canon.bucket_key)
+    entry = driver.aggregates.peek(canon.bucket_key)
     if entry is not None:
         info["aggregate"] = {
             "age": round(entry.age(now), 3),

@@ -327,7 +327,7 @@ def semcache_counters(agents):
     totals = sum_numeric(
         (driver.aggregates.metrics() for driver in drivers),
         keys=("hits", "misses", "stores", "stale_rejects",
-              "bucket_coalesced_hits", "admission_rejects", "evictions",
+              "bucket_coalesced_hits", "evictions",
               "entries", "bytes"))
     totals.update(sum_numeric(
         (driver.stats for driver in drivers),

@@ -17,6 +17,8 @@ Two layers:
 import math
 import sys
 
+from repro.core.idable import id_paths_overlap
+
 __all__ = [
     "Migration",
     "detect_overloaded",
@@ -97,10 +99,6 @@ class Migration:
                 and self.target == other.target)
 
 
-def _overlaps(path, chosen):
-    return any(path[:len(c)] == c or c[:len(path)] == path for c in chosen)
-
-
 def plan_moves(site, site_loads, unit_loads, headroom=1.25,
                max_moves=4, targets=None):
     """Plan subtree migrations away from overloaded *site*.
@@ -150,7 +148,7 @@ def plan_moves(site, site_loads, unit_loads, headroom=1.25,
             break
         if running[site] <= capacity:
             break
-        if _overlaps(path, chosen):
+        if any(id_paths_overlap(path, c) for c in chosen):
             continue
         target = min(others, key=lambda s: (running[s], s))
         # A move must improve the imbalance, not just relocate it.

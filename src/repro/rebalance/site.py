@@ -7,7 +7,7 @@ agent already records -- its migration-safety stats, its always-on
 applies the config's ``adopt_attempts``.
 """
 
-from repro.core.idable import format_id_path
+from repro.core.idable import format_id_path, id_paths_overlap
 
 #: The agent stats that describe migrations (in ``agent.stats``).
 MIGRATION_STATS = (
@@ -51,14 +51,11 @@ class SiteRebalance:
         if not log:
             return
         lca = context.lca_path
-
-        def overlaps(path):
-            return path[:len(lca)] == lca or lca[:len(path)] == path
-
         entries = []
         lines = ["rebalance:"]
         for entry in log:
-            covers = any(overlaps(path) for path in entry["paths"])
+            covers = any(id_paths_overlap(path, lca)
+                         for path in entry["paths"])
             entries.append({
                 "direction": entry["direction"],
                 "peer": entry["peer"],

@@ -1,4 +1,4 @@
-"""XML substrate: node model, parser, serializer, comparison, merging.
+"""XML substrate: node model, parser, serializer, comparison.
 
 The paper stores sensor data in an off-the-shelf XML database (Apache
 Xindice).  No XML library is assumed here; this package provides the
@@ -6,15 +6,7 @@ equivalent substrate from scratch.
 """
 
 from repro.xmlkit.compare import canonical_form, diff_trees, tree_hash, trees_equal
-from repro.xmlkit.errors import XmlError, XmlMergeError, XmlParseError, XmlStructureError
-from repro.xmlkit.merge import (
-    copy_without_children,
-    default_key,
-    graft,
-    merge_into,
-    prune_to_paths,
-    strip_matching,
-)
+from repro.xmlkit.errors import XmlError, XmlParseError, XmlStructureError
 from repro.xmlkit.nodes import Document, Element, Text, is_valid_name
 from repro.xmlkit.parser import parse_document, parse_file, parse_fragment
 from repro.xmlkit.serializer import (
@@ -44,14 +36,7 @@ __all__ = [
     "trees_equal",
     "tree_hash",
     "diff_trees",
-    "merge_into",
-    "graft",
-    "default_key",
-    "strip_matching",
-    "prune_to_paths",
-    "copy_without_children",
     "XmlError",
     "XmlParseError",
     "XmlStructureError",
-    "XmlMergeError",
 ]

@@ -25,7 +25,3 @@ class XmlStructureError(XmlError):
     child from an element that does not contain it, or creating an
     element with an invalid name.
     """
-
-
-class XmlMergeError(XmlError):
-    """Raised when two fragments cannot be merged consistently."""

@@ -8,7 +8,6 @@ from repro.xmlkit import (
     Element,
     canonical_form,
     diff_trees,
-    merge_into,
     parse_fragment,
     serialize,
     trees_equal,
@@ -70,32 +69,3 @@ class TestCanonical:
     @settings(max_examples=60, deadline=None)
     def test_diff_empty_iff_equal(self, element):
         assert diff_trees(element, element.copy()) == []
-
-
-class TestMerge:
-    @given(elements(depth=2))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_with_self_copy_is_idempotent(self, element):
-        target = element.copy()
-        merge_into(target, element)
-        # Merging a copy of itself must not duplicate identified
-        # children; unidentified same-tag children may merge pairwise,
-        # so we only require the identified ones to stay unique.
-        for child in target.element_children():
-            if child.id is not None:
-                same = [
-                    c for c in target.element_children(child.tag)
-                    if c.id == child.id
-                ]
-                assert len(same) == 1
-
-    @given(elements(depth=2), elements(depth=2))
-    @settings(max_examples=60, deadline=None)
-    def test_merge_keeps_all_source_attributes(self, left, right):
-        if left.tag != right.tag or \
-                left.attrib.get("id") != right.attrib.get("id"):
-            return
-        target = left.copy()
-        merge_into(target, right)
-        for name, value in right.attrib.items():
-            assert target.get(name) == value

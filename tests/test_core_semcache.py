@@ -1,4 +1,4 @@
-"""The semantic query cache: canonical keys, buckets, admission, prewarm.
+"""The semantic query cache: canonical keys, buckets, the LRU, prewarm.
 
 Covers the pieces in ``repro.core.semcache`` in isolation (the
 canonicalizer, the freshness buckets, the measured LRU, the query log)
@@ -7,13 +7,10 @@ form, bucketed wire subqueries with serve-time escalation, prewarming
 a cold cluster, and the EXPLAIN cache section.
 """
 
-import random
-
 import pytest
 
 from repro.core.qeg import compile_pattern, pattern_key_stats
 from repro.core.semcache import (
-    ADMIT_SECOND_CHANCE,
     FreshnessBuckets,
     QueryLog,
     SemanticCache,
@@ -242,59 +239,6 @@ class TestSemanticCache:
         assert estimate_bytes(17) == 8
         assert estimate_bytes([1, 2]) == 24
         assert estimate_bytes(None) == 1
-
-
-class TestSecondChanceAdmission:
-    def _cache(self, **overrides):
-        config = SemanticCacheConfig(admission=ADMIT_SECOND_CHANCE,
-                                     **overrides)
-        return SemanticCache(config)
-
-    def test_first_sighting_rejected_second_admitted(self):
-        cache = self._cache()
-        assert cache.store("k", 1, now=0.0) is None
-        assert cache.stats["admission_rejects"] == 1
-        assert cache.store("k", 1, now=1.0) is not None
-        assert "k" in cache
-
-    def test_refresh_of_resident_entry_always_admitted(self):
-        cache = self._cache()
-        cache.store("k", 1, now=0.0)
-        cache.store("k", 1, now=1.0)
-        assert cache.store("k", 2, now=2.0) is not None
-        assert cache.peek("k").value == 2
-
-    def test_ghost_window_bounded(self):
-        cache = self._cache(ghost_entries=4)
-        for i in range(10):
-            cache.store(f"one-shot-{i}", i, now=0.0)
-        assert cache.metrics()["ghost_entries"] <= 4
-        # key 0 fell out of the ghost window: still treated as new
-        assert cache.store("one-shot-0", 0, now=1.0) is None
-
-    def test_hot_keys_survive_skewed_one_shot_churn(self):
-        """Fig 8-style skew: a few hot queries, a long tail of one-shots.
-
-        Under second-chance admission the one-shot tail never enters
-        the cache, so the hot working set is never evicted by churn.
-        """
-        cache = self._cache(max_entries=8)
-        rng = random.Random(4242)
-        hot = [f"hot-{i}" for i in range(4)]
-        cold_serial = 0
-        for _ in range(500):
-            if rng.random() < 0.5:
-                key = rng.choice(hot)
-            else:
-                key = f"cold-{cold_serial}"
-                cold_serial += 1
-            if cache.lookup(key, now=0.0, max_age=1e9) is None:
-                cache.store(key, key, now=0.0)
-        for key in hot:
-            assert key in cache, "hot key evicted by one-shot churn"
-        assert all(not key.startswith("cold-") for key in cache.keys())
-        assert cache.stats["evictions"] == 0
-        assert cache.stats["admission_rejects"] > 100
 
 
 # ----------------------------------------------------------------------

@@ -5,35 +5,12 @@ import math
 
 import pytest
 
-from repro.xmlkit import (
-    Element,
-    copy_without_children,
-    parse_fragment,
-    prune_to_paths,
-)
+from repro.xmlkit import Element, parse_fragment
 from repro.xpath import compile_xpath
 from repro.xpath.types import format_number, to_number, to_string
 
 
 class TestXmlkitCorners:
-    def test_copy_without_children(self):
-        element = parse_fragment("<a id='1' x='2'><b/>text</a>")
-        bare = copy_without_children(element)
-        assert bare.attrib == {"id": "1", "x": "2"}
-        assert bare.children == []
-        with_text = copy_without_children(element, keep_text=True)
-        assert with_text.text == "text"
-        assert with_text.child("b") is None
-
-    def test_prune_to_paths(self):
-        root = parse_fragment("<a><b id='1'><c/></b><b id='2'/><d/></a>")
-        keep_branch = root.child("b", id="1")
-        keep_leaf = keep_branch.child("c")
-        prune_to_paths(root, [[keep_branch, keep_leaf]])
-        assert root.child("b", id="2") is None
-        assert root.child("d") is None
-        assert root.child("b", id="1").child("c") is not None
-
     def test_deeply_nested_parse(self):
         depth = 200
         text = "".join(f"<n{i}>" for i in range(depth)) + \

@@ -15,7 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 LIVE_PACKAGES = ("net", "core", "agg", "replication", "rebalance")
 REPRODUCTION_TIER = ("repro.xslt", "repro.sim")
-DELETED_MODULES = ("repro.net.aioruntime", "repro.net.runtime")
+DELETED_MODULES = ("repro.net.aioruntime", "repro.net.runtime",
+                   "repro.core.aggregates", "repro.xmlkit.merge")
 SEAM_HOSTS = ("net", "core", "obs")
 OPT_IN_SUBSYSTEMS = ("repro.replication", "repro.agg", "repro.rebalance")
 #: Durability supplies the recovered database before an agent exists,

@@ -105,8 +105,8 @@ class StubSite:
                             list(causes))))
         return None
 
-    def try_scalar(self, query, now=None, max_age=None, precision=None):
-        self.calls.append(("try_scalar", (query, now, max_age, precision)))
+    def try_scalar(self, query, now=None, max_age=None):
+        self.calls.append(("try_scalar", (query, now, max_age)))
         return query == "stub:answer", 42.0
 
     def metrics(self):
@@ -245,7 +245,7 @@ class TestStubSubsystem:
         assert count > 0  # declined: the gather driver answered
         stub = deployment.site("top")
         assert stub.called("try_scalar") == [
-            ("stub:answer", 5.0, 9.0, None)]
+            ("stub:answer", 5.0, 9.0)]
 
     def test_on_ownership_change_fires_on_both_sides(self, deployment):
         moved = deployment.cluster.delegate(OAK_BLOCK1, "shady")
