@@ -84,7 +84,6 @@ def _oa_config():
                                  max_delay=0.0, jitter=0.0,
                                  sleep=lambda seconds: None),
         breaker=BreakerPolicy(failure_threshold=8, reset_timeout=0.05),
-        partial_answers=True,
         cache_results=False,
         semcache=SemanticCacheConfig(enabled=False))
 

@@ -85,8 +85,7 @@ def _run_scenario(k, kill):
             cache_results=False,
             retry_policy=RetryPolicy(**RETRIES),
             breaker=BreakerPolicy(failure_threshold=3,
-                                  reset_timeout=30.0),
-            partial_answers=True),
+                                  reset_timeout=30.0)),
         subsystems=[ReplicationConfig(k=k)])
     try:
         if kill:

@@ -393,11 +393,11 @@ class AggregationManager:
     def _remote_partial(self, region, inner_source, bound, now):
         """One frontier's collapsed merge-state, fetched from its owner.
 
-        Breaker-gated like ordinary dispatch.  A DNS-retired region
+        Asked through ``agent.request``, gated.  A DNS-retired region
         contributes an empty state (the node no longer exists -- the
-        transient inconsistency Section 4 accepts); every other failure
-        raises :class:`AggregationUnavailable` and the whole ask
-        degrades to the naive path.
+        transient inconsistency Section 4 accepts); every refusal and
+        failure raises :class:`AggregationUnavailable` and the whole
+        ask degrades to the naive path.
         """
         target = self.agent.resolve_owner(region)
         if target is None:
@@ -406,35 +406,17 @@ class AggregationManager:
             raise AggregationUnavailable(
                 f"DNS says {self.agent.site_id!r} owns {region} but the "
                 "region is not stored as owned here")
-        health = self.agent.health
-        if health is not None and not health.allow(target):
-            raise AggregationUnavailable(
-                f"circuit open for site {target!r}")
         message = PartialAggregateRequest(
             region, inner_source, bound=bound, now=now,
             sender=self.agent.site_id)
         try:
-            reply = self.agent.network.request(
-                self.agent.site_id, target, message)
+            reply = self.agent.request(target, message,
+                                       expect=PartialAggregateAnswer)
         except (OSError, NetError) as exc:
-            if health is not None:
-                health.record_failure(target)
             with self._lock:
                 self.stats["partial_failures"] += 1
             raise AggregationUnavailable(
-                f"site {target!r} unreachable: {exc}") from exc
-        if health is not None:
-            health.record_success(target)
-        if isinstance(reply, ErrorMessage):
-            with self._lock:
-                self.stats["partial_failures"] += 1
-            raise AggregationUnavailable(
-                f"site {target!r} declined: {reply.code}")
-        if not isinstance(reply, PartialAggregateAnswer):
-            with self._lock:
-                self.stats["partial_failures"] += 1
-            raise AggregationUnavailable(
-                f"site {target!r} replied {type(reply).__name__}")
+                f"no partial from site {target!r}: {exc}") from exc
         with self._lock:
             self.stats["partials_fetched"] += 1
         return reply.state

@@ -78,7 +78,7 @@ def _replay(cluster, entries):
 
 def run(artifacts):
     from repro.core.semcache import QueryLog, prewarm
-    from repro.obs.registry import build_cluster_registry
+    from repro.obs.registry import cluster_metrics
     from repro.service import QueryWorkload, run_live
 
     log_path = os.path.join(artifacts, "queries.jsonl")
@@ -96,8 +96,7 @@ def run(artifacts):
         cold_cluster.scalar(stored, max_age=600)
         cold_cluster.scalar(jitter, max_age=600)
         query_log.record(stored)
-    cold_snapshot = build_cluster_registry(cold_cluster) \
-        .snapshot()["semcache"]
+    cold_snapshot = cluster_metrics(cold_cluster)["semcache"]
 
     saved = query_log.save(log_path)
 
@@ -113,8 +112,7 @@ def run(artifacts):
     warm_rate = served_warm / len(entries) if entries else 0.0
     for _stored, jitter in scalar_pairs:
         warm_cluster.scalar(jitter, max_age=600)
-    warm_snapshot = build_cluster_registry(warm_cluster) \
-        .snapshot()["semcache"]
+    warm_snapshot = cluster_metrics(warm_cluster)["semcache"]
 
     # The same replay against a second cold cluster, for contrast.
     _config, control_cluster = _build_cluster()

@@ -119,10 +119,9 @@ class Cluster:
             clock=self.clock,
             durability=manager,
         )
-        if hasattr(self.network, "register"):
-            # Loopback-style delivery; the TCP runtime registers
-            # addresses instead (TcpCluster handles that).
-            self.network.register(site, agent)
+        # In-process delivery; a no-op for the TCP runtime, which
+        # registers addresses instead (TcpCluster handles that).
+        self.network.register(site, agent)
         if manager is not None and prefer_database:
             # The given copy supersedes whatever checkpoint + WAL
             # survived a crash; snapshot it so a second crash does not
@@ -333,8 +332,7 @@ class Cluster:
         agent = self.agents.pop(site, None)
         if agent is None:
             raise QueryRoutingError(f"unknown site {site!r}")
-        if hasattr(self.network, "unregister"):
-            self.network.unregister(site)
+        self.network.unregister(site)
         agent.abort()
         self.stats["site_kills"] += 1
         return agent
@@ -385,7 +383,7 @@ class Cluster:
         self._subsystems.fire("close")
         for agent in self.agents.values():
             agent.shutdown(final_checkpoint=final_checkpoint)
-        if close_network and hasattr(self.network, "close"):
+        if close_network:
             self.network.close()
 
     def validate(self, structural_only=False):

@@ -71,17 +71,15 @@ class OAConfig:
         the :class:`~repro.net.retry.RetryPolicy` governing subquery
         dispatch (``None`` for the shared default).  On the success
         path the policy is invisible: no extra wire messages, byte-
-        identical answers.
+        identical answers.  A subquery that exhausts its budget never
+        raises through the gather: its region is marked unreachable,
+        the answer carries what *is* reachable, and the outcome's
+        completeness report says which regions are missing and why.
     ``breaker``
-        the per-peer circuit breaker:
+        the per-peer circuit breaker every remote call of this agent
+        goes through (see :meth:`OrganizingAgent.request`):
         a :class:`~repro.net.retry.BreakerPolicy`, ``None`` for the
         default, or ``False`` to disable breaking entirely.
-    ``partial_answers``
-        when a subquery exhausts its attempt budget, degrade: mark the
-        region unreachable, answer with what *is* reachable, and carry
-        a machine-readable completeness report on the outcome
-        (the default).  ``False`` restores the legacy loud surface --
-        the last transport error is re-raised through the gather.
     ``stale_on_error``
         serve a fully-cached region beyond its freshness bound when
         its refresh fails terminally -- an explicit relaxation of the
@@ -105,7 +103,7 @@ class OAConfig:
     def __init__(self, cache_results=True, nesting_strategy=FETCH_SUBTREE,
                  generalization=GENERALIZE_ANSWER,
                  executor=None, retry_policy=None, breaker=None,
-                 partial_answers=True, stale_on_error=False,
+                 stale_on_error=False,
                  semcache=None, subsystems=()):
         self.cache_results = cache_results
         self.nesting_strategy = nesting_strategy
@@ -113,7 +111,6 @@ class OAConfig:
         self.executor = executor
         self.retry_policy = retry_policy
         self.breaker = breaker
-        self.partial_answers = partial_answers
         self.stale_on_error = stale_on_error
         self.semcache = semcache
         self.subsystems = tuple(subsystems)
@@ -313,7 +310,7 @@ class OrganizingAgent:
                 target, [subqueries[i] for i in indices])
 
         executor = self.executor
-        if getattr(self.network, "requires_serial_dispatch", False):
+        if self.network.requires_serial_dispatch:
             # E.g. the simulator's tracing network builds one RPC tree
             # on a plain stack; concurrent dispatch would corrupt it.
             executor = _SERIAL
@@ -324,18 +321,80 @@ class OrganizingAgent:
                 replies[index] = reply
         return replies
 
-    # -- the retry / breaker / degradation loop -------------------------
+    # -- the guarded request ----------------------------------------------
+    def request(self, target, message, expect, gated=True,
+                span="send-request"):
+        """Send *message* to the peer *target* and return its reply.
+
+        The one place this agent puts a request on the wire; subquery
+        dispatch, the subsystems' asks and the migration exchanges all
+        come through here and get the same four things:
+
+        - **the gate**: while the peer's circuit is open the send is
+          refused locally (:class:`CircuitOpenError`, counted under
+          ``circuit_fast_fails``) and nothing touches the wire;
+        - **the span**: a span named *span* around the exchange, its
+          context stamped on the message (no-ops while tracing is off);
+        - **one error shape**: an :class:`ErrorMessage` reply raises
+          :class:`RemoteError` (code / detail / ``retryable`` / site), a
+          reply that is not an *expect* raises :class:`NetError`, and
+          transport errors pass through;
+        - **exactly one breaker outcome** per send the gate let through,
+          whatever is raised on the way.  A reply of the expected kind
+          is a success, whatever the caller then makes of its contents
+          (a declined adoption is a healthy peer saying no).  All else
+          is a failure: a transport error, a structured error (the peer
+          is shedding load or cannot serve this), a wrong reply kind,
+          an exception escaping a loopback handler.
+
+        *gated* is the one distinction between callers.  Asks with
+        somewhere else to go pass the gate: subqueries, partial-
+        aggregate asks and rehydrate asks degrade to a partial answer,
+        the naive path or the next replica.  Migration exchanges
+        (adopt, held and forwarded updates) have no alternative peer --
+        a refusal loses an ownership move or an update -- so they pass
+        ``gated=False``: an open circuit does not refuse them, their
+        outcomes are recorded all the same, and a successful one closes
+        the circuit.
+        """
+        health = self.health
+        if gated and health is not None and not health.allow(target):
+            self.stats["circuit_fast_fails"] += 1
+            raise CircuitOpenError(f"circuit for site {target!r} is open")
+        answered = False
+        try:
+            with TRACER.span(span, site=self.site_id,
+                             tags={"target": target}) as active:
+                attach_context(message, active)
+                reply = self.network.request(self.site_id, target, message)
+                if isinstance(reply, ErrorMessage):
+                    raise RemoteError(reply.code, reply.detail,
+                                      retryable=reply.retryable, site=target)
+                if not isinstance(reply, expect):
+                    raise NetError(
+                        f"site {target!r} replied {type(reply).__name__} "
+                        f"to a {message.kind} request")
+            answered = True
+            return reply
+        finally:
+            if health is not None:
+                if answered:
+                    health.record_success(target)
+                else:
+                    health.record_failure(target)
+
+    # -- the attempt loop ------------------------------------------------
     def _dispatch_with_retry(self, target, subqueries):
         """Ship one same-destination group, surviving what can be survived.
 
-        Per attempt: the peer's circuit breaker gates the send (an open
-        circuit fails fast without touching the wire), transport errors
-        and structured :class:`ErrorMessage` replies count against the
-        attempt budget, and between attempts the anchor's DNS entry is
-        invalidated and re-resolved so retries follow migrated or
-        delegated owners.  On terminal failure, returns one
-        :class:`~repro.core.gather.SubqueryFailure` per subquery (or
-        re-raises the last error when ``partial_answers`` is off).  On
+        Each attempt is one :meth:`request` (gate, error shape and
+        breaker outcome are its business); a refusal, a transport error
+        or a structured error counts against the attempt budget, and
+        between attempts the anchor's DNS entry is invalidated and
+        re-resolved so retries follow migrated or delegated owners.  On
+        terminal failure a subsystem may answer in the owner's place;
+        otherwise this returns one
+        :class:`~repro.core.gather.SubqueryFailure` per subquery.  On
         the success path -- one attempt, closed breaker -- this adds no
         wire messages and no delays.
         """
@@ -343,7 +402,6 @@ class OrganizingAgent:
         deadline = Deadline(policy.deadline)
         backoff_key = (self.site_id, target, subqueries[0].query)
         causes = []
-        last_error = None
         attempts = 0
         while True:
             attempts += 1
@@ -352,39 +410,19 @@ class OrganizingAgent:
                 # completed mid-retry): answer locally.
                 return [self.driver.answer_any(subquery.query)
                         for subquery in subqueries]
-            if self.health is not None and not self.health.allow(target):
-                self.stats["circuit_fast_fails"] += 1
-                last_error = CircuitOpenError(
-                    f"circuit for site {target!r} is open")
-                causes.append(str(last_error))
-            else:
-                retryable = True
-                try:
-                    if len(subqueries) == 1:
-                        replies = [self._ship_single(target, subqueries[0])]
-                    else:
-                        replies = self._ship_batch(target, subqueries)
-                except RemoteError as exc:
-                    last_error = exc
-                    retryable = exc.retryable
-                    causes.append(f"site {target!r}: {exc.code}: "
-                                  f"{exc.detail}")
-                    self.stats["subquery_failures"] += 1
-                    if self.health is not None:
-                        self.health.record_failure(target)
-                except (OSError, NetError) as exc:
-                    last_error = exc
-                    causes.append(
-                        f"site {target!r}: {type(exc).__name__}: {exc}")
-                    self.stats["subquery_failures"] += 1
-                    if self.health is not None:
-                        self.health.record_failure(target)
-                else:
-                    if self.health is not None:
-                        self.health.record_success(target)
-                    return replies
-                if not retryable:
+            try:
+                return self._ship(target, subqueries)
+            except CircuitOpenError as exc:
+                causes.append(str(exc))
+            except RemoteError as exc:
+                causes.append(f"site {target!r}: {exc.code}: {exc.detail}")
+                self.stats["subquery_failures"] += 1
+                if not exc.retryable:
                     break
+            except (OSError, NetError) as exc:
+                causes.append(
+                    f"site {target!r}: {type(exc).__name__}: {exc}")
+                self.stats["subquery_failures"] += 1
             if attempts >= policy.max_attempts or deadline.expired:
                 break
             delay = deadline.clamp(policy.backoff(attempts, backoff_key))
@@ -418,13 +456,7 @@ class OrganizingAgent:
             # the causes.
             replies = answer_for(target, subqueries, attempts, causes)
             if replies is not None:
-                if not self.config.partial_answers and any(
-                        isinstance(reply, SubqueryFailure)
-                        for reply in replies):
-                    raise last_error
                 return replies
-        if not self.config.partial_answers:
-            raise last_error
         return [SubqueryFailure(subquery, attempts, causes)
                 for subquery in subqueries]
 
@@ -435,59 +467,40 @@ class OrganizingAgent:
             return None
         return self._dispatch_with_retry(target, [subquery])[0]
 
-    def _ship_single(self, target, subquery):
-        with TRACER.span("send-subquery", site=self.site_id,
-                         tags={"target": target}) as span:
-            message = QueryMessage(subquery.query, now=self.clock(),
-                                   scalar=subquery.scalar,
-                                   sender=self.site_id)
-            attach_context(message, span)
-            reply = self.network.request(self.site_id, target, message)
-            if isinstance(reply, ErrorMessage):
-                raise RemoteError(reply.code, reply.detail,
-                                  retryable=reply.retryable, site=target)
-            if not isinstance(reply, AnswerMessage):
-                raise NetError(
-                    f"site {target!r} replied {type(reply).__name__} "
-                    "to a subquery"
-                )
-            if subquery.scalar:
-                return reply.scalar
-            return reply.fragment
-
-    def _ship_batch(self, target, subqueries):
-        with TRACER.span("send-batch", site=self.site_id,
-                         tags={"target": target,
-                               "size": len(subqueries)}) as span:
-            message = BatchQueryMessage(
+    def _ship(self, target, subqueries):
+        """One wire exchange for a same-destination group: a ``query``
+        for a single ask, one ``batch-query`` for several; returns the
+        replies (fragment or scalar) in input order."""
+        if len(subqueries) == 1:
+            [subquery] = subqueries
+            reply = self.request(
+                target,
+                QueryMessage(subquery.query, now=self.clock(),
+                             scalar=subquery.scalar, sender=self.site_id),
+                expect=AnswerMessage, span="send-subquery")
+            return [reply.scalar if subquery.scalar else reply.fragment]
+        reply = self.request(
+            target,
+            BatchQueryMessage(
                 [(subquery.query, subquery.scalar)
                  for subquery in subqueries],
-                now=self.clock(), sender=self.site_id)
-            attach_context(message, span)
-            reply = self.network.request(self.site_id, target, message)
-            if isinstance(reply, ErrorMessage):
-                raise RemoteError(reply.code, reply.detail,
-                                  retryable=reply.retryable, site=target)
-            if not isinstance(reply, BatchAnswerMessage):
-                raise NetError(
-                    f"site {target!r} replied {type(reply).__name__} to a "
-                    "batched subquery"
-                )
-            if len(reply) != len(subqueries):
-                raise NetError(
-                    f"site {target!r} answered {len(reply)} of "
-                    f"{len(subqueries)} batched subqueries"
-                )
-            out = []
-            for subquery, answer in zip(subqueries, reply.answers):
-                if isinstance(answer, tuple) and answer and \
-                        answer[0] == "scalar":
-                    out.append(answer[1])
-                elif subquery.scalar:
-                    out.append(None)
-                else:
-                    out.append(answer)
-            return out
+                now=self.clock(), sender=self.site_id),
+            expect=BatchAnswerMessage, span="send-batch")
+        if len(reply) != len(subqueries):
+            raise NetError(
+                f"site {target!r} answered {len(reply)} of "
+                f"{len(subqueries)} batched subqueries"
+            )
+        out = []
+        for subquery, answer in zip(subqueries, reply.answers):
+            if isinstance(answer, tuple) and answer and \
+                    answer[0] == "scalar":
+                out.append(answer[1])
+            elif subquery.scalar:
+                out.append(None)
+            else:
+                out.append(answer)
+        return out
 
     # ------------------------------------------------------------------
     # Serving queries
@@ -626,7 +639,14 @@ class OrganizingAgent:
                 "node is not stored as owned here"
             )
         self.stats["updates_forwarded"] += 1
-        return self.network.request(self.site_id, target, message)
+        try:
+            return self.request(target, message, expect=AckMessage,
+                                gated=False)
+        except RemoteError as exc:
+            # The owner's refusal is the sensor's to act on: relay it.
+            return ErrorMessage(message.message_id, code=exc.code,
+                                detail=exc.detail, retryable=exc.retryable,
+                                sender=exc.site)
 
     # ------------------------------------------------------------------
     # Ownership migration (Section 4)
@@ -675,14 +695,17 @@ class OrganizingAgent:
         committed = False
         try:
             fragment = self._export_region(region)
-            reply, last_error = self._request_patiently(
-                new_owner, AdoptMessage(paths, fragment, sender=self.site_id))
-            if not (isinstance(reply, AckMessage) and reply.ok):
+            try:
+                reply = self._request_patiently(
+                    new_owner,
+                    AdoptMessage(paths, fragment, sender=self.site_id))
+                refusal = None if reply.ok else reply.detail
+            except (NetError, OSError) as exc:
+                refusal = exc
+            if refusal is not None:
                 self._abort_migration(new_owner, paths)
-                detail = (getattr(reply, "detail", reply)
-                          if reply is not None else last_error)
                 raise MigrationError(
-                    f"site {new_owner!r} refused adoption: {detail!r}"
+                    f"site {new_owner!r} refused adoption: {refusal!r}"
                 )
             for path in paths:
                 relinquish_ownership(self.database, path)
@@ -703,24 +726,21 @@ class OrganizingAgent:
     def _request_patiently(self, target, message):
         """One migration exchange, tried up to ``adopt_attempts`` times.
 
-        Returns ``(reply, last_error)``; *reply* is ``None`` when every
-        try hit a transport error or a retryable refusal.
+        Returns the peer's :class:`AckMessage`; the last error is
+        raised once the tries are spent or the peer's refusal says a
+        resend cannot help.
         """
-        reply = None
-        last_error = None
-        for _attempt in range(self.adopt_attempts):
+        tries = 0
+        while True:
+            tries += 1
             try:
-                reply = self.network.request(self.site_id, target, message)
+                return self.request(target, message, expect=AckMessage,
+                                    gated=False)
             except (NetError, OSError) as exc:
-                last_error = exc
-                reply = None
-                continue
-            if isinstance(reply, ErrorMessage) and reply.retryable:
-                last_error = reply
-                reply = None
-                continue
-            break
-        return reply, last_error
+                refused_for_good = (isinstance(exc, RemoteError)
+                                    and not exc.retryable)
+                if refused_for_good or tries >= self.adopt_attempts:
+                    raise
 
     def _begin_migration(self, paths):
         with self._migration_lock:
@@ -752,13 +772,7 @@ class OrganizingAgent:
         covers the double-loss case.
         """
         release = MigrateReleaseMessage(list(paths), sender=self.site_id)
-        try:
-            if hasattr(self.network, "tell"):
-                self.network.tell(self.site_id, new_owner, release)
-            else:
-                self.network.request(self.site_id, new_owner, release)
-        except (NetError, OSError):
-            pass
+        self.network.tell(self.site_id, new_owner, release)
         self.stats["migrations_aborted"] += 1
 
     def _forward_held_updates(self, new_owner, held):
@@ -766,9 +780,12 @@ class OrganizingAgent:
         for path, attributes, values in held:
             message = UpdateMessage(path, attributes=attributes,
                                     values=values, sender=self.site_id)
-            reply, _error = self._request_patiently(new_owner, message)
-            self.stats["held_updates_forwarded" if reply is not None
-                       else "held_updates_lost"] += 1
+            try:
+                self._request_patiently(new_owner, message)
+            except (NetError, OSError):
+                self.stats["held_updates_lost"] += 1
+            else:
+                self.stats["held_updates_forwarded"] += 1
 
     def _evict_migrated(self, paths):
         """Drop the scalar answers computed over a region that moved.

@@ -2,7 +2,8 @@
 
 Wide-area deployments see flaky links, slow sites and stale DNS; the
 paper's gather loop assumes none of that.  This module supplies the
-policy objects the organizing agent's fan-out uses to survive it:
+policy objects the organizing agent's fan-out (the attempt loop) and
+its one guarded ``request`` (the breakers) use to survive it:
 
 :class:`RetryPolicy`
     capped exponential backoff with *deterministic* jitter -- the
@@ -146,6 +147,12 @@ class CircuitBreaker:
     ``allow()`` is the gate: ``False`` means fail fast without touching
     the wire.  In half-open exactly one in-flight probe is allowed at a
     time; its success closes the circuit, its failure re-opens it.
+
+    Whoever is told ``True`` owes the breaker exactly one
+    ``record_success`` / ``record_failure`` -- a probe that is never
+    resolved holds the circuit half-open for good.  That pairing is
+    kept in one place, :meth:`repro.net.oa.OrganizingAgent.request`,
+    which also says what counts as which; nothing else calls these.
     """
 
     def __init__(self, policy=None):

@@ -28,7 +28,7 @@ from repro.net.framing import (  # noqa: F401  (re-exported: the framing
     send_framed,
 )
 from repro.net.messages import ErrorMessage, Message
-from repro.net.transport import TrafficLog
+from repro.net.transport import Transport
 from repro.obs.tracing import TRACER, attach_context
 
 logger = logging.getLogger(__name__)
@@ -47,13 +47,12 @@ class AdmissionGate:
     beyond that -- the caller sheds the request with a retryable
     ``server-overloaded`` error.  :meth:`begin_drain` flips admission
     off permanently (graceful shutdown); :meth:`wait_idle` blocks until
-    every admitted request has been released.  The live depth is pushed
-    into *gauge* (an obs :class:`~repro.obs.registry.Gauge`).
+    every admitted request has been released.  :meth:`snapshot` reports
+    the live depth as ``queue_depth``.
     """
 
-    def __init__(self, max_pending, gauge=None):
+    def __init__(self, max_pending):
         self.max_pending = max_pending
-        self.gauge = gauge
         self._lock = threading.Lock()
         self._pending = 0
         self._draining = False
@@ -65,11 +64,6 @@ class AdmissionGate:
     @property
     def draining(self):
         return self._draining
-
-    @property
-    def pending(self):
-        with self._lock:
-            return self._pending
 
     def admit(self):
         """Take one slot of the bounded inbound queue (False = shed)."""
@@ -85,16 +79,12 @@ class AdmissionGate:
             self.stats["admitted"] += 1
             if self._pending > self.stats["max_queue_depth"]:
                 self.stats["max_queue_depth"] = self._pending
-            if self.gauge is not None:
-                self.gauge.set(self._pending)
             return True
 
     def release(self):
         """Give an admitted request's slot back; returns the new depth."""
         with self._lock:
             self._pending -= 1
-            if self.gauge is not None:
-                self.gauge.set(self._pending)
             if self._pending == 0:
                 self._idle.set()
             return self._pending
@@ -240,8 +230,8 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
     Requests beyond that are answered immediately with a retryable
     ``server-overloaded`` :class:`ErrorMessage` -- shedding load at
     admission instead of letting an unbounded thread pile-up grow the
-    tail latency without bound.  ``queue_depth`` (an obs
-    :class:`~repro.obs.registry.Gauge`) tracks the live queue.
+    tail latency without bound.  ``server_stats()["queue_depth"]`` is
+    the live queue.
 
     Graceful drain: :meth:`begin_drain` stops accepting connections
     and flips admission off; in-flight requests finish and are
@@ -257,8 +247,6 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
     def __init__(self, agent, host="127.0.0.1", port=0, max_pending=64,
                  service_delay=0.0):
         super().__init__((host, port), _AgentRequestHandler)
-        from repro.obs.registry import Gauge
-
         self.agent = agent
         #: Emulated per-request service time (seconds), slept *under*
         #: the agent lock.  In the deployed system every site is its
@@ -275,9 +263,7 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
         self.agent_lock = threading.Lock()
         self._thread = None
         self.max_pending = max_pending
-        site = getattr(agent, "site_id", "site")
-        self.queue_depth = Gauge(f"{site}.queue_depth")
-        self.gate = AdmissionGate(max_pending, self.queue_depth)
+        self.gate = AdmissionGate(max_pending)
         self._connections = set()
         self._connections_lock = threading.Lock()
         self._oversized_frames = 0
@@ -404,7 +390,7 @@ def _socket_is_dead(sock):
     return bool(readable)
 
 
-class TcpNetwork:
+class TcpNetwork(Transport):
     """Message delivery over TCP, given a site -> address map.
 
     Connections are pooled per destination: a request checks an idle
@@ -422,11 +408,10 @@ class TcpNetwork:
 
     def __init__(self, addresses=None, timeout=10.0, count_bytes=True,
                  max_idle_per_site=8):
+        super().__init__(count_bytes=count_bytes)
         self.addresses = dict(addresses or {})
         self.timeout = timeout
         self.max_idle_per_site = max_idle_per_site
-        self.traffic = TrafficLog(count_bytes=count_bytes)
-        self.interceptors = []
         self._idle = {}
         self._lock = threading.Lock()
         self._closed = False

@@ -1,16 +1,19 @@
 """Message transport between sites.
 
+:class:`Transport` is the interface a cluster and its agents are handed.
 :class:`LoopbackNetwork` delivers messages by direct synchronous calls
 -- deterministic and fast, used by the integration tests, the examples
 and (with the cost model layered on top) the simulator.
 :class:`~repro.net.tcpruntime.TcpNetwork` carries the same interface
-over real sockets.
+over real sockets, and :class:`~repro.net.faults.FaultyNetwork` wraps
+either.
 
 All traffic is counted (messages and approximate bytes, per link), so
 experiments can report communication costs.
 """
 
 import threading
+from types import MappingProxyType
 
 from repro.net.errors import NetError, UnknownSite
 
@@ -43,7 +46,51 @@ class TrafficLog:
         }
 
 
-class LoopbackNetwork:
+class Transport:
+    """What every network carrying messages between sites provides.
+
+    ``request(src, dst, message)`` returns the destination's reply or
+    raises ``OSError`` / :class:`NetError`; ``tell`` is its one-way
+    form (a lost send is counted by the transport, never raised);
+    ``traffic`` counts both; ``interceptors`` -- callables
+    ``(src, dst, message)`` -- run before each send and may raise or
+    mutate to simulate loss or delay.  The rest are capabilities only
+    some transports have; the defaults here say what "not applicable"
+    means, so callers ask the network instead of probing it with
+    ``hasattr``.  A wrapper (:class:`~repro.net.faults.FaultyNetwork`)
+    forwards all of it to the transport it wraps instead of deriving
+    from this class, whose defaults would answer for the inner one.
+    """
+
+    #: A gather round's fan-out must go through this network one send
+    #: at a time (the simulator's tracing network grows one RPC tree on
+    #: a plain stack).
+    requires_serial_dispatch = False
+    #: Connection-pool counters; empty when there is no pool.
+    pool_stats = MappingProxyType({})
+
+    def __init__(self, count_bytes=False):
+        self.traffic = TrafficLog(count_bytes=count_bytes)
+        self.interceptors = []
+
+    def register(self, site_id, agent):
+        """Attach *agent* for in-process delivery.  A no-op for a
+        transport that reaches sites by address."""
+
+    def unregister(self, site_id):
+        """Detach a killed site's agent (the same no-op by address)."""
+
+    @property
+    def sites(self):
+        """The sites this transport can deliver to right now; empty
+        when it does not track that."""
+        return ()
+
+    def close(self):
+        """Release pooled resources; nothing to release by default."""
+
+
+class LoopbackNetwork(Transport):
     """Synchronous in-process delivery to registered agents.
 
     Agents implement ``handle_message(message) -> reply | None``.
@@ -58,13 +105,10 @@ class LoopbackNetwork:
     """
 
     def __init__(self, count_bytes=False):
+        super().__init__(count_bytes=count_bytes)
         self._agents = {}
-        self.traffic = TrafficLog(count_bytes=count_bytes)
         self._site_locks = {}
         self._site_locks_guard = threading.Lock()
-        # Hook for failure-injection tests: callables(src, dst, message)
-        # may raise or mutate to simulate loss/corruption.
-        self.interceptors = []
         self.tell_failures = 0
 
     def register(self, site_id, agent):

@@ -6,9 +6,8 @@ The three pillars, each usable on its own:
   ``trace_id``/``span_id`` context, assembled into per-query trees
   that span sites (and convert into the simulator's
   :class:`~repro.sim.trace.TraceNode` shape);
-* :mod:`repro.obs.registry` -- counter/gauge/histogram primitives and
-  a registry that absorbs the pre-existing ad-hoc stats dicts behind
-  one ``snapshot()``;
+* :mod:`repro.obs.registry` -- one nested-dict snapshot per site and
+  per cluster over the stats dicts every layer already keeps;
 * :mod:`repro.obs.explain` -- ``EXPLAIN``/``EXPLAIN ANALYZE`` for
   distributed queries: routing, per-node QEG decisions, and the
   subquery plan.
@@ -19,12 +18,6 @@ the tracing context) cycle-free.
 """
 
 from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    build_cluster_registry,
-    build_site_registry,
     cluster_metrics,
     engine_counters,
     fault_counters,
@@ -58,12 +51,6 @@ __all__ = [
     "disable_tracing",
     "propagate",
     "to_trace_node",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "build_site_registry",
-    "build_cluster_registry",
     "site_metrics",
     "cluster_metrics",
     "engine_counters",

@@ -1,211 +1,33 @@
-"""Unified metrics: counter/gauge/histogram primitives + collectors.
+"""Unified metrics: every stats surface behind one snapshot call.
 
 The repo grew several ad-hoc metric surfaces -- the per-database
 ``stats`` dicts, per-subsystem counters, and the DNS/connection-pool
-stats dicts.  This module puts one registry in front of all of them:
+stats dicts.  This module puts one snapshot in front of all of them:
 
-* **Primitives** (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) for new instrumentation, thread-safe and
-  snapshot-able;
-* **Collectors**: zero-argument callables returning plain dicts, which
-  is exactly what every existing ``stats`` surface already is -- so the
-  legacy dicts keep working untouched and the registry absorbs them at
-  snapshot time;
+* **Sections**: :func:`site_metrics` / :func:`cluster_metrics` (behind
+  ``OrganizingAgent.metrics()`` / ``Cluster.metrics()``) return one
+  nested dict, a section per surface, each section a snapshot of the
+  live dict its owner already keeps -- so legacy readers and the
+  unified snapshot always agree.  A section whose collector raises is
+  reported in-band as ``{"error": ...}`` instead of breaking the whole
+  snapshot.  ``docs/OBSERVABILITY.md`` tabulates the keys;
+  ``tests/test_obs_registry.py::test_metrics_schema`` pins them.
 * **Aggregation helpers**: :func:`sum_numeric` / :func:`sum_per_site`
   (the one "sum the numeric keys, keep per-site snapshots" rule that
-  every subsystem's ``metrics()`` hook feeds), the engine / fault /
-  semantic-cache roll-ups built on it, and :func:`site_metrics` /
-  :func:`cluster_metrics` behind ``OrganizingAgent.metrics()`` /
-  ``Cluster.metrics()``.
+  every subsystem's ``metrics()`` hook feeds) and the engine / fault /
+  semantic-cache roll-ups built on it.
 """
 
-import threading
 
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name):
-        self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self):
-        return self._value
-
-    def snapshot(self):
-        return self._value
-
-    def __repr__(self):
-        return f"Counter({self.name!r}, {self._value})"
-
-
-class Gauge:
-    """A value that goes up and down (pool sizes, open circuits, ...)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name):
-        self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def set(self, value):
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount=1):
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self):
-        return self._value
-
-    def snapshot(self):
-        return self._value
-
-    def __repr__(self):
-        return f"Gauge({self.name!r}, {self._value})"
-
-
-class Histogram:
-    """Summary statistics over observed values (latencies, sizes).
-
-    Keeps count/sum/min/max exactly plus a bounded reservoir of the
-    most recent observations for approximate percentiles -- enough for
-    the paper-style latency reporting without unbounded memory.
-    """
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum",
-                 "_recent", "_limit", "_lock")
-
-    def __init__(self, name, keep_recent=1024):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
-        self._recent = []
-        self._limit = keep_recent
-        self._lock = threading.Lock()
-
-    def observe(self, value):
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-            self._recent.append(value)
-            if len(self._recent) > self._limit:
-                del self._recent[: len(self._recent) - self._limit]
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, fraction):
-        """Approximate percentile over the recent reservoir."""
-        with self._lock:
-            return self._percentile_locked(fraction)
-
-    def snapshot(self):
-        with self._lock:
-            return {
-                "count": self.count,
-                "sum": self.total,
-                "min": self.minimum,
-                "max": self.maximum,
-                "mean": self.total / self.count if self.count else 0.0,
-                "p95": self._percentile_locked(0.95),
-            }
-
-    def _percentile_locked(self, fraction):
-        sample = sorted(self._recent)
-        if not sample:
-            return 0.0
-        index = min(len(sample) - 1, int(fraction * len(sample)))
-        return sample[index]
-
-    def __repr__(self):
-        return f"Histogram({self.name!r}, n={self.count})"
-
-
-class MetricsRegistry:
-    """Named primitives plus pluggable collectors, one snapshot call.
-
-    ``snapshot()`` returns a plain nested dict: every registered
-    primitive under its name, and every collector's dict under the
-    collector's name.  Collector failures are reported in-band (an
-    ``{"error": ...}`` entry) instead of breaking the whole snapshot.
-    """
-
-    def __init__(self, name=""):
-        self.name = name
-        self._lock = threading.Lock()
-        self._metrics = {}
-        self._collectors = {}
-
-    # -- primitives -----------------------------------------------------
-    def _get_or_make(self, name, factory, kind):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory(name)
-                self._metrics[name] = metric
-            elif not isinstance(metric, kind):
-                raise ValueError(
-                    f"metric {name!r} already registered as "
-                    f"{type(metric).__name__}")
-            return metric
-
-    def counter(self, name):
-        return self._get_or_make(name, Counter, Counter)
-
-    def gauge(self, name):
-        return self._get_or_make(name, Gauge, Gauge)
-
-    def histogram(self, name):
-        return self._get_or_make(name, Histogram, Histogram)
-
-    # -- collectors -----------------------------------------------------
-    def register_collector(self, name, collect):
-        """Absorb an existing stats surface: *collect()* -> dict."""
-        with self._lock:
-            self._collectors[name] = collect
-
-    def snapshot(self):
-        with self._lock:
-            metrics = dict(self._metrics)
-            collectors = dict(self._collectors)
-        out = {}
-        for name, metric in sorted(metrics.items()):
-            out[name] = metric.snapshot()
-        for name, collect in sorted(collectors.items()):
-            try:
-                out[name] = collect()
-            except Exception as exc:  # pragma: no cover - defensive
-                out[name] = {"error": f"{type(exc).__name__}: {exc}"}
-        return out
-
-    def __repr__(self):
-        return (f"MetricsRegistry({self.name!r}, "
-                f"metrics={len(self._metrics)}, "
-                f"collectors={len(self._collectors)})")
+def _snapshot(collectors):
+    """``{section: collect()}`` in section-name order."""
+    out = {}
+    for name, collect in sorted(collectors.items()):
+        try:
+            out[name] = collect()
+        except Exception as exc:
+            out[name] = {"error": f"{type(exc).__name__}: {exc}"}
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -300,18 +122,6 @@ def fault_counters(agents):
     return totals
 
 
-def health_snapshots(agents):
-    """Per-site circuit-breaker health, keyed ``site -> peer``.
-
-    The direct :meth:`SiteHealthTracker.health_snapshot` surface for
-    ``cluster.metrics()`` -- unlike the ``faults`` aggregation this is
-    always present (empty dicts for sites that tracked no peer yet),
-    so dashboards can rely on the key existing.
-    """
-    return {site: agent.health_snapshot()
-            for site, agent in sorted(agents.items())}
-
-
 def semcache_counters(agents):
     """Aggregate semantic-cache counters across organizing agents.
 
@@ -342,35 +152,6 @@ def semcache_counters(agents):
     return totals
 
 
-def build_site_registry(agent):
-    """A registry absorbing one organizing agent's metric surfaces.
-
-    Everything the OA already counts keeps its dict shape (the
-    collectors snapshot the live dicts), so legacy readers and the
-    unified snapshot always agree.
-    """
-    registry = MetricsRegistry(name=f"site:{agent.site_id}")
-    registry.register_collector("oa", lambda: dict(agent.stats))
-    registry.register_collector("gather",
-                                lambda: dict(agent.driver.stats))
-    registry.register_collector("database",
-                                lambda: dict(agent.database.stats))
-    registry.register_collector("dns_cache",
-                                lambda: dict(agent.resolver.stats))
-    registry.register_collector("engine", agent.engine_counters)
-    registry.register_collector("semcache", agent.driver.semcache_counters)
-    registry.register_collector("breakers", agent.health_snapshot)
-    # The migration-safety stats (migrations_in/out/aborted, held
-    # updates, eviction counts) already flow through the "oa"
-    # collector; this adds the per-path load attribution figures.
-    registry.register_collector("load", agent.load.counters)
-    # One section per registered subsystem that reports metrics
-    # (continuous queries always; durability, replication, ... when on).
-    for name, collect in subsystem_collectors(agent).items():
-        registry.register_collector(name, collect)
-    return registry
-
-
 def subsystem_collectors(agent):
     """``{name: metrics}`` for *agent*'s subsystems that define the
     ``metrics()`` hook (see :mod:`repro.net.subsystem`)."""
@@ -379,48 +160,6 @@ def subsystem_collectors(agent):
         for name, subsystem in agent.subsystems.items()
         if hasattr(subsystem, "metrics")
     }
-
-
-def build_cluster_registry(cluster):
-    """A registry absorbing a whole cluster's metric surfaces."""
-    registry = MetricsRegistry(name="cluster")
-    registry.register_collector("cluster", lambda: dict(cluster.stats))
-    registry.register_collector("dns_server",
-                                lambda: dict(cluster.dns.stats))
-    # The network may be wrapped (e.g. a FaultyNetwork around the
-    # loopback): only absorb the surfaces the wrapper exposes.
-    traffic = getattr(cluster.network, "traffic", None)
-    if traffic is not None:
-        registry.register_collector("traffic", traffic.summary)
-    pool_stats = getattr(cluster.network, "pool_stats", None)
-    if pool_stats is not None:
-        registry.register_collector("pool", lambda: dict(pool_stats))
-    registry.register_collector(
-        "engine",
-        lambda: engine_counters(
-            {site: a.database for site, a in cluster.agents.items()}),
-    )
-    registry.register_collector(
-        "faults", lambda: fault_counters(cluster.agents))
-    registry.register_collector(
-        "semcache", lambda: semcache_counters(cluster.agents))
-    # One summed section per subsystem any site runs: the generic
-    # per-site sum of its metrics() hook, post-processed by the
-    # subsystem's cluster-level rollup() when it has one.
-    names = {name for agent in cluster.agents.values()
-             for name in subsystem_collectors(agent)}
-    for name in sorted(names):
-        registry.register_collector(
-            name, lambda name=name: _subsystem_section(cluster, name))
-    registry.register_collector(
-        "health", lambda: health_snapshots(cluster.agents))
-
-    def per_site():
-        return {site: site_metrics(agent)
-                for site, agent in sorted(cluster.agents.items())}
-
-    registry.register_collector("sites", per_site)
-    return registry
 
 
 def _subsystem_section(cluster, name):
@@ -435,10 +174,55 @@ def _subsystem_section(cluster, name):
 
 
 def site_metrics(agent):
-    """One OA's unified snapshot (used by ``OrganizingAgent.metrics``)."""
-    return build_site_registry(agent).snapshot()
+    """One OA's unified snapshot (used by ``OrganizingAgent.metrics``).
+
+    The migration-safety stats (migrations in/out/aborted, held
+    updates, eviction counts) are part of ``oa``; ``load`` adds the
+    per-path load attribution figures.  One more section per registered
+    subsystem that reports metrics (continuous queries always;
+    durability, replication, ... when on).
+    """
+    return _snapshot({
+        "oa": lambda: dict(agent.stats),
+        "gather": lambda: dict(agent.driver.stats),
+        "database": lambda: dict(agent.database.stats),
+        "dns_cache": lambda: dict(agent.resolver.stats),
+        "engine": agent.engine_counters,
+        "semcache": agent.driver.semcache_counters,
+        "breakers": agent.health_snapshot,
+        "load": agent.load.counters,
+        **subsystem_collectors(agent),
+    })
 
 
 def cluster_metrics(cluster):
-    """Cluster-wide unified snapshot (used by ``Cluster.metrics``)."""
-    return build_cluster_registry(cluster).snapshot()
+    """Cluster-wide unified snapshot (used by ``Cluster.metrics``).
+
+    Besides the cluster's own sections: one summed section per
+    subsystem any site runs -- the per-site sum of its ``metrics()``
+    hook, post-processed by the subsystem's cluster-level ``rollup()``
+    when it has one -- and every site's own snapshot under ``sites``.
+    """
+    network = cluster.network
+    agents = cluster.agents
+    collectors = {
+        "cluster": lambda: dict(cluster.stats),
+        "dns_server": lambda: dict(cluster.dns.stats),
+        "traffic": network.traffic.summary,
+        "engine": lambda: engine_counters(
+            agent.database for agent in agents.values()),
+        "faults": lambda: fault_counters(agents),
+        "semcache": lambda: semcache_counters(agents),
+        # Unlike ``faults["breakers"]`` every live site is present (an
+        # empty dict before it tracked a peer): dashboards rely on it.
+        "health": lambda: {site: agent.health_snapshot()
+                           for site, agent in sorted(agents.items())},
+        "sites": lambda: {site: site_metrics(agent)
+                          for site, agent in sorted(agents.items())},
+    }
+    if network.pool_stats:
+        collectors["pool"] = lambda: dict(network.pool_stats)
+    for name in {name for agent in agents.values()
+                 for name in subsystem_collectors(agent)}:
+        collectors[name] = lambda name=name: _subsystem_section(cluster, name)
+    return _snapshot(collectors)

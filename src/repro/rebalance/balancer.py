@@ -180,8 +180,8 @@ class LoadBalancer:
     def _live_targets(self):
         """Sites that can adopt right now (killed sites excluded)."""
         live = set(self.cluster.agents)
-        network_sites = getattr(self.cluster.network, "sites", None)
-        if network_sites:
+        network_sites = self.cluster.network.sites
+        if network_sites:  # empty: the transport does not track liveness
             live &= set(network_sites)
         return live
 

@@ -480,32 +480,24 @@ class ReplicationManager:
 
         This site may itself be in the replica set (serve locally, no
         wire traffic); remote peers are asked with one
-        :class:`RehydrateRequest` covering every anchor, gated by the
-        same circuit breakers as ordinary dispatch.
+        :class:`RehydrateRequest` covering every anchor through
+        ``agent.request``, gated; a peer that refuses or fails is
+        skipped for the next in the ring.
         """
         views = []
-        health = self.agent.health
         for peer in peers:
             if peer == self.agent.site_id:
                 fragment, stamps = self.export_for(target, anchors)
                 if fragment is not None:
                     views.append((peer, fragment, stamps))
                 continue
-            if health is not None and not health.allow(peer):
-                continue
             message = RehydrateRequest(target, anchors,
                                        sender=self.agent.site_id)
             try:
-                reply = self.agent.network.request(
-                    self.agent.site_id, peer, message)
+                reply = self.agent.request(peer, message,
+                                           expect=RehydrateAnswer)
             except (OSError, NetError):
-                if health is not None:
-                    health.record_failure(peer)
                 continue
-            if not isinstance(reply, RehydrateAnswer):
-                continue
-            if health is not None:
-                health.record_success(peer)
             if reply.fragment is not None:
                 views.append((peer, reply.fragment, reply.stamps))
         return views

@@ -72,6 +72,8 @@ class ReplicationRing:
                 continue
             message = RehydrateRequest(site, sender=site)
             try:
+                # Straight onto the wire: the site being rebuilt has no
+                # agent yet, so no ``agent.request`` and no breakers.
                 reply = cluster.network.request(site, peer, message)
             except (OSError, NetError):
                 continue

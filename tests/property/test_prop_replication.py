@@ -18,6 +18,8 @@ from repro.replication import RehydrateAnswer, ReplicationConfig, \
 from repro.replication.manager import _ReplicaStore, region_age
 from repro.core.gather import ReplicaServed, SubqueryFailure
 from repro.core.answer import Subquery
+from repro.net import OrganizingAgent
+from repro.net.transport import Transport
 from repro.xmlkit import Element
 
 NOW = 1_000_000.0
@@ -32,7 +34,7 @@ tolerances = st.integers(min_value=1, max_value=400)
 
 # -- stubs ---------------------------------------------------------------
 
-class _StubNetwork:
+class _StubNetwork(Transport):
     """Answers rehydration probes from a canned per-peer table."""
 
     def __init__(self, answers):
@@ -46,6 +48,8 @@ class _StubNetwork:
 
 
 class _StubAgent:
+    request = OrganizingAgent.request  # the real guarded request
+
     def __init__(self, answers, site_id="asker"):
         self.site_id = site_id
         self.clock = lambda: NOW

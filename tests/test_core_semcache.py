@@ -486,7 +486,7 @@ class TestExplainCacheSection:
 # ----------------------------------------------------------------------
 class TestRegistryCounters:
     def test_cluster_registry_aggregates_semcache(self, paper_cluster):
-        from repro.obs.registry import build_cluster_registry
+        from repro.obs.registry import cluster_metrics
 
         paper_cluster.query(FIGURE2_QUERY, at_site="top")
         agent = paper_cluster.agent("top")
@@ -495,8 +495,7 @@ class TestRegistryCounters:
         agent.driver.answer_scalar(
             f"count( {PREFIX}//parkingSpace[ available = 'yes' ] )",
             max_age=60)
-        registry = build_cluster_registry(paper_cluster)
-        snapshot = registry.snapshot()["semcache"]
+        snapshot = cluster_metrics(paper_cluster)["semcache"]
         assert snapshot["hits"] >= 1
         assert snapshot["stores"] >= 1
         assert 0.0 <= snapshot["hit_ratio"] <= 1.0

@@ -76,3 +76,97 @@ def test_the_seam_hosts_do_not_import_the_opt_in_subsystems():
     durable = {found.split(":")[0].removeprefix("repro/")
                for found in offenders(files, ("repro.durability",))}
     assert durable <= DURABILITY_BOOTSTRAP
+
+
+# ----------------------------------------------------------------------
+# Call fences: one guarded request, one place that keeps the breakers
+# ----------------------------------------------------------------------
+#: The only code that may put a request on the wire itself.  Everything
+#: an agent sends goes through ``OrganizingAgent.request``; the rest are
+#: clients (no agent, no breaker), and ``restore_site`` rebuilds a site
+#: that has no agent yet.
+WIRE_CALLERS = {
+    ("net/oa.py", "OrganizingAgent.request"),
+    ("net/cluster.py", "Cluster.query_via_messages"),
+    ("net/sa.py", "SensingAgent.send_update"),
+    ("rebalance/smoke.py", "run"),
+    ("replication/ring.py", "ReplicationRing.restore_site"),
+}
+BREAKER_CALLS = ("health.allow", "health.record_success",
+                 "health.record_failure")
+
+
+def dotted_calls(path):
+    """``(enclosing scope, dotted callee)`` for every call in *path*
+    whose callee is a plain dotted name (``a.b.c(...)``)."""
+    found = []
+
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        return ".".join(reversed(parts + [node.id]))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                callee = dotted(child.func)
+                if callee is not None:
+                    found.append((".".join(scope[:2]), callee))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+def test_agents_reach_the_wire_through_one_guarded_request():
+    wire, breaker = set(), set()
+    for package in LIVE_PACKAGES:
+        root = SRC / "repro" / package
+        for path in sorted(root.rglob("*.py")):
+            name = str(path.relative_to(SRC / "repro"))
+            for scope, callee in dotted_calls(path):
+                if callee == "network.request" or \
+                        callee.endswith(".network.request"):
+                    wire.add((name, scope))
+                if callee.endswith(BREAKER_CALLS):
+                    breaker.add(name)
+    assert wire == WIRE_CALLERS
+    assert breaker == {"net/oa.py"}
+
+
+def test_no_unused_imports_under_src():
+    """What ``ruff check --select F401`` would report (ruff is not
+    installed here): a name an ``import`` binds and nothing reads."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        # A name listed in __all__ is re-exported, which is a use.
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                read |= {element.value for element in ast.walk(node.value)
+                         if isinstance(element, ast.Constant)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            statement = " ".join(lines[node.lineno - 1:node.end_lineno])
+            if "noqa" in statement:
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unused.append(
+                        f"{path.relative_to(SRC)}:{node.lineno}: {bound}")
+    assert unused == []

@@ -1,13 +1,8 @@
-"""Unified metrics registry: primitives, collectors, snapshots."""
-
-import pytest
+"""Unified metrics: sections, roll-ups, and the pinned key schema."""
 
 from repro.net import Cluster, FaultyNetwork, LoopbackNetwork
+from repro.net.tcpruntime import TcpCluster
 from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     cluster_metrics,
     engine_counters,
     fault_counters,
@@ -17,73 +12,28 @@ from repro.obs.registry import (
 )
 
 
-class TestPrimitives:
-    def test_counter(self):
-        counter = Counter("hits")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        assert counter.snapshot() == 5
-
-    def test_gauge(self):
-        gauge = Gauge("depth")
-        gauge.set(7)
-        gauge.inc()
-        gauge.dec(3)
-        assert gauge.value == 5
-
-    def test_histogram_summary(self):
-        histogram = Histogram("latency")
-        for value in (1, 2, 3, 4):
-            histogram.observe(value)
-        snapshot = histogram.snapshot()
-        assert snapshot["count"] == 4
-        assert snapshot["sum"] == 10.0
-        assert snapshot["min"] == 1.0
-        assert snapshot["max"] == 4.0
-        assert snapshot["mean"] == 2.5
-        assert snapshot["p95"] == 4.0
-
-    def test_histogram_reservoir_is_bounded(self):
-        histogram = Histogram("latency", keep_recent=10)
-        for value in range(100):
-            histogram.observe(value)
-        assert histogram.count == 100
-        assert len(histogram._recent) == 10
-        # Percentiles reflect the most recent window.
-        assert histogram.percentile(0.0) == 90.0
-
-
 class TestRegistry:
-    def test_get_or_make_is_idempotent(self):
-        registry = MetricsRegistry("r")
-        assert registry.counter("a") is registry.counter("a")
+    def test_collector_failure_reported_in_band(self, paper_cluster):
+        """One section whose collector raises is reported as an
+        ``{"error": ...}`` entry; every other section still answers."""
 
-    def test_kind_clash_raises(self):
-        registry = MetricsRegistry("r")
-        registry.counter("a")
-        with pytest.raises(ValueError):
-            registry.gauge("a")
+        class Broken:
+            name = "broken"
 
-    def test_snapshot_includes_primitives_and_collectors(self):
-        registry = MetricsRegistry("r")
-        registry.counter("hits").inc(3)
-        registry.register_collector("legacy", lambda: {"x": 1})
-        snapshot = registry.snapshot()
-        assert snapshot["hits"] == 3
-        assert snapshot["legacy"] == {"x": 1}
+            def metrics(self):
+                raise RuntimeError("nope")
 
-    def test_collector_failure_reported_in_band(self):
-        registry = MetricsRegistry("r")
-
-        def broken():
-            raise RuntimeError("nope")
-
-        registry.register_collector("broken", broken)
-        registry.register_collector("fine", lambda: {"ok": True})
-        snapshot = registry.snapshot()
+        agent = paper_cluster.agents["top"]
+        agent._register(Broken())
+        snapshot = site_metrics(agent)
         assert "RuntimeError" in snapshot["broken"]["error"]
-        assert snapshot["fine"] == {"ok": True}
+        assert snapshot["oa"] == agent.stats
+        # The cluster roll-up of that subsystem fails the same way, and
+        # alone.
+        rolled = cluster_metrics(paper_cluster)
+        assert "RuntimeError" in rolled["broken"]["error"]
+        assert "RuntimeError" in rolled["sites"]["top"]["broken"]["error"]
+        assert rolled["cluster"] == paper_cluster.stats
 
 
 class TestAggregations:
@@ -147,3 +97,92 @@ class TestAggregations:
             paper_cluster.agents.keys()
         agent = paper_cluster.agents["oak"]
         assert agent.metrics()["database"] == agent.database.stats
+
+
+# ----------------------------------------------------------------------
+# The metrics schema (docs/OBSERVABILITY.md section 2 tabulates it)
+# ----------------------------------------------------------------------
+OA_KEYS = [
+    "batches_sent", "circuit_fast_fails", "dns_refreshes",
+    "held_updates_forwarded", "held_updates_lost",
+    "migration_cache_evictions", "migrations_aborted", "migrations_in",
+    "migrations_out", "migrations_released", "retries", "subqueries_sent",
+    "subqueries_served", "subquery_failures", "updates_applied",
+    "updates_forwarded", "user_queries",
+]
+CONTINUOUS_KEYS = ["callback_errors", "evaluations", "notifications"]
+SITES = ["etna", "oak", "shady", "top"]
+
+#: ``agent.metrics()``: section -> sorted keys.
+SITE_SCHEMA = {
+    "breakers": [],  # one entry per peer a request was ever sent to
+    "continuous": CONTINUOUS_KEYS,
+    "database": ["evictions", "fragments_merged", "index_hits",
+                 "index_misses", "index_rebuilds", "nodes_refreshed",
+                 "nodes_upgraded", "updates_applied"],
+    "dns_cache": ["evictions", "hits", "invalidations", "misses"],
+    "engine": ["index_hits", "index_misses", "index_rebuilds",
+               "serialization"],
+    "gather": ["bucket_generalized", "bucket_rechecks", "failed_subqueries",
+               "local_hits", "max_fanout", "partial_gathers",
+               "prewarm_queries", "queries", "replica_served", "rounds",
+               "stale_served", "subqueries_sent"],
+    "load": ["anchors", "queries", "unattributed"],
+    "oa": OA_KEYS,
+    "semcache": ["aggregate", "bucket_generalized", "bucket_rechecks",
+                 "canonicalizer", "enabled", "prewarm_queries"],
+}
+
+#: ``cluster.metrics()`` on loopback: section -> sorted keys.
+CLUSTER_SCHEMA = {
+    "cluster": ["client_queries", "lca_cache_hits", "site_kills",
+                "site_restarts"],
+    "continuous": CONTINUOUS_KEYS + ["sites"],
+    "dns_server": ["invalidations", "lookups", "registrations", "remaps",
+                   "updates"],
+    "engine": ["index_hit_ratio", "index_hits", "index_misses",
+               "index_rebuilds", "serialization_rebuilt",
+               "serialization_reuse_ratio", "serialization_reused"],
+    "faults": ["breakers", "circuit_fast_fails", "dns_refreshes",
+               "failed_subqueries", "partial_gathers", "retries",
+               "stale_served", "subquery_failures"],
+    "health": SITES,
+    "semcache": ["bucket_coalesced_hits", "bucket_generalized",
+                 "bucket_rechecks", "bytes", "canonicalizer",
+                 "compile_keys", "entries", "evictions", "hit_ratio",
+                 "hits", "misses", "prewarm_queries", "stale_rejects",
+                 "stores"],
+    "sites": SITES,
+    "traffic": ["bytes", "links", "messages"],
+}
+
+#: What ``TcpCluster.metrics()`` adds to the cluster sections.
+TCP_SCHEMA = dict(
+    CLUSTER_SCHEMA,
+    pool=["connects", "discarded", "reuses", "send_failures",
+          "stale_evictions"],
+    servers=SITES,
+)
+SERVER_KEYS = ["admitted", "drain_rejections", "draining", "max_pending",
+               "max_queue_depth", "overload_rejections", "oversized_frames",
+               "queue_depth"]
+
+
+def _schema(snapshot):
+    return {section: sorted(value) for section, value in snapshot.items()}
+
+
+def test_metrics_schema(paper_cluster, paper_doc, paper_plan):
+    """Every section and key the three ``metrics()`` surfaces returned
+    before the registry classes were removed is still returned (the
+    tables were generated at that commit)."""
+    assert _schema(paper_cluster.agents["top"].metrics()) == SITE_SCHEMA
+    snapshot = paper_cluster.metrics()
+    assert _schema(snapshot) == CLUSTER_SCHEMA
+    for site in SITES:
+        assert _schema(snapshot["sites"][site]) == SITE_SCHEMA
+    with TcpCluster(paper_doc, paper_plan) as tcp:
+        snapshot = tcp.metrics()
+    assert _schema(snapshot) == TCP_SCHEMA
+    for site in SITES:
+        assert sorted(snapshot["servers"][site]) == SERVER_KEYS

@@ -49,8 +49,7 @@ def rebalance_cluster(rebalance=None, replication=None, count_bytes=False,
                       oa_config=None):
     return Cluster(
         parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
-        oa_config=oa_config or OAConfig(retry_policy=fast_retries(),
-                                        partial_answers=True),
+        oa_config=oa_config or OAConfig(retry_policy=fast_retries()),
         count_bytes=count_bytes,
         subsystems=[config for config in (rebalance, replication)
                     if config is not None],

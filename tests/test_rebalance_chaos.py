@@ -38,8 +38,7 @@ def chaos_cluster():
     network = FaultyNetwork(LoopbackNetwork(), seed=0)
     cluster = Cluster(
         parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
-        oa_config=OAConfig(retry_policy=fast_retries(),
-                           partial_answers=True),
+        oa_config=OAConfig(retry_policy=fast_retries()),
         network=network,
         subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5,
                                     adopt_attempts=3)],
@@ -161,8 +160,7 @@ class TestUpdatesInFlight:
     def test_mid_migration_update_reaches_new_owner(self):
         cluster = Cluster(
             parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
-            oa_config=OAConfig(retry_policy=fast_retries(),
-                               partial_answers=True),
+            oa_config=OAConfig(retry_policy=fast_retries()),
             subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5)],
         )
         skewed_load(cluster)

@@ -20,7 +20,6 @@ from repro.net import (
     Cluster,
     FaultyNetwork,
     LoopbackNetwork,
-    NetError,
     OAConfig,
 )
 from repro.core.errors import QueryRoutingError
@@ -53,8 +52,7 @@ def replicated_cluster(k=2, network=None, clock=None, oa_config=None,
                        durability=None, count_bytes=False):
     return Cluster(
         parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
-        oa_config=oa_config or OAConfig(retry_policy=fast_retries(),
-                                        partial_answers=True),
+        oa_config=oa_config or OAConfig(retry_policy=fast_retries()),
         network=network, clock=clock, count_bytes=count_bytes,
         durability=durability,
         subsystems=[ReplicationConfig(k=k)],
@@ -221,16 +219,19 @@ class TestDoubleFailureTerminates:
         assert outcome.unreachable_paths
 
     def test_strict_mode_raises_when_no_fresh_replica(self):
+        """There is no strict mode any more: with the owner and its
+        replica dead the report carries both refusals, in order."""
         network = FaultyNetwork(LoopbackNetwork(), seed=0)
-        cluster = replicated_cluster(
-            k=1, network=network,
-            oa_config=OAConfig(retry_policy=fast_retries(),
-                               partial_answers=False))
+        cluster = replicated_cluster(k=1, network=network)
         cluster.bind_lifecycle(network)
         network.kill_agent("oak")
         network.kill_agent("shady")
-        with pytest.raises((OSError, NetError)):
-            cluster.query(OAK_BLOCK, at_site="top")
+        _, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
+        [miss] = outcome.completeness_report()["unreachable"]
+        assert tuple(tuple(entry) for entry in miss["id_path"]) == OAKLAND
+        assert "SiteDown" in miss["causes"][0]
+        assert miss["causes"][-1] == \
+            "no replica of site 'oak' holds the region"
 
 
 class TestWireParity:
@@ -351,7 +352,6 @@ class TestTcpReplication:
         return TcpCluster(
             parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
             oa_config=OAConfig(retry_policy=fast_retries(),
-                               partial_answers=True,
                                breaker=BreakerPolicy(failure_threshold=3,
                                                      reset_timeout=0.05)),
             subsystems=[ReplicationConfig(k=2)])
