@@ -18,6 +18,7 @@ from repro.core.idable import (
     format_id_path,
     id_path_of,
     id_stub,
+    idable_child_map,
     idable_children,
     iter_idable_with_paths,
     lowest_idable_ancestor_or_self,
@@ -389,26 +390,22 @@ class SensorDatabase:
                 self.stats["nodes_refreshed"] += 1
 
         # Recurse into matched IDable children; graft unmatched ones.
-        index = {node_id(c): c for c in idable_children(target)}
+        keyed = idable_child_map(target)
         for child in idable_children(incoming):
             key = node_id(child)
-            existing = index.get(key)
+            child_path = path + (key,)
+            existing = keyed.get(key)
             if existing is None:
-                grafted = self._graft_stub(target, child, path)
-                self._merge_node(grafted, child, path + (key,), handed_over)
-            else:
-                self._merge_node(existing, child, path + (key,), handed_over)
+                existing = self._graft_stub(target, child, child_path,
+                                            unique=key not in keyed)
+            self._merge_node(existing, child, child_path, handed_over)
 
-    def _graft_stub(self, target, incoming_child, parent_path):
+    def _graft_stub(self, target, incoming_child, path, unique):
         stub = id_stub(incoming_child)
         set_status(stub, Status.INCOMPLETE)
         target.append(stub)
-        key = node_id(stub)
-        if key[1] is not None and sum(
-            1 for sibling in target.element_children(stub.tag)
-            if sibling.attrib.get("id") == key[1]
-        ) == 1:
-            self._index[parent_path + (key,)] = stub
+        if unique:
+            self._index[path] = stub
         else:
             # The graft collided with same-id siblings (possible only
             # in degenerate trees): IDability around it changed in ways

@@ -54,12 +54,28 @@ def _locally_idable(element):
     parent = element.parent
     if parent is None:
         return True
-    count = sum(
-        1
-        for sibling in parent.element_children(element.tag)
-        if sibling.attrib.get("id") == identifier
-    )
-    return count == 1
+    tag = element.tag
+    for sibling in parent.children:
+        if sibling is not element and isinstance(sibling, Element) \
+                and sibling.tag == tag \
+                and sibling.attrib.get("id") == identifier:
+            return False
+    return True
+
+
+def idable_child_map(element):
+    """``(tag, id) -> child`` over the id-bearing children of *element*,
+    in document order, from one pass.  A key two siblings share maps to
+    ``None``: neither is IDable, nor would a node grafted under it be.
+    """
+    keyed = {}
+    for child in element.children:
+        if isinstance(child, Element):
+            identifier = child.attrib.get("id")
+            if identifier is not None:
+                key = (child.tag, identifier)
+                keyed[key] = None if key in keyed else child
+    return keyed
 
 
 def idable_children(element):
@@ -68,13 +84,8 @@ def idable_children(element):
     A child is IDable here when it carries an ``id`` unique among its
     same-tag siblings.
     """
-    seen = {}
-    for child in element.element_children():
-        identifier = child.attrib.get("id")
-        if identifier is None:
-            continue
-        seen.setdefault((child.tag, identifier), []).append(child)
-    return [members[0] for members in seen.values() if len(members) == 1]
+    return [child for child in idable_child_map(element).values()
+            if child is not None]
 
 
 def non_idable_children(element):

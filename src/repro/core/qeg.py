@@ -50,7 +50,6 @@ from repro.core.consistency import strip_consistency_predicates
 from repro.core.errors import UnsupportedDistributedQueryError
 from repro.core.semcache import canonicalize_expression
 from repro.core.idable import (
-    _locally_idable,
     id_path_of,
     idable_children,
     lowest_idable_ancestor_or_self,
@@ -68,6 +67,7 @@ from repro.xpath.analysis import (
     REF_ID,
     classify_predicate,
     iter_conjuncts,
+    pinned_ids,
     split_predicates,
 )
 from repro.xpath.ast import (
@@ -141,7 +141,7 @@ class PatternItem:
     """One named child step of the query's main path."""
 
     __slots__ = ("step", "descendant", "plain_predicates", "nested_predicates",
-                 "split", "residual_predicates")
+                 "split", "pinned_ids", "residual_predicates")
 
     def __init__(self, step, descendant, is_idable_tag):
         self.step = step
@@ -154,6 +154,9 @@ class PatternItem:
             if not _predicate_is_nested(p, is_idable_tag)
         ]
         self.split = split_predicates(self.plain_predicates)
+        #: Where P_id is decided first: the ids a node must carry to
+        #: pass ``split.id_predicates`` (``None``: they pin nothing).
+        self.pinned_ids = pinned_ids(self.split.id_predicates)
         # Predicates to re-attach when the step turns into a subquery:
         # everything except pure id pins (the id is pinned by the path).
         residual = []
@@ -396,6 +399,9 @@ class _Walker:
         #: emitted subquery and every IDable-node match verdict.
         self.observer = observer
         self._seen_subqueries = set()
+        #: ``id(parent) -> {id(child)}`` of its IDable children, one pass
+        #: per parent (the site lock holds the fragment still meanwhile).
+        self._idable_kids = {}
         self.stats = {
             "nodes_visited": 0,
             "results_local": 0,
@@ -412,6 +418,17 @@ class _Walker:
             self.stats["asks"] += 1
         if self.observer is not None:
             self.observer.note_ask(subquery)
+
+    def _locally_idable(self, node):
+        """:func:`repro.core.idable._locally_idable` off the per-parent set."""
+        parent = node.parent
+        if parent is None:
+            return not isinstance(node, Text) and node.id is not None
+        kids = self._idable_kids.get(id(parent))
+        if kids is None:
+            kids = self._idable_kids[id(parent)] = set(
+                map(id, idable_children(parent)))
+        return id(node) in kids
 
     def evaluate(self, predicates, node):
         try:
@@ -476,18 +493,16 @@ class _Walker:
         if isinstance(element, Text):
             return
 
-        status = get_status(element) if _locally_idable(element) else None
+        status = get_status(element) if self._locally_idable(element) else None
         if status is Status.ID_COMPLETE:
             states = self._filter_states_for_id_complete(element, states)
             if not states:
                 return
 
+        threads = [(j, self.items[j]) for j in sorted(states)]
         for child in element.children:
             child_states = set()
-            for j in sorted(states):
-                if j >= n_items:
-                    continue
-                item = self.items[j]
+            for j, item in threads:
                 if item.descendant:
                     self._handle_descendant_scan(child, j, child_states)
                 if item.test_matches(child):
@@ -516,7 +531,7 @@ class _Walker:
         superset (Section 2's numberOfFreeSpots example).  Aggressive
         generalization always ships local information.
         """
-        if isinstance(child, Text) or not _locally_idable(child):
+        if isinstance(child, Text) or not self._locally_idable(child):
             return
         status = get_status(child)
         predicates_touch_content = (
@@ -538,7 +553,7 @@ class _Walker:
         """
         if isinstance(child, Text):
             return
-        if _locally_idable(child) and \
+        if self._locally_idable(child) and \
                 get_status(child) is Status.INCOMPLETE:
             anchor_path = id_path_of(child)
             self.ask(Subquery(
@@ -589,10 +604,16 @@ class _Walker:
     # ------------------------------------------------------------------
     def _match_item(self, node, j):
         """Decide whether *node* satisfies item *j*, notifying the
-        EXPLAIN observer (if any) of the verdict on IDable nodes."""
-        outcome = self._match_item_inner(node, j)
-        if self.observer is not None and not isinstance(node, Text) \
-                and _locally_idable(node):
+        EXPLAIN observer (if any) of the verdict on IDable nodes.  P_id
+        goes first (Section 3.5): a set test prunes a node the item's
+        pins exclude before anything is evaluated, probed or asked."""
+        pinned = self.items[j].pinned_ids
+        if pinned is not None and (isinstance(node, Text)
+                                   or node.attrib.get("id") not in pinned):
+            outcome = _NO
+        else:
+            outcome = self._match_item_inner(node, j)
+        if self.observer is not None and self._locally_idable(node):
             self.observer.note_decision(node, get_status(node), outcome, j)
         return outcome
 
@@ -604,6 +625,9 @@ class _Walker:
                 _MATCH if self.evaluate(item.step.predicates, node) else _NO
             )
 
+        split = item.split
+        if not self.evaluate(split.id_predicates, node):
+            return _NO  # P_id first, also for what the pins cannot express
         in_fetch_mode = (
             self.nesting_strategy == FETCH_SUBTREE
             and self.pattern.collect_index is not None
@@ -614,15 +638,13 @@ class _Walker:
                 return _ASK  # probes emitted; retried next round
             if not verdict:
                 return _NO
-        split = item.split
         is_result_item = (j + 1) == len(self.items)
 
-        if not _locally_idable(node):
+        if not self._locally_idable(node):
             # Non-IDable content: physically present, so everything is
             # evaluable; consistency follows the enclosing IDable node.
             effective = self.db.effective_status(node)
-            checks = split.id_predicates + split.rest_predicates
-            if not self.evaluate(checks, node):
+            if not self.evaluate(split.rest_predicates, node):
                 return _NO
             if effective is Status.COMPLETE and split.consistency_predicates \
                     and not self.evaluate(split.consistency_predicates, node):
@@ -632,15 +654,14 @@ class _Walker:
         status = get_status(node)
 
         if status is Status.OWNED:
-            checks = split.id_predicates + split.rest_predicates
-            return _MATCH if self.evaluate(checks, node) else _NO
+            return _MATCH if self.evaluate(split.rest_predicates, node) \
+                else _NO
+
+        if not split.separable:
+            return self._ask_residual(node, item, j, Subquery.UNSEPARABLE)
 
         if status is Status.COMPLETE:
-            if not split.separable:
-                return self._ask_residual(node, item, j,
-                                          Subquery.UNSEPARABLE)
-            if not self.evaluate(split.id_predicates + split.rest_predicates,
-                                 node):
+            if not self.evaluate(split.rest_predicates, node):
                 return _NO
             if split.consistency_predicates and \
                     not self.evaluate(split.consistency_predicates, node):
@@ -648,20 +669,12 @@ class _Walker:
             return _MATCH
 
         if status is Status.ID_COMPLETE:
-            if not split.separable:
-                return self._ask_residual(node, item, j, Subquery.UNSEPARABLE)
-            if not self.evaluate(split.id_predicates, node):
-                return _NO
             if split.rest_predicates or split.consistency_predicates or \
                     is_result_item:
                 return self._ask_residual(node, item, j, Subquery.ID_COMPLETE)
             return _MATCH
 
         # status INCOMPLETE: only the ID is known.
-        if not split.separable:
-            return self._ask_residual(node, item, j, Subquery.UNSEPARABLE)
-        if not self.evaluate(split.id_predicates, node):
-            return _NO
         return self._ask_residual(node, item, j, Subquery.INCOMPLETE)
 
     def _ask_residual(self, node, item, j, reason):
@@ -739,7 +752,7 @@ class _Walker:
         fail, and ``"pending"`` after emitting probes whose answers are
         not yet available.
         """
-        if not _locally_idable(node):
+        if not self._locally_idable(node):
             return self.evaluate(item.nested_predicates, node)
         if subtree_materialized(node):
             return self.evaluate(item.nested_predicates, node)

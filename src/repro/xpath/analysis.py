@@ -40,6 +40,29 @@ _CONSISTENCY_FUNCTIONS = {"timestamp", "current-time"}
 # ----------------------------------------------------------------------
 # ID-path extraction
 # ----------------------------------------------------------------------
+def pinned_ids(predicates, exact=False):
+    """The ``@id`` values *predicates* pin an element to, or ``None``.
+
+    *predicates* are conjoined, as a step's are.  A conjunct of their
+    ``and`` chains pins when it is ``@id = 'literal'`` (either order)
+    or an ``or`` of nothing but such tests; the result intersects what
+    the pinning conjuncts allow.  Any other conjunct (``!=``, ``not()``,
+    a number, a mixed ``or``, a nested path) is skipped, so an id in
+    the result is a *necessary* condition for passing -- or, with
+    ``exact=True``, turns the answer into ``None``, so that a set
+    returned then is the predicates' whole meaning.
+    """
+    pinned = None
+    for predicate in predicates:
+        for conjunct in iter_conjuncts(predicate):
+            ids = _id_disjunction_values(conjunct)
+            if ids is not None:
+                pinned = ids if pinned is None else pinned & ids
+            elif exact:
+                return None
+    return pinned
+
+
 def single_id_value(step):
     """The unique ``@id`` value this step pins, or ``None``.
 
@@ -47,19 +70,9 @@ def single_id_value(step):
     with an id disjunction (``[@id='a' or @id='b']``) or with no id
     predicate pins none.
     """
-    values = set()
-    for predicate in step.predicates:
-        value = _id_equality_value(predicate)
-        if value is not None:
-            values.add(value)
-        else:
-            # An AND chain may still contain an id conjunct.
-            for conjunct in iter_conjuncts(predicate):
-                value = _id_equality_value(conjunct)
-                if value is not None:
-                    values.add(value)
-    if len(values) == 1:
-        return values.pop()
+    pinned = pinned_ids(step.predicates)
+    if pinned is not None and len(pinned) == 1:
+        return next(iter(pinned))
     return None
 
 
@@ -84,15 +97,21 @@ def _is_id_attribute_path(expression):
     )
 
 
-def _id_equality_value(expression):
-    """If *expression* is ``@id = 'literal'`` (either order), the literal."""
-    if not isinstance(expression, BinaryOperation) or expression.operator != "=":
+def _id_disjunction_values(expression):
+    """The literals of ``@id = 'literal'`` (either order) or of an
+    ``or`` chain of such tests, as a frozenset; ``None`` otherwise."""
+    if not isinstance(expression, BinaryOperation):
         return None
     left, right = expression.left, expression.right
-    if _is_id_attribute_path(left) and isinstance(right, Literal):
-        return right.value
-    if _is_id_attribute_path(right) and isinstance(left, Literal):
-        return left.value
+    if expression.operator == "or":
+        left = _id_disjunction_values(left)
+        right = None if left is None else _id_disjunction_values(right)
+        return None if right is None else left | right
+    if expression.operator == "=":
+        if _is_id_attribute_path(left) and isinstance(right, Literal):
+            return frozenset((right.value,))
+        if _is_id_attribute_path(right) and isinstance(left, Literal):
+            return frozenset((left.value,))
     return None
 
 

@@ -7,6 +7,7 @@ identity.
 """
 
 from repro.xmlkit.nodes import Document, Element, Text
+from repro.xpath.analysis import pinned_ids
 from repro.xpath.ast import (
     BinaryOperation,
     FilterExpression,
@@ -230,10 +231,18 @@ class Evaluator:
         selected = _apply_node_test(step.axis, step.node_test, gathered)
         selected = _dedup(selected)
         for predicate in step.predicates:
-            selected = [
-                node for node in selected
-                if to_boolean(self._eval(predicate, context.at(node)))
-            ]
+            ids = pinned_ids((predicate,), exact=True)
+            if ids is not None:
+                # XPath's string ``=`` on the id attribute node, without
+                # a context and an evaluation per candidate.
+                selected = [node for node in selected
+                            if isinstance(node, Element)
+                            and node.attrib.get("id") in ids]
+            else:
+                selected = [
+                    node for node in selected
+                    if to_boolean(self._eval(predicate, context.at(node)))
+                ]
         return selected
 
     def _step_candidates(self, step, node, context):

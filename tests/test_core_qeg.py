@@ -364,6 +364,20 @@ class TestNestingStrategies:
         assert second.is_complete
         assert _no_data(second)
 
+    def test_probe_strategy_probes_only_pinned_siblings(self, dbs,
+                                                        paper_schema):
+        # P_id is decided before anything is probed (Section 3.5): the
+        # sibling the id pin excludes costs no WAN message.
+        query = (PREFIX + "/neighborhood[@id='Oakland']"
+                 "[./block/parkingSpace/available='yes']/block")
+        pattern = compile_pattern(query, paper_schema)
+        result = run_qeg(dbs["top"], pattern,
+                         nesting_strategy=BOOLEAN_PROBE)
+        probes = [s.query for s in result.subqueries if s.scalar]
+        assert len(probes) == 1
+        assert "neighborhood[@id = 'Oakland']" in probes[0]
+        assert not any("Shadyside" in s.query for s in result.subqueries)
+
 
 class TestSubsumption:
     def test_all_children_cached_answers_wildcard(self, dbs, paper_doc,
