@@ -82,7 +82,6 @@ from repro.core.status import (
     get_timestamp,
     set_status,
     set_timestamp,
-    strip_internal_attributes,
 )
 from repro.core.subquery import (
     render_boolean_probe,
@@ -129,7 +128,6 @@ __all__ = [
     "set_status",
     "get_timestamp",
     "set_timestamp",
-    "strip_internal_attributes",
     "structural_violations",
     "violations_against_reference",
     "ownership_violations",

@@ -90,21 +90,21 @@ class Subquery:
 
 
 class AnswerBuilder:
-    """Builds a wire-format fragment from a site database.
+    """Builds a wire-format fragment from a site database, in two steps.
 
-    The builder lazily materializes the root path of every included
-    node with local ID information (satisfying C2) and marks statuses
-    from the receiver's point of view.
+    The ``include_*`` calls (during the QEG walk) check the sender's
+    statuses and report subtree gaps, but only *record* what the answer
+    includes; :meth:`build` materializes the record, lazily creating the
+    root path of every included node with local ID information (C2) and
+    marking statuses from the receiver's point of view.
 
-    Building costs O(nodes included): the builder remembers which
+    Both steps cost O(nodes included): the record remembers which
     database elements already have their ID information -- hence that
     of their whole ancestor chain -- in the answer, so including it
     again is a set lookup that skips the status check the first
-    inclusion passed.  That is sound because the database is not
-    mutated while an answer is built: a builder lives inside one pass
-    over the site database, and passes and merges at a site are
-    serialized by the site's lock (``agent_lock`` on the TCP runtime,
-    the per-site lock on loopback).
+    inclusion passed.  That is sound only while the database holds
+    still from the first inclusion to the build, which :meth:`build`
+    checks against the root's subtree version stamp.
     """
 
     def __init__(self, database):
@@ -112,10 +112,13 @@ class AnswerBuilder:
         self.root = None
         self._mapping = {}  # id(db element) -> answer element
         self._id_included = set()  # id(db element) with ID information in
+        self._plan = []  # (local information?, db element), in order
+        self._built = 0  # plan entries materialized so far
+        self._stamp = None  # (db root, its version) at the first inclusion
 
     @property
     def is_empty(self):
-        return self.root is None
+        return not self._plan
 
     # ------------------------------------------------------------------
     def _ensure(self, element):
@@ -154,10 +157,6 @@ class AnswerBuilder:
             current = found
         return current
 
-    def _upgrade_status(self, answer_element, status):
-        if get_status(answer_element).rank < status.rank:
-            set_status(answer_element, status)
-
     def _add_child_stubs(self, target, children):
         """Append an ID stub to *target* for each of *children* without one."""
         mapping = self._mapping
@@ -168,6 +167,13 @@ class AnswerBuilder:
                 target.append(stub)
                 mapping[id(child)] = stub
 
+    def _record(self, local, element):
+        if self._stamp is None:
+            top = element.root()
+            self._stamp = (top, top.subtree_version)
+        self._plan.append((local, element))
+        self._id_included.add(id(element))
+
     # ------------------------------------------------------------------
     def include_id_information(self, element):
         """Include the local ID information of *element* (pass-through node).
@@ -176,9 +182,8 @@ class AnswerBuilder:
         information (guaranteed by I2 for any node it stores data
         below).
         """
-        key = id(element)
-        if key in self._id_included:
-            return self._mapping[key]
+        if id(element) in self._id_included:
+            return
         status = get_status(element)
         if not status.has_id_information:
             raise CoreError(
@@ -186,11 +191,7 @@ class AnswerBuilder:
                 f"sender only has status {status.value}"
             )
         self.include_ancestors(element)
-        target = self._ensure(element)
-        self._upgrade_status(target, Status.ID_COMPLETE)
-        self._add_child_stubs(target, idable_children(element))
-        self._id_included.add(key)
-        return target
+        self._record(False, element)
 
     def include_ancestors(self, element):
         """Include local ID information of every proper ancestor (C2).
@@ -213,27 +214,7 @@ class AnswerBuilder:
                 f"sender only has status {status.value}"
             )
         self.include_ancestors(element)
-        target = self._ensure(element)
-        # Attributes (system status replaced by the receiver-view one).
-        for name, value in element.attrib.items():
-            if name != "status":
-                target.set(name, value)
-        set_status(target, Status.COMPLETE)
-        stamp = get_timestamp(element)
-        if stamp is not None:
-            set_timestamp(target, stamp)
-        # Non-IDable content, replacing whatever scaffolding was there.
-        for child in non_idable_children(target):
-            target.remove(child)
-        # One idable_children() pass serves the content and the stubs.
-        idable = idable_children(element)
-        skip = {id(child) for child in idable}
-        for child in element.children:
-            if id(child) not in skip:
-                target.append(child.copy())
-        self._add_child_stubs(target, idable)
-        self._id_included.add(id(element))
-        return target
+        self._record(True, element)
 
     def include_subtree(self, element, on_missing=None):
         """Include local information of *element* and all its descendants.
@@ -260,7 +241,42 @@ class AnswerBuilder:
 
     # ------------------------------------------------------------------
     def build(self):
-        """The finished fragment (or ``None`` when nothing was included)."""
+        """The fragment included so far (``None`` when nothing was);
+        incremental, so a build between inclusions is fine."""
+        if self._stamp is not None:
+            top, version = self._stamp
+            if top.subtree_version != version:
+                raise CoreError(
+                    "the site database changed after the answer's first "
+                    "inclusion; build it in the pass that included it")
+        plan = self._plan
+        for index in range(self._built, len(plan)):
+            local, element = plan[index]
+            target = self._ensure(element)
+            if not local:
+                if get_status(target).rank < Status.ID_COMPLETE.rank:
+                    set_status(target, Status.ID_COMPLETE)
+                self._add_child_stubs(target, idable_children(element))
+                continue
+            # Attributes (system status replaced by the receiver-view one).
+            for name, value in element.attrib.items():
+                if name != "status":
+                    target.set(name, value)
+            set_status(target, Status.COMPLETE)
+            stamp = get_timestamp(element)
+            if stamp is not None:
+                set_timestamp(target, stamp)
+            # Non-IDable content, replacing whatever scaffolding was there.
+            for child in non_idable_children(target):
+                target.remove(child)
+            # One idable_children() pass serves the content and the stubs.
+            idable = idable_children(element)
+            skip = {id(child) for child in idable}
+            for child in element.children:
+                if id(child) not in skip:
+                    target.append(child.copy())
+            self._add_child_stubs(target, idable)
+        self._built = len(plan)
         return self.root
 
 

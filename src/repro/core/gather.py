@@ -46,7 +46,7 @@ from repro.core.semcache import (
     canonicalization_stats,
     canonicalize,
 )
-from repro.core.status import get_status, strip_internal_attributes
+from repro.core.status import clean_copy, get_status
 from repro.obs.tracing import TRACER, propagate
 from repro.xmlkit.nodes import Element, Text
 from repro.xpath.analysis import anchor_id_path
@@ -161,10 +161,10 @@ class GatherOutcome:
     :meth:`completeness_report` spells out for machine consumption.
     """
 
-    def __init__(self, pattern, wire_answer, rounds, subqueries_sent,
+    def __init__(self, pattern, result, rounds, subqueries_sent,
                  view, failures=(), replica_served=()):
         self.pattern = pattern
-        self.wire_answer = wire_answer
+        self._result = result  # the last round's QEGResult
         self.rounds = rounds
         self.subqueries_sent = subqueries_sent
         self.view = view  # the database the answer was extracted from
@@ -174,6 +174,12 @@ class GatherOutcome:
         #: represented -- the answer stays *complete* -- but the report
         #: names the replica and the copy's age.
         self.replica_served = list(replica_served)
+
+    @property
+    def wire_answer(self):
+        """The generalized fragment a replying site ships (built on
+        first read; a user query's site never reads it)."""
+        return self._result.answer
 
     @property
     def used_remote_data(self):
@@ -485,7 +491,7 @@ class GatherDriver:
                 self.stats["bucket_generalized"] += bucket_generalized
                 self.stats["bucket_rechecks"] += bucket_rechecks
                 self.stats["replica_served"] += len(replica_served)
-            return GatherOutcome(pattern, result.answer, rounds, sent, view,
+            return GatherOutcome(pattern, result, rounds, sent, view,
                                  failures=failures,
                                  replica_served=replica_served)
 
@@ -587,7 +593,7 @@ class GatherDriver:
                 continue  # an ID stub, not real data
             if anchor is match and not subtree_materialized(match):
                 continue  # partially gathered artifact
-            results.append(strip_internal_attributes(match.copy()))
+            results.append(clean_copy(match))
         return results, outcome
 
     @staticmethod

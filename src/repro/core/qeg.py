@@ -7,8 +7,8 @@ Given an XPATH query and a site's document fragment, QEG determines
 
 in a single pass over the fragment, driven entirely by the per-node
 ``status`` tags.  The output is a generalized, cacheable answer
-fragment (see :mod:`repro.core.answer`) plus a list of
-:class:`~repro.core.answer.Subquery` records describing exactly which
+fragment (recorded by the walk, built when read: :mod:`repro.core.answer`)
+plus :class:`~repro.core.answer.Subquery` records naming exactly which
 remote IDable nodes must be contacted -- the paper's ``asksubquery``
 placeholders.
 
@@ -43,6 +43,8 @@ Nesting depth > 0 (Section 4) is handled by either of two strategies:
     fire ``boolean(...)`` probes that evaluate nested predicates
     remotely, avoiding the bulk fetch.
 """
+
+import functools
 
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.lru import LRUCache
@@ -358,12 +360,20 @@ def compile_pattern(query, schema=None, rewrite_sugar=True, use_cache=True):
 
 
 class QEGResult:
-    """Output of one QEG pass over a site database."""
+    """Output of one QEG pass over a site database.
 
-    def __init__(self, answer, subqueries, stats):
-        self.answer = answer
+    The walk only records what the answer fragment includes; ``answer``
+    builds it on first read, which only a site that ships it does.
+    """
+
+    def __init__(self, builder, subqueries, stats):
+        self._builder = builder
         self.subqueries = subqueries
         self.stats = stats
+
+    @functools.cached_property
+    def answer(self):
+        return self._builder.build()
 
     @property
     def is_complete(self):
@@ -372,7 +382,7 @@ class QEGResult:
 
     def __repr__(self):
         return (
-            f"QEGResult(answer={'yes' if self.answer is not None else 'no'}, "
+            f"QEGResult(answer={'no' if self._builder.is_empty else 'yes'}, "
             f"subqueries={len(self.subqueries)})"
         )
 
@@ -463,7 +473,7 @@ class _Walker:
         return self._finish()
 
     def _finish(self):
-        return QEGResult(self.builder.build(), self.subqueries, self.stats)
+        return QEGResult(self.builder, self.subqueries, self.stats)
 
     # ------------------------------------------------------------------
     def _process(self, element, states):

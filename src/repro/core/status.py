@@ -22,6 +22,7 @@ ancestor.
 import enum
 
 from repro.core.errors import CoreError
+from repro.xmlkit.nodes import Element, Text
 
 STATUS_ATTRIBUTE = "status"
 TIMESTAMP_ATTRIBUTE = "timestamp"
@@ -30,6 +31,22 @@ TIMESTAMP_ATTRIBUTE = "timestamp"
 #: Timestamps are deliberately *not* internal: queries may predicate on
 #: them (query-based consistency).
 INTERNAL_ATTRIBUTES = frozenset({STATUS_ATTRIBUTE})
+
+
+def clean_copy(node):
+    """A detached copy of *node*'s subtree without internal attributes.
+
+    What a user gets back: it carries no serialization memo and no
+    origin link, so nothing done to it reaches the site database.
+    """
+    if isinstance(node, Text):
+        return Text(node.value)
+    clone = Element(node.tag, {name: value
+                               for name, value in node.attrib.items()
+                               if name not in INTERNAL_ATTRIBUTES})
+    for child in node.children:
+        clone.append(clean_copy(child))
+    return clone
 
 
 #: Information ordering: owned > complete > id-complete > incomplete.
@@ -97,15 +114,3 @@ def get_timestamp(element):
 def set_timestamp(element, when):
     """Record the data timestamp on *element*."""
     element.set(TIMESTAMP_ATTRIBUTE, repr(float(when)))
-
-
-def strip_internal_attributes(element):
-    """Remove system-managed attributes from *element*'s subtree, in place.
-
-    Returns *element* for chaining.  Used when handing answers back to
-    the user so that bookkeeping never leaks.
-    """
-    for node in element.iter():
-        for name in INTERNAL_ATTRIBUTES:
-            node.delete_attribute(name)
-    return element

@@ -159,7 +159,9 @@ class CostModel:
         # query-dependent slots; approximated by a re-walk of the items.
         fast = _best_time(lambda: [item.unparse() for item in pattern.items],
                           repetitions)
-        execute = _best_time(lambda: run_qeg(db, pattern), repetitions)
+        # A serving site's pass: the walk plus building its reply.
+        execute = _best_time(lambda: run_qeg(db, pattern).answer,
+                             repetitions)
 
         model = cls()
         if scale_to_paper and naive > 0:

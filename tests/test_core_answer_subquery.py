@@ -158,7 +158,9 @@ def _chain_with_fan_out(depth=8, held_from=3):
 class TestAnswerCostIsLinear:
     """Counts, not times: one inclusion at depth d cost 2^d calls in
     the seed builder (``include_id_information`` and
-    ``include_ancestors`` recursed into each other with no memory)."""
+    ``include_ancestors`` recursed into each other with no memory).
+    The ``idable_children`` counts cover the walk that records the
+    inclusions *and* the ``build()`` that materializes them."""
 
     @pytest.fixture
     def idable_calls(self, monkeypatch):
@@ -181,8 +183,9 @@ class TestAnswerCostIsLinear:
         builder = _CountingBuilder(None)
         missing = []
         builder.include_subtree(held, on_missing=missing.append)
+        fragment = builder.build()
         calls = len(idable_calls)
-        included = [node for node in iter_idable(builder.build())
+        included = [node for node in iter_idable(fragment)
                     if get_status(node) is not Status.INCOMPLETE]
         # 3 ancestors + 6 chain nodes + 6 held leaves + 6 far leaves.
         assert len(included) == 21
@@ -195,9 +198,12 @@ class TestAnswerCostIsLinear:
         _root, _held, deepest = _chain_with_fan_out()
         builder = _CountingBuilder(None)
         builder.include_ancestors(deepest)
+        builder.build()
         assert len(builder.id_bodies) == 8  # c0..c7, once each
+        assert len(idable_calls) == 8  # one materialization each
         before = len(idable_calls), builder.id_calls
         builder.include_ancestors(deepest)
+        builder.build()
         assert len(idable_calls) == before[0]
         assert builder.id_calls == before[1] + 1
         assert max(builder.id_bodies.values()) == 1

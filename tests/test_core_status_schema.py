@@ -10,9 +10,8 @@ from repro.core import (
     get_timestamp,
     set_status,
     set_timestamp,
-    strip_internal_attributes,
 )
-from repro.core.status import parse_status
+from repro.core.status import clean_copy, parse_status
 from repro.xmlkit import Element, parse_fragment
 
 
@@ -62,13 +61,16 @@ class TestStatus:
         assert get_timestamp(element) == 12.5
 
     def test_strip_internal(self):
-        root = parse_fragment(
-            "<a status='owned' timestamp='1'><b status='complete'/></a>")
-        strip_internal_attributes(root)
+        source = parse_fragment(
+            "<a status='owned' timestamp='1'><b status='complete'/>x</a>")
+        root = clean_copy(source)
         assert root.get("status") is None
         assert root.child("b").get("status") is None
         # Timestamps are queryable data, not internal bookkeeping.
         assert root.get("timestamp") == "1"
+        assert root.text == "x"
+        # A copy: the source keeps its bookkeeping.
+        assert source.child("b").get("status") == "complete"
 
 
 class TestSchema:

@@ -67,6 +67,28 @@ class TestCostModel:
         assert model.codegen_fast < model.codegen_naive
         assert model.execute_base > 0
 
+    def test_calibrated_execution_builds_the_reply(self, monkeypatch):
+        """``execute_base`` times a serving site: the walk *and* the
+        fragment it ships, which the walk alone no longer builds."""
+        from repro.core.answer import AnswerBuilder
+
+        builds = []
+        original = AnswerBuilder.build
+
+        def counting(builder):
+            builds.append(builder)
+            return original(builder)
+
+        from repro.service import type1_query
+
+        monkeypatch.setattr(AnswerBuilder, "build", counting)
+        config = ParkingConfig.tiny()
+        CostModel.calibrated(
+            document=build_parking_document(config),
+            query=type1_query(config, "Pittsburgh", "Oakland", "1"),
+            repetitions=1)
+        assert builds
+
 
 class TestTracing:
     def test_trace_tree_mirrors_rpc_tree(self, paper_cluster):
