@@ -13,8 +13,9 @@ smallest superset of the answer that satisfies the cache invariants
 Such a fragment is rooted at the global document root and can be merged
 into any site database while preserving invariants I1/I2 -- this is
 what makes the paper's aggressive, partial-match caching sound.  The
-receiving site re-extracts the user-visible answer by evaluating the
-original query over the merged data.
+receiving site merges it and walks the query again: that walk's
+matches, once it asks for nothing more, are the user-visible answer.
+Only a site that ships a fragment builds one.
 
 Statuses are rewritten for the receiver: the sender's ``owned`` and
 ``complete`` nodes arrive as ``complete``, ID-only nodes as
@@ -28,7 +29,6 @@ travels alongside the fragment as :class:`Subquery` records.
 
 from repro.core.errors import CoreError
 from repro.core.idable import (
-    id_path_of,
     id_stub,
     idable_children,
     node_id,
@@ -279,11 +279,3 @@ class AnswerBuilder:
         self._built = len(plan)
         return self.root
 
-
-def subquery_for_subtree(element):
-    """The subquery fetching everything below *element* (by its ID path)."""
-    from repro.core.subquery import render_id_path_query
-
-    path = id_path_of(element)
-    return Subquery(render_id_path_query(path), path,
-                    Subquery.MISSING_SUBTREE, subtree=True)

@@ -127,7 +127,7 @@ def rewrite_consistency_sugar(expression):
 
 
 # ----------------------------------------------------------------------
-# Stripping (for final answer extraction)
+# Stripping (for a fetched subtree and for answer oracles)
 # ----------------------------------------------------------------------
 def _without_consistency(predicates):
     kept = []
@@ -148,11 +148,10 @@ def _without_consistency(predicates):
 def strip_consistency_predicates(expression):
     """Remove consistency predicates from every step of *expression*.
 
-    Used when re-extracting the final answer from gathered data: the
-    gather phase already enforced freshness by routing around stale
-    caches, and owner-fetched data must not be re-filtered (the owner's
-    copy is returned even when older than the tolerance, so that "users
-    get an answer").
+    Used below a fetch-subtree collect point, where the fetch settled
+    freshness and owner-fetched data must not be re-filtered (the
+    owner's copy is returned even when older than the tolerance, so
+    that "users get an answer"), and by oracles comparing answers.
     """
 
     def visit(node):

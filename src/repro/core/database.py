@@ -211,10 +211,6 @@ class SensorDatabase:
             return element
         return find_by_id_path(self.root, id_path, required=required)
 
-    def status_of(self, element):
-        """The status recorded on an IDable element."""
-        return get_status(element)
-
     def effective_status(self, element):
         """The status governing *element*: its own, or its IDable ancestor's.
 

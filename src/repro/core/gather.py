@@ -14,10 +14,12 @@ For nesting depth 0 the loop converges in one round against owners
 whose own answers are complete; deeper rounds occur for nesting
 depth > 0 (fetch-then-evaluate) and for probe strategies.
 
-The final user-visible answer is re-extracted from the gathered data by
-evaluating the original query (minus consistency predicates -- freshness
-was enforced during gathering) and keeping matches whose subtrees are
-materialized.
+The last round's walk is the answer: its gap-free final-step matches,
+copied clean, are the user's result.  Freshness is the walk's alone: the
+driver passes it the *vouched* elements -- data this gather merged from
+a reply to an exact ask, or served under ``stale_on_error`` -- and any
+other copy too old for its bound is asked for again; an answered ask is
+not repeated, so a copy the owner's reply left out matches nothing.
 """
 
 import threading
@@ -25,12 +27,7 @@ import threading
 from repro.core.database import SensorDatabase
 from repro.core.errors import CoreError
 from repro.core.executors import resolve_executor
-from repro.core.idable import (
-    id_path_of,
-    id_paths_overlap,
-    lowest_idable_ancestor_or_self,
-    subtree_materialized,
-)
+from repro.core.idable import iter_idable, iter_idable_with_paths
 from repro.core.answer import Subquery
 from repro.core.consistency import rewrite_consistency_sugar
 from repro.core.qeg import (
@@ -48,7 +45,6 @@ from repro.core.semcache import (
 )
 from repro.core.status import clean_copy, get_status
 from repro.obs.tracing import TRACER, propagate
-from repro.xmlkit.nodes import Element, Text
 from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath
 from repro.xpath.evaluator import Evaluator
@@ -161,13 +157,12 @@ class GatherOutcome:
     :meth:`completeness_report` spells out for machine consumption.
     """
 
-    def __init__(self, pattern, result, rounds, subqueries_sent,
-                 view, failures=(), replica_served=()):
-        self.pattern = pattern
+    def __init__(self, result, rounds, subqueries_sent, view, failures=(),
+                 replica_served=()):
         self._result = result  # the last round's QEGResult
         self.rounds = rounds
         self.subqueries_sent = subqueries_sent
-        self.view = view  # the database the answer was extracted from
+        self.view = view  # the database the last round walked
         self.failures = list(failures)
         #: One :class:`ReplicaServed` per subquery answered by a
         #: replica instead of its (dead) owner.  The regions are fully
@@ -180,6 +175,11 @@ class GatherOutcome:
         """The generalized fragment a replying site ships (built on
         first read; a user query's site never reads it)."""
         return self._result.answer
+
+    @property
+    def matches(self):
+        """The last round's gap-free final-step matches (in the view)."""
+        return self._result.matches
 
     @property
     def used_remote_data(self):
@@ -232,7 +232,7 @@ def _is_path_prefix(shorter, longer):
 
 
 def _subsumed_by(pending, answered, pattern):
-    """Whether *pending*'s data was already covered by an answered ask.
+    """The answered ask that already covered *pending*'s data, or ``None``.
 
     An answered subquery's generalized reply is authoritative for the
     whole region its query selects; a later, narrower ask along the
@@ -247,7 +247,7 @@ def _subsumed_by(pending, answered, pattern):
         if not _is_path_prefix(earlier.anchor_path, pending.anchor_path):
             continue
         if earlier.subtree:
-            return True
+            return earlier
         if pending.subtree or pending.scalar:
             continue
         if earlier.descendant_gap or pending.descendant_gap:
@@ -260,8 +260,19 @@ def _subsumed_by(pending, answered, pattern):
         between = pattern.items[earlier.consumed:pending.consumed]
         if any(item.descendant for item in between):
             continue
-        return True
-    return False
+        return earlier
+    return None
+
+
+def _merge(view, fragment, vouched, handed_over=False):
+    """Merge a reply into *view*, adding to a *vouched* set every node
+    whose local information it carried (a node it only names is not).
+    The merge leaves the reply's IDable skeleton and statuses behind."""
+    view.store_fragment(fragment, handed_over=handed_over)
+    if vouched is not None:
+        vouched.update(view.find(path) for path, node
+                       in iter_idable_with_paths(fragment)
+                       if get_status(node).has_local_information)
 
 
 class GatherDriver:
@@ -354,6 +365,9 @@ class GatherDriver:
                 nesting_strategy = self.nesting_strategy
             view = self._view()
             probe_results = {}
+            # Elements, not id()s: one evicted mid-gather keeps its
+            # place here, so no other node can take its number.
+            vouched = set()
             answered = []
             answered_keys = set()
             # Freshness-bucketed dispatch bookkeeping: keys whose wire
@@ -375,7 +389,8 @@ class GatherDriver:
                     result = run_qeg(view, pattern, now=now,
                                      probe_results=probe_results,
                                      nesting_strategy=nesting_strategy,
-                                     generalization=self.generalization)
+                                     generalization=self.generalization,
+                                     vouched=vouched)
                 # A subquery whose answer was already merged is resolved
                 # -- and so is any narrower ask it subsumes: the
                 # remote's generalized answer is authoritative for
@@ -384,22 +399,24 @@ class GatherDriver:
                 # predicate remotely) simply does not match.
                 pending = []
                 for sq in result.subqueries:
-                    key = (sq.query, sq.scalar)
-                    if key in answered_keys:
-                        if key in bucketed_keys and \
-                                key not in escalated_keys:
-                            # The bucket-loosened answer was merged but
-                            # this subquery re-emerged: the data fails
-                            # its original (tighter) bound.  Re-ask
-                            # exactly, once -- the subsumption guarantee
-                            # for bucketed wire asks.
-                            escalated_keys.add(key)
-                            bucket_rechecks += 1
+                    if (sq.query, sq.scalar) in answered_keys:
+                        covering = sq
+                    else:
+                        covering = _subsumed_by(sq, answered, pattern)
+                        if covering is None:
                             pending.append(sq)
-                        continue
-                    if _subsumed_by(sq, answered, pattern):
-                        continue
-                    pending.append(sq)
+                            continue
+                        if sq.reason != Subquery.STALE:
+                            continue
+                    # The ask re-emerged, or a stale copy sits under it,
+                    # after a bucket-loosened answer, which vouches for
+                    # nothing: re-ask it exactly, once -- the
+                    # subsumption guarantee for bucketed wire asks.
+                    key = (covering.query, covering.scalar)
+                    if key in bucketed_keys and key not in escalated_keys:
+                        escalated_keys.add(key)
+                        bucket_rechecks += 1
+                        pending.append(covering)
                 if not pending:
                     break
                 max_fanout = max(max_fanout, len(pending))
@@ -425,10 +442,14 @@ class GatherDriver:
                     replies = self._dispatch_round(wire_round)
                 with TRACER.span("merge", site=site) as merge_span:
                     merge_span.set_tag("round", rounds)
-                    for subquery, reply in zip(pending, replies):
+                    for subquery, wire, reply in zip(pending, wire_round,
+                                                     replies):
                         sent.append(subquery)
                         key = (subquery.query, subquery.scalar)
                         answered_keys.add(key)
+                        # Only an exact ask's reply vouches for the
+                        # freshness of what it carries.
+                        vouch = vouched if wire is subquery else None
                         if isinstance(reply, ReplicaServed):
                             # A replica answered for the dead owner; the
                             # replication layer already checked its
@@ -444,7 +465,7 @@ class GatherDriver:
                             if subquery.scalar:
                                 probe_results[subquery.query] = None
                             elif reply.fragment is not None:
-                                view.store_fragment(reply.fragment)
+                                _merge(view, reply.fragment, vouch)
                             continue
                         if isinstance(reply, SubqueryFailure):
                             # Terminal failure: record it, never re-ask
@@ -455,7 +476,8 @@ class GatherDriver:
                             # subsume narrower asks.  A dead region is
                             # also never escalation-worthy.
                             bucketed_keys.discard(key)
-                            self._note_failure(reply, subquery, view)
+                            self._note_failure(reply, subquery, view,
+                                               vouched)
                             failures.append(reply)
                             if subquery.scalar:
                                 probe_results[subquery.query] = None
@@ -467,7 +489,7 @@ class GatherDriver:
                             # An owner reply is this gather's alone
                             # (built for the ask, or decoded off the
                             # wire), so the merge may take its nodes.
-                            view.store_fragment(reply, handed_over=True)
+                            _merge(view, reply, vouch, handed_over=True)
             else:
                 raise GatherError(
                     f"gathering {pattern.source!r} did not converge within "
@@ -491,18 +513,19 @@ class GatherDriver:
                 self.stats["bucket_generalized"] += bucket_generalized
                 self.stats["bucket_rechecks"] += bucket_rechecks
                 self.stats["replica_served"] += len(replica_served)
-            return GatherOutcome(pattern, result, rounds, sent, view,
+            return GatherOutcome(result, rounds, sent, view,
                                  failures=failures,
                                  replica_served=replica_served)
 
-    def _note_failure(self, failure, subquery, view):
+    def _note_failure(self, failure, subquery, view, vouched):
         """Classify a terminal failure: stale-servable or unreachable.
 
         The freshness relaxation only applies to STALE-reason asks --
         the cached copy of the region is fully materialized, merely
         older than the query's consistency bound -- and only when the
-        driver opted into ``stale_on_error``.  Everything else stays
-        unreachable and is excised from the final answer.
+        driver opted into ``stale_on_error``; the region is then vouched
+        for, so the walk serves it.  Everything else stays unreachable:
+        the walk keeps asking for it, and so never matches it.
         """
         if not self.stale_on_error or subquery.reason != Subquery.STALE:
             return
@@ -510,6 +533,7 @@ class GatherDriver:
         if anchor is not None and \
                 get_status(anchor).has_local_information:
             failure.stale_served = True
+            vouched.update(iter_idable(anchor))
 
     def bucketed_wire_query(self, subquery):
         """The bucket-loosened spelling *subquery* is first dispatched
@@ -561,55 +585,15 @@ class GatherDriver:
 
     # ------------------------------------------------------------------
     def answer_user_query(self, query, now=None):
-        """Answer a user query: gather, then extract clean result subtrees.
+        """Answer a user query: ``(results, outcome)``.
 
-        Returns ``(results, outcome)`` where *results* is a list of
-        detached, system-attribute-free elements (the XPath answer).
-        Matches anchored in a region a subquery failed terminally for
-        are excised: the extraction pass strips consistency predicates
-        (freshness was enforced while gathering), so without the filter
-        a stale cached copy whose refresh failed would silently pass as
-        fresh -- the opposite of the paper's query-based consistency.
+        *results* are clean copies (no ``status``) of the last QEG
+        round's gap-free final-step matches -- the XPath answer.  A
+        region whose fetch failed is asked for to the end and so
+        matches nothing, unless ``stale_on_error`` served it.
         """
         outcome = self.gather(query, now=now)
-        if now is None:
-            now = self.database.clock()
-        matches = _EVALUATOR.evaluate(outcome.pattern.extraction_ast,
-                                      outcome.view.root, now=now)
-        unreachable = outcome.unreachable_paths
-        results = []
-        for match in matches if isinstance(matches, list) else []:
-            if isinstance(match, Text):
-                if self._in_unreachable_region(match.parent, unreachable):
-                    continue
-                results.append(Text(match.value))
-                continue
-            if not isinstance(match, Element):
-                continue
-            if self._in_unreachable_region(match, unreachable):
-                continue
-            anchor = lowest_idable_ancestor_or_self(match)
-            if not get_status(anchor).has_local_information:
-                continue  # an ID stub, not real data
-            if anchor is match and not subtree_materialized(match):
-                continue  # partially gathered artifact
-            results.append(clean_copy(match))
-        return results, outcome
-
-    @staticmethod
-    def _in_unreachable_region(element, unreachable):
-        """Whether *element* overlaps a region whose fetch failed.
-
-        Both directions matter: a failed ask *above* the match means
-        the match's data may be stale/partial, and a failed ask *below*
-        it means part of the match's subtree is; either way the match
-        cannot be vouched for.
-        """
-        if not unreachable or element is None:
-            return False
-        anchor_path = id_path_of(lowest_idable_ancestor_or_self(element))
-        return any(id_paths_overlap(failed, anchor_path)
-                   for failed in unreachable)
+        return [clean_copy(match) for match in outcome.matches], outcome
 
     def answer_subquery(self, query, now=None):
         """Answer a subquery from a peer site: the generalized wire fragment."""

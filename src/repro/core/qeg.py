@@ -6,11 +6,11 @@ Given an XPATH query and a site's document fragment, QEG determines
 2. how to gather the missing parts,
 
 in a single pass over the fragment, driven entirely by the per-node
-``status`` tags.  The output is a generalized, cacheable answer
-fragment (recorded by the walk, built when read: :mod:`repro.core.answer`)
-plus :class:`~repro.core.answer.Subquery` records naming exactly which
-remote IDable nodes must be contacted -- the paper's ``asksubquery``
-placeholders.
+``status`` tags.  The output is the matches (the user's result once
+nothing is asked), a generalized, cacheable answer fragment (recorded,
+built when read: :mod:`repro.core.answer`) and the
+:class:`~repro.core.answer.Subquery` records -- the paper's
+``asksubquery`` placeholders.
 
 The walker treats the query's main path as a pattern of child steps
 with optional ``//`` gaps and simulates it NFA-style: each stored node
@@ -31,8 +31,8 @@ Per-node behaviour matches the four status cases of Section 3.5:
     everything is evaluated locally; consistency predicates are ignored
     because the owner is freshest;
 ``complete``
-    like owned, but consistency predicates are honoured and a stale
-    copy turns into a subquery to the owner.
+    like owned, but freshness comes first: a copy failing its bound,
+    unless this gather vouched for it, is asked for again.
 
 Nesting depth > 0 (Section 4) is handled by either of two strategies:
 
@@ -54,6 +54,7 @@ from repro.core.semcache import canonicalize_expression
 from repro.core.idable import (
     id_path_of,
     idable_children,
+    iter_idable,
     lowest_idable_ancestor_or_self,
     subtree_materialized,
 )
@@ -203,12 +204,10 @@ class PatternItem:
 class CompiledPattern:
     """A query compiled for distributed (QEG) evaluation."""
 
-    def __init__(self, source, ast, items, extraction_ast, collect_index,
-                 is_idable_tag):
+    def __init__(self, source, ast, items, collect_index, is_idable_tag):
         self.source = source
         self.ast = ast
         self.items = items
-        self.extraction_ast = extraction_ast
         self.collect_index = collect_index
         self.is_idable_tag = is_idable_tag
 
@@ -344,9 +343,8 @@ def compile_pattern(query, schema=None, rewrite_sugar=True, use_cache=True):
             if collect_index is None or target < collect_index:
                 collect_index = target
 
-    extraction_ast = strip_consistency_predicates(ast)
-    pattern = CompiledPattern(source, ast, items, extraction_ast,
-                              collect_index, is_idable_tag)
+    pattern = CompiledPattern(source, ast, items, collect_index,
+                              is_idable_tag)
     if cache is not None:
         cache.put(cache_key, pattern)
         if rewrite_sugar:
@@ -364,12 +362,15 @@ class QEGResult:
 
     The walk only records what the answer fragment includes; ``answer``
     builds it on first read, which only a site that ships it does.
+    ``matches``, the gap-free final-step matches in document order, are
+    the user's result on a round that asks for nothing.
     """
 
-    def __init__(self, builder, subqueries, stats):
+    def __init__(self, builder, subqueries, stats, matches):
         self._builder = builder
         self.subqueries = subqueries
         self.stats = stats
+        self.matches = matches
 
     @functools.cached_property
     def answer(self):
@@ -395,16 +396,19 @@ _ASK = "ask"
 
 class _Walker:
     def __init__(self, db, pattern, now, probe_results, nesting_strategy,
-                 generalization=GENERALIZE_ANSWER, observer=None):
+                 generalization=GENERALIZE_ANSWER, observer=None,
+                 vouched=()):
         self.db = db
         self.pattern = pattern
         self.items = pattern.items
         self.now = now
         self.probe_results = probe_results or {}
+        self.vouched = vouched
         self.nesting_strategy = nesting_strategy
         self.aggressive = generalization == GENERALIZE_AGGRESSIVE
         self.builder = AnswerBuilder(db)
         self.subqueries = []
+        self.matches = []
         #: Optional decision observer (EXPLAIN): notified of every
         #: emitted subquery and every IDable-node match verdict.
         self.observer = observer
@@ -412,6 +416,7 @@ class _Walker:
         #: ``id(parent) -> {id(child)}`` of its IDable children, one pass
         #: per parent (the site lock holds the fragment still meanwhile).
         self._idable_kids = {}
+        self._owners = {}  # id(element) -> whether it or a descendant is owned
         self.stats = {
             "nodes_visited": 0,
             "results_local": 0,
@@ -473,7 +478,8 @@ class _Walker:
         return self._finish()
 
     def _finish(self):
-        return QEGResult(self.builder, self.subqueries, self.stats)
+        return QEGResult(self.builder, self.subqueries, self.stats,
+                         self.matches)
 
     # ------------------------------------------------------------------
     def _process(self, element, states):
@@ -535,8 +541,8 @@ class _Walker:
         Section 3.3.
 
         When the item carried non-id predicates, the node's full local
-        information travels instead -- the receiver re-derives the final
-        answer by re-evaluating the query, so every attribute and value
+        information travels instead -- the receiver's next walk decides
+        the item again at the merged node, so every attribute and value
         field a predicate touched is part of the smallest correct
         superset (Section 2's numberOfFreeSpots example).  Aggressive
         generalization always ships local information.
@@ -565,16 +571,7 @@ class _Walker:
             return
         if self._locally_idable(child) and \
                 get_status(child) is Status.INCOMPLETE:
-            anchor_path = id_path_of(child)
-            self.ask(Subquery(
-                render_residual_query(anchor_path, [], self.items[j:],
-                                      descendant_gap=True,
-                                      aggressive=self.aggressive),
-                anchor_path,
-                Subquery.INCOMPLETE,
-                consumed=j,
-                descendant_gap=True,
-            ))
+            self._ask_below(child, j, Subquery.INCOMPLETE, gap=True)
             return
         child_states.add(j)
 
@@ -599,14 +596,7 @@ class _Walker:
                         self.pattern.is_idable_tag(test.name):
                     needs_content = False
             if needs_content:
-                anchor_path = id_path_of(element)
-                self.ask(Subquery(
-                    render_residual_query(anchor_path, [], self.items[j:],
-                                          aggressive=self.aggressive),
-                    anchor_path,
-                    Subquery.ID_COMPLETE,
-                    consumed=j,
-                ))
+                self._ask_below(element, j, Subquery.ID_COMPLETE)
             else:
                 keep.add(j)
         return keep
@@ -653,13 +643,12 @@ class _Walker:
         if not self._locally_idable(node):
             # Non-IDable content: physically present, so everything is
             # evaluable; consistency follows the enclosing IDable node.
-            effective = self.db.effective_status(node)
-            if not self.evaluate(split.rest_predicates, node):
-                return _NO
-            if effective is Status.COMPLETE and split.consistency_predicates \
-                    and not self.evaluate(split.consistency_predicates, node):
-                return self._ask_stale_non_idable(node, j)
-            return _MATCH
+            anchor = lowest_idable_ancestor_or_self(node)
+            if get_status(anchor) is Status.COMPLETE and \
+                    self._stale(split, node, anchor):
+                return self._ask_below(anchor, j, Subquery.STALE, gap=True)
+            return _MATCH if self.evaluate(split.rest_predicates, node) \
+                else _NO
 
         status = get_status(node)
 
@@ -671,12 +660,10 @@ class _Walker:
             return self._ask_residual(node, item, j, Subquery.UNSEPARABLE)
 
         if status is Status.COMPLETE:
-            if not self.evaluate(split.rest_predicates, node):
-                return _NO
-            if split.consistency_predicates and \
-                    not self.evaluate(split.consistency_predicates, node):
-                return self._ask_residual(node, item, j, Subquery.STALE)
-            return _MATCH
+            if self._stale(split, node, node):
+                return self._ask_stale(node, item, j)
+            return _MATCH if self.evaluate(split.rest_predicates, node) \
+                else _NO
 
         if status is Status.ID_COMPLETE:
             if split.rest_predicates or split.consistency_predicates or \
@@ -702,19 +689,46 @@ class _Walker:
         ))
         return _ASK
 
-    def _ask_stale_non_idable(self, node, j):
-        anchor = lowest_idable_ancestor_or_self(node)
+    def _ask_below(self, anchor, j, reason, gap=False):
+        """Ask for items ``j:`` below *anchor* (``//`` below it: *gap*)."""
         anchor_path = id_path_of(anchor)
         self.ask(Subquery(
             render_residual_query(anchor_path, [], self.items[j:],
-                                  descendant_gap=True,
+                                  descendant_gap=gap,
                                   aggressive=self.aggressive),
-            anchor_path,
-            Subquery.STALE,
-            consumed=j,
-            descendant_gap=True,
-        ))
+            anchor_path, reason, consumed=j, descendant_gap=gap))
         return _ASK
+
+    def _stale(self, split, node, anchor):
+        """Whether the cached copy *node* (data of the IDable *anchor*)
+        fails its step's freshness bound; a vouched-for copy is as fresh
+        as its owner makes it, so never."""
+        return bool(split.consistency_predicates) \
+            and anchor not in self.vouched \
+            and not self.evaluate(split.consistency_predicates, node)
+
+    def _ask_stale(self, node, item, j):
+        """Ask again for a stale copy, never pruning it by stale values:
+        once per parent for a step with no id pin (its children are one
+        cacheable unit, so a block of stale spaces costs one subquery);
+        for the node itself under a pin, at the root, or where the
+        parent's region holds data owned here."""
+        parent = node.parent
+        if item.pinned_ids is not None or parent is None or \
+                self._owns_below(parent):
+            return self._ask_residual(node, item, j, Subquery.STALE)
+        return self._ask_below(parent, j, Subquery.STALE)
+
+    def _owns_below(self, element):
+        """Whether this site owns *element* or anything under it: an ask
+        for the region would then come back here, and subquery chains
+        must only descend (each site serves one message at a time)."""
+        owns = self._owners.get(id(element))
+        if owns is None:
+            owns = self._owners[id(element)] = any(
+                get_status(node) is Status.OWNED
+                for node in iter_idable(element))
+        return owns
 
     # ------------------------------------------------------------------
     # Nesting depth > 0
@@ -722,9 +736,7 @@ class _Walker:
     def _collect_and_evaluate(self, element):
         """Fetch-subtree strategy at the collect point (Section 4)."""
         if not subtree_materialized(element):
-            anchor_path = id_path_of(element)
-            self.ask(Subquery(render_id_path_query(anchor_path), anchor_path,
-                              Subquery.NESTED_FETCH, subtree=True))
+            self._ask_subtree(element, Subquery.NESTED_FETCH)
             return
         # All data below is local: evaluate the rest of the query with
         # the plain evaluator, relative to this node.
@@ -742,15 +754,16 @@ class _Walker:
                                            NodeTypeTest("node")))
             residual_steps.append(Step("child", item.step.node_test,
                                        list(item.step.predicates)))
-        residual = LocationPath(absolute=False, steps=residual_steps)
+        # Freshness below a collect point is the fetch's business: the
+        # subtree is materialized, and an owner's data is never too old.
+        residual = strip_consistency_predicates(
+            LocationPath(absolute=False, steps=residual_steps))
         try:
             matches = _EVALUATOR.evaluate(residual, element, now=self.now)
         except XPathError:
             matches = []
         for match in matches if isinstance(matches, list) else []:
-            if isinstance(match, Text):
-                match = match.parent
-            if isinstance(match, Element):
+            if isinstance(match, (Element, Text)):
                 self._include_result(match)
                 self.stats["results_local"] += 1
 
@@ -786,39 +799,45 @@ class _Walker:
         return verdict
 
     # ------------------------------------------------------------------
-    def _include_result(self, element):
-        if isinstance(element, Text):
-            element = element.parent
+    def _include_result(self, match):
+        """Include a final-step *match*'s answer region; record the match
+        as a result unless part of its data is still missing here."""
+        element = match.parent if isinstance(match, Text) else match
         anchor = lowest_idable_ancestor_or_self(element)
         self.builder.include_ancestors(anchor)
+        missing = []
         if anchor is element:
-            self.builder.include_subtree(
-                element,
-                on_missing=self._ask_missing_subtree,
-            )
-        else:
+            self.builder.include_subtree(element, on_missing=missing.append)
+        elif get_status(anchor).has_local_information:
             # Generalized answer: the smallest cacheable superset of a
             # non-IDable result is its enclosing node's local information.
-            if get_status(anchor).has_local_information:
-                self.builder.include_local_information(anchor)
-            else:
-                self._ask_missing_subtree(anchor)
+            self.builder.include_local_information(anchor)
+        else:
+            missing.append(anchor)
+        for node in missing:
+            self._ask_subtree(node)
+        # A text node is all there, whatever its parent's subtree lacks.
+        if not missing or isinstance(match, Text):
+            self.matches.append(match)
         self.stats["results_local"] += 1
 
-    def _ask_missing_subtree(self, element):
+    def _ask_subtree(self, element, reason=Subquery.MISSING_SUBTREE):
         anchor_path = id_path_of(element)
         self.ask(Subquery(render_id_path_query(anchor_path), anchor_path,
-                          Subquery.MISSING_SUBTREE, subtree=True))
+                          reason, subtree=True))
 
 
 def run_qeg(db, pattern, now=None, probe_results=None,
             nesting_strategy=FETCH_SUBTREE,
-            generalization=GENERALIZE_ANSWER, observer=None):
+            generalization=GENERALIZE_ANSWER, observer=None, vouched=()):
     """Run one QEG pass of *pattern* over the site database *db*.
 
     *now* is the query's clock reading for consistency predicates;
     *probe_results* maps probe query strings to boolean answers
     gathered in earlier rounds (boolean-probe strategy only);
+    *vouched* holds the IDable elements whose cached data this gather
+    got from a reply to an exact ask, or served under
+    ``stale_on_error``: no freshness bound makes them stale;
     *generalization* picks how far subqueries over-fetch for the cache;
     *observer* (see :class:`repro.obs.explain.ExplainObserver`)
     receives every emitted subquery and per-IDable-node verdict --
@@ -827,5 +846,6 @@ def run_qeg(db, pattern, now=None, probe_results=None,
     if isinstance(pattern, str):
         pattern = compile_pattern(pattern)
     walker = _Walker(db, pattern, now, probe_results, nesting_strategy,
-                     generalization=generalization, observer=observer)
+                     generalization=generalization, observer=observer,
+                     vouched=vouched)
     return walker.run()

@@ -10,9 +10,13 @@ before, during and after arbitrary query/caching activity.
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PartitionPlan
+from repro.core.idable import id_path_of
 from repro.core.invariants import structural_violations
-from repro.net import Cluster
+from repro.core.status import Status, get_status
+from repro.net import Cluster, OAConfig
+from repro.net.messages import UpdateMessage
 from repro.xmlkit import Element, canonical_form
+from repro.xpath import parse
 from repro.xpath.evaluator import Evaluator
 
 _LEVELS = ["top", "mid", "leaf"]
@@ -162,6 +166,132 @@ class TestDistributionTransparency:
             assert structural_violations(cluster.database(site)) == []
         results, _, _ = cluster.query(query)
         assert sorted(_normalized(r) for r in results) == expected
+
+
+@st.composite
+def fresh_scenarios(draw):
+    """A scenario on an injected clock: sensor updates between queries,
+    each query bounded to *bound* seconds on its last step."""
+    document = draw(hierarchical_documents())
+    sensors = []
+    for mid in document.element_children("mid"):
+        mid_path = (("top", "R"), ("mid", mid.id))
+        sensors.append((mid_path, "meta"))
+        for leaf in mid.element_children("leaf"):
+            # A detached answer is known by its id alone: make leaf ids
+            # unique document-wide (no query names one).
+            leaf.set("id", f"{mid.id}-{leaf.id}")
+            sensors.append((mid_path + (("leaf", leaf.id),), "value"))
+    plan = draw(partitions(document))
+    bound = draw(st.sampled_from([5, 28, 30]))
+    update = st.tuples(st.just("update"), st.sampled_from(sensors),
+                       st.integers(0, 4))
+    query = st.tuples(st.just("query"), queries(document),
+                      st.integers(0, len(_SITES) - 1))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, 2 * bound), st.one_of(update, query)),
+        min_size=1, max_size=10))
+    return document, plan, bound, steps
+
+
+def _held(history, opening, now, bound):
+    """The values a sensor held at some instant of ``[now - bound, now]``."""
+    held = set()
+    for when, value in history:
+        if when <= now - bound:
+            opening = value
+        else:
+            held.add(value)
+    return held | {opening}
+
+
+def bound_violations(document, query, results, histories, now, bound):
+    """``benchmarks/layers/oracle.py::FreshnessOracle``'s rule, restated.
+
+    Every answer shows only values its node held at some instant of the
+    last *bound* seconds, and holds every node that matched throughout
+    them.  *query* is unbounded; its last step selects ``leaf`` (by
+    ``value``), ``mid`` or the mid's ``meta``.
+    """
+    prefix, last = query.rsplit("/", 1)
+    tag = last.split("[", 1)[0]
+    wanted = last.split("'")[1] if tag == "leaf" and "[" in last else None
+    evaluate = Evaluator().evaluate
+    if tag == "leaf":
+        nodes, field = evaluate(parse(prefix + "/leaf"), document), "value"
+    else:
+        nodes = evaluate(parse(query if tag == "mid" else prefix), document)
+        field = "meta"
+    held = {
+        node.id: _held(histories.get(tuple(id_path_of(node)), ()),
+                       node.child(field).text, now, bound)
+        for node in nodes
+    }
+    problems = []
+    seen = set()
+    for result in results:
+        if tag == "meta":
+            [key] = held
+            shown = result.text
+        else:
+            key, shown = result.id, result.child(field).text
+        if key in seen:
+            problems.append(f"{key} returned twice")
+        seen.add(key)
+        if key not in held or shown not in held[key]:
+            problems.append(f"{key} shows {shown!r}, held none of the "
+                            f"last {bound} s")
+        elif wanted is not None and shown != wanted:
+            problems.append(f"{key} shows {shown!r}, not {wanted!r}")
+    for key, values in held.items():
+        if key not in seen and (wanted is None or values == {wanted}):
+            problems.append(f"{key} matched throughout but is missing")
+    return problems
+
+
+class _Clock:
+    def __init__(self, now):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+class TestFreshnessBound:
+    @given(fresh_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_answers_keep_to_the_bound(self, scenario):
+        document, plan, bound, steps = scenario
+        clock = _Clock(1000.0)
+        # Serial dispatch: a query starts at any site, and two concurrent
+        # chains from there can meet at each other's site lock when the
+        # random plan nests ownership.
+        cluster = Cluster(document.copy(), plan, service="prop", clock=clock,
+                          oa_config=OAConfig(executor="serial"))
+        sites = sorted(cluster.sites)
+        histories = {}
+        for advance, (kind, what, value) in steps:
+            clock.now += advance
+            if kind == "update":
+                path, field = what
+                [owner] = [site for site in sites
+                           if _owns(cluster.database(site), path)]
+                reply = cluster.agent(owner).handle_message(UpdateMessage(
+                    path, values={field: str(value)}, sender="client"))
+                assert reply.ok
+                histories.setdefault(path, []).append((clock.now, str(value)))
+                continue
+            bounded = what + f"[timestamp() > current-time() - {bound}]"
+            results, _, outcome = cluster.query(
+                bounded, at_site=sites[value % len(sites)])
+            assert outcome.complete
+            assert bound_violations(document, what, results, histories,
+                                    clock.now, bound) == [], bounded
+
+
+def _owns(database, path):
+    node = database.find(path)
+    return node is not None and get_status(node) is Status.OWNED
 
 
 class TestWireFragmentInvariants:

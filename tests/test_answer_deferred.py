@@ -2,8 +2,8 @@
 
 The QEG walk records what the generalized fragment includes; the
 fragment is materialized when a replying site reads it.  The user's own
-site re-extracts its answer from the merged database and never builds
-one, and the results it hands back share nothing with that database.
+site answers with its last walk's matches and never builds one, and the
+results it hands back share nothing with that database.
 """
 
 import pytest

@@ -350,9 +350,10 @@ class TestStaleOnError:
         return cluster
 
     def test_default_excises_stale_region(self):
-        # The consistency predicate is stripped before extraction, so
-        # serving the stale cached copy would silently violate it; by
-        # default the region is excised and reported unreachable.
+        # Serving the stale cached copy would silently violate the
+        # consistency predicate; by default the walk keeps asking for
+        # the region, so nothing in it matches, and reports it
+        # unreachable.
         cluster = self._warmed_cluster(stale_on_error=False)
         results, _, outcome = cluster.query(self.STALE_QUERY,
                                             at_site="top", now=1000.0)

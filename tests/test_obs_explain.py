@@ -55,6 +55,22 @@ class TestPlans:
         assert "stale-cache" in {entry["reason"]
                                  for entry in report.plan}
 
+    def test_stale_children_are_refreshed_by_one_ask_for_their_parent(
+            self, paper_cluster):
+        top = paper_cluster.agents["top"]
+        paper_cluster.query(OAKLAND_ALL, now=0.0, at_site="top")
+        report = top.explain(OAKLAND_ALL + "[timestamp > now - 30]",
+                             now=100.0)
+        spaces = [entry for entry in report.decisions
+                  if entry["id_path"][-1][0] == "parkingSpace"]
+        assert [entry["decision"] for entry in spaces] == [STALE, STALE]
+        (entry,) = report.plan
+        assert entry["reason"] == "stale-cache"
+        assert entry["anchor_path"][-1] == ["block", "1"]
+        assert entry["target"] == "oak"
+        assert (f"@oak         {entry['query']}  [stale-cache]"
+                in report.render())
+
     def test_explain_is_read_only(self, paper_cluster):
         top = paper_cluster.agents["top"]
         before = dict(top.driver.stats)
