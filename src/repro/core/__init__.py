@@ -65,16 +65,7 @@ from repro.core.ownership import (
     relinquish_ownership,
 )
 from repro.core.partition import PartitionPlan, build_site_database
-from repro.core.qeg import (
-    BOOLEAN_PROBE,
-    FETCH_SUBTREE,
-    GENERALIZE_AGGRESSIVE,
-    GENERALIZE_ANSWER,
-    CompiledPattern,
-    QEGResult,
-    compile_pattern,
-    run_qeg,
-)
+from repro.core.qeg import CompiledPattern, QEGResult, compile_pattern, run_qeg
 from repro.core.schema import HierarchySchema
 from repro.core.status import (
     Status,
@@ -83,11 +74,7 @@ from repro.core.status import (
     set_status,
     set_timestamp,
 )
-from repro.core.subquery import (
-    render_boolean_probe,
-    render_id_path_query,
-    render_residual_query,
-)
+from repro.core.subquery import render_id_path_query, render_residual_query
 
 __all__ = [
     "SensorDatabase",
@@ -104,14 +91,10 @@ __all__ = [
     "QEGResult",
     "compile_pattern",
     "run_qeg",
-    "FETCH_SUBTREE",
-    "BOOLEAN_PROBE",
     "LRUCache",
     "SerialExecutor",
     "ThreadedExecutor",
     "resolve_executor",
-    "GENERALIZE_ANSWER",
-    "GENERALIZE_AGGRESSIVE",
     "is_idable",
     "idable_children",
     "non_idable_children",
@@ -147,7 +130,6 @@ __all__ = [
     "rename_field",
     "render_id_path_query",
     "render_residual_query",
-    "render_boolean_probe",
     "CoreError",
     "PartitionError",
     "InvariantViolation",

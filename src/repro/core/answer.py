@@ -55,7 +55,7 @@ class Subquery:
     form.
     """
 
-    __slots__ = ("query", "anchor_path", "reason", "scalar", "consumed",
+    __slots__ = ("query", "anchor_path", "reason", "consumed",
                  "descendant_gap", "subtree")
 
     # Reasons mirror the QEG cases of Section 3.5 / 4.
@@ -65,28 +65,24 @@ class Subquery:
     STALE = "stale-cache"                # consistency predicate failed
     MISSING_SUBTREE = "missing-subtree"  # result subtree partly absent
     NESTED_FETCH = "nested-fetch"        # nesting depth > 0 collect point
-    NESTED_PROBE = "nested-probe"        # boolean probe strategy
 
-    def __init__(self, query, anchor_path, reason, scalar=False,
-                 consumed=None, descendant_gap=False, subtree=False):
+    def __init__(self, query, anchor_path, reason, consumed=None,
+                 descendant_gap=False, subtree=False):
         self.query = query
         self.anchor_path = tuple(tuple(entry) for entry in anchor_path)
         self.reason = reason
-        self.scalar = scalar
         self.consumed = consumed
         self.descendant_gap = descendant_gap
         self.subtree = subtree
 
     def __repr__(self):
-        kind = "scalar " if self.scalar else ""
-        return f"Subquery({kind}{self.query!r}, reason={self.reason})"
+        return f"Subquery({self.query!r}, reason={self.reason})"
 
     def __eq__(self, other):
-        return isinstance(other, Subquery) and self.query == other.query \
-            and self.scalar == other.scalar
+        return isinstance(other, Subquery) and self.query == other.query
 
     def __hash__(self):
-        return hash((self.query, self.scalar))
+        return hash(self.query)
 
 
 class AnswerBuilder:

@@ -7,12 +7,12 @@ An organizing agent answers a query by looping:
    (via the caller-supplied ``send`` function);
 3. merge the returned wire fragments back in (into the real database
    when caching is enabled -- the paper's aggressive caching -- or into
-   a throwaway overlay otherwise), record scalar probe answers;
+   a throwaway overlay otherwise);
 4. repeat until QEG emits no subqueries.
 
 For nesting depth 0 the loop converges in one round against owners
 whose own answers are complete; deeper rounds occur for nesting
-depth > 0 (fetch-then-evaluate) and for probe strategies.
+depth > 0 (fetch the subtree, then evaluate).
 
 The last round's walk is the answer: its gap-free final-step matches,
 copied clean, are the user's result.  Freshness is the walk's alone: the
@@ -30,13 +30,7 @@ from repro.core.executors import resolve_executor
 from repro.core.idable import iter_idable, iter_idable_with_paths
 from repro.core.answer import Subquery
 from repro.core.consistency import rewrite_consistency_sugar
-from repro.core.qeg import (
-    FETCH_SUBTREE,
-    GENERALIZE_ANSWER,
-    CompiledPattern,
-    compile_pattern,
-    run_qeg,
-)
+from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
 from repro.core.semcache import (
     SemanticCache,
     SemanticCacheConfig,
@@ -94,10 +88,12 @@ class SubqueryFailure:
         return self.causes[-1] if self.causes else ""
 
     def report(self):
+        # ``scalar`` stays in the wire shape of completeness reports;
+        # a subquery is never scalar.
         return {
             "id_path": [list(entry) for entry in self.subquery.anchor_path],
             "query": self.subquery.query,
-            "scalar": self.subquery.scalar,
+            "scalar": False,
             "attempts": self.attempts,
             "causes": list(self.causes),
         }
@@ -242,13 +238,11 @@ def _subsumed_by(pending, answered, pattern):
     fetch either arrived already or provably does not exist.
     """
     for earlier in answered:
-        if earlier.scalar:
-            continue
         if not _is_path_prefix(earlier.anchor_path, pending.anchor_path):
             continue
         if earlier.subtree:
             return earlier
-        if pending.subtree or pending.scalar:
+        if pending.subtree:
             continue
         if earlier.descendant_gap or pending.descendant_gap:
             continue
@@ -278,7 +272,7 @@ def _merge(view, fragment, vouched, handed_over=False):
 class GatherDriver:
     """Drives QEG-plus-subqueries for one site.
 
-    *send* is a callable ``send(subquery) -> Element | scalar | None``
+    *send* is a callable ``send(subquery) -> Element | None``
     implementing remote delivery (DNS lookup + transport); ``None``
     means the remote had nothing.  *cache_results* controls whether
     gathered fragments are merged into the site database (the paper's
@@ -300,16 +294,12 @@ class GatherDriver:
     MAX_ROUNDS = 12
 
     def __init__(self, database, send, schema=None, cache_results=True,
-                 nesting_strategy=FETCH_SUBTREE,
-                 generalization=GENERALIZE_ANSWER,
                  executor=None, send_many=None, stale_on_error=False,
                  semcache=None):
         self.database = database
         self.send = send
         self.schema = schema
         self.cache_results = cache_results
-        self.nesting_strategy = nesting_strategy
-        self.generalization = generalization
         self.executor = resolve_executor(executor)
         self.send_many = send_many
         self.stale_on_error = stale_on_error
@@ -352,7 +342,7 @@ class GatherDriver:
         return overlay
 
     # ------------------------------------------------------------------
-    def gather(self, query, now=None, nesting_strategy=None):
+    def gather(self, query, now=None):
         """Gather everything *query* needs; returns a :class:`GatherOutcome`."""
         site = self.database.site_id
         with TRACER.span("gather", site=site) as gather_span:
@@ -361,10 +351,7 @@ class GatherDriver:
             gather_span.set_tag("query", pattern.source)
             if now is None:
                 now = self.database.clock()
-            if nesting_strategy is None:
-                nesting_strategy = self.nesting_strategy
             view = self._view()
-            probe_results = {}
             # Elements, not id()s: one evicted mid-gather keeps its
             # place here, so no other node can take its number.
             vouched = set()
@@ -386,11 +373,7 @@ class GatherDriver:
             for rounds in range(1, self.MAX_ROUNDS + 1):
                 with TRACER.span("qeg", site=site) as qeg_span:
                     qeg_span.set_tag("round", rounds)
-                    result = run_qeg(view, pattern, now=now,
-                                     probe_results=probe_results,
-                                     nesting_strategy=nesting_strategy,
-                                     generalization=self.generalization,
-                                     vouched=vouched)
+                    result = run_qeg(view, pattern, now=now, vouched=vouched)
                 # A subquery whose answer was already merged is resolved
                 # -- and so is any narrower ask it subsumes: the
                 # remote's generalized answer is authoritative for
@@ -399,7 +382,7 @@ class GatherDriver:
                 # predicate remotely) simply does not match.
                 pending = []
                 for sq in result.subqueries:
-                    if (sq.query, sq.scalar) in answered_keys:
+                    if sq.query in answered_keys:
                         covering = sq
                     else:
                         covering = _subsumed_by(sq, answered, pattern)
@@ -412,7 +395,7 @@ class GatherDriver:
                     # after a bucket-loosened answer, which vouches for
                     # nothing: re-ask it exactly, once -- the
                     # subsumption guarantee for bucketed wire asks.
-                    key = (covering.query, covering.scalar)
+                    key = covering.query
                     if key in bucketed_keys and key not in escalated_keys:
                         escalated_keys.add(key)
                         bucket_rechecks += 1
@@ -445,7 +428,7 @@ class GatherDriver:
                     for subquery, wire, reply in zip(pending, wire_round,
                                                      replies):
                         sent.append(subquery)
-                        key = (subquery.query, subquery.scalar)
+                        key = subquery.query
                         answered_keys.add(key)
                         # Only an exact ask's reply vouches for the
                         # freshness of what it carries.
@@ -462,9 +445,7 @@ class GatherDriver:
                             # judged at the exact bound.
                             replica_served.append(reply)
                             answered.append(subquery)
-                            if subquery.scalar:
-                                probe_results[subquery.query] = None
-                            elif reply.fragment is not None:
+                            if reply.fragment is not None:
                                 _merge(view, reply.fragment, vouch)
                             continue
                         if isinstance(reply, SubqueryFailure):
@@ -479,13 +460,9 @@ class GatherDriver:
                             self._note_failure(reply, subquery, view,
                                                vouched)
                             failures.append(reply)
-                            if subquery.scalar:
-                                probe_results[subquery.query] = None
                             continue
                         answered.append(subquery)
-                        if subquery.scalar:
-                            probe_results[subquery.query] = reply
-                        elif reply is not None:
+                        if reply is not None:
                             # An owner reply is this gather's alone
                             # (built for the ask, or decoded off the
                             # wire), so the merge may take its nodes.
@@ -539,13 +516,12 @@ class GatherDriver:
         """The bucket-loosened spelling *subquery* is first dispatched
         under, or ``None`` when it goes out verbatim.
 
-        Non-scalar asks with bucketable freshness tolerances go out
-        spelled at the bucket boundary, so every mid-tier cache between
-        here and the owner sees one canonical ask per bucket instead of
-        one per jittered tolerance.  Scalars (probes) go out verbatim.
+        Asks with bucketable freshness tolerances go out spelled at the
+        bucket boundary, so every mid-tier cache between here and the
+        owner sees one canonical ask per bucket instead of one per
+        jittered tolerance.
         """
-        if not self.semcache.enabled or self.semcache.buckets is None \
-                or subquery.scalar:
+        if not self.semcache.enabled or self.semcache.buckets is None:
             return None
         try:
             canon = canonicalize(subquery.query,
@@ -558,16 +534,15 @@ class GatherDriver:
         """The wire form of *subquery*: bucket-loosened when eligible
         (see :meth:`bucketed_wire_query`), verbatim for an escalated
         re-ask."""
-        key = (subquery.query, subquery.scalar)
-        if key in escalated_keys:
+        if subquery.query in escalated_keys:
             return subquery
         wire_query = self.bucketed_wire_query(subquery)
         if wire_query is None:
             return subquery
-        bucketed_keys.add(key)
+        bucketed_keys.add(subquery.query)
         return Subquery(
             wire_query, subquery.anchor_path, subquery.reason,
-            scalar=subquery.scalar, consumed=subquery.consumed,
+            consumed=subquery.consumed,
             descendant_gap=subquery.descendant_gap,
             subtree=subquery.subtree,
         )
@@ -662,11 +637,7 @@ class GatherDriver:
                 f"unsupported scalar query {query!r}: expected "
                 f"{'/'.join(SCALAR_WRAPPERS)} around an absolute path"
             )
-        # Probes must be resolved by materializing data, never by
-        # re-probing (the answering site may own the probe's anchor,
-        # which would loop): force the fetch-subtree strategy here.
-        outcome = self.gather(ast.arguments[0], now=now,
-                              nesting_strategy=FETCH_SUBTREE)
+        outcome = self.gather(ast.arguments[0], now=now)
         if now is None:
             now = self.database.clock()
         value = _EVALUATOR.evaluate(ast, outcome.view.root, now=now)

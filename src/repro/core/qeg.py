@@ -34,14 +34,11 @@ Per-node behaviour matches the four status cases of Section 3.5:
     like owned, but freshness comes first: a copy failing its bound,
     unless this gather vouched for it, is asked for again.
 
-Nesting depth > 0 (Section 4) is handled by either of two strategies:
-
-``fetch-subtree`` (the paper's implemented approach)
-    stop at the earliest tag referenced by a nested predicate, fetch
-    the whole subtree below it, then evaluate the remainder locally;
-``boolean-probe`` (the paper's proposed future approach)
-    fire ``boolean(...)`` probes that evaluate nested predicates
-    remotely, avoiding the bulk fetch.
+Nesting depth > 0 (Section 4) is handled the way the paper implements
+it: the walk stops at the earliest tag a nested predicate references,
+fetches the whole subtree below it, then evaluates the remainder
+locally.  Subqueries fetch the smallest cacheable superset of their
+answer (Section 3.3).
 """
 
 import functools
@@ -59,11 +56,7 @@ from repro.core.idable import (
     subtree_materialized,
 )
 from repro.core.status import Status, get_status
-from repro.core.subquery import (
-    render_boolean_probe,
-    render_id_path_query,
-    render_residual_query,
-)
+from repro.core.subquery import render_id_path_query, render_residual_query
 from repro.xmlkit.nodes import Element, Text
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import (
@@ -83,16 +76,6 @@ from repro.xpath.ast import (
 from repro.xpath.errors import XPathError
 from repro.xpath.evaluator import Evaluator
 from repro.xpath.types import to_boolean
-
-FETCH_SUBTREE = "fetch-subtree"
-BOOLEAN_PROBE = "boolean-probe"
-
-#: Generalization levels for subqueries (Section 3.3).  "answer" fetches
-#: the smallest cacheable superset of the answer; "aggressive" drops
-#: non-id predicates from residual items so whole sibling sets are
-#: fetched and later predicate queries hit the cache.
-GENERALIZE_ANSWER = "answer"
-GENERALIZE_AGGRESSIVE = "aggressive"
 
 _EVALUATOR = Evaluator()
 
@@ -178,15 +161,6 @@ class PatternItem:
     @property
     def has_nested(self):
         return bool(self.nested_predicates)
-
-    @property
-    def generalized_predicates(self):
-        """Predicates kept when the item appears in an aggressive
-        (superset-fetching) subquery: id pins and freshness bounds."""
-        if not self.split.separable:
-            return list(self.step.predicates)
-        return list(self.split.id_predicates) + \
-            list(self.split.consistency_predicates)
 
     def test_matches(self, node):
         test = self.step.node_test
@@ -395,17 +369,12 @@ _ASK = "ask"
 
 
 class _Walker:
-    def __init__(self, db, pattern, now, probe_results, nesting_strategy,
-                 generalization=GENERALIZE_ANSWER, observer=None,
-                 vouched=()):
+    def __init__(self, db, pattern, now, observer=None, vouched=()):
         self.db = db
         self.pattern = pattern
         self.items = pattern.items
         self.now = now
-        self.probe_results = probe_results or {}
         self.vouched = vouched
-        self.nesting_strategy = nesting_strategy
-        self.aggressive = generalization == GENERALIZE_AGGRESSIVE
         self.builder = AnswerBuilder(db)
         self.subqueries = []
         self.matches = []
@@ -422,13 +391,12 @@ class _Walker:
             "results_local": 0,
             "asks": 0,
             "prunes": 0,
-            "probes_used": 0,
         }
 
     # ------------------------------------------------------------------
     def ask(self, subquery):
-        if (subquery.query, subquery.scalar) not in self._seen_subqueries:
-            self._seen_subqueries.add((subquery.query, subquery.scalar))
+        if subquery.query not in self._seen_subqueries:
+            self._seen_subqueries.add(subquery.query)
             self.subqueries.append(subquery)
             self.stats["asks"] += 1
         if self.observer is not None:
@@ -495,8 +463,7 @@ class _Walker:
 
         # Collect-point handling for nesting depth > 0.
         if (
-            self.nesting_strategy == FETCH_SUBTREE
-            and self.pattern.collect_index is not None
+            self.pattern.collect_index is not None
             and (self.pattern.collect_index + 1) in states
         ):
             self._collect_and_evaluate(element)
@@ -544,8 +511,7 @@ class _Walker:
         information travels instead -- the receiver's next walk decides
         the item again at the merged node, so every attribute and value
         field a predicate touched is part of the smallest correct
-        superset (Section 2's numberOfFreeSpots example).  Aggressive
-        generalization always ships local information.
+        superset (Section 2's numberOfFreeSpots example).
         """
         if isinstance(child, Text) or not self._locally_idable(child):
             return
@@ -556,7 +522,7 @@ class _Walker:
             or item.split.consistency_predicates
             or item.nested_predicates
         )
-        if status.has_local_information and                 (self.aggressive or predicates_touch_content):
+        if status.has_local_information and predicates_touch_content:
             self.builder.include_local_information(child)
         elif status.has_id_information:
             self.builder.include_id_information(child)
@@ -606,7 +572,7 @@ class _Walker:
         """Decide whether *node* satisfies item *j*, notifying the
         EXPLAIN observer (if any) of the verdict on IDable nodes.  P_id
         goes first (Section 3.5): a set test prunes a node the item's
-        pins exclude before anything is evaluated, probed or asked."""
+        pins exclude before anything is evaluated or asked."""
         pinned = self.items[j].pinned_ids
         if pinned is not None and (isinstance(node, Text)
                                    or node.attrib.get("id") not in pinned):
@@ -628,16 +594,7 @@ class _Walker:
         split = item.split
         if not self.evaluate(split.id_predicates, node):
             return _NO  # P_id first, also for what the pins cannot express
-        in_fetch_mode = (
-            self.nesting_strategy == FETCH_SUBTREE
-            and self.pattern.collect_index is not None
-        )
-        if item.has_nested and not in_fetch_mode:
-            verdict = self._resolve_nested(node, item, j)
-            if verdict == "pending":
-                return _ASK  # probes emitted; retried next round
-            if not verdict:
-                return _NO
+        # Nested predicates wait for the collect point (_process).
         is_result_item = (j + 1) == len(self.items)
 
         if not self._locally_idable(node):
@@ -676,13 +633,9 @@ class _Walker:
 
     def _ask_residual(self, node, item, j, reason):
         anchor_path = id_path_of(node)
-        if self.aggressive and item.split.separable:
-            extra = list(item.split.consistency_predicates)
-        else:
-            extra = item.residual_predicates
         self.ask(Subquery(
-            render_residual_query(anchor_path, extra, self.items[j + 1:],
-                                  aggressive=self.aggressive),
+            render_residual_query(anchor_path, item.residual_predicates,
+                                  self.items[j + 1:]),
             anchor_path,
             reason,
             consumed=j + 1,
@@ -694,8 +647,7 @@ class _Walker:
         anchor_path = id_path_of(anchor)
         self.ask(Subquery(
             render_residual_query(anchor_path, [], self.items[j:],
-                                  descendant_gap=gap,
-                                  aggressive=self.aggressive),
+                                  descendant_gap=gap),
             anchor_path, reason, consumed=j, descendant_gap=gap))
         return _ASK
 
@@ -767,37 +719,6 @@ class _Walker:
                 self._include_result(match)
                 self.stats["results_local"] += 1
 
-    def _resolve_nested(self, node, item, j):
-        """Boolean-probe strategy: resolve nested predicates at *node*.
-
-        Returns ``True`` when all nested predicates are known to hold
-        (locally or via probe answers), ``False`` when one is known to
-        fail, and ``"pending"`` after emitting probes whose answers are
-        not yet available.
-        """
-        if not self._locally_idable(node):
-            return self.evaluate(item.nested_predicates, node)
-        if subtree_materialized(node):
-            return self.evaluate(item.nested_predicates, node)
-        anchor_path = id_path_of(node)
-        all_known = True
-        verdict = True
-        for predicate in item.nested_predicates:
-            probe = render_boolean_probe(anchor_path, predicate)
-            if probe in self.probe_results:
-                self.stats["probes_used"] += 1
-                verdict = verdict and bool(self.probe_results[probe])
-            else:
-                self.ask(Subquery(probe, anchor_path, Subquery.NESTED_PROBE,
-                                  scalar=True))
-                all_known = False
-        if not all_known:
-            return "pending"
-        # When the verdict is negative the node is pruned; otherwise the
-        # walk continues and deeper match attempts ask for any data that
-        # is still missing.
-        return verdict
-
     # ------------------------------------------------------------------
     def _include_result(self, match):
         """Include a final-step *match*'s answer region; record the match
@@ -827,25 +748,18 @@ class _Walker:
                           reason, subtree=True))
 
 
-def run_qeg(db, pattern, now=None, probe_results=None,
-            nesting_strategy=FETCH_SUBTREE,
-            generalization=GENERALIZE_ANSWER, observer=None, vouched=()):
+def run_qeg(db, pattern, now=None, observer=None, vouched=()):
     """Run one QEG pass of *pattern* over the site database *db*.
 
     *now* is the query's clock reading for consistency predicates;
-    *probe_results* maps probe query strings to boolean answers
-    gathered in earlier rounds (boolean-probe strategy only);
-    *vouched* holds the IDable elements whose cached data this gather
-    got from a reply to an exact ask, or served under
-    ``stale_on_error``: no freshness bound makes them stale;
-    *generalization* picks how far subqueries over-fetch for the cache;
     *observer* (see :class:`repro.obs.explain.ExplainObserver`)
     receives every emitted subquery and per-IDable-node verdict --
-    the EXPLAIN hook, ``None`` (free) outside explain runs.
+    the EXPLAIN hook, ``None`` (free) outside explain runs;
+    *vouched* holds the IDable elements whose cached data this gather
+    got from a reply to an exact ask, or served under
+    ``stale_on_error``: no freshness bound makes them stale.
     """
     if isinstance(pattern, str):
         pattern = compile_pattern(pattern)
-    walker = _Walker(db, pattern, now, probe_results, nesting_strategy,
-                     generalization=generalization, observer=observer,
-                     vouched=vouched)
-    return walker.run()
+    return _Walker(db, pattern, now, observer=observer,
+                   vouched=vouched).run()

@@ -54,8 +54,7 @@ def render_id_path_query(id_path, extra_predicates=()):
 
 
 def render_residual_query(anchor_id_path, anchor_extra_predicates,
-                          residual_items, descendant_gap=False,
-                          aggressive=False):
+                          residual_items, descendant_gap=False):
     """The subquery for continuing a partially evaluated query.
 
     ``anchor_id_path`` pins the node where local evaluation stopped;
@@ -65,20 +64,13 @@ def render_residual_query(anchor_id_path, anchor_extra_predicates,
     :mod:`repro.core.qeg`); ``descendant_gap`` inserts ``//`` between
     the anchor and the first residual item, used when evaluation
     stopped while scanning for a descendant match.
-
-    With ``aggressive=True`` the residual items carry only their id and
-    consistency predicates: the subquery fetches a *superset* of the
-    answer (all siblings' local information), trading bandwidth for a
-    cache that can answer any later predicate over the same data -- the
-    strong reading of Section 3.3's subquery generalization.
     """
     steps = id_path_steps(anchor_id_path, anchor_extra_predicates)
     for index, item in enumerate(residual_items):
         if item.descendant or (descendant_gap and index == 0):
             steps.append(_descendant_gap_step())
-        predicates = (item.generalized_predicates if aggressive
-                      else list(item.step.predicates))
-        steps.append(Step("child", item.step.node_test, predicates))
+        steps.append(Step("child", item.step.node_test,
+                          list(item.step.predicates)))
     path = LocationPath(absolute=True, steps=steps)
     return path.unparse()
 
@@ -87,17 +79,3 @@ def _descendant_gap_step():
     from repro.xpath.ast import NodeTypeTest
 
     return Step("descendant-or-self", NodeTypeTest("node"))
-
-
-def render_boolean_probe(anchor_id_path, predicate):
-    """A scalar probe: ``boolean(/<anchor>[predicate])``.
-
-    This is the paper's proposed alternative for nesting depth > 0:
-    evaluate the nested predicate remotely instead of fetching the
-    whole subtree (Section 4, "Larger nesting depths").
-    """
-    from repro.xpath.ast import FunctionCall
-
-    steps = id_path_steps(anchor_id_path, [predicate])
-    path = LocationPath(absolute=True, steps=steps)
-    return FunctionCall("boolean", [path]).unparse()

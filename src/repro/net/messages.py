@@ -274,7 +274,8 @@ class QueryMessage(Message):
 
     ``now`` pins the query's clock reading so consistency predicates
     are evaluated against the asking site's notion of time; ``scalar``
-    marks boolean/aggregate probes; ``user`` distinguishes user queries
+    marks a scalar or aggregate query answered with a value (never a
+    gather's subquery); ``user`` distinguishes user queries
     (answered with clean result lists) from subqueries (answered with
     generalized wire fragments).
     """
@@ -311,7 +312,7 @@ class QueryMessage(Message):
 class AnswerMessage(Message):
     """The reply to a :class:`QueryMessage`.
 
-    Carries a wire fragment (subqueries), a scalar (probes/aggregates)
+    Carries a wire fragment (subqueries), a scalar (scalar queries)
     or a list of clean result elements (user queries).  *completeness*
     is an optional machine-readable report (see
     :meth:`~repro.core.gather.GatherOutcome.completeness_report`)

@@ -15,7 +15,6 @@ from repro.core.gather import GatherDriver, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
 from repro.core.ownership import relinquish_ownership
 from repro.core.evolution import add_idable_child, remove_idable_child
-from repro.core.qeg import FETCH_SUBTREE, GENERALIZE_ANSWER
 from repro.core.status import Status, get_status
 from repro.net.continuous import ContinuousQueryManager
 from repro.net.errors import (
@@ -53,12 +52,13 @@ _SERIAL = SerialExecutor()
 class OAConfig:
     """Tunables for an organizing agent.
 
+    The query plan itself has no knobs: subqueries fetch the smallest
+    cacheable superset of their answer, and a nested predicate fetches
+    the subtree at the earliest tag it references (Sections 3.3, 4).
+
     ``cache_results``
         merge gathered fragments into the site database (the paper's
         default aggressive caching) or use a per-query overlay;
-    ``nesting_strategy``
-        ``fetch-subtree`` (paper's implemented approach) or
-        ``boolean-probe`` (the proposed alternative);
     ``executor``
         how one gather round's subqueries are dispatched: ``None`` (the
         default shared thread executor -- one WAN round-trip per
@@ -100,14 +100,10 @@ class OAConfig:
         build without any of them.
     """
 
-    def __init__(self, cache_results=True, nesting_strategy=FETCH_SUBTREE,
-                 generalization=GENERALIZE_ANSWER,
-                 executor=None, retry_policy=None, breaker=None,
-                 stale_on_error=False,
-                 semcache=None, subsystems=()):
+    def __init__(self, cache_results=True, executor=None, retry_policy=None,
+                 breaker=None, stale_on_error=False, semcache=None,
+                 subsystems=()):
         self.cache_results = cache_results
-        self.nesting_strategy = nesting_strategy
-        self.generalization = generalization
         self.executor = executor
         self.retry_policy = retry_policy
         self.breaker = breaker
@@ -154,8 +150,6 @@ class OrganizingAgent:
             send=self._send_subquery,
             schema=schema,
             cache_results=self.config.cache_results,
-            nesting_strategy=self.config.nesting_strategy,
-            generalization=self.config.generalization,
             executor=self.executor,
             send_many=self._send_subqueries,
             stale_on_error=self.config.stale_on_error,
@@ -470,20 +464,19 @@ class OrganizingAgent:
     def _ship(self, target, subqueries):
         """One wire exchange for a same-destination group: a ``query``
         for a single ask, one ``batch-query`` for several; returns the
-        replies (fragment or scalar) in input order."""
+        reply fragments in input order."""
         if len(subqueries) == 1:
             [subquery] = subqueries
             reply = self.request(
                 target,
                 QueryMessage(subquery.query, now=self.clock(),
-                             scalar=subquery.scalar, sender=self.site_id),
+                             sender=self.site_id),
                 expect=AnswerMessage, span="send-subquery")
-            return [reply.scalar if subquery.scalar else reply.fragment]
+            return [reply.fragment]
         reply = self.request(
             target,
             BatchQueryMessage(
-                [(subquery.query, subquery.scalar)
-                 for subquery in subqueries],
+                [(subquery.query, False) for subquery in subqueries],
                 now=self.clock(), sender=self.site_id),
             expect=BatchAnswerMessage, span="send-batch")
         if len(reply) != len(subqueries):
@@ -491,16 +484,7 @@ class OrganizingAgent:
                 f"site {target!r} answered {len(reply)} of "
                 f"{len(subqueries)} batched subqueries"
             )
-        out = []
-        for subquery, answer in zip(subqueries, reply.answers):
-            if isinstance(answer, tuple) and answer and \
-                    answer[0] == "scalar":
-                out.append(answer[1])
-            elif subquery.scalar:
-                out.append(None)
-            else:
-                out.append(answer)
-        return out
+        return reply.answers
 
     # ------------------------------------------------------------------
     # Serving queries

@@ -164,10 +164,9 @@ class ExplainReport:
             for entry in self.plan:
                 target = entry["target"]
                 where = f"@{target}" if target is not None else "@<retired>"
-                scalar = " scalar" if entry["scalar"] else ""
                 lines.append(
                     f"    {where:<12} {entry['query']}"
-                    f"  [{entry['reason']}{scalar}]")
+                    f"  [{entry['reason']}]")
                 if entry.get("wire_query"):
                     lines.append(
                         f"    {'':<12} ~> {entry['wire_query']}"
@@ -242,7 +241,6 @@ def _plan_entry(agent, subquery, failed=None):
         "query": subquery.query,
         "anchor_path": [list(e) for e in subquery.anchor_path],
         "reason": subquery.reason,
-        "scalar": subquery.scalar,
         "target": agent.resolve_owner(subquery.anchor_path),
     }
     wire = agent.driver.bucketed_wire_query(subquery)
@@ -305,19 +303,12 @@ def build_explain(agent, query, analyze=False, now=None,
     if now is None:
         now = agent.clock()
     observer = ExplainObserver()
-    result = run_qeg(
-        agent.database, pattern, now=now,
-        nesting_strategy=driver.nesting_strategy,
-        generalization=driver.generalization,
-        observer=observer,
-    )
+    result = run_qeg(agent.database, pattern, now=now, observer=observer)
     plan = [_plan_entry(agent, subquery) for subquery in result.subqueries]
     analysis = None
     if analyze:
         outcome = driver.gather(pattern, now=now)
-        failed_keys = {
-            (f.subquery.query, f.subquery.scalar) for f in outcome.failures
-        }
+        failed_keys = {f.subquery.query for f in outcome.failures}
         analysis = {
             "rounds": outcome.rounds,
             "complete": outcome.complete,
@@ -325,7 +316,7 @@ def build_explain(agent, query, analyze=False, now=None,
             "dispatched": [
                 _plan_entry(
                     agent, subquery,
-                    failed=(subquery.query, subquery.scalar) in failed_keys,
+                    failed=subquery.query in failed_keys,
                 )
                 for subquery in outcome.subqueries_sent
                 if not isinstance(subquery, SubqueryFailure)

@@ -426,19 +426,10 @@ class ReplicationManager:
         with self._lock:
             self.stats["failover_attempts"] += 1
         now = float(self.agent.clock())
-        anchors = [subquery.anchor_path for subquery in subqueries
-                   if not subquery.scalar]
+        anchors = [subquery.anchor_path for subquery in subqueries]
         views = self._candidate_views(target, anchors, peers)
         replies = []
         for subquery in subqueries:
-            if subquery.scalar:
-                # Probes need evaluation at a live site; replicas only
-                # hold data.  Degrade as before.
-                replies.append(SubqueryFailure(
-                    subquery, attempts,
-                    list(causes) + ["replicas do not serve scalar probes"],
-                ))
-                continue
             bound = freshness_bound(subquery.query)
             served = None
             extra_causes = []
@@ -526,7 +517,7 @@ class ReplicationManager:
         replica sets it holds, and each plan entry's failover
         candidates."""
         for entry in context.entries:
-            if entry["target"] is None or entry["scalar"]:
+            if entry["target"] is None:
                 continue
             entry["replicas"] = replica_peers(
                 entry["target"], self.topology, self.config.k)

@@ -99,6 +99,22 @@ def scenarios(draw):
     return document, plan, query_list
 
 
+@st.composite
+def nested_scenarios(draw):
+    """A scenario whose one query has nesting depth > 0."""
+    document = draw(hierarchical_documents())
+    plan = draw(partitions(document))
+    mid = draw(st.sampled_from([m.id for m in
+                                document.element_children("mid")]))
+    value = draw(st.integers(0, 4))
+    query = draw(st.sampled_from([
+        f"/top[@id='R']/mid[./leaf[value='{value}']]/meta",
+        f"/top[@id='R']/mid[@id='{mid}']/leaf[not(value > ../leaf/value)]",
+        f"/top[@id='R'][./mid[@id='{mid}']/leaf]/mid",
+    ]))
+    return document, plan, query
+
+
 class TestDistributionTransparency:
     @given(scenarios())
     @settings(max_examples=60, deadline=None)
@@ -133,28 +149,6 @@ class TestDistributionTransparency:
 
     @given(scenarios())
     @settings(max_examples=30, deadline=None)
-    def test_aggressive_generalization_repeat_is_local(self, scenario):
-        """With aggressive subquery generalization, the first query's
-        cache answers any repetition without remote traffic -- even for
-        predicate queries, whose failed siblings were over-fetched."""
-        from repro.core import GENERALIZE_AGGRESSIVE
-        from repro.net import OAConfig
-
-        document, plan, query_list = scenario
-        cluster = Cluster(
-            document.copy(), plan, service="prop",
-            oa_config=OAConfig(generalization=GENERALIZE_AGGRESSIVE))
-        query = query_list[0]
-        first, site, _ = cluster.query(query)
-        sent_after_first = cluster.agent(site).stats["subqueries_sent"]
-        second, _, _ = cluster.query(query, at_site=site)
-        assert sorted(_normalized(r) for r in first) == \
-            sorted(_normalized(r) for r in second)
-        assert cluster.agent(site).stats["subqueries_sent"] == \
-            sent_after_first
-
-    @given(scenarios())
-    @settings(max_examples=30, deadline=None)
     def test_eviction_preserves_correctness(self, scenario):
         document, plan, query_list = scenario
         cluster = Cluster(document.copy(), plan, service="prop")
@@ -166,6 +160,19 @@ class TestDistributionTransparency:
             assert structural_violations(cluster.database(site)) == []
         results, _, _ = cluster.query(query)
         assert sorted(_normalized(r) for r in results) == expected
+
+    @given(nested_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_nested_queries_equal_centralized(self, scenario):
+        """Nested predicates fetch the subtree at their earliest
+        referenced tag; the answer, asked twice, is the centralized one."""
+        document, plan, query = scenario
+        cluster = Cluster(document.copy(), plan, service="prop")
+        expected = reference_answer(document, query)
+        first, site, _ = cluster.query(query)
+        second, _, _ = cluster.query(query, at_site=site)
+        assert sorted(_normalized(r) for r in first) == expected, query
+        assert sorted(_normalized(r) for r in second) == expected, query
 
 
 @st.composite

@@ -31,13 +31,7 @@ from repro.core.idable import (
     node_id,
     non_idable_children,
 )
-from repro.core.qeg import (
-    BOOLEAN_PROBE,
-    FETCH_SUBTREE,
-    GENERALIZE_AGGRESSIVE,
-    GENERALIZE_ANSWER,
-    _Walker,
-)
+from repro.core.qeg import _Walker
 from repro.obs.explain import ExplainObserver
 from repro.xmlkit import Element, Text, parse_fragment, serialize
 from repro.xpath import parse
@@ -243,11 +237,10 @@ def _queries(draw):
     return "/root" + root + "".join(steps) + tail
 
 
-def _walk(tree, pattern, strategy, generalization):
+def _walk(tree, pattern):
     """Everything one QEG pass lets an outsider see."""
     observer = ExplainObserver()
     walker = _Walker(SensorDatabase(tree, clock=lambda: 10.0), pattern, 10.0,
-                     None, strategy, generalization=generalization,
                      observer=observer)
     try:
         result = walker.run()
@@ -259,8 +252,8 @@ def _walk(tree, pattern, strategy, generalization):
     return (
         None if result.answer is None
         else serialize(result.answer, use_cache=False),
-        [(s.query, s.scalar, s.reason, s.consumed, s.subtree,
-          s.descendant_gap, tuple(s.anchor_path))
+        [(s.query, s.reason, s.consumed, s.subtree, s.descendant_gap,
+          tuple(s.anchor_path))
          for s in result.subqueries],
         result.stats,
         observer.decisions,
@@ -268,19 +261,16 @@ def _walk(tree, pattern, strategy, generalization):
 
 
 class TestTheWalkDoesNotDependOnThePins:
-    @given(site_trees(), _queries(), st.sampled_from((None, _Schema)),
-           st.sampled_from((FETCH_SUBTREE, BOOLEAN_PROBE)),
-           st.sampled_from((GENERALIZE_ANSWER, GENERALIZE_AGGRESSIVE)))
+    @given(site_trees(), _queries(), st.sampled_from((None, _Schema)))
     @settings(max_examples=400, deadline=None)
-    def test_same_answer_subqueries_stats_and_explain(
-            self, tree, query, schema, strategy, generalization):
+    def test_same_answer_subqueries_stats_and_explain(self, tree, query,
+                                                      schema):
         before = serialize(tree, use_cache=False)
         pinned = compile_pattern(query, schema, use_cache=False)
         blank = compile_pattern(query, schema, use_cache=False)
         for item in blank.items:
             item.pinned_ids = None
-        assert _walk(tree, pinned, strategy, generalization) == \
-            _walk(tree, blank, strategy, generalization), query
+        assert _walk(tree, pinned) == _walk(tree, blank), query
         assert serialize(tree, use_cache=False) == before
 
 
@@ -288,8 +278,7 @@ class TestTheWalkDoesNotDependOnThePins:
 # (d) IDability, one pass per parent
 # ----------------------------------------------------------------------
 def _assert_idability_agrees(tree):
-    walker = _Walker(SensorDatabase(tree), compile_pattern("/root"), None,
-                     None, FETCH_SUBTREE)
+    walker = _Walker(SensorDatabase(tree), compile_pattern("/root"), None)
     for element in tree.iter():
         expected = _reference_idable_children(element)
         assert [id(c) for c in idable_children(element)] == \

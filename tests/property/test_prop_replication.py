@@ -209,21 +209,28 @@ class TestFailoverFreshnessSafety:
             if saw_stale:
                 assert any("too stale" in cause for cause in reply.causes)
 
-    @given(st.integers(min_value=1, max_value=4), ages)
+    @given(st.integers(min_value=1, max_value=4), ages,
+           st.sampled_from((Subquery.INCOMPLETE, Subquery.ID_COMPLETE,
+                            Subquery.UNSEPARABLE, Subquery.STALE,
+                            Subquery.MISSING_SUBTREE, Subquery.NESTED_FETCH)))
     @settings(max_examples=30, deadline=None)
-    def test_scalar_probes_are_never_replica_served(self, k, age):
+    def test_every_gather_ask_is_replica_served(self, k, age, reason):
+        """Every gather ask is a location path, so an unbounded one is
+        served by the first replica holding a copy, whatever its
+        reason."""
         target = "oak"
         topology = tuple(sorted(SITES))
         answers = {peer: _answer(target, age)
-                   for peer in replica_peers(target, topology, k)}
+                   for peer in replica_peers(target, topology, k)
+                   if peer != "asker"}
         agent = _StubAgent(answers)
         manager = ReplicationManager(agent, ReplicationConfig(k=k))
         manager.set_topology(topology)
 
-        probe = Subquery("boolean(/usRegion[@id='NE'])", ANCHOR,
-                         Subquery.NESTED_PROBE, scalar=True)
-        replies = manager.on_dispatch_failure(
-            target, [probe], attempts=3, causes=["dead"])
-        assert len(replies) == 1
-        assert isinstance(replies[0], SubqueryFailure)
-        assert any("scalar" in cause for cause in replies[0].causes)
+        ask = Subquery("/usRegion[@id='NE']/state[@id='PA']", ANCHOR,
+                       reason, subtree=reason == Subquery.NESTED_FETCH)
+        [reply] = manager.on_dispatch_failure(
+            target, [ask], attempts=3, causes=["dead"])
+        assert isinstance(reply, ReplicaServed)
+        assert reply.replica == replica_peers(target, topology, k)[0]
+        assert reply.owner == target

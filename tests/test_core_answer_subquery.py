@@ -14,7 +14,6 @@ from repro.core import (
     Subquery,
     fragment_violations,
     get_status,
-    render_boolean_probe,
     render_id_path_query,
     render_residual_query,
 )
@@ -246,13 +245,6 @@ class TestSubqueryRendering:
             OAKLAND, [], pattern.items[1:], descendant_gap=True)
         assert "//parkingSpace" in query
 
-    def test_boolean_probe(self):
-        predicate = parse("/x[./neighborhood[@id='Oakland']]") \
-            .steps[0].predicates[0]
-        probe = render_boolean_probe(PITTSBURGH, predicate)
-        assert probe.startswith("boolean(")
-        parse(probe)
-
 
 class TestSubqueryObject:
     def test_equality_by_query(self):
@@ -260,8 +252,3 @@ class TestSubqueryObject:
         b = Subquery("/a[@id = '1']", [("a", "1")], Subquery.STALE)
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_scalar_distinct(self):
-        a = Subquery("/a", [("a", "1")], Subquery.NESTED_PROBE, scalar=True)
-        b = Subquery("/a", [("a", "1")], Subquery.NESTED_PROBE, scalar=False)
-        assert a != b

@@ -23,7 +23,7 @@ PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
           "/city[@id='Pittsburgh']")
 
 
-def build_mesh(paper_doc, cache_results=True, nesting_strategy=None):
+def build_mesh(paper_doc, cache_results=True):
     """Drivers for a 3-site deployment with direct owner routing."""
     plan = PartitionPlan({
         "top": [id_path("usRegion=NE")],
@@ -49,12 +49,9 @@ def build_mesh(paper_doc, cache_results=True, nesting_strategy=None):
             return drivers[target].answer_any(subquery.query)
         return send
 
-    kwargs = {}
-    if nesting_strategy is not None:
-        kwargs["nesting_strategy"] = nesting_strategy
     for site, db in dbs.items():
         drivers[site] = GatherDriver(db, make_send(site), schema=schema,
-                                     cache_results=cache_results, **kwargs)
+                                     cache_results=cache_results)
     return drivers, dbs, sent_log
 
 
@@ -159,20 +156,14 @@ class TestNestedGather:
         results, outcome = drivers["shady"].answer_user_query(self.NESTED)
         assert [r.child("price").text for r in results] == ["0"]
 
-    def test_probe_strategy(self, paper_doc):
-        from repro.core.qeg import BOOLEAN_PROBE
-
-        drivers, _dbs, _log = build_mesh(paper_doc,
-                                         nesting_strategy=BOOLEAN_PROBE)
+    def test_existence_predicate(self, paper_doc):
+        drivers, _dbs, _log = build_mesh(paper_doc)
         query = PREFIX + "[./neighborhood[@id='Oakland']]/neighborhood"
         results, _ = drivers["shady"].answer_user_query(query)
         assert {r.id for r in results} == {"Oakland", "Shadyside"}
 
-    def test_probe_prunes_false(self, paper_doc):
-        from repro.core.qeg import BOOLEAN_PROBE
-
-        drivers, _dbs, _log = build_mesh(paper_doc,
-                                         nesting_strategy=BOOLEAN_PROBE)
+    def test_existence_predicate_false(self, paper_doc):
+        drivers, _dbs, _log = build_mesh(paper_doc)
         query = PREFIX + "[./neighborhood[@id='Nowhere']]/neighborhood"
         results, _ = drivers["shady"].answer_user_query(query)
         assert results == []

@@ -10,11 +10,17 @@ from repro.core import (
     compile_pattern,
     fragment_violations,
     get_status,
+    render_id_path_query,
     run_qeg,
 )
-from repro.core.qeg import BOOLEAN_PROBE
 
-from tests.conftest import FIGURE2_QUERY, OAKLAND, SHADYSIDE, id_path
+from tests.conftest import (
+    FIGURE2_QUERY,
+    OAKLAND,
+    PITTSBURGH,
+    SHADYSIDE,
+    id_path,
+)
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
           "/city[@id='Pittsburgh']")
@@ -332,51 +338,60 @@ class TestNestingStrategies:
         # the neighborhood stub on the way there.
         assert fetches[0].anchor_path[:5] == OAKLAND
 
-    def test_probe_strategy_emits_scalar_probe(self, dbs, paper_schema):
-        query = PREFIX + "[./neighborhood[@id='Oakland']]/neighborhood"
-        pattern = compile_pattern(query, paper_schema)
-        result = run_qeg(dbs["shady"], pattern,
-                         nesting_strategy=BOOLEAN_PROBE)
-        probes = [s for s in result.subqueries if s.scalar]
-        assert probes
-        assert probes[0].query.startswith("boolean(")
-
-    def test_probe_results_consumed(self, dbs, paper_schema):
-        query = PREFIX + "[./neighborhood[@id='Oakland']]/neighborhood"
-        pattern = compile_pattern(query, paper_schema)
-        first = run_qeg(dbs["shady"], pattern,
-                        nesting_strategy=BOOLEAN_PROBE)
-        probe_results = {s.query: True for s in first.subqueries if s.scalar}
-        second = run_qeg(dbs["shady"], pattern,
-                         probe_results=probe_results,
-                         nesting_strategy=BOOLEAN_PROBE)
-        assert not [s for s in second.subqueries if s.scalar]
-
-    def test_probe_false_prunes(self, dbs, paper_schema):
-        query = PREFIX + "[./neighborhood[@id='Nowhere']]/neighborhood"
-        pattern = compile_pattern(query, paper_schema)
-        first = run_qeg(dbs["shady"], pattern,
-                        nesting_strategy=BOOLEAN_PROBE)
-        probe_results = {s.query: False for s in first.subqueries if s.scalar}
-        second = run_qeg(dbs["shady"], pattern,
-                         probe_results=probe_results,
-                         nesting_strategy=BOOLEAN_PROBE)
-        assert second.is_complete
-        assert _no_data(second)
-
-    def test_probe_strategy_probes_only_pinned_siblings(self, dbs,
-                                                        paper_schema):
-        # P_id is decided before anything is probed (Section 3.5): the
+    def test_fetch_subtree_asks_only_pinned_siblings(self, dbs,
+                                                     paper_schema):
+        # P_id is decided before anything is asked (Section 3.5): the
         # sibling the id pin excludes costs no WAN message.
         query = (PREFIX + "/neighborhood[@id='Oakland']"
                  "[./block/parkingSpace/available='yes']/block")
         pattern = compile_pattern(query, paper_schema)
-        result = run_qeg(dbs["top"], pattern,
-                         nesting_strategy=BOOLEAN_PROBE)
-        probes = [s.query for s in result.subqueries if s.scalar]
-        assert len(probes) == 1
-        assert "neighborhood[@id = 'Oakland']" in probes[0]
+        result = run_qeg(dbs["top"], pattern)
+        [ask] = result.subqueries
+        assert ask.anchor_path == OAKLAND
         assert not any("Shadyside" in s.query for s in result.subqueries)
+
+    EXISTS = PREFIX + "[./neighborhood[@id='{}']]/neighborhood"
+
+    def _fetch_and_store(self, dbs, paper_doc, paper_schema, pattern):
+        """Answer the walk's one nested fetch from a site owning the
+        whole document and cache the reply at shady."""
+        [fetch] = run_qeg(dbs["shady"], pattern).subqueries
+        whole = PartitionPlan({"all": [id_path("usRegion=NE")]}) \
+            .build_databases(paper_doc)["all"]
+        reply = run_qeg(whole, compile_pattern(fetch.query, paper_schema))
+        assert reply.is_complete
+        dbs["shady"].store_fragment(reply.answer)
+
+    def test_existence_predicate_fetches_the_city_subtree(self, dbs,
+                                                          paper_schema):
+        # The predicate is evaluated at the city, the earliest tag it
+        # references: one fetch of that whole subtree.
+        pattern = compile_pattern(self.EXISTS.format("Oakland"),
+                                  paper_schema)
+        [fetch] = run_qeg(dbs["shady"], pattern).subqueries
+        assert fetch.reason == Subquery.NESTED_FETCH
+        assert fetch.subtree
+        assert fetch.anchor_path == PITTSBURGH
+        assert fetch.query == render_id_path_query(PITTSBURGH)
+
+    def test_fetched_subtree_answers_locally(self, dbs, paper_doc,
+                                             paper_schema):
+        pattern = compile_pattern(self.EXISTS.format("Oakland"),
+                                  paper_schema)
+        self._fetch_and_store(dbs, paper_doc, paper_schema, pattern)
+        result = run_qeg(dbs["shady"], pattern)
+        assert result.is_complete
+        assert [node.id for node in result.matches] == \
+            ["Oakland", "Shadyside"]
+
+    def test_fetched_subtree_false_predicate_prunes(self, dbs, paper_doc,
+                                                    paper_schema):
+        pattern = compile_pattern(self.EXISTS.format("Nowhere"),
+                                  paper_schema)
+        self._fetch_and_store(dbs, paper_doc, paper_schema, pattern)
+        result = run_qeg(dbs["shady"], pattern)
+        assert result.is_complete
+        assert result.matches == []
 
 
 class TestSubsumption:

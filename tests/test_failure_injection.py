@@ -167,6 +167,20 @@ class TestPartialAnswers:
         assert tuple(tuple(entry) for entry in miss["id_path"]) == SHADYSIDE
         assert miss["attempts"] == 3
 
+    def test_unreachable_entry_has_the_golden_shape(self):
+        """A real failure reports exactly the entry the golden wire
+        report pins, ``"scalar": False`` included."""
+        from repro.core.answer import Subquery
+        from repro.core.gather import SubqueryFailure
+        from tests.test_wire_golden import PATH, QUERY, REPORT
+
+        [golden] = REPORT["unreachable"]
+        failure = SubqueryFailure(
+            Subquery(QUERY, PATH, Subquery.INCOMPLETE), golden["attempts"],
+            golden["causes"])
+        assert failure.report() == golden
+        assert failure.report()["scalar"] is False
+
 
 class TestRetries:
     def test_transient_fault_healed_by_retry(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PartitionPlan, Subquery, compile_pattern
+from repro.core import PartitionPlan, Subquery, compile_pattern, run_qeg
 from repro.core.gather import _is_path_prefix, _subsumed_by
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
@@ -20,8 +20,8 @@ def pattern(paper_schema):
     )
 
 
-def _sq(anchor, consumed=None, gap=False, subtree=False, scalar=False):
-    return Subquery("/q", anchor, Subquery.INCOMPLETE, scalar=scalar,
+def _sq(anchor, consumed=None, gap=False, subtree=False):
+    return Subquery("/q", anchor, Subquery.INCOMPLETE,
                     consumed=consumed, descendant_gap=gap, subtree=subtree)
 
 
@@ -77,11 +77,6 @@ class TestSubsumption:
         pending = _sq(OAKLAND + (("block", "1"),), consumed=6)
         assert not _subsumed_by(pending, answered, pattern)
 
-    def test_scalar_answers_subsume_nothing(self, pattern):
-        answered = [_sq(OAKLAND, consumed=5, scalar=True)]
-        pending = _sq(OAKLAND + (("block", "1"),), consumed=6)
-        assert not _subsumed_by(pending, answered, pattern)
-
     def test_descendant_pattern_items_block_alignment(self, paper_schema):
         pattern = compile_pattern(
             PREFIX + "/neighborhood[@id='Oakland']//parkingSpace",
@@ -92,6 +87,24 @@ class TestSubsumption:
         # The in-between item is a // item: depth alignment proves
         # nothing, so no subsumption.
         assert not _subsumed_by(pending, answered, pattern)
+
+    def test_walk_nested_fetch_subsumes_asks_below(self, paper_doc,
+                                                   paper_schema):
+        # The fetch a nested predicate makes carries the whole subtree:
+        # no ask anchored under it goes out again.
+        pattern = compile_pattern(
+            PREFIX + "[./neighborhood[@id='Oakland']]/neighborhood",
+            schema=paper_schema)
+        top = PartitionPlan({
+            "top": [id_path("usRegion=NE")], "oak": [OAKLAND],
+        }).build_databases(paper_doc)["top"]
+        [fetch] = run_qeg(top, pattern).subqueries
+        assert fetch.reason == Subquery.NESTED_FETCH
+        for pending in (_sq(SHADYSIDE, consumed=5),
+                        _sq(OAKLAND + (("block", "1"),), subtree=True)):
+            assert _subsumed_by(pending, [fetch], pattern)
+        assert not _subsumed_by(_sq(PITTSBURGH[:3], subtree=True), [fetch],
+                                pattern)
 
 
 class TestSubsumptionEndToEnd:

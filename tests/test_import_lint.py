@@ -5,10 +5,12 @@ QEG on, and the discrete-event simulator that regenerates its figures --
 is paper-only code: the live system (agents, engine, subsystems) must
 not depend on it.  The second fence keeps deleted modules deleted.  The
 third keeps the subsystem seam one-way: the opt-in packages import the
-agent's world, never the reverse.
+agent's world, never the reverse.  The option fence at the end (which
+does import) keeps the query plan free of knobs.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -170,3 +172,26 @@ def test_no_unused_imports_under_src():
                     unused.append(
                         f"{path.relative_to(SRC)}:{node.lineno}: {bound}")
     assert unused == []
+
+
+# ----------------------------------------------------------------------
+# Option fence: one query plan
+# ----------------------------------------------------------------------
+#: Every tunable an organizing agent has.  Generalization and nesting
+#: strategy are not among them: the plan is the paper's (3.3, 4).
+OA_TUNABLES = ("cache_results", "executor", "retry_policy", "breaker",
+               "stale_on_error", "semcache", "subsystems")
+PLAN_KNOBS = ("strategy", "generaliz", "nesting", "aggressive", "probe")
+
+
+def test_the_query_plan_has_no_options():
+    from repro.core import GatherDriver, run_qeg
+    from repro.net import OAConfig
+
+    assert tuple(inspect.signature(OAConfig).parameters) == OA_TUNABLES
+    for name in OA_TUNABLES:
+        assert f"``{name}``" in OAConfig.__doc__, name
+    for function in (run_qeg, GatherDriver, GatherDriver.gather):
+        knobs = [parameter for parameter in inspect.signature(function)
+                 .parameters if any(knob in parameter for knob in PLAN_KNOBS)]
+        assert knobs == [], function.__qualname__

@@ -143,21 +143,31 @@ class TestFailoverServesFreshReplica:
         assert counters["failover_served"] >= 1
         assert top.driver.stats["replica_served"] >= 1
 
-    def test_scalar_probe_still_degrades(self):
-        """Replicas hold data, not evaluators: scalar probes fail over
-        to nothing (the legacy partial-answer contract)."""
-        from repro.core.answer import Subquery
-        from repro.core.gather import SubqueryFailure
+    def test_nested_query_fails_over_to_replica(self):
+        """Every gather ask is a location path, so a nested query's asks
+        are served from a replica like any other."""
+        from repro.core import Subquery, render_id_path_query
+        from repro.core.gather import ReplicaServed
+
+        nested = OAK_BLOCK + "/parkingSpace[not(price > ../parkingSpace/price)]"
+        cluster, _network = self._cluster()
+        baseline, _, _ = cluster.query(nested, at_site="top")
 
         cluster, network = self._cluster()
         network.kill_agent("oak")
-        top = cluster.agent("top")
-        probe = Subquery(f"boolean({OAK_BLOCK})", OAKLAND,
-                         Subquery.NESTED_PROBE, scalar=True)
-        [reply] = top.subsystem("replication").on_dispatch_failure(
-            "oak", [probe], attempts=3, causes=["dead"])
-        assert isinstance(reply, SubqueryFailure)
-        assert "scalar" in reply.cause
+        results, _, outcome = cluster.query(nested, at_site="top")
+        assert outcome.complete
+        assert answer_set(results) == answer_set(baseline) != set()
+        [served] = outcome.completeness_report()["served_by_replica"]
+        assert served["owner"] == "oak"
+
+        fetch = Subquery(render_id_path_query(OAKLAND), OAKLAND,
+                         Subquery.NESTED_FETCH, subtree=True)
+        [reply] = cluster.agent("top").subsystem(
+            "replication").on_dispatch_failure(
+                "oak", [fetch], attempts=3, causes=["dead"])
+        assert isinstance(reply, ReplicaServed)
+        assert reply.owner == "oak"
 
 
 class TestStaleReplicaDegrades:

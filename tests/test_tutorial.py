@@ -59,19 +59,9 @@ def test_step_3_cross_building_caching():
     assert site == "hq-site"
     assert first.used_remote_data
     # Repeats reuse the cache; only predicate re-checks on rooms that
-    # failed last time remain (zero with aggressive generalization).
+    # failed last time remain.
     _r, _s, second = cluster.query(query)
-    assert len(second.subqueries_sent) < len(first.subqueries_sent)
-
-    from repro.core import GENERALIZE_AGGRESSIVE
-    from repro.net import OAConfig
-
-    eager = Cluster(parse_fragment(DOCUMENT), PLAN, service="campus",
-                    oa_config=OAConfig(
-                        generalization=GENERALIZE_AGGRESSIVE))
-    eager.query(query)
-    _r, _s, repeat = eager.query(query)
-    assert not repeat.used_remote_data
+    assert 0 < len(second.subqueries_sent) < len(first.subqueries_sent)
 
 
 def test_step_4_updates():
