@@ -39,7 +39,6 @@ import pytest
 
 from benchmarks.conftest import print_table
 from benchmarks.reporting import write_report
-from repro.core.semcache import SemanticCacheConfig
 from repro.net import BreakerPolicy, OAConfig, RetryPolicy
 from repro.net.tcpruntime import TcpCluster
 from repro.rebalance import RebalanceConfig
@@ -76,16 +75,15 @@ STRESS_RESULTS_FILE = "BENCH_rebalance_stress.json"
 
 
 def _oa_config():
-    # Caches off: the skewed suite is a handful of distinct rollups,
-    # and a warm semantic cache would serve them all without any site
-    # ever being hot -- this bench is about the balancer.
+    # Fragment caching off: a warm site database would answer the
+    # skewed suite's handful of distinct rollups without any site ever
+    # being hot -- this bench is about the balancer.
     return OAConfig(
         retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0,
                                  max_delay=0.0, jitter=0.0,
                                  sleep=lambda seconds: None),
         breaker=BreakerPolicy(failure_threshold=8, reset_timeout=0.05),
-        cache_results=False,
-        semcache=SemanticCacheConfig(enabled=False))
+        cache_results=False)
 
 
 def _workload(seed):

@@ -2,41 +2,30 @@
 
 from repro.agg.manager import AggregationManager
 from repro.core.errors import QueryRoutingError
-from repro.core.semcache import DEFAULT_BUCKET_BOUNDARIES, FreshnessBuckets
 from repro.net.messages import as_id_path
 from repro.obs.registry import sum_numeric
 
 
 class AggregationConfig:
-    """Tunables for hierarchical aggregation.
+    """Hierarchical aggregation, switched on.
 
-    ``buckets``
-        the :class:`~repro.core.semcache.FreshnessBuckets` used to
-        loosen in-query tolerances before computing (and keying)
-        rollups -- shared boundaries with the semantic cache so both
-        subsystems coalesce the same jitter.
-
-    Pass it in ``Cluster(subsystems=[...])`` (or
+    It has no tunables: rollups round in-query tolerances up to the
+    semantic cache's :data:`~repro.core.semcache.BUCKETS`, so both caches
+    coalesce the same jitter.  Pass it in ``Cluster(subsystems=[...])`` (or
     ``OAConfig(subsystems=[...])``) to switch the subsystem on; not
     passing it keeps the wire byte-identical to a build without it.
     """
 
     name = "aggregation"
 
-    def __init__(self, buckets=DEFAULT_BUCKET_BOUNDARIES):
-        if buckets is None or isinstance(buckets, FreshnessBuckets):
-            self.buckets = buckets
-        else:
-            self.buckets = FreshnessBuckets(buckets)
-
     def site_subsystem(self, agent):
-        return AggregationManager(agent, self)
+        return AggregationManager(agent)
 
     def cluster_subsystem(self, cluster):
         return ClusterAggregation(cluster)
 
     def __repr__(self):
-        return f"AggregationConfig(buckets={self.buckets!r})"
+        return "AggregationConfig()"
 
 
 class ClusterAggregation:

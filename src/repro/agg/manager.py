@@ -37,11 +37,7 @@ from collections import namedtuple
 
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.idable import idable_children, node_id
-from repro.core.semcache import (
-    SemanticCache,
-    SemanticCacheConfig,
-    canonicalize,
-)
+from repro.core.semcache import BUCKETS, SemanticCache, canonicalize
 from repro.core.status import Status, get_status, get_timestamp
 from repro.net.errors import NetError
 from repro.net.messages import ErrorMessage, as_id_path
@@ -98,12 +94,10 @@ class AggregationManager:
 
     name = "aggregation"
 
-    def __init__(self, agent, config):
+    def __init__(self, agent):
         self.agent = agent
-        self.config = config
-        self.summaries = SemanticCache(SemanticCacheConfig(
-            buckets=None, max_entries=SUMMARY_MAX_ENTRIES,
-            max_bytes=SUMMARY_MAX_BYTES))
+        self.summaries = SemanticCache(max_entries=SUMMARY_MAX_ENTRIES,
+                                       max_bytes=SUMMARY_MAX_BYTES)
         self.derived = {}
         self._lock = threading.Lock()
         self.stats = {
@@ -180,7 +174,7 @@ class AggregationManager:
         shaped *query*, or ``None`` for anything else.  Side-effect
         free: planning and EXPLAIN share it."""
         try:
-            canon = canonicalize(query, buckets=self.config.buckets)
+            canon = canonicalize(query)
         except Exception:
             return None
         ast = canon.bucket_ast
@@ -209,14 +203,8 @@ class AggregationManager:
             raise AggregationUnsupported(
                 f"{shape}() not answerable hierarchically: {problem}")
         tolerance = canon.min_tolerance
-        if tolerance is None:
-            bucket_bound = None
-        elif self.config.buckets is not None:
-            bucket_bound = self.config.buckets.ceiling(tolerance)
-        else:
-            bucket_bound = tolerance
         return _Plan(shape, inner, inner.unparse(), anchor,
-                     tolerance, bucket_bound)
+                     tolerance, BUCKETS.ceiling(tolerance))
 
     def _support_problem(self, inner, anchor):
         """Why *inner* is outside the rollup algebra, or ``None``.

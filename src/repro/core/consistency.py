@@ -193,8 +193,8 @@ def bucket_consistency_tolerances(expression, bucket_fn):
     predicate with ``bucket_fn(N)`` (its bucket ceiling).  Returns
     ``(new_expression, tolerances)`` where *tolerances* lists each
     ``(original, bucketed)`` pair in document order.  Coarsening only
-    ever *loosens* the wire/key form; serving data under the loosened
-    key must still re-check the original bound (the subsumption check
+    ever *loosens* the key; serving data under the loosened key must
+    still re-check the original bound (the subsumption check
     -- see ``repro.core.semcache``).
     """
     tolerances = []

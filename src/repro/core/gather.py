@@ -17,9 +17,11 @@ depth > 0 (fetch the subtree, then evaluate).
 The last round's walk is the answer: its gap-free final-step matches,
 copied clean, are the user's result.  Freshness is the walk's alone: the
 driver passes it the *vouched* elements -- data this gather merged from
-a reply to an exact ask, or served under ``stale_on_error`` -- and any
-other copy too old for its bound is asked for again; an answered ask is
-not repeated, so a copy the owner's reply left out matches nothing.
+a reply, or served under ``stale_on_error`` -- and any other copy too
+old for its bound is asked for again.  Every ask goes out exactly as the
+walk wrote it, carrying the caller's own bound, so every reply vouches
+for what it carries; an answered ask is not repeated, so a copy the
+owner's reply left out matches nothing.
 """
 
 import threading
@@ -29,11 +31,9 @@ from repro.core.errors import CoreError
 from repro.core.executors import resolve_executor
 from repro.core.idable import iter_idable, iter_idable_with_paths
 from repro.core.answer import Subquery
-from repro.core.consistency import rewrite_consistency_sugar
 from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
 from repro.core.semcache import (
     SemanticCache,
-    SemanticCacheConfig,
     canonicalization_stats,
     canonicalize,
 )
@@ -108,7 +108,7 @@ class ReplicaServed:
 
     Returned through ``send``/``send_many`` (like
     :class:`SubqueryFailure`, but carrying data): the replication
-    layer verified the replica's stamp against the wire query's
+    layer verified the replica's stamp against the subquery's
     freshness bound before handing this back, so the driver merges
     ``fragment`` exactly as an owner answer -- and the completeness
     report annotates the region ``served_by_replica`` instead of
@@ -228,7 +228,7 @@ def _is_path_prefix(shorter, longer):
 
 
 def _subsumed_by(pending, answered, pattern):
-    """The answered ask that already covered *pending*'s data, or ``None``.
+    """Whether an answered ask already covered *pending*'s data.
 
     An answered subquery's generalized reply is authoritative for the
     whole region its query selects; a later, narrower ask along the
@@ -241,7 +241,7 @@ def _subsumed_by(pending, answered, pattern):
         if not _is_path_prefix(earlier.anchor_path, pending.anchor_path):
             continue
         if earlier.subtree:
-            return earlier
+            return True
         if pending.subtree:
             continue
         if earlier.descendant_gap or pending.descendant_gap:
@@ -254,8 +254,8 @@ def _subsumed_by(pending, answered, pattern):
         between = pattern.items[earlier.consumed:pending.consumed]
         if any(item.descendant for item in between):
             continue
-        return earlier
-    return None
+        return True
+    return False
 
 
 def _merge(view, fragment, vouched, handed_over=False):
@@ -294,8 +294,7 @@ class GatherDriver:
     MAX_ROUNDS = 12
 
     def __init__(self, database, send, schema=None, cache_results=True,
-                 executor=None, send_many=None, stale_on_error=False,
-                 semcache=None):
+                 executor=None, send_many=None, stale_on_error=False):
         self.database = database
         self.send = send
         self.schema = schema
@@ -303,12 +302,8 @@ class GatherDriver:
         self.executor = resolve_executor(executor)
         self.send_many = send_many
         self.stale_on_error = stale_on_error
-        #: Semantic caching policy: canonical keys, freshness buckets,
-        #: and the scalar-answer cache budget (``repro.core.semcache``).
-        self.semcache = semcache if semcache is not None \
-            else SemanticCacheConfig()
         #: Scalar answers of this site, stamped with the database clock.
-        self.aggregates = SemanticCache(self.semcache)
+        self.aggregates = SemanticCache()
         self._stats_lock = threading.Lock()
         self.stats = {
             "queries": 0,
@@ -319,8 +314,6 @@ class GatherDriver:
             "failed_subqueries": 0,
             "partial_gathers": 0,
             "stale_served": 0,
-            "bucket_generalized": 0,
-            "bucket_rechecks": 0,
             "prewarm_queries": 0,
             "replica_served": 0,
         }
@@ -357,13 +350,6 @@ class GatherDriver:
             vouched = set()
             answered = []
             answered_keys = set()
-            # Freshness-bucketed dispatch bookkeeping: keys whose wire
-            # ask was loosened to the bucket boundary, and those already
-            # re-asked exactly once when the loosened answer fell short.
-            bucketed_keys = set()
-            escalated_keys = set()
-            bucket_generalized = 0
-            bucket_rechecks = 0
             sent = []
             failures = []
             replica_served = []
@@ -380,41 +366,12 @@ class GatherDriver:
                 # everything its query could yield, so data still
                 # missing locally (e.g. ID stubs that failed the
                 # predicate remotely) simply does not match.
-                pending = []
-                for sq in result.subqueries:
-                    if sq.query in answered_keys:
-                        covering = sq
-                    else:
-                        covering = _subsumed_by(sq, answered, pattern)
-                        if covering is None:
-                            pending.append(sq)
-                            continue
-                        if sq.reason != Subquery.STALE:
-                            continue
-                    # The ask re-emerged, or a stale copy sits under it,
-                    # after a bucket-loosened answer, which vouches for
-                    # nothing: re-ask it exactly, once -- the
-                    # subsumption guarantee for bucketed wire asks.
-                    key = covering.query
-                    if key in bucketed_keys and key not in escalated_keys:
-                        escalated_keys.add(key)
-                        bucket_rechecks += 1
-                        pending.append(covering)
+                pending = [sq for sq in result.subqueries
+                           if sq.query not in answered_keys
+                           and not _subsumed_by(sq, answered, pattern)]
                 if not pending:
                     break
                 max_fanout = max(max_fanout, len(pending))
-                # Loosen eligible wire asks to their freshness-bucket
-                # boundary so mid-tier caches coalesce near-identical
-                # tolerances; replies merge with real timestamps, and
-                # the escalation path above re-checks the exact bound.
-                wire_round = [
-                    self._wire_subquery(sq, bucketed_keys, escalated_keys)
-                    for sq in pending
-                ]
-                bucket_generalized += sum(
-                    1 for sq, wire in zip(pending, wire_round)
-                    if wire is not sq
-                )
                 # Fan the round out (possibly in parallel / batched),
                 # then merge the replies back in emission order: the
                 # merged view -- and hence the final answer -- never
@@ -422,31 +379,22 @@ class GatherDriver:
                 with TRACER.span("subquery-dispatch", site=site) as dspan:
                     dspan.set_tag("round", rounds)
                     dspan.set_tag("fanout", len(pending))
-                    replies = self._dispatch_round(wire_round)
+                    replies = self._dispatch_round(pending)
                 with TRACER.span("merge", site=site) as merge_span:
                     merge_span.set_tag("round", rounds)
-                    for subquery, wire, reply in zip(pending, wire_round,
-                                                     replies):
+                    for subquery, reply in zip(pending, replies):
                         sent.append(subquery)
-                        key = subquery.query
-                        answered_keys.add(key)
-                        # Only an exact ask's reply vouches for the
-                        # freshness of what it carries.
-                        vouch = vouched if wire is subquery else None
+                        answered_keys.add(subquery.query)
                         if isinstance(reply, ReplicaServed):
                             # A replica answered for the dead owner; the
                             # replication layer already checked its
-                            # stamp against the wire query's freshness
-                            # bound, so the fragment merges like any
-                            # owner answer.  The bucketed-key entry
-                            # stays: if the copy fails the caller's
-                            # exact (tighter) bound the escalation path
-                            # re-asks -- and the re-ask's failover is
-                            # judged at the exact bound.
+                            # stamp against the ask's freshness bound,
+                            # so the fragment merges like any owner
+                            # answer.
                             replica_served.append(reply)
                             answered.append(subquery)
                             if reply.fragment is not None:
-                                _merge(view, reply.fragment, vouch)
+                                _merge(view, reply.fragment, vouched)
                             continue
                         if isinstance(reply, SubqueryFailure):
                             # Terminal failure: record it, never re-ask
@@ -454,9 +402,7 @@ class GatherDriver:
                             # and degrade.  Deliberately NOT appended to
                             # ``answered``: a failed fetch is not
                             # authoritative for anything, so it must not
-                            # subsume narrower asks.  A dead region is
-                            # also never escalation-worthy.
-                            bucketed_keys.discard(key)
+                            # subsume narrower asks.
                             self._note_failure(reply, subquery, view,
                                                vouched)
                             failures.append(reply)
@@ -466,7 +412,7 @@ class GatherDriver:
                             # An owner reply is this gather's alone
                             # (built for the ask, or decoded off the
                             # wire), so the merge may take its nodes.
-                            _merge(view, reply, vouch, handed_over=True)
+                            _merge(view, reply, vouched, handed_over=True)
             else:
                 raise GatherError(
                     f"gathering {pattern.source!r} did not converge within "
@@ -487,8 +433,6 @@ class GatherDriver:
                     1 for failure in failures if failure.stale_served)
                 if any(not failure.stale_served for failure in failures):
                     self.stats["partial_gathers"] += 1
-                self.stats["bucket_generalized"] += bucket_generalized
-                self.stats["bucket_rechecks"] += bucket_rechecks
                 self.stats["replica_served"] += len(replica_served)
             return GatherOutcome(result, rounds, sent, view,
                                  failures=failures,
@@ -511,41 +455,6 @@ class GatherDriver:
                 get_status(anchor).has_local_information:
             failure.stale_served = True
             vouched.update(iter_idable(anchor))
-
-    def bucketed_wire_query(self, subquery):
-        """The bucket-loosened spelling *subquery* is first dispatched
-        under, or ``None`` when it goes out verbatim.
-
-        Asks with bucketable freshness tolerances go out spelled at the
-        bucket boundary, so every mid-tier cache between here and the
-        owner sees one canonical ask per bucket instead of one per
-        jittered tolerance.
-        """
-        if not self.semcache.enabled or self.semcache.buckets is None:
-            return None
-        try:
-            canon = canonicalize(subquery.query,
-                                 buckets=self.semcache.buckets)
-        except Exception:
-            return None
-        return canon.bucket_key if canon.bucketed else None
-
-    def _wire_subquery(self, subquery, bucketed_keys, escalated_keys):
-        """The wire form of *subquery*: bucket-loosened when eligible
-        (see :meth:`bucketed_wire_query`), verbatim for an escalated
-        re-ask."""
-        if subquery.query in escalated_keys:
-            return subquery
-        wire_query = self.bucketed_wire_query(subquery)
-        if wire_query is None:
-            return subquery
-        bucketed_keys.add(subquery.query)
-        return Subquery(
-            wire_query, subquery.anchor_path, subquery.reason,
-            consumed=subquery.consumed,
-            descendant_gap=subquery.descendant_gap,
-            subtree=subquery.subtree,
-        )
 
     def _dispatch_round(self, pending):
         """Send one round's subqueries; replies come back in input order."""
@@ -592,40 +501,23 @@ class GatherDriver:
         nothing served stale is cached: a partial count would otherwise
         be served as the whole one after the missing site recovers.
         """
-        canon = None
-        if self.semcache.enabled:
-            canon = canonicalize(query, buckets=self.semcache.buckets)
-            # Cache identity is the *bucketed* canonical form -- every
-            # jitter-equivalent spelling and near-identical tolerance
-            # shares one entry -- while the exact key and the original
-            # (tightest) tolerance feed the coalesce accounting and the
-            # serve-time subsumption check.
-            query_key = canon.bucket_key
-            exact_key = canon.key
-            tolerance = canon.min_tolerance
-        else:
-            query_key = query if isinstance(query, str) else query.unparse()
-            exact_key = query_key
-            tolerance = None
+        # Cache identity is the *bucketed* canonical form -- every
+        # jitter-equivalent spelling and near-identical tolerance shares
+        # one entry -- while the exact key and the original (tightest)
+        # tolerance feed the coalesce accounting and the serve-time
+        # subsumption check.
+        canon = canonicalize(query)
+        query_key = canon.bucket_key
         if max_age is not None:
             with TRACER.span("cache-lookup",
                              site=self.database.site_id) as lookup_span:
                 cached = self.aggregates.lookup(
                     query_key, self.database.clock(), max_age=max_age,
-                    exact_key=exact_key, tolerance=tolerance)
+                    exact_key=canon.key, tolerance=canon.min_tolerance)
                 lookup_span.set_tag("hit", cached is not None)
             if cached is not None:
                 return cached.value
-        if canon is not None:
-            ast = canon.ast
-        else:
-            ast = xpath_parser.parse_cached(query) \
-                if isinstance(query, str) else query
-            # The wrapper is evaluated over the gathered view from this
-            # ast directly (compile only rewrites the gathered path), so
-            # de-sugar here too -- otherwise ``timestamp``/``now`` sugar
-            # would be read as child-element name tests.
-            ast = rewrite_consistency_sugar(ast)
+        ast = canon.ast
         if not (
             isinstance(ast, FunctionCall)
             and ast.name in SCALAR_WRAPPERS
@@ -646,7 +538,8 @@ class GatherDriver:
         if not outcome.failures:
             self.aggregates.store(query_key, value, self.database.clock(),
                                   region=anchor_id_path(ast),
-                                  exact_key=exact_key, tolerance=tolerance)
+                                  exact_key=canon.key,
+                                  tolerance=canon.min_tolerance)
         return value
 
     def note_prewarm(self):
@@ -657,17 +550,12 @@ class GatherDriver:
     def semcache_counters(self):
         """Semantic-cache counters for the metrics registry / EXPLAIN.
 
-        Per-site: the driver's bucket/prewarm counters and the
-        aggregate cache's hit/miss/coalesce/byte figures.  The
-        canonicalizer memo is process-wide and tagged as such.
+        Per-site: the driver's prewarm counter and the aggregate cache's
+        hit/miss/coalesce/byte figures.  The canonicalizer memo is
+        process-wide and tagged as such.
         """
         with self._stats_lock:
-            counters = {
-                key: self.stats[key]
-                for key in ("bucket_generalized", "bucket_rechecks",
-                            "prewarm_queries")
-            }
-        counters["enabled"] = self.semcache.enabled
+            counters = {"prewarm_queries": self.stats["prewarm_queries"]}
         counters["aggregate"] = self.aggregates.metrics()
         counters["canonicalizer"] = dict(canonicalization_stats(),
                                          scope="process")

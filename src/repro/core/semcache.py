@@ -19,15 +19,14 @@ context-reference operand on the left.  Every rewrite is
 semantics-preserving (hypothesis-verified: the canonical query
 evaluates identically to the original over random documents).
 
-**Freshness bucketing** (:class:`FreshnessBuckets`).  Consistency
-tolerances are generalized *up* to configurable bucket boundaries
-(``now-28s`` and ``now-30s`` both key as ``now-30s``), so
-near-identical continuous queries share one cached region.  Sharing a
-key never weakens the answer: the paper's subsumption check is applied
-at serve time -- a bucketed entry is served only when its actual age
-satisfies the *original* (tighter) bound, and the gather driver
-re-asks exactly when a bucket-loosened wire answer fails the original
-predicate (see ``GatherDriver``).
+**Freshness bucketing** (:class:`FreshnessBuckets`, :data:`BUCKETS`).
+In a cache key, consistency tolerances are generalized *up* to a
+bucket boundary (``now-28s`` and ``now-30s`` both key as ``now-30s``),
+so near-identical scalar asks share one cached answer.  Sharing a key
+never weakens the answer: the paper's subsumption check is applied at
+serve time -- a bucketed entry is served only when its actual age
+satisfies the *original* (tighter) bound.  Bucketing is a key, never a
+wire spelling: a subquery carries the caller's own bound.
 
 **The answer cache** (:class:`SemanticCache`).  One size-aware LRU
 class with per-entry hit/byte counters holds every cached answer; each
@@ -65,8 +64,8 @@ from repro.xpath.ast import (
     UnaryMinus,
 )
 
-#: Default freshness bucket boundaries, in seconds.  Chosen to cover
-#: the paper's 30s-tolerance examples with sub-2x rounding everywhere.
+#: Freshness bucket boundaries, in seconds.  Chosen to cover the paper's
+#: 30s-tolerance examples with sub-2x rounding everywhere.
 DEFAULT_BUCKET_BOUNDARIES = (5.0, 10.0, 15.0, 30.0, 60.0, 120.0, 300.0, 900.0)
 
 
@@ -96,10 +95,6 @@ class FreshnessBuckets:
             if boundary >= tolerance:
                 return boundary
         return tolerance
-
-    @property
-    def signature(self):
-        return self.boundaries
 
     def __repr__(self):
         return f"FreshnessBuckets({list(self.boundaries)})"
@@ -264,24 +259,21 @@ class CanonicalQuery:
         return f"CanonicalQuery({self.key!r})"
 
 
-#: Canonicalizations are pure functions of (source, bucket boundaries):
-#: memoized process-wide so the hot query path pays the tree rewrite
-#: once per distinct spelling.
+#: The one set of bucket boundaries every bucketed key is rounded to.
+BUCKETS = FreshnessBuckets()
+
+#: Canonicalizations are pure functions of the source text: memoized
+#: process-wide so the hot query path pays the tree rewrite once per
+#: distinct spelling.
 _CANON_CACHE = LRUCache(max_entries=1024)
 
 
-def canonicalize(query, buckets=None):
-    """Canonicalize *query* (a string or AST) into a :class:`CanonicalQuery`.
-
-    *buckets* (a :class:`FreshnessBuckets`) controls the bucketed key;
-    ``None`` uses the default boundaries.
-    """
-    if buckets is None:
-        buckets = _DEFAULT_BUCKETS
-    cache_key = None
-    if isinstance(query, str):
-        cache_key = (query, buckets.signature)
-        cached = _CANON_CACHE.get(cache_key)
+def canonicalize(query):
+    """Canonicalize *query* (a string or AST) into a :class:`CanonicalQuery`
+    whose bucketed key rounds tolerances up to :data:`BUCKETS`."""
+    text = query if isinstance(query, str) else None
+    if text is not None:
+        cached = _CANON_CACHE.get(text)
         if cached is not None:
             return cached
         source = query
@@ -292,16 +284,13 @@ def canonicalize(query, buckets=None):
     canonical_ast = canonicalize_expression(ast)
     key = canonical_ast.unparse()
     bucket_ast, tolerances = bucket_consistency_tolerances(
-        canonical_ast, buckets.ceiling)
+        canonical_ast, BUCKETS.ceiling)
     bucket_key = bucket_ast.unparse() if tolerances else key
     result = CanonicalQuery(source, canonical_ast, key, bucket_ast,
                             bucket_key, tolerances)
-    if cache_key is not None:
-        _CANON_CACHE.put(cache_key, result)
+    if text is not None:
+        _CANON_CACHE.put(text, result)
     return result
-
-
-_DEFAULT_BUCKETS = FreshnessBuckets()
 
 
 def canonical_key(query):
@@ -317,38 +306,6 @@ def canonicalization_stats():
 # ----------------------------------------------------------------------
 # The measured cache
 # ----------------------------------------------------------------------
-class SemanticCacheConfig:
-    """Tunables for semantic caching at one site.
-
-    ``enabled``
-        turn semantic keying off entirely (exact-string keys, the
-        pre-semcache behaviour) -- the ablation lever the benchmarks
-        flip;
-    ``buckets``
-        the :class:`FreshnessBuckets` (or an iterable of boundaries)
-        used for region keys and wire-subquery generalization;
-        ``None`` disables bucketing but keeps canonical keys;
-    ``max_entries`` / ``max_bytes``
-        the size-aware LRU budget of each :class:`SemanticCache`.
-    """
-
-    def __init__(self, enabled=True, buckets=DEFAULT_BUCKET_BOUNDARIES,
-                 max_entries=512, max_bytes=8 * 1024 * 1024):
-        self.enabled = enabled
-        if buckets is None:
-            self.buckets = None
-        elif isinstance(buckets, FreshnessBuckets):
-            self.buckets = buckets
-        else:
-            self.buckets = FreshnessBuckets(buckets)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-
-    def __repr__(self):
-        return (f"SemanticCacheConfig(enabled={self.enabled}, "
-                f"max_entries={self.max_entries})")
-
-
 def estimate_bytes(value):
     """A cheap, stable size estimate for cache accounting.
 
@@ -425,8 +382,9 @@ class SemanticCache:
     evict by id path (:meth:`evict_paths`) without reading keys.
     """
 
-    def __init__(self, config=None):
-        self.config = config or SemanticCacheConfig()
+    def __init__(self, max_entries=512, max_bytes=8 * 1024 * 1024):
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
         self._entries = OrderedDict()  # least-recently-used first
         self._bytes = 0
         self._lock = threading.Lock()
@@ -489,7 +447,6 @@ class SemanticCache:
         entry = CacheEntry(key, exact_key if exact_key is not None else key,
                            value, nbytes, now, region=region,
                            tolerance=tolerance)
-        config = self.config
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -498,8 +455,8 @@ class SemanticCache:
             self._bytes += nbytes
             self.stats["stores"] += 1
             while self._entries and (
-                len(self._entries) > config.max_entries
-                or self._bytes > config.max_bytes
+                len(self._entries) > self.max_entries
+                or self._bytes > self.max_bytes
             ):
                 _victim, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
@@ -644,14 +601,20 @@ class QueryLog:
         costs 40 gathers -- deduplication is what makes prewarming
         cheap enough to run before every deployment.
         """
-        seen = {}
-        for entry in self:
-            try:
-                key = canonical_key(entry["query"])
-            except Exception:
-                key = entry["query"]
-            seen.setdefault(key, entry)
-        return list(seen.values())
+        return unique_entries(self)
+
+
+def unique_entries(entries):
+    """*entries* (``{"query": ...}`` dicts) deduplicated by canonical key,
+    first spelling wins; a query that does not parse keys as itself."""
+    seen = {}
+    for entry in entries:
+        try:
+            key = canonical_key(entry["query"])
+        except Exception:
+            key = entry["query"]
+        seen.setdefault(key, entry)
+    return list(seen.values())
 
 
 def prewarm(cluster, log, now=None, limit=None, deduplicate=True):
@@ -669,22 +632,10 @@ def prewarm(cluster, log, now=None, limit=None, deduplicate=True):
     from repro.core.gather import SCALAR_WRAPPERS
     from repro.xpath.ast import FunctionCall as _FunctionCall
 
-    if isinstance(log, QueryLog):
-        entries = log.unique_queries() if deduplicate else list(log)
-    else:
-        entries = [
-            entry if isinstance(entry, dict) else {"query": entry}
-            for entry in log
-        ]
-        if deduplicate:
-            seen = {}
-            for entry in entries:
-                try:
-                    key = canonical_key(entry["query"])
-                except Exception:
-                    key = entry["query"]
-                seen.setdefault(key, entry)
-            entries = list(seen.values())
+    entries = [entry if isinstance(entry, dict) else {"query": entry}
+               for entry in log]
+    if deduplicate:
+        entries = unique_entries(entries)
     if limit is not None:
         entries = entries[:limit]
 

@@ -27,16 +27,12 @@ FLOOR = 0.6
 
 def _build_cluster():
     from repro.arch.architectures import hierarchical
-    from repro.core.semcache import SemanticCacheConfig
-    from repro.net import Cluster, OAConfig
+    from repro.net import Cluster
     from repro.service import ParkingConfig, build_parking_document
 
     config = ParkingConfig.tiny()
     architecture = hierarchical(config, n_sites=7)
-    cluster = Cluster(
-        build_parking_document(config), architecture.plan,
-        oa_config=OAConfig(semcache=SemanticCacheConfig()),
-    )
+    cluster = Cluster(build_parking_document(config), architecture.plan)
     return config, cluster
 
 

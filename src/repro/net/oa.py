@@ -85,12 +85,6 @@ class OAConfig:
         its refresh fails terminally -- an explicit relaxation of the
         paper's query-based consistency (Section 4), reported under
         ``stale_served`` in the completeness report.  Off by default.
-    ``semcache``
-        the :class:`~repro.core.semcache.SemanticCacheConfig` governing
-        canonical cache keys, freshness bucketing, and the scalar-answer
-        cache's eviction budget.  ``None`` uses the defaults
-        (semantic keying on); pass ``SemanticCacheConfig(enabled=False)``
-        for the legacy exact-string behaviour.
     ``subsystems``
         config objects of the opt-in subsystems this agent runs (read
         replication, hierarchical aggregation, the load balancer, ...;
@@ -101,14 +95,12 @@ class OAConfig:
     """
 
     def __init__(self, cache_results=True, executor=None, retry_policy=None,
-                 breaker=None, stale_on_error=False, semcache=None,
-                 subsystems=()):
+                 breaker=None, stale_on_error=False, subsystems=()):
         self.cache_results = cache_results
         self.executor = executor
         self.retry_policy = retry_policy
         self.breaker = breaker
         self.stale_on_error = stale_on_error
-        self.semcache = semcache
         self.subsystems = tuple(subsystems)
 
 
@@ -153,7 +145,6 @@ class OrganizingAgent:
             executor=self.executor,
             send_many=self._send_subqueries,
             stale_on_error=self.config.stale_on_error,
-            semcache=self.config.semcache,
         )
         #: Per-anchor served-query counters (always on: strictly local
         #: state, no wire traffic, no clock reads).

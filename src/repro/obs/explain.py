@@ -95,7 +95,7 @@ class ExplainReport:
         self.analyze = analyze
         #: Semantic-cache view: canonical/bucket keys, tolerance
         #: mapping, and the aggregate-cache entry that would serve this
-        #: query (``None`` when the subsystem is disabled).
+        #: query (empty when the query does not parse).
         self.cache = cache
         #: What the site's subsystems added through their ``explain``
         #: hook: ``{name: data}`` (the JSON view) and, per name, the
@@ -167,15 +167,11 @@ class ExplainReport:
                 lines.append(
                     f"    {where:<12} {entry['query']}"
                     f"  [{entry['reason']}]")
-                if entry.get("wire_query"):
-                    lines.append(
-                        f"    {'':<12} ~> {entry['wire_query']}"
-                        "  [freshness bucket]")
                 for note in entry.get("notes", ()):
                     lines.append(f"    {'':<12} {note}")
         else:
             lines.append("  subquery plan: (none -- answerable locally)")
-        if self.cache is not None and self.cache.get("enabled"):
+        if self.cache:
             lines.append("  semantic cache:")
             lines.append(f"    canonical: {self.cache.get('canonical_key')}")
             if self.cache.get("bucketed"):
@@ -243,9 +239,6 @@ def _plan_entry(agent, subquery, failed=None):
         "reason": subquery.reason,
         "target": agent.resolve_owner(subquery.anchor_path),
     }
-    wire = agent.driver.bucketed_wire_query(subquery)
-    if wire is not None:
-        entry["wire_query"] = wire
     if failed is not None:
         entry["failed"] = failed
     return entry
@@ -257,15 +250,11 @@ def _cache_section(driver, source, now):
     Uses :meth:`SemanticCache.peek` so building an EXPLAIN never
     distorts the very hit/miss counters it reports.
     """
-    config = driver.semcache
-    if not config.enabled:
-        return {"enabled": False}
     try:
-        canon = canonicalize(source, buckets=config.buckets)
+        canon = canonicalize(source)
     except Exception:
-        return {"enabled": True}
+        return {}
     info = {
-        "enabled": True,
         "canonical_key": canon.key,
         "bucket_key": canon.bucket_key,
         "bucketed": canon.bucketed,

@@ -126,7 +126,7 @@ def semcache_counters(agents):
     """Aggregate semantic-cache counters across organizing agents.
 
     Sums every driver's aggregate-cache hit/miss/coalesce/byte figures
-    and its bucket/prewarm counters, computes the overall hit ratio,
+    and its prewarm counter, computes the overall hit ratio,
     and snapshots the process-wide canonicalizer memo and compile-key
     stats once (tagged ``scope: process`` -- never summed per site).
     """
@@ -141,7 +141,7 @@ def semcache_counters(agents):
               "entries", "bytes"))
     totals.update(sum_numeric(
         (driver.stats for driver in drivers),
-        keys=("bucket_generalized", "bucket_rechecks", "prewarm_queries")))
+        keys=("prewarm_queries",)))
     lookups = totals["hits"] + totals["misses"]
     totals["hit_ratio"] = (
         round(totals["hits"] / lookups, 3) if lookups else 0.0

@@ -17,11 +17,11 @@ up a three-site TCP deployment from the scenario generator (root +
 
 Every query in both windows must be answered (zero errors, zero
 drops) -- the migration happens *under* load in the first window's
-drain and must not lose anything.  Query-result caches are disabled so
-offered load translates into evaluator work at the owner: the skewed
-suite only has a handful of distinct queries, and a semantic cache
-would serve them all without any site ever getting hot (a fine
-production outcome, but this check is about the balancer).
+drain and must not lose anything.  Fragment caching is off so offered
+load translates into evaluator work at the owner: the skewed suite only
+has a handful of distinct queries, and a warm site database would
+answer them all without any site ever getting hot (a fine production
+outcome, but this check is about the balancer).
 
 The summary carries per-window latency, the executed moves and the
 balancer and migration counters, so CI can archive what the balancer
@@ -34,7 +34,6 @@ from repro.smoke import impatient_oa_config
 
 
 def run(artifacts):
-    from repro.core.semcache import SemanticCacheConfig
     from repro.net.tcpruntime import TcpCluster
     from repro.rebalance import RebalanceConfig
     from repro.service.scenarios import (
@@ -50,9 +49,8 @@ def run(artifacts):
     problems = []
     config = ScenarioConfig(fanout=2, depth=2, sensors_per_group=25,
                             site_depth=1, seed=7)
-    oa_config = impatient_oa_config(
-        failure_threshold=8, cache_results=False,
-        semcache=SemanticCacheConfig(enabled=False))
+    oa_config = impatient_oa_config(failure_threshold=8,
+                                    cache_results=False)
     # ``service_delay`` gives every site a per-machine service time
     # (slept under the agent lock, GIL-free): per-*site* capacity is
     # real even though all sites share this interpreter, so a hot site

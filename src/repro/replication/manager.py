@@ -20,12 +20,9 @@ once:
 * **Failover client**: when a dispatch group exhausts its retry budget
   against a dead owner, :meth:`on_dispatch_failure` asks its replicas for
   the region and serves the copy **only** when its stamp satisfies the
-  subquery's freshness bound -- the bound is read from the wire-form
-  query, so freshness-bucketed asks are judged at their (loosened)
-  bucket boundary exactly as a mid-tier cache would, and the gather
-  driver's escalation re-check still enforces the caller's exact
-  tolerance afterwards.  A too-stale replica degrades to the ordinary
-  partial answer, annotated ``replica_too_stale``.
+  subquery's freshness bound -- the caller's exact bound, which every
+  subquery carries verbatim.  A too-stale replica degrades to the
+  ordinary partial answer, annotated ``replica_too_stale``.
 
 Without the config nothing here exists: no messages are sent, no
 envelope fields are added, and answers are byte-identical to a
@@ -411,7 +408,7 @@ class ReplicationManager:
 
         Returns one reply per subquery -- a
         :class:`~repro.core.gather.ReplicaServed` carrying the replica
-        fragment when a copy satisfies the (wire) query's freshness
+        fragment when a copy satisfies the subquery's freshness
         bound, otherwise a :class:`SubqueryFailure` whose causes append
         what each replica said (``replica_too_stale`` set when a copy
         existed but was too old).  Returns ``None`` when the owner has

@@ -3,8 +3,8 @@
 Covers the pieces in ``repro.core.semcache`` in isolation (the
 canonicalizer, the freshness buckets, the measured LRU, the query log)
 and their integration points: the QEG compile cache keyed by canonical
-form, bucketed wire subqueries with serve-time escalation, prewarming
-a cold cluster, and the EXPLAIN cache section.
+form, jittered bounds end to end (a subquery carries the caller's own
+bound), prewarming a cold cluster, and the EXPLAIN cache section.
 """
 
 import pytest
@@ -14,13 +14,13 @@ from repro.core.semcache import (
     FreshnessBuckets,
     QueryLog,
     SemanticCache,
-    SemanticCacheConfig,
     canonical_key,
     canonicalize,
     estimate_bytes,
     prewarm,
+    unique_entries,
 )
-from repro.net import Cluster, OAConfig
+from repro.net import Cluster
 
 from tests.conftest import FIGURE2_QUERY
 
@@ -182,8 +182,13 @@ class TestSemanticCache:
         entry = cache.lookup("bucket", now=27.0, max_age=30, tolerance=28)
         assert entry is not None
 
+    def test_budget_is_taken_directly(self):
+        cache = SemanticCache()
+        assert (cache.max_entries, cache.max_bytes) == (512, 8 * 1024 * 1024)
+        assert SemanticCache(max_entries=3, max_bytes=64).max_bytes == 64
+
     def test_lru_eviction_by_entry_budget(self):
-        cache = SemanticCache(SemanticCacheConfig(max_entries=2))
+        cache = SemanticCache(max_entries=2)
         cache.store("a", 1, now=0.0)
         cache.store("b", 2, now=0.0)
         cache.lookup("a", now=0.0, max_age=10)  # touch a; b is now LRU
@@ -192,7 +197,7 @@ class TestSemanticCache:
         assert cache.stats["evictions"] == 1
 
     def test_eviction_by_byte_budget(self):
-        cache = SemanticCache(SemanticCacheConfig(max_bytes=100))
+        cache = SemanticCache(max_bytes=100)
         cache.store("a", 1, now=0.0, nbytes=60)
         cache.store("b", 2, now=0.0, nbytes=60)
         assert "a" not in cache and "b" in cache
@@ -207,7 +212,7 @@ class TestSemanticCache:
         assert cache.nbytes == 70
 
     def test_peek_does_not_touch_counters_or_order(self):
-        cache = SemanticCache(SemanticCacheConfig(max_entries=2))
+        cache = SemanticCache(max_entries=2)
         cache.store("a", 1, now=0.0)
         cache.store("b", 2, now=0.0)
         assert cache.peek("a").value == 1
@@ -313,6 +318,21 @@ class TestQueryLog:
         # first spelling wins
         assert unique[0]["query"].endswith("[available='yes'][price='0']")
 
+    def test_plain_entries_dedupe_like_the_log(self):
+        # prewarm() dedupes a plain iterable with the log's own helper;
+        # a query that does not parse keys as itself.
+        queries = [PREFIX + "//parkingSpace[available='yes'][price='0']",
+                   "this is not xpath",
+                   PREFIX + "//parkingSpace[price='0'][available='yes']",
+                   "this is not xpath"]
+        log = QueryLog()
+        for query in queries:
+            log.record(query)
+        entries = [{"query": query} for query in queries]
+        assert unique_entries(entries) == log.unique_queries()
+        assert [entry["query"] for entry in unique_entries(entries)] == (
+            queries[:2])
+
 
 class TestPrewarm:
     def test_prewarm_fills_caches_from_log(self, paper_cluster):
@@ -364,69 +384,55 @@ class TestPrewarm:
 # Bucketed gather end to end
 # ----------------------------------------------------------------------
 class TestBucketedGatherEndToEnd:
-    def _cluster(self, paper_doc, paper_plan, clock, **oa_kwargs):
-        return Cluster(paper_doc, paper_plan, clock=clock,
-                       oa_config=OAConfig(**oa_kwargs))
-
     def test_jittered_tolerances_share_cached_region(
             self, paper_doc, paper_plan, settable_clock):
-        cluster = self._cluster(paper_doc, paper_plan, settable_clock)
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         agent = cluster.agent("top")
         base = PREFIX + "/neighborhood[@id='Shadyside']/block[@id='1']"
         cluster.query(base + "[timestamp > now - 30]", at_site="top")
         sent = agent.stats["subqueries_sent"]
         settable_clock.advance(5)
-        # 28s-bound spelling: different exact key, same 30s bucket, and
-        # the 5s-old cached region satisfies the tighter bound.
+        # 28s-bound spelling: different exact key, and the 5s-old cached
+        # region satisfies the tighter bound.
         results, _, _ = cluster.query(base + "[timestamp > now - 28]",
                                       at_site="top")
         assert len(results) == 1
         assert agent.stats["subqueries_sent"] == sent
 
-    def test_bucket_generalized_wire_ask_counted(
+    def test_a_copy_aged_into_the_bucket_gap_costs_one_ask(
             self, paper_doc, paper_plan, settable_clock):
-        cluster = self._cluster(paper_doc, paper_plan, settable_clock)
-        agent = cluster.agent("top")
-        settable_clock.advance(100)
-        query = (PREFIX + "/neighborhood[@id='Shadyside']"
-                 "/block[@id='1'][timestamp > now - 28]")
-        results, _, _ = cluster.query(query, at_site="top")
-        assert len(results) == 1
-        assert agent.driver.stats["bucket_generalized"] >= 1
-
-    def test_escalation_when_bucketed_answer_misses_tight_bound(
-            self, paper_doc, paper_plan, settable_clock):
-        """Data aged into the (28s, 30s] gap: the bucketed ask cannot
-        prove freshness, so the driver re-asks exactly once with the
-        original bound -- and the answer is still correct."""
-        cluster = self._cluster(paper_doc, paper_plan, settable_clock)
-        agent = cluster.agent("top")
+        """Data aged into the (28s, 30s] gap: the ask carries the
+        caller's 28s bound verbatim, so its reply vouches for what it
+        carries and nothing is asked twice."""
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         base = PREFIX + "/neighborhood[@id='Shadyside']/block[@id='1']"
         cluster.query(base, at_site="top")  # warm, stamped at t=1000
         settable_clock.advance(29)
-        results, _, _ = cluster.query(base + "[timestamp > now - 28]",
-                                      at_site="top")
+        results, _, outcome = cluster.query(base + "[timestamp > now - 28]",
+                                            at_site="top")
         assert len(results) == 1
-        assert agent.driver.stats["bucket_rechecks"] >= 1
+        [ask] = outcome.subqueries_sent
+        assert "- 28" in ask.query
 
-    def test_disabled_semcache_restores_exact_string_behaviour(
-            self, paper_doc, paper_plan, settable_clock):
-        cluster = self._cluster(
-            paper_doc, paper_plan, settable_clock,
-            semcache=SemanticCacheConfig(enabled=False))
-        agent = cluster.agent("top")
+    def test_a_location_path_lookup_never_canonicalizes(
+            self, paper_doc, paper_plan, settable_clock, monkeypatch):
+        import repro.core.gather as gather
+
+        calls = []
+        original = gather.canonicalize
+        monkeypatch.setattr(gather, "canonicalize",
+                            lambda query: calls.append(query)
+                            or original(query))
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         base = PREFIX + "/neighborhood[@id='Shadyside']/block[@id='1']"
-        cluster.query(base + "[timestamp > now - 30]", at_site="top")
-        settable_clock.advance(5)
-        sent = agent.stats["subqueries_sent"]
-        cluster.query(base + "[timestamp > now - 28]", at_site="top")
-        assert agent.driver.stats["bucket_generalized"] == 0
-        assert agent.driver.semcache_counters()["enabled"] is False
-        assert agent.stats["subqueries_sent"] >= sent
+        results, _, outcome = cluster.query(base + "[timestamp > now - 28]",
+                                            at_site="top")
+        assert len(results) == 1 and outcome.subqueries_sent
+        assert calls == []
 
     def test_scalar_jitter_hits_aggregate_cache(
             self, paper_doc, paper_plan, settable_clock):
-        cluster = self._cluster(paper_doc, paper_plan, settable_clock)
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         agent = cluster.agent("top")
         tight = f"count({PREFIX}//parkingSpace[available='yes'][price='0'])"
         jitter = (f"count( {PREFIX}//parkingSpace"
@@ -448,7 +454,6 @@ class TestExplainCacheSection:
                  "/block[@id='1'][timestamp > now - 28]")
         report = cluster.explain(query)
         cache = report.to_dict()["cache"]
-        assert cache["enabled"]
         assert cache["bucketed"]
         assert cache["tolerances"] == [[28.0, 30.0]]
         assert "current-time() - 30" in cache["bucket_key"]
@@ -471,14 +476,16 @@ class TestExplainCacheSection:
         hit_report = agent.explain(f"count({inner})")
         assert hit_report.cache["aggregate"]["coalesced"] is False
 
-    def test_disabled_semcache_explain_section(
+    def test_plan_shows_the_callers_own_bound(
             self, paper_doc, paper_plan, settable_clock):
-        cluster = Cluster(
-            paper_doc, paper_plan, clock=settable_clock,
-            oa_config=OAConfig(semcache=SemanticCacheConfig(enabled=False)))
-        report = cluster.explain(FIGURE2_QUERY)
-        assert report.to_dict()["cache"] == {"enabled": False}
-        assert "semantic cache:" not in report.render()
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
+        query = (PREFIX + "/neighborhood[@id='Shadyside']"
+                 "/block[@id='1'][timestamp > now - 28]")
+        report = cluster.agent("top").explain(query)
+        [entry] = report.to_dict()["plan"]
+        assert "- 28" in entry["query"]
+        assert "wire_query" not in entry
+        assert "~>" not in report.render()
 
 
 # ----------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_no_unused_imports_under_src():
 #: Every tunable an organizing agent has.  Generalization and nesting
 #: strategy are not among them: the plan is the paper's (3.3, 4).
 OA_TUNABLES = ("cache_results", "executor", "retry_policy", "breaker",
-               "stale_on_error", "semcache", "subsystems")
+               "stale_on_error", "subsystems")
 PLAN_KNOBS = ("strategy", "generaliz", "nesting", "aggressive", "probe")
 
 
@@ -195,3 +195,16 @@ def test_the_query_plan_has_no_options():
         knobs = [parameter for parameter in inspect.signature(function)
                  .parameters if any(knob in parameter for knob in PLAN_KNOBS)]
         assert knobs == [], function.__qualname__
+
+
+def test_one_freshness_bound_has_no_options():
+    # A subquery carries the caller's own bound; the scalar-answer
+    # cache keys by the one module-level set of freshness buckets.
+    from repro import agg
+    from repro.core import GatherDriver, semcache
+
+    assert tuple(inspect.signature(agg.AggregationConfig).parameters) == ()
+    assert tuple(inspect.signature(semcache.canonicalize).parameters) == (
+        "query",)
+    assert "semcache" not in inspect.signature(GatherDriver).parameters
+    assert [name for name in vars(semcache) if name.endswith("Config")] == []

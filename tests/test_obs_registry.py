@@ -123,14 +123,12 @@ SITE_SCHEMA = {
     "dns_cache": ["evictions", "hits", "invalidations", "misses"],
     "engine": ["index_hits", "index_misses", "index_rebuilds",
                "serialization"],
-    "gather": ["bucket_generalized", "bucket_rechecks", "failed_subqueries",
-               "local_hits", "max_fanout", "partial_gathers",
-               "prewarm_queries", "queries", "replica_served", "rounds",
-               "stale_served", "subqueries_sent"],
+    "gather": ["failed_subqueries", "local_hits", "max_fanout",
+               "partial_gathers", "prewarm_queries", "queries",
+               "replica_served", "rounds", "stale_served", "subqueries_sent"],
     "load": ["anchors", "queries", "unattributed"],
     "oa": OA_KEYS,
-    "semcache": ["aggregate", "bucket_generalized", "bucket_rechecks",
-                 "canonicalizer", "enabled", "prewarm_queries"],
+    "semcache": ["aggregate", "canonicalizer", "prewarm_queries"],
 }
 
 #: ``cluster.metrics()`` on loopback: section -> sorted keys.
@@ -147,8 +145,7 @@ CLUSTER_SCHEMA = {
                "failed_subqueries", "partial_gathers", "retries",
                "stale_served", "subquery_failures"],
     "health": SITES,
-    "semcache": ["bucket_coalesced_hits", "bucket_generalized",
-                 "bucket_rechecks", "bytes", "canonicalizer",
+    "semcache": ["bucket_coalesced_hits", "bytes", "canonicalizer",
                  "compile_keys", "entries", "evictions", "hit_ratio",
                  "hits", "misses", "prewarm_queries", "stale_rejects",
                  "stores"],
