@@ -5,7 +5,7 @@ this one earns it.  Clients re-issue the *same* queries with the
 spelling and freshness jitter real templated clients produce --
 whitespace, predicate order, ``timestamp > now - N`` sugar with N
 drifting in [25, 30] -- against one live loopback cluster whose
-scalar-answer cache keys by the bucketed canonical form
+scalar-answer cache keys by the freshness-stripped canonical form
 (:mod:`repro.core.semcache`).
 
 Claims proven into ``BENCH_semcache.json``:
@@ -151,8 +151,7 @@ def _run():
 
     cache = {
         key: sum(agent.driver.aggregates.stats[key] for agent in agents)
-        for key in ("hits", "misses", "stale_rejects",
-                    "bucket_coalesced_hits", "stores")
+        for key in ("hits", "misses", "stale_rejects", "stores")
     }
     lookups = cache["hits"] + cache["misses"]
     return {
@@ -179,8 +178,7 @@ def test_semantic_cache_hit_rate_and_latency(benchmark):
         [("semantic", cache["hits"], run["repeated_spellings"],
           run["hit_p50_ms"], run["miss_p50_ms"],
           run["fragment_wire_messages"])],
-        note=f"coalesced hits: {cache['bucket_coalesced_hits']}; "
-             f"wrong answers: {len(run['wrong_answers'])}",
+        note=f"wrong answers: {len(run['wrong_answers'])}",
     )
     write_report(
         RESULTS_FILE, "semcache",
@@ -195,7 +193,6 @@ def test_semantic_cache_hit_rate_and_latency(benchmark):
     # The tentpole claim: >= 2x what exact-text keys could hit at most.
     assert run["hit_rate"] >= 0.5
     assert cache["hits"] >= 2 * run["repeated_spellings"]
-    assert cache["bucket_coalesced_hits"] > 0
 
     # Hits skip the distributed gather.
     assert run["hit_p50_ms"] < run["miss_p50_ms"]

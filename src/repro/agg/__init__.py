@@ -25,6 +25,7 @@ from repro.agg.manager import (
     AggregationManager,
     AggregationUnavailable,
     AggregationUnsupported,
+    summary_key,
 )
 from repro.agg.messages import (
     PartialAggregateAnswer,
@@ -37,7 +38,6 @@ from repro.agg.partial import (
     merge_states,
     state_of,
 )
-from repro.agg.summary import summary_key
 
 __all__ = [
     "AggregationConfig",

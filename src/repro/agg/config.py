@@ -9,9 +9,7 @@ from repro.obs.registry import sum_numeric
 class AggregationConfig:
     """Hierarchical aggregation, switched on.
 
-    It has no tunables: rollups round in-query tolerances up to the
-    semantic cache's :data:`~repro.core.semcache.BUCKETS`, so both caches
-    coalesce the same jitter.  Pass it in ``Cluster(subsystems=[...])`` (or
+    It has no tunables.  Pass it in ``Cluster(subsystems=[...])`` (or
     ``OAConfig(subsystems=[...])``) to switch the subsystem on; not
     passing it keeps the wire byte-identical to a build without it.
     """

@@ -10,18 +10,19 @@ hierarchically:
 
 * **summary first**: the rollup's merge-state may already be cached in
   ``summaries`` (a :class:`~repro.core.semcache.SemanticCache`), keyed
-  by (region, freshness-stripped inner path) and served under the caller's
-  original bound -- semcache bucketing reuse, so jitter-equivalent
-  tolerances share one entry;
-* **local rollup**: matches whose whole IDable chain from the region
-  down is owned here fold into one exact
-  :class:`~repro.agg.partial.Partial`;
+  by (region, freshness-stripped inner path) and served when the time
+  its stalest part was current satisfies the caller's bound;
+* **local rollup**: matches of the freshness-stripped inner path whose
+  whole IDable chain from the region down is owned here fold into one
+  exact :class:`~repro.agg.partial.Partial`, current now -- an owner
+  answers from the freshest data;
 * **partial-aggregate subqueries**: every IDable *frontier* (an
   unowned IDable node the inner path can reach) is asked for its
   collapsed merge-state with one
-  :class:`~repro.agg.messages.PartialAggregateRequest` -- tuples on
-  the wire, never subtrees -- and child sites recurse, so interior
-  OAs cache intermediate rollups and the hierarchy amortizes.
+  :class:`~repro.agg.messages.PartialAggregateRequest` carrying the
+  caller's own bound -- tuples on the wire, never subtrees -- and child
+  sites recurse, so interior OAs cache intermediate rollups and the
+  hierarchy amortizes.
 
 Any failure (dead child, disabled peer, a query shape outside the
 algebra) degrades to the naive gather fan-out for ``count``/``sum``
@@ -35,10 +36,11 @@ no envelope bytes, traffic byte-identical to a build without it.
 import threading
 from collections import namedtuple
 
+from repro.core.consistency import strip_consistency_predicates
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
-from repro.core.idable import idable_children, node_id
-from repro.core.semcache import BUCKETS, SemanticCache, canonicalize
-from repro.core.status import Status, get_status, get_timestamp
+from repro.core.idable import format_id_path, idable_children, node_id
+from repro.core.semcache import SemanticCache, canonicalize
+from repro.core.status import Status, get_status
 from repro.net.errors import NetError
 from repro.net.messages import ErrorMessage, as_id_path
 from repro.xpath import parser as xpath_parser
@@ -66,12 +68,10 @@ from repro.agg.partial import (
     merge_states,
     state_of,
 )
-from repro.agg.summary import summary_key
 
 _EVALUATOR = Evaluator()
 
-#: The summary cache's LRU budget.  Keys are already freshness-stripped
-#: (see :func:`~repro.agg.summary.summary_key`), so it does no bucketing.
+#: The summary cache's LRU budget.
 SUMMARY_MAX_ENTRIES = 256
 SUMMARY_MAX_BYTES = 4 * 1024 * 1024
 
@@ -85,8 +85,14 @@ class AggregationUnavailable(CoreError):
 
 
 #: One supported aggregate ask, decomposed.
-_Plan = namedtuple("_Plan", "shape inner inner_source anchor tolerance "
-                            "bucket_bound")
+_Plan = namedtuple("_Plan", "shape inner inner_source anchor tolerance")
+
+
+def summary_key(region, inner_path):
+    """The cache key for *inner_path* rolled up under *region*: all
+    shapes and freshness bounds over the same data share one entry."""
+    stripped = strip_consistency_predicates(inner_path).unparse()
+    return f"{format_id_path(region)}::{stripped}"
 
 
 class AggregationManager:
@@ -164,7 +170,7 @@ class AggregationManager:
             raise NetError(
                 f"aggregate rollup unavailable for {plan.shape}(): {exc}"
             ) from exc
-        partial, _data_ts = collapse(state, now)
+        partial, _as_of = collapse(state, now)
         with self._lock:
             self.stats["answers"] += 1
         return True, partial.finalize(plan.shape)
@@ -177,7 +183,7 @@ class AggregationManager:
             canon = canonicalize(query)
         except Exception:
             return None
-        ast = canon.bucket_ast
+        ast = canon.ast
         if not isinstance(ast, FunctionCall) or ast.name not in SHAPES:
             return None
         if len(ast.arguments) != 1 or \
@@ -202,9 +208,8 @@ class AggregationManager:
                 return None  # the evaluator's own shapes: naive path
             raise AggregationUnsupported(
                 f"{shape}() not answerable hierarchically: {problem}")
-        tolerance = canon.min_tolerance
         return _Plan(shape, inner, inner.unparse(), anchor,
-                     tolerance, BUCKETS.ceiling(tolerance))
+                     canon.min_tolerance)
 
     def _support_problem(self, inner, anchor):
         """Why *inner* is outside the rollup algebra, or ``None``.
@@ -245,23 +250,21 @@ class AggregationManager:
     # ------------------------------------------------------------------
     def _state_for(self, plan, now, max_age):
         key = summary_key(plan.anchor, plan.inner)
-        serve_bound = max_age if max_age is not None else plan.tolerance
-        entry = self.summaries.lookup(key, now, max_age=serve_bound,
-                                      tolerance=plan.tolerance)
+        entry = self.summaries.lookup(key, now, bound=plan.tolerance,
+                                      max_age=max_age)
         if entry is not None:
             return entry.value
         state = self._compute_state(plan.anchor, plan.inner,
-                                    plan.inner_source, plan.bucket_bound,
-                                    now)
-        self._store_summary(key, plan.anchor, state, now, plan.bucket_bound)
+                                    plan.inner_source, plan.tolerance, now)
+        self._store_summary(key, plan.anchor, state, now)
         return state
 
-    def _store_summary(self, key, region, state, now, tolerance):
-        """Cache *state*, rolled up over *region* at *now* under the
-        (bucketed) bound *tolerance*."""
+    def _store_summary(self, key, region, state, now):
+        """Cache *state*, rolled up over *region* at *now*, as of the
+        time its stalest part was current."""
         self.summaries.store(key, state, now, region=region,
                              nbytes=96 + 160 * len(state),
-                             tolerance=tolerance)
+                             as_of=collapse(state, now)[1])
 
     def _compute_state(self, region, inner, inner_source, bound, now):
         database = self.agent.database
@@ -273,11 +276,14 @@ class AggregationManager:
 
     def _local_rollup(self, region, region_el, inner, inner_source,
                       bound, now):
-        """Roll up *region* here: owned matches + frontier partials."""
+        """Roll up *region* here: owned matches + frontier partials.
+
+        Owned data is current, whatever its stamp: the freshness bound
+        only travels on to the frontiers' owners."""
         database = self.agent.database
-        matches = _EVALUATOR.evaluate(inner, database.root, now=now)
+        matches = _EVALUATOR.evaluate(strip_consistency_predicates(inner),
+                                      database.root, now=now)
         partial = Partial()
-        data_ts = None
         counted = 0
         for node in matches:
             element = node.owner if isinstance(node, AttributeRef) else node
@@ -291,11 +297,7 @@ class AggregationManager:
                     "its string-value is not local")
             partial.add(to_number(node_string_value(node)))
             counted += 1
-            stamp = get_timestamp(anchor_el)
-            if stamp is not None:
-                data_ts = stamp if data_ts is None else min(data_ts, stamp)
-        state = state_of(region, partial,
-                         data_ts if data_ts is not None else now)
+        state = state_of(region, partial, now)
         with self._lock:
             self.stats["rollups"] += 1
             self.stats["rollup_matches"] += counted
@@ -412,11 +414,12 @@ class AggregationManager:
     def answer_partial(self, message):
         """Serve one :class:`PartialAggregateRequest` (the OA handler).
 
-        Summary first (the parent's bucketed bound is both the serving
-        bound and the stored tolerance), rollup on miss -- recursing
-        into this site's own frontiers -- and the reply carries the
-        state collapsed to one entry keyed by the asked region, so
-        state maps stay fan-out-sized all the way up.
+        Summary first (served under the parent's bound; an unbounded
+        ask always recomputes), rollup on miss -- recursing into this
+        site's own frontiers -- and the reply carries the state
+        collapsed to one entry keyed by the asked region and stamped
+        with its as-of time, so state maps stay fan-out-sized all the
+        way up and a parent never holds a part longer than its bound.
         """
         now = float(message.now) if message.now is not None \
             else float(self.agent.clock())
@@ -429,8 +432,7 @@ class AggregationManager:
                                 detail=str(exc), retryable=False,
                                 sender=self.agent.site_id)
         key = summary_key(region, inner)
-        entry = self.summaries.lookup(key, now, max_age=bound,
-                                      tolerance=bound)
+        entry = self.summaries.lookup(key, now, bound=bound)
         if entry is not None:
             state = entry.value
         else:
@@ -453,12 +455,12 @@ class AggregationManager:
                     message.message_id, code="agg-unavailable",
                     detail=str(exc), retryable=True,
                     sender=self.agent.site_id)
-            self._store_summary(key, region, state, now, bound)
-        partial, data_ts = collapse(state, now)
+            self._store_summary(key, region, state, now)
+        partial, as_of = collapse(state, now)
         with self._lock:
             self.stats["partials_served"] += 1
         return PartialAggregateAnswer(
-            message.message_id, state_of(region, partial, data_ts),
+            message.message_id, state_of(region, partial, as_of),
             sender=self.agent.site_id)
 
     # ------------------------------------------------------------------
@@ -557,12 +559,9 @@ class AggregationManager:
             if entry is None:
                 lines.append("  summary-cache miss (rollup would compute)")
             else:
-                bound = entry["tolerance"]
-                bound_text = f", bound {bound:g}s" if bound is not None \
-                    else ""
                 lines.append(
                     f"  summary-cache hit candidate (age {entry['age']:g}s,"
-                    f" hits {entry['hits']}{bound_text})")
+                    f" as of {entry['as_of']:g}, hits {entry['hits']})")
         context.add_section(self.name, info, lines)
 
     def _explain_info(self, source, now):
@@ -584,6 +583,6 @@ class AggregationManager:
             info["summary"] = {
                 "age": round(entry.age(now), 3),
                 "hits": entry.hits,
-                "tolerance": entry.tolerance,
+                "as_of": entry.as_of,
             }
         return info

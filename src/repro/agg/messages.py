@@ -24,11 +24,11 @@ class PartialAggregateRequest(Message):
     The hierarchical-aggregation ask: instead of gathering a frontier's
     whole subtree, its owner is asked for the (count, sum, min, max)
     partial of the matches under *region* -- tuples on the wire, never
-    data.  ``query`` is the inner location path (freshness tolerances
-    already bucket-loosened by the asker); ``bound`` is that loosened
-    freshness bound in seconds (absent for an unbounded ask, which the
-    owner must recompute); ``now`` pins the evaluation clock so
-    consistency predicates filter identically at every level.
+    data.  ``query`` is the inner location path, canonical, with the
+    caller's own bounds; ``bound`` is the tightest of them in seconds (absent for an
+    unbounded ask, which the owner must recompute): the owner serves a
+    summary only if its data was current at ``now - bound``.  ``now``
+    pins the clock every level judges freshness by.
     """
 
     kind = "partial-agg"
@@ -66,13 +66,13 @@ class PartialAggregateAnswer(Message):
     """The reply to a :class:`PartialAggregateRequest`.
 
     ``state`` is a merge-state -- ``{region id_path: (Partial,
-    data_ts)}`` -- normally collapsed to a single entry keyed by the
+    as_of)}`` -- normally collapsed to a single entry keyed by the
     asked region.  Each entry ships the partial's exact encoding (see
     :meth:`repro.agg.partial.Partial.to_attrs`: integer count, the
     rational sum as ``num``/``den``, NaN/infinity flags, finite
-    extrema) plus its data timestamp, so any merge order at the asker
-    reproduces the same aggregate.  Carries ``replyTo`` like every
-    reply kind.
+    extrema) plus its as-of time ``ts`` (the earliest time all its data
+    was known current), so any merge order at the asker reproduces the
+    same aggregate.  Carries ``replyTo`` like every reply kind.
     """
 
     kind = "partial-agg-answer"
@@ -89,9 +89,9 @@ class PartialAggregateAnswer(Message):
         envelope.set("replyTo", str(self.in_reply_to))
         holder = Element("state")
         for region in sorted(self.state, key=repr):
-            partial, data_ts = self.state[region]
+            partial, as_of = self.state[region]
             part = Element("part", attrib=partial.to_attrs())
-            part.set("ts", repr(float(data_ts)))
+            part.set("ts", repr(float(as_of)))
             part.append(encode_id_path(region))
             holder.append(part)
         envelope.append(holder)

@@ -16,19 +16,20 @@ property tests pin):
   whole partial (one ``nan`` flag), infinities are tracked as signed
   presence flags, so ``inf + (-inf) = NaN`` falls out of flag algebra
   instead of float accumulation order;
-* ``min``/``max`` track finite extrema only (a total order, hence
-  associative) and re-introduce infinities from the flags at
-  finalization.
+* ``min``/``max`` track finite extrema only, in a total order that
+  puts ``-0.0`` below ``0.0`` (hence associative and order-free), and
+  re-introduce infinities from the flags at finalization.
 
 Value extraction mirrors the XPath evaluator exactly --
 ``to_number(node_string_value(node))`` -- so ``count`` and ``sum``
 answered from summaries agree with the naive
 :func:`~repro.xpath.functions.fn_count` / ``fn_sum`` fan-out path.
 
-A **merge-state** is a mapping ``{region id_path: (Partial, data_ts)}``
--- one entry per contributing subtree.  Merging two states is a keyed
-union where a key present in both resolves deterministically to the
-entry with the larger ``(data_ts, encoding)`` pair: merging a state
+A **merge-state** is a mapping ``{region id_path: (Partial, as_of)}``
+-- one entry per contributing subtree, ``as_of`` the earliest time all
+its data was known current.  Merging two states is a keyed union where
+a key present in both resolves deterministically to the entry with the
+larger ``(as_of, encoding)`` pair: merging a state
 with itself (a duplicated reply) is a no-op, and merge order never
 matters.  :func:`collapse` folds a state into one ``(Partial, ts)``
 pair -- what a site ships upward, keyed by its own region, so state
@@ -43,6 +44,11 @@ from fractions import Fraction
 #: ``avg``/``min``/``max`` are new capability only the rollup path
 #: provides.
 SHAPES = ("count", "sum", "avg", "min", "max")
+
+
+def _signed(value):
+    """The extrema order: by value, then ``-0.0`` below ``0.0``."""
+    return value, math.copysign(1.0, value)
 
 
 class Partial:
@@ -83,10 +89,10 @@ class Partial:
                 self.neg_inf = True
             return
         self.total += Fraction(value)
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
+        self.minimum = value if self.minimum is None \
+            else min(self.minimum, value, key=_signed)
+        self.maximum = value if self.maximum is None \
+            else max(self.maximum, value, key=_signed)
 
     def merge(self, other):
         """The combined partial (pure; the merge-operator core)."""
@@ -99,8 +105,8 @@ class Partial:
         )
         lows = [x for x in (self.minimum, other.minimum) if x is not None]
         highs = [x for x in (self.maximum, other.maximum) if x is not None]
-        merged.minimum = min(lows) if lows else None
-        merged.maximum = max(highs) if highs else None
+        merged.minimum = min(lows, key=_signed) if lows else None
+        merged.maximum = max(highs, key=_signed) if highs else None
         return merged
 
     # -- finalization --------------------------------------------------
@@ -201,50 +207,50 @@ class Partial:
 
 
 # ----------------------------------------------------------------------
-# Merge-states: {region id_path: (Partial, data_ts)}
+# Merge-states: {region id_path: (Partial, as_of)}
 # ----------------------------------------------------------------------
 def _as_path(id_path):
     return tuple(tuple(entry) for entry in id_path)
 
 
-def state_of(region, partial, data_ts):
+def state_of(region, partial, as_of):
     """A single-entry merge-state."""
-    return {_as_path(region): (partial, float(data_ts))}
+    return {_as_path(region): (partial, float(as_of))}
 
 
 def merge_states(*states):
     """The keyed union of merge-states (associative/commutative).
 
     A region present in several states resolves to the entry with the
-    larger ``(data_ts, partial signature)`` pair -- a total order, so
+    larger ``(as_of, partial signature)`` pair -- a total order, so
     any merge tree over the same multiset of states yields the same
     result, and a duplicated state changes nothing.
     """
     merged = {}
     for state in states:
-        for region, (partial, data_ts) in state.items():
+        for region, (partial, as_of) in state.items():
             region = _as_path(region)
             existing = merged.get(region)
             if existing is not None and \
                     (existing[1], existing[0].signature()) >= \
-                    (data_ts, partial.signature()):
+                    (as_of, partial.signature()):
                 continue
-            merged[region] = (partial, data_ts)
+            merged[region] = (partial, as_of)
     return merged
 
 
 def collapse(state, now=None):
-    """Fold a merge-state into one ``(Partial, data_ts)`` pair.
+    """Fold a merge-state into one ``(Partial, as_of)`` pair.
 
-    The timestamp is the **minimum** over entries -- a rollup is only
+    The as-of time is the **minimum** over entries -- a rollup is only
     as fresh as its stalest contributor.  An empty state collapses to
-    an empty partial stamped *now* (``0.0`` without one).
+    an empty partial current at *now* (``0.0`` without one).
     """
     partial = Partial()
-    data_ts = None
+    as_of = None
     for entry, ts in state.values():
         partial = partial.merge(entry)
-        data_ts = ts if data_ts is None else min(data_ts, ts)
-    if data_ts is None:
-        data_ts = float(now) if now is not None else 0.0
-    return partial, data_ts
+        as_of = ts if as_of is None else min(as_of, ts)
+    if as_of is None:
+        as_of = float(now) if now is not None else 0.0
+    return partial, as_of

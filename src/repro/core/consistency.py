@@ -127,22 +127,35 @@ def rewrite_consistency_sugar(expression):
 
 
 # ----------------------------------------------------------------------
-# Stripping (for a fetched subtree and for answer oracles)
+# Stripping (for a fetched subtree, answer keys and oracles)
 # ----------------------------------------------------------------------
-def _without_consistency(predicates):
-    kept = []
-    for predicate in predicates:
-        conjuncts = [
-            c for c in iter_conjuncts(predicate)
-            if classify_predicate(c) != frozenset({REF_CONSISTENCY})
-        ]
+def _is_consistency(conjunct):
+    return classify_predicate(conjunct) == frozenset({REF_CONSISTENCY})
+
+
+def _strip_conjuncts(expression, drop):
+    """*expression* without the step-predicate conjuncts *drop* accepts."""
+
+    def kept(predicate):
+        conjuncts = [c for c in iter_conjuncts(predicate) if not drop(c)]
         if not conjuncts:
-            continue
+            return None
         rebuilt = conjuncts[0]
         for conjunct in conjuncts[1:]:
             rebuilt = BinaryOperation("and", rebuilt, conjunct)
-        kept.append(rebuilt)
-    return kept
+        return rebuilt
+
+    def visit(node):
+        if isinstance(node, LocationPath):
+            steps = []
+            for step in node.steps:
+                predicates = [kept(p) for p in step.predicates]
+                steps.append(Step(step.axis, step.node_test,
+                                  [p for p in predicates if p is not None]))
+            return LocationPath(node.absolute, steps)
+        return node
+
+    return transform_expression(expression, visit)
 
 
 def strip_consistency_predicates(expression):
@@ -151,22 +164,10 @@ def strip_consistency_predicates(expression):
     Used below a fetch-subtree collect point, where the fetch settled
     freshness and owner-fetched data must not be re-filtered (the
     owner's copy is returned even when older than the tolerance, so
-    that "users get an answer"), and by oracles comparing answers.
+    that "users get an answer"), by an aggregation rollup over owned
+    data, and by oracles comparing answers.
     """
-
-    def visit(node):
-        if isinstance(node, LocationPath):
-            return LocationPath(
-                node.absolute,
-                [
-                    Step(step.axis, step.node_test,
-                         _without_consistency(step.predicates))
-                    for step in node.steps
-                ],
-            )
-        return node
-
-    return transform_expression(expression, visit)
+    return _strip_conjuncts(expression, _is_consistency)
 
 
 def has_consistency_predicates(expression):
@@ -179,59 +180,29 @@ def has_consistency_predicates(expression):
             for step in steps:
                 for predicate in step.predicates:
                     for conjunct in iter_conjuncts(predicate):
-                        if classify_predicate(conjunct) == \
-                                frozenset({REF_CONSISTENCY}):
+                        if _is_consistency(conjunct):
                             return True
     return False
 
 
-def bucket_consistency_tolerances(expression, bucket_fn):
-    """Coarsen every freshness tolerance in *expression* via *bucket_fn*.
+def consistency_tolerances(expression):
+    """Split the freshness bounds off *expression*: ``(rest, tolerances)``.
 
-    Each canonical-shape consistency conjunct
-    ``timestamp() > current-time() - N`` is replaced by the same
-    predicate with ``bucket_fn(N)`` (its bucket ceiling).  Returns
-    ``(new_expression, tolerances)`` where *tolerances* lists each
-    ``(original, bucketed)`` pair in document order.  Coarsening only
-    ever *loosens* the key; serving data under the loosened key must
-    still re-check the original bound (the subsumption check
-    -- see ``repro.core.semcache``).
+    Each step conjunct of the canonical shape
+    ``timestamp() > current-time() - N`` is left out of *rest* and its
+    ``N`` listed in *tolerances*, in document order.  Any other
+    consistency conjunct stays in *rest*.
     """
     tolerances = []
 
-    def bucket_conjuncts(predicate):
-        changed = False
-        rebuilt = []
-        for conjunct in iter_conjuncts(predicate):
-            seconds = extract_tolerance(conjunct)
-            if seconds is not None and classify_predicate(conjunct) == \
-                    frozenset({REF_CONSISTENCY}):
-                bucketed = bucket_fn(seconds)
-                tolerances.append((seconds, bucketed))
-                if bucketed != seconds:
-                    conjunct = tolerance_predicate(bucketed)
-                    changed = True
-            rebuilt.append(conjunct)
-        if not changed:
-            return predicate
-        combined = rebuilt[0]
-        for conjunct in rebuilt[1:]:
-            combined = BinaryOperation("and", combined, conjunct)
-        return combined
+    def drop(conjunct):
+        seconds = extract_tolerance(conjunct)
+        if seconds is None or not _is_consistency(conjunct):
+            return False
+        tolerances.append(seconds)
+        return True
 
-    def visit(node):
-        if isinstance(node, LocationPath):
-            return LocationPath(
-                node.absolute,
-                [
-                    Step(step.axis, step.node_test,
-                         [bucket_conjuncts(p) for p in step.predicates])
-                    for step in node.steps
-                ],
-            )
-        return node
-
-    return transform_expression(expression, visit), tolerances
+    return _strip_conjuncts(expression, drop), tolerances
 
 
 def tolerance_predicate(seconds):

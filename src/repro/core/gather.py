@@ -40,7 +40,7 @@ from repro.core.semcache import (
 from repro.core.status import clean_copy, get_status
 from repro.obs.tracing import TRACER, propagate
 from repro.xpath.analysis import anchor_id_path
-from repro.xpath.ast import FunctionCall, LocationPath
+from repro.xpath.ast import FunctionCall, LocationPath, VariableReference
 from repro.xpath.evaluator import Evaluator
 from repro.xpath import parser as xpath_parser
 
@@ -490,33 +490,22 @@ class GatherDriver:
         Supports ``boolean(p)``, ``count(p)``, ``sum(p)``, ``string(p)``
         and ``number(p)`` where ``p`` is an absolute location path:
         the inner path is gathered distributedly and the wrapper is
-        evaluated over the assembled data.
+        applied to the last walk's matches -- what a user query for
+        ``p`` returns.  A freshness bound in ``p`` decides what is
+        fetched, never what is counted.
 
-        *max_age* (seconds) opts into the paper's "acceptable
-        precision" extension: a recent enough cached value of the same
-        aggregate is returned without touching the network (Section 4).
-        A caller holding a fractional tolerance ``p`` for an aggregate
-        that drifts at most ``r`` per second asks with
-        ``max_age = p / r``.  Only the value of a complete gather with
-        nothing served stale is cached: a partial count would otherwise
-        be served as the whole one after the missing site recovers.
+        An answer is cached under its answer key (freshness bounds
+        stripped), as of ``now`` minus its tightest bound, and served
+        to a later caller whose own bound that satisfies.  *max_age*
+        (seconds) opts into the paper's "acceptable precision"
+        extension (Section 4) on top: a caller holding a fractional
+        tolerance ``p`` for an aggregate that drifts at most ``r`` per
+        second asks with ``max_age = p / r``.  Only the value of a
+        complete gather with nothing served stale is cached: a partial
+        count would otherwise be served as the whole one after the
+        missing site recovers.
         """
-        # Cache identity is the *bucketed* canonical form -- every
-        # jitter-equivalent spelling and near-identical tolerance shares
-        # one entry -- while the exact key and the original (tightest)
-        # tolerance feed the coalesce accounting and the serve-time
-        # subsumption check.
         canon = canonicalize(query)
-        query_key = canon.bucket_key
-        if max_age is not None:
-            with TRACER.span("cache-lookup",
-                             site=self.database.site_id) as lookup_span:
-                cached = self.aggregates.lookup(
-                    query_key, self.database.clock(), max_age=max_age,
-                    exact_key=canon.key, tolerance=canon.min_tolerance)
-                lookup_span.set_tag("hit", cached is not None)
-            if cached is not None:
-                return cached.value
         ast = canon.ast
         if not (
             isinstance(ast, FunctionCall)
@@ -529,17 +518,28 @@ class GatherDriver:
                 f"unsupported scalar query {query!r}: expected "
                 f"{'/'.join(SCALAR_WRAPPERS)} around an absolute path"
             )
-        outcome = self.gather(ast.arguments[0], now=now)
         if now is None:
             now = self.database.clock()
-        value = _EVALUATOR.evaluate(ast, outcome.view.root, now=now)
+        with TRACER.span("cache-lookup",
+                         site=self.database.site_id) as lookup_span:
+            cached = self.aggregates.lookup(
+                canon.answer_key, now, bound=canon.min_tolerance,
+                max_age=max_age)
+            lookup_span.set_tag("hit", cached is not None)
+        if cached is not None:
+            return cached.value
+        outcome = self.gather(ast.arguments[0], now=now)
+        value = _EVALUATOR.evaluate(
+            FunctionCall(ast.name, [VariableReference("matches")]),
+            outcome.view.root, variables={"matches": outcome.matches},
+            now=now)
         # A failure is a region either excised or served stale: neither
         # value may outlive this answer.
         if not outcome.failures:
-            self.aggregates.store(query_key, value, self.database.clock(),
-                                  region=anchor_id_path(ast),
-                                  exact_key=canon.key,
-                                  tolerance=canon.min_tolerance)
+            bound = canon.min_tolerance
+            self.aggregates.store(
+                canon.answer_key, value, now, region=anchor_id_path(ast),
+                as_of=now - bound if bound is not None else None)
         return value
 
     def note_prewarm(self):
@@ -551,7 +551,7 @@ class GatherDriver:
         """Semantic-cache counters for the metrics registry / EXPLAIN.
 
         Per-site: the driver's prewarm counter and the aggregate cache's
-        hit/miss/coalesce/byte figures.  The canonicalizer memo is
+        hit/miss/byte figures.  The canonicalizer memo is
         process-wide and tagged as such.
         """
         with self._stats_lock:

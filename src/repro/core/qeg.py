@@ -547,6 +547,8 @@ class _Walker:
         The node's non-IDable children are not stored, so any next item
         that could match non-IDable content turns into a subquery; next
         items naming IDable tags continue through the child ID stubs.
+        A ``//`` scan both asks and continues: data an answered ask
+        merged below the stubs must still match.
         """
         keep = set()
         stub_tags = {child.tag for child in idable_children(element)}
@@ -563,7 +565,7 @@ class _Walker:
                     needs_content = False
             if needs_content:
                 self._ask_below(element, j, Subquery.ID_COMPLETE)
-            else:
+            if not needs_content or item.descendant:
                 keep.add(j)
         return keep
 

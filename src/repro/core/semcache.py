@@ -1,10 +1,10 @@
-"""The semantic query cache: canonical keys, freshness buckets, budgets.
+"""The semantic query cache: canonical keys, answer keys, budgets.
 
 Cache hit rate is the whole thesis of Cache-and-Query, but exact-string
 cache keys fragment it: two spellings of the same XPATH, or freshness
 bounds of ``now-28s`` vs ``now-30s``, miss each other entirely and
-re-dispatch WAN subqueries.  This module supplies the three pieces that
-make the caches *semantic*:
+re-dispatch WAN subqueries.  This module supplies the pieces that make
+the caches *semantic*:
 
 **Canonicalization** (:func:`canonicalize`).  Equivalent queries are
 rewritten to one normal form used as the cache key everywhere a query
@@ -19,14 +19,13 @@ context-reference operand on the left.  Every rewrite is
 semantics-preserving (hypothesis-verified: the canonical query
 evaluates identically to the original over random documents).
 
-**Freshness bucketing** (:class:`FreshnessBuckets`, :data:`BUCKETS`).
-In a cache key, consistency tolerances are generalized *up* to a
-bucket boundary (``now-28s`` and ``now-30s`` both key as ``now-30s``),
-so near-identical scalar asks share one cached answer.  Sharing a key
-never weakens the answer: the paper's subsumption check is applied at
-serve time -- a bucketed entry is served only when its actual age
-satisfies the *original* (tighter) bound.  Bucketing is a key, never a
-wire spelling: a subquery carries the caller's own bound.
+**Answer keys** (:attr:`CanonicalQuery.answer_key`).  A freshness
+bound decides what is fetched, never what is counted, so an answer is
+keyed by the canonical text without its ``timestamp() >
+current-time() - N`` conjuncts: ``now-28s`` and ``now-30s`` share one
+entry.  The entry records ``as_of``, the earliest time all its data
+was known current, and :meth:`SemanticCache.lookup` serves it only to a
+caller whose own bound that time satisfies.
 
 **The answer cache** (:class:`SemanticCache`).  One size-aware LRU
 class with per-entry hit/byte counters holds every cached answer; each
@@ -46,7 +45,7 @@ import threading
 from collections import OrderedDict
 
 from repro.core.consistency import (
-    bucket_consistency_tolerances,
+    consistency_tolerances,
     rewrite_consistency_sugar,
 )
 from repro.core.idable import id_paths_overlap
@@ -63,42 +62,6 @@ from repro.xpath.ast import (
     Step,
     UnaryMinus,
 )
-
-#: Freshness bucket boundaries, in seconds.  Chosen to cover the paper's
-#: 30s-tolerance examples with sub-2x rounding everywhere.
-DEFAULT_BUCKET_BOUNDARIES = (5.0, 10.0, 15.0, 30.0, 60.0, 120.0, 300.0, 900.0)
-
-
-class FreshnessBuckets:
-    """Coarsened freshness tolerances: round *up* to a boundary.
-
-    ``ceiling(28)`` with the default boundaries is ``30``: queries
-    tolerating 28s and 30s of staleness share the 30s bucket.  A
-    tolerance above the largest boundary (or non-positive) is returned
-    unchanged -- bucketing never invents tolerance out of thin air.
-    """
-
-    __slots__ = ("boundaries",)
-
-    def __init__(self, boundaries=DEFAULT_BUCKET_BOUNDARIES):
-        cleaned = sorted(float(b) for b in boundaries)
-        if not cleaned or any(b <= 0 for b in cleaned):
-            raise ValueError("bucket boundaries must be positive")
-        self.boundaries = tuple(cleaned)
-
-    def ceiling(self, tolerance):
-        """The smallest boundary >= *tolerance* (or *tolerance* itself
-        when it exceeds every boundary or is not positive)."""
-        if tolerance is None or tolerance <= 0:
-            return tolerance
-        for boundary in self.boundaries:
-            if boundary >= tolerance:
-                return boundary
-        return tolerance
-
-    def __repr__(self):
-        return f"FreshnessBuckets({list(self.boundaries)})"
-
 
 # ----------------------------------------------------------------------
 # Canonicalization
@@ -222,45 +185,28 @@ def _order_symmetric(left, right):
 
 
 class CanonicalQuery:
-    """One query's canonical identity, exact and bucketed.
+    """One query's canonical identity.
 
     ``key`` is the exact canonical text -- safe wherever the key must
-    mean *precisely* this query (the compile cache).  ``bucket_key``
-    additionally generalizes freshness tolerances up to their bucket
-    boundary -- the *region* identity under which jitter-equivalent
-    continuous queries share cached data.  ``tolerances`` lists each
-    ``(original, bucketed)`` pair, and ``min_tolerance`` is the
-    tightest original bound (the one served data must still satisfy).
+    mean *precisely* this query (the compile cache).  ``answer_key`` is
+    that text without the freshness bounds (see
+    :func:`~repro.core.consistency.consistency_tolerances`): what the
+    answer is, however fresh the caller needs it.  ``min_tolerance`` is
+    the tightest of those bounds, or ``None`` without one.
     """
 
-    __slots__ = ("source", "ast", "key", "bucket_ast", "bucket_key",
-                 "tolerances")
+    __slots__ = ("source", "ast", "key", "answer_key", "min_tolerance")
 
-    def __init__(self, source, ast, key, bucket_ast, bucket_key, tolerances):
+    def __init__(self, source, ast, key, answer_key, min_tolerance):
         self.source = source
         self.ast = ast
         self.key = key
-        self.bucket_ast = bucket_ast
-        self.bucket_key = bucket_key
-        self.tolerances = tuple(tolerances)
-
-    @property
-    def bucketed(self):
-        """Whether bucketing changed any tolerance (key != bucket_key)."""
-        return self.key != self.bucket_key
-
-    @property
-    def min_tolerance(self):
-        """The tightest original tolerance, or ``None`` without one."""
-        originals = [orig for orig, _bucket in self.tolerances]
-        return min(originals) if originals else None
+        self.answer_key = answer_key
+        self.min_tolerance = min_tolerance
 
     def __repr__(self):
         return f"CanonicalQuery({self.key!r})"
 
-
-#: The one set of bucket boundaries every bucketed key is rounded to.
-BUCKETS = FreshnessBuckets()
 
 #: Canonicalizations are pure functions of the source text: memoized
 #: process-wide so the hot query path pays the tree rewrite once per
@@ -269,8 +215,7 @@ _CANON_CACHE = LRUCache(max_entries=1024)
 
 
 def canonicalize(query):
-    """Canonicalize *query* (a string or AST) into a :class:`CanonicalQuery`
-    whose bucketed key rounds tolerances up to :data:`BUCKETS`."""
+    """Canonicalize *query* (a string or AST) into a :class:`CanonicalQuery`."""
     text = query if isinstance(query, str) else None
     if text is not None:
         cached = _CANON_CACHE.get(text)
@@ -283,11 +228,10 @@ def canonicalize(query):
         source = ast.unparse()
     canonical_ast = canonicalize_expression(ast)
     key = canonical_ast.unparse()
-    bucket_ast, tolerances = bucket_consistency_tolerances(
-        canonical_ast, BUCKETS.ceiling)
-    bucket_key = bucket_ast.unparse() if tolerances else key
-    result = CanonicalQuery(source, canonical_ast, key, bucket_ast,
-                            bucket_key, tolerances)
+    answer_ast, tolerances = consistency_tolerances(canonical_ast)
+    result = CanonicalQuery(source, canonical_ast, key,
+                            answer_ast.unparse() if tolerances else key,
+                            min(tolerances) if tolerances else None)
     if text is not None:
         _CANON_CACHE.put(text, result)
     return result
@@ -337,25 +281,23 @@ class CacheEntry:
     :meth:`SemanticCache.evict_paths` compares -- or ``None`` for a
     value with no IDable anchor, which is never region-evicted.
 
-    ``tolerance`` records the in-query freshness tolerance of the query
-    that *produced* the value (its tightest bound), so a later query
-    sharing the bucket key but demanding a tighter bound can have the
-    slack charged against its allowed age (the subsumption check).
+    ``as_of`` is the earliest time at which all the value's data was
+    known current, or ``None`` when nothing bounded its freshness; a
+    caller with a freshness bound is served against it.
     """
 
-    __slots__ = ("key", "exact_key", "value", "nbytes", "computed_at",
-                 "hits", "region", "tolerance")
+    __slots__ = ("key", "value", "nbytes", "computed_at", "hits", "region",
+                 "as_of")
 
-    def __init__(self, key, exact_key, value, nbytes, computed_at,
-                 region=None, tolerance=None):
+    def __init__(self, key, value, nbytes, computed_at, region=None,
+                 as_of=None):
         self.key = key
-        self.exact_key = exact_key
         self.value = value
         self.nbytes = nbytes
         self.computed_at = computed_at
         self.hits = 0
         self.region = region
-        self.tolerance = tolerance
+        self.as_of = as_of
 
     def age(self, now):
         return now - self.computed_at
@@ -372,14 +314,11 @@ class SemanticCache:
     driver's scalar answers and the aggregation manager's rollup
     summaries are two instances of it.  Thread-safe.
 
-    Keys are (bucketed) canonical query strings; each entry remembers
-    the *exact* canonical key that produced it, so a hit under a
-    different exact key is counted as a **bucket-coalesced** hit --
-    the measurement the whole subsystem exists to improve.  Serving is
-    always subsumption-checked: an entry is returned only when its age
-    satisfies the caller's (original, tighter) bound.  Each entry also
-    carries the region it was computed over, so ownership changes
-    evict by id path (:meth:`evict_paths`) without reading keys.
+    Keys are answer keys: canonical, freshness-stripped query text.
+    One rule serves an entry (:meth:`lookup`), against the time its data
+    was current.  Each entry also carries the region it was computed
+    over, so ownership changes evict by id path (:meth:`evict_paths`)
+    without reading keys.
     """
 
     def __init__(self, max_entries=512, max_bytes=8 * 1024 * 1024):
@@ -392,7 +331,6 @@ class SemanticCache:
             "hits": 0,
             "misses": 0,
             "stale_rejects": 0,
-            "bucket_coalesced_hits": 0,
             "stores": 0,
             "evictions": 0,
             "evicted_bytes": 0,
@@ -400,43 +338,37 @@ class SemanticCache:
         }
 
     # -- the public surface --------------------------------------------
-    def lookup(self, key, now, max_age=None, exact_key=None,
-               tolerance=None):
-        """The entry under *key* iff its age satisfies *max_age*.
+    def lookup(self, key, now, bound=None, max_age=None):
+        """The entry under *key* iff it is fresh enough for the caller.
 
-        *max_age* is the caller's **original** bound -- never the
-        bucket boundary -- which is exactly the subsumption check that
-        makes serving a shared (bucket-keyed) entry sound.  ``None``
-        max_age never hits (an exact query cannot be served stale).
-
-        When both the entry and the caller carry an in-query freshness
-        *tolerance*, any slack the stored entry has over the caller
-        (entry produced under a 30s bound, caller demands 28s) is
-        charged against the allowed age, so a bucket-shared entry is
-        never served past the caller's *tighter original* bound.
+        A caller with a freshness *bound* (seconds) is served an entry
+        whose data was current at ``now - bound``, give or take the
+        precision slack *max_age*: ``now - as_of <= bound + max_age``.
+        A caller without one is served only under a *max_age*, by the
+        entry's age.  Without either, nothing is served.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or max_age is None:
+            if entry is None or (bound is None and max_age is None):
                 self.stats["misses"] += 1
                 return None
-            allowed = max_age
-            if tolerance is not None and entry.tolerance is not None:
-                allowed = max_age - max(0.0, entry.tolerance - tolerance)
-            if entry.age(now) > allowed:
+            if bound is not None:
+                fresh = entry.as_of is not None and \
+                    now - entry.as_of <= bound + (max_age or 0)
+            else:
+                fresh = entry.age(now) <= max_age
+            if not fresh:
                 self.stats["misses"] += 1
                 self.stats["stale_rejects"] += 1
                 return None
             entry.hits += 1
             self.stats["hits"] += 1
-            if exact_key is not None and entry.exact_key != exact_key:
-                self.stats["bucket_coalesced_hits"] += 1
             self._entries.move_to_end(key)
             return entry
 
-    def store(self, key, value, now, region=None, exact_key=None,
-              nbytes=None, tolerance=None):
-        """Cache *value*, computed at *now* over *region*, under *key*.
+    def store(self, key, value, now, region=None, nbytes=None, as_of=None):
+        """Cache *value*, computed at *now* over *region*, under *key*,
+        its data all current at *as_of*.
 
         Replaces any entry already under *key*, then evicts
         least-recently-used entries until the budget holds again.
@@ -444,9 +376,8 @@ class SemanticCache:
         """
         if nbytes is None:
             nbytes = estimate_bytes(value) + 64
-        entry = CacheEntry(key, exact_key if exact_key is not None else key,
-                           value, nbytes, now, region=region,
-                           tolerance=tolerance)
+        entry = CacheEntry(key, value, nbytes, now, region=region,
+                           as_of=as_of)
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:

@@ -40,7 +40,7 @@ def _scalar_round(config):
     """Jittered scalar aggregates: ``(stored spelling, jitter)`` pairs.
 
     Each pair is semantically one query -- whitespace/predicate-order
-    jitter or a 28s-vs-30s freshness bound sharing the 30s bucket --
+    jitter, or a 28s-vs-30s freshness bound sharing one answer key --
     so the second spelling must hit the entry the first one stored.
     """
     from repro.service import parking
@@ -135,8 +135,6 @@ def run(artifacts):
         problems.append(
             f"jittered scalars hit {cold_snapshot['hits']} times, "
             f"expected >= {len(scalar_pairs)}")
-    if cold_snapshot["bucket_coalesced_hits"] < 1:
-        problems.append("no bucket-coalesced hit from the 28s/30s pair")
     if warm_snapshot["hits"] < len(scalar_pairs):
         problems.append(
             f"prewarmed scalars hit {warm_snapshot['hits']} times, "

@@ -93,9 +93,9 @@ class ExplainReport:
         self.local_results = local_results
         self.routed_site = routed_site
         self.analyze = analyze
-        #: Semantic-cache view: canonical/bucket keys, tolerance
-        #: mapping, and the aggregate-cache entry that would serve this
-        #: query (empty when the query does not parse).
+        #: Semantic-cache view: canonical and answer keys, the tightest
+        #: freshness bound, and the aggregate-cache entry under the
+        #: answer key (empty when the query does not parse).
         self.cache = cache
         #: What the site's subsystems added through their ``explain``
         #: hook: ``{name: data}`` (the JSON view) and, per name, the
@@ -173,21 +173,15 @@ class ExplainReport:
             lines.append("  subquery plan: (none -- answerable locally)")
         if self.cache:
             lines.append("  semantic cache:")
-            lines.append(f"    canonical: {self.cache.get('canonical_key')}")
-            if self.cache.get("bucketed"):
-                pairs = ", ".join(
-                    f"{orig:g}s->{bucket:g}s"
-                    for orig, bucket in self.cache.get("tolerances", []))
-                lines.append(
-                    f"    bucket:    {self.cache.get('bucket_key')}"
-                    f"  ({pairs})")
+            lines.append(f"    canonical: {self.cache['canonical_key']}")
+            bound = self.cache["min_tolerance"]
+            bound_text = f"  (bound {bound:g}s)" if bound is not None else ""
+            lines.append(
+                f"    answer:    {self.cache['answer_key']}{bound_text}")
             aggregate = self.cache.get("aggregate")
             if aggregate is not None:
-                kind = ("bucket-coalesced hit" if aggregate["coalesced"]
-                        else "hit")
                 lines.append(
-                    f"    aggregate: cached ({kind} candidate, "
-                    f"age {aggregate['age']:g}s, "
+                    f"    aggregate: cached (age {aggregate['age']:g}s, "
                     f"hits {aggregate['hits']})")
         for section in self._section_lines.values():
             lines.extend(f"  {line}" for line in section)
@@ -256,16 +250,13 @@ def _cache_section(driver, source, now):
         return {}
     info = {
         "canonical_key": canon.key,
-        "bucket_key": canon.bucket_key,
-        "bucketed": canon.bucketed,
-        "tolerances": [[orig, bucket]
-                       for orig, bucket in canon.tolerances],
+        "answer_key": canon.answer_key,
+        "min_tolerance": canon.min_tolerance,
     }
-    entry = driver.aggregates.peek(canon.bucket_key)
+    entry = driver.aggregates.peek(canon.answer_key)
     if entry is not None:
         info["aggregate"] = {
             "age": round(entry.age(now), 3),
-            "coalesced": entry.exact_key != canon.key,
             "hits": entry.hits,
         }
     return info

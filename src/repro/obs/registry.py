@@ -125,7 +125,7 @@ def fault_counters(agents):
 def semcache_counters(agents):
     """Aggregate semantic-cache counters across organizing agents.
 
-    Sums every driver's aggregate-cache hit/miss/coalesce/byte figures
+    Sums every driver's aggregate-cache hit/miss/byte figures
     and its prewarm counter, computes the overall hit ratio,
     and snapshots the process-wide canonicalizer memo and compile-key
     stats once (tagged ``scope: process`` -- never summed per site).
@@ -136,8 +136,7 @@ def semcache_counters(agents):
     drivers = [agent.driver for agent in _values(agents)]
     totals = sum_numeric(
         (driver.aggregates.metrics() for driver in drivers),
-        keys=("hits", "misses", "stores", "stale_rejects",
-              "bucket_coalesced_hits", "evictions",
+        keys=("hits", "misses", "stores", "stale_rejects", "evictions",
               "entries", "bytes"))
     totals.update(sum_numeric(
         (driver.stats for driver in drivers),

@@ -1,27 +1,25 @@
 """Observability smoke check: a traced 3-site TCP query, end to end.
 
-``python -m repro.obs.smoke`` builds a three-level ownership chain
-(``top`` owns the region, ``mid`` the group, ``leaf`` the sensor),
-serves it over real TCP sockets, runs one user query at the top with
-tracing enabled, and asserts the assembled trace is a single tree that
+``python -m repro.smoke obs`` (needs ``PYTHONPATH=src:.``) builds a
+three-level ownership chain (``top`` owns the region, ``mid`` the
+group, ``leaf`` the sensor), serves it over real TCP sockets, runs one
+user query at the top with tracing enabled, and asserts the assembled
+trace is a single tree that
 
 * touches all three sites,
 * parent-links every span into one root (no orphans), and
 * contains the expected ``gather``/``send-subquery``/``tcp-serve``
   chain across the two hops.
 
-The trace tree is written to ``TRACE_smoke.json`` (override with
-``--output``) so CI can archive it as an artifact.
-
-``--validate 'BENCH_*.json'`` additionally (or instead, with
-``--no-trace``) validates benchmark result files against the shared
-envelope schema in :mod:`benchmarks.reporting`.
+The trace tree is written to ``<artifacts>/TRACE_smoke.json`` so CI can
+archive it.  ``--validate 'BENCH_*.json'`` (this smoke's one option)
+also validates benchmark result files against the shared envelope
+schema in :mod:`benchmarks.reporting`.
 """
 
-import argparse
 import glob
 import json
-import sys
+import os
 
 
 def _chain_document():
@@ -49,8 +47,9 @@ def _chain_plan():
 QUERY = "/region[@id='R']/group[@id='G']/sensor[@id='S']/value"
 
 
-def run_smoke(output="TRACE_smoke.json"):
-    """Run the traced 3-site query; returns a list of problems."""
+def _traced_query(output):
+    """Run the traced 3-site query and write its trace to *output*;
+    returns ``(problems, sites touched, span count)``."""
     from repro.net.tcpruntime import TcpCluster
     from repro.obs.tracing import (
         TRACER,
@@ -115,11 +114,7 @@ def run_smoke(output="TRACE_smoke.json"):
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    if tree is not None:
-        print(tree.render())
-    print(f"trace: {len(spans)} spans across {sorted(sites)} "
-          f"-> {output}")
-    return problems
+    return problems, sorted(sites), len(spans)
 
 
 def validate_reports(patterns):
@@ -153,28 +148,17 @@ def validate_reports(patterns):
     return problems
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.smoke", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--output", default="TRACE_smoke.json",
-                        help="where to write the trace JSON artifact")
-    parser.add_argument("--validate", action="append", default=[],
-                        metavar="GLOB",
-                        help="validate matching BENCH_*.json files")
-    parser.add_argument("--no-trace", action="store_true",
-                        help="skip the traced query (validate only)")
-    args = parser.parse_args(argv)
-
-    problems = []
-    if not args.no_trace:
-        problems.extend(run_smoke(output=args.output))
-    if args.validate:
-        problems.extend(validate_reports(args.validate))
-    for problem in problems:
-        print(f"FAIL: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def run(artifacts, validate=()):
+    """The traced query, plus report validation for each *validate*
+    glob."""
+    output = os.path.join(artifacts, "TRACE_smoke.json")
+    problems, sites, span_count = _traced_query(output)
+    if validate:
+        problems.extend(validate_reports(validate))
+    return problems, {
+        "query": QUERY,
+        "sites_touched": sites,
+        "span_count": span_count,
+        "validated": list(validate),
+        "headline": f"trace: {span_count} spans across {sites} -> {output}",
+    }

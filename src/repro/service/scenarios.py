@@ -313,7 +313,7 @@ def rollup_query(config, shape="avg", zone=None, bound=None):
     *zone* is a tuple of zone digits pinning a subtree (``(0, 1)`` =
     ``/zone[@id='z0']/zone[@id='z1']``); *bound* adds a freshness
     predicate (seconds) on the final step -- the spelling the rollup
-    algebra accepts and the summary cache buckets.
+    algebra accepts.
     """
     zone = tuple(zone or ())
     steps = [f"/deployment[@id='{config.root_id}']"]

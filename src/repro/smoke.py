@@ -7,9 +7,8 @@ checks share: the command line, the artifacts directory, the
 ``summary.json`` it leaves there for CI to archive, the ``FAIL:`` lines
 and the exit code.  A smoke only builds its deployment, drives it, and
 reports what went wrong (*problems*, empty on success) and what it
-measured (*summary*; its ``headline`` is printed on success).
-
-``repro.obs.smoke`` keeps its own command line (different flags).
+measured (*summary*; its ``headline`` is printed on success).  The
+``obs`` smoke takes one option of its own, ``--validate GLOB``.
 
 The three-site deployment most smokes stand up (a region, two groups of
 three sensors, one site per group) is here too, so each smoke states
@@ -29,6 +28,7 @@ SMOKES = {
     "aggregation": "repro.agg.smoke",
     "rebalance": "repro.rebalance.smoke",
     "semcache": "repro.core.semcache_smoke",
+    "obs": "repro.obs.smoke",
 }
 
 
@@ -96,12 +96,19 @@ def main(argv=None):
     parser.add_argument("--artifacts",
                         help="directory for the summary and any other "
                              "artifacts (default: NAME-smoke)")
+    parser.add_argument("--validate", action="append", default=[],
+                        metavar="GLOB",
+                        help="obs only: also validate the BENCH_*.json "
+                             "report envelopes matching GLOB")
     args = parser.parse_args(argv)
+    if args.validate and args.name != "obs":
+        parser.error("--validate is an option of the obs smoke")
     artifacts = args.artifacts or f"{args.name}-smoke"
     os.makedirs(artifacts, exist_ok=True)
 
     run = importlib.import_module(SMOKES[args.name]).run
-    problems, summary = run(artifacts)
+    options = {"validate": args.validate} if args.validate else {}
+    problems, summary = run(artifacts, **options)
 
     summary = dict(summary, ok=not problems, problems=list(problems))
     with open(os.path.join(artifacts, "summary.json"), "w",

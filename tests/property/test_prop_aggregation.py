@@ -4,10 +4,12 @@ and summary-served answers equal the naive fan-out byte-for-byte.
 The hierarchy's correctness rests on three algebraic facts the rollup
 tree exploits freely -- merge order never matters (children reply in
 any order), merge grouping never matters (interior sites pre-merge),
-and a duplicated reply changes nothing -- plus one end-to-end fact:
+and a duplicated reply changes nothing -- plus two end-to-end facts:
 for *any* tree shape and *any* partition of it over sites, an
 aggregate answered through summaries prints identically to the same
-aggregate computed by naive leaf fan-out.
+aggregate computed by naive leaf fan-out; and under any freshness bound
+and any update history, both equal the consistency-stripped query over
+the one logical document.
 """
 
 import math
@@ -24,7 +26,10 @@ from repro.agg import (
     state_of,
 )
 from repro.core import PartitionPlan
+from repro.core.consistency import strip_consistency_predicates
 from repro.net import Cluster
+from repro.net.messages import UpdateMessage
+from repro.smoke import three_site_document, three_site_plan
 from repro.xmlkit import Element
 from repro.xpath.evaluator import Evaluator
 from repro.xpath import parser as xpath_parser
@@ -125,6 +130,19 @@ class TestStateAlgebra:
         assert left_ts == right_ts
 
 
+def test_signed_zero_extrema_ignore_merge_order():
+    """The shrunk ``test_collapse_ignores_merge_order`` case: ``0.0``
+    and ``-0.0`` compare equal, so plain ``min``/``max`` kept whichever
+    came first."""
+    a = state_of(REGIONS[0], Partial.of_values([0.0]), 0.0)
+    b = state_of(REGIONS[1], Partial.of_values([-0.0]), 0.0)
+    left, _ = collapse(merge_states(a, b), now=0.0)
+    right, _ = collapse(merge_states(b, a), now=0.0)
+    assert left == right
+    assert (left.to_attrs()["lo"], left.to_attrs()["hi"]) == ("-0.0", "0.0")
+    assert Partial.of_values([0.0, -0.0]) == Partial.of_values([-0.0, 0.0])
+
+
 # ----------------------------------------------------------------------
 # Summary-served == naive fan-out, for any tree shape
 # ----------------------------------------------------------------------
@@ -203,6 +221,72 @@ def _naive(shape, leaf_values):
         if math.isnan(total) or math.isinf(total):
             return total
         return total / len(leaf_values)
+    # The partials' extrema order: -0.0 below 0.0, whatever comes first.
+    signed = lambda value: (value, math.copysign(1.0, value))  # noqa: E731
     if shape == "min":
-        return float(min(leaf_values))
-    return float(max(leaf_values))
+        return float(min(leaf_values, key=signed))
+    return float(max(leaf_values, key=signed))
+
+
+# ----------------------------------------------------------------------
+# Freshness: aggregation on == off == the stripped oracle
+# ----------------------------------------------------------------------
+SMOKE_VALUES = "/region[@id='R']/group/sensor/value"
+SMOKE_SENSORS = [(("region", "R"), ("group", f"g{index // 3}"),
+                  ("sensor", f"s{index % 3}")) for index in range(6)]
+SMOKE_OWNERS = {"g0": "mid", "g1": "leaf"}
+
+
+@st.composite
+def freshness_histories(draw):
+    """A warm-up ask, sensor updates after it, and a final ask late
+    enough that nothing the warm-up cached can satisfy its bound."""
+    warm_at = 1000 + draw(st.integers(0, 30))
+    warm_bound = draw(st.integers(1, 60))
+    updates = draw(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 60),
+                  st.integers(-50, 50)), max_size=6))
+    updates = sorted((warm_at + offset, sensor, value)
+                     for sensor, offset, value in updates)
+    bound = draw(st.integers(1, 60))
+    last = updates[-1][0] if updates else warm_at
+    ask_at = max(last, warm_at + bound + 1) + draw(st.integers(0, 60))
+    return warm_at, warm_bound, updates, ask_at, bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(freshness_histories())
+def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
+    warm_at, warm_bound, updates, ask_at, bound = history
+    values = [10 * (index // 3) + index % 3 for index in range(6)]
+    clock = {"now": 1000.0}
+    clusters = [Cluster(three_site_document(
+                            lambda group, sensor: 10 * group + sensor),
+                        three_site_plan(), clock=lambda: clock["now"],
+                        subsystems=subsystems)
+                for subsystems in ([AggregationConfig()], [])]
+
+    clock["now"] = float(warm_at)
+    for cluster in clusters:
+        cluster.scalar(f"sum({SMOKE_VALUES}[timestamp() > "
+                       f"current-time() - {warm_bound}])", at_site="top")
+    for at, sensor, value in updates:
+        clock["now"] = float(at)
+        path = SMOKE_SENSORS[sensor]
+        values[sensor] = value
+        for cluster in clusters:
+            cluster.agents[SMOKE_OWNERS[path[1][1]]].handle_message(
+                UpdateMessage(path, values={"value": str(value)},
+                              sender="sa"))
+
+    clock["now"] = float(ask_at)
+    inner = f"{SMOKE_VALUES}[timestamp() > current-time() - {bound}]"
+    document = three_site_document(
+        lambda group, sensor: values[3 * group + sensor])
+    for shape in ("count", "sum"):
+        oracle = Evaluator().evaluate(
+            strip_consistency_predicates(xpath_parser.parse(
+                f"{shape}({inner})")), document)
+        answers = [cluster.scalar(f"{shape}({inner})", at_site="top")
+                   for cluster in clusters]
+        assert answers == [oracle, oracle], (shape, answers, oracle)

@@ -2,20 +2,15 @@
 
 The canonicalizer's whole contract is "semantics-preserving": for any
 query, the canonical form must evaluate identically over any document.
-Hypothesis drives that directly, plus the bucket-serving invariant --
-a freshness-bucketed cache entry is never served past the caller's
-original (tighter) bound.
+Hypothesis drives that directly, plus the serving rule -- an entry is
+never served to a caller its as-of time (or its age) does not satisfy.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.semcache import (
-    FreshnessBuckets,
-    SemanticCache,
-    canonical_key,
-)
+from repro.core.semcache import SemanticCache, canonical_key
 from repro.xmlkit import Element
 from repro.xpath import compile_xpath
 
@@ -95,37 +90,27 @@ class TestCanonicalizationPreservesSemantics:
         assert canonical_key(sugar) == canonical_key(explicit)
 
 
-class TestBucketInvariants:
-    @given(st.floats(min_value=0.01, max_value=5000,
-                     allow_nan=False, allow_infinity=False))
-    @settings(max_examples=100, deadline=None)
-    def test_ceiling_never_tightens_and_is_idempotent(self, tolerance):
-        buckets = FreshnessBuckets()
-        bucketed = buckets.ceiling(tolerance)
-        assert bucketed >= tolerance
-        assert buckets.ceiling(bucketed) == bucketed
+_times = st.floats(min_value=0.0, max_value=2000, allow_nan=False)
+_spans = st.one_of(st.none(), st.floats(min_value=0.0, max_value=900,
+                                        allow_nan=False))
 
-    @given(st.floats(min_value=0.5, max_value=899,
-                     allow_nan=False, allow_infinity=False),
-           st.floats(min_value=0.0, max_value=1000,
-                     allow_nan=False, allow_infinity=False))
-    @settings(max_examples=100, deadline=None)
-    def test_bucket_shared_entry_never_served_past_original_bound(
-            self, tolerance, age):
-        """The subsumption invariant, end to end at the cache layer.
 
-        An entry produced under the *bucketed* (looser) tolerance is
-        served to a caller with the *original* bound only while it
-        still satisfies that original bound.
-        """
-        buckets = FreshnessBuckets()
-        bucketed = buckets.ceiling(tolerance)
+class TestServingRule:
+    @given(computed_at=_times, as_of=st.one_of(st.none(), _times),
+           bound=_spans, max_age=_spans, now=_times)
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_serves_exactly_what_the_rule_allows(
+            self, computed_at, as_of, bound, max_age, now):
+        """A caller with a bound gets data current at ``now - bound``,
+        give or take its *max_age*; a caller without one only an entry
+        younger than its *max_age*; nobody anything else."""
         cache = SemanticCache()
-        cache.store("region", 1, now=0.0, tolerance=bucketed)
-        entry = cache.lookup("region", now=age, max_age=tolerance,
-                             tolerance=tolerance)
-        if entry is not None:
-            assert age <= tolerance
-        elif age + (bucketed - tolerance) <= tolerance:
-            raise AssertionError(
-                "entry satisfying the original bound was rejected")
+        cache.store("answer", 1, now=computed_at, as_of=as_of)
+        served = cache.lookup("answer", now, bound=bound,
+                              max_age=max_age) is not None
+        if bound is not None:
+            allowed = as_of is not None and \
+                now - as_of <= bound + (max_age or 0)
+        else:
+            allowed = max_age is not None and now - computed_at <= max_age
+        assert served == allowed

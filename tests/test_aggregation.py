@@ -28,7 +28,8 @@ from repro.agg import (
 )
 from repro.core import PartitionPlan
 from repro.net import Cluster, NetError, OAConfig
-from repro.net.messages import Message
+from repro.net.messages import Message, UpdateMessage
+from repro.smoke import G0_S1, three_site_document, three_site_plan
 from repro.service.scenarios import (
     build_document,
     build_plan,
@@ -139,8 +140,8 @@ class TestPartial:
                      Partial.of_values([1]), 10.0)
         b = state_of((("region", "R"), ("group", "g1")),
                      Partial.of_values([2]), 4.0)
-        partial, data_ts = collapse(merge_states(a, b))
-        assert data_ts == 4.0
+        partial, as_of = collapse(merge_states(a, b))
+        assert as_of == 4.0
         assert partial.finalize("sum") == 3.0
 
 
@@ -242,13 +243,87 @@ class TestHierarchicalRollup:
         # Within the bound the summary still serves the old answer --
         # the bounded-staleness contract, same as the semantic cache.
         assert cluster.scalar(query, at_site="root") == 150.0
-        # Past the bound the rollup recomputes; only the re-stamped
-        # sensor survives the freshness predicate.
+        # Past the bound the rollup recomputes from the owners' data,
+        # all of it current: the bound never filters a value out.
         clock["now"] = 170.0
-        assert cluster.scalar(query, at_site="root") == 90.0
+        assert cluster.scalar(query, at_site="root") == 190.0
+
+
+def _bound(seconds):
+    return f"[timestamp() > current-time() - {seconds}]"
+
+
+SMOKE_VALUES = "/region[@id='R']/group/sensor/value"
+
+
+class TestFreshnessDecidesWhatIsFetched:
+    """The three-site smoke deployment (values ``10*g+s``, sum 36, all
+    stamped at t=1000, ``mid`` owning ``g0``): a freshness bound decides
+    what is fetched again, never what is counted, and no answer is
+    served beyond its caller's bound."""
+
+    def _cluster(self, aggregation=True):
+        clock = {"now": 1000.0}
+        cluster = Cluster(
+            three_site_document(lambda group, sensor: 10 * group + sensor),
+            three_site_plan(), clock=lambda: clock["now"],
+            subsystems=[AggregationConfig()] if aggregation else [])
+        return cluster, clock
+
+    def _update(self, cluster, value):
+        cluster.agents["mid"].handle_message(UpdateMessage(
+            G0_S1, values={"value": str(value)}, sender="sa"))
+
+    def test_a_bounded_count_counts_what_the_user_query_returns(self):
+        cluster, clock = self._cluster(aggregation=False)
+        clock["now"] = 1029.0
+        self._update(cluster, 39)
+        inner = SMOKE_VALUES + _bound(5)
+        results, _, _ = cluster.query(inner, at_site="top")
+        assert len(results) == 6
+        assert cluster.scalar(f"count({inner})", at_site="top") == 6.0
+
+    def test_a_tighter_bound_is_not_served_an_older_summary(self):
+        cluster, clock = self._cluster()
+        assert cluster.scalar(f"sum({SMOKE_VALUES}{_bound(30)})",
+                              at_site="top") == 36.0
+        clock["now"] = 1029.0
+        self._update(cluster, 39)
+        assert cluster.scalar(f"sum({SMOKE_VALUES}{_bound(28)})",
+                              at_site="top") == 74.0
+
+    def test_bounds_share_a_summary_of_the_same_data(self):
+        cluster, clock = self._cluster()
+        clock["now"] = 1029.0
+        self._update(cluster, 39)
+        for seconds in (5, 60):
+            assert cluster.scalar(f"count({SMOKE_VALUES}{_bound(seconds)})",
+                                  at_site="top") == 6.0
+
+    def test_a_relayed_summary_keeps_its_as_of_time(self):
+        cluster, clock = self._cluster()
+        query = ("sum(/region[@id='R']/group[@id='g0']/sensor/value"
+                 + _bound(30) + ")")
+        assert cluster.scalar(query, at_site="mid") == 3.0
+        clock["now"] = 1025.0
+        self._update(cluster, 50)
+        # Current at 1000, within the 30 s bound at 1029 ...
+        clock["now"] = 1029.0
+        assert cluster.scalar(query, at_site="top") == 3.0
+        # ... and beyond it at 1050, however recently top stored it.
+        clock["now"] = 1050.0
+        assert cluster.scalar(query, at_site="top") == 52.0
 
 
 class TestFallbacks:
+    def test_a_descendant_scan_crosses_an_id_complete_group(self):
+        cluster = build_cluster(aggregation=None)
+        results, _, outcome = cluster.query("/region[@id='R']//value",
+                                            at_site="root")
+        assert outcome.complete
+        assert sorted(result.text for result in results) == [
+            "10", "20", "30", "40", "50"]
+
     def test_count_with_descendant_axis_uses_naive_path(self):
         cluster = build_cluster()
         assert cluster.scalar("count(/region[@id='R']//value)",

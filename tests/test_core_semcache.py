@@ -1,7 +1,7 @@
-"""The semantic query cache: canonical keys, buckets, the LRU, prewarm.
+"""The semantic query cache: canonical keys, answer keys, the LRU, prewarm.
 
 Covers the pieces in ``repro.core.semcache`` in isolation (the
-canonicalizer, the freshness buckets, the measured LRU, the query log)
+canonicalizer and its answer keys, the measured LRU, the query log)
 and their integration points: the QEG compile cache keyed by canonical
 form, jittered bounds end to end (a subquery carries the caller's own
 bound), prewarming a cold cluster, and the EXPLAIN cache section.
@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.qeg import compile_pattern, pattern_key_stats
 from repro.core.semcache import (
-    FreshnessBuckets,
     QueryLog,
     SemanticCache,
     canonical_key,
@@ -89,35 +88,7 @@ class TestCanonicalizer:
         ast = parser.parse(FIGURE2_QUERY)
         assert canonicalize(ast).key == canonical_key(FIGURE2_QUERY)
 
-
-# ----------------------------------------------------------------------
-# Freshness buckets
-# ----------------------------------------------------------------------
-class TestFreshnessBuckets:
-    def test_rounds_up_to_boundary(self):
-        buckets = FreshnessBuckets()
-        assert buckets.ceiling(28) == 30.0
-        assert buckets.ceiling(30) == 30.0
-        assert buckets.ceiling(31) == 60.0
-        assert buckets.ceiling(1) == 5.0
-
-    def test_above_largest_boundary_unchanged(self):
-        buckets = FreshnessBuckets()
-        assert buckets.ceiling(1e6) == 1e6
-
-    def test_nonpositive_unchanged(self):
-        buckets = FreshnessBuckets()
-        assert buckets.ceiling(0) == 0
-        assert buckets.ceiling(-5) == -5
-        assert buckets.ceiling(None) is None
-
-    def test_invalid_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            FreshnessBuckets([])
-        with pytest.raises(ValueError):
-            FreshnessBuckets([10, -1])
-
-    def test_jittered_tolerances_share_bucket_key(self):
+    def test_jittered_tolerances_share_answer_key(self):
         tight = (PREFIX + "/neighborhood[@id='Oakland']"
                  "[timestamp > now - 28]")
         loose = (PREFIX + "/neighborhood[@id='Oakland']"
@@ -125,17 +96,23 @@ class TestFreshnessBuckets:
         tight_canon = canonicalize(tight)
         loose_canon = canonicalize(loose)
         assert tight_canon.key != loose_canon.key
-        assert tight_canon.bucket_key == loose_canon.bucket_key
-        assert tight_canon.bucketed
-        assert not loose_canon.bucketed  # already on the boundary
+        assert tight_canon.answer_key == loose_canon.answer_key
+        assert "timestamp" not in tight_canon.answer_key
         assert tight_canon.min_tolerance == 28
-        assert tight_canon.tolerances == ((28.0, 30.0),)
+        assert loose_canon.min_tolerance == 30
 
-    def test_unbucketed_query_has_equal_keys(self):
+    def test_unbounded_query_answer_key_is_its_key(self):
         canon = canonicalize(FIGURE2_QUERY)
-        assert canon.key == canon.bucket_key
-        assert not canon.bucketed
+        assert canon.key == canon.answer_key
         assert canon.min_tolerance is None
+
+    def test_other_consistency_conjuncts_stay_in_the_answer_key(self):
+        canon = canonicalize(PREFIX + "/neighborhood[@id='Oakland']"
+                             "[timestamp() > 500 and"
+                             " timestamp() > current-time() - 30]")
+        assert "timestamp() > 500" in canon.answer_key
+        assert "current-time()" not in canon.answer_key
+        assert canon.min_tolerance == 30
 
 
 # ----------------------------------------------------------------------
@@ -161,26 +138,6 @@ class TestSemanticCache:
         cache.store("k", 42, now=100.0)
         assert cache.lookup("k", now=200.0, max_age=30) is None
         assert cache.stats["stale_rejects"] == 1
-
-    def test_coalesced_hit_counted_on_exact_key_mismatch(self):
-        cache = SemanticCache()
-        cache.store("bucket", 1, now=0.0, exact_key="spelling-a")
-        cache.lookup("bucket", now=1.0, max_age=30, exact_key="spelling-a")
-        assert cache.stats["bucket_coalesced_hits"] == 0
-        cache.lookup("bucket", now=1.0, max_age=30, exact_key="spelling-b")
-        assert cache.stats["bucket_coalesced_hits"] == 1
-
-    def test_tolerance_slack_charged_against_allowed_age(self):
-        # Entry produced under a 30s bound; a caller demanding 28s has
-        # the 2s slack deducted, so at age 29 with max_age 30 it still
-        # misses -- the subsumption check.
-        cache = SemanticCache()
-        cache.store("bucket", 1, now=0.0, tolerance=30)
-        assert cache.lookup("bucket", now=29.0, max_age=30,
-                            tolerance=28) is None
-        assert cache.stats["stale_rejects"] == 1
-        entry = cache.lookup("bucket", now=27.0, max_age=30, tolerance=28)
-        assert entry is not None
 
     def test_budget_is_taken_directly(self):
         cache = SemanticCache()
@@ -381,9 +338,9 @@ class TestPrewarm:
 
 
 # ----------------------------------------------------------------------
-# Bucketed gather end to end
+# Jittered bounds end to end
 # ----------------------------------------------------------------------
-class TestBucketedGatherEndToEnd:
+class TestJitteredBoundsEndToEnd:
     def test_jittered_tolerances_share_cached_region(
             self, paper_doc, paper_plan, settable_clock):
         cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
@@ -447,21 +404,22 @@ class TestBucketedGatherEndToEnd:
 # EXPLAIN integration
 # ----------------------------------------------------------------------
 class TestExplainCacheSection:
-    def test_report_carries_canonical_and_bucket_keys(
+    def test_report_carries_canonical_and_answer_keys(
             self, paper_doc, paper_plan, settable_clock):
         cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         query = (PREFIX + "/neighborhood[@id='Shadyside']"
                  "/block[@id='1'][timestamp > now - 28]")
         report = cluster.explain(query)
         cache = report.to_dict()["cache"]
-        assert cache["bucketed"]
-        assert cache["tolerances"] == [[28.0, 30.0]]
-        assert "current-time() - 30" in cache["bucket_key"]
+        assert "current-time() - 28" in cache["canonical_key"]
+        assert "current-time()" not in cache["answer_key"]
+        assert cache["min_tolerance"] == 28.0
         rendered = report.render()
         assert "semantic cache:" in rendered
-        assert "28s->30s" in rendered
+        assert "(bound 28s)" in rendered
+        assert "bucket" not in rendered
 
-    def test_bucket_coalesced_aggregate_hit_reported(
+    def test_jittered_bound_reports_the_shared_entry(
             self, paper_doc, paper_plan, settable_clock):
         cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         agent = cluster.agent("top")
@@ -471,10 +429,8 @@ class TestExplainCacheSection:
                   "[timestamp > now - 28]")
         agent.driver.answer_scalar(f"count({inner})")
         report = agent.explain(f"count({jitter})")
-        aggregate = report.cache["aggregate"]
-        assert aggregate["coalesced"] is True
-        hit_report = agent.explain(f"count({inner})")
-        assert hit_report.cache["aggregate"]["coalesced"] is False
+        assert report.cache["aggregate"] == {"age": 0.0, "hits": 0}
+        assert "aggregate: cached (age 0s, hits 0)" in report.render()
 
     def test_plan_shows_the_callers_own_bound(
             self, paper_doc, paper_plan, settable_clock):

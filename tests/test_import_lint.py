@@ -198,13 +198,17 @@ def test_the_query_plan_has_no_options():
 
 
 def test_one_freshness_bound_has_no_options():
-    # A subquery carries the caller's own bound; the scalar-answer
-    # cache keys by the one module-level set of freshness buckets.
+    # A subquery carries the caller's own bound; both answer caches key
+    # by the freshness-stripped answer key, with no freshness buckets.
     from repro import agg
-    from repro.core import GatherDriver, semcache
+    from repro.core import GatherDriver, consistency, semcache
 
     assert tuple(inspect.signature(agg.AggregationConfig).parameters) == ()
     assert tuple(inspect.signature(semcache.canonicalize).parameters) == (
         "query",)
     assert "semcache" not in inspect.signature(GatherDriver).parameters
     assert [name for name in vars(semcache) if name.endswith("Config")] == []
+    # No freshness-bucket class, boundary set or tolerance rounding.
+    for module in (semcache, consistency):
+        assert [name for name in vars(module)
+                if "bucket" in name.lower()] == [], module.__name__

@@ -145,10 +145,9 @@ CLUSTER_SCHEMA = {
                "failed_subqueries", "partial_gathers", "retries",
                "stale_served", "subquery_failures"],
     "health": SITES,
-    "semcache": ["bucket_coalesced_hits", "bytes", "canonicalizer",
-                 "compile_keys", "entries", "evictions", "hit_ratio",
-                 "hits", "misses", "prewarm_queries", "stale_rejects",
-                 "stores"],
+    "semcache": ["bytes", "canonicalizer", "compile_keys", "entries",
+                 "evictions", "hit_ratio", "hits", "misses",
+                 "prewarm_queries", "stale_rejects", "stores"],
     "sites": SITES,
     "traffic": ["bytes", "links", "messages"],
 }
