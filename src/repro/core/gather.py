@@ -27,7 +27,7 @@ owner's reply left out matches nothing.
 import threading
 
 from repro.core.database import SensorDatabase
-from repro.core.errors import CoreError
+from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
 from repro.core.idable import iter_idable, iter_idable_with_paths
 from repro.core.answer import Subquery
@@ -42,7 +42,6 @@ from repro.obs.tracing import TRACER, propagate
 from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath, VariableReference
 from repro.xpath.evaluator import Evaluator
-from repro.xpath import parser as xpath_parser
 
 _EVALUATOR = Evaluator()
 
@@ -341,7 +340,8 @@ class GatherDriver:
         with TRACER.span("gather", site=site) as gather_span:
             with TRACER.span("parse", site=site):
                 pattern = self.compile(query)
-            gather_span.set_tag("query", pattern.source)
+            if TRACER.enabled:  # a new text's source is unparsed on demand
+                gather_span.set_tag("query", pattern.source)
             if now is None:
                 now = self.database.clock()
             view = self._view()
@@ -562,11 +562,13 @@ class GatherDriver:
         return counters
 
     def answer_any(self, query, now=None):
-        """Dispatch a query string to subquery/scalar handling.
+        """Dispatch a query string to subquery/scalar handling: a query
+        the compile memo takes is a path, any other a scalar.
 
         Used by the network layer when a message arrives from a peer.
         """
-        ast = xpath_parser.parse_cached(query)
-        if isinstance(ast, LocationPath):
-            return self.answer_subquery(ast, now=now)
-        return self.answer_scalar(ast, now=now)
+        try:
+            pattern = compile_pattern(query, schema=self.schema)
+        except UnsupportedDistributedQueryError:
+            return self.answer_scalar(query, now=now)
+        return self.answer_subquery(pattern, now=now)

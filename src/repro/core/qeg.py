@@ -42,6 +42,7 @@ answer (Section 3.3).
 """
 
 import functools
+import re
 
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.lru import LRUCache
@@ -61,12 +62,17 @@ from repro.xmlkit.nodes import Element, Text
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import (
     REF_ID,
+    PredicateSplit,
+    anchor_id_path,
     classify_predicate,
+    extract_id_path,
     iter_conjuncts,
     pinned_ids,
     split_predicates,
 )
 from repro.xpath.ast import (
+    Expression,
+    Literal,
     LocationPath,
     NameTest,
     NodeTypeTest,
@@ -174,106 +180,195 @@ class PatternItem:
     def unparse(self):
         return self.step.unparse()
 
+    def bind(self, clone):
+        """This item over ``clone(step)``: *clone* maps a template node
+        to its bound copy; the P_id pins are read off the bound ids."""
+        item = PatternItem.__new__(PatternItem)
+        item.step = clone(self.step)
+        item.descendant = self.descendant
+        item.plain_predicates = list(map(clone, self.plain_predicates))
+        item.nested_predicates = list(map(clone, self.nested_predicates))
+        split = self.split
+        item.split = PredicateSplit(
+            list(map(clone, split.id_predicates)),
+            list(map(clone, split.consistency_predicates)),
+            list(map(clone, split.rest_predicates)), split.separable)
+        item.pinned_ids = pinned_ids(item.split.id_predicates)
+        item.residual_predicates = list(map(clone, self.residual_predicates))
+        return item
+
 
 class CompiledPattern:
     """A query compiled for distributed (QEG) evaluation."""
 
-    def __init__(self, source, ast, items, collect_index, is_idable_tag):
-        self.source = source
+    def __init__(self, ast, items, collect_index, is_idable_tag):
         self.ast = ast
         self.items = items
         self.collect_index = collect_index
         self.is_idable_tag = is_idable_tag
 
+    @functools.cached_property
+    def source(self):
+        return self.ast.unparse()
+
+    @functools.cached_property
+    def anchor(self):
+        """The LCA id path, a tuple of ``(tag, id)`` pairs, or ``None``."""
+        return tuple(extract_id_path(self.ast)) or None
+
     @property
     def has_nesting(self):
         return self.collect_index is not None
+
+    def bind(self, values):
+        """This template with ``values[i]`` in slot *i*.  Only the nodes
+        that hold a slot are cloned, once each; the items' predicate
+        lists map through the same clones."""
+        if not values:
+            return self
+        holders = self._slot_holders
+        clones = {}
+
+        def clone(node):
+            if id(node) not in holders:
+                return node
+            copy = clones.get(id(node))
+            if copy is None:
+                copy = clones[id(node)] = _rebuild(node, clone, values)
+            return copy
+
+        items = [item.bind(clone) if id(item.step) in holders else item
+                 for item in self.items]
+        return CompiledPattern(clone(self.ast), items, self.collect_index,
+                               self.is_idable_tag)
+
+    @functools.cached_property
+    def _slot_holders(self):
+        holders = set()
+        _mark_slot_holders(self.ast, holders)
+        return holders
 
     def __repr__(self):
         return f"CompiledPattern({self.source!r})"
 
 
-#: Compiled patterns for schema-less compilation, shared process-wide.
-#: Schema-aware compilations are cached on the schema object instead
+def _mark_slot_holders(node, holders):
+    """Add the ``id()`` of every node under *node* that holds a slot."""
+    held = isinstance(node, Literal)
+    for child in node.children():
+        if _mark_slot_holders(child, holders):
+            held = True
+    if held:
+        holders.add(id(node))
+    return held
+
+
+def _rebuild(node, clone, values):
+    """A copy of *node* over its cloned children; a slot takes its value."""
+    if isinstance(node, Literal):
+        return Literal(values[int(node.value[1:])])
+    copy = object.__new__(type(node))
+    for name in type(node).__slots__:
+        value = getattr(node, name)
+        if isinstance(value, list):
+            value = list(map(clone, value))
+        elif isinstance(value, Expression):
+            value = clone(value)
+        setattr(copy, name, value)
+    return copy
+
+
+#: The compile memo for schema-less compilation, shared process-wide.
+#: Schema-aware compilations are memoized on the schema object instead
 #: (see :class:`~repro.core.schema.HierarchySchema`), which both keeps
 #: keys collision-free across schemas and lets schema evolution
 #: invalidate exactly the affected entries.
 PATTERN_CACHE = LRUCache(max_entries=256)
 
+#: ``canonical_compiles`` counts template builds: one per query shape
+#: the memo did not hold.
+PATTERN_KEY_STATS = {"canonical_compiles": 0}
 
-def _pattern_cache_for(schema):
-    if schema is None:
-        return PATTERN_CACHE
-    # Duck-typed schemas without a cache simply compile every time.
-    return getattr(schema, "compiled_patterns", None)
-
-
-#: Process-wide counters for the two-level (raw spelling -> canonical)
-#: compile-cache keying.  ``canonical_aliases`` counts spellings that
-#: were answered by an existing canonical entry without recompiling --
-#: each one is a compilation the raw-string key would have repeated.
-PATTERN_KEY_STATS = {"canonical_aliases": 0, "canonical_compiles": 0}
+#: A string literal as the lexer reads one (XPath 1.0 has no escapes).
+_LITERAL = re.compile(r"""('[^']*'|"[^"]*")""")
+#: A slot sentinel is this private-use character and a zero-padded
+#: index, so operands that differ only in a literal keep their
+#: spelling order through canonicalization.
+_SLOT = "\ue000"
 
 
 def pattern_key_stats():
-    """Snapshot of the canonical compile-cache keying counters."""
+    """Snapshot of the compile memo's template-build counter."""
     return dict(PATTERN_KEY_STATS)
 
 
-def compile_pattern(query, schema=None, rewrite_sugar=True, use_cache=True):
+def compile_pattern(query, schema=None):
     """Compile *query* (a string or AST) for distributed evaluation.
 
     *schema* (a :class:`~repro.core.schema.HierarchySchema`) sharpens
     the IDable-tag knowledge used by the nesting analysis; without it,
     every element name is conservatively treated as IDable.
 
-    String queries are served from a bounded LRU compile cache (the
-    global :data:`PATTERN_CACHE`, or the schema's own cache when a
-    schema is given) so repeated queries skip the parse/unparse/codegen
-    path; compiled patterns are immutable and safe to share.  Pass
-    ``use_cache=False`` to force a fresh compilation.
-
-    Cache keys are **two-level**: the exact source string is the fast
-    path (no parse at all on a repeat), and on a raw miss the query is
-    canonicalized (``repro.core.semcache``) and checked again under its
-    canonical spelling -- whitespace, predicate-order, and sugar
-    variants of one query therefore share a single CompiledPattern (the
-    raw spelling is aliased to it for next time) and emit byte-identical
-    subqueries.  With ``rewrite_sugar=False`` the raw AST semantics are
-    wanted verbatim, so no canonicalization is applied.
+    One memo serves every compile: the schema's ``compiled_patterns``,
+    or :data:`PATTERN_CACHE` without a schema; an AST is keyed by its
+    text.  The exact text gives its bound pattern.  Failing that, the
+    text's *shape* -- the text with each string literal lifted into a
+    slot -- gives a template, built once per shape (parse, canonicalize,
+    pattern items) with a sentinel in each slot, into which the text's
+    literals are bound: a new text of a known shape is neither parsed
+    nor canonicalized (Section 4's fast creation, on the live path).
+    Compiled patterns are immutable and safe to share.
     """
-    cache = None
-    cache_key = None
-    if use_cache and isinstance(query, str):
-        cache = _pattern_cache_for(schema)
-        if cache is not None:
-            cache_key = (query, rewrite_sugar)
-            cached = cache.get(cache_key)
-            if cached is not None:
-                return cached
+    text = query if isinstance(query, str) else query.unparse()
+    cache = PATTERN_CACHE if schema is None else schema.compiled_patterns
+    pattern = cache.get(text)
+    if pattern is None:
+        parts = _LITERAL.split(text)
+        shape = tuple(parts[0::2])
+        template = cache.get(shape)
+        if template is None:
+            template = _build_template(parts, text, schema)
+            cache.put(shape, template)
+        pattern = template.bind([literal[1:-1] for literal in parts[1::2]])
+        cache.put(text, pattern)
+    return pattern
+
+
+def _build_template(parts, text, schema):
+    """The template of the shape *parts* (text and literals alternating)."""
+    sentinel_text = "".join(
+        part if index % 2 == 0 else f"'{_SLOT}{index // 2:04d}'"
+        for index, part in enumerate(parts))
+    try:
+        template = _compile(sentinel_text, schema)
+    except XPathError:
+        xpath_parser.parse(text)  # the error at its offset in *text*
+        raise
+    PATTERN_KEY_STATS["canonical_compiles"] += 1
+    return template
+
+
+def query_anchor(query, schema=None):
+    """The LCA id path of *query* -- a path, or a scalar wrapper around
+    one -- or ``None`` when it has none or does not parse."""
+    try:
+        return compile_pattern(query, schema).anchor
+    except UnsupportedDistributedQueryError:
+        return anchor_id_path(query)
+    except XPathError:
+        return None
+
+
+def _compile(query, schema=None):
+    """Compile *query* (a string or AST) afresh, bypassing the memo."""
     if isinstance(query, str):
-        source = query
-        ast = xpath_parser.parse_cached(query)
-    else:
-        ast = query
-        source = ast.unparse()
-    if rewrite_sugar:
-        ast = canonicalize_expression(ast)  # includes the sugar rewrite
-        source = ast.unparse()
-        if cache is not None and cache_key is not None:
-            canonical_key = (source, rewrite_sugar)
-            if canonical_key != cache_key:
-                cached = cache.get(canonical_key)
-                if cached is not None:
-                    # Alias this spelling so its next use is a raw hit.
-                    cache.put(cache_key, cached)
-                    PATTERN_KEY_STATS["canonical_aliases"] += 1
-                    return cached
-    if not isinstance(ast, LocationPath) or not ast.absolute:
+        query = xpath_parser.parse_cached(query)
+    if not isinstance(query, LocationPath) or not query.absolute:
         raise UnsupportedDistributedQueryError(
             "distributed queries must be absolute location paths; wrap "
             "scalar expressions in boolean()/count() at the agent level"
         )
+    ast = canonicalize_expression(query)  # includes the sugar rewrite
     if schema is not None:
         is_idable_tag = schema.is_idable_tag
     else:
@@ -317,18 +412,7 @@ def compile_pattern(query, schema=None, rewrite_sugar=True, use_cache=True):
             if collect_index is None or target < collect_index:
                 collect_index = target
 
-    pattern = CompiledPattern(source, ast, items, collect_index,
-                              is_idable_tag)
-    if cache is not None:
-        cache.put(cache_key, pattern)
-        if rewrite_sugar:
-            # Also register the canonical spelling, so every future
-            # equivalent spelling aliases to this one compilation.
-            canonical_key = (source, rewrite_sugar)
-            if canonical_key != cache_key:
-                cache.put(canonical_key, pattern)
-            PATTERN_KEY_STATS["canonical_compiles"] += 1
-    return pattern
+    return CompiledPattern(ast, items, collect_index, is_idable_tag)
 
 
 class QEGResult:

@@ -19,10 +19,11 @@ class HierarchySchema:
     ``parent_to_children`` maps an IDable element name to the set of
     IDable element names that may appear as its children.
 
-    ``compiled_patterns`` is this schema's bounded LRU of compiled
-    query patterns (see :func:`repro.core.qeg.compile_pattern`); it is
+    ``compiled_patterns`` is this schema's compile memo: one bounded
+    LRU of compiled query patterns and the shape templates they are
+    bound from (see :func:`repro.core.qeg.compile_pattern`).  It is
     cleared whenever the IDable tag set changes, since that knowledge
-    is baked into compiled patterns.
+    is baked into both.
     """
 
     def __init__(self, root_tag, parent_to_children=None,

@@ -14,6 +14,7 @@ import copy
 
 from repro.core.errors import QueryRoutingError
 from repro.core.partition import PartitionPlan
+from repro.core.qeg import query_anchor
 from repro.core.schema import HierarchySchema
 from repro.net.dns import DnsResolver, DnsServer
 from repro.net.messages import QueryMessage
@@ -21,9 +22,6 @@ from repro.net.oa import OAConfig, OrganizingAgent
 from repro.net.sa import SensingAgent
 from repro.net.subsystem import CLUSTER_HOOKS, HookTable
 from repro.net.transport import LoopbackNetwork
-from repro.xpath import parser as xpath_parser
-from repro.xpath.analysis import extract_id_path
-from repro.xpath.ast import FunctionCall, LocationPath
 
 
 class Cluster:
@@ -156,15 +154,10 @@ class Cluster:
     def route_query(self, query):
         """The LCA site a user query should be sent to (Section 3.4).
 
-        The DNS-style name is extracted from the query string itself --
-        no global information, no schema -- then resolved.
+        The DNS-style name comes from the query itself -- its compiled
+        pattern's anchor, no global information -- then is resolved.
         """
-        ast = xpath_parser.parse_cached(query) \
-            if isinstance(query, str) else query
-        if isinstance(ast, FunctionCall) and ast.arguments and \
-                isinstance(ast.arguments[0], LocationPath):
-            ast = ast.arguments[0]
-        id_path = extract_id_path(ast)
+        id_path = list(query_anchor(query, self.schema) or ())
         while id_path:
             name = self.dns.name_for(id_path)
             try:

@@ -14,6 +14,7 @@ from repro.core.executors import SerialExecutor, resolve_executor
 from repro.core.gather import GatherDriver, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
 from repro.core.ownership import relinquish_ownership
+from repro.core.qeg import query_anchor
 from repro.core.evolution import add_idable_child, remove_idable_child
 from repro.core.status import Status, get_status
 from repro.net.continuous import ContinuousQueryManager
@@ -487,7 +488,7 @@ class OrganizingAgent:
         attributes) detached elements.
         """
         self.stats["user_queries"] += 1
-        self.load.record_query(query)
+        self.load.record_path(query_anchor(query, self.schema))
         with TRACER.span("user-query", site=self.site_id,
                          tags={"query": str(query)}):
             results, outcome = self.driver.answer_user_query(query, now=now)
@@ -525,7 +526,7 @@ class OrganizingAgent:
         return handler(message)
 
     def _handle_query(self, message):
-        self.load.record_query(message.query)
+        self.load.record_path(query_anchor(message.query, self.schema))
         if message.user:
             self.stats["user_queries"] += 1
             results, outcome = self.driver.answer_user_query(
@@ -555,7 +556,7 @@ class OrganizingAgent:
         """Answer a batched subquery: one reply per item, in order."""
         self.stats["subqueries_served"] += len(message.items)
         for query, _scalar in message.items:
-            self.load.record_query(query)
+            self.load.record_path(query_anchor(query, self.schema))
         answers = []
         for query, scalar in message.items:
             if scalar:

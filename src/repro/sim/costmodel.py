@@ -134,7 +134,7 @@ class CostModel:
         ratios (creation vs execution, fast vs naive) are ours.
         """
         from repro.core.partition import PartitionPlan
-        from repro.core.qeg import compile_pattern, run_qeg
+        from repro.core.qeg import _compile, compile_pattern, run_qeg
         from repro.core.schema import HierarchySchema
         from repro.service import parking
         from repro.xpath.parser import _Parser  # noqa: F401 (warm import)
@@ -149,11 +149,9 @@ class CostModel:
         db = plan.build_databases(document)["one"]
         schema = HierarchySchema.from_document(document)
 
-        # Bypass the compile cache: this measures compilation itself,
-        # and a cache hit would report a near-zero "naive" time.
-        naive = _best_time(
-            lambda: compile_pattern(query, schema=schema, use_cache=False),
-            repetitions)
+        # Bypass the compile memo: this measures compilation itself,
+        # and a memo hit would report a near-zero "naive" time.
+        naive = _best_time(lambda: _compile(query, schema), repetitions)
         pattern = compile_pattern(query, schema=schema)
         # The "fast" path reuses the compiled pattern and only rebinds
         # query-dependent slots; approximated by a re-walk of the items.

@@ -147,8 +147,8 @@ def anchor_id_path(query):
     unwraps an aggregate ``FunctionCall`` down to its location-path
     argument, and returns the anchor as a tuple of ``(tag, id)``
     tuples -- ``None`` for queries with no usable anchor (or that do
-    not parse at all).  Shared by query routing, the per-path load
-    tracker, and migration-time cache eviction.
+    not parse at all).  Routing and load accounting read a scalar
+    query's anchor here; a path's comes from its compiled pattern.
     """
     from repro.xpath import parser as _parser
 

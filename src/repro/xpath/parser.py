@@ -314,12 +314,11 @@ def parse(source):
 def parse_cached(source):
     """The AST of *source*, parsed once per distinct text.
 
-    One bounded memo for the whole query path -- routing, anchor
-    extraction, canonicalization, pattern compilation and
-    :func:`~repro.xpath.compiler.compile_xpath` each used to parse the
-    same text.  The tree is shared by every caller and **must not be
-    mutated**: rewrites (canonicalization, sugar, subquery slicing)
-    build new nodes.  Callers that want a tree of their own use
+    One bounded memo for what still parses a text: canonicalization,
+    scalar anchors, compile templates (one per query shape) and
+    :func:`~repro.xpath.compiler.compile_xpath`.  The tree is shared
+    by every caller and **must not be mutated**: rewrites
+    (canonicalization, sugar, subquery slicing) build new nodes.  Callers that want a tree of their own use
     :func:`parse`.  Syntax errors are raised afresh on every call.
     """
     return parse(source)

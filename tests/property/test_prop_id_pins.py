@@ -31,7 +31,7 @@ from repro.core.idable import (
     node_id,
     non_idable_children,
 )
-from repro.core.qeg import _Walker
+from repro.core.qeg import _compile, _Walker
 from repro.obs.explain import ExplainObserver
 from repro.xmlkit import Element, Text, parse_fragment, serialize
 from repro.xpath import parse
@@ -266,8 +266,8 @@ class TestTheWalkDoesNotDependOnThePins:
     def test_same_answer_subqueries_stats_and_explain(self, tree, query,
                                                       schema):
         before = serialize(tree, use_cache=False)
-        pinned = compile_pattern(query, schema, use_cache=False)
-        blank = compile_pattern(query, schema, use_cache=False)
+        pinned = _compile(query, schema)
+        blank = _compile(query, schema)
         for item in blank.items:
             item.pinned_ids = None
         assert _walk(tree, pinned) == _walk(tree, blank), query

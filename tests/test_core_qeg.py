@@ -108,14 +108,15 @@ class TestPatternCompileCache:
         assert second is first
         assert schema.compiled_patterns.stats["hits"] == 1
 
-    def test_use_cache_false_bypasses(self, paper_doc):
+    def test_per_text_compile_bypasses_the_memo(self, paper_doc):
         from repro.core import HierarchySchema
+        from repro.core.qeg import _compile
 
         schema = HierarchySchema.from_document(paper_doc)
         first = compile_pattern(FIGURE2_QUERY, schema=schema)
-        fresh = compile_pattern(FIGURE2_QUERY, schema=schema,
-                                use_cache=False)
+        fresh = _compile(FIGURE2_QUERY, schema)
         assert fresh is not first
+        assert fresh.source == first.source
 
     def test_cache_bounded(self, paper_doc):
         from repro.core import HierarchySchema
@@ -125,8 +126,8 @@ class TestPatternCompileCache:
         for block in ("1", "2", "3"):
             compile_pattern(PREFIX + "/neighborhood[@id='Oakland']"
                             f"/block[@id='{block}']", schema=schema)
-        # Each compile registers the raw and the canonical spelling, but
-        # the LRU budget holds regardless.
+        # The shape's template and each text take an entry, but the
+        # LRU budget holds regardless.
         assert len(schema.compiled_patterns) == 2
         assert schema.compiled_patterns.stats["evictions"] >= 1
 

@@ -204,35 +204,39 @@ class TestSemanticCache:
 
 
 # ----------------------------------------------------------------------
-# Compile-cache aliasing
+# Compile keying: one template per shape
 # ----------------------------------------------------------------------
 class TestCompileKeying:
-    def test_jittered_spellings_share_compiled_pattern(self, paper_schema):
+    def test_jittered_spellings_compile_to_one_canonical_source(
+            self, paper_schema):
         a = PREFIX + "//parkingSpace[available='yes'][price='0']"
         b = PREFIX + "//parkingSpace[price='0'][ available = 'yes' ]"
-        before = pattern_key_stats()["canonical_aliases"]
         pattern_a = compile_pattern(a, schema=paper_schema)
         pattern_b = compile_pattern(b, schema=paper_schema)
-        assert pattern_a is pattern_b
-        assert pattern_key_stats()["canonical_aliases"] == before + 1
+        assert pattern_a.source == pattern_b.source
 
-    def test_raw_key_fast_path_after_alias(self, paper_schema):
+    def test_raw_key_fast_path(self, paper_schema):
         query = PREFIX + "//parkingSpace[ price = '0' ]"
         first = compile_pattern(query, schema=paper_schema)
         stats_before = dict(pattern_key_stats())
+        hits = paper_schema.compiled_patterns.stats["hits"]
         again = compile_pattern(query, schema=paper_schema)
         assert again is first
-        # The repeat came from the raw-string fast path: no new alias.
+        # The repeat came from the exact-text entry: no template build.
         assert pattern_key_stats() == stats_before
+        assert paper_schema.compiled_patterns.stats["hits"] == hits + 1
 
-    def test_sugar_disabled_skips_canonicalization(self, paper_schema):
-        a = PREFIX + "//parkingSpace[available='yes'][price='0']"
-        b = PREFIX + "//parkingSpace[price='0'][available='yes']"
-        pattern_a = compile_pattern(a, schema=paper_schema,
-                                    rewrite_sugar=False)
-        pattern_b = compile_pattern(b, schema=paper_schema,
-                                    rewrite_sugar=False)
-        assert pattern_a is not pattern_b
+    def test_two_texts_of_one_shape_build_one_template(self, paper_schema):
+        before = pattern_key_stats()["canonical_compiles"]
+        first = compile_pattern(PREFIX + "/neighborhood[@id='Oakland']",
+                                schema=paper_schema)
+        second = compile_pattern(PREFIX + "/neighborhood[@id='Shadyside']",
+                                 schema=paper_schema)
+        assert pattern_key_stats()["canonical_compiles"] == before + 1
+        assert first.items[-1].pinned_ids == {"Oakland"}
+        assert second.items[-1].pinned_ids == {"Shadyside"}
+        assert second.source == canonical_key(
+            PREFIX + "/neighborhood[@id='Shadyside']")
 
 
 # ----------------------------------------------------------------------

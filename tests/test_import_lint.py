@@ -212,3 +212,48 @@ def test_one_freshness_bound_has_no_options():
     for module in (semcache, consistency):
         assert [name for name in vars(module)
                 if "bucket" in name.lower()] == [], module.__name__
+
+
+# ----------------------------------------------------------------------
+# Parse fence: a query's structure comes from one compile memo
+# ----------------------------------------------------------------------
+PARSERS = ("parse", "parse_cached")
+#: Serving-path code that reads a query's structure (LCA routing, load
+#: accounting, path-vs-scalar dispatch): file -> scope, ``None`` for all.
+COMPILE_MEMO_READERS = {"net/cluster.py": None, "net/load.py": None,
+                        "core/gather.py": "GatherDriver.answer_any"}
+
+
+def test_the_serving_path_parses_nothing_outside_the_compile_memo():
+    for name, scope in COMPILE_MEMO_READERS.items():
+        path = SRC / "repro" / name
+        calls = [callee for where, callee in dotted_calls(path)
+                 if scope is None or where == scope]
+        assert calls, name
+        assert [callee for callee in calls
+                if callee.split(".")[-1] in PARSERS] == [], name
+    readers = [SRC / "repro" / "net" / name
+               for name in ("cluster.py", "load.py")]
+    assert offenders(readers, ("repro.xpath.parser",)) == []
+
+
+def test_the_compile_memo_has_one_keying_and_no_options():
+    # One keying (text, then shape): no spelling aliases, no switch
+    # around canonicalization or around the memo.
+    from repro.core import qeg
+
+    tree = ast.parse((SRC / "repro" / "core" / "qeg.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(key.value for key in node.keys
+                         if isinstance(key, ast.Constant))
+    assert [name for name in names if name and
+            ("alias" in name or "sugar" in name)] == []
+    assert tuple(inspect.signature(qeg.compile_pattern).parameters) == (
+        "query", "schema")
+    assert tuple(qeg.pattern_key_stats()) == ("canonical_compiles",)

@@ -45,10 +45,11 @@ class TestRouting:
         assert paper_cluster.stats["lca_cache_hits"] == before + 1
 
 
-class TestOneParsePerQueryText:
-    """Routing, anchor extraction, canonicalization and pattern
-    compilation at the asking site, and every site a subquery reaches,
-    share one parse memo (``repro.xpath.parser.parse_cached``)."""
+class TestOneParsePerQueryShape:
+    """Routing, load accounting, dispatch and the walk at the asking
+    site, and at every site a subquery reaches, read a path query's
+    structure from one compile memo, which parses each query *shape*
+    (the text with its string literals lifted into slots) once."""
 
     @pytest.fixture
     def parsed(self, monkeypatch):
@@ -61,16 +62,27 @@ class TestOneParsePerQueryText:
         xpath_parser.parse_cached.cache_clear()
         return texts
 
-    def test_a_fresh_query_is_parsed_once_per_distinct_text(
+    def test_a_fresh_query_is_parsed_once_per_shape(
             self, paper_cluster, parsed):
         query = FIGURE2_QUERY + "[price >= 0]"
         results, site, outcome = paper_cluster.query(query)
         assert len(results) == 3 and outcome.complete
         assert site == "top"
-        # Oakland and Shadyside were asked: their subquery texts were
-        # parsed too, each once, by whichever site met it first.
-        assert query in parsed and len(parsed) > 1
+        # Oakland and Shadyside were asked: the subqueries' shape was
+        # parsed too, once, by whichever site met it first.
+        assert len(parsed) > 1
         assert len(parsed) == len(set(parsed))
+        assert "Oakland" not in "".join(parsed)
+
+    def test_a_query_differing_only_in_ids_parses_nothing(
+            self, paper_cluster, parsed):
+        paper_cluster.query(FIGURE2_QUERY)
+        assert parsed
+        before = len(parsed)
+        results, site, outcome = paper_cluster.query(
+            FIGURE2_QUERY.replace("block[@id='1']", "block[@id='2']"))
+        assert outcome.complete and site == "top"
+        assert len(parsed) == before
 
     def test_consumers_leave_the_shared_trees_as_parsed(
             self, paper_cluster, parsed):

@@ -15,6 +15,7 @@ byte-identical to a rebalancing-free build.
 import pytest
 
 from repro.core import PartitionPlan
+from repro.core.qeg import query_anchor
 from repro.core.status import Status, get_status
 from repro.net import Cluster, OAConfig, PathLoadTracker
 from repro.obs.registry import sum_per_site
@@ -87,31 +88,23 @@ class TestRebalanceConfig:
 class TestPathLoadTracker:
     def test_queries_attributed_to_anchor(self):
         tracker = PathLoadTracker()
-        tracker.record_query(OAK_BLOCK)
-        tracker.record_query(OAK_BLOCK)
+        tracker.record_path(query_anchor(OAK_BLOCK))
+        tracker.record_path(query_anchor(OAK_BLOCK))
         snapshot = tracker.snapshot()
         assert snapshot[OAK_BLOCK1_PATH] == 2
         assert tracker.total == 2
 
     def test_scalar_wrapper_unwrapped(self):
         tracker = PathLoadTracker()
-        tracker.record_query(f"count({OAK_BLOCK})")
+        tracker.record_path(query_anchor(f"count({OAK_BLOCK})"))
         assert tracker.snapshot()[OAK_BLOCK1_PATH] == 1
 
     def test_unparseable_counts_unattributed(self):
         tracker = PathLoadTracker()
-        tracker.record_query("not an xpath ((((")
+        tracker.record_path(query_anchor("not an xpath (((("))
         assert tracker.snapshot() == {}
         assert tracker.counters()["unattributed"] == 1
         assert tracker.counters()["queries"] == 1
-
-    def test_memo_bounded(self):
-        tracker = PathLoadTracker(memo_limit=4)
-        for i in range(10):
-            tracker.record_query(
-                OAK_BLOCK.replace("block[@id='1']", f"block[@id='{i}']"))
-        assert len(tracker._memo) <= 4
-        assert tracker.total == 10
 
     def test_record_path_direct(self):
         tracker = PathLoadTracker()
