@@ -11,9 +11,11 @@ creation, and large (8x) database with fast creation.  Findings:
   halves the total;
 * the 8x database increases per-node processing by less than 20%.
 
-Reproduced in two layers: (a) real wall-clock measurements of this
-repository's own QEG/XSLT machinery, and (b) the Figure 11 breakdown
-regenerated from the cost model over real query traces.
+Reproduced in two layers: (a) real wall-clock measurements of the live
+QEG compile -- naive creation is ``_compile`` of a text no memo holds,
+fast creation the shape bind a compile-memo text miss costs -- and its
+walk, and (b) the Figure 11 breakdown regenerated from the cost model
+over real query traces.
 """
 
 import time
@@ -38,38 +40,39 @@ def _site_db(config, document):
     return plan.build_databases(document)["one"]
 
 
+def _type1_texts(config):
+    return [type1_query(config, "Pittsburgh", "Oakland", block)
+            for block in config.block_ids()]
+
+
 def test_engine_naive_codegen(benchmark, paper_config):
-    """Naive creation: generate + compile a QEG stylesheet per query."""
-    from repro.core import HierarchySchema, compile_pattern
-    from repro.xslt import create_naive
+    """Naive creation: parse, canonicalize and itemize each text afresh."""
+    from repro.core import HierarchySchema
+    from repro.core.qeg import _compile
 
     document = build_parking_document(paper_config)
     schema = HierarchySchema.from_document(document)
     query = type1_query(paper_config, "Pittsburgh", "Oakland", "1")
-    pattern = compile_pattern(query, schema=schema)
-    benchmark(lambda: create_naive(pattern))
+    benchmark(lambda: _compile(query, schema))
 
 
 def test_engine_fast_codegen(benchmark, paper_config):
-    """Fast creation: shape-cached stylesheet, per-query id bindings."""
+    """Fast creation: a new text of a known shape binds its literals
+    into the shape's template, as a compile-memo text miss does."""
     from repro.core import HierarchySchema, compile_pattern
-    from repro.xslt import FastQEGCodegen
+    from repro.core.qeg import _bind_shape
 
     document = build_parking_document(paper_config)
     schema = HierarchySchema.from_document(document)
-    codegen = FastQEGCodegen()
-    queries = [
-        compile_pattern(type1_query(paper_config, "Pittsburgh", "Oakland",
-                                    block), schema=schema)
-        for block in paper_config.block_ids()
-    ]
-    codegen.create(queries[0])  # prime the shape cache
+    texts = _type1_texts(paper_config)
+    compile_pattern(texts[0], schema=schema)  # builds the shape's template
+    memo = schema.compiled_patterns
     state = {"index": 0}
 
     def create():
-        pattern = queries[state["index"] % len(queries)]
+        text = texts[state["index"] % len(texts)]
         state["index"] += 1
-        codegen.create(pattern)
+        _bind_shape(text, memo, schema)
 
     benchmark(create)
 
@@ -101,35 +104,31 @@ def test_engine_qeg_execution_large(benchmark):
 def test_fast_creation_saves_half(benchmark, paper_config):
     """The headline Section 4 claim, on this repository's own engine."""
     from repro.core import HierarchySchema, compile_pattern
-    from repro.xslt import FastQEGCodegen, create_naive
+    from repro.core.qeg import _bind_shape, _compile
 
     document = build_parking_document(paper_config)
     schema = HierarchySchema.from_document(document)
-    patterns = [
-        compile_pattern(type1_query(paper_config, "Pittsburgh", "Oakland",
-                                    block), schema=schema)
-        for block in paper_config.block_ids()
-    ]
+    texts = _type1_texts(paper_config)
 
     def naive_round():
-        for pattern in patterns:
-            create_naive(pattern)
+        for text in texts:
+            _compile(text, schema)
 
     benchmark.pedantic(naive_round, rounds=1, iterations=1)
     started = time.perf_counter()
     naive_round()
     naive_cost = time.perf_counter() - started
 
-    codegen = FastQEGCodegen()
-    codegen.create(patterns[0])
+    compile_pattern(texts[0], schema=schema)
+    memo = schema.compiled_patterns
     started = time.perf_counter()
-    for pattern in patterns:
-        codegen.create(pattern)
+    for text in texts:
+        _bind_shape(text, memo, schema)
     fast_cost = time.perf_counter() - started
 
-    print(f"\nnaive creation: {1000 * naive_cost / len(patterns):.3f} ms; "
-          f"fast creation: {1000 * fast_cost / len(patterns):.4f} ms "
-          f"({naive_cost / fast_cost:.0f}x)")
+    print(f"\nnaive creation: {1000 * naive_cost / len(texts):.3f} ms; "
+          f"fast creation: {1000 * fast_cost / len(texts):.4f} ms "
+          f"({naive_cost / fast_cost:.1f}x)")
     assert fast_cost < naive_cost / 2
 
 

@@ -14,13 +14,11 @@ The package layout mirrors the system inventory in ``DESIGN.md``:
     An XPath 1.0 engine restricted to the unordered fragment of the
     language, plus the query-analysis passes the paper relies on
     (ID-path extraction, nesting depth, LOCAL-INFO-REQUIRED).
-``repro.xslt``
-    A miniature XSLT-like transform engine with an explicit compile
-    stage, and the query-evaluate-gather (QEG) code generator.
 ``repro.core``
     The paper's primary contribution: hierarchical fragmentation with
     IDable nodes, storage/cache invariants, status tags, the QEG
-    algorithm, partial-match caching, query-based consistency and
+    algorithm (a query compiled once per shape, then walked over the
+    fragment), partial-match caching, query-based consistency and
     ownership migration.
 ``repro.net``
     The distributed substrate: DNS-style name service, message

@@ -323,15 +323,14 @@ class GatherDriver:
             return query
         return compile_pattern(query, schema=self.schema)
 
-    def _view(self):
-        if self.cache_results:
-            return self.database
-        overlay = SensorDatabase(
+    def _overlay(self):
+        """A private copy of the database for a gather that may not
+        cache what it fetches to merge into."""
+        return SensorDatabase(
             self.database.root.copy(),
             clock=self.database.clock,
             site_id=self.database.site_id,
         )
-        return overlay
 
     # ------------------------------------------------------------------
     def gather(self, query, now=None):
@@ -344,7 +343,9 @@ class GatherDriver:
                 gather_span.set_tag("query", pattern.source)
             if now is None:
                 now = self.database.clock()
-            view = self._view()
+            # A walk only reads: without result caching the copy is
+            # taken when there is a first reply to merge.
+            view = self.database
             # Elements, not id()s: one evicted mid-gather keeps its
             # place here, so no other node can take its number.
             vouched = set()
@@ -371,6 +372,8 @@ class GatherDriver:
                            and not _subsumed_by(sq, answered, pattern)]
                 if not pending:
                     break
+                if view is self.database and not self.cache_results:
+                    view = self._overlay()
                 max_fanout = max(max_fanout, len(pending))
                 # Fan the round out (possibly in parallel / batched),
                 # then merge the replies back in emission order: the

@@ -43,6 +43,7 @@ answer (Section 3.3).
 
 import functools
 import re
+import threading
 
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.lru import LRUCache
@@ -288,6 +289,9 @@ PATTERN_CACHE = LRUCache(max_entries=256)
 #: ``canonical_compiles`` counts template builds: one per query shape
 #: the memo did not hold.
 PATTERN_KEY_STATS = {"canonical_compiles": 0}
+#: Held while a template is built, so sites meeting a new shape at
+#: once build it once.
+_TEMPLATE_BUILD = threading.RLock()
 
 #: A string literal as the lexer reads one (XPath 1.0 has no escapes).
 _LITERAL = re.compile(r"""('[^']*'|"[^"]*")""")
@@ -323,15 +327,26 @@ def compile_pattern(query, schema=None):
     cache = PATTERN_CACHE if schema is None else schema.compiled_patterns
     pattern = cache.get(text)
     if pattern is None:
-        parts = _LITERAL.split(text)
-        shape = tuple(parts[0::2])
-        template = cache.get(shape)
-        if template is None:
-            template = _build_template(parts, text, schema)
-            cache.put(shape, template)
-        pattern = template.bind([literal[1:-1] for literal in parts[1::2]])
+        pattern = _bind_shape(text, cache, schema)
         cache.put(text, pattern)
     return pattern
+
+
+def _bind_shape(text, cache, schema):
+    """What a text the memo does not hold costs: its shape's template
+    from *cache* (built on the shape's first text) with the text's
+    literals bound into its slots."""
+    parts = _LITERAL.split(text)
+    shape = tuple(parts[0::2])
+    template = cache.get(shape)
+    if template is None:
+        with _TEMPLATE_BUILD:
+            # Another thread may have built it while this one waited.
+            template = cache.get(shape) if shape in cache else None
+            if template is None:
+                template = _build_template(parts, text, schema)
+                cache.put(shape, template)
+    return template.bind([literal[1:-1] for literal in parts[1::2]])
 
 
 def _build_template(parts, text, schema):
@@ -360,9 +375,10 @@ def query_anchor(query, schema=None):
 
 
 def _compile(query, schema=None):
-    """Compile *query* (a string or AST) afresh, bypassing the memo."""
+    """Compile *query* (a string or AST) afresh, bypassing every memo:
+    parse, canonicalize, pattern items (Section 4's naive creation)."""
     if isinstance(query, str):
-        query = xpath_parser.parse_cached(query)
+        query = xpath_parser.parse(query)
     if not isinstance(query, LocationPath) or not query.absolute:
         raise UnsupportedDistributedQueryError(
             "distributed queries must be absolute location paths; wrap "

@@ -134,10 +134,11 @@ class CostModel:
         ratios (creation vs execution, fast vs naive) are ours.
         """
         from repro.core.partition import PartitionPlan
-        from repro.core.qeg import _compile, compile_pattern, run_qeg
+        from repro.core.qeg import (
+            _bind_shape, _compile, compile_pattern, run_qeg,
+        )
         from repro.core.schema import HierarchySchema
         from repro.service import parking
-        from repro.xpath.parser import _Parser  # noqa: F401 (warm import)
 
         if document is None:
             config = parking.ParkingConfig.paper_small()
@@ -149,14 +150,14 @@ class CostModel:
         db = plan.build_databases(document)["one"]
         schema = HierarchySchema.from_document(document)
 
-        # Bypass the compile memo: this measures compilation itself,
-        # and a memo hit would report a near-zero "naive" time.
+        # Naive creation bypasses every memo: a hit would report a
+        # near-zero time.  Fast creation is what a new text of a known
+        # shape costs: its literals bound into the shape's template.
         naive = _best_time(lambda: _compile(query, schema), repetitions)
         pattern = compile_pattern(query, schema=schema)
-        # The "fast" path reuses the compiled pattern and only rebinds
-        # query-dependent slots; approximated by a re-walk of the items.
-        fast = _best_time(lambda: [item.unparse() for item in pattern.items],
-                          repetitions)
+        fast = _best_time(
+            lambda: _bind_shape(query, schema.compiled_patterns, schema),
+            repetitions)
         # A serving site's pass: the walk plus building its reply.
         execute = _best_time(lambda: run_qeg(db, pattern).answer,
                              repetitions)

@@ -381,17 +381,28 @@ class Element:
         copying database content, then serialized in place inside its
         message envelope) reuse clean subtrees' bytes.
         """
-        clone = Element(self.tag, attrib=self.attrib)
-        for child in self.children:
-            clone.append(child.copy())
+        # The source's names are valid, so they are not checked again,
+        # and nothing can read the clone before it is filled, so one
+        # fresh stamp marks it.
+        clone = Element.__new__(Element)
+        clone.tag = self.tag
+        clone.attrib = dict(self.attrib)
+        clone.parent = None
+        clone._kid_maps = None
+        clone._ser_cache = None
+        kids = clone.children = [child.copy() for child in self.children]
+        for kid in kids:
+            kid.parent = clone
+        clone._version = next(_VERSION_CLOCK) if kids else 0
         cache = self._ser_cache
         if cache:
             version = self._version
             # Snapshot: a write-back from another thread may insert a
             # key mid-iteration.
-            for key, (stamp, text) in list(cache.items()):
-                if stamp == version:
-                    clone.store_serialization(key, text)
+            clone._ser_cache = {
+                key: (clone._version, text)
+                for key, (stamp, text) in list(cache.items())
+                if stamp == version} or None
         clone._ser_origin = (self, self._version, clone._version)
         return clone
 

@@ -93,6 +93,16 @@ class TestAnswering:
         # And the site database stayed pristine.
         assert get_status(dbs["top"].find(OAKLAND)) is Status.INCOMPLETE
 
+    def test_caching_disabled_copies_only_to_merge(self, paper_doc):
+        drivers, dbs, _log = build_mesh(paper_doc, cache_results=False)
+        fetched = drivers["top"].gather(
+            PREFIX + "/neighborhood[@id='Oakland']/block[@id='1']")
+        assert fetched.subqueries_sent and fetched.view is not dbs["top"]
+        # An owner's local answer merges nothing, so nothing is copied.
+        local = drivers["oak"].gather(
+            PREFIX + "/neighborhood[@id='Oakland']/block[@id='1']")
+        assert not local.subqueries_sent and local.view is dbs["oak"]
+
     def test_partial_match_after_narrower_query(self, paper_doc):
         """Figure-2-style partial-match: block 1 cached via an earlier
         query is reused; only block 2 is fetched."""

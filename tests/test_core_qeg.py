@@ -108,15 +108,28 @@ class TestPatternCompileCache:
         assert second is first
         assert schema.compiled_patterns.stats["hits"] == 1
 
-    def test_per_text_compile_bypasses_the_memo(self, paper_doc):
+    def test_per_text_compile_bypasses_the_memo(self, paper_doc,
+                                                monkeypatch):
         from repro.core import HierarchySchema
         from repro.core.qeg import _compile
+        from repro.xpath import parser
 
         schema = HierarchySchema.from_document(paper_doc)
         first = compile_pattern(FIGURE2_QUERY, schema=schema)
+        parses = []
+        original = parser.parse
+
+        def counting(text):
+            parses.append(text)
+            return original(text)
+
+        monkeypatch.setattr(parser, "parse", counting)
         fresh = _compile(FIGURE2_QUERY, schema)
-        assert fresh is not first
-        assert fresh.source == first.source
+        again = _compile(FIGURE2_QUERY, schema)
+        assert fresh is not first and again is not fresh
+        assert fresh.source == first.source == again.source
+        # Naive creation parses every time: no parse memo either.
+        assert parses == [FIGURE2_QUERY, FIGURE2_QUERY]
 
     def test_cache_bounded(self, paper_doc):
         from repro.core import HierarchySchema
@@ -159,6 +172,51 @@ class TestPatternCompileCache:
         driver = GatherDriver(db, send=lambda sq: None, schema=schema)
         first = driver.compile(FIGURE2_QUERY)
         assert driver.compile(FIGURE2_QUERY) is first
+
+    def test_concurrent_texts_of_a_new_shape_build_it_once(
+            self, paper_doc, monkeypatch):
+        """Sites answering a fan-out's subqueries meet a new shape at
+        once: one of them builds its template, the others wait for it."""
+        import sys
+        import threading
+
+        from repro.core import HierarchySchema
+        from repro.core import qeg
+
+        schema = HierarchySchema.from_document(paper_doc)
+        builds = []
+        original = qeg._build_template
+
+        def counting(parts, text, schema):
+            builds.append(text)
+            return original(parts, text, schema)
+
+        monkeypatch.setattr(qeg, "_build_template", counting)
+        texts = [PREFIX + f"/neighborhood[@id='n{i}']/block[@id='{i}']"
+                 for i in range(8)]
+        start = threading.Barrier(len(texts))
+        compiled = {}
+
+        def compile_one(text):
+            start.wait(timeout=10)
+            compiled[text] = compile_pattern(text, schema=schema)
+
+        threads = [threading.Thread(target=compile_one, args=(text,))
+                   for text in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == 1
+        assert sorted(compiled) == sorted(texts)
+        assert [compiled[text].items[-1].pinned_ids for text in texts] == \
+            [{str(i)} for i in range(len(texts))]
 
 
 class TestOwnedCase:

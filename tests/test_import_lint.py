@@ -1,12 +1,12 @@
 """Import fences, checked by reading the source (nothing is imported).
 
-The reproduction tier -- the XSLT engine the paper's prototype ran its
-QEG on, and the discrete-event simulator that regenerates its figures --
-is paper-only code: the live system (agents, engine, subsystems) must
-not depend on it.  The second fence keeps deleted modules deleted.  The
-third keeps the subsystem seam one-way: the opt-in packages import the
-agent's world, never the reverse.  The option fence at the end (which
-does import) keeps the query plan free of knobs.
+The reproduction tier -- the discrete-event simulator that regenerates
+the paper's figures -- is paper-only code: the live system (agents,
+engine, subsystems) must not depend on it.  The second fence keeps
+deleted modules and packages deleted.  The third keeps the subsystem
+seam one-way: the opt-in packages import the agent's world, never the
+reverse.  The option fence at the end (which does import) keeps the
+query plan free of knobs.
 """
 
 import ast
@@ -16,9 +16,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 LIVE_PACKAGES = ("net", "core", "agg", "replication", "rebalance")
-REPRODUCTION_TIER = ("repro.xslt", "repro.sim")
+REPRODUCTION_TIER = ("repro.sim",)
 DELETED_MODULES = ("repro.net.aioruntime", "repro.net.runtime",
-                   "repro.core.aggregates", "repro.xmlkit.merge")
+                   "repro.core.aggregates", "repro.xmlkit.merge",
+                   "repro.xslt")
 SEAM_HOSTS = ("net", "core", "obs")
 OPT_IN_SUBSYSTEMS = ("repro.replication", "repro.agg", "repro.rebalance")
 #: Durability supplies the recovered database before an agent exists,
@@ -66,7 +67,9 @@ def test_nothing_imports_the_deleted_runtimes():
     assert files
     assert offenders(files, DELETED_MODULES) == []
     for module in DELETED_MODULES:
-        assert not (SRC / (module.replace(".", "/") + ".py")).exists()
+        path = SRC / module.replace(".", "/")
+        assert not path.with_suffix(".py").exists(), module
+        assert not (path / "__init__.py").exists(), module
 
 
 def test_the_seam_hosts_do_not_import_the_opt_in_subsystems():

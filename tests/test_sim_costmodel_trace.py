@@ -67,6 +67,35 @@ class TestCostModel:
         assert model.codegen_fast < model.codegen_naive
         assert model.execute_base > 0
 
+    def test_calibrated_times_the_compile_it_names(self, monkeypatch):
+        """``codegen_naive`` parses afresh on every repetition;
+        ``codegen_fast`` binds the text into its shape's template."""
+        from repro.core.qeg import CompiledPattern
+        from repro.service import type1_query
+        from repro.xpath import parser
+
+        calls = {"parse": 0, "bind": 0}
+        parse, bind = parser.parse, CompiledPattern.bind
+
+        def counting_parse(text):
+            calls["parse"] += 1
+            return parse(text)
+
+        def counting_bind(pattern, values):
+            calls["bind"] += 1
+            return bind(pattern, values)
+
+        monkeypatch.setattr(parser, "parse", counting_parse)
+        monkeypatch.setattr(CompiledPattern, "bind", counting_bind)
+        config = ParkingConfig.tiny()
+        CostModel.calibrated(
+            document=build_parking_document(config),
+            query=type1_query(config, "Pittsburgh", "Oakland", "1"),
+            repetitions=3)
+        # Three naive compiles and one template build; the memoized
+        # compile's bind and three timed binds.
+        assert calls == {"parse": 4, "bind": 4}
+
     def test_calibrated_execution_builds_the_reply(self, monkeypatch):
         """``execute_base`` times a serving site: the walk *and* the
         fragment it ships, which the walk alone no longer builds."""
