@@ -1,13 +1,15 @@
-"""Parallel subquery fan-out: one gather round costs one WAN RTT.
+"""Threaded subquery fan-out: one gather round costs one WAN RTT.
 
 A 16-subquery wildcard gather over a star deployment (one hub owning
 the region, each node owned by its own site) is timed on the real TCP
-runtime twice: with strictly sequential dispatch and with the default
-threaded executor.  A latency interceptor injects a WAN-scale delay per
-request, so the sequential gather pays 16 round-trips where the
-parallel one pays roughly one.  The answers must be byte-identical,
-and the connection pool must serve the second query without dialing a
-single new socket.
+runtime twice: with the default sequential dispatch and with the
+opt-in threaded executor (``executor="threaded"``).  A latency
+interceptor injects a WAN-scale delay per request, so the sequential
+gather pays 16 round-trips where the threaded one pays roughly one --
+the case threads are kept for.  Without such a wait every site shares
+one interpreter, and worker threads only take turns on the GIL.  The
+answers must be byte-identical, and the connection pool must serve the
+second query without dialing a single new socket.
 
 Results are written to ``BENCH_fanout.json`` so CI can archive the
 numbers.  ``REPRO_BENCH_QUICK=1`` shrinks the injected delay and skips
@@ -85,7 +87,7 @@ def _scrubbed(element):
 
 def _run():
     serial_time, serial_answers, _ = _timed_gather("serial")
-    parallel_time, parallel_answers, stats = _timed_gather(None)
+    parallel_time, parallel_answers, stats = _timed_gather("threaded")
     return {
         "serial": serial_time,
         "parallel": parallel_time,

@@ -3,7 +3,7 @@
 A zipf-skewed rollup workload aims 95% of its queries under one
 top-level zone of a generated deployment, so one organizing agent
 absorbs nearly the whole offered load while its peers idle.  With the
-balancer **off** that site's agent lock is the cluster: the sustainable
+balancer **off** that site's guard is the cluster: the sustainable
 rate is one site's capacity divided by its load share.  With the
 balancer **on**, a warmup window feeds the per-path load trackers, one
 tick detects the hot site and splits its fragment along the zone
@@ -11,7 +11,7 @@ boundary, and the same ladder climbs roughly ``1/share`` higher before
 missing the SLO.
 
 Per-site capacity is made real with the TCP runtime's
-``service_delay`` (a lock-held, GIL-releasing per-request service
+``service_delay`` (a guard-held, GIL-releasing per-request service
 time): every site behaves like its own machine instead of sharing one
 interpreter's CPU pool, which is the regime where moving ownership
 moves capacity.

@@ -1,24 +1,27 @@
 """Subquery dispatch executors for the gather driver's fan-out.
 
 One gather round's pending subqueries name independent remote IDable
-nodes, so the round is embarrassingly parallel: an executor maps the
-send function over the round's subqueries and returns the replies *in
-input order*, which is what keeps gathered answers byte-identical
-regardless of reply arrival order.
+nodes: an executor maps the send function over the round's subqueries
+and returns the replies *in input order*, which is what keeps gathered
+answers byte-identical regardless of reply arrival order.
 
 Two executors are provided:
 
-:class:`ThreadedExecutor` (the default)
-    dispatches a round's subqueries from short-lived worker threads so
-    a round over N uncached sites costs roughly one WAN round-trip-time
-    instead of N.  Fresh threads per round (rather than a shared pool)
-    make nested gathers safe: a remote site whose answer requires its
-    own fan-out can never starve waiting behind its caller's round.
+:class:`SerialExecutor` (the default)
+    evaluates in plain input order on the calling thread.  Every site
+    of a deployment shares one interpreter, so worker threads would
+    only take turns on the GIL: a loopback round costs the same work
+    either way, plus a thread start and join per send.  The
+    discrete-event simulator uses it too (it models fan-out
+    parallelism in virtual time instead).
 
-:class:`SerialExecutor`
-    evaluates in plain input order on the calling thread -- fully
-    deterministic, used by tests and by the discrete-event simulator
-    (which models fan-out parallelism in virtual time instead).
+:class:`ThreadedExecutor` (``"thread"`` / ``"threaded"``)
+    dispatches a round's subqueries from short-lived worker threads, so
+    a round over N sites whose hops really wait on a wire (injected WAN
+    latency) costs roughly one round-trip instead of N.  Fresh threads
+    per round (rather than a shared pool) make nested gathers safe: a
+    remote site whose answer requires its own fan-out can never starve
+    waiting behind its caller's round.
 
 Executors only order *dispatch*; the gather driver always merges
 replies back in subquery-emission order.
@@ -92,19 +95,21 @@ class ThreadedExecutor:
 
 
 #: The process-wide default used when no executor is configured.
-_DEFAULT_EXECUTOR = ThreadedExecutor()
+_DEFAULT_EXECUTOR = SerialExecutor()
+#: The shared executor the names ``"thread"``/``"threaded"`` select.
+_THREADED_EXECUTOR = ThreadedExecutor()
 
 _NAMED = {
-    "thread": lambda: _DEFAULT_EXECUTOR,
-    "threaded": lambda: _DEFAULT_EXECUTOR,
-    "serial": SerialExecutor,
+    "thread": lambda: _THREADED_EXECUTOR,
+    "threaded": lambda: _THREADED_EXECUTOR,
+    "serial": lambda: _DEFAULT_EXECUTOR,
 }
 
 
 def resolve_executor(spec):
     """Turn an executor spec into an executor instance.
 
-    ``None`` means the default :class:`ThreadedExecutor`; the strings
+    ``None`` means the default :class:`SerialExecutor`; the strings
     ``"thread"``/``"threaded"`` and ``"serial"`` name the built-ins;
     anything with a ``map`` method is used as-is.
     """

@@ -277,17 +277,17 @@ class GatherDriver:
     gathered fragments are merged into the site database (the paper's
     default) or into a per-query overlay.
 
-    Each round's pending subqueries are independent, so they are
-    dispatched concurrently through *executor* (the shared threaded
-    executor by default; pass ``"serial"`` or a
-    :class:`~repro.core.executors.SerialExecutor` for strictly
-    sequential dispatch).  *send_many*, when given, overrides the
-    executor for whole rounds: it receives the round's pending
-    subqueries and returns their replies in the same order -- the hook
-    the network layer uses to batch asks per destination site.
-    Regardless of dispatch order, replies are merged back in subquery
-    emission order, so gathered answers are identical under any
-    executor.
+    Each round's pending subqueries are independent; *executor* maps
+    the send over them (one after another on the calling thread by
+    default; ``"threaded"`` sends them from worker threads, which pays
+    off only when each send really waits on a wire).  *send_many*,
+    when given, overrides the executor for whole rounds: it receives
+    the round's pending subqueries and returns their replies in the
+    same order -- the hook the network layer uses to batch asks per
+    destination site and to let go of its site guard while they are
+    out.  Regardless of dispatch order, replies are merged back in
+    subquery emission order, so gathered answers are identical under
+    any executor.
     """
 
     MAX_ROUNDS = 12

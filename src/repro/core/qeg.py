@@ -483,7 +483,7 @@ class _Walker:
         self.observer = observer
         self._seen_subqueries = set()
         #: ``id(parent) -> {id(child)}`` of its IDable children, one pass
-        #: per parent (the site lock holds the fragment still meanwhile).
+        #: per parent (the site guard holds the fragment still meanwhile).
         self._idable_kids = {}
         self._owners = {}  # id(element) -> whether it or a descendant is owned
         self.stats = {

@@ -119,8 +119,9 @@ class ContinuousQueryManager:
                 tags={"query": subscription.query,
                       "subscription": subscription.subscription_id},
         ) as span:
-            results, _outcome = self.agent.driver.answer_user_query(
-                subscription.query)
+            with self.agent.guard:
+                results, _outcome = self.agent.driver.answer_user_query(
+                    subscription.query)
             digest = tuple(sorted(
                 canonical_form(r) for r in results if hasattr(r, "tag")
             ))

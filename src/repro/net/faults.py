@@ -51,11 +51,10 @@ class FaultyNetwork:
     in a fixed order -- drop, reset, error reply, delay -- so the rates
     are mutually exclusive probabilities (their sum must stay <= 1).
     Everything else of the :class:`~repro.net.transport.Transport`
-    interface (registration, traffic accounting, pool stats,
-    ``requires_serial_dispatch``...) is forwarded to the wrapped
-    network untouched -- which is why this is not a ``Transport``
-    subclass: the base's "not applicable" defaults would answer for
-    the inner transport.
+    interface (registration, traffic accounting, pool stats, ...) is
+    forwarded to the wrapped network untouched -- which is why this is
+    not a ``Transport`` subclass: the base's "not applicable" defaults
+    would answer for the inner transport.
     """
 
     def __init__(self, inner, seed=0, drop_rate=0.0, reset_rate=0.0,

@@ -4,13 +4,21 @@ Each site runs one OA.  It owns part of the document, caches what
 passes through it (aggressive query-driven caching, Section 3.3),
 answers user queries and subqueries via the gather driver, applies or
 forwards sensor updates, and takes part in ownership migrations.
+
+One :class:`SiteGuard` per site makes the site's local phases -- a walk
+with its deferred ``build()``, a merge, an update, a reply encode --
+one at a time, whichever transport or thread asks.  It is let go while
+the site waits on a peer, so no site ever waits on another while
+holding its own.
 """
 
+import functools
 import threading
 from collections import deque
+from contextlib import contextmanager
 
 from repro.core.errors import CoreError
-from repro.core.executors import SerialExecutor, resolve_executor
+from repro.core.executors import resolve_executor
 from repro.core.gather import GatherDriver, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
 from repro.core.ownership import relinquish_ownership
@@ -47,7 +55,64 @@ from repro.net.subsystem import SITE_HOOKS, HookTable
 from repro.obs.tracing import TRACER, attach_context, propagate
 
 
-_SERIAL = SerialExecutor()
+class SiteGuard:
+    """One site's reentrant guard, held for its local phases only.
+
+    Taken by :meth:`OrganizingAgent.answer_user_query`,
+    :meth:`~OrganizingAgent.handle_message` and the agent's other entry
+    points, so a user query, a loopback delivery and a TCP handler
+    serve a site one at a time.  :meth:`released` lets go of every
+    level the calling thread holds while it waits on a peer (as
+    ``threading.Condition.wait`` does) and takes them back before the
+    caller merges the reply: a site never waits on a remote site while
+    holding its own guard, so no chain of asks can close a cycle.
+    """
+
+    __slots__ = ("_lock", "_owner", "_depth")
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._owner = None
+        self._depth = 0
+
+    def __enter__(self):
+        me = threading.get_ident()
+        if self._owner != me:
+            self._lock.acquire()
+            self._owner = me
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self._depth -= 1
+        if not self._depth:
+            self._owner = None
+            self._lock.release()
+
+    @contextmanager
+    def released(self):
+        """Run the block without this thread's hold (a no-op for a
+        thread that holds nothing), then take every level back."""
+        me = threading.get_ident()
+        if self._owner != me:
+            yield
+            return
+        depth, self._depth, self._owner = self._depth, 0, None
+        self._lock.release()
+        try:
+            yield
+        finally:
+            self._lock.acquire()
+            self._owner, self._depth = me, depth
+
+
+def _guarded(method):
+    """Run an agent *method* holding the agent's site guard."""
+    @functools.wraps(method)
+    def guarded(self, *args, **kwargs):
+        with self.guard:
+            return method(self, *args, **kwargs)
+    return guarded
 
 
 class OAConfig:
@@ -62,11 +127,13 @@ class OAConfig:
         default aggressive caching) or use a per-query overlay;
     ``executor``
         how one gather round's subqueries are dispatched: ``None`` (the
-        default shared thread executor -- one WAN round-trip per
-        round), ``"serial"`` for strictly sequential dispatch
-        (deterministic timing; the simulator forces this and models
-        parallelism in virtual time), or any object with a
-        ``map(fn, items)`` method.  Answers are identical under every
+        default) or ``"serial"`` sends them one after another on the
+        calling thread -- every site shares one interpreter, so worker
+        threads would only take turns on the GIL; ``"thread"`` /
+        ``"threaded"`` sends them from worker threads, which pays off
+        only when each hop really waits on a wire (one WAN round-trip
+        per round instead of one per destination); or any object with
+        a ``map(fn, items)`` method.  Answers are identical under every
         executor; only wall-clock dispatch differs.
     ``retry_policy``
         the :class:`~repro.net.retry.RetryPolicy` governing subquery
@@ -131,6 +198,8 @@ class OrganizingAgent:
         self.schema = schema
         self.config = config or OAConfig()
         self.clock = clock or database.clock
+        #: Held for this site's local phases, let go across remote waits.
+        self.guard = SiteGuard()
         self.executor = resolve_executor(self.config.executor)
         self.retry_policy = self.config.retry_policy or DEFAULT_RETRY_POLICY
         breaker = self.config.breaker
@@ -261,15 +330,16 @@ class OrganizingAgent:
         return self._dispatch_with_retry(target, [subquery])[0]
 
     def _send_subqueries(self, subqueries):
-        """One gather round's fan-out: batch per destination, in parallel.
+        """One gather round's fan-out: batch per destination.
 
         Resolves every subquery's responsible site, groups the remote
         ones by destination (one :class:`BatchQueryMessage` -- a single
         framed request -- per site with several asks), dispatches the
-        per-site groups concurrently through the configured executor,
-        and returns the replies in input order for the driver's
-        deterministic merge.  Each group runs through the retry layer;
-        terminal failures come back as per-subquery
+        per-site groups through the configured executor, and returns
+        the replies in input order for the driver's deterministic
+        merge.  Each group runs through the retry layer under the site
+        guard, which :meth:`request` lets go of on the wire; terminal
+        failures come back as per-subquery
         :class:`~repro.core.gather.SubqueryFailure` sentinels.
         """
         replies = [None] * len(subqueries)
@@ -292,17 +362,15 @@ class OrganizingAgent:
 
         def ship(entry):
             target, indices = entry
-            return self._dispatch_with_retry(
-                target, [subqueries[i] for i in indices])
+            with self.guard:
+                return self._dispatch_with_retry(
+                    target, [subqueries[i] for i in indices])
 
-        executor = self.executor
-        if self.network.requires_serial_dispatch:
-            # E.g. the simulator's tracing network builds one RPC tree
-            # on a plain stack; concurrent dispatch would corrupt it.
-            executor = _SERIAL
         grouped = sorted(groups.items())
-        for (_target, indices), group_replies in zip(
-                grouped, executor.map(propagate(ship), grouped)):
+        # A threaded executor's workers take the guard themselves.
+        with self.guard.released():
+            shipped = self.executor.map(propagate(ship), grouped)
+        for (_target, indices), group_replies in zip(grouped, shipped):
             for index, reply in zip(indices, group_replies):
                 replies[index] = reply
         return replies
@@ -314,7 +382,7 @@ class OrganizingAgent:
 
         The one place this agent puts a request on the wire; subquery
         dispatch, the subsystems' asks and the migration exchanges all
-        come through here and get the same four things:
+        come through here and get the same five things:
 
         - **the gate**: while the peer's circuit is open the send is
           refused locally (:class:`CircuitOpenError`, counted under
@@ -325,6 +393,8 @@ class OrganizingAgent:
           :class:`RemoteError` (code / detail / ``retryable`` / site), a
           reply that is not an *expect* raises :class:`NetError`, and
           transport errors pass through;
+        - **the site guard let go** for the exchange, and taken back
+          before the reply is returned;
         - **exactly one breaker outcome** per send the gate let through,
           whatever is raised on the way.  A reply of the expected kind
           is a success, whatever the caller then makes of its contents
@@ -352,7 +422,9 @@ class OrganizingAgent:
             with TRACER.span(span, site=self.site_id,
                              tags={"target": target}) as active:
                 attach_context(message, active)
-                reply = self.network.request(self.site_id, target, message)
+                with self.guard.released():
+                    reply = self.network.request(self.site_id, target,
+                                                 message)
                 if isinstance(reply, ErrorMessage):
                     raise RemoteError(reply.code, reply.detail,
                                       retryable=reply.retryable, site=target)
@@ -368,6 +440,12 @@ class OrganizingAgent:
                     health.record_success(target)
                 else:
                     health.record_failure(target)
+
+    def tell(self, target, message):
+        """Send *message* one-way to *target* (a lost send is counted by
+        the transport, never raised), with the site guard let go."""
+        with self.guard.released():
+            self.network.tell(self.site_id, target, message)
 
     # -- the attempt loop ------------------------------------------------
     def _dispatch_with_retry(self, target, subqueries):
@@ -413,7 +491,8 @@ class OrganizingAgent:
                 break
             delay = deadline.clamp(policy.backoff(attempts, backoff_key))
             if delay > 0:
-                policy.sleep(delay)
+                with self.guard.released():
+                    policy.sleep(delay)
             self.stats["retries"] += 1
             # The owner may have migrated (or our DNS entry gone stale
             # with a dead site): re-resolve through authoritative DNS
@@ -481,6 +560,7 @@ class OrganizingAgent:
     # ------------------------------------------------------------------
     # Serving queries
     # ------------------------------------------------------------------
+    @_guarded
     def answer_user_query(self, query, now=None):
         """Answer a user query posed at this site.
 
@@ -494,13 +574,15 @@ class OrganizingAgent:
             results, outcome = self.driver.answer_user_query(query, now=now)
         return results, outcome
 
+    @_guarded
     def handle_message(self, message):
         """Dispatch one incoming message; returns the reply message.
 
         Opens a ``handle-*`` span parented on the message's wire trace
         context (when present), so spans at the serving site link into
         the asking site's trace; the reply carries this span's context
-        back for the sender's bookkeeping.
+        back for the sender's bookkeeping.  Runs under the site guard;
+        a caller that encodes the reply takes the guard around both.
         """
         kind = type(message).__name__
         remote = getattr(message, "trace_ctx", None)
@@ -569,6 +651,7 @@ class OrganizingAgent:
         return BatchAnswerMessage(message.message_id, answers=answers,
                                   sender=self.site_id)
 
+    @_guarded
     def answer_scalar(self, query, now=None, max_age=None):
         """Answer a scalar query: the site-level scalar entry point.
 
@@ -627,6 +710,7 @@ class OrganizingAgent:
     # ------------------------------------------------------------------
     # Ownership migration (Section 4)
     # ------------------------------------------------------------------
+    @_guarded
     def delegate(self, id_path, new_owner, dns_server):
         """Move ownership of the node at *id_path* (and the contiguous
         owned region below it) to *new_owner* -- live, with rollback.
@@ -748,7 +832,7 @@ class OrganizingAgent:
         covers the double-loss case.
         """
         release = MigrateReleaseMessage(list(paths), sender=self.site_id)
-        self.network.tell(self.site_id, new_owner, release)
+        self.tell(new_owner, release)
         self.stats["migrations_aborted"] += 1
 
     def _forward_held_updates(self, new_owner, held):
@@ -829,6 +913,7 @@ class OrganizingAgent:
     # ------------------------------------------------------------------
     # Schema evolution (Section 4)
     # ------------------------------------------------------------------
+    @_guarded
     def add_node(self, parent_path, tag, identifier, attributes=None,
                  values=None, dns_server=None):
         """Add an IDable node under an owned parent; register its DNS
@@ -844,6 +929,7 @@ class OrganizingAgent:
             self.schema.register_child(parent_path[-1][0], tag)
         return element
 
+    @_guarded
     def remove_node(self, path, dns_server=None):
         """Remove an IDable node whose parent this site owns; retire
         the DNS entries of everything below it."""
@@ -900,6 +986,7 @@ class OrganizingAgent:
             return {}
         return self.health.snapshot()
 
+    @_guarded
     def explain(self, query, analyze=False, now=None):
         """EXPLAIN *query* from this site's current cache state.
 

@@ -42,8 +42,9 @@ ACCEPT_POLL_S = 0.05
 class AdmissionGate:
     """Bounded inbound admission for one site's server.
 
-    At most *max_pending* requests may be admitted (decoded/queued on
-    or holding the agent lock) at once; :meth:`admit` returns ``False``
+    At most *max_pending* requests may be admitted (decoded, waiting
+    for or holding the agent's site guard, or waiting on a peer while
+    the guard is let go) at once; :meth:`admit` returns ``False``
     beyond that -- the caller sheds the request with a retryable
     ``server-overloaded`` error.  :meth:`begin_drain` flips admission
     off permanently (graceful shutdown); :meth:`wait_idle` blocks until
@@ -156,7 +157,7 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
             elif not self.server.admit():
                 # Overload protection / drain: the bounded inbound
                 # queue is full (or the server is draining), so shed
-                # the request *before* it queues on the agent lock.
+                # the request *before* it queues on the site guard.
                 # The retryable structured error composes with the
                 # sender's backoff -- it retries later or routes on,
                 # instead of piling onto a melting site.
@@ -179,17 +180,17 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
                                          None),
                             remote_parent=message.trace_ctx) as serve_span:
                         try:
-                            with self.server.agent_lock:
+                            agent = self.server.agent
+                            with agent.guard:
                                 if self.server.service_delay:
                                     time.sleep(self.server.service_delay)
-                                reply = self.server.agent.handle_message(
-                                    message)
-                                # Encoding stays under the lock:
-                                # serializing the reply touches shared
-                                # site state (the serialization-memo
-                                # write-back into database elements), so
-                                # it must not race with another handler
-                                # mutating the fragment.
+                                reply = agent.handle_message(message)
+                                # Encoding stays in the same hold as the
+                                # walk: serializing the reply touches
+                                # shared site state (the serialization-
+                                # memo write-back into database
+                                # elements), so it must not race with a
+                                # merge into the fragment.
                                 payload = (reply.encode()
                                            if reply is not None else "")
                         except Exception as exc:
@@ -226,7 +227,7 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
     """One site's OA served over TCP (threaded, connection-per-client).
 
     Overload protection: at most ``max_pending`` requests may be
-    admitted (decoded and queued on / holding the agent lock) at once.
+    admitted (decoded and in the agent's hands) at once.
     Requests beyond that are answered immediately with a retryable
     ``server-overloaded`` :class:`ErrorMessage` -- shedding load at
     admission instead of letting an unbounded thread pile-up grow the
@@ -248,19 +249,17 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
                  service_delay=0.0):
         super().__init__((host, port), _AgentRequestHandler)
         self.agent = agent
-        #: Emulated per-request service time (seconds), slept *under*
-        #: the agent lock.  In the deployed system every site is its
-        #: own machine; in-process, all sites share one interpreter, so
-        #: CPU-bound handling makes the sites' capacities one pooled
-        #: number and a load experiment cannot see per-site saturation.
-        #: The lock-held sleep restores the per-machine capacity model
-        #: (sleeps release the GIL, so distinct sites genuinely serve
-        #: in parallel) -- it is what lets the rebalancing bench show a
-        #: hot *site*, not a hot interpreter.
+        #: Emulated per-request service time (seconds), slept while
+        #: holding the agent's site guard.  In the deployed system every
+        #: site is its own machine; in-process, all sites share one
+        #: interpreter, so CPU-bound handling makes the sites'
+        #: capacities one pooled number and a load experiment cannot
+        #: see per-site saturation.  The guarded sleep restores the
+        #: per-machine capacity model (sleeps release the GIL, so
+        #: distinct sites genuinely serve in parallel) -- it is what
+        #: lets the rebalancing bench show a hot *site*, not a hot
+        #: interpreter.
         self.service_delay = service_delay
-        # The loopback runtime serializes each site with a lock; the
-        # TCP runtime does the same, mirroring one-OA-per-site.
-        self.agent_lock = threading.Lock()
         self._thread = None
         self.max_pending = max_pending
         self.gate = AdmissionGate(max_pending)
@@ -396,14 +395,14 @@ class TcpNetwork(Transport):
     Connections are pooled per destination: a request checks an idle
     socket out (or dials a fresh one), runs one framed exchange, and
     checks it back in for the next caller.  Keying the pool by site --
-    not by thread -- lets the short-lived fan-out worker threads reuse
-    each other's connections instead of paying a TCP handshake per
-    round, and bounds the number of sockets kept open
-    (``max_idle_per_site`` each).  A pooled socket may have been closed
-    by its peer while idle; an exchange that fails on a *reused*
-    connection is retried once on a fresh dial before the error
-    surfaces.  ``pool_stats`` counts ``connects`` (dials), ``reuses``
-    and ``discarded`` (closed instead of pooled).
+    not by thread -- lets concurrent callers (and a threaded executor's
+    short-lived fan-out workers) reuse each other's connections instead
+    of paying a TCP handshake per round, and bounds the number of
+    sockets kept open (``max_idle_per_site`` each).  A pooled socket may
+    have been closed by its peer while idle; an exchange that fails on a
+    *reused* connection is retried once on a fresh dial before the error
+    surfaces.  ``pool_stats`` counts ``connects`` (dials), ``reuses`` and
+    ``discarded`` (closed instead of pooled).
     """
 
     def __init__(self, addresses=None, timeout=10.0, count_bytes=True,

@@ -62,10 +62,6 @@ class Transport:
     from this class, whose defaults would answer for the inner one.
     """
 
-    #: A gather round's fan-out must go through this network one send
-    #: at a time (the simulator's tracing network grows one RPC tree on
-    #: a plain stack).
-    requires_serial_dispatch = False
     #: Connection-pool counters; empty when there is no pool.
     pool_stats = MappingProxyType({})
 
@@ -96,19 +92,15 @@ class LoopbackNetwork(Transport):
     Agents implement ``handle_message(message) -> reply | None``.
     ``request`` returns the reply; ``tell`` discards it (one-way).
 
-    Delivery is serialized per destination site (a reentrant lock per
-    site), mirroring the one-process-per-site deployment: an agent
-    never sees two messages concurrently, even when a gather round
-    fans its subqueries out from several worker threads.  Different
-    sites still run genuinely in parallel; subquery chains descend the
-    hierarchy, so the lock order is acyclic and deadlock-free.
+    Delivery takes no lock of its own: the destination agent's site
+    guard (:class:`~repro.net.oa.SiteGuard`) orders its local phases,
+    exactly as it does for a user query posed there or a TCP handler,
+    and the asking agent has let go of its own guard for the call.
     """
 
     def __init__(self, count_bytes=False):
         super().__init__(count_bytes=count_bytes)
         self._agents = {}
-        self._site_locks = {}
-        self._site_locks_guard = threading.Lock()
         self.tell_failures = 0
 
     def register(self, site_id, agent):
@@ -128,21 +120,12 @@ class LoopbackNetwork(Transport):
             raise UnknownSite(f"no agent registered for site {site_id!r}") \
                 from None
 
-    def _lock_for(self, site_id):
-        with self._site_locks_guard:
-            lock = self._site_locks.get(site_id)
-            if lock is None:
-                lock = threading.RLock()
-                self._site_locks[site_id] = lock
-            return lock
-
     def request(self, src, dst, message):
         """Deliver *message* and return the destination's reply."""
         for interceptor in self.interceptors:
             interceptor(src, dst, message)
         self.traffic.record(src, dst, message)
-        with self._lock_for(dst):
-            reply = self.agent(dst).handle_message(message)
+        reply = self.agent(dst).handle_message(message)
         if reply is not None:
             self.traffic.record(dst, src, reply)
         return reply
@@ -157,8 +140,3 @@ class LoopbackNetwork(Transport):
             self.request(src, dst, message)
         except (OSError, NetError):
             self.tell_failures += 1
-
-    def close(self):
-        """Release per-site delivery locks (repeated start/stop safe)."""
-        with self._site_locks_guard:
-            self._site_locks.clear()

@@ -258,15 +258,16 @@ class LoadBalancer:
         dns = self.cluster.dns
         for site, agent in list(self.cluster.agents.items()):
             database = agent.database
-            for path in list(database.owned_paths()):
-                authority = dns.authoritative_site(path)
-                if authority is None or authority == site:
-                    continue
-                try:
-                    relinquish_ownership(database, path)
-                except CoreError:
-                    continue  # an ancestor demotion already covered it
-                demoted += 1
+            with agent.guard:
+                for path in list(database.owned_paths()):
+                    authority = dns.authoritative_site(path)
+                    if authority is None or authority == site:
+                        continue
+                    try:
+                        relinquish_ownership(database, path)
+                    except CoreError:
+                        continue  # an ancestor demotion already covered it
+                    demoted += 1
         self.stats["reconciled_demotions"] += demoted
         return demoted
 

@@ -52,7 +52,7 @@ def run(artifacts):
     oa_config = impatient_oa_config(failure_threshold=8,
                                     cache_results=False)
     # ``service_delay`` gives every site a per-machine service time
-    # (slept under the agent lock, GIL-free): per-*site* capacity is
+    # (slept holding the site guard, GIL-free): per-*site* capacity is
     # real even though all sites share this interpreter, so a hot site
     # saturates while its peers sit idle -- the regime rebalancing is
     # for.
@@ -65,7 +65,7 @@ def run(artifacts):
         hot_site = site_name((0,))
 
         # Calibrate the full-path cost of one sub-zone rollup (client
-        # socket -> framing -> agent lock -> service delay -> eval ->
+        # socket -> framing -> site guard -> service delay -> eval ->
         # reply): 1/cost bounds one site's capacity.  Offer ~1.25x
         # that, 90% of it aimed under ``z0``: the hot site is past
         # saturation and its backlog dominates p99, while the cluster

@@ -290,7 +290,7 @@ class ReplicationManager:
             self.agent.site_id, [as_id_path(path) for path in id_paths],
             sender=self.agent.site_id)
         for peer in peers:
-            self.agent.network.tell(self.agent.site_id, peer, message)
+            self.agent.tell(peer, message)
         with self._lock:
             self.stats["retires_sent"] += len(peers)
 
@@ -356,7 +356,7 @@ class ReplicationManager:
             # update's batch (stamps make reordering safe).  Read the
             # network off the agent at send time -- runtimes rewire it
             # after construction.
-            self.agent.network.tell(self.agent.site_id, peer, message)
+            self.agent.tell(peer, message)
         with self._lock:
             self.stats["replicated_batches"] += len(peers)
             self.stats["replicated_entries"] += len(stamps) * len(peers)

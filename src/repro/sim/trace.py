@@ -47,13 +47,11 @@ class TracingNetwork(LoopbackNetwork):
     """Loopback delivery that builds :class:`TraceNode` trees.
 
     The trace is a single tree grown on a plain stack, so agents must
-    dispatch their fan-out sequentially through this network; the
-    flag below makes organizing agents do so automatically (the
-    simulator models fan-out parallelism in virtual time instead --
-    see the wave replay in :mod:`repro.sim.simcluster`).
+    dispatch their fan-out sequentially through this network, as the
+    simulated cluster's agents do (``executor="serial"``; the simulator
+    models fan-out parallelism in virtual time instead -- see the wave
+    replay in :mod:`repro.sim.simcluster`).
     """
-
-    requires_serial_dispatch = True
 
     def __init__(self, count_bytes=False):
         super().__init__(count_bytes=count_bytes)

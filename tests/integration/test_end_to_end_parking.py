@@ -223,3 +223,79 @@ class TestConcurrentRuntime:
         for query, answer in answers:
             assert answer == reference_answer(document, query), query
         assert cluster.validate() == []
+
+    def test_no_two_threads_share_a_site_local_phase(self, monkeypatch):
+        """Named regression: a user query merged into a site while a
+        subquery's walk and its deferred ``build()`` ran there ("the
+        site database changed after the answer's first inclusion").
+        Four clients, a thread switch every microsecond, and every
+        walk, merge and build recorded by (site, thread)."""
+        import sys
+        import threading
+
+        from repro.core import gather as gather_module
+        from repro.core.answer import AnswerBuilder
+        from repro.core.database import SensorDatabase
+
+        config = ParkingConfig.tiny()
+        document = build_parking_document(config)
+        cluster = Cluster(document.copy(), hierarchical(config, 9).plan)
+        workload = QueryWorkload.qw_mix(config, seed=21)
+        queries = [workload() for _ in range(40)]
+
+        inside = {}  # site -> {thread: depth}
+        overlaps = []
+        book = threading.Lock()
+
+        def recorded(func, site_of):
+            def wrapper(*args, **kwargs):
+                site, me = site_of(args), threading.get_ident()
+                with book:
+                    depths = inside.setdefault(site, {})
+                    others = [t for t, d in depths.items() if d and t != me]
+                    if others:
+                        overlaps.append((func.__name__, site))
+                    depths[me] = depths.get(me, 0) + 1
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    with book:
+                        inside[site][me] -= 1
+            return wrapper
+
+        monkeypatch.setattr(gather_module, "run_qeg", recorded(
+            gather_module.run_qeg, lambda args: args[0].site_id))
+        monkeypatch.setattr(SensorDatabase, "store_fragment", recorded(
+            SensorDatabase.store_fragment, lambda args: args[0].site_id))
+        monkeypatch.setattr(AnswerBuilder, "build", recorded(
+            AnswerBuilder.build, lambda args: args[0].database.site_id))
+
+        answers = []
+        errors = []
+
+        def client(share):
+            try:
+                for query in share:
+                    answers.append((query, cluster_answer(cluster, query)))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(queries[i::4],),
+                                    daemon=True)
+                   for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert overlaps == []
+        assert len(answers) == 40
+        for query, answer in answers:
+            assert answer == reference_answer(document, query), query
+        assert cluster.validate() == []

@@ -100,19 +100,24 @@ def scenarios(draw):
 
 
 @st.composite
-def nested_scenarios(draw):
-    """A scenario whose one query has nesting depth > 0."""
-    document = draw(hierarchical_documents())
-    plan = draw(partitions(document))
+def nested_queries(draw, document):
+    """A query over *document* with nesting depth > 0."""
     mid = draw(st.sampled_from([m.id for m in
                                 document.element_children("mid")]))
     value = draw(st.integers(0, 4))
-    query = draw(st.sampled_from([
+    return draw(st.sampled_from([
         f"/top[@id='R']/mid[./leaf[value='{value}']]/meta",
         f"/top[@id='R']/mid[@id='{mid}']/leaf[not(value > ../leaf/value)]",
         f"/top[@id='R'][./mid[@id='{mid}']/leaf]/mid",
     ]))
-    return document, plan, query
+
+
+@st.composite
+def nested_scenarios(draw):
+    """A scenario whose one query has nesting depth > 0."""
+    document = draw(hierarchical_documents())
+    plan = draw(partitions(document))
+    return document, plan, draw(nested_queries(document))
 
 
 class TestDistributionTransparency:
@@ -270,11 +275,8 @@ class TestFreshnessBound:
     def test_answers_keep_to_the_bound(self, scenario):
         document, plan, bound, steps = scenario
         clock = _Clock(1000.0)
-        # Serial dispatch: a query starts at any site, and two concurrent
-        # chains from there can meet at each other's site lock when the
-        # random plan nests ownership.
         cluster = Cluster(document.copy(), plan, service="prop", clock=clock,
-                          oa_config=OAConfig(executor="serial"))
+                          oa_config=OAConfig(executor="threaded"))
         sites = sorted(cluster.sites)
         histories = {}
         for advance, (kind, what, value) in steps:

@@ -19,6 +19,7 @@ from repro.replication.manager import _ReplicaStore, region_age
 from repro.core.gather import ReplicaServed, SubqueryFailure
 from repro.core.answer import Subquery
 from repro.net import OrganizingAgent
+from repro.net.oa import SiteGuard
 from repro.net.transport import Transport
 from repro.xmlkit import Element
 
@@ -54,6 +55,7 @@ class _StubAgent:
         self.site_id = site_id
         self.clock = lambda: NOW
         self.health = None
+        self.guard = SiteGuard()
         self.network = _StubNetwork(answers)
         self.database = None
 

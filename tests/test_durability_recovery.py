@@ -444,9 +444,9 @@ class TestOverloadProtection:
         server, network = self._start_server(paper_doc, paper_plan,
                                              max_pending=1)
         try:
-            # Wedge the agent lock so one admitted request occupies the
+            # Wedge the site guard so one admitted request occupies the
             # whole queue, then talk to the server directly.
-            with server.agent_lock:
+            with server.agent.guard:
                 assert server.admit()  # the wedged in-flight request
                 reply = network.request(
                     "client", "top",

@@ -1,4 +1,4 @@
-"""Unit tests for per-site delivery locking and ownership helpers."""
+"""Unit tests for per-site delivery ordering and ownership helpers."""
 
 import threading
 
@@ -35,12 +35,15 @@ class _SlowAgent:
 
 
 class TestLockingNetwork:
-    """:class:`LoopbackNetwork` holds one reentrant lock per site."""
+    """:class:`LoopbackNetwork` takes no lock; the site guard orders a
+    site's messages."""
 
-    def test_serializes_per_site(self):
+    def test_serializes_per_site(self, paper_cluster):
         network = LoopbackNetwork()
         event = threading.Event()
-        agent = _SlowAgent(event)
+        slow = _SlowAgent(event)
+        agent = paper_cluster.agent("top")
+        agent._dispatch_message = slow.handle_message
         network.register("busy", agent)
 
         threads = [
@@ -54,7 +57,7 @@ class TestLockingNetwork:
         event.set()
         for thread in threads:
             thread.join()
-        assert agent.max_active == 1  # never concurrent at one site
+        assert slow.max_active == 1  # never concurrent at one site
 
     def test_different_sites_run_in_parallel(self):
         network = LoopbackNetwork()
@@ -99,18 +102,26 @@ class TestLockingNetwork:
         assert not thread.is_alive()
         assert replies and replies[0].ok
 
-    def test_close_releases_per_site_locks(self):
+    def test_delivery_takes_no_lock_of_its_own(self):
         network = LoopbackNetwork()
-        event = threading.Event()
-        event.set()
-        network.register("busy", _SlowAgent(event))
-        network.request("c", "busy", QueryMessage("/a"))
-        assert network._site_locks
-        network.close()
-        assert not network._site_locks
-        # Still usable after close: locks are re-created on demand.
-        reply = network.request("c", "busy", QueryMessage("/a"))
-        assert reply.ok
+        barrier = threading.Barrier(2, timeout=5)
+
+        class _GuardlessAgent:
+            def handle_message(self, message):
+                barrier.wait()  # two messages inside one site at once
+                return AckMessage(message.message_id, ok=True)
+
+        network.register("s", _GuardlessAgent())
+        threads = [
+            threading.Thread(target=lambda: network.request(
+                "c", "s", QueryMessage("/x")))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not barrier.broken
 
     def test_repeated_close_is_idempotent(self):
         network = LoopbackNetwork()

@@ -10,6 +10,7 @@ import pytest
 from repro.net import AckMessage, QueryMessage
 from repro.net.errors import NetError, UnknownSite
 from repro.net.messages import Message
+from repro.net.oa import SiteGuard
 from repro.net.tcpruntime import (
     MAX_MESSAGE_BYTES,
     TcpCluster,
@@ -204,6 +205,9 @@ class TestTcpCluster:
 
 
 class _AckAgent:
+    def __init__(self):
+        self.guard = SiteGuard()
+
     def handle_message(self, message):
         return AckMessage(message.message_id, ok=True, sender="echo")
 
@@ -212,6 +216,7 @@ class _SlowAckAgent(_AckAgent):
     site_id = "echo"  # the shed path names the refusing site
 
     def __init__(self, delay):
+        super().__init__()
         self.delay = delay
 
     def handle_message(self, message):
@@ -259,9 +264,9 @@ class TestServerSafety:
             replies[message.message_id] = network.request(
                 "c", "echo", message)
 
-        # Eight connections at once: one request holds the agent lock,
+        # Eight connections at once: one request holds the site guard,
         # one queues behind it, and the admission gate must shed the
-        # rest rather than let them pile up on the lock.
+        # rest rather than let them pile up on the guard.
         threads = [threading.Thread(target=client, args=(m,), daemon=True)
                    for m in messages]
         try:
