@@ -414,8 +414,10 @@ class GatherDriver:
                         if reply is not None:
                             # An owner reply is this gather's alone
                             # (built for the ask, or decoded off the
-                            # wire), so the merge may take its nodes.
+                            # wire), so the merge may take its nodes,
+                            # and what it leaves is released here.
                             _merge(view, reply, vouched, handed_over=True)
+                            reply.dispose()
             else:
                 raise GatherError(
                     f"gathering {pattern.source!r} did not converge within "

@@ -37,16 +37,17 @@ def clean_copy(node):
     """A detached copy of *node*'s subtree without internal attributes.
 
     What a user gets back: it carries no serialization memo and no
-    origin link, so nothing done to it reaches the site database.
+    origin link, so nothing done to it reaches the site database.  Like
+    a parsed subtree it is built finished (:meth:`Element.assemble`) and
+    stamped once per element, a parent higher than everything below it.
     """
     if isinstance(node, Text):
         return Text(node.value)
-    clone = Element(node.tag, {name: value
-                               for name, value in node.attrib.items()
-                               if name not in INTERNAL_ATTRIBUTES})
-    for child in node.children:
-        clone.append(clean_copy(child))
-    return clone
+    return Element.assemble(
+        node.tag,
+        {name: value for name, value in node.attrib.items()
+         if name not in INTERNAL_ATTRIBUTES},
+        [clean_copy(child) for child in node.children])
 
 
 #: Information ordering: owned > complete > id-complete > incomplete.

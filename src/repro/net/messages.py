@@ -192,10 +192,14 @@ class Message:
         :func:`_lend`): they are neither copied nor touched, and clean
         subtrees contribute their memoized bytes.  A decoded message
         keeps the bytes it arrived as, so sizing a received message
-        serializes nothing.
+        serializes nothing.  The envelope is nobody else's, so it is
+        disposed once serialized; its lent payloads are not its own and
+        stay as they were.
         """
         if self._encoded is None:
-            self._encoded = serialize(self.to_element())
+            envelope = self.to_element()
+            self._encoded = serialize(envelope)
+            envelope.dispose()
         return self._encoded
 
     def invalidate_encoding(self):
@@ -215,7 +219,8 @@ class Message:
         """Parse an encoded message back into its typed object.
 
         Payload subtrees are detached from the parsed envelope, not
-        copied, and *text* becomes the message's memoized encoding.
+        copied, and the rest of the envelope is disposed: nothing else
+        ever sees it.  *text* becomes the message's memoized encoding.
         Any malformed envelope -- unparsable XML, an unknown kind, a
         missing or ill-typed field -- raises :class:`MessageError`
         chained from the underlying error, so transports can treat an
@@ -233,6 +238,7 @@ class Message:
             trace = envelope.get("trace")
             if trace is not None:
                 message.trace_ctx = TraceContext.decode(trace)
+            envelope.dispose()
         except (XmlError, TypeError, ValueError, AttributeError,
                 LookupError) as exc:
             raise MessageError(f"{type(exc).__name__}: {exc}") from exc

@@ -27,9 +27,15 @@ from repro.net.framing import (  # noqa: F401  (re-exported: the framing
     recv_framed,                 # from this module)
     send_framed,
 )
-from repro.net.messages import ErrorMessage, Message
+from repro.net.messages import (
+    AnswerMessage,
+    BatchAnswerMessage,
+    ErrorMessage,
+    Message,
+)
 from repro.net.transport import Transport
 from repro.obs.tracing import TRACER, attach_context
+from repro.xmlkit.nodes import Element
 
 logger = logging.getLogger(__name__)
 
@@ -104,6 +110,24 @@ class AdmissionGate:
             out["max_pending"] = self.max_pending
             out["draining"] = self._draining
             return out
+
+
+def _release_served(reply):
+    """Dispose the trees a served answer was built around.
+
+    The agent built the fragment, the clean results and the batch
+    answers for this reply alone, and once it is encoded only its bytes
+    are sent on, so nothing holds them any more.
+    """
+    if isinstance(reply, AnswerMessage):
+        trees = [reply.fragment, *(reply.results or ())]
+    elif isinstance(reply, BatchAnswerMessage):
+        trees = reply.answers
+    else:
+        return
+    for tree in trees:
+        if isinstance(tree, Element):
+            tree.dispose()
 
 
 class _AgentRequestHandler(socketserver.BaseRequestHandler):
@@ -190,9 +214,11 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
                                 # shared site state (the serialization-
                                 # memo write-back into database
                                 # elements), so it must not race with a
-                                # merge into the fragment.
+                                # merge into the fragment.  The trees
+                                # the reply carries die with it.
                                 payload = (reply.encode()
                                            if reply is not None else "")
+                                _release_served(reply)
                         except Exception as exc:
                             # A handler crash is a reply, not a dead
                             # socket: the client gets a structured error

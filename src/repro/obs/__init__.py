@@ -10,7 +10,10 @@ The three pillars, each usable on its own:
   per cluster over the stats dicts every layer already keeps;
 * :mod:`repro.obs.explain` -- ``EXPLAIN``/``EXPLAIN ANALYZE`` for
   distributed queries: routing, per-node QEG decisions, and the
-  subquery plan.
+  subquery plan;
+* :mod:`repro.obs.runtime` -- the cyclic garbage collector's
+  collections and pause time per generation (``runtime`` in
+  ``Cluster.metrics()``).
 
 :mod:`repro.obs.explain` imports query-engine modules, so it is
 re-exported lazily to keep :mod:`repro.net.messages` (which imports

@@ -18,6 +18,8 @@ stats dicts.  This module puts one snapshot in front of all of them:
   semantic-cache roll-ups built on it.
 """
 
+from repro.obs.runtime import runtime_counters
+
 
 def _snapshot(collectors):
     """``{section: collect()}`` in section-name order."""
@@ -200,7 +202,8 @@ def cluster_metrics(cluster):
     Besides the cluster's own sections: one summed section per
     subsystem any site runs -- the per-site sum of its ``metrics()``
     hook, post-processed by the subsystem's cluster-level ``rollup()``
-    when it has one -- and every site's own snapshot under ``sites``.
+    when it has one -- every site's own snapshot under ``sites``, and
+    the process's garbage-collector gauge under ``runtime``.
     """
     network = cluster.network
     agents = cluster.agents
@@ -216,6 +219,7 @@ def cluster_metrics(cluster):
         # empty dict before it tracked a peer): dashboards rely on it.
         "health": lambda: {site: agent.health_snapshot()
                            for site, agent in sorted(agents.items())},
+        "runtime": runtime_counters,
         "sites": lambda: {site: site_metrics(agent)
                           for site, agent in sorted(agents.items())},
     }

@@ -23,10 +23,15 @@ _NAME_CHARS = _NAME_START | set("0123456789-.")
 #: Global monotone clock for subtree version stamps.  Every mutation of
 #: an element (attributes, text, children) stamps the element and all
 #: its ancestors with a fresh reading, so ``subtree_version`` changes
-#: iff anything inside the subtree changed.  Consumers (the id-path
-#: index in :mod:`repro.core.database`, the serialization memo in
-#: :mod:`repro.xmlkit.serializer`, the per-element child maps below)
-#: compare stamps instead of hashing content.
+#: iff anything inside the subtree changed.  A subtree built whole
+#: (:meth:`Element.assemble`: the parser, :meth:`Element.copy`,
+#: ``clean_copy``) is stamped once per finished element instead: one
+#: with children reads the clock after all of them, so it is stamped
+#: higher than every descendant, and one without children is stamped 0.
+#: Consumers (the id-path index in :mod:`repro.core.database`, the
+#: serialization memo in :mod:`repro.xmlkit.serializer`, the
+#: per-element child maps below) compare stamps instead of hashing
+#: content, and rely on that order.
 _VERSION_CLOCK = itertools.count(1)
 
 _ABSENT = object()
@@ -109,6 +114,57 @@ class Element:
             self.append(child)
         if text is not None:
             self.append(Text(text))
+
+    @classmethod
+    def assemble(cls, tag, attrib, children):
+        """A finished element around *children*, stamped once.
+
+        The bulk constructor of the parser, :meth:`copy` and
+        ``clean_copy``.  The caller vouches for what :meth:`__init__`
+        and :meth:`append` would check: *tag* and the names in *attrib*
+        are valid, *attrib* is a dict the element may keep, and every
+        node in *children* is detached and already finished.  Nothing
+        can read the element before it is filled, so one fresh stamp --
+        higher than any of its descendants' -- marks it, and a childless
+        one stays at 0.
+        """
+        node = cls.__new__(cls)
+        node.tag = tag
+        node.attrib = attrib
+        node.parent = None
+        node._ser_cache = None
+        node._kid_maps = None
+        node._ser_origin = None
+        node.children = children
+        for child in children:
+            child.parent = node
+        node._version = next(_VERSION_CLOCK) if children else 0
+        return node
+
+    def dispose(self):
+        """Release a private tree its one owner is dropping.
+
+        Every ``Element`` <-> ``parent`` pair is a reference cycle, so a
+        dropped tree is otherwise left to the cycle collector.  This
+        clears ``children``, the child maps and the origin link of this
+        element and of every descendant, going down only into a child
+        whose ``parent`` is the element being cleared: a payload the
+        tree merely lists (a lent one, see ``repro.net.messages``) or a
+        child another tree has adopted since is never touched.  Called
+        only where the code holds the one reference to the tree: a
+        message envelope after it is serialized or decoded, a handed-
+        over reply after its merge, a served reply after it is framed.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            node.children = []
+            node._kid_maps = None
+            node._ser_origin = None
+            for child in children:
+                if child.parent is node and isinstance(child, Element):
+                    stack.append(child)
 
     # ------------------------------------------------------------------
     # Version stamps
@@ -381,19 +437,9 @@ class Element:
         copying database content, then serialized in place inside its
         message envelope) reuse clean subtrees' bytes.
         """
-        # The source's names are valid, so they are not checked again,
-        # and nothing can read the clone before it is filled, so one
-        # fresh stamp marks it.
-        clone = Element.__new__(Element)
-        clone.tag = self.tag
-        clone.attrib = dict(self.attrib)
-        clone.parent = None
-        clone._kid_maps = None
-        clone._ser_cache = None
-        kids = clone.children = [child.copy() for child in self.children]
-        for kid in kids:
-            kid.parent = clone
-        clone._version = next(_VERSION_CLOCK) if kids else 0
+        clone = Element.assemble(
+            self.tag, dict(self.attrib),
+            [child.copy() for child in self.children])
         cache = self._ser_cache
         if cache:
             version = self._version

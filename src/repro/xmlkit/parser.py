@@ -11,8 +11,16 @@ figures; the ``@`` is stripped.
 The parser is a tokenizer of compiled regular expressions (a name, one
 whole attribute or the tag's end, a closing tag; text runs are found
 with ``str.find``) driving an explicit stack of open elements, so the
-work per character happens in C.  Where a token does not match, the input at that position
-is examined once more to say exactly what is wrong and where.
+work per character happens in C.  An attribute-less text leaf such as
+``<available>yes</available>`` -- most of a wire message -- is read by
+one expression whole.  Where a token does not match, the input at that
+position is examined once more to say exactly what is wrong and where.
+
+Each element is built finished (:meth:`Element.assemble`) when its
+closing tag is read, around children that are finished already: the
+tokenizer has checked every name, nothing is appended one child at a
+time, and the subtree is stamped once per element -- a parent higher
+than everything below it, a childless element 0.
 """
 
 import re
@@ -33,6 +41,10 @@ _read_tag_part = re.compile(
     f"{_WS}(?:(/?)>|({_NAME}+){_WS}={_WS}(?:\"([^\"]*)\"|'([^']*)'))").match
 #: After ``</``: the name, then (group 2) the ``>`` if it is there.
 _read_close = re.compile(f"({_NAME}*){_WS}(>?)").match
+#: At a ``<``: a whole attribute-less leaf -- a valid name (group 1),
+#: text with no markup and no reference (group 2), its closing tag.
+_read_leaf = re.compile(
+    r"<([A-Za-z_][A-Za-z0-9_.\-]*)>([^<&]*)</\1>").match
 
 
 def _error(source, message, pos):
@@ -120,6 +132,33 @@ def _start_tag_error(source, pos, attrib):
                   pos + 1)
 
 
+def _read_start_tag(source, pos):
+    """The start tag whose "<" is at *pos*: ``(tag, attributes, end,
+    empty)``, *empty* when it is an empty-element tag."""
+    name = _read_name(source, pos + 1)
+    tag = name.group()
+    if not tag:
+        raise _error(source, "expected a name", pos + 1)
+    if not is_valid_name(tag):
+        raise _error(source, f"invalid element name {tag!r}", pos + 1)
+    pos = name.end()
+    attrib = {}
+    while True:
+        part = _read_tag_part(source, pos)
+        if part is None:
+            raise _start_tag_error(source, pos, attrib)
+        pos = part.end()
+        quoted = part.lastindex
+        if quoted == 1:
+            return tag, attrib, pos, bool(part.group(1))
+        name = _attribute_name(source, part.group(2), part.start(2), attrib)
+        raw = part.group(quoted)
+        if "<" in raw:
+            raise _error(source, "'<' not allowed in attribute value",
+                         part.start(quoted))
+        attrib[name] = _decode_entities(raw, source, part.start(quoted))
+
+
 def _skip_misc(source, pos):
     """Skip whitespace, comments, PIs and doctype between top-level items."""
     while True:
@@ -147,39 +186,27 @@ def parse_fragment(source):
         raise _error(source, "expected start of an element", pos)
     find = source.find
     startswith = source.startswith
-    #: The open elements, innermost last: ``(element, position of its
-    #: "<", text parts)``.  A child joins its parent when it closes, so
-    #: every append stamps one level, not the whole spine.
+    assemble = Element.assemble
+    #: The open elements, innermost last: ``(tag, attributes, position
+    #: of its "<", text parts, finished children)``.  An element is
+    #: built when it closes, and joins its parent's children then.
     stack = []
     while True:
         # -- a start tag: *pos* is at its "<" ---------------------------
-        name = _read_name(source, pos + 1)
-        tag = name.group()
-        if not tag:
-            raise _error(source, "expected a name", pos + 1)
-        if not is_valid_name(tag):
-            raise _error(source, f"invalid element name {tag!r}", pos + 1)
-        opened_at, pos = pos, name.end()
-        attrib = {}
-        while True:
-            part = _read_tag_part(source, pos)
-            if part is None:
-                raise _start_tag_error(source, pos, attrib)
-            pos = part.end()
-            quoted = part.lastindex
-            if quoted == 1:
-                break
-            name = _attribute_name(source, part.group(2), part.start(2),
-                                   attrib)
-            raw = part.group(quoted)
-            if "<" in raw:
-                raise _error(source, "'<' not allowed in attribute value",
-                             part.start(quoted))
-            attrib[name] = _decode_entities(raw, source, part.start(quoted))
-        closed = Element(tag, attrib=attrib)
-        if not part.group(1):
-            stack.append((closed, opened_at, []))
-            closed = None
+        leaf = _read_leaf(source, pos)
+        if leaf is not None:
+            text = leaf.group(2).strip()
+            closed = assemble(leaf.group(1), {},
+                              [Text(text)] if text else [])
+            pos = leaf.end()
+        else:
+            opened_at = pos
+            tag, attrib, pos, empty = _read_start_tag(source, pos)
+            if empty:
+                closed = assemble(tag, attrib, [])
+            else:
+                stack.append((tag, attrib, opened_at, [], []))
+                closed = None
         # -- content, up to the next start tag --------------------------
         while True:
             if closed is not None:
@@ -190,12 +217,12 @@ def parse_fragment(source):
                             source,
                             "unexpected content after the root element", pos)
                     return closed
-                stack[-1][0].append(closed)
+                stack[-1][4].append(closed)
                 closed = None
-            element, opened_at, text_parts = stack[-1]
+            tag, attrib, opened_at, text_parts, children = stack[-1]
             less_than = find("<", pos)
             if less_than < 0:
-                raise _error(source, f"unclosed element <{element.tag}>",
+                raise _error(source, f"unclosed element <{tag}>",
                              opened_at)
             if less_than > pos:
                 text_parts.append(
@@ -205,18 +232,19 @@ def parse_fragment(source):
                 close = _read_close(source, less_than + 2)
                 if not close.group(1):
                     raise _error(source, "expected a name", less_than + 2)
-                if close.group(1) != element.tag:
+                if close.group(1) != tag:
                     raise _error(
                         source,
                         f"mismatched closing tag </{close.group(1)}>, "
-                        f"expected </{element.tag}>", less_than + 2)
+                        f"expected </{tag}>", less_than + 2)
                 pos = close.end()
                 if not close.group(2):
                     raise _error(source, "expected '>'", pos)
                 text = "".join(text_parts).strip()
                 if text:
-                    element.append(Text(text))
-                closed = stack.pop()[0]
+                    children.append(Text(text))
+                stack.pop()
+                closed = assemble(tag, attrib, children)
             elif marker == "?":
                 pos = _after(source, "?>", less_than + 2)
             elif startswith("<!--", less_than):

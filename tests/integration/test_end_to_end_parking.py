@@ -299,3 +299,88 @@ class TestConcurrentRuntime:
         for query, answer in answers:
             assert answer == reference_answer(document, query), query
         assert cluster.validate() == []
+
+
+class TestReleasedTrees:
+    """``Element.dispose`` runs only on trees nobody else holds: an
+    envelope once encoded or decoded, a handed-over reply once merged, a
+    served reply once framed.  Every node a disposal clears is
+    recorded; none may be part of a site database afterwards."""
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_no_disposed_node_is_left_in_a_site_database(
+            self, transport, executor, monkeypatch):
+        from repro.net.messages import (
+            AnswerMessage,
+            BatchAnswerMessage,
+            Message,
+        )
+        from repro.net.tcpruntime import TcpCluster
+        from repro.xmlkit import Element
+
+        dispose, decode = Element.dispose, Message.decode
+        roots = []
+        cleared = []
+        payload_parents = []
+
+        def recorded_dispose(node):
+            # Every node the tree lists, lent or not, with its children
+            # list: the ones whose list the call replaced were cleared.
+            listed, stack = [], [node]
+            while stack:
+                element = stack.pop()
+                listed.append((element, element.children))
+                stack.extend(child for child in element.children
+                             if isinstance(child, Element))
+            dispose(node)
+            roots.append(node)
+            cleared.extend(element for element, children in listed
+                           if element.children is not children)
+
+        def recorded_decode(text):
+            message = decode(text)
+            if isinstance(message, AnswerMessage):
+                payloads = [message.fragment, *(message.results or ())]
+            elif isinstance(message, BatchAnswerMessage):
+                payloads = message.answers
+            else:
+                payloads = []
+            payload_parents.extend(payload.parent for payload in payloads
+                                   if isinstance(payload, Element))
+            return message
+
+        monkeypatch.setattr(Element, "dispose", recorded_dispose)
+        monkeypatch.setattr(Message, "decode", staticmethod(recorded_decode))
+
+        config = ParkingConfig.paper_small()
+        document = build_parking_document(config)
+        plan = hierarchical(config).plan
+        oa_config = OAConfig(executor=executor)
+        workload = QueryWorkload.qw_mix(config, seed=33)
+        queries = [query for query, _qtype in workload.take(16)]
+        if transport == "tcp":
+            runtime = TcpCluster(document.copy(), plan, oa_config=oa_config)
+            cluster = runtime.cluster
+        else:
+            runtime = None
+            # Byte accounting encodes every reply before the asking
+            # site merges it, as on the wire.
+            cluster = Cluster(document.copy(), plan, oa_config=oa_config,
+                              count_bytes=True)
+        try:
+            for query in queries:
+                assert cluster_answer(cluster, query) == \
+                    reference_answer(document, query), query
+            assert cluster.validate() == []
+            in_databases = {id(node) for site in cluster.sites
+                            for node in cluster.database(site).root.iter()}
+        finally:
+            if runtime is not None:
+                runtime.close()
+
+        assert roots and cleared
+        assert not [node for node in cleared if id(node) in in_databases]
+        if transport == "tcp":
+            assert payload_parents
+        assert all(parent is None for parent in payload_parents)

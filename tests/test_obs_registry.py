@@ -1,5 +1,7 @@
 """Unified metrics: sections, roll-ups, and the pinned key schema."""
 
+import gc
+
 from repro.net import Cluster, FaultyNetwork, LoopbackNetwork
 from repro.net.tcpruntime import TcpCluster
 from repro.obs.registry import (
@@ -34,6 +36,22 @@ class TestRegistry:
         assert "RuntimeError" in rolled["broken"]["error"]
         assert "RuntimeError" in rolled["sites"]["top"]["broken"]["error"]
         assert rolled["cluster"] == paper_cluster.stats
+
+
+class TestRuntimeGauge:
+    def test_counts_each_collection_under_its_generation(
+            self, paper_cluster):
+        before = paper_cluster.metrics()["runtime"]
+        gc.collect()
+        gc.collect(0)
+        after = paper_cluster.metrics()["runtime"]
+        assert after["scope"] == "process"
+        assert len(after["gc_collections"]) == 3
+        assert after["gc_collections"][2] >= before["gc_collections"][2] + 1
+        assert after["gc_collections"][0] >= before["gc_collections"][0] + 1
+        assert after["gc_pause_ms"][2] > before["gc_pause_ms"][2]
+        assert all(later >= earlier for earlier, later
+                   in zip(before["gc_pause_ms"], after["gc_pause_ms"]))
 
 
 class TestAggregations:
@@ -145,6 +163,7 @@ CLUSTER_SCHEMA = {
                "failed_subqueries", "partial_gathers", "retries",
                "stale_served", "subquery_failures"],
     "health": SITES,
+    "runtime": ["gc_collections", "gc_pause_ms", "scope"],
     "semcache": ["bytes", "canonicalizer", "compile_keys", "entries",
                  "evictions", "hit_ratio", "hits", "misses",
                  "prewarm_queries", "stale_rejects", "stores"],

@@ -5,8 +5,12 @@ answer builder) and once on the receiving site (by the parser).  So one
 cold query over sockets may copy no more nodes than the same query on
 loopback, sizing a received message serializes nothing, and the size a
 decoded message reports is the length of the frame that carried it.
+
+And a node the engine builds only to ship or merge is released by its
+one owner: no query leaves an ``Element`` for the cycle collector.
 """
 
+import gc
 import threading
 
 import pytest
@@ -128,3 +132,51 @@ def test_one_cold_query_over_sockets_allocates_like_loopback(
     assert on_sockets.receiver_serializes == []
     assert sorted(sizes) == sorted(on_sockets.frames)
     assert sizes == [len(text) for _message, text in on_sockets.decoded]
+
+
+#: Cold type-3 asks on ``paper_small``, posed through the message layer
+#: as a client would: each pair of blocks is new to the deployment, so
+#: every one is a full gather from remote owners.
+_COLD_ASKS = [("Pittsburgh", "Oakland", "Shadyside", "1"),
+              ("Pittsburgh", "Shadyside", "Downtown", "2"),
+              ("Philadelphia", "Oakland", "Shadyside", "3"),
+              ("Philadelphia", "Downtown", "Oakland", "4")]
+
+
+def _garbage_elements(pose):
+    """How many ``Element`` objects only the cycle collector freed
+    while *pose* ran."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        pose()
+        gc.collect()
+        return sum(1 for found in gc.garbage if isinstance(found, Element))
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("transport", ["loopback", "tcp"])
+def test_cold_queries_leave_no_elements_for_the_cycle_collector(transport):
+    config = ParkingConfig.paper_small()
+    document = build_parking_document(config)
+    plan = hierarchical(config).plan
+    queries = [type3_query(config, *ask) for ask in _COLD_ASKS]
+    held = []
+
+    def pose(cluster):
+        for query in queries:
+            results, _site = cluster.query_via_messages(query)
+            held.append(results)
+
+    if transport == "tcp":
+        with TcpCluster(document, plan) as tcp:
+            garbage = _garbage_elements(lambda: pose(tcp.cluster))
+    else:
+        cluster = Cluster(document, plan)
+        garbage = _garbage_elements(lambda: pose(cluster))
+
+    assert len(held) == len(queries) and all(held)
+    assert garbage == 0

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.xmlkit import Document, Element, Text, XmlStructureError, is_valid_name
+from repro.xmlkit import (
+    Document,
+    Element,
+    Text,
+    XmlStructureError,
+    is_valid_name,
+    parse_fragment,
+    serialize,
+)
 
 
 class TestNames:
@@ -190,6 +198,91 @@ class TestCopy:
         text = Text("hello")
         clone = text.copy()
         assert clone == text and clone is not text
+
+
+def _zone_tree():
+    """``<root><zone id="z" status="owned"><value>7</value>
+    <spot id="s"/></zone></root>``, built by mutation."""
+    return Element("root", children=[
+        Element("zone", attrib={"id": "z", "status": "owned"}, children=[
+            Element("value", text="7"),
+            Element("spot", attrib={"id": "s"}),
+        ]),
+    ])
+
+
+class TestStampedOnce:
+    """A subtree built whole -- parsed, copied or clean-copied -- is
+    stamped once per element: one with children higher than every
+    descendant, a childless one 0.  The serialization memo and the
+    id-path index read stamps in that order."""
+
+    @staticmethod
+    def _assert_stamped_once(root):
+        for node in root.iter():
+            if node.children:
+                assert node.subtree_version > 0
+                assert all(node.subtree_version > below.subtree_version
+                           for below in node.descendants())
+            else:
+                assert node.subtree_version == 0
+
+    def test_parsed(self):
+        self._assert_stamped_once(parse_fragment(
+            "<root><zone id='z'><value> 7 </value><spot id='s'/>"
+            "<spot id='t'><price>0</price><!-- c --></spot></zone>"
+            "<empty></empty></root>"))
+
+    def test_copied(self):
+        self._assert_stamped_once(_zone_tree().copy())
+
+    def test_clean_copied(self):
+        from repro.core.status import clean_copy
+
+        clone = clean_copy(_zone_tree())
+        assert clone.child("zone").get("status") is None
+        self._assert_stamped_once(clone)
+
+
+class TestDispose:
+    def test_encoding_leaves_a_lent_subtree_as_it_was(self):
+        from repro.net.messages import AnswerMessage
+
+        database = _zone_tree()
+        lent = database.child("zone")
+        result = lent.copy()
+        memo = serialize(lent)
+        children = list(lent.children)
+        version = lent.subtree_version
+        result_children = list(result.children)
+
+        AnswerMessage(1, fragment=lent, results=[result]).encode()
+
+        assert lent.parent is database
+        assert lent.children == children
+        assert lent.subtree_version == version
+        assert lent.cached_serialization(False) == memo
+        assert database.child("zone", "z") is lent
+        assert result.parent is None and result.children == result_children
+
+    def test_an_adopted_child_keeps_its_new_parent(self):
+        fragment = _zone_tree()
+        zone = fragment.child("zone")
+        adopted = zone.child("value")
+        target = Element("zone", attrib={"id": "z"})
+        # What a handed-over merge does with non-IDable content.
+        zone.remove(adopted)
+        target.append(adopted)
+        # Even a stale listing of it does not reach it.
+        zone.children.append(adopted)
+
+        fragment.dispose()
+
+        assert fragment.children == [] and zone.children == []
+        assert adopted.parent is target
+        assert target.children == [adopted]
+        assert adopted.text == "7"
+        assert target.child("value") is adopted
 
 
 class TestDocument:
