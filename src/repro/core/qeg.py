@@ -467,6 +467,11 @@ _MATCH = "match"
 _NO = "no"
 _ASK = "ask"
 
+# Ask kinds: item j's residual at the node, items j: below it, its subtree.
+_RESIDUAL = "residual"
+_BELOW = "below"
+_SUBTREE = "subtree"
+
 
 class _Walker:
     def __init__(self, db, pattern, now, observer=None, vouched=()):
@@ -486,6 +491,9 @@ class _Walker:
         #: per parent (the site guard holds the fragment still meanwhile).
         self._idable_kids = {}
         self._owners = {}  # id(element) -> whether it or a descendant is owned
+        #: ``(id(anchor), kind, j, gap) -> (text, anchor_path)`` of every
+        #: ask rendered so far: each region and walk renders once.
+        self._rendered = {}
         self.stats = {
             "nodes_visited": 0,
             "results_local": 0,
@@ -716,7 +724,7 @@ class _Walker:
                 else _NO
 
         if not split.separable:
-            return self._ask_residual(node, item, j, Subquery.UNSEPARABLE)
+            return self._ask_residual(node, j, Subquery.UNSEPARABLE)
 
         if status is Status.COMPLETE:
             if self._stale(split, node, node):
@@ -727,31 +735,45 @@ class _Walker:
         if status is Status.ID_COMPLETE:
             if split.rest_predicates or split.consistency_predicates or \
                     is_result_item:
-                return self._ask_residual(node, item, j, Subquery.ID_COMPLETE)
+                return self._ask_residual(node, j, Subquery.ID_COMPLETE)
             return _MATCH
 
         # status INCOMPLETE: only the ID is known.
-        return self._ask_residual(node, item, j, Subquery.INCOMPLETE)
+        return self._ask_residual(node, j, Subquery.INCOMPLETE)
 
-    def _ask_residual(self, node, item, j, reason):
-        anchor_path = id_path_of(node)
-        self.ask(Subquery(
-            render_residual_query(anchor_path, item.residual_predicates,
-                                  self.items[j + 1:]),
-            anchor_path,
-            reason,
-            consumed=j + 1,
-        ))
+    def _ask_residual(self, node, j, reason):
+        """Ask for *node* under item *j*'s residual predicates, and for
+        the items after *j* below it."""
+        text, anchor_path = self._render(node, _RESIDUAL, j)
+        self.ask(Subquery(text, anchor_path, reason, consumed=j + 1))
         return _ASK
 
     def _ask_below(self, anchor, j, reason, gap=False):
         """Ask for items ``j:`` below *anchor* (``//`` below it: *gap*)."""
-        anchor_path = id_path_of(anchor)
-        self.ask(Subquery(
-            render_residual_query(anchor_path, [], self.items[j:],
-                                  descendant_gap=gap),
-            anchor_path, reason, consumed=j, descendant_gap=gap))
+        text, anchor_path = self._render(anchor, _BELOW, j, gap)
+        self.ask(Subquery(text, anchor_path, reason, consumed=j,
+                          descendant_gap=gap))
         return _ASK
+
+    def _render(self, anchor, kind, j=None, gap=False):
+        """``(text, anchor_path)`` of the *kind* of ask at *anchor*,
+        rendered once per walk: the site guard holds the fragment still
+        meanwhile, so ``id(anchor)`` names one node throughout."""
+        key = (id(anchor), kind, j, gap)
+        rendered = self._rendered.get(key)
+        if rendered is None:
+            anchor_path = id_path_of(anchor)
+            if kind is _SUBTREE:
+                text = render_id_path_query(anchor_path)
+            elif kind is _BELOW:
+                text = render_residual_query(anchor_path, [], self.items[j:],
+                                             descendant_gap=gap)
+            else:
+                text = render_residual_query(
+                    anchor_path, self.items[j].residual_predicates,
+                    self.items[j + 1:])
+            rendered = self._rendered[key] = (text, anchor_path)
+        return rendered
 
     def _stale(self, split, node, anchor):
         """Whether the cached copy *node* (data of the IDable *anchor*)
@@ -764,13 +786,14 @@ class _Walker:
     def _ask_stale(self, node, item, j):
         """Ask again for a stale copy, never pruning it by stale values:
         once per parent for a step with no id pin (its children are one
-        cacheable unit, so a block of stale spaces costs one subquery);
-        for the node itself under a pin, at the root, or where the
-        parent's region holds data owned here."""
+        cacheable unit, so a block of stale spaces costs one subquery,
+        rendered once per region and walk by :meth:`_render`); for the
+        node itself under a pin, at the root, or where the parent's
+        region holds data owned here."""
         parent = node.parent
         if item.pinned_ids is not None or parent is None or \
                 self._owns_below(parent):
-            return self._ask_residual(node, item, j, Subquery.STALE)
+            return self._ask_residual(node, j, Subquery.STALE)
         return self._ask_below(parent, j, Subquery.STALE)
 
     def _owns_below(self, element):
@@ -788,9 +811,12 @@ class _Walker:
     # Nesting depth > 0
     # ------------------------------------------------------------------
     def _collect_and_evaluate(self, element):
-        """Fetch-subtree strategy at the collect point (Section 4)."""
-        if not subtree_materialized(element):
-            self._ask_subtree(element, Subquery.NESTED_FETCH)
+        """Fetch-subtree strategy at the collect point (Section 4): the
+        data below *element* is judged, and fetched, at its lowest IDable
+        ancestor-or-self, the smallest region an id path can name."""
+        anchor = lowest_idable_ancestor_or_self(element)
+        if not subtree_materialized(anchor):
+            self._ask_subtree(anchor, Subquery.NESTED_FETCH)
             return
         # All data below is local: evaluate the rest of the query with
         # the plain evaluator, relative to this node.
@@ -845,9 +871,8 @@ class _Walker:
         self.stats["results_local"] += 1
 
     def _ask_subtree(self, element, reason=Subquery.MISSING_SUBTREE):
-        anchor_path = id_path_of(element)
-        self.ask(Subquery(render_id_path_query(anchor_path), anchor_path,
-                          reason, subtree=True))
+        text, anchor_path = self._render(element, _SUBTREE)
+        self.ask(Subquery(text, anchor_path, reason, subtree=True))
 
 
 def run_qeg(db, pattern, now=None, observer=None, vouched=()):

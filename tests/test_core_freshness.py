@@ -1,13 +1,14 @@
 """Query-based consistency end to end: the last QEG walk is the answer.
 
 A cached copy too old for its bound is asked for again, once per parent
-for a step with no id pin; what the owner's reply carries is vouched for
-whatever its age, and what the reply leaves out does not match.
+for a step with no id pin, and rendered once per region and walk; what
+the owner's reply carries is vouched for whatever its age, and what the
+reply leaves out does not match.
 """
 
 import pytest
 
-from repro.core import PartitionPlan, Subquery, gather
+from repro.core import PartitionPlan, Subquery, gather, qeg
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
 from repro.xmlkit import Element
@@ -125,6 +126,35 @@ def test_k_stale_spaces_of_one_block_cost_one_subquery(cluster,
     assert ask.reason == Subquery.STALE
     assert ask.anchor_path == SHADY_BLOCK_PATH
     assert ask.consumed == len(SHADY_BLOCK_PATH)
+
+
+def test_a_stale_block_is_rendered_once_per_walk_not_once_per_space(
+        cluster, settable_clock, monkeypatch):
+    # Both of the block's stale spaces ask at the block; the second ask
+    # reuses the first one's text instead of building it again.
+    renders = []
+    render = qeg.render_residual_query
+
+    def counting_render(*args, **kwargs):
+        renders.append(args[0])
+        return render(*args, **kwargs)
+
+    walks = []
+    run_qeg = gather.run_qeg
+
+    def spy(*args, **kwargs):
+        walks.append(run_qeg(*args, **kwargs))
+        return walks[-1]
+
+    _warm(cluster, SHADY_BLOCK, settable_clock)
+    monkeypatch.setattr(qeg, "render_residual_query", counting_render)
+    monkeypatch.setattr(gather, "run_qeg", spy)
+    results, _, outcome = cluster.query(
+        SHADY_BLOCK + "/parkingSpace[available='yes']" + BOUND, at_site="top")
+    assert outcome.complete
+    [ask] = outcome.subqueries_sent
+    assert ask.anchor_path == SHADY_BLOCK_PATH
+    assert len(renders) == sum(len(walk.subqueries) for walk in walks) == 1
 
 
 def test_a_parent_holding_owned_data_is_not_asked_for(paper_doc,

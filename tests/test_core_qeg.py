@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     PartitionPlan,
+    SensorDatabase,
     Status,
     Subquery,
     UnsupportedDistributedQueryError,
@@ -13,6 +14,7 @@ from repro.core import (
     render_id_path_query,
     run_qeg,
 )
+from repro.xmlkit import parse_fragment
 
 from tests.conftest import (
     FIGURE2_QUERY,
@@ -451,6 +453,30 @@ class TestNestingStrategies:
         result = run_qeg(dbs["shady"], pattern)
         assert result.is_complete
         assert result.matches == []
+
+    def test_a_collect_point_without_an_id_is_judged_at_its_idable_ancestor(
+            self):
+        # `*` reaches `<v>` as well as `<n>`: the data below `<v>` is the
+        # owned root's, not a region of its own to ask for by (tag, None).
+        tree = parse_fragment(
+            '<root id="R" status="owned"><v>0</v><n id="0" status="owned">'
+            '<v>0</v><n id="0" status="owned"/><n id="1" status="owned"/>'
+            "</n></root>")
+        pattern = compile_pattern("/root[@id='R']/*/n[@id='0'][../n[@id='1']]")
+        result = run_qeg(SensorDatabase(tree), pattern)
+        assert result.is_complete
+        [match] = result.matches
+        assert match.id == "0" and match.parent.id == "0"
+
+    def test_a_collect_point_without_an_id_fetches_its_idable_ancestor(self):
+        tree = parse_fragment(
+            '<root id="R" status="complete"><v>0</v>'
+            '<n id="0" status="incomplete"/></root>')
+        pattern = compile_pattern("/root[@id='R']/*/n[@id='0'][../n[@id='1']]")
+        fetches = [ask for ask in run_qeg(SensorDatabase(tree),
+                                          pattern).subqueries
+                   if ask.reason == Subquery.NESTED_FETCH]
+        assert [ask.anchor_path for ask in fetches] == [(("root", "R"),)]
 
 
 class TestSubsumption:
