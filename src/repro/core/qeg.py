@@ -34,6 +34,10 @@ Per-node behaviour matches the four status cases of Section 3.5:
     like owned, but freshness comes first: a copy failing its bound,
     unless this gather vouched for it, is asked for again.
 
+Each such ask, and a ``//`` scan's at an ID stub, is anchored where the
+cold plan asks (:meth:`_Walker._ask_at`): a refresh costs no more than a
+first posing.
+
 Nesting depth > 0 (Section 4) is handled the way the paper implements
 it: the walk stops at the earliest tag a nested predicate references,
 fetches the whole subtree below it, then evaluates the remainder
@@ -491,6 +495,9 @@ class _Walker:
         #: per parent (the site guard holds the fragment still meanwhile).
         self._idable_kids = {}
         self._owners = {}  # id(element) -> whether it or a descendant is owned
+        #: The states of each element on the path to the node being
+        #: decided, root first: where a ``//`` thread started.
+        self._held = []
         #: ``(id(anchor), kind, j, gap) -> (text, anchor_path)`` of every
         #: ask rendered so far: each region and walk renders once.
         self._rendered = {}
@@ -591,6 +598,7 @@ class _Walker:
                 return
 
         threads = [(j, self.items[j]) for j in sorted(states)]
+        self._held.append(states)
         for child in element.children:
             child_states = set()
             for j, item in threads:
@@ -606,6 +614,7 @@ class _Walker:
                         self.stats["prunes"] += 1
             if child_states:
                 self._process(child, child_states)
+        self._held.pop()
 
     def _include_pass_through(self, child, item):
         """Ship a matched intermediate node's information.
@@ -645,7 +654,7 @@ class _Walker:
             return
         if self._locally_idable(child) and \
                 get_status(child) is Status.INCOMPLETE:
-            self._ask_below(child, j, Subquery.INCOMPLETE, gap=True)
+            self._ask_at(child, j, Subquery.INCOMPLETE, scan=True)
             return
         child_states.add(j)
 
@@ -724,26 +733,49 @@ class _Walker:
                 else _NO
 
         if not split.separable:
-            return self._ask_residual(node, j, Subquery.UNSEPARABLE)
+            return self._ask_at(node, j, Subquery.UNSEPARABLE)
 
         if status is Status.COMPLETE:
             if self._stale(split, node, node):
-                return self._ask_stale(node, item, j)
+                return self._ask_at(node, j, Subquery.STALE)
             return _MATCH if self.evaluate(split.rest_predicates, node) \
                 else _NO
 
         if status is Status.ID_COMPLETE:
             if split.rest_predicates or split.consistency_predicates or \
                     is_result_item:
-                return self._ask_residual(node, j, Subquery.ID_COMPLETE)
+                return self._ask_at(node, j, Subquery.ID_COMPLETE)
             return _MATCH
 
         # status INCOMPLETE: only the ID is known.
-        return self._ask_residual(node, j, Subquery.INCOMPLETE)
+        return self._ask_at(node, j, Subquery.INCOMPLETE)
+
+    def _ask_at(self, node, j, reason, scan=False):
+        """Ask for what *node* lacks under item *j* (*scan*: an ID stub a
+        ``//`` scan for item *j* meets) where the cold plan asks: the
+        anchor climbs to its parent over each step with no id predicate
+        while the parent's region holds nothing owned here (subquery
+        chains must only descend), over a ``//`` step with a gap, up to
+        the node the scan started from."""
+        anchor, i, gap = node, j, False  # climbing over item i next
+        level = len(self._held)  # self._held[level - 1]: anchor.parent's
+        while anchor.parent is not None:
+            item = self.items[i]
+            if item.split.id_predicates or self._owns_below(anchor.parent):
+                break
+            anchor, k, gap = anchor.parent, i, item.descendant
+            level -= 1
+            if not (gap and level and i in self._held[level - 1]):
+                i -= 1
+        if anchor is not node:
+            return self._ask_below(anchor, k, reason, gap)
+        if scan:
+            return self._ask_below(node, j, reason, gap=True)
+        return self._ask_residual(node, j, reason)
 
     def _ask_residual(self, node, j, reason):
         """Ask for *node* under item *j*'s residual predicates, and for
-        the items after *j* below it."""
+        the items after *j* below it: the ask of a node no climb left."""
         text, anchor_path = self._render(node, _RESIDUAL, j)
         self.ask(Subquery(text, anchor_path, reason, consumed=j + 1))
         return _ASK
@@ -782,19 +814,6 @@ class _Walker:
         return bool(split.consistency_predicates) \
             and anchor not in self.vouched \
             and not self.evaluate(split.consistency_predicates, node)
-
-    def _ask_stale(self, node, item, j):
-        """Ask again for a stale copy, never pruning it by stale values:
-        once per parent for a step with no id pin (its children are one
-        cacheable unit, so a block of stale spaces costs one subquery,
-        rendered once per region and walk by :meth:`_render`); for the
-        node itself under a pin, at the root, or where the parent's
-        region holds data owned here."""
-        parent = node.parent
-        if item.pinned_ids is not None or parent is None or \
-                self._owns_below(parent):
-            return self._ask_residual(node, j, Subquery.STALE)
-        return self._ask_below(parent, j, Subquery.STALE)
 
     def _owns_below(self, element):
         """Whether this site owns *element* or anything under it: an ask

@@ -133,9 +133,6 @@ class DnsServer:
             raise NameNotFound(f"no DNS record for {name!r}")
         return record
 
-    def known_names(self):
-        return sorted(self._records)
-
     def __len__(self):
         return len(self._records)
 

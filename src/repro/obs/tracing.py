@@ -273,11 +273,6 @@ class Tracer:
             self.stats["spans"] += 1
 
     # -- ambient accessors ----------------------------------------------
-    def current_context(self):
-        """The ambient span's :class:`TraceContext`, or ``None``."""
-        span = _CURRENT_SPAN.get()
-        return span.context if span is not None else None
-
     def current_trace_id(self):
         span = _CURRENT_SPAN.get()
         return span.trace_id if span is not None else None

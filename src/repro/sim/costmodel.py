@@ -100,9 +100,6 @@ class CostModel:
             "rest": self.rest,
         }
 
-    def dns_lookup_latency(self, hops):
-        return hops * self.dns_hop_latency
-
     def round_latency(self, latencies):
         """Latency charged for one gather round's subquery fan-out.
 

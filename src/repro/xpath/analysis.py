@@ -319,10 +319,6 @@ class PredicateSplit:
         self.rest_predicates = rest_predicates
         self.separable = separable
 
-    @property
-    def has_consistency(self):
-        return bool(self.consistency_predicates)
-
     def __repr__(self):
         return (
             f"PredicateSplit(id={[p.unparse() for p in self.id_predicates]}, "

@@ -94,9 +94,6 @@ class Step(Expression):
     def children(self):
         return tuple(self.predicates)
 
-    def is_abbreviatable_attribute(self):
-        return self.axis == "attribute"
-
     def unparse(self):
         if self.axis == "child":
             base = self.node_test.unparse()

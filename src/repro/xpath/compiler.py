@@ -43,10 +43,6 @@ class XPathQuery:
         return result
 
     @property
-    def is_location_path(self):
-        return isinstance(self.ast, LocationPath)
-
-    @property
     def is_absolute(self):
         return isinstance(self.ast, LocationPath) and self.ast.absolute
 

@@ -59,11 +59,6 @@ def node_string_value(node):
     raise XPathTypeError(f"not a node: {node!r}")
 
 
-def is_node(value):
-    """True if *value* is a node usable in a node-set."""
-    return isinstance(value, (Element, Text, AttributeRef, Document))
-
-
 def is_node_set(value):
     return isinstance(value, list)
 

@@ -7,7 +7,11 @@ returns -- and every site database must satisfy the storage invariants
 before, during and after arbitrary query/caching activity.
 """
 
-from hypothesis import given, settings, strategies as st
+import itertools
+import operator
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import PartitionPlan
 from repro.core.idable import id_path_of
@@ -15,7 +19,7 @@ from repro.core.invariants import structural_violations
 from repro.core.status import Status, get_status
 from repro.net import Cluster, OAConfig
 from repro.net.messages import UpdateMessage
-from repro.xmlkit import Element, canonical_form
+from repro.xmlkit import Element, canonical_form, parse_fragment
 from repro.xpath import parse
 from repro.xpath.evaluator import Evaluator
 
@@ -24,19 +28,37 @@ _SITES = ["s0", "s1", "s2", "s3"]
 
 
 @st.composite
-def hierarchical_documents(draw):
-    """Random 3-level documents with IDable structure + value fields."""
+def hierarchical_documents(draw, grouped=st.just(False)):
+    """Random 3-level documents with IDable structure + value fields.
+    Where *grouped* draws true, every mid holds its leaves in one or two
+    IDable ``group`` nodes: a fourth level, between mid and leaf."""
     root = Element("top", attrib={"id": "R"})
     n_mid = draw(st.integers(1, 3))
+    with_groups = draw(grouped)
     for mid_index in range(n_mid):
         mid = Element("mid", attrib={"id": f"m{mid_index}"})
         root.append(mid)
         mid.append(Element("meta", text=str(draw(st.integers(0, 3)))))
-        for leaf_index in range(draw(st.integers(0, 3))):
-            leaf = Element("leaf", attrib={"id": f"l{leaf_index}"})
-            leaf.append(Element("value", text=str(draw(st.integers(0, 4)))))
-            mid.append(leaf)
+        parents = [mid]
+        if with_groups:
+            parents = [Element("group", attrib={"id": f"g{index}"})
+                       for index in range(draw(st.integers(1, 2)))]
+            for group in parents:
+                mid.append(group)
+        for parent in parents:
+            for leaf_index in range(draw(st.integers(0, 3))):
+                leaf = Element("leaf", attrib={"id": f"l{leaf_index}"})
+                leaf.append(Element("value",
+                                    text=str(draw(st.integers(0, 4)))))
+                parent.append(leaf)
     return root
+
+
+def _leaf_step(document):
+    """The steps from a mid to its leaves."""
+    grouped = any(mid.element_children("group")
+                  for mid in document.element_children("mid"))
+    return "/group/leaf" if grouped else "/leaf"
 
 
 @st.composite
@@ -44,14 +66,16 @@ def partitions(draw, document):
     """A random ownership plan over *document* (root always owned)."""
     assignments = {site: [] for site in _SITES}
     assignments[draw(st.sampled_from(_SITES))].append((("top", "R"),))
-    for mid in document.element_children("mid"):
-        if draw(st.booleans()):
-            mid_path = (("top", "R"), ("mid", mid.id))
-            assignments[draw(st.sampled_from(_SITES))].append(mid_path)
-            for leaf in mid.element_children("leaf"):
-                if draw(st.booleans()):
-                    assignments[draw(st.sampled_from(_SITES))].append(
-                        mid_path + (("leaf", leaf.id),))
+
+    def assign(parent, path):
+        """Maybe give each IDable child its own owner, and so on down."""
+        for child in parent.element_children():
+            if child.id is not None and draw(st.booleans()):
+                child_path = path + ((child.tag, child.id),)
+                assignments[draw(st.sampled_from(_SITES))].append(child_path)
+                assign(child, child_path)
+
+    assign(document, (("top", "R"),))
     return PartitionPlan(assignments)
 
 
@@ -59,22 +83,39 @@ def partitions(draw, document):
 def queries(draw, document):
     mids = [m.id for m in document.element_children("mid")] or ["m0"]
     mid = draw(st.sampled_from(mids))
+    leaf = _leaf_step(document)
     kind = draw(st.integers(0, 5))
     if kind == 0:
         return f"/top[@id='R']/mid[@id='{mid}']"
     if kind == 1:
-        return f"/top[@id='R']/mid[@id='{mid}']/leaf"
+        return f"/top[@id='R']/mid[@id='{mid}']{leaf}"
     if kind == 2:
         value = draw(st.integers(0, 4))
         return (f"/top[@id='R']/mid[@id='{mid}']"
-                f"/leaf[value='{value}']")
+                f"{leaf}[value='{value}']")
     if kind == 3:
         other = draw(st.sampled_from(mids))
-        return f"/top[@id='R']/mid[@id='{mid}' or @id='{other}']/leaf"
+        return f"/top[@id='R']/mid[@id='{mid}' or @id='{other}']{leaf}"
     if kind == 4:
         value = draw(st.integers(0, 4))
         return f"/top[@id='R']//leaf[value='{value}']"
     return f"/top[@id='R']/mid[@id='{mid}']/meta"
+
+
+def _costed(cluster, query, at_site=None):
+    """``cluster.query``'s return and its ``(messages, asks, bytes)``;
+    message ids restart per call, so equal traffic has equal bytes."""
+    traffic = cluster.network.traffic
+    before = (traffic.messages, _asks(cluster), traffic.bytes)
+    with mock.patch("repro.net.messages._SEQUENCE", itertools.count(1)):
+        answer = cluster.query(query, at_site=at_site)
+    after = (traffic.messages, _asks(cluster), traffic.bytes)
+    return answer, tuple(map(operator.sub, after, before))
+
+
+def _asks(cluster):
+    return sum(agent.stats["subqueries_sent"]
+               for agent in cluster.agents.values())
 
 
 def _normalized(element):
@@ -92,8 +133,8 @@ def reference_answer(document, query):
 
 
 @st.composite
-def scenarios(draw):
-    document = draw(hierarchical_documents())
+def scenarios(draw, grouped=st.just(False)):
+    document = draw(hierarchical_documents(grouped))
     plan = draw(partitions(document))
     query_list = draw(st.lists(queries(document), min_size=1, max_size=4))
     return document, plan, query_list
@@ -120,6 +161,20 @@ def nested_scenarios(draw):
     return document, plan, draw(nested_queries(document))
 
 
+#: A group owned apart from its mid, asked for by the mid's owner: a
+#: repeat asks for the group again, not for each leaf that failed.
+_GROUPED = (
+    parse_fragment("<top id='R'><mid id='m0'><meta>0</meta><group id='g0'>"
+                   "<leaf id='l0'><value>0</value></leaf>"
+                   "<leaf id='l1'><value>1</value></leaf>"
+                   "<leaf id='l2'><value>2</value></leaf></group></mid></top>"),
+    PartitionPlan({"s0": [(("top", "R"), ("mid", "m0"))],
+                   "s1": [(("top", "R"),),
+                          (("top", "R"), ("mid", "m0"), ("group", "g0"))]}),
+    ["/top[@id='R']/mid[@id='m0']/group/leaf[value='1']"],
+)
+
+
 class TestDistributionTransparency:
     @given(scenarios())
     @settings(max_examples=60, deadline=None)
@@ -141,16 +196,22 @@ class TestDistributionTransparency:
             for site in cluster.sites:
                 assert structural_violations(cluster.database(site)) == []
 
-    @given(scenarios())
-    @settings(max_examples=30, deadline=None)
+    @given(scenarios(grouped=st.booleans()))
+    @example(_GROUPED)
+    @settings(max_examples=100, deadline=None)
     def test_repeat_query_returns_same_answer(self, scenario):
+        """A repeat returns the same answer and costs no more than the
+        first posing: no more messages, asks or bytes."""
         document, plan, query_list = scenario
-        cluster = Cluster(document.copy(), plan, service="prop")
+        cluster = Cluster(document.copy(), plan, service="prop",
+                          count_bytes=True)
         query = query_list[0]
-        first, site, _ = cluster.query(query)
-        second, _, _ = cluster.query(query, at_site=site)
+        (first, site, _), first_cost = _costed(cluster, query)
+        (second, _, _), second_cost = _costed(cluster, query, at_site=site)
         assert sorted(_normalized(r) for r in first) == \
             sorted(_normalized(r) for r in second)
+        assert all(map(operator.le, second_cost, first_cost)), \
+            (query, first_cost, second_cost)
 
     @given(scenarios())
     @settings(max_examples=30, deadline=None)

@@ -13,7 +13,8 @@ it shortcuts:
 (c) ``run_qeg`` with the items' ``pinned_ids`` blanked (a test-side
     patch; there is no production switch) gives byte-equal answers, the
     same subqueries in the same order, equal stats and an equal EXPLAIN
-    decision log;
+    decision log: where an ask is anchored reads the id predicates, not
+    the pins;
 (d) ``idable_children`` / ``_locally_idable`` / the walker's per-parent
     set agree with the definitions as they stood before the change,
     kept below verbatim;
@@ -22,7 +23,8 @@ it shortcuts:
     patch; there is no production switch) gives byte-equal answers, the
     same subqueries in the same order, equal stats and an equal EXPLAIN
     decision log, also over unpinned bounded steps, whose stale copies
-    ask once at their parent.
+    ask where the cold plan asks: at the highest region above them
+    reached through steps with no id predicate.
 """
 
 from unittest import mock
@@ -230,7 +232,7 @@ _STEP_PREDICATES = (
 )
 
 
-#: Unpinned bounded steps: a stale copy under them asks at its parent.
+#: Unpinned bounded steps: a stale copy under them asks above itself.
 _UNPINNED_BOUNDS = (
     "[timestamp() > current-time() - 5]",
     "[v='0'][timestamp() > current-time() - 5]",
@@ -279,8 +281,20 @@ def _walk(tree, pattern, memo=True, now=10.0):
     )
 
 
+#: Two stale cached copies under an id-complete root: under a pinned step
+#: the ask is the pinned node's own, whether or not the pins are read.
+_STALE_PAIR = parse_fragment(
+    '<root id="R" status="id-complete">'
+    + "".join(f'<n id="{i}" status="complete" timestamp="1"/>'
+              for i in ("a", "b"))
+    + "</root>")
+
+
 class TestTheWalkDoesNotDependOnThePins:
     @given(site_trees(), _queries(), st.sampled_from((None, _Schema)))
+    @example(_STALE_PAIR,
+             "/root[@id='R']/n[@id='a'][timestamp() > current-time() - 5]",
+             None)
     @settings(max_examples=400, deadline=None)
     def test_same_answer_subqueries_stats_and_explain(self, tree, query,
                                                       schema):

@@ -1,19 +1,24 @@
 """Query-based consistency end to end: the last QEG walk is the answer.
 
-A cached copy too old for its bound is asked for again, once per parent
-for a step with no id pin, and rendered once per region and walk; what
-the owner's reply carries is vouched for whatever its age, and what the
-reply leaves out does not match.
+A cached copy too old for its bound is asked for again where the cold
+plan asks -- up through steps with no id pin, to the highest region
+holding nothing owned here -- and rendered once per region and walk;
+what the owner's reply carries is vouched for whatever its age, and
+what the reply leaves out does not match.  So is every other node-level
+ask, and a repeated query costs no more than its first posing.
 """
 
 import pytest
 
+from repro.arch import hierarchical
 from repro.core import PartitionPlan, Subquery, gather, qeg
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
-from repro.xmlkit import Element
+from repro.service import ParkingConfig, build_parking_document, parking
+from repro.xmlkit import Element, canonical_form
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
+from tests.property.test_prop_distributed import _costed
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
           "/city[@id='Pittsburgh']")
@@ -193,3 +198,26 @@ def test_the_vouched_set_holds_the_elements_themselves(
     assert seen[0] == set()
     assert len(seen[-1]) >= 2
     assert all(isinstance(node, Element) for node in seen[-1])
+
+
+def test_a_repeated_city_scan_costs_no_more_than_its_first_posing():
+    # Posed at the city's site, each scan asks once per neighbourhood.  A
+    # space that failed the predicate arrived as its id alone: a repeat
+    # asks for its neighbourhood again, not for it nor for its block.
+    config = ParkingConfig.tiny()
+    path = parking.city_path(config, config.city_names()[0])
+    prefix = "".join(f"/{tag}[@id='{name}']" for tag, name in path)
+    costs, answers = {}, set()
+    for form in ("/neighborhood/block/", "//"):
+        cluster = Cluster(build_parking_document(config),
+                          hierarchical(config).plan, count_bytes=True)
+        query = prefix + form + "parkingSpace[available='yes']"
+        for run in (0, 1):
+            (results, _, _), costs[form, run] = _costed(
+                cluster, query, at_site=cluster.owner_map[path])
+            answers.add(tuple(sorted(map(canonical_form, results))))
+        # Messages, asks and bytes.
+        assert all(map(int.__le__, costs[form, 1], costs[form, 0])), costs
+    assert costs["//", 0][2] <= 2 * costs["/neighborhood/block/", 0][2], costs
+    [answer] = answers
+    assert answer
