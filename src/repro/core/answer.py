@@ -35,12 +35,12 @@ from repro.core.idable import (
     non_idable_children,
 )
 from repro.core.status import (
+    STATUS_ATTRIBUTE,
+    TIMESTAMP_ATTRIBUTE,
     Status,
     get_status,
-    get_timestamp,
-    set_status,
-    set_timestamp,
 )
+from repro.xmlkit.nodes import restamp
 
 
 class Subquery:
@@ -117,6 +117,9 @@ class AnswerBuilder:
         return not self._plan
 
     # ------------------------------------------------------------------
+    # The skeleton: the answer's own IDable nodes, private until build()
+    # returns, filled by direct dict and list edits (the names come from
+    # the database, already checked) and stamped once per build().
     def _ensure(self, element):
         """Answer-side element for *element*, creating ancestors as needed.
 
@@ -130,8 +133,7 @@ class AnswerBuilder:
         chain = element.path_from_root()
         if self.root is None:
             top = chain[0]
-            self.root = id_stub(top)
-            set_status(self.root, Status.INCOMPLETE)
+            self.root = id_stub(top, Status.INCOMPLETE)
             self._mapping[id(top)] = self.root
         current = self._mapping[id(chain[0])]
         for db_node in chain[1:]:
@@ -146,9 +148,9 @@ class AnswerBuilder:
                     found = child
                     break
             if found is None:
-                found = id_stub(db_node)
-                set_status(found, Status.INCOMPLETE)
-                current.append(found)
+                found = id_stub(db_node, Status.INCOMPLETE)
+                found.parent = current
+                current.children.append(found)
             self._mapping[key] = found
             current = found
         return current
@@ -156,11 +158,12 @@ class AnswerBuilder:
     def _add_child_stubs(self, target, children):
         """Append an ID stub to *target* for each of *children* without one."""
         mapping = self._mapping
+        kids = target.children
         for child in children:
             if id(child) not in mapping:
-                stub = id_stub(child)
-                set_status(stub, Status.INCOMPLETE)
-                target.append(stub)
+                stub = id_stub(child, Status.INCOMPLETE)
+                stub.parent = target
+                kids.append(stub)
                 mapping[id(child)] = stub
 
     def _record(self, local, element):
@@ -246,32 +249,48 @@ class AnswerBuilder:
                     "the site database changed after the answer's first "
                     "inclusion; build it in the pass that included it")
         plan = self._plan
+        if self._built == len(plan):
+            return self.root
         for index in range(self._built, len(plan)):
             local, element = plan[index]
             target = self._ensure(element)
+            attrib = target.attrib
             if not local:
                 if get_status(target).rank < Status.ID_COMPLETE.rank:
-                    set_status(target, Status.ID_COMPLETE)
+                    attrib[STATUS_ATTRIBUTE] = Status.ID_COMPLETE.value
                 self._add_child_stubs(target, idable_children(element))
                 continue
             # Attributes (system status replaced by the receiver-view one).
             for name, value in element.attrib.items():
-                if name != "status":
-                    target.set(name, value)
-            set_status(target, Status.COMPLETE)
-            stamp = get_timestamp(element)
+                if name != STATUS_ATTRIBUTE:
+                    attrib[name] = value
+            attrib[STATUS_ATTRIBUTE] = Status.COMPLETE.value
+            stamp = element.attrib.get(TIMESTAMP_ATTRIBUTE)
             if stamp is not None:
-                set_timestamp(target, stamp)
+                # Kept, not re-made, when already canonical: the asker's
+                # cache holds on to this string.
+                canonical = repr(float(stamp))
+                if canonical != stamp:
+                    attrib[TIMESTAMP_ATTRIBUTE] = canonical
             # Non-IDable content, replacing whatever scaffolding was there.
-            for child in non_idable_children(target):
-                target.remove(child)
+            stale = non_idable_children(target) if target.children else ()
+            if stale:
+                for child in stale:
+                    child.parent = None
+                gone = set(map(id, stale))
+                target.children = [child for child in target.children
+                                   if id(child) not in gone]
             # One idable_children() pass serves the content and the stubs.
             idable = idable_children(element)
             skip = {id(child) for child in idable}
+            kids = target.children
             for child in element.children:
                 if id(child) not in skip:
-                    target.append(child.copy())
+                    copy = child.copy()
+                    copy.parent = target
+                    kids.append(copy)
             self._add_child_stubs(target, idable)
+        restamp(self._mapping.values())
         self._built = len(plan)
         return self.root
 

@@ -10,6 +10,7 @@ status tags, which is exactly what unifies query processing at a site
 (Section 1, contribution 4).
 """
 
+import math
 import time
 
 from repro.core.errors import CacheError, CoreError
@@ -265,7 +266,8 @@ class SensorDatabase:
         *attributes* maps attribute names to new values; *values* maps
         non-IDable child element names to new text content (children
         are created when absent).  The node's timestamp is set from the
-        site clock unless *timestamp* pins it explicitly -- WAL replay
+        site clock, strictly above its previous stamp, unless
+        *timestamp* pins it explicitly -- WAL replay
         passes the originally recorded timestamp so a recovered
         partition is byte-identical to one that never crashed.
 
@@ -281,6 +283,7 @@ class SensorDatabase:
                 f"site {self.site_id!r} does not own "
                 f"{node_id(element)}; forward the update to the owner"
             )
+        previous = get_timestamp(element)
         for name, value in (attributes or {}).items():
             if name in ("id", "status"):
                 raise CoreError(f"updates may not modify the {name!r} attribute")
@@ -296,7 +299,15 @@ class SensorDatabase:
                 child = Element(tag)
                 element.append(child)
             child.set_text(text)
-        when = self.clock() if timestamp is None else float(timestamp)
+        if timestamp is None:
+            # A stamp orders the versions of a node: it rises strictly
+            # with each update, also within one clock instant, so the
+            # merge's newer-wins test prefers it to any older copy.
+            when = self.clock()
+            if previous is not None:
+                when = max(when, math.nextafter(previous, math.inf))
+        else:
+            when = float(timestamp)
         set_timestamp(element, when)
         self.stats["updates_applied"] += 1
         # Updates touch only local information (no id/status changes,
@@ -341,6 +352,10 @@ class SensorDatabase:
         ``handed_over=True``: a fragment nobody else holds (the gather
         driver's owner replies) gives its non-IDable content to the
         database and is left gutted -- only its IDable skeleton remains.
+
+        Returns the stored nodes whose local information the fragment
+        carried (what a reply vouches for), owned ones included, in the
+        order the merge met them.
         """
         if node_id(fragment) != node_id(self.root):
             raise CacheError(
@@ -357,17 +372,21 @@ class SensorDatabase:
 
             xml = serialize(fragment)
         self._ensure_index()
+        carried = []
         self._merge_node(self.root, fragment, (node_id(self.root),),
-                         handed_over)
+                         handed_over, carried)
         self.stats["fragments_merged"] += 1
         self._mark_index_current()
         if xml is not None:
             self._journal_record("fragment", xml=xml)
+        return carried
 
-    def _merge_node(self, target, incoming, path, handed_over):
+    def _merge_node(self, target, incoming, path, handed_over, carried):
         target_status = get_status(target)
         incoming_status = get_status(incoming)
 
+        if incoming_status.has_local_information:
+            carried.append(target)
         if target_status is Status.OWNED:
             pass  # authoritative; never touched by cached data
         elif incoming_status.rank > target_status.rank:
@@ -385,20 +404,23 @@ class SensorDatabase:
                                     handed_over)
                 self.stats["nodes_refreshed"] += 1
 
-        # Recurse into matched IDable children; graft unmatched ones.
+        # Recurse into matched IDable children; graft unmatched ones.  A
+        # bare stub of a child held here would merge to nothing.
         keyed = idable_child_map(target)
         for child in idable_children(incoming):
             key = node_id(child)
-            child_path = path + (key,)
             existing = keyed.get(key)
             if existing is None:
-                existing = self._graft_stub(target, child, child_path,
+                existing = self._graft_stub(target, child, path + (key,),
                                             unique=key not in keyed)
-            self._merge_node(existing, child, child_path, handed_over)
+            elif not child.children and \
+                    get_status(child) is Status.INCOMPLETE:
+                continue
+            self._merge_node(existing, child, path + (key,), handed_over,
+                             carried)
 
     def _graft_stub(self, target, incoming_child, path, unique):
-        stub = id_stub(incoming_child)
-        set_status(stub, Status.INCOMPLETE)
+        stub = id_stub(incoming_child, Status.INCOMPLETE)
         target.append(stub)
         if unique:
             self._index[path] = stub
@@ -411,33 +433,46 @@ class SensorDatabase:
 
     def _adopt_content(self, target, incoming, incoming_status, handed_over):
         """Replace *target*'s own-level content with *incoming*'s: moved
-        out of a *handed_over* fragment, copied out of any other."""
-        if incoming_status.has_local_information:
-            # Replace attributes (except id) and non-IDable children.
-            for name in list(target.attrib):
-                if name != "id":
-                    target.delete_attribute(name)
-            for name, value in incoming.attrib.items():
-                if name != "id":
-                    target.set(name, value)
-            outgoing = list(non_idable_children(target))
-            adopted = non_idable_children(incoming)
-            # Swapping non-IDable content cannot change the IDable node
-            # set -- unless id-bearing elements hide inside it (sibling
-            # id collisions and the like); then stop maintaining the
-            # index incrementally and let the next access rebuild.
-            if self._content_carries_ids(outgoing) or \
-                    self._content_carries_ids(adopted):
-                self._invalidate_index()
+        out of a *handed_over* fragment (left gutted and unstamped, for
+        its owner to drop), copied out of any other.  The attribute dict
+        and the content list are swapped whole, under one stamp."""
+        if not incoming_status.has_local_information:
+            set_status(target, incoming_status)
+            return
+        # Attributes: the id stays, everything else (status included)
+        # is the incoming node's.
+        identifier = target.attrib.get("id")
+        attrib = {} if identifier is None else {"id": identifier}
+        for name, value in incoming.attrib.items():
+            if name != "id":
+                attrib[name] = str(value)
+        outgoing = non_idable_children(target)
+        adopted = non_idable_children(incoming)
+        # Swapping non-IDable content cannot change the IDable node set
+        # -- unless id-bearing elements hide inside it (sibling id
+        # collisions and the like); then stop maintaining the index
+        # incrementally and let the next access rebuild.
+        if self._content_carries_ids(outgoing) or \
+                self._content_carries_ids(adopted):
+            self._invalidate_index()
+        children = target.children
+        if outgoing:
             for child in outgoing:
-                target.remove(child)
-            for child in adopted:
-                if handed_over:
-                    incoming.remove(child)
-                    target.append(child)
-                else:
-                    target.append(child.copy())
-        set_status(target, incoming_status)
+                child.parent = None
+            gone = set(map(id, outgoing))
+            children = [child for child in children if id(child) not in gone]
+        if handed_over:
+            if adopted:
+                moved = set(map(id, adopted))
+                incoming.children = [child for child in incoming.children
+                                     if id(child) not in moved]
+        else:
+            adopted = [child.copy() for child in adopted]
+        for child in adopted:
+            child.parent = target
+        target.attrib = attrib
+        target.children = children + adopted
+        target._touch()
 
     # ------------------------------------------------------------------
     # Eviction

@@ -29,7 +29,7 @@ import threading
 from repro.core.database import SensorDatabase
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
-from repro.core.idable import iter_idable, iter_idable_with_paths
+from repro.core.idable import iter_idable
 from repro.core.answer import Subquery
 from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
 from repro.core.semcache import (
@@ -261,11 +261,9 @@ def _merge(view, fragment, vouched, handed_over=False):
     """Merge a reply into *view*, adding to a *vouched* set every node
     whose local information it carried (a node it only names is not).
     The merge leaves the reply's IDable skeleton and statuses behind."""
-    view.store_fragment(fragment, handed_over=handed_over)
+    carried = view.store_fragment(fragment, handed_over=handed_over)
     if vouched is not None:
-        vouched.update(view.find(path) for path, node
-                       in iter_idable_with_paths(fragment)
-                       if get_status(node).has_local_information)
+        vouched.update(carried)
 
 
 class GatherDriver:

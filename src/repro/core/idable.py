@@ -145,17 +145,14 @@ def find_by_id_path(root, id_path, required=False):
     return current
 
 
-def id_stub(element, keep_status=False):
-    """A bare ID element for *element*: tag + id (+ optionally status)."""
-    stub = Element(element.tag)
+def id_stub(element, status=None):
+    """A bare ID element for *element*: tag + id (+ *status*, a
+    :class:`~repro.core.status.Status`), built finished."""
     identifier = element.attrib.get("id")
-    if identifier is not None:
-        stub.set("id", identifier)
-    if keep_status:
-        raw = element.get(STATUS_ATTRIBUTE)
-        if raw is not None:
-            stub.set(STATUS_ATTRIBUTE, raw)
-    return stub
+    attrib = {} if identifier is None else {"id": identifier}
+    if status is not None:
+        attrib[STATUS_ATTRIBUTE] = status.value
+    return Element.assemble(element.tag, attrib, [])
 
 
 def local_information(element, keep_internal=False):

@@ -134,8 +134,7 @@ def build_site_database(global_root, site, owner_map, clock=None):
     owned nodes that are owned elsewhere appear as ``incomplete``
     stubs.
     """
-    root_stub = id_stub(global_root)
-    set_status(root_stub, Status.INCOMPLETE)
+    root_stub = id_stub(global_root, Status.INCOMPLETE)
     db = SensorDatabase(root_stub, clock=clock, site_id=site)
 
     for element in iter_idable(global_root):
@@ -158,8 +157,7 @@ def _materialize_owned(db, source):
     existing = {node_id(c) for c in idable_children(target)}
     for child in idable_children(source):
         if node_id(child) not in existing:
-            stub = id_stub(child)
-            set_status(stub, Status.INCOMPLETE)
+            stub = id_stub(child, Status.INCOMPLETE)
             target.append(stub)
     set_status(target, Status.OWNED)
     set_timestamp(target, db.clock())
@@ -179,8 +177,7 @@ def _ensure_ancestors(db, source):
             identifier = node_id(source_node)
             found = target.child(identifier[0], id=identifier[1])
             if found is None:
-                found = id_stub(source_node)
-                set_status(found, Status.INCOMPLETE)
+                found = id_stub(source_node, Status.INCOMPLETE)
                 target.append(found)
             target = found
         is_last = depth == len(chain) - 1
@@ -199,7 +196,6 @@ def _fill_id_information(target, source_node):
     existing = {node_id(c) for c in idable_children(target)}
     for child in idable_children(source_node):
         if node_id(child) not in existing:
-            stub = id_stub(child)
-            set_status(stub, Status.INCOMPLETE)
+            stub = id_stub(child, Status.INCOMPLETE)
             target.append(stub)
     set_status(target, Status.ID_COMPLETE)

@@ -138,7 +138,7 @@ class PatternItem:
     """One named child step of the query's main path."""
 
     __slots__ = ("step", "descendant", "plain_predicates", "nested_predicates",
-                 "split", "pinned_ids", "residual_predicates")
+                 "split", "pinned_ids", "pins_exact", "residual_predicates")
 
     def __init__(self, step, descendant, is_idable_tag):
         self.step = step
@@ -154,6 +154,11 @@ class PatternItem:
         #: Where P_id is decided first: the ids a node must carry to
         #: pass ``split.id_predicates`` (``None``: they pin nothing).
         self.pinned_ids = pinned_ids(self.split.id_predicates)
+        #: Whether the pins are P_id's whole meaning, so that passing
+        #: them decides it -- a property of the query shape, kept by
+        #: :meth:`bind` (a slot holds a literal either way).
+        self.pins_exact = pinned_ids(self.split.id_predicates,
+                                     exact=True) is not None
         # Predicates to re-attach when the step turns into a subquery:
         # everything except pure id pins (the id is pinned by the path).
         residual = []
@@ -199,6 +204,7 @@ class PatternItem:
             list(map(clone, split.consistency_predicates)),
             list(map(clone, split.rest_predicates)), split.separable)
         item.pinned_ids = pinned_ids(item.split.id_predicates)
+        item.pins_exact = self.pins_exact
         item.residual_predicates = list(map(clone, self.residual_predicates))
         return item
 
@@ -711,8 +717,11 @@ class _Walker:
             )
 
         split = item.split
-        if not self.evaluate(split.id_predicates, node):
-            return _NO  # P_id first, also for what the pins cannot express
+        # P_id first: _match_item's pin test decided it when the pins
+        # are exact; otherwise evaluate what the pins cannot express.
+        if not (item.pins_exact and item.pinned_ids is not None) \
+                and not self.evaluate(split.id_predicates, node):
+            return _NO
         # Nested predicates wait for the collect point (_process).
         is_result_item = (j + 1) == len(self.items)
 

@@ -47,7 +47,8 @@ def clean_copy(node):
         node.tag,
         {name: value for name, value in node.attrib.items()
          if name not in INTERNAL_ATTRIBUTES},
-        [clean_copy(child) for child in node.children])
+        [Text(child.value) if isinstance(child, Text) else clean_copy(child)
+         for child in node.children])
 
 
 #: Information ordering: owned > complete > id-complete > incomplete.

@@ -19,12 +19,16 @@ its view-based semantic caching future work.
 
 import itertools
 
+from repro.core.status import TIMESTAMP_ATTRIBUTE
 from repro.obs.tracing import TRACER
 from repro.xmlkit.compare import canonical_form
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import extract_id_path
 
 _SEQUENCE = itertools.count(1)
+
+#: What an update moves even when it leaves every value as it was.
+_RESTAMPED = frozenset({TIMESTAMP_ATTRIBUTE})
 
 
 class Subscription:
@@ -122,8 +126,11 @@ class ContinuousQueryManager:
             with self.agent.guard:
                 results, _outcome = self.agent.driver.answer_user_query(
                     subscription.query)
+            # The answer's data: a re-stamp that leaves every value as
+            # it was is no change to notify.
             digest = tuple(sorted(
-                canonical_form(r) for r in results if hasattr(r, "tag")
+                canonical_form(r, ignore=_RESTAMPED)
+                for r in results if hasattr(r, "tag")
             ))
             if digest != subscription.last_digest:
                 subscription.last_digest = digest

@@ -10,12 +10,13 @@ from repro.xmlkit.nodes import Document, Element, Text
 from repro.xmlkit.serializer import escape_attribute, escape_text
 
 
-def canonical_form(node):
+def canonical_form(node, ignore=frozenset()):
     """Return a canonical string for *node*.
 
     Two trees have the same canonical form if and only if they are
     equal as unordered documents (same tags, attributes and text, with
-    siblings compared as multisets).
+    siblings compared as multisets), attributes named in *ignore* left
+    out.
     """
     if isinstance(node, Document):
         node = node.root
@@ -23,9 +24,10 @@ def canonical_form(node):
         return escape_text(node.value)
     attrs = "".join(
         f' {name}="{escape_attribute(node.attrib[name])}"'
-        for name in sorted(node.attrib)
+        for name in sorted(node.attrib) if name not in ignore
     )
-    child_forms = sorted(canonical_form(child) for child in node.children)
+    child_forms = sorted(canonical_form(child, ignore)
+                         for child in node.children)
     inner = "".join(child_forms)
     return f"<{node.tag}{attrs}>{inner}</{node.tag}>"
 

@@ -468,6 +468,23 @@ class Element:
         return f"<Element {self.tag}{ident} children={len(self.children)}>"
 
 
+def restamp(elements):
+    """Stamp every element of *elements* with one fresh clock reading.
+
+    For a tree its builder fills by direct ``attrib`` / ``children``
+    edits instead of the mutators (the reply skeleton of
+    ``repro.core.answer``).  The caller vouches that *elements* holds
+    every element it edited and the ancestors of each, that every
+    other node below them was finished before the call, and that
+    nothing read the tree's stamps in between: each element is then
+    stamped higher than everything below it outside the set, and
+    anything memoized under an old stamp is invalid.
+    """
+    stamp = next(_VERSION_CLOCK)
+    for element in elements:
+        element._version = stamp
+
+
 class Document:
     """A document node wrapping a single root element.
 

@@ -13,8 +13,9 @@ properties pin what that must never change:
 * isolation -- a mutated decoded fragment reaches neither the sender's
   bytes, nor its database, nor any serialization memo;
 * the merge -- a handed-over fragment and a copied one build the same
-  database, index and invariants included, and a journalled hand-over
-  replays to it.
+  database, index and invariants included, a journalled hand-over
+  replays to it, and what ``store_fragment`` returns is what a reply
+  vouches for: the nodes whose local information it carried.
 """
 
 import sys
@@ -23,7 +24,8 @@ from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SensorDatabase
+from repro.core import SensorDatabase, get_status
+from repro.core.idable import iter_idable_with_paths
 from repro.core.invariants import validate_deployment
 from repro.durability import apply_record, partition_fingerprint
 from repro.net import messages as m
@@ -391,6 +393,26 @@ def _assert_sound(database):
     assert validate_deployment({"s0": database}, _reference_document(),
                                owner_map=_OWNER_MAP) == []
     assert _memo_is_transparent(database.root)
+
+
+class TestMergeReturnsWhatItVouchesFor:
+    @given(st.lists(_FRAGMENT_SPECS, min_size=1, max_size=5), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_the_returned_nodes_are_the_carried_local_informations(
+            self, specs, handed_over):
+        database = _build_database()
+        for spec in specs:
+            fragment = _wire_fragment(spec)
+            carried = database.store_fragment(fragment,
+                                              handed_over=handed_over)
+            # The reference: every node whose local information the
+            # fragment carried, found again by its id path.
+            reference = {database.find(path) for path, node
+                         in iter_idable_with_paths(fragment)
+                         if get_status(node).has_local_information}
+            assert set(map(id, carried)) == set(map(id, reference))
+            assert None not in reference
+            assert database.debug_verify_index() == []
 
 
 class TestMergeAdoptsWhatItIsHanded:

@@ -15,9 +15,10 @@ from repro.core import (
     render_id_path_query,
     run_qeg,
 )
+from repro.core.idable import iter_idable
 from repro.net import Cluster
 from repro.net.tcpruntime import TcpCluster
-from repro.xmlkit import serialize
+from repro.xmlkit import Element, serialize
 
 from tests.conftest import (
     FIGURE2_QUERY,
@@ -113,3 +114,42 @@ def test_user_results_share_nothing_with_the_site_database(paper_doc,
     with TcpCluster(paper_doc, paper_plan) as tcp:
         over_tcp, _site = tcp.cluster.query_via_messages(WARM_QUERY)
     assert _serialized(over_tcp) == loopback
+
+
+def _skeleton_build(database, *paths):
+    builder = AnswerBuilder(database)
+    for path in paths:
+        builder.include_subtree(database.find(path))
+    return builder
+
+
+def test_a_rebuilt_skeleton_serializes_what_it_holds(paper_cluster):
+    """The skeleton is filled without the mutators and stamped once per
+    build: bytes memoized after one build are not served after the
+    next, and every skeleton node is stamped above its content."""
+    database = paper_cluster.database("oak")
+    builder = _skeleton_build(database, OAKLAND + (("block", "1"),))
+    root = builder.build()
+    first = serialize(root)
+    assert root._ser_cache  # the memo holds the first build's bytes
+    builder.include_subtree(database.find(OAKLAND + (("block", "2"),)))
+    assert builder.build() is root
+    assert serialize(root) == serialize(root, use_cache=False) != first
+    for node in iter_idable(root):
+        assert all(node.subtree_version >= below.subtree_version
+                   for below in node.descendants())
+
+
+def test_build_calls_no_per_node_mutator(paper_cluster, monkeypatch):
+    database = paper_cluster.database("oak")
+    builder = _skeleton_build(database, OAKLAND)
+    calls = []
+    for name in ("set", "append", "_touch"):
+        def counting(node, *args, _name=name, _original=getattr(Element,
+                                                                 name)):
+            calls.append(_name)
+            return _original(node, *args)
+        monkeypatch.setattr(Element, name, counting)
+    root = builder.build()
+    assert calls == []
+    assert root is not None and root.size() > 10

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    AnswerBuilder,
     CacheError,
     CoreError,
     PartitionPlan,
@@ -13,7 +14,8 @@ from repro.core import (
     get_timestamp,
     structural_violations,
 )
-from repro.xmlkit import parse_fragment
+from repro.core.idable import node_id
+from repro.xmlkit import Element, parse_fragment
 
 from tests.conftest import OAKLAND, SHADYSIDE, id_path
 
@@ -110,6 +112,30 @@ class TestUpdates:
         with pytest.raises(CoreError):
             oak_db.apply_update(OAKLAND, attributes={"status": "owned"})
 
+    def test_two_updates_in_one_instant_get_rising_stamps(
+            self, oak_db, top_db, settable_clock):
+        """A copy of the second version wins the merge against a cached
+        copy of the first, though both updates read the same clock."""
+        settable_clock.now = 5000.0
+        path = OAKLAND + (("block", "1"), ("parkingSpace", "2"))
+
+        def owner_copy():
+            builder = AnswerBuilder(oak_db)
+            builder.include_local_information(oak_db.find(path))
+            return builder.build()
+
+        first = get_timestamp(oak_db.apply_update(
+            path, values={"available": "no"}))
+        top_db.store_fragment(owner_copy())
+        second = get_timestamp(oak_db.apply_update(
+            path, values={"available": "yes"}))
+        assert first == 5000.0 < second
+        top_db.store_fragment(owner_copy())
+        assert top_db.find(path).child("available").text == "yes"
+        # A pinned stamp (WAL replay) is kept as recorded.
+        assert get_timestamp(oak_db.apply_update(
+            path, values={"available": "no"}, timestamp=first)) == first
+
     def test_update_cannot_target_idable_child_value(self, oak_db):
         with pytest.raises(CoreError):
             oak_db.apply_update(OAKLAND, values={"block": "zap"})
@@ -174,6 +200,37 @@ class TestStoreFragment:
         shady.child("available-spaces").set_text("9")
         oak_db.store_fragment(staler)
         assert oak_db.find(SHADYSIDE).child("available-spaces").text == "3"
+
+    def test_a_reply_merges_no_stub_the_cache_already_holds(
+            self, oak_db, monkeypatch):
+        """A refreshed neighbourhood names its blocks again; the bare
+        stubs of blocks the cache holds are not visited."""
+        def reply(timestamp):
+            fragment = self._wire_fragment()
+            shady = fragment.child("state").child("county") \
+                .child("city").child("neighborhood", id="Shadyside")
+            shady.set("timestamp", timestamp)
+            shady.extend(Element("block", attrib={"id": f"b{index}",
+                                                  "status": "incomplete"})
+                         for index in range(12))
+            return fragment
+
+        oak_db.store_fragment(reply("2000.0"))
+        merged = []
+        original = SensorDatabase._merge_node
+
+        def recording(database, target, incoming, *rest):
+            merged.append(node_id(incoming))
+            return original(database, target, incoming, *rest)
+
+        monkeypatch.setattr(SensorDatabase, "_merge_node", recording)
+        carried = oak_db.store_fragment(reply("3000.0"))
+        assert [tag for tag, _id in merged if tag == "block"] == []
+        assert oak_db.find(SHADYSIDE).get("timestamp") == "3000.0"
+        assert carried == [oak_db.find(SHADYSIDE)]
+        assert len(list(oak_db.find(SHADYSIDE).element_children(
+            "block"))) == 13
+        assert oak_db.debug_verify_index() == []
 
     def test_root_mismatch_rejected(self, oak_db):
         with pytest.raises(CacheError):

@@ -14,6 +14,7 @@ from repro.core import (
     render_id_path_query,
     run_qeg,
 )
+from repro.core import qeg
 from repro.xmlkit import parse_fragment
 
 from tests.conftest import (
@@ -477,6 +478,44 @@ class TestNestingStrategies:
                                           pattern).subqueries
                    if ask.reason == Subquery.NESTED_FETCH]
         assert [ask.anchor_path for ask in fetches] == [(("root", "R"),)]
+
+
+class TestExactPinsDecidePid:
+    """P_id goes first (Section 3.5); pins that are its whole meaning
+    decide it by a set test, so the evaluator never sees it."""
+
+    def _pid_evaluations(self, dbs, paper_schema, monkeypatch, block_step):
+        pattern = compile_pattern(
+            PREFIX + "/neighborhood[@id='Oakland']/" + block_step,
+            paper_schema)
+        block_pid = pattern.items[-1].split.id_predicates
+        assert block_pid  # the step's predicate is id-only
+        seen = []
+        original = qeg._EVALUATOR.evaluate
+
+        def recording(predicate, node, *args, **kwargs):
+            if any(predicate is p for p in block_pid):
+                seen.append(node.id)
+            return original(predicate, node, *args, **kwargs)
+
+        monkeypatch.setattr(qeg._EVALUATOR, "evaluate", recording)
+        result = run_qeg(dbs["oak"], pattern)
+        assert result.is_complete
+        return seen, result
+
+    def test_an_exact_pin_never_reaches_the_evaluator(
+            self, dbs, paper_schema, monkeypatch):
+        seen, result = self._pid_evaluations(
+            dbs, paper_schema, monkeypatch, "block[@id='1' or @id='2']")
+        assert seen == []
+        assert sorted(node.id for node in result.matches) == ["1", "2"]
+
+    def test_an_id_test_the_pins_cannot_express_is_evaluated(
+            self, dbs, paper_schema, monkeypatch):
+        seen, result = self._pid_evaluations(
+            dbs, paper_schema, monkeypatch, "block[@id!='1']")
+        assert sorted(seen) == ["1", "2"]
+        assert [node.id for node in result.matches] == ["2"]
 
 
 class TestSubsumption:
