@@ -24,10 +24,10 @@ pure-evaluation floor).
 
 Timings per shape on the rollup side:
 
-* ``agg_cold`` -- first rollup: partial-aggregate subqueries to every
-  frontier, merge-states cached at each level (``count`` is the only
-  true cold ask: all five shapes share one merge-state, so the first
-  ask prewarms the rest);
+* ``agg_cold`` -- first rollup: partial-aggregate subqueries for every
+  ask of the walk, partials cached at each level (``count`` is the only
+  true cold ask: all five shapes share one summary, so the first ask
+  prewarms the rest);
 * ``agg_warm`` -- the same bounded ask again, served from the summary
   cache.
 
@@ -212,13 +212,18 @@ def test_summary_rollups_vs_naive_fanout():
                                                     now=NOW))
         check(shape, value, "agg_warm")
     counters = cluster.agents["root"].subsystem("aggregation").metrics()
+    # Every site's rollups, and how many met a cached or owned match
+    # inside a region they asked for (dropped) or re-gathered.
+    overlaps = {key: sum(agent.subsystem("aggregation").metrics()[key]
+                         for agent in cluster.agents.values())
+                for key in ("rollups", "overlap_drops", "overlap_regathers")}
     cluster.shutdown(final_checkpoint=False)
     del cluster
     gc.collect()
 
     assert not mismatches, mismatches
 
-    # count prewarmed the rest: every shape shares one merge-state, so
+    # count prewarmed the rest: every shape shares one summary, so
     # only the first bounded ask computes.
     assert counters["summary"]["hits"] >= len(SHAPES) * 2 - 1
 
@@ -286,4 +291,5 @@ def test_summary_rollups_vs_naive_fanout():
                 key: counters[key]
                 for key in ("answers", "rollups", "partials_fetched",
                             "summary_hit_ratio")},
+            "all_sites_overlaps": overlaps,
         })

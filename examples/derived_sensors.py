@@ -6,7 +6,7 @@ Walks the PR 9 subsystem on a three-site deployment:
   subqueries to the owning sites -- merge-state tuples on the wire,
   never subtrees;
 * a repeat ask inside the freshness bound is a summary-cache hit, and
-  a `count` prewarms the `max` (all shapes share one merge-state);
+  a `count` prewarms the `max` (all shapes share one summary);
 * a derived sensor (`spread = max - min`) registers as an ordinary
   document node, re-evaluates when covered data changes, and is
   queryable like any physical sensor;
@@ -62,7 +62,7 @@ def main():
     counters = manager.metrics()
     print(f"  -> {counters['partials_fetched']} partial-aggregate "
           f"subqueries sent, {counters['summary']['hits']} summary hits "
-          "(count prewarmed the rest: one merge-state serves all five "
+          "(count prewarmed the rest: one summary serves all five "
           "shapes)")
 
     print("\n== The summary honors the freshness bound ==")

@@ -1,14 +1,14 @@
 """Hierarchical aggregation and derived sensors.
 
-Aggregate queries (``count``/``sum``/``avg``/``min``/``max`` over an
-anchored path) are answered from **summaries**: mergeable partial
-aggregates cached per IDable subtree at every organizing agent, merged
-deterministically up the hierarchy via partial-aggregate wire messages
-that carry merge-state tuples instead of subtrees -- a county-level
-``avg`` over a million sensors never fans out to the leaves.  Derived
-sensors define virtual readings as formulas over those aggregates,
-re-evaluated through continuous-query subscriptions on their input
-regions.
+Aggregate queries (``count``/``sum``/``avg``/``min``/``max`` around
+any path the QEG walk takes) are answered from **summaries**: mergeable
+partial aggregates cached per region at every organizing agent, merged
+deterministically up the hierarchy, each of the walk's asks a
+partial-aggregate wire message answered with a merge-state tuple
+instead of a subtree -- a county-level ``avg`` over a million sensors
+never fans out to the leaves.  Derived sensors define virtual readings
+as formulas over those aggregates, re-evaluated through
+continuous-query subscriptions on their input regions.
 
 Switched on by listing an :class:`AggregationConfig` in
 ``Cluster(subsystems=[...])``; everything it does -- its two wire
@@ -24,7 +24,6 @@ from repro.agg.config import AggregationConfig, ClusterAggregation
 from repro.agg.manager import (
     AggregationManager,
     AggregationUnavailable,
-    AggregationUnsupported,
     summary_key,
 )
 from repro.agg.messages import (
@@ -35,7 +34,6 @@ from repro.agg.partial import (
     SHAPES,
     Partial,
     collapse,
-    merge_states,
     state_of,
 )
 
@@ -43,7 +41,6 @@ __all__ = [
     "AggregationConfig",
     "AggregationManager",
     "AggregationUnavailable",
-    "AggregationUnsupported",
     "ClusterAggregation",
     "DerivedSensor",
     "FormulaError",
@@ -53,7 +50,6 @@ __all__ = [
     "SHAPES",
     "collapse",
     "compile_formula",
-    "merge_states",
     "state_of",
     "summary_key",
 ]

@@ -2,90 +2,70 @@
 
 One :class:`AggregationManager` registers with each organizing agent
 whose ``OAConfig.subsystems`` lists an :class:`AggregationConfig` (see
-:mod:`repro.net.subsystem` for the hooks).  Aggregate queries still
-arrive through the ordinary scalar entry point
-(:meth:`OrganizingAgent.answer_scalar` offers them to the manager's
-``try_scalar`` hook first); the manager answers the shapes it supports
-hierarchically:
+:mod:`repro.net.subsystem` for the hooks).  Aggregate queries arrive
+through the ordinary scalar entry point, whose ``try_scalar`` hook
+offers them here first.  A decomposable wrapper
+(``count``/``sum``/``avg``/``min``/``max``) around any path the QEG walk
+takes is answered by the site's own gather of that path:
 
-* **summary first**: the rollup's merge-state may already be cached in
-  ``summaries`` (a :class:`~repro.core.semcache.SemanticCache`), keyed
-  by (region, freshness-stripped inner path) and served when the time
-  its stalest part was current satisfies the caller's bound;
-* **local rollup**: matches of the freshness-stripped inner path whose
-  whole IDable chain from the region down is owned here fold into one
-  exact :class:`~repro.agg.partial.Partial`, current now -- an owner
-  answers from the freshest data;
-* **partial-aggregate subqueries**: every IDable *frontier* (an
-  unowned IDable node the inner path can reach) is asked for its
-  collapsed merge-state with one
+* **summary first**: a cached :class:`~repro.agg.partial.Partial` in
+  ``summaries``, keyed by (region, freshness-stripped inner path), is
+  served when its as-of time satisfies the caller's bound;
+* **the walk's own asks**: every ask for the rest of the path below a
+  region goes to the region's owner as a
   :class:`~repro.agg.messages.PartialAggregateRequest` carrying the
-  caller's own bound -- tuples on the wire, never subtrees -- and child
-  sites recurse, so interior OAs cache intermediate rollups and the
-  hierarchy amortizes.
+  ask's text -- tuples on the wire, never subtrees; an ask for a
+  result's subtree fetches and merges as for a path query;
+* **the fold**: the last walk's matches fold into one exact
+  ``Partial`` with the owners' replies, as of its stalest part.  An
+  owner serves a request with the same fold, so the hierarchy recurses
+  and interior sites cache intermediate rollups.
 
-Any failure (dead child, disabled peer, a query shape outside the
-algebra) degrades to the naive gather fan-out for ``count``/``sum``
-(the evaluator's own shapes); ``avg``/``min``/``max`` exist only here
-and surface the error instead.
-
-Without the config (the default) nothing here exists: no wire messages,
-no envelope bytes, traffic byte-identical to a build without it.
+A path ending in a named attribute or ``text()`` is walked to its
+elements, and the fold reads that step off each; an owner's ask carries
+the step too.  A bounded rollup counts what its bound admits, cached
+copies included, as the path query does; an unbounded one puts a zero
+tolerance on the last element step, so it counts current data only.
+A failure (dead child, disabled peer, a path the walk does not take)
+sends ``count``/``sum`` down the ordinary scalar path;
+``avg``/``min``/``max`` exist only here and raise.  Without the config
+nothing here exists and the wire is byte-identical to a build without
+it.
 """
 
 import threading
-from collections import namedtuple
 
 from repro.core.consistency import strip_consistency_predicates
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
-from repro.core.idable import format_id_path, idable_children, node_id
+from repro.core.idable import format_id_path, id_paths_overlap, node_id
 from repro.core.semcache import SemanticCache, canonicalize
-from repro.core.status import Status, get_status
+from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
 from repro.net.errors import NetError
-from repro.net.messages import ErrorMessage, as_id_path
+from repro.net.messages import ErrorMessage
+from repro.xmlkit.nodes import Text
 from repro.xpath import parser as xpath_parser
-from repro.xpath.analysis import (
-    REF_CONSISTENCY,
-    REF_ID,
-    classify_predicate,
-    extract_id_path,
-    iter_conjuncts,
-    single_id_value,
-)
 from repro.xpath.ast import FunctionCall, LocationPath, NameTest
-from repro.xpath.evaluator import Evaluator
-from repro.xpath.types import AttributeRef, node_string_value, to_number
+from repro.xpath.errors import XPathError
+from repro.xpath.types import node_string_value, to_number
 
 from repro.agg.derived import DerivedSensor
 from repro.agg.messages import (
     PartialAggregateAnswer,
     PartialAggregateRequest,
 )
-from repro.agg.partial import (
-    SHAPES,
-    Partial,
-    collapse,
-    merge_states,
-    state_of,
-)
-
-_EVALUATOR = Evaluator()
+from repro.agg.partial import SHAPES, Partial, collapse, state_of
 
 #: The summary cache's LRU budget.
 SUMMARY_MAX_ENTRIES = 256
 SUMMARY_MAX_BYTES = 4 * 1024 * 1024
 
-
-class AggregationUnsupported(UnsupportedDistributedQueryError):
-    """The query is aggregate-shaped but outside the rollup algebra."""
+#: The last element step of an unbounded rollup: only current data
+#: counts.
+CURRENT = "[timestamp() > current-time() - 0]"
 
 
 class AggregationUnavailable(CoreError):
     """A rollup could not complete (dead child, disabled peer, ...)."""
-
-
-#: One supported aggregate ask, decomposed.
-_Plan = namedtuple("_Plan", "shape inner inner_source anchor tolerance")
 
 
 def summary_key(region, inner_path):
@@ -93,6 +73,121 @@ def summary_key(region, inner_path):
     shapes and freshness bounds over the same data share one entry."""
     stripped = strip_consistency_predicates(inner_path).unparse()
     return f"{format_id_path(region)}::{stripped}"
+
+
+def _decompose(query):
+    """``(shape, inner, bound)`` of an aggregate-shaped *query* -- its
+    tightest freshness bound, ``None`` for none -- or ``None``."""
+    try:
+        canon = canonicalize(query)
+    except XPathError:
+        return None
+    ast = canon.ast
+    if not isinstance(ast, FunctionCall) or ast.name not in SHAPES or \
+            len(ast.arguments) != 1:
+        return None
+    return ast.name, ast.arguments[0], canon.min_tolerance
+
+
+def _split_final(inner):
+    """``(path, final)``: *inner* less a last step that selects a named
+    attribute or ``text()``, which the fold reads off each element
+    *path* matches, and that step (``None``: the elements' own)."""
+    steps = getattr(inner, "steps", ())
+    final = steps[-1] if steps else None
+    if final is None or final.axis == "child" and \
+            isinstance(final.node_test, NameTest):
+        return inner, None
+    test = final.node_test
+    named = final.axis == "attribute" and getattr(test, "name", "*") != "*"
+    text = final.axis == "child" and getattr(test, "node_type", "") == "text"
+    if final.predicates or not (named or text):
+        raise UnsupportedDistributedQueryError(
+            f"a rollup reads elements, named attributes and text(), "
+            f"not {final.unparse()!r}")
+    return LocationPath(inner.absolute, steps[:-1]), final
+
+
+def _suffix(final):
+    return "" if final is None else "/" + final.unparse()
+
+
+def _strings(element, final):
+    """The string values *final* selects on a matched *element*."""
+    if final is None:
+        return (node_string_value(element),)
+    if final.axis == "attribute":
+        value = element.attrib.get(final.node_test.name)
+        return () if value is None else (value,)
+    return [child.value for child in element.children
+            if isinstance(child, Text)]
+
+
+def _uncovered(pattern, outcome, asks):
+    """The last walk's matches no partial asked for by *asks* counts.
+    A match inside an asked region (a fresh copy beside the stale one
+    the ask climbed for, a copy below a ``//`` ask) is the partial's
+    when the ask's path reaches it; with at most one ``//`` step each
+    step matches at one depth, so that is a depth test.  ``None``: a
+    node may count twice (one asked region inside another, or a match
+    inside one under two ``//`` steps)."""
+    items = pattern.items
+    scans = [index for index, item in enumerate(items) if item.descendant]
+    regions = [ask.anchor_path for ask in asks]
+    if any(id_paths_overlap(a, b) and (a != b or len(scans) > 1)
+           for index, a in enumerate(regions) for b in regions[:index]):
+        return None
+    held = {}  # a bare ID stub holds no match: only anchors with content
+    for ask in asks:
+        anchor = outcome.view.find(ask.anchor_path)
+        if anchor is not None and anchor.children:
+            held.setdefault(anchor, []).append(ask)
+    if not held:
+        return outcome.matches
+    last, gap = len(items) - 1, scans[0] if scans else len(items)
+    kept = []
+    for match in outcome.matches:
+        anchor, below = match, 0
+        while anchor is not None and anchor not in held:
+            anchor, below = anchor.parent, below + 1
+        if anchor is None:
+            kept.append(match)
+            continue
+        if len(scans) > 1:
+            return None
+        depth = len(held[anchor][0].anchor_path) - 1
+        for ask in held[anchor]:
+            # The depth of the ask's first step on match's path.
+            step = ask.consumed if ask.consumed < gap else \
+                depth + below - last + ask.consumed
+            if step > depth if _scans(ask, items) else step == depth + 1:
+                break
+        else:
+            kept.append(match)
+    return kept
+
+
+def _scans(ask, items):
+    """Whether *ask*'s first step is a ``//`` step."""
+    return ask.descendant_gap or ask.consumed < len(items) and \
+        items[ask.consumed].descendant
+
+
+def _scans_over(earlier, later, items):
+    """Whether the ``//`` ask *earlier*, from a region above, reaches
+    all *later* does."""
+    region = earlier.anchor_path
+    return earlier.consumed == later.consumed and \
+        _scans(earlier, items) and _scans(later, items) and \
+        len(later.anchor_path) > len(region) and \
+        later.anchor_path[:len(region)] == region
+
+
+def _owned(element):
+    """Whether this site owns the IDable node whose data *element* is."""
+    while element.get(STATUS_ATTRIBUTE) is None and element.parent is not None:
+        element = element.parent
+    return get_status(element) is Status.OWNED
 
 
 class AggregationManager:
@@ -110,6 +205,8 @@ class AggregationManager:
             "answers": 0,
             "rollups": 0,
             "rollup_matches": 0,
+            "overlap_drops": 0,
+            "overlap_regathers": 0,
             "partials_fetched": 0,
             "partials_served": 0,
             "partial_failures": 0,
@@ -138,266 +235,137 @@ class AggregationManager:
     # The query-side entry point
     # ------------------------------------------------------------------
     def try_scalar(self, query, now=None, max_age=None):
-        """Answer an aggregate query from summaries, or decline.
-
-        Returns ``(handled, value)``.  ``handled`` is ``False`` when
-        the query is not aggregate-shaped, or when a ``count``/``sum``
-        rollup cannot complete -- the caller then takes the ordinary
-        gather path untouched.  ``avg``/``min``/``max`` have no naive
-        fallback: an unsupported or failed rollup raises.
-        """
-        plan = self._plan(query)
-        if plan is None:
+        """``(handled, value)``: the rollup's answer, or ``handled``
+        false for a query that is not aggregate-shaped and for a
+        ``count``/``sum`` rollup that cannot complete (the caller takes
+        the ordinary scalar path); ``avg``/``min``/``max`` raise."""
+        decomposed = _decompose(query)
+        if decomposed is None:
             return False, None
+        shape, inner, bound = decomposed
         now = float(now) if now is not None \
             else float(self.agent.clock())
         try:
-            state = self._state_for(plan, now, max_age)
-        except AggregationUnsupported:
-            # Discovered dynamically (e.g. a matched element with
-            # delegated descendants): same dichotomy as the static
-            # check -- naive path where one exists.
+            partial, _as_of = self._rollup(inner, bound, now, max_age)
+        except UnsupportedDistributedQueryError:
             with self._lock:
                 self.stats["unsupported_queries"] += 1
-            if plan.shape in ("count", "sum"):
+            if shape in ("count", "sum"):
                 return False, None
             raise
         except AggregationUnavailable as exc:
             with self._lock:
                 self.stats["fallbacks"] += 1
-            if plan.shape in ("count", "sum"):
+            if shape in ("count", "sum"):
                 return False, None
             raise NetError(
-                f"aggregate rollup unavailable for {plan.shape}(): {exc}"
+                f"aggregate rollup unavailable for {shape}(): {exc}"
             ) from exc
-        partial, _as_of = collapse(state, now)
         with self._lock:
             self.stats["answers"] += 1
-        return True, partial.finalize(plan.shape)
-
-    def _analyze(self, query):
-        """``(shape, inner, anchor, problem, canon)`` for an aggregate-
-        shaped *query*, or ``None`` for anything else.  Side-effect
-        free: planning and EXPLAIN share it."""
-        try:
-            canon = canonicalize(query)
-        except Exception:
-            return None
-        ast = canon.ast
-        if not isinstance(ast, FunctionCall) or ast.name not in SHAPES:
-            return None
-        if len(ast.arguments) != 1 or \
-                not isinstance(ast.arguments[0], LocationPath) or \
-                not ast.arguments[0].absolute:
-            return (ast.name, None, (),
-                    "argument is not an absolute path", canon)
-        inner = ast.arguments[0]
-        anchor = as_id_path(extract_id_path(inner))
-        return (ast.name, inner, anchor,
-                self._support_problem(inner, anchor), canon)
-
-    def _plan(self, query):
-        analysis = self._analyze(query)
-        if analysis is None:
-            return None
-        shape, inner, anchor, problem, canon = analysis
-        if problem is not None:
-            with self._lock:
-                self.stats["unsupported_queries"] += 1
-            if shape in ("count", "sum"):
-                return None  # the evaluator's own shapes: naive path
-            raise AggregationUnsupported(
-                f"{shape}() not answerable hierarchically: {problem}")
-        return _Plan(shape, inner, inner.unparse(), anchor,
-                     canon.min_tolerance)
-
-    def _support_problem(self, inner, anchor):
-        """Why *inner* is outside the rollup algebra, or ``None``.
-
-        The algebra needs every step to be statically routable through
-        IDable frontiers: child axes with name tests, id pins anywhere,
-        and freshness predicates **only on the final step** -- an
-        intermediate consistency predicate would have to be evaluated
-        on a delegated subtree's stub, where timestamps are not
-        maintained.  A final attribute step is allowed (values live on
-        the owning element's site).
-        """
-        if not anchor:
-            return "no IDable anchor (pin at least the root id)"
-        steps = inner.steps
-        last = len(steps) - 1
-        for index, step in enumerate(steps):
-            if step.axis == "attribute":
-                if index != last:
-                    return "attribute step before the end of the path"
-            elif step.axis != "child":
-                return f"unsupported axis {step.axis!r}"
-            if not isinstance(step.node_test, NameTest):
-                return "unsupported node test"
-            for predicate in step.predicates:
-                for conjunct in iter_conjuncts(predicate):
-                    refs = classify_predicate(conjunct)
-                    if refs <= frozenset({REF_ID}):
-                        continue
-                    if index == last and \
-                            refs == frozenset({REF_CONSISTENCY}):
-                        continue
-                    return "unsupported predicate"
-        return None
+        return True, partial.finalize(shape)
 
     # ------------------------------------------------------------------
-    # Merge-state acquisition (summary -> rollup -> wire)
+    # The rollup: summary, else the fold of this site's gather
     # ------------------------------------------------------------------
-    def _state_for(self, plan, now, max_age):
-        key = summary_key(plan.anchor, plan.inner)
-        entry = self.summaries.lookup(key, now, bound=plan.tolerance,
+    def _compile(self, inner):
+        """``(pattern, final, key)`` of the location path *inner*: its
+        element path compiled, the last step the fold reads
+        (:func:`_split_final`) and its summary key."""
+        path, final = _split_final(inner)
+        pattern = self.agent.driver.compile(path)
+        key = summary_key(pattern.anchor or (), pattern.ast) + _suffix(final)
+        return pattern, final, key
+
+    def _rollup(self, inner, bound, now, max_age=None):
+        """``(partial, as_of)`` of the location path *inner* at *now*
+        under the freshness *bound* (``None``: current data)."""
+        driver = self.agent.driver
+        pattern, final, key = self._compile(inner)
+        region = pattern.anchor or ()
+        entry = self.summaries.lookup(key, now, bound=bound,
                                       max_age=max_age)
         if entry is not None:
-            return entry.value
-        state = self._compute_state(plan.anchor, plan.inner,
-                                    plan.inner_source, plan.tolerance, now)
-        self._store_summary(key, plan.anchor, state, now)
-        return state
+            return entry.value, entry.as_of
+        if bound is None:
+            pattern = driver.compile(pattern.source + CURRENT)
+        replies = []
 
-    def _store_summary(self, key, region, state, now):
-        """Cache *state*, rolled up over *region* at *now*, as of the
-        time its stalest part was current."""
-        self.summaries.store(key, state, now, region=region,
-                             nbytes=96 + 160 * len(state),
-                             as_of=collapse(state, now)[1])
+        def send(subquery):
+            if subquery.subtree:
+                return driver.send(subquery)
+            if any(_scans_over(ask, subquery, pattern.items)
+                   for ask, _, _ in replies):
+                return None  # a partial asked for already counts it
+            reply = self._ask_partial(subquery, final, bound, now)
+            if reply is not None:
+                replies.append((subquery,) + reply)
+            return None
 
-    def _compute_state(self, region, inner, inner_source, bound, now):
-        database = self.agent.database
-        element = database.find(region)
-        if element is not None and get_status(element) is Status.OWNED:
-            return self._local_rollup(region, element, inner,
-                                      inner_source, bound, now)
-        return self._remote_partial(region, inner_source, bound, now)
+        outcome = driver.gather(pattern, now=now, send=send, ships=False)
+        matches = _uncovered(pattern, outcome,
+                             [ask for ask, _, _ in replies])
+        if matches is None:
+            # Only a path query's merge makes overlapping asks harmless:
+            # gather the path itself, and fold its matches alone.
+            with self._lock:
+                self.stats["overlap_regathers"] += 1
+            replies = []
+            outcome = driver.gather(pattern, now=now, ships=False)
+            matches = outcome.matches
+        if outcome.failures:
+            failure = outcome.failures[0]
+            raise AggregationUnavailable(
+                f"no answer to {failure.subquery.query!r}: {failure.cause}")
+        with self._lock:
+            self.stats["overlap_drops"] += \
+                len(outcome.matches) - len(matches)
+        partial, as_of = self._fold(matches, final, replies, bound, now)
+        self.summaries.store(key, partial, now, region=region, nbytes=256,
+                             as_of=as_of)
+        return partial, as_of
 
-    def _local_rollup(self, region, region_el, inner, inner_source,
-                      bound, now):
-        """Roll up *region* here: owned matches + frontier partials.
-
-        Owned data is current, whatever its stamp: the freshness bound
-        only travels on to the frontiers' owners."""
-        database = self.agent.database
-        matches = _EVALUATOR.evaluate(strip_consistency_predicates(inner),
-                                      database.root, now=now)
-        partial = Partial()
-        counted = 0
-        for node in matches:
-            element = node.owner if isinstance(node, AttributeRef) else node
-            anchor_el = self._idable_anchor(element)
-            if anchor_el is None or \
-                    not self._owned_chain(region_el, anchor_el):
-                continue
-            if not self._value_complete(element):
-                raise AggregationUnsupported(
-                    "a matched element has delegated IDable descendants; "
-                    "its string-value is not local")
-            partial.add(to_number(node_string_value(node)))
-            counted += 1
-        state = state_of(region, partial, now)
+    def _fold(self, matches, final, replies, bound, now):
+        """The walk's *matches*, read through *final*, and the owners'
+        *replies* (``(ask, partial, as_of)``) as one ``(partial,
+        as_of)``."""
+        partial, as_of = Partial(), now
+        for _ask, part, part_as_of in replies:
+            partial = partial.merge(part)
+            as_of = min(as_of, part_as_of)
+        values = []
+        for match in matches:
+            if bound is not None and not _owned(match):
+                as_of = min(as_of, now - bound)  # a cached copy
+            values.extend(map(to_number, _strings(match, final)))
         with self._lock:
             self.stats["rollups"] += 1
-            self.stats["rollup_matches"] += counted
-        for frontier in self._frontiers(region, region_el, inner):
-            child_state = self._remote_partial(frontier, inner_source,
-                                               bound, now)
-            state = merge_states(state, child_state)
-        return state
-
-    def _idable_anchor(self, element):
-        """The nearest IDable ancestor-or-self (id-bearing element)."""
-        node = element
-        while node is not None and "id" not in node.attrib:
-            node = node.parent
-        return node
-
-    def _owned_chain(self, region_el, anchor_el):
-        """Whether every IDable node from *anchor_el* up to *region_el*
-        is owned here -- the guard that keeps a locally cached copy of
-        a delegated subtree out of the local partial (its owner will be
-        asked as a frontier; counting both would double-count)."""
-        node = anchor_el
-        while node is not None:
-            if "id" in node.attrib and \
-                    get_status(node) is not Status.OWNED:
-                return False
-            if node is region_el:
-                return True
-            node = node.parent
-        return False
-
-    def _value_complete(self, element):
-        """Whether *element*'s string-value is entirely local: no
-        IDable descendant (at any depth) is delegated elsewhere."""
-        stack = list(idable_children(element))
-        while stack:
-            node = stack.pop()
-            if get_status(node) is not Status.OWNED:
-                return False
-            stack.extend(idable_children(node))
-        return True
-
-    def _frontiers(self, region, region_el, inner):
-        """The unowned IDable nodes under *region* the inner path can
-        reach -- each becomes one partial-aggregate subquery."""
-        steps = inner.steps
-        elem_depth = len(steps)
-        if steps and steps[-1].axis == "attribute":
-            elem_depth -= 1
-        frontiers = []
-
-        def visit(element, path):
-            for child in idable_children(element):
-                child_path = path + (node_id(child),)
-                depth = len(child_path)
-                if depth > elem_depth:
-                    continue
-                if get_status(child) is Status.OWNED:
-                    if depth < elem_depth:
-                        visit(child, child_path)
-                    continue
-                if self._reaches(steps, child_path, len(region)):
-                    frontiers.append(child_path)
-
-        visit(region_el, as_id_path(region))
-        return frontiers
-
-    def _reaches(self, steps, child_path, anchor_len):
-        for depth in range(anchor_len, len(child_path)):
-            step = steps[depth]
-            tag, identifier = child_path[depth]
-            name = step.node_test.name
-            if name != "*" and name != tag:
-                return False
-            pinned = single_id_value(step)
-            if pinned is not None and pinned != identifier:
-                return False
-        return True
+            self.stats["rollup_matches"] += len(values)
+        return partial.merge(Partial.of_values(values)), as_of
 
     # ------------------------------------------------------------------
-    # The wire: ask a frontier's owner, serve a parent's ask
+    # The wire: ask a region's owner, serve a parent's ask
     # ------------------------------------------------------------------
-    def _remote_partial(self, region, inner_source, bound, now):
-        """One frontier's collapsed merge-state, fetched from its owner.
-
-        Asked through ``agent.request``, gated.  A DNS-retired region
-        contributes an empty state (the node no longer exists -- the
-        transient inconsistency Section 4 accepts); every refusal and
-        failure raises :class:`AggregationUnavailable` and the whole
-        ask degrades to the naive path.
-        """
-        target = self.agent.resolve_owner(region)
+    def _ask_partial(self, subquery, final, bound, now):
+        """``(partial, as_of)`` of one of the walk's asks, read through
+        *final*, asked of its region's owner through ``agent.request``,
+        gated; ``None`` for a region DNS retired (Section 4's transient
+        inconsistency).  Every refusal and failure raises
+        :class:`AggregationUnavailable`."""
+        target = self.agent.resolve_owner(subquery.anchor_path)
         if target is None:
-            return {}
+            return None
         if target == self.agent.site_id:
             raise AggregationUnavailable(
-                f"DNS says {self.agent.site_id!r} owns {region} but the "
-                "region is not stored as owned here")
+                f"DNS says {self.agent.site_id!r} owns "
+                f"{format_id_path(subquery.anchor_path)} but the walk "
+                "asked for it")
+        query = subquery.query
+        if bound is None:  # the owner puts back the zero tolerance
+            query = strip_consistency_predicates(
+                xpath_parser.parse(query)).unparse()
         message = PartialAggregateRequest(
-            region, inner_source, bound=bound, now=now,
+            None, query + _suffix(final), bound=bound, now=now,
             sender=self.agent.site_id)
         try:
             reply = self.agent.request(target, message,
@@ -409,59 +377,58 @@ class AggregationManager:
                 f"no partial from site {target!r}: {exc}") from exc
         with self._lock:
             self.stats["partials_fetched"] += 1
-        return reply.state
+        return collapse(reply.state, now)
 
     def answer_partial(self, message):
-        """Serve one :class:`PartialAggregateRequest` (the OA handler).
-
-        Summary first (served under the parent's bound; an unbounded
-        ask always recomputes), rollup on miss -- recursing into this
-        site's own frontiers -- and the reply carries the state
-        collapsed to one entry keyed by the asked region and stamped
-        with its as-of time, so state maps stay fan-out-sized all the
-        way up and a parent never holds a part longer than its bound.
-        """
+        """Serve one :class:`PartialAggregateRequest` (the OA handler)
+        with this site's rollup of its query: one entry keyed by the
+        region (the request's, else the one its id pins name) and
+        stamped with its as-of time, so a parent never holds a part
+        longer than its bound."""
         now = float(message.now) if message.now is not None \
             else float(self.agent.clock())
-        bound = message.bound
-        region = as_id_path(message.region)
+
+        def refuse(code, detail, retryable=False):
+            return ErrorMessage(message.message_id, code=code, detail=detail,
+                                retryable=retryable,
+                                sender=self.agent.site_id)
+
         try:
             inner = xpath_parser.parse(message.query)
-        except Exception as exc:
-            return ErrorMessage(message.message_id, code="agg-bad-query",
-                                detail=str(exc), retryable=False,
-                                sender=self.agent.site_id)
-        key = summary_key(region, inner)
-        entry = self.summaries.lookup(key, now, bound=bound)
-        if entry is not None:
-            state = entry.value
-        else:
-            element = self.agent.database.find(region)
-            if element is None or get_status(element) is not Status.OWNED:
-                return ErrorMessage(
-                    message.message_id, code="agg-not-owned",
-                    detail=f"{self.agent.site_id} does not own the region",
-                    retryable=False, sender=self.agent.site_id)
-            try:
-                state = self._local_rollup(region, element, inner,
-                                           message.query, bound, now)
-            except AggregationUnsupported as exc:
-                return ErrorMessage(
-                    message.message_id, code="agg-unsupported",
-                    detail=str(exc), retryable=False,
-                    sender=self.agent.site_id)
-            except AggregationUnavailable as exc:
-                return ErrorMessage(
-                    message.message_id, code="agg-unavailable",
-                    detail=str(exc), retryable=True,
-                    sender=self.agent.site_id)
-            self._store_summary(key, region, state, now)
-        partial, as_of = collapse(state, now)
+            pattern = self._compile(inner)[0]
+        except XPathError as exc:
+            return refuse("agg-bad-query", str(exc))
+        except UnsupportedDistributedQueryError as exc:
+            return refuse("agg-unsupported", str(exc))
+        region = message.region if message.region is not None \
+            else pattern.anchor or ()
+        if not self._serves(region):
+            return refuse("agg-not-owned",
+                          f"{self.agent.site_id} does not own the region")
+        try:
+            partial, as_of = self._rollup(inner, message.bound, now)
+        except AggregationUnavailable as exc:
+            return refuse("agg-unavailable", str(exc), retryable=True)
         with self._lock:
             self.stats["partials_served"] += 1
         return PartialAggregateAnswer(
             message.message_id, state_of(region, partial, as_of),
             sender=self.agent.site_id)
+
+    def _serves(self, region):
+        """Whether this site owns a node on *region*'s path down to the
+        deepest one it stores: an ask's pins may name a region below the
+        one it was sent for."""
+        node = self.agent.database.root
+        if not region or node_id(node) != tuple(region[0]):
+            return False
+        owned = get_status(node) is Status.OWNED
+        for tag, identifier in region[1:]:
+            node = node.child(tag, id=identifier)
+            if node is None:
+                break
+            owned = owned or get_status(node) is Status.OWNED
+        return owned
 
     # ------------------------------------------------------------------
     # Derived sensors
@@ -540,49 +507,35 @@ class AggregationManager:
         return counters
 
     def explain(self, context):
-        """The hierarchical-aggregation view of an EXPLAIN run.
-
-        Rebuilds the plan side-effect-free and ``peek``s the summary
-        cache, so an EXPLAIN never distorts the hit/miss counters it
-        reports.
-        """
-        info = self._explain_info(context.source, context.now)
-        if info["shape"] is None:
-            lines = ["aggregation: (not an aggregate query)"]
-        elif not info["supported"]:
-            lines = [f"aggregation: {info['shape']}() via naive gather"
-                     f" ({info['problem']})"]
-        else:
-            lines = [f"aggregation: {info['shape']}() via summary rollup",
-                     f"  summary:   {info['summary_key']}"]
-            entry = info.get("summary")
-            if entry is None:
-                lines.append("  summary-cache miss (rollup would compute)")
-            else:
-                lines.append(
-                    f"  summary-cache hit candidate (age {entry['age']:g}s,"
-                    f" as of {entry['as_of']:g}, hits {entry['hits']})")
-        context.add_section(self.name, info, lines)
-
-    def _explain_info(self, source, now):
+        """The hierarchical-aggregation view of an EXPLAIN run: it
+        ``peek``s the summary cache, so an EXPLAIN never distorts the
+        hit/miss counters it reports."""
         info = {"enabled": True, "shape": None,
                 "summaries_held": len(self.summaries),
                 "derived_sensors": sorted(self.derived)}
-        analysis = self._analyze(source)
-        if analysis is None:
-            return info
-        info["shape"], inner, anchor, problem, _canon = analysis
-        info["supported"] = problem is None
-        if problem is not None:
-            info["problem"] = problem
-            return info
-        key = summary_key(anchor, inner)
-        info["summary_key"] = key
-        entry = self.summaries.peek(key)
-        if entry is not None:
-            info["summary"] = {
-                "age": round(entry.age(now), 3),
-                "hits": entry.hits,
-                "as_of": entry.as_of,
-            }
-        return info
+        lines = ["aggregation: (not an aggregate query)"]
+        decomposed = _decompose(context.source)
+        if decomposed is not None:
+            info["shape"], inner, _bound = decomposed
+            try:
+                key = self._compile(inner)[2]
+            except UnsupportedDistributedQueryError as exc:
+                info.update(supported=False, problem=str(exc))
+                lines = [f"aggregation: {info['shape']}() via naive gather"
+                         f" ({exc})"]
+                context.add_section(self.name, info, lines)
+                return
+            info.update(supported=True, summary_key=key)
+            lines = [f"aggregation: {info['shape']}() via summary rollup",
+                     f"  summary:   {key}"]
+            entry = self.summaries.peek(key)
+            if entry is None:
+                lines.append("  summary-cache miss (rollup would compute)")
+            else:
+                info["summary"] = {"age": round(entry.age(context.now), 3),
+                                   "hits": entry.hits, "as_of": entry.as_of}
+                lines.append(
+                    f"  summary-cache hit candidate (age "
+                    f"{info['summary']['age']:g}s, as of {entry.as_of:g},"
+                    f" hits {entry.hits})")
+        context.add_section(self.name, info, lines)

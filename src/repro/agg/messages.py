@@ -21,14 +21,14 @@ from repro.xmlkit.nodes import Element
 class PartialAggregateRequest(Message):
     """"Roll up *query* under *region* and send me the merge-state."
 
-    The hierarchical-aggregation ask: instead of gathering a frontier's
-    whole subtree, its owner is asked for the (count, sum, min, max)
-    partial of the matches under *region* -- tuples on the wire, never
-    data.  ``query`` is the inner location path, canonical, with the
-    caller's own bounds; ``bound`` is the tightest of them in seconds (absent for an
-    unbounded ask, which the owner must recompute): the owner serves a
-    summary only if its data was current at ``now - bound``.  ``now``
-    pins the clock every level judges freshness by.
+    The hierarchical-aggregation ask: a region's owner is asked for the
+    (count, sum, min, max) partial of *query*'s matches -- tuples on the
+    wire, never data.  ``query`` is one of the asker's walk's asks, with
+    the caller's own bounds; its id pins name the region, so *region*
+    travels only when given.  ``bound`` is the tightest bound in seconds
+    (absent: the owner counts current data only and serves no summary;
+    else a summary only if current at ``now - bound``).  ``now`` pins
+    the clock every level judges freshness by.
     """
 
     kind = "partial-agg"
@@ -36,7 +36,7 @@ class PartialAggregateRequest(Message):
     def __init__(self, region, query, bound=None, now=None, sender=None,
                  message_id=None):
         super().__init__(sender=sender, message_id=message_id)
-        self.region = as_id_path(region)
+        self.region = as_id_path(region) if region is not None else None
         self.query = query
         self.bound = float(bound) if bound is not None else None
         self.now = float(now) if now is not None else None
@@ -47,14 +47,16 @@ class PartialAggregateRequest(Message):
             envelope.set("bound", repr(self.bound))
         if self.now is not None:
             envelope.set("now", repr(self.now))
-        envelope.append(encode_id_path(self.region))
+        if self.region is not None:
+            envelope.append(encode_id_path(self.region))
 
     @staticmethod
     def _parse(envelope):
         bound = envelope.get("bound")
         now = envelope.get("now")
+        path = envelope.child("path")
         return {
-            "region": decode_id_path(envelope.child("path")),
+            "region": decode_id_path(path) if path is not None else None,
             "query": envelope.get("q"),
             "bound": float(bound) if bound is not None else None,
             "now": float(now) if now is not None else None,

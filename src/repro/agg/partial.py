@@ -26,14 +26,11 @@ answered from summaries agree with the naive
 :func:`~repro.xpath.functions.fn_count` / ``fn_sum`` fan-out path.
 
 A **merge-state** is a mapping ``{region id_path: (Partial, as_of)}``
--- one entry per contributing subtree, ``as_of`` the earliest time all
-its data was known current.  Merging two states is a keyed union where
-a key present in both resolves deterministically to the entry with the
-larger ``(as_of, encoding)`` pair: merging a state
-with itself (a duplicated reply) is a no-op, and merge order never
-matters.  :func:`collapse` folds a state into one ``(Partial, ts)``
-pair -- what a site ships upward, keyed by its own region, so state
-maps stay fan-out-sized instead of leaf-sized.
+-- what a partial-aggregate answer carries, ``as_of`` the earliest time
+the region's data was all known current.  :func:`collapse` folds one
+into a single ``(Partial, as_of)`` pair, as of its stalest entry.  The
+rollup folds the replies to one walk's asks, which cover disjoint
+regions, with :meth:`Partial.merge` and a minimum as-of.
 """
 
 import math
@@ -216,27 +213,6 @@ def _as_path(id_path):
 def state_of(region, partial, as_of):
     """A single-entry merge-state."""
     return {_as_path(region): (partial, float(as_of))}
-
-
-def merge_states(*states):
-    """The keyed union of merge-states (associative/commutative).
-
-    A region present in several states resolves to the entry with the
-    larger ``(as_of, partial signature)`` pair -- a total order, so
-    any merge tree over the same multiset of states yields the same
-    result, and a duplicated state changes nothing.
-    """
-    merged = {}
-    for state in states:
-        for region, (partial, as_of) in state.items():
-            region = _as_path(region)
-            existing = merged.get(region)
-            if existing is not None and \
-                    (existing[1], existing[0].signature()) >= \
-                    (as_of, partial.signature()):
-                continue
-            merged[region] = (partial, as_of)
-    return merged
 
 
 def collapse(state, now=None):

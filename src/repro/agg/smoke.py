@@ -4,9 +4,10 @@
 three-site TCP deployment with aggregation enabled and walks the
 tentpole loop over real sockets:
 
-* hierarchical rollups: all five shapes over the whole region, each
-  answered through partial-aggregate subqueries to the two child
-  sites, with ``count``/``sum`` checked against hand-computed truth;
+* hierarchical rollups: all five shapes over the whole region, a
+  count under a value predicate and one through a ``//`` scan, each
+  answered through partial-aggregate subqueries to the two child sites
+  and checked against hand-computed truth;
 * summary caching: the same bounded ask twice is one rollup and one
   summary hit;
 * a derived sensor registered at the root: its initial value is
@@ -44,8 +45,12 @@ def _document():
 ALL_VALUES = "/region[@id='R']/group/sensor/value"
 BOUNDED = ALL_VALUES + "[timestamp() > current-time() - 120]"
 #: values 0,1,2 (g0) and 10,11,12 (g1); the root heartbeat sensor is
-#: not under a group, so no shape sees it.
-TRUTH = {"count": 6.0, "sum": 36.0, "avg": 6.0, "min": 0.0, "max": 12.0}
+#: not under a group, so only the ``//`` scan sees it.
+TRUTH = {f"{shape}({ALL_VALUES})": value for shape, value in (
+    ("count", 6.0), ("sum", 36.0), ("avg", 6.0), ("min", 0.0),
+    ("max", 12.0))}
+TRUTH[f"count({ALL_VALUES}[. > 5])"] = 3.0
+TRUTH["count(/region[@id='R']//value)"] = 7.0
 G1_S2 = (("region", "R"), ("group", "g1"), ("sensor", "s2"))
 HEARTBEAT = (("region", "R"), ("sensor", "hb"))
 FORMULA = f"max({ALL_VALUES}) - min({ALL_VALUES})"
@@ -64,19 +69,20 @@ def run(artifacts):
     try:
         cluster = tcp.cluster
 
-        # 1. Every shape, rolled up over the wire.
-        for shape, expected in TRUTH.items():
-            value = cluster.scalar(f"{shape}({ALL_VALUES})",
-                                   at_site="top")
+        # 1. Every shape, a value predicate and a ``//`` scan, each
+        #    rolled up over the wire.
+        manager = cluster.agents["top"].subsystem("aggregation")
+        for query, expected in TRUTH.items():
+            before = manager.metrics()["partials_fetched"]
+            value = cluster.scalar(query, at_site="top")
             if value != expected:
                 problems.append(
-                    f"{shape}: rollup said {value!r}, truth {expected!r}")
-        manager = cluster.agents["top"].subsystem("aggregation")
-        if manager.metrics()["partials_fetched"] == 0:
-            problems.append("no partial-aggregate subquery was sent")
+                    f"{query}: rollup said {value!r}, truth {expected!r}")
+            if manager.metrics()["partials_fetched"] == before:
+                problems.append(f"{query}: no partial-aggregate subquery")
 
         # 2. The bounded ask twice: *both* are summary hits -- the
-        #    unbounded rollups above already stored the merge-state
+        #    unbounded rollups above already stored the partial
         #    under the same freshness-stripped key (cross-shape and
         #    cross-bound sharing).
         before = manager.metrics()["summary"]["hits"]
@@ -96,12 +102,19 @@ def run(artifacts):
             G1_S2, values={"value": "50"}, sender="sa-smoke"))
         # The subscription lives at the root owner, so a *root-owned*
         # update wakes it; the refresh then recomputes the rollup and
-        # picks up the leaf's new value over the wire.
+        # picks up the leaf's new value over the wire: one partial per
+        # group and aggregate, though the subscription cached every
+        # sensor at the root.
+        before = manager.metrics()["partials_fetched"]
         cluster.agents["top"].handle_message(UpdateMessage(
             HEARTBEAT, values={"value": "1"}, sender="sa-smoke"))
+        refresh_partials = manager.metrics()["partials_fetched"] - before
         if sensor.last_value != 50.0:
             problems.append(
                 f"derived sensor did not re-fire: {sensor.last_value!r}")
+        if refresh_partials != 4:
+            problems.append(
+                f"the refresh sent {refresh_partials} partials, wanted 4")
         derived_answer = cluster.scalar(
             "count(/region[@id='R']/derived[@id='spread'])",
             at_site="top")
@@ -110,9 +123,10 @@ def run(artifacts):
 
         counters = manager.metrics()
         summary = {
-            "shapes_checked": sorted(TRUTH),
+            "queries_checked": sorted(TRUTH),
             "formula": FORMULA,
             "derived_final_value": sensor.last_value,
+            "refresh_partials": refresh_partials,
             "site_counters": {
                 site: cluster.agents[site].subsystem("aggregation").metrics()
                 for site in ("top", "mid", "leaf")},

@@ -294,3 +294,14 @@ class AnswerBuilder:
         self._built = len(plan)
         return self.root
 
+
+
+class GapFinder(AnswerBuilder):
+    """The builder of a walk whose answer never ships (a user query's,
+    a scalar's, a rollup's): it includes nothing, and
+    :meth:`include_subtree` still reports every gap below a result."""
+
+    def include_id_information(self, element):
+        pass
+
+    include_ancestors = include_local_information = include_id_information

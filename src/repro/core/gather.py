@@ -331,8 +331,14 @@ class GatherDriver:
         )
 
     # ------------------------------------------------------------------
-    def gather(self, query, now=None):
-        """Gather everything *query* needs; returns a :class:`GatherOutcome`."""
+    def gather(self, query, now=None, send=None, ships=True):
+        """Gather everything *query* needs; returns a :class:`GatherOutcome`.
+
+        *send*, when given, delivers this gather's subqueries in place of
+        the driver's own ``send`` and ``send_many``, one after another (a
+        caller that answers some asks itself, as the aggregation rollup
+        does).  *ships* false: the caller never reads ``wire_answer``
+        (``None`` then), so no walk records one."""
         site = self.database.site_id
         with TRACER.span("gather", site=site) as gather_span:
             with TRACER.span("parse", site=site):
@@ -358,7 +364,8 @@ class GatherDriver:
             for rounds in range(1, self.MAX_ROUNDS + 1):
                 with TRACER.span("qeg", site=site) as qeg_span:
                     qeg_span.set_tag("round", rounds)
-                    result = run_qeg(view, pattern, now=now, vouched=vouched)
+                    result = run_qeg(view, pattern, now=now, vouched=vouched,
+                                     ships=ships)
                 # A subquery whose answer was already merged is resolved
                 # -- and so is any narrower ask it subsumes: the
                 # remote's generalized answer is authoritative for
@@ -380,7 +387,7 @@ class GatherDriver:
                 with TRACER.span("subquery-dispatch", site=site) as dspan:
                     dspan.set_tag("round", rounds)
                     dspan.set_tag("fanout", len(pending))
-                    replies = self._dispatch_round(pending)
+                    replies = self._dispatch_round(pending, send)
                 with TRACER.span("merge", site=site) as merge_span:
                     merge_span.set_tag("round", rounds)
                     for subquery, reply in zip(pending, replies):
@@ -459,8 +466,12 @@ class GatherDriver:
             failure.stale_served = True
             vouched.update(iter_idable(anchor))
 
-    def _dispatch_round(self, pending):
-        """Send one round's subqueries; replies come back in input order."""
+    def _dispatch_round(self, pending, send=None):
+        """Send one round's subqueries; replies come back in input order.
+        A caller's own *send* runs them one after another on this thread,
+        the one holding the site guard each remote wait lets go of."""
+        if send is not None:
+            return [send(subquery) for subquery in pending]
         if len(pending) == 1:
             return [self.send(pending[0])]
         if self.send_many is not None:
@@ -479,7 +490,7 @@ class GatherDriver:
         region whose fetch failed is asked for to the end and so
         matches nothing, unless ``stale_on_error`` served it.
         """
-        outcome = self.gather(query, now=now)
+        outcome = self.gather(query, now=now, ships=False)
         return [clean_copy(match) for match in outcome.matches], outcome
 
     def answer_subquery(self, query, now=None):
@@ -531,7 +542,7 @@ class GatherDriver:
             lookup_span.set_tag("hit", cached is not None)
         if cached is not None:
             return cached.value
-        outcome = self.gather(ast.arguments[0], now=now)
+        outcome = self.gather(ast.arguments[0], now=now, ships=False)
         value = _EVALUATOR.evaluate(
             FunctionCall(ast.name, [VariableReference("matches")]),
             outcome.view.root, variables={"matches": outcome.matches},

@@ -34,9 +34,9 @@ Per-node behaviour matches the four status cases of Section 3.5:
     like owned, but freshness comes first: a copy failing its bound,
     unless this gather vouched for it, is asked for again.
 
-Each such ask, and a ``//`` scan's at an ID stub, is anchored where the
-cold plan asks (:meth:`_Walker._ask_at`): a refresh costs no more than a
-first posing.
+Each such ask -- a stale copy's non-IDable content's too -- and a
+``//`` scan's at an ID stub, is anchored where the cold plan asks
+(:meth:`_Walker._climb`): a refresh costs no more than a first posing.
 
 Nesting depth > 0 (Section 4) is handled the way the paper implements
 it: the walk stops at the earliest tag a nested predicate references,
@@ -49,7 +49,7 @@ import functools
 import re
 import threading
 
-from repro.core.answer import AnswerBuilder, Subquery
+from repro.core.answer import AnswerBuilder, GapFinder, Subquery
 from repro.core.lru import LRUCache
 from repro.core.consistency import strip_consistency_predicates
 from repro.core.errors import UnsupportedDistributedQueryError
@@ -58,7 +58,6 @@ from repro.core.idable import (
     id_path_of,
     idable_children,
     iter_idable,
-    lowest_idable_ancestor_or_self,
     subtree_materialized,
 )
 from repro.core.status import Status, get_status
@@ -445,7 +444,8 @@ class QEGResult:
     """Output of one QEG pass over a site database.
 
     The walk only records what the answer fragment includes; ``answer``
-    builds it on first read, which only a site that ships it does.
+    builds it on first read.  A walk whose answer never ships records
+    nothing (``answer`` is ``None``).
     ``matches``, the gap-free final-step matches in document order, are
     the user's result on a round that asks for nothing.
     """
@@ -484,13 +484,15 @@ _SUBTREE = "subtree"
 
 
 class _Walker:
-    def __init__(self, db, pattern, now, observer=None, vouched=()):
+    def __init__(self, db, pattern, now, observer=None, vouched=(),
+                 ships=True):
         self.db = db
         self.pattern = pattern
         self.items = pattern.items
         self.now = now
         self.vouched = vouched
-        self.builder = AnswerBuilder(db)
+        self.ships = ships
+        self.builder = AnswerBuilder(db) if ships else GapFinder(db)
         self.subqueries = []
         self.matches = []
         #: Optional decision observer (EXPLAIN): notified of every
@@ -524,17 +526,30 @@ class _Walker:
             self.observer.note_ask(subquery)
 
     def _locally_idable(self, node):
-        """:func:`repro.core.idable._locally_idable` off the per-parent set."""
+        """:func:`repro.core.idable._locally_idable` off the per-parent
+        set, built only for a parent with an id-bearing child."""
+        if isinstance(node, Text) or "id" not in node.attrib:
+            return False
         parent = node.parent
         if parent is None:
-            return not isinstance(node, Text) and node.id is not None
+            return True
         kids = self._idable_kids.get(id(parent))
         if kids is None:
             kids = self._idable_kids[id(parent)] = set(
                 map(id, idable_children(parent)))
         return id(node) in kids
 
+    def _lowest_idable(self, node):
+        """*node* if locally IDable, else its nearest such ancestor
+        (:func:`repro.core.idable.lowest_idable_ancestor_or_self` off the
+        per-parent sets)."""
+        while node.parent is not None and not self._locally_idable(node):
+            node = node.parent
+        return node
+
     def evaluate(self, predicates, node):
+        if not predicates:
+            return True
         try:
             return all(
                 to_boolean(_EVALUATOR.evaluate(p, node, now=self.now))
@@ -604,6 +619,7 @@ class _Walker:
                 return
 
         threads = [(j, self.items[j]) for j in sorted(states)]
+        final = {n_items}
         self._held.append(states)
         for child in element.children:
             child_states = set()
@@ -614,11 +630,14 @@ class _Walker:
                     outcome = self._match_item(child, j)
                     if outcome == _MATCH:
                         child_states.add(j + 1)
-                        if j + 1 < n_items:
+                        if j + 1 < n_items and self.ships:
                             self._include_pass_through(child, item)
                     elif outcome == _NO:
                         self.stats["prunes"] += 1
-            if child_states:
+            if child_states == final:  # _process would only include it
+                self.stats["nodes_visited"] += 1
+                self._include_result(child)
+            elif child_states:
                 self._process(child, child_states)
         self._held.pop()
 
@@ -728,9 +747,13 @@ class _Walker:
         if not self._locally_idable(node):
             # Non-IDable content: physically present, so everything is
             # evaluable; consistency follows the enclosing IDable node.
-            anchor = lowest_idable_ancestor_or_self(node)
+            anchor = self._lowest_idable(node)
             if get_status(anchor) is Status.COMPLETE and \
                     self._stale(split, node, anchor):
+                top, k, gap = self._climb(node, j)
+                if top is not anchor and self._locally_idable(top):
+                    return self._ask_below(top, k, Subquery.STALE, gap)
+                # The climb did not leave the IDable anchor: ask below it.
                 return self._ask_below(anchor, j, Subquery.STALE, gap=True)
             return _MATCH if self.evaluate(split.rest_predicates, node) \
                 else _NO
@@ -761,12 +784,24 @@ class _Walker:
 
     def _ask_at(self, node, j, reason, scan=False):
         """Ask for what *node* lacks under item *j* (*scan*: an ID stub a
-        ``//`` scan for item *j* meets) where the cold plan asks: the
-        anchor climbs to its parent over each step with no id predicate
-        while the parent's region holds nothing owned here (subquery
-        chains must only descend), over a ``//`` step with a gap, up to
-        the node the scan started from."""
-        anchor, i, gap = node, j, False  # climbing over item i next
+        ``//`` scan for item *j* meets) where the cold plan asks
+        (:meth:`_climb`)."""
+        anchor, k, gap = self._climb(node, j)
+        if anchor is not node:
+            return self._ask_below(anchor, k, reason, gap)
+        if scan:
+            return self._ask_below(node, j, reason, gap=True)
+        return self._ask_residual(node, j, reason)
+
+    def _climb(self, node, j):
+        """``(anchor, k, gap)``: ask for items ``k:`` below *anchor*
+        (``//`` below it: *gap*) for what *node*, the child being decided
+        under item *j*, lacks.  The anchor climbs to its parent over each
+        step with no id predicate while the parent's region holds nothing
+        owned here (subquery chains must only descend), over a ``//``
+        step with a gap, up to the node the scan started from; *anchor*
+        is *node* when it does not climb."""
+        anchor, i, k, gap = node, j, j, False  # climbing over item i next
         level = len(self._held)  # self._held[level - 1]: anchor.parent's
         while anchor.parent is not None:
             item = self.items[i]
@@ -776,11 +811,7 @@ class _Walker:
             level -= 1
             if not (gap and level and i in self._held[level - 1]):
                 i -= 1
-        if anchor is not node:
-            return self._ask_below(anchor, k, reason, gap)
-        if scan:
-            return self._ask_below(node, j, reason, gap=True)
-        return self._ask_residual(node, j, reason)
+        return anchor, k, gap
 
     def _ask_residual(self, node, j, reason):
         """Ask for *node* under item *j*'s residual predicates, and for
@@ -842,7 +873,7 @@ class _Walker:
         """Fetch-subtree strategy at the collect point (Section 4): the
         data below *element* is judged, and fetched, at its lowest IDable
         ancestor-or-self, the smallest region an id path can name."""
-        anchor = lowest_idable_ancestor_or_self(element)
+        anchor = self._lowest_idable(element)
         if not subtree_materialized(anchor):
             self._ask_subtree(anchor, Subquery.NESTED_FETCH)
             return
@@ -880,7 +911,7 @@ class _Walker:
         """Include a final-step *match*'s answer region; record the match
         as a result unless part of its data is still missing here."""
         element = match.parent if isinstance(match, Text) else match
-        anchor = lowest_idable_ancestor_or_self(element)
+        anchor = self._lowest_idable(element)
         self.builder.include_ancestors(anchor)
         missing = []
         if anchor is element:
@@ -903,7 +934,7 @@ class _Walker:
         self.ask(Subquery(text, anchor_path, reason, subtree=True))
 
 
-def run_qeg(db, pattern, now=None, observer=None, vouched=()):
+def run_qeg(db, pattern, now=None, observer=None, vouched=(), ships=True):
     """Run one QEG pass of *pattern* over the site database *db*.
 
     *now* is the query's clock reading for consistency predicates;
@@ -912,9 +943,11 @@ def run_qeg(db, pattern, now=None, observer=None, vouched=()):
     the EXPLAIN hook, ``None`` (free) outside explain runs;
     *vouched* holds the IDable elements whose cached data this gather
     got from a reply to an exact ask, or served under
-    ``stale_on_error``: no freshness bound makes them stale.
+    ``stale_on_error``: no freshness bound makes them stale;
+    *ships* false: the answer is never read, so the walk records none
+    (``answer`` is ``None``) and only asks for what its matches lack.
     """
     if isinstance(pattern, str):
         pattern = compile_pattern(pattern)
     return _Walker(db, pattern, now, observer=observer,
-                   vouched=vouched).run()
+                   vouched=vouched, ships=ships).run()

@@ -582,7 +582,7 @@ def prewarm(cluster, log, now=None, limit=None, deduplicate=True):
             if isinstance(ast, _FunctionCall) and ast.name in SCALAR_WRAPPERS:
                 driver.answer_scalar(ast, now=now)
             else:
-                driver.gather(ast, now=now)
+                driver.gather(ast, now=now, ships=False)
             driver.note_prewarm()
         except Exception:
             failures += 1

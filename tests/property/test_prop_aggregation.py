@@ -1,10 +1,10 @@
 """Property: the partial-aggregate algebra is a commutative monoid,
 and summary-served answers equal the naive fan-out byte-for-byte.
 
-The hierarchy's correctness rests on three algebraic facts the rollup
+The hierarchy's correctness rests on two algebraic facts the rollup
 tree exploits freely -- merge order never matters (children reply in
-any order), merge grouping never matters (interior sites pre-merge),
-and a duplicated reply changes nothing -- plus two end-to-end facts:
+any order) and merge grouping never matters (interior sites
+pre-merge) -- plus two end-to-end facts:
 for *any* tree shape and *any* partition of it over sites, an
 aggregate answered through summaries prints identically to the same
 aggregate computed by naive leaf fan-out; and under any freshness bound
@@ -17,14 +17,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.agg import (
-    AggregationConfig,
-    Partial,
-    SHAPES,
-    collapse,
-    merge_states,
-    state_of,
-)
+from repro.agg import SHAPES, AggregationConfig, Partial
 from repro.core import PartitionPlan
 from repro.core.consistency import strip_consistency_predicates
 from repro.net import Cluster
@@ -45,21 +38,6 @@ values = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf")]),
 )
 value_lists = st.lists(values, max_size=12)
-
-REGIONS = [
-    (("region", "R"),),
-    (("region", "R"), ("group", "g0")),
-    (("region", "R"), ("group", "g1")),
-    (("region", "R"), ("group", "g1"), ("sensor", "s3")),
-]
-
-states = st.dictionaries(
-    st.sampled_from(REGIONS),
-    st.tuples(value_lists.map(Partial.of_values),
-              st.floats(min_value=0.0, max_value=1e6,
-                        allow_nan=False)),
-    max_size=4,
-)
 
 
 def _same_float(a, b):
@@ -108,36 +86,11 @@ class TestMergeAlgebra:
                                partial.finalize(shape))
 
 
-class TestStateAlgebra:
-    @given(states, states)
-    def test_commutative(self, a, b):
-        assert merge_states(a, b) == merge_states(b, a)
-
-    @given(states, states, states)
-    def test_associative(self, a, b, c):
-        assert merge_states(merge_states(a, b), c) == \
-            merge_states(a, merge_states(b, c))
-
-    @given(states)
-    def test_duplicate_safe(self, a):
-        assert merge_states(a, a) == a
-
-    @given(states, states)
-    def test_collapse_ignores_merge_order(self, a, b):
-        left, left_ts = collapse(merge_states(a, b), now=0.0)
-        right, right_ts = collapse(merge_states(b, a), now=0.0)
-        assert left == right
-        assert left_ts == right_ts
-
-
 def test_signed_zero_extrema_ignore_merge_order():
-    """The shrunk ``test_collapse_ignores_merge_order`` case: ``0.0``
-    and ``-0.0`` compare equal, so plain ``min``/``max`` kept whichever
-    came first."""
-    a = state_of(REGIONS[0], Partial.of_values([0.0]), 0.0)
-    b = state_of(REGIONS[1], Partial.of_values([-0.0]), 0.0)
-    left, _ = collapse(merge_states(a, b), now=0.0)
-    right, _ = collapse(merge_states(b, a), now=0.0)
+    """``0.0`` and ``-0.0`` compare equal, so plain ``min``/``max`` kept
+    whichever came first."""
+    a, b = Partial.of_values([0.0]), Partial.of_values([-0.0])
+    left, right = a.merge(b), b.merge(a)
     assert left == right
     assert (left.to_attrs()["lo"], left.to_attrs()["hi"]) == ("-0.0", "0.0")
     assert Partial.of_values([0.0, -0.0]) == Partial.of_values([-0.0, 0.0])
@@ -146,10 +99,23 @@ def test_signed_zero_extrema_ignore_merge_order():
 # ----------------------------------------------------------------------
 # Summary-served == naive fan-out, for any tree shape
 # ----------------------------------------------------------------------
+#: Inner paths over a deployment *zones* deep: value predicates on
+#: either step, and ``//`` scans.
+DEPLOYMENT_PATHS = (
+    "{zones}/sensor/value",
+    "{zones}/sensor/value[. > 0]",
+    "{zones}/sensor[value < 0]/value",
+    "//value",
+    "//zone/sensor/value[. != 0]",
+    "//sensor[value > 0]/value",
+    "//zone//value",
+)
+
+
 @st.composite
 def deployments(draw):
-    """A random-shape document, a random partition of it, and the
-    query depth: zones branch irregularly (including empty ones) and
+    """A random-shape document, a random partition of it, and an inner
+    path over it: zones branch irregularly (including empty ones) and
     any zone may be delegated to its own site."""
     depth = draw(st.integers(min_value=1, max_value=3))
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
@@ -176,8 +142,9 @@ def deployments(draw):
                     zone.append(sensor)
 
     grow(root, (("deployment", "D"),), 0)
-    query_tail = "/zone" * depth + "/sensor/value"
-    return root, assignments, f"/deployment[@id='D']{query_tail}"
+    path = draw(st.sampled_from(DEPLOYMENT_PATHS))
+    inner = "/deployment[@id='D']" + path.format(zones="/zone" * depth)
+    return root, assignments, inner
 
 
 @settings(max_examples=25, deadline=None)
@@ -231,7 +198,14 @@ def _naive(shape, leaf_values):
 # ----------------------------------------------------------------------
 # Freshness: aggregation on == off == the stripped oracle
 # ----------------------------------------------------------------------
-SMOKE_VALUES = "/region[@id='R']/group/sensor/value"
+#: Inner paths over the three-site deployment: value predicates on
+#: either step, and ``//`` scans; the freshness bound goes on the last.
+SMOKE_PATHS = (
+    "/region[@id='R']/group/sensor/value",
+    "/region[@id='R']/group/sensor/value[. > 5]",
+    "/region[@id='R']//value",
+    "/region[@id='R']//sensor[value > 5]/value",
+)
 SMOKE_SENSORS = [(("region", "R"), ("group", f"g{index // 3}"),
                   ("sensor", f"s{index % 3}")) for index in range(6)]
 SMOKE_OWNERS = {"g0": "mid", "g1": "leaf"}
@@ -239,8 +213,11 @@ SMOKE_OWNERS = {"g0": "mid", "g1": "leaf"}
 
 @st.composite
 def freshness_histories(draw):
-    """A warm-up ask, sensor updates after it, and a final ask late
+    """An inner path, a warm-up ask (a rollup, or the path query that
+    caches copies), sensor updates after it, and a final ask late
     enough that nothing the warm-up cached can satisfy its bound."""
+    path = draw(st.sampled_from(SMOKE_PATHS))
+    warm_query = draw(st.booleans())
     warm_at = 1000 + draw(st.integers(0, 30))
     warm_bound = draw(st.integers(1, 60))
     updates = draw(st.lists(
@@ -251,16 +228,16 @@ def freshness_histories(draw):
     bound = draw(st.integers(1, 60))
     last = updates[-1][0] if updates else warm_at
     ask_at = max(last, warm_at + bound + 1) + draw(st.integers(0, 60))
-    return warm_at, warm_bound, updates, ask_at, bound
+    return path, warm_query, warm_at, warm_bound, updates, ask_at, bound
 
 
 @settings(max_examples=30, deadline=None)
 @given(freshness_histories())
 # An update in the warm-up's clock instant: its stamp must still rise
 # above the copy the warm-up cached, or that copy wins the merge.
-@example((1000, 1, [(1000, 0, 1)], 1002, 1))
+@example((SMOKE_PATHS[0], False, 1000, 1, [(1000, 0, 1)], 1002, 1))
 def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
-    warm_at, warm_bound, updates, ask_at, bound = history
+    path, warm_query, warm_at, warm_bound, updates, ask_at, bound = history
     values = [10 * (index // 3) + index % 3 for index in range(6)]
     clock = {"now": 1000.0}
     clusters = [Cluster(three_site_document(
@@ -270,20 +247,23 @@ def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
                 for subsystems in ([AggregationConfig()], [])]
 
     clock["now"] = float(warm_at)
+    warm = f"{path}[timestamp() > current-time() - {warm_bound}]"
     for cluster in clusters:
-        cluster.scalar(f"sum({SMOKE_VALUES}[timestamp() > "
-                       f"current-time() - {warm_bound}])", at_site="top")
+        if warm_query:
+            cluster.query(warm, at_site="top")
+        else:
+            cluster.scalar(f"sum({warm})", at_site="top")
     for at, sensor, value in updates:
         clock["now"] = float(at)
-        path = SMOKE_SENSORS[sensor]
+        sensor_path = SMOKE_SENSORS[sensor]
         values[sensor] = value
         for cluster in clusters:
-            cluster.agents[SMOKE_OWNERS[path[1][1]]].handle_message(
-                UpdateMessage(path, values={"value": str(value)},
+            cluster.agents[SMOKE_OWNERS[sensor_path[1][1]]].handle_message(
+                UpdateMessage(sensor_path, values={"value": str(value)},
                               sender="sa"))
 
     clock["now"] = float(ask_at)
-    inner = f"{SMOKE_VALUES}[timestamp() > current-time() - {bound}]"
+    inner = f"{path}[timestamp() > current-time() - {bound}]"
     document = three_site_document(
         lambda group, sensor: values[3 * group + sensor])
     for shape in ("count", "sum"):
@@ -293,3 +273,103 @@ def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
         answers = [cluster.scalar(f"{shape}({inner})", at_site="top")
                    for cluster in clusters]
         assert answers == [oracle, oracle], (shape, answers, oracle)
+
+
+# ----------------------------------------------------------------------
+# Mixed caches: a rollup counts each node once, whatever copies it meets
+# ----------------------------------------------------------------------
+#: Inner paths over nested zones with sensors at every level: scans
+#: that meet cached copies inside the regions they ask for.
+NESTED_PATHS = (
+    "//value",
+    "//zone/sensor/value",
+    "/zone/zone/sensor/value",
+    "//sensor[value > 0]/value",
+    "/zone//sensor/value[. > 0]",
+    "//zone//value",
+    "//sensor/@w",
+)
+
+
+def _nested_deployment(rng):
+    """Zones three deep, sensors (some weighted) at every level, and
+    each zone delegated to its own site with probability 0.45."""
+    root = Element("deployment", attrib={"id": "D"})
+    assignments = {"root": [(("deployment", "D"),)]}
+    sensors, zones = [], []
+
+    def grow(parent, path, level):
+        for _ in range(rng.randint(0, 2) if level else 1):
+            attrib = {"id": f"s{len(sensors)}"}
+            if rng.random() < 0.7:
+                attrib["w"] = str(rng.randint(0, 3))
+            sensor = Element("sensor", attrib=attrib)
+            sensor.append(Element("value", text=str(rng.randint(-3, 5))))
+            parent.append(sensor)
+            sensors.append(path + (("sensor", attrib["id"]),))
+        for _ in range(rng.randint(1, 2) if level < 3 else 0):
+            zone_path = path + (("zone", f"z{len(zones)}"),)
+            zones.append(zone_path)
+            zone = Element("zone", attrib={"id": zone_path[-1][1]})
+            parent.append(zone)
+            if rng.random() < 0.45:
+                assignments[f"site{len(assignments)}"] = [zone_path]
+            grow(zone, zone_path, level + 1)
+
+    grow(root, (("deployment", "D"),), 0)
+    return root, assignments, sensors, zones
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 16))
+def test_rollups_over_mixed_caches_equal_the_oracle(seed):
+    """Path queries leave copies of every age at every site, and
+    updates restamp sensors without changing a value: any rollup,
+    bounded or not, at any site, must then equal the oracle.  A match
+    the walk makes inside a region whose partial counts it too would
+    show as a double count, one dropped that no partial counts as a
+    shortfall."""
+    rng = random.Random(seed)
+    root, assignments, sensors, zones = _nested_deployment(rng)
+    document = root.copy()
+    clock = {"now": 1000.0}
+    cluster = Cluster(root, PartitionPlan(assignments),
+                      clock=lambda: clock["now"],
+                      subsystems=[AggregationConfig()])
+    sites = sorted(cluster.agents)
+
+    def pinned(path):
+        return "".join(f"/{tag}[@id='{name}']" for tag, name in path)
+
+    def owner_of(path):
+        return next(cluster.owner_map[path[:cut]]
+                    for cut in range(len(path), 0, -1)
+                    if path[:cut] in cluster.owner_map)
+
+    for _ in range(16):
+        clock["now"] += rng.choice([1, 5, 20])
+        bound = f"[timestamp() > current-time() - {rng.choice([3, 30])}]"
+        roll = rng.random()
+        if roll < 0.3:
+            path = rng.choice(sensors)
+            owner = owner_of(path)
+            value = cluster.agents[owner].database.find(path).child("value")
+            cluster.agents[owner].handle_message(UpdateMessage(
+                path, values={"value": value.text}, sender="sa"))
+        elif roll < 0.65:
+            query = rng.choice([pinned(rng.choice(sensors)),
+                                pinned(rng.choice(zones)) + "//value",
+                                "/deployment[@id='D']//sensor"])
+            cluster.query(query + rng.choice(["", bound]),
+                          at_site=rng.choice(sites))
+        else:
+            path = "/deployment[@id='D']" + rng.choice(NESTED_PATHS)
+            step = rng.choice(["", bound])
+            inner = path.replace("/@w", step + "/@w") \
+                if path.endswith("/@w") else path + step
+            for shape in ("count", "sum"):
+                query = f"{shape}({inner})"
+                oracle = Evaluator().evaluate(strip_consistency_predicates(
+                    xpath_parser.parse(query)), document)
+                served = cluster.scalar(query, at_site=rng.choice(sites))
+                assert repr(served) == repr(oracle), (seed, query)

@@ -22,13 +22,15 @@ from repro.agg import (
     SHAPES,
     collapse,
     compile_formula,
-    merge_states,
     state_of,
     summary_key,
 )
+from repro.arch import hierarchical
 from repro.core import PartitionPlan
+from repro.core.errors import UnsupportedDistributedQueryError
 from repro.net import Cluster, NetError, OAConfig
 from repro.net.messages import Message, UpdateMessage
+from repro.service import ParkingConfig, build_parking_document, parking
 from repro.smoke import G0_S1, three_site_document, three_site_plan
 from repro.service.scenarios import (
     build_document,
@@ -123,24 +125,12 @@ class TestPartial:
         partial = Partial.of_values([0.1, float("inf"), -7.25])
         assert Partial.from_attrs(partial.to_attrs()) == partial
 
-    def test_merge_states_duplicate_safe(self):
-        region = (("region", "R"),)
-        state = state_of(region, Partial.of_values([1, 2]), 10.0)
-        assert merge_states(state, state) == state
-
-    def test_merge_states_freshest_entry_wins(self):
-        region = (("region", "R"),)
-        old = state_of(region, Partial.of_values([1]), 10.0)
-        new = state_of(region, Partial.of_values([1, 2]), 20.0)
-        assert merge_states(old, new) == new
-        assert merge_states(new, old) == new
-
     def test_collapse_takes_stalest_timestamp(self):
-        a = state_of((("region", "R"), ("group", "g0")),
-                     Partial.of_values([1]), 10.0)
-        b = state_of((("region", "R"), ("group", "g1")),
-                     Partial.of_values([2]), 4.0)
-        partial, as_of = collapse(merge_states(a, b))
+        state = {(("region", "R"), ("group", "g0")):
+                 (Partial.of_values([1]), 10.0),
+                 (("region", "R"), ("group", "g1")):
+                 (Partial.of_values([2]), 4.0)}
+        partial, as_of = collapse(state)
         assert as_of == 4.0
         assert partial.finalize("sum") == 3.0
 
@@ -314,6 +304,178 @@ class TestFreshnessDecidesWhatIsFetched:
         clock["now"] = 1050.0
         assert cluster.scalar(query, at_site="top") == 52.0
 
+    def test_a_fresh_copy_beside_a_stale_one_is_counted_once(self):
+        # top caches g0 at 1000 and s1 again at 1050: at 1060 the stale
+        # s0 and s2 ask for all of g0, and the reply counts s1 too.
+        cluster, clock = self._cluster()
+        cluster.query("/region[@id='R']/group[@id='g0']/sensor",
+                      at_site="top")
+        clock["now"] = 1050.0
+        self._update(cluster, 50)
+        cluster.query("/region[@id='R']/group[@id='g0']/sensor[@id='s1']"
+                      + _bound(5),
+                      at_site="top")
+        clock["now"] = 1060.0
+        for shape, value in (("count", 6.0), ("sum", 85.0)):
+            assert cluster.scalar(f"{shape}({SMOKE_VALUES}{_bound(20)})",
+                                  at_site="top") == value
+        # The g0 partial stands for s1's fresh copy: no second gather.
+        counters = cluster.agents["top"].subsystem("aggregation").metrics()
+        assert counters["overlap_drops"] == 1
+        assert counters["overlap_regathers"] == 0
+
+
+@pytest.mark.parametrize("executor", ["serial", "threaded"])
+def test_a_scan_over_a_region_holding_an_owned_node_counts_it_once(
+        executor):
+    # top owns R and g0's s1, mid the rest of g0: the scan asks for all
+    # of g0 and, below it, for s0 and s2 -- and mid's g0 reply counts
+    # those, and s1 through top, already.  mid's ask comes back up to
+    # top while top's rollup waits, whatever top's executor.
+    region = (("region", "R"),)
+    g0 = region + (("group", "g0"),)
+    plan = PartitionPlan({"top": [region, g0 + (("sensor", "s1"),)],
+                          "mid": [g0],
+                          "leaf": [region + (("group", "g1"),)]})
+    cluster = Cluster(
+        three_site_document(lambda group, sensor: 10 * group + sensor),
+        plan, oa_config=OAConfig(executor=executor),
+        subsystems=[AggregationConfig()])
+    for shape, value in (("count", 6.0), ("sum", 36.0), ("max", 12.0)):
+        assert cluster.scalar(f"{shape}(/region[@id='R']//value)",
+                              at_site="top") == value
+
+
+def test_a_match_below_a_scan_ask_it_does_not_reach_counts():
+    # top caches z0 and the nested z1 at 1000 and z1's s0 again at 1050:
+    # at 1060 the stale s1 asks for z0/sensor/value, which does not
+    # reach z0/z1/sensor/value -- so the fresh copy counts here.
+    clock = {"now": 1000.0}
+    document = parse_fragment(
+        "<deployment id='D'><zone id='z0'><zone id='z1'><sensor id='s0'>"
+        "<value>1</value></sensor></zone><sensor id='s1'><value>2</value>"
+        "</sensor></zone></deployment>")
+    z0 = (("deployment", "D"), ("zone", "z0"))
+    plan = PartitionPlan({"top": [z0[:1]], "site1": [z0]})
+    cluster = Cluster(document, plan, clock=lambda: clock["now"],
+                      subsystems=[AggregationConfig()])
+    cluster.query("/deployment[@id='D']//zone/sensor/value", at_site="top")
+    clock["now"] = 1050.0
+    s0 = z0 + (("zone", "z1"), ("sensor", "s0"))
+    cluster.agents["site1"].handle_message(
+        UpdateMessage(s0, values={"value": "1"}, sender="sa"))
+    cluster.query("/deployment[@id='D']/zone[@id='z0']/zone[@id='z1']"
+                  "/sensor[@id='s0']" + _bound(5), at_site="top")
+    clock["now"] = 1060.0
+    inner = "/deployment[@id='D']//zone/sensor/value" + _bound(20)
+    assert cluster.scalar(f"count({inner})", at_site="top") == 2.0
+    assert cluster.scalar(f"sum({inner})", at_site="top") == 3.0
+    counters = cluster.agents["top"].subsystem("aggregation").metrics()
+    assert counters["overlap_drops"] == 0
+    assert counters["overlap_regathers"] == 0
+
+
+def test_two_scans_asking_one_region_twice_count_it_once():
+    # z0's stub is asked for as a zone and as a scan below one: under
+    # two ``//`` steps the two asks share the value under z1.
+    document = parse_fragment(
+        "<deployment id='D'><zone id='z0'><zone id='z1'><sensor id='s0'>"
+        "<value>1</value></sensor></zone><sensor id='s1'><value>2</value>"
+        "</sensor></zone></deployment>")
+    plan = PartitionPlan({"root": [(("deployment", "D"),)],
+                          "site1": [(("deployment", "D"), ("zone", "z0"))]})
+    cluster = Cluster(document, plan, subsystems=[AggregationConfig()])
+    assert cluster.scalar("count(/deployment[@id='D']//zone//value)",
+                          at_site="root") == 2.0
+    assert cluster.scalar("avg(/deployment[@id='D']//zone//value)",
+                          at_site="root") == 1.5
+
+
+def test_a_city_free_space_count_ships_partials_not_spaces():
+    # "How many spaces are free in this city", posed at the city's site
+    # in both spellings: the walk's asks go out as partial aggregates.
+    config = ParkingConfig.tiny()
+    path = parking.city_path(config, config.city_names()[0])
+    prefix = "".join(f"/{tag}[@id='{name}']" for tag, name in path)
+    for form in ("/neighborhood/block/", "//"):
+        query = f"count({prefix}{form}parkingSpace[available='yes'])"
+        costs = {}
+        for aggregation in (True, False):
+            cluster = Cluster(
+                build_parking_document(config), hierarchical(config).plan,
+                count_bytes=True, clock=lambda: 1000.0,
+                subsystems=[AggregationConfig()] if aggregation else [])
+            value = cluster.scalar(query, at_site=cluster.owner_map[path])
+            costs[aggregation] = (repr(value), cluster.network.traffic.bytes)
+        assert costs[True][0] == costs[False][0], (form, costs)
+        assert costs[True][1] < costs[False][1], (form, costs)
+
+
+class TestFinalSteps:
+    """A path ending in ``text()`` or a named attribute rolls up: the
+    walk takes it to its elements, and the fold reads the step off each
+    match, here and at every owner asked."""
+
+    WEIGHTED = """
+    <region id="R">
+      <group id="g0">
+        <sensor id="s0" w="1"><value>10</value></sensor>
+        <sensor id="s1" w="2"><value>20</value></sensor>
+      </group>
+      <group id="g1">
+        <sensor id="s0" w="3"><value>30</value></sensor>
+        <sensor id="s1" w="4"><value>40</value></sensor>
+      </group>
+      <group id="g2">
+        <sensor id="s0"><value>50</value></sensor>
+      </group>
+    </region>
+    """
+
+    @pytest.mark.parametrize("bound", ["", _bound(30)])
+    def test_a_text_step_counts_what_the_path_query_counts(self, bound):
+        # Unbounded, the zero tolerance goes on ``value``: a text node's
+        # stamp is its parent's, so on ``text()`` nothing would match.
+        for shape, value in (("count", 5.0), ("sum", 150.0)):
+            query = f"{shape}({ALL_VALUES}{bound}/text())"
+            answers = {}
+            for aggregation in (True, False):
+                cluster = build_cluster(aggregation=aggregation,
+                                        clock=lambda: 100.0)
+                answers[aggregation] = cluster.scalar(query, at_site="root")
+                if aggregation:
+                    counters = cluster.agents["root"].subsystem(
+                        "aggregation").metrics()
+                    assert counters["answers"] == 1
+                    assert counters["partials_fetched"] == 2
+            assert repr(answers[True]) == repr(answers[False]) == \
+                repr(value), query
+
+    def test_an_attribute_step_rolls_up(self):
+        # g2's sensor has no ``w``: it counts for nothing.
+        cluster = build_cluster(document=self.WEIGHTED)
+        expected = {"count": 4.0, "sum": 10.0, "avg": 2.5,
+                    "min": 1.0, "max": 4.0}
+        for shape, value in expected.items():
+            assert cluster.scalar(
+                f"{shape}(/region[@id='R']/group/sensor/@w)",
+                at_site="root") == value
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
+        assert counters["answers"] == 5
+        assert counters["partials_fetched"] == 10
+
+    def test_another_last_step_is_not_rolled_up(self):
+        query = f"{ALL_VALUES}/node()"
+        cluster = build_cluster()
+        assert repr(cluster.scalar(f"count({query})", at_site="root")) == \
+            repr(build_cluster(aggregation=False).scalar(
+                f"count({query})", at_site="root"))
+        with pytest.raises(UnsupportedDistributedQueryError):
+            cluster.scalar(f"avg({query})", at_site="root")
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
+        assert counters["unsupported_queries"] == 2
+        assert counters["answers"] == 0
+
 
 class TestFallbacks:
     def test_a_descendant_scan_crosses_an_id_complete_group(self):
@@ -324,19 +486,27 @@ class TestFallbacks:
         assert sorted(result.text for result in results) == [
             "10", "20", "30", "40", "50"]
 
-    def test_count_with_descendant_axis_uses_naive_path(self):
+    def test_count_with_descendant_axis_rolls_up(self):
+        # The walk's own ``//`` asks go out as partial aggregates.
         cluster = build_cluster()
         assert cluster.scalar("count(/region[@id='R']//value)",
                               at_site="root") == 5.0
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
-        assert counters["unsupported_queries"] == 1
-        assert counters["answers"] == 0
+        assert counters["unsupported_queries"] == 0
+        assert counters["answers"] == 1
+        assert counters["partials_fetched"] == 2
 
-    def test_avg_with_descendant_axis_raises(self):
+    def test_avg_with_descendant_axis_rolls_up(self):
         cluster = build_cluster()
-        with pytest.raises(Exception) as excinfo:
-            cluster.scalar("avg(/region[@id='R']//value)", at_site="root")
-        assert "avg" in str(excinfo.value)
+        assert cluster.scalar("avg(/region[@id='R']//value)",
+                              at_site="root") == 30.0
+
+    def test_avg_outside_the_walk_raises(self):
+        cluster = build_cluster()
+        with pytest.raises(UnsupportedDistributedQueryError):
+            cluster.scalar("avg(/region[@id='R']/group/..)", at_site="root")
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
+        assert counters["unsupported_queries"] == 1
 
     def test_sum_falls_back_when_child_site_is_gone(self):
         cluster = build_cluster()
@@ -366,6 +536,14 @@ class TestFallbacks:
             sender="tester")
         reply = cluster.network.request("tester", "mid", message)
         assert reply.code == "agg-not-owned"
+
+    def test_partial_request_for_another_last_step_errors(self):
+        cluster = build_cluster()
+        message = PartialAggregateRequest(
+            (("region", "R"), ("group", "g1")), ALL_VALUES + "/node()",
+            sender="tester")
+        reply = cluster.network.request("tester", "mid", message)
+        assert reply.code == "agg-unsupported"
 
 
 # ----------------------------------------------------------------------
@@ -483,6 +661,22 @@ class TestScenarios:
                                    at_site="root", now=5.0)
             assert not math.isnan(value)
 
+    def test_a_pin_below_an_unpinned_step_rolls_up(self):
+        # Each zone's owner is asked with the pin on its child zone, and
+        # asks that zone's own site in turn.
+        config = quick_config(fanout=3, depth=3, sensors_per_group=2,
+                              site_depth=2)
+        query = (f"sum(/deployment[@id='{config.root_id}']/zone"
+                 "/zone[@id='z1']/zone/sensor/value)")
+        rolled, naive = (
+            Cluster(build_document(config), build_plan(config),
+                    subsystems=subsystems)
+            for subsystems in ([AggregationConfig()], []))
+        assert rolled.scalar(query, at_site="root", now=5.0) == \
+            naive.scalar(query, at_site="root", now=5.0)
+        counters = rolled.agents["root"].subsystem("aggregation").metrics()
+        assert (counters["answers"], counters["fallbacks"]) == (1, 0)
+
     def test_pinned_rollup_only_counts_the_zone(self):
         config = quick_config()
         cluster = Cluster(build_document(config), build_plan(config),
@@ -535,10 +729,10 @@ class TestObservability:
         cluster.explain(query)
         assert summaries.metrics() == before
 
-    def test_explain_reports_naive_path_for_unsupported(self):
+    def test_explain_reports_a_rollup_for_a_descendant_scan(self):
         cluster = build_cluster()
         text = cluster.explain("count(/region[@id='R']//value)").render()
-        assert "via naive gather" in text
+        assert "aggregation: count() via summary rollup" in text
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,11 @@ ask, and a repeated query costs no more than its first posing.
 import pytest
 
 from repro.arch import hierarchical
-from repro.core import PartitionPlan, Subquery, gather, qeg
+from repro.core import PartitionPlan, Subquery, gather, idable, qeg
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
 from repro.service import ParkingConfig, build_parking_document, parking
+from repro.smoke import three_site_document, three_site_plan
 from repro.xmlkit import Element, canonical_form
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
@@ -160,6 +161,48 @@ def test_a_stale_block_is_rendered_once_per_walk_not_once_per_space(
     [ask] = outcome.subqueries_sent
     assert ask.anchor_path == SHADY_BLOCK_PATH
     assert len(renders) == sum(len(walk.subqueries) for walk in walks) == 1
+
+
+def test_a_stale_value_is_asked_for_where_its_sensor_would_be():
+    # Every sensor cached at ``top`` and aged past the bound: the bound
+    # on the value step asks once per group, as the same bound on the
+    # sensor step does -- not once per sensor.
+    clock = {"now": 1000.0}
+    cluster = Cluster(
+        three_site_document(lambda group, sensor: 10 * group + sensor),
+        three_site_plan(), clock=lambda: clock["now"])
+    cluster.query("/region[@id='R']/group/sensor", at_site="top")
+    clock["now"] = 1100.0
+    bound = "[timestamp() > current-time() - 10]"
+    asks, answers = [], []
+    for query in (f"/region[@id='R']/group/sensor/value{bound}",
+                  f"/region[@id='R']/group/sensor{bound}/value"):
+        results, _, outcome = cluster.query(query, at_site="top")
+        assert outcome.complete
+        asks.append(len(outcome.subqueries_sent))
+        answers.append(sorted(result.text for result in results))
+    assert asks == [2, 2]
+    assert answers[0] == answers[1] == ["0", "1", "10", "11", "12", "2"]
+
+
+def test_the_walk_reads_idable_ancestors_off_its_per_parent_sets(
+        monkeypatch):
+    # A non-IDable match's IDable anchor is read off the sets the walker
+    # builds once per parent, not by rescanning every sibling.
+    cluster = Cluster(three_site_document(), three_site_plan())
+    cluster.query("/region[@id='R']/group/sensor", at_site="top")
+    scans = []
+    rescan = idable._locally_idable
+
+    def counting(element):
+        scans.append(element)
+        return rescan(element)
+
+    monkeypatch.setattr(idable, "_locally_idable", counting)
+    walk = qeg.run_qeg(cluster.agents["top"].database,
+                       "/region[@id='R']/group/sensor/value", now=0.0)
+    assert len(walk.matches) == 6
+    assert scans == []
 
 
 def test_a_parent_holding_owned_data_is_not_asked_for(paper_doc,
