@@ -53,10 +53,14 @@ class Subquery:
     if it existed, would have arrived in the earlier generalized
     answer), so authoritative answers are never re-asked in narrower
     form.
+
+    ``served_by`` is the tag of an ask another site answered in its
+    owner's place (read failover): the completeness report's
+    ``served_by_replica`` entry, ``None`` for an ordinary reply.
     """
 
     __slots__ = ("query", "anchor_path", "reason", "consumed",
-                 "descendant_gap", "subtree")
+                 "descendant_gap", "subtree", "served_by")
 
     # Reasons mirror the QEG cases of Section 3.5 / 4.
     INCOMPLETE = "incomplete"            # only the node's ID is stored
@@ -74,6 +78,7 @@ class Subquery:
         self.consumed = consumed
         self.descendant_gap = descendant_gap
         self.subtree = subtree
+        self.served_by = None
 
     def __repr__(self):
         return f"Subquery({self.query!r}, reason={self.reason})"

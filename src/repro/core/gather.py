@@ -72,10 +72,10 @@ class SubqueryFailure:
         #: Set by the driver when ``stale_on_error`` served the cached
         #: copy of this region beyond its freshness bound.
         self.stale_served = False
-        #: Set by the replication layer when a replica held a copy of
-        #: the region but its stamp violated the query's freshness
-        #: bound -- the region is still excised from the answer, the
-        #: completeness report just says *why* failover refused it.
+        #: Set by read failover when a ring peer held a copy of the
+        #: region too old for the ask's own freshness bound -- the
+        #: region is still excised from the answer, the completeness
+        #: report just says *why* failover refused it.
         self.replica_too_stale = False
 
     @property
@@ -102,46 +102,6 @@ class SubqueryFailure:
                 f"attempts={self.attempts}, cause={self.cause!r})")
 
 
-class ReplicaServed:
-    """A subquery answered from a replica after its owner failed.
-
-    Returned through ``send``/``send_many`` (like
-    :class:`SubqueryFailure`, but carrying data): the replication
-    layer verified the replica's stamp against the subquery's
-    freshness bound before handing this back, so the driver merges
-    ``fragment`` exactly as an owner answer -- and the completeness
-    report annotates the region ``served_by_replica`` instead of
-    counting it against completeness.
-    """
-
-    __slots__ = ("subquery", "fragment", "replica", "owner", "age")
-
-    def __init__(self, subquery, fragment, replica, owner, age=0.0):
-        self.subquery = subquery
-        self.fragment = fragment
-        self.replica = replica
-        self.owner = owner
-        self.age = float(age)
-
-    @property
-    def id_path(self):
-        return self.subquery.anchor_path
-
-    def report(self):
-        return {
-            "id_path": [list(entry) for entry in self.subquery.anchor_path],
-            "query": self.subquery.query,
-            "replica": self.replica,
-            "owner": self.owner,
-            "age": round(self.age, 3),
-        }
-
-    def __repr__(self):
-        return (f"ReplicaServed({self.subquery.query!r}, "
-                f"replica={self.replica!r}, owner={self.owner!r}, "
-                f"age={self.age:g})")
-
-
 class GatherOutcome:
     """Everything a gather run produced, for answering and accounting.
 
@@ -152,18 +112,18 @@ class GatherOutcome:
     :meth:`completeness_report` spells out for machine consumption.
     """
 
-    def __init__(self, result, rounds, subqueries_sent, view, failures=(),
-                 replica_served=()):
+    def __init__(self, result, rounds, subqueries_sent, view, failures=()):
         self._result = result  # the last round's QEGResult
         self.rounds = rounds
         self.subqueries_sent = subqueries_sent
         self.view = view  # the database the last round walked
         self.failures = list(failures)
-        #: One :class:`ReplicaServed` per subquery answered by a
-        #: replica instead of its (dead) owner.  The regions are fully
-        #: represented -- the answer stays *complete* -- but the report
-        #: names the replica and the copy's age.
-        self.replica_served = list(replica_served)
+        #: The asks a replica answered instead of their (dead) owner
+        #: (``served_by`` tagged).  The regions are fully represented --
+        #: the answer stays *complete* -- but the report names the
+        #: replica and the copy's age.
+        self.replica_served = [subquery for subquery in subqueries_sent
+                               if subquery.served_by is not None]
 
     @property
     def wire_answer(self):
@@ -213,8 +173,8 @@ class GatherOutcome:
                             and not failure.replica_too_stale],
             "stale_served": [failure.report() for failure in self.failures
                              if failure.stale_served],
-            "served_by_replica": [served.report()
-                                  for served in self.replica_served],
+            "served_by_replica": [dict(subquery.served_by)
+                                  for subquery in self.replica_served],
             "replica_too_stale": [failure.report()
                                   for failure in self.failures
                                   if failure.replica_too_stale],
@@ -255,6 +215,11 @@ def _subsumed_by(pending, answered, pattern):
             continue
         return True
     return False
+
+
+def _refuse(subquery):
+    """A per-call ``send`` that forwards nothing."""
+    return SubqueryFailure(subquery, 0, ["not forwarded"])
 
 
 def _merge(view, fragment, vouched, handed_over=False):
@@ -357,7 +322,6 @@ class GatherDriver:
             answered_keys = set()
             sent = []
             failures = []
-            replica_served = []
             rounds = 0
             max_fanout = 0
             result = None
@@ -393,17 +357,6 @@ class GatherDriver:
                     for subquery, reply in zip(pending, replies):
                         sent.append(subquery)
                         answered_keys.add(subquery.query)
-                        if isinstance(reply, ReplicaServed):
-                            # A replica answered for the dead owner; the
-                            # replication layer already checked its
-                            # stamp against the ask's freshness bound,
-                            # so the fragment merges like any owner
-                            # answer.
-                            replica_served.append(reply)
-                            answered.append(subquery)
-                            if reply.fragment is not None:
-                                _merge(view, reply.fragment, vouched)
-                            continue
                         if isinstance(reply, SubqueryFailure):
                             # Terminal failure: record it, never re-ask
                             # (the key above suppresses re-emission),
@@ -417,10 +370,10 @@ class GatherDriver:
                             continue
                         answered.append(subquery)
                         if reply is not None:
-                            # An owner reply is this gather's alone
-                            # (built for the ask, or decoded off the
-                            # wire), so the merge may take its nodes,
-                            # and what it leaves is released here.
+                            # A reply is this gather's alone (built for
+                            # the ask, or decoded off the wire, whoever
+                            # answered it), so the merge may take its
+                            # nodes, and what it leaves is released here.
                             _merge(view, reply, vouched, handed_over=True)
                             reply.dispose()
             else:
@@ -430,6 +383,8 @@ class GatherDriver:
                 )
             gather_span.set_tag("rounds", rounds)
             gather_span.set_tag("subqueries", len(sent))
+            outcome = GatherOutcome(result, rounds, sent, view,
+                                    failures=failures)
             with self._stats_lock:
                 self.stats["queries"] += 1
                 self.stats["rounds"] += rounds
@@ -443,10 +398,8 @@ class GatherDriver:
                     1 for failure in failures if failure.stale_served)
                 if any(not failure.stale_served for failure in failures):
                     self.stats["partial_gathers"] += 1
-                self.stats["replica_served"] += len(replica_served)
-            return GatherOutcome(result, rounds, sent, view,
-                                 failures=failures,
-                                 replica_served=replica_served)
+                self.stats["replica_served"] += len(outcome.replica_served)
+            return outcome
 
     def _note_failure(self, failure, subquery, view, vouched):
         """Classify a terminal failure: stale-servable or unreachable.
@@ -497,6 +450,16 @@ class GatherDriver:
         """Answer a subquery from a peer site: the generalized wire fragment."""
         outcome = self.gather(query, now=now)
         return outcome.wire_answer
+
+    def answer_unforwarded(self, query, now=None):
+        """Answer a subquery from this site's fragment alone, forwarding
+        no ask: ``(wire fragment, left)``, *left* the sorted reasons of
+        the asks the walk would have sent (``Subquery.STALE``: a copy
+        too old for the ask's own bound).  A dead owner's ring peer
+        answers read failover's ``no_forward`` asks this way."""
+        outcome = self.gather(query, now=now, send=_refuse)
+        left = {failure.subquery.reason for failure in outcome.failures}
+        return outcome.wire_answer, tuple(sorted(left))
 
     def answer_scalar(self, query, now=None, max_age=None):
         """Answer a scalar query: a supported wrapper around an inner path.

@@ -283,24 +283,30 @@ class QueryMessage(Message):
     marks a scalar or aggregate query answered with a value (never a
     gather's subquery); ``user`` distinguishes user queries
     (answered with clean result lists) from subqueries (answered with
-    generalized wire fragments).
+    generalized wire fragments).  ``no_forward`` asks the site to
+    answer from its own fragment and forward nothing (read failover
+    asking a dead owner's ring peer); its reply lists what was left
+    unanswered.  Encoded only when set.
     """
 
     kind = "query"
 
     def __init__(self, query, now=None, scalar=False, user=False,
-                 sender=None, message_id=None):
+                 no_forward=False, sender=None, message_id=None):
         super().__init__(sender=sender, message_id=message_id)
         self.query = query
         self.now = now
         self.scalar = scalar
         self.user = user
+        self.no_forward = no_forward
 
     def _fill(self, envelope):
         if self.now is not None:
             envelope.set("now", repr(float(self.now)))
         envelope.set("scalar", "1" if self.scalar else "0")
         envelope.set("user", "1" if self.user else "0")
+        if self.no_forward:
+            envelope.set("noforward", "1")
         envelope.append(Element("q", text=self.query))
 
     @staticmethod
@@ -311,7 +317,19 @@ class QueryMessage(Message):
             "now": float(now) if now is not None else None,
             "scalar": envelope.get("scalar") == "1",
             "user": envelope.get("user") == "1",
+            "no_forward": envelope.get("noforward") == "1",
         }
+
+
+def _encode_left(holder, left):
+    """Set *holder*'s ``left`` attribute: the reasons of the asks a
+    ``no_forward`` answer left unanswered (nothing when there are none)."""
+    if left:
+        holder.set("left", " ".join(left))
+
+
+def _decode_left(holder):
+    return tuple((holder.get("left") or "").split())
 
 
 @register_kind
@@ -324,21 +342,26 @@ class AnswerMessage(Message):
     :meth:`~repro.core.gather.GatherOutcome.completeness_report`)
     attached only when the answer is partial or served stale data --
     complete answers encode byte-identically to a report-free reply.
+    *left* answers a ``no_forward`` query: the reasons (``Subquery``
+    reasons, ``stale-cache`` for a copy too old for the ask's bound) of
+    the asks the site left unanswered, empty when it answered all.
     """
 
     kind = "answer"
 
     def __init__(self, in_reply_to, fragment=None, scalar=None, results=None,
-                 completeness=None, sender=None, message_id=None):
+                 completeness=None, left=(), sender=None, message_id=None):
         super().__init__(sender=sender, message_id=message_id)
         self.in_reply_to = in_reply_to
         self.fragment = fragment
         self.scalar = scalar
         self.results = results
         self.completeness = completeness
+        self.left = tuple(left)
 
     def _fill(self, envelope):
         envelope.set("replyTo", str(self.in_reply_to))
+        _encode_left(envelope, self.left)
         if self.completeness is not None:
             envelope.append(_encode_completeness(self.completeness))
         if self.scalar is not None:
@@ -369,6 +392,7 @@ class AnswerMessage(Message):
             "scalar": scalar,
             "results": results,
             "completeness": completeness,
+            "left": _decode_left(envelope),
         }
 
 
@@ -479,18 +503,23 @@ class BatchQueryMessage(Message):
     (one round-trip, one dispatch at the remote) instead of one wire
     exchange per ask.  ``items`` is a list of ``(query, scalar)``
     pairs, answered positionally by a :class:`BatchAnswerMessage`.
+    ``no_forward`` is :class:`QueryMessage`'s, for every item.
     """
 
     kind = "batch-query"
 
-    def __init__(self, items, now=None, sender=None, message_id=None):
+    def __init__(self, items, now=None, no_forward=False, sender=None,
+                 message_id=None):
         super().__init__(sender=sender, message_id=message_id)
         self.items = [(query, bool(scalar)) for query, scalar in items]
         self.now = now
+        self.no_forward = no_forward
 
     def _fill(self, envelope):
         if self.now is not None:
             envelope.set("now", repr(float(self.now)))
+        if self.no_forward:
+            envelope.set("noforward", "1")
         for query, scalar in self.items:
             envelope.append(Element("sub",
                                     attrib={"scalar": "1" if scalar else "0"},
@@ -503,6 +532,7 @@ class BatchQueryMessage(Message):
             "items": [(sub.text or "", sub.get("scalar") == "1")
                       for sub in envelope.element_children("sub")],
             "now": float(now) if now is not None else None,
+            "no_forward": envelope.get("noforward") == "1",
         }
 
     def __len__(self):
@@ -516,20 +546,26 @@ class BatchAnswerMessage(Message):
     ``answers`` holds one entry per batched item, in request order:
     a wire fragment :class:`~repro.xmlkit.nodes.Element`, a scalar
     wrapped as ``("scalar", value)``, or ``None`` when the remote had
-    nothing.
+    nothing.  ``lefts`` answers a ``no_forward`` batch: one
+    :class:`AnswerMessage` ``left`` per item (``[]`` when no item left
+    anything unanswered).
     """
 
     kind = "batch-answer"
 
-    def __init__(self, in_reply_to, answers, sender=None, message_id=None):
+    def __init__(self, in_reply_to, answers, lefts=(), sender=None,
+                 message_id=None):
         super().__init__(sender=sender, message_id=message_id)
         self.in_reply_to = in_reply_to
         self.answers = list(answers)
+        self.lefts = [tuple(left) for left in lefts] if any(lefts) else []
 
     def _fill(self, envelope):
         envelope.set("replyTo", str(self.in_reply_to))
-        for answer in self.answers:
+        for index, answer in enumerate(self.answers):
             item = Element("item")
+            if self.lefts:
+                _encode_left(item, self.lefts[index])
             if isinstance(answer, tuple) and answer and \
                     answer[0] == "scalar":
                 item.append(_encode_scalar(answer[1]))
@@ -540,14 +576,16 @@ class BatchAnswerMessage(Message):
     @staticmethod
     def _parse(envelope):
         answers = []
+        lefts = []
         for item in envelope.element_children("item"):
+            lefts.append(_decode_left(item))
             scalar_holder = item.child("scalar")
             if scalar_holder is not None:
                 answers.append(("scalar", _decode_scalar(scalar_holder)))
             else:
                 answers.append(decode_fragment(item))
         return {"in_reply_to": int(envelope.get("replyTo")),
-                "answers": answers}
+                "answers": answers, "lefts": lefts}
 
     def __len__(self):
         return len(self.answers)

@@ -405,7 +405,7 @@ class OrganizingAgent:
 
         *gated* is the one distinction between callers.  Asks with
         somewhere else to go pass the gate: subqueries, partial-
-        aggregate asks and rehydrate asks degrade to a partial answer,
+        aggregate asks and failover asks degrade to a partial answer,
         the naive path or the next replica.  Migration exchanges
         (adopt, held and forwarded updates) have no alternative peer --
         a refusal loses an ownership move or an update -- so they pass
@@ -630,6 +630,11 @@ class OrganizingAgent:
             scalar = self.answer_scalar(message.query, now=message.now)
             return AnswerMessage(message.message_id, scalar=scalar,
                                  sender=self.site_id)
+        if message.no_forward:
+            fragment, left = self.driver.answer_unforwarded(
+                message.query, now=message.now)
+            return AnswerMessage(message.message_id, fragment=fragment,
+                                 left=left, sender=self.site_id)
         fragment = self.driver.answer_any(message.query, now=message.now)
         return AnswerMessage(message.message_id, fragment=fragment,
                              sender=self.site_id)
@@ -639,6 +644,12 @@ class OrganizingAgent:
         self.stats["subqueries_served"] += len(message.items)
         for query, _scalar in message.items:
             self.load.record_path(query_anchor(query, self.schema))
+        if message.no_forward:
+            replies = [self.driver.answer_unforwarded(query, now=message.now)
+                       for query, _scalar in message.items]
+            return BatchAnswerMessage(
+                message.message_id, answers=[reply[0] for reply in replies],
+                lefts=[reply[1] for reply in replies], sender=self.site_id)
         answers = []
         for query, scalar in message.items:
             if scalar:

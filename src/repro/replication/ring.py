@@ -2,16 +2,19 @@
 
 One :class:`ReplicationRing` per cluster pins the site ring on every
 agent's :class:`~repro.replication.manager.ReplicationManager`, seeds
-the replica sets, rebuilds a restarting site's fragment from its peers'
-copies, and rolls the per-site counters up into the cluster-wide
-``replication`` metrics section.
+the ring peers' copies, and rebuilds a restarting site's fragment from
+its peers' copies.
 """
 
 from repro.core.database import SensorDatabase
 from repro.core.status import get_status
+from repro.core.subquery import render_id_path_query
 from repro.net.errors import NetError
-from repro.replication.manager import replica_peers
-from repro.replication.messages import RehydrateAnswer, RehydrateRequest
+from repro.replication.manager import (
+    replica_peers,
+    unforwarded_ask,
+    unforwarded_replies,
+)
 
 
 class ReplicationRing:
@@ -30,7 +33,7 @@ class ReplicationRing:
         return manager
 
     def cluster_started(self):
-        """Pin the site ring on every agent and seed the replica sets.
+        """Pin the site ring on every agent and seed the peers' copies.
 
         The ring comes from the static partition plan, so every site
         (and every future asker) agrees on who replicates whom without
@@ -44,16 +47,24 @@ class ReplicationRing:
             manager.replicate_owned()
 
     def site_restarted(self, agent):
+        """The restarted site pushes its own data to its ring, and every
+        live owner whose ring includes it pushes again: the copies it
+        held died with it."""
         self._wire(agent).replicate_owned()
+        site = agent.site_id
+        for owner, other in self.cluster.agents.items():
+            if owner != site and site in replica_peers(
+                    owner, self.cluster.plan.sites, self.config.k):
+                other.subsystem(self.name).replicate_owned(peers=[site])
 
     def restore_site(self, site):
-        """Rebuild a dead site's fragment from its replicas, or ``None``.
+        """Rebuild a dead site's fragment from its ring peers, or ``None``.
 
-        Asks each of the site's ring-successor peers for their full
-        replica copy and merges the answers.  Succeeds only when the
-        merged copy covers **every** node the partition plan assigns to
-        the site (anything less would restart the owner with silent
-        holes); on success the owned paths are promoted and the
+        Asks each of the site's ring peers for every owned top path with
+        one ``no_forward`` query, and merges the answers.  Succeeds only
+        when the merged copy covers **every** node the partition plan
+        assigns to the site (anything less would restart the owner with
+        silent holes); on success the owned paths are promoted and the
         database is ready to serve -- typically fresher than the last
         checkpoint, and available even without durability.
         """
@@ -65,35 +76,36 @@ class ReplicationRing:
         )
         if not owned:
             return None
-        database = None
+        tops = []
+        for path in owned:  # shortest first
+            if not any(path[:len(top)] == top for top in tops):
+                tops.append(path)
+        queries = [render_id_path_query(path) for path in tops]
+        root = cluster.global_document
+        database = SensorDatabase.empty(root.tag, root.get("id"),
+                                        clock=cluster.clock, site_id=site)
         received = 0
         for peer in replica_peers(site, cluster.plan.sites, self.config.k):
             if peer not in cluster.agents:
                 continue
-            message = RehydrateRequest(site, sender=site)
+            message = unforwarded_ask(queries, cluster.clock(), site)
             try:
                 # Straight onto the wire: the site being rebuilt has no
                 # agent yet, so no ``agent.request`` and no breakers.
                 reply = cluster.network.request(site, peer, message)
+                answers = unforwarded_replies(reply, len(queries))
             except (OSError, NetError):
                 continue
-            if not isinstance(reply, RehydrateAnswer) or \
-                    reply.fragment is None:
-                continue
             received += reply.encoded_size()
-            if database is None:
-                database = SensorDatabase(reply.fragment.copy(),
-                                          clock=cluster.clock, site_id=site)
-            else:
-                database.store_fragment(reply.fragment)
-        if database is None:
-            return None
+            for fragment, _left in answers:
+                if fragment is not None:
+                    database.store_fragment(fragment)
         for path in owned:
             element = database.find(path)
             if element is None or \
                     not get_status(element).has_local_information:
-                # The replicas do not cover the whole fragment: fall
-                # back to WAL replay rather than restart with holes.
+                # The peers' copies do not cover the whole fragment:
+                # fall back to WAL replay rather than restart with holes.
                 return None
         for path in owned:
             database.mark_owned(path)
@@ -101,14 +113,3 @@ class ReplicationRing:
         cluster.stats["rehydrated_bytes"] += received
         return database
 
-    def rollup(self, totals):
-        """Lag is a mean and a maximum across sites, not a sum."""
-        lag_count = totals.get("lag_count", 0)
-        totals["replication_lag_mean"] = (
-            round(totals["lag_total"] / lag_count, 6) if lag_count else 0.0)
-        totals["replication_lag_max"] = max(
-            (site["lag_max"] for site in totals["sites"].values()),
-            default=0.0)
-        for per_site_only in ("lag_max", "k"):
-            totals.pop(per_site_only, None)
-        return totals

@@ -135,14 +135,9 @@ def _message_builders():
             7, results=list(trees), sender="oak", message_id=9),
     }
     if replication_messages is not None:
-        stamps = {(("a", "1"),): (1.5, 3)}
         builders["replicate"] = \
             lambda trees: replication_messages.ReplicateMessage(
-                "oak", trees[0], stamps, sender="oak", message_id=9)
-        builders["rehydrate-answer"] = \
-            lambda trees: replication_messages.RehydrateAnswer(
-                7, "oak", fragment=trees[0], stamps=stamps, sender="shady",
-                message_id=9)
+                trees[0], sender="oak", message_id=9)
     return builders
 
 

@@ -873,9 +873,11 @@ class ScriptedNetwork:
 
 
 class Deployment:
-    """Three sites on a ring (leaf, mid, top; ``k=1``: ``mid`` holds
-    ``leaf``'s replica) with replication and aggregation on, a scripted
-    network, and breakers of threshold 1 on an injected clock."""
+    """Four sites on a ring (leaf, mid, spare, top; ``k=1``: ``mid``
+    holds ``leaf``'s copy, and ``spare``, owning nothing, holds
+    ``mid``'s, so ``top`` asks ``mid`` for its data) with replication
+    and aggregation on, a scripted network, and breakers of threshold 1
+    on an injected clock."""
 
     def __init__(self, transport, prepare=None):
         # Skipped, not failed, in a tree without the opt-in packages.
@@ -891,7 +893,8 @@ class Deployment:
                                       reset_timeout=10.0,
                                       clock=lambda: self.now)),
             subsystems=[replication, aggregation])
-        plan = PartitionPlan({"top": [R], "mid": [G0, G1], "leaf": [G2]})
+        plan = PartitionPlan({"top": [R], "mid": [G0, G1], "leaf": [G2],
+                              "spare": []})
         if transport == "tcp":
             self.runtime = TcpCluster(guarded_document(), plan,
                                       network_wrapper=ScriptedNetwork,
@@ -956,8 +959,9 @@ def _ask_partial_aggregate(deployment):
     deployment.cluster.scalar(f"sum({G0_SENSORS}/value)", at_site="top")
 
 
-def _ask_rehydrate(deployment):
-    # leaf is unreachable, so top fails over to mid, leaf's replica.
+def _ask_failover(deployment):
+    # leaf is unreachable, so top re-sends the ask, flagged no_forward,
+    # to mid, leaf's ring peer.
     deployment.network.script["query", "leaf"] = "transport-error"
     deployment.cluster.query(G2_SENSORS, at_site="top")
 
@@ -992,7 +996,7 @@ EXCHANGES = {
     "batch": ("top", "mid", "batch-query", True, _ask_batch, None),
     "partial-aggregate": ("top", "mid", "partial-agg", True,
                           _ask_partial_aggregate, None),
-    "rehydrate": ("top", "mid", "rehydrate", True, _ask_rehydrate, None),
+    "failover": ("top", "mid", "query", True, _ask_failover, None),
     "adopt": ("mid", "leaf", "adopt", False, _delegate, None),
     "held-update": ("mid", "leaf", "update", False, _delegate_under_update,
                     None),
@@ -1084,8 +1088,8 @@ class TestGuardedRequest:
             top = deployment.agent("top")
             deployment.trip("top", "mid")
             deployment.now = 10.0
-            deployment.network.script["rehydrate", "mid"] = "retryable-error"
-            _ask_rehydrate(deployment)
+            deployment.network.script["query", "mid"] = "retryable-error"
+            _ask_failover(deployment)
             assert top.health_snapshot()["mid"]["state"] == OPEN
             assert top.health_snapshot()["mid"]["probes"] == 1
 
@@ -1136,7 +1140,10 @@ class TestGuardedRequest:
             deployment.network.script["partial-agg", "mid"] = \
                 "retryable-error"
             _ask_partial_aggregate(deployment)
-            assert outcomes == [("mid", "record_failure")]
+            # (The naive fallback's failover then asks spare, mid's
+            # ring peer: a success recorded against spare.)
+            assert [outcome for outcome in outcomes
+                    if outcome[0] == "mid"] == [("mid", "record_failure")]
             snapshot = deployment.agent("top").health_snapshot()["mid"]
             assert snapshot["state"] == OPEN
             assert snapshot["consecutive_failures"] == 1

@@ -1,14 +1,20 @@
 """Read replication: k-replica ownership, freshness failover, recovery.
 
 The tentpole robustness property, exercised end to end: owners push
-their fragments to the k ring-successor peers; when a gather exhausts
-its retries against a dead owner, the asker serves the region from a
-replica **only** when the copy's stamps satisfy the query's freshness
-bound (annotated ``served_by_replica``); a too-stale copy degrades to
-the ordinary partial answer annotated ``replica_too_stale``; and a
-site restarting after a kill rehydrates its fragment from peer
-replicas before falling back to WAL replay.  With the subsystem
-disabled the wire is byte-identical to a replication-free build.
+their fragments into the fragments of their k ring-successor peers, as
+ordinary cached copies; when a gather exhausts its retries against a
+dead owner, the asker re-sends the ask, flagged ``no_forward``, to those
+peers, and serves a peer's answer **only** when the peer's walk -- which
+applies the ask's own freshness bound -- left nothing unanswered
+(annotated ``served_by_replica``); a too-stale copy degrades to the
+ordinary partial answer annotated ``replica_too_stale``; and a site
+restarting after a kill rehydrates its fragment from its peers before
+falling back to WAL replay.  With the subsystem disabled the wire is
+byte-identical to a replication-free build.
+
+With ``k=2`` on the paper deployment oak's peers are shady and top, so
+an asker that is to fail over for oak is etna: top and shady answer
+oak's region from their own fragments.
 """
 
 import pytest
@@ -24,11 +30,7 @@ from repro.net import (
 )
 from repro.core.errors import QueryRoutingError
 from repro.net.tcpruntime import TcpCluster
-from repro.replication import (
-    ReplicationConfig,
-    freshness_bound,
-    replica_peers,
-)
+from repro.replication import ReplicationConfig, replica_peers
 from repro.xmlkit import parse_fragment
 
 from tests.conftest import (
@@ -59,6 +61,12 @@ def replicated_cluster(k=2, network=None, clock=None, oa_config=None,
     )
 
 
+def _raise_if(condition):
+    """An interceptor body: lose the message when *condition* holds."""
+    if condition:
+        raise OSError("message lost")
+
+
 class TestReplicaRing:
     SITES = ["etna", "oak", "shady", "top"]
 
@@ -87,26 +95,60 @@ class TestReplicaRing:
 
 
 class TestFreshnessBound:
-    def test_unconstrained_query_has_no_bound(self):
-        assert freshness_bound(OAK_BLOCK) is None
+    """No site extracts a bound any more: the peer's walk applies the
+    ask's own consistency predicates to its copy, asked at etna."""
+
+    def _fail_over(self, age, query, scalar=False):
+        clock = {"now": 0.0}
+        cluster = replicated_cluster(k=2, clock=lambda: clock["now"])
+        clock["now"] = age
+        cluster.kill_site("oak")
+        if scalar:
+            return cluster, cluster.scalar(query, at_site="etna")
+        return cluster, cluster.query(query, at_site="etna")[2]
 
     def test_canonical_consistency_predicate(self):
-        assert freshness_bound(FRESH_OAK_BLOCK) == 30.0
+        _, outcome = self._fail_over(29.0, FRESH_OAK_BLOCK)
+        assert outcome.complete
+        [served] = outcome.completeness_report()["served_by_replica"]
+        assert served["age"] == pytest.approx(29.0)
+        # The predicate is strict: a copy exactly as old as the bound
+        # is too stale.
+        _, outcome = self._fail_over(30.0, FRESH_OAK_BLOCK)
+        assert not outcome.complete
+        assert outcome.completeness_report()["replica_too_stale"]
 
     def test_tightest_bound_wins(self):
-        query = ("/usRegion[@id='NE'][timestamp() > current-time() - 120]"
-                 "/state[@id='PA'][timestamp() > current-time() - 45]")
-        assert freshness_bound(query) == 45.0
+        neighborhood = OAK_BLOCK.replace("/block[@id='1']", "")
+        for loose, tight in ((120, 45), (45, 120)):
+            query = (f"{neighborhood}[timestamp() > current-time() - {loose}]"
+                     f"/block[@id='1'][timestamp() > current-time() - {tight}]")
+            _, outcome = self._fail_over(40.0, query)
+            assert outcome.complete
+            _, outcome = self._fail_over(60.0, query)
+            report = outcome.completeness_report()
+            assert report["served_by_replica"] == []
+            assert report["replica_too_stale"]
 
     def test_scalar_wrapper_unwrapped(self):
-        assert freshness_bound(f"count({FRESH_OAK_BLOCK})") == 30.0
-
-    def test_garbage_is_unbounded(self):
-        assert freshness_bound("not an xpath ((((") is None
+        query = f"count({FRESH_OAK_BLOCK}/parkingSpace)"
+        cluster, fresh = self._fail_over(10.0, query, scalar=True)
+        assert fresh == 2.0
+        assert cluster.agent("etna").subsystem("replication").metrics()[
+            "failover_served"] == 1
+        # Too stale: the region is excised and counts nothing.
+        cluster, stale = self._fail_over(40.0, query, scalar=True)
+        assert stale == 0.0
+        counters = cluster.agent("etna").subsystem("replication").metrics()
+        assert counters["failover_served"] == 0
+        assert counters["replica_too_stale"] == 1
 
 
 class TestFailoverServesFreshReplica:
-    """Owner crash mid-gather: the replica's answer is byte-identical."""
+    """Owner crash mid-gather: the replica's answer is byte-identical.
+    Asked at etna, which is not one of oak's ring peers."""
+
+    BOTH_BLOCKS = OAK_BLOCK.replace("[@id='1']", "[@id='1' or @id='2']")
 
     def _cluster(self):
         network = FaultyNetwork(LoopbackNetwork(), seed=0)
@@ -116,12 +158,12 @@ class TestFailoverServesFreshReplica:
 
     def test_replica_answer_matches_owner_answer(self):
         cluster, network = self._cluster()
-        baseline, _, outcome = cluster.query(FIGURE2_QUERY, at_site="top")
+        baseline, _, outcome = cluster.query(FIGURE2_QUERY, at_site="etna")
         assert outcome.complete
 
         network.kill_agent("oak")
         results, _, failed_over = cluster.query(FIGURE2_QUERY,
-                                                at_site="top")
+                                                at_site="etna")
         assert failed_over.complete
         assert answer_set(results) == answer_set(baseline)
         report = failed_over.completeness_report()
@@ -136,39 +178,124 @@ class TestFailoverServesFreshReplica:
     def test_failover_counters_and_driver_stats(self):
         cluster, network = self._cluster()
         network.kill_agent("oak")
-        cluster.query(OAK_BLOCK, at_site="top")
-        top = cluster.agent("top")
-        counters = top.subsystem("replication").metrics()
+        cluster.query(OAK_BLOCK, at_site="etna")
+        etna = cluster.agent("etna")
+        counters = etna.subsystem("replication").metrics()
         assert counters["failover_attempts"] >= 1
         assert counters["failover_served"] >= 1
-        assert top.driver.stats["replica_served"] >= 1
+        assert etna.driver.stats["replica_served"] >= 1
 
     def test_nested_query_fails_over_to_replica(self):
         """Every gather ask is a location path, so a nested query's asks
         are served from a replica like any other."""
         from repro.core import Subquery, render_id_path_query
-        from repro.core.gather import ReplicaServed
+        from repro.core.gather import SubqueryFailure
 
         nested = OAK_BLOCK + "/parkingSpace[not(price > ../parkingSpace/price)]"
         cluster, _network = self._cluster()
-        baseline, _, _ = cluster.query(nested, at_site="top")
+        baseline, _, _ = cluster.query(nested, at_site="etna")
 
         cluster, network = self._cluster()
         network.kill_agent("oak")
-        results, _, outcome = cluster.query(nested, at_site="top")
+        results, _, outcome = cluster.query(nested, at_site="etna")
         assert outcome.complete
         assert answer_set(results) == answer_set(baseline) != set()
-        [served] = outcome.completeness_report()["served_by_replica"]
-        assert served["owner"] == "oak"
+        # Both of etna's asks into oak's region -- the residual at
+        # Oakland and the block's subtree fetch -- are replica-served.
+        served = outcome.completeness_report()["served_by_replica"]
+        assert served
+        assert all(entry["owner"] == "oak" for entry in served)
 
         fetch = Subquery(render_id_path_query(OAKLAND), OAKLAND,
                          Subquery.NESTED_FETCH, subtree=True)
-        [reply] = cluster.agent("top").subsystem(
+        [reply] = cluster.agent("etna").subsystem(
             "replication").on_dispatch_failure(
                 "oak", [fetch], attempts=3, causes=["dead"])
-        assert isinstance(reply, ReplicaServed)
-        assert reply.owner == "oak"
+        assert not isinstance(reply, SubqueryFailure)
+        assert reply is not None
+        assert fetch.served_by["owner"] == "oak"
 
+
+    def test_stale_first_peer_falls_through_to_a_fresh_one(self):
+        """A peer that left an ask unanswered is passed over: shady
+        missed the pushes of oak's last updates, top did not."""
+        from repro.net.messages import UpdateMessage
+        from repro.replication import ReplicateMessage
+
+        clock = {"now": 0.0}
+        network = LoopbackNetwork()
+        cluster = replicated_cluster(k=2, network=network,
+                                     clock=lambda: clock["now"])
+
+        def drop_pushes_to_shady(src, dst, message):
+            if isinstance(message, ReplicateMessage) and dst == "shady":
+                raise OSError("push lost")
+
+        network.interceptors.append(drop_pushes_to_shady)
+        clock["now"] = 50.0
+        block = OAKLAND + (("block", "1"),)
+        for path in (block, block + (("parkingSpace", "1"),),
+                     block + (("parkingSpace", "2"),)):
+            cluster.agent("oak").handle_message(
+                UpdateMessage(path, values={}, sender="sensor"))
+        clock["now"] = 60.0
+        cluster.kill_site("oak")
+        results, _, outcome = cluster.query(FRESH_OAK_BLOCK, at_site="etna")
+        assert outcome.complete
+        assert answer_set(results) == answer_set(
+            replicated_cluster(k=2).query(OAK_BLOCK, at_site="top")[0])
+        report = outcome.completeness_report()
+        [served] = report["served_by_replica"]
+        assert (served["replica"], served["age"]) == ("top", 10.0)
+        assert report["replica_too_stale"] == []
+
+    def test_peer_without_a_copy_does_not_forward(self):
+        """The failover ask is flagged ``no_forward``: a peer holding no
+        copy answers what it has instead of asking on."""
+        from repro.replication import ReplicateMessage
+
+        network = LoopbackNetwork()
+        network.interceptors.append(
+            lambda src, dst, message: _raise_if(
+                isinstance(message, ReplicateMessage) and src == "oak"))
+        cluster = replicated_cluster(k=1, network=network)  # peer: shady
+        cluster.kill_site("oak")
+        messages = []
+        network.interceptors.append(
+            lambda src, dst, message: messages.append((src, dst)))
+        _, _, outcome = cluster.query(OAK_BLOCK, at_site="etna")
+        assert not outcome.complete
+        assert set(messages) == {("etna", "oak"), ("etna", "shady")}
+        assert messages.count(("etna", "shady")) == 1
+        [miss] = outcome.completeness_report()["unreachable"]
+        assert miss["causes"][-1] == \
+            "no replica of site 'oak' holds the region"
+
+    def test_several_asks_fail_over_in_one_batch(self):
+        """Every subquery of a failed group goes to a peer in one
+        flagged ``batch-query``, and each is served on its own.  (A
+        warm block 1 at etna splits the ask into one per block.)"""
+        from repro.net.messages import BatchQueryMessage
+
+        baseline = answer_set(replicated_cluster(k=2).query(
+            self.BOTH_BLOCKS, at_site="etna")[0])
+        network = LoopbackNetwork()
+        cluster = replicated_cluster(k=2, network=network)
+        cluster.query(OAK_BLOCK + "/parkingSpace", at_site="etna")
+        cluster.kill_site("oak")
+        to_peers = []
+        network.interceptors.append(
+            lambda src, dst, message: dst != "oak" and to_peers.append(
+                (dst, message)))
+        results, _, outcome = cluster.query(self.BOTH_BLOCKS,
+                                            at_site="etna")
+        assert outcome.complete
+        assert answer_set(results) == baseline != []
+        [(peer, ask)] = to_peers
+        assert peer == "shady"
+        assert isinstance(ask, BatchQueryMessage) and ask.no_forward
+        served = outcome.completeness_report()["served_by_replica"]
+        assert [entry["replica"] for entry in served] == ["shady", "shady"]
 
 class TestStaleReplicaDegrades:
     def _aged_cluster(self):
@@ -204,7 +331,7 @@ class TestStaleReplicaDegrades:
         cluster2, network2, clock2 = self._aged_cluster()
         network2.kill_agent("oak")
         clock2["now"] = 100.0
-        results, _, outcome = cluster2.query(OAK_BLOCK, at_site="top")
+        results, _, outcome = cluster2.query(OAK_BLOCK, at_site="etna")
         assert outcome.complete
         assert answer_set(results) == answer_set(baseline)
         [served] = outcome.completeness_report()["served_by_replica"]
@@ -242,6 +369,62 @@ class TestDoubleFailureTerminates:
         assert "SiteDown" in miss["causes"][0]
         assert miss["causes"][-1] == \
             "no replica of site 'oak' holds the region"
+
+
+class TestRingPeerAnswersFromItsCopy:
+    """A pushed copy is an ordinary cache entry: a ring peer answers its
+    own users from it, within each query's freshness bound."""
+
+    STALE_AFTER_30 = FIGURE2_QUERY + "[timestamp() > current-time() - 30]"
+
+    def _answers(self, query, subsystems, now=0.0):
+        clock = {"now": 0.0}
+        cluster = Cluster(
+            parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
+            oa_config=OAConfig(retry_policy=fast_retries()),
+            clock=lambda: clock["now"], count_bytes=True,
+            subsystems=subsystems)
+        clock["now"] = now
+        links = cluster.network.traffic.per_link
+        before = {link: count for link, (count, _bytes) in links.items()}
+        results, _, outcome = cluster.query(query, at_site="top")
+        assert outcome.complete
+        sent = {link for link, (count, _bytes) in links.items()
+                if count != before.get(link)}
+        return answer_set(results), sent
+
+    def test_ring_peer_answers_figure2_with_no_messages(self):
+        # top is one of oak's and shady's ring peers (k=2).
+        answer, sent = self._answers(FIGURE2_QUERY, [ReplicationConfig(k=2)])
+        assert sent == set()
+        answer_off, sent_off = self._answers(FIGURE2_QUERY, [])
+        assert answer == answer_off != []
+        assert sent_off  # without the pushed copies top asks
+
+    def test_bound_shorter_than_the_push_age_asks_the_owner(self):
+        answer, sent = self._answers(self.STALE_AFTER_30,
+                                     [ReplicationConfig(k=2)], now=100.0)
+        assert ("top", "oak") in sent
+        assert answer == self._answers(self.STALE_AFTER_30, [],
+                                       now=100.0)[0] != []
+
+
+class TestRestartedPeerKeepsItsCopies:
+    def test_restarted_ring_peer_still_serves_failover(self):
+        """Regression: a ring peer restarted without durability lost
+        every copy it held, so a later failover to it found nothing.
+        Every live owner whose ring includes it now pushes again."""
+        baseline = answer_set(
+            replicated_cluster(k=1).query(OAK_BLOCK, at_site="top")[0])
+        cluster = replicated_cluster(k=1)  # oak's only peer is shady
+        cluster.kill_site("shady")
+        cluster.restart_site("shady")
+        cluster.kill_site("oak")
+        results, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
+        assert outcome.complete
+        assert answer_set(results) == baseline != []
+        [served] = outcome.completeness_report()["served_by_replica"]
+        assert (served["owner"], served["replica"]) == ("oak", "shady")
 
 
 class TestWireParity:
@@ -328,21 +511,29 @@ class TestPeerRehydration:
         assert get_status(agent.database.find(OAKLAND)) is Status.OWNED
 
 
-class TestVersionStamps:
-    def test_reordered_older_batch_is_dropped(self):
-        cluster = replicated_cluster(k=2)
-        oak = cluster.agent("oak")
-        shady = cluster.agent("shady")
+class TestPushes:
+    def test_reordered_older_push_keeps_the_newer_copy(self):
+        """The merge's newer-timestamp rule orders pushes: an older one
+        arriving late leaves the newer copy in place."""
+        from repro.core.answer import AnswerBuilder
+        from repro.net.messages import UpdateMessage
         from repro.replication import ReplicateMessage
 
-        manager = shady.subsystem("replication")
-        before = manager.stats["replica_batches_stale_dropped"]
-        current = oak.database.root.subtree_version
-        stale = ReplicateMessage(
-            "oak", None,
-            {OAKLAND: (0.0, current - 1000)}, sender="oak")
-        assert manager.accept(stale) == 0
-        assert manager.stats["replica_batches_stale_dropped"] == before + 1
+        clock = {"now": 0.0}
+        cluster = replicated_cluster(k=2, clock=lambda: clock["now"])
+        oak = cluster.agent("oak")
+        space = OAKLAND + (("block", "1"), ("parkingSpace", "1"))
+        builder = AnswerBuilder(oak.database)
+        builder.include_local_information(oak.database.find(space))
+        older = ReplicateMessage(builder.build().copy(), sender="oak")
+        clock["now"] = 5.0
+        oak.handle_message(UpdateMessage(
+            space, values={"available": "maybe"}, sender="sensor"))
+        shady = cluster.agent("shady")
+        shady.handle_message(older)
+        copy = shady.database.find(space)
+        assert get_status(copy) is Status.COMPLETE
+        assert copy.child("available").text == "maybe"
 
     def test_update_triggers_re_replication(self):
         cluster = replicated_cluster(k=2)
@@ -373,7 +564,7 @@ class TestTcpReplication:
             assert outcome.complete
             tcp.kill_site("oak")
             results, _, failed_over = tcp.cluster.query(FIGURE2_QUERY,
-                                                        at_site="top")
+                                                        at_site="etna")
             assert failed_over.complete
             assert answer_set(results) == answer_set(baseline)
             [served] = \
@@ -383,7 +574,7 @@ class TestTcpReplication:
             tcp.restart_site("oak")
             assert tcp.cluster.stats["site_rehydrations"] == 1
             results, _, healed = tcp.cluster.query(FIGURE2_QUERY,
-                                                   at_site="top")
+                                                   at_site="etna")
             assert healed.complete
             assert answer_set(results) == answer_set(baseline)
 
@@ -408,7 +599,7 @@ class TestObservability:
 
     def test_explain_lists_failover_candidates(self):
         cluster = replicated_cluster(k=2)
-        report = cluster.explain(FIGURE2_QUERY)
+        report = cluster.agent("etna").explain(FIGURE2_QUERY)
         assert report.sections["replication"]["k"] == 2
         oak_entries = [entry for entry in report.plan
                        if entry["target"] == "oak"]

@@ -332,18 +332,11 @@ GOLDEN_TRAFFIC = {
     },
 }
 
-_PATHS = [OAKLAND, OAK_BLOCK1]
-_STAMPS = {OAKLAND: (1.0, 1)}
-
 #: name -> (package, every wire kind the package owns, as messages).
 SHIPPED = {
     "replication": ("repro.replication", lambda package: [
-        package.ReplicateMessage(
-            "oak", parse_fragment("<usRegion id='NE'/>"), _STAMPS,
-            sender="oak"),
-        package.ReplicaRetireMessage("oak", _PATHS, sender="oak"),
-        package.RehydrateRequest("oak", _PATHS, sender="top"),
-        package.RehydrateAnswer(7, "oak", stamps=_STAMPS, sender="shady"),
+        package.ReplicateMessage(parse_fragment("<usRegion id='NE'/>"),
+                                 sender="oak"),
     ]),
     "aggregation": ("repro.agg", lambda package: [
         package.PartialAggregateRequest(OAKLAND, OAK_BLOCK, bound=30.0,
