@@ -291,9 +291,9 @@ class AggregationManager:
             pattern = driver.compile(pattern.source + CURRENT)
         replies = []
 
-        def send(subquery):
+        def send_one(subquery):
             if subquery.subtree:
-                return driver.send(subquery)
+                return driver.send([subquery])[0]
             if any(_scans_over(ask, subquery, pattern.items)
                    for ask, _, _ in replies):
                 return None  # a partial asked for already counts it
@@ -302,7 +302,9 @@ class AggregationManager:
                 replies.append((subquery,) + reply)
             return None
 
-        outcome = driver.gather(pattern, now=now, send=send, ships=False)
+        outcome = driver.gather(pattern, now=now, ships=False,
+                                send=lambda pending: [send_one(subquery)
+                                                      for subquery in pending])
         matches = _uncovered(pattern, outcome,
                              [ask for ask, _, _ in replies])
         if matches is None:

@@ -1,9 +1,10 @@
-"""Subquery dispatch executors for the gather driver's fan-out.
+"""Subquery dispatch executors for an organizing agent's fan-out.
 
 One gather round's pending subqueries name independent remote IDable
-nodes: an executor maps the send function over the round's subqueries
-and returns the replies *in input order*, which is what keeps gathered
-answers byte-identical regardless of reply arrival order.
+nodes: the agent groups them per destination, and an executor maps the
+send over the groups and returns the replies *in input order*, which
+is what keeps gathered answers byte-identical regardless of reply
+arrival order.
 
 Two executors are provided:
 

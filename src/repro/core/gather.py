@@ -28,7 +28,6 @@ import threading
 
 from repro.core.database import SensorDatabase
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
-from repro.core.executors import resolve_executor
 from repro.core.idable import iter_idable
 from repro.core.answer import Subquery
 from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
@@ -38,7 +37,7 @@ from repro.core.semcache import (
     canonicalize,
 )
 from repro.core.status import clean_copy, get_status
-from repro.obs.tracing import TRACER, propagate
+from repro.obs.tracing import TRACER
 from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath, VariableReference
 from repro.xpath.evaluator import Evaluator
@@ -56,9 +55,9 @@ class GatherError(CoreError):
 class SubqueryFailure:
     """Terminal failure of one subquery dispatch (returned, not raised).
 
-    The network layer hands this back through ``send``/``send_many``
-    when a subquery exhausts its retry budget; the driver records it,
-    stops re-asking, and degrades the answer instead of raising.
+    The network layer hands this back through ``send`` when a
+    subquery exhausts its retry budget; the driver records it, stops
+    re-asking, and degrades the answer instead of raising.
     ``causes`` lists what every attempt saw, last entry last.
     """
 
@@ -217,11 +216,6 @@ def _subsumed_by(pending, answered, pattern):
     return False
 
 
-def _refuse(subquery):
-    """A per-call ``send`` that forwards nothing."""
-    return SubqueryFailure(subquery, 0, ["not forwarded"])
-
-
 def _merge(view, fragment, vouched, handed_over=False):
     """Merge a reply into *view*, adding to a *vouched* set every node
     whose local information it carried (a node it only names is not).
@@ -234,35 +228,30 @@ def _merge(view, fragment, vouched, handed_over=False):
 class GatherDriver:
     """Drives QEG-plus-subqueries for one site.
 
-    *send* is a callable ``send(subquery) -> Element | None``
-    implementing remote delivery (DNS lookup + transport); ``None``
-    means the remote had nothing.  *cache_results* controls whether
-    gathered fragments are merged into the site database (the paper's
-    default) or into a per-query overlay.
-
-    Each round's pending subqueries are independent; *executor* maps
-    the send over them (one after another on the calling thread by
-    default; ``"threaded"`` sends them from worker threads, which pays
-    off only when each send really waits on a wire).  *send_many*,
-    when given, overrides the executor for whole rounds: it receives
-    the round's pending subqueries and returns their replies in the
-    same order -- the hook the network layer uses to batch asks per
-    destination site and to let go of its site guard while they are
-    out.  Regardless of dispatch order, replies are merged back in
-    subquery emission order, so gathered answers are identical under
-    any executor.
+    *send* implements remote delivery (DNS lookup + transport): it
+    takes one round -- the list of that round's pending subqueries,
+    which are independent -- and returns their replies in the same
+    order, each a wire fragment, ``None`` when the remote had nothing,
+    or a :class:`SubqueryFailure`.  How it dispatches them (one at a
+    time, batched per destination, from worker threads) is its own
+    business: replies are merged back in subquery emission order, so
+    gathered answers never depend on it.  *cache_results* controls
+    whether gathered fragments are merged into the site database (the
+    paper's default) or into a per-query overlay.
     """
 
     MAX_ROUNDS = 12
 
     def __init__(self, database, send, schema=None, cache_results=True,
-                 executor=None, send_many=None, stale_on_error=False):
+                 stale_on_error=False):
         self.database = database
         self.send = send
+        #: Always ``None``: ``send`` takes whole rounds.  Kept because the
+        #: layer harness (``benchmarks/layers/spans.py``) wraps this
+        #: attribute, with ``send``, by name on every driver.
+        self.send_many = None
         self.schema = schema
         self.cache_results = cache_results
-        self.executor = resolve_executor(executor)
-        self.send_many = send_many
         self.stale_on_error = stale_on_error
         #: Scalar answers of this site, stamped with the database clock.
         self.aggregates = SemanticCache()
@@ -299,11 +288,10 @@ class GatherDriver:
     def gather(self, query, now=None, send=None, ships=True):
         """Gather everything *query* needs; returns a :class:`GatherOutcome`.
 
-        *send*, when given, delivers this gather's subqueries in place of
-        the driver's own ``send`` and ``send_many``, one after another (a
-        caller that answers some asks itself, as the aggregation rollup
-        does).  *ships* false: the caller never reads ``wire_answer``
-        (``None`` then), so no walk records one."""
+        *send*, when given, delivers this gather's rounds in place of the
+        driver's own ``send`` (a caller that answers some asks itself, as
+        the aggregation rollup does).  *ships* false: the caller never
+        reads ``wire_answer`` (``None`` then), so no walk records one."""
         site = self.database.site_id
         with TRACER.span("gather", site=site) as gather_span:
             with TRACER.span("parse", site=site):
@@ -344,14 +332,14 @@ class GatherDriver:
                 if view is self.database and not self.cache_results:
                     view = self._overlay()
                 max_fanout = max(max_fanout, len(pending))
-                # Fan the round out (possibly in parallel / batched),
-                # then merge the replies back in emission order: the
-                # merged view -- and hence the final answer -- never
-                # depends on reply arrival order.
+                # Hand the round to ``send`` (which may batch it or fan
+                # it out in parallel), then merge the replies back in
+                # emission order: the merged view -- and hence the final
+                # answer -- never depends on reply arrival order.
                 with TRACER.span("subquery-dispatch", site=site) as dspan:
                     dspan.set_tag("round", rounds)
                     dspan.set_tag("fanout", len(pending))
-                    replies = self._dispatch_round(pending, send)
+                    replies = (send or self.send)(pending)
                 with TRACER.span("merge", site=site) as merge_span:
                     merge_span.set_tag("round", rounds)
                     for subquery, reply in zip(pending, replies):
@@ -419,21 +407,6 @@ class GatherDriver:
             failure.stale_served = True
             vouched.update(iter_idable(anchor))
 
-    def _dispatch_round(self, pending, send=None):
-        """Send one round's subqueries; replies come back in input order.
-        A caller's own *send* runs them one after another on this thread,
-        the one holding the site guard each remote wait lets go of."""
-        if send is not None:
-            return [send(subquery) for subquery in pending]
-        if len(pending) == 1:
-            return [self.send(pending[0])]
-        if self.send_many is not None:
-            return self.send_many(pending)
-        # Executor threads do not inherit the caller's contextvars, so
-        # carry the active span across explicitly: without this, spans
-        # opened inside ``send`` would start fresh traces.
-        return self.executor.map(propagate(self.send), pending)
-
     # ------------------------------------------------------------------
     def answer_user_query(self, query, now=None):
         """Answer a user query: ``(results, outcome)``.
@@ -457,7 +430,9 @@ class GatherDriver:
         the asks the walk would have sent (``Subquery.STALE``: a copy
         too old for the ask's own bound).  A dead owner's ring peer
         answers read failover's ``no_forward`` asks this way."""
-        outcome = self.gather(query, now=now, send=_refuse)
+        outcome = self.gather(query, now=now, send=lambda pending: [
+            SubqueryFailure(subquery, 0, ["not forwarded"])
+            for subquery in pending])
         left = {failure.subquery.reason for failure in outcome.failures}
         return outcome.wire_answer, tuple(sorted(left))
 

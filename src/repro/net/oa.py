@@ -17,7 +17,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 
-from repro.core.errors import CoreError
+from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
 from repro.core.gather import GatherDriver, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
@@ -115,6 +115,34 @@ def _guarded(method):
     return guarded
 
 
+def ask(request, queries, now, sender, no_forward=False):
+    """One ask exchange: ``[(fragment, left)]`` for *queries*, in order.
+
+    The one place an ask envelope is built: a ``query`` for one ask, a
+    ``batch-query`` for several, flagged ``no_forward`` for an answer
+    from the asked site's fragment alone (*left*: what it left
+    unanswered).  *request(message, expect)* returns the reply; one of
+    another kind or count raises :class:`NetError`.
+    """
+    if len(queries) == 1:
+        message = QueryMessage(queries[0], now=now, no_forward=no_forward,
+                               sender=sender)
+        expect = AnswerMessage
+    else:
+        message = BatchQueryMessage([(query, False) for query in queries],
+                                    now=now, no_forward=no_forward,
+                                    sender=sender)
+        expect = BatchAnswerMessage
+    reply = request(message, expect)
+    if not isinstance(reply, expect) or (
+            expect is BatchAnswerMessage and len(reply) != len(queries)):
+        raise NetError(f"a {type(reply).__name__} does not answer "
+                       f"{len(queries)} asks")
+    if expect is AnswerMessage:
+        return [(reply.fragment, reply.left)]
+    return list(zip(reply.answers, reply.lefts or [()] * len(queries)))
+
+
 class OAConfig:
     """Tunables for an organizing agent.
 
@@ -209,11 +237,9 @@ class OrganizingAgent:
         )
         self.driver = GatherDriver(
             database,
-            send=self._send_subquery,
+            send=self._send_subqueries,
             schema=schema,
             cache_results=self.config.cache_results,
-            executor=self.executor,
-            send_many=self._send_subqueries,
             stale_on_error=self.config.stale_on_error,
         )
         #: Per-anchor served-query counters (always on: strictly local
@@ -254,7 +280,7 @@ class OrganizingAgent:
         }
         self._handlers = {
             QueryMessage: self._handle_query,
-            BatchQueryMessage: self._handle_batch,
+            BatchQueryMessage: self._handle_asks,
             UpdateMessage: self._handle_update,
             AdoptMessage: self._handle_adopt,
             MigrateReleaseMessage: self._handle_migrate_release,
@@ -321,26 +347,17 @@ class OrganizingAgent:
             return None
         return target
 
-    def _send_subquery(self, subquery):
-        """Route a QEG subquery to the responsible site and await the reply."""
-        target = self.resolve_owner(subquery.anchor_path)
-        if target is None:
-            return None
-        self.stats["subqueries_sent"] += 1
-        return self._dispatch_with_retry(target, [subquery])[0]
+    def _send_subqueries(self, subqueries, resent=False):
+        """The driver's ``send`` and this agent's only dispatcher: one
+        round's replies, in input order.
 
-    def _send_subqueries(self, subqueries):
-        """One gather round's fan-out: batch per destination.
-
-        Resolves every subquery's responsible site, groups the remote
-        ones by destination (one :class:`BatchQueryMessage` -- a single
-        framed request -- per site with several asks), dispatches the
-        per-site groups through the configured executor, and returns
-        the replies in input order for the driver's deterministic
-        merge.  Each group runs through the retry layer under the site
-        guard, which :meth:`request` lets go of on the wire; terminal
-        failures come back as per-subquery
-        :class:`~repro.core.gather.SubqueryFailure` sentinels.
+        Resolves every ask's owner, answers those anchored here itself,
+        and ships the rest one exchange per destination (:func:`ask`)
+        through the configured executor, each group under the retry
+        layer; terminal failures come back as
+        :class:`~repro.core.gather.SubqueryFailure` sentinels.  A group
+        whose owners moved mid-retry comes back *resent*: regrouped on
+        fresh DNS, not counted again.
         """
         replies = [None] * len(subqueries)
         groups = {}
@@ -348,9 +365,11 @@ class OrganizingAgent:
             target = self.resolve_owner(subquery.anchor_path)
             if target is None:
                 continue
-            self.stats["subqueries_sent"] += 1
+            if not resent:
+                self.stats["subqueries_sent"] += 1
             if target == self.site_id:
-                # Ownership race or self-anchored fetch: answer locally.
+                # Ownership race, self-anchored fetch, or an owner that
+                # came home mid-retry: answer locally.
                 replies[index] = self.driver.answer_any(subquery.query)
             else:
                 groups.setdefault(target, []).append(index)
@@ -464,18 +483,18 @@ class OrganizingAgent:
         """
         policy = self.retry_policy
         deadline = Deadline(policy.deadline)
-        backoff_key = (self.site_id, target, subqueries[0].query)
+        queries = [subquery.query for subquery in subqueries]
+        span = "send-subquery" if len(queries) == 1 else "send-batch"
+        backoff_key = (self.site_id, target, queries[0])
         causes = []
         attempts = 0
         while True:
             attempts += 1
-            if target == self.site_id:
-                # Re-resolution brought the anchor home (adoption
-                # completed mid-retry): answer locally.
-                return [self.driver.answer_any(subquery.query)
-                        for subquery in subqueries]
             try:
-                return self._ship(target, subqueries)
+                replies = ask(functools.partial(self.request, target,
+                                                span=span),
+                              queries, self.clock(), self.site_id)
+                return [fragment for fragment, _left in replies]
             except CircuitOpenError as exc:
                 causes.append(str(exc))
             except RemoteError as exc:
@@ -497,22 +516,14 @@ class OrganizingAgent:
             # The owner may have migrated (or our DNS entry gone stale
             # with a dead site): re-resolve through authoritative DNS
             # before the next attempt.
-            new_targets = {
-                self.resolve_owner(subquery.anchor_path, refresh=True)
-                for subquery in subqueries
-            }
-            if len(new_targets) == 1:
-                new_target = new_targets.pop()
-                if new_target is None:
-                    # DNS retired every node in the group: the regions
-                    # no longer exist, which is an ordinary "nothing".
-                    return [None] * len(subqueries)
-                target = new_target
-            else:
-                # The group no longer shares one owner (a migration
-                # landed mid-retry): finish each ask independently.
-                return [self._redispatch(subquery)
-                        for subquery in subqueries]
+            owners = {self.resolve_owner(subquery.anchor_path, refresh=True)
+                      for subquery in subqueries}
+            if len(owners) > 1 or owners & {None, self.site_id}:
+                # The group no longer shares one remote owner (a
+                # migration landed mid-retry, DNS retired a region, an
+                # adoption brought it home): regroup it on fresh DNS.
+                return self._send_subqueries(subqueries, resent=True)
+            target = owners.pop()
         for answer_for in self._subsystems.listeners["on_dispatch_failure"]:
             # The owner is terminally unreachable (budget exhausted or
             # breaker open): a subsystem may answer in its place.  Data
@@ -524,38 +535,6 @@ class OrganizingAgent:
                 return replies
         return [SubqueryFailure(subquery, attempts, causes)
                 for subquery in subqueries]
-
-    def _redispatch(self, subquery):
-        """Restart one subquery on fresh DNS (post-divergence path)."""
-        target = self.resolve_owner(subquery.anchor_path)
-        if target is None:
-            return None
-        return self._dispatch_with_retry(target, [subquery])[0]
-
-    def _ship(self, target, subqueries):
-        """One wire exchange for a same-destination group: a ``query``
-        for a single ask, one ``batch-query`` for several; returns the
-        reply fragments in input order."""
-        if len(subqueries) == 1:
-            [subquery] = subqueries
-            reply = self.request(
-                target,
-                QueryMessage(subquery.query, now=self.clock(),
-                             sender=self.site_id),
-                expect=AnswerMessage, span="send-subquery")
-            return [reply.fragment]
-        reply = self.request(
-            target,
-            BatchQueryMessage(
-                [(subquery.query, False) for subquery in subqueries],
-                now=self.clock(), sender=self.site_id),
-            expect=BatchAnswerMessage, span="send-batch")
-        if len(reply) != len(subqueries):
-            raise NetError(
-                f"site {target!r} answered {len(reply)} of "
-                f"{len(subqueries)} batched subqueries"
-            )
-        return reply.answers
 
     # ------------------------------------------------------------------
     # Serving queries
@@ -608,59 +587,68 @@ class OrganizingAgent:
         return handler(message)
 
     def _handle_query(self, message):
+        if not message.user or message.no_forward:
+            return self._handle_asks(message)
         self.load.record_path(query_anchor(message.query, self.schema))
-        if message.user:
-            self.stats["user_queries"] += 1
-            results, outcome = self.driver.answer_user_query(
-                message.query, now=message.now
-            )
-            completeness = None
-            if outcome is not None and (outcome.failures
-                                        or outcome.replica_served):
-                # Partial or replica-served answer: ship the machine-
-                # readable report so the front-end knows exactly which
-                # regions are missing or came from a replica.
-                completeness = outcome.completeness_report()
-            return AnswerMessage(message.message_id,
-                                 results=results,
-                                 completeness=completeness,
-                                 sender=self.site_id)
-        self.stats["subqueries_served"] += 1
+        self.stats["user_queries"] += 1
+        results, outcome = self.driver.answer_user_query(
+            message.query, now=message.now
+        )
+        completeness = None
+        if outcome.failures or outcome.replica_served:
+            # Partial or replica-served answer: ship the machine-
+            # readable report so the front-end knows exactly which
+            # regions are missing or came from a replica.
+            completeness = outcome.completeness_report()
+        return AnswerMessage(message.message_id, results=results,
+                             completeness=completeness, sender=self.site_id)
+
+    def _handle_asks(self, message):
+        """Reply to a ``batch-query``, or a ``query`` that is not a
+        user's, with one :meth:`_answer_ask` per ask; a ``no_forward``
+        ask that is not a path refuses the message whole."""
+        batch = isinstance(message, BatchQueryMessage)
+        items = message.items if batch else [(message.query, message.scalar)]
+        try:
+            answers = [self._answer_ask(query, scalar, message.now,
+                                        message.no_forward)
+                       for query, scalar in items]
+        except UnsupportedDistributedQueryError as exc:
+            if not message.no_forward:
+                raise
+            return ErrorMessage(
+                message.message_id, code="not-forwardable",
+                detail=f"a no_forward ask must be a path: {exc}",
+                retryable=False, sender=self.site_id)
+        if batch:
+            return BatchAnswerMessage(
+                message.message_id, answers=[answer for answer, _ in answers],
+                lefts=[left for _, left in answers], sender=self.site_id)
+        [(answer, left)] = answers
         if message.scalar:
-            scalar = self.answer_scalar(message.query, now=message.now)
-            return AnswerMessage(message.message_id, scalar=scalar,
+            return AnswerMessage(message.message_id, scalar=answer[1],
                                  sender=self.site_id)
-        if message.no_forward:
-            fragment, left = self.driver.answer_unforwarded(
-                message.query, now=message.now)
-            return AnswerMessage(message.message_id, fragment=fragment,
-                                 left=left, sender=self.site_id)
-        fragment = self.driver.answer_any(message.query, now=message.now)
-        return AnswerMessage(message.message_id, fragment=fragment,
+        return AnswerMessage(message.message_id, fragment=answer, left=left,
                              sender=self.site_id)
 
-    def _handle_batch(self, message):
-        """Answer a batched subquery: one reply per item, in order."""
-        self.stats["subqueries_served"] += len(message.items)
-        for query, _scalar in message.items:
-            self.load.record_path(query_anchor(query, self.schema))
-        if message.no_forward:
-            replies = [self.driver.answer_unforwarded(query, now=message.now)
-                       for query, _scalar in message.items]
-            return BatchAnswerMessage(
-                message.message_id, answers=[reply[0] for reply in replies],
-                lefts=[reply[1] for reply in replies], sender=self.site_id)
-        answers = []
-        for query, scalar in message.items:
-            if scalar:
-                answers.append(("scalar",
-                                self.answer_scalar(query,
-                                                   now=message.now)))
-            else:
-                answers.append(self.driver.answer_any(query,
-                                                      now=message.now))
-        return BatchAnswerMessage(message.message_id, answers=answers,
-                                  sender=self.site_id)
+    def _answer_ask(self, query, scalar, now, no_forward):
+        """One peer's ask, whichever envelope carried it: ``(answer,
+        left)``, *answer* a wire fragment or ``("scalar", value)``.  A
+        ``no_forward`` ask must be a path (else this raises
+        :class:`UnsupportedDistributedQueryError` before serving it) and
+        is answered from this site's fragment alone; then a scalar gets
+        a value; anything else goes to the driver."""
+        if no_forward and scalar:
+            raise UnsupportedDistributedQueryError(f"{query!r} is scalar")
+        if no_forward:
+            self.driver.compile(query)  # raises for any other non-path
+        self.load.record_path(query_anchor(query, self.schema))
+        self.stats["subqueries_served"] += 1
+        if no_forward:
+            return self.driver.answer_unforwarded(query, now=now)
+        if scalar:
+            return ("scalar", self.answer_scalar(query, now=now)), ()
+        return self.driver.answer_any(query, now=now), ()
 
     @_guarded
     def answer_scalar(self, query, now=None, max_age=None):

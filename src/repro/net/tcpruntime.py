@@ -21,12 +21,7 @@ import threading
 import time
 
 from repro.net.errors import FrameTooLarge, NetError, UnknownSite
-from repro.net.framing import (  # noqa: F401  (re-exported: the framing
-    MAX_MESSAGE_BYTES,           # helpers lived here before repro.net.framing
-    FrameReader,                 # existed, and callers still import them
-    recv_framed,                 # from this module)
-    send_framed,
-)
+from repro.net.framing import FrameReader, recv_framed, send_framed
 from repro.net.messages import (
     AnswerMessage,
     BatchAnswerMessage,

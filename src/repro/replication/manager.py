@@ -26,20 +26,15 @@ envelope fields are added, and answers are byte-identical to a
 replication-free build.
 """
 
+import functools
 import threading
 
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.gather import SubqueryFailure
 from repro.core.status import TIMESTAMP_ATTRIBUTE, get_status
 from repro.net.errors import NetError
-from repro.net.messages import (
-    AckMessage,
-    AnswerMessage,
-    BatchAnswerMessage,
-    BatchQueryMessage,
-    QueryMessage,
-    as_id_path,
-)
+from repro.net.messages import AckMessage, as_id_path
+from repro.net.oa import ask
 from repro.replication.messages import ReplicateMessage
 
 
@@ -57,26 +52,6 @@ def replica_peers(owner, sites, k):
     start = ring.index(owner)
     return [ring[(start + step) % len(ring)]
             for step in range(1, min(k, len(ring) - 1) + 1)]
-
-
-def unforwarded_ask(queries, now, sender):
-    """The ``no_forward`` ask for *queries*: a ``query`` for one, one
-    ``batch-query`` for several."""
-    if len(queries) == 1:
-        return QueryMessage(queries[0], now=now, no_forward=True,
-                            sender=sender)
-    return BatchQueryMessage([(query, False) for query in queries], now=now,
-                             no_forward=True, sender=sender)
-
-
-def unforwarded_replies(reply, count):
-    """``[(fragment, left)]`` for the *count* asks *reply* answers."""
-    if isinstance(reply, AnswerMessage) and count == 1:
-        return [(reply.fragment, reply.left)]
-    if isinstance(reply, BatchAnswerMessage) and len(reply) == count:
-        return list(zip(reply.answers, reply.lefts or [()] * count))
-    raise NetError(f"a {type(reply).__name__} does not answer "
-                   f"{count} no_forward asks")
 
 
 def copy_age(fragment, now):
@@ -239,10 +214,9 @@ class ReplicationManager:
         if peer == self.agent.site_id:
             return [self.agent.driver.answer_unforwarded(query, now=now)
                     for query in queries]
-        reply = self.agent.request(
-            peer, unforwarded_ask(queries, now, self.agent.site_id),
-            expect=(AnswerMessage, BatchAnswerMessage), span="send-failover")
-        return unforwarded_replies(reply, len(queries))
+        return ask(functools.partial(self.agent.request, peer,
+                                     span="send-failover"),
+                   queries, now, self.agent.site_id, no_forward=True)
 
     # -- introspection ---------------------------------------------------
     def metrics(self):

@@ -6,15 +6,14 @@ the ring peers' copies, and rebuilds a restarting site's fragment from
 its peers' copies.
 """
 
+import functools
+
 from repro.core.database import SensorDatabase
 from repro.core.status import get_status
 from repro.core.subquery import render_id_path_query
 from repro.net.errors import NetError
-from repro.replication.manager import (
-    replica_peers,
-    unforwarded_ask,
-    unforwarded_replies,
-)
+from repro.net.oa import ask
+from repro.replication.manager import replica_peers
 
 
 class ReplicationRing:
@@ -84,19 +83,24 @@ class ReplicationRing:
         root = cluster.global_document
         database = SensorDatabase.empty(root.tag, root.get("id"),
                                         clock=cluster.clock, site_id=site)
+        replies = []
+
+        def request(peer, message, _expect):
+            # Straight onto the wire: the site being rebuilt has no agent
+            # yet, so no ``agent.request`` and no breakers.
+            replies.append(cluster.network.request(site, peer, message))
+            return replies[-1]
+
         received = 0
         for peer in replica_peers(site, cluster.plan.sites, self.config.k):
             if peer not in cluster.agents:
                 continue
-            message = unforwarded_ask(queries, cluster.clock(), site)
             try:
-                # Straight onto the wire: the site being rebuilt has no
-                # agent yet, so no ``agent.request`` and no breakers.
-                reply = cluster.network.request(site, peer, message)
-                answers = unforwarded_replies(reply, len(queries))
+                answers = ask(functools.partial(request, peer), queries,
+                              cluster.clock(), site, no_forward=True)
             except (OSError, NetError):
                 continue
-            received += reply.encoded_size()
+            received += replies[-1].encoded_size()
             for fragment, _left in answers:
                 if fragment is not None:
                     database.store_fragment(fragment)

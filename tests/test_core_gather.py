@@ -43,11 +43,11 @@ def build_mesh(paper_doc, cache_results=True):
         return owners.get(path)
 
     def make_send(site):
-        def send(subquery):
+        def send_one(subquery):
             target = owner_site_of(subquery.anchor_path)
             sent_log.append((site, target, subquery.query))
             return drivers[target].answer_any(subquery.query)
-        return send
+        return lambda pending: [send_one(subquery) for subquery in pending]
 
     for site, db in dbs.items():
         drivers[site] = GatherDriver(db, make_send(site), schema=schema,
@@ -205,7 +205,7 @@ class TestFailureModes:
         dbs = plan.build_databases(paper_doc)
         schema = HierarchySchema.from_document(paper_doc)
 
-        def broken_send(subquery):
+        def broken_send(pending):
             raise ConnectionError("site down")
 
         driver = GatherDriver(dbs["top"], broken_send, schema=schema)
@@ -222,7 +222,9 @@ class TestFailureModes:
         schema = HierarchySchema.from_document(paper_doc)
         # A remote that always returns nothing: queries still terminate
         # (absence is an acceptable answer), with empty results.
-        driver = GatherDriver(dbs["top"], lambda sq: None, schema=schema)
+        driver = GatherDriver(dbs["top"],
+                              lambda pending: [None] * len(pending),
+                              schema=schema)
         results, _ = driver.answer_user_query(
             PREFIX + "/neighborhood[@id='Oakland']/block[@id='1']")
         assert results == []

@@ -172,7 +172,8 @@ class TestPatternCompileCache:
         schema = HierarchySchema.from_document(paper_doc)
         plan = PartitionPlan({"one": [id_path("usRegion=NE")]})
         db = plan.build_databases(paper_doc)["one"]
-        driver = GatherDriver(db, send=lambda sq: None, schema=schema)
+        driver = GatherDriver(db, send=lambda pending: [None] * len(pending),
+                              schema=schema)
         first = driver.compile(FIGURE2_QUERY)
         assert driver.compile(FIGURE2_QUERY) is first
 

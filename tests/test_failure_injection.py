@@ -31,9 +31,10 @@ from repro.net import (
     TcpNetwork,
 )
 from repro.net.errors import MessageError, NetError
+from repro.net.framing import recv_framed, send_framed
 from repro.net.messages import AnswerMessage, Message, UpdateMessage
 from repro.net.retry import CLOSED, HALF_OPEN, OPEN, hash_fraction
-from repro.net.tcpruntime import TcpCluster, recv_framed, send_framed
+from repro.net.tcpruntime import TcpCluster
 from repro.xmlkit import Element, canonical_form, parse_fragment
 
 from tests.conftest import (

@@ -123,11 +123,11 @@ class TestSubsumptionEndToEnd:
         drivers = {}
 
         def make_send(_site):
-            def send(subquery):
+            def send_one(subquery):
                 path = tuple(tuple(e) for e in subquery.anchor_path)
                 target = "oak" if path[:5] == OAKLAND else "shady"
                 return drivers[target].answer_any(subquery.query)
-            return send
+            return lambda pending: [send_one(sq) for sq in pending]
 
         for site, db in dbs.items():
             drivers[site] = GatherDriver(db, make_send(site),

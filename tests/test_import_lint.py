@@ -146,6 +146,39 @@ def test_agents_reach_the_wire_through_one_guarded_request():
     assert breaker == {"net/oa.py"}
 
 
+# ----------------------------------------------------------------------
+# One ask path: whole rounds in, one function makes every envelope
+# ----------------------------------------------------------------------
+ASK_ENVELOPES = ("QueryMessage", "BatchQueryMessage")
+
+
+def test_one_function_builds_every_ask_envelope():
+    files = [SRC / "repro" / "net" / "oa.py",
+             *sorted((SRC / "repro" / "replication").rglob("*.py"))]
+    made_in = {envelope: set() for envelope in ASK_ENVELOPES}
+    for path in files:
+        name = str(path.relative_to(SRC / "repro"))
+        for scope, callee in dotted_calls(path):
+            if callee in made_in:
+                made_in[callee].add((name, scope))
+    assert made_in == {envelope: {("net/oa.py", "ask")}
+                        for envelope in ASK_ENVELOPES}
+
+
+def test_the_gather_driver_takes_whole_rounds():
+    from repro.core import GatherDriver
+    from repro.net.oa import OrganizingAgent
+    import repro.replication.manager as replication
+
+    parameters = inspect.signature(GatherDriver).parameters
+    assert "executor" not in parameters and "send_many" not in parameters
+    assert not hasattr(GatherDriver, "_dispatch_round")
+    for gone in ("_send_subquery", "_redispatch", "_ship"):
+        assert not hasattr(OrganizingAgent, gone), gone
+    for gone in ("unforwarded_ask", "unforwarded_replies"):
+        assert not hasattr(replication, gone), gone
+
+
 def test_no_unused_imports_under_src():
     """What ``ruff check --select F401`` would report (ruff is not
     installed here): a name an ``import`` binds and nothing reads."""

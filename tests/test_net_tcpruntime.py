@@ -9,16 +9,10 @@ import pytest
 
 from repro.net import AckMessage, QueryMessage
 from repro.net.errors import NetError, UnknownSite
+from repro.net.framing import MAX_MESSAGE_BYTES, recv_framed, send_framed
 from repro.net.messages import Message
 from repro.net.oa import SiteGuard
-from repro.net.tcpruntime import (
-    MAX_MESSAGE_BYTES,
-    TcpCluster,
-    TcpNetwork,
-    TcpSiteServer,
-    recv_framed,
-    send_framed,
-)
+from repro.net.tcpruntime import TcpCluster, TcpNetwork, TcpSiteServer
 
 from tests.conftest import FIGURE2_QUERY, OAKLAND
 

@@ -38,7 +38,7 @@ def test_restarted_database_serves_queries(paper_doc, tmp_path):
     databases["oak"].save(str(path))
     restored = SensorDatabase.load(str(path), site_id="oak")
 
-    driver = GatherDriver(restored, send=lambda sq: None,
+    driver = GatherDriver(restored, send=lambda pending: [None] * len(pending),
                           schema=HierarchySchema.from_document(paper_doc))
     results, outcome = driver.answer_user_query(
         "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
