@@ -46,6 +46,7 @@ answer (Section 3.3).
 """
 
 import functools
+import operator
 import re
 import threading
 
@@ -84,10 +85,11 @@ from repro.xpath.ast import (
     iter_location_paths,
 )
 from repro.xpath.errors import XPathError
-from repro.xpath.evaluator import Evaluator
-from repro.xpath.types import to_boolean
-
-_EVALUATOR = Evaluator()
+from repro.xpath.evaluator import (
+    Environment,
+    compile_expression,
+    compile_predicates,
+)
 
 
 def _path_is_nested(path, is_idable_tag):
@@ -137,7 +139,8 @@ class PatternItem:
     """One named child step of the query's main path."""
 
     __slots__ = ("step", "descendant", "plain_predicates", "nested_predicates",
-                 "split", "pinned_ids", "pins_exact", "residual_predicates")
+                 "split", "pinned_ids", "pins_exact", "residual_predicates",
+                 "text_check", "id_check", "rest_check", "consistency_check")
 
     def __init__(self, step, descendant, is_idable_tag):
         self.step = step
@@ -173,6 +176,17 @@ class PatternItem:
                     residual.append(conjunct)
         self.residual_predicates = residual
 
+    def __getattr__(self, name):
+        """A check (:data:`_CHECKS`) compiles on its first read and
+        stays in its slot: an item compiles the checks its walks run,
+        once (exact pins, for one, never run P_id's)."""
+        predicates_of = _CHECKS.get(name)
+        if predicates_of is None:
+            raise AttributeError(name)
+        check = compile_predicates(predicates_of(self))
+        setattr(self, name, check)
+        return check
+
     @property
     def has_nested(self):
         return bool(self.nested_predicates)
@@ -205,7 +219,30 @@ class PatternItem:
         item.pinned_ids = pinned_ids(item.split.id_predicates)
         item.pins_exact = self.pins_exact
         item.residual_predicates = list(map(clone, self.residual_predicates))
+        # A value or freshness check over predicates no slot reaches
+        # (the template's own nodes) is the template's; any other check
+        # compiles from the bound clones, never with the template's
+        # literals.
+        if all(map(operator.is_, item.split.consistency_predicates,
+                   split.consistency_predicates)):
+            item.consistency_check = self.consistency_check
+        if all(map(operator.is_, item.split.rest_predicates,
+                   split.rest_predicates)):
+            item.rest_check = self.rest_check
         return item
+
+
+#: The predicate lists the walk decides, by the slot of their compiled
+#: check (:func:`~repro.xpath.evaluator.compile_predicates`, ``None``
+#: for none).  ``text_check`` is the step's predicates at a text node,
+#: which only a node-type test matches.
+_CHECKS = {
+    "text_check": lambda item: item.step.predicates
+    if isinstance(item.step.node_test, NodeTypeTest) else (),
+    "id_check": lambda item: item.split.id_predicates,
+    "rest_check": lambda item: item.split.rest_predicates,
+    "consistency_check": lambda item: item.split.consistency_predicates,
+}
 
 
 class CompiledPattern:
@@ -229,6 +266,28 @@ class CompiledPattern:
     @property
     def has_nesting(self):
         return self.collect_index is not None
+
+    @functools.cached_property
+    def residual(self):
+        """The rest of the query below the collect point, relative to
+        it and compiled once per pattern (``None`` without nesting)."""
+        k = self.collect_index
+        if k is None:
+            return None
+        steps = []
+        item_k = self.items[k]
+        if item_k.nested_predicates:
+            steps.append(Step("self", NodeTypeTest("node"),
+                              list(item_k.nested_predicates)))
+        for item in self.items[k + 1:]:
+            if item.descendant:
+                steps.append(Step("descendant-or-self", NodeTypeTest("node")))
+            steps.append(Step("child", item.step.node_test,
+                              list(item.step.predicates)))
+        # Freshness below a collect point is the fetch's business: the
+        # subtree is materialized, and an owner's data is never too old.
+        return compile_expression(strip_consistency_predicates(
+            LocationPath(absolute=False, steps=steps)))
 
     def bind(self, values):
         """This template with ``values[i]`` in slot *i*.  Only the nodes
@@ -490,6 +549,7 @@ class _Walker:
         self.pattern = pattern
         self.items = pattern.items
         self.now = now
+        self.env = Environment(now=now)
         self.vouched = vouched
         self.ships = ships
         self.builder = AnswerBuilder(db) if ships else GapFinder(db)
@@ -547,14 +607,13 @@ class _Walker:
             node = node.parent
         return node
 
-    def evaluate(self, predicates, node):
-        if not predicates:
+    def evaluate(self, check, node):
+        """Whether *node* passes the compiled *check* (``None``: no
+        predicates) at this walk's clock."""
+        if check is None:
             return True
         try:
-            return all(
-                to_boolean(_EVALUATOR.evaluate(p, node, now=self.now))
-                for p in predicates
-            )
+            return check(node, self.env)
         except XPathError:
             # A predicate that cannot be evaluated on partial data is
             # treated as unsatisfied locally; the conservative paths
@@ -591,21 +650,18 @@ class _Walker:
         self.stats["nodes_visited"] += 1
         n_items = len(self.items)
 
-        if n_items in states:
-            self._include_result(element)
-            states = {j for j in states if j < n_items}
+        # Collect-point handling for nesting depth > 0, before results:
+        # a final step's own nested predicates are decided there.
+        collected = self.pattern.collect_index
+        if collected is not None and collected + 1 in states:
+            self._collect_and_evaluate(element)
+            states = {j for j in states if j != collected + 1}
             if not states:
                 return
 
-        # Collect-point handling for nesting depth > 0.
-        if (
-            self.pattern.collect_index is not None
-            and (self.pattern.collect_index + 1) in states
-        ):
-            self._collect_and_evaluate(element)
-            states = {
-                j for j in states if j != self.pattern.collect_index + 1
-            }
+        if n_items in states:
+            self._include_result(element)
+            states = {j for j in states if j < n_items}
             if not states:
                 return
 
@@ -619,7 +675,9 @@ class _Walker:
                 return
 
         threads = [(j, self.items[j]) for j in sorted(states)]
-        final = {n_items}
+        # A child in the final state alone is a result, unless the final
+        # step is the collect point, whose nested predicates decide it.
+        final = None if collected == n_items - 1 else {n_items}
         self._held.append(states)
         for child in element.children:
             child_states = set()
@@ -731,15 +789,13 @@ class _Walker:
         """Decide whether *node* satisfies item *j* (the four status cases)."""
         item = self.items[j]
         if isinstance(node, Text):
-            return _MATCH if not item.step.predicates else (
-                _MATCH if self.evaluate(item.step.predicates, node) else _NO
-            )
+            return _MATCH if self.evaluate(item.text_check, node) else _NO
 
         split = item.split
         # P_id first: _match_item's pin test decided it when the pins
         # are exact; otherwise evaluate what the pins cannot express.
         if not (item.pins_exact and item.pinned_ids is not None) \
-                and not self.evaluate(split.id_predicates, node):
+                and not self.evaluate(item.id_check, node):
             return _NO
         # Nested predicates wait for the collect point (_process).
         is_result_item = (j + 1) == len(self.items)
@@ -749,28 +805,28 @@ class _Walker:
             # evaluable; consistency follows the enclosing IDable node.
             anchor = self._lowest_idable(node)
             if get_status(anchor) is Status.COMPLETE and \
-                    self._stale(split, node, anchor):
+                    self._stale(item, node, anchor):
                 top, k, gap = self._climb(node, j)
                 if top is not anchor and self._locally_idable(top):
                     return self._ask_below(top, k, Subquery.STALE, gap)
                 # The climb did not leave the IDable anchor: ask below it.
                 return self._ask_below(anchor, j, Subquery.STALE, gap=True)
-            return _MATCH if self.evaluate(split.rest_predicates, node) \
+            return _MATCH if self.evaluate(item.rest_check, node) \
                 else _NO
 
         status = get_status(node)
 
         if status is Status.OWNED:
-            return _MATCH if self.evaluate(split.rest_predicates, node) \
+            return _MATCH if self.evaluate(item.rest_check, node) \
                 else _NO
 
         if not split.separable:
             return self._ask_at(node, j, Subquery.UNSEPARABLE)
 
         if status is Status.COMPLETE:
-            if self._stale(split, node, node):
+            if self._stale(item, node, node):
                 return self._ask_at(node, j, Subquery.STALE)
-            return _MATCH if self.evaluate(split.rest_predicates, node) \
+            return _MATCH if self.evaluate(item.rest_check, node) \
                 else _NO
 
         if status is Status.ID_COMPLETE:
@@ -847,13 +903,13 @@ class _Walker:
             rendered = self._rendered[key] = (text, anchor_path)
         return rendered
 
-    def _stale(self, split, node, anchor):
+    def _stale(self, item, node, anchor):
         """Whether the cached copy *node* (data of the IDable *anchor*)
         fails its step's freshness bound; a vouched-for copy is as fresh
         as its owner makes it, so never."""
-        return bool(split.consistency_predicates) \
+        return item.consistency_check is not None \
             and anchor not in self.vouched \
-            and not self.evaluate(split.consistency_predicates, node)
+            and not self.evaluate(item.consistency_check, node)
 
     def _owns_below(self, element):
         """Whether this site owns *element* or anything under it: an ask
@@ -877,28 +933,10 @@ class _Walker:
         if not subtree_materialized(anchor):
             self._ask_subtree(anchor, Subquery.NESTED_FETCH)
             return
-        # All data below is local: evaluate the rest of the query with
-        # the plain evaluator, relative to this node.
-        k = self.pattern.collect_index
-        residual_steps = []
-        item_k = self.items[k]
-        if item_k.nested_predicates:
-            residual_steps.append(
-                Step("self", NodeTypeTest("node"),
-                     list(item_k.nested_predicates))
-            )
-        for item in self.items[k + 1:]:
-            if item.descendant:
-                residual_steps.append(Step("descendant-or-self",
-                                           NodeTypeTest("node")))
-            residual_steps.append(Step("child", item.step.node_test,
-                                       list(item.step.predicates)))
-        # Freshness below a collect point is the fetch's business: the
-        # subtree is materialized, and an owner's data is never too old.
-        residual = strip_consistency_predicates(
-            LocationPath(absolute=False, steps=residual_steps))
+        # All data below is local: the rest of the query, compiled once
+        # per pattern, decides the results relative to this node.
         try:
-            matches = _EVALUATOR.evaluate(residual, element, now=self.now)
+            matches = self.pattern.residual(element, self.env)
         except XPathError:
             matches = []
         for match in matches if isinstance(matches, list) else []:

@@ -1,15 +1,15 @@
 """Public compile/evaluate API for XPath queries.
 
-``compile_xpath`` parses once and returns a reusable
-:class:`XPathQuery`; the parse memo (:func:`repro.xpath.parser.parse_cached`)
-makes repeated compilation of the same query string cheap, mirroring
-how the organizing agents reuse compiled queries.
+``compile_xpath`` parses once (through the parse memo,
+:func:`repro.xpath.parser.parse_cached`) and compiles the AST once to
+the evaluator's closure form: the returned :class:`XPathQuery` runs
+that closure on every evaluation, re-reading nothing of its AST.
 """
 
 from repro.xpath import parser
 from repro.xpath.ast import LocationPath
 from repro.xpath.errors import XPathTypeError
-from repro.xpath.evaluator import Evaluator
+from repro.xpath.evaluator import Evaluator, run_compiled
 from repro.xpath.types import is_node_set
 
 
@@ -21,17 +21,16 @@ class XPathQuery:
     insists on a node-set.
     """
 
-    __slots__ = ("source", "ast", "_evaluator")
+    __slots__ = ("source", "ast", "_run")
 
     def __init__(self, source, ast, evaluator=None):
         self.source = source
         self.ast = ast
-        self._evaluator = evaluator or _DEFAULT_EVALUATOR
+        self._run = (evaluator or _DEFAULT_EVALUATOR).compile(ast)
 
     def evaluate(self, node, variables=None, now=None):
         """Evaluate against *node*; returns node-set/bool/number/string."""
-        return self._evaluator.evaluate(self.ast, node, variables=variables,
-                                        now=now)
+        return run_compiled(self._run, node, variables=variables, now=now)
 
     def select(self, node, variables=None, now=None):
         """Evaluate and require a node-set result."""

@@ -15,6 +15,9 @@ import math
 from repro.xmlkit.nodes import Document, Element, Text
 from repro.xpath.errors import XPathEvaluationError, XPathTypeError
 from repro.xpath.types import (
+    BOOLEAN,
+    NUMBER,
+    STRING,
     AttributeRef,
     is_node_set,
     node_string_value,
@@ -272,14 +275,28 @@ def fn_timestamp(context, arguments):
         node = node_set[0]
     else:
         node = context.node
+    return timestamp_of(node)
+
+
+def timestamp_of(node):
+    """``timestamp()`` at *node*: the nearest ``timestamp`` attribute on
+    it or an ancestor, NaN for none.  The system writes it
+    (``repr(float)``, which may read ``1e-05``), so it is read as
+    :func:`repro.core.status.get_timestamp` reads it, by ``float()``,
+    not by XPath's ``number()``; a value ``float()`` refuses is NaN."""
     if isinstance(node, Document):
         node = node.root
-    if isinstance(node, (Text, AttributeRef)):
-        node = node.parent if isinstance(node, Text) else node.owner
+    elif isinstance(node, Text):
+        node = node.parent
+    elif isinstance(node, AttributeRef):
+        node = node.owner
     while isinstance(node, Element):
-        value = node.get("timestamp")
+        value = node.attrib.get("timestamp")
         if value is not None:
-            return to_number(value)
+            try:
+                return float(value)
+            except ValueError:
+                return math.nan
         node = node.parent
     return math.nan
 
@@ -309,4 +326,16 @@ CORE_FUNCTIONS = {
     "round": fn_round,
     "current-time": fn_current_time,
     "timestamp": fn_timestamp,
+}
+
+#: The XPath type each core function returns, read by the compiler.
+RETURN_KINDS = {
+    **dict.fromkeys((fn_name, fn_local_name, fn_string, fn_concat,
+                     fn_substring_before, fn_substring_after, fn_substring,
+                     fn_normalize_space, fn_translate), STRING),
+    **dict.fromkeys((fn_starts_with, fn_contains, fn_boolean, fn_not,
+                     fn_true, fn_false), BOOLEAN),
+    **dict.fromkeys((fn_count, fn_string_length, fn_number, fn_sum,
+                     fn_floor, fn_ceiling, fn_round, fn_current_time,
+                     fn_timestamp), NUMBER),
 }

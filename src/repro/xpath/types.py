@@ -5,10 +5,24 @@ sections 3.4 and 3.5, including the existential semantics of
 comparisons involving node-sets.
 """
 
+import decimal
 import math
+import re
 
 from repro.xmlkit.nodes import Document, Element, Text
 from repro.xpath.errors import XPathTypeError
+
+#: The four XPath value types, as the compiler names them.
+NODE_SET = "node-set"
+BOOLEAN = "boolean"
+NUMBER = "number"
+STRING = "string"
+
+#: XPath 1.0's Number production (section 3.7) with an optional minus,
+#: between XML whitespace (section 4.4): no exponent, no sign but ``-``,
+#: no ``inf``/``nan`` spelling, no ``_`` separators, ASCII digits only.
+_NUMBER = re.compile(
+    r"[ \t\r\n]*(-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))[ \t\r\n]*")
 
 
 class AttributeRef:
@@ -77,16 +91,15 @@ def to_boolean(value):
 
 
 def to_number(value):
-    """The number() conversion.  Unconvertible strings become NaN."""
+    """The number() conversion.  A string that is not an optional minus
+    and a Number between whitespace becomes NaN (section 4.4)."""
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            return math.nan
+        match = _NUMBER.fullmatch(value)
+        return float(match.group(1)) if match else math.nan
     if is_node_set(value):
         return to_number(to_string(value))
     raise XPathTypeError(f"cannot convert {type(value).__name__} to number")
@@ -100,7 +113,12 @@ def format_number(value):
         return "Infinity" if value > 0 else "-Infinity"
     if value == int(value):
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    if "e" in text:
+        # Decimal form, never an exponent (section 4.2): the digits of
+        # the shortest repr, so to_number reads the same float back.
+        text = format(decimal.Decimal(text), "f")
+    return text
 
 
 def to_string(value):

@@ -44,7 +44,7 @@ from repro.obs.explain import ExplainObserver
 from repro.xmlkit import Element, Text, parse_fragment, serialize
 from repro.xpath import parse
 from repro.xpath.analysis import pinned_ids
-from repro.xpath.evaluator import Context, Evaluator
+from repro.xpath.evaluator import Evaluator
 from repro.xpath.types import to_boolean
 
 from tests.property.test_prop_answer_builder import site_trees
@@ -67,10 +67,8 @@ def _generic(predicates, node):
     """The predicates, conjoined, by the evaluator's general path only."""
     with mock.patch("repro.xpath.evaluator.pinned_ids",
                     lambda predicates, exact=False: None):
-        return all(
-            to_boolean(_EVALUATOR._eval(
-                p, Context(node, functions=_EVALUATOR.functions)))
-            for p in predicates)
+        return all(to_boolean(_EVALUATOR.evaluate(p, node))
+                   for p in predicates)
 
 
 def _reference_locally_idable(element):

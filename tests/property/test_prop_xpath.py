@@ -5,8 +5,9 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.xmlkit import Element
+from repro.xmlkit import Element, Text
 from repro.xpath import compile_xpath, parse
+from repro.xpath.errors import XPathEvaluationError
 from repro.xpath.types import compare, to_boolean, to_number, to_string
 
 _tags = st.sampled_from(["a", "b", "c", "d"])
@@ -130,3 +131,129 @@ class TestTypeConversions:
     def test_comparison_antisymmetry(self, left, right):
         assert compare("<", left, right) == compare(">", right, left)
         assert compare("<=", left, right) == compare(">=", right, left)
+
+
+# ----------------------------------------------------------------------
+# The compiled forms the QEG walk decides, against a hand-written oracle
+# ----------------------------------------------------------------------
+_VALUES = ("yes", "no", " yes ", "yes\n", "")
+_STAMPS = ("5.0", "9.5", "1e-05", "2e+16", "soon", "1_0", "inf", "")
+
+
+@st.composite
+def _available(draw):
+    """An ``available`` child: a value, a whitespace-padded one, or one
+    split around a nested element (its string-value joins them)."""
+    value = draw(st.sampled_from(_VALUES))
+    child = Element("available")
+    if draw(st.booleans()) and len(value) > 1:
+        child.append(Text(value[:1]))
+        child.append(Element("b", text=value[1:]))
+    elif value:
+        child.append(Text(value))
+    return child
+
+
+@st.composite
+def parking_spaces(draw):
+    """A parkingSpace under a block under a root: ``available`` missing
+    or repeated, an ``a`` attribute or none, and a timestamp on the
+    space, on an ancestor only, or on neither."""
+    root = Element("root")
+    block = Element("block")
+    space = Element("parkingSpace", attrib={"id": "1"})
+    root.append(block)
+    block.append(space)
+    for child in draw(st.lists(_available(), max_size=3)):
+        space.append(child)
+    if draw(st.booleans()):
+        space.append(Element("price", text="25"))
+    attribute = draw(st.sampled_from((None,) + _VALUES))
+    if attribute is not None:
+        space.set("a", attribute)
+    where = draw(st.sampled_from(("self", "block", "root", "none")))
+    if where != "none":
+        stamp = draw(st.sampled_from(_STAMPS))
+        {"self": space, "block": block, "root": root}[where].set(
+            "timestamp", stamp)
+    return space
+
+
+def _oracle_string(element):
+    parts = []
+    for child in element.children:
+        parts.append(child.value if isinstance(child, Text)
+                     else _oracle_string(child))
+    return "".join(parts)
+
+
+def _oracle_children(space, literal, equal):
+    return any((_oracle_string(child) == literal) is equal
+               for child in space.children
+               if isinstance(child, Element) and child.tag == "available")
+
+
+def _oracle_attribute(space, literal):
+    return "a" in space.attrib and space.attrib["a"] == literal
+
+
+def _oracle_fresh(space, now, bound):
+    if now is None:
+        return False
+    node = space
+    while node is not None and "timestamp" not in node.attrib:
+        node = node.parent
+    if node is None:
+        return False
+    try:
+        stamp = float(node.attrib["timestamp"])
+    except ValueError:
+        return False
+    return stamp > now - bound
+
+
+class TestCompiledPredicatesAgainstAnOracle:
+    """``child='lit'``, ``child!='lit'``, ``@a='lit'`` and the freshness
+    bound, as the walk decides them (``_Walker.evaluate`` over
+    ``compile_predicates``) and as a compiled query selects, equal a
+    direct reading of the element; no evaluator output is the
+    reference."""
+
+    @staticmethod
+    def _cases(literal, bound):
+        return {
+            f"available = '{literal}'":
+                lambda s, now: _oracle_children(s, literal, True),
+            f"'{literal}' = available":
+                lambda s, now: _oracle_children(s, literal, True),
+            f"available != '{literal}'":
+                lambda s, now: _oracle_children(s, literal, False),
+            f"@a = '{literal}'":
+                lambda s, now: _oracle_attribute(s, literal),
+            f"timestamp() > current-time() - {bound}":
+                lambda s, now: _oracle_fresh(s, now, bound),
+        }
+
+    @given(parking_spaces(), st.sampled_from(("yes", "no", " yes ", "")),
+           st.sampled_from((None, 0.0, 10.0, 1e16)),
+           st.sampled_from((1, 30)))
+    @settings(max_examples=300, deadline=None)
+    def test_the_walk_and_a_selection_decide_as_the_oracle(
+            self, space, literal, now, bound):
+        from repro.core import SensorDatabase, compile_pattern
+        from repro.core.qeg import _Walker
+        from repro.xpath.evaluator import compile_predicates
+
+        root = space.parent.parent
+        walker = _Walker(SensorDatabase(root), compile_pattern("/root"), now)
+        for source, oracle in self._cases(literal, bound).items():
+            expected = oracle(space, now)
+            check = compile_predicates([parse(source)])
+            assert walker.evaluate(check, space) is expected, source
+            step = compile_xpath(f"block/parkingSpace[{source}]")
+            try:
+                selected = step.select(root, now=now)
+            except XPathEvaluationError:
+                assert now is None and not expected, source
+                continue
+            assert selected == ([space] if expected else []), source

@@ -14,8 +14,9 @@ from repro.core import (
     render_id_path_query,
     run_qeg,
 )
-from repro.core import qeg
 from repro.xmlkit import parse_fragment
+from repro.xpath import parse
+from repro.xpath.evaluator import Evaluator
 
 from tests.conftest import (
     FIGURE2_QUERY,
@@ -480,26 +481,55 @@ class TestNestingStrategies:
                    if ask.reason == Subquery.NESTED_FETCH]
         assert [ask.anchor_path for ask in fetches] == [(("root", "R"),)]
 
+    @pytest.mark.parametrize("value", ["yes", "no", "maybe"])
+    def test_the_residual_compiles_once_and_answers_as_the_evaluator(
+            self, dbs, paper_doc, paper_schema, monkeypatch, value):
+        # The nested predicate sits on the final step: the collect point
+        # decides it (a final-state shortcut once returned every block).
+        from repro.core import qeg
+        from repro.core.qeg import _compile
+
+        query = (PREFIX + "/neighborhood[@id='Oakland']"
+                 f"/block[parkingSpace/available='{value}']")
+        pattern = _compile(query, paper_schema)
+        assert pattern.collect_index is not None
+        compiled = []
+        original = qeg.compile_expression
+
+        def counting(expression):
+            compiled.append(expression.unparse())
+            return original(expression)
+
+        monkeypatch.setattr(qeg, "compile_expression", counting)
+        expected = [node.id for node in
+                    Evaluator().evaluate(parse(query), paper_doc)]
+        assert expected == {"yes": ["1", "2"], "no": ["1"], "maybe": []}[value]
+        for _ in range(2):
+            result = run_qeg(dbs["oak"], pattern)
+            assert result.is_complete
+            assert [node.id for node in result.matches] == expected
+        assert len(compiled) == 1
+
 
 class TestExactPinsDecidePid:
     """P_id goes first (Section 3.5); pins that are its whole meaning
-    decide it by a set test, so the evaluator never sees it."""
+    decide it by a set test, so its compiled check never runs."""
 
     def _pid_evaluations(self, dbs, paper_schema, monkeypatch, block_step):
         pattern = compile_pattern(
             PREFIX + "/neighborhood[@id='Oakland']/" + block_step,
             paper_schema)
-        block_pid = pattern.items[-1].split.id_predicates
+        item = pattern.items[-1]
+        block_pid = item.split.id_predicates
         assert block_pid  # the step's predicate is id-only
         seen = []
-        original = qeg._EVALUATOR.evaluate
+        original = item.id_check
 
-        def recording(predicate, node, *args, **kwargs):
-            if any(predicate is p for p in block_pid):
-                seen.append(node.id)
-            return original(predicate, node, *args, **kwargs)
+        def recording(node, env):
+            seen.append(node.id)
+            return original(node, env)
 
-        monkeypatch.setattr(qeg._EVALUATOR, "evaluate", recording)
+        monkeypatch.setattr(item, "id_check", recording)
         result = run_qeg(dbs["oak"], pattern)
         assert result.is_complete
         return seen, result

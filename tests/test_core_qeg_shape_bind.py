@@ -17,11 +17,15 @@ import pytest
 
 from repro.core import HierarchySchema, PartitionPlan, run_qeg
 from repro.core import qeg
-from repro.core.qeg import _LITERAL, _compile, compile_pattern
+from repro.core.qeg import _LITERAL, CompiledPattern, _compile, compile_pattern
 from repro.core.semcache import canonical_key
-from repro.xmlkit import serialize
+from repro.net import Cluster
+from repro.xmlkit import parse_fragment, serialize
+from repro.xpath import parse
+from repro.xpath.evaluator import Evaluator
 
-from tests.conftest import OAKLAND, SHADYSIDE, id_path
+from tests.conftest import OAKLAND, PAPER_DOCUMENT, SHADYSIDE, id_path
+from tests.test_failure_injection import PAPER_PLAN, answer_set
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
           "/city[@id='Pittsburgh']")
@@ -166,3 +170,50 @@ class TestConsistencyOnABoundPattern:
         walked = _walk(dbs["top"], bound)
         assert bool(walked[1]) == expect_ask
         assert walked == _walk(dbs["top"], _compile(query, schema))
+
+
+class TestBoundClonesOwnTheirChecks:
+    """Texts of one shape that differ only in a literal: each bound
+    pattern decides with checks compiled from its own literals, never
+    the template's closures, also when the memo evicted it and the text
+    is bound again."""
+
+    @staticmethod
+    def _answer(cluster, query):
+        results, _site, outcome = cluster.query(query)
+        assert outcome.complete
+        return answer_set(results)
+
+    @staticmethod
+    def _reference(query):
+        return answer_set(Evaluator().evaluate(
+            parse(query), parse_fragment(PAPER_DOCUMENT), now=0.0))
+
+    def test_yes_then_no_on_one_cluster(self, builds, monkeypatch):
+        cluster = Cluster(parse_fragment(PAPER_DOCUMENT),
+                          PartitionPlan(PAPER_PLAN))
+        yes, no = AVAILABLE, AVAILABLE.replace("'yes'", "'no'")
+        binds = []
+        original = CompiledPattern.bind
+
+        def counting(pattern, values):
+            binds.append(tuple(values))
+            return original(pattern, values)
+
+        monkeypatch.setattr(CompiledPattern, "bind", counting)
+        assert self._reference(yes) and self._reference(no)
+        assert self._reference(yes) != self._reference(no)
+        for query in (yes, no):
+            assert self._answer(cluster, query) == self._reference(query)
+        assert builds == [yes]  # one template serves both texts
+
+        # Evict both texts and their template: each is bound again.
+        memo = cluster.schema.compiled_patterns
+        monkeypatch.setattr(memo, "max_entries", 2)
+        compile_pattern(BLOCK, cluster.schema)
+        assert yes not in memo and no not in memo
+        bound = len(binds)
+        for query in (no, yes, no):
+            assert self._answer(cluster, query) == self._reference(query)
+        assert len(binds) > bound
+        assert len(builds) > 1

@@ -293,3 +293,13 @@ def test_the_compile_memo_has_one_keying_and_no_options():
     assert tuple(inspect.signature(qeg.compile_pattern).parameters) == (
         "query", "schema")
     assert tuple(qeg.pattern_key_stats()) == ("canonical_compiles",)
+
+
+def test_the_xpath_evaluator_is_a_compiler():
+    # One evaluation mechanism: ASTs compile to closures once, and no
+    # tree-walking ``_eval*`` interpreter stands beside the compiler.
+    path = SRC / "repro" / "xpath" / "evaluator.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_eval")] == []

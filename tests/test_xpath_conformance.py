@@ -150,3 +150,64 @@ NAN_CASES = [
 @pytest.mark.parametrize("query", NAN_CASES)
 def test_nan_conformance(doc, query):
     assert math.isnan(compile_xpath(query).evaluate(doc))
+
+
+#: XPath 1.0 section 4.4: number() reads an optional minus and a Number
+#: (digits with an optional fraction, or a fraction) between whitespace.
+#: An exponent, a plus sign, an infinity spelling or a ``_`` separator is
+#: not a number.
+STRICT_NAN_CASES = [
+    "number('1e3')",
+    "number('+5')",
+    "number('inf')",
+    "number('Infinity')",
+    "number('-Infinity')",
+    "number('1_000')",
+    "number('.')",
+    "number('0x10')",
+    "number(' 1 2 ')",
+]
+
+
+@pytest.mark.parametrize("query", STRICT_NAN_CASES)
+def test_number_refuses_what_section_4_4_does_not_spell(doc, query):
+    assert math.isnan(compile_xpath(query).evaluate(doc))
+
+
+@pytest.mark.parametrize("query,expected", [
+    ("number(' 12 ')", 12.0),
+    ("number('-.5')", -0.5),
+    ("number('5.')", 5.0),
+    ("number('\t7\n')", 7.0),
+])
+def test_number_reads_the_section_4_4_spellings(doc, query, expected):
+    assert compile_xpath(query).evaluate(doc) == expected
+
+
+def test_a_separated_value_is_not_greater_than_a_number():
+    element = parse_fragment("<s><n v='1_000'/><n v='1e3'/><n v='1000'/></s>")
+    assert [n.get("v") for n in compile_xpath("n[@v > 999]").select(element)] \
+        == ["1000"]
+
+
+@pytest.mark.parametrize("query,expected", [
+    ("string(0.00001)", "0.00001"),
+    ("string(0.0000000123)", "0.0000000123"),
+    ("string(-0.000125)", "-0.000125"),
+])
+def test_string_of_a_number_has_no_exponent(doc, query, expected):
+    # Section 4.2: decimal form, so number(string(x)) reads x back.
+    assert compile_xpath(query).evaluate(doc) == expected
+    assert compile_xpath(f"number({query})").evaluate(doc) == \
+        float(expected)
+
+
+@pytest.mark.parametrize("stamp", ["1e-05", "2e+16", "0.5"])
+def test_timestamp_reads_the_system_written_stamp(stamp):
+    # set_timestamp writes repr(float), an exponent included: timestamp()
+    # reads it as the status code does, not as number() reads a value.
+    element = parse_fragment(f"<s timestamp='{stamp}'><v>1</v></s>")
+    fresh = compile_xpath("timestamp() > current-time() - 1")
+    assert fresh.evaluate(element, now=0.5) is True
+    assert compile_xpath("v[timestamp() > current-time() - 1]").select(
+        element, now=0.5) == [element.children[0]]
