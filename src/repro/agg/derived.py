@@ -34,6 +34,7 @@ from repro.xpath.ast import (
     NumberLiteral,
     UnaryMinus,
 )
+from repro.xpath.evaluator import _ARITHMETIC
 from repro.xpath.types import format_number
 
 from repro.agg.partial import SHAPES
@@ -139,22 +140,9 @@ class DerivedSensor:
         if isinstance(node, UnaryMinus):
             return -self._eval(node.operand, answer_scalar)
         if isinstance(node, BinaryOperation):
-            left = self._eval(node.left, answer_scalar)
-            right = self._eval(node.right, answer_scalar)
-            if node.operator == "+":
-                return left + right
-            if node.operator == "-":
-                return left - right
-            if node.operator == "*":
-                return left * right
-            try:
-                if node.operator == "div":
-                    return left / right
-                return left % right
-            except ZeroDivisionError:
-                if node.operator == "mod" or left == 0 or left != left:
-                    return float("nan")
-                return float("inf") if left > 0 else float("-inf")
+            return _ARITHMETIC[node.operator](
+                self._eval(node.left, answer_scalar),
+                self._eval(node.right, answer_scalar))
         return float(answer_scalar(node.unparse()))
 
     def render(self, value):

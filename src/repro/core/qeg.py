@@ -46,7 +46,6 @@ answer (Section 3.3).
 """
 
 import functools
-import operator
 import re
 import threading
 
@@ -71,6 +70,10 @@ from repro.xpath.analysis import (
     anchor_id_path,
     classify_predicate,
     extract_id_path,
+    id_path_of_pins,
+    id_path_pins,
+    id_pin_sets,
+    intersect_pins,
     iter_conjuncts,
     pinned_ids,
     split_predicates,
@@ -136,14 +139,24 @@ def _max_upward_levels(predicate):
 
 
 class PatternItem:
-    """One named child step of the query's main path."""
+    """One named child step of the query's main path.
+
+    The walk reads an item's structure -- ``node_test``, the flags,
+    ``pinned_ids`` -- and its compiled checks; only an ask's rendering
+    and the checks read the predicate ASTs.  An item bound from a
+    template (:meth:`bind`) therefore holds its structure and pins, and
+    clones a predicate AST from the template on its first read
+    (:data:`_BOUND`)."""
 
     __slots__ = ("step", "descendant", "plain_predicates", "nested_predicates",
                  "split", "pinned_ids", "pins_exact", "residual_predicates",
-                 "text_check", "id_check", "rest_check", "consistency_check")
+                 "text_check", "id_check", "rest_check", "consistency_check",
+                 "node_test", "separable", "has_id_predicates",
+                 "reads_content", "touches_content", "_bound")
 
     def __init__(self, step, descendant, is_idable_tag):
         self.step = step
+        self.node_test = step.node_test
         self.descendant = descendant
         self.nested_predicates = [
             p for p in step.predicates if _predicate_is_nested(p, is_idable_tag)
@@ -152,14 +165,23 @@ class PatternItem:
             p for p in step.predicates
             if not _predicate_is_nested(p, is_idable_tag)
         ]
-        self.split = split_predicates(self.plain_predicates)
+        split = self.split = split_predicates(self.plain_predicates)
+        self.separable = split.separable
+        self.has_id_predicates = bool(split.id_predicates)
+        #: Whether a node passes only with its local information at hand.
+        self.reads_content = bool(split.rest_predicates
+                                  or split.consistency_predicates)
+        #: Whether a matched node ships its local information, not just
+        #: its ids (:meth:`_Walker._include_pass_through`).
+        self.touches_content = not split.separable or self.reads_content \
+            or bool(self.nested_predicates)
         #: Where P_id is decided first: the ids a node must carry to
         #: pass ``split.id_predicates`` (``None``: they pin nothing).
-        self.pinned_ids = pinned_ids(self.split.id_predicates)
+        self.pinned_ids = pinned_ids(split.id_predicates)
         #: Whether the pins are P_id's whole meaning, so that passing
         #: them decides it -- a property of the query shape, kept by
         #: :meth:`bind` (a slot holds a literal either way).
-        self.pins_exact = pinned_ids(self.split.id_predicates,
+        self.pins_exact = pinned_ids(split.id_predicates,
                                      exact=True) is not None
         # Predicates to re-attach when the step turns into a subquery:
         # everything except pure id pins (the id is pinned by the path).
@@ -175,24 +197,35 @@ class PatternItem:
                 for conjunct in conjuncts:
                     residual.append(conjunct)
         self.residual_predicates = residual
+        self._bound = None
 
     def __getattr__(self, name):
-        """A check (:data:`_CHECKS`) compiles on its first read and
-        stays in its slot: an item compiles the checks its walks run,
-        once (exact pins, for one, never run P_id's)."""
-        predicates_of = _CHECKS.get(name)
-        if predicates_of is None:
+        """A check (:data:`_CHECKS`) compiles on its first read, and a
+        bound item's predicate AST (:data:`_BOUND`) is cloned on its
+        first read; either stays in its slot.  An item compiles the
+        checks its walks run, once (exact pins, for one, never run
+        P_id's), and a bound one shares its template's check wherever
+        no slot reaches the predicates."""
+        rebind, predicates_of = _BOUND.get(name), _CHECKS.get(name)
+        if rebind is None and predicates_of is None:
             raise AttributeError(name)
-        check = compile_predicates(predicates_of(self))
-        setattr(self, name, check)
-        return check
+        template, binding = self._bound or (None, None)
+        if rebind is not None:  # only a bound item leaves these unset
+            value = rebind(getattr(template, name), binding.clone)
+        elif template is not None and not any(
+                map(binding.holds, predicates_of(template))):
+            value = getattr(template, name)
+        else:
+            value = compile_predicates(predicates_of(self))
+        setattr(self, name, value)
+        return value
 
     @property
     def has_nested(self):
         return bool(self.nested_predicates)
 
     def test_matches(self, node):
-        test = self.step.node_test
+        test = self.node_test
         if isinstance(node, Text):
             return isinstance(test, NodeTypeTest) and \
                 test.node_type in ("text", "node")
@@ -203,33 +236,40 @@ class PatternItem:
     def unparse(self):
         return self.step.unparse()
 
-    def bind(self, clone):
-        """This item over ``clone(step)``: *clone* maps a template node
-        to its bound copy; the P_id pins are read off the bound ids."""
+    def bind(self, binding, pin_slots):
+        """This item with *binding*'s literals in its slots: the
+        structure is the template's, the pins are *pin_slots* (the slot
+        indices of P_id's pinning conjuncts) filled, and every predicate
+        AST waits for its first read."""
         item = PatternItem.__new__(PatternItem)
-        item.step = clone(self.step)
         item.descendant = self.descendant
-        item.plain_predicates = list(map(clone, self.plain_predicates))
-        item.nested_predicates = list(map(clone, self.nested_predicates))
-        split = self.split
-        item.split = PredicateSplit(
-            list(map(clone, split.id_predicates)),
-            list(map(clone, split.consistency_predicates)),
-            list(map(clone, split.rest_predicates)), split.separable)
-        item.pinned_ids = pinned_ids(item.split.id_predicates)
         item.pins_exact = self.pins_exact
-        item.residual_predicates = list(map(clone, self.residual_predicates))
-        # A value or freshness check over predicates no slot reaches
-        # (the template's own nodes) is the template's; any other check
-        # compiles from the bound clones, never with the template's
-        # literals.
-        if all(map(operator.is_, item.split.consistency_predicates,
-                   split.consistency_predicates)):
-            item.consistency_check = self.consistency_check
-        if all(map(operator.is_, item.split.rest_predicates,
-                   split.rest_predicates)):
-            item.rest_check = self.rest_check
+        item.node_test = self.node_test
+        item.separable = self.separable
+        item.has_id_predicates = self.has_id_predicates
+        item.reads_content = self.reads_content
+        item.touches_content = self.touches_content
+        item.pinned_ids = intersect_pins(binding.fill(pin_slots))
+        item._bound = (self, binding)
         return item
+
+
+def _clone_all(nodes, clone):
+    return list(map(clone, nodes))
+
+
+#: The predicate ASTs of a bound item, by how one is cloned from its
+#: template's value (*clone* maps a template node to its bound copy).
+_BOUND = {
+    "step": lambda step, clone: clone(step),
+    "plain_predicates": _clone_all,
+    "nested_predicates": _clone_all,
+    "residual_predicates": _clone_all,
+    "split": lambda split, clone: PredicateSplit(
+        _clone_all(split.id_predicates, clone),
+        _clone_all(split.consistency_predicates, clone),
+        _clone_all(split.rest_predicates, clone), split.separable),
+}
 
 
 #: The predicate lists the walk decides, by the slot of their compiled
@@ -238,21 +278,63 @@ class PatternItem:
 #: which only a node-type test matches.
 _CHECKS = {
     "text_check": lambda item: item.step.predicates
-    if isinstance(item.step.node_test, NodeTypeTest) else (),
+    if isinstance(item.node_test, NodeTypeTest) else (),
     "id_check": lambda item: item.split.id_predicates,
     "rest_check": lambda item: item.split.rest_predicates,
     "consistency_check": lambda item: item.split.consistency_predicates,
 }
 
 
+class _Binding:
+    """A template's slots filled with *values*: the pin sets map through
+    them, and a template node holding a slot is cloned -- once, on the
+    first read that needs it -- with its literals in place."""
+
+    __slots__ = ("values", "holders", "clones")
+
+    def __init__(self, values, holders):
+        self.values = values
+        #: The ``id()`` of every template node that holds a slot.
+        self.holders = holders
+        self.clones = {}
+
+    def holds(self, node):
+        return id(node) in self.holders
+
+    def clone(self, node):
+        if id(node) not in self.holders:
+            return node
+        copy = self.clones.get(id(node))
+        if copy is None:
+            copy = self.clones[id(node)] = _rebuild(node, self.clone,
+                                                    self.values)
+        return copy
+
+    def fill(self, pin_slots):
+        """The pin sets *pin_slots*, each a tuple of slot indices, with
+        the literals in place."""
+        values = self.values
+        return [frozenset([values[slot] for slot in slots])
+                for slots in pin_slots]
+
+
 class CompiledPattern:
-    """A query compiled for distributed (QEG) evaluation."""
+    """A query compiled for distributed (QEG) evaluation.
+
+    A pattern bound from its shape's template (:meth:`bind`) holds its
+    items, pins and anchor; its ``ast`` -- hence ``source`` and
+    ``residual`` -- is cloned from the template on the first read."""
 
     def __init__(self, ast, items, collect_index, is_idable_tag):
         self.ast = ast
         self.items = items
         self.collect_index = collect_index
         self.is_idable_tag = is_idable_tag
+
+    @functools.cached_property
+    def ast(self):
+        template, binding = self._bound
+        return binding.clone(template.ast)
 
     @functools.cached_property
     def source(self):
@@ -282,7 +364,7 @@ class CompiledPattern:
         for item in self.items[k + 1:]:
             if item.descendant:
                 steps.append(Step("descendant-or-self", NodeTypeTest("node")))
-            steps.append(Step("child", item.step.node_test,
+            steps.append(Step("child", item.node_test,
                               list(item.step.predicates)))
         # Freshness below a collect point is the fetch's business: the
         # subtree is materialized, and an owner's data is never too old.
@@ -290,35 +372,53 @@ class CompiledPattern:
             LocationPath(absolute=False, steps=steps)))
 
     def bind(self, values):
-        """This template with ``values[i]`` in slot *i*.  Only the nodes
-        that hold a slot are cloned, once each; the items' predicate
-        lists map through the same clones."""
+        """This template with ``values[i]`` in slot *i*, in O(slots):
+        the items' pins and the anchor map through *values*; no AST
+        node is cloned until something reads it."""
         if not values:
             return self
-        holders = self._slot_holders
-        clones = {}
-
-        def clone(node):
-            if id(node) not in holders:
-                return node
-            copy = clones.get(id(node))
-            if copy is None:
-                copy = clones[id(node)] = _rebuild(node, clone, values)
-            return copy
-
-        items = [item.bind(clone) if id(item.step) in holders else item
-                 for item in self.items]
-        return CompiledPattern(clone(self.ast), items, self.collect_index,
-                               self.is_idable_tag)
+        holders, item_pins, anchor_pins = self._bind_plan
+        binding = _Binding(values, holders)
+        pattern = CompiledPattern.__new__(CompiledPattern)
+        pattern.items = [item if slots is None else item.bind(binding, slots)
+                         for item, slots in zip(self.items, item_pins)]
+        pattern.collect_index = self.collect_index
+        pattern.is_idable_tag = self.is_idable_tag
+        pattern._bound = (self, binding)
+        pattern.anchor = tuple(id_path_of_pins(
+            [(tag, binding.fill(slots)) for tag, slots in anchor_pins])) \
+            or None
+        return pattern
 
     @functools.cached_property
-    def _slot_holders(self):
+    def _bind_plan(self):
+        """``(holders, item_pins, anchor_pins)`` of a template, worked
+        out on its first bind: the ``id()`` of every AST node holding a
+        slot; per item, ``None`` when its step holds none, else the slot
+        indices of its P_id's pin sets; and the anchor's steps, each a
+        tag and the slot indices of its pin sets."""
         holders = set()
         _mark_slot_holders(self.ast, holders)
-        return holders
+        item_pins = [
+            _pin_slots(id_pin_sets(item.split.id_predicates))
+            if id(item.step) in holders else None
+            for item in self.items]
+        anchor_pins = [(tag, _pin_slots(sets))
+                       for tag, sets in id_path_pins(self.ast)]
+        return holders, item_pins, anchor_pins
 
     def __repr__(self):
         return f"CompiledPattern({self.source!r})"
+
+
+def _slot_index(sentinel):
+    """The slot a template literal's sentinel value names."""
+    return int(sentinel[1:])
+
+
+def _pin_slots(sets):
+    """Pin *sets* of sentinel values as tuples of slot indices."""
+    return [tuple(map(_slot_index, ids)) for ids in sets]
 
 
 def _mark_slot_holders(node, holders):
@@ -335,7 +435,7 @@ def _mark_slot_holders(node, holders):
 def _rebuild(node, clone, values):
     """A copy of *node* over its cloned children; a slot takes its value."""
     if isinstance(node, Literal):
-        return Literal(values[int(node.value[1:])])
+        return Literal(values[_slot_index(node.value)])
     copy = object.__new__(type(node))
     for name in type(node).__slots__:
         value = getattr(node, name)
@@ -716,13 +816,7 @@ class _Walker:
         if isinstance(child, Text) or not self._locally_idable(child):
             return
         status = get_status(child)
-        predicates_touch_content = (
-            not item.split.separable
-            or item.split.rest_predicates
-            or item.split.consistency_predicates
-            or item.nested_predicates
-        )
-        if status.has_local_information and predicates_touch_content:
+        if status.has_local_information and item.touches_content:
             self.builder.include_local_information(child)
         elif status.has_id_information:
             self.builder.include_id_information(child)
@@ -757,7 +851,7 @@ class _Walker:
                 keep.add(j)
                 continue
             item = self.items[j]
-            test = item.step.node_test
+            test = item.node_test
             needs_content = True
             if isinstance(test, NameTest) and test.name != "*":
                 if test.name in stub_tags or \
@@ -791,7 +885,6 @@ class _Walker:
         if isinstance(node, Text):
             return _MATCH if self.evaluate(item.text_check, node) else _NO
 
-        split = item.split
         # P_id first: _match_item's pin test decided it when the pins
         # are exact; otherwise evaluate what the pins cannot express.
         if not (item.pins_exact and item.pinned_ids is not None) \
@@ -820,7 +913,7 @@ class _Walker:
             return _MATCH if self.evaluate(item.rest_check, node) \
                 else _NO
 
-        if not split.separable:
+        if not item.separable:
             return self._ask_at(node, j, Subquery.UNSEPARABLE)
 
         if status is Status.COMPLETE:
@@ -830,8 +923,7 @@ class _Walker:
                 else _NO
 
         if status is Status.ID_COMPLETE:
-            if split.rest_predicates or split.consistency_predicates or \
-                    is_result_item:
+            if item.reads_content or is_result_item:
                 return self._ask_at(node, j, Subquery.ID_COMPLETE)
             return _MATCH
 
@@ -861,7 +953,7 @@ class _Walker:
         level = len(self._held)  # self._held[level - 1]: anchor.parent's
         while anchor.parent is not None:
             item = self.items[i]
-            if item.split.id_predicates or self._owns_below(anchor.parent):
+            if item.has_id_predicates or self._owns_below(anchor.parent):
                 break
             anchor, k, gap = anchor.parent, i, item.descendant
             level -= 1

@@ -22,7 +22,7 @@ ancestor.
 import enum
 
 from repro.core.errors import CoreError
-from repro.xmlkit.nodes import Element, Text
+from repro.xmlkit.nodes import copy_subtree
 
 STATUS_ATTRIBUTE = "status"
 TIMESTAMP_ATTRIBUTE = "timestamp"
@@ -37,18 +37,11 @@ def clean_copy(node):
     """A detached copy of *node*'s subtree without internal attributes.
 
     What a user gets back: it carries no serialization memo and no
-    origin link, so nothing done to it reaches the site database.  Like
-    a parsed subtree it is built finished (:meth:`Element.assemble`) and
-    stamped once per element, a parent higher than everything below it.
+    origin link, so nothing done to it reaches the site database.  It
+    never goes through :meth:`Element.copy`, which copies what an
+    answer ships.
     """
-    if isinstance(node, Text):
-        return Text(node.value)
-    return Element.assemble(
-        node.tag,
-        {name: value for name, value in node.attrib.items()
-         if name not in INTERNAL_ATTRIBUTES},
-        [Text(child.value) if isinstance(child, Text) else clean_copy(child)
-         for child in node.children])
+    return copy_subtree(node, drop=INTERNAL_ATTRIBUTES)
 
 
 #: Information ordering: owned > complete > id-complete > incomplete.

@@ -24,8 +24,8 @@ _NAME_CHARS = _NAME_START | set("0123456789-.")
 #: an element (attributes, text, children) stamps the element and all
 #: its ancestors with a fresh reading, so ``subtree_version`` changes
 #: iff anything inside the subtree changed.  A subtree built whole
-#: (:meth:`Element.assemble`: the parser, :meth:`Element.copy`,
-#: ``clean_copy``) is stamped once per finished element instead: one
+#: (:meth:`Element.assemble`, the parser; :func:`copy_subtree`, every
+#: copy) is stamped once per finished element instead: one
 #: with children reads the clock after all of them, so it is stamped
 #: higher than every descendant, and one without children is stamped 0.
 #: Consumers (the id-path index in :mod:`repro.core.database`, the
@@ -37,8 +37,7 @@ _VERSION_CLOCK = itertools.count(1)
 _ABSENT = object()
 
 #: Bound of the name-check memo.  A deployment uses a few dozen element
-#: and attribute names, and every ``Element()`` / ``set()`` -- hence
-#: every ``copy()`` and ID stub -- checks one.
+#: and attribute names, and every ``Element()`` / ``set()`` checks one.
 NAME_MEMO_SIZE = 1024
 
 
@@ -119,8 +118,8 @@ class Element:
     def assemble(cls, tag, attrib, children):
         """A finished element around *children*, stamped once.
 
-        The bulk constructor of the parser, :meth:`copy` and
-        ``clean_copy``.  The caller vouches for what :meth:`__init__`
+        The bulk constructor of the parser and of ID stubs (copies
+        build theirs in :func:`copy_subtree`).  The caller vouches for what :meth:`__init__`
         and :meth:`append` would check: *tag* and the names in *attrib*
         are valid, *attrib* is a dict the element may keep, and every
         node in *children* is detached and already finished.  Nothing
@@ -437,20 +436,7 @@ class Element:
         copying database content, then serialized in place inside its
         message envelope) reuse clean subtrees' bytes.
         """
-        clone = Element.assemble(
-            self.tag, dict(self.attrib),
-            [child.copy() for child in self.children])
-        cache = self._ser_cache
-        if cache:
-            version = self._version
-            # Snapshot: a write-back from another thread may insert a
-            # key mid-iteration.
-            clone._ser_cache = {
-                key: (clone._version, text)
-                for key, (stamp, text) in list(cache.items())
-                if stamp == version} or None
-        clone._ser_origin = (self, self._version, clone._version)
-        return clone
+        return copy_subtree(self, carry_memo=True)
 
     def shallow_copy(self):
         """Return a detached copy with attributes but no children."""
@@ -466,6 +452,78 @@ class Element:
     def __repr__(self):
         ident = f" id={self.id!r}" if self.id is not None else ""
         return f"<Element {self.tag}{ident} children={len(self.children)}>"
+
+
+def copy_subtree(node, drop=(), carry_memo=False):
+    """A detached deep copy of *node* (an :class:`Element` or
+    :class:`Text`), without the attributes named in *drop*.
+
+    The one subtree copier.  It builds the copy finished, as
+    :meth:`Element.assemble` would, without its checks: the source
+    passed them.  A childless element is stamped 0, and every other
+    one higher than everything below it.  *carry_memo*: each copied
+    element keeps its source's valid serialization memo entries,
+    re-stamped, and an origin link that writes bytes memoized on the
+    copy back to the source (:meth:`Element.store_serialization`);
+    otherwise the copy has neither, and nothing done to it reaches the
+    source.
+    """
+    element_class, text_class = Element, Text
+    new = object.__new__
+    if node.__class__ is text_class:
+        clone = new(text_class)
+        clone.value = node.value
+        clone.parent = None
+        return clone
+    root = new(element_class)
+    root.parent = None
+    sources, clones = [], []
+    stack = [node, root]
+    while stack:
+        clone = stack.pop()
+        source = stack.pop()
+        sources.append(source)
+        clones.append(clone)
+        clone.tag = source.tag
+        attrib = source.attrib.copy()
+        for name in drop:
+            if name in attrib:
+                del attrib[name]
+        clone.attrib = attrib
+        clone._ser_cache = None
+        clone._kid_maps = None
+        clone._ser_origin = None
+        children = []
+        for child in source.children:
+            if child.__class__ is text_class:
+                copy = new(text_class)
+                copy.value = child.value
+            else:
+                copy = new(element_class)
+                stack.append(child)
+                stack.append(copy)
+            copy.parent = clone
+            children.append(copy)
+        clone.children = children
+    # A source comes before everything below it, so in reverse every
+    # element is stamped after its descendants.
+    clock = _VERSION_CLOCK
+    for index in range(len(clones) - 1, -1, -1):
+        clone = clones[index]
+        stamp = clone._version = next(clock) if clone.children else 0
+        if carry_memo:
+            source = sources[index]
+            version = source._version
+            cache = source._ser_cache
+            if cache:
+                # Snapshot: a write-back from another thread may insert
+                # a key mid-iteration.
+                clone._ser_cache = {
+                    key: (stamp, text)
+                    for key, (source_stamp, text) in list(cache.items())
+                    if source_stamp == version} or None
+            clone._ser_origin = (source, version, stamp)
+    return root
 
 
 def restamp(elements):

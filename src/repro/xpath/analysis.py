@@ -52,14 +52,31 @@ def pinned_ids(predicates, exact=False):
     ``exact=True``, turns the answer into ``None``, so that a set
     returned then is the predicates' whole meaning.
     """
-    pinned = None
+    sets = id_pin_sets(predicates, exact)
+    return None if sets is None else intersect_pins(sets)
+
+
+def id_pin_sets(predicates, exact=False):
+    """The id sets of *predicates*' pinning conjuncts, in order (see
+    :func:`pinned_ids`, which intersects them; ``None`` where it is)."""
+    sets = []
     for predicate in predicates:
         for conjunct in iter_conjuncts(predicate):
             ids = _id_disjunction_values(conjunct)
             if ids is not None:
-                pinned = ids if pinned is None else pinned & ids
+                sets.append(ids)
             elif exact:
                 return None
+    return sets
+
+
+def intersect_pins(sets):
+    """What the pin *sets* allow together, or ``None`` for no set."""
+    if not sets:
+        return None
+    pinned = sets[0]
+    for ids in sets[1:]:
+        pinned = pinned & ids
     return pinned
 
 
@@ -126,6 +143,13 @@ def extract_id_path(expression):
     the query from the beginning as long as it finds steps of the form
     ``/elementname[@id=x]``.
     """
+    return id_path_of_pins(id_path_pins(expression))
+
+
+def id_path_pins(expression):
+    """``(tag, sets)`` of the steps :func:`extract_id_path` may read:
+    the leading named child steps whose predicates pin an id, *sets*
+    their :func:`id_pin_sets`."""
     if not isinstance(expression, LocationPath) or not expression.absolute:
         return []
     prefix = []
@@ -133,10 +157,22 @@ def extract_id_path(expression):
         if step.axis != "child" or not isinstance(step.node_test, NameTest) \
                 or step.node_test.name == "*":
             break
-        value = single_id_value(step)
-        if value is None:
+        sets = id_pin_sets(step.predicates)
+        if not sets:
             break
-        prefix.append((step.node_test.name, value))
+        prefix.append((step.node_test.name, sets))
+    return prefix
+
+
+def id_path_of_pins(pins):
+    """The id path :func:`id_path_pins`' *pins* spell: each step while
+    its sets allow exactly one id."""
+    prefix = []
+    for tag, sets in pins:
+        pinned = intersect_pins(sets)
+        if len(pinned) != 1:
+            break
+        prefix.append((tag, next(iter(pinned))))
     return prefix
 
 

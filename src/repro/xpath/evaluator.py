@@ -226,7 +226,8 @@ def _div(left, right):
     if right == 0:
         if left == 0 or math.isnan(left):
             return math.nan
-        return math.inf if left > 0 else -math.inf
+        # IEEE 754: the zero's sign counts, so 1 div -0 is -Infinity.
+        return math.copysign(math.inf, left) * math.copysign(1.0, right)
     return left / right
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from repro.agg import (
     AggregationConfig,
+    DerivedSensor,
     FormulaError,
     Partial,
     PartialAggregateAnswer,
@@ -612,6 +613,23 @@ class TestDerivedSensors:
         cluster.agents["root"].continuous.on_update(
             (("region", "R"), ("group", "g0"), ("sensor", "s0")))
         assert sensor.last_value == 37.0
+
+    @pytest.mark.parametrize("formula, expected", [
+        # XPath's mod truncates toward zero: -7 mod 3 is -1, not 2.
+        ("-7 mod count(/region[@id='R']/group/sensor)", -1.0),
+        ("7 mod -count(/region[@id='R']/group/sensor)", 1.0),
+        ("count(/region[@id='R']/group/sensor) div 0", math.inf),
+        ("1 div -(count(/region[@id='R']/group/sensor) - 3)", -math.inf),
+    ])
+    def test_arithmetic_is_the_evaluators(self, formula, expected):
+        sensor = DerivedSensor("d", (("region", "R"),), formula)
+        assert sensor.evaluate(lambda query: 3.0) == expected
+
+    def test_mod_by_zero_is_nan(self):
+        sensor = DerivedSensor(
+            "d", (("region", "R"),),
+            "count(/region[@id='R']/group/sensor) mod 0")
+        assert math.isnan(sensor.evaluate(lambda query: 3.0))
 
     def test_derived_sensor_requires_aggregation(self):
         # Registration is the subsystem's own method: without the

@@ -34,6 +34,7 @@ BLOCK = PREFIX + "/neighborhood[@id='Oakland']/block[@id='1']"
 AVAILABLE = BLOCK + "/parkingSpace[available='yes']"
 CONSISTENCY = (PREFIX + "/neighborhood[@id='Oakland']"
                "[timestamp() > current-time() - 30]/block")
+FRESH = "[timestamp() > current-time() - 600]"
 
 #: The corpus, by name.
 QUERIES = {
@@ -91,6 +92,10 @@ def builds(monkeypatch):
     return texts
 
 
+def _schema(document):
+    return HierarchySchema.from_document(document)
+
+
 def _sibling(text):
     """*text* with every string literal replaced: one shape, other
     literals."""
@@ -125,11 +130,58 @@ class TestBoundEqualsNaive:
         schema = HierarchySchema.from_document(paper_doc)
         bound = _bound(query, schema, builds)
         naive = _compile(query, schema)
+        assert bound.anchor == naive.anchor
         assert bound.source == naive.source
         assert [item.pinned_ids for item in bound.items] == \
             [item.pinned_ids for item in naive.items]
+        assert [item.pins_exact for item in bound.items] == \
+            [item.pins_exact for item in naive.items]
         assert bound.collect_index == naive.collect_index
         assert _walk(dbs[site], bound) == _walk(dbs[site], naive)
+
+    @pytest.fixture
+    def clones(self, monkeypatch):
+        """The template AST nodes cloned, in order."""
+        cloned = []
+        original = qeg._rebuild
+
+        def counting(node, clone, values):
+            cloned.append(node)
+            return original(node, clone, values)
+
+        monkeypatch.setattr(qeg, "_rebuild", counting)
+        return cloned
+
+    @pytest.mark.parametrize("query", [BLOCK, BLOCK + FRESH],
+                             ids=["block", "fresh-block"])
+    def test_a_lookup_that_asks_nothing_clones_nothing(
+            self, dbs, paper_doc, builds, clones, query):
+        # An exact-pin block lookup served from a cached copy, as a user
+        # poses it: the walk decides the pins by set and the slot-free
+        # freshness bound with the template's check.
+        schema = _schema(paper_doc)
+        dbs["top"].store_fragment(
+            run_qeg(dbs["oak"], _compile(BLOCK, schema)).answer)
+        block = dbs["top"].find(OAKLAND + (("block", "1"),))
+        block.set("timestamp", "995.0")
+        assert block.get("status") == "complete"
+        bound = _bound(query, schema, builds)
+        result = run_qeg(dbs["top"], bound, now=1000.0, ships=False)
+        assert result.is_complete and result.matches == [block]
+        assert bound.anchor == _compile(query, schema).anchor
+        assert clones == []
+
+    @pytest.mark.parametrize("query", [BLOCK, AVAILABLE, QUERIES["or-pin"]],
+                             ids=["block", "available", "or-pin"])
+    def test_an_asking_walk_renders_the_naive_ask_texts(
+            self, dbs, paper_doc, builds, clones, query):
+        schema = _schema(paper_doc)
+        bound = _bound(query, schema, builds)
+        asked = run_qeg(dbs["top"], bound, now=1000.0).subqueries
+        assert asked and clones  # the asks read the bound literals
+        assert [sq.query for sq in asked] == \
+            [sq.query for sq in run_qeg(dbs["top"], _compile(query, schema),
+                                        now=1000.0).subqueries]
 
 
 class TestOneTemplatePerShape:

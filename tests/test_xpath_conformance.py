@@ -86,6 +86,10 @@ SCALAR_CASES = [
     ("9 mod 4", 1.0),
     ("-9 mod 4", -1.0),
     ("9 div 4", 2.25),
+    # IEEE 754 division: the sign of a zero divisor counts.
+    ("1 div 0", math.inf),
+    ("1 div -0", -math.inf),
+    ("-1 div -0", math.inf),
     ("number(//book[@id='b1']/pages) + 1", 101.0),
     # Names
     ("name(/library)", "library"),
