@@ -53,6 +53,7 @@ from repro.core.idable import (
     non_idable_children,
 )
 from repro.core.invariants import (
+    dns_ownership_violations,
     fragment_violations,
     ownership_violations,
     structural_violations,
@@ -60,7 +61,6 @@ from repro.core.invariants import (
     violations_against_reference,
 )
 from repro.core.ownership import (
-    accept_ownership,
     export_local_information,
     relinquish_ownership,
 )
@@ -114,10 +114,10 @@ __all__ = [
     "structural_violations",
     "violations_against_reference",
     "ownership_violations",
+    "dns_ownership_violations",
     "fragment_violations",
     "validate_deployment",
     "export_local_information",
-    "accept_ownership",
     "relinquish_ownership",
     "rewrite_consistency_sugar",
     "strip_consistency_predicates",

@@ -175,6 +175,33 @@ def ownership_violations(databases, owner_map):
     return problems
 
 
+def dns_ownership_violations(databases, authoritative_site):
+    """Ownership follows DNS: each live site owns exactly the paths DNS
+    names it for.
+
+    *databases* maps every live site to its database;
+    *authoritative_site(id_path)* is the site DNS names for a path
+    (:meth:`repro.net.dns.DnsServer.authoritative_site`).  Every path a
+    live site stores is checked: it is owned at the site DNS names when
+    that site is live, and nowhere else.
+    """
+    owners = {}
+    for site, db in databases.items():
+        for element in db.iter_idable():
+            path = tuple(tuple(e) for e in id_path_of(element))
+            holders = owners.setdefault(path, [])
+            if get_status(element) is Status.OWNED:
+                holders.append(site)
+    problems = []
+    for path, holders in owners.items():
+        named = authoritative_site(path)
+        if sorted(holders) != ([named] if named in databases else []):
+            problems.append(
+                f"{format_id_path(path)}: owned at {sorted(holders)} but "
+                f"DNS names {named!r}")
+    return problems
+
+
 def fragment_violations(fragment, reference_root=None):
     """C1/C2 checks for a wire-format answer fragment.
 

@@ -1,17 +1,20 @@
 """Ownership migration of IDable nodes between sites (Section 4).
 
-The paper's four-step protocol, made atomic by the final DNS update:
+A migration is a push and the flip:
 
-1. the site taking ownership fetches a copy of the node's local
-   information from the current owner;
-2. sensor proxies reporting to the old owner are redirected;
-3. the new owner sets the node's status to ``owned`` while the old
-   owner demotes its copy to ``complete``;
-4. the DNS entry for the node is updated to the new owner.
+1. **push**: the old owner sends the region's local information to the
+   new owner, which merges it as an ordinary cached ``complete`` copy
+   -- the same push read replication makes, idempotent, and unable to
+   make its receiver an owner.  An update that lands at the old owner
+   while the push is on the wire is carried by a second push;
+2. **flip**: the new owner promotes its copy to ``owned``, the old
+   owner demotes its own to ``complete``, and the DNS entries are
+   re-mapped -- the commit point.  Each site's ``owned`` status follows
+   DNS, so there is no half-moved state to repair: a migration whose
+   pushes fail never flips, and its receiver holds only a cache.
 
-Until step 4 the rest of the system keeps routing queries to the old
-owner, which simply holds them during the hand-off and can forward
-stragglers that arrive via stale DNS caches afterwards.
+After the flip the old owner forwards stale-DNS straggler updates and
+answers straggler queries from its complete copy.
 
 This module supplies the database-level pieces; the network layer
 (:mod:`repro.net.oa`) sequences them and performs the DNS update.
@@ -23,32 +26,28 @@ from repro.core.idable import format_id_path
 from repro.core.status import Status, get_status
 
 
-def export_local_information(database, id_path):
-    """Step 1, owner side: the wire fragment handing over *id_path*.
+def export_local_information(database, id_paths):
+    """The push, owner side: the wire fragment carrying the owned nodes
+    at *id_paths*.
 
-    Contains the node's local information plus the local ID information
-    of its ancestors, so the receiver can merge it like any cached
-    answer (C1/C2 hold) before flipping the status to ``owned``.
+    Contains each node's local information plus the local ID information
+    of its ancestors, so the receiver merges it like any cached answer
+    (C1/C2 hold).
     """
-    element = database.find(id_path, required=True)
-    if get_status(element) is not Status.OWNED:
-        raise CoreError(
-            f"cannot delegate {format_id_path(id_path)}: not owned at "
-            f"site {database.site_id!r}"
-        )
     builder = AnswerBuilder(database)
-    builder.include_local_information(element)
+    for id_path in id_paths:
+        element = database.find(id_path, required=True)
+        if get_status(element) is not Status.OWNED:
+            raise CoreError(
+                f"cannot export {format_id_path(id_path)}: not owned at "
+                f"site {database.site_id!r}"
+            )
+        builder.include_local_information(element)
     return builder.build()
 
 
-def accept_ownership(database, id_path, fragment):
-    """Steps 1+3, new-owner side: merge the fragment and mark owned."""
-    database.store_fragment(fragment)
-    return database.mark_owned(id_path)
-
-
 def relinquish_ownership(database, id_path):
-    """Step 3, old-owner side: demote the local copy to ``complete``.
+    """The flip, old-owner side: demote the local copy to ``complete``.
 
     The old owner keeps the (now cached) data, which lets it answer
     stale-DNS stragglers or serve as a warm replica.

@@ -28,13 +28,13 @@ from repro.net.framing import FrameReader
 from repro.net.load import PathLoadTracker
 from repro.net.messages import (
     AckMessage,
-    AdoptMessage,
     AnswerMessage,
     BatchAnswerMessage,
     BatchQueryMessage,
     ErrorMessage,
     Message,
     QueryMessage,
+    ReplicateMessage,
     UpdateMessage,
 )
 from repro.net.oa import OAConfig, OrganizingAgent
@@ -83,7 +83,7 @@ __all__ = [
     "ErrorMessage",
     "UpdateMessage",
     "AckMessage",
-    "AdoptMessage",
+    "ReplicateMessage",
     "NetError",
     "FrameTooLarge",
     "NameNotFound",

@@ -259,12 +259,14 @@ class Cluster:
     # Operations
     # ------------------------------------------------------------------
     def delegate(self, id_path, new_owner):
-        """Migrate ownership of *id_path* to *new_owner* (Section 4)."""
+        """Migrate ownership of *id_path* to *new_owner* (Section 4): the
+        owner pushes the region, then flips it over to the live agent
+        at *new_owner* and this cluster's DNS."""
         id_path = tuple(tuple(entry) for entry in id_path)
         current = self.owner_map.get(id_path)
         if current is None:
             raise QueryRoutingError(f"unknown node {id_path}")
-        moved = self.agents[current].delegate(id_path, new_owner, self.dns)
+        moved = self.agents[current].delegate(id_path, new_owner, self)
         for path in moved:
             self.owner_map[path] = new_owner
         return moved

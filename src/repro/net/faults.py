@@ -151,9 +151,9 @@ class FaultyNetwork:
         *trigger* instead fires on the next *times* messages whose
         ``message.kind`` equals *kind* (and whose endpoints match
         *src*/*dst* when given), regardless of the seeded draw.  That
-        is what migration-step chaos needs: "drop exactly the adopt
-        request", "reset exactly the adopt reply", "kill the adopter
-        the moment the adopt arrives" -- reproducible without tuning
+        is what migration-step chaos needs: "drop exactly the push",
+        "reset exactly the push's ack", "kill the target the moment
+        the push arrives" -- reproducible without tuning
         rates until the right message happens to lose the lottery.
 
         *action* is one of ``"drop"``, ``"reset"``, ``"error"`` or

@@ -44,10 +44,6 @@ def as_id_path(id_path):
     return tuple(tuple(entry) for entry in id_path)
 
 
-def as_id_paths(id_paths):
-    return [as_id_path(path) for path in id_paths]
-
-
 def encode_id_path(id_path):
     holder = Element("path")
     for tag, identifier in id_path:
@@ -63,22 +59,6 @@ def decode_id_path(holder):
         (entry.get("tag"), entry.get("id"))
         for entry in holder.element_children("entry")
     )
-
-
-def encode_id_paths(id_paths):
-    """A ``<paths>`` holder: one ``<path>`` per id path."""
-    holder = Element("paths")
-    for path in id_paths:
-        holder.append(encode_id_path(path))
-    return holder
-
-
-def decode_id_paths(envelope):
-    """The id paths under *envelope*'s ``<paths>`` (``[]`` if absent)."""
-    holder = envelope.child("paths")
-    if holder is None:
-        return []
-    return [decode_id_path(path) for path in holder.element_children("path")]
 
 
 def _lend(holder, payload):
@@ -700,52 +680,27 @@ class AckMessage(Message):
 
 
 @register_kind
-class AdoptMessage(Message):
-    """Ownership migration: "take ownership of these nodes" (steps 1-3).
+class ReplicateMessage(Message):
+    """A push of an owner's data: a replica refresh, or the first step
+    of a migration.
 
-    Carries the wire fragment exported by the old owner and the ID
-    paths of every node changing hands.
+    Carries a wire fragment (C1/C2, root-rooted -- the same shape as any
+    generalized answer) of the owner's local information, which every
+    agent merges into its own fragment as cached ``complete`` data and
+    acknowledges.  The merge's newer-timestamp rule drops a reordered
+    older push, so a push is idempotent, and it never makes its
+    receiver an owner.
     """
 
-    kind = "adopt"
+    kind = "replicate"
 
-    def __init__(self, id_paths, fragment, sender=None, message_id=None):
+    def __init__(self, fragment, sender=None, message_id=None):
         super().__init__(sender=sender, message_id=message_id)
-        self.id_paths = as_id_paths(id_paths)
         self.fragment = fragment
 
     def _fill(self, envelope):
-        envelope.append(encode_id_paths(self.id_paths))
         envelope.append(encode_fragment(self.fragment))
 
     @staticmethod
     def _parse(envelope):
-        return {"id_paths": decode_id_paths(envelope),
-                "fragment": decode_fragment(envelope)}
-
-
-@register_kind
-class MigrateReleaseMessage(Message):
-    """Migration rollback: "release the nodes I asked you to adopt".
-
-    Sent by a migrating owner whose adopt exchange failed after the
-    request may already have been delivered (reply lost, connection
-    reset).  Adoption is idempotent, so the only dangerous outcome is
-    *dual ownership*; this message tells the would-be adopter to demote
-    the listed paths back to cached copies.  It is best-effort -- if it
-    is lost too, the balancer's DNS-authority reconciliation pass
-    demotes the loser on a later tick.
-    """
-
-    kind = "migrate-release"
-
-    def __init__(self, id_paths, sender=None, message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.id_paths = as_id_paths(id_paths)
-
-    def _fill(self, envelope):
-        envelope.append(encode_id_paths(self.id_paths))
-
-    @staticmethod
-    def _parse(envelope):
-        return {"id_paths": decode_id_paths(envelope)}
+        return {"fragment": decode_fragment(envelope)}

@@ -21,7 +21,10 @@ from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
 from repro.core.gather import GatherDriver, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
-from repro.core.ownership import relinquish_ownership
+from repro.core.ownership import (
+    export_local_information,
+    relinquish_ownership,
+)
 from repro.core.qeg import query_anchor
 from repro.core.evolution import add_idable_child, remove_idable_child
 from repro.core.status import Status, get_status
@@ -36,14 +39,14 @@ from repro.net.errors import (
 from repro.net.load import PathLoadTracker
 from repro.net.messages import (
     AckMessage,
-    AdoptMessage,
     AnswerMessage,
     BatchAnswerMessage,
     BatchQueryMessage,
     ErrorMessage,
-    MigrateReleaseMessage,
     QueryMessage,
+    ReplicateMessage,
     UpdateMessage,
+    as_id_path,
 )
 from repro.net.retry import (
     DEFAULT_RETRY_POLICY,
@@ -66,6 +69,9 @@ class SiteGuard:
     ``threading.Condition.wait`` does) and takes them back before the
     caller merges the reply: a site never waits on a remote site while
     holding its own guard, so no chain of asks can close a cycle.
+    The one hold of two guards is a migration's flip, which lets go of
+    its own and takes both in site order, so two opposite flips cannot
+    wait on each other.
     """
 
     __slots__ = ("_lock", "_owner", "_depth")
@@ -245,17 +251,6 @@ class OrganizingAgent:
         #: Per-anchor served-query counters (always on: strictly local
         #: state, no wire traffic, no clock reads).
         self.load = PathLoadTracker()
-        #: Wire retries for one migration's adopt exchange and for
-        #: forwarding its held updates (adoption is idempotent).
-        self.adopt_attempts = 3
-        #: Migration-in-progress bookkeeping: while a region is being
-        #: handed off, updates to it are applied locally (this site
-        #: still owns it) *and* recorded, then forwarded to the new
-        #: owner once the hand-off commits -- no update is blocked,
-        #: shed, or lost across the window.
-        self._migrating = ()
-        self._held_updates = []
-        self._migration_lock = threading.Lock()
         #: Recent migrations touching this site (both directions), for
         #: EXPLAIN's "ownership moved" annotations.
         self.migration_log = deque(maxlen=32)
@@ -269,9 +264,6 @@ class OrganizingAgent:
             "migrations_out": 0,
             "migrations_in": 0,
             "migrations_aborted": 0,
-            "migrations_released": 0,
-            "held_updates_forwarded": 0,
-            "held_updates_lost": 0,
             "migration_cache_evictions": 0,
             "retries": 0,
             "subquery_failures": 0,
@@ -282,8 +274,7 @@ class OrganizingAgent:
             QueryMessage: self._handle_query,
             BatchQueryMessage: self._handle_asks,
             UpdateMessage: self._handle_update,
-            AdoptMessage: self._handle_adopt,
-            MigrateReleaseMessage: self._handle_migrate_release,
+            ReplicateMessage: self._handle_replicate,
         }
         self._subsystems = HookTable(SITE_HOOKS)
         self.continuous = ContinuousQueryManager(self)
@@ -417,17 +408,17 @@ class OrganizingAgent:
         - **exactly one breaker outcome** per send the gate let through,
           whatever is raised on the way.  A reply of the expected kind
           is a success, whatever the caller then makes of its contents
-          (a declined adoption is a healthy peer saying no).  All else
-          is a failure: a transport error, a structured error (the peer
-          is shedding load or cannot serve this), a wrong reply kind,
-          an exception escaping a loopback handler.
+          (an ``ack`` with ``ok=False`` is a healthy peer saying no).
+          All else is a failure: a transport error, a structured error
+          (the peer is shedding load or cannot serve this), a wrong
+          reply kind, an exception escaping a loopback handler.
 
         *gated* is the one distinction between callers.  Asks with
         somewhere else to go pass the gate: subqueries, partial-
         aggregate asks and failover asks degrade to a partial answer,
-        the naive path or the next replica.  Migration exchanges
-        (adopt, held and forwarded updates) have no alternative peer --
-        a refusal loses an ownership move or an update -- so they pass
+        the naive path or the next replica.  A migration's push and a
+        forwarded update have no alternative peer -- a refusal loses an
+        ownership move or an update -- so they pass
         ``gated=False``: an open circuit does not refuse them, their
         outcomes are recorded all the same, and a successful one closes
         the circuit.
@@ -520,8 +511,8 @@ class OrganizingAgent:
                       for subquery in subqueries}
             if len(owners) > 1 or owners & {None, self.site_id}:
                 # The group no longer shares one remote owner (a
-                # migration landed mid-retry, DNS retired a region, an
-                # adoption brought it home): regroup it on fresh DNS.
+                # migration landed mid-retry, DNS retired a region, a
+                # migration brought it home): regroup it on fresh DNS.
                 return self._send_subqueries(subqueries, resent=True)
             target = owners.pop()
         for answer_for in self._subsystems.listeners["on_dispatch_failure"]:
@@ -676,13 +667,6 @@ class OrganizingAgent:
                                        attributes=message.attributes,
                                        values=message.values)
             self.stats["updates_applied"] += 1
-            if self._migrating:
-                # Mid-migration: this site still owns the node (the
-                # commit has not happened), so the update was applied
-                # normally above -- but the exported fragment predates
-                # it, so it must also follow the data to the new owner
-                # once the hand-off commits.
-                self._note_held_update(message)
             self.notify_update(message.id_path)
             return AckMessage(message.message_id, ok=True,
                               sender=self.site_id)
@@ -709,142 +693,114 @@ class OrganizingAgent:
     # ------------------------------------------------------------------
     # Ownership migration (Section 4)
     # ------------------------------------------------------------------
+    def _handle_replicate(self, message):
+        """Merge a push -- a replica refresh or a migration's first step
+        -- into this site's fragment as cached data."""
+        self.database.store_fragment(message.fragment)
+        return AckMessage(message.message_id, ok=True, sender=self.site_id)
+
     @_guarded
-    def delegate(self, id_path, new_owner, dns_server):
+    def delegate(self, id_path, new_owner, cluster):
         """Move ownership of the node at *id_path* (and the contiguous
-        owned region below it) to *new_owner* -- live, with rollback.
+        owned region below it) to *new_owner*: a push, then the flip.
 
-        The paper's protocol (export, adopt, demote, DNS flip) plus
-        the cover that makes it safe under traffic and faults:
+        1. **The push.**  The region goes to *new_owner* as a
+           ``replicate`` message: cached ``complete`` data, which never
+           makes the receiver an owner.  The site guard is let go on
+           the wire as for every exchange, so queries and updates keep
+           landing here; an update that did moved the region's
+           ``subtree_version``, and the region is exported and pushed
+           again.  The retry policy's ``max_attempts`` bounds the
+           pushes in all, failed or overtaken.  When they run out this
+           raises :class:`MigrationError`: nothing flipped, and the
+           receiver holds only a cache.
+        2. **The flip**, the commit point, under both sites' guards
+           (taken in site order, so two opposite migrations cannot
+           deadlock): the live *new_owner* agent of *cluster* promotes
+           its pushed copy, this site demotes its own to ``complete``,
+           and ``cluster.dns`` re-maps the region.  Each site's
+           ``owned`` status follows DNS.
 
-        - **queries** are never blocked: this site owns the region
-          until the commit, and keeps a complete demoted copy after
-          it, so reads are answerable at every instant;
-        - **updates** landing mid-hand-off are applied locally (still
-          the owner) *and* recorded, then forwarded to the new owner
-          after the commit -- nothing is shed or reordered past the
-          exported fragment;
-        - the **adopt exchange is retried** (adoption is idempotent:
-          a reset that lost only the reply is healed by the resend);
-        - on terminal failure a best-effort
-          :class:`~repro.net.messages.MigrateReleaseMessage` tells the
-          would-be adopter to demote anything it adopted, and this
-          site **rolls back** -- it simply keeps ownership, held
-          updates already applied.  If the release is lost too, the
-          balancer's DNS-authority reconciliation demotes the loser;
-        - the **commit point is the DNS flip** (in-process, cannot
-          fail partway): after it, stale-DNS stragglers that still
-          reach this site are forwarded per fresh DNS (updates) or
-          answered from the demoted complete copy (queries);
-        - after the commit, cached aggregates and summaries covering
-          the migrated region are evicted (their invalidation feed --
-          local updates -- just moved away) and every subsystem hears
-          of the ownership change.
+        After the flip, stale-DNS stragglers that still reach this site
+        are forwarded per fresh DNS (updates) or answered from the
+        complete copy (queries); scalar answers computed over the region
+        are evicted and every subsystem on both sites hears of the move.
         """
-        id_path = tuple(tuple(entry) for entry in id_path)
+        id_path = as_id_path(id_path)
         element = self.database.find(id_path)
         if element is None or get_status(element) is not Status.OWNED:
             raise MigrationError(
                 f"site {self.site_id!r} does not own {id_path}"
             )
-        region = self._owned_region(element)
-        paths = [tuple(tuple(e) for e in id_path_of(node)) for node in region]
-
-        self._begin_migration(paths)
-        committed = False
-        try:
-            fragment = self._export_region(region)
+        paths = [as_id_path(id_path_of(node))
+                 for node in self._owned_region(element)]
+        target = cause = None
+        for _push in range(self.retry_policy.max_attempts):
+            version = element.subtree_version
+            fragment = export_local_information(self.database, paths)
             try:
-                reply = self._request_patiently(
-                    new_owner,
-                    AdoptMessage(paths, fragment, sender=self.site_id))
-                refusal = None if reply.ok else reply.detail
+                self.request(new_owner, ReplicateMessage(
+                    fragment, sender=self.site_id), expect=AckMessage,
+                    gated=False)
             except (NetError, OSError) as exc:
-                refusal = exc
-            if refusal is not None:
-                self._abort_migration(new_owner, paths)
-                raise MigrationError(
-                    f"site {new_owner!r} refused adoption: {refusal!r}"
-                )
-            for path in paths:
-                relinquish_ownership(self.database, path)
-            for path in paths:
-                dns_server.remap(path, new_owner)
-            committed = True
-        finally:
-            held = self._end_migration()
-        self._forward_held_updates(new_owner, held)
+                cause = exc
+                if isinstance(exc, RemoteError) and not exc.retryable:
+                    break
+                continue
+            target = cluster.agents.get(new_owner)
+            if target is None:
+                cause = "it is not running"
+                continue
+            first, second = sorted((self, target),
+                                   key=lambda agent: agent.site_id)
+            with self.guard.released(), first.guard, second.guard:
+                if element.subtree_version != version:
+                    cause = "an update landed during the push"
+                elif not target._promote(paths, self.site_id):
+                    cause = "it lost the pushed copy"
+                else:
+                    for path in paths:
+                        relinquish_ownership(self.database, path)
+                    for path in paths:
+                        cluster.dns.remap(path, new_owner)
+                    cause = None
+                    break
+        if cause is not None:
+            self.stats["migrations_aborted"] += 1
+            raise MigrationError(
+                f"site {new_owner!r} did not take {id_path}: {cause!r}")
         self._evict_migrated(paths)
         self._subsystems.fire("on_ownership_change", paths, gained=False,
                               peer=new_owner)
         self.stats["migrations_out"] += 1
         self.migration_log.append(
             {"direction": "out", "peer": new_owner, "paths": list(paths)})
+        with self.guard.released():
+            target.ownership_gained(paths, self.site_id)
         return paths
 
-    def _request_patiently(self, target, message):
-        """One migration exchange, tried up to ``adopt_attempts`` times.
+    def _promote(self, paths, peer):
+        """The flip at the new owner, under its guard: the pushed copy
+        of *paths* becomes owned, or nothing changes (``False``) when a
+        restart lost it."""
+        for path in paths:
+            element = self.database.find(path)
+            if element is None or \
+                    not get_status(element).has_local_information:
+                return False
+        for path in paths:
+            self.database.mark_owned(path)
+        self.stats["migrations_in"] += 1
+        self.migration_log.append(
+            {"direction": "in", "peer": peer, "paths": list(paths)})
+        return True
 
-        Returns the peer's :class:`AckMessage`; the last error is
-        raised once the tries are spent or the peer's refusal says a
-        resend cannot help.
-        """
-        tries = 0
-        while True:
-            tries += 1
-            try:
-                return self.request(target, message, expect=AckMessage,
-                                    gated=False)
-            except (NetError, OSError) as exc:
-                refused_for_good = (isinstance(exc, RemoteError)
-                                    and not exc.retryable)
-                if refused_for_good or tries >= self.adopt_attempts:
-                    raise
-
-    def _begin_migration(self, paths):
-        with self._migration_lock:
-            self._migrating = tuple(paths)
-            self._held_updates = []
-
-    def _end_migration(self):
-        with self._migration_lock:
-            held, self._held_updates = self._held_updates, []
-            self._migrating = ()
-            return held
-
-    def _note_held_update(self, message):
-        path = message.id_path
-        with self._migration_lock:
-            if any(path[:len(prefix)] == prefix
-                   for prefix in self._migrating):
-                self._held_updates.append(
-                    (path, dict(message.attributes), dict(message.values)))
-
-    def _abort_migration(self, new_owner, paths):
-        """Best-effort release after a failed adopt exchange.
-
-        The dangerous failure is a *delivered* adopt whose reply was
-        lost: the peer may now consider itself owner.  This site keeps
-        ownership (rollback is "do nothing" -- held updates were
-        applied locally), and the release tells the peer to demote.
-        One-way and unacknowledged by design; the reconciliation pass
-        covers the double-loss case.
-        """
-        release = MigrateReleaseMessage(list(paths), sender=self.site_id)
-        self.tell(new_owner, release)
-        self.stats["migrations_aborted"] += 1
-
-    def _forward_held_updates(self, new_owner, held):
-        """Replay updates recorded during the hand-off window."""
-        for path, attributes, values in held:
-            message = UpdateMessage(path, attributes=attributes,
-                                    values=values, sender=self.site_id)
-            try:
-                self._request_patiently(new_owner, message)
-            except (NetError, OSError):
-                self.stats["held_updates_lost"] += 1
-            else:
-                self.stats["held_updates_forwarded"] += 1
+    @_guarded
+    def ownership_gained(self, paths, peer):
+        """Tell every subsystem *paths* came here from *peer* (after the
+        flip, with the old owner's guard let go)."""
+        self._subsystems.fire("on_ownership_change", paths, gained=True,
+                              peer=peer)
 
     def _evict_migrated(self, paths):
         """Drop the scalar answers computed over a region that moved.
@@ -859,21 +815,6 @@ class OrganizingAgent:
         evicted = self.driver.aggregates.evict_paths(paths)
         self.stats["migration_cache_evictions"] += evicted
 
-    def _handle_migrate_release(self, message):
-        """Demote paths adopted in a migration the old owner aborted."""
-        released = 0
-        for path in message.id_paths:
-            element = self.database.find(path)
-            if element is not None and get_status(element) is Status.OWNED:
-                relinquish_ownership(self.database, path)
-                released += 1
-        if released:
-            self.stats["migrations_released"] += 1
-            self._subsystems.fire("on_ownership_change", message.id_paths,
-                                  gained=False, peer=message.sender)
-        return AckMessage(message.message_id, ok=True, detail=str(released),
-                          sender=self.site_id)
-
     def _owned_region(self, element):
         """The contiguous owned subtree rooted at *element*."""
         region = []
@@ -884,30 +825,6 @@ class OrganizingAgent:
                 region.append(node)
                 stack.extend(idable_children(node))
         return region
-
-    def _export_region(self, region):
-        from repro.core.answer import AnswerBuilder
-
-        builder = AnswerBuilder(self.database)
-        for node in region:
-            builder.include_local_information(node)
-        return builder.build()
-
-    def _handle_adopt(self, message):
-        try:
-            self.database.store_fragment(message.fragment)
-            for path in message.id_paths:
-                self.database.mark_owned(path)
-        except CoreError as exc:
-            return AckMessage(message.message_id, ok=False, detail=str(exc),
-                              sender=self.site_id)
-        self.stats["migrations_in"] += 1
-        self.migration_log.append(
-            {"direction": "in", "peer": message.sender,
-             "paths": list(message.id_paths)})
-        self._subsystems.fire("on_ownership_change", message.id_paths,
-                              gained=True, peer=message.sender)
-        return AckMessage(message.message_id, ok=True, sender=self.site_id)
 
     # ------------------------------------------------------------------
     # Schema evolution (Section 4)

@@ -22,8 +22,8 @@ Per-agent part, fired by the agent in registration order
 ``on_update(id_path)``
     a sensor update was applied to an owned node;
 ``on_ownership_change(paths, gained, peer)``
-    a migration committed: *paths* were adopted from (``gained``) or
-    handed to / released back to *peer*;
+    a migration flipped: *paths* came here from (``gained``) or were
+    handed to *peer*;
 ``on_dispatch_failure(target, subqueries, attempts, causes)``
     a subquery group exhausted its retry budget against *target*;
     return one reply per subquery to answer for it, or ``None``;

@@ -12,9 +12,8 @@ package closes the loop:
   math: which subtrees leave an overloaded site, and where they go;
 - :class:`~repro.rebalance.balancer.LoadBalancer` -- the per-cluster
   control loop: snapshot trackers, detect overload, plan fragment
-  splits along IDable boundaries, execute live migrations through the
-  Section-4 protocol + DNS re-mapping, and reconcile ownership against
-  DNS after failures.
+  splits along IDable boundaries, and execute live migrations through
+  the Section-4 protocol: a push, then the DNS flip ownership follows.
 
 Switched on by listing a :class:`RebalanceConfig` in
 ``Cluster(subsystems=[...])``; both halves reach the deployment through

@@ -18,14 +18,9 @@ One :class:`LoadBalancer` watches a whole cluster.  Each tick it
    itself (that is the *split*: a fragment that always moved as one
    block becomes several independently-owned pieces);
 5. executes each move through ``Cluster.delegate`` -- the Section-4
-   take-ownership protocol with the abort/rollback cover in
-   ``OrganizingAgent.delegate`` -- and records the outcome;
-6. periodically reconciles ownership against DNS: any site holding an
-   OWNED path whose authoritative DNS owner is some other site demotes
-   it.  DNS flips are the migration commit point, so DNS is the
-   authority; reconciliation is what makes "complete or roll back"
-   eventual even when both the adopt reply *and* the abort release are
-   lost.
+   push and DNS flip in ``OrganizingAgent.delegate`` -- and records the
+   outcome.  A move whose pushes fail never flipped: nothing needs
+   undoing, and a later tick may plan it again.
 
 The balancer itself sends nothing on the wire; every wire effect goes
 through the agents' existing protocol messages.
@@ -35,9 +30,7 @@ import logging
 import threading
 from collections import deque
 
-from repro.core.errors import CoreError
 from repro.core.idable import id_path_of, idable_children
-from repro.core.ownership import relinquish_ownership
 from repro.core.status import Status, get_status
 from repro.rebalance.planner import detect_overloaded, plan_moves
 
@@ -67,7 +60,6 @@ class LoadBalancer:
         self._lock = threading.Lock()
         self._thread = None
         self._stop_event = None
-        self._force_reconcile = False
         self.history = deque(maxlen=128)
         self.stats = {
             "ticks": 0,
@@ -76,8 +68,6 @@ class LoadBalancer:
             "migrations_executed": 0,
             "migrations_failed": 0,
             "paths_moved": 0,
-            "reconcile_runs": 0,
-            "reconciled_demotions": 0,
         }
 
     # ------------------------------------------------------------------
@@ -178,7 +168,8 @@ class LoadBalancer:
         return unit_loads
 
     def _live_targets(self):
-        """Sites that can adopt right now (killed sites excluded)."""
+        """Sites that can take a region right now (killed sites
+        excluded)."""
         live = set(self.cluster.agents)
         network_sites = self.cluster.network.sites
         if network_sites:  # empty: the transport does not track liveness
@@ -223,7 +214,6 @@ class LoadBalancer:
                     moved = self.cluster.delegate(move.id_path, move.target)
                 except Exception as exc:
                     self.stats["migrations_failed"] += 1
-                    self._force_reconcile = True
                     logger.warning("migration of %r from %r to %r failed: %s",
                                    move.id_path, move.source, move.target,
                                    exc)
@@ -237,39 +227,7 @@ class LoadBalancer:
                     "load": move.load,
                 })
                 executed.append(move)
-        if self._force_reconcile or \
-                self.stats["ticks"] % self.config.reconcile_every == 0:
-            self.reconcile()
-            self._force_reconcile = False
         return executed
-
-    def reconcile(self):
-        """Demote owned paths whose DNS authority is another site.
-
-        The commit point of a migration is the DNS flip, so DNS is the
-        single authority on ownership.  After a double failure (adopt
-        reply lost *and* abort release lost) the would-be adopter can
-        be left holding OWNED paths DNS never granted it; this pass
-        demotes them, restoring the one-owner invariant without any
-        wire traffic.
-        """
-        self.stats["reconcile_runs"] += 1
-        demoted = 0
-        dns = self.cluster.dns
-        for site, agent in list(self.cluster.agents.items()):
-            database = agent.database
-            with agent.guard:
-                for path in list(database.owned_paths()):
-                    authority = dns.authoritative_site(path)
-                    if authority is None or authority == site:
-                        continue
-                    try:
-                        relinquish_ownership(database, path)
-                    except CoreError:
-                        continue  # an ancestor demotion already covered it
-                    demoted += 1
-        self.stats["reconciled_demotions"] += demoted
-        return demoted
 
     # ------------------------------------------------------------------
     # Background lifecycle

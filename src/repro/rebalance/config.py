@@ -27,39 +27,27 @@ class RebalanceConfig:
         is supposed to converge over a few ticks, not thrash;
     ``interval``
         seconds between ticks when the balancer runs its own
-        background thread (:meth:`LoadBalancer.start`);
-    ``adopt_attempts``
-        wire retries for the adopt exchange during one migration
-        (adoption is idempotent, so retrying a reset is safe);
-    ``reconcile_every``
-        run the DNS-authority ownership reconciliation pass every this
-        many ticks (it walks every owned path, so at million-node
-        scale it should not run on every tick); a failed migration
-        forces it on the next tick regardless.
+        background thread (:meth:`LoadBalancer.start`).
+
+    How often one migration pushes is the agents' own retry policy
+    (``OAConfig.retry_policy.max_attempts``).
     """
 
     name = "rebalance"
 
     def __init__(self, overload_ratio=2.0, min_queries=16,
-                 headroom=1.25, max_moves_per_tick=4, interval=1.0,
-                 adopt_attempts=3, reconcile_every=8):
+                 headroom=1.25, max_moves_per_tick=4, interval=1.0):
         if overload_ratio < 1.0:
             raise ValueError("overload_ratio must be >= 1")
         if headroom < 1.0:
             raise ValueError("headroom must be >= 1")
         if max_moves_per_tick < 1:
             raise ValueError("max_moves_per_tick must be >= 1")
-        if adopt_attempts < 1:
-            raise ValueError("adopt_attempts must be >= 1")
-        if reconcile_every < 1:
-            raise ValueError("reconcile_every must be >= 1")
         self.overload_ratio = overload_ratio
         self.min_queries = min_queries
         self.headroom = headroom
         self.max_moves_per_tick = max_moves_per_tick
         self.interval = interval
-        self.adopt_attempts = adopt_attempts
-        self.reconcile_every = reconcile_every
 
     def site_subsystem(self, agent):
         return SiteRebalance(agent, self)

@@ -1,10 +1,9 @@
 """The per-agent half of rebalancing: migration counters and EXPLAIN.
 
-The migration protocol itself (delegate / adopt / release, the paper's
+The migration protocol itself (the push and the flip, the paper's
 Section 4) is the organizing agent's; this part only reads what the
-agent already records -- its migration-safety stats, its always-on
-:class:`~repro.net.load.PathLoadTracker`, its ``migration_log`` -- and
-applies the config's ``adopt_attempts``.
+agent already records -- its migration stats, its always-on
+:class:`~repro.net.load.PathLoadTracker`, its ``migration_log``.
 """
 
 from repro.core.idable import format_id_path, id_paths_overlap
@@ -12,13 +11,12 @@ from repro.core.idable import format_id_path, id_paths_overlap
 #: The agent stats that describe migrations (in ``agent.stats``).
 MIGRATION_STATS = (
     "migrations_in", "migrations_out", "migrations_aborted",
-    "migrations_released", "held_updates_forwarded", "held_updates_lost",
     "migration_cache_evictions",
 )
 
 
 def migration_counters(agent):
-    """One agent's migration-safety stats plus its load-tracker totals."""
+    """One agent's migration stats plus its load-tracker totals."""
     counters = {key: agent.stats.get(key, 0) for key in MIGRATION_STATS}
     tracked = agent.load.counters()
     counters["tracked_queries"] = tracked["queries"]
@@ -33,7 +31,6 @@ class SiteRebalance:
 
     def __init__(self, agent, config):
         self.agent = agent
-        agent.adopt_attempts = config.adopt_attempts
 
     def metrics(self):
         return migration_counters(self.agent)

@@ -11,7 +11,7 @@ up a three-site TCP deployment from the scenario generator (root +
 * runs one balancer tick: the load tracker's deltas flag ``oa-z0``,
   the planner splits its fragment along the ``z0/z*`` IDable
   boundary, and the move executes live over the same TCP sockets the
-  load uses;
+  load uses; afterwards every site owns exactly what DNS names it for;
 * offers an identical second window against the post-migration
   routing and requires p99 to drop.
 
@@ -34,6 +34,7 @@ from repro.smoke import impatient_oa_config
 
 
 def run(artifacts):
+    from repro.core.invariants import dns_ownership_violations
     from repro.net.tcpruntime import TcpCluster
     from repro.rebalance import RebalanceConfig
     from repro.service.scenarios import (
@@ -94,6 +95,9 @@ def run(artifacts):
 
         before = window(seed=1)
         moves = cluster.subsystem("rebalance").tick()
+        problems.extend(dns_ownership_violations(
+            {site: agent.database for site, agent in cluster.agents.items()},
+            cluster.dns.authoritative_site))
         after = window(seed=2)
 
         for stage, result in (("before", before), ("after", after)):
@@ -130,8 +134,6 @@ def run(artifacts):
                 key: counters[key]
                 for key in ("migrations_out", "migrations_in",
                             "migrations_aborted",
-                            "held_updates_forwarded",
-                            "held_updates_lost",
                             "migration_cache_evictions")},
         }
         moved = ", ".join(

@@ -12,11 +12,9 @@ its peers before falling back to WAL replay.  Switched on by listing a
 
 from repro.replication.config import ReplicationConfig
 from repro.replication.manager import ReplicationManager, replica_peers
-from repro.replication.messages import ReplicateMessage
 from repro.replication.ring import ReplicationRing
 
 __all__ = [
-    "ReplicateMessage",
     "ReplicationConfig",
     "ReplicationManager",
     "ReplicationRing",

@@ -6,14 +6,17 @@ whose ``OAConfig.subsystems`` lists a
 :mod:`repro.net.subsystem` for the hooks).  A replica is an ordinary
 cached copy, and failover is an ordinary query:
 
-* **Owner**: on bootstrap, after every applied update and on adoption,
-  the owner exports the changed nodes' local information as a wire
-  fragment and fire-and-forgets a ``ReplicateMessage`` to its k nearest
-  peers on the sorted site ring.
-* **Ring peer**: merges the push into its own fragment with
-  ``store_fragment``, as cached ``complete`` data -- the newer-timestamp
-  rule drops a reordered older push, the WAL journals it like any cache
-  fill, and the site's own users are answered from it like any cache.
+* **Owner**: on bootstrap, after every applied update and on gaining a
+  migrated region, the owner exports the changed nodes' local
+  information as a wire fragment
+  (:func:`~repro.core.ownership.export_local_information`) and
+  fire-and-forgets a ``replicate`` push to its k nearest peers on the
+  sorted site ring.
+* **Ring peer**: serves the push as every agent does (a migration's
+  first step is the same push): merges it into its own fragment as
+  cached ``complete`` data -- the newer-timestamp rule drops a
+  reordered older push, the WAL journals it like any cache fill, and
+  the site's own users are answered from it like any cache.
 * **Failover client**: when a dispatch group exhausts its retry budget
   against a dead owner, :meth:`on_dispatch_failure` re-sends the group,
   unchanged and flagged ``no_forward``, to the owner's ring peers in
@@ -21,7 +24,7 @@ cached copy, and failover is an ordinary query:
   which applies the ask's own freshness bound, and says which asks it
   left unanswered; a reply that left nothing is served.
 
-Without the config nothing here exists: no messages are sent, no
+Without the config nothing here exists: no pushes are sent, no
 envelope fields are added, and answers are byte-identical to a
 replication-free build.
 """
@@ -29,13 +32,13 @@ replication-free build.
 import functools
 import threading
 
-from repro.core.answer import AnswerBuilder, Subquery
+from repro.core.answer import Subquery
 from repro.core.gather import SubqueryFailure
-from repro.core.status import TIMESTAMP_ATTRIBUTE, get_status
+from repro.core.ownership import export_local_information
+from repro.core.status import TIMESTAMP_ATTRIBUTE
 from repro.net.errors import NetError
-from repro.net.messages import AckMessage, as_id_path
+from repro.net.messages import ReplicateMessage, as_id_path
 from repro.net.oa import ask
-from repro.replication.messages import ReplicateMessage
 
 
 def replica_peers(owner, sites, k):
@@ -76,7 +79,6 @@ class ReplicationManager:
         self.stats = {
             "replicated_batches": 0,
             "replicated_bytes": 0,
-            "replica_batches_accepted": 0,
             "failover_attempts": 0,
             "failover_served": 0,
             "replica_too_stale": 0,
@@ -84,27 +86,16 @@ class ReplicationManager:
         }
 
     # -- the seam (repro.net.subsystem) ----------------------------------
-    def handlers(self):
-        return {ReplicateMessage: self._handle_replicate}
-
     def on_update(self, id_path):
         """An update landed on an owned node: push it again."""
         self._replicate([as_id_path(id_path)])
 
     def on_ownership_change(self, paths, gained, peer):
-        """Adopted regions are this site's to push.  A region handed
+        """Migrated-in regions are this site's to push.  A region handed
         away needs nothing: its ring peers keep an ordinary cached copy,
         and the new owner pushes to its own ring."""
         if gained:
             self._replicate([as_id_path(path) for path in paths])
-
-    def _handle_replicate(self, message):
-        """Merge a push into this site's fragment as cached data."""
-        self.agent.database.store_fragment(message.fragment)
-        with self._lock:
-            self.stats["replica_batches_accepted"] += 1
-        return AckMessage(message.message_id, ok=True,
-                          sender=self.agent.site_id)
 
     # -- topology -------------------------------------------------------
     def set_topology(self, sites):
@@ -127,17 +118,9 @@ class ReplicationManager:
         peers = self.peers() if peers is None else peers
         if not peers or not paths:
             return
-        database = self.agent.database
-        builder = AnswerBuilder(database)
-        for path in paths:
-            element = database.find(path)
-            if element is not None and \
-                    get_status(element).has_local_information:
-                builder.include_local_information(element)
-        fragment = builder.build()
-        if fragment is None:
-            return
-        message = ReplicateMessage(fragment, sender=self.agent.site_id)
+        message = ReplicateMessage(
+            export_local_information(self.agent.database, paths),
+            sender=self.agent.site_id)
         size = message.encoded_size()
         for peer in peers:
             # Fire-and-forget: a lost push is repaired by the next

@@ -77,7 +77,8 @@ class SimulatedCluster:
     def _service_time(self, node):
         if node.kind == "update":
             return self.cost.update_cost
-        if node.kind == "adopt":
+        if node.kind == "replicate":
+            # A delegation's push: replication never runs here.
             return self.cost.migration_cost
         return self.cost.query_service(
             self._db_size(node.site),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import HierarchySchema, PartitionPlan
+from repro.core.invariants import dns_ownership_violations
 from repro.net import Cluster
 from repro.xmlkit import parse_fragment
 
@@ -62,6 +63,14 @@ FIGURE2_QUERY = (
     "/neighborhood[@id='Oakland' or @id='Shadyside']"
     "/block[@id='1']/parkingSpace[available='yes']"
 )
+
+
+def owners_follow_dns(cluster):
+    """Violations of the ownership invariant: every live site owns
+    exactly the paths DNS names it for."""
+    return dns_ownership_violations(
+        {site: agent.database for site, agent in cluster.agents.items()},
+        cluster.dns.authoritative_site)
 
 
 def id_path(spec):

@@ -33,15 +33,9 @@ from repro.xmlkit import serialize
 
 from tests.property.test_prop_answer_builder import ReferenceAnswerBuilder
 
-try:
-    import repro.replication.manager as _replication_manager
-except ModuleNotFoundError:  # the removability drill deleted the package
-    _replication_manager = None
-
-#: Every module that binds ``AnswerBuilder`` by name.
-_BINDINGS = tuple(module for module in (
-    repro.core.answer, repro.core.qeg, repro.core.ownership,
-    _replication_manager) if module is not None)
+#: Every module that binds ``AnswerBuilder`` by name (replication's
+#: pushes are built by ``repro.core.ownership``'s exporter).
+_BINDINGS = (repro.core.answer, repro.core.qeg, repro.core.ownership)
 _CLOCK_START = 1000.0
 
 

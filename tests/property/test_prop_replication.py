@@ -22,9 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import PartitionPlan
 from repro.core.status import Status, get_status
 from repro.net import Cluster, LoopbackNetwork, OAConfig
-from repro.net.messages import UpdateMessage
-from repro.replication import ReplicateMessage, ReplicationConfig, \
-    replica_peers
+from repro.net.messages import ReplicateMessage, UpdateMessage
+from repro.replication import ReplicationConfig, replica_peers
 from repro.xmlkit import parse_fragment
 from repro.xpath.evaluator import Evaluator
 from repro.xpath.parser import parse

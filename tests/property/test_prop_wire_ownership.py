@@ -31,9 +31,7 @@ from repro.durability import apply_record, partition_fingerprint
 from repro.net import messages as m
 from repro.xmlkit import Element, Text, parse_fragment, serialize
 
-from tests.test_wire_golden import GOLDEN, _fields, _optional, instances
-
-replication_messages = _optional("repro.replication.messages")
+from tests.test_wire_golden import GOLDEN, _fields, instances
 
 
 # ----------------------------------------------------------------------
@@ -71,20 +69,18 @@ def _old_decode_results(results_holder):
 @contextmanager
 def _old_payload_codecs():
     """Run the envelope codec over the oracle's payload codecs."""
-    modules = [m] + ([replication_messages] if replication_messages else [])
     old = {"encode_fragment": _old_encode_fragment,
            "decode_fragment": _old_decode_fragment,
            "_encode_results": _old_encode_results,
            "_decode_results": _old_decode_results}
-    saved = [(module, name, getattr(module, name))
-             for module in modules for name in old if hasattr(module, name)]
-    for module, name, _current in saved:
-        setattr(module, name, old[name])
+    saved = {name: getattr(m, name) for name in old}
+    for name, codec in old.items():
+        setattr(m, name, codec)
     try:
         yield
     finally:
-        for module, name, current in saved:
-            setattr(module, name, current)
+        for name, current in saved.items():
+            setattr(m, name, current)
 
 
 def _old_encode(message):
@@ -129,15 +125,11 @@ def _message_builders():
         "batch-answer": lambda trees: m.BatchAnswerMessage(
             7, list(trees) + [("scalar", 2.5), None], sender="oak",
             message_id=9),
-        "adopt": lambda trees: m.AdoptMessage(
-            [(("a", "1"),)], trees[0], sender="oak", message_id=9),
+        "replicate": lambda trees: m.ReplicateMessage(
+            trees[0], sender="oak", message_id=9),
         "results": lambda trees: m.AnswerMessage(
             7, results=list(trees), sender="oak", message_id=9),
     }
-    if replication_messages is not None:
-        builders["replicate"] = \
-            lambda trees: replication_messages.ReplicateMessage(
-                trees[0], sender="oak", message_id=9)
     return builders
 
 

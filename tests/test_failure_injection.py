@@ -44,6 +44,7 @@ from tests.conftest import (
     PAPER_DOCUMENT,
     SHADYSIDE,
     id_path,
+    owners_follow_dns,
 )
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
@@ -972,12 +973,13 @@ def _delegate(deployment):
 
 
 def _delegate_under_update(deployment):
-    # One update lands at mid while its adopt request is on the wire: it
-    # is held and forwarded to leaf once the hand-off commits.
+    # One update lands at mid while its first push is on the wire: the
+    # region moved under the push, so mid pushes it again before the
+    # flip.
     fired = []
 
     def inject(src, dst, message):
-        if message.kind == "adopt" and not fired:
+        if message.kind == "replicate" and not fired:
             fired.append(True)
             deployment.agent("mid").handle_message(_update("s0", "77"))
 
@@ -998,9 +1000,9 @@ EXCHANGES = {
     "partial-aggregate": ("top", "mid", "partial-agg", True,
                           _ask_partial_aggregate, None),
     "failover": ("top", "mid", "query", True, _ask_failover, None),
-    "adopt": ("mid", "leaf", "adopt", False, _delegate, None),
-    "held-update": ("mid", "leaf", "update", False, _delegate_under_update,
-                    None),
+    "push": ("mid", "leaf", "replicate", False, _delegate, None),
+    "re-push": ("mid", "leaf", "replicate", False, _delegate_under_update,
+                None),
     "forwarded-update": ("mid", "leaf", "update", False, _straggler_update,
                          _delegate),
 }
@@ -1011,7 +1013,7 @@ OUTCOMES = ("ok", "retryable-error", "fatal-error", "transport-error",
 def _drive(deployment, drive):
     """Run one exchange; what it raises on a refusal is not the point
     here (a loopback handler's ``CoreError`` surfaces raw, a failed
-    adoption is a ``MigrationError``, ...)."""
+    push is a ``MigrationError``, ...)."""
     try:
         drive(deployment)
     except (CoreError, NetError, OSError):
@@ -1063,6 +1065,12 @@ class TestGuardedRequest:
             assert breaker.snapshot()["probes"] == (1 if gated else 0)
             assert not breaker._probe_in_flight
             assert breaker.state == (CLOSED if outcome == "ok" else OPEN)
+            # A migration flips only after an acknowledged push, and
+            # ownership follows DNS either way.
+            if kind == "replicate":
+                assert deployment.cluster.dns.authoritative_site(G0) == \
+                    ("leaf" if outcome == "ok" else "mid")
+            assert owners_follow_dns(deployment.cluster) == []
 
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     @pytest.mark.parametrize("exchange", sorted(EXCHANGES))

@@ -250,7 +250,7 @@ class TestMigration:
     def test_cannot_delegate_unowned(self, paper_cluster):
         with pytest.raises(MigrationError):
             paper_cluster.agent("oak").delegate(
-                SHADYSIDE, "etna", paper_cluster.dns)
+                SHADYSIDE, "etna", paper_cluster)
 
     def test_migration_preserves_invariants(self, paper_cluster):
         paper_cluster.delegate(OAKLAND + (("block", "1"),), "etna")

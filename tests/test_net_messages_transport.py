@@ -4,7 +4,6 @@ import pytest
 
 from repro.net import (
     AckMessage,
-    AdoptMessage,
     AnswerMessage,
     BatchAnswerMessage,
     BatchQueryMessage,
@@ -12,6 +11,7 @@ from repro.net import (
     Message,
     MessageError,
     QueryMessage,
+    ReplicateMessage,
     UnknownSite,
     UpdateMessage,
 )
@@ -73,11 +73,12 @@ class TestEncoding:
         assert decoded.ok is False
         assert decoded.detail == "nope"
 
-    def test_adopt_roundtrip(self):
+    def test_replicate_roundtrip(self):
         fragment = parse_fragment("<a id='1' status='complete'/>")
-        message = AdoptMessage([[("a", "1")]], fragment)
+        message = ReplicateMessage(fragment, sender="oak")
         decoded = Message.decode(message.encode())
-        assert decoded.id_paths == [(("a", "1"),)]
+        assert isinstance(decoded, ReplicateMessage)
+        assert decoded.sender == "oak"
         assert trees_equal(decoded.fragment, fragment)
 
     def test_batch_query_roundtrip(self):

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     CoreError,
     Status,
-    accept_ownership,
     export_local_information,
     get_status,
     relinquish_ownership,
@@ -133,13 +132,15 @@ class TestOwnershipHelpers:
     def test_export_requires_ownership(self, paper_doc, paper_plan):
         dbs = paper_plan.build_databases(paper_doc)
         with pytest.raises(CoreError):
-            export_local_information(dbs["top"], OAKLAND)
+            export_local_information(dbs["top"], [OAKLAND])
 
     def test_export_accept_relinquish_roundtrip(self, paper_doc,
                                                 paper_plan):
         dbs = paper_plan.build_databases(paper_doc)
-        fragment = export_local_information(dbs["oak"], OAKLAND)
-        accept_ownership(dbs["etna"], OAKLAND, fragment)
+        fragment = export_local_information(dbs["oak"], [OAKLAND])
+        dbs["etna"].store_fragment(fragment)
+        assert get_status(dbs["etna"].find(OAKLAND)) is Status.COMPLETE
+        dbs["etna"].mark_owned(OAKLAND)
         relinquish_ownership(dbs["oak"], OAKLAND)
         assert get_status(dbs["etna"].find(OAKLAND)) is Status.OWNED
         assert get_status(dbs["oak"].find(OAKLAND)) is Status.COMPLETE
@@ -148,7 +149,7 @@ class TestOwnershipHelpers:
         from repro.core import fragment_violations
 
         dbs = paper_plan.build_databases(paper_doc)
-        fragment = export_local_information(dbs["oak"], OAKLAND)
+        fragment = export_local_information(dbs["oak"], [OAKLAND])
         assert fragment_violations(fragment, paper_doc) == []
 
 

@@ -122,9 +122,8 @@ class TestAggregations:
 # ----------------------------------------------------------------------
 OA_KEYS = [
     "batches_sent", "circuit_fast_fails", "dns_refreshes",
-    "held_updates_forwarded", "held_updates_lost",
     "migration_cache_evictions", "migrations_aborted", "migrations_in",
-    "migrations_out", "migrations_released", "retries", "subqueries_sent",
+    "migrations_out", "retries", "subqueries_sent",
     "subqueries_served", "subquery_failures", "updates_applied",
     "updates_forwarded", "user_queries",
 ]

@@ -5,8 +5,9 @@ The tentpole robustness loop exercised end to end on the loopback
 cluster: skewed query load makes one site hot; the balancer attributes
 the load to IDable subtrees, plans a split (lightcurvedb-style
 ``n_new_fragments`` sizing), and executes a live migration through the
-Section-4 take-ownership protocol plus a DNS re-map -- after which
-queries from every vantage still answer correctly, the old owner's
+Section-4 push and DNS flip -- after which every site owns exactly
+what DNS names it for, queries from every vantage still answer
+correctly, the old owner's
 semantic/summary caches drop the migrated region, and the new owner
 pushes the moved paths to its own replica ring.  With the subsystem disabled the wire is
 byte-identical to a rebalancing-free build.
@@ -34,7 +35,12 @@ try:
 except ModuleNotFoundError:  # the removability drill deleted the package
     ReplicationConfig = replica_peers = None
 
-from tests.conftest import OAKLAND, PAPER_DOCUMENT, id_path
+from tests.conftest import (
+    OAKLAND,
+    PAPER_DOCUMENT,
+    id_path,
+    owners_follow_dns,
+)
 from tests.test_failure_injection import (
     OAK_BLOCK,
     PAPER_PLAN,
@@ -55,6 +61,13 @@ def rebalance_cluster(rebalance=None, replication=None, count_bytes=False,
         subsystems=[config for config in (rebalance, replication)
                     if config is not None],
     )
+
+
+def tick(cluster):
+    """One balancer tick, after which ownership still follows DNS."""
+    moves = cluster.subsystem("rebalance").tick()
+    assert owners_follow_dns(cluster) == []
+    return moves
 
 
 def skewed_load(cluster, hot=30, warm=10):
@@ -81,8 +94,6 @@ class TestRebalanceConfig:
             RebalanceConfig(headroom=0.0)
         with pytest.raises(ValueError):
             RebalanceConfig(max_moves_per_tick=0)
-        with pytest.raises(ValueError):
-            RebalanceConfig(adopt_attempts=0)
 
 
 class TestPathLoadTracker:
@@ -163,7 +174,7 @@ class TestLiveMigration:
             **kwargs)
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        moves = cluster.subsystem("rebalance").tick()
+        moves = tick(cluster)
         assert [move.source for move in moves] == ["oak"]
         return cluster, moves[0], baseline
 
@@ -225,7 +236,7 @@ class TestLiveMigration:
         # Counters are diffed per tick: the already-served load must
         # not re-trigger a migration of the now-idle subtree.
         cluster, _, _ = self._migrated()
-        assert cluster.subsystem("rebalance").tick() == []
+        assert tick(cluster) == []
 
 
 class TestCacheEviction:
@@ -236,7 +247,7 @@ class TestCacheEviction:
         oak = cluster.agents["oak"]
         assert oak.driver.aggregates.metrics()["entries"] == 1
         skewed_load(cluster)
-        cluster.subsystem("rebalance").tick()
+        tick(cluster)
         assert oak.stats["migration_cache_evictions"] == 1
         assert oak.driver.aggregates.metrics()["entries"] == 0
 
@@ -249,7 +260,7 @@ class TestCacheEviction:
         cluster.scalar(f"count({shady})", at_site="oak")
         oak = cluster.agents["oak"]
         skewed_load(cluster)
-        cluster.subsystem("rebalance").tick()
+        tick(cluster)
         assert oak.driver.aggregates.metrics()["entries"] == 1
 
 
@@ -270,7 +281,7 @@ class TestReplicaRePlacement:
         cluster = self._cluster()
         sites = sorted(cluster.agents)
         skewed_load(cluster)
-        [move] = cluster.subsystem("rebalance").tick()
+        [move] = tick(cluster)
         for peer in replica_peers("oak", sites, 2):
             if peer == move.target:
                 continue
@@ -281,7 +292,7 @@ class TestReplicaRePlacement:
         cluster = self._cluster()
         sites = sorted(cluster.agents)
         skewed_load(cluster)
-        [move] = cluster.subsystem("rebalance").tick()
+        [move] = tick(cluster)
         for peer in replica_peers(move.target, sites, 2):
             copy = cluster.agents[peer].database.find(OAK_BLOCK1_PATH)
             assert get_status(copy).has_local_information
@@ -293,7 +304,7 @@ class TestReplicaRePlacement:
         cluster = self._cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="shady")[0])
         skewed_load(cluster)
-        [move] = cluster.subsystem("rebalance").tick()
+        [move] = tick(cluster)
         cluster.kill_site(move.target)
         results, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
         assert outcome.complete
@@ -302,12 +313,12 @@ class TestReplicaRePlacement:
     def test_new_owner_ring_serves_migrated_region(self):
         # The failover machinery itself: with the new owner dead, its
         # ring peers vouch for (and serve) the migrated region they
-        # were pushed on adoption.
+        # were pushed when the region moved in.
         from repro.core.answer import Subquery
 
         cluster = self._cluster()
         skewed_load(cluster)
-        [move] = cluster.subsystem("rebalance").tick()
+        [move] = tick(cluster)
         cluster.kill_site(move.target)
         asker = cluster.agents["shady"]
         probe = Subquery(OAK_BLOCK, OAK_BLOCK1_PATH, Subquery.INCOMPLETE)
@@ -316,43 +327,6 @@ class TestReplicaRePlacement:
         from repro.core.gather import SubqueryFailure
 
         assert not isinstance(reply, SubqueryFailure)
-
-
-class TestReconcile:
-    def test_demotes_owner_dns_disavows(self):
-        cluster = rebalance_cluster(rebalance=RebalanceConfig())
-        # Simulate the double-loss aftermath: shady adopted Oakland's
-        # block 1 (fragment merged, status flipped) but both the adopt
-        # reply and the abort release were lost -- the DNS flip never
-        # happened, so both sites now claim the path.
-        from repro.core.ownership import (
-            accept_ownership,
-            export_local_information,
-        )
-        fragment = export_local_information(
-            cluster.agents["oak"].database, OAK_BLOCK1_PATH)
-        database = cluster.agents["shady"].database
-        accept_ownership(database, OAK_BLOCK1_PATH, fragment)
-        stray = database.find(OAK_BLOCK1_PATH)
-        assert get_status(stray) is Status.OWNED
-        demoted = cluster.subsystem("rebalance").reconcile()
-        assert demoted >= 1
-        assert get_status(stray) is not Status.OWNED
-        # The true owner keeps it: DNS still points at oak.
-        owned = cluster.agents["oak"].database.find(OAK_BLOCK1_PATH)
-        assert get_status(owned) is Status.OWNED
-
-    def test_consistent_cluster_is_a_noop(self):
-        cluster = rebalance_cluster(rebalance=RebalanceConfig())
-        assert cluster.subsystem("rebalance").reconcile() == 0
-
-    def test_runs_every_reconcile_every_ticks(self):
-        cluster = rebalance_cluster(
-            rebalance=RebalanceConfig(reconcile_every=3))
-        for _ in range(3):
-            cluster.subsystem("rebalance").tick()
-        assert cluster.subsystem("rebalance").metrics()[
-            "reconcile_runs"] == 1
 
 
 class TestWireParity:
@@ -366,7 +340,7 @@ class TestWireParity:
             cluster.query(OAK_BLOCK, at_site="top")
             cluster.scalar(f"count({OAK_BLOCK})", at_site="top")
         for _ in range(ticks):
-            cluster.subsystem("rebalance").tick()
+            tick(cluster)
         return (cluster.network.traffic.messages,
                 cluster.network.traffic.bytes)
 

@@ -1,20 +1,20 @@
 """Chaos during migration: every step fails, nothing is lost.
 
-Deterministic :meth:`FaultyNetwork.add_trigger` faults aimed at each
-step of the take-ownership hand-off prove the protocol is atomic
-(complete or roll back, never half-owned), idempotent under duplicated
-adopts, eventually consistent after a double message loss (the
-DNS-authority reconcile pass), and that queries and updates in flight
-during a migration are neither dropped nor answered incorrectly --
+A migration is a push and the flip.  Deterministic
+:meth:`FaultyNetwork.add_trigger` faults aimed at the push prove that
+ownership follows DNS: a push that never lands, or whose ack is lost
+every time, or whose target dies on arrival ends in
+:class:`MigrationError` with the old owner still owning and DNS
+unchanged -- the target holds at most a cached copy -- and a lost ack
+the retry heals flips exactly once.  Queries and updates in flight
+during a migration are neither dropped nor answered incorrectly:
 stale-DNS stragglers are served by the old owner's demoted copy, and
-updates landing inside the hand-off window follow the data to the new
-owner.
+updates landing while a push is on the wire ride the next push.
 """
 
 import pytest
 
 from repro.core import PartitionPlan
-from repro.core.errors import CoreError
 from repro.core.status import Status, get_status
 from repro.net import Cluster, FaultyNetwork, LoopbackNetwork, OAConfig
 from repro.net.messages import UpdateMessage
@@ -22,14 +22,14 @@ from repro.net.oa import MigrationError
 from repro.rebalance import RebalanceConfig
 from repro.xmlkit import parse_fragment
 
-from tests.conftest import OAKLAND, PAPER_DOCUMENT
+from tests.conftest import PAPER_DOCUMENT, owners_follow_dns
 from tests.test_failure_injection import (
     OAK_BLOCK,
     PAPER_PLAN,
     answer_set,
     fast_retries,
 )
-from tests.test_rebalance import OAK_BLOCK1_PATH, OAK_BLOCK2, skewed_load
+from tests.test_rebalance import OAK_BLOCK1_PATH, skewed_load, tick
 
 SPACE1_PATH = OAK_BLOCK1_PATH + (("parkingSpace", "1"),)
 
@@ -40,8 +40,7 @@ def chaos_cluster():
         parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
         oa_config=OAConfig(retry_policy=fast_retries()),
         network=network,
-        subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5,
-                                    adopt_attempts=3)],
+        subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5)],
     )
     cluster.bind_lifecycle(network)
     return cluster, network
@@ -57,15 +56,15 @@ def owners_of(cluster, id_path):
     return sorted(owners)
 
 
-class TestAdoptRequestDropped:
-    """Step 1 lost entirely: the migration rolls back."""
+class TestPushDropped:
+    """Every push lost entirely: the migration never flips."""
 
     def _failed_migration(self):
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        network.add_trigger("adopt", action="drop", times=3)
-        moves = cluster.subsystem("rebalance").tick()
+        network.add_trigger("replicate", action="drop", times=3)
+        moves = tick(cluster)
         return cluster, network, baseline, moves
 
     def test_rollback_keeps_old_owner(self):
@@ -87,42 +86,75 @@ class TestAdoptRequestDropped:
 
     def test_direct_delegate_raises(self):
         cluster, network = chaos_cluster()
-        network.add_trigger("adopt", action="drop", times=3)
+        network.add_trigger("replicate", action="drop", times=3)
         with pytest.raises(MigrationError):
             cluster.delegate(OAK_BLOCK1_PATH, "etna")
         assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
+        assert owners_follow_dns(cluster) == []
 
 
-class TestAdoptReplyLost:
-    """Step 1 done, ack lost: the retry re-adopts idempotently."""
+class TestPushAckLost:
+    """The push landed but its ack did not."""
 
     def test_reset_then_retry_completes_exactly_once(self):
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        network.add_trigger("adopt", action="reset", times=1)
-        [move] = cluster.subsystem("rebalance").tick()
-        # The adopter saw the message twice, but ownership is single.
+        network.add_trigger("replicate", action="reset", times=1)
+        [move] = tick(cluster)
+        # The target merged the push twice, but ownership is single.
         assert owners_of(cluster, OAK_BLOCK1_PATH) == [move.target]
         assert cluster.owner_map[OAK_BLOCK1_PATH] == move.target
         assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == \
             move.target
-        assert cluster.subsystem("rebalance").reconcile() == 0
+        assert owners_follow_dns(cluster) == []
         for site in cluster.agents:
             results, _, outcome = cluster.query(OAK_BLOCK, at_site=site)
             assert outcome.complete
             assert answer_set(results) == baseline
 
+    def test_every_ack_lost_leaves_the_target_a_cached_copy(self):
+        # Each push reached etna and each ack was lost: the old owner
+        # cannot tell, so it never flips.  etna merged the data as a
+        # cache; nothing claims ownership DNS did not grant.
+        cluster, network = chaos_cluster()
+        network.add_trigger("replicate", action="reset", times=3)
+        with pytest.raises(MigrationError):
+            cluster.delegate(OAK_BLOCK1_PATH, "etna")
+        assert owners_follow_dns(cluster) == []
+        copy = cluster.agents["etna"].database.find(OAK_BLOCK1_PATH)
+        assert get_status(copy) is Status.COMPLETE
+        assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == "oak"
+        assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
+        assert cluster.agents["oak"].stats["migrations_aborted"] == 1
+        results, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
+        assert outcome.complete
 
-class TestAdopterKilled:
-    """The adopter dies on arrival: rollback, queries survive."""
 
-    def test_kill_on_adopt_rolls_back(self):
+    def test_an_acked_push_the_target_does_not_hold_is_never_promoted(
+            self, monkeypatch):
+        # A target that acks a push but no longer holds the copy at the
+        # flip (a restart in between) is not made an owner of nothing.
+        cluster, _network = chaos_cluster()
+        etna = cluster.agents["etna"]
+        monkeypatch.setattr(etna.database, "store_fragment",
+                            lambda fragment: [])
+        with pytest.raises(MigrationError, match="lost the pushed copy"):
+            cluster.delegate(OAK_BLOCK1_PATH, "etna")
+        assert owners_follow_dns(cluster) == []
+        assert etna.database.find(OAK_BLOCK1_PATH) is None
+        assert etna.stats["migrations_in"] == 0
+
+
+class TestTargetKilled:
+    """The target dies on arrival of the push: no flip, queries survive."""
+
+    def test_kill_on_push_rolls_back(self):
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        network.add_trigger("adopt", action="kill", times=1)
-        moves = cluster.subsystem("rebalance").tick()
+        network.add_trigger("replicate", action="kill", times=1)
+        moves = tick(cluster)
         assert moves == []
         assert cluster.subsystem("rebalance").metrics()[
             "migrations_failed"] == 1
@@ -133,72 +165,108 @@ class TestAdopterKilled:
         assert answer_set(results) == baseline
 
 
-class TestDoubleLoss:
-    """Every adopt ack AND the abort release lost: both sides claim
-    the path until the DNS-authority reconcile demotes the adopter."""
+def plain_cluster():
+    return Cluster(
+        parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
+        oa_config=OAConfig(retry_policy=fast_retries()),
+        subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5)],
+    )
 
-    def test_reconcile_restores_single_ownership(self):
-        cluster, network = chaos_cluster()
-        skewed_load(cluster)
-        network.add_trigger("adopt", action="reset", times=3)
-        network.add_trigger("migrate-release", action="drop", times=1)
-        moves = cluster.subsystem("rebalance").tick()
-        assert moves == []
-        # The tick force-reconciled after the failure: the adopter's
-        # stray OWNED copy is demoted, DNS's owner keeps the path.
-        assert cluster.subsystem("rebalance").metrics()[
-            "reconciled_demotions"] >= 1
-        assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
-        assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == "oak"
-        results, _, outcome = cluster.query(OAK_BLOCK, at_site="top")
-        assert outcome.complete
+
+def price_at(cluster, site):
+    element = cluster.agents[site].database.find(SPACE1_PATH)
+    return element.child("price").text
 
 
 class TestUpdatesInFlight:
-    """An update landing inside the hand-off window follows the data."""
+    """An update landing while a push is on the wire rides the next push."""
 
     def test_mid_migration_update_reaches_new_owner(self):
-        cluster = Cluster(
-            parse_fragment(PAPER_DOCUMENT), PartitionPlan(PAPER_PLAN),
-            oa_config=OAConfig(retry_policy=fast_retries()),
-            subsystems=[RebalanceConfig(min_queries=4, overload_ratio=1.5)],
-        )
+        cluster = plain_cluster()
         skewed_load(cluster)
         network = cluster.network
+        pushes = []
 
         def inject_update(src, dst, message):
-            # Fire one update at the old owner while the adopt request
-            # is on the wire -- after the fragment was exported, before
-            # the hand-off commits.
-            if message.kind == "adopt" and not hasattr(inject_update,
-                                                       "fired"):
-                inject_update.fired = True
-                network.request("sensor", "oak", UpdateMessage(
-                    SPACE1_PATH, values={"price": "99"}))
+            # Fire one update at the old owner while the first push is
+            # on the wire -- after the fragment was exported, before
+            # the flip.
+            if message.kind == "replicate":
+                pushes.append(dst)
+                if len(pushes) == 1:
+                    network.request("sensor", "oak", UpdateMessage(
+                        SPACE1_PATH, values={"price": "99"}))
 
         network.interceptors.append(inject_update)
-        [move] = cluster.subsystem("rebalance").tick()
-        oak = cluster.agents["oak"]
-        assert oak.stats["held_updates_forwarded"] == 1
-        assert oak.stats["held_updates_lost"] == 0
+        [move] = tick(cluster)
+        # The update moved the region under the first push: it was
+        # pushed again, once.
+        assert pushes == [move.target, move.target]
         # The new owner's fragment includes the in-window update even
-        # though the exported fragment predates it.
-        element = cluster.agents[move.target].database.find(SPACE1_PATH)
-        assert element.child("price").text == "99"
+        # though the first exported fragment predates it.
+        assert price_at(cluster, move.target) == "99"
         [result] = cluster.query(OAK_BLOCK, at_site="top")[0]
         assert result.child("parkingSpace").child("price").text == "99"
+
+    def test_a_reading_sent_during_the_second_message_is_kept(self):
+        """Regression: readings 99 and then 88 reach the old owner while
+        its first and second messages to the target are on the wire.
+        The newest, 88, must win at the new owner; keyed on message
+        order, not kind (when held updates were replayed after the
+        flip, the second message was the replay of 99, the straggler
+        88 was forwarded straight to the new owner, and 99 then
+        overwrote it)."""
+        cluster = plain_cluster()
+        skewed_load(cluster)
+        network = cluster.network
+        readings = ["99", "88"]
+        targets = []
+
+        def inject(src, dst, message):
+            if src != "oak" or (targets and dst != targets[0]):
+                return
+            targets.append(dst)
+            if len(targets) <= len(readings):
+                network.request("sensor", "oak", UpdateMessage(
+                    SPACE1_PATH,
+                    values={"price": readings[len(targets) - 1]}))
+
+        network.interceptors.append(inject)
+        [move] = tick(cluster)
+        assert targets[0] == move.target
+        assert price_at(cluster, move.target) == "88"
+        [result] = cluster.query(OAK_BLOCK, at_site="top")[0]
+        assert result.child("parkingSpace").child("price").text == "88"
+
+    def test_an_update_at_the_new_owner_during_the_flip_is_applied(self):
+        # DNS never names a live site that does not own the region: an
+        # update sent to the new owner the moment DNS re-maps a path is
+        # applied there, not refused as "DNS says I own it".
+        cluster, network = chaos_cluster()
+        skewed_load(cluster)
+        replies = []
+
+        def at_the_flip(name, site):
+            replies.append(network.request("sensor", site, UpdateMessage(
+                SPACE1_PATH, values={"price": "55"})))
+
+        cluster.dns.subscribe(at_the_flip)
+        [move] = tick(cluster)
+        assert replies and all(reply.ok for reply in replies)
+        assert price_at(cluster, move.target) == "55"
+        assert cluster.agents[move.target].stats["updates_applied"] == \
+            len(replies)
 
     def test_post_migration_straggler_update_forwarded(self):
         # An update addressed to the old owner AFTER the hand-off (a
         # stale sensor proxy) is forwarded to the new owner, not lost.
         cluster, network = chaos_cluster()
         skewed_load(cluster)
-        [move] = cluster.subsystem("rebalance").tick()
+        [move] = tick(cluster)
         reply = network.request("sensor", "oak", UpdateMessage(
             SPACE1_PATH, values={"price": "77"}))
         assert reply.ok
-        element = cluster.agents[move.target].database.find(SPACE1_PATH)
-        assert element.child("price").text == "77"
+        assert price_at(cluster, move.target) == "77"
 
 
 class TestStaleDnsQueries:
@@ -208,7 +276,7 @@ class TestStaleDnsQueries:
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        cluster.subsystem("rebalance").tick()
+        tick(cluster)
         # A client holding the stale mapping still lands on oak; the
         # demoted copy answers it completely and correctly.
         results, _, outcome = cluster.query(OAK_BLOCK, at_site="oak")
@@ -219,10 +287,10 @@ class TestStaleDnsQueries:
         cluster, network = chaos_cluster()
         baseline = answer_set(cluster.query(OAK_BLOCK, at_site="top")[0])
         skewed_load(cluster)
-        [move] = cluster.subsystem("rebalance").tick()
+        [move] = tick(cluster)
         cluster.kill_site("oak")
         # Default routing resolves the *new* DNS entry and asks the
-        # adopter directly; the old owner's death is invisible.
+        # new owner directly; the old owner's death is invisible.
         results, _, outcome = cluster.query(OAK_BLOCK)
         assert outcome.complete
         assert answer_set(results) == baseline

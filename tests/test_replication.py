@@ -220,7 +220,7 @@ class TestFailoverServesFreshReplica:
         """A peer that left an ask unanswered is passed over: shady
         missed the pushes of oak's last updates, top did not."""
         from repro.net.messages import UpdateMessage
-        from repro.replication import ReplicateMessage
+        from repro.net.messages import ReplicateMessage
 
         clock = {"now": 0.0}
         network = LoopbackNetwork()
@@ -252,7 +252,7 @@ class TestFailoverServesFreshReplica:
     def test_peer_without_a_copy_does_not_forward(self):
         """The failover ask is flagged ``no_forward``: a peer holding no
         copy answers what it has instead of asking on."""
-        from repro.replication import ReplicateMessage
+        from repro.net.messages import ReplicateMessage
 
         network = LoopbackNetwork()
         network.interceptors.append(
@@ -517,7 +517,7 @@ class TestPushes:
         arriving late leaves the newer copy in place."""
         from repro.core.answer import AnswerBuilder
         from repro.net.messages import UpdateMessage
-        from repro.replication import ReplicateMessage
+        from repro.net.messages import ReplicateMessage
 
         clock = {"now": 0.0}
         cluster = replicated_cluster(k=2, clock=lambda: clock["now"])

@@ -28,6 +28,7 @@ from repro.net import (
     ErrorMessage,
     Message,
     OAConfig,
+    ReplicateMessage,
     TcpCluster,
     UpdateMessage,
 )
@@ -334,17 +335,15 @@ GOLDEN_TRAFFIC = {
 
 #: name -> (package, every wire kind the package owns, as messages).
 SHIPPED = {
-    "replication": ("repro.replication", lambda package: [
-        package.ReplicateMessage(parse_fragment("<usRegion id='NE'/>"),
-                                 sender="oak"),
-    ]),
+    # Every agent serves ``replicate`` (a migration's push is one).
+    "replication": ("repro.replication", lambda package: []),
     "aggregation": ("repro.agg", lambda package: [
         package.PartialAggregateRequest(OAKLAND, OAK_BLOCK, bound=30.0,
                                         sender="top"),
         package.PartialAggregateAnswer(
             7, {OAKLAND: (package.Partial(), 1.0)}, sender="oak"),
     ]),
-    # Migrations ride the agent's own adopt / migrate-release kinds.
+    # Migrations ride the agent's own ``replicate`` kind.
     "rebalance": ("repro.rebalance", lambda package: []),
 }
 
@@ -403,6 +402,23 @@ def test_present_subsystems_do_change_the_traffic(
     config = getattr(pytest.importorskip(module), config)()
     _cluster, traffic = _parity_traffic(monkeypatch, [config])
     assert (traffic != GOLDEN_TRAFFIC) == moves_traffic
+
+
+def test_a_site_without_replication_serves_a_push():
+    # ``replicate`` is a core kind (a migration's push is one): any
+    # agent merges it as cached data and acknowledges it.
+    from repro.core.ownership import export_local_information
+    from repro.core.status import Status, get_status
+
+    cluster = Cluster(parse_fragment(PAPER_DOCUMENT),
+                      PartitionPlan(PAPER_PLAN))
+    fragment = export_local_information(cluster.agents["oak"].database,
+                                        [OAK_BLOCK1])
+    reply = cluster.network.request(
+        "oak", "shady", ReplicateMessage(fragment, sender="oak"))
+    assert isinstance(reply, AckMessage) and reply.ok
+    copy = cluster.agents["shady"].database.find(OAK_BLOCK1)
+    assert get_status(copy) is Status.COMPLETE
 
 
 def test_replication_with_k_zero_is_off(monkeypatch):

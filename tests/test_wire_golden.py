@@ -1,14 +1,16 @@
-"""Golden wire bytes: one representative message of each of the 12 kinds.
+"""Golden wire bytes: one representative message of each of the 10 kinds.
 
 ``GOLDEN`` was generated at the commit *before* the subsystem seam (the
 last one where every class lived in ``repro/net/messages.py``), from
 exactly the instances :func:`instances` builds.  The envelope codec may
 be reorganised freely; these bytes may not move.  ``replicate`` is the
 exception: its bytes are those of a push that carries only a fragment.
+It is a core kind (a migration's push, and read replication's); the
+migration kinds ``adopt`` and ``migrate-release`` are gone.
 
 A subsystem's kinds are covered while its package exists (the
-removability drill deletes ``src/repro/agg`` or ``src/repro/replication``
-and expects the rest of this file to keep passing).
+removability drill deletes ``src/repro/agg`` and expects the rest of
+this file to keep passing).
 """
 
 import importlib
@@ -27,13 +29,11 @@ def _optional(module):
 
 
 agg = _optional("repro.agg")
-replication = _optional("repro.replication")
 
 FRAGMENT = (
     "<usRegion id='NE' status='id-complete'><state id='PA' status='owned' "
     "timestamp='12.5'><population>12</population></state></usRegion>")
 PATH = (("usRegion", "NE"), ("state", "PA"))
-PATHS = [PATH, PATH + (("county", "Allegheny"),)]
 QUERY = "/usRegion[@id='NE']/state[@id='PA']"
 REPORT = {
     "complete": False,
@@ -79,12 +79,7 @@ def instances():
                         sender="sa-1", message_id=46),
         m.AckMessage(46, ok=False, detail="nope", sender="oak",
                      message_id=47),
-        m.AdoptMessage(PATHS, fragment(), sender="oak", message_id=48),
-        m.MigrateReleaseMessage(PATHS, sender="oak", message_id=49),
-    ]
-    replicated = [] if replication is None else [
-        replication.ReplicateMessage(fragment(), sender="oak",
-                                     message_id=51),
+        m.ReplicateMessage(fragment(), sender="oak", message_id=51),
     ]
     aggregated = [] if agg is None else [
         agg.PartialAggregateRequest(
@@ -93,7 +88,7 @@ def instances():
         agg.PartialAggregateAnswer(54, {PATH: (_partial(), 12.5)},
                                    sender="oak", message_id=55),
     ]
-    return core + replicated + aggregated
+    return core + aggregated
 
 
 GOLDEN = {
@@ -146,23 +141,6 @@ GOLDEN = {
         '<message kind="ack" id="47" sender="oak" replyTo="46" '
         'ok="0"><detail>nope</detail></message>'
     ),
-    "adopt": (
-        '<message kind="adopt" id="48" sender="oak"><paths><path><entry '
-        'tag="usRegion" id="NE"/><entry tag="state" '
-        'id="PA"/></path><path><entry tag="usRegion" id="NE"/><entry '
-        'tag="state" id="PA"/><entry tag="county" '
-        'id="Allegheny"/></path></paths><fragment><usRegion id="NE" '
-        'status="id-complete"><state id="PA" status="owned" timestamp="12'
-        '.5"><population>12</population></state></usRegion></fragment></m'
-        'essage>'
-    ),
-    "migrate-release": (
-        '<message kind="migrate-release" id="49" '
-        'sender="oak"><paths><path><entry tag="usRegion" id="NE"/><entry '
-        'tag="state" id="PA"/></path><path><entry tag="usRegion" '
-        'id="NE"/><entry tag="state" id="PA"/><entry tag="county" '
-        'id="Allegheny"/></path></paths></message>'
-    ),
     "replicate": (
         '<message kind="replicate" id="51" sender="oak"><fragment><usRegion '
         'id="NE" status="id-complete"><state id="PA" status="owned" times'
@@ -206,9 +184,9 @@ def _fields(message):
 
 
 def test_every_kind_is_covered():
-    assert len(GOLDEN) == 12
+    assert len(GOLDEN) == 10
     assert {message.kind for message in instances()} == set(m._KINDS)
-    if agg is not None and replication is not None:
+    if agg is not None:
         assert set(m._KINDS) == set(GOLDEN)
 
 
