@@ -575,7 +575,7 @@ class SensorDatabase:
     # Ownership transitions (used by the migration protocol)
     # ------------------------------------------------------------------
     def mark_owned(self, id_path):
-        """Promote a complete node to owned (migration step 3, new owner)."""
+        """Promote a complete node to owned (the flip, new-owner side)."""
         self._ensure_index()
         element = self.find(id_path, required=True)
         if not get_status(element).has_local_information:

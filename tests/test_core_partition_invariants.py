@@ -6,6 +6,7 @@ from repro.core import (
     PartitionError,
     PartitionPlan,
     Status,
+    dns_ownership_violations,
     get_status,
     ownership_violations,
     set_status,
@@ -13,6 +14,7 @@ from repro.core import (
     validate_deployment,
     violations_against_reference,
 )
+from repro.core.ownership import export_local_information
 
 from tests.conftest import ETNA, OAKLAND, PITTSBURGH, SHADYSIDE, id_path
 
@@ -171,3 +173,50 @@ class TestViolationDetection:
         set_status(dbs["oak"].find(SHADYSIDE), Status.OWNED)
         problems = ownership_violations(dbs, owners)
         assert any("owner map says" in p for p in problems)
+
+
+class TestDnsOwnershipDetection:
+    """``dns_ownership_violations`` fires on each way ownership can
+    leave DNS: a second owner, a named site without the data owned,
+    and a path claimed while the site DNS names is down."""
+
+    @pytest.fixture
+    def deployment(self, paper_doc):
+        plan = PartitionPlan({
+            "top": [id_path("usRegion=NE")],
+            "oak": [OAKLAND],
+        })
+        return plan.build_databases(paper_doc), plan.owner_map(paper_doc)
+
+    def test_a_fresh_deployment_follows_dns(self, deployment):
+        dbs, owners = deployment
+        assert dns_ownership_violations(dbs, owners.get) == []
+
+    def test_detects_an_owner_dns_does_not_name(self, deployment):
+        # Two owners: "top" took Oakland's data and promoted it, but DNS
+        # still names "oak".
+        dbs, owners = deployment
+        dbs["top"].store_fragment(
+            export_local_information(dbs["oak"], [OAKLAND]))
+        dbs["top"].mark_owned(OAKLAND)
+        problems = dns_ownership_violations(dbs, owners.get)
+        assert problems == [
+            "usRegion=NE/state=PA/county=Allegheny/city=Pittsburgh/"
+            "neighborhood=Oakland: owned at ['oak', 'top'] but DNS "
+            "names 'oak'"]
+
+    def test_detects_a_named_site_that_does_not_own(self, deployment):
+        dbs, owners = deployment
+        dbs["oak"].release_ownership(OAKLAND)
+        problems = dns_ownership_violations(dbs, owners.get)
+        assert len(problems) == 1
+        assert "owned at [] but DNS names 'oak'" in problems[0]
+
+    def test_a_path_named_for_a_dead_site_is_owned_nowhere(self, deployment):
+        dbs, owners = deployment
+        live = {site: db for site, db in dbs.items() if site != "oak"}
+        assert dns_ownership_violations(live, owners.get) == []
+        set_status(live["top"].find(OAKLAND), Status.OWNED)
+        problems = dns_ownership_violations(live, owners.get)
+        assert len(problems) == 1
+        assert "owned at ['top'] but DNS names 'oak'" in problems[0]

@@ -146,6 +146,36 @@ class TestPushAckLost:
         assert etna.stats["migrations_in"] == 0
 
 
+class TestPushOvertaken:
+    """An update lands under every push: the region never holds still."""
+
+    def test_max_attempts_overtaken_pushes_abort_without_a_flip(self):
+        cluster, network = chaos_cluster()
+        pushes = []
+
+        def overtake(src, dst, message):
+            if message.kind == "replicate" and src == "oak":
+                pushes.append(dst)
+                network.request("sensor", "oak", UpdateMessage(
+                    SPACE1_PATH, values={"price": str(len(pushes))}))
+
+        network.interceptors.append(overtake)
+        with pytest.raises(MigrationError, match="update landed"):
+            cluster.delegate(OAK_BLOCK1_PATH, "etna")
+        attempts = cluster.agents["oak"].retry_policy.max_attempts
+        assert pushes == ["etna"] * attempts
+        assert owners_follow_dns(cluster) == []
+        assert owners_of(cluster, OAK_BLOCK1_PATH) == ["oak"]
+        assert cluster.dns.authoritative_site(OAK_BLOCK1_PATH) == "oak"
+        assert cluster.agents["oak"].stats["migrations_aborted"] == 1
+        # The newest reading stays at the owner; the target holds only
+        # the cached copy of the last push, one reading behind.
+        assert price_at(cluster, "oak") == str(attempts)
+        copy = cluster.agents["etna"].database.find(OAK_BLOCK1_PATH)
+        assert get_status(copy) is Status.COMPLETE
+        assert price_at(cluster, "etna") == str(attempts - 1)
+
+
 class TestTargetKilled:
     """The target dies on arrival of the push: no flip, queries survive."""
 
