@@ -1,11 +1,11 @@
 """Summary rollups vs naive leaf fan-out at million-sensor scale.
 
-The tentpole's acceptance bar, measured: on a ~1M-element deployment
+The acceptance bar, measured: on a ~1M-element deployment
 (`repro.service.scenarios.million_config`: 512k sensors, 73 sites,
 fan-out 8, depth 3), an aggregate answered through the summary-rollup
-hierarchy must be **>= 10x faster** than the naive path that gathers
-every leaf to one site -- at matched freshness bounds, with answers
-proven byte-identical (`repr` equality; the rollup's exact rational
+hierarchy must be **>= 10x faster** than the naive path -- the walk,
+the gather driver's ``answer_scalar``, which gathers every leaf to one
+site -- at matched freshness bounds, with answers proven byte-identical (`repr` equality; the rollup's exact rational
 sum and the evaluator's correctly-rounded `fn_sum` print the same
 float).
 
@@ -46,7 +46,7 @@ import time
 
 from benchmarks.conftest import print_table
 from benchmarks.reporting import write_report
-from repro.agg import AggregationConfig, Partial
+from repro.agg import Partial
 from repro.net import Cluster
 from repro.service.scenarios import (
     build_document,
@@ -72,10 +72,10 @@ BUILD_ALLOWANCE_S = 60.0 if QUICK else 600.0
 
 SHAPES = ("count", "sum", "avg", "min", "max")
 
-# The subprocess that measures the naive path: build an
-# aggregation-free cluster, ask count() through the ordinary gather
-# fan-out, append one JSON line per completed step so a wall-clock kill
-# keeps everything that finished.
+# The subprocess that measures the naive path: build the same
+# deployment, ask count() through the root's walk (the gather driver's
+# fan-out, no rollup), append one JSON line per completed step so a
+# wall-clock kill keeps everything that finished.
 _NAIVE_SCRIPT = """
 import json, sys, time
 from repro.net import Cluster
@@ -96,7 +96,7 @@ out.write(json.dumps(
 
 q = rollup_query(config, "count", bound=spec["bound"])
 t0 = time.perf_counter()
-value = cluster.scalar(q, at_site="root", now=spec["now"])
+value = cluster.agents["root"].driver.answer_scalar(q, now=spec["now"])
 out.write(json.dumps({"step": "count", "s": time.perf_counter() - t0,
                       "value": repr(value)}) + "\\n")
 """
@@ -199,8 +199,7 @@ def test_summary_rollups_vs_naive_fanout():
             f"naive count: {naive_value} != truth {truth['count']!r}")
 
     # -- the rollup path -----------------------------------------------
-    cluster = Cluster(document, build_plan(config), clock=lambda: NOW,
-                      subsystems=[AggregationConfig()])
+    cluster = Cluster(document, build_plan(config), clock=lambda: NOW)
     agg_cold, agg_warm = {}, {}
     for shape in SHAPES:
         value, agg_cold[shape] = _timed(

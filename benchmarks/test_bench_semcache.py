@@ -5,8 +5,8 @@ this one earns it.  Clients re-issue the *same* queries with the
 spelling and freshness jitter real templated clients produce --
 whitespace, predicate order, ``timestamp > now - N`` sugar with N
 drifting in [25, 30] -- against one live loopback cluster whose
-scalar-answer cache keys by the freshness-stripped canonical form
-(:mod:`repro.core.semcache`).
+scalar answer cache -- each site's aggregation summaries -- keys by the
+freshness-stripped canonical form (:mod:`repro.core.semcache`).
 
 Claims proven into ``BENCH_semcache.json``:
 
@@ -125,7 +125,8 @@ def _run():
     agents = list(cluster.agents.values())
 
     def hits():
-        return sum(agent.driver.aggregates.stats["hits"] for agent in agents)
+        return sum(agent.aggregation.summaries.stats["hits"]
+                   for agent in agents)
 
     wrong = []
     hit_latencies = []
@@ -150,7 +151,7 @@ def _run():
     fragment_messages = cluster.network.traffic.messages - sent_before
 
     cache = {
-        key: sum(agent.driver.aggregates.stats[key] for agent in agents)
+        key: sum(agent.aggregation.summaries.stats[key] for agent in agents)
         for key in ("hits", "misses", "stale_rejects", "stores")
     }
     lookups = cache["hits"] + cache["misses"]

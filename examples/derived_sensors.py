@@ -1,6 +1,6 @@
 """Hierarchical aggregation and a derived sensor, end to end.
 
-Walks the PR 9 subsystem on a three-site deployment:
+Walks aggregation on a three-site deployment:
 
 * an `avg` over every sensor is answered through partial-aggregate
   subqueries to the owning sites -- merge-state tuples on the wire,
@@ -15,7 +15,6 @@ Walks the PR 9 subsystem on a three-site deployment:
 Run:  python examples/derived_sensors.py   (needs src/ on PYTHONPATH)
 """
 
-from repro.agg import AggregationConfig
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
 from repro.xmlkit import parse_fragment
@@ -52,7 +51,7 @@ def main():
         "root": [[("region", "R")]],
         "north": [[("region", "R"), ("group", "north")]],
         "south": [[("region", "R"), ("group", "south")]],
-    }, clock=clock, subsystems=[AggregationConfig()])
+    }, clock=clock)
     manager = cluster.agent("root").subsystem("aggregation")
 
     print("== Rollups: tuples on the wire, not subtrees ==")

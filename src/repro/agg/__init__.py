@@ -10,20 +10,21 @@ never fans out to the leaves.  Derived sensors define virtual readings
 as formulas over those aggregates, re-evaluated through
 continuous-query subscriptions on their input regions.
 
-Switched on by listing an :class:`AggregationConfig` in
-``Cluster(subsystems=[...])``; everything it does -- its two wire
-kinds, the per-agent manager, derived-sensor registration, its metrics
-and EXPLAIN sections -- lives in this package and reaches the agents
-through :mod:`repro.net.subsystem`.  Not listed (the default), it adds
-no wire messages and no envelope bytes: traffic is byte-identical to a
-build without it.
+Built into every agent and cluster, as continuous queries are: the
+per-agent manager is ``agent.aggregation`` (also
+``agent.subsystem("aggregation")``), derived-sensor registration is
+``cluster.subsystem("aggregation")``, and its summaries are the site's
+one scalar answer cache.
 """
 
+# Every agent builds a manager: the agent's world loads first, so
+# importing this package on its own never meets a half-built one.
+import repro.net  # noqa: F401
 from repro.agg.derived import DerivedSensor, FormulaError, compile_formula
-from repro.agg.config import AggregationConfig, ClusterAggregation
 from repro.agg.manager import (
     AggregationManager,
     AggregationUnavailable,
+    ClusterAggregation,
     summary_key,
 )
 from repro.agg.messages import (
@@ -38,7 +39,6 @@ from repro.agg.partial import (
 )
 
 __all__ = [
-    "AggregationConfig",
     "AggregationManager",
     "AggregationUnavailable",
     "ClusterAggregation",

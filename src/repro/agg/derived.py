@@ -12,8 +12,8 @@ extraction walks the compiled tree and collects each aggregate's
 IDable anchor -- the input regions.  The manager subscribes a
 :mod:`repro.net.continuous` query on every region, so whenever covered
 data changes the sensor re-evaluates (each aggregate resolved through
-:meth:`OrganizingAgent.answer_scalar`, i.e. through the summary cache)
-and writes its value back like any physical update -- making derived
+:meth:`OrganizingAgent.answer_scalar` with a zero freshness bound, so
+over current data) and writes its value back like any physical update -- making derived
 sensors queryable, cacheable and replicable exactly like the real
 ones.
 
@@ -131,7 +131,7 @@ class DerivedSensor:
     # -- evaluation ----------------------------------------------------
     def evaluate(self, answer_scalar):
         """The formula's current value; *answer_scalar* resolves one
-        aggregate call (given its query text) to a float."""
+        aggregate call (given its :class:`FunctionCall`) to a float."""
         return self._eval(self.ast, answer_scalar)
 
     def _eval(self, node, answer_scalar):
@@ -143,7 +143,7 @@ class DerivedSensor:
             return _ARITHMETIC[node.operator](
                 self._eval(node.left, answer_scalar),
                 self._eval(node.right, answer_scalar))
-        return float(answer_scalar(node.unparse()))
+        return float(answer_scalar(node))
 
     def render(self, value):
         """The value's document spelling (XPath number formatting)."""

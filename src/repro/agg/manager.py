@@ -1,16 +1,18 @@
-"""The per-site aggregation manager: summaries, rollups, derived input.
+"""Aggregation: how a site answers every ``count``/``sum``/... query.
 
-One :class:`AggregationManager` registers with each organizing agent
-whose ``OAConfig.subsystems`` lists an :class:`AggregationConfig` (see
-:mod:`repro.net.subsystem` for the hooks).  Aggregate queries arrive
-through the ordinary scalar entry point, whose ``try_scalar`` hook
-offers them here first.  A decomposable wrapper
-(``count``/``sum``/``avg``/``min``/``max``) around any path the QEG walk
-takes is answered by the site's own gather of that path:
+Every organizing agent builds one :class:`AggregationManager`, as it
+builds its continuous-query manager, and its scalar entry point
+(:meth:`~repro.net.oa.OrganizingAgent.answer_scalar`) asks it first.
+A decomposable wrapper (``count``/``sum``/``avg``/``min``/``max``)
+around any path the QEG walk takes is answered by the site's own
+gather of that path:
 
 * **summary first**: a cached :class:`~repro.agg.partial.Partial` in
-  ``summaries``, keyed by (region, freshness-stripped inner path), is
-  served when its as-of time satisfies the caller's bound;
+  ``summaries`` -- the site's one scalar answer cache -- keyed by
+  (region, freshness-stripped inner path).  A bounded caller is served
+  one whose data was current within its bound; an unbounded caller
+  any, or one within its ``max_age`` (Section 4: a query without a
+  consistency predicate takes cached data of any age);
 * **the walk's own asks**: every ask for the rest of the path below a
   region goes to the region's owner as a
   :class:`~repro.agg.messages.PartialAggregateRequest` carrying the
@@ -23,25 +25,33 @@ takes is answered by the site's own gather of that path:
 
 A path ending in a named attribute or ``text()`` is walked to its
 elements, and the fold reads that step off each; an owner's ask carries
-the step too.  A bounded rollup counts what its bound admits, cached
-copies included, as the path query does; an unbounded one puts a zero
-tolerance on the last element step, so it counts current data only.
-A failure (dead child, disabled peer, a path the walk does not take)
-sends ``count``/``sum`` down the ordinary scalar path;
-``avg``/``min``/``max`` exist only here and raise.  Without the config
-nothing here exists and the wire is byte-identical to a build without
-it.
+the step too.  A rollup counts what its bound admits, cached copies
+included, as the path query does; a cached copy counted without a bound
+is of unknown age, so its summary never serves a bound.  Owned data
+stays current: an update evicts every summary over it, and so does an
+ownership change.  A derived sensor puts a zero bound on each of its
+aggregates (:data:`CURRENT`), which no summary satisfies.  A failure
+(dead child, a path the walk does not take) sends ``count``/``sum``
+down the gather driver's walk; ``avg``/``min``/``max`` exist only here
+and raise.
 """
 
+import math
 import threading
 
 from repro.core.consistency import strip_consistency_predicates
-from repro.core.errors import CoreError, UnsupportedDistributedQueryError
+from repro.core.errors import (
+    CoreError,
+    QueryRoutingError,
+    UnsupportedDistributedQueryError,
+)
 from repro.core.idable import format_id_path, id_paths_overlap, node_id
 from repro.core.semcache import SemanticCache, canonicalize
 from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
 from repro.net.errors import NetError
-from repro.net.messages import ErrorMessage
+from repro.net.messages import ErrorMessage, as_id_path
+from repro.obs.registry import sum_numeric
+from repro.obs.tracing import TRACER
 from repro.xmlkit.nodes import Text
 from repro.xpath import parser as xpath_parser
 from repro.xpath.ast import FunctionCall, LocationPath, NameTest
@@ -59,8 +69,8 @@ from repro.agg.partial import SHAPES, Partial, collapse, state_of
 SUMMARY_MAX_ENTRIES = 256
 SUMMARY_MAX_BYTES = 4 * 1024 * 1024
 
-#: The last element step of an unbounded rollup: only current data
-#: counts.
+#: The bound a derived sensor puts on an aggregate's last element
+#: step: data current now, which no summary is.
 CURRENT = "[timestamp() > current-time() - 0]"
 
 
@@ -110,6 +120,17 @@ def _split_final(inner):
 
 def _suffix(final):
     return "" if final is None else "/" + final.unparse()
+
+
+def _current(call):
+    """The text of the aggregate *call* counting current data only:
+    :data:`CURRENT` on its last element step.  A path the rollup does
+    not take is posed as it is, to the walk."""
+    try:
+        path, final = _split_final(call.arguments[0])
+    except UnsupportedDistributedQueryError:
+        return call.unparse()
+    return f"{call.name}({path.unparse()}{CURRENT}{_suffix(final)})"
 
 
 def _strings(element, final):
@@ -223,22 +244,27 @@ class AggregationManager:
     def handlers(self):
         return {PartialAggregateRequest: self.answer_partial}
 
+    def on_update(self, id_path):
+        """Owned data stays current: an update evicts every summary over
+        it (one emptiness check while the site holds none)."""
+        if len(self.summaries):
+            self.summaries.evict_paths([id_path])
+
     def on_ownership_change(self, paths, gained, peer):
-        """Summaries over a region handed away were rolled up along the
-        old ownership: evict them."""
-        if not gained:
-            with self._lock:
-                self.stats["migration_summary_evictions"] += \
-                    self.summaries.evict_paths(paths)
+        """Summaries over a region that moved either way were rolled up
+        along the old ownership: evict them."""
+        with self._lock:
+            self.stats["migration_summary_evictions"] += \
+                self.summaries.evict_paths(paths)
 
     # ------------------------------------------------------------------
     # The query-side entry point
     # ------------------------------------------------------------------
-    def try_scalar(self, query, now=None, max_age=None):
+    def answer_scalar(self, query, now=None, max_age=None):
         """``(handled, value)``: the rollup's answer, or ``handled``
         false for a query that is not aggregate-shaped and for a
-        ``count``/``sum`` rollup that cannot complete (the caller takes
-        the ordinary scalar path); ``avg``/``min``/``max`` raise."""
+        ``count``/``sum`` rollup that cannot complete (the caller walks
+        it instead); ``avg``/``min``/``max`` raise."""
         decomposed = _decompose(query)
         if decomposed is None:
             return False, None
@@ -279,16 +305,16 @@ class AggregationManager:
 
     def _rollup(self, inner, bound, now, max_age=None):
         """``(partial, as_of)`` of the location path *inner* at *now*
-        under the freshness *bound* (``None``: current data)."""
+        under the freshness *bound* (``None``: data of any age)."""
         driver = self.agent.driver
         pattern, final, key = self._compile(inner)
         region = pattern.anchor or ()
-        entry = self.summaries.lookup(key, now, bound=bound,
-                                      max_age=max_age)
+        with TRACER.span("cache-lookup", site=self.agent.site_id) as span:
+            entry = self.summaries.lookup(key, now, bound=bound,
+                                          max_age=max_age)
+            span.set_tag("hit", entry is not None)
         if entry is not None:
             return entry.value, entry.as_of
-        if bound is None:
-            pattern = driver.compile(pattern.source + CURRENT)
         replies = []
 
         def send_one(subquery):
@@ -330,15 +356,17 @@ class AggregationManager:
     def _fold(self, matches, final, replies, bound, now):
         """The walk's *matches*, read through *final*, and the owners'
         *replies* (``(ask, partial, as_of)``) as one ``(partial,
-        as_of)``."""
+        as_of)``.  A cached copy was current within the *bound*; without
+        one its age is unknown (``-inf``), and no bound is served it."""
         partial, as_of = Partial(), now
         for _ask, part, part_as_of in replies:
             partial = partial.merge(part)
             as_of = min(as_of, part_as_of)
+        copied = now - bound if bound is not None else -math.inf
         values = []
         for match in matches:
-            if bound is not None and not _owned(match):
-                as_of = min(as_of, now - bound)  # a cached copy
+            if as_of > copied and not _owned(match):
+                as_of = copied
             values.extend(map(to_number, _strings(match, final)))
         with self._lock:
             self.stats["rollups"] += 1
@@ -362,12 +390,8 @@ class AggregationManager:
                 f"DNS says {self.agent.site_id!r} owns "
                 f"{format_id_path(subquery.anchor_path)} but the walk "
                 "asked for it")
-        query = subquery.query
-        if bound is None:  # the owner puts back the zero tolerance
-            query = strip_consistency_predicates(
-                xpath_parser.parse(query)).unparse()
         message = PartialAggregateRequest(
-            None, query + _suffix(final), bound=bound, now=now,
+            None, subquery.query + _suffix(final), bound=bound, now=now,
             sender=self.agent.site_id)
         try:
             reply = self.agent.request(target, message,
@@ -478,7 +502,8 @@ class AggregationManager:
         try:
             now = float(self.agent.clock())
             value = sensor.evaluate(
-                lambda query: self.agent.answer_scalar(query, now=now))
+                lambda call: self.agent.answer_scalar(_current(call),
+                                                      now=now))
             self.agent.database.apply_update(
                 sensor.node_path, values={"value": sensor.render(value)})
             sensor.last_value = value
@@ -512,7 +537,7 @@ class AggregationManager:
         """The hierarchical-aggregation view of an EXPLAIN run: it
         ``peek``s the summary cache, so an EXPLAIN never distorts the
         hit/miss counters it reports."""
-        info = {"enabled": True, "shape": None,
+        info = {"shape": None,
                 "summaries_held": len(self.summaries),
                 "derived_sensors": sorted(self.derived)}
         lines = ["aggregation: (not an aggregate query)"]
@@ -523,7 +548,7 @@ class AggregationManager:
                 key = self._compile(inner)[2]
             except UnsupportedDistributedQueryError as exc:
                 info.update(supported=False, problem=str(exc))
-                lines = [f"aggregation: {info['shape']}() via naive gather"
+                lines = [f"aggregation: {info['shape']}() via the walk"
                          f" ({exc})"]
                 context.add_section(self.name, info, lines)
                 return
@@ -541,3 +566,53 @@ class AggregationManager:
                     f"{info['summary']['age']:g}s, as of {entry.as_of:g},"
                     f" hits {entry.hits})")
         context.add_section(self.name, info, lines)
+
+
+class ClusterAggregation:
+    """The cluster half of aggregation (see :mod:`repro.net.subsystem`):
+    derived-sensor registration and the cluster-wide metrics rollup."""
+
+    name = "aggregation"
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+
+    def register_derived_sensor(self, parent_path, identifier, formula,
+                                tag="derived", attributes=None):
+        """Register a formula-defined virtual sensor.
+
+        Creates an IDable ``<derived>`` node under *parent_path* via the
+        ordinary schema-evolution path (DNS entry included), then
+        registers the formula with the owner's aggregation manager,
+        subscribing each dependency region through
+        :meth:`Cluster.subscribe` / :mod:`repro.net.continuous` so the
+        sensor re-evaluates when its inputs change.  Returns the
+        :class:`~repro.agg.derived.DerivedSensor`.
+        """
+        cluster = self.cluster
+        parent_path = as_id_path(parent_path)
+        owner = cluster.owner_map.get(parent_path)
+        if owner is None:
+            raise QueryRoutingError(f"unknown parent {parent_path}")
+        merged = {"formula": formula}
+        if attributes:
+            merged.update(attributes)
+        cluster.add_node(parent_path, tag, identifier,
+                         attributes=merged, values={"value": "NaN"})
+        node_path = parent_path + ((tag, identifier),)
+        return cluster.agents[owner].aggregation.register_derived(
+            identifier, node_path, formula,
+            subscribe=lambda query, callback: cluster.subscribe(
+                query, callback, fire_immediately=False),
+        )
+
+    def rollup(self, totals):
+        """Sum the nested summary-cache counters too, and recompute the
+        hit ratio cluster-wide (a ratio of sums, not a sum of ratios)."""
+        summary = sum_numeric(site["summary"]
+                              for site in totals["sites"].values())
+        asked = summary.get("hits", 0) + summary.get("misses", 0)
+        totals["summary"] = summary
+        totals["summary_hit_ratio"] = (
+            round(summary["hits"] / asked, 6) if asked else 0.0)
+        return totals

@@ -31,14 +31,9 @@ from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.idable import iter_idable
 from repro.core.answer import Subquery
 from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
-from repro.core.semcache import (
-    SemanticCache,
-    canonicalization_stats,
-    canonicalize,
-)
+from repro.core.semcache import canonicalize
 from repro.core.status import clean_copy, get_status
 from repro.obs.tracing import TRACER
-from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath, VariableReference
 from repro.xpath.evaluator import Evaluator
 
@@ -253,8 +248,6 @@ class GatherDriver:
         self.schema = schema
         self.cache_results = cache_results
         self.stale_on_error = stale_on_error
-        #: Scalar answers of this site, stamped with the database clock.
-        self.aggregates = SemanticCache()
         self._stats_lock = threading.Lock()
         self.stats = {
             "queries": 0,
@@ -436,29 +429,20 @@ class GatherDriver:
         left = {failure.subquery.reason for failure in outcome.failures}
         return outcome.wire_answer, tuple(sorted(left))
 
-    def answer_scalar(self, query, now=None, max_age=None):
-        """Answer a scalar query: a supported wrapper around an inner path.
+    def answer_scalar(self, query, now=None):
+        """Answer a scalar query by the walk: a supported wrapper around
+        an inner path.
 
         Supports ``boolean(p)``, ``count(p)``, ``sum(p)``, ``string(p)``
         and ``number(p)`` where ``p`` is an absolute location path:
         the inner path is gathered distributedly and the wrapper is
         applied to the last walk's matches -- what a user query for
         ``p`` returns.  A freshness bound in ``p`` decides what is
-        fetched, never what is counted.
-
-        An answer is cached under its answer key (freshness bounds
-        stripped), as of ``now`` minus its tightest bound, and served
-        to a later caller whose own bound that satisfies.  *max_age*
-        (seconds) opts into the paper's "acceptable precision"
-        extension (Section 4) on top: a caller holding a fractional
-        tolerance ``p`` for an aggregate that drifts at most ``r`` per
-        second asks with ``max_age = p / r``.  Only the value of a
-        complete gather with nothing served stale is cached: a partial
-        count would otherwise be served as the whole one after the
-        missing site recovers.
+        fetched, never what is counted.  Nothing is cached here but the
+        gathered data: a site's scalar answers are its aggregation
+        summaries (:mod:`repro.agg`).
         """
-        canon = canonicalize(query)
-        ast = canon.ast
+        ast = canonicalize(query).ast
         if not (
             isinstance(ast, FunctionCall)
             and ast.name in SCALAR_WRAPPERS
@@ -472,46 +456,16 @@ class GatherDriver:
             )
         if now is None:
             now = self.database.clock()
-        with TRACER.span("cache-lookup",
-                         site=self.database.site_id) as lookup_span:
-            cached = self.aggregates.lookup(
-                canon.answer_key, now, bound=canon.min_tolerance,
-                max_age=max_age)
-            lookup_span.set_tag("hit", cached is not None)
-        if cached is not None:
-            return cached.value
         outcome = self.gather(ast.arguments[0], now=now, ships=False)
-        value = _EVALUATOR.evaluate(
+        return _EVALUATOR.evaluate(
             FunctionCall(ast.name, [VariableReference("matches")]),
             outcome.view.root, variables={"matches": outcome.matches},
             now=now)
-        # A failure is a region either excised or served stale: neither
-        # value may outlive this answer.
-        if not outcome.failures:
-            bound = canon.min_tolerance
-            self.aggregates.store(
-                canon.answer_key, value, now, region=anchor_id_path(ast),
-                as_of=now - bound if bound is not None else None)
-        return value
 
     def note_prewarm(self):
         """Account one replayed prewarm query (see semcache.prewarm)."""
         with self._stats_lock:
             self.stats["prewarm_queries"] += 1
-
-    def semcache_counters(self):
-        """Semantic-cache counters for the metrics registry / EXPLAIN.
-
-        Per-site: the driver's prewarm counter and the aggregate cache's
-        hit/miss/byte figures.  The canonicalizer memo is
-        process-wide and tagged as such.
-        """
-        with self._stats_lock:
-            counters = {"prewarm_queries": self.stats["prewarm_queries"]}
-        counters["aggregate"] = self.aggregates.metrics()
-        counters["canonicalizer"] = dict(canonicalization_stats(),
-                                         scope="process")
-        return counters
 
     def answer_any(self, query, now=None):
         """Dispatch a query string to subquery/scalar handling: a query

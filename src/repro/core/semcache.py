@@ -24,17 +24,19 @@ bound decides what is fetched, never what is counted, so an answer is
 keyed by the canonical text without its ``timestamp() >
 current-time() - N`` conjuncts: ``now-28s`` and ``now-30s`` share one
 entry.  The entry records ``as_of``, the earliest time all its data
-was known current, and :meth:`SemanticCache.lookup` serves it only to a
-caller whose own bound that time satisfies.
+was known current, and :meth:`SemanticCache.lookup` serves it to a
+caller whose own bound that time satisfies, and to a caller without a
+bound whatever its age (Section 4).
 
 **The answer cache** (:class:`SemanticCache`).  One size-aware LRU
-class with per-entry hit/byte counters holds every cached answer; each
-entry carries the id path of the region it was computed over, so an
-ownership change evicts by region (``evict_paths``).
+class with per-entry hit/byte counters holds cached answers -- a
+site's aggregation summaries are one; each entry carries the id path
+of the region it was computed over, so an update or an ownership change
+evicts by region (``evict_paths``).
 
 **Prewarming** (:class:`QueryLog`, :func:`prewarm`).  A query log
 captured by ``service.run_live`` replays against a cold cluster to
-warm OA caches before traffic.
+warm OA caches and summaries before traffic.
 
 Everything reports through the metrics registry (see
 ``repro.obs.registry``) and shows up in EXPLAIN output.
@@ -282,8 +284,9 @@ class CacheEntry:
     value with no IDable anchor, which is never region-evicted.
 
     ``as_of`` is the earliest time at which all the value's data was
-    known current, or ``None`` when nothing bounded its freshness; a
-    caller with a freshness bound is served against it.
+    known current (``-inf``: its age is unknown), or ``None`` when
+    nothing stamped it; a caller with a freshness bound is served
+    against it.
     """
 
     __slots__ = ("key", "value", "nbytes", "computed_at", "hits", "region",
@@ -310,9 +313,8 @@ class CacheEntry:
 class SemanticCache:
     """The answer cache: a size-aware LRU of freshness-stamped values.
 
-    One class holds every cached answer at a site -- the gather
-    driver's scalar answers and the aggregation manager's rollup
-    summaries are two instances of it.  Thread-safe.
+    A site's aggregation summaries are one: its one scalar answer
+    cache.  Thread-safe.
 
     Keys are answer keys: canonical, freshness-stripped query text.
     One rule serves an entry (:meth:`lookup`), against the time its data
@@ -342,21 +344,23 @@ class SemanticCache:
         """The entry under *key* iff it is fresh enough for the caller.
 
         A caller with a freshness *bound* (seconds) is served an entry
-        whose data was current at ``now - bound``, give or take the
-        precision slack *max_age*: ``now - as_of <= bound + max_age``.
-        A caller without one is served only under a *max_age*, by the
-        entry's age.  Without either, nothing is served.
+        whose data was current after ``now - bound``, give or take the
+        precision slack *max_age*: ``now - as_of < bound + max_age``,
+        the rule of the ``timestamp() > current-time() - bound``
+        predicate itself, so a bound of 0 is never served.  A caller
+        without one is served any entry (Section 4: cached data of any
+        age), or one no older than its *max_age* when it gives one.
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or (bound is None and max_age is None):
+            if entry is None:
                 self.stats["misses"] += 1
                 return None
             if bound is not None:
                 fresh = entry.as_of is not None and \
-                    now - entry.as_of <= bound + (max_age or 0)
+                    now - entry.as_of < bound + (max_age or 0)
             else:
-                fresh = entry.age(now) <= max_age
+                fresh = max_age is None or entry.age(now) <= max_age
             if not fresh:
                 self.stats["misses"] += 1
                 self.stats["stale_rejects"] += 1
@@ -551,18 +555,16 @@ def unique_entries(entries):
 def prewarm(cluster, log, now=None, limit=None, deduplicate=True):
     """Replay *log* against *cluster* to warm its OA caches.
 
-    Each logged query routes to its LCA site and runs through that
-    site's gather driver exactly as live traffic would, filling the
-    site database (aggressive caching) and the aggregate cache.
+    Each logged query routes to its LCA site and runs there exactly as
+    live traffic would: a path through the gather driver, filling the
+    site database (aggressive caching), a scalar through the agent's
+    scalar entry, so a rollup fills the summaries.
     Returns a report dict: queries replayed, failures, per-site counts.
 
     *log* may be a :class:`QueryLog` or any iterable of query strings /
     ``{"query": ...}`` dicts.  With *deduplicate* (default) the replay
     collapses canonical duplicates first.
     """
-    from repro.core.gather import SCALAR_WRAPPERS
-    from repro.xpath.ast import FunctionCall as _FunctionCall
-
     entries = [entry if isinstance(entry, dict) else {"query": entry}
                for entry in log]
     if deduplicate:
@@ -577,13 +579,13 @@ def prewarm(cluster, log, now=None, limit=None, deduplicate=True):
         query = entry["query"]
         try:
             site, _path = cluster.route_query(query)
-            driver = cluster.agent(site).driver
+            agent = cluster.agent(site)
             ast = xpath_parser.parse(query)
-            if isinstance(ast, _FunctionCall) and ast.name in SCALAR_WRAPPERS:
-                driver.answer_scalar(ast, now=now)
+            if isinstance(ast, FunctionCall):
+                agent.answer_scalar(ast, now=now)
             else:
-                driver.gather(ast, now=now, ships=False)
-            driver.note_prewarm()
+                agent.driver.gather(ast, now=now, ships=False)
+            agent.driver.note_prewarm()
         except Exception:
             failures += 1
             continue

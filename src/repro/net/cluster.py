@@ -12,6 +12,7 @@ discrete-event simulator wraps the same pieces with a cost model.
 
 import copy
 
+from repro.agg.manager import ClusterAggregation
 from repro.core.errors import QueryRoutingError
 from repro.core.partition import PartitionPlan
 from repro.core.qeg import query_anchor
@@ -79,6 +80,7 @@ class Cluster:
         self.stats = {"client_queries": 0, "lca_cache_hits": 0,
                       "site_kills": 0, "site_restarts": 0}
         self._subsystems = HookTable(CLUSTER_HOOKS)
+        self._subsystems.register(ClusterAggregation(self))
         for config in self.oa_config.subsystems:
             subsystem = config.cluster_subsystem(self)
             if subsystem is not None:
@@ -203,10 +205,12 @@ class Cluster:
     def scalar(self, query, now=None, at_site=None, max_age=None):
         """Pose a scalar (boolean/count/sum/...) query.
 
-        *max_age* enables the acceptable-precision extension (Section
-        4): a fresh-enough cached aggregate short-circuits the
-        distributed gather.  A precision ``p`` under a drift rate ``r``
-        is ``max_age = p / r``; the caller does the division.
+        An aggregate is served a summary its freshness bound admits,
+        any summary without one; *max_age* enables the
+        acceptable-precision extension (Section 4): a summary at most
+        that old without a bound, or that much older than the bound.
+        A precision ``p`` under a drift rate ``r`` is ``max_age = p /
+        r``; the caller does the division.
         """
         if at_site is None:
             at_site, _path = self.route_query(query)

@@ -17,6 +17,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 
+from repro.agg.manager import AggregationManager
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
 from repro.core.gather import GatherDriver, SubqueryFailure
@@ -189,11 +190,12 @@ class OAConfig:
         ``stale_served`` in the completeness report.  Off by default.
     ``subsystems``
         config objects of the opt-in subsystems this agent runs (read
-        replication, hierarchical aggregation, the load balancer, ...;
-        see :mod:`repro.net.subsystem`).  Each config builds its own
+        replication, the load balancer, durability's journal; see
+        :mod:`repro.net.subsystem`).  Each config builds its own
         per-agent part; a subsystem is on iff its config is listed, and
         with none listed (the default) the wire is byte-identical to a
-        build without any of them.
+        build without any of them.  Aggregation and continuous queries
+        are not among them: every agent runs both.
     """
 
     def __init__(self, cache_results=True, executor=None, retry_policy=None,
@@ -264,7 +266,6 @@ class OrganizingAgent:
             "migrations_out": 0,
             "migrations_in": 0,
             "migrations_aborted": 0,
-            "migration_cache_evictions": 0,
             "retries": 0,
             "subquery_failures": 0,
             "circuit_fast_fails": 0,
@@ -277,6 +278,10 @@ class OrganizingAgent:
             ReplicateMessage: self._handle_replicate,
         }
         self._subsystems = HookTable(SITE_HOOKS)
+        # Aggregation first: an update evicts its summaries before a
+        # continuous query re-evaluates a derived sensor over them.
+        self.aggregation = AggregationManager(self)
+        self._register(self.aggregation)
         self.continuous = ContinuousQueryManager(self)
         self._register(self.continuous)
         if durability is not None:
@@ -645,17 +650,17 @@ class OrganizingAgent:
     def answer_scalar(self, query, now=None, max_age=None):
         """Answer a scalar query: the site-level scalar entry point.
 
-        A subsystem may answer ahead of the gather driver (its
-        ``try_scalar`` hook); every query none of them takes -- and
-        every query while none is registered -- goes down the driver's
-        ordinary scalar path unchanged: same arguments, same answers,
-        same wire bytes.
+        An aggregate is rolled up (:mod:`repro.agg`), served from a
+        summary when one is fresh enough -- for the query's own bound,
+        else for *max_age* (the paper's acceptable precision, Section
+        4), else of any age.  Every other wrapper, and a ``count`` or
+        ``sum`` the rollup cannot answer, is the gather driver's walk.
         """
-        for try_scalar in self._subsystems.listeners["try_scalar"]:
-            handled, value = try_scalar(query, now=now, max_age=max_age)
-            if handled:
-                return value
-        return self.driver.answer_scalar(query, now=now, max_age=max_age)
+        handled, value = self.aggregation.answer_scalar(
+            query, now=now, max_age=max_age)
+        if handled:
+            return value
+        return self.driver.answer_scalar(query, now=now)
 
     # ------------------------------------------------------------------
     # Sensor updates
@@ -723,8 +728,8 @@ class OrganizingAgent:
 
         After the flip, stale-DNS stragglers that still reach this site
         are forwarded per fresh DNS (updates) or answered from the
-        complete copy (queries); scalar answers computed over the region
-        are evicted and every subsystem on both sites hears of the move.
+        complete copy (queries), and every subsystem on both sites hears
+        of the move (aggregation evicts its summaries over the region).
         """
         id_path = as_id_path(id_path)
         element = self.database.find(id_path)
@@ -769,7 +774,6 @@ class OrganizingAgent:
             self.stats["migrations_aborted"] += 1
             raise MigrationError(
                 f"site {new_owner!r} did not take {id_path}: {cause!r}")
-        self._evict_migrated(paths)
         self._subsystems.fire("on_ownership_change", paths, gained=False,
                               peer=new_owner)
         self.stats["migrations_out"] += 1
@@ -801,19 +805,6 @@ class OrganizingAgent:
         flip, with the old owner's guard let go)."""
         self._subsystems.fire("on_ownership_change", paths, gained=True,
                               peer=peer)
-
-    def _evict_migrated(self, paths):
-        """Drop the scalar answers computed over a region that moved.
-
-        Nothing invalidates a cached scalar on update -- only the
-        caller's ``max_age`` bounds how old a served value may be -- so
-        this is not about freshness.  The entries were computed while
-        this site owned the region; evicting them makes the next ask
-        gather again along the new ownership instead of answering from
-        the old one.
-        """
-        evicted = self.driver.aggregates.evict_paths(paths)
-        self.stats["migration_cache_evictions"] += evicted
 
     def _owned_region(self, element):
         """The contiguous owned subtree rooted at *element*."""

@@ -1,13 +1,15 @@
-"""The subsystem seam: how opt-in machinery plugs into a deployment.
+"""The subsystem seam: how machinery beside the query path plugs in.
 
 The organizing agent does the paper's four jobs -- answer queries,
 cache what passes through, apply or forward updates, migrate ownership.
-Everything else (read replication, hierarchical aggregation, the load
-balancer, continuous queries, the durability journal) is a *subsystem*:
-an object registered in a :class:`HookTable`, which the agent (or the
-cluster) calls at fixed points and otherwise knows nothing about.
+Everything else (hierarchical aggregation, continuous queries, read
+replication, the load balancer, the durability journal) is a
+*subsystem*: an object registered in a :class:`HookTable`, which the
+agent (or the cluster) calls at fixed points and otherwise knows
+nothing about.
 
-A subsystem is on iff its config object is passed in
+Every agent and cluster builds aggregation and continuous queries.
+An opt-in subsystem is on iff its config object is passed in
 ``OAConfig(subsystems=...)`` / ``Cluster(subsystems=...)``.  The config
 builds the parts: ``site_subsystem(agent)`` and
 ``cluster_subsystem(cluster)``, each returning the part or ``None``.
@@ -27,9 +29,6 @@ Per-agent part, fired by the agent in registration order
 ``on_dispatch_failure(target, subqueries, attempts, causes)``
     a subquery group exhausted its retry budget against *target*;
     return one reply per subquery to answer for it, or ``None``;
-``try_scalar(query, now, max_age)``
-    ``(handled, value)`` -- answer a scalar query ahead of the gather
-    driver, or decline with ``(False, None)``;
 ``flush()`` / ``close(final_checkpoint)`` / ``abort()``
     lifecycle: drain to disk, graceful teardown, crash-style teardown.
 
@@ -58,7 +57,7 @@ section (derived ratios, cluster-level counters).
 """
 
 SITE_HOOKS = ("on_update", "on_ownership_change", "on_dispatch_failure",
-              "try_scalar", "flush", "close", "abort")
+              "flush", "close", "abort")
 CLUSTER_HOOKS = ("cluster_started", "restore_site", "site_restarted",
                  "close")
 

@@ -178,11 +178,6 @@ class ExplainReport:
             bound_text = f"  (bound {bound:g}s)" if bound is not None else ""
             lines.append(
                 f"    answer:    {self.cache['answer_key']}{bound_text}")
-            aggregate = self.cache.get("aggregate")
-            if aggregate is not None:
-                lines.append(
-                    f"    aggregate: cached (age {aggregate['age']:g}s, "
-                    f"hits {aggregate['hits']})")
         for section in self._section_lines.values():
             lines.extend(f"  {line}" for line in section)
         lines.append(f"  local results: {self.local_results}")
@@ -238,12 +233,9 @@ def _plan_entry(agent, subquery, failed=None):
     return entry
 
 
-def _cache_section(driver, source, now):
-    """The semantic-cache view of *source* for the report.
-
-    Uses :meth:`SemanticCache.peek` so building an EXPLAIN never
-    distorts the very hit/miss counters it reports.
-    """
+def _cache_section(source):
+    """The semantic-cache view of *source* for the report: its keys.
+    A scalar's cached answer is the aggregation section's summary."""
     try:
         canon = canonicalize(source)
     except Exception:
@@ -253,12 +245,6 @@ def _cache_section(driver, source, now):
         "answer_key": canon.answer_key,
         "min_tolerance": canon.min_tolerance,
     }
-    entry = driver.aggregates.peek(canon.answer_key)
-    if entry is not None:
-        info["aggregate"] = {
-            "age": round(entry.age(now), 3),
-            "hits": entry.hits,
-        }
     return info
 
 
@@ -311,7 +297,7 @@ def build_explain(agent, query, analyze=False, now=None,
         local_results=result.stats.get("results_local", 0),
         routed_site=routed_site,
         analyze=analysis,
-        cache=_cache_section(driver, source, now),
+        cache=_cache_section(source),
     )
     entries = plan + (analysis["dispatched"] if analysis else [])
     context = ExplainContext(agent, source, now, report, entries)

@@ -127,21 +127,22 @@ def fault_counters(agents):
 def semcache_counters(agents):
     """Aggregate semantic-cache counters across organizing agents.
 
-    Sums every driver's aggregate-cache hit/miss/byte figures
-    and its prewarm counter, computes the overall hit ratio,
-    and snapshots the process-wide canonicalizer memo and compile-key
-    stats once (tagged ``scope: process`` -- never summed per site).
+    Sums every site's summary-cache (its one scalar answer cache)
+    hit/miss/byte figures and its driver's prewarm counter, computes
+    the overall hit ratio, and snapshots the process-wide canonicalizer
+    memo and compile-key stats once (tagged ``scope: process`` -- never
+    summed per site).
     """
     from repro.core.qeg import pattern_key_stats
     from repro.core.semcache import canonicalization_stats
 
-    drivers = [agent.driver for agent in _values(agents)]
+    agents = list(_values(agents))
     totals = sum_numeric(
-        (driver.aggregates.metrics() for driver in drivers),
+        (agent.aggregation.summaries.metrics() for agent in agents),
         keys=("hits", "misses", "stores", "stale_rejects", "evictions",
               "entries", "bytes"))
     totals.update(sum_numeric(
-        (driver.stats for driver in drivers),
+        (agent.driver.stats for agent in agents),
         keys=("prewarm_queries",)))
     lookups = totals["hits"] + totals["misses"]
     totals["hit_ratio"] = (
@@ -177,11 +178,11 @@ def _subsystem_section(cluster, name):
 def site_metrics(agent):
     """One OA's unified snapshot (used by ``OrganizingAgent.metrics``).
 
-    The migration-safety stats (migrations in/out/aborted, held
-    updates, eviction counts) are part of ``oa``; ``load`` adds the
+    The migration stats (migrations in/out/aborted) are part of
+    ``oa``; ``load`` adds the
     per-path load attribution figures.  One more section per registered
-    subsystem that reports metrics (continuous queries always;
-    durability, replication, ... when on).
+    subsystem that reports metrics (aggregation and continuous queries
+    always; durability, replication, ... when on).
     """
     return _snapshot({
         "oa": lambda: dict(agent.stats),
@@ -189,7 +190,7 @@ def site_metrics(agent):
         "database": lambda: dict(agent.database.stats),
         "dns_cache": lambda: dict(agent.resolver.stats),
         "engine": agent.engine_counters,
-        "semcache": agent.driver.semcache_counters,
+        "semcache": lambda: semcache_counters([agent]),
         "breakers": agent.health_snapshot,
         "load": agent.load.counters,
         **subsystem_collectors(agent),

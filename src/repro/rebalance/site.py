@@ -9,10 +9,7 @@ agent already records -- its migration stats, its always-on
 from repro.core.idable import format_id_path, id_paths_overlap
 
 #: The agent stats that describe migrations (in ``agent.stats``).
-MIGRATION_STATS = (
-    "migrations_in", "migrations_out", "migrations_aborted",
-    "migration_cache_evictions",
-)
+MIGRATION_STATS = ("migrations_in", "migrations_out", "migrations_aborted")
 
 
 def migration_counters(agent):

@@ -133,8 +133,7 @@ def run(artifacts):
             "migrations": {
                 key: counters[key]
                 for key in ("migrations_out", "migrations_in",
-                            "migrations_aborted",
-                            "migration_cache_evictions")},
+                            "migrations_aborted")},
         }
         moved = ", ".join(
             "/".join(f"{tag}={value}" for tag, value in move.id_path)

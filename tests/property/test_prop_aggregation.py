@@ -4,12 +4,14 @@ and summary-served answers equal the naive fan-out byte-for-byte.
 The hierarchy's correctness rests on two algebraic facts the rollup
 tree exploits freely -- merge order never matters (children reply in
 any order) and merge grouping never matters (interior sites
-pre-merge) -- plus two end-to-end facts:
+pre-merge) -- plus end-to-end facts:
 for *any* tree shape and *any* partition of it over sites, an
 aggregate answered through summaries prints identically to the same
-aggregate computed by naive leaf fan-out; and under any freshness bound
-and any update history, both equal the consistency-stripped query over
-the one logical document.
+aggregate computed by naive leaf fan-out; under any freshness bound
+and any update history, the rollup and the walk (the gather driver's
+``answer_scalar`` on a twin cluster) both equal the
+consistency-stripped query over the one logical document; and an
+owner's unbounded answer shows every update it applied.
 """
 
 import math
@@ -17,7 +19,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.agg import SHAPES, AggregationConfig, Partial
+from repro.agg import SHAPES, Partial
 from repro.core import PartitionPlan
 from repro.core.consistency import strip_consistency_predicates
 from repro.net import Cluster
@@ -152,8 +154,7 @@ def deployments(draw):
 def test_summary_answers_print_identically_to_naive(scenario, shape):
     root, assignments, inner = scenario
     plan = PartitionPlan(assignments)
-    summary_cluster = Cluster(root.copy(), plan,
-                              subsystems=[AggregationConfig()])
+    summary_cluster = Cluster(root.copy(), plan)
     served = summary_cluster.scalar(f"{shape}({inner})",
                                     at_site="root", now=10.0)
 
@@ -165,11 +166,10 @@ def test_summary_answers_print_identically_to_naive(scenario, shape):
     naive = _naive(shape, leaf_values)
     assert repr(served) == repr(naive)
 
-    # And the distributed naive path agrees for the shapes it serves.
+    # And the distributed walk agrees for the shapes it serves.
     if shape in ("count", "sum"):
-        naive_cluster = Cluster(root.copy(), plan)
-        assert repr(naive_cluster.scalar(f"{shape}({inner})",
-                                         at_site="root", now=10.0)) \
+        walk = Cluster(root.copy(), plan).agents["root"].driver
+        assert repr(walk.answer_scalar(f"{shape}({inner})", now=10.0)) \
             == repr(served)
 
 
@@ -196,7 +196,7 @@ def _naive(shape, leaf_values):
 
 
 # ----------------------------------------------------------------------
-# Freshness: aggregation on == off == the stripped oracle
+# Freshness: the rollup == the walk == the stripped oracle
 # ----------------------------------------------------------------------
 #: Inner paths over the three-site deployment: value predicates on
 #: either step, and ``//`` scans; the freshness bound goes on the last.
@@ -214,12 +214,13 @@ SMOKE_OWNERS = {"g0": "mid", "g1": "leaf"}
 @st.composite
 def freshness_histories(draw):
     """An inner path, a warm-up ask (a rollup, or the path query that
-    caches copies), sensor updates after it, and a final ask late
-    enough that nothing the warm-up cached can satisfy its bound."""
+    caches copies; bounded or not), sensor updates after it, and a
+    final ask late enough that nothing the warm-up cached can satisfy
+    its bound."""
     path = draw(st.sampled_from(SMOKE_PATHS))
     warm_query = draw(st.booleans())
     warm_at = 1000 + draw(st.integers(0, 30))
-    warm_bound = draw(st.integers(1, 60))
+    warm_bound = draw(st.one_of(st.none(), st.integers(1, 60)))
     updates = draw(st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 60),
                   st.integers(-50, 50)), max_size=6))
@@ -240,19 +241,22 @@ def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
     path, warm_query, warm_at, warm_bound, updates, ask_at, bound = history
     values = [10 * (index // 3) + index % 3 for index in range(6)]
     clock = {"now": 1000.0}
+    # The rollup is posed at the first, the walk at its twin.
     clusters = [Cluster(three_site_document(
                             lambda group, sensor: 10 * group + sensor),
-                        three_site_plan(), clock=lambda: clock["now"],
-                        subsystems=subsystems)
-                for subsystems in ([AggregationConfig()], [])]
+                        three_site_plan(), clock=lambda: clock["now"])
+                for _ in range(2)]
+    answer = [clusters[0].agents["top"].answer_scalar,
+              clusters[1].agents["top"].driver.answer_scalar]
 
     clock["now"] = float(warm_at)
-    warm = f"{path}[timestamp() > current-time() - {warm_bound}]"
-    for cluster in clusters:
+    warm = path if warm_bound is None else \
+        f"{path}[timestamp() > current-time() - {warm_bound}]"
+    for cluster, scalar in zip(clusters, answer):
         if warm_query:
             cluster.query(warm, at_site="top")
         else:
-            cluster.scalar(f"sum({warm})", at_site="top")
+            scalar(f"sum({warm})")
     for at, sensor, value in updates:
         clock["now"] = float(at)
         sensor_path = SMOKE_SENSORS[sensor]
@@ -270,9 +274,43 @@ def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
         oracle = Evaluator().evaluate(
             strip_consistency_predicates(xpath_parser.parse(
                 f"{shape}({inner})")), document)
-        answers = [cluster.scalar(f"{shape}({inner})", at_site="top")
-                   for cluster in clusters]
+        answers = [scalar(f"{shape}({inner})") for scalar in answer]
         assert answers == [oracle, oracle], (shape, answers, oracle)
+
+
+#: Each group's values, asked at the group's owner.
+OWNED_VALUES = "/region[@id='R']/group[@id='{group}']/sensor/value"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(-50, 50)),
+                min_size=1, max_size=6),
+       st.sampled_from(("count", "sum", "max")))
+def test_an_owner_answers_its_own_updates_unbounded(updates, shape):
+    """Summaries at every level, then updates in the same clock instant:
+    each owner's next unbounded ask over its own group shows them."""
+    values = [10 * (index // 3) + index % 3 for index in range(6)]
+    cluster = Cluster(three_site_document(
+                          lambda group, sensor: 10 * group + sensor),
+                      three_site_plan(), clock=lambda: 1000.0)
+    cluster.scalar(f"{shape}(/region[@id='R']/group/sensor/value)",
+                   at_site="top")
+    for group, owner in SMOKE_OWNERS.items():
+        cluster.scalar(f"{shape}({OWNED_VALUES.format(group=group)})",
+                       at_site=owner)
+    for sensor, value in updates:
+        sensor_path = SMOKE_SENSORS[sensor]
+        values[sensor] = value
+        cluster.agents[SMOKE_OWNERS[sensor_path[1][1]]].handle_message(
+            UpdateMessage(sensor_path, values={"value": str(value)},
+                          sender="sa"))
+        for group, owner in SMOKE_OWNERS.items():
+            owned = values[3 * int(group[1]):][:3]
+            oracle = {"count": 3.0, "sum": float(sum(owned)),
+                      "max": float(max(owned))}[shape]
+            query = f"{shape}({OWNED_VALUES.format(group=group)})"
+            assert cluster.scalar(query, at_site=owner) == oracle, (
+                query, values)
 
 
 # ----------------------------------------------------------------------
@@ -334,8 +372,7 @@ def test_rollups_over_mixed_caches_equal_the_oracle(seed):
     document = root.copy()
     clock = {"now": 1000.0}
     cluster = Cluster(root, PartitionPlan(assignments),
-                      clock=lambda: clock["now"],
-                      subsystems=[AggregationConfig()])
+                      clock=lambda: clock["now"])
     sites = sorted(cluster.agents)
 
     def pinned(path):

@@ -96,21 +96,22 @@ _spans = st.one_of(st.none(), st.floats(min_value=0.0, max_value=900,
 
 
 class TestServingRule:
-    @given(computed_at=_times, as_of=st.one_of(st.none(), _times),
+    @given(computed_at=_times,
+           as_of=st.one_of(st.none(), st.just(-math.inf), _times),
            bound=_spans, max_age=_spans, now=_times)
     @settings(max_examples=200, deadline=None)
     def test_lookup_serves_exactly_what_the_rule_allows(
             self, computed_at, as_of, bound, max_age, now):
-        """A caller with a bound gets data current at ``now - bound``,
-        give or take its *max_age*; a caller without one only an entry
-        younger than its *max_age*; nobody anything else."""
+        """A caller with a bound gets data current after ``now -
+        bound``, give or take its *max_age*; a caller without one any
+        entry, or one no older than its *max_age* when it gives one."""
         cache = SemanticCache()
         cache.store("answer", 1, now=computed_at, as_of=as_of)
         served = cache.lookup("answer", now, bound=bound,
                               max_age=max_age) is not None
         if bound is not None:
             allowed = as_of is not None and \
-                now - as_of <= bound + (max_age or 0)
+                now - as_of < bound + (max_age or 0)
         else:
-            allowed = max_age is not None and now - computed_at <= max_age
+            allowed = max_age is None or now - computed_at <= max_age
         assert served == allowed

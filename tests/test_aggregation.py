@@ -1,12 +1,13 @@
 """Hierarchical aggregation: summaries, rollups, derived sensors.
 
-The tentpole end to end: aggregate queries answered from mergeable
-partial aggregates instead of leaf fan-out; summaries cached per
-(region, freshness-stripped path) and shared across shapes; frontier
+Aggregate queries answered from mergeable partial aggregates instead
+of leaf fan-out; summaries cached per (region, freshness-stripped path),
+shared across shapes and served to an unbounded repeat; frontier
 dispatch recursing through interior organizing agents; derived sensors
-re-evaluated through continuous-query subscriptions; and -- the PR
-discipline since semcache -- the wire byte-identical to a build
-without the subsystem whenever it is disabled.
+re-evaluated through continuous-query subscriptions.  Where a rollup is
+checked against "the walk", that is the gather driver's own
+``answer_scalar`` on a twin cluster: the inner path gathered as a user
+query, and the wrapper evaluated over its matches.
 """
 
 import math
@@ -14,7 +15,6 @@ import math
 import pytest
 
 from repro.agg import (
-    AggregationConfig,
     DerivedSensor,
     FormulaError,
     Partial,
@@ -69,11 +69,14 @@ PLAN = {
 ALL_VALUES = "/region[@id='R']/group/sensor/value"
 
 
-def build_cluster(aggregation=True, plan=PLAN, document=DOCUMENT,
-                  clock=None, **kwargs):
-    subsystems = [AggregationConfig()] if aggregation else []
+def build_cluster(plan=PLAN, document=DOCUMENT, clock=None, **kwargs):
     return Cluster(parse_fragment(document), PartitionPlan(plan),
-                   clock=clock, subsystems=subsystems, **kwargs)
+                   clock=clock, **kwargs)
+
+
+def walk(cluster, query, at_site):
+    """*query* answered by *at_site*'s gather driver: no rollup."""
+    return cluster.agents[at_site].driver.answer_scalar(query)
 
 
 # ----------------------------------------------------------------------
@@ -167,13 +170,13 @@ class TestHierarchicalRollup:
             assert cluster.scalar(f"{shape}({ALL_VALUES})",
                                   at_site="root") == value
 
-    def test_count_and_sum_match_naive_cluster_exactly(self):
+    def test_count_and_sum_match_the_walk_exactly(self):
         agg = build_cluster()
-        naive = build_cluster(aggregation=None)
+        twin = build_cluster()
         for shape in ("count", "sum"):
             query = f"{shape}({ALL_VALUES})"
             assert repr(agg.scalar(query, at_site="root")) == \
-                repr(naive.scalar(query, at_site="root"))
+                repr(walk(twin, query, "root"))
 
     def test_second_ask_is_a_summary_hit(self):
         cluster = build_cluster(clock=lambda: 100.0)
@@ -196,14 +199,27 @@ class TestHierarchicalRollup:
         manager = cluster.agents["root"].subsystem("aggregation")
         assert len(manager.summaries) == 1
 
-    def test_unbounded_ask_never_serves_from_summary(self):
-        cluster = build_cluster(clock=lambda: 100.0)
+    def test_an_unbounded_repeat_is_a_summary_hit(self):
+        # Section 4: no consistency predicate, data of any age.
+        cluster = build_cluster(clock=lambda: 100.0, count_bytes=True)
         query = f"avg({ALL_VALUES})"
-        cluster.scalar(query, at_site="root")
-        cluster.scalar(query, at_site="root")
+        assert cluster.scalar(query, at_site="root") == 30.0
+        sent = cluster.network.traffic.messages
+        assert cluster.scalar(query, at_site="root") == 30.0
+        assert cluster.network.traffic.messages == sent
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
-        assert counters["summary"]["hits"] == 0
-        assert counters["rollups"] >= 2
+        assert counters["summary"]["hits"] == 1
+        assert counters["rollups"] == 1
+
+    def test_an_update_at_the_owner_reaches_an_unbounded_ask_there(self):
+        clock = {"now": 100.0}
+        cluster = build_cluster(clock=lambda: clock["now"])
+        query = "sum(/region[@id='R']/group[@id='g2']/sensor/value)"
+        assert cluster.scalar(query, at_site="leaf") == 50.0
+        cluster.agents["leaf"].handle_message(UpdateMessage(
+            (("region", "R"), ("group", "g2"), ("sensor", "s0")),
+            values={"value": "90"}, sender="sa"))
+        assert cluster.scalar(query, at_site="leaf") == 90.0
 
     def test_frontier_dispatch_asks_owners_not_leaves(self):
         cluster = build_cluster()
@@ -253,12 +269,11 @@ class TestFreshnessDecidesWhatIsFetched:
     what is fetched again, never what is counted, and no answer is
     served beyond its caller's bound."""
 
-    def _cluster(self, aggregation=True):
+    def _cluster(self):
         clock = {"now": 1000.0}
         cluster = Cluster(
             three_site_document(lambda group, sensor: 10 * group + sensor),
-            three_site_plan(), clock=lambda: clock["now"],
-            subsystems=[AggregationConfig()] if aggregation else [])
+            three_site_plan(), clock=lambda: clock["now"])
         return cluster, clock
 
     def _update(self, cluster, value):
@@ -266,13 +281,14 @@ class TestFreshnessDecidesWhatIsFetched:
             G0_S1, values={"value": str(value)}, sender="sa"))
 
     def test_a_bounded_count_counts_what_the_user_query_returns(self):
-        cluster, clock = self._cluster(aggregation=False)
+        cluster, clock = self._cluster()
         clock["now"] = 1029.0
         self._update(cluster, 39)
         inner = SMOKE_VALUES + _bound(5)
+        assert cluster.scalar(f"count({inner})", at_site="top") == 6.0
         results, _, _ = cluster.query(inner, at_site="top")
         assert len(results) == 6
-        assert cluster.scalar(f"count({inner})", at_site="top") == 6.0
+        assert walk(cluster, f"count({inner})", "top") == 6.0
 
     def test_a_tighter_bound_is_not_served_an_older_summary(self):
         cluster, clock = self._cluster()
@@ -296,14 +312,30 @@ class TestFreshnessDecidesWhatIsFetched:
         query = ("sum(/region[@id='R']/group[@id='g0']/sensor/value"
                  + _bound(30) + ")")
         assert cluster.scalar(query, at_site="mid") == 3.0
-        clock["now"] = 1025.0
-        self._update(cluster, 50)
-        # Current at 1000, within the 30 s bound at 1029 ...
+        # Current at 1000, within the 30 s bound at 1029: mid serves
+        # its summary, and top stores it as of 1000 ...
         clock["now"] = 1029.0
         assert cluster.scalar(query, at_site="top") == 3.0
-        # ... and beyond it at 1050, however recently top stored it.
+        clock["now"] = 1040.0
+        self._update(cluster, 50)
+        # ... so beyond the bound at 1050, however recently top stored
+        # it, top asks again, and mid (which evicted on the update)
+        # rolls up its current data.
         clock["now"] = 1050.0
         assert cluster.scalar(query, at_site="top") == 52.0
+
+    def test_a_summary_that_counted_cached_copies_serves_no_bound(self):
+        cluster, clock = self._cluster()
+        cluster.query(SMOKE_VALUES, at_site="top")  # copies as of 1000
+        clock["now"] = 1040.0
+        self._update(cluster, 50)
+        clock["now"] = 1050.0
+        # Unbounded, top's copies count whatever their age (Section 4)
+        # ...
+        assert cluster.scalar(f"sum({SMOKE_VALUES})", at_site="top") == 36.0
+        # ... so that summary is of unknown age, and serves no bound.
+        assert cluster.scalar(f"sum({SMOKE_VALUES}{_bound(30)})",
+                              at_site="top") == 85.0
 
     def test_a_fresh_copy_beside_a_stale_one_is_counted_once(self):
         # top caches g0 at 1000 and s1 again at 1050: at 1060 the stale
@@ -340,8 +372,7 @@ def test_a_scan_over_a_region_holding_an_owned_node_counts_it_once(
                           "leaf": [region + (("group", "g1"),)]})
     cluster = Cluster(
         three_site_document(lambda group, sensor: 10 * group + sensor),
-        plan, oa_config=OAConfig(executor=executor),
-        subsystems=[AggregationConfig()])
+        plan, oa_config=OAConfig(executor=executor))
     for shape, value in (("count", 6.0), ("sum", 36.0), ("max", 12.0)):
         assert cluster.scalar(f"{shape}(/region[@id='R']//value)",
                               at_site="top") == value
@@ -358,8 +389,7 @@ def test_a_match_below_a_scan_ask_it_does_not_reach_counts():
         "</sensor></zone></deployment>")
     z0 = (("deployment", "D"), ("zone", "z0"))
     plan = PartitionPlan({"top": [z0[:1]], "site1": [z0]})
-    cluster = Cluster(document, plan, clock=lambda: clock["now"],
-                      subsystems=[AggregationConfig()])
+    cluster = Cluster(document, plan, clock=lambda: clock["now"])
     cluster.query("/deployment[@id='D']//zone/sensor/value", at_site="top")
     clock["now"] = 1050.0
     s0 = z0 + (("zone", "z1"), ("sensor", "s0"))
@@ -385,7 +415,7 @@ def test_two_scans_asking_one_region_twice_count_it_once():
         "</sensor></zone></deployment>")
     plan = PartitionPlan({"root": [(("deployment", "D"),)],
                           "site1": [(("deployment", "D"), ("zone", "z0"))]})
-    cluster = Cluster(document, plan, subsystems=[AggregationConfig()])
+    cluster = Cluster(document, plan)
     assert cluster.scalar("count(/deployment[@id='D']//zone//value)",
                           at_site="root") == 2.0
     assert cluster.scalar("avg(/deployment[@id='D']//zone//value)",
@@ -401,13 +431,14 @@ def test_a_city_free_space_count_ships_partials_not_spaces():
     for form in ("/neighborhood/block/", "//"):
         query = f"count({prefix}{form}parkingSpace[available='yes'])"
         costs = {}
-        for aggregation in (True, False):
+        for rolled in (True, False):
             cluster = Cluster(
                 build_parking_document(config), hierarchical(config).plan,
-                count_bytes=True, clock=lambda: 1000.0,
-                subsystems=[AggregationConfig()] if aggregation else [])
-            value = cluster.scalar(query, at_site=cluster.owner_map[path])
-            costs[aggregation] = (repr(value), cluster.network.traffic.bytes)
+                count_bytes=True, clock=lambda: 1000.0)
+            site = cluster.owner_map[path]
+            value = cluster.scalar(query, at_site=site) if rolled \
+                else walk(cluster, query, site)
+            costs[rolled] = (repr(value), cluster.network.traffic.bytes)
         assert costs[True][0] == costs[False][0], (form, costs)
         assert costs[True][1] < costs[False][1], (form, costs)
 
@@ -435,22 +466,18 @@ class TestFinalSteps:
 
     @pytest.mark.parametrize("bound", ["", _bound(30)])
     def test_a_text_step_counts_what_the_path_query_counts(self, bound):
-        # Unbounded, the zero tolerance goes on ``value``: a text node's
-        # stamp is its parent's, so on ``text()`` nothing would match.
+        # A bound goes on ``value``: a text node's stamp is its
+        # parent's.
         for shape, value in (("count", 5.0), ("sum", 150.0)):
             query = f"{shape}({ALL_VALUES}{bound}/text())"
-            answers = {}
-            for aggregation in (True, False):
-                cluster = build_cluster(aggregation=aggregation,
-                                        clock=lambda: 100.0)
-                answers[aggregation] = cluster.scalar(query, at_site="root")
-                if aggregation:
-                    counters = cluster.agents["root"].subsystem(
-                        "aggregation").metrics()
-                    assert counters["answers"] == 1
-                    assert counters["partials_fetched"] == 2
-            assert repr(answers[True]) == repr(answers[False]) == \
-                repr(value), query
+            cluster = build_cluster(clock=lambda: 100.0)
+            rolled = cluster.scalar(query, at_site="root")
+            counters = cluster.agents["root"].subsystem(
+                "aggregation").metrics()
+            assert counters["answers"] == 1
+            assert counters["partials_fetched"] == 2
+            walked = walk(build_cluster(clock=lambda: 100.0), query, "root")
+            assert repr(rolled) == repr(walked) == repr(value), query
 
     def test_an_attribute_step_rolls_up(self):
         # g2's sensor has no ``w``: it counts for nothing.
@@ -461,16 +488,17 @@ class TestFinalSteps:
             assert cluster.scalar(
                 f"{shape}(/region[@id='R']/group/sensor/@w)",
                 at_site="root") == value
+        # The other four shapes are served the count's summary.
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["answers"] == 5
-        assert counters["partials_fetched"] == 10
+        assert counters["partials_fetched"] == 2
+        assert counters["summary"]["hits"] == 4
 
     def test_another_last_step_is_not_rolled_up(self):
         query = f"{ALL_VALUES}/node()"
         cluster = build_cluster()
         assert repr(cluster.scalar(f"count({query})", at_site="root")) == \
-            repr(build_cluster(aggregation=False).scalar(
-                f"count({query})", at_site="root"))
+            repr(walk(build_cluster(), f"count({query})", "root"))
         with pytest.raises(UnsupportedDistributedQueryError):
             cluster.scalar(f"avg({query})", at_site="root")
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
@@ -480,7 +508,7 @@ class TestFinalSteps:
 
 class TestFallbacks:
     def test_a_descendant_scan_crosses_an_id_complete_group(self):
-        cluster = build_cluster(aggregation=None)
+        cluster = build_cluster()
         results, _, outcome = cluster.query("/region[@id='R']//value",
                                             at_site="root")
         assert outcome.complete
@@ -517,18 +545,11 @@ class TestFallbacks:
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
         assert counters["fallbacks"] == 1
 
-    def test_disabled_manager_is_absent(self):
-        cluster = build_cluster(aggregation=None)
-        assert cluster.agents["root"].subsystem("aggregation") is None
-        assert cluster.subsystem("aggregation") is None
-
-    def test_partial_request_to_disabled_site_errors(self):
-        cluster = build_cluster(aggregation=None)
-        message = PartialAggregateRequest(
-            (("region", "R"),), ALL_VALUES, sender="tester")
-        reply = cluster.network.request("root", "root", message)
-        assert reply.code == "unhandled-kind"
-        assert not reply.retryable
+    def test_every_agent_and_cluster_runs_aggregation(self):
+        cluster = build_cluster()
+        for agent in cluster.agents.values():
+            assert agent.subsystem("aggregation") is agent.aggregation
+        assert cluster.subsystem("aggregation").cluster is cluster
 
     def test_partial_request_for_unowned_region_errors(self):
         cluster = build_cluster()
@@ -631,12 +652,18 @@ class TestDerivedSensors:
             "count(/region[@id='R']/group/sensor) mod 0")
         assert math.isnan(sensor.evaluate(lambda query: 3.0))
 
-    def test_derived_sensor_requires_aggregation(self):
-        # Registration is the subsystem's own method: without the
-        # config there is nothing to register a derived sensor with.
-        cluster = build_cluster(aggregation=None)
-        assert cluster.subsystem("aggregation") is None
-        assert not hasattr(cluster, "register_derived_sensor")
+    def test_a_refresh_reads_current_data_in_the_same_instant(self):
+        # A remote update in the instant of the last refresh: the zero
+        # bound is served no summary, so the next refresh counts it.
+        cluster = build_cluster(clock=lambda: 100.0)
+        sensor = cluster.subsystem("aggregation").register_derived_sensor(
+            (("region", "R"),), "d0", self.FORMULA)
+        cluster.agents["leaf"].handle_message(UpdateMessage(
+            (("region", "R"), ("group", "g2"), ("sensor", "s0")),
+            values={"value": "100"}, sender="sa"))
+        manager = cluster.agents["root"].subsystem("aggregation")
+        assert manager.refresh_derived("d0") == 35.0
+        assert sensor.last_value == 35.0
 
 
 # ----------------------------------------------------------------------
@@ -672,8 +699,7 @@ class TestScenarios:
 
     def test_rollup_query_is_supported_by_the_algebra(self):
         config = quick_config()
-        cluster = Cluster(build_document(config), build_plan(config),
-                          subsystems=[AggregationConfig()])
+        cluster = Cluster(build_document(config), build_plan(config))
         for shape in SHAPES:
             value = cluster.scalar(rollup_query(config, shape),
                                    at_site="root", now=5.0)
@@ -686,19 +712,16 @@ class TestScenarios:
                               site_depth=2)
         query = (f"sum(/deployment[@id='{config.root_id}']/zone"
                  "/zone[@id='z1']/zone/sensor/value)")
-        rolled, naive = (
-            Cluster(build_document(config), build_plan(config),
-                    subsystems=subsystems)
-            for subsystems in ([AggregationConfig()], []))
+        rolled, twin = (Cluster(build_document(config), build_plan(config))
+                        for _ in range(2))
         assert rolled.scalar(query, at_site="root", now=5.0) == \
-            naive.scalar(query, at_site="root", now=5.0)
+            twin.agents["root"].driver.answer_scalar(query, now=5.0)
         counters = rolled.agents["root"].subsystem("aggregation").metrics()
         assert (counters["answers"], counters["fallbacks"]) == (1, 0)
 
     def test_pinned_rollup_only_counts_the_zone(self):
         config = quick_config()
-        cluster = Cluster(build_document(config), build_plan(config),
-                          subsystems=[AggregationConfig()])
+        cluster = Cluster(build_document(config), build_plan(config))
         whole = cluster.scalar(rollup_query(config, "count"),
                                at_site="root", now=5.0)
         zone = cluster.scalar(rollup_query(config, "count", zone=(0,)),
@@ -719,10 +742,6 @@ class TestObservability:
         assert section["partials_fetched"] == 2
         assert "summary_hit_ratio" in section
         assert set(section["sites"]) == {"root", "mid", "leaf"}
-
-    def test_metrics_absent_when_disabled(self):
-        cluster = build_cluster(aggregation=None)
-        assert "aggregation" not in cluster.metrics()
 
     def test_explain_shows_summary_rollup(self):
         cluster = build_cluster(clock=lambda: 100.0)
@@ -751,30 +770,3 @@ class TestObservability:
         cluster = build_cluster()
         text = cluster.explain("count(/region[@id='R']//value)").render()
         assert "aggregation: count() via summary rollup" in text
-
-
-# ----------------------------------------------------------------------
-# Wire parity (the PR discipline)
-# ----------------------------------------------------------------------
-class TestWireParity:
-    QUERIES = (
-        "/region[@id='R']/group[@id='g1']",
-        ALL_VALUES,
-    )
-
-    def _traffic(self, aggregation):
-        cluster = build_cluster(aggregation=aggregation,
-                                count_bytes=True)
-        for query in self.QUERIES:
-            cluster.query(query, at_site="root")
-        cluster.scalar(f"count({ALL_VALUES})", at_site="root")
-        cluster.scalar(f"sum({ALL_VALUES})", at_site="root")
-        return (cluster.network.traffic.messages,
-                cluster.network.traffic.bytes)
-
-    def test_enabled_config_changes_the_traffic(self):
-        # Guard the guard: partial-aggregate tuples replace subtree
-        # gathers, so enabling must move the byte count.
-        enabled = self._traffic(True)
-        absent = self._traffic(None)
-        assert enabled != absent

@@ -1,12 +1,10 @@
 """Tests for the acceptable-precision aggregate extension (Section 4).
 
-Scalar answers and rollup summaries are both held in a plain
+A site's scalar answers are its aggregation summaries, held in a plain
 :class:`~repro.core.semcache.SemanticCache`; the cases here check the
-clock-bound behaviour the scalar path relies on, region eviction
-through both holders, and the cluster-level tolerant-query contract.
+clock-bound behaviour the scalar path relies on, region eviction, and
+the cluster-level tolerant-query contract.
 """
-
-import pytest
 
 from repro.core import PartitionPlan
 from repro.core.semcache import SemanticCache
@@ -16,6 +14,7 @@ from repro.net import (
     LoopbackNetwork,
     OAConfig,
     RetryPolicy,
+    UpdateMessage,
 )
 from repro.xmlkit import parse_fragment
 
@@ -40,10 +39,13 @@ class TestAggregateCache:
         settable_clock.advance(120)
         assert cache.lookup(COUNT, settable_clock(), max_age=60) is None
 
-    def test_no_tolerance_never_hits(self, settable_clock):
+    def test_no_tolerance_takes_any_age(self, settable_clock):
+        # Section 4: a query without a consistency predicate is served
+        # cached data of any age.
         cache = SemanticCache()
         cache.store(COUNT, 4.0, settable_clock())
-        assert cache.lookup(COUNT, settable_clock()) is None
+        settable_clock.advance(10 ** 6)
+        assert cache.lookup(COUNT, settable_clock()).value == 4.0
 
     def test_invalidate(self, settable_clock):
         cache = SemanticCache()
@@ -57,7 +59,7 @@ class TestAggregateCache:
 
 
 # ----------------------------------------------------------------------
-# Region eviction: one rule, two holders
+# Region eviction
 # ----------------------------------------------------------------------
 REGION_DOCUMENT = """
 <root id='r'>
@@ -86,28 +88,15 @@ REGION_ASKS = {
 }
 
 
-def _one_site_agent(subsystems=()):
-    cluster = Cluster(parse_fragment(REGION_DOCUMENT),
-                      PartitionPlan({"only": [(("root", "r"),)]}),
-                      subsystems=subsystems)
-    return cluster.agents["only"]
-
-
-def _scalar_holder():
-    agent = _one_site_agent()
-    return agent, agent.driver.aggregates
-
-
 def _summary_holder():
-    agg = pytest.importorskip("repro.agg")
-    agent = _one_site_agent([agg.AggregationConfig()])
+    cluster = Cluster(parse_fragment(REGION_DOCUMENT),
+                      PartitionPlan({"only": [(("root", "r"),)]}))
+    agent = cluster.agents["only"]
     return agent, agent.subsystem("aggregation").summaries
 
 
-@pytest.mark.parametrize("holder", [_scalar_holder, _summary_holder],
-                         ids=["scalar-cache", "summary-cache"])
-def test_evict_paths_drops_exactly_the_overlapping_regions(holder):
-    agent, cache = holder()
+def test_evict_paths_drops_exactly_the_overlapping_regions():
+    agent, cache = _summary_holder()
     for inner, _region in REGION_ASKS.values():
         assert agent.answer_scalar(f"count({inner})") == 1.0
     cache.store("anchorless", 2.0, now=0.0)
@@ -125,12 +114,27 @@ def test_evict_paths_drops_exactly_the_overlapping_regions(holder):
                                REGION_ASKS["beside"][1]]]) == 1
 
 
-def test_an_anchorless_scalar_is_stored_without_a_region():
-    agent, cache = _scalar_holder()
+def test_an_anchorless_rollup_covers_every_region():
+    agent, cache = _summary_holder()
     assert agent.answer_scalar("count(/root/zone)") == 2.0
     [key] = cache.keys()
-    assert cache.peek(key).region is None
-    assert cache.evict_paths([(("root", "r"),)]) == 0
+    assert cache.peek(key).region == ()
+    assert cache.evict_paths([MIGRATED]) == 1
+
+
+def test_an_update_evicts_the_summaries_over_it():
+    # Owned data stays current: an unbounded repeat is served the
+    # summary until an update under its region lands.
+    agent, cache = _summary_holder()
+    above, below = REGION_ASKS["above"][0], REGION_ASKS["beside"][0]
+    for inner in (above, below):
+        assert agent.answer_scalar(f"count({inner}//value)") == \
+            {above: 2.0, below: 1.0}[inner]
+    agent.handle_message(UpdateMessage(
+        MIGRATED + (("s", "x"),), values={"value": "5"}, sender="sa"))
+    assert [cache.peek(key).region for key in cache.keys()] == [
+        REGION_ASKS["beside"][1]]
+    assert agent.answer_scalar(f"sum({above}//value)") == 7.0
 
 
 class TestClusterPrecisionQueries:
@@ -142,15 +146,15 @@ class TestClusterPrecisionQueries:
         agent = cluster.agent(site)
 
         exact = cluster.scalar(COUNT)
-        sent = agent.stats["subqueries_sent"]
+        sent = cluster.network.traffic.messages
 
-        # Within tolerance: answered from the aggregate cache, no new
-        # gather at all.
+        # Within tolerance: answered from the summary, no new gather
+        # at all.
         settable_clock.advance(10)
         tolerant = cluster.scalar(COUNT, max_age=60)
         assert tolerant == exact
-        assert agent.stats["subqueries_sent"] == sent
-        assert agent.driver.aggregates.stats["hits"] == 1
+        assert cluster.network.traffic.messages == sent
+        assert agent.subsystem("aggregation").summaries.stats["hits"] == 1
 
     def test_stale_aggregate_recomputed(self, paper_doc, paper_plan,
                                         settable_clock):
@@ -168,15 +172,19 @@ class TestClusterPrecisionQueries:
         fresh = cluster.scalar(COUNT, max_age=60)
         assert fresh == first + 1
 
-    def test_exact_query_never_uses_aggregate_cache(self, paper_doc,
+    def test_a_current_count_sees_an_update_at_once(self, paper_doc,
                                                     paper_plan,
                                                     settable_clock):
+        # A zero bound is served no summary: not the asker's, not the
+        # owner's, however recently either was stored.
+        current = COUNT[:-1] + "[timestamp > now - 0])"
         cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
-        first = cluster.scalar(COUNT)
+        first = cluster.scalar(current)
+        assert cluster.scalar(COUNT) == first
         space = OAKLAND + (("block", "1"), ("parkingSpace", "2"))
         sa = cluster.add_sensing_agent("sa-agg", [space])
         sa.send_update(space, values={"available": "yes"})
-        assert cluster.scalar(COUNT) == first + 1  # no tolerance given
+        assert cluster.scalar(current) == first + 1
 
     def test_partial_aggregate_is_not_cached_as_the_whole(self, paper_doc,
                                                           paper_plan,
@@ -189,14 +197,16 @@ class TestClusterPrecisionQueries:
         cluster = Cluster(paper_doc, paper_plan, clock=settable_clock,
                           oa_config=OAConfig(retry_policy=retries),
                           network=FaultyNetwork(LoopbackNetwork(), seed=0))
+        summaries = cluster.agents["top"].subsystem("aggregation").summaries
         cluster.network.crash("shady")
         assert cluster.scalar(query, at_site="top") == 3.0
-        assert len(cluster.agents["top"].driver.aggregates) == 0
+        assert len(summaries) == 0
 
         cluster.network.recover("shady")
         settable_clock.advance(10)
         assert cluster.scalar(query, at_site="top", max_age=60) == 5.0
         # The complete answer is cached and served from then on.
-        sent = cluster.agents["top"].stats["subqueries_sent"]
+        hits = summaries.stats["hits"]
         assert cluster.scalar(query, at_site="top", max_age=60) == 5.0
-        assert cluster.agents["top"].stats["subqueries_sent"] == sent
+        assert cluster.scalar(query, at_site="top") == 5.0
+        assert summaries.stats["hits"] == hits + 2

@@ -127,11 +127,25 @@ class TestSemanticCache:
         assert cache.stats["hits"] == 1
         assert entry.hits == 1
 
-    def test_none_max_age_never_hits(self):
+    def test_no_bound_and_no_max_age_take_any_age(self):
         cache = SemanticCache()
-        cache.store("k", 42, now=100.0)
-        assert cache.lookup("k", now=100.0) is None
-        assert cache.stats["misses"] == 1
+        cache.store("k", 42, now=100.0, as_of=float("-inf"))
+        assert cache.lookup("k", now=10_000.0).value == 42
+        assert cache.stats["hits"] == 1
+
+    def test_a_bound_is_never_served_data_of_unknown_age(self):
+        cache = SemanticCache()
+        cache.store("k", 42, now=100.0, as_of=float("-inf"))
+        assert cache.lookup("k", now=100.0, bound=900.0) is None
+        assert cache.lookup("k", now=100.0, max_age=900.0).value == 42
+
+    def test_a_zero_bound_is_never_served(self):
+        # The ``timestamp() > current-time() - 0`` rule: data stamped
+        # now is not newer than now.
+        cache = SemanticCache()
+        cache.store("k", 42, now=100.0, as_of=100.0)
+        assert cache.lookup("k", now=100.0, bound=0.0) is None
+        assert cache.lookup("k", now=100.0, bound=1.0).value == 42
 
     def test_stale_entry_rejected(self):
         cache = SemanticCache()
@@ -311,6 +325,8 @@ class TestPrewarm:
         assert agent.driver.stats["prewarm_queries"] == 1
         assert paper_cluster.agent("top").driver.stats[
             "prewarm_queries"] == 1
+        # The count was rolled up: its summary is warm at its LCA.
+        assert len(paper_cluster.agent("top").aggregation.summaries) == 1
         # The warmed site serves the logged query from cache: re-asking
         # (routed to the same LCA) sends nothing new over the wire.
         sent = agent.stats["subqueries_sent"]
@@ -398,10 +414,10 @@ class TestJitteredBoundsEndToEnd:
         tight = f"count({PREFIX}//parkingSpace[available='yes'][price='0'])"
         jitter = (f"count( {PREFIX}//parkingSpace"
                   f"[ price = '0' ][ available = 'yes' ] )")
-        first = agent.driver.answer_scalar(tight, max_age=60)
-        second = agent.driver.answer_scalar(jitter, max_age=60)
+        first = agent.answer_scalar(tight, max_age=60)
+        second = agent.answer_scalar(jitter, max_age=60)
         assert first == second == 1
-        assert agent.driver.aggregates.stats["hits"] == 1
+        assert agent.subsystem("aggregation").summaries.stats["hits"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +447,12 @@ class TestExplainCacheSection:
                  "[timestamp > now - 30]")
         jitter = (f"{PREFIX}//parkingSpace[available='yes']"
                   "[timestamp > now - 28]")
-        agent.driver.answer_scalar(f"count({inner})")
+        agent.answer_scalar(f"count({inner})")
         report = agent.explain(f"count({jitter})")
-        assert report.cache["aggregate"] == {"age": 0.0, "hits": 0}
-        assert "aggregate: cached (age 0s, hits 0)" in report.render()
+        assert report.sections["aggregation"]["summary"] == {
+            "age": 0.0, "hits": 0, "as_of": 1000.0}
+        assert "summary-cache hit candidate (age 0s, as of 1000, hits 0)" \
+            in report.render()
 
     def test_plan_shows_the_callers_own_bound(
             self, paper_doc, paper_plan, settable_clock):
@@ -457,9 +475,9 @@ class TestRegistryCounters:
 
         paper_cluster.query(FIGURE2_QUERY, at_site="top")
         agent = paper_cluster.agent("top")
-        agent.driver.answer_scalar(
+        agent.answer_scalar(
             f"count({PREFIX}//parkingSpace[available='yes'])", max_age=60)
-        agent.driver.answer_scalar(
+        agent.answer_scalar(
             f"count( {PREFIX}//parkingSpace[ available = 'yes' ] )",
             max_age=60)
         snapshot = cluster_metrics(paper_cluster)["semcache"]

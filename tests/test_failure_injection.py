@@ -878,12 +878,11 @@ class Deployment:
     """Four sites on a ring (leaf, mid, spare, top; ``k=1``: ``mid``
     holds ``leaf``'s copy, and ``spare``, owning nothing, holds
     ``mid``'s, so ``top`` asks ``mid`` for its data) with replication
-    and aggregation on, a scripted network, and breakers of threshold 1
-    on an injected clock."""
+    on, a scripted network, and breakers of threshold 1 on an injected
+    clock."""
 
     def __init__(self, transport, prepare=None):
-        # Skipped, not failed, in a tree without the opt-in packages.
-        aggregation = pytest.importorskip("repro.agg").AggregationConfig()
+        # Skipped, not failed, in a tree without the opt-in package.
         replication = pytest.importorskip(
             "repro.replication").ReplicationConfig(k=1)
         self.now = 0.0
@@ -894,7 +893,7 @@ class Deployment:
                 breaker=BreakerPolicy(failure_threshold=1,
                                       reset_timeout=10.0,
                                       clock=lambda: self.now)),
-            subsystems=[replication, aggregation])
+            subsystems=[replication])
         plan = PartitionPlan({"top": [R], "mid": [G0, G1], "leaf": [G2],
                               "spare": []})
         if transport == "tcp":

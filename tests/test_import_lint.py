@@ -21,7 +21,8 @@ DELETED_MODULES = ("repro.net.aioruntime", "repro.net.runtime",
                    "repro.core.aggregates", "repro.xmlkit.merge",
                    "repro.xslt")
 SEAM_HOSTS = ("net", "core", "obs")
-OPT_IN_SUBSYSTEMS = ("repro.replication", "repro.agg", "repro.rebalance")
+#: Aggregation is not among them: every agent builds it.
+OPT_IN_SUBSYSTEMS = ("repro.replication", "repro.rebalance")
 #: Durability supplies the recovered database before an agent exists,
 #: so the cluster builds its manager by name; nothing else may.
 DURABILITY_BOOTSTRAP = {"net/cluster.py"}
@@ -234,12 +235,13 @@ def test_the_query_plan_has_no_options():
 
 
 def test_one_freshness_bound_has_no_options():
-    # A subquery carries the caller's own bound; both answer caches key
-    # by the freshness-stripped answer key, with no freshness buckets.
+    # A subquery carries the caller's own bound; the one scalar answer
+    # cache keys by the freshness-stripped path, with no freshness
+    # buckets, and aggregation has no switch.
     from repro import agg
     from repro.core import GatherDriver, consistency, semcache
 
-    assert tuple(inspect.signature(agg.AggregationConfig).parameters) == ()
+    assert [name for name in vars(agg) if name.endswith("Config")] == []
     assert tuple(inspect.signature(semcache.canonicalize).parameters) == (
         "query",)
     assert "semcache" not in inspect.signature(GatherDriver).parameters

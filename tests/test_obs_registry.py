@@ -122,16 +122,29 @@ class TestAggregations:
 # ----------------------------------------------------------------------
 OA_KEYS = [
     "batches_sent", "circuit_fast_fails", "dns_refreshes",
-    "migration_cache_evictions", "migrations_aborted", "migrations_in",
+    "migrations_aborted", "migrations_in",
     "migrations_out", "retries", "subqueries_sent",
     "subqueries_served", "subquery_failures", "updates_applied",
     "updates_forwarded", "user_queries",
 ]
 CONTINUOUS_KEYS = ["callback_errors", "evaluations", "notifications"]
+AGGREGATION_KEYS = [
+    "answers", "derived_refresh_errors", "derived_refreshes", "fallbacks",
+    "migration_summary_evictions", "overlap_drops", "overlap_regathers",
+    "partial_failures", "partials_fetched", "partials_served",
+    "rollup_matches", "rollups", "summary", "summary_hit_ratio",
+    "unsupported_queries",
+]
+#: The semantic-cache rollup: the summary caches summed, the prewarm
+#: counter and the process-wide memo stats, per site and cluster-wide.
+SEMCACHE_KEYS = ["bytes", "canonicalizer", "compile_keys", "entries",
+                 "evictions", "hit_ratio", "hits", "misses",
+                 "prewarm_queries", "stale_rejects", "stores"]
 SITES = ["etna", "oak", "shady", "top"]
 
 #: ``agent.metrics()``: section -> sorted keys.
 SITE_SCHEMA = {
+    "aggregation": sorted(AGGREGATION_KEYS + ["derived_sensors"]),
     "breakers": [],  # one entry per peer a request was ever sent to
     "continuous": CONTINUOUS_KEYS,
     "database": ["evictions", "fragments_merged", "index_hits",
@@ -145,11 +158,12 @@ SITE_SCHEMA = {
                "replica_served", "rounds", "stale_served", "subqueries_sent"],
     "load": ["anchors", "queries", "unattributed"],
     "oa": OA_KEYS,
-    "semcache": ["aggregate", "canonicalizer", "prewarm_queries"],
+    "semcache": SEMCACHE_KEYS,
 }
 
 #: ``cluster.metrics()`` on loopback: section -> sorted keys.
 CLUSTER_SCHEMA = {
+    "aggregation": sorted(AGGREGATION_KEYS + ["sites"]),
     "cluster": ["client_queries", "lca_cache_hits", "site_kills",
                 "site_restarts"],
     "continuous": CONTINUOUS_KEYS + ["sites"],
@@ -163,9 +177,7 @@ CLUSTER_SCHEMA = {
                "stale_served", "subquery_failures"],
     "health": SITES,
     "runtime": ["gc_collections", "gc_pause_ms", "scope"],
-    "semcache": ["bytes", "canonicalizer", "compile_keys", "entries",
-                 "evictions", "hit_ratio", "hits", "misses",
-                 "prewarm_queries", "stale_rejects", "stores"],
+    "semcache": SEMCACHE_KEYS,
     "sites": SITES,
     "traffic": ["bytes", "links", "messages"],
 }
@@ -187,9 +199,10 @@ def _schema(snapshot):
 
 
 def test_metrics_schema(paper_cluster, paper_doc, paper_plan):
-    """Every section and key the three ``metrics()`` surfaces returned
-    before the registry classes were removed is still returned (the
-    tables were generated at that commit)."""
+    """Every section and key the three ``metrics()`` surfaces return
+    (the tables were generated when the registry classes were removed;
+    since then ``aggregation`` is in every snapshot, and a site's
+    ``semcache`` is the cluster's rollup over that one site)."""
     assert _schema(paper_cluster.agents["top"].metrics()) == SITE_SCHEMA
     snapshot = paper_cluster.metrics()
     assert _schema(snapshot) == CLUSTER_SCHEMA

@@ -245,11 +245,13 @@ class TestCacheEviction:
             rebalance=RebalanceConfig(min_queries=4, overload_ratio=1.5))
         cluster.scalar(f"count({OAK_BLOCK})", at_site="oak")
         oak = cluster.agents["oak"]
-        assert oak.driver.aggregates.metrics()["entries"] == 1
+        summaries = oak.subsystem("aggregation").summaries
+        assert summaries.metrics()["entries"] == 1
         skewed_load(cluster)
         tick(cluster)
-        assert oak.stats["migration_cache_evictions"] == 1
-        assert oak.driver.aggregates.metrics()["entries"] == 0
+        assert oak.subsystem("aggregation").metrics()[
+            "migration_summary_evictions"] == 1
+        assert summaries.metrics()["entries"] == 0
 
     def test_unrelated_entries_survive(self):
         cluster = rebalance_cluster(
@@ -261,7 +263,8 @@ class TestCacheEviction:
         oak = cluster.agents["oak"]
         skewed_load(cluster)
         tick(cluster)
-        assert oak.driver.aggregates.metrics()["entries"] == 1
+        assert oak.subsystem("aggregation").summaries.metrics()[
+            "entries"] == 1
 
 
 @pytest.mark.skipif(ReplicationConfig is None,

@@ -6,14 +6,15 @@ Two things are pinned here:
   sees each hook fire with the documented arguments, on the loopback
   network and over real sockets, without the agent, the cluster, the
   metrics registry or EXPLAIN knowing anything about it;
-* each shipped subsystem is really *absent* when its config is not
-  passed: the cluster's traffic equals the capture taken before the
-  seam existed, and its wire kinds are refused with one structured,
-  terminal error.
+* each shipped opt-in subsystem is really *absent* when its config is
+  not passed: the cluster's traffic equals the capture of a cluster
+  with none configured, and its wire kinds are refused with one
+  structured, terminal error.
 
 A shipped subsystem is exercised while its package exists: the
-removability drill deletes ``src/repro/agg`` (or ``replication``) and
-expects everything else here to keep passing.
+removability drill deletes ``src/repro/replication`` (or ``rebalance``)
+and expects everything else here to keep passing.  Aggregation is not
+opt-in: every agent runs it, and the capture includes its traffic.
 """
 
 import itertools
@@ -105,10 +106,6 @@ class StubSite:
                            (target, list(subqueries), attempts,
                             list(causes))))
         return None
-
-    def try_scalar(self, query, now=None, max_age=None):
-        self.calls.append(("try_scalar", (query, now, max_age)))
-        return query == "stub:answer", 42.0
 
     def metrics(self):
         return {"calls": len(self.calls), "flag": True}
@@ -237,17 +234,6 @@ class TestStubSubsystem:
         assert reply.ok
         assert deployment.site("oak").called("on_update") == [OAK_SPACE]
 
-    def test_try_scalar_may_answer_or_decline(self, deployment):
-        cluster = deployment.cluster
-        assert cluster.scalar("stub:answer", at_site="top", now=5.0,
-                              max_age=9.0) == 42.0
-        count = cluster.scalar(f"count({OAK_BLOCK}/parkingSpace)",
-                               at_site="oak")
-        assert count > 0  # declined: the gather driver answered
-        stub = deployment.site("top")
-        assert stub.called("try_scalar") == [
-            ("stub:answer", 5.0, 9.0)]
-
     def test_on_ownership_change_fires_on_both_sides(self, deployment):
         moved = deployment.cluster.delegate(OAK_BLOCK1, "shady")
         assert deployment.site("oak").called("on_ownership_change") == [
@@ -321,13 +307,14 @@ class TestStubSubsystem:
 # ----------------------------------------------------------------------
 # The shipped subsystems, absent
 # ----------------------------------------------------------------------
-#: ``TrafficLog.summary()`` of :func:`_parity_traffic` at the last
-#: commit before the seam, with no subsystem configured.
+#: ``TrafficLog.summary()`` of :func:`_parity_traffic` with no opt-in
+#: subsystem configured: the ``count`` is a partial-aggregate exchange
+#: with ``oak``, so the ``oak`` block is gathered by its own query.
 GOLDEN_TRAFFIC = {
-    "messages": 10,
-    "bytes": 4425,
+    "messages": 12,
+    "bytes": 4956,
     "links": {
-        ("top", "oak"): [2, 471], ("oak", "top"): [2, 1495],
+        ("top", "oak"): [3, 707], ("oak", "top"): [3, 1790],
         ("top", "shady"): [2, 494], ("shady", "top"): [2, 1433],
         ("client", "shady"): [1, 212], ("shady", "client"): [1, 320],
     },
@@ -337,12 +324,6 @@ GOLDEN_TRAFFIC = {
 SHIPPED = {
     # Every agent serves ``replicate`` (a migration's push is one).
     "replication": ("repro.replication", lambda package: []),
-    "aggregation": ("repro.agg", lambda package: [
-        package.PartialAggregateRequest(OAKLAND, OAK_BLOCK, bound=30.0,
-                                        sender="top"),
-        package.PartialAggregateAnswer(
-            7, {OAKLAND: (package.Partial(), 1.0)}, sender="oak"),
-    ]),
     # Migrations ride the agent's own ``replicate`` kind.
     "rebalance": ("repro.rebalance", lambda package: []),
 }
@@ -391,7 +372,6 @@ def test_absent_subsystem_is_wire_silent_and_refuses_its_kinds(
 
 @pytest.mark.parametrize("module, config, moves_traffic", [
     ("repro.replication", "ReplicationConfig", True),
-    ("repro.agg", "AggregationConfig", True),
     # The balancer is wire-silent until it migrates something.
     ("repro.rebalance", "RebalanceConfig", False),
 ])
