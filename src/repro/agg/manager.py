@@ -25,15 +25,17 @@ gather of that path:
 
 A path ending in a named attribute or ``text()`` is walked to its
 elements, and the fold reads that step off each; an owner's ask carries
-the step too.  A rollup counts what its bound admits, cached copies
+the step too.  Any other last step stays in the walk, and the fold reads
+its matches.  A rollup counts what its bound admits, cached copies
 included, as the path query does; a cached copy counted without a bound
 is of unknown age, so its summary never serves a bound.  Owned data
 stays current: an update evicts every summary over it, and so does an
 ownership change.  A derived sensor puts a zero bound on each of its
-aggregates (:data:`CURRENT`), which no summary satisfies.  A failure
-(dead child, a path the walk does not take) sends ``count``/``sum``
-down the gather driver's walk; ``avg``/``min``/``max`` exist only here
-and raise.
+aggregates (:data:`CURRENT`), which no summary satisfies.  An ask no
+partial answers (a dead or refusing owner) goes as the path ask, which
+replication's failover serves from a ring peer, and the fold reads the
+matches it merges.  A region neither answers raises
+:class:`AggregationUnavailable`, for every shape alike.
 """
 
 import math
@@ -74,8 +76,9 @@ SUMMARY_MAX_BYTES = 4 * 1024 * 1024
 CURRENT = "[timestamp() > current-time() - 0]"
 
 
-class AggregationUnavailable(CoreError):
-    """A rollup could not complete (dead child, disabled peer, ...)."""
+class AggregationUnavailable(NetError):
+    """A rollup could not complete: a region answered neither a partial
+    nor, through failover, a path ask."""
 
 
 def summary_key(region, inner_path):
@@ -100,21 +103,19 @@ def _decompose(query):
 
 
 def _split_final(inner):
-    """``(path, final)``: *inner* less a last step that selects a named
-    attribute or ``text()``, which the fold reads off each element
-    *path* matches, and that step (``None``: the elements' own)."""
+    """``(path, final)``: *inner* less a predicate-free last step that
+    selects a named attribute or ``text()``, which the fold reads off
+    each element *path* matches, and that step; ``(inner, None)`` for
+    any other path, whose matches the fold reads themselves."""
     steps = getattr(inner, "steps", ())
     final = steps[-1] if steps else None
-    if final is None or final.axis == "child" and \
-            isinstance(final.node_test, NameTest):
+    if final is None or final.predicates:
         return inner, None
     test = final.node_test
     named = final.axis == "attribute" and getattr(test, "name", "*") != "*"
     text = final.axis == "child" and getattr(test, "node_type", "") == "text"
-    if final.predicates or not (named or text):
-        raise UnsupportedDistributedQueryError(
-            f"a rollup reads elements, named attributes and text(), "
-            f"not {final.unparse()!r}")
+    if not (named or text):
+        return inner, None
     return LocationPath(inner.absolute, steps[:-1]), final
 
 
@@ -124,13 +125,14 @@ def _suffix(final):
 
 def _current(call):
     """The text of the aggregate *call* counting current data only:
-    :data:`CURRENT` on its last element step.  A path the rollup does
-    not take is posed as it is, to the walk."""
-    try:
-        path, final = _split_final(call.arguments[0])
-    except UnsupportedDistributedQueryError:
-        return call.unparse()
-    return f"{call.name}({path.unparse()}{CURRENT}{_suffix(final)})"
+    :data:`CURRENT` on its last element step, since a text node or an
+    attribute below it has no stamp of its own."""
+    inner = call.arguments[0]
+    last = max(index for index, step in enumerate(inner.steps)
+               if step.axis == "child" and type(step.node_test) is NameTest)
+    head = LocationPath(inner.absolute, inner.steps[:last + 1]).unparse()
+    tail = "".join("/" + step.unparse() for step in inner.steps[last + 1:])
+    return f"{call.name}({head}{CURRENT}{tail})"
 
 
 def _strings(element, final):
@@ -204,8 +206,9 @@ def _scans_over(earlier, later, items):
         later.anchor_path[:len(region)] == region
 
 
-def _owned(element):
-    """Whether this site owns the IDable node whose data *element* is."""
+def _owned(match):
+    """Whether this site owns the IDable node whose data *match* is."""
+    element = match.parent if isinstance(match, Text) else match
     while element.get(STATUS_ATTRIBUTE) is None and element.parent is not None:
         element = element.parent
     return get_status(element) is Status.OWNED
@@ -231,7 +234,6 @@ class AggregationManager:
             "partials_fetched": 0,
             "partials_served": 0,
             "partial_failures": 0,
-            "fallbacks": 0,
             "unsupported_queries": 0,
             "derived_refreshes": 0,
             "derived_refresh_errors": 0,
@@ -262,9 +264,10 @@ class AggregationManager:
     # ------------------------------------------------------------------
     def answer_scalar(self, query, now=None, max_age=None):
         """``(handled, value)``: the rollup's answer, or ``handled``
-        false for a query that is not aggregate-shaped and for a
-        ``count``/``sum`` rollup that cannot complete (the caller walks
-        it instead); ``avg``/``min``/``max`` raise."""
+        false for a query that is not aggregate-shaped.  A region no
+        ask reaches, even through failover, raises
+        :class:`AggregationUnavailable` for every shape: a scalar
+        carries no completeness report."""
         decomposed = _decompose(query)
         if decomposed is None:
             return False, None
@@ -276,17 +279,7 @@ class AggregationManager:
         except UnsupportedDistributedQueryError:
             with self._lock:
                 self.stats["unsupported_queries"] += 1
-            if shape in ("count", "sum"):
-                return False, None
             raise
-        except AggregationUnavailable as exc:
-            with self._lock:
-                self.stats["fallbacks"] += 1
-            if shape in ("count", "sum"):
-                return False, None
-            raise NetError(
-                f"aggregate rollup unavailable for {shape}(): {exc}"
-            ) from exc
         with self._lock:
             self.stats["answers"] += 1
         return True, partial.finalize(shape)
@@ -318,15 +311,17 @@ class AggregationManager:
         replies = []
 
         def send_one(subquery):
-            if subquery.subtree:
-                return driver.send([subquery])[0]
-            if any(_scans_over(ask, subquery, pattern.items)
-                   for ask, _, _ in replies):
-                return None  # a partial asked for already counts it
-            reply = self._ask_partial(subquery, final, bound, now)
-            if reply is not None:
-                replies.append((subquery,) + reply)
-            return None
+            if not subquery.subtree:
+                if any(_scans_over(ask, subquery, pattern.items)
+                       for ask, _, _ in replies):
+                    return None  # a partial asked for already counts it
+                reply = self._ask_partial(subquery, final, bound, now)
+                if reply is not None:
+                    replies.append((subquery,) + reply)
+                    return None
+            # A subtree ask, or one no partial answered: the path ask,
+            # which failover serves; the walk folds what it merges.
+            return driver.send([subquery])[0]
 
         outcome = driver.gather(pattern, now=now, ships=False,
                                 send=lambda pending: [send_one(subquery)
@@ -379,28 +374,22 @@ class AggregationManager:
     def _ask_partial(self, subquery, final, bound, now):
         """``(partial, as_of)`` of one of the walk's asks, read through
         *final*, asked of its region's owner through ``agent.request``,
-        gated; ``None`` for a region DNS retired (Section 4's transient
-        inconsistency).  Every refusal and failure raises
-        :class:`AggregationUnavailable`."""
+        gated; ``None`` when no partial came -- DNS retired the region
+        or names this site, or the owner failed or refused -- and the
+        ask goes as a path ask instead."""
         target = self.agent.resolve_owner(subquery.anchor_path)
-        if target is None:
+        if target in (None, self.agent.site_id):
             return None
-        if target == self.agent.site_id:
-            raise AggregationUnavailable(
-                f"DNS says {self.agent.site_id!r} owns "
-                f"{format_id_path(subquery.anchor_path)} but the walk "
-                "asked for it")
         message = PartialAggregateRequest(
             None, subquery.query + _suffix(final), bound=bound, now=now,
             sender=self.agent.site_id)
         try:
             reply = self.agent.request(target, message,
                                        expect=PartialAggregateAnswer)
-        except (OSError, NetError) as exc:
+        except (OSError, NetError):
             with self._lock:
                 self.stats["partial_failures"] += 1
-            raise AggregationUnavailable(
-                f"no partial from site {target!r}: {exc}") from exc
+            return None
         with self._lock:
             self.stats["partials_fetched"] += 1
         return collapse(reply.state, now)
@@ -499,11 +488,19 @@ class AggregationManager:
         sensor = self.derived[identifier]
         if not sensor.begin_refresh():
             return None
+        folded = {}  # summary key -> this refresh's one Partial
+
+        def answer(call):
+            shape, inner, bound = _decompose(_current(call))
+            key = self._compile(inner)[2]
+            if key not in folded:
+                folded[key] = self._rollup(inner, bound, now)[0]
+            return folded[key].finalize(shape)
+
         try:
             now = float(self.agent.clock())
-            value = sensor.evaluate(
-                lambda call: self.agent.answer_scalar(_current(call),
-                                                      now=now))
+            with self.agent.guard:
+                value = sensor.evaluate(answer)
             self.agent.database.apply_update(
                 sensor.node_path, values={"value": sensor.render(value)})
             sensor.last_value = value
@@ -548,7 +545,7 @@ class AggregationManager:
                 key = self._compile(inner)[2]
             except UnsupportedDistributedQueryError as exc:
                 info.update(supported=False, problem=str(exc))
-                lines = [f"aggregation: {info['shape']}() via the walk"
+                lines = [f"aggregation: {info['shape']}() unsupported"
                          f" ({exc})"]
                 context.add_section(self.name, info, lines)
                 return

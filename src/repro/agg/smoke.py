@@ -107,8 +107,8 @@ def run(artifacts):
         # The subscription lives at the root owner, so a *root-owned*
         # update wakes it; the refresh then recomputes the rollup and
         # picks up the leaf's new value over the wire: one partial per
-        # group and aggregate, though the subscription cached every
-        # sensor at the root.
+        # group, which both aggregates finalize, though the subscription
+        # cached every sensor at the root.
         before = manager.metrics()["partials_fetched"]
         cluster.agents["top"].handle_message(UpdateMessage(
             HEARTBEAT, values={"value": "1"}, sender="sa-smoke"))
@@ -116,9 +116,9 @@ def run(artifacts):
         if sensor.last_value != 50.0:
             problems.append(
                 f"derived sensor did not re-fire: {sensor.last_value!r}")
-        if refresh_partials != 4:
+        if refresh_partials != 2:
             problems.append(
-                f"the refresh sent {refresh_partials} partials, wanted 4")
+                f"the refresh sent {refresh_partials} partials, wanted 2")
         derived_answer = cluster.scalar(
             "count(/region[@id='R']/derived[@id='spread'])",
             at_site="top")

@@ -650,11 +650,11 @@ class OrganizingAgent:
     def answer_scalar(self, query, now=None, max_age=None):
         """Answer a scalar query: the site-level scalar entry point.
 
-        An aggregate is rolled up (:mod:`repro.agg`), served from a
-        summary when one is fresh enough -- for the query's own bound,
-        else for *max_age* (the paper's acceptable precision, Section
-        4), else of any age.  Every other wrapper, and a ``count`` or
-        ``sum`` the rollup cannot answer, is the gather driver's walk.
+        An aggregate of any shape is rolled up (:mod:`repro.agg`),
+        served from a summary when one is fresh enough -- for the
+        query's own bound, else for *max_age* (the paper's acceptable
+        precision, Section 4), else of any age.  Only the ``boolean``/
+        ``string``/``number`` wrappers are the gather driver's walk.
         """
         handled, value = self.aggregation.answer_scalar(
             query, now=now, max_age=max_age)

@@ -101,6 +101,9 @@ def test_signed_zero_extrema_ignore_merge_order():
 # ----------------------------------------------------------------------
 # Summary-served == naive fan-out, for any tree shape
 # ----------------------------------------------------------------------
+#: The aggregates XPath 1.0 has: the evaluator and the walk answer
+#: them too.
+XPATH_SHAPES = ("count", "sum")
 #: Inner paths over a deployment *zones* deep: value predicates on
 #: either step, and ``//`` scans.
 DEPLOYMENT_PATHS = (
@@ -167,7 +170,7 @@ def test_summary_answers_print_identically_to_naive(scenario, shape):
     assert repr(served) == repr(naive)
 
     # And the distributed walk agrees for the shapes it serves.
-    if shape in ("count", "sum"):
+    if shape in XPATH_SHAPES:
         walk = Cluster(root.copy(), plan).agents["root"].driver
         assert repr(walk.answer_scalar(f"{shape}({inner})", now=10.0)) \
             == repr(served)
@@ -270,7 +273,7 @@ def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
     inner = f"{path}[timestamp() > current-time() - {bound}]"
     document = three_site_document(
         lambda group, sensor: values[3 * group + sensor])
-    for shape in ("count", "sum"):
+    for shape in XPATH_SHAPES:
         oracle = Evaluator().evaluate(
             strip_consistency_predicates(xpath_parser.parse(
                 f"{shape}({inner})")), document)
@@ -404,7 +407,7 @@ def test_rollups_over_mixed_caches_equal_the_oracle(seed):
             step = rng.choice(["", bound])
             inner = path.replace("/@w", step + "/@w") \
                 if path.endswith("/@w") else path + step
-            for shape in ("count", "sum"):
+            for shape in XPATH_SHAPES:
                 query = f"{shape}({inner})"
                 oracle = Evaluator().evaluate(strip_consistency_predicates(
                     xpath_parser.parse(query)), document)

@@ -67,6 +67,9 @@ PLAN = {
 }
 
 ALL_VALUES = "/region[@id='R']/group/sensor/value"
+#: The aggregates XPath 1.0 has: the evaluator and the walk answer
+#: them too.
+XPATH_SHAPES = ("count", "sum")
 
 
 def build_cluster(plan=PLAN, document=DOCUMENT, clock=None, **kwargs):
@@ -173,7 +176,7 @@ class TestHierarchicalRollup:
     def test_count_and_sum_match_the_walk_exactly(self):
         agg = build_cluster()
         twin = build_cluster()
-        for shape in ("count", "sum"):
+        for shape in XPATH_SHAPES:
             query = f"{shape}({ALL_VALUES})"
             assert repr(agg.scalar(query, at_site="root")) == \
                 repr(walk(twin, query, "root"))
@@ -494,16 +497,24 @@ class TestFinalSteps:
         assert counters["partials_fetched"] == 2
         assert counters["summary"]["hits"] == 4
 
-    def test_another_last_step_is_not_rolled_up(self):
+    def test_another_last_step_rolls_up_through_the_walk(self):
+        # ``node()`` stays in the walk, owners' asks included, and the
+        # fold reads the text nodes it matches.
         query = f"{ALL_VALUES}/node()"
         cluster = build_cluster()
-        assert repr(cluster.scalar(f"count({query})", at_site="root")) == \
-            repr(walk(build_cluster(), f"count({query})", "root"))
-        with pytest.raises(UnsupportedDistributedQueryError):
-            cluster.scalar(f"avg({query})", at_site="root")
+        expected = {"count": 5.0, "sum": 150.0, "avg": 30.0,
+                    "min": 10.0, "max": 50.0}
+        for shape, value in expected.items():
+            assert cluster.scalar(f"{shape}({query})",
+                                  at_site="root") == value
+        for shape in XPATH_SHAPES:
+            assert repr(walk(build_cluster(), f"{shape}({query})",
+                             "root")) == repr(expected[shape])
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
-        assert counters["unsupported_queries"] == 2
-        assert counters["answers"] == 0
+        assert counters["unsupported_queries"] == 0
+        assert counters["answers"] == 5
+        assert counters["partials_fetched"] == 2
+        assert counters["partial_failures"] == 0
 
 
 class TestFallbacks:
@@ -543,7 +554,24 @@ class TestFallbacks:
         with pytest.raises((OSError, NetError)):
             cluster.scalar(f"avg({ALL_VALUES})", at_site="root")
         counters = cluster.agents["root"].subsystem("aggregation").metrics()
-        assert counters["fallbacks"] == 1
+        assert counters["partial_failures"] == 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_shape_raises_where_no_rollup_goes(self, shape):
+        # A path the walk cannot compile, and a region that answers
+        # neither the partial nor the path ask it falls back to (no
+        # replication here): no shape is walked instead.
+        cluster = build_cluster()
+        with pytest.raises(UnsupportedDistributedQueryError):
+            cluster.scalar(f"{shape}(/region[@id='R']/group/..)",
+                           at_site="root")
+        cluster.network.unregister("leaf")
+        with pytest.raises(NetError):
+            cluster.scalar(f"{shape}({ALL_VALUES})", at_site="root")
+        counters = cluster.agents["root"].subsystem("aggregation").metrics()
+        assert counters["unsupported_queries"] == 1
+        assert counters["partial_failures"] == 1
+        assert counters["answers"] == 0
 
     def test_every_agent_and_cluster_runs_aggregation(self):
         cluster = build_cluster()
@@ -558,14 +586,6 @@ class TestFallbacks:
             sender="tester")
         reply = cluster.network.request("tester", "mid", message)
         assert reply.code == "agg-not-owned"
-
-    def test_partial_request_for_another_last_step_errors(self):
-        cluster = build_cluster()
-        message = PartialAggregateRequest(
-            (("region", "R"), ("group", "g1")), ALL_VALUES + "/node()",
-            sender="tester")
-        reply = cluster.network.request("tester", "mid", message)
-        assert reply.code == "agg-unsupported"
 
 
 # ----------------------------------------------------------------------
@@ -665,6 +685,31 @@ class TestDerivedSensors:
         assert manager.refresh_derived("d0") == 35.0
         assert sensor.last_value == 35.0
 
+    def test_a_refresh_folds_each_path_once(self):
+        # ``max`` and ``min`` over one path finalize the refresh's one
+        # rollup: a partial per owner, not per aggregate.
+        cluster = build_cluster(clock=lambda: 100.0)
+        cluster.subsystem("aggregation").register_derived_sensor(
+            (("region", "R"),), "spread",
+            f"max({ALL_VALUES}) - min({ALL_VALUES})")
+        manager = cluster.agents["root"].subsystem("aggregation")
+        before = manager.metrics()["partials_fetched"]
+        assert manager.refresh_derived("spread") == 40.0
+        assert manager.metrics()["partials_fetched"] - before == 2
+
+    def test_a_refresh_under_another_last_step_reads_current_data(self):
+        # The zero bound goes on ``value``, the last element step: a
+        # text node's stamp is its parent's.
+        cluster = build_cluster(clock=lambda: 100.0)
+        sensor = cluster.subsystem("aggregation").register_derived_sensor(
+            (("region", "R"),), "d0", f"sum({ALL_VALUES}/node())")
+        assert sensor.last_value == 150.0
+        cluster.agents["leaf"].handle_message(UpdateMessage(
+            (("region", "R"), ("group", "g2"), ("sensor", "s0")),
+            values={"value": "100"}, sender="sa"))
+        manager = cluster.agents["root"].subsystem("aggregation")
+        assert manager.refresh_derived("d0") == 200.0
+
 
 # ----------------------------------------------------------------------
 # Scenario generator
@@ -717,7 +762,7 @@ class TestScenarios:
         assert rolled.scalar(query, at_site="root", now=5.0) == \
             twin.agents["root"].driver.answer_scalar(query, now=5.0)
         counters = rolled.agents["root"].subsystem("aggregation").metrics()
-        assert (counters["answers"], counters["fallbacks"]) == (1, 0)
+        assert (counters["answers"], counters["partial_failures"]) == (1, 0)
 
     def test_pinned_rollup_only_counts_the_zone(self):
         config = quick_config()

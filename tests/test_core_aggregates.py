@@ -6,12 +6,15 @@ clock-bound behaviour the scalar path relies on, region eviction, and
 the cluster-level tolerant-query contract.
 """
 
+import pytest
+
 from repro.core import PartitionPlan
 from repro.core.semcache import SemanticCache
 from repro.net import (
     Cluster,
     FaultyNetwork,
     LoopbackNetwork,
+    NetError,
     OAConfig,
     RetryPolicy,
     UpdateMessage,
@@ -199,7 +202,8 @@ class TestClusterPrecisionQueries:
                           network=FaultyNetwork(LoopbackNetwork(), seed=0))
         summaries = cluster.agents["top"].subsystem("aggregation").summaries
         cluster.network.crash("shady")
-        assert cluster.scalar(query, at_site="top") == 3.0
+        with pytest.raises(NetError):
+            cluster.scalar(query, at_site="top")
         assert len(summaries) == 0
 
         cluster.network.recover("shady")

@@ -129,7 +129,7 @@ OA_KEYS = [
 ]
 CONTINUOUS_KEYS = ["callback_errors", "evaluations", "notifications"]
 AGGREGATION_KEYS = [
-    "answers", "derived_refresh_errors", "derived_refreshes", "fallbacks",
+    "answers", "derived_refresh_errors", "derived_refreshes",
     "migration_summary_evictions", "overlap_drops", "overlap_regathers",
     "partial_failures", "partials_fetched", "partials_served",
     "rollup_matches", "rollups", "summary", "summary_hit_ratio",

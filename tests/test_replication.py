@@ -17,8 +17,13 @@ an asker that is to fail over for oak is etna: top and shady answer
 oak's region from their own fragments.
 """
 
+import itertools
+import statistics
+from unittest import mock
+
 import pytest
 
+from repro.agg import SHAPES
 from repro.core import PartitionPlan
 from repro.core.status import Status, get_status
 from repro.net import (
@@ -26,12 +31,15 @@ from repro.net import (
     Cluster,
     FaultyNetwork,
     LoopbackNetwork,
+    NetError,
     OAConfig,
 )
 from repro.core.errors import QueryRoutingError
 from repro.net.tcpruntime import TcpCluster
 from repro.replication import ReplicationConfig, replica_peers
 from repro.xmlkit import parse_fragment
+from repro.xpath import parser as xpath_parser
+from repro.xpath.evaluator import Evaluator
 
 from tests.conftest import (
     FIGURE2_QUERY,
@@ -42,6 +50,7 @@ from tests.conftest import (
 from tests.test_failure_injection import (
     OAK_BLOCK,
     PAPER_PLAN,
+    PREFIX,
     SHADY_BLOCK,
     answer_set,
     fast_retries,
@@ -103,6 +112,7 @@ class TestFreshnessBound:
         cluster = replicated_cluster(k=2, clock=lambda: clock["now"])
         clock["now"] = age
         cluster.kill_site("oak")
+        self.cluster = cluster
         if scalar:
             return cluster, cluster.scalar(query, at_site="etna")
         return cluster, cluster.query(query, at_site="etna")[2]
@@ -136,12 +146,46 @@ class TestFreshnessBound:
         assert fresh == 2.0
         assert cluster.agent("etna").subsystem("replication").metrics()[
             "failover_served"] == 1
-        # Too stale: the region is excised and counts nothing.
-        cluster, stale = self._fail_over(40.0, query, scalar=True)
-        assert stale == 0.0
-        counters = cluster.agent("etna").subsystem("replication").metrics()
+        # Too stale: the region is refused, and a scalar carries no
+        # completeness report to say so.
+        with pytest.raises(NetError):
+            self._fail_over(40.0, query, scalar=True)
+        counters = self.cluster.agent("etna").subsystem(
+            "replication").metrics()
         assert counters["failover_served"] == 0
         assert counters["replica_too_stale"] == 1
+
+
+class TestARollupFailsOver:
+    """A partial a dead owner cannot send becomes the path ask, which
+    failover serves from the owner's ring peer (``k=1``: oak's is
+    shady), so every shape answers, asked at etna."""
+
+    PRICES = f"{PREFIX}/neighborhood/block/parkingSpace/price"
+    SHAPE_OF = {"count": len, "sum": sum, "avg": statistics.fmean,
+                "min": min, "max": max}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_shape_is_the_evaluators_with_oak_dead(self, shape):
+        query = f"{shape}({self.PRICES})"
+        cluster = replicated_cluster(k=1, count_bytes=True)
+        for agent in cluster.agents.values():
+            agent.subsystem("replication").replicate_owned()
+        cluster.kill_site("oak")
+        traffic = cluster.network.traffic
+        before = traffic.messages, traffic.bytes
+        with mock.patch("repro.net.messages._SEQUENCE", itertools.count(1)):
+            value = cluster.scalar(query, at_site="etna")
+        prices = [float(price.string_value()) for price in Evaluator()
+                  .evaluate(xpath_parser.parse(self.PRICES),
+                            parse_fragment(PAPER_DOCUMENT))]
+        assert value == float(self.SHAPE_OF[shape](prices))
+        # No more than the walk that answered count/sum before.
+        assert traffic.messages - before[0] <= 10
+        assert traffic.bytes - before[1] <= 3759
+        metrics = cluster.metrics()
+        assert metrics["aggregation"]["partial_failures"] == 1
+        assert metrics["replication"]["failover_served"] == 1
 
 
 class TestFailoverServesFreshReplica:
