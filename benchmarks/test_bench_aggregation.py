@@ -24,8 +24,8 @@ pure-evaluation floor).
 
 Timings per shape on the rollup side:
 
-* ``agg_cold`` -- first rollup: partial-aggregate subqueries for every
-  ask of the walk, partials cached at each level (``count`` is the only
+* ``agg_cold`` -- first rollup: a fold item for every ask of the
+  walk, partials cached at each level (``count`` is the only
   true cold ask: all five shapes share one summary, so the first ask
   prewarms the rest);
 * ``agg_warm`` -- the same bounded ask again, served from the summary

@@ -2,9 +2,8 @@
 
 Walks aggregation on a three-site deployment:
 
-* an `avg` over every sensor is answered through partial-aggregate
-  subqueries to the owning sites -- merge-state tuples on the wire,
-  never subtrees;
+* an `avg` over every sensor is answered through fold items asked of
+  the owning sites -- merge-state tuples on the wire, never subtrees;
 * a repeat ask inside the freshness bound is a summary-cache hit, and
   a `count` prewarms the `max` (all shapes share one summary);
 * a derived sensor (`spread = max - min`) registers as an ordinary
@@ -59,8 +58,8 @@ def main():
         value = cluster.scalar(f"{shape}({BOUNDED})", at_site="root")
         print(f"  {shape:>5}: {value:g}")
     counters = manager.metrics()
-    print(f"  -> {counters['partials_fetched']} partial-aggregate "
-          f"subqueries sent, {counters['summary']['hits']} summary hits "
+    print(f"  -> {counters['partials_fetched']} partials fetched "
+          f"by fold items, {counters['summary']['hits']} summary hits "
           "(count prewarmed the rest: one summary serves all five "
           "shapes)")
 

@@ -3,9 +3,9 @@
 Aggregate queries (``count``/``sum``/``avg``/``min``/``max`` around
 any path the QEG walk takes) are answered from **summaries**: mergeable
 partial aggregates cached per region at every organizing agent, merged
-deterministically up the hierarchy, each of the walk's asks a
-partial-aggregate wire message answered with a merge-state tuple
-instead of a subtree -- a county-level ``avg`` over a million sensors
+deterministically up the hierarchy, each of the walk's asks a fold item
+of an ordinary ``query`` answered with a merge-state tuple instead of a
+subtree -- a county-level ``avg`` over a million sensors
 never fans out to the leaves.  Derived sensors define virtual readings
 as formulas over those aggregates, re-evaluated through
 continuous-query subscriptions on their input regions.
@@ -27,10 +27,6 @@ from repro.agg.manager import (
     ClusterAggregation,
     summary_key,
 )
-from repro.agg.messages import (
-    PartialAggregateAnswer,
-    PartialAggregateRequest,
-)
 from repro.agg.partial import (
     SHAPES,
     Partial,
@@ -45,8 +41,6 @@ __all__ = [
     "DerivedSensor",
     "FormulaError",
     "Partial",
-    "PartialAggregateAnswer",
-    "PartialAggregateRequest",
     "SHAPES",
     "collapse",
     "compile_formula",

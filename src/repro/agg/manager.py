@@ -14,13 +14,15 @@ gather of that path:
   any, or one within its ``max_age`` (Section 4: a query without a
   consistency predicate takes cached data of any age);
 * **the walk's own asks**: every ask for the rest of the path below a
-  region goes to the region's owner as a
-  :class:`~repro.agg.messages.PartialAggregateRequest` carrying the
-  ask's text -- tuples on the wire, never subtrees; an ask for a
-  result's subtree fetches and merges as for a path query;
+  region is marked for a fold (``Subquery.fold``) and goes out with the
+  round through the agent's one dispatcher, as a ``query`` item that
+  also carries the fold's last step and bound -- tuples on the wire,
+  never subtrees; an ask for a result's subtree fetches and merges as
+  for a path query;
 * **the fold**: the last walk's matches fold into one exact
   ``Partial`` with the owners' replies, as of its stalest part.  An
-  owner serves a request with the same fold, so the hierarchy recurses
+  owner answers a fold item with the same fold
+  (:meth:`AggregationManager.answer_fold`), so the hierarchy recurses
   and interior sites cache intermediate rollups.
 
 A path ending in a named attribute or ``text()`` is walked to its
@@ -31,11 +33,13 @@ included, as the path query does; a cached copy counted without a bound
 is of unknown age, so its summary never serves a bound.  Owned data
 stays current: an update evicts every summary over it, and so does an
 ownership change.  A derived sensor puts a zero bound on each of its
-aggregates (:data:`CURRENT`), which no summary satisfies.  An ask no
-partial answers (a dead or refusing owner) goes as the path ask, which
-replication's failover serves from a ring peer, and the fold reads the
-matches it merges.  A region neither answers raises
-:class:`AggregationUnavailable`, for every shape alike.
+aggregates (:data:`CURRENT`), which no summary satisfies.  A fold item
+is an ask like any other: grouped per destination, retried on fresh
+DNS, gated by the breaker, and failed over by replication to a ring
+peer as its path ask.  An owner that cannot fold it answers it as its
+path ask too.  Either way the fold reads the matches the reply merges.
+A region nothing answers raises :class:`AggregationUnavailable`, for
+every shape alike.
 """
 
 import math
@@ -51,7 +55,7 @@ from repro.core.idable import format_id_path, id_paths_overlap, node_id
 from repro.core.semcache import SemanticCache, canonicalize
 from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
 from repro.net.errors import NetError
-from repro.net.messages import ErrorMessage, as_id_path
+from repro.net.messages import as_id_path
 from repro.obs.registry import sum_numeric
 from repro.obs.tracing import TRACER
 from repro.xmlkit.nodes import Text
@@ -61,10 +65,6 @@ from repro.xpath.errors import XPathError
 from repro.xpath.types import node_string_value, to_number
 
 from repro.agg.derived import DerivedSensor
-from repro.agg.messages import (
-    PartialAggregateAnswer,
-    PartialAggregateRequest,
-)
 from repro.agg.partial import SHAPES, Partial, collapse, state_of
 
 #: The summary cache's LRU budget.
@@ -121,6 +121,12 @@ def _split_final(inner):
 
 def _suffix(final):
     return "" if final is None else "/" + final.unparse()
+
+
+def _step(fold):
+    """A fold item's ``fold`` as a path suffix: ``"."`` reads the match
+    itself."""
+    return "" if fold == "." else "/" + fold
 
 
 def _current(call):
@@ -243,9 +249,6 @@ class AggregationManager:
     # ------------------------------------------------------------------
     # The seam (repro.net.subsystem)
     # ------------------------------------------------------------------
-    def handlers(self):
-        return {PartialAggregateRequest: self.answer_partial}
-
     def on_update(self, id_path):
         """Owned data stays current: an update evicts every summary over
         it (one emptiness check while the site holds none)."""
@@ -308,24 +311,52 @@ class AggregationManager:
             span.set_tag("hit", entry is not None)
         if entry is not None:
             return entry.value, entry.as_of
-        replies = []
+        fold = ("." if final is None else final.unparse(), bound)
+        replies = []  # (ask, partial, as_of) of each partial received
 
-        def send_one(subquery):
-            if not subquery.subtree:
-                if any(_scans_over(ask, subquery, pattern.items)
-                       for ask, _, _ in replies):
-                    return None  # a partial asked for already counts it
-                reply = self._ask_partial(subquery, final, bound, now)
-                if reply is not None:
-                    replies.append((subquery,) + reply)
-                    return None
-            # A subtree ask, or one no partial answered: the path ask,
-            # which failover serves; the walk folds what it merges.
-            return driver.send([subquery])[0]
+        def reaches(asks, subquery):
+            # Whether a ``//`` ask among *asks* reaches all *subquery*
+            # does: a partial for it would count *subquery*'s matches.
+            return any(_scans_over(ask, subquery, pattern.items)
+                       for ask in asks)
 
-        outcome = driver.gather(pattern, now=now, ships=False,
-                                send=lambda pending: [send_one(subquery)
-                                                      for subquery in pending])
+        def send(pending):
+            """The round through the agent's dispatcher, each ask but a
+            subtree one marked for a fold: partials are recorded, and
+            fragments go back to the walk.  An ask a partial already
+            counts is not sent; one an ask sent beside it may count
+            waits for that ask's answer."""
+            answers = [None] * len(pending)
+            waiting = range(len(pending))
+            while waiting:
+                asked, held = [], []
+                for index in waiting:
+                    subquery = pending[index]
+                    if not subquery.subtree:
+                        if reaches([ask for ask, _, _ in replies], subquery):
+                            continue
+                        if reaches([pending[other] for other in asked
+                                    if pending[other].fold], subquery):
+                            held.append(index)
+                            continue
+                        subquery.fold = fold
+                    asked.append(index)
+                for index, reply in zip(asked, driver.send(
+                        [pending[index] for index in asked])):
+                    subquery = pending[index]
+                    folded = isinstance(reply, dict)  # a merge-state
+                    if folded:
+                        replies.append((subquery, *collapse(reply, now)))
+                        reply = None
+                    if subquery.fold is not None:
+                        with self._lock:
+                            self.stats["partials_fetched" if folded
+                                       else "partial_failures"] += 1
+                    answers[index] = reply
+                waiting = held
+            return answers
+
+        outcome = driver.gather(pattern, now=now, ships=False, send=send)
         matches = _uncovered(pattern, outcome,
                              [ask for ask, _, _ in replies])
         if matches is None:
@@ -369,66 +400,29 @@ class AggregationManager:
         return partial.merge(Partial.of_values(values)), as_of
 
     # ------------------------------------------------------------------
-    # The wire: ask a region's owner, serve a parent's ask
+    # The owner's side: a parent's fold item
     # ------------------------------------------------------------------
-    def _ask_partial(self, subquery, final, bound, now):
-        """``(partial, as_of)`` of one of the walk's asks, read through
-        *final*, asked of its region's owner through ``agent.request``,
-        gated; ``None`` when no partial came -- DNS retired the region
-        or names this site, or the owner failed or refused -- and the
-        ask goes as a path ask instead."""
-        target = self.agent.resolve_owner(subquery.anchor_path)
-        if target in (None, self.agent.site_id):
-            return None
-        message = PartialAggregateRequest(
-            None, subquery.query + _suffix(final), bound=bound, now=now,
-            sender=self.agent.site_id)
-        try:
-            reply = self.agent.request(target, message,
-                                       expect=PartialAggregateAnswer)
-        except (OSError, NetError):
-            with self._lock:
-                self.stats["partial_failures"] += 1
-            return None
-        with self._lock:
-            self.stats["partials_fetched"] += 1
-        return collapse(reply.state, now)
-
-    def answer_partial(self, message):
-        """Serve one :class:`PartialAggregateRequest` (the OA handler)
-        with this site's rollup of its query: one entry keyed by the
-        region (the request's, else the one its id pins name) and
-        stamped with its as-of time, so a parent never holds a part
-        longer than its bound."""
-        now = float(message.now) if message.now is not None \
-            else float(self.agent.clock())
-
-        def refuse(code, detail, retryable=False):
-            return ErrorMessage(message.message_id, code=code, detail=detail,
-                                retryable=retryable,
-                                sender=self.agent.site_id)
-
-        try:
-            inner = xpath_parser.parse(message.query)
-            pattern = self._compile(inner)[0]
-        except XPathError as exc:
-            return refuse("agg-bad-query", str(exc))
-        except UnsupportedDistributedQueryError as exc:
-            return refuse("agg-unsupported", str(exc))
-        region = message.region if message.region is not None \
-            else pattern.anchor or ()
+    def answer_fold(self, query, fold, bound, now):
+        """This site's rollup of a parent's fold item -- the ask *query*,
+        read through its last step *fold* under *bound* -- as a
+        merge-state of one entry keyed by the region and stamped with
+        its as-of time, so a parent never holds a part longer than its
+        bound.  ``None`` when this site cannot fold it: it does not own
+        the region, or a region below answered nothing
+        (:class:`AggregationUnavailable`); the agent then answers the
+        item as the path ask it also is."""
+        now = float(now) if now is not None else float(self.agent.clock())
+        inner = xpath_parser.parse(query + _step(fold))
+        region = self._compile(inner)[0].anchor or ()
         if not self._serves(region):
-            return refuse("agg-not-owned",
-                          f"{self.agent.site_id} does not own the region")
+            return None
         try:
-            partial, as_of = self._rollup(inner, message.bound, now)
-        except AggregationUnavailable as exc:
-            return refuse("agg-unavailable", str(exc), retryable=True)
+            partial, as_of = self._rollup(inner, bound, now)
+        except AggregationUnavailable:
+            return None
         with self._lock:
             self.stats["partials_served"] += 1
-        return PartialAggregateAnswer(
-            message.message_id, state_of(region, partial, as_of),
-            sender=self.agent.site_id)
+        return state_of(region, partial, as_of)
 
     def _serves(self, region):
         """Whether this site owns a node on *region*'s path down to the

@@ -1,4 +1,4 @@
-"""The partial-aggregate algebra: exact, mergeable, order-free.
+"""The partial aggregate algebra: exact, mergeable, order-free.
 
 A :class:`Partial` is the merge-state of one region's contribution to
 an aggregate query -- the ``(count, sum, min, max)`` tuple of the
@@ -26,7 +26,7 @@ answered from summaries agree with the naive
 :func:`~repro.xpath.functions.fn_count` / ``fn_sum`` fan-out path.
 
 A **merge-state** is a mapping ``{region id_path: (Partial, as_of)}``
--- what a partial-aggregate answer carries, ``as_of`` the earliest time
+-- what an owner's answer to a fold item carries, ``as_of`` the earliest time
 the region's data was all known current.  :func:`collapse` folds one
 into a single ``(Partial, as_of)`` pair, as of its stalest entry.  The
 rollup folds the replies to one walk's asks, which cover disjoint

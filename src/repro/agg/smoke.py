@@ -6,7 +6,7 @@ sockets:
 
 * hierarchical rollups: all five shapes over the whole region, a
   count under a value predicate and one through a ``//`` scan, each
-  path answered once through partial-aggregate subqueries to the two
+  path answered once through fold items asked of the two
   child sites and its other shapes from that summary, all checked
   against hand-computed truth;
 * summary caching: the same bounded ask twice is one rollup and one
@@ -139,7 +139,7 @@ def run(artifacts):
         summary["headline"] = (
             f"five shapes rolled up over TCP "
             f"({summary['site_counters']['top']['partials_fetched']} "
-            f"partial-aggregate subqueries from 'top'), repeat ask "
+            f"partials fetched by 'top'), repeat ask "
             f"summary-served, derived sensor 'spread' re-fired to "
             f"{sensor.last_value:g}.")
         return problems, summary

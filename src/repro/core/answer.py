@@ -57,10 +57,14 @@ class Subquery:
     ``served_by`` is the tag of an ask another site answered in its
     owner's place (read failover): the completeness report's
     ``served_by_replica`` entry, ``None`` for an ordinary reply.
+    ``fold`` marks a rollup's ask (:mod:`repro.agg`): ``(step, bound)``,
+    the last step its owner's fold reads off each match and the ask's
+    freshness bound, so the owner answers it with a partial; ``None``
+    for a path ask.
     """
 
     __slots__ = ("query", "anchor_path", "reason", "consumed",
-                 "descendant_gap", "subtree", "served_by")
+                 "descendant_gap", "subtree", "served_by", "fold")
 
     # Reasons mirror the QEG cases of Section 3.5 / 4.
     INCOMPLETE = "incomplete"            # only the node's ID is stored
@@ -79,6 +83,7 @@ class Subquery:
         self.descendant_gap = descendant_gap
         self.subtree = subtree
         self.served_by = None
+        self.fold = None
 
     def __repr__(self):
         return f"Subquery({self.query!r}, reason={self.reason})"

@@ -17,8 +17,8 @@ depth > 0 (fetch the subtree, then evaluate).
 The last round's walk is the answer: its gap-free final-step matches,
 copied clean, are the user's result.  Freshness is the walk's alone: the
 driver passes it the *vouched* elements -- data this gather merged from
-a reply, or served under ``stale_on_error`` -- and any other copy too
-old for its bound is asked for again.  Every ask goes out exactly as the
+a reply -- and any other copy too old for its bound is asked for
+again.  Every ask goes out exactly as the
 walk wrote it, carrying the caller's own bound, so every reply vouches
 for what it carries; an answered ask is not repeated, so a copy the
 owner's reply left out matches nothing.
@@ -28,11 +28,9 @@ import threading
 
 from repro.core.database import SensorDatabase
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
-from repro.core.idable import iter_idable
-from repro.core.answer import Subquery
 from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
 from repro.core.semcache import canonicalize
-from repro.core.status import clean_copy, get_status
+from repro.core.status import clean_copy
 from repro.obs.tracing import TRACER
 from repro.xpath.ast import FunctionCall, LocationPath, VariableReference
 from repro.xpath.evaluator import Evaluator
@@ -56,16 +54,12 @@ class SubqueryFailure:
     ``causes`` lists what every attempt saw, last entry last.
     """
 
-    __slots__ = ("subquery", "attempts", "causes", "stale_served",
-                 "replica_too_stale")
+    __slots__ = ("subquery", "attempts", "causes", "replica_too_stale")
 
     def __init__(self, subquery, attempts, causes=()):
         self.subquery = subquery
         self.attempts = attempts
         self.causes = [str(cause) for cause in causes]
-        #: Set by the driver when ``stale_on_error`` served the cached
-        #: copy of this region beyond its freshness bound.
-        self.stale_served = False
         #: Set by read failover when a ring peer held a copy of the
         #: region too old for the ask's own freshness bound -- the
         #: region is still excised from the answer, the completeness
@@ -100,10 +94,8 @@ class GatherOutcome:
     """Everything a gather run produced, for answering and accounting.
 
     ``failures`` holds one :class:`SubqueryFailure` per subquery that
-    exhausted its budget; an outcome with only ``stale_served``
-    failures still counts as *complete* (every region is represented,
-    some beyond its freshness bound), which
-    :meth:`completeness_report` spells out for machine consumption.
+    exhausted its budget, which :meth:`completeness_report` spells out
+    for machine consumption.
     """
 
     def __init__(self, result, rounds, subqueries_sent, view, failures=()):
@@ -137,23 +129,19 @@ class GatherOutcome:
     @property
     def complete(self):
         """Whether every queried region is represented in the answer."""
-        return not any(not failure.stale_served
-                       for failure in self.failures)
+        return not self.failures
 
     @property
     def unreachable_paths(self):
-        """Sorted, deduplicated anchor id-paths of unserved failures."""
+        """Sorted, deduplicated anchor id-paths of the failures."""
         return tuple(sorted({failure.subquery.anchor_path
-                             for failure in self.failures
-                             if not failure.stale_served}))
+                             for failure in self.failures}))
 
     def completeness_report(self):
         """The machine-readable partial-answer contract.
 
         ``unreachable`` lists regions absent from the answer (with the
         subquery, attempt count and per-attempt causes);
-        ``stale_served`` lists regions served from cache beyond their
-        freshness bound under ``stale_on_error``;
         ``served_by_replica`` lists regions a replica answered for a
         dead owner (fresh per the query's bound -- still complete);
         ``replica_too_stale`` lists regions a replica held but refused
@@ -163,10 +151,7 @@ class GatherOutcome:
         return {
             "complete": self.complete,
             "unreachable": [failure.report() for failure in self.failures
-                            if not failure.stale_served
-                            and not failure.replica_too_stale],
-            "stale_served": [failure.report() for failure in self.failures
-                             if failure.stale_served],
+                            if not failure.replica_too_stale],
             "served_by_replica": [dict(subquery.served_by)
                                   for subquery in self.replica_served],
             "replica_too_stale": [failure.report()
@@ -237,8 +222,7 @@ class GatherDriver:
 
     MAX_ROUNDS = 12
 
-    def __init__(self, database, send, schema=None, cache_results=True,
-                 stale_on_error=False):
+    def __init__(self, database, send, schema=None, cache_results=True):
         self.database = database
         self.send = send
         #: Always ``None``: ``send`` takes whole rounds.  Kept because the
@@ -247,7 +231,6 @@ class GatherDriver:
         self.send_many = None
         self.schema = schema
         self.cache_results = cache_results
-        self.stale_on_error = stale_on_error
         self._stats_lock = threading.Lock()
         self.stats = {
             "queries": 0,
@@ -257,7 +240,6 @@ class GatherDriver:
             "max_fanout": 0,
             "failed_subqueries": 0,
             "partial_gathers": 0,
-            "stale_served": 0,
             "prewarm_queries": 0,
             "replica_served": 0,
         }
@@ -345,8 +327,6 @@ class GatherDriver:
                             # ``answered``: a failed fetch is not
                             # authoritative for anything, so it must not
                             # subsume narrower asks.
-                            self._note_failure(reply, subquery, view,
-                                               vouched)
                             failures.append(reply)
                             continue
                         answered.append(subquery)
@@ -375,30 +355,10 @@ class GatherDriver:
                 if not sent:
                     self.stats["local_hits"] += 1
                 self.stats["failed_subqueries"] += len(failures)
-                self.stats["stale_served"] += sum(
-                    1 for failure in failures if failure.stale_served)
-                if any(not failure.stale_served for failure in failures):
+                if failures:
                     self.stats["partial_gathers"] += 1
                 self.stats["replica_served"] += len(outcome.replica_served)
             return outcome
-
-    def _note_failure(self, failure, subquery, view, vouched):
-        """Classify a terminal failure: stale-servable or unreachable.
-
-        The freshness relaxation only applies to STALE-reason asks --
-        the cached copy of the region is fully materialized, merely
-        older than the query's consistency bound -- and only when the
-        driver opted into ``stale_on_error``; the region is then vouched
-        for, so the walk serves it.  Everything else stays unreachable:
-        the walk keeps asking for it, and so never matches it.
-        """
-        if not self.stale_on_error or subquery.reason != Subquery.STALE:
-            return
-        anchor = view.find(subquery.anchor_path)
-        if anchor is not None and \
-                get_status(anchor).has_local_information:
-            failure.stale_served = True
-            vouched.update(iter_idable(anchor))
 
     # ------------------------------------------------------------------
     def answer_user_query(self, query, now=None):
@@ -407,7 +367,7 @@ class GatherDriver:
         *results* are clean copies (no ``status``) of the last QEG
         round's gap-free final-step matches -- the XPath answer.  A
         region whose fetch failed is asked for to the end and so
-        matches nothing, unless ``stale_on_error`` served it.
+        matches nothing.
         """
         outcome = self.gather(query, now=now, ships=False)
         return [clean_copy(match) for match in outcome.matches], outcome

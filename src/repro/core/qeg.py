@@ -1072,8 +1072,8 @@ def run_qeg(db, pattern, now=None, observer=None, vouched=(), ships=True):
     receives every emitted subquery and per-IDable-node verdict --
     the EXPLAIN hook, ``None`` (free) outside explain runs;
     *vouched* holds the IDable elements whose cached data this gather
-    got from a reply to an exact ask, or served under
-    ``stale_on_error``: no freshness bound makes them stale;
+    got from a reply to an exact ask: no freshness bound makes them
+    stale;
     *ships* false: the answer is never read, so the walk records none
     (``answer`` is ``None``) and only asks for what its matches lack.
     """

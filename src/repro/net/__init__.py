@@ -29,8 +29,6 @@ from repro.net.load import PathLoadTracker
 from repro.net.messages import (
     AckMessage,
     AnswerMessage,
-    BatchAnswerMessage,
-    BatchQueryMessage,
     ErrorMessage,
     Message,
     QueryMessage,
@@ -78,8 +76,6 @@ __all__ = [
     "Message",
     "QueryMessage",
     "AnswerMessage",
-    "BatchQueryMessage",
-    "BatchAnswerMessage",
     "ErrorMessage",
     "UpdateMessage",
     "AckMessage",

@@ -7,6 +7,7 @@ simulator's communication cost model.
 """
 
 import itertools
+from collections import namedtuple
 
 from repro.net.errors import MessageError
 from repro.obs.tracing import TraceContext
@@ -28,9 +29,10 @@ def _next_id():
 def register_kind(cls):
     """Class decorator: make *cls* decodable under its ``kind``.
 
-    The kind-keyed envelope is the wire's one extension surface: a
-    subsystem package registers its own kinds on import, and a process
-    that never imported it rejects them as undecodable.
+    Every kind the system sends is registered here, in this module: a
+    subsystem's asks travel as ``query`` items, so the seam adds
+    handlers, not kinds.  A kind no registered class has is rejected as
+    undecodable.
     """
     if _KINDS.setdefault(cls.kind, cls) is not cls:
         raise ValueError(f"message kind {cls.kind!r} is already registered")
@@ -81,14 +83,13 @@ def encode_fragment(fragment):
     return holder
 
 
-def decode_fragment(parent):
-    """The fragment under *parent*'s ``<fragment>`` holder, detached
-    from the envelope, or ``None`` when the holder is absent or empty.
+def decode_fragment(holder):
+    """The fragment in a ``<fragment>`` *holder*, detached from the
+    envelope, or ``None`` when the holder is absent or empty.
 
     The parsed envelope is private to :meth:`Message.decode`, so the
     subtree is handed over rather than copied.
     """
-    holder = parent.child("fragment")
     if holder is None:
         return None
     fragment = next(holder.element_children(), None)
@@ -254,17 +255,33 @@ def _brief(value):
     return text if len(text) <= 60 else f"{text[:57]}...{text[-1]}"
 
 
+#: One item of a ``query``: the ask's text, plus -- for a rollup's ask
+#: -- *fold*, the last step its owner's fold reads off each match
+#: (``"."``: the match itself), and *bound*, the ask's tightest
+#: freshness bound in seconds (``None``: none).
+Ask = namedtuple("Ask", "query fold bound", defaults=(None, None))
+
+#: One item's reply in an ``answer``: the *holder* it travels in
+#: (``fragment``, ``scalar``, ``results`` or ``state``), its *value*,
+#: and *left*, the reasons of what a ``no_forward`` ask left unanswered.
+ItemAnswer = namedtuple("ItemAnswer", "holder value left", defaults=((),))
+
+
 @register_kind
 class QueryMessage(Message):
-    """A user query or an inter-site subquery.
+    """A user query, or one or more asks of a peer, answered in order.
 
-    ``now`` pins the query's clock reading so consistency predicates
-    are evaluated against the asking site's notion of time; ``scalar``
-    marks a scalar or aggregate query answered with a value (never a
-    gather's subquery); ``user`` distinguishes user queries
-    (answered with clean result lists) from subqueries (answered with
-    generalized wire fragments).  ``no_forward`` asks the site to
-    answer from its own fragment and forward nothing (read failover
+    *query* is one query text or a list of items (texts or
+    :class:`Ask`), kept as ``items``; ``query`` reads the first.  A
+    rollup's item carries its fold's last step and bound, and its owner
+    answers it with a partial.  ``now`` pins the query's clock reading
+    so consistency predicates are evaluated against the asking site's
+    notion of time; ``scalar`` marks a scalar or aggregate query
+    answered with a value (never a gather's ask); ``user``
+    distinguishes user queries (answered with clean result lists) from
+    asks (answered with generalized wire fragments).  A ``scalar`` or
+    ``user`` query has exactly one item.  ``no_forward`` asks the site
+    to answer from its own fragment and forward nothing (read failover
     asking a dead owner's ring peer); its reply lists what was left
     unanswered.  Encoded only when set.
     """
@@ -274,11 +291,20 @@ class QueryMessage(Message):
     def __init__(self, query, now=None, scalar=False, user=False,
                  no_forward=False, sender=None, message_id=None):
         super().__init__(sender=sender, message_id=message_id)
-        self.query = query
+        items = [query] if isinstance(query, str) else query
+        self.items = [item if isinstance(item, Ask) else Ask(item)
+                      for item in items]
+        if not self.items or (scalar or user) and len(self.items) > 1:
+            raise ValueError(f"a query cannot carry {len(self.items)} "
+                             f"{'scalar ' if scalar else ''}asks")
         self.now = now
         self.scalar = scalar
         self.user = user
         self.no_forward = no_forward
+
+    @property
+    def query(self):
+        return self.items[0].query
 
     def _fill(self, envelope):
         if self.now is not None:
@@ -287,18 +313,30 @@ class QueryMessage(Message):
         envelope.set("user", "1" if self.user else "0")
         if self.no_forward:
             envelope.set("noforward", "1")
-        envelope.append(Element("q", text=self.query))
+        for item in self.items:
+            holder = Element("q", text=item.query)
+            if item.fold is not None:
+                holder.set("fold", item.fold)
+                if item.bound is not None:
+                    holder.set("bound", repr(float(item.bound)))
+            envelope.append(holder)
 
     @staticmethod
     def _parse(envelope):
         now = envelope.get("now")
         return {
-            "query": envelope.child("q").text or "",
-            "now": float(now) if now is not None else None,
+            "query": [Ask(holder.text or "", holder.get("fold"),
+                          _optional_float(holder.get("bound")))
+                      for holder in envelope.element_children("q")],
+            "now": _optional_float(now),
             "scalar": envelope.get("scalar") == "1",
             "user": envelope.get("user") == "1",
             "no_forward": envelope.get("noforward") == "1",
         }
+
+
+def _optional_float(text):
+    return float(text) if text is not None else None
 
 
 def _encode_left(holder, left):
@@ -314,15 +352,24 @@ def _decode_left(holder):
 
 @register_kind
 class AnswerMessage(Message):
-    """The reply to a :class:`QueryMessage`.
+    """The reply to a :class:`QueryMessage`: ``answers``, one
+    :class:`ItemAnswer` per item, in order.
 
-    Carries a wire fragment (subqueries), a scalar (scalar queries)
-    or a list of clean result elements (user queries).  *completeness*
-    is an optional machine-readable report (see
+    An item's answer travels in one holder: a wire fragment (an ask;
+    ``None`` when the remote had nothing), a scalar (a scalar query), a
+    list of clean result elements (a user query) or a ``state`` (a
+    rollup's ask: the owner's merge-state, ``{region id_path:
+    (Partial, as_of)}``).  The keywords build a one-item answer;
+    ``fragment``, ``scalar``, ``results`` and ``left`` read the first
+    item that has one.  A one-item answer keeps its ``left``
+    on the envelope and sends no holder for nothing; with several
+    items, each holder carries its own ``left`` and an empty
+    ``<fragment/>`` stands for nothing.  *completeness* is an optional
+    machine-readable report (see
     :meth:`~repro.core.gather.GatherOutcome.completeness_report`)
-    attached only when the answer is partial or served stale data --
+    attached only when the answer is partial or replica-served --
     complete answers encode byte-identically to a report-free reply.
-    *left* answers a ``no_forward`` query: the reasons (``Subquery``
+    *left* answers a ``no_forward`` ask: the reasons (``Subquery``
     reasons, ``stale-cache`` for a copy too old for the ask's bound) of
     the asks the site left unanswered, empty when it answered all.
     """
@@ -330,50 +377,127 @@ class AnswerMessage(Message):
     kind = "answer"
 
     def __init__(self, in_reply_to, fragment=None, scalar=None, results=None,
-                 completeness=None, left=(), sender=None, message_id=None):
+                 completeness=None, left=(), answers=None, sender=None,
+                 message_id=None):
         super().__init__(sender=sender, message_id=message_id)
         self.in_reply_to = in_reply_to
-        self.fragment = fragment
-        self.scalar = scalar
-        self.results = results
+        if answers is None:
+            answers = [ItemAnswer(holder, value) for holder, value in (
+                ("scalar", scalar), ("fragment", fragment),
+                ("results", results)) if value is not None] or \
+                [ItemAnswer("fragment", None)]
+            answers[0] = answers[0]._replace(left=tuple(left))
+        self.answers = list(answers)
         self.completeness = completeness
-        self.left = tuple(left)
+
+    def _first(self, holder):
+        return next((answer.value for answer in self.answers
+                     if answer.holder == holder), None)
+
+    @property
+    def fragment(self):
+        return self._first("fragment")
+
+    @property
+    def scalar(self):
+        return self._first("scalar")
+
+    @property
+    def results(self):
+        return self._first("results")
+
+    @property
+    def left(self):
+        return self.answers[0].left
 
     def _fill(self, envelope):
         envelope.set("replyTo", str(self.in_reply_to))
-        _encode_left(envelope, self.left)
+        one = len(self.answers) == 1
+        if one:
+            _encode_left(envelope, self.left)
         if self.completeness is not None:
             envelope.append(_encode_completeness(self.completeness))
-        if self.scalar is not None:
-            envelope.append(_encode_scalar(self.scalar))
-        if self.fragment is not None:
-            envelope.append(encode_fragment(self.fragment))
-        if self.results is not None:
-            envelope.append(_encode_results(self.results))
+        for answer in self.answers:
+            if one and answer.value is None:
+                continue
+            holder = _encode_holder(answer.holder, answer.value)
+            if not one:
+                _encode_left(holder, answer.left)
+            envelope.append(holder)
 
     @staticmethod
     def _parse(envelope):
-        scalar = None
-        results = None
-        scalar_holder = envelope.child("scalar")
-        if scalar_holder is not None:
-            scalar = _decode_scalar(scalar_holder)
-        results_holder = envelope.child("results")
-        if results_holder is not None:
-            results = _decode_results(results_holder)
         completeness_holder = envelope.child("completeness")
-        completeness = (
-            _decode_completeness(completeness_holder)
-            if completeness_holder is not None else None
-        )
+        holders = [holder for holder in envelope.element_children()
+                   if holder is not completeness_holder]
+        if len(holders) > 1:
+            answers = [ItemAnswer(holder.tag, _decode_holder(holder),
+                                  _decode_left(holder))
+                       for holder in holders]
+        elif holders:
+            answers = [ItemAnswer(holders[0].tag,
+                                  _decode_holder(holders[0]),
+                                  _decode_left(envelope))]
+        else:
+            answers = [ItemAnswer("fragment", None, _decode_left(envelope))]
         return {
             "in_reply_to": int(envelope.get("replyTo")),
-            "fragment": decode_fragment(envelope),
-            "scalar": scalar,
-            "results": results,
-            "completeness": completeness,
-            "left": _decode_left(envelope),
+            "answers": answers,
+            "completeness": (
+                _decode_completeness(completeness_holder)
+                if completeness_holder is not None else None),
         }
+
+
+def _encode_holder(holder, value):
+    """The ``<holder>`` element an item's *value* travels in."""
+    if holder == "fragment":
+        return Element("fragment") if value is None \
+            else encode_fragment(value)
+    if holder == "scalar":
+        return _encode_scalar(value)
+    if holder == "results":
+        return _encode_results(value)
+    if holder == "state":
+        return _encode_state(value)
+    raise ValueError(f"no answer holder {holder!r}")
+
+
+def _decode_holder(holder):
+    """The value an item's *holder* carries, detached from the envelope."""
+    if holder.tag == "fragment":
+        return decode_fragment(holder)
+    if holder.tag == "scalar":
+        return _decode_scalar(holder)
+    if holder.tag == "results":
+        return _decode_results(holder)
+    if holder.tag == "state":
+        return _decode_state(holder)
+    raise ValueError(f"no answer holder {holder.tag!r}")
+
+
+def _encode_state(state):
+    """A ``<state>`` holder: one ``<part>`` per region, the partial's
+    exact encoding (see :meth:`repro.agg.partial.Partial.to_attrs`) and
+    its as-of time ``ts``, so any merge order at the asker reproduces
+    the same aggregate."""
+    holder = Element("state")
+    for region in sorted(state, key=repr):
+        partial, as_of = state[region]
+        part = Element("part", attrib=partial.to_attrs())
+        part.set("ts", repr(float(as_of)))
+        part.append(encode_id_path(region))
+        holder.append(part)
+    return holder
+
+
+def _decode_state(holder):
+    # The agent's world loads aggregation: by the first decode it is in.
+    from repro.agg.partial import Partial
+
+    return {decode_id_path(part.child("path")):
+            (Partial.from_attrs(part.attrib), float(part.get("ts")))
+            for part in holder.element_children("part")}
 
 
 def _encode_results(results):
@@ -411,7 +535,7 @@ def _encode_completeness(report):
     holder = Element("completeness", attrib={
         "complete": "1" if report.get("complete") else "0",
     })
-    for section in ("unreachable", "stale_served", "replica_too_stale"):
+    for section in ("unreachable", "replica_too_stale"):
         for entry in report.get(section, ()):
             item = Element("miss", attrib={
                 "section": section,
@@ -443,7 +567,6 @@ def _decode_completeness(holder):
     report = {
         "complete": holder.get("complete") == "1",
         "unreachable": [],
-        "stale_served": [],
         "served_by_replica": [],
         "replica_too_stale": [],
     }
@@ -472,103 +595,6 @@ def _decode_completeness(holder):
             "age": float(item.get("age") or 0.0),
         })
     return report
-
-
-@register_kind
-class BatchQueryMessage(Message):
-    """Several subqueries for one destination site in one envelope.
-
-    One gather round often asks the same remote site for several
-    independent nodes; batching ships them in a single framed request
-    (one round-trip, one dispatch at the remote) instead of one wire
-    exchange per ask.  ``items`` is a list of ``(query, scalar)``
-    pairs, answered positionally by a :class:`BatchAnswerMessage`.
-    ``no_forward`` is :class:`QueryMessage`'s, for every item.
-    """
-
-    kind = "batch-query"
-
-    def __init__(self, items, now=None, no_forward=False, sender=None,
-                 message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.items = [(query, bool(scalar)) for query, scalar in items]
-        self.now = now
-        self.no_forward = no_forward
-
-    def _fill(self, envelope):
-        if self.now is not None:
-            envelope.set("now", repr(float(self.now)))
-        if self.no_forward:
-            envelope.set("noforward", "1")
-        for query, scalar in self.items:
-            envelope.append(Element("sub",
-                                    attrib={"scalar": "1" if scalar else "0"},
-                                    text=query))
-
-    @staticmethod
-    def _parse(envelope):
-        now = envelope.get("now")
-        return {
-            "items": [(sub.text or "", sub.get("scalar") == "1")
-                      for sub in envelope.element_children("sub")],
-            "now": float(now) if now is not None else None,
-            "no_forward": envelope.get("noforward") == "1",
-        }
-
-    def __len__(self):
-        return len(self.items)
-
-
-@register_kind
-class BatchAnswerMessage(Message):
-    """Positional replies to a :class:`BatchQueryMessage`.
-
-    ``answers`` holds one entry per batched item, in request order:
-    a wire fragment :class:`~repro.xmlkit.nodes.Element`, a scalar
-    wrapped as ``("scalar", value)``, or ``None`` when the remote had
-    nothing.  ``lefts`` answers a ``no_forward`` batch: one
-    :class:`AnswerMessage` ``left`` per item (``[]`` when no item left
-    anything unanswered).
-    """
-
-    kind = "batch-answer"
-
-    def __init__(self, in_reply_to, answers, lefts=(), sender=None,
-                 message_id=None):
-        super().__init__(sender=sender, message_id=message_id)
-        self.in_reply_to = in_reply_to
-        self.answers = list(answers)
-        self.lefts = [tuple(left) for left in lefts] if any(lefts) else []
-
-    def _fill(self, envelope):
-        envelope.set("replyTo", str(self.in_reply_to))
-        for index, answer in enumerate(self.answers):
-            item = Element("item")
-            if self.lefts:
-                _encode_left(item, self.lefts[index])
-            if isinstance(answer, tuple) and answer and \
-                    answer[0] == "scalar":
-                item.append(_encode_scalar(answer[1]))
-            elif answer is not None:
-                item.append(encode_fragment(answer))
-            envelope.append(item)
-
-    @staticmethod
-    def _parse(envelope):
-        answers = []
-        lefts = []
-        for item in envelope.element_children("item"):
-            lefts.append(_decode_left(item))
-            scalar_holder = item.child("scalar")
-            if scalar_holder is not None:
-                answers.append(("scalar", _decode_scalar(scalar_holder)))
-            else:
-                answers.append(decode_fragment(item))
-        return {"in_reply_to": int(envelope.get("replyTo")),
-                "answers": answers, "lefts": lefts}
-
-    def __len__(self):
-        return len(self.answers)
 
 
 @register_kind
@@ -703,4 +729,4 @@ class ReplicateMessage(Message):
 
     @staticmethod
     def _parse(envelope):
-        return {"fragment": decode_fragment(envelope)}
+        return {"fragment": decode_fragment(envelope.child("fragment"))}

@@ -41,9 +41,9 @@ from repro.net.load import PathLoadTracker
 from repro.net.messages import (
     AckMessage,
     AnswerMessage,
-    BatchAnswerMessage,
-    BatchQueryMessage,
+    Ask,
     ErrorMessage,
+    ItemAnswer,
     QueryMessage,
     ReplicateMessage,
     UpdateMessage,
@@ -122,32 +122,24 @@ def _guarded(method):
     return guarded
 
 
-def ask(request, queries, now, sender, no_forward=False):
-    """One ask exchange: ``[(fragment, left)]`` for *queries*, in order.
+def ask(request, asks, now, sender, no_forward=False):
+    """One ask exchange: ``[(answer, left)]`` for *asks*, in order.
 
-    The one place an ask envelope is built: a ``query`` for one ask, a
-    ``batch-query`` for several, flagged ``no_forward`` for an answer
+    The one place an ask envelope is built: one ``query`` carrying
+    *asks* (query texts, or :class:`~repro.net.messages.Ask` items a
+    rollup marked for a fold), flagged ``no_forward`` for an answer
     from the asked site's fragment alone (*left*: what it left
-    unanswered).  *request(message, expect)* returns the reply; one of
-    another kind or count raises :class:`NetError`.
+    unanswered).  *answer* is a wire fragment, ``None``, or a fold
+    item's merge-state.  *request(message, expect)* returns the reply;
+    one that does not answer every ask raises :class:`NetError`.
     """
-    if len(queries) == 1:
-        message = QueryMessage(queries[0], now=now, no_forward=no_forward,
-                               sender=sender)
-        expect = AnswerMessage
-    else:
-        message = BatchQueryMessage([(query, False) for query in queries],
-                                    now=now, no_forward=no_forward,
-                                    sender=sender)
-        expect = BatchAnswerMessage
-    reply = request(message, expect)
-    if not isinstance(reply, expect) or (
-            expect is BatchAnswerMessage and len(reply) != len(queries)):
+    reply = request(QueryMessage(asks, now=now, no_forward=no_forward,
+                                 sender=sender), AnswerMessage)
+    if not isinstance(reply, AnswerMessage) or \
+            len(reply.answers) != len(asks):
         raise NetError(f"a {type(reply).__name__} does not answer "
-                       f"{len(queries)} asks")
-    if expect is AnswerMessage:
-        return [(reply.fragment, reply.left)]
-    return list(zip(reply.answers, reply.lefts or [()] * len(queries)))
+                       f"{len(asks)} asks")
+    return [(answer.value, answer.left) for answer in reply.answers]
 
 
 class OAConfig:
@@ -183,11 +175,6 @@ class OAConfig:
         goes through (see :meth:`OrganizingAgent.request`):
         a :class:`~repro.net.retry.BreakerPolicy`, ``None`` for the
         default, or ``False`` to disable breaking entirely.
-    ``stale_on_error``
-        serve a fully-cached region beyond its freshness bound when
-        its refresh fails terminally -- an explicit relaxation of the
-        paper's query-based consistency (Section 4), reported under
-        ``stale_served`` in the completeness report.  Off by default.
     ``subsystems``
         config objects of the opt-in subsystems this agent runs (read
         replication, the load balancer, durability's journal; see
@@ -199,12 +186,11 @@ class OAConfig:
     """
 
     def __init__(self, cache_results=True, executor=None, retry_policy=None,
-                 breaker=None, stale_on_error=False, subsystems=()):
+                 breaker=None, subsystems=()):
         self.cache_results = cache_results
         self.executor = executor
         self.retry_policy = retry_policy
         self.breaker = breaker
-        self.stale_on_error = stale_on_error
         self.subsystems = tuple(subsystems)
 
 
@@ -248,7 +234,6 @@ class OrganizingAgent:
             send=self._send_subqueries,
             schema=schema,
             cache_results=self.config.cache_results,
-            stale_on_error=self.config.stale_on_error,
         )
         #: Per-anchor served-query counters (always on: strictly local
         #: state, no wire traffic, no clock reads).
@@ -273,7 +258,6 @@ class OrganizingAgent:
         }
         self._handlers = {
             QueryMessage: self._handle_query,
-            BatchQueryMessage: self._handle_asks,
             UpdateMessage: self._handle_update,
             ReplicateMessage: self._handle_replicate,
         }
@@ -419,9 +403,9 @@ class OrganizingAgent:
           reply kind, an exception escaping a loopback handler.
 
         *gated* is the one distinction between callers.  Asks with
-        somewhere else to go pass the gate: subqueries, partial-
-        aggregate asks and failover asks degrade to a partial answer,
-        the naive path or the next replica.  A migration's push and a
+        somewhere else to go pass the gate: subqueries (a rollup's
+        among them) and failover asks degrade to a partial answer or
+        the next replica.  A migration's push and a
         forwarded update have no alternative peer -- a refusal loses an
         ownership move or an update -- so they pass
         ``gated=False``: an open circuit does not refuse them, their
@@ -479,9 +463,10 @@ class OrganizingAgent:
         """
         policy = self.retry_policy
         deadline = Deadline(policy.deadline)
-        queries = [subquery.query for subquery in subqueries]
-        span = "send-subquery" if len(queries) == 1 else "send-batch"
-        backoff_key = (self.site_id, target, queries[0])
+        asks = [Ask(subquery.query, *(subquery.fold or ()))
+                for subquery in subqueries]
+        span = "send-subquery" if len(asks) == 1 else "send-batch"
+        backoff_key = (self.site_id, target, asks[0].query)
         causes = []
         attempts = 0
         while True:
@@ -489,8 +474,8 @@ class OrganizingAgent:
             try:
                 replies = ask(functools.partial(self.request, target,
                                                 span=span),
-                              queries, self.clock(), self.site_id)
-                return [fragment for fragment, _left in replies]
+                              asks, self.clock(), self.site_id)
+                return [answer for answer, _left in replies]
             except CircuitOpenError as exc:
                 causes.append(str(exc))
             except RemoteError as exc:
@@ -600,15 +585,13 @@ class OrganizingAgent:
                              completeness=completeness, sender=self.site_id)
 
     def _handle_asks(self, message):
-        """Reply to a ``batch-query``, or a ``query`` that is not a
-        user's, with one :meth:`_answer_ask` per ask; a ``no_forward``
-        ask that is not a path refuses the message whole."""
-        batch = isinstance(message, BatchQueryMessage)
-        items = message.items if batch else [(message.query, message.scalar)]
+        """Reply to a ``query`` that is not a user's with one
+        :meth:`_answer_ask` per item, in order; a ``no_forward`` item
+        that is not a path refuses the message whole."""
         try:
-            answers = [self._answer_ask(query, scalar, message.now,
+            answers = [self._answer_ask(item, message.scalar, message.now,
                                         message.no_forward)
-                       for query, scalar in items]
+                       for item in message.items]
         except UnsupportedDistributedQueryError as exc:
             if not message.no_forward:
                 raise
@@ -616,35 +599,37 @@ class OrganizingAgent:
                 message.message_id, code="not-forwardable",
                 detail=f"a no_forward ask must be a path: {exc}",
                 retryable=False, sender=self.site_id)
-        if batch:
-            return BatchAnswerMessage(
-                message.message_id, answers=[answer for answer, _ in answers],
-                lefts=[left for _, left in answers], sender=self.site_id)
-        [(answer, left)] = answers
-        if message.scalar:
-            return AnswerMessage(message.message_id, scalar=answer[1],
-                                 sender=self.site_id)
-        return AnswerMessage(message.message_id, fragment=answer, left=left,
+        return AnswerMessage(message.message_id, answers=answers,
                              sender=self.site_id)
 
-    def _answer_ask(self, query, scalar, now, no_forward):
-        """One peer's ask, whichever envelope carried it: ``(answer,
-        left)``, *answer* a wire fragment or ``("scalar", value)``.  A
-        ``no_forward`` ask must be a path (else this raises
+    def _answer_ask(self, item, scalar, now, no_forward):
+        """One peer's :class:`~repro.net.messages.Ask` *item*, as an
+        :class:`~repro.net.messages.ItemAnswer`.  A ``no_forward`` item
+        must be a path (else this raises
         :class:`UnsupportedDistributedQueryError` before serving it) and
         is answered from this site's fragment alone; then a scalar gets
-        a value; anything else goes to the driver."""
-        if no_forward and scalar:
-            raise UnsupportedDistributedQueryError(f"{query!r} is scalar")
+        a value, and a fold item its partial when this site can fold it
+        (:meth:`~repro.agg.manager.AggregationManager.answer_fold`);
+        anything else goes to the driver as a path."""
+        query = item.query
+        if no_forward and (scalar or item.fold is not None):
+            raise UnsupportedDistributedQueryError(
+                f"{query!r} is {'scalar' if scalar else 'folded'}")
         if no_forward:
             self.driver.compile(query)  # raises for any other non-path
         self.load.record_path(query_anchor(query, self.schema))
         self.stats["subqueries_served"] += 1
         if no_forward:
-            return self.driver.answer_unforwarded(query, now=now)
+            return ItemAnswer("fragment",
+                              *self.driver.answer_unforwarded(query, now=now))
         if scalar:
-            return ("scalar", self.answer_scalar(query, now=now)), ()
-        return self.driver.answer_any(query, now=now), ()
+            return ItemAnswer("scalar", self.answer_scalar(query, now=now))
+        if item.fold is not None:
+            state = self.aggregation.answer_fold(query, item.fold,
+                                                 item.bound, now)
+            if state is not None:
+                return ItemAnswer("state", state)
+        return ItemAnswer("fragment", self.driver.answer_any(query, now=now))
 
     @_guarded
     def answer_scalar(self, query, now=None, max_age=None):

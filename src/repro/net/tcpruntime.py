@@ -24,7 +24,6 @@ from repro.net.errors import FrameTooLarge, NetError, UnknownSite
 from repro.net.framing import FrameReader, recv_framed, send_framed
 from repro.net.messages import (
     AnswerMessage,
-    BatchAnswerMessage,
     ErrorMessage,
     Message,
 )
@@ -110,19 +109,18 @@ class AdmissionGate:
 def _release_served(reply):
     """Dispose the trees a served answer was built around.
 
-    The agent built the fragment, the clean results and the batch
-    answers for this reply alone, and once it is encoded only its bytes
-    are sent on, so nothing holds them any more.
+    The agent built every item's fragment or clean results for this
+    reply alone, and once it is encoded only its bytes are sent on, so
+    nothing holds them any more.
     """
-    if isinstance(reply, AnswerMessage):
-        trees = [reply.fragment, *(reply.results or ())]
-    elif isinstance(reply, BatchAnswerMessage):
-        trees = reply.answers
-    else:
+    if not isinstance(reply, AnswerMessage):
         return
-    for tree in trees:
-        if isinstance(tree, Element):
-            tree.dispose()
+    for answer in reply.answers:
+        trees = answer.value if answer.holder == "results" else \
+            [answer.value]
+        for tree in trees:
+            if isinstance(tree, Element):
+                tree.dispose()
 
 
 class _AgentRequestHandler(socketserver.BaseRequestHandler):

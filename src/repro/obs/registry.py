@@ -114,7 +114,7 @@ def fault_counters(agents):
               "dns_refreshes"))
     totals.update(sum_numeric(
         (getattr(agent.driver, "stats", {}) for agent in agents),
-        keys=("failed_subqueries", "partial_gathers", "stale_served")))
+        keys=("failed_subqueries", "partial_gathers")))
     breakers = {}
     for agent in agents:
         snapshot = agent.health_snapshot()

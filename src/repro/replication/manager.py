@@ -18,9 +18,9 @@ cached copy, and failover is an ordinary query:
   reordered older push, the WAL journals it like any cache fill, and
   the site's own users are answered from it like any cache.
 * **Failover client**: when a dispatch group exhausts its retry budget
-  against a dead owner, :meth:`on_dispatch_failure` re-sends the group,
-  unchanged and flagged ``no_forward``, to the owner's ring peers in
-  ring order.  A peer answers from its fragment by the ordinary walk,
+  against a dead owner, :meth:`on_dispatch_failure` re-sends the group
+  as path asks (a rollup's fold item too), flagged ``no_forward``, to
+  the owner's ring peers in ring order.  A peer answers from its fragment by the ordinary walk,
   which applies the ask's own freshness bound, and says which asks it
   left unanswered; a reply that left nothing is served.
 

@@ -7,7 +7,6 @@ discrete-event queues with cost-model service times, which is what
 turns correct answers into the paper's throughput/latency numbers.
 """
 
-from repro.net.messages import QueryMessage, UpdateMessage
 from repro.net.transport import LoopbackNetwork
 
 
@@ -59,13 +58,7 @@ class TracingNetwork(LoopbackNetwork):
         self._stack = []
 
     def request(self, src, dst, message):
-        if isinstance(message, QueryMessage):
-            kind = "query"
-        elif isinstance(message, UpdateMessage):
-            kind = "update"
-        else:
-            kind = message.kind
-        node = TraceNode(dst, kind)
+        node = TraceNode(dst, message.kind)
         if self.count_bytes:
             node.request_size = message.encoded_size()
         if self._stack:

@@ -311,11 +311,7 @@ class TestReleasedTrees:
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_no_disposed_node_is_left_in_a_site_database(
             self, transport, executor, monkeypatch):
-        from repro.net.messages import (
-            AnswerMessage,
-            BatchAnswerMessage,
-            Message,
-        )
+        from repro.net.messages import AnswerMessage, Message
         from repro.net.tcpruntime import TcpCluster
         from repro.xmlkit import Element
 
@@ -340,12 +336,11 @@ class TestReleasedTrees:
 
         def recorded_decode(text):
             message = decode(text)
+            payloads = []
             if isinstance(message, AnswerMessage):
-                payloads = [message.fragment, *(message.results or ())]
-            elif isinstance(message, BatchAnswerMessage):
-                payloads = message.answers
-            else:
-                payloads = []
+                for answer in message.answers:
+                    payloads.extend(answer.value if answer.holder ==
+                                    "results" else [answer.value])
             payload_parents.extend(payload.parent for payload in payloads
                                    if isinstance(payload, Element))
             return message

@@ -1,4 +1,4 @@
-"""Property: the partial-aggregate algebra is a commutative monoid,
+"""Property: the partial aggregate algebra is a commutative monoid,
 and summary-served answers equal the naive fan-out byte-for-byte.
 
 The hierarchy's correctness rests on two algebraic facts the rollup

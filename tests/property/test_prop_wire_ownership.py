@@ -44,8 +44,7 @@ def _old_encode_fragment(fragment):
     return holder
 
 
-def _old_decode_fragment(parent):
-    holder = parent.child("fragment")
+def _old_decode_fragment(holder):
     if holder is None:
         return None
     children = list(holder.element_children())
@@ -122,9 +121,10 @@ def _message_builders():
     builders = {
         "answer": lambda trees: m.AnswerMessage(
             7, fragment=trees[0], sender="oak", message_id=9),
-        "batch-answer": lambda trees: m.BatchAnswerMessage(
-            7, list(trees) + [("scalar", 2.5), None], sender="oak",
-            message_id=9),
+        "items-answer": lambda trees: m.AnswerMessage(
+            7, answers=[m.ItemAnswer("fragment", tree) for tree in trees]
+            + [m.ItemAnswer("scalar", 2.5), m.ItemAnswer("fragment", None)],
+            sender="oak", message_id=9),
         "replicate": lambda trees: m.ReplicateMessage(
             trees[0], sender="oak", message_id=9),
         "results": lambda trees: m.AnswerMessage(
@@ -148,11 +148,14 @@ def _memo_is_transparent(tree):
 
 def _element_payloads(message):
     """Every element *message* carries as a fragment, answer or result."""
-    return [value for value in
-            [getattr(message, "fragment", None)]
-            + list(getattr(message, "answers", None) or ())
-            + list(getattr(message, "results", None) or ())
-            if isinstance(value, Element)]
+    if isinstance(message, m.ReplicateMessage):
+        values = [message.fragment]
+    else:
+        values = []
+        for answer in message.answers:
+            values.extend(answer.value if answer.holder == "results"
+                          else [answer.value])
+    return [value for value in values if isinstance(value, Element)]
 
 
 def _scribble(tree):
@@ -251,7 +254,7 @@ class TestDecodeDetaches:
         assert _fields(decoded) == _fields(_old_decode(text))
         payloads = _element_payloads(decoded)
         assert len(payloads) == len(trees if kind in (
-            "batch-answer", "results") else trees[:1])
+            "items-answer", "results") else trees[:1])
         assert all(payload.parent is None for payload in payloads)
 
     @given(_KINDS, _PAYLOADS)

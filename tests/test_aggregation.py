@@ -18,8 +18,6 @@ from repro.agg import (
     DerivedSensor,
     FormulaError,
     Partial,
-    PartialAggregateAnswer,
-    PartialAggregateRequest,
     SHAPES,
     collapse,
     compile_formula,
@@ -30,7 +28,7 @@ from repro.arch import hierarchical
 from repro.core import PartitionPlan
 from repro.core.errors import UnsupportedDistributedQueryError
 from repro.net import Cluster, NetError, OAConfig
-from repro.net.messages import Message, UpdateMessage
+from repro.net.messages import Ask, QueryMessage, UpdateMessage
 from repro.service import ParkingConfig, build_parking_document, parking
 from repro.smoke import G0_S1, three_site_document, three_site_plan
 from repro.service.scenarios import (
@@ -41,7 +39,7 @@ from repro.service.scenarios import (
     sensor_path,
     update_stream,
 )
-from repro.xmlkit import parse_fragment
+from repro.xmlkit import parse_fragment, serialize
 from repro.xpath import parser as xpath_parser
 
 DOCUMENT = """
@@ -579,38 +577,21 @@ class TestFallbacks:
             assert agent.subsystem("aggregation") is agent.aggregation
         assert cluster.subsystem("aggregation").cluster is cluster
 
-    def test_partial_request_for_unowned_region_errors(self):
+    def test_a_fold_item_at_a_non_owner_is_answered_as_its_path(self):
+        # mid does not own g2: it answers the fold item with the
+        # fragment the path ask gets, and charges no refusal to anyone.
         cluster = build_cluster()
-        message = PartialAggregateRequest(
-            (("region", "R"), ("group", "g2")), ALL_VALUES,
-            sender="tester")
-        reply = cluster.network.request("tester", "mid", message)
-        assert reply.code == "agg-not-owned"
-
-
-# ----------------------------------------------------------------------
-# The wire messages
-# ----------------------------------------------------------------------
-class TestPartialAggregateWire:
-    def test_request_roundtrip(self):
-        message = PartialAggregateRequest(
-            (("region", "R"), ("group", "g1")), ALL_VALUES,
-            bound=60.0, now=123.5, sender="root")
-        decoded = Message.decode(message.encode())
-        assert isinstance(decoded, PartialAggregateRequest)
-        assert decoded.region == message.region
-        assert decoded.query == ALL_VALUES
-        assert decoded.bound == 60.0
-        assert decoded.now == 123.5
-
-    def test_answer_roundtrip_preserves_exact_state(self):
-        state = state_of((("region", "R"),),
-                         Partial.of_values([0.1, 0.2]), 55.25)
-        message = PartialAggregateAnswer(7, state, sender="leaf")
-        decoded = Message.decode(message.encode())
-        assert isinstance(decoded, PartialAggregateAnswer)
-        assert decoded.state == state
-        assert decoded.in_reply_to == 7
+        path = "/region[@id='R']/group[@id='g2']/sensor/value"
+        folded = cluster.network.request(
+            "tester", "mid", QueryMessage([Ask(path, ".", 30.0)],
+                                          sender="tester"))
+        plain = cluster.network.request(
+            "tester", "mid", QueryMessage(path, sender="tester"))
+        [answer] = folded.answers
+        assert answer.holder == "fragment" and answer.value is not None
+        assert serialize(answer.value) == serialize(plain.fragment)
+        counters = cluster.agents["mid"].subsystem("aggregation").metrics()
+        assert counters["partials_served"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -353,13 +353,15 @@ class TestCircuitBreaker:
 
 
 class TestStaleOnError:
+    """A region too old for its bound whose refresh fails is excised:
+    there is no option that serves the stale copy instead."""
+
     STALE_QUERY = (PREFIX + "/neighborhood[@id='Shadyside']"
                    "[timestamp() > current-time() - 30]")
     WARM_QUERY = PREFIX + "/neighborhood[@id='Shadyside']"
 
-    def _warmed_cluster(self, stale_on_error):
-        cluster = make_cluster(OAConfig(retry_policy=fast_retries(),
-                                        stale_on_error=stale_on_error))
+    def _warmed_cluster(self):
+        cluster = make_cluster(OAConfig(retry_policy=fast_retries()))
         results, _, outcome = cluster.query(self.WARM_QUERY, at_site="top")
         assert len(results) == 1 and outcome.complete
         cluster.network.unregister("shady")
@@ -370,24 +372,12 @@ class TestStaleOnError:
         # consistency predicate; by default the walk keeps asking for
         # the region, so nothing in it matches, and reports it
         # unreachable.
-        cluster = self._warmed_cluster(stale_on_error=False)
+        cluster = self._warmed_cluster()
         results, _, outcome = cluster.query(self.STALE_QUERY,
                                             at_site="top", now=1000.0)
         assert results == []
         assert not outcome.complete
         assert outcome.unreachable_paths == (SHADYSIDE,)
-
-    def test_opt_in_serves_stale_cache(self):
-        cluster = self._warmed_cluster(stale_on_error=True)
-        results, _, outcome = cluster.query(self.STALE_QUERY,
-                                            at_site="top", now=1000.0)
-        assert len(results) == 1
-        assert outcome.complete  # every region represented, one stale
-        report = outcome.completeness_report()
-        assert report["unreachable"] == []
-        [stale] = report["stale_served"]
-        assert tuple(tuple(entry) for entry in stale["id_path"]) == SHADYSIDE
-        assert cluster.agent("top").driver.stats["stale_served"] == 1
 
 
 class TestErrorMessageWire:
@@ -953,10 +943,12 @@ def _ask_subquery(deployment):
 
 
 def _ask_batch(deployment):
+    # mid holds several of the groups: one query of several items.
     deployment.cluster.query("/region[@id='R']/group/sensor", at_site="top")
 
 
-def _ask_partial_aggregate(deployment):
+def _ask_fold(deployment):
+    # The rollup's ask goes out as a ``query`` fold item.
     deployment.cluster.scalar(f"sum({G0_SENSORS}/value)", at_site="top")
 
 
@@ -995,9 +987,8 @@ def _straggler_update(deployment):
 #: name -> (asker, peer, wire kind, gated, drive, set-up or None)
 EXCHANGES = {
     "subquery": ("top", "mid", "query", True, _ask_subquery, None),
-    "batch": ("top", "mid", "batch-query", True, _ask_batch, None),
-    "partial-aggregate": ("top", "mid", "partial-agg", True,
-                          _ask_partial_aggregate, None),
+    "batch": ("top", "mid", "query", True, _ask_batch, None),
+    "fold": ("top", "mid", "query", True, _ask_fold, None),
     "failover": ("top", "mid", "query", True, _ask_failover, None),
     "push": ("mid", "leaf", "replicate", False, _delegate, None),
     "re-push": ("mid", "leaf", "replicate", False, _delegate_under_update,
@@ -1142,14 +1133,15 @@ class TestGuardedRequest:
     def test_refused_partial_aggregate_counts_one_breaker_failure(self):
         """Regression: the aggregation manager recorded a success before
         it looked for an ``ErrorMessage``, so a site shedding load was
-        healthy to aggregation and failing to the gather at once."""
+        healthy to aggregation and failing to the gather at once.  A
+        fold item is now an ordinary ask: its refusal is one failure,
+        and the open circuit refuses the retries."""
         with Deployment("loopback") as deployment:
             outcomes = deployment.count_outcomes("top")
-            deployment.network.script["partial-agg", "mid"] = \
-                "retryable-error"
-            _ask_partial_aggregate(deployment)
-            # (The naive fallback's failover then asks spare, mid's
-            # ring peer: a success recorded against spare.)
+            deployment.network.script["query", "mid"] = "retryable-error"
+            _ask_fold(deployment)
+            # (Failover then asks spare, mid's ring peer, for the path:
+            # a success recorded against spare.)
             assert [outcome for outcome in outcomes
                     if outcome[0] == "mid"] == [("mid", "record_failure")]
             snapshot = deployment.agent("top").health_snapshot()["mid"]

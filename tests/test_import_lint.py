@@ -150,12 +150,13 @@ def test_agents_reach_the_wire_through_one_guarded_request():
 # ----------------------------------------------------------------------
 # One ask path: whole rounds in, one function makes every envelope
 # ----------------------------------------------------------------------
-ASK_ENVELOPES = ("QueryMessage", "BatchQueryMessage")
+ASK_ENVELOPES = ("QueryMessage",)
 
 
 def test_one_function_builds_every_ask_envelope():
     files = [SRC / "repro" / "net" / "oa.py",
-             *sorted((SRC / "repro" / "replication").rglob("*.py"))]
+             *sorted((SRC / "repro" / "replication").rglob("*.py")),
+             *sorted((SRC / "repro" / "agg").rglob("*.py"))]
     made_in = {envelope: set() for envelope in ASK_ENVELOPES}
     for path in files:
         name = str(path.relative_to(SRC / "repro"))
@@ -164,6 +165,32 @@ def test_one_function_builds_every_ask_envelope():
                 made_in[callee].add((name, scope))
     assert made_in == {envelope: {("net/oa.py", "ask")}
                         for envelope in ASK_ENVELOPES}
+
+
+def test_only_the_wire_module_defines_message_kinds():
+    # One ask exchange: ``query``/``answer`` carry every ask, and no
+    # subsystem adds an envelope of its own.
+    defined = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    (base.id if isinstance(base, ast.Name) else
+                     getattr(base, "attr", None)) == "Message"
+                    for base in node.bases):
+                defined.append(f"{path.relative_to(SRC)}: {node.name}")
+    assert defined and all(entry.startswith("repro/net/messages.py:")
+                           for entry in defined), defined
+
+
+def test_a_rollup_asks_through_the_dispatcher():
+    # Its asks leave through ``_send_subqueries`` (the driver's
+    # ``send``), never through a request of its own.
+    calls = [(path.name, scope, callee)
+             for path in sorted((SRC / "repro" / "agg").rglob("*.py"))
+             for scope, callee in dotted_calls(path)
+             if callee.endswith("agent.request")]
+    assert calls == []
 
 
 def test_the_gather_driver_takes_whole_rounds():
@@ -217,7 +244,7 @@ def test_no_unused_imports_under_src():
 #: Every tunable an organizing agent has.  Generalization and nesting
 #: strategy are not among them: the plan is the paper's (3.3, 4).
 OA_TUNABLES = ("cache_results", "executor", "retry_policy", "breaker",
-               "stale_on_error", "subsystems")
+               "subsystems")
 PLAN_KNOBS = ("strategy", "generaliz", "nesting", "aggressive", "probe")
 
 

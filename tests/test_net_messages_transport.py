@@ -5,8 +5,6 @@ import pytest
 from repro.net import (
     AckMessage,
     AnswerMessage,
-    BatchAnswerMessage,
-    BatchQueryMessage,
     LoopbackNetwork,
     Message,
     MessageError,
@@ -15,6 +13,7 @@ from repro.net import (
     UnknownSite,
     UpdateMessage,
 )
+from repro.net.messages import Ask, ItemAnswer
 from repro.xmlkit import parse_fragment, trees_equal
 
 
@@ -81,62 +80,58 @@ class TestEncoding:
         assert decoded.sender == "oak"
         assert trees_equal(decoded.fragment, fragment)
 
-    def test_batch_query_roundtrip(self):
-        message = BatchQueryMessage(
-            [("/a[@id='1']/b", False), ("count(/a//spot)", True)],
-            now=42.25, sender="site-3")
+    def test_multi_item_query_roundtrip(self):
+        message = QueryMessage(["/a[@id='1']/b", "/a//spot"], now=42.25,
+                               sender="site-3")
         decoded = Message.decode(message.encode())
-        assert isinstance(decoded, BatchQueryMessage)
-        assert decoded.items == [("/a[@id='1']/b", False),
-                                 ("count(/a//spot)", True)]
+        assert isinstance(decoded, QueryMessage)
+        assert decoded.items == [Ask("/a[@id='1']/b"), Ask("/a//spot")]
+        assert decoded.query == "/a[@id='1']/b"
         assert decoded.now == 42.25
         assert decoded.sender == "site-3"
-        assert len(decoded) == 2
 
-    def test_batch_query_single_item(self):
-        decoded = Message.decode(
-            BatchQueryMessage([("/a", True)]).encode())
-        assert decoded.items == [("/a", True)]
-        assert decoded.now is None
+    def test_one_item_list_encodes_as_the_text(self):
+        assert QueryMessage(["/a"], message_id=1).encode() == \
+            QueryMessage("/a", message_id=1).encode()
 
-    def test_batch_query_empty(self):
-        decoded = Message.decode(BatchQueryMessage([]).encode())
-        assert decoded.items == []
-        assert len(decoded) == 0
+    def test_query_without_items_rejected(self):
+        with pytest.raises(MessageError):
+            Message.decode('<message kind="query" id="1" scalar="0" '
+                           'user="0"/>')
 
-    def test_batch_query_special_characters(self):
+    def test_multi_item_query_special_characters(self):
         query = "/a[price < 5 and name != \"x&y\"]"
         decoded = Message.decode(
-            BatchQueryMessage([(query, False)]).encode())
-        assert decoded.items == [(query, False)]
+            QueryMessage([query, Ask(query, "@p", 5)]).encode())
+        assert decoded.items == [Ask(query), Ask(query, "@p", 5.0)]
 
-    def test_batch_answer_roundtrip(self):
+    def test_multi_item_answer_roundtrip(self):
         fragment = parse_fragment("<a id='1' status='complete'><b/></a>")
-        message = BatchAnswerMessage(
-            11,
-            answers=[fragment, ("scalar", 3.5), None, ("scalar", True)],
+        message = AnswerMessage(11, answers=[
+            ItemAnswer("fragment", fragment), ItemAnswer("fragment", None),
+            ItemAnswer("fragment", None, ("stale-cache",))],
             sender="site-9")
         decoded = Message.decode(message.encode())
-        assert isinstance(decoded, BatchAnswerMessage)
+        assert isinstance(decoded, AnswerMessage)
         assert decoded.in_reply_to == 11
-        assert len(decoded) == 4
-        assert trees_equal(decoded.answers[0], fragment)
-        assert decoded.answers[1] == ("scalar", 3.5)
-        assert decoded.answers[2] is None
-        assert decoded.answers[3] == ("scalar", True)
+        assert len(decoded.answers) == 3
+        assert trees_equal(decoded.answers[0].value, fragment)
+        assert decoded.answers[1] == ("fragment", None, ())
+        assert decoded.answers[2] == ("fragment", None, ("stale-cache",))
 
-    def test_batch_answer_empty(self):
-        decoded = Message.decode(BatchAnswerMessage(5, answers=[]).encode())
+    def test_an_empty_one_item_answer_is_one_item(self):
+        decoded = Message.decode(AnswerMessage(5).encode())
         assert decoded.in_reply_to == 5
-        assert decoded.answers == []
+        assert decoded.answers == [("fragment", None, ())]
 
-    def test_batch_answer_scalar_none_distinct_from_no_answer(self):
-        # A remote that *answered* a scalar probe with None is not the
-        # same as a remote that had nothing for a fragment ask.
-        decoded = Message.decode(
-            BatchAnswerMessage(1, answers=[("scalar", None), None]).encode())
-        assert decoded.answers[0] == ("scalar", None)
-        assert decoded.answers[1] is None
+    def test_answer_scalar_none_distinct_from_no_answer(self):
+        # Among several items, a remote that *answered* a scalar with
+        # None is not the same as a remote that had nothing for an ask.
+        decoded = Message.decode(AnswerMessage(1, answers=[
+            ItemAnswer("scalar", None), ItemAnswer("fragment", None)])
+            .encode())
+        assert decoded.answers[0] == ("scalar", None, ())
+        assert decoded.answers[1] == ("fragment", None, ())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(MessageError):

@@ -155,7 +155,7 @@ SITE_SCHEMA = {
                "serialization"],
     "gather": ["failed_subqueries", "local_hits", "max_fanout",
                "partial_gathers", "prewarm_queries", "queries",
-               "replica_served", "rounds", "stale_served", "subqueries_sent"],
+               "replica_served", "rounds", "subqueries_sent"],
     "load": ["anchors", "queries", "unattributed"],
     "oa": OA_KEYS,
     "semcache": SEMCACHE_KEYS,
@@ -174,7 +174,7 @@ CLUSTER_SCHEMA = {
                "serialization_reuse_ratio", "serialization_reused"],
     "faults": ["breakers", "circuit_fast_fails", "dns_refreshes",
                "failed_subqueries", "partial_gathers", "retries",
-               "stale_served", "subquery_failures"],
+               "subquery_failures"],
     "health": SITES,
     "runtime": ["gc_collections", "gc_pause_ms", "scope"],
     "semcache": SEMCACHE_KEYS,

@@ -1,9 +1,9 @@
 """One ask path: the round dispatcher and the serve rule for every envelope.
 
-* A ``no_forward`` ask that is not a path (a scalar, or any text the
-  walk cannot compile) gets one structured, non-retryable
-  ``ErrorMessage`` whichever envelope carried it, on loopback and over
-  sockets, and nothing is forwarded on its behalf.
+* A ``no_forward`` ask that is not a path (a scalar, a rollup's fold
+  item, or any text the walk cannot compile) gets one structured,
+  non-retryable ``ErrorMessage`` for the whole query, on loopback and
+  over sockets, and nothing is forwarded on its behalf.
 * A group whose owners diverge between retry attempts is regrouped on
   fresh DNS: each new owner gets one exchange, the answer is the
   evaluator's, and ``subqueries_sent`` counts each ask once.
@@ -13,13 +13,12 @@ import pytest
 
 from repro.core import PartitionPlan
 from repro.net import (
-    BatchQueryMessage,
     Cluster,
     ErrorMessage,
     OAConfig,
     QueryMessage,
 )
-from repro.net.messages import AnswerMessage
+from repro.net.messages import AnswerMessage, Ask
 from repro.net.tcpruntime import TcpCluster
 from repro.xmlkit import parse_fragment
 from repro.xpath.evaluator import Evaluator
@@ -46,7 +45,9 @@ PITTSBURGH_SPACES = ("count(/usRegion[@id='NE']/state[@id='PA']"
 
 
 def _unforwardable_asks():
-    """The ``no_forward`` asks that are not paths, one per envelope."""
+    """The ``no_forward`` asks that are not paths: a scalar, a text
+    the walk cannot compile, a fold item, each alone and beside a
+    path."""
     return {
         "query-scalar": QueryMessage(PITTSBURGH_SPACES, scalar=True,
                                      no_forward=True, sender="client"),
@@ -54,11 +55,13 @@ def _unforwardable_asks():
                                    sender="client"),
         "query-user": QueryMessage(PITTSBURGH_SPACES, user=True,
                                    no_forward=True, sender="client"),
-        "batch": BatchQueryMessage([(PITTSBURGH_SPACES, True)],
-                                   no_forward=True, sender="client"),
-        "batch-mixed": BatchQueryMessage(
-            [(OAK_BLOCK, False), (PITTSBURGH_SPACES, False)],
+        "fold": QueryMessage([Ask(OAK_BLOCK + "/parkingSpace", ".")],
+                             no_forward=True, sender="client"),
+        "fold-mixed": QueryMessage(
+            [OAK_BLOCK, Ask(OAK_BLOCK + "/parkingSpace", ".", 30.0)],
             no_forward=True, sender="client"),
+        "items-mixed": QueryMessage([OAK_BLOCK, PITTSBURGH_SPACES],
+                                    no_forward=True, sender="client"),
     }
 
 
@@ -82,7 +85,7 @@ class TestNoForwardRule:
         assert sent == [("client", "top")]
         assert cluster.agent("top").stats["subqueries_sent"] == 0
 
-    @pytest.mark.parametrize("kind", ["query-scalar", "batch"])
+    @pytest.mark.parametrize("kind", ["query-scalar", "fold"])
     def test_tcp_refuses_a_non_path_the_same_way(self, kind):
         with TcpCluster(parse_fragment(PAPER_DOCUMENT),
                         PartitionPlan(PAPER_PLAN)) as tcp:
@@ -113,8 +116,8 @@ def _reference(query):
 
 
 class TestOwnersDivergeMidRetry:
-    """Oakland and Shadyside share one owner, ``mid``; the first batch to
-    it fails, and while it is out Oakland moves to ``etna`` and
+    """Oakland and Shadyside share one owner, ``mid``; the first query of
+    two items to it fails, and while it is out Oakland moves to ``etna`` and
     Shadyside to ``spare``.  The retry's fresh DNS splits the group."""
 
     def test_a_diverged_group_is_regrouped_on_fresh_dns(self):
@@ -129,8 +132,8 @@ class TestOwnersDivergeMidRetry:
         def migrate_once(src, dst, message):
             if src != "top":
                 return
-            exchanges.append((dst, type(message).__name__))
-            if exchanges == [("mid", "BatchQueryMessage")]:
+            exchanges.append((dst, len(message.items)))
+            if exchanges == [("mid", 2)]:
                 cluster.delegate(OAKLAND, "etna")
                 cluster.delegate(SHADYSIDE, "spare")
                 raise ConnectionError("mid went away mid-ask")
@@ -139,9 +142,7 @@ class TestOwnersDivergeMidRetry:
         results, _, outcome = cluster.query(FIGURE2_QUERY, at_site="top")
         assert outcome.complete
         assert answer_set(results) == _reference(FIGURE2_QUERY) != []
-        assert exchanges == [("mid", "BatchQueryMessage"),
-                             ("etna", "QueryMessage"),
-                             ("spare", "QueryMessage")]
+        assert exchanges == [("mid", 2), ("etna", 1), ("spare", 1)]
         top = cluster.agent("top")
         assert top.stats["subqueries_sent"] == 2
         assert top.stats["retries"] == 1

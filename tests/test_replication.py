@@ -317,9 +317,10 @@ class TestFailoverServesFreshReplica:
 
     def test_several_asks_fail_over_in_one_batch(self):
         """Every subquery of a failed group goes to a peer in one
-        flagged ``batch-query``, and each is served on its own.  (A
-        warm block 1 at etna splits the ask into one per block.)"""
-        from repro.net.messages import BatchQueryMessage
+        flagged ``query`` of several items, and each is served on its
+        own.  (A warm block 1 at etna splits the ask into one per
+        block.)"""
+        from repro.net.messages import QueryMessage
 
         baseline = answer_set(replicated_cluster(k=2).query(
             self.BOTH_BLOCKS, at_site="etna")[0])
@@ -337,7 +338,8 @@ class TestFailoverServesFreshReplica:
         assert answer_set(results) == baseline != []
         [(peer, ask)] = to_peers
         assert peer == "shady"
-        assert isinstance(ask, BatchQueryMessage) and ask.no_forward
+        assert isinstance(ask, QueryMessage) and ask.no_forward
+        assert len(ask.items) == 2
         served = outcome.completeness_report()["served_by_replica"]
         assert [entry["replica"] for entry in served] == ["shady", "shady"]
 

@@ -308,13 +308,14 @@ class TestStubSubsystem:
 # The shipped subsystems, absent
 # ----------------------------------------------------------------------
 #: ``TrafficLog.summary()`` of :func:`_parity_traffic` with no opt-in
-#: subsystem configured: the ``count`` is a partial-aggregate exchange
-#: with ``oak``, so the ``oak`` block is gathered by its own query.
+#: subsystem configured: the ``count`` is one ``query`` fold item to
+#: ``oak``, answered with a partial, so the ``oak`` block is gathered by
+#: its own query.
 GOLDEN_TRAFFIC = {
     "messages": 12,
-    "bytes": 4956,
+    "bytes": 4978,
     "links": {
-        ("top", "oak"): [3, 707], ("oak", "top"): [3, 1790],
+        ("top", "oak"): [3, 741], ("oak", "top"): [3, 1778],
         ("top", "shady"): [2, 494], ("shady", "top"): [2, 1433],
         ("client", "shady"): [1, 212], ("shady", "client"): [1, 320],
     },

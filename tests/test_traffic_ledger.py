@@ -4,8 +4,8 @@ On loopback with the clock fixed and message ids restarted per posing,
 traffic is deterministic, so each row's cost is exact.  A row is one
 query on ``ParkingConfig.tiny()`` (hierarchical placement, seven sites),
 posed three times at its first city's site with no update in between.
-Each posing is costed in messages, asks (path subqueries sent) and
-bytes, and checked by named rules:
+Each posing is costed in messages, asks (subqueries sent, a rollup's
+fold items among them) and bytes, and checked by named rules:
 
 * (i) posing n + 1 costs no more than posing n, on all three counts;
 * (ii) the third posing sends 0 messages (Section 3.3: a site answers
@@ -16,6 +16,8 @@ bytes, and checked by named rules:
 * (iv) a rollup ships no more bytes than the walk does on the same
   posing -- the walk being the gather driver's ``answer_scalar`` on a
   second cluster;
+* (v) a rollup sends no more messages than the walk does on the same
+  posing;
 * every answer equals the evaluator over the one logical document.
 
 A scalar row is one tuple in :data:`ROWS`, posed through
@@ -31,6 +33,7 @@ import functools
 import itertools
 import operator
 import statistics
+import time
 from unittest import mock
 
 import pytest
@@ -46,8 +49,15 @@ from repro.xpath.evaluator import Evaluator
 from repro.xpath.types import node_string_value, to_number
 
 CONFIG = ParkingConfig.tiny()
-CITY = parking.city_path(CONFIG, CONFIG.city_names()[0])
-P = "".join(f"/{tag}[@id='{name}']" for tag, name in CITY)
+
+
+def first_city(config):
+    """``(id_path, prefix)`` of *config*'s first city: the rows' ``P``."""
+    city = parking.city_path(config, config.city_names()[0])
+    return city, "".join(f"/{tag}[@id='{name}']" for tag, name in city)
+
+
+CITY, P = first_city(CONFIG)
 SPACES = f"{P}/neighborhood/block/parkingSpace"
 POSINGS = 3
 #: The owner of the first city's first neighbourhood.
@@ -105,9 +115,9 @@ SCAN_PAIRS = [
 ]
 
 
-def _cluster(dead=False):
-    cluster = Cluster(build_parking_document(CONFIG),
-                      hierarchical(CONFIG, n_sites=7).plan,
+def _cluster(dead=False, config=CONFIG, n_sites=7):
+    cluster = Cluster(build_parking_document(config),
+                      hierarchical(config, n_sites=n_sites).plan,
                       count_bytes=True, clock=lambda: 1000.0,
                       subsystems=[ReplicationConfig(k=1)] if dead else ())
     if dead:
@@ -122,15 +132,19 @@ def _asks(cluster):
                for agent in cluster.agents.values())
 
 
-def _postings(cluster, answer):
+def _postings(cluster, answer, walls=None):
     """``[(value, (messages, asks, bytes))]``, one per posing of
-    *answer*, message ids restarted for each."""
+    *answer*, message ids restarted for each; each posing's wall
+    seconds are appended to *walls* when given."""
     traffic = cluster.network.traffic
     costed = []
     for _ in range(POSINGS):
         before = (traffic.messages, _asks(cluster), traffic.bytes)
+        started = time.perf_counter()
         with mock.patch("repro.net.messages._SEQUENCE", itertools.count(1)):
             value = answer()
+        if walls is not None:
+            walls.append(time.perf_counter() - started)
         after = (traffic.messages, _asks(cluster), traffic.bytes)
         costed.append((value, tuple(map(operator.sub, after, before))))
     return costed
@@ -215,6 +229,12 @@ def test_ii_the_third_posing_sends_nothing(row):
 def test_iv_the_rollup_ships_no_more_than_the_walk(walked_row):
     _query, rollup, walk = walked_row
     for (_, (_, _, rolled)), (_, (_, _, walked)) in zip(rollup, walk):
+        assert rolled <= walked, (rollup, walk)
+
+
+def test_v_the_rollup_sends_no_more_messages_than_the_walk(walked_row):
+    _query, rollup, walk = walked_row
+    for (_, (rolled, _, _)), (_, (walked, _, _)) in zip(rollup, walk):
         assert rolled <= walked, (rollup, walk)
 
 

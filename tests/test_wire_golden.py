@@ -1,4 +1,4 @@
-"""Golden wire bytes: one representative message of each of the 10 kinds.
+"""Golden wire bytes: one representative message of each of the 6 kinds.
 
 ``GOLDEN`` was generated at the commit *before* the subsystem seam (the
 last one where every class lived in ``repro/net/messages.py``), from
@@ -6,29 +6,17 @@ exactly the instances :func:`instances` builds.  The envelope codec may
 be reorganised freely; these bytes may not move.  ``replicate`` is the
 exception: its bytes are those of a push that carries only a fragment.
 It is a core kind (a migration's push, and read replication's); the
-migration kinds ``adopt`` and ``migrate-release`` are gone.
-
-A subsystem's kinds are covered while its package exists (the
-removability drill deletes ``src/repro/agg`` and expects the rest of
-this file to keep passing).
+migration kinds ``adopt`` and ``migrate-release`` are gone, and so are
+the batch kinds and the rollup's own ask and answer: a ``query`` of
+several items, or of a rollup's fold items, is the one ask, and its
+``answer`` holds one reply per item (:data:`ITEMS_GOLDEN`).
 """
-
-import importlib
 
 import pytest
 
+from repro.agg import Partial
 from repro.net import messages as m
 from repro.xmlkit import Text, parse_fragment, serialize
-
-
-def _optional(module):
-    try:
-        return importlib.import_module(module)
-    except ModuleNotFoundError:
-        return None
-
-
-agg = _optional("repro.agg")
 
 FRAGMENT = (
     "<usRegion id='NE' status='id-complete'><state id='PA' status='owned' "
@@ -41,7 +29,6 @@ REPORT = {
         "id_path": [list(entry) for entry in PATH], "query": QUERY,
         "scalar": False, "attempts": 3,
         "causes": ["site 'oak': UnknownSite: gone"]}],
-    "stale_served": [],
     "served_by_replica": [{
         "id_path": [list(entry) for entry in PATH],
         "query": "/usRegion[@id='NE']",
@@ -51,7 +38,7 @@ REPORT = {
 
 
 def _partial():
-    partial = agg.Partial()
+    partial = Partial()
     for value in (1.5, 2.25, float("nan")):
         partial.add(value)
     return partial
@@ -61,17 +48,11 @@ def instances():
     def fragment():
         return parse_fragment(FRAGMENT)
 
-    core = [
+    return [
         m.QueryMessage(QUERY, now=100.25, scalar=True, user=False,
                        sender="top", message_id=41),
         m.AnswerMessage(41, fragment=fragment(), completeness=REPORT,
                         sender="oak", message_id=42),
-        m.BatchQueryMessage(
-            [("/usRegion[@id='NE']", False), ("count(/usRegion)", True)],
-            now=7.0, sender="top", message_id=43),
-        m.BatchAnswerMessage(
-            43, [fragment(), ("scalar", 3.0), None, ("scalar", True)],
-            sender="oak", message_id=44),
         m.ErrorMessage(43, code="handler-error", detail="KeyError: 'x'",
                        retryable=False, sender="oak", message_id=45),
         m.UpdateMessage(PATH, attributes={"zip": "15213"},
@@ -81,14 +62,6 @@ def instances():
                      message_id=47),
         m.ReplicateMessage(fragment(), sender="oak", message_id=51),
     ]
-    aggregated = [] if agg is None else [
-        agg.PartialAggregateRequest(
-            PATH, "/usRegion[@id='NE']/state/population", bound=30.0,
-            now=100.0, sender="top", message_id=54),
-        agg.PartialAggregateAnswer(54, {PATH: (_partial(), 12.5)},
-                                   sender="oak", message_id=55),
-    ]
-    return core + aggregated
 
 
 GOLDEN = {
@@ -110,20 +83,6 @@ GOLDEN = {
         'status="id-complete"><state id="PA" status="owned" timestamp="12'
         '.5"><population>12</population></state></usRegion></fragment></m'
         'essage>'
-    ),
-    "batch-query": (
-        '<message kind="batch-query" id="43" sender="top" now="7.0"><sub '
-        'scalar="0">/usRegion[@id=\'NE\']</sub><sub '
-        'scalar="1">count(/usRegion)</sub></message>'
-    ),
-    "batch-answer": (
-        '<message kind="batch-answer" id="44" sender="oak" '
-        'replyTo="43"><item><fragment><usRegion id="NE" '
-        'status="id-complete"><state id="PA" status="owned" timestamp="12'
-        '.5"><population>12</population></state></usRegion></fragment></i'
-        'tem><item><scalar '
-        'type="float">3.0</scalar></item><item/><item><scalar '
-        'type="bool">true</scalar></item></message>'
     ),
     "error": (
         '<message kind="error" id="45" sender="oak" replyTo="43" '
@@ -147,19 +106,6 @@ GOLDEN = {
         'tamp="12.5"><population>12</population></state></usRegion></frag'
         'ment></message>'
     ),
-    "partial-agg": (
-        '<message kind="partial-agg" id="54" sender="top" '
-        'q="/usRegion[@id=\'NE\']/state/population" bound="30.0" '
-        'now="100.0"><path><entry tag="usRegion" id="NE"/><entry '
-        'tag="state" id="PA"/></path></message>'
-    ),
-    "partial-agg-answer": (
-        '<message kind="partial-agg-answer" id="55" sender="oak" '
-        'replyTo="54"><state><part count="3" num="15" den="4" nan="1" '
-        'lo="1.5" hi="2.25" ts="12.5"><path><entry tag="usRegion" '
-        'id="NE"/><entry tag="state" '
-        'id="PA"/></path></part></state></message>'
-    ),
 }
 
 
@@ -168,7 +114,7 @@ def _comparable(value):
     serialization, partials by their exact wire attributes)."""
     if hasattr(value, "tag"):
         return serialize(value, use_cache=False)
-    if agg is not None and isinstance(value, agg.Partial):
+    if isinstance(value, Partial):
         return value.to_attrs()
     if isinstance(value, dict):
         return {key: _comparable(item) for key, item in value.items()}
@@ -184,10 +130,9 @@ def _fields(message):
 
 
 def test_every_kind_is_covered():
-    assert len(GOLDEN) == 10
-    assert {message.kind for message in instances()} == set(m._KINDS)
-    if agg is not None:
-        assert set(m._KINDS) == set(GOLDEN)
+    assert len(GOLDEN) == 6
+    assert {message.kind for message in instances()} == set(m._KINDS) \
+        == set(GOLDEN)
 
 
 @pytest.mark.parametrize("message", instances(),
@@ -251,29 +196,100 @@ FAILOVER_GOLDEN = [
      '<message kind="query" id="57" sender="top" now="100.25" scalar="0" '
      'user="0" noforward="1"><q>/usRegion[@id=\'NE\']/state[@id=\'PA\']'
      '</q></message>'),
-    (lambda: m.BatchQueryMessage([(QUERY, False), ("/usRegion", False)],
-                                 now=7.0, no_forward=True, sender="top",
-                                 message_id=58),
-     '<message kind="batch-query" id="58" sender="top" now="7.0" '
-     'noforward="1"><sub scalar="0">/usRegion[@id=\'NE\']/state[@id=\'PA\']'
-     '</sub><sub scalar="0">/usRegion</sub></message>'),
+    (lambda: m.QueryMessage([QUERY, "/usRegion"], now=7.0, no_forward=True,
+                            sender="top", message_id=58),
+     '<message kind="query" id="58" sender="top" now="7.0" scalar="0" '
+     'user="0" noforward="1"><q>/usRegion[@id=\'NE\']/state[@id=\'PA\']'
+     '</q><q>/usRegion</q></message>'),
     (lambda: m.AnswerMessage(57, left=("id-complete", "stale-cache"),
                              sender="shady", message_id=59),
      '<message kind="answer" id="59" sender="shady" replyTo="57" '
      'left="id-complete stale-cache"/>'),
-    (lambda: m.BatchAnswerMessage(58, [None, None],
-                                  lefts=[(), ("stale-cache",)],
-                                  sender="shady", message_id=60),
-     '<message kind="batch-answer" id="60" sender="shady" replyTo="58">'
-     '<item/><item left="stale-cache"/></message>'),
+    (lambda: m.AnswerMessage(58, answers=[
+        m.ItemAnswer("fragment", None),
+        m.ItemAnswer("fragment", None, ("stale-cache",))],
+        sender="shady", message_id=60),
+     '<message kind="answer" id="60" sender="shady" replyTo="58">'
+     '<fragment/><fragment left="stale-cache"/></message>'),
 ]
 
 
 @pytest.mark.parametrize("build, expected", FAILOVER_GOLDEN,
-                         ids=["query", "batch-query", "answer",
-                              "batch-answer"])
+                         ids=["query", "multi-query", "answer",
+                              "multi-answer"])
 def test_failover_fields_round_trip(build, expected):
     message = build()
     assert message.encode() == expected
     decoded = m.Message.decode(expected)
     assert _fields(decoded) == _fields(message)
+
+
+def _fragment():
+    return parse_fragment(FRAGMENT)
+
+
+#: Several items in one ``query``, and a rollup's fold items: each item
+#: is a ``<q>``, a fold item's carrying its fold's last step (``"."``:
+#: the match itself) and its bound; the ``answer`` holds one holder per
+#: item, in order, a fold item's partial in a ``<state>``.
+ITEMS_GOLDEN = [
+    (lambda: m.QueryMessage([QUERY, "/usRegion[@id='NE']"], now=7.0,
+                            sender="top", message_id=43),
+     '<message kind="query" id="43" sender="top" now="7.0" scalar="0" '
+     'user="0"><q>/usRegion[@id=\'NE\']/state[@id=\'PA\']</q>'
+     '<q>/usRegion[@id=\'NE\']</q></message>'),
+    (lambda: m.AnswerMessage(43, answers=[
+        m.ItemAnswer("fragment", _fragment()), m.ItemAnswer("fragment", None)],
+        sender="oak", message_id=44),
+     '<message kind="answer" id="44" sender="oak" replyTo="43"><fragment>'
+     '<usRegion id="NE" status="id-complete"><state id="PA" status="owned" '
+     'timestamp="12.5"><population>12</population></state></usRegion>'
+     '</fragment><fragment/></message>'),
+    (lambda: m.QueryMessage([
+        m.Ask("/usRegion[@id='NE']/state/population", ".", 30.0),
+        m.Ask("/usRegion[@id='NE']/state", "@zip"), QUERY],
+        now=100.0, sender="top", message_id=54),
+     '<message kind="query" id="54" sender="top" now="100.0" scalar="0" '
+     'user="0"><q fold="." bound="30.0">/usRegion[@id=\'NE\']/state'
+     '/population</q><q fold="@zip">/usRegion[@id=\'NE\']/state</q>'
+     '<q>/usRegion[@id=\'NE\']/state[@id=\'PA\']</q></message>'),
+    (lambda: m.AnswerMessage(54, answers=[
+        m.ItemAnswer("state", {PATH: (_partial(), 12.5)})],
+        sender="oak", message_id=55),
+     '<message kind="answer" id="55" sender="oak" replyTo="54"><state>'
+     '<part count="3" num="15" den="4" nan="1" lo="1.5" hi="2.25" '
+     'ts="12.5"><path><entry tag="usRegion" id="NE"/><entry tag="state" '
+     'id="PA"/></path></part></state></message>'),
+    (lambda: m.AnswerMessage(54, answers=[
+        m.ItemAnswer("state", {PATH: (_partial(), 12.5)}),
+        m.ItemAnswer("fragment", None), m.ItemAnswer("fragment", _fragment())],
+        sender="oak", message_id=55),
+     '<message kind="answer" id="55" sender="oak" replyTo="54"><state>'
+     '<part count="3" num="15" den="4" nan="1" lo="1.5" hi="2.25" '
+     'ts="12.5"><path><entry tag="usRegion" id="NE"/><entry tag="state" '
+     'id="PA"/></path></part></state><fragment/><fragment><usRegion '
+     'id="NE" status="id-complete"><state id="PA" status="owned" '
+     'timestamp="12.5"><population>12</population></state></usRegion>'
+     '</fragment></message>'),
+]
+
+
+@pytest.mark.parametrize("build, expected", ITEMS_GOLDEN,
+                         ids=["items-query", "items-answer", "fold-query",
+                              "fold-answer", "fold-answers"])
+def test_items_round_trip_in_order(build, expected):
+    message = build()
+    assert message.encode() == expected
+    decoded = m.Message.decode(expected)
+    assert _fields(decoded) == _fields(message)
+    decoded.invalidate_encoding()
+    assert decoded.encode() == expected
+
+
+def test_a_query_carries_at_least_one_ask_and_a_scalar_one():
+    for items, scalar in (([], False), ([QUERY, QUERY], True)):
+        with pytest.raises(ValueError):
+            m.QueryMessage(items, scalar=scalar)
+    with pytest.raises(m.MessageError):
+        m.Message.decode('<message kind="query" id="1" scalar="0" '
+                         'user="0"/>')
