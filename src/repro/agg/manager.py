@@ -9,9 +9,9 @@ gather of that path:
 
 * **summary first**: a cached :class:`~repro.agg.partial.Partial` in
   ``summaries`` -- the site's one scalar answer cache -- keyed by
-  (region, freshness-stripped inner path).  A bounded caller is served
-  one whose data was current within its bound; an unbounded caller
-  any, or one within its ``max_age`` (Section 4: a query without a
+  (region, inner path less its relative bounds).  A bounded caller
+  is served one whose data was current within its bound; an unbounded
+  caller any, or one within its ``max_age`` (Section 4: a query without a
   consistency predicate takes cached data of any age);
 * **the walk's own asks**: every ask for the rest of the path below a
   region is marked for a fold (``Subquery.fold``) and goes out with the
@@ -36,23 +36,25 @@ ownership change.  A derived sensor puts a zero bound on each of its
 aggregates (:data:`CURRENT`), which no summary satisfies.  A fold item
 is an ask like any other: grouped per destination, retried on fresh
 DNS, gated by the breaker, and failed over by replication to a ring
-peer as its path ask.  An owner that cannot fold it answers it as its
-path ask too.  Either way the fold reads the matches the reply merges.
-A region nothing answers raises :class:`AggregationUnavailable`, for
-every shape alike.
+peer as its path ask.  A site that does not own the region answers it
+as its path ask too.  Either way the fold reads the matches the reply
+merges.  A region nothing answers raises
+:class:`AggregationUnavailable`, for every shape alike; an owner whose
+rollup raised answers the fold item with the regions it could not
+reach, which the asker records as its own failures.
 """
 
 import math
 import threading
 
-from repro.core.consistency import strip_consistency_predicates
+from repro.core.consistency import consistency_tolerances
 from repro.core.errors import (
     CoreError,
     QueryRoutingError,
     UnsupportedDistributedQueryError,
 )
 from repro.core.idable import format_id_path, id_paths_overlap, node_id
-from repro.core.semcache import SemanticCache, canonicalize
+from repro.core.semcache import canonicalize
 from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
 from repro.net.errors import NetError
 from repro.net.messages import as_id_path
@@ -66,10 +68,7 @@ from repro.xpath.types import node_string_value, to_number
 
 from repro.agg.derived import DerivedSensor
 from repro.agg.partial import SHAPES, Partial, collapse, state_of
-
-#: The summary cache's LRU budget.
-SUMMARY_MAX_ENTRIES = 256
-SUMMARY_MAX_BYTES = 4 * 1024 * 1024
+from repro.agg.summaries import SummaryStore
 
 #: The bound a derived sensor puts on an aggregate's last element
 #: step: data current now, which no summary is.
@@ -78,13 +77,20 @@ CURRENT = "[timestamp() > current-time() - 0]"
 
 class AggregationUnavailable(NetError):
     """A rollup could not complete: a region answered neither a partial
-    nor, through failover, a path ask."""
+    nor, through failover, a path ask.  ``failures`` holds the gather's
+    :class:`~repro.core.gather.SubqueryFailure` of each."""
+
+    def __init__(self, message, failures=()):
+        super().__init__(message)
+        self.failures = list(failures)
 
 
 def summary_key(region, inner_path):
     """The cache key for *inner_path* rolled up under *region*: all
-    shapes and freshness bounds over the same data share one entry."""
-    stripped = strip_consistency_predicates(inner_path).unparse()
+    shapes and relative freshness bounds over the same data share one
+    entry.  Any other consistency predicate (an absolute one such as
+    ``timestamp() > 500``) stays in the key: no lookup bound checks it."""
+    stripped = consistency_tolerances(inner_path)[0].unparse()
     return f"{format_id_path(region)}::{stripped}"
 
 
@@ -227,8 +233,7 @@ class AggregationManager:
 
     def __init__(self, agent):
         self.agent = agent
-        self.summaries = SemanticCache(max_entries=SUMMARY_MAX_ENTRIES,
-                                       max_bytes=SUMMARY_MAX_BYTES)
+        self.summaries = SummaryStore()
         self.derived = {}
         self._lock = threading.Lock()
         self.stats = {
@@ -370,13 +375,13 @@ class AggregationManager:
         if outcome.failures:
             failure = outcome.failures[0]
             raise AggregationUnavailable(
-                f"no answer to {failure.subquery.query!r}: {failure.cause}")
+                f"no answer to {failure.subquery.query!r}: {failure.cause}",
+                outcome.failures)
         with self._lock:
             self.stats["overlap_drops"] += \
                 len(outcome.matches) - len(matches)
         partial, as_of = self._fold(matches, final, replies, bound, now)
-        self.summaries.store(key, partial, now, region=region, nbytes=256,
-                             as_of=as_of)
+        self.summaries.store(key, partial, now, region=region, as_of=as_of)
         return partial, as_of
 
     def _fold(self, matches, final, replies, bound, now):
@@ -407,19 +412,16 @@ class AggregationManager:
         read through its last step *fold* under *bound* -- as a
         merge-state of one entry keyed by the region and stamped with
         its as-of time, so a parent never holds a part longer than its
-        bound.  ``None`` when this site cannot fold it: it does not own
-        the region, or a region below answered nothing
-        (:class:`AggregationUnavailable`); the agent then answers the
-        item as the path ask it also is."""
+        bound.  ``None`` when this site does not own the region: the
+        agent then answers the item as the path ask it also is.  A
+        region below that answered nothing raises
+        :class:`AggregationUnavailable`."""
         now = float(now) if now is not None else float(self.agent.clock())
         inner = xpath_parser.parse(query + _step(fold))
         region = self._compile(inner)[0].anchor or ()
         if not self._serves(region):
             return None
-        try:
-            partial, as_of = self._rollup(inner, bound, now)
-        except AggregationUnavailable:
-            return None
+        partial, as_of = self._rollup(inner, bound, now)
         with self._lock:
             self.stats["partials_served"] += 1
         return state_of(region, partial, as_of)

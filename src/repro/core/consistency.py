@@ -127,7 +127,7 @@ def rewrite_consistency_sugar(expression):
 
 
 # ----------------------------------------------------------------------
-# Stripping (for a fetched subtree, answer keys and oracles)
+# Stripping (for a fetched subtree, summary keys and oracles)
 # ----------------------------------------------------------------------
 def _is_consistency(conjunct):
     return classify_predicate(conjunct) == frozenset({REF_CONSISTENCY})
@@ -164,8 +164,7 @@ def strip_consistency_predicates(expression):
     Used below a fetch-subtree collect point, where the fetch settled
     freshness and owner-fetched data must not be re-filtered (the
     owner's copy is returned even when older than the tolerance, so
-    that "users get an answer"), by an aggregation rollup over owned
-    data, and by oracles comparing answers.
+    that "users get an answer"), and by oracles comparing answers.
     """
     return _strip_conjuncts(expression, _is_consistency)
 
@@ -191,7 +190,8 @@ def consistency_tolerances(expression):
     Each step conjunct of the canonical shape
     ``timestamp() > current-time() - N`` is left out of *rest* and its
     ``N`` listed in *tolerances*, in document order.  Any other
-    consistency conjunct stays in *rest*.
+    consistency conjunct stays in *rest*: a summary key is *rest*, and
+    no lookup bound checks such a conjunct.
     """
     tolerances = []
 

@@ -90,6 +90,19 @@ class SubqueryFailure:
                 f"attempts={self.attempts}, cause={self.cause!r})")
 
 
+class PartialReply:
+    """A peer's reply lacking regions the peer could not reach: its
+    fragment (``None``: nothing) and one :class:`SubqueryFailure` per
+    missing region.  The driver merges the fragment and records the
+    failures, and the reply subsumes no narrower ask."""
+
+    __slots__ = ("fragment", "failures")
+
+    def __init__(self, fragment, failures):
+        self.fragment = fragment
+        self.failures = list(failures)
+
+
 class GatherOutcome:
     """Everything a gather run produced, for answering and accounting.
 
@@ -212,12 +225,12 @@ class GatherDriver:
     takes one round -- the list of that round's pending subqueries,
     which are independent -- and returns their replies in the same
     order, each a wire fragment, ``None`` when the remote had nothing,
-    or a :class:`SubqueryFailure`.  How it dispatches them (one at a
-    time, batched per destination, from worker threads) is its own
-    business: replies are merged back in subquery emission order, so
-    gathered answers never depend on it.  *cache_results* controls
-    whether gathered fragments are merged into the site database (the
-    paper's default) or into a per-query overlay.
+    a :class:`PartialReply`, or a :class:`SubqueryFailure`.  How it
+    dispatches them (one at a time, batched per destination, from
+    worker threads) is its own business: replies are merged back in
+    subquery emission order, so gathered answers never depend on it.
+    *cache_results* controls whether gathered fragments are merged into
+    the site database (the paper's default) or into a per-query overlay.
     """
 
     MAX_ROUNDS = 12
@@ -329,7 +342,17 @@ class GatherDriver:
                             # subsume narrower asks.
                             failures.append(reply)
                             continue
-                        answered.append(subquery)
+                        if isinstance(reply, PartialReply):
+                            # What did arrive merges; each region the
+                            # peer could not reach fails here too, and
+                            # is not asked for again.
+                            failures.extend(reply.failures)
+                            answered_keys.update(
+                                failure.subquery.query
+                                for failure in reply.failures)
+                            reply = reply.fragment
+                        else:
+                            answered.append(subquery)
                         if reply is not None:
                             # A reply is this gather's alone (built for
                             # the ask, or decoded off the wire, whoever
@@ -373,8 +396,11 @@ class GatherDriver:
         return [clean_copy(match) for match in outcome.matches], outcome
 
     def answer_subquery(self, query, now=None):
-        """Answer a subquery from a peer site: the generalized wire fragment."""
+        """Answer a subquery from a peer site: the generalized wire
+        fragment, in a :class:`PartialReply` when a region failed."""
         outcome = self.gather(query, now=now)
+        if outcome.failures:
+            return PartialReply(outcome.wire_answer, outcome.failures)
         return outcome.wire_answer
 
     def answer_unforwarded(self, query, now=None):

@@ -1,14 +1,12 @@
-"""The semantic query cache: canonical keys, answer keys, budgets.
+"""Canonical query keys, the query log and prewarming.
 
-Cache hit rate is the whole thesis of Cache-and-Query, but exact-string
-cache keys fragment it: two spellings of the same XPATH, or freshness
-bounds of ``now-28s`` vs ``now-30s``, miss each other entirely and
-re-dispatch WAN subqueries.  This module supplies the pieces that make
-the caches *semantic*:
+Exact-string keys fragment a cache: two spellings of the same XPATH
+miss each other entirely.  What this module keeps:
 
 **Canonicalization** (:func:`canonicalize`).  Equivalent queries are
-rewritten to one normal form used as the cache key everywhere a query
-string used to be: whitespace and quoting normalize in the unparser,
+rewritten to one normal form, the key of the compile memo
+(:mod:`repro.core.qeg`) and of a query log's deduplication: whitespace
+and quoting normalize in the unparser,
 ``timestamp``/``now`` sugar becomes the canonical function calls,
 redundant ``.`` steps are dropped, predicates within a step (pure
 conjunctive filters in this dialect -- ``position()``/``last()`` are
@@ -17,40 +15,25 @@ chains (``or``/``and``/``|``) flatten, dedupe and sort, and
 comparisons are mirrored so only ``>``/``>=`` remain with the
 context-reference operand on the left.  Every rewrite is
 semantics-preserving (hypothesis-verified: the canonical query
-evaluates identically to the original over random documents).
-
-**Answer keys** (:attr:`CanonicalQuery.answer_key`).  A freshness
-bound decides what is fetched, never what is counted, so an answer is
-keyed by the canonical text without its ``timestamp() >
-current-time() - N`` conjuncts: ``now-28s`` and ``now-30s`` share one
-entry.  The entry records ``as_of``, the earliest time all its data
-was known current, and :meth:`SemanticCache.lookup` serves it to a
-caller whose own bound that time satisfies, and to a caller without a
-bound whatever its age (Section 4).
-
-**The answer cache** (:class:`SemanticCache`).  One size-aware LRU
-class with per-entry hit/byte counters holds cached answers -- a
-site's aggregation summaries are one; each entry carries the id path
-of the region it was computed over, so an update or an ownership change
-evicts by region (``evict_paths``).
+evaluates identically to the original over random documents).  The
+tightest freshness bound (``min_tolerance``) rides along: a rollup
+serves its summaries against it (:mod:`repro.agg`).
 
 **Prewarming** (:class:`QueryLog`, :func:`prewarm`).  A query log
 captured by ``service.run_live`` replays against a cold cluster to
-warm OA caches and summaries before traffic.
+warm the site databases and the aggregation summaries before traffic.
 
-Everything reports through the metrics registry (see
-``repro.obs.registry``) and shows up in EXPLAIN output.
+The memo's counters (:func:`canonicalization_stats`) report through
+the metrics registry's ``engine`` section.
 """
 
 import json
 import threading
-from collections import OrderedDict
 
 from repro.core.consistency import (
     consistency_tolerances,
     rewrite_consistency_sugar,
 )
-from repro.core.idable import id_paths_overlap
 from repro.core.lru import LRUCache
 from repro.xpath import parser as xpath_parser
 from repro.xpath.ast import (
@@ -190,20 +173,18 @@ class CanonicalQuery:
     """One query's canonical identity.
 
     ``key`` is the exact canonical text -- safe wherever the key must
-    mean *precisely* this query (the compile cache).  ``answer_key`` is
-    that text without the freshness bounds (see
-    :func:`~repro.core.consistency.consistency_tolerances`): what the
-    answer is, however fresh the caller needs it.  ``min_tolerance`` is
-    the tightest of those bounds, or ``None`` without one.
+    mean *precisely* this query (the compile cache).  ``min_tolerance``
+    is the tightest of its freshness bounds (see
+    :func:`~repro.core.consistency.consistency_tolerances`), or ``None``
+    without one.
     """
 
-    __slots__ = ("source", "ast", "key", "answer_key", "min_tolerance")
+    __slots__ = ("source", "ast", "key", "min_tolerance")
 
-    def __init__(self, source, ast, key, answer_key, min_tolerance):
+    def __init__(self, source, ast, key, min_tolerance):
         self.source = source
         self.ast = ast
         self.key = key
-        self.answer_key = answer_key
         self.min_tolerance = min_tolerance
 
     def __repr__(self):
@@ -229,10 +210,8 @@ def canonicalize(query):
         ast = query
         source = ast.unparse()
     canonical_ast = canonicalize_expression(ast)
-    key = canonical_ast.unparse()
-    answer_ast, tolerances = consistency_tolerances(canonical_ast)
-    result = CanonicalQuery(source, canonical_ast, key,
-                            answer_ast.unparse() if tolerances else key,
+    _stripped, tolerances = consistency_tolerances(canonical_ast)
+    result = CanonicalQuery(source, canonical_ast, canonical_ast.unparse(),
                             min(tolerances) if tolerances else None)
     if text is not None:
         _CANON_CACHE.put(text, result)
@@ -247,229 +226,6 @@ def canonical_key(query):
 def canonicalization_stats():
     """Process-wide canonicalizer memo counters."""
     return dict(_CANON_CACHE.stats, entries=len(_CANON_CACHE))
-
-
-# ----------------------------------------------------------------------
-# The measured cache
-# ----------------------------------------------------------------------
-def estimate_bytes(value):
-    """A cheap, stable size estimate for cache accounting.
-
-    Strings count their length, scalars a machine word, fragments the
-    length of their (memoized) serialization, containers the sum of
-    their parts.  Estimates only steer eviction; they need to be
-    monotone and cheap, not exact.
-    """
-    if value is None:
-        return 1
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, (int, float, bool)):
-        return 8
-    if isinstance(value, (list, tuple)):
-        return 8 + sum(estimate_bytes(item) for item in value)
-    try:
-        from repro.xmlkit.serializer import serialize as _serialize
-        return len(_serialize(value))
-    except Exception:
-        return 64
-
-
-class CacheEntry:
-    """One cached value plus its accounting.
-
-    ``region`` is the id path (a tuple of ``(tag, id)`` tuples) of the
-    subtree the value was computed over -- what
-    :meth:`SemanticCache.evict_paths` compares -- or ``None`` for a
-    value with no IDable anchor, which is never region-evicted.
-
-    ``as_of`` is the earliest time at which all the value's data was
-    known current (``-inf``: its age is unknown), or ``None`` when
-    nothing stamped it; a caller with a freshness bound is served
-    against it.
-    """
-
-    __slots__ = ("key", "value", "nbytes", "computed_at", "hits", "region",
-                 "as_of")
-
-    def __init__(self, key, value, nbytes, computed_at, region=None,
-                 as_of=None):
-        self.key = key
-        self.value = value
-        self.nbytes = nbytes
-        self.computed_at = computed_at
-        self.hits = 0
-        self.region = region
-        self.as_of = as_of
-
-    def age(self, now):
-        return now - self.computed_at
-
-    def __repr__(self):
-        return (f"CacheEntry({self.key!r}, {self.nbytes}B, "
-                f"hits={self.hits})")
-
-
-class SemanticCache:
-    """The answer cache: a size-aware LRU of freshness-stamped values.
-
-    A site's aggregation summaries are one: its one scalar answer
-    cache.  Thread-safe.
-
-    Keys are answer keys: canonical, freshness-stripped query text.
-    One rule serves an entry (:meth:`lookup`), against the time its data
-    was current.  Each entry also carries the region it was computed
-    over, so ownership changes evict by id path (:meth:`evict_paths`)
-    without reading keys.
-    """
-
-    def __init__(self, max_entries=512, max_bytes=8 * 1024 * 1024):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._entries = OrderedDict()  # least-recently-used first
-        self._bytes = 0
-        self._lock = threading.Lock()
-        self.stats = {
-            "hits": 0,
-            "misses": 0,
-            "stale_rejects": 0,
-            "stores": 0,
-            "evictions": 0,
-            "evicted_bytes": 0,
-            "predicate_evictions": 0,
-        }
-
-    # -- the public surface --------------------------------------------
-    def lookup(self, key, now, bound=None, max_age=None):
-        """The entry under *key* iff it is fresh enough for the caller.
-
-        A caller with a freshness *bound* (seconds) is served an entry
-        whose data was current after ``now - bound``, give or take the
-        precision slack *max_age*: ``now - as_of < bound + max_age``,
-        the rule of the ``timestamp() > current-time() - bound``
-        predicate itself, so a bound of 0 is never served.  A caller
-        without one is served any entry (Section 4: cached data of any
-        age), or one no older than its *max_age* when it gives one.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats["misses"] += 1
-                return None
-            if bound is not None:
-                fresh = entry.as_of is not None and \
-                    now - entry.as_of < bound + (max_age or 0)
-            else:
-                fresh = max_age is None or entry.age(now) <= max_age
-            if not fresh:
-                self.stats["misses"] += 1
-                self.stats["stale_rejects"] += 1
-                return None
-            entry.hits += 1
-            self.stats["hits"] += 1
-            self._entries.move_to_end(key)
-            return entry
-
-    def store(self, key, value, now, region=None, nbytes=None, as_of=None):
-        """Cache *value*, computed at *now* over *region*, under *key*,
-        its data all current at *as_of*.
-
-        Replaces any entry already under *key*, then evicts
-        least-recently-used entries until the budget holds again.
-        Returns the new entry.
-        """
-        if nbytes is None:
-            nbytes = estimate_bytes(value) + 64
-        entry = CacheEntry(key, value, nbytes, now, region=region,
-                           as_of=as_of)
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= old.nbytes
-            self._entries[key] = entry
-            self._bytes += nbytes
-            self.stats["stores"] += 1
-            while self._entries and (
-                len(self._entries) > self.max_entries
-                or self._bytes > self.max_bytes
-            ):
-                _victim, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self.stats["evictions"] += 1
-                self.stats["evicted_bytes"] += evicted.nbytes
-            return entry
-
-    def peek(self, key):
-        """The entry under *key* without touching counters or LRU order.
-
-        Observability surfaces (EXPLAIN) use this so inspecting the
-        cache never distorts the hit/miss statistics it reports.
-        """
-        with self._lock:
-            return self._entries.get(key)
-
-    def invalidate(self, key=None):
-        with self._lock:
-            if key is None:
-                self._entries.clear()
-                self._bytes = 0
-            else:
-                entry = self._entries.pop(key, None)
-                if entry is not None:
-                    self._bytes -= entry.nbytes
-
-    def evict_paths(self, id_paths):
-        """Evict every entry whose region overlaps one of *id_paths*.
-
-        The one targeted-invalidation surface, used when ownership of
-        a subtree changes hands: an entry at or below a given path was
-        computed from the moved region, and one above it folded the
-        moved region in.  Entries without a region are left alone.
-        Counted under ``predicate_evictions``, separate from budget
-        ``evictions``; returns how many entries were dropped.
-        """
-        targets = [tuple(tuple(pair) for pair in path)
-                   for path in id_paths]
-        with self._lock:
-            doomed = [
-                key for key, entry in self._entries.items()
-                if entry.region is not None and any(
-                    id_paths_overlap(entry.region, target)
-                    for target in targets)
-            ]
-            for key in doomed:
-                self._bytes -= self._entries.pop(key).nbytes
-            self.stats["predicate_evictions"] += len(doomed)
-            return len(doomed)
-
-    @property
-    def nbytes(self):
-        return self._bytes
-
-    def keys(self):
-        with self._lock:
-            return list(self._entries)
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key):
-        with self._lock:
-            return key in self._entries
-
-    def metrics(self):
-        """The registry-facing snapshot: counters plus byte gauges."""
-        with self._lock:
-            return dict(
-                self.stats,
-                entries=len(self._entries),
-                bytes=self._bytes,
-            )
-
-    def __repr__(self):
-        return (f"SemanticCache({len(self)} entries, {self.nbytes}B, "
-                f"hits={self.stats['hits']})")
 
 
 # ----------------------------------------------------------------------

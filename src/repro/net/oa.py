@@ -17,10 +17,11 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 
-from repro.agg.manager import AggregationManager
+from repro.agg.manager import AggregationManager, AggregationUnavailable
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
-from repro.core.gather import GatherDriver, SubqueryFailure
+from repro.core.answer import Subquery
+from repro.core.gather import GatherDriver, PartialReply, SubqueryFailure
 from repro.core.idable import id_path_of, idable_children
 from repro.core.ownership import (
     export_local_information,
@@ -123,15 +124,16 @@ def _guarded(method):
 
 
 def ask(request, asks, now, sender, no_forward=False):
-    """One ask exchange: ``[(answer, left)]`` for *asks*, in order.
+    """One ask exchange: the :class:`AnswerMessage` to *asks*, one
+    :class:`~repro.net.messages.ItemAnswer` per ask, in order.
 
     The one place an ask envelope is built: one ``query`` carrying
     *asks* (query texts, or :class:`~repro.net.messages.Ask` items a
     rollup marked for a fold), flagged ``no_forward`` for an answer
-    from the asked site's fragment alone (*left*: what it left
-    unanswered).  *answer* is a wire fragment, ``None``, or a fold
-    item's merge-state.  *request(message, expect)* returns the reply;
-    one that does not answer every ask raises :class:`NetError`.
+    from the asked site's fragment alone (an item's ``left``: what it
+    left unanswered).  An item's value is a wire fragment, ``None``, or
+    a fold item's merge-state.  *request(message, expect)* returns the
+    reply; one that does not answer every ask raises :class:`NetError`.
     """
     reply = request(QueryMessage(asks, now=now, no_forward=no_forward,
                                  sender=sender), AnswerMessage)
@@ -139,7 +141,33 @@ def ask(request, asks, now, sender, no_forward=False):
             len(reply.answers) != len(asks):
         raise NetError(f"a {type(reply).__name__} does not answer "
                        f"{len(asks)} asks")
-    return [(answer.value, answer.left) for answer in reply.answers]
+    return reply
+
+
+def _relayed(reply, subqueries, target):
+    """The replies to *subqueries* in *reply*, from site *target*.  A
+    region its report names unreachable is missing from the answer to
+    the ask whose anchor lies above it: that answer comes back a
+    :class:`PartialReply` with one failure per such region, marked
+    ``replica_too_stale`` when the report says failover refused it."""
+    answers = [answer.value for answer in reply.answers]
+    report = reply.completeness or {}
+    missed = {}
+    for section in ("unreachable", "replica_too_stale"):
+        for entry in report.get(section, ()):
+            region = as_id_path(entry["id_path"])
+            index = next((index for index, subquery in enumerate(subqueries)
+                          if region[:len(subquery.anchor_path)] ==
+                          subquery.anchor_path), 0)
+            failure = SubqueryFailure(
+                Subquery(entry["query"], region, Subquery.INCOMPLETE),
+                entry["attempts"],
+                [*entry["causes"], f"site {target!r} could not reach it"])
+            failure.replica_too_stale = section == "replica_too_stale"
+            missed.setdefault(index, []).append(failure)
+    for index, failures in missed.items():
+        answers[index] = PartialReply(answers[index], failures)
+    return answers
 
 
 class OAConfig:
@@ -472,10 +500,10 @@ class OrganizingAgent:
         while True:
             attempts += 1
             try:
-                replies = ask(functools.partial(self.request, target,
-                                                span=span),
-                              asks, self.clock(), self.site_id)
-                return [answer for answer, _left in replies]
+                reply = ask(functools.partial(self.request, target,
+                                              span=span),
+                            asks, self.clock(), self.site_id)
+                return _relayed(reply, subqueries, target)
             except CircuitOpenError as exc:
                 causes.append(str(exc))
             except RemoteError as exc:
@@ -587,7 +615,9 @@ class OrganizingAgent:
     def _handle_asks(self, message):
         """Reply to a ``query`` that is not a user's with one
         :meth:`_answer_ask` per item, in order; a ``no_forward`` item
-        that is not a path refuses the message whole."""
+        that is not a path refuses the message whole.  A region this
+        site could not reach is missing from its answer: the reply's
+        completeness report names each, for the asker to record."""
         try:
             answers = [self._answer_ask(item, message.scalar, message.now,
                                         message.no_forward)
@@ -599,8 +629,20 @@ class OrganizingAgent:
                 message.message_id, code="not-forwardable",
                 detail=f"a no_forward ask must be a path: {exc}",
                 retryable=False, sender=self.site_id)
+        missed = []
+        for index, answer in enumerate(answers):
+            if isinstance(answer.value, PartialReply):
+                missed.extend(answer.value.failures)
+                answers[index] = answer._replace(value=answer.value.fragment)
+        completeness = None
+        if missed:
+            completeness = {"complete": False, "unreachable": [],
+                            "replica_too_stale": []}
+            for failure in missed:
+                completeness["replica_too_stale" if failure.replica_too_stale
+                             else "unreachable"].append(failure.report())
         return AnswerMessage(message.message_id, answers=answers,
-                             sender=self.site_id)
+                             completeness=completeness, sender=self.site_id)
 
     def _answer_ask(self, item, scalar, now, no_forward):
         """One peer's :class:`~repro.net.messages.Ask` *item*, as an
@@ -609,8 +651,9 @@ class OrganizingAgent:
         :class:`UnsupportedDistributedQueryError` before serving it) and
         is answered from this site's fragment alone; then a scalar gets
         a value, and a fold item its partial when this site can fold it
-        (:meth:`~repro.agg.manager.AggregationManager.answer_fold`);
-        anything else goes to the driver as a path."""
+        (:meth:`~repro.agg.manager.AggregationManager.answer_fold`), or
+        the regions its rollup could not reach; anything else goes to
+        the driver as a path."""
         query = item.query
         if no_forward and (scalar or item.fold is not None):
             raise UnsupportedDistributedQueryError(
@@ -625,8 +668,13 @@ class OrganizingAgent:
         if scalar:
             return ItemAnswer("scalar", self.answer_scalar(query, now=now))
         if item.fold is not None:
-            state = self.aggregation.answer_fold(query, item.fold,
-                                                 item.bound, now)
+            try:
+                state = self.aggregation.answer_fold(query, item.fold,
+                                                     item.bound, now)
+            except AggregationUnavailable as exc:
+                # Its dispatch already retried and failed over: gathering
+                # the path again would ask the same dead region.
+                return ItemAnswer("fragment", PartialReply(None, exc.failures))
             if state is not None:
                 return ItemAnswer("state", state)
         return ItemAnswer("fragment", self.driver.answer_any(query, now=now))
@@ -839,13 +887,15 @@ class OrganizingAgent:
 
         Index hit/miss/rebuild numbers are genuinely per-site (they
         come from this site database's id-path index).  The
-        serialization reuse numbers are a snapshot of the
-        *process-wide* memo counters -- every OA in this process shares
-        the serializer -- so they are tagged ``"scope": "process"`` and
-        must not be summed across sites (aggregate them once at cluster
-        level, as :func:`repro.obs.registry.engine_counters` does).
-        They are best-effort under concurrency.
+        serialization reuse numbers, the canonicalizer memo and the
+        compile keys are snapshots of *process-wide* counters -- every
+        OA in this process shares them -- so they are tagged
+        ``"scope": "process"`` and must not be summed across sites
+        (aggregate them once at cluster level, as
+        :func:`repro.obs.registry.engine_counters` does).  They are
+        best-effort under concurrency.
         """
+        from repro.obs.registry import process_memo_counters
         from repro.xmlkit.serializer import serialization_stats
 
         return {
@@ -853,6 +903,7 @@ class OrganizingAgent:
             "index_misses": self.database.stats["index_misses"],
             "index_rebuilds": self.database.stats["index_rebuilds"],
             "serialization": dict(serialization_stats(), scope="process"),
+            **process_memo_counters(),
         }
 
     def flush(self):

@@ -93,9 +93,8 @@ class ExplainReport:
         self.local_results = local_results
         self.routed_site = routed_site
         self.analyze = analyze
-        #: Semantic-cache view: canonical and answer keys, the tightest
-        #: freshness bound, and the aggregate-cache entry under the
-        #: answer key (empty when the query does not parse).
+        #: The canonical key (the compile memo's) and the tightest
+        #: freshness bound (empty when the query does not parse).
         self.cache = cache
         #: What the site's subsystems added through their ``explain``
         #: hook: ``{name: data}`` (the JSON view) and, per name, the
@@ -172,12 +171,10 @@ class ExplainReport:
         else:
             lines.append("  subquery plan: (none -- answerable locally)")
         if self.cache:
-            lines.append("  semantic cache:")
-            lines.append(f"    canonical: {self.cache['canonical_key']}")
             bound = self.cache["min_tolerance"]
             bound_text = f"  (bound {bound:g}s)" if bound is not None else ""
             lines.append(
-                f"    answer:    {self.cache['answer_key']}{bound_text}")
+                f"  canonical: {self.cache['canonical_key']}{bound_text}")
         for section in self._section_lines.values():
             lines.extend(f"  {line}" for line in section)
         lines.append(f"  local results: {self.local_results}")
@@ -234,18 +231,14 @@ def _plan_entry(agent, subquery, failed=None):
 
 
 def _cache_section(source):
-    """The semantic-cache view of *source* for the report: its keys.
-    A scalar's cached answer is the aggregation section's summary."""
+    """*source*'s canonical key (the compile memo's) and tightest
+    freshness bound.  A scalar's cached answer is the aggregation
+    section's summary."""
     try:
         canon = canonicalize(source)
     except Exception:
         return {}
-    info = {
-        "canonical_key": canon.key,
-        "answer_key": canon.answer_key,
-        "min_tolerance": canon.min_tolerance,
-    }
-    return info
+    return {"canonical_key": canon.key, "min_tolerance": canon.min_tolerance}
 
 
 def build_explain(agent, query, analyze=False, now=None,

@@ -14,8 +14,8 @@ stats dicts.  This module puts one snapshot in front of all of them:
   ``tests/test_obs_registry.py::test_metrics_schema`` pins them.
 * **Aggregation helpers**: :func:`sum_numeric` / :func:`sum_per_site`
   (the one "sum the numeric keys, keep per-site snapshots" rule that
-  every subsystem's ``metrics()`` hook feeds) and the engine / fault /
-  semantic-cache roll-ups built on it.
+  every subsystem's ``metrics()`` hook feeds) and the engine / fault
+  roll-ups built on it.
 """
 
 from repro.obs.runtime import runtime_counters
@@ -70,13 +70,24 @@ def sum_per_site(snapshots):
     return totals
 
 
+def process_memo_counters():
+    """The process-wide canonicalizer memo and compile-key snapshots
+    every site shares: tagged ``scope: process``, never summed per site."""
+    from repro.core.qeg import pattern_key_stats
+    from repro.core.semcache import canonicalization_stats
+
+    return {"canonicalizer": dict(canonicalization_stats(), scope="process"),
+            "compile_keys": dict(pattern_key_stats(), scope="process")}
+
+
 def engine_counters(databases):
     """Aggregate hot-path engine counters across site databases.
 
     Sums the id-path index hit/miss/rebuild counters of every
     :class:`~repro.core.database.SensorDatabase` in *databases* (a
     mapping of site -> database or an iterable of databases) and
-    snapshots the process-wide serialization reuse counters.
+    snapshots the process-wide serialization reuse counters and
+    :func:`process_memo_counters`.
     """
     from repro.xmlkit.serializer import serialization_stats
 
@@ -96,6 +107,7 @@ def engine_counters(databases):
     totals["serialization_reuse_ratio"] = (
         round(reused / (reused + rebuilt), 3) if reused + rebuilt else 0.0
     )
+    totals.update(process_memo_counters())
     return totals
 
 
@@ -121,36 +133,6 @@ def fault_counters(agents):
         if snapshot:
             breakers[agent.site_id] = snapshot
     totals["breakers"] = breakers
-    return totals
-
-
-def semcache_counters(agents):
-    """Aggregate semantic-cache counters across organizing agents.
-
-    Sums every site's summary-cache (its one scalar answer cache)
-    hit/miss/byte figures and its driver's prewarm counter, computes
-    the overall hit ratio, and snapshots the process-wide canonicalizer
-    memo and compile-key stats once (tagged ``scope: process`` -- never
-    summed per site).
-    """
-    from repro.core.qeg import pattern_key_stats
-    from repro.core.semcache import canonicalization_stats
-
-    agents = list(_values(agents))
-    totals = sum_numeric(
-        (agent.aggregation.summaries.metrics() for agent in agents),
-        keys=("hits", "misses", "stores", "stale_rejects", "evictions",
-              "entries", "bytes"))
-    totals.update(sum_numeric(
-        (agent.driver.stats for agent in agents),
-        keys=("prewarm_queries",)))
-    lookups = totals["hits"] + totals["misses"]
-    totals["hit_ratio"] = (
-        round(totals["hits"] / lookups, 3) if lookups else 0.0
-    )
-    totals["canonicalizer"] = dict(canonicalization_stats(),
-                                   scope="process")
-    totals["compile_keys"] = dict(pattern_key_stats(), scope="process")
     return totals
 
 
@@ -190,7 +172,6 @@ def site_metrics(agent):
         "database": lambda: dict(agent.database.stats),
         "dns_cache": lambda: dict(agent.resolver.stats),
         "engine": agent.engine_counters,
-        "semcache": lambda: semcache_counters([agent]),
         "breakers": agent.health_snapshot,
         "load": agent.load.counters,
         **subsystem_collectors(agent),
@@ -215,7 +196,6 @@ def cluster_metrics(cluster):
         "engine": lambda: engine_counters(
             agent.database for agent in agents.values()),
         "faults": lambda: fault_counters(agents),
-        "semcache": lambda: semcache_counters(agents),
         # Unlike ``faults["breakers"]`` every live site is present (an
         # empty dict before it tracked a peer): dashboards rely on it.
         "health": lambda: {site: agent.health_snapshot()

@@ -197,9 +197,10 @@ class ReplicationManager:
         if peer == self.agent.site_id:
             return [self.agent.driver.answer_unforwarded(query, now=now)
                     for query in queries]
-        return ask(functools.partial(self.agent.request, peer,
-                                     span="send-failover"),
-                   queries, now, self.agent.site_id, no_forward=True)
+        reply = ask(functools.partial(self.agent.request, peer,
+                                      span="send-failover"),
+                    queries, now, self.agent.site_id, no_forward=True)
+        return [(answer.value, answer.left) for answer in reply.answers]
 
     # -- introspection ---------------------------------------------------
     def metrics(self):

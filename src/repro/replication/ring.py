@@ -83,27 +83,25 @@ class ReplicationRing:
         root = cluster.global_document
         database = SensorDatabase.empty(root.tag, root.get("id"),
                                         clock=cluster.clock, site_id=site)
-        replies = []
 
         def request(peer, message, _expect):
             # Straight onto the wire: the site being rebuilt has no agent
             # yet, so no ``agent.request`` and no breakers.
-            replies.append(cluster.network.request(site, peer, message))
-            return replies[-1]
+            return cluster.network.request(site, peer, message)
 
         received = 0
         for peer in replica_peers(site, cluster.plan.sites, self.config.k):
             if peer not in cluster.agents:
                 continue
             try:
-                answers = ask(functools.partial(request, peer), queries,
-                              cluster.clock(), site, no_forward=True)
+                reply = ask(functools.partial(request, peer), queries,
+                            cluster.clock(), site, no_forward=True)
             except (OSError, NetError):
                 continue
-            received += replies[-1].encoded_size()
-            for fragment, _left in answers:
-                if fragment is not None:
-                    database.store_fragment(fragment)
+            received += reply.encoded_size()
+            for answer in reply.answers:
+                if answer.value is not None:
+                    database.store_fragment(answer.value)
         for path in owned:
             element = database.find(path)
             if element is None or \

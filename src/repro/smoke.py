@@ -27,7 +27,6 @@ SMOKES = {
     "replication": "repro.replication.smoke",
     "aggregation": "repro.agg.smoke",
     "rebalance": "repro.rebalance.smoke",
-    "semcache": "repro.core.semcache_smoke",
     "obs": "repro.obs.smoke",
 }
 

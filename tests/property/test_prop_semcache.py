@@ -1,4 +1,4 @@
-"""Property-based tests for the semantic cache.
+"""Property-based tests for canonical keys and the summary store.
 
 The canonicalizer's whole contract is "semantics-preserving": for any
 query, the canonical form must evaluate identically over any document.
@@ -10,7 +10,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.semcache import SemanticCache, canonical_key
+from repro.agg.summaries import SummaryStore
+from repro.core.semcache import canonical_key
 from repro.xmlkit import Element
 from repro.xpath import compile_xpath
 
@@ -105,7 +106,7 @@ class TestServingRule:
         """A caller with a bound gets data current after ``now -
         bound``, give or take its *max_age*; a caller without one any
         entry, or one no older than its *max_age* when it gives one."""
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("answer", 1, now=computed_at, as_of=as_of)
         served = cache.lookup("answer", now, bound=bound,
                               max_age=max_age) is not None

@@ -1,15 +1,15 @@
 """Tests for the acceptable-precision aggregate extension (Section 4).
 
-A site's scalar answers are its aggregation summaries, held in a plain
-:class:`~repro.core.semcache.SemanticCache`; the cases here check the
+A site's scalar answers are its aggregation summaries, held in a
+:class:`~repro.agg.summaries.SummaryStore`; the cases here check the
 clock-bound behaviour the scalar path relies on, region eviction, and
 the cluster-level tolerant-query contract.
 """
 
 import pytest
 
+from repro.agg.summaries import SummaryStore
 from repro.core import PartitionPlan
-from repro.core.semcache import SemanticCache
 from repro.net import (
     Cluster,
     FaultyNetwork,
@@ -30,14 +30,14 @@ COUNT = f"count({PREFIX}//parkingSpace[available='yes'])"
 
 class TestAggregateCache:
     def test_miss_then_hit_within_age(self, settable_clock):
-        cache = SemanticCache()
+        cache = SummaryStore()
         assert cache.lookup(COUNT, settable_clock(), max_age=60) is None
         cache.store(COUNT, 4.0, settable_clock())
         settable_clock.advance(30)
         assert cache.lookup(COUNT, settable_clock(), max_age=60).value == 4.0
 
     def test_expired_entry_misses(self, settable_clock):
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store(COUNT, 4.0, settable_clock())
         settable_clock.advance(120)
         assert cache.lookup(COUNT, settable_clock(), max_age=60) is None
@@ -45,20 +45,10 @@ class TestAggregateCache:
     def test_no_tolerance_takes_any_age(self, settable_clock):
         # Section 4: a query without a consistency predicate is served
         # cached data of any age.
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store(COUNT, 4.0, settable_clock())
         settable_clock.advance(10 ** 6)
         assert cache.lookup(COUNT, settable_clock()).value == 4.0
-
-    def test_invalidate(self, settable_clock):
-        cache = SemanticCache()
-        cache.store(COUNT, 4.0, settable_clock())
-        cache.invalidate(COUNT)
-        assert cache.lookup(COUNT, settable_clock(), max_age=999) is None
-        cache.store("a", 1, settable_clock())
-        cache.store("b", 2, settable_clock())
-        cache.invalidate()
-        assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -98,18 +88,30 @@ def _summary_holder():
     return agent, agent.subsystem("aggregation").summaries
 
 
+def _regions(agent, cache, scalars, extra=()):
+    """The regions of the summaries *cache* holds for *scalars* (found
+    under the summary key EXPLAIN reports) and under the *extra* keys."""
+    keys = [agent.explain(scalar).sections["aggregation"]["summary_key"]
+            for scalar in scalars]
+    return [entry.region for entry in map(cache.peek, [*keys, *extra])
+            if entry is not None]
+
+
 def test_evict_paths_drops_exactly_the_overlapping_regions():
     agent, cache = _summary_holder()
-    for inner, _region in REGION_ASKS.values():
-        assert agent.answer_scalar(f"count({inner})") == 1.0
+    scalars = [f"count({inner})" for inner, _region in REGION_ASKS.values()]
+    for scalar in scalars:
+        assert agent.answer_scalar(scalar) == 1.0
     cache.store("anchorless", 2.0, now=0.0)
-    held = {entry.region for entry in map(cache.peek, cache.keys())}
+    held = set(_regions(agent, cache, scalars, ["anchorless"]))
+    assert len(cache) == len(held)
     assert held == {region for _inner, region in REGION_ASKS.values()} \
         | {None}
 
     assert cache.evict_paths([MIGRATED]) == 3
     assert cache.metrics()["predicate_evictions"] == 3
-    survivors = {entry.region for entry in map(cache.peek, cache.keys())}
+    survivors = set(_regions(agent, cache, scalars, ["anchorless"]))
+    assert len(cache) == len(survivors)
     assert survivors == {REGION_ASKS["beside"][1],
                          REGION_ASKS["slash-in-id"][1], None}
     # Lists off the wire name the same regions as tuples do.
@@ -120,8 +122,8 @@ def test_evict_paths_drops_exactly_the_overlapping_regions():
 def test_an_anchorless_rollup_covers_every_region():
     agent, cache = _summary_holder()
     assert agent.answer_scalar("count(/root/zone)") == 2.0
-    [key] = cache.keys()
-    assert cache.peek(key).region == ()
+    assert len(cache) == 1
+    assert _regions(agent, cache, ["count(/root/zone)"]) == [()]
     assert cache.evict_paths([MIGRATED]) == 1
 
 
@@ -130,13 +132,13 @@ def test_an_update_evicts_the_summaries_over_it():
     # summary until an update under its region lands.
     agent, cache = _summary_holder()
     above, below = REGION_ASKS["above"][0], REGION_ASKS["beside"][0]
-    for inner in (above, below):
-        assert agent.answer_scalar(f"count({inner}//value)") == \
-            {above: 2.0, below: 1.0}[inner]
+    scalars = [f"count({inner}//value)" for inner in (above, below)]
+    for scalar, value in zip(scalars, (2.0, 1.0)):
+        assert agent.answer_scalar(scalar) == value
     agent.handle_message(UpdateMessage(
         MIGRATED + (("s", "x"),), values={"value": "5"}, sender="sa"))
-    assert [cache.peek(key).region for key in cache.keys()] == [
-        REGION_ASKS["beside"][1]]
+    assert len(cache) == 1
+    assert _regions(agent, cache, scalars) == [REGION_ASKS["beside"][1]]
     assert agent.answer_scalar(f"sum({above}//value)") == 7.0
 
 
@@ -188,6 +190,18 @@ class TestClusterPrecisionQueries:
         sa = cluster.add_sensing_agent("sa-agg", [space])
         sa.send_update(space, values={"available": "yes"})
         assert cluster.scalar(current) == first + 1
+
+    def test_an_absolute_bound_is_not_served_an_older_summary(
+            self, paper_doc, paper_plan, settable_clock):
+        # No lookup bound checks ``timestamp() > 4000``: a summary of
+        # data current at 1000 must not answer it at 5000.
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
+        first = cluster.scalar(COUNT, at_site="top")
+        settable_clock.now = 5000.0
+        sent = cluster.network.traffic.messages
+        absolute = COUNT[:-1] + "[timestamp() > 4000])"
+        assert cluster.scalar(absolute, at_site="top") == first
+        assert cluster.network.traffic.messages > sent
 
     def test_partial_aggregate_is_not_cached_as_the_whole(self, paper_doc,
                                                           paper_plan,

@@ -1,21 +1,22 @@
-"""The semantic query cache: canonical keys, answer keys, the LRU, prewarm.
+"""Canonical keys, the summary store, the query log and prewarming.
 
 Covers the pieces in ``repro.core.semcache`` in isolation (the
-canonicalizer and its answer keys, the measured LRU, the query log)
-and their integration points: the QEG compile cache keyed by canonical
-form, jittered bounds end to end (a subquery carries the caller's own
-bound), prewarming a cold cluster, and the EXPLAIN cache section.
+canonicalizer and its bounds, the query log), the aggregation
+summaries' store (``repro.agg.summaries``), and their integration
+points: the QEG compile cache keyed by canonical form, jittered bounds
+end to end (a subquery carries the caller's own bound), prewarming a
+cold cluster, and the EXPLAIN cache section.
 """
 
 import pytest
 
+from repro.agg import summary_key
+from repro.agg.summaries import SUMMARY_MAX_ENTRIES, SummaryStore
 from repro.core.qeg import compile_pattern, pattern_key_stats
 from repro.core.semcache import (
     QueryLog,
-    SemanticCache,
     canonical_key,
     canonicalize,
-    estimate_bytes,
     prewarm,
     unique_entries,
 )
@@ -88,7 +89,7 @@ class TestCanonicalizer:
         ast = parser.parse(FIGURE2_QUERY)
         assert canonicalize(ast).key == canonical_key(FIGURE2_QUERY)
 
-    def test_jittered_tolerances_share_answer_key(self):
+    def test_jittered_tolerances_share_a_summary_key(self):
         tight = (PREFIX + "/neighborhood[@id='Oakland']"
                  "[timestamp > now - 28]")
         loose = (PREFIX + "/neighborhood[@id='Oakland']"
@@ -96,31 +97,39 @@ class TestCanonicalizer:
         tight_canon = canonicalize(tight)
         loose_canon = canonicalize(loose)
         assert tight_canon.key != loose_canon.key
-        assert tight_canon.answer_key == loose_canon.answer_key
-        assert "timestamp" not in tight_canon.answer_key
+        shared = summary_key((), tight_canon.ast)
+        assert shared == summary_key((), loose_canon.ast)
+        assert "timestamp" not in shared
         assert tight_canon.min_tolerance == 28
         assert loose_canon.min_tolerance == 30
 
-    def test_unbounded_query_answer_key_is_its_key(self):
+    def test_unbounded_query_has_no_tolerance(self):
         canon = canonicalize(FIGURE2_QUERY)
-        assert canon.key == canon.answer_key
+        assert canon.key == canonical_key(FIGURE2_QUERY)
         assert canon.min_tolerance is None
 
-    def test_other_consistency_conjuncts_stay_in_the_answer_key(self):
+    def test_other_consistency_conjuncts_stay_in_the_summary_key(self):
         canon = canonicalize(PREFIX + "/neighborhood[@id='Oakland']"
                              "[timestamp() > 500 and"
                              " timestamp() > current-time() - 30]")
-        assert "timestamp() > 500" in canon.answer_key
-        assert "current-time()" not in canon.answer_key
+        key = summary_key((), canon.ast)
+        assert "timestamp() > 500" in key
+        assert "current-time()" not in key
         assert canon.min_tolerance == 30
 
 
 # ----------------------------------------------------------------------
-# The measured cache
+# The summary store
 # ----------------------------------------------------------------------
-class TestSemanticCache:
+def _filled(store, count, now=0.0):
+    """Store *count* filler summaries, ``f0`` first."""
+    for index in range(count):
+        store.store(f"f{index}", index, now=now)
+
+
+class TestSummaryStore:
     def test_store_then_hit(self):
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("k", 42, now=100.0)
         entry = cache.lookup("k", now=110.0, max_age=30)
         assert entry.value == 42
@@ -128,13 +137,13 @@ class TestSemanticCache:
         assert entry.hits == 1
 
     def test_no_bound_and_no_max_age_take_any_age(self):
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("k", 42, now=100.0, as_of=float("-inf"))
         assert cache.lookup("k", now=10_000.0).value == 42
         assert cache.stats["hits"] == 1
 
     def test_a_bound_is_never_served_data_of_unknown_age(self):
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("k", 42, now=100.0, as_of=float("-inf"))
         assert cache.lookup("k", now=100.0, bound=900.0) is None
         assert cache.lookup("k", now=100.0, max_age=900.0).value == 42
@@ -142,79 +151,45 @@ class TestSemanticCache:
     def test_a_zero_bound_is_never_served(self):
         # The ``timestamp() > current-time() - 0`` rule: data stamped
         # now is not newer than now.
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("k", 42, now=100.0, as_of=100.0)
         assert cache.lookup("k", now=100.0, bound=0.0) is None
         assert cache.lookup("k", now=100.0, bound=1.0).value == 42
 
     def test_stale_entry_rejected(self):
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("k", 42, now=100.0)
         assert cache.lookup("k", now=200.0, max_age=30) is None
         assert cache.stats["stale_rejects"] == 1
 
-    def test_budget_is_taken_directly(self):
-        cache = SemanticCache()
-        assert (cache.max_entries, cache.max_bytes) == (512, 8 * 1024 * 1024)
-        assert SemanticCache(max_entries=3, max_bytes=64).max_bytes == 64
-
     def test_lru_eviction_by_entry_budget(self):
-        cache = SemanticCache(max_entries=2)
+        cache = SummaryStore()
         cache.store("a", 1, now=0.0)
         cache.store("b", 2, now=0.0)
+        _filled(cache, SUMMARY_MAX_ENTRIES - 2)
         cache.lookup("a", now=0.0, max_age=10)  # touch a; b is now LRU
         cache.store("c", 3, now=0.0)
-        assert "a" in cache and "c" in cache and "b" not in cache
+        assert cache.peek("a") is not None and cache.peek("c") is not None \
+            and cache.peek("b") is None
         assert cache.stats["evictions"] == 1
 
-    def test_eviction_by_byte_budget(self):
-        cache = SemanticCache(max_bytes=100)
-        cache.store("a", 1, now=0.0, nbytes=60)
-        cache.store("b", 2, now=0.0, nbytes=60)
-        assert "a" not in cache and "b" in cache
-        assert cache.nbytes <= 100
-        assert cache.stats["evicted_bytes"] == 60
-
-    def test_restore_replaces_bytes_not_duplicates(self):
-        cache = SemanticCache()
-        cache.store("k", 1, now=0.0, nbytes=50)
-        cache.store("k", 2, now=1.0, nbytes=70)
-        assert len(cache) == 1
-        assert cache.nbytes == 70
-
     def test_peek_does_not_touch_counters_or_order(self):
-        cache = SemanticCache(max_entries=2)
+        cache = SummaryStore()
         cache.store("a", 1, now=0.0)
         cache.store("b", 2, now=0.0)
+        _filled(cache, SUMMARY_MAX_ENTRIES - 2)
         assert cache.peek("a").value == 1
         assert cache.stats["hits"] == 0
         cache.store("c", 3, now=0.0)  # peek did not promote a
-        assert "a" not in cache
-
-    def test_invalidate(self):
-        cache = SemanticCache()
-        cache.store("a", 1, now=0.0)
-        cache.store("b", 2, now=0.0)
-        cache.invalidate("a")
-        assert "a" not in cache and "b" in cache
-        cache.invalidate()
-        assert len(cache) == 0
-        assert cache.nbytes == 0
+        assert cache.peek("a") is None
 
     def test_metrics_snapshot(self):
-        cache = SemanticCache()
+        cache = SummaryStore()
         cache.store("a", 1, now=0.0)
         cache.lookup("a", now=0.0, max_age=10)
         metrics = cache.metrics()
         assert metrics["entries"] == 1
         assert metrics["hits"] == 1
-        assert metrics["bytes"] == cache.nbytes
-
-    def test_estimate_bytes_shapes(self):
-        assert estimate_bytes("abcd") == 4
-        assert estimate_bytes(17) == 8
-        assert estimate_bytes([1, 2]) == 24
-        assert estimate_bytes(None) == 1
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +331,75 @@ class TestPrewarm:
         report = paper_cluster.prewarm([FIGURE2_QUERY])
         assert report["replayed"] == 1
 
+    def test_a_saved_live_log_warms_a_fresh_deployment(self, tmp_path):
+        """Live traffic is logged and saved, and a fresh deployment is
+        prewarmed from the file: replaying the log there sends no ask
+        for most queries, more than on a cold one, and the jittered
+        spellings of logged scalars hit the summaries prewarm stored."""
+        from repro.arch import hierarchical
+        from repro.service import (
+            ParkingConfig,
+            QueryWorkload,
+            build_parking_document,
+            parking,
+            run_live,
+        )
+
+        config = ParkingConfig.tiny()
+
+        def deployment():
+            return Cluster(build_parking_document(config),
+                           hierarchical(config, n_sites=7).plan)
+
+        def summary_hits(cluster):
+            return cluster.metrics()["aggregation"]["summary"]["hits"]
+
+        def served_without_asks(cluster, entries):
+            served = 0
+            for entry in entries:
+                before = [agent.stats["subqueries_sent"]
+                          for agent in cluster.agents.values()]
+                cluster.query(entry["query"])
+                served += before == [agent.stats["subqueries_sent"]
+                                     for agent in cluster.agents.values()]
+            return served / len(entries)
+
+        base = parking.type1_query(
+            config, config.city_names()[0], config.neighborhood_names()[0],
+            config.block_ids()[0], selection="cheap")
+        spaced = base.replace("[available='yes'][price='0']",
+                              "[ price = '0' ][ available = 'yes' ]")
+        pairs = [(f"count({base})", f"count( {spaced} )"),
+                 (f"count({base}[timestamp > now - 30])",
+                  f"count({base}[timestamp > now - 28])")]
+
+        live = deployment()
+        log = QueryLog()
+        run_live(live, QueryWorkload.qw_mix(config, skew=0.8, seed=11), 40,
+                 query_log=log)
+        for stored, jitter in pairs:
+            live.scalar(stored, max_age=600)
+            live.scalar(jitter, max_age=600)
+            log.record(stored)
+        assert summary_hits(live) >= len(pairs)
+        path = tmp_path / "queries.jsonl"
+        assert log.save(path) == 40 + len(pairs)
+
+        warm = deployment()
+        loaded = QueryLog.load(path)
+        report = prewarm(warm, loaded)
+        assert report["failures"] == 0 and report["replayed"] > 0
+        paths = [entry for entry in loaded
+                 if not entry["query"].startswith("count(")]
+        warm_rate = served_without_asks(warm, paths)
+        hits = summary_hits(warm)
+        for _stored, jitter in pairs:
+            warm.scalar(jitter, max_age=600)
+        assert summary_hits(warm) - hits >= len(pairs)
+        cold_rate = served_without_asks(deployment(), paths)
+        assert warm_rate >= 0.6
+        assert warm_rate > cold_rate
+
 
 # ----------------------------------------------------------------------
 # Jittered bounds end to end
@@ -424,7 +468,7 @@ class TestJitteredBoundsEndToEnd:
 # EXPLAIN integration
 # ----------------------------------------------------------------------
 class TestExplainCacheSection:
-    def test_report_carries_canonical_and_answer_keys(
+    def test_report_carries_the_canonical_key_and_bound(
             self, paper_doc, paper_plan, settable_clock):
         cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
         query = (PREFIX + "/neighborhood[@id='Shadyside']"
@@ -432,11 +476,11 @@ class TestExplainCacheSection:
         report = cluster.explain(query)
         cache = report.to_dict()["cache"]
         assert "current-time() - 28" in cache["canonical_key"]
-        assert "current-time()" not in cache["answer_key"]
-        assert cache["min_tolerance"] == 28.0
+        assert cache == {"canonical_key": cache["canonical_key"],
+                         "min_tolerance": 28.0}
         rendered = report.render()
-        assert "semantic cache:" in rendered
-        assert "(bound 28s)" in rendered
+        assert f"canonical: {cache['canonical_key']}  (bound 28s)" \
+            in rendered
         assert "bucket" not in rendered
 
     def test_jittered_bound_reports_the_shared_entry(
@@ -470,7 +514,8 @@ class TestExplainCacheSection:
 # Registry integration
 # ----------------------------------------------------------------------
 class TestRegistryCounters:
-    def test_cluster_registry_aggregates_semcache(self, paper_cluster):
+    def test_cluster_registry_reports_summaries_and_memos(
+            self, paper_cluster):
         from repro.obs.registry import cluster_metrics
 
         paper_cluster.query(FIGURE2_QUERY, at_site="top")
@@ -480,8 +525,12 @@ class TestRegistryCounters:
         agent.answer_scalar(
             f"count( {PREFIX}//parkingSpace[ available = 'yes' ] )",
             max_age=60)
-        snapshot = cluster_metrics(paper_cluster)["semcache"]
-        assert snapshot["hits"] >= 1
-        assert snapshot["stores"] >= 1
-        assert 0.0 <= snapshot["hit_ratio"] <= 1.0
-        assert snapshot["canonicalizer"]["scope"] == "process"
+        snapshot = cluster_metrics(paper_cluster)
+        assert "semcache" not in snapshot
+        aggregation = snapshot["aggregation"]
+        assert aggregation["summary"]["hits"] >= 1
+        assert aggregation["summary"]["stores"] >= 1
+        assert 0.0 <= aggregation["summary_hit_ratio"] <= 1.0
+        for engine in (snapshot["engine"], agent.metrics()["engine"]):
+            assert engine["canonicalizer"]["scope"] == "process"
+            assert engine["compile_keys"]["scope"] == "process"

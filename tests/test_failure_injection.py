@@ -184,6 +184,79 @@ class TestPartialAnswers:
         assert failure.report()["scalar"] is False
 
 
+# ----------------------------------------------------------------------
+# A relay's unreachable regions
+# ----------------------------------------------------------------------
+#: Three zone levels, a site per zone prefix to depth 2: ``root`` asks
+#: ``oa-z0``, which asks ``oa-z0-z0`` .. ``oa-z0-z2`` in turn.
+WIDE_VALUES = "/deployment[@id='wide']/zone/zone/zone/sensor/value"
+Z0_Z1 = (("deployment", "wide"), ("zone", "z0"), ("zone", "z1"))
+
+
+def relay_cluster(tcp=False):
+    """The three-level deployment with ``oa-z0-z1`` gone: only its
+    parent ``oa-z0`` ever asks it.  With *tcp*, a :class:`TcpCluster`
+    (close it) whose ``cluster`` is the deployment."""
+    from repro.service.scenarios import build_document, build_plan, \
+        quick_config
+
+    config = quick_config(fanout=3, depth=3, sensors_per_group=2,
+                          site_depth=2)
+    runtime = TcpCluster if tcp else Cluster
+    deployment = runtime(build_document(config), build_plan(config),
+                         oa_config=OAConfig(retry_policy=fast_retries()))
+    if tcp:
+        deployment.kill_site("oa-z0-z1")
+    else:
+        deployment.network.unregister("oa-z0-z1")
+    return deployment
+
+
+class TestARelaysUnreachableRegions:
+    @pytest.mark.parametrize("tcp", [False, True], ids=["loopback", "tcp"])
+    def test_the_asker_records_the_region_its_peer_could_not_reach(
+            self, tcp):
+        deployment = relay_cluster(tcp)
+        try:
+            cluster = deployment.cluster if tcp else deployment
+            results, _, outcome = cluster.query(WIDE_VALUES, at_site="root")
+        finally:
+            if tcp:
+                deployment.close()
+        assert len(results) == 48  # 54 values less z0/z1's six
+        assert not outcome.complete
+        assert outcome.unreachable_paths == (Z0_Z1,)
+        [miss] = outcome.completeness_report()["unreachable"]
+        assert miss["attempts"] == 3
+        assert "'oa-z0-z1'" in miss["causes"][0]
+        assert miss["causes"][-1] == "site 'oa-z0' could not reach it"
+
+    def test_the_report_rides_the_relays_answer(self):
+        cluster = relay_cluster()
+        ask = WIDE_VALUES.replace("/zone/", "/zone[@id='z0']/", 1)
+        reply = cluster.network.request("tester", "oa-z0", QueryMessage(
+            ask, sender="tester"))
+        decoded = Message.decode(reply.encode())
+        assert decoded.fragment is not None
+        [miss] = decoded.completeness["unreachable"]
+        assert tuple(tuple(entry) for entry in miss["id_path"]) == Z0_Z1
+
+    def test_a_rollup_sends_no_more_than_the_walk_and_names_the_region(
+            self):
+        from repro.agg import AggregationUnavailable
+
+        walked = relay_cluster()
+        walked.query(WIDE_VALUES, at_site="root")
+        rolled = relay_cluster()
+        with pytest.raises(AggregationUnavailable) as raised:
+            rolled.scalar(f"count({WIDE_VALUES})", at_site="root")
+        assert [failure.id_path for failure in raised.value.failures] == [
+            Z0_Z1]
+        assert "zone[@id = 'z1']" in str(raised.value)
+        assert rolled.network.traffic.messages <= \
+            walked.network.traffic.messages
+
+
 class TestRetries:
     def test_transient_fault_healed_by_retry(self):
         cluster = make_cluster()

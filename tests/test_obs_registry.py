@@ -135,11 +135,6 @@ AGGREGATION_KEYS = [
     "rollup_matches", "rollups", "summary", "summary_hit_ratio",
     "unsupported_queries",
 ]
-#: The semantic-cache rollup: the summary caches summed, the prewarm
-#: counter and the process-wide memo stats, per site and cluster-wide.
-SEMCACHE_KEYS = ["bytes", "canonicalizer", "compile_keys", "entries",
-                 "evictions", "hit_ratio", "hits", "misses",
-                 "prewarm_queries", "stale_rejects", "stores"]
 SITES = ["etna", "oak", "shady", "top"]
 
 #: ``agent.metrics()``: section -> sorted keys.
@@ -151,14 +146,13 @@ SITE_SCHEMA = {
                  "index_misses", "index_rebuilds", "nodes_refreshed",
                  "nodes_upgraded", "updates_applied"],
     "dns_cache": ["evictions", "hits", "invalidations", "misses"],
-    "engine": ["index_hits", "index_misses", "index_rebuilds",
-               "serialization"],
+    "engine": ["canonicalizer", "compile_keys", "index_hits",
+               "index_misses", "index_rebuilds", "serialization"],
     "gather": ["failed_subqueries", "local_hits", "max_fanout",
                "partial_gathers", "prewarm_queries", "queries",
                "replica_served", "rounds", "subqueries_sent"],
     "load": ["anchors", "queries", "unattributed"],
     "oa": OA_KEYS,
-    "semcache": SEMCACHE_KEYS,
 }
 
 #: ``cluster.metrics()`` on loopback: section -> sorted keys.
@@ -169,15 +163,15 @@ CLUSTER_SCHEMA = {
     "continuous": CONTINUOUS_KEYS + ["sites"],
     "dns_server": ["invalidations", "lookups", "registrations", "remaps",
                    "updates"],
-    "engine": ["index_hit_ratio", "index_hits", "index_misses",
-               "index_rebuilds", "serialization_rebuilt",
-               "serialization_reuse_ratio", "serialization_reused"],
+    "engine": ["canonicalizer", "compile_keys", "index_hit_ratio",
+               "index_hits", "index_misses", "index_rebuilds",
+               "serialization_rebuilt", "serialization_reuse_ratio",
+               "serialization_reused"],
     "faults": ["breakers", "circuit_fast_fails", "dns_refreshes",
                "failed_subqueries", "partial_gathers", "retries",
                "subquery_failures"],
     "health": SITES,
     "runtime": ["gc_collections", "gc_pause_ms", "scope"],
-    "semcache": SEMCACHE_KEYS,
     "sites": SITES,
     "traffic": ["bytes", "links", "messages"],
 }
@@ -201,8 +195,8 @@ def _schema(snapshot):
 def test_metrics_schema(paper_cluster, paper_doc, paper_plan):
     """Every section and key the three ``metrics()`` surfaces return
     (the tables were generated when the registry classes were removed;
-    since then ``aggregation`` is in every snapshot, and a site's
-    ``semcache`` is the cluster's rollup over that one site)."""
+    since then ``aggregation`` is in every snapshot, and ``engine``
+    carries the process-wide canonicalizer and compile-key memos)."""
     assert _schema(paper_cluster.agents["top"].metrics()) == SITE_SCHEMA
     snapshot = paper_cluster.metrics()
     assert _schema(snapshot) == CLUSTER_SCHEMA

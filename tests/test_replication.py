@@ -140,6 +140,16 @@ class TestFreshnessBound:
             assert report["served_by_replica"] == []
             assert report["replica_too_stale"]
 
+    def test_a_relay_keeps_why_failover_refused_the_copy(self):
+        # Asked at etna, Pittsburgh is top's: top's own failover refuses
+        # oak's copy, and etna's report says so, not "unreachable".
+        query = FRESH_OAK_BLOCK.replace("[@id='Oakland']", "")
+        _, outcome = self._fail_over(40.0, query)
+        report = outcome.completeness_report()
+        assert report["unreachable"] == []
+        [stale] = report["replica_too_stale"]
+        assert stale["causes"][-1] == "site 'top' could not reach it"
+
     def test_scalar_wrapper_unwrapped(self):
         query = f"count({FRESH_OAK_BLOCK}/parkingSpace)"
         cluster, fresh = self._fail_over(10.0, query, scalar=True)
