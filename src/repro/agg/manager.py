@@ -60,7 +60,7 @@ from repro.net.errors import NetError
 from repro.net.messages import as_id_path
 from repro.obs.registry import sum_numeric
 from repro.obs.tracing import TRACER
-from repro.xmlkit.nodes import Text
+from repro.xmlkit.nodes import Element
 from repro.xpath import parser as xpath_parser
 from repro.xpath.ast import FunctionCall, LocationPath, NameTest
 from repro.xpath.errors import XPathError
@@ -154,8 +154,7 @@ def _strings(element, final):
     if final.axis == "attribute":
         value = element.attrib.get(final.node_test.name)
         return () if value is None else (value,)
-    return [child.value for child in element.children
-            if isinstance(child, Text)]
+    return () if element.text is None else (element.text,)
 
 
 def _uncovered(pattern, outcome, asks):
@@ -220,7 +219,7 @@ def _scans_over(earlier, later, items):
 
 def _owned(match):
     """Whether this site owns the IDable node whose data *match* is."""
-    element = match.parent if isinstance(match, Text) else match
+    element = match if isinstance(match, Element) else match.parent
     while element.get(STATUS_ATTRIBUTE) is None and element.parent is not None:
         element = element.parent
     return get_status(element) is Status.OWNED

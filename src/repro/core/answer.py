@@ -283,6 +283,7 @@ class AnswerBuilder:
                 if canonical != stamp:
                     attrib[TIMESTAMP_ATTRIBUTE] = canonical
             # Non-IDable content, replacing whatever scaffolding was there.
+            target.text = element.text
             stale = non_idable_children(target) if target.children else ()
             if stale:
                 for child in stale:

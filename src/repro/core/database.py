@@ -434,7 +434,7 @@ class SensorDatabase:
     def _adopt_content(self, target, incoming, incoming_status, handed_over):
         """Replace *target*'s own-level content with *incoming*'s: moved
         out of a *handed_over* fragment (left gutted and unstamped, for
-        its owner to drop), copied out of any other.  The attribute dict
+        its owner to drop), copied out of any other.  Attributes, text
         and the content list are swapped whole, under one stamp."""
         if not incoming_status.has_local_information:
             set_status(target, incoming_status)
@@ -471,6 +471,7 @@ class SensorDatabase:
         for child in adopted:
             child.parent = target
         target.attrib = attrib
+        target.text = incoming.text
         target.children = children + adopted
         target._touch()
 
@@ -514,6 +515,7 @@ class SensorDatabase:
                 self._invalidate_index()
             for child in dropped:
                 element.remove(child)
+            element.set_text(None)
             for child in idable_children(element):
                 self._unregister_descendants(child, path + (node_id(child),))
                 self._demote_to_stub(child)

@@ -112,8 +112,10 @@ def _collect_paths(element, base_path):
 def rename_field(database, path, old_tag, new_tag):
     """A local non-IDable schema change: rename a value field.
 
-    Demonstrates the "transparent schema changes" story: purely local,
-    no coordination, transient cache inconsistency elsewhere.
+    The whole field moves under the new tag: its attributes, its
+    children and its text.  Demonstrates the "transparent schema
+    changes" story: purely local, no coordination, transient cache
+    inconsistency elsewhere.
     """
     element = database.find(path, required=True)
     if get_status(element) is not Status.OWNED:
@@ -126,13 +128,11 @@ def rename_field(database, path, old_tag, new_tag):
             f"{old_tag!r} is not a non-IDable field of "
             f"{format_id_path(path)}"
         )
-    replacement = Element(new_tag)
-    text = child.text
-    if text is not None:
-        replacement.set_text(text)
-    for name, value in child.attrib.items():
-        replacement.set(name, value)
+    replacement = Element(new_tag, attrib=child.attrib, text=child.text)
+    children = list(child.children)
     element.remove(child)
+    child.clear_children()
+    replacement.extend(children)
     element.append(replacement)
     when = database.clock()
     set_timestamp(element, when)

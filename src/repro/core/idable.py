@@ -4,9 +4,9 @@ Implements Definitions 3.1 and 3.2 of the paper:
 
 * An **IDable node** has an ``id`` unique among its same-tag siblings
   and an IDable parent; the document root is IDable.
-* The **local information** of an IDable node comprises its attributes,
-  its non-IDable children (with their whole subtrees) and the IDs of
-  its IDable children.
+* The **local information** of an IDable node comprises its attributes
+  and text, its non-IDable children (with their whole subtrees) and the
+  IDs of its IDable children.
 * The **local ID information** is the node's own ID plus the IDs of its
   IDable children.
 
@@ -22,7 +22,7 @@ from repro.core.status import (
     STATUS_ATTRIBUTE,
     get_status,
 )
-from repro.xmlkit.nodes import Element, Text
+from repro.xmlkit.nodes import Element
 
 
 def node_id(element):
@@ -46,8 +46,6 @@ def is_idable(element):
 
 
 def _locally_idable(element):
-    if isinstance(element, Text):
-        return False
     identifier = element.attrib.get("id")
     if identifier is None:
         return False
@@ -56,8 +54,7 @@ def _locally_idable(element):
         return True
     tag = element.tag
     for sibling in parent.children:
-        if sibling is not element and isinstance(sibling, Element) \
-                and sibling.tag == tag \
+        if sibling is not element and sibling.tag == tag \
                 and sibling.attrib.get("id") == identifier:
             return False
     return True
@@ -70,11 +67,10 @@ def idable_child_map(element):
     """
     keyed = {}
     for child in element.children:
-        if isinstance(child, Element):
-            identifier = child.attrib.get("id")
-            if identifier is not None:
-                key = (child.tag, identifier)
-                keyed[key] = None if key in keyed else child
+        identifier = child.attrib.get("id")
+        if identifier is not None:
+            key = (child.tag, identifier)
+            keyed[key] = None if key in keyed else child
     return keyed
 
 
@@ -89,7 +85,7 @@ def idable_children(element):
 
 
 def non_idable_children(element):
-    """Children of *element* that are part of its local information."""
+    """Children of *element* in its local information, beside its text."""
     idable = {id(child) for child in idable_children(element)}
     return [child for child in element.children if id(child) not in idable]
 
@@ -158,18 +154,18 @@ def id_stub(element, status=None):
 def local_information(element, keep_internal=False):
     """The local information of *element* as a detached fragment.
 
-    Contains (1) all attributes of the node, (2) all non-IDable
-    children and their subtrees, and (3) ID stubs for the IDable
-    children.  With ``keep_internal=False``, system attributes are
-    omitted from the copy.
+    Contains (1) all attributes of the node and its text, (2) all
+    non-IDable children and their subtrees, and (3) ID stubs for the
+    IDable children.  With ``keep_internal=False``, system attributes
+    are omitted from the copy.
     """
-    clone = Element(element.tag)
+    clone = Element(element.tag, text=element.text)
     for name, value in element.attrib.items():
         if keep_internal or name not in INTERNAL_ATTRIBUTES:
             clone.set(name, value)
     idable = {id(child) for child in idable_children(element)}
     for child in element.children:
-        if isinstance(child, Element) and id(child) in idable:
+        if id(child) in idable:
             clone.append(id_stub(child))
         else:
             clone.append(child.copy())

@@ -66,7 +66,7 @@ def structural_violations(db):
                 )
         if status is Status.INCOMPLETE:
             extra_attrs = set(element.attrib) - {"id", "status"}
-            if extra_attrs or element.children:
+            if extra_attrs or element.children or element.text is not None:
                 problems.append(
                     f"{path}: incomplete node is not a bare stub "
                     f"(attrs={sorted(extra_attrs)}, "
@@ -88,15 +88,12 @@ def _strip_for_compare(element):
 def _local_info_signature(element):
     """Canonical form of a node's local information (ids of children +
     attributes + non-IDable content), ignoring system attributes."""
-    shell = Element(element.tag)
+    shell = Element(element.tag, text=element.text)
     for name, value in element.attrib.items():
         if name not in ("status", "timestamp"):
             shell.set(name, value)
     for child in non_idable_children(element):
-        if isinstance(child, Element):
-            shell.append(_strip_for_compare(child))
-        else:
-            shell.append(child.copy())
+        shell.append(_strip_for_compare(child))
     for child in sorted(
         (node_id(c) for c in idable_children(element)), key=repr
     ):

@@ -150,6 +150,7 @@ def _materialize_owned(db, source):
     for name, value in source.attrib.items():
         if name != "status":
             target.set(name, value)
+    target.set_text(source.text)
     for child in list(non_idable_children(target)):
         target.remove(child)
     for child in non_idable_children(source):

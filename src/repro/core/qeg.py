@@ -16,6 +16,8 @@ The walker treats the query's main path as a pattern of child steps
 with optional ``//`` gaps and simulates it NFA-style: each stored node
 carries the set of pattern positions it has matched, so a node can
 simultaneously be an intermediate match and sit inside a ``//`` scan.
+A ``text()`` or ``node()`` step meets an element's text as a view after
+its child elements (:meth:`_Walker._process_text`).
 
 Per-node behaviour matches the four status cases of Section 3.5:
 
@@ -224,13 +226,10 @@ class PatternItem:
     def has_nested(self):
         return bool(self.nested_predicates)
 
-    def test_matches(self, node):
+    def test_matches(self, element):
         test = self.node_test
-        if isinstance(node, Text):
-            return isinstance(test, NodeTypeTest) and \
-                test.node_type in ("text", "node")
         if isinstance(test, NameTest):
-            return test.matches(node.tag)
+            return test.matches(element.tag)
         return test.node_type == "node"
 
     def unparse(self):
@@ -659,6 +658,10 @@ class _Walker:
         #: emitted subquery and every IDable-node match verdict.
         self.observer = observer
         self._seen_subqueries = set()
+        #: The items whose test accepts a text view: text() and node().
+        self._text_items = {
+            j for j, item in enumerate(self.items)
+            if getattr(item.node_test, "node_type", None) in ("text", "node")}
         #: ``id(parent) -> {id(child)}`` of its IDable children, one pass
         #: per parent (the site guard holds the fragment still meanwhile).
         self._idable_kids = {}
@@ -688,7 +691,7 @@ class _Walker:
     def _locally_idable(self, node):
         """:func:`repro.core.idable._locally_idable` off the per-parent
         set, built only for a parent with an id-bearing child."""
-        if isinstance(node, Text) or "id" not in node.attrib:
+        if "id" not in node.attrib:
             return False
         parent = node.parent
         if parent is None:
@@ -745,29 +748,28 @@ class _Walker:
                          self.matches)
 
     # ------------------------------------------------------------------
-    def _process(self, element, states):
-        """Continue matching below *element*, which holds *states* threads."""
+    def _settle(self, node, states):
+        """Decide the collect point and the results among the *states*
+        *node* holds; returns the threads to continue below it."""
         self.stats["nodes_visited"] += 1
         n_items = len(self.items)
-
         # Collect-point handling for nesting depth > 0, before results:
         # a final step's own nested predicates are decided there.
         collected = self.pattern.collect_index
         if collected is not None and collected + 1 in states:
-            self._collect_and_evaluate(element)
+            self._collect_and_evaluate(node)
             states = {j for j in states if j != collected + 1}
-            if not states:
-                return
-
         if n_items in states:
-            self._include_result(element)
+            self._include_result(node)
             states = {j for j in states if j < n_items}
-            if not states:
-                return
+        return states
 
-        if isinstance(element, Text):
+    def _process(self, element, states):
+        """Continue matching below *element*, which holds *states* threads."""
+        states = self._settle(element, states)
+        if not states:
             return
-
+        n_items, collected = len(self.items), self.pattern.collect_index
         status = get_status(element) if self._locally_idable(element) else None
         if status is Status.ID_COMPLETE:
             states = self._filter_states_for_id_complete(element, states)
@@ -797,7 +799,21 @@ class _Walker:
                 self._include_result(child)
             elif child_states:
                 self._process(child, child_states)
+        if element.text is not None and self._text_items:
+            self._process_text(element, threads)
         self._held.pop()
+
+    def _process_text(self, element, threads):
+        """Match the view of *element*'s text, after its child elements,
+        against *threads*: it has no id and no children, so a pinned item
+        never selects it, and it ends every thread it meets."""
+        view = Text(element.text, element)
+        tried = [(j, item) for j, item in threads if j in self._text_items]
+        states = {j + 1 for j, item in tried if item.pinned_ids is None
+                  and self.evaluate(item.text_check, view)}
+        self.stats["prunes"] += len(tried) - len(states)
+        if states:
+            self._settle(view, states)
 
     def _include_pass_through(self, child, item):
         """Ship a matched intermediate node's information.
@@ -813,7 +829,7 @@ class _Walker:
         field a predicate touched is part of the smallest correct
         superset (Section 2's numberOfFreeSpots example).
         """
-        if isinstance(child, Text) or not self._locally_idable(child):
+        if not self._locally_idable(child):
             return
         status = get_status(child)
         if status.has_local_information and item.touches_content:
@@ -827,8 +843,6 @@ class _Walker:
         If *child* is an ID-only stub, its subtree may hide matches the
         site cannot see, so the scan becomes a subquery.
         """
-        if isinstance(child, Text):
-            return
         if self._locally_idable(child) and \
                 get_status(child) is Status.INCOMPLETE:
             self._ask_at(child, j, Subquery.INCOMPLETE, scan=True)
@@ -870,8 +884,7 @@ class _Walker:
         goes first (Section 3.5): a set test prunes a node the item's
         pins exclude before anything is evaluated or asked."""
         pinned = self.items[j].pinned_ids
-        if pinned is not None and (isinstance(node, Text)
-                                   or node.attrib.get("id") not in pinned):
+        if pinned is not None and node.attrib.get("id") not in pinned:
             outcome = _NO
         else:
             outcome = self._match_item_inner(node, j)
@@ -882,9 +895,6 @@ class _Walker:
     def _match_item_inner(self, node, j):
         """Decide whether *node* satisfies item *j* (the four status cases)."""
         item = self.items[j]
-        if isinstance(node, Text):
-            return _MATCH if self.evaluate(item.text_check, node) else _NO
-
         # P_id first: _match_item's pin test decided it when the pins
         # are exact; otherwise evaluate what the pins cannot express.
         if not (item.pins_exact and item.pinned_ids is not None) \
@@ -1017,30 +1027,30 @@ class _Walker:
     # ------------------------------------------------------------------
     # Nesting depth > 0
     # ------------------------------------------------------------------
-    def _collect_and_evaluate(self, element):
+    def _collect_and_evaluate(self, node):
         """Fetch-subtree strategy at the collect point (Section 4): the
-        data below *element* is judged, and fetched, at its lowest IDable
-        ancestor-or-self, the smallest region an id path can name."""
-        anchor = self._lowest_idable(element)
+        data below *node* is judged, and fetched, at its element's lowest
+        IDable ancestor-or-self, the smallest region an id path can name."""
+        anchor = self._lowest_idable(_element_of(node))
         if not subtree_materialized(anchor):
             self._ask_subtree(anchor, Subquery.NESTED_FETCH)
             return
         # All data below is local: the rest of the query, compiled once
-        # per pattern, decides the results relative to this node.
+        # per pattern, decides the results relative to this node.  Its
+        # steps are child steps: it selects elements and text views.
         try:
-            matches = self.pattern.residual(element, self.env)
+            matches = self.pattern.residual(node, self.env)
         except XPathError:
             matches = []
         for match in matches if isinstance(matches, list) else []:
-            if isinstance(match, (Element, Text)):
-                self._include_result(match)
-                self.stats["results_local"] += 1
+            self._include_result(match)
+            self.stats["results_local"] += 1
 
     # ------------------------------------------------------------------
     def _include_result(self, match):
         """Include a final-step *match*'s answer region; record the match
         as a result unless part of its data is still missing here."""
-        element = match.parent if isinstance(match, Text) else match
+        element = _element_of(match)
         anchor = self._lowest_idable(element)
         self.builder.include_ancestors(anchor)
         missing = []
@@ -1055,13 +1065,18 @@ class _Walker:
         for node in missing:
             self._ask_subtree(node)
         # A text node is all there, whatever its parent's subtree lacks.
-        if not missing or isinstance(match, Text):
+        if not missing or match is not element:
             self.matches.append(match)
         self.stats["results_local"] += 1
 
     def _ask_subtree(self, element, reason=Subquery.MISSING_SUBTREE):
         text, anchor_path = self._render(element, _SUBTREE)
         self.ask(Subquery(text, anchor_path, reason, subtree=True))
+
+
+def _element_of(node):
+    """*node*, or the element whose text the view *node* is."""
+    return node if isinstance(node, Element) else node.parent
 
 
 def run_qeg(db, pattern, now=None, observer=None, vouched=(), ships=True):

@@ -97,13 +97,11 @@ def decode_fragment(holder):
 
 
 def _encode_scalar(value):
-    holder = Element("scalar", attrib={"type": type(value).__name__})
     if isinstance(value, bool):
         text = "true" if value else "false"
     else:
         text = str(value)
-    holder.append(Text(text))
-    return holder
+    return Element("scalar", attrib={"type": type(value).__name__}, text=text)
 
 
 def _decode_scalar(holder):
@@ -504,8 +502,8 @@ def _encode_results(results):
     """A ``<results>`` holder listing the result elements (lent, like a
     fragment) in order.
 
-    Character data cannot sit between the elements -- the parser folds
-    an element's text into one trailing node -- so a text result ships
+    Character data cannot sit between the elements -- an element's text
+    is one string after its child elements -- so a text result ships
     as ``<t v="..."/>`` and the holder's ``text`` attribute lists the
     positions that are text.  Element-only answers carry no attribute.
     """

@@ -2,11 +2,11 @@
 
 The paper's data model treats sibling order as meaningless
 (Section 3.1), so two documents are "the same" when they are equal up
-to reordering of siblings.  Canonicalization sorts siblings by a stable
-key: ``(tag, id, full canonical serialization)``.
+to reordering of siblings.  Canonicalization sorts child elements by
+their canonical serialization and writes the element's text after them.
 """
 
-from repro.xmlkit.nodes import Document, Element, Text
+from repro.xmlkit.nodes import Document, Text
 from repro.xmlkit.serializer import escape_attribute, escape_text
 
 
@@ -29,7 +29,8 @@ def canonical_form(node, ignore=frozenset()):
     child_forms = sorted(canonical_form(child, ignore)
                          for child in node.children)
     inner = "".join(child_forms)
-    return f"<{node.tag}{attrs}>{inner}</{node.tag}>"
+    text = escape_text(node.text) if node.text else ""
+    return f"<{node.tag}{attrs}>{inner}{text}</{node.tag}>"
 
 
 def trees_equal(a, b):
@@ -45,7 +46,7 @@ def tree_hash(node):
 def _describe(node):
     if isinstance(node, Text):
         return f"text {node.value!r}"
-    ident = f" id={node.id!r}" if isinstance(node, Element) and node.id else ""
+    ident = f" id={node.id!r}" if node.id else ""
     return f"<{node.tag}{ident}>"
 
 
@@ -76,6 +77,8 @@ def diff_trees(a, b, path="/"):
             f"{path}{a.tag}: attributes differ (left-only/changed {only_a}, "
             f"right-only/changed {only_b})"
         )
+    if (a.text or "") != (b.text or ""):
+        differences.append(f"{path}{a.tag}: text {a.text!r} != {b.text!r}")
     remaining = list(b.children)
     for child in a.children:
         form = canonical_form(child)

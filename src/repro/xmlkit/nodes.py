@@ -6,6 +6,9 @@ character data.  There are no namespaces, processing instructions or
 mixed-content subtleties -- sensor documents are trees of elements whose
 leaves carry values (e.g. ``<available>yes</available>``).
 
+Character data is one trailing string per element, its ``text`` slot
+after its child elements: ``children`` holds elements only.
+
 Documents are treated as *unordered*: sibling order carries no meaning
 (Section 3.1 of the paper).  The in-memory representation necessarily
 keeps children in a list, but all comparison and caching logic in the
@@ -56,17 +59,15 @@ def is_valid_name(name):
 
 
 class Text:
-    """A character-data node.
-
-    ``Text`` nodes appear as children of :class:`Element` and carry the
-    element's value (e.g. the ``yes`` in ``<available>yes</available>``).
-    """
+    """A character-data node, outside the tree: the XPath view of an
+    element's ``text`` (``Text(element.text, element)``: the *parent*
+    is the element), or a text result detached from it."""
 
     __slots__ = ("value", "parent")
 
-    def __init__(self, value):
+    def __init__(self, value, parent=None):
         self.value = str(value)
-        self.parent = None
+        self.parent = parent
 
     def copy(self):
         """Return a detached copy of this text node."""
@@ -84,15 +85,17 @@ class Text:
 
 
 class Element:
-    """An XML element: a tag, a dict of attributes and child nodes.
+    """An XML element: a tag, a dict of attributes, child elements and
+    ``text``, one string after them (``None`` for ``<a/>``, ``""`` for
+    ``<a></a>``).
 
-    Children are :class:`Element` or :class:`Text` instances.  Parent
-    pointers are maintained automatically by the mutation methods
-    (:meth:`append`, :meth:`remove`, ...), which is what allows the
-    XPath engine to support the ``parent`` and ``ancestor`` axes.
+    Parent pointers and stamps are maintained by the mutation methods
+    (:meth:`append`, :meth:`remove`, :meth:`set_text`, ...), which is
+    what allows the XPath engine to support the ``parent`` and
+    ``ancestor`` axes.
     """
 
-    __slots__ = ("tag", "attrib", "children", "parent",
+    __slots__ = ("tag", "attrib", "children", "text", "parent",
                  "_version", "_ser_cache", "_kid_maps", "_ser_origin")
 
     def __init__(self, tag, attrib=None, children=(), text=None):
@@ -104,6 +107,7 @@ class Element:
             if not is_valid_name(name):
                 raise XmlStructureError(f"invalid attribute name: {name!r}")
         self.children = []
+        self.text = None
         self.parent = None
         self._version = 0
         self._ser_cache = None
@@ -112,11 +116,11 @@ class Element:
         for child in children:
             self.append(child)
         if text is not None:
-            self.append(Text(text))
+            self.text = (self.text or "") + str(text)
 
     @classmethod
-    def assemble(cls, tag, attrib, children):
-        """A finished element around *children*, stamped once.
+    def assemble(cls, tag, attrib, children, text=None):
+        """A finished element around *children* and *text*, stamped once.
 
         The bulk constructor of the parser and of ID stubs (copies
         build theirs in :func:`copy_subtree`).  The caller vouches for what :meth:`__init__`
@@ -130,6 +134,7 @@ class Element:
         node = cls.__new__(cls)
         node.tag = tag
         node.attrib = attrib
+        node.text = text
         node.parent = None
         node._ser_cache = None
         node._kid_maps = None
@@ -145,11 +150,12 @@ class Element:
 
         Every ``Element`` <-> ``parent`` pair is a reference cycle, so a
         dropped tree is otherwise left to the cycle collector.  This
-        clears ``children``, the child maps and the origin link of this
-        element and of every descendant, going down only into a child
-        whose ``parent`` is the element being cleared: a payload the
-        tree merely lists (a lent one, see ``repro.net.messages``) or a
-        child another tree has adopted since is never touched.  Called
+        clears ``children`` (``text`` is in no cycle), the child maps and
+        the origin link of this element and of every descendant, going
+        down only into a child whose ``parent`` is the element being
+        cleared: a payload the tree merely lists (a lent one, see
+        ``repro.net.messages``) or a child another tree has adopted since
+        is never touched.  Called
         only where the code holds the one reference to the tree: a
         message envelope after it is serialized or decoded, a handed-
         over reply after its merge, a served reply after it is framed.
@@ -162,7 +168,7 @@ class Element:
             node._kid_maps = None
             node._ser_origin = None
             for child in children:
-                if child.parent is node and isinstance(child, Element):
+                if child.parent is node:
                     stack.append(child)
 
     # ------------------------------------------------------------------
@@ -217,13 +223,17 @@ class Element:
     # Tree mutation
     # ------------------------------------------------------------------
     def append(self, node):
-        """Attach *node* (an :class:`Element` or :class:`Text`) as a child."""
-        if not isinstance(node, (Element, Text)):
+        """Attach the :class:`Element` *node* as the last child, or append
+        a :class:`Text`'s value to the text."""
+        if isinstance(node, Text):
+            self.text = (self.text or "") + node.value
+        elif not isinstance(node, Element):
             raise XmlStructureError(f"cannot append {type(node).__name__} to an element")
-        if node.parent is not None:
+        elif node.parent is not None:
             raise XmlStructureError("node already has a parent; detach it first")
-        node.parent = self
-        self.children.append(node)
+        else:
+            node.parent = self
+            self.children.append(node)
         self._touch()
         return node
 
@@ -248,65 +258,51 @@ class Element:
         return self
 
     def clear_children(self):
-        """Remove all children (both elements and text)."""
-        if not self.children:
+        """Remove all children and the text."""
+        if not self.children and self.text is None:
             return
         for child in self.children:
             child.parent = None
         self.children = []
+        self.text = None
         self._touch()
 
     def set_text(self, value):
-        """Replace all text children with a single text node.
+        """Replace the character data with the string form of *value*.
 
-        Element children are preserved.  Passing ``None`` removes all
-        character data.
+        Child elements are preserved, and ``None`` removes the text.  The
+        value the element holds already changes nothing, stamp included.
         """
-        kept = [c for c in self.children if isinstance(c, Element)]
-        if len(kept) != len(self.children):
-            for child in self.children:
-                if isinstance(child, Text):
-                    child.parent = None
-            self.children = kept
-            self._touch()
         if value is not None:
-            self.append(Text(value))
+            value = str(value)
+        if value != self.text:
+            self.text = value
+            self._touch()
 
     # ------------------------------------------------------------------
     # Navigation
     # ------------------------------------------------------------------
-    @property
-    def text(self):
-        """Concatenated character data directly under this element.
-
-        Returns ``None`` if the element has no text children at all,
-        which distinguishes ``<a/>`` from ``<a></a>`` containing an
-        empty text node.
-        """
-        parts = [c.value for c in self.children if isinstance(c, Text)]
-        if not parts:
-            return None
-        return "".join(parts)
-
     def string_value(self):
-        """The XPath string-value: all descendant text, concatenated."""
+        """The XPath string-value: all descendant text, concatenated
+        (an element's children, then its own text)."""
+        if not self.children:
+            return self.text or ""
         parts = []
         stack = [self]
         while stack:
             node = stack.pop()
-            for child in reversed(node.children):
-                if isinstance(child, Text):
-                    parts.append(child.value)
-                else:
-                    stack.append(child)
-        # The stack-based walk above visits children right-to-left via
-        # reversed(), so parts come out in document order already.
+            if node.__class__ is str:
+                parts.append(node)
+                continue
+            if node.text:
+                stack.append(node.text)
+            stack.extend(reversed(node.children))
         return "".join(parts)
 
     def element_children(self, tag=None):
         """Iterate over child elements, optionally filtered by *tag*."""
         for child in self.children:
-            if isinstance(child, Element) and (tag is None or child.tag == tag):
+            if tag is None or child.tag == tag:
                 yield child
 
     def child(self, tag, id=None):
@@ -322,9 +318,8 @@ class Element:
             first_by_tag = {}
             by_key = {}
             for node in self.children:
-                if isinstance(node, Element):
-                    first_by_tag.setdefault(node.tag, node)
-                    by_key.setdefault((node.tag, node.attrib.get("id")), node)
+                first_by_tag.setdefault(node.tag, node)
+                by_key.setdefault((node.tag, node.attrib.get("id")), node)
             maps = (self._version, first_by_tag, by_key)
             self._kid_maps = maps
         if id is None:
@@ -338,9 +333,7 @@ class Element:
             node = stack.pop()
             if tag is None or node.tag == tag:
                 yield node
-            stack.extend(
-                child for child in reversed(node.children) if isinstance(child, Element)
-            )
+            stack.extend(reversed(node.children))
 
     def descendants(self, tag=None):
         """Like :meth:`iter` but excluding this element itself."""
@@ -455,8 +448,8 @@ class Element:
 
 
 def copy_subtree(node, drop=(), carry_memo=False):
-    """A detached deep copy of *node* (an :class:`Element` or
-    :class:`Text`), without the attributes named in *drop*.
+    """A detached deep copy of *node* (an :class:`Element` or a
+    ``text()`` match), without the attributes named in *drop*.
 
     The one subtree copier.  It builds the copy finished, as
     :meth:`Element.assemble` would, without its checks: the source
@@ -468,61 +461,54 @@ def copy_subtree(node, drop=(), carry_memo=False):
     otherwise the copy has neither, and nothing done to it reaches the
     source.
     """
-    element_class, text_class = Element, Text
+    if node.__class__ is Text:
+        return Text(node.value)
     new = object.__new__
-    if node.__class__ is text_class:
-        clone = new(text_class)
-        clone.value = node.value
-        clone.parent = None
-        return clone
-    root = new(element_class)
+    root = new(Element)
     root.parent = None
-    sources, clones = [], []
+    parents, pairs = [], []
     stack = [node, root]
     while stack:
         clone = stack.pop()
         source = stack.pop()
-        sources.append(source)
-        clones.append(clone)
         clone.tag = source.tag
         attrib = source.attrib.copy()
         for name in drop:
             if name in attrib:
                 del attrib[name]
         clone.attrib = attrib
-        clone._ser_cache = None
-        clone._kid_maps = None
-        clone._ser_origin = None
+        clone.text = source.text
+        clone._ser_cache = clone._kid_maps = clone._ser_origin = None
         children = []
         for child in source.children:
-            if child.__class__ is text_class:
-                copy = new(text_class)
-                copy.value = child.value
-            else:
-                copy = new(element_class)
-                stack.append(child)
-                stack.append(copy)
+            copy = new(Element)
             copy.parent = clone
             children.append(copy)
+            stack.append(child)
+            stack.append(copy)
         clone.children = children
-    # A source comes before everything below it, so in reverse every
-    # element is stamped after its descendants.
-    clock = _VERSION_CLOCK
-    for index in range(len(clones) - 1, -1, -1):
-        clone = clones[index]
-        stamp = clone._version = next(clock) if clone.children else 0
+        if children:
+            parents.append(clone)
+        else:
+            clone._version = 0
         if carry_memo:
-            source = sources[index]
-            version = source._version
-            cache = source._ser_cache
-            if cache:
-                # Snapshot: a write-back from another thread may insert
-                # a key mid-iteration.
-                clone._ser_cache = {
-                    key: (stamp, text)
-                    for key, (source_stamp, text) in list(cache.items())
-                    if source_stamp == version} or None
-            clone._ser_origin = (source, version, stamp)
+            pairs.append((source, clone))
+    # A parent comes before every parent below it, so in reverse each
+    # is stamped after its descendants.
+    clock = _VERSION_CLOCK
+    for index in range(len(parents) - 1, -1, -1):
+        parents[index]._version = next(clock)
+    for source, clone in pairs:
+        version, stamp = source._version, clone._version
+        cache = source._ser_cache
+        if cache:
+            # Snapshot: a write-back from another thread may insert a
+            # key mid-iteration.
+            clone._ser_cache = {
+                key: (stamp, text)
+                for key, (source_stamp, text) in list(cache.items())
+                if source_stamp == version} or None
+        clone._ser_origin = (source, version, stamp)
     return root
 
 

@@ -17,16 +17,18 @@ one expression whole.  Where a token does not match, the input at that
 position is examined once more to say exactly what is wrong and where.
 
 Each element is built finished (:meth:`Element.assemble`) when its
-closing tag is read, around children that are finished already: the
-tokenizer has checked every name, nothing is appended one child at a
-time, and the subtree is stamped once per element -- a parent higher
-than everything below it, a childless element 0.
+closing tag is read, around children that are finished already and its
+text runs joined into one string: the tokenizer has checked every name,
+nothing is appended one child at a time, and the subtree is stamped
+once per element -- a parent higher than everything below it, a
+childless element 0.  A leaf is built in one call, with an empty child
+list and its text.
 """
 
 import re
 
 from repro.xmlkit.errors import XmlParseError
-from repro.xmlkit.nodes import Document, Element, Text, is_valid_name
+from repro.xmlkit.nodes import Document, Element, is_valid_name
 
 _ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 _WS = r"[ \t\r\n]*"
@@ -195,9 +197,8 @@ def parse_fragment(source):
         # -- a start tag: *pos* is at its "<" ---------------------------
         leaf = _read_leaf(source, pos)
         if leaf is not None:
-            text = leaf.group(2).strip()
-            closed = assemble(leaf.group(1), {},
-                              [Text(text)] if text else [])
+            tag, text = leaf.groups()
+            closed = assemble(tag, {}, [], text.strip() or None)
             pos = leaf.end()
         else:
             opened_at = pos
@@ -240,11 +241,9 @@ def parse_fragment(source):
                 pos = close.end()
                 if not close.group(2):
                     raise _error(source, "expected '>'", pos)
-                text = "".join(text_parts).strip()
-                if text:
-                    children.append(Text(text))
                 stack.pop()
-                closed = assemble(tag, attrib, children)
+                closed = assemble(tag, attrib, children,
+                                  "".join(text_parts).strip() or None)
             elif marker == "?":
                 pos = _after(source, "?>", less_than + 2)
             elif startswith("<!--", less_than):

@@ -9,9 +9,12 @@ update only rebuilds the spine from the mutated node to the root.
 The memo is semantically transparent: output is byte-identical with
 and without it (``use_cache=False`` forces the uncached path, which
 the property tests compare against).
+
+An element's content is its child elements, then its escaped text; it
+is written ``<tag/>`` only when it has neither (text ``None``).
 """
 
-from repro.xmlkit.nodes import Document, Text
+from repro.xmlkit.nodes import Document
 
 _TEXT_TABLE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 _ATTR_TABLE = str.maketrans(
@@ -56,8 +59,6 @@ def _attributes_to_string(element, sort_attributes):
 
 
 def _compact_string(node, sort_attributes, use_cache):
-    if isinstance(node, Text):
-        return escape_text(node.value)
     if use_cache:
         cached = node.cached_serialization(sort_attributes)
         if cached is not None:
@@ -65,14 +66,19 @@ def _compact_string(node, sort_attributes, use_cache):
             return cached
         SERIALIZATION_STATS["cache_misses"] += 1
     open_tag = f"<{node.tag}{_attributes_to_string(node, sort_attributes)}"
-    if not node.children:
-        text = open_tag + "/>"
-    else:
+    children, value = node.children, node.text
+    if children:
         parts = [open_tag, ">"]
-        for child in node.children:
+        for child in children:
             parts.append(_compact_string(child, sort_attributes, use_cache))
+        if value:
+            parts.append(escape_text(value))
         parts.append(f"</{node.tag}>")
         text = "".join(parts)
+    elif value is None:
+        text = open_tag + "/>"
+    else:
+        text = f"{open_tag}>{escape_text(value)}</{node.tag}>"
     if use_cache:
         node.store_serialization(sort_attributes, text)
     return text
@@ -80,21 +86,17 @@ def _compact_string(node, sort_attributes, use_cache):
 
 def _write_pretty(node, out, indent, level, sort_attributes):
     pad = indent * level
-    if isinstance(node, Text):
-        out.append(f"{pad}{escape_text(node.value)}\n")
-        return
     open_tag = f"{pad}<{node.tag}{_attributes_to_string(node, sort_attributes)}"
+    value = node.text
     if not node.children:
-        out.append(open_tag + "/>\n")
-        return
-    only_text = all(isinstance(c, Text) for c in node.children)
-    if only_text:
-        text = escape_text("".join(c.value for c in node.children))
-        out.append(f"{open_tag}>{text}</{node.tag}>\n")
+        body = "/>" if value is None else f">{escape_text(value)}</{node.tag}>"
+        out.append(open_tag + body + "\n")
         return
     out.append(open_tag + ">\n")
     for child in node.children:
         _write_pretty(child, out, indent, level + 1, sort_attributes)
+    if value is not None:
+        out.append(f"{pad}{indent}{escape_text(value)}\n")
     out.append(f"{pad}</{node.tag}>\n")
 
 

@@ -19,7 +19,8 @@ without building a node list, ``timestamp()`` is the ancestor walk and
 
 Node-sets are returned as Python lists in a deterministic traversal
 order (so ``string()`` of a node-set is stable), de-duplicated by node
-identity.
+identity.  An element's text is a :class:`Text` view after its child
+elements, identified by the element as an attribute is.
 """
 
 import math
@@ -119,6 +120,8 @@ class Context:
 def _identity(node):
     if isinstance(node, AttributeRef):
         return (id(node.owner), node.name)
+    if isinstance(node, Text) and node.parent is not None:
+        return (id(node.parent),)
     return id(node)
 
 
@@ -133,21 +136,16 @@ def _dedup(nodes):
     return out
 
 
-def _element_string(element):
-    """An element's string-value; one text child is read, not joined."""
-    children = element.children
-    if len(children) == 1 and isinstance(children[0], Text):
-        return children[0].value
-    return element.string_value()
-
-
 # ----------------------------------------------------------------------
 # Axes: ``axis(node, env) -> list``
 # ----------------------------------------------------------------------
 def _children(node):
-    """*node*'s children; an element's own list, not to be mutated."""
+    """*node*'s children: an element's child elements, then the view of
+    its text (without text, its own list, not to be mutated)."""
     if isinstance(node, Element):
-        return node.children
+        if node.text is None:
+            return node.children
+        return [*node.children, Text(node.text, node)]
     if isinstance(node, Document):
         return [node.root]
     return []
@@ -181,6 +179,8 @@ def _descendants(node, include_self):
         current = stack.pop()
         out.append(current)
         if isinstance(current, Element):
+            if current.text is not None:
+                stack.append(Text(current.text, current))
             stack.extend(reversed(current.children))
     return out
 
@@ -564,8 +564,8 @@ def _literal_test(expression, literal, equal):
         children = node.children if isinstance(node, Element) \
             else _children(node)
         for child in children:
-            if isinstance(child, Element) and child.tag == name and \
-                    (_element_string(child) == literal) is equal:
+            if child.tag == name and \
+                    (child.string_value() == literal) is equal:
                 return True
         return False
     return child_test

@@ -144,6 +144,7 @@ class ReferenceAnswerBuilder:
         if stamp is not None:
             set_timestamp(target, stamp)
         # Non-IDable content, replacing whatever scaffolding was there.
+        target.set_text(element.text)
         for child in list(non_idable_children(target)):
             target.remove(child)
         for child in non_idable_children(element):
@@ -337,5 +338,5 @@ class TestAnswerBuilderMatchesTheSeedBuilder:
         builder.include_local_information(node)
         builder.include_local_information(node)
         answer = builder.build().child("n", id="0")
-        assert [getattr(c, "tag", "#text") for c in answer.children] == \
-            ["m", "m", "v", "#text"]
+        assert [c.tag for c in answer.children] == ["m", "m", "v"]
+        assert answer.text == "tail"

@@ -34,7 +34,7 @@ from repro.xpath.errors import XPathError
 
 from tests.property.test_prop_answer_builder import site_trees
 from tests.property.test_prop_distributed import scenarios
-from tests.property.test_prop_id_pins import _literal, _queries
+from tests.property.test_prop_id_pins import _literal, _node_key, _queries
 
 _SITE_SCHEMA = HierarchySchema("root", {"root": {"n", "m"},
                                         "n": {"n", "m"}, "m": {"n", "m"}})
@@ -85,7 +85,7 @@ def _walk(database, pattern):
         # TypeError: a collect point on a node without an id (see
         # test_prop_id_pins); both walks must fail alike.
         return type(error).__name__
-    return ([id(match) for match in result.matches],
+    return ([_node_key(match) for match in result.matches],
             [(tuple(sq.anchor_path), sq.reason, sq.consumed, sq.subtree,
               sq.descendant_gap, canonical_key(sq.query))
              for sq in result.subqueries])

@@ -30,6 +30,7 @@ from repro.xmlkit import (
     serialization_stats,
     serialize,
 )
+from repro.xpath import evaluate_xpath
 
 _TAGS = ("zone", "spot", "value", "meta")
 _STATUSES = ("owned", "complete", "id-complete", "incomplete")
@@ -131,7 +132,7 @@ class TestCleanCopy:
         assert canonical_form(source) == form
 
     def test_a_text_node(self):
-        text = Element("value", text="7").children[0]
+        text = evaluate_xpath("text()", Element("value", text="7"))[0]
         copy = clean_copy(text)
         assert copy.__class__ is Text and copy.value == "7"
         assert copy.parent is None

@@ -163,9 +163,7 @@ def _scribble(tree):
     for node in list(tree.iter()):
         node.set("scribbled", "yes")
         node.delete_attribute("id")
-        for child in list(node.children):
-            if isinstance(child, Text):
-                node.remove(child)
+        node.set_text(None)
         node.append(Element("graffiti", text="x"))
 
 

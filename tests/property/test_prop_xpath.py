@@ -143,12 +143,13 @@ _STAMPS = ("5.0", "9.5", "1e-05", "2e+16", "soon", "1_0", "inf", "")
 @st.composite
 def _available(draw):
     """An ``available`` child: a value, a whitespace-padded one, or one
-    split around a nested element (its string-value joins them)."""
+    split between a nested element and the text after it (its
+    string-value joins them)."""
     value = draw(st.sampled_from(_VALUES))
     child = Element("available")
     if draw(st.booleans()) and len(value) > 1:
-        child.append(Text(value[:1]))
-        child.append(Element("b", text=value[1:]))
+        child.append(Element("b", text=value[:1]))
+        child.append(Text(value[1:]))
     elif value:
         child.append(Text(value))
     return child
@@ -180,10 +181,8 @@ def parking_spaces(draw):
 
 
 def _oracle_string(element):
-    parts = []
-    for child in element.children:
-        parts.append(child.value if isinstance(child, Text)
-                     else _oracle_string(child))
+    parts = [_oracle_string(child) for child in element.children]
+    parts.append(element.text or "")
     return "".join(parts)
 
 

@@ -25,6 +25,7 @@ from repro.xpath import parse
 from repro.xpath.evaluator import Evaluator
 
 from tests.conftest import OAKLAND, PAPER_DOCUMENT, SHADYSIDE, id_path
+from tests.property.test_prop_id_pins import _node_key
 from tests.test_failure_injection import PAPER_PLAN, answer_set
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
@@ -106,7 +107,7 @@ def _sibling(text):
 def _walk(database, pattern, now=1000.0):
     result = run_qeg(database, pattern, now=now)
     answer = result.answer
-    return ([id(match) for match in result.matches],
+    return ([_node_key(match) for match in result.matches],
             [(tuple(sq.anchor_path), sq.reason, canonical_key(sq.query))
              for sq in result.subqueries],
             None if answer is None else serialize(answer))

@@ -12,7 +12,15 @@ from repro.core import (
     rename_field,
     structural_violations,
 )
+from repro.core.database import SensorDatabase
+from repro.core.status import set_status
+from repro.durability import (
+    DurabilityConfig,
+    DurabilityManager,
+    partition_fingerprint,
+)
 from repro.net import NameNotFound
+from repro.xmlkit import parse_fragment, serialize
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
 
@@ -99,6 +107,32 @@ class TestRenameField:
         element = dbs["oak"].find(space)
         assert element.child("is-free").text == "yes"
         assert element.child("available") is None
+
+    def test_rename_moves_the_whole_field(self, tmp_path):
+        """Nested elements, text and attributes all move under the new
+        tag, and replaying the WAL rebuilds the same bytes."""
+        config = DurabilityConfig(directory=str(tmp_path), sync_every=0,
+                                  checkpoint_interval=0)
+        manager = DurabilityManager(config, "s0", clock=lambda: 1000.0)
+        root = parse_fragment(
+            "<s id='1'><note kind='k'><deep>7</deep><empty/>loose</note>"
+            "<v>1</v></s>")
+        set_status(root, Status.OWNED)
+        database = SensorDatabase(root, clock=lambda: 1000.0, site_id="s0")
+        manager.attach(database)
+        rename_field(database, (("s", "1"),), "note", "memo")
+        memo = database.root.child("memo")
+        assert database.root.child("note") is None
+        assert serialize(memo) == \
+            '<memo kind="k"><deep>7</deep><empty/>loose</memo>'
+        live = partition_fingerprint(database)
+        manager.abort()
+
+        reborn = DurabilityManager(config, "s0", clock=lambda: 1000.0)
+        recovered = reborn.recover()
+        assert serialize(recovered.root.child("memo")) == serialize(memo)
+        assert partition_fingerprint(recovered) == live
+        reborn.close()
 
     def test_rename_requires_ownership(self, paper_doc, paper_plan):
         dbs = paper_plan.build_databases(paper_doc)
