@@ -33,7 +33,7 @@ from repro.core.status import (
     set_status,
     set_timestamp,
 )
-from repro.xmlkit.nodes import Element
+from repro.xmlkit.nodes import Element, forbidden_character
 
 
 class SensorDatabase:
@@ -273,9 +273,18 @@ class SensorDatabase:
 
         Returns the updated element.  Raises :class:`CoreError` when
         the node is not owned here (the caller should forward the
-        update to the owner), or :class:`UnknownNodeError` when the
-        node is not stored at all.
+        update to the owner) or a value holds a character XML 1.0
+        forbids (it could be neither sent nor recovered), and
+        :class:`UnknownNodeError` when the node is not stored at all.
+        Nothing is changed or journaled for a refused update.
         """
+        for name, value in [*(attributes or {}).items(),
+                            *(values or {}).items()]:
+            bad = forbidden_character(str(value))
+            if bad is not None:
+                raise CoreError(
+                    f"update value {name!r} holds U+{ord(bad):04X}, "
+                    "which XML 1.0 forbids")
         self._ensure_index()
         element = self.find(id_path, required=True)
         if require_owned and get_status(element) is not Status.OWNED:

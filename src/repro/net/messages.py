@@ -1,9 +1,10 @@
 """Wire messages exchanged between agents.
 
-Messages encode to self-describing XML envelopes (parsed by our own
-:mod:`repro.xmlkit`), so the same message types drive the synchronous
-loopback network, the TCP runtime and the byte accounting in the
-simulator's communication cost model.
+Messages encode to self-describing XML envelopes (parsed by
+:mod:`repro.xmlkit`'s builder over the standard library's expat), so
+the same message types drive the synchronous loopback network, the TCP
+runtime and the byte accounting in the simulator's communication cost
+model.
 """
 
 import itertools

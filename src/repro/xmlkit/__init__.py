@@ -1,8 +1,9 @@
 """XML substrate: node model, parser, serializer, comparison.
 
 The paper stores sensor data in an off-the-shelf XML database (Apache
-Xindice).  No XML library is assumed here; this package provides the
-equivalent substrate from scratch.
+Xindice).  This package provides the equivalent substrate: its own node
+model, serializer and comparison, and a parser that builds that model
+from the standard library's expat.
 """
 
 from repro.xmlkit.compare import canonical_form, diff_trees, tree_hash, trees_equal

@@ -17,6 +17,7 @@ rest of the system is order-insensitive.
 
 import functools
 import itertools
+import re
 
 from repro.xmlkit.errors import XmlStructureError
 
@@ -56,6 +57,19 @@ def is_valid_name(name):
     if name[0] not in _NAME_START:
         return False
     return all(ch in _NAME_CHARS for ch in name[1:])
+
+
+#: A character XML 1.0 allows nowhere in a document (its ``Char``
+#: production), neither raw nor as a character reference.
+_FORBIDDEN_CHARACTER = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]").search
+
+
+def forbidden_character(value):
+    """The first character of the string *value* that XML 1.0 forbids,
+    or ``None``: a value holding one cannot be written and read back."""
+    found = _FORBIDDEN_CHARACTER(value)
+    return found.group() if found else None
 
 
 class Text:

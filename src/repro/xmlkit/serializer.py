@@ -16,9 +16,14 @@ is written ``<tag/>`` only when it has neither (text ``None``).
 
 from repro.xmlkit.nodes import Document
 
-_TEXT_TABLE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+#: A raw ``\r`` in text, and a raw tab, newline or ``\r`` in an
+#: attribute value, would come back from a parser as XML's end-of-line
+#: and attribute-value normalization leave it; a reference does not.
+_TEXT_TABLE = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
 _ATTR_TABLE = str.maketrans(
-    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+     "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
 )
 
 #: Reuse accounting for the serialization memo.  ``cache_hits`` counts

@@ -401,6 +401,42 @@ class TestTcpAcceptance:
             cluster.close(drain=False)
 
 
+    def test_a_refused_update_journals_nothing(self, tmp_path):
+        """A value XML 1.0 forbids could be journaled but never parsed
+        back: both ways in refuse it, and recovery sees nothing of it."""
+        from repro.core.errors import CoreError
+        from repro.net.messages import UpdateMessage
+
+        config = DurabilityConfig(directory=str(tmp_path / "d"),
+                                  sync_every=0)
+        cluster = TcpCluster(parse_fragment(PAPER_DOCUMENT),
+                             PartitionPlan(PLAN), durability=config,
+                             clock=lambda: 1000.0)
+        try:
+            oak = cluster.cluster.agents["oak"]
+            oak.database.apply_update(OAK_SPACE_1, values={"price": "60"})
+            before = fingerprints(cluster.cluster)
+            journal = oak.subsystem("durability")
+            appended = journal.metrics()["records_appended"]
+            with pytest.raises(CoreError, match="U\\+0001"):
+                oak.database.apply_update(
+                    OAK_SPACE_2, attributes={"note": "a\x01"})
+            reply = cluster.tcp_network.request(
+                "client", "oak", UpdateMessage(
+                    OAK_SPACE_2, values={"price": "7\x015"},
+                    sender="client"))
+            assert isinstance(reply, ErrorMessage)
+            assert reply.code == "bad-message"
+            assert journal.metrics()["records_appended"] == appended
+            assert fingerprints(cluster.cluster) == before
+
+            cluster.kill_site("oak")
+            cluster.restart_site("oak")
+            assert fingerprints(cluster.cluster) == before
+        finally:
+            cluster.close()
+
+
 class TestOverloadProtection:
     def _start_server(self, paper_doc, paper_plan, max_pending):
         from repro.net.dns import DnsResolver, DnsServer

@@ -511,6 +511,55 @@ class TestTcpRobustness:
             finally:
                 sock.close()
 
+    def test_hostile_frame_gets_one_reply_and_the_connection_lives(self):
+        laughs = "".join(
+            f'<!ENTITY l{n} "{f"&l{n - 1};" * 10 if n else "lol"}">'
+            for n in range(10))
+        hostile = (f"<!DOCTYPE message [{laughs}]><message kind='query' "
+                   "id='9' sender='client'><q>&l9;</q></message>")
+        with TcpCluster(parse_fragment(PAPER_DOCUMENT),
+                        PartitionPlan(PAPER_PLAN)) as tcp:
+            sock = socket.create_connection(tcp.servers["top"].address,
+                                            timeout=5)
+            try:
+                send_framed(sock, hostile)
+                reply = Message.decode(recv_framed(sock))
+                assert isinstance(reply, ErrorMessage)
+                assert reply.code == "bad-message"
+                assert reply.retryable is False
+                assert "XmlParseError" in reply.detail
+                send_framed(sock, QueryMessage(
+                    OAK_BLOCK, user=True, sender="client").encode())
+                answer = Message.decode(recv_framed(sock))
+                assert isinstance(answer, AnswerMessage)
+                assert answer.completeness is None  # complete
+                assert len(answer.results) == 1
+            finally:
+                sock.close()
+
+    def test_update_with_a_forbidden_character_is_a_bad_message(self):
+        space = OAKLAND + (("block", "1"), ("parkingSpace", "1"))
+        with TcpCluster(parse_fragment(PAPER_DOCUMENT),
+                        PartitionPlan(PAPER_PLAN)) as tcp:
+            database = tcp.cluster.agents["oak"].database
+            before = canonical_form(database.root)
+            sock = socket.create_connection(tcp.servers["oak"].address,
+                                            timeout=5)
+            try:
+                send_framed(sock, UpdateMessage(
+                    space, values={"available": "n\x01o"},
+                    sender="client").encode())
+                reply = Message.decode(recv_framed(sock))
+                assert isinstance(reply, ErrorMessage)
+                assert reply.code == "bad-message"
+                assert canonical_form(database.root) == before
+                send_framed(sock, UpdateMessage(
+                    space, values={"available": "no"},
+                    sender="client").encode())
+                assert Message.decode(recv_framed(sock)).kind == "ack"
+            finally:
+                sock.close()
+
     @pytest.mark.parametrize("garbled", [
         "this is not xml",                      # XmlParseError
         "<message kind='answer'/>",             # TypeError: no id

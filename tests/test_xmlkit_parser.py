@@ -4,6 +4,7 @@ import pytest
 
 from repro.xmlkit import (
     Document,
+    Element,
     XmlParseError,
     parse_document,
     parse_fragment,
@@ -25,10 +26,10 @@ class TestBasics:
         assert element.get("x") == "1"
         assert element.get("y") == "2"
 
-    def test_paper_at_notation(self):
-        """The paper writes <usRegion @id='NE'>; the @ is accepted."""
-        element = parse_fragment("<usRegion @id='NE'/>")
-        assert element.id == "NE"
+    def test_paper_at_notation_is_not_xml(self):
+        """The paper's figures write <usRegion @id='NE'>; XML does not."""
+        with pytest.raises(XmlParseError):
+            parse_fragment("<usRegion @id='NE'/>")
 
     def test_nested_elements(self):
         element = parse_fragment("<a><b><c/></b><b/></a>")
@@ -97,7 +98,7 @@ class TestErrors:
     def test_mismatched_close_tag(self):
         with pytest.raises(XmlParseError) as info:
             parse_fragment("<a><b></a></b>")
-        assert "mismatched" in str(info.value)
+        assert (info.value.line, info.value.column) == (1, 9)  # </a>
 
     def test_unclosed_element(self):
         with pytest.raises(XmlParseError):
@@ -132,6 +133,71 @@ class TestErrors:
     def test_invalid_element_name(self):
         with pytest.raises(XmlParseError):
             parse_fragment("<1a/>")
+
+
+class TestHostileInput:
+    """Nothing but the text is read, and nothing in it expands."""
+
+    def test_doctype_internal_subset_refused(self):
+        with pytest.raises(XmlParseError):
+            parse_fragment("<!DOCTYPE a [ ]><a/>")
+
+    def test_entity_declaration_refused(self):
+        laughs = "".join(
+            f'<!ENTITY l{n} "{f"&l{n - 1};" * 10 if n else "lol"}">'
+            for n in range(10))
+        with pytest.raises(XmlParseError):
+            parse_fragment(f"<!DOCTYPE a [{laughs}]><a>&l9;</a>")
+
+    def test_external_entity_reference_refused_unread(self, tmp_path):
+        declarations = tmp_path / "a.dtd"
+        declarations.write_text('<!ENTITY e "read">')
+        secret = tmp_path / "secret.txt"
+        secret.write_text("read")
+        for text in (
+                f'<!DOCTYPE a SYSTEM "{declarations.as_uri()}"><a>&e;</a>',
+                f'<!DOCTYPE a [<!ENTITY e SYSTEM "{secret.as_uri()}">]>'
+                "<a>&e;</a>"):
+            with pytest.raises(XmlParseError) as info:
+                parse_fragment(text)
+            assert "read" not in str(info.value)
+
+    def test_attlist_default_not_injected(self):
+        with pytest.raises(XmlParseError):
+            parse_fragment(
+                '<!DOCTYPE a [<!ATTLIST a status CDATA "owned">]><a/>')
+
+    def test_bare_doctype_still_skipped(self):
+        assert parse_fragment('<!DOCTYPE a SYSTEM "a.dtd"><a/>').attrib == {}
+
+
+class TestForbiddenCharacters:
+    @pytest.mark.parametrize("text", [
+        "<a>\x01</a>", "<a>&#1;</a>", "<a x='&#x1;'/>", "<a>&#xFFFE;</a>",
+        "<a>\ud800</a>", "<a>&#55296;</a>"])
+    def test_refused_raw_and_as_a_reference(self, text):
+        with pytest.raises(XmlParseError):
+            parse_fragment(text)
+
+    def test_lone_surrogate_is_placed(self):
+        with pytest.raises(XmlParseError) as info:
+            parse_fragment("<a>\n <b>\ud800</b></a>")
+        assert (info.value.line, info.value.column) == (2, 5)
+
+
+class TestNormalization:
+    def test_raw_tab_newline_and_cr_are_normalized(self):
+        element = parse_fragment("<a x='p\tq\nr'>y\r\nz\rw</a>")
+        assert element.get("x") == "p q r"
+        assert element.text == "y\nz\nw"
+
+    def test_serializer_escapes_what_normalization_changes(self):
+        element = Element("a", attrib={"x": "p\tq\nr\rs"}, text="y\rz\tw")
+        text = serialize(element)
+        assert text == '<a x="p&#9;q&#10;r&#13;s">y&#13;z\tw</a>'
+        again = parse_fragment(text)
+        assert again.get("x") == "p\tq\nr\rs"
+        assert again.text == "y\rz\tw"
 
 
 class TestRoundtrip:
