@@ -33,7 +33,8 @@ from repro.core.status import (
     set_status,
     set_timestamp,
 )
-from repro.xmlkit.nodes import Element, forbidden_character
+from repro.xmlkit.errors import XmlStructureError
+from repro.xmlkit.nodes import Element, is_valid_name, xml_string
 
 
 class SensorDatabase:
@@ -273,18 +274,13 @@ class SensorDatabase:
 
         Returns the updated element.  Raises :class:`CoreError` when
         the node is not owned here (the caller should forward the
-        update to the owner) or a value holds a character XML 1.0
+        update to the owner) or the update addresses what updates may
+        not change, :class:`~repro.xmlkit.errors.XmlStructureError`
+        when a name is invalid or a value holds a character XML 1.0
         forbids (it could be neither sent nor recovered), and
         :class:`UnknownNodeError` when the node is not stored at all.
-        Nothing is changed or journaled for a refused update.
+        A refused update changes and journals nothing.
         """
-        for name, value in [*(attributes or {}).items(),
-                            *(values or {}).items()]:
-            bad = forbidden_character(str(value))
-            if bad is not None:
-                raise CoreError(
-                    f"update value {name!r} holds U+{ord(bad):04X}, "
-                    "which XML 1.0 forbids")
         self._ensure_index()
         element = self.find(id_path, required=True)
         if require_owned and get_status(element) is not Status.OWNED:
@@ -292,11 +288,13 @@ class SensorDatabase:
                 f"site {self.site_id!r} does not own "
                 f"{node_id(element)}; forward the update to the owner"
             )
-        previous = get_timestamp(element)
+        # The whole update is checked before anything changes.
         for name, value in (attributes or {}).items():
             if name in ("id", "status"):
                 raise CoreError(f"updates may not modify the {name!r} attribute")
-            element.set(name, value)
+            if not is_valid_name(name):
+                raise XmlStructureError(f"invalid attribute name: {name!r}")
+            xml_string(value)
         for tag, text in (values or {}).items():
             child = element.child(tag)
             if child is not None and child.id is not None:
@@ -304,6 +302,14 @@ class SensorDatabase:
                     f"update value {tag!r} addresses an IDable child; "
                     "updates apply only to local information"
                 )
+            if child is None and not is_valid_name(tag):
+                raise XmlStructureError(f"invalid element name: {tag!r}")
+            xml_string(text)
+        previous = get_timestamp(element)
+        for name, value in (attributes or {}).items():
+            element.set(name, value)
+        for tag, text in (values or {}).items():
+            child = element.child(tag)
             if child is None:
                 child = Element(tag)
                 element.append(child)

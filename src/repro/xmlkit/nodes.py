@@ -61,15 +61,25 @@ def is_valid_name(name):
 
 #: A character XML 1.0 allows nowhere in a document (its ``Char``
 #: production), neither raw nor as a character reference.
-_FORBIDDEN_CHARACTER = re.compile(
-    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]").search
+FORBIDDEN_CHARACTER = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
-def forbidden_character(value):
-    """The first character of the string *value* that XML 1.0 forbids,
-    or ``None``: a value holding one cannot be written and read back."""
-    found = _FORBIDDEN_CHARACTER(value)
-    return found.group() if found else None
+def xml_string(value):
+    """The string form of *value*, which an element may hold.
+
+    Raises :class:`XmlStructureError` when it holds a character XML 1.0
+    forbids: no document can carry one, so the value could be neither
+    sent nor read back from a checkpoint.  Every attribute value and
+    text that enters a tree through :class:`Element` passes here.
+    """
+    value = str(value)
+    found = FORBIDDEN_CHARACTER.search(value)
+    if found is not None:
+        raise XmlStructureError(
+            f"U+{ord(found.group()):04X} is not allowed in XML 1.0: "
+            f"{value!r}")
+    return value
 
 
 class Text:
@@ -117,9 +127,10 @@ class Element:
             raise XmlStructureError(f"invalid element name: {tag!r}")
         self.tag = tag
         self.attrib = dict(attrib) if attrib else {}
-        for name in self.attrib:
+        for name, value in self.attrib.items():
             if not is_valid_name(name):
                 raise XmlStructureError(f"invalid attribute name: {name!r}")
+            xml_string(value)
         self.children = []
         self.text = None
         self.parent = None
@@ -130,7 +141,7 @@ class Element:
         for child in children:
             self.append(child)
         if text is not None:
-            self.text = (self.text or "") + str(text)
+            self.text = (self.text or "") + xml_string(text)
 
     @classmethod
     def assemble(cls, tag, attrib, children, text=None):
@@ -215,7 +226,7 @@ class Element:
         """Set attribute *name* to the string form of *value*."""
         if not is_valid_name(name):
             raise XmlStructureError(f"invalid attribute name: {name!r}")
-        value = str(value)
+        value = xml_string(value)
         if self.attrib.get(name, _ABSENT) != value:
             self.attrib[name] = value
             self._touch()
@@ -240,7 +251,7 @@ class Element:
         """Attach the :class:`Element` *node* as the last child, or append
         a :class:`Text`'s value to the text."""
         if isinstance(node, Text):
-            self.text = (self.text or "") + node.value
+            self.text = (self.text or "") + xml_string(node.value)
         elif not isinstance(node, Element):
             raise XmlStructureError(f"cannot append {type(node).__name__} to an element")
         elif node.parent is not None:
@@ -288,7 +299,7 @@ class Element:
         value the element holds already changes nothing, stamp included.
         """
         if value is not None:
-            value = str(value)
+            value = xml_string(value)
         if value != self.text:
             self.text = value
             self._touch()

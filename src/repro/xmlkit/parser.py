@@ -54,8 +54,8 @@ def _refuse_skipped_entity(name, is_parameter_entity):
 
 
 def parse_fragment(source):
-    """Parse *source* (``str`` or UTF-8 ``bytes``) and return the root
-    :class:`Element`.
+    """Parse *source* (``str``, or ``bytes`` read as UTF-8 whatever
+    encoding it declares) and return the root :class:`Element`.
 
     A prolog, comments and whitespace are allowed around the single
     top-level element.  Surrounding whitespace inside text content is
@@ -86,7 +86,7 @@ def parse_fragment(source):
     def text(data):
         stack[-1][2].append(data)
 
-    parser = ParserCreate()
+    parser = ParserCreate("utf-8")
     parser.buffer_text = True
     parser.SetParamEntityParsing(XML_PARAM_ENTITY_PARSING_NEVER)
     parser.StartElementHandler = start

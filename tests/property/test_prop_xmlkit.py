@@ -12,7 +12,7 @@ from repro.xmlkit import (
     serialize,
     trees_equal,
 )
-from repro.xmlkit.nodes import forbidden_character
+from repro.xmlkit.nodes import FORBIDDEN_CHARACTER
 
 _names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 _values = st.text(
@@ -30,7 +30,7 @@ _legal_values = st.text(
         st.sampled_from("\t\n\r <>&\"'\x85\u2003\ufffd"
                         "\U00010000\U0001f600\U0010fffd"),
         st.characters(blacklist_categories=("Cs",)).filter(
-            lambda ch: forbidden_character(ch) is None)),
+            lambda ch: FORBIDDEN_CHARACTER.match(ch) is None)),
     max_size=12,
 )
 

@@ -237,6 +237,41 @@ class TestClusterRecovery:
         assert cluster.stats["site_restarts"] == 4
         cluster.shutdown()
 
+    @pytest.mark.parametrize("change", [
+        dict(identifier="9\x01"),
+        dict(attributes={"note": "\x01"}),
+        dict(values={"price": "7\ud8005"}),
+        dict(update={"note": "x", "id": "9"}),
+        dict(update={"note": "x", "price": "\x0c"}),
+    ])
+    def test_a_refused_change_leaves_nothing_to_recover(self, tmp_path,
+                                                        change):
+        """Nothing of a refused add_node or update is applied or
+        journaled, and a checkpoint taken after it still recovers."""
+        from repro.core.errors import CoreError
+        from repro.xmlkit import XmlStructureError
+
+        cluster = make_cluster(tmp_path, sync_every=0)
+        oak = cluster.agents["oak"]
+        journal = oak.subsystem("durability")
+        before = fingerprints(cluster)
+        appended = journal.metrics()["records_appended"]
+        with pytest.raises((CoreError, XmlStructureError)):
+            if "update" in change:
+                oak.database.apply_update(OAK_SPACE_1,
+                                          attributes=change["update"])
+            else:
+                cluster.add_node(OAKLAND, "block",
+                                 change.pop("identifier", "9"), **change)
+        assert journal.metrics()["records_appended"] == appended
+        assert fingerprints(cluster) == before
+
+        journal.checkpoint()
+        cluster.kill_site("oak")
+        cluster.restart_site("oak")
+        assert fingerprints(cluster) == before
+        cluster.shutdown()
+
     def test_restart_without_durability_refused(self, paper_doc,
                                                 paper_plan):
         from repro.core.errors import QueryRoutingError
@@ -404,8 +439,11 @@ class TestTcpAcceptance:
     def test_a_refused_update_journals_nothing(self, tmp_path):
         """A value XML 1.0 forbids could be journaled but never parsed
         back: both ways in refuse it, and recovery sees nothing of it."""
-        from repro.core.errors import CoreError
-        from repro.net.messages import UpdateMessage
+        import socket
+
+        from repro.net.framing import recv_framed, send_framed
+        from repro.net.messages import Message, UpdateMessage
+        from repro.xmlkit import XmlStructureError
 
         config = DurabilityConfig(directory=str(tmp_path / "d"),
                                   sync_every=0)
@@ -418,13 +456,18 @@ class TestTcpAcceptance:
             before = fingerprints(cluster.cluster)
             journal = oak.subsystem("durability")
             appended = journal.metrics()["records_appended"]
-            with pytest.raises(CoreError, match="U\\+0001"):
+            with pytest.raises(XmlStructureError, match="U\\+0001"):
                 oak.database.apply_update(
                     OAK_SPACE_2, attributes={"note": "a\x01"})
-            reply = cluster.tcp_network.request(
-                "client", "oak", UpdateMessage(
-                    OAK_SPACE_2, values={"price": "7\x015"},
-                    sender="client"))
+            sock = socket.create_connection(
+                cluster.servers["oak"].address, timeout=5)
+            try:
+                send_framed(sock, UpdateMessage(
+                    OAK_SPACE_2, values={"price": "7X5"},
+                    sender="client").encode().replace("7X5", "7\x015"))
+                reply = Message.decode(recv_framed(sock))
+            finally:
+                sock.close()
             assert isinstance(reply, ErrorMessage)
             assert reply.code == "bad-message"
             assert journal.metrics()["records_appended"] == appended

@@ -35,7 +35,12 @@ from repro.net.framing import recv_framed, send_framed
 from repro.net.messages import AnswerMessage, Message, UpdateMessage
 from repro.net.retry import CLOSED, HALF_OPEN, OPEN, hash_fraction
 from repro.net.tcpruntime import TcpCluster
-from repro.xmlkit import Element, canonical_form, parse_fragment
+from repro.xmlkit import (
+    Element,
+    XmlStructureError,
+    canonical_form,
+    parse_fragment,
+)
 
 from tests.conftest import (
     ETNA,
@@ -546,9 +551,14 @@ class TestTcpRobustness:
             sock = socket.create_connection(tcp.servers["oak"].address,
                                             timeout=5)
             try:
+                # Our own encoder refuses the value, as any Element does;
+                # a foreign sensor's frame gets a structured refusal.
+                with pytest.raises(XmlStructureError):
+                    UpdateMessage(space, values={"available": "n\x01o"},
+                                  sender="client").encode()
                 send_framed(sock, UpdateMessage(
-                    space, values={"available": "n\x01o"},
-                    sender="client").encode())
+                    space, values={"available": "nXo"},
+                    sender="client").encode().replace("nXo", "n\x01o"))
                 reply = Message.decode(recv_framed(sock))
                 assert isinstance(reply, ErrorMessage)
                 assert reply.code == "bad-message"

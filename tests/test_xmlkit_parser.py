@@ -1,11 +1,15 @@
 """Unit tests for the XML parser."""
 
+from xml.parsers.expat import errors as expat_errors
+
 import pytest
 
 from repro.xmlkit import (
     Document,
     Element,
+    Text,
     XmlParseError,
+    XmlStructureError,
     parse_document,
     parse_fragment,
     serialize,
@@ -98,6 +102,8 @@ class TestErrors:
     def test_mismatched_close_tag(self):
         with pytest.raises(XmlParseError) as info:
             parse_fragment("<a><b></a></b>")
+        # The kind of error, in the running expat's own words.
+        assert str(info.value).startswith(expat_errors.XML_ERROR_TAG_MISMATCH)
         assert (info.value.line, info.value.column) == (1, 9)  # </a>
 
     def test_unclosed_element(self):
@@ -133,6 +139,12 @@ class TestErrors:
     def test_invalid_element_name(self):
         with pytest.raises(XmlParseError):
             parse_fragment("<1a/>")
+
+    @pytest.mark.parametrize("text", [
+        "<a\u00e9/>", "<a:b/>", "<a \u00e9='1'/>", "<a b:c='1'/>"])
+    def test_names_xml_allows_but_the_node_model_does_not(self, text):
+        with pytest.raises(XmlParseError):
+            parse_fragment(text)
 
 
 class TestHostileInput:
@@ -183,6 +195,26 @@ class TestForbiddenCharacters:
         with pytest.raises(XmlParseError) as info:
             parse_fragment("<a>\n <b>\ud800</b></a>")
         assert (info.value.line, info.value.column) == (2, 5)
+
+    def test_a_declared_encoding_does_not_let_a_surrogate_through(self):
+        with pytest.raises(XmlParseError):
+            parse_fragment(
+                "<?xml version='1.0' encoding='latin-1'?><a>\ud800</a>")
+
+    def test_bytes_are_read_as_utf8_whatever_they_declare(self):
+        text = "<?xml version='1.0' encoding='latin-1'?><a>\u00e9</a>"
+        assert parse_fragment(text.encode("utf-8")).text == "\u00e9"
+
+    @pytest.mark.parametrize("build", [
+        lambda: Element("a", text="x\x01"),
+        lambda: Element("a", attrib={"id": "\x01"}),
+        lambda: Element("a").set("x", "\ud800"),
+        lambda: Element("a").set_text("\x0b"),
+        lambda: Element("a").append(Text("\ufffe")),
+    ])
+    def test_no_element_takes_one(self, build):
+        with pytest.raises(XmlStructureError, match="XML 1.0"):
+            build()
 
 
 class TestNormalization:
