@@ -10,11 +10,12 @@ tick detects the hot site and splits its fragment along the zone
 boundary, and the same ladder climbs roughly ``1/share`` higher before
 missing the SLO.
 
-Per-site capacity is made real with the TCP runtime's
-``service_delay`` (a guard-held, GIL-releasing per-request service
-time): every site behaves like its own machine instead of sharing one
-interpreter's CPU pool, which is the regime where moving ownership
-moves capacity.
+Per-site capacity is made real with a per-request service time the
+bench gives every agent (``SERVICE_DELAY``, slept in ``handle_message``
+and so inside the TCP handler's hold of the site guard; the sleep
+releases the GIL): every site behaves like its own machine instead of
+sharing one interpreter's CPU pool, which is the regime where moving
+ownership moves capacity.
 
 Measured per mode:
 
@@ -34,6 +35,7 @@ the same open-loop generator with the balancer live.
 """
 
 import os
+import time
 
 import pytest
 
@@ -86,6 +88,24 @@ def _oa_config():
         cache_results=False)
 
 
+def _with_service_time(agent):
+    """Sleep ``SERVICE_DELAY`` before *agent* handles each message.
+
+    The TCP handler calls ``handle_message`` holding the site guard, so
+    the sleep holds it too: one site serves one request at a time at
+    this pace, while the sleep lets the other sites' threads run.  The
+    TCP runtime has no ``service_delay`` option of its own: only this
+    bench needs a service time.
+    """
+    handle_message = agent.handle_message
+
+    def slow_handle_message(message):
+        time.sleep(SERVICE_DELAY)
+        return handle_message(message)
+
+    agent.handle_message = slow_handle_message
+
+
 def _workload(seed):
     return ScenarioWorkload(CONFIG, shape="sum", skew=SKEW, seed=seed)
 
@@ -96,8 +116,9 @@ def _one_window(balanced, rate, seed):
                   if balanced else [])
     with TcpCluster(build_document(CONFIG), build_plan(CONFIG),
                     oa_config=_oa_config(), max_pending=MAX_PENDING,
-                    service_delay=SERVICE_DELAY,
                     subsystems=subsystems) as tcp:
+        for agent in tcp.cluster.agents.values():
+            _with_service_time(agent)
         run_open_loop(tcp.cluster, _workload(seed=11),
                       target_qps=WARMUP_QPS, duration=WARMUP_S,
                       seed=11, drain_timeout=DRAIN_TIMEOUT)

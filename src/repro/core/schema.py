@@ -12,6 +12,9 @@ IDable tags can be registered or retired at runtime.
 from repro.core.idable import idable_children, iter_idable
 from repro.core.lru import LRUCache
 
+#: Compiled query patterns (and their shape templates) a schema keeps.
+PATTERN_CACHE_ENTRIES = 256
+
 
 class HierarchySchema:
     """Knowledge of the IDable hierarchy of a service's document.
@@ -26,11 +29,10 @@ class HierarchySchema:
     is baked into both.
     """
 
-    def __init__(self, root_tag, parent_to_children=None,
-                 pattern_cache_entries=256):
+    def __init__(self, root_tag, parent_to_children=None):
         self.root_tag = root_tag
         self._children = {root_tag: set()}
-        self.compiled_patterns = LRUCache(max_entries=pattern_cache_entries)
+        self.compiled_patterns = LRUCache(max_entries=PATTERN_CACHE_ENTRIES)
         if parent_to_children:
             for parent, children in parent_to_children.items():
                 self._children.setdefault(parent, set()).update(children)

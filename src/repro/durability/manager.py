@@ -37,6 +37,10 @@ from repro.obs.tracing import TRACER
 from repro.xmlkit.parser import parse_fragment
 from repro.xmlkit.serializer import serialize
 
+#: Snapshot generations a site keeps: the newest, and the one before it
+#: in case the newest turns out unreadable.
+KEEP_CHECKPOINTS = 2
+
 
 class DurabilityError(Exception):
     """Durability subsystem misuse or unrecoverable state."""
@@ -70,8 +74,6 @@ class DurabilityConfig:
         snapshot the partition and rotate the log every N records;
         ``0`` disables automatic checkpoints (explicit
         :meth:`DurabilityManager.checkpoint` calls only).
-    ``keep_checkpoints``
-        how many snapshot generations to retain.
     ``revalidate_max_age``
         on recovery, evict cached (``complete``) entries whose data
         timestamp is older than this many seconds; ``None`` restores
@@ -79,12 +81,10 @@ class DurabilityConfig:
     """
 
     def __init__(self, directory=None, sync_every=64,
-                 checkpoint_interval=256, keep_checkpoints=2,
-                 revalidate_max_age=None):
+                 checkpoint_interval=256, revalidate_max_age=None):
         self.directory = directory
         self.sync_every = sync_every
         self.checkpoint_interval = checkpoint_interval
-        self.keep_checkpoints = keep_checkpoints
         self.revalidate_max_age = revalidate_max_age
         self._lock = threading.Lock()
 
@@ -345,7 +345,7 @@ class DurabilityManager:
                                     lsn, site_id=self.site_id,
                                     when=self.clock())
             self._wal.reset()
-            prune_checkpoints(self.directory, self.config.keep_checkpoints)
+            prune_checkpoints(self.directory, KEEP_CHECKPOINTS)
         self._records_since_checkpoint = 0
         self.stats["checkpoints_written"] += 1
         return path

@@ -18,7 +18,6 @@ import select
 import socket
 import socketserver
 import threading
-import time
 
 from repro.net.errors import FrameTooLarge, NetError, UnknownSite
 from repro.net.framing import FrameReader, recv_framed, send_framed
@@ -199,8 +198,6 @@ class _AgentRequestHandler(socketserver.BaseRequestHandler):
                         try:
                             agent = self.server.agent
                             with agent.guard:
-                                if self.server.service_delay:
-                                    time.sleep(self.server.service_delay)
                                 reply = agent.handle_message(message)
                                 # Encoding stays in the same hold as the
                                 # walk: serializing the reply touches
@@ -264,21 +261,9 @@ class TcpSiteServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, agent, host="127.0.0.1", port=0, max_pending=64,
-                 service_delay=0.0):
+    def __init__(self, agent, host="127.0.0.1", port=0, max_pending=64):
         super().__init__((host, port), _AgentRequestHandler)
         self.agent = agent
-        #: Emulated per-request service time (seconds), slept while
-        #: holding the agent's site guard.  In the deployed system every
-        #: site is its own machine; in-process, all sites share one
-        #: interpreter, so CPU-bound handling makes the sites'
-        #: capacities one pooled number and a load experiment cannot
-        #: see per-site saturation.  The guarded sleep restores the
-        #: per-machine capacity model (sleeps release the GIL, so
-        #: distinct sites genuinely serve in parallel) -- it is what
-        #: lets the rebalancing bench show a hot *site*, not a hot
-        #: interpreter.
-        self.service_delay = service_delay
         self._thread = None
         self.max_pending = max_pending
         self.gate = AdmissionGate(max_pending)
@@ -580,20 +565,18 @@ class TcpCluster:
     """
 
     def __init__(self, global_document, plan, network_wrapper=None,
-                 max_pending=64, service_delay=0.0, **cluster_kwargs):
+                 max_pending=64, **cluster_kwargs):
         from repro.net.cluster import Cluster
 
         self.tcp_network = TcpNetwork()
         self.cluster = Cluster(global_document, plan, **cluster_kwargs)
         self.max_pending = max_pending
-        self.service_delay = service_delay
         self.network = (self.tcp_network if network_wrapper is None
                         else network_wrapper(self.tcp_network))
         self.servers = {}
         self._parked_addresses = {}
         for site, agent in self.cluster.agents.items():
-            server = TcpSiteServer(agent, max_pending=max_pending,
-                                   service_delay=service_delay).start()
+            server = TcpSiteServer(agent, max_pending=max_pending).start()
             self.servers[site] = server
             self.network.register_address(site, server.address)
         for agent in self.cluster.agents.values():
@@ -626,8 +609,7 @@ class TcpCluster:
         agent = self.cluster.restart_site(site)
         agent.network = self.network
         server = TcpSiteServer(agent, host=host, port=port,
-                               max_pending=self.max_pending,
-                               service_delay=self.service_delay).start()
+                               max_pending=self.max_pending).start()
         self.servers[site] = server
         self.network.register_address(site, server.address)
         return agent

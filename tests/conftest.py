@@ -5,7 +5,7 @@ import pytest
 from repro.core import HierarchySchema, PartitionPlan
 from repro.core.invariants import dns_ownership_violations
 from repro.net import Cluster
-from repro.xmlkit import parse_fragment
+from repro.xmlkit import Element, parse_fragment
 
 #: The document of the paper's Figures 3/4, extended with a second
 #: neighborhood and city so multi-site scenarios are interesting.
@@ -83,6 +83,32 @@ PITTSBURGH = id_path(
 OAKLAND = PITTSBURGH + (("neighborhood", "Oakland"),)
 SHADYSIDE = PITTSBURGH + (("neighborhood", "Shadyside"),)
 ETNA = id_path("usRegion=NE/state=PA/county=Allegheny/city=Etna")
+
+
+def three_site_document(value=lambda group, sensor: 0):
+    """``region R`` > ``group g0, g1`` > ``sensor s0..s2`` > ``value``."""
+    root = Element("region", attrib={"id": "R"})
+    for group_index in range(2):
+        group = Element("group", attrib={"id": f"g{group_index}"})
+        root.append(group)
+        for sensor_index in range(3):
+            sensor = Element("sensor", attrib={"id": f"s{sensor_index}"})
+            sensor.append(Element(
+                "value", text=str(value(group_index, sensor_index))))
+            group.append(sensor)
+    return root
+
+
+def three_site_plan():
+    """``top`` owns the region, ``mid`` group ``g0``, ``leaf`` ``g1``."""
+    return PartitionPlan({
+        "top": [(("region", "R"),)],
+        "mid": [(("region", "R"), ("group", "g0"))],
+        "leaf": [(("region", "R"), ("group", "g1"))],
+    })
+
+
+G0_S1 = (("region", "R"), ("group", "g0"), ("sensor", "s1"))
 
 
 @pytest.fixture

@@ -24,11 +24,12 @@ from repro.core import PartitionPlan
 from repro.core.consistency import strip_consistency_predicates
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
-from repro.smoke import three_site_document, three_site_plan
 from repro.xmlkit import Element
 from repro.xpath.evaluator import Evaluator
 from repro.xpath import parser as xpath_parser
 from repro.xpath.types import node_string_value, to_number
+
+from tests.conftest import three_site_document, three_site_plan
 
 # Magnitudes stay below ~1e100: large enough to stress the rational
 # sum, small enough that no intermediate rounds to infinity (where
@@ -203,15 +204,15 @@ def _naive(shape, leaf_values):
 # ----------------------------------------------------------------------
 #: Inner paths over the three-site deployment: value predicates on
 #: either step, and ``//`` scans; the freshness bound goes on the last.
-SMOKE_PATHS = (
+REGION_PATHS = (
     "/region[@id='R']/group/sensor/value",
     "/region[@id='R']/group/sensor/value[. > 5]",
     "/region[@id='R']//value",
     "/region[@id='R']//sensor[value > 5]/value",
 )
-SMOKE_SENSORS = [(("region", "R"), ("group", f"g{index // 3}"),
-                  ("sensor", f"s{index % 3}")) for index in range(6)]
-SMOKE_OWNERS = {"g0": "mid", "g1": "leaf"}
+REGION_SENSORS = [(("region", "R"), ("group", f"g{index // 3}"),
+                   ("sensor", f"s{index % 3}")) for index in range(6)]
+REGION_OWNERS = {"g0": "mid", "g1": "leaf"}
 
 
 @st.composite
@@ -220,7 +221,7 @@ def freshness_histories(draw):
     caches copies; bounded or not), sensor updates after it, and a
     final ask late enough that nothing the warm-up cached can satisfy
     its bound."""
-    path = draw(st.sampled_from(SMOKE_PATHS))
+    path = draw(st.sampled_from(REGION_PATHS))
     warm_query = draw(st.booleans())
     warm_at = 1000 + draw(st.integers(0, 30))
     warm_bound = draw(st.one_of(st.none(), st.integers(1, 60)))
@@ -239,7 +240,7 @@ def freshness_histories(draw):
 @given(freshness_histories())
 # An update in the warm-up's clock instant: its stamp must still rise
 # above the copy the warm-up cached, or that copy wins the merge.
-@example((SMOKE_PATHS[0], False, 1000, 1, [(1000, 0, 1)], 1002, 1))
+@example((REGION_PATHS[0], False, 1000, 1, [(1000, 0, 1)], 1002, 1))
 def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
     path, warm_query, warm_at, warm_bound, updates, ask_at, bound = history
     values = [10 * (index // 3) + index % 3 for index in range(6)]
@@ -262,10 +263,10 @@ def test_bounded_count_and_sum_equal_the_stripped_oracle(history):
             scalar(f"sum({warm})")
     for at, sensor, value in updates:
         clock["now"] = float(at)
-        sensor_path = SMOKE_SENSORS[sensor]
+        sensor_path = REGION_SENSORS[sensor]
         values[sensor] = value
         for cluster in clusters:
-            cluster.agents[SMOKE_OWNERS[sensor_path[1][1]]].handle_message(
+            cluster.agents[REGION_OWNERS[sensor_path[1][1]]].handle_message(
                 UpdateMessage(sensor_path, values={"value": str(value)},
                               sender="sa"))
 
@@ -298,16 +299,16 @@ def test_an_owner_answers_its_own_updates_unbounded(updates, shape):
                       three_site_plan(), clock=lambda: 1000.0)
     cluster.scalar(f"{shape}(/region[@id='R']/group/sensor/value)",
                    at_site="top")
-    for group, owner in SMOKE_OWNERS.items():
+    for group, owner in REGION_OWNERS.items():
         cluster.scalar(f"{shape}({OWNED_VALUES.format(group=group)})",
                        at_site=owner)
     for sensor, value in updates:
-        sensor_path = SMOKE_SENSORS[sensor]
+        sensor_path = REGION_SENSORS[sensor]
         values[sensor] = value
-        cluster.agents[SMOKE_OWNERS[sensor_path[1][1]]].handle_message(
+        cluster.agents[REGION_OWNERS[sensor_path[1][1]]].handle_message(
             UpdateMessage(sensor_path, values={"value": str(value)},
                           sender="sa"))
-        for group, owner in SMOKE_OWNERS.items():
+        for group, owner in REGION_OWNERS.items():
             owned = values[3 * int(group[1]):][:3]
             oracle = {"count": 3.0, "sum": float(sum(owned)),
                       "max": float(max(owned))}[shape]

@@ -29,8 +29,8 @@ from repro.core import PartitionPlan
 from repro.core.errors import UnsupportedDistributedQueryError
 from repro.net import Cluster, NetError, OAConfig
 from repro.net.messages import Ask, QueryMessage, UpdateMessage
+from repro.net.tcpruntime import TcpCluster
 from repro.service import ParkingConfig, build_parking_document, parking
-from repro.smoke import G0_S1, three_site_document, three_site_plan
 from repro.service.scenarios import (
     build_document,
     build_plan,
@@ -41,6 +41,8 @@ from repro.service.scenarios import (
 )
 from repro.xmlkit import parse_fragment, serialize
 from repro.xpath import parser as xpath_parser
+
+from tests.conftest import G0_S1, three_site_document, three_site_plan
 
 DOCUMENT = """
 <region id="R">
@@ -261,11 +263,11 @@ def _bound(seconds):
     return f"[timestamp() > current-time() - {seconds}]"
 
 
-SMOKE_VALUES = "/region[@id='R']/group/sensor/value"
+REGION_VALUES = "/region[@id='R']/group/sensor/value"
 
 
 class TestFreshnessDecidesWhatIsFetched:
-    """The three-site smoke deployment (values ``10*g+s``, sum 36, all
+    """The three-site deployment (values ``10*g+s``, sum 36, all
     stamped at t=1000, ``mid`` owning ``g0``): a freshness bound decides
     what is fetched again, never what is counted, and no answer is
     served beyond its caller's bound."""
@@ -285,7 +287,7 @@ class TestFreshnessDecidesWhatIsFetched:
         cluster, clock = self._cluster()
         clock["now"] = 1029.0
         self._update(cluster, 39)
-        inner = SMOKE_VALUES + _bound(5)
+        inner = REGION_VALUES + _bound(5)
         assert cluster.scalar(f"count({inner})", at_site="top") == 6.0
         results, _, _ = cluster.query(inner, at_site="top")
         assert len(results) == 6
@@ -293,11 +295,11 @@ class TestFreshnessDecidesWhatIsFetched:
 
     def test_a_tighter_bound_is_not_served_an_older_summary(self):
         cluster, clock = self._cluster()
-        assert cluster.scalar(f"sum({SMOKE_VALUES}{_bound(30)})",
+        assert cluster.scalar(f"sum({REGION_VALUES}{_bound(30)})",
                               at_site="top") == 36.0
         clock["now"] = 1029.0
         self._update(cluster, 39)
-        assert cluster.scalar(f"sum({SMOKE_VALUES}{_bound(28)})",
+        assert cluster.scalar(f"sum({REGION_VALUES}{_bound(28)})",
                               at_site="top") == 74.0
 
     def test_bounds_share_a_summary_of_the_same_data(self):
@@ -305,7 +307,7 @@ class TestFreshnessDecidesWhatIsFetched:
         clock["now"] = 1029.0
         self._update(cluster, 39)
         for seconds in (5, 60):
-            assert cluster.scalar(f"count({SMOKE_VALUES}{_bound(seconds)})",
+            assert cluster.scalar(f"count({REGION_VALUES}{_bound(seconds)})",
                                   at_site="top") == 6.0
 
     def test_a_relayed_summary_keeps_its_as_of_time(self):
@@ -327,15 +329,15 @@ class TestFreshnessDecidesWhatIsFetched:
 
     def test_a_summary_that_counted_cached_copies_serves_no_bound(self):
         cluster, clock = self._cluster()
-        cluster.query(SMOKE_VALUES, at_site="top")  # copies as of 1000
+        cluster.query(REGION_VALUES, at_site="top")  # copies as of 1000
         clock["now"] = 1040.0
         self._update(cluster, 50)
         clock["now"] = 1050.0
         # Unbounded, top's copies count whatever their age (Section 4)
         # ...
-        assert cluster.scalar(f"sum({SMOKE_VALUES})", at_site="top") == 36.0
+        assert cluster.scalar(f"sum({REGION_VALUES})", at_site="top") == 36.0
         # ... so that summary is of unknown age, and serves no bound.
-        assert cluster.scalar(f"sum({SMOKE_VALUES}{_bound(30)})",
+        assert cluster.scalar(f"sum({REGION_VALUES}{_bound(30)})",
                               at_site="top") == 85.0
 
     def test_a_fresh_copy_beside_a_stale_one_is_counted_once(self):
@@ -351,7 +353,7 @@ class TestFreshnessDecidesWhatIsFetched:
                       at_site="top")
         clock["now"] = 1060.0
         for shape, value in (("count", 6.0), ("sum", 85.0)):
-            assert cluster.scalar(f"{shape}({SMOKE_VALUES}{_bound(20)})",
+            assert cluster.scalar(f"{shape}({REGION_VALUES}{_bound(20)})",
                                   at_site="top") == value
         # The g0 partial stands for s1's fresh copy: no second gather.
         counters = cluster.agents["top"].subsystem("aggregation").metrics()
@@ -359,21 +361,29 @@ class TestFreshnessDecidesWhatIsFetched:
         assert counters["overlap_regathers"] == 0
 
 
-@pytest.mark.parametrize("executor", ["serial", "threaded"])
+@pytest.mark.parametrize("executor, over_tcp", [
+    ("serial", False), ("threaded", False), ("serial", True)],
+    ids=["serial", "threaded", "tcp"])
 def test_a_scan_over_a_region_holding_an_owned_node_counts_it_once(
-        executor):
+        executor, over_tcp, request):
     # top owns R and g0's s1, mid the rest of g0: the scan asks for all
     # of g0 and, below it, for s0 and s2 -- and mid's g0 reply counts
     # those, and s1 through top, already.  mid's ask comes back up to
-    # top while top's rollup waits, whatever top's executor.
+    # top while top's rollup waits, whatever top's executor, and over
+    # sockets too.
     region = (("region", "R"),)
     g0 = region + (("group", "g0"),)
     plan = PartitionPlan({"top": [region, g0 + (("sensor", "s1"),)],
                           "mid": [g0],
                           "leaf": [region + (("group", "g1"),)]})
-    cluster = Cluster(
-        three_site_document(lambda group, sensor: 10 * group + sensor),
-        plan, oa_config=OAConfig(executor=executor))
+    document = three_site_document(lambda group, sensor: 10 * group + sensor)
+    config = OAConfig(executor=executor)
+    if over_tcp:
+        tcp = TcpCluster(document, plan, oa_config=config)
+        request.addfinalizer(tcp.close)
+        cluster = tcp.cluster
+    else:
+        cluster = Cluster(document, plan, oa_config=config)
     for shape, value in (("count", 6.0), ("sum", 36.0), ("max", 12.0)):
         assert cluster.scalar(f"{shape}(/region[@id='R']//value)",
                               at_site="top") == value

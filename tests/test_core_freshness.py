@@ -15,10 +15,16 @@ from repro.core import PartitionPlan, Subquery, gather, idable, qeg
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
 from repro.service import ParkingConfig, build_parking_document, parking
-from repro.smoke import three_site_document, three_site_plan
 from repro.xmlkit import Element, canonical_form
 
-from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
+from tests.conftest import (
+    OAKLAND,
+    PITTSBURGH,
+    SHADYSIDE,
+    id_path,
+    three_site_document,
+    three_site_plan,
+)
 from tests.property.test_prop_distributed import _costed
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"

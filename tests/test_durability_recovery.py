@@ -376,28 +376,32 @@ class TestTcpAcceptance:
                 OAK_SPACE_1, values={"available": "no", "price": "30"})
             cluster.cluster.query(QUERY_SUITE[0])
 
+            recovery = None
             if kill_mid_workload:
                 cluster.kill_site("oak")
-                cluster.restart_site("oak")
+                recovery = cluster.restart_site("oak").subsystem(
+                    "durability").metrics()
 
             # Phase 2: more mutations and the full post-recovery suite.
             cluster.cluster.agents["oak"].database.apply_update(
                 OAK_SPACE_2, values={"price": "45"})
             answers = {}
             for query in QUERY_SUITE:
-                results, _, _ = cluster.cluster.query(query)
+                results, _, outcome = cluster.cluster.query(query)
+                assert outcome.complete, query
                 answers[query] = [canonical(r) for r in results]
-            return answers, fingerprints(cluster.cluster)
+            return answers, fingerprints(cluster.cluster), recovery
         finally:
             cluster.close()
 
     def test_killed_site_matches_control(self, tmp_path):
-        victim_answers, victim_fps = self._run(tmp_path, "victim",
-                                               kill_mid_workload=True)
-        control_answers, control_fps = self._run(tmp_path, "control",
-                                                 kill_mid_workload=False)
+        victim_answers, victim_fps, recovery = self._run(
+            tmp_path, "victim", kill_mid_workload=True)
+        control_answers, control_fps, _ = self._run(
+            tmp_path, "control", kill_mid_workload=False)
         assert victim_answers == control_answers
         assert victim_fps == control_fps
+        assert recovery["recoveries"] == 1
 
     def test_kill_severs_pooled_connections(self, tmp_path):
         """A kill must sever *established* connections, not just the

@@ -95,7 +95,6 @@ WIRE_CALLERS = {
     ("net/oa.py", "OrganizingAgent.request"),
     ("net/cluster.py", "Cluster.query_via_messages"),
     ("net/sa.py", "SensingAgent.send_update"),
-    ("rebalance/smoke.py", "run"),
     ("replication/ring.py", "ReplicationRing.restore_site"),
 }
 BREAKER_CALLS = ("health.allow", "health.record_success",

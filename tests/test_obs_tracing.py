@@ -184,6 +184,11 @@ class TestDistributedTraces:
         span_ids = {span.span_id for span in spans}
         for span in spans:
             assert span.parent_id is None or span.parent_id in span_ids
+        # The user's query is the root, and each of the two hops is
+        # sent as a subquery: top asks mid, mid asks leaf.
+        assert (tree.span.name, tree.span.site) == ("user-query", "top")
+        assert [n.span.site for n in tree.find_all("send-subquery")] == [
+            "top", "mid"]
         # The serve chain hangs under the hop that dispatched it.
         (mid_serve,) = [n for n in tree.find_all("tcp-serve")
                         if n.span.site == "mid"]
