@@ -19,7 +19,7 @@ query must re-gather; "hit" queries find the cache warm.
 
 import random
 
-from benchmarks.conftest import print_table, run_point, workload_suite
+from benchmarks.conftest import print_table, workload_suite
 from benchmarks.reporting import write_report
 from repro.arch import hierarchical
 from repro.net import OAConfig

@@ -13,10 +13,7 @@ the linear-scaling *shape* is the reproduced claim).
 from benchmarks.conftest import print_table
 from benchmarks.reporting import write_report
 from repro.arch import all_architectures, hierarchical
-from repro.service import (
-    QueryWorkload,
-    UpdateWorkload,
-)
+from repro.service import UpdateWorkload
 from repro.sim import CostModel, SimulatedCluster
 
 RESULTS_FILE = "BENCH_updates.json"

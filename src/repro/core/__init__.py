@@ -10,10 +10,8 @@ consistency, ownership migration and the nesting-depth extensions.
 from repro.core.answer import AnswerBuilder, Subquery
 from repro.core.consistency import (
     extract_tolerance,
-    has_consistency_predicates,
     rewrite_consistency_sugar,
     strip_consistency_predicates,
-    tolerance_predicate,
     transform_expression,
 )
 from repro.core.database import SensorDatabase
@@ -121,8 +119,6 @@ __all__ = [
     "relinquish_ownership",
     "rewrite_consistency_sugar",
     "strip_consistency_predicates",
-    "has_consistency_predicates",
-    "tolerance_predicate",
     "extract_tolerance",
     "transform_expression",
     "add_idable_child",

@@ -41,42 +41,34 @@ def transform_expression(expression, fn):
     *fn* receives each rebuilt node and returns its replacement (or the
     node itself).  The input tree is never mutated.
     """
-    rebuilt = _rebuild(expression, fn)
-    return fn(rebuilt)
+    rebuild = _REBUILD.get(type(expression))
+    if rebuild is not None:  # literals, numbers, variables: leaves
+        expression = rebuild(expression, fn)
+    return fn(expression)
 
 
-def _rebuild(expression, fn):
-    recurse = lambda child: transform_expression(child, fn)  # noqa: E731
-    if isinstance(expression, LocationPath):
-        return LocationPath(
-            expression.absolute,
-            [_rebuild_step(step, fn) for step in expression.steps],
-        )
-    if isinstance(expression, FilterExpression):
-        path = None
-        if expression.path is not None:
-            path = transform_expression(expression.path, fn)
-        return FilterExpression(
-            recurse(expression.primary),
-            [recurse(p) for p in expression.predicates],
-            path,
-        )
-    if isinstance(expression, BinaryOperation):
-        return BinaryOperation(expression.operator,
-                               recurse(expression.left),
-                               recurse(expression.right))
-    if isinstance(expression, UnaryMinus):
-        return UnaryMinus(recurse(expression.operand))
-    if isinstance(expression, FunctionCall):
-        return FunctionCall(expression.name,
-                            [recurse(a) for a in expression.arguments])
-    # Literals, numbers, variables, name tests: immutable leaves.
-    return expression
+def _rebuild_all(nodes, fn):
+    return [transform_expression(node, fn) for node in nodes]
 
 
-def _rebuild_step(step, fn):
-    return Step(step.axis, step.node_test,
-                [transform_expression(p, fn) for p in step.predicates])
+#: How each inner node type is rebuilt over its transformed children
+#: (a step is rebuilt with its path, and *fn* does not see it alone).
+_REBUILD = {
+    LocationPath: lambda node, fn: LocationPath(node.absolute, [
+        Step(step.axis, step.node_test, _rebuild_all(step.predicates, fn))
+        for step in node.steps]),
+    FilterExpression: lambda node, fn: FilterExpression(
+        transform_expression(node.primary, fn),
+        _rebuild_all(node.predicates, fn),
+        None if node.path is None else transform_expression(node.path, fn)),
+    BinaryOperation: lambda node, fn: BinaryOperation(
+        node.operator, transform_expression(node.left, fn),
+        transform_expression(node.right, fn)),
+    UnaryMinus: lambda node, fn: UnaryMinus(
+        transform_expression(node.operand, fn)),
+    FunctionCall: lambda node, fn: FunctionCall(
+        node.name, _rebuild_all(node.arguments, fn)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -169,26 +161,12 @@ def strip_consistency_predicates(expression):
     return _strip_conjuncts(expression, _is_consistency)
 
 
-def has_consistency_predicates(expression):
-    """Whether any predicate in the query constrains freshness."""
-    from repro.xpath.ast import walk
-
-    for node in walk(expression):
-        if isinstance(node, (LocationPath, FilterExpression)):
-            steps = node.steps if isinstance(node, LocationPath) else ()
-            for step in steps:
-                for predicate in step.predicates:
-                    for conjunct in iter_conjuncts(predicate):
-                        if _is_consistency(conjunct):
-                            return True
-    return False
-
-
 def consistency_tolerances(expression):
     """Split the freshness bounds off *expression*: ``(rest, tolerances)``.
 
     Each step conjunct of the canonical shape
-    ``timestamp() > current-time() - N`` is left out of *rest* and its
+    ``timestamp() > current-time() - N`` (or ``>=``, see
+    :func:`extract_tolerance`) is left out of *rest* and its
     ``N`` listed in *tolerances*, in document order.  Any other
     consistency conjunct stays in *rest*: a summary key is *rest*, and
     no lookup bound checks such a conjunct.
@@ -205,29 +183,20 @@ def consistency_tolerances(expression):
     return _strip_conjuncts(expression, drop), tolerances
 
 
-def tolerance_predicate(seconds):
-    """Build the canonical freshness predicate for *seconds* tolerance."""
-    return BinaryOperation(
-        ">",
-        FunctionCall("timestamp", []),
-        BinaryOperation("-", FunctionCall("current-time", []),
-                        NumberLiteral(seconds)),
-    )
-
-
 def extract_tolerance(predicate):
     """The tolerance in seconds if *predicate* has the canonical shape.
 
-    Recognizes ``timestamp() > current-time() - N`` (and the mirrored
-    form); returns ``None`` otherwise.
+    Recognizes ``timestamp() > current-time() - N`` and
+    ``timestamp() >= current-time() - N`` (and their mirrored forms);
+    returns ``None`` otherwise.  A summary store serves either bound
+    by its strict rule, which is conservative for ``>=``.
     """
     if not isinstance(predicate, BinaryOperation):
         return None
     left, operator, right = predicate.left, predicate.operator, predicate.right
-    if operator == "<" :
-        left, right = right, left
-        operator = ">"
-    if operator != ">":
+    if operator in ("<", "<="):
+        left, right, operator = right, left, operator.replace("<", ">")
+    if operator not in (">", ">="):
         return None
     if not (isinstance(left, FunctionCall) and left.name == "timestamp"):
         return None

@@ -71,6 +71,7 @@ from repro.xpath.analysis import (
     PredicateSplit,
     anchor_id_path,
     classify_predicate,
+    collect_point,
     extract_id_path,
     id_path_of_pins,
     id_path_pins,
@@ -78,6 +79,7 @@ from repro.xpath.analysis import (
     intersect_pins,
     iter_conjuncts,
     pinned_ids,
+    predicate_is_nested,
     split_predicates,
 )
 from repro.xpath.ast import (
@@ -87,7 +89,6 @@ from repro.xpath.ast import (
     NameTest,
     NodeTypeTest,
     Step,
-    iter_location_paths,
 )
 from repro.xpath.errors import XPathError
 from repro.xpath.evaluator import (
@@ -95,49 +96,6 @@ from repro.xpath.evaluator import (
     compile_expression,
     compile_predicates,
 )
-
-
-def _path_is_nested(path, is_idable_tag):
-    """Whether a location path inside a predicate crosses IDable nodes."""
-    if path.absolute:
-        return True
-    for step in path.steps:
-        if step.axis == "attribute":
-            continue
-        if step.axis in ("parent", "ancestor", "ancestor-or-self"):
-            return True
-        if isinstance(step.node_test, NameTest):
-            if step.node_test.name == "*" or is_idable_tag(step.node_test.name):
-                return True
-        elif step.node_test.node_type == "node" and \
-                step.axis in ("descendant", "descendant-or-self"):
-            return True
-    return False
-
-
-def _predicate_is_nested(predicate, is_idable_tag):
-    return any(
-        _path_is_nested(path, is_idable_tag)
-        for path in iter_location_paths(predicate)
-    )
-
-
-def _max_upward_levels(predicate):
-    deepest = 0
-    for path in iter_location_paths(predicate):
-        if path.absolute:
-            return 999
-        levels = 0
-        for step in path.steps:
-            if step.axis == "parent":
-                levels += 1
-            elif step.axis in ("ancestor", "ancestor-or-self"):
-                levels = 999
-                break
-            else:
-                break
-        deepest = max(deepest, levels)
-    return deepest
 
 
 class PatternItem:
@@ -161,11 +119,11 @@ class PatternItem:
         self.node_test = step.node_test
         self.descendant = descendant
         self.nested_predicates = [
-            p for p in step.predicates if _predicate_is_nested(p, is_idable_tag)
+            p for p in step.predicates if predicate_is_nested(p, is_idable_tag)
         ]
         self.plain_predicates = [
             p for p in step.predicates
-            if not _predicate_is_nested(p, is_idable_tag)
+            if not predicate_is_nested(p, is_idable_tag)
         ]
         split = self.split = split_predicates(self.plain_predicates)
         self.separable = split.separable
@@ -221,10 +179,6 @@ class PatternItem:
             value = compile_predicates(predicates_of(self))
         setattr(self, name, value)
         return value
-
-    @property
-    def has_nested(self):
-        return bool(self.nested_predicates)
 
     def test_matches(self, element):
         test = self.node_test
@@ -587,14 +541,7 @@ def _compile(query, schema=None):
             "a distributed query cannot end with //"
         )
 
-    collect_index = None
-    for index, item in enumerate(items):
-        if item.has_nested:
-            up = max(_max_upward_levels(p) for p in item.nested_predicates)
-            target = max(0, index - up)
-            if collect_index is None or target < collect_index:
-                collect_index = target
-
+    collect_index = collect_point([item.nested_predicates for item in items])
     return CompiledPattern(ast, items, collect_index, is_idable_tag)
 
 

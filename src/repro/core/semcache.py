@@ -33,6 +33,7 @@ import threading
 from repro.core.consistency import (
     consistency_tolerances,
     rewrite_consistency_sugar,
+    transform_expression,
 )
 from repro.core.lru import LRUCache
 from repro.xpath import parser as xpath_parser
@@ -45,7 +46,6 @@ from repro.xpath.ast import (
     NodeTypeTest,
     NumberLiteral,
     Step,
-    UnaryMinus,
 )
 
 # ----------------------------------------------------------------------
@@ -89,6 +89,8 @@ def _ordered_predicates(predicates):
     The sort key is the canonical text, so any spelling of the same
     predicate set keys identically.
     """
+    if len(predicates) < 2:
+        return predicates
     seen = {}
     for predicate in predicates:
         seen.setdefault(predicate.unparse(), predicate)
@@ -101,53 +103,37 @@ def canonicalize_expression(expression):
     Semantics-preserving by construction; see the module docstring for
     the rewrite list.  The input tree is never mutated.
     """
-    expression = rewrite_consistency_sugar(expression)
-    return _canon(expression)
+    return transform_expression(rewrite_consistency_sugar(expression),
+                                _canon)
 
 
 def _canon(node):
+    """The canonical form of *node*, whose children already are one."""
     if isinstance(node, LocationPath):
-        steps = [
-            _canon_step(step)
-            for step in node.steps
-            if not _is_redundant_self(step)
-        ]
-        return LocationPath(node.absolute, steps)
+        return LocationPath(node.absolute, [
+            Step(step.axis, step.node_test,
+                 _ordered_predicates(step.predicates))
+            for step in node.steps if not _is_redundant_self(step)])
     if isinstance(node, FilterExpression):
-        path = _canon(node.path) if node.path is not None else None
-        return FilterExpression(
-            _canon(node.primary),
-            _ordered_predicates([_canon(p) for p in node.predicates]),
-            path,
-        )
+        return FilterExpression(node.primary,
+                                _ordered_predicates(node.predicates),
+                                node.path)
     if isinstance(node, BinaryOperation):
-        operator = node.operator
-        left = _canon(node.left)
-        right = _canon(node.right)
+        operator, left, right = node.operator, node.left, node.right
         if operator in _MIRROR:
             operator = _MIRROR[operator]
             left, right = right, left
         if operator in _SYMMETRIC:
             left, right = _order_symmetric(left, right)
         if operator in _COMMUTATIVE_CHAINS:
-            rebuilt = BinaryOperation(operator, left, right)
-            operands = _ordered_predicates(
-                list(_flatten_chain(rebuilt, operator)))
+            operands = _ordered_predicates(list(_flatten_chain(
+                BinaryOperation(operator, left, right), operator)))
             result = operands[0]
             for operand in operands[1:]:
                 result = BinaryOperation(operator, result, operand)
             return result
         return BinaryOperation(operator, left, right)
-    if isinstance(node, UnaryMinus):
-        return UnaryMinus(_canon(node.operand))
-    if isinstance(node, FunctionCall):
-        return FunctionCall(node.name, [_canon(a) for a in node.arguments])
     return node
-
-
-def _canon_step(step):
-    return Step(step.axis, step.node_test,
-                _ordered_predicates([_canon(p) for p in step.predicates]))
 
 
 def _order_symmetric(left, right):

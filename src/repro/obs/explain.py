@@ -24,11 +24,10 @@ import json
 from repro.core.answer import Subquery
 from repro.core.gather import SubqueryFailure
 from repro.core.idable import format_id_path, id_path_of
-from repro.core.qeg import run_qeg
+from repro.core.qeg import query_anchor, run_qeg
 from repro.core.semcache import canonicalize
 from repro.core.status import Status
 from repro.xpath import parser as xpath_parser
-from repro.xpath.analysis import anchor_id_path
 from repro.xpath.ast import FunctionCall, LocationPath
 
 #: Decision labels, the EXPLAIN vocabulary.
@@ -284,7 +283,7 @@ def build_explain(agent, query, analyze=False, now=None,
     report = ExplainReport(
         query=source,
         site=agent.site_id,
-        lca_path=anchor_id_path(source) or (),
+        lca_path=query_anchor(source, agent.schema) or (),
         decisions=observer.decisions,
         plan=plan,
         local_results=result.stats.get("results_local", 0),

@@ -8,6 +8,8 @@ update stream then reproduce the paper's throughput and latency
 experiments on a laptop.
 """
 
+import copy
+
 from repro.net.cluster import Cluster
 from repro.net.dns import DnsResolver
 from repro.net.oa import OAConfig
@@ -37,11 +39,12 @@ class SimulatedCluster:
         self.fast_codegen = fast_codegen
         self.cost = cost_model or CostModel()
         self.architecture = architecture
-        self.oa_config = oa_config or OAConfig()
         # The tracing network builds one RPC tree per capture on a
         # plain stack: real threads would interleave it.  Parallelism
         # is modelled in *virtual* time instead (fan-out waves below),
-        # so the live engine must dispatch strictly sequentially.
+        # so the live engine must dispatch strictly sequentially -- on
+        # a copy, so that the caller's config is never mutated.
+        self.oa_config = copy.copy(oa_config or OAConfig())
         self.oa_config.executor = "serial"
         self.cluster = Cluster(
             document, architecture.plan, service=service,

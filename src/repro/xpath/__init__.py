@@ -11,12 +11,9 @@ from repro.xpath.analysis import (
     PredicateSplit,
     classify_predicate,
     dns_name_for_id_path,
-    earliest_nested_reference_index,
     extract_id_path,
     nesting_depth,
-    result_tag_names,
     sanitize_dns_label,
-    single_id_value,
     split_predicates,
 )
 from repro.xpath.ast import (
@@ -70,15 +67,12 @@ __all__ = [
     "walk",
     "iter_location_paths",
     "extract_id_path",
-    "single_id_value",
     "dns_name_for_id_path",
     "sanitize_dns_label",
     "nesting_depth",
     "classify_predicate",
     "split_predicates",
     "PredicateSplit",
-    "result_tag_names",
-    "earliest_nested_reference_index",
     "XPathError",
     "XPathSyntaxError",
     "XPathUnsupportedError",

@@ -6,8 +6,10 @@ These implement the paper's static analyses of an XPATH query:
   ``/elementname[@id=x]`` steps, from which the DNS-style name of the
   query's lowest common ancestor (LCA) is built -- with *no* global
   information and no schema knowledge.
-* **Nesting depth** (Definition 3.3): the maximum predicate-nesting
-  level at which a location path traversing IDable nodes occurs.
+* **Nesting** (Definition 3.3 and Section 4): which predicates hold a
+  location path crossing IDable nodes, the step a query's nested
+  predicates make it fetch the subtree at, and the nesting depth --
+  the maximum predicate-nesting level of such a path.
 * **Predicate splitting** (Section 3.5 / 4): dividing a step's
   predicate set ``P`` into ``P_id`` (predicates only on ``@id``),
   ``P_consistency`` (freshness predicates on timestamps) and
@@ -22,12 +24,11 @@ from repro.xpath.ast import (
     Literal,
     LocationPath,
     NameTest,
-    NodeTypeTest,
     NumberLiteral,
     Step,
     VariableReference,
+    iter_location_paths,
 )
-from repro.xpath.errors import XPathError
 
 # Reference categories for predicate classification.
 REF_ID = "id"
@@ -78,19 +79,6 @@ def intersect_pins(sets):
     for ids in sets[1:]:
         pinned = pinned & ids
     return pinned
-
-
-def single_id_value(step):
-    """The unique ``@id`` value this step pins, or ``None``.
-
-    A step such as ``city[@id='Pittsburgh']`` pins one value; a step
-    with an id disjunction (``[@id='a' or @id='b']``) or with no id
-    predicate pins none.
-    """
-    pinned = pinned_ids(step.predicates)
-    if pinned is not None and len(pinned) == 1:
-        return next(iter(pinned))
-    return None
 
 
 def iter_conjuncts(expression):
@@ -226,24 +214,80 @@ def dns_name_for_id_path(id_path, service="parking", zone="intel-iris.net"):
 
 
 # ----------------------------------------------------------------------
-# Nesting depth (Definition 3.3)
+# Nesting (Definition 3.3 and Section 4's collect point)
 # ----------------------------------------------------------------------
-def _path_traverses_idable(path, is_idable_tag):
-    """Whether a location path traverses over IDable element nodes."""
+def _path_is_nested(path, is_idable_tag):
+    """Whether a location path inside a predicate crosses IDable nodes.
+
+    An absolute path reads from the root, which is IDable (Definition
+    3.1); an upward step reaches IDable ancestors; a ``*`` or
+    ``node()`` sweep may cross IDable nodes.
+    """
+    if path.absolute:
+        return True
     for step in path.steps:
         if step.axis == "attribute":
             continue
         if step.axis in ("parent", "ancestor", "ancestor-or-self"):
-            # Conservative: upward references reach IDable ancestors.
             return True
         if isinstance(step.node_test, NameTest):
             if step.node_test.name == "*" or is_idable_tag(step.node_test.name):
                 return True
         elif step.node_test.node_type == "node" and \
                 step.axis in ("descendant", "descendant-or-self"):
-            # A descendant sweep may cross IDable nodes.
             return True
     return False
+
+
+def predicate_is_nested(predicate, is_idable_tag):
+    """Whether any location path in *predicate* crosses IDable nodes."""
+    return any(
+        _path_is_nested(path, is_idable_tag)
+        for path in iter_location_paths(predicate)
+    )
+
+
+#: More levels up than any path has steps: the walk's root.
+_ROOT = 999
+
+
+def _max_upward_levels(predicate):
+    """How many steps up the paths of *predicate* reach: the deepest
+    leading ``..`` chain, or past the root for an absolute path or an
+    ``ancestor`` step."""
+    deepest = 0
+    for path in iter_location_paths(predicate):
+        if path.absolute:
+            return _ROOT
+        levels = 0
+        for step in path.steps:
+            if step.axis == "parent":
+                levels += 1
+            elif step.axis in ("ancestor", "ancestor-or-self"):
+                levels = _ROOT
+                break
+            else:
+                break
+        deepest = max(deepest, levels)
+    return deepest
+
+
+def collect_point(nested):
+    """The index of the earliest step a nested predicate refers to
+    (Section 4, "Larger nesting depths"), or ``None`` for none.
+
+    *nested* lists, per step of the main path, its nested predicates.
+    Execution pauses at the returned step, fetches the whole subtree
+    below it and resumes; an upward reference from step *i* moves the
+    point up to step ``i - levels``, and an absolute one to the root.
+    """
+    collect = None
+    for index, predicates in enumerate(nested):
+        for predicate in predicates:
+            target = max(0, index - _max_upward_levels(predicate))
+            if collect is None or target < collect:
+                collect = target
+    return collect
 
 
 def nesting_depth(expression, is_idable_tag=None):
@@ -264,7 +308,7 @@ def nesting_depth(expression, is_idable_tag=None):
     def visit(node, level):
         nonlocal best
         if isinstance(node, LocationPath):
-            if level >= 1 and _path_traverses_idable(node, is_idable_tag):
+            if level >= 1 and _path_is_nested(node, is_idable_tag):
                 best = max(best, level)
             for step in node.steps:
                 for predicate in step.predicates:
@@ -389,94 +433,3 @@ def split_predicates(predicates):
                 rest_predicates.append(conjunct)
     return PredicateSplit(id_predicates, consistency_predicates,
                           rest_predicates, separable=True)
-
-
-# ----------------------------------------------------------------------
-# Result-shape analysis
-# ----------------------------------------------------------------------
-def require_location_path(expression):
-    """Return *expression* as an absolute LocationPath or raise."""
-    if not isinstance(expression, LocationPath):
-        raise XPathError(
-            "distributed evaluation requires a location-path query, got "
-            f"{type(expression).__name__}"
-        )
-    if not expression.absolute:
-        raise XPathError("distributed evaluation requires an absolute query")
-    return expression
-
-
-def result_tag_names(expression):
-    """The element names the query's final step can select.
-
-    Returns a set of names, where ``"*"`` means "any element".  Used to
-    seed LOCAL-INFO-REQUIRED; descendant IDable tags are added by the
-    schema-aware layer in :mod:`repro.core`.
-    """
-    path = require_location_path(expression)
-    if not path.steps:
-        return {"*"}
-    last = path.steps[-1]
-    if isinstance(last.node_test, NameTest):
-        return {last.node_test.name}
-    if isinstance(last.node_test, NodeTypeTest) and \
-            last.node_test.node_type == "node":
-        return {"*"}
-    return set()
-
-
-def earliest_nested_reference_index(expression, is_idable_tag=None):
-    """Index of the earliest step referred to by a nested predicate.
-
-    This drives the paper's strategy for nesting depth > 0 (Section 4,
-    "Larger nesting depths"): execution pauses at the earliest tag a
-    nested predicate refers to, fetches the whole subtree below it, and
-    resumes.  An upward reference (``..``) from a predicate at step *i*
-    moves the fetch point up to step ``i - levels``.
-
-    Returns ``None`` when the query has nesting depth 0.
-    """
-    path = require_location_path(expression)
-    if nesting_depth(expression, is_idable_tag) == 0:
-        return None
-    earliest = None
-    for index, step in enumerate(path.steps):
-        for predicate in step.predicates:
-            if nesting_depth(predicate, is_idable_tag) == 0 and \
-                    not _contains_idable_path(predicate, is_idable_tag):
-                continue
-            up_levels = _max_upward_levels(predicate)
-            target = max(0, index - up_levels)
-            if earliest is None or target < earliest:
-                earliest = target
-    return earliest
-
-
-def _contains_idable_path(expression, is_idable_tag):
-    return nesting_depth(FilterExpression(NumberLiteral(0), [expression]),
-                         is_idable_tag) > 0
-
-
-def _max_upward_levels(expression):
-    """Deepest chain of leading ``..`` steps in any path of *expression*."""
-    deepest = 0
-    for node in _walk(expression):
-        if isinstance(node, LocationPath) and not node.absolute:
-            levels = 0
-            for step in node.steps:
-                if step.axis == "parent":
-                    levels += 1
-                elif step.axis in ("ancestor", "ancestor-or-self"):
-                    levels = max(levels, 99)  # unbounded: clamp at root
-                else:
-                    break
-            deepest = max(deepest, levels)
-    return deepest
-
-
-def _walk(expression):
-    stack = [expression]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children())

@@ -21,7 +21,6 @@ from repro.agg import (
     SHAPES,
     collapse,
     compile_formula,
-    state_of,
     summary_key,
 )
 from repro.arch import hierarchical
@@ -36,7 +35,6 @@ from repro.service.scenarios import (
     build_plan,
     quick_config,
     rollup_query,
-    sensor_path,
     update_stream,
 )
 from repro.xmlkit import parse_fragment, serialize

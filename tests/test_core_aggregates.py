@@ -203,6 +203,19 @@ class TestClusterPrecisionQueries:
         assert cluster.scalar(absolute, at_site="top") == first
         assert cluster.network.traffic.messages > sent
 
+    def test_an_inclusive_bound_is_not_served_an_older_summary(
+            self, paper_doc, paper_plan, settable_clock):
+        # ``>=`` (what ``<=`` canonicalizes to) bounds a summary's age
+        # as ``>`` does: a summary of data current at 1000 must not
+        # answer ``now - 30`` at 5000.
+        inclusive = COUNT[:-1] + "[timestamp >= now - 30])"
+        cluster = Cluster(paper_doc, paper_plan, clock=settable_clock)
+        first = cluster.scalar(inclusive, at_site="top")
+        settable_clock.now = 5000.0
+        sent = cluster.network.traffic.messages
+        assert cluster.scalar(inclusive, at_site="top") == first
+        assert cluster.network.traffic.messages > sent
+
     def test_partial_aggregate_is_not_cached_as_the_whole(self, paper_doc,
                                                           paper_plan,
                                                           settable_clock):

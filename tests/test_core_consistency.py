@@ -2,10 +2,8 @@
 
 from repro.core import (
     extract_tolerance,
-    has_consistency_predicates,
     rewrite_consistency_sugar,
     strip_consistency_predicates,
-    tolerance_predicate,
     transform_expression,
 )
 from repro.xpath import parse
@@ -54,11 +52,6 @@ class TestStrip:
 
 
 class TestDetection:
-    def test_has_consistency(self):
-        assert has_consistency_predicates(
-            parse("/a[timestamp() > current-time() - 30]"))
-        assert not has_consistency_predicates(parse("/a[@id='1'][b > 2]"))
-
     def test_tolerance_extraction(self):
         predicate = parse(
             "/a[timestamp() > current-time() - 45]").steps[0].predicates[0]
@@ -73,10 +66,11 @@ class TestDetection:
         predicate = parse("/a[timestamp() > 99]").steps[0].predicates[0]
         assert extract_tolerance(predicate) is None
 
-    def test_tolerance_predicate_roundtrip(self):
-        built = tolerance_predicate(30)
-        assert extract_tolerance(built) == 30.0
-        assert built.unparse() == "timestamp() > current-time() - 30"
+    def test_tolerance_inclusive(self):
+        for source in ("/a[timestamp() >= current-time() - 45]",
+                       "/a[current-time() - 45 <= timestamp()]"):
+            predicate = parse(source).steps[0].predicates[0]
+            assert extract_tolerance(predicate) == 45.0
 
 
 class TestTransform:

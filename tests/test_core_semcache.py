@@ -8,8 +8,6 @@ end to end (a subquery carries the caller's own bound), prewarming a
 cold cluster, and the EXPLAIN cache section.
 """
 
-import pytest
-
 from repro.agg import summary_key
 from repro.agg.summaries import SUMMARY_MAX_ENTRIES, SummaryStore
 from repro.core.qeg import compile_pattern, pattern_key_stats

@@ -13,7 +13,9 @@ import ast
 import inspect
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TESTS = ROOT / "tests"
 
 LIVE_PACKAGES = ("net", "core", "agg", "replication", "rebalance")
 REPRODUCTION_TIER = ("repro.sim",)
@@ -182,6 +184,23 @@ def test_only_the_wire_module_defines_message_kinds():
                            for entry in defined), defined
 
 
+def test_one_module_defines_the_nesting_rule():
+    # Definition 3.3 and Section 4's collect point have one
+    # implementation: the one the compiler runs.
+    rules = ("_path_is_nested", "predicate_is_nested", "_max_upward_levels",
+             "collect_point", "nesting_depth")
+    defined = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [f"{path.relative_to(SRC)}: {node.name}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name.lstrip("_") in
+                    {rule.lstrip("_") for rule in rules}]
+    assert sorted(defined) == sorted(
+        f"repro/xpath/analysis.py: {rule}" for rule in rules)
+
+
 def test_a_rollup_asks_through_the_dispatcher():
     # Its asks leave through ``_send_subqueries`` (the driver's
     # ``send``), never through a request of its own.
@@ -206,11 +225,11 @@ def test_the_gather_driver_takes_whole_rounds():
         assert not hasattr(replication, gone), gone
 
 
-def test_no_unused_imports_under_src():
-    """What ``ruff check --select F401`` would report (ruff is not
-    installed here): a name an ``import`` binds and nothing reads."""
+def test_no_unused_imports():
+    """What ``ruff check --select F401 src tests`` would report, read
+    without ruff: a name an ``import`` binds and nothing reads."""
     unused = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted([*SRC.rglob("*.py"), *TESTS.rglob("*.py")]):
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source, filename=str(path))
@@ -233,7 +252,7 @@ def test_no_unused_imports_under_src():
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in read:
                     unused.append(
-                        f"{path.relative_to(SRC)}:{node.lineno}: {bound}")
+                        f"{path.relative_to(ROOT)}:{node.lineno}: {bound}")
     assert unused == []
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.core.qeg import query_anchor
 from repro.obs.explain import CACHE_HIT, OWNED, STALE, SUBQUERY
 
 PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
@@ -111,6 +112,16 @@ class TestClusterExplain:
         assert report.lca_path[0] == ("usRegion", "NE")
         assert report.lca_path[-1] == ("parkingSpace", None) or \
             len(report.lca_path) >= 4
+
+
+    def test_lca_path_is_the_anchor_routing_reads(self, paper_cluster):
+        # A redundant ``.`` step is canonicalized away before routing
+        # reads the anchor; the report reads the same anchor.
+        query = (PREFIX + "/./neighborhood[@id='Oakland']/block[@id='1']"
+                 "/parkingSpace")
+        report = paper_cluster.explain(query)
+        assert report.lca_path[-1] == ("block", "1")
+        assert report.lca_path == query_anchor(query, paper_cluster.schema)
 
 
 class TestRenderings:

@@ -21,11 +21,9 @@ from repro.core.status import Status, get_status
 from repro.net import Cluster, OAConfig, PathLoadTracker
 from repro.obs.registry import sum_per_site
 from repro.rebalance import (
-    Migration,
     RebalanceConfig,
     detect_overloaded,
     migration_counters,
-    n_new_fragments,
     plan_moves,
 )
 from repro.xmlkit import parse_fragment
@@ -38,7 +36,6 @@ except ModuleNotFoundError:  # the removability drill deleted the package
 from tests.conftest import (
     OAKLAND,
     PAPER_DOCUMENT,
-    id_path,
     owners_follow_dns,
 )
 from tests.test_failure_injection import (

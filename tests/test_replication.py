@@ -45,7 +45,6 @@ from tests.conftest import (
     FIGURE2_QUERY,
     OAKLAND,
     PAPER_DOCUMENT,
-    id_path,
 )
 from tests.test_failure_injection import (
     OAK_BLOCK,

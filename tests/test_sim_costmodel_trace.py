@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch import hierarchical
-from repro.net import QueryMessage
+from repro.net import OAConfig, QueryMessage
 from repro.service import ParkingConfig, QueryWorkload, build_parking_document
 from repro.sim import CostModel, SimulatedCluster, TracingNetwork
 
@@ -192,6 +192,15 @@ class TestSimulatedCluster:
                                   n_clients=1, duration=10, warmup=2)
             latency[fast] = metrics.mean_latency
         assert latency[True] < latency[False]
+
+    def test_the_callers_config_is_not_mutated(self, sim):
+        # The simulator dispatches serially on a copy of the config.
+        config, _ = sim
+        oa_config = OAConfig(executor="threaded")
+        cluster = SimulatedCluster(build_parking_document(config),
+                                   hierarchical(config), oa_config=oa_config)
+        assert oa_config.executor == "threaded"
+        assert cluster.oa_config.executor == "serial"
 
     def test_utilizations_reported(self, sim):
         config, sim_cluster = sim

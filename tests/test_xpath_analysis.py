@@ -1,15 +1,13 @@
 """Unit tests for the query analyses: all the paper's worked examples."""
 
+from repro.core import HierarchySchema, compile_pattern
 from repro.xpath import parse
 from repro.xpath.analysis import (
     classify_predicate,
     dns_name_for_id_path,
-    earliest_nested_reference_index,
     extract_id_path,
     nesting_depth,
-    result_tag_names,
     sanitize_dns_label,
-    single_id_value,
     split_predicates,
 )
 
@@ -53,14 +51,6 @@ class TestIdPathExtraction:
 
     def test_reversed_equality(self):
         assert extract_id_path(parse("/a['1' = @id]")) == [("a", "1")]
-
-    def test_single_id_value_disjunction_is_none(self):
-        step = parse("/a[@id='x' or @id='y']").steps[0]
-        assert single_id_value(step) is None
-
-    def test_single_id_value_contradiction_is_none(self):
-        step = parse("/a[@id='x' and @id='y']").steps[0]
-        assert single_id_value(step) is None
 
 
 class TestDnsNames:
@@ -121,22 +111,43 @@ class TestNestingDepth:
         assert nesting_depth(parse("/a[@x='1'][@y='2']"), {"a"}) == 0
 
 
+def _schema(*idable):
+    """A schema whose IDable tags are *idable* and a root no query names."""
+    return HierarchySchema("root", {"root": set(idable)})
+
+
 class TestCollectPoint:
+    """Section 4's collect point, as the compiler places it."""
+
     def test_upward_reference_moves_collect_point(self):
-        query = parse("/n[@id='o']/block[@id='1']"
-                      "/parkingSpace[not(price > ../parkingSpace/price)]")
-        index = earliest_nested_reference_index(
-            query, {"n", "block", "parkingSpace"})
-        assert index == 1  # the block step
+        query = ("/n[@id='o']/block[@id='1']"
+                 "/parkingSpace[not(price > ../parkingSpace/price)]")
+        pattern = compile_pattern(query, _schema("n", "block", "parkingSpace"))
+        assert pattern.collect_index == 1  # the block step
 
     def test_no_nesting_no_collect_point(self):
-        assert earliest_nested_reference_index(
-            parse("/a[@id='1']/b"), {"a", "b"}) is None
+        assert compile_pattern("/a[@id='1']/b",
+                               _schema("a", "b")).collect_index is None
 
     def test_self_referencing_nested_predicate(self):
-        query = parse("/city[./neighborhood[@id='Oakland']]")
-        assert earliest_nested_reference_index(
-            query, {"city", "neighborhood"}) == 0
+        query = "/city[./neighborhood[@id='Oakland']]"
+        assert compile_pattern(
+            query, _schema("city", "neighborhood")).collect_index == 0
+
+    def test_absolute_predicate_path_collects_at_the_root(self):
+        # It reads from the root, which is IDable (Definition 3.1).
+        assert compile_pattern("/a/b/c[/a/b]",
+                               _schema("a", "b")).collect_index == 0
+
+    def test_absolute_predicate_path_nests_without_idable_tags(self):
+        pattern = compile_pattern("/a[/c]/b", _schema())
+        assert pattern.collect_index == 0
+        assert nesting_depth(parse("/a[/c]/b"), set()) == 1
+
+    def test_a_descendant_gap_is_not_a_step(self):
+        # The pattern items are a, b, d: ``//`` joins a to b.
+        assert compile_pattern("/a//b[./c]/d",
+                               _schema("c")).collect_index == 1
 
 
 class TestPredicateClassification:
@@ -185,14 +196,3 @@ class TestPredicateClassification:
         split = split_predicates(step.predicates)
         assert split.separable
         assert len(split.id_predicates) == 1
-
-
-class TestResultTags:
-    def test_named_final_step(self):
-        assert result_tag_names(parse("/a/b/c")) == {"c"}
-
-    def test_wildcard(self):
-        assert result_tag_names(parse("/a/*")) == {"*"}
-
-    def test_root(self):
-        assert result_tag_names(parse("/")) == {"*"}
