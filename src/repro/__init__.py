@@ -13,7 +13,7 @@ The package layout mirrors the system inventory in ``DESIGN.md``:
 ``repro.xpath``
     An XPath 1.0 engine restricted to the unordered fragment of the
     language, plus the query-analysis passes the paper relies on
-    (ID-path extraction, nesting depth, LOCAL-INFO-REQUIRED).
+    (ID-path extraction, nesting depth, predicate splitting).
 ``repro.core``
     The paper's primary contribution: hierarchical fragmentation with
     IDable nodes, storage/cache invariants, status tags, the QEG

@@ -17,9 +17,15 @@ receiving site merges it and walks the query again: that walk's
 matches, once it asks for nothing more, are the user-visible answer.
 Only a site that ships a fragment builds one.
 
-Statuses are rewritten for the receiver: the sender's ``owned`` and
-``complete`` nodes arrive as ``complete``, ID-only nodes as
-``id-complete``/``incomplete``.
+A fragment carries the sender's statuses: a node with local
+information arrives ``owned`` or ``complete`` as the sender stores it,
+and the receiver's merge records it ``complete`` (a reply never makes
+its receiver an owner).  So a region the sender holds whole leaves as
+it is stored: the reply *lends* the stored subtree, and the serializer
+writes it from the subtree's version-stamped memo.  A lent subtree
+never leaves the serving site's guard as a live object: the envelope
+is serialized inside the hold, and a receiver in the same process gets
+a copy taken there.
 
 The paper splices subquery answers into ``asksubquery`` placeholders
 inside an annotated result document; because our wire fragments are
@@ -34,13 +40,8 @@ from repro.core.idable import (
     node_id,
     non_idable_children,
 )
-from repro.core.status import (
-    STATUS_ATTRIBUTE,
-    TIMESTAMP_ATTRIBUTE,
-    Status,
-    get_status,
-)
-from repro.xmlkit.nodes import restamp
+from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
+from repro.xmlkit.nodes import copy_subtree, restamp
 
 
 class Subquery:
@@ -95,14 +96,26 @@ class Subquery:
         return hash(self.query)
 
 
+#: Plan entry kinds: a node's local ID information, its local
+#: information, or its whole subtree lent as stored.
+_ID, _LOCAL, _WHOLE = 0, 1, 2
+
+
 class AnswerBuilder:
     """Builds a wire-format fragment from a site database, in two steps.
 
     The ``include_*`` calls (during the QEG walk) check the sender's
     statuses and report subtree gaps, but only *record* what the answer
     includes; :meth:`build` materializes the record, lazily creating the
-    root path of every included node with local ID information (C2) and
-    marking statuses from the receiver's point of view.
+    root path of every included node with local ID information (C2).
+
+    A subtree whose every IDable node has local information here is
+    recorded once and *lent*: :meth:`build` lists the stored element
+    itself in the reply's skeleton, in place of the ID stub its parent's
+    ID information put there, and an inclusion inside it later is a
+    no-op.  Any other included node is rebuilt in the skeleton with the
+    stored attributes (status and timestamp as stored) and copies of its
+    non-IDable content.
 
     Both steps cost O(nodes included): the record remembers which
     database elements already have their ID information -- hence that
@@ -118,7 +131,8 @@ class AnswerBuilder:
         self.root = None
         self._mapping = {}  # id(db element) -> answer element
         self._id_included = set()  # id(db element) with ID information in
-        self._plan = []  # (local information?, db element), in order
+        self._whole = set()  # id(db element) inside a lent subtree
+        self._plan = []  # (_ID / _LOCAL / _WHOLE, db element), in order
         self._built = 0  # plan entries materialized so far
         self._stamp = None  # (db root, its version) at the first inclusion
 
@@ -176,11 +190,11 @@ class AnswerBuilder:
                 kids.append(stub)
                 mapping[id(child)] = stub
 
-    def _record(self, local, element):
+    def _record(self, kind, element):
         if self._stamp is None:
             top = element.root()
             self._stamp = (top, top.subtree_version)
-        self._plan.append((local, element))
+        self._plan.append((kind, element))
         self._id_included.add(id(element))
 
     # ------------------------------------------------------------------
@@ -200,7 +214,7 @@ class AnswerBuilder:
                 f"sender only has status {status.value}"
             )
         self.include_ancestors(element)
-        self._record(False, element)
+        self._record(_ID, element)
 
     def include_ancestors(self, element):
         """Include local ID information of every proper ancestor (C2).
@@ -211,11 +225,10 @@ class AnswerBuilder:
             self.include_id_information(element.parent)
 
     def include_local_information(self, element):
-        """Include the full local information of *element*.
-
-        The receiver records the node as ``complete`` (a cached copy),
-        regardless of whether the sender owned it.
-        """
+        """Include the full local information of *element*, with the
+        status it is stored under (the receiver records ``complete``)."""
+        if id(element) in self._whole:
+            return
         status = get_status(element)
         if not status.has_local_information:
             raise CoreError(
@@ -223,7 +236,7 @@ class AnswerBuilder:
                 f"sender only has status {status.value}"
             )
         self.include_ancestors(element)
-        self._record(True, element)
+        self._record(_LOCAL, element)
 
     def include_subtree(self, element, on_missing=None):
         """Include local information of *element* and all its descendants.
@@ -233,25 +246,48 @@ class AnswerBuilder:
         descendants whose local information the sender lacks,
         *on_missing(descendant)* is invoked (the QEG walker emits a
         subquery there); with no callback the gap is silently included
-        as ID-only data.
+        as ID-only data.  A subtree without such a gap, below the root,
+        is lent whole.
         """
+        if id(element) in self._whole:
+            return
+        region = []
+        whole = element.parent is not None
         stack = [element]
         while stack:
             node = stack.pop()
             status = get_status(node)
+            region.append((node, status))
+            if status.has_local_information:
+                stack.extend(idable_children(node))
+            else:
+                whole = False
+        if whole:
+            self._lend(element, region)
+            return
+        for node, status in region:
             if status.has_local_information:
                 self.include_local_information(node)
-                stack.extend(idable_children(node))
             else:
                 if status.has_id_information:
                     self.include_id_information(node)
                 if on_missing is not None:
                     on_missing(node)
 
+    def _lend(self, element, region):
+        """Record *element*'s subtree, every IDable node of which
+        (*region*) has local information here, as one lent entry."""
+        self.include_ancestors(element)
+        self._record(_WHOLE, element)
+        inside = [id(node) for node, _status in region]
+        self._whole.update(inside)
+        self._id_included.update(inside)
+
     # ------------------------------------------------------------------
     def build(self):
         """The fragment included so far (``None`` when nothing was);
-        incremental, so a build between inclusions is fine."""
+        incremental, so a build between inclusions is fine.  It lists
+        the lent stored subtrees without adopting them."""
         if self._stamp is not None:
             top, version = self._stamp
             if top.subtree_version != version:
@@ -261,27 +297,24 @@ class AnswerBuilder:
         plan = self._plan
         if self._built == len(plan):
             return self.root
+        mapping = self._mapping
         for index in range(self._built, len(plan)):
-            local, element = plan[index]
+            kind, element = plan[index]
+            if kind == _WHOLE:
+                # The parent's ID information put a stub (or an earlier
+                # inclusion a rebuilt node) where the stored one goes.
+                kids = self._ensure(element.parent).children
+                kids[kids.index(mapping[id(element)])] = element
+                mapping[id(element)] = element
+                continue
             target = self._ensure(element)
             attrib = target.attrib
-            if not local:
+            if kind == _ID:
                 if get_status(target).rank < Status.ID_COMPLETE.rank:
                     attrib[STATUS_ATTRIBUTE] = Status.ID_COMPLETE.value
                 self._add_child_stubs(target, idable_children(element))
                 continue
-            # Attributes (system status replaced by the receiver-view one).
-            for name, value in element.attrib.items():
-                if name != STATUS_ATTRIBUTE:
-                    attrib[name] = value
-            attrib[STATUS_ATTRIBUTE] = Status.COMPLETE.value
-            stamp = element.attrib.get(TIMESTAMP_ATTRIBUTE)
-            if stamp is not None:
-                # Kept, not re-made, when already canonical: the asker's
-                # cache holds on to this string.
-                canonical = repr(float(stamp))
-                if canonical != stamp:
-                    attrib[TIMESTAMP_ATTRIBUTE] = canonical
+            attrib.update(element.attrib)
             # Non-IDable content, replacing whatever scaffolding was there.
             target.text = element.text
             stale = non_idable_children(target) if target.children else ()
@@ -301,10 +334,25 @@ class AnswerBuilder:
                     copy.parent = target
                     kids.append(copy)
             self._add_child_stubs(target, idable)
-        restamp(self._mapping.values())
+        # Stored nodes keep their stamps (so do skeleton nodes a lent
+        # subtree replaced: nothing reaches them any more).
+        whole = self._whole
+        restamp([node for key, node in mapping.items() if key not in whole])
         self._built = len(plan)
         return self.root
 
+
+def private_copy(fragment):
+    """A copy of a built *fragment* that its receiver may keep: the
+    skeleton and the stored subtrees it lends, copied in one pass.
+
+    For a receiver in the serving site's process, under the serving
+    site's guard.  The skeleton is the reply's alone, so it is disposed
+    (which stops at the lent subtrees).
+    """
+    copy = copy_subtree(fragment)
+    fragment.dispose()
+    return copy
 
 
 class GapFinder(AnswerBuilder):
@@ -316,3 +364,12 @@ class GapFinder(AnswerBuilder):
         pass
 
     include_ancestors = include_local_information = include_id_information
+
+    def include_subtree(self, element, on_missing=None):
+        stack = [element]
+        while stack:
+            node = stack.pop()
+            if get_status(node).has_local_information:
+                stack.extend(idable_children(node))
+            elif on_missing is not None:
+                on_missing(node)

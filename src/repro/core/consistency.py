@@ -86,6 +86,12 @@ def _is_bare_child_path(expression, name):
     )
 
 
+def reads_as_sugar(expression):
+    """Whether *expression* is spelled as ``timestamp`` or ``now``
+    alone, which a comparison reads as the sugar, not as a child."""
+    return any(_is_bare_child_path(expression, name) for name in _SUGAR_NAMES)
+
+
 def rewrite_consistency_sugar(expression):
     """Rewrite ``timestamp``/``now`` sugar into canonical function calls.
 

@@ -27,6 +27,7 @@ from repro.core.idable import (
     non_idable_children,
 )
 from repro.core.status import (
+    STATUS_ATTRIBUTE,
     Status,
     get_status,
     get_timestamp,
@@ -346,11 +347,12 @@ class SensorDatabase:
         """Merge a wire-format answer *fragment* into this database.
 
         The fragment is a tree rooted at the global root in which each
-        IDable node carries the status the *receiver* should record
-        (``complete``, ``id-complete`` or ``incomplete``) plus a
-        timestamp on data-bearing nodes.  Invariants C1/C2 hold for
-        every fragment produced by :mod:`repro.core.answer`, so merging
-        preserves I1/I2.
+        IDable node carries its status at the sender plus a timestamp
+        on data-bearing nodes.  The merge reads it from the receiver's
+        point of view: an ``owned`` node arrives as a ``complete`` copy,
+        since a reply never makes its receiver an owner, and is stored
+        so.  Invariants C1/C2 hold for every fragment produced by
+        :mod:`repro.core.answer`, so merging preserves I1/I2.
 
         Merge policy per matched node (by ``(tag, id)``):
 
@@ -399,6 +401,8 @@ class SensorDatabase:
     def _merge_node(self, target, incoming, path, handed_over, carried):
         target_status = get_status(target)
         incoming_status = get_status(incoming)
+        if incoming_status is Status.OWNED:
+            incoming_status = Status.COMPLETE
 
         if incoming_status.has_local_information:
             carried.append(target)
@@ -450,17 +454,19 @@ class SensorDatabase:
         """Replace *target*'s own-level content with *incoming*'s: moved
         out of a *handed_over* fragment (left gutted and unstamped, for
         its owner to drop), copied out of any other.  Attributes, text
-        and the content list are swapped whole, under one stamp."""
+        and the content list are swapped whole, under one stamp; the
+        status is *incoming_status*, the receiver's view."""
         if not incoming_status.has_local_information:
             set_status(target, incoming_status)
             return
-        # Attributes: the id stays, everything else (status included)
-        # is the incoming node's.
+        # Attributes: the id stays, everything else is the incoming
+        # node's.
         identifier = target.attrib.get("id")
         attrib = {} if identifier is None else {"id": identifier}
         for name, value in incoming.attrib.items():
             if name != "id":
                 attrib[name] = str(value)
+        attrib[STATUS_ATTRIBUTE] = incoming_status.value
         outgoing = non_idable_children(target)
         adopted = non_idable_children(incoming)
         # Swapping non-IDable content cannot change the IDable node set

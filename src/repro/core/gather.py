@@ -14,8 +14,9 @@ For nesting depth 0 the loop converges in one round against owners
 whose own answers are complete; deeper rounds occur for nesting
 depth > 0 (fetch the subtree, then evaluate).
 
-The last round's walk is the answer: its gap-free final-step matches,
-copied clean, are the user's result.  Freshness is the walk's alone: the
+The last round's walk is the answer: its gap-free final-step matches
+are the user's result (copied clean for a user in this process, lent to
+a reply otherwise).  Freshness is the walk's alone: the
 driver passes it the *vouched* elements -- data this gather merged from
 a reply -- and any other copy too old for its bound is asked for
 again.  Every ask goes out exactly as the
@@ -26,12 +27,14 @@ owner's reply left out matches nothing.
 
 import threading
 
+from repro.core.answer import private_copy
 from repro.core.database import SensorDatabase
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.qeg import CompiledPattern, compile_pattern, run_qeg
 from repro.core.semcache import canonicalize
 from repro.core.status import clean_copy
 from repro.obs.tracing import TRACER
+from repro.xmlkit.nodes import Element
 from repro.xpath.ast import FunctionCall, LocationPath, VariableReference
 from repro.xpath.evaluator import Evaluator
 
@@ -101,6 +104,19 @@ class PartialReply:
     def __init__(self, fragment, failures):
         self.fragment = fragment
         self.failures = list(failures)
+
+
+def hand_over(reply):
+    """*reply* -- a built fragment, ``None``, a :class:`PartialReply` or
+    a scalar -- as a receiver in the serving site's process may keep
+    it: a fragment lends stored subtrees, so it goes as a
+    :func:`~repro.core.answer.private_copy`, taken under the serving
+    site's guard."""
+    if isinstance(reply, PartialReply):
+        return PartialReply(hand_over(reply.fragment), reply.failures)
+    if isinstance(reply, Element):
+        return private_copy(reply)
+    return reply
 
 
 class GatherOutcome:

@@ -204,7 +204,9 @@ def fragment_violations(fragment, reference_root=None):
 
     The fragment must be a status-annotated tree whose every node obeys
     the structural rules; with a reference, data-bearing nodes must
-    carry full local (ID) information.
+    carry full local (ID) information.  Statuses are the sender's, so a
+    data-bearing node may be ``owned`` (its receiver records it
+    ``complete``) or ``complete``.
     """
     from repro.core.database import SensorDatabase
 

@@ -1,7 +1,7 @@
 """Hierarchy schema: which element names are IDable, and their nesting.
 
-The paper's analyses (nesting depth, LOCAL-INFO-REQUIRED) need to know
-which *element names* denote IDable nodes.  A schema can be declared
+The paper's analyses (nesting depth, the query compiler's IDable steps)
+need to know which *element names* denote IDable nodes.  A schema can be declared
 explicitly by a service or derived from a sample document.
 
 This also supports the schema-evolution story of Section 4: attributes
@@ -78,41 +78,6 @@ class HierarchySchema:
     def children_of(self, tag):
         """IDable child element names of *tag*."""
         return frozenset(self._children.get(tag, ()))
-
-    def descendant_idable_tags(self, tag, include_self=True):
-        """All IDable element names reachable below *tag* (cycle-safe)."""
-        out = set()
-        stack = [tag]
-        while stack:
-            current = stack.pop()
-            for child in self._children.get(current, ()):
-                if child not in out:
-                    out.add(child)
-                    stack.append(child)
-        if include_self and tag in self._children:
-            out.add(tag)
-        return frozenset(out)
-
-    def local_info_required(self, result_tags):
-        """Expand result tags to the full LOCAL-INFO-REQUIRED set.
-
-        XPath returns whole subtrees, so if a query's answer includes
-        nodes with a given tag, the local information of every IDable
-        tag nested below is required too (Section 3.5's example:
-        ``.../neighborhood/block`` requires {block, parkingSpace}).
-
-        ``"*"`` in *result_tags* means "any element": every IDable tag
-        is required.
-        """
-        required = set()
-        for tag in result_tags:
-            if tag == "*":
-                return frozenset(self._children)
-            required.update(self.descendant_idable_tags(tag, include_self=True))
-            # A non-IDable result tag (e.g. "available") requires the
-            # local information of its enclosing IDable node, which the
-            # QEG walker resolves positionally; nothing to add here.
-        return frozenset(required)
 
     def __repr__(self):
         return (

@@ -32,6 +32,7 @@ import threading
 
 from repro.core.consistency import (
     consistency_tolerances,
+    reads_as_sugar,
     rewrite_consistency_sugar,
     transform_expression,
 )
@@ -110,10 +111,17 @@ def canonicalize_expression(expression):
 def _canon(node):
     """The canonical form of *node*, whose children already are one."""
     if isinstance(node, LocationPath):
-        return LocationPath(node.absolute, [
-            Step(step.axis, step.node_test,
-                 _ordered_predicates(step.predicates))
-            for step in node.steps if not _is_redundant_self(step)])
+        steps = [Step(step.axis, step.node_test,
+                      _ordered_predicates(step.predicates))
+                 for step in node.steps]
+        kept = [step for step in steps if not _is_redundant_self(step)]
+        path = LocationPath(node.absolute, kept)
+        if len(kept) < len(steps) and reads_as_sugar(path):
+            # ``./timestamp`` is a child element; bare, it would re-read
+            # as the consistency sugar's ``timestamp()``.
+            return LocationPath(node.absolute,
+                                [Step("self", NodeTypeTest("node")), *kept])
+        return path
     if isinstance(node, FilterExpression):
         return FilterExpression(node.primary,
                                 _ordered_predicates(node.predicates),

@@ -36,10 +36,11 @@ INTERNAL_ATTRIBUTES = frozenset({STATUS_ATTRIBUTE})
 def clean_copy(node):
     """A detached copy of *node*'s subtree without internal attributes.
 
-    What a user gets back: it carries no serialization memo and no
-    origin link, so nothing done to it reaches the site database.  It
-    never goes through :meth:`Element.copy`, which copies what an
-    answer ships.
+    What a user in the answering site's process gets back: it carries
+    no serialization memo and no origin link, so nothing done to it
+    reaches the site database.  A user over the wire is sent the stored
+    matches themselves, written without ``status``.  It never goes
+    through :meth:`Element.copy`, which copies what an answer ships.
     """
     return copy_subtree(node, drop=INTERNAL_ATTRIBUTES)
 

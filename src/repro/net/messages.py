@@ -10,12 +10,14 @@ model.
 import itertools
 from collections import namedtuple
 
+from repro.core.answer import private_copy
+from repro.core.status import INTERNAL_ATTRIBUTES, clean_copy
 from repro.net.errors import MessageError
 from repro.obs.tracing import TraceContext
 from repro.xmlkit.errors import XmlError
 from repro.xmlkit.nodes import Element, Text
 from repro.xmlkit.parser import parse_fragment
-from repro.xmlkit.serializer import serialize
+from repro.xmlkit.serializer import Stripped, serialize
 
 _SEQUENCE = itertools.count(1)
 
@@ -70,7 +72,7 @@ def _lend(holder, payload):
     The envelope is a private transient that exists only to be
     serialized, so it borrows its payloads: *payload* keeps its parent
     (or none) and its version stamp, the serializer memoizes bytes on
-    the payload's own nodes (and writes them back to database origins),
+    the payload's own nodes (stored subtrees a reply lends among them),
     and an exception leaves nothing to undo.
     """
     holder.children.append(payload)
@@ -356,7 +358,8 @@ class AnswerMessage(Message):
 
     An item's answer travels in one holder: a wire fragment (an ask;
     ``None`` when the remote had nothing), a scalar (a scalar query), a
-    list of clean result elements (a user query) or a ``state`` (a
+    list of result elements, written without ``status`` (a user query),
+    or a ``state`` (a
     rollup's ask: the owner's merge-state, ``{region id_path:
     (Partial, as_of)}``).  The keywords build a one-item answer;
     ``fragment``, ``scalar``, ``results`` and ``left`` read the first
@@ -408,6 +411,26 @@ class AnswerMessage(Message):
     @property
     def left(self):
         return self.answers[0].left
+
+    def hand_over(self):
+        """Swap every tree this reply lends for a private copy: a
+        fragment (its skeleton and the stored subtrees it lists) for a
+        copy, the skeleton disposed; results for clean copies.
+
+        For a receiver in the serving site's process, which keeps what
+        it is handed; called under the serving site's guard, after any
+        encoding, which the copies leave valid.
+        """
+        answers = []
+        for answer in self.answers:
+            value = answer.value
+            if answer.holder == "fragment" and value is not None:
+                answer = answer._replace(value=private_copy(value))
+            elif answer.holder == "results":
+                answer = answer._replace(
+                    value=[clean_copy(result) for result in value])
+            answers.append(answer)
+        self.answers = answers
 
     def _fill(self, envelope):
         envelope.set("replyTo", str(self.in_reply_to))
@@ -501,7 +524,7 @@ def _decode_state(holder):
 
 def _encode_results(results):
     """A ``<results>`` holder listing the result elements (lent, like a
-    fragment) in order.
+    fragment, and written without the internal ``status``) in order.
 
     Character data cannot sit between the elements -- an element's text
     is one string after its child elements -- so a text result ships
@@ -512,7 +535,7 @@ def _encode_results(results):
     text_positions = []
     for position, result in enumerate(results):
         if isinstance(result, Element):
-            _lend(holder, result)
+            _lend(holder, Stripped(result, INTERNAL_ATTRIBUTES))
         else:
             text_positions.append(str(position))
             holder.append(Element("t", attrib={"v": result.value}))

@@ -21,7 +21,12 @@ from repro.agg.manager import AggregationManager, AggregationUnavailable
 from repro.core.errors import CoreError, UnsupportedDistributedQueryError
 from repro.core.executors import resolve_executor
 from repro.core.answer import Subquery
-from repro.core.gather import GatherDriver, PartialReply, SubqueryFailure
+from repro.core.gather import (
+    GatherDriver,
+    PartialReply,
+    SubqueryFailure,
+    hand_over,
+)
 from repro.core.idable import id_path_of, idable_children
 from repro.core.ownership import (
     export_local_information,
@@ -378,7 +383,8 @@ class OrganizingAgent:
             if target == self.site_id:
                 # Ownership race, self-anchored fetch, or an owner that
                 # came home mid-retry: answer locally.
-                replies[index] = self.driver.answer_any(subquery.query)
+                replies[index] = hand_over(
+                    self.driver.answer_any(subquery.query))
             else:
                 groups.setdefault(target, []).append(index)
         if not groups:
@@ -600,16 +606,17 @@ class OrganizingAgent:
             return self._handle_asks(message)
         self.load.record_path(query_anchor(message.query, self.schema))
         self.stats["user_queries"] += 1
-        results, outcome = self.driver.answer_user_query(
-            message.query, now=message.now
-        )
+        # The walk's matches are lent: the reply is encoded (or handed
+        # over) under this site's guard, written without ``status``.
+        outcome = self.driver.gather(message.query, now=message.now,
+                                     ships=False)
         completeness = None
         if outcome.failures or outcome.replica_served:
             # Partial or replica-served answer: ship the machine-
             # readable report so the front-end knows exactly which
             # regions are missing or came from a replica.
             completeness = outcome.completeness_report()
-        return AnswerMessage(message.message_id, results=results,
+        return AnswerMessage(message.message_id, results=outcome.matches,
                              completeness=completeness, sender=self.site_id)
 
     def _handle_asks(self, message):

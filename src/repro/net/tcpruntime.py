@@ -28,7 +28,6 @@ from repro.net.messages import (
 )
 from repro.net.transport import Transport
 from repro.obs.tracing import TRACER, attach_context
-from repro.xmlkit.nodes import Element
 
 logger = logging.getLogger(__name__)
 
@@ -106,20 +105,18 @@ class AdmissionGate:
 
 
 def _release_served(reply):
-    """Dispose the trees a served answer was built around.
+    """Dispose the skeletons a served answer's fragments were built as.
 
-    The agent built every item's fragment or clean results for this
-    reply alone, and once it is encoded only its bytes are sent on, so
-    nothing holds them any more.
+    The agent built every item's fragment skeleton for this reply alone,
+    and once it is encoded only its bytes are sent on, so nothing holds
+    them any more.  Disposing one stops at the stored subtrees it lends;
+    results are stored matches, lent whole, and are left alone.
     """
     if not isinstance(reply, AnswerMessage):
         return
     for answer in reply.answers:
-        trees = answer.value if answer.holder == "results" else \
-            [answer.value]
-        for tree in trees:
-            if isinstance(tree, Element):
-                tree.dispose()
+        if answer.holder == "fragment" and answer.value is not None:
+            answer.value.dispose()
 
 
 class _AgentRequestHandler(socketserver.BaseRequestHandler):

@@ -13,9 +13,11 @@ experiments can report communication costs.
 """
 
 import threading
+from contextlib import nullcontext
 from types import MappingProxyType
 
 from repro.net.errors import NetError, UnknownSite
+from repro.net.messages import AnswerMessage
 
 
 class TrafficLog:
@@ -96,6 +98,9 @@ class LoopbackNetwork(Transport):
     guard (:class:`~repro.net.oa.SiteGuard`) orders its local phases,
     exactly as it does for a user query posed there or a TCP handler,
     and the asking agent has let go of its own guard for the call.
+    The reply is sized and handed over (the stored nodes it lends
+    swapped for copies, :meth:`~repro.net.messages.AnswerMessage.hand_over`)
+    inside that guard's hold, as a TCP handler serializes it there.
     """
 
     def __init__(self, count_bytes=False):
@@ -125,9 +130,13 @@ class LoopbackNetwork(Transport):
         for interceptor in self.interceptors:
             interceptor(src, dst, message)
         self.traffic.record(src, dst, message)
-        reply = self.agent(dst).handle_message(message)
-        if reply is not None:
-            self.traffic.record(dst, src, reply)
+        agent = self.agent(dst)
+        with getattr(agent, "guard", nullcontext()):
+            reply = agent.handle_message(message)
+            if reply is not None:
+                self.traffic.record(dst, src, reply)
+                if isinstance(reply, AnswerMessage):
+                    reply.hand_over()
         return reply
 
     def tell(self, src, dst, message):

@@ -33,7 +33,7 @@ import functools
 import threading
 
 from repro.core.answer import Subquery
-from repro.core.gather import SubqueryFailure
+from repro.core.gather import SubqueryFailure, hand_over
 from repro.core.ownership import export_local_information
 from repro.core.status import TIMESTAMP_ATTRIBUTE
 from repro.net.errors import NetError
@@ -195,8 +195,9 @@ class ReplicationManager:
         *queries*, through the agent's gated request (or this site's own
         fragment when it is the peer)."""
         if peer == self.agent.site_id:
-            return [self.agent.driver.answer_unforwarded(query, now=now)
-                    for query in queries]
+            answers = [self.agent.driver.answer_unforwarded(query, now=now)
+                       for query in queries]
+            return [(hand_over(fragment), left) for fragment, left in answers]
         reply = ask(functools.partial(self.agent.request, peer,
                                       span="send-failover"),
                     queries, now, self.agent.site_id, no_forward=True)

@@ -416,9 +416,9 @@ class Element:
 
         If this node is a still-pristine copy of an origin that has not
         mutated since the copy was taken, the bytes are written back to
-        the origin too: the wire paths serialize short-lived copies of
-        long-lived database content, and the write-back is what lets
-        the *next* answer built from the same content reuse the bytes.
+        the origin too: a short-lived copy of long-lived database
+        content (a checkpoint's) leaves its bytes where the next
+        serialization of that content finds them.
         """
         if self._ser_cache is None:
             self._ser_cache = {}
@@ -450,9 +450,11 @@ class Element:
 
         Valid serialization memos travel with the copy: the clone is
         content-identical, so bytes cached for this subtree serialize
-        the clone too.  This is what lets an answer fragment (built by
-        copying database content, then serialized in place inside its
-        message envelope) reuse clean subtrees' bytes.
+        the clone too, and bytes memoized on the clone are written back
+        (a checkpoint serializes a copy of the database root so).  The
+        answer builder copies the non-IDable content of a node it
+        rebuilds with it; a region the site holds whole is lent, not
+        copied.
         """
         return copy_subtree(self, carry_memo=True)
 

@@ -10,8 +10,18 @@ The memo is semantically transparent: output is byte-identical with
 and without it (``use_cache=False`` forces the uncached path, which
 the property tests compare against).
 
+A subtree that a tree lists without adopting it -- a payload lent to a
+message envelope, a stored subtree lent to a reply's skeleton -- is
+memoized at its own root only: its bytes are what a later message
+reuses, and memos below it would only help after a change inside it,
+at the cost of a string per node of every stored subtree ever sent.
+
 An element's content is its child elements, then its escaped text; it
 is written ``<tag/>`` only when it has neither (text ``None``).
+
+A :class:`Stripped` view writes a subtree without some attributes, in
+the same pass as the tree listing it (a user's results, lent from a
+site database without their ``status``).
 """
 
 from repro.xmlkit.nodes import Document
@@ -54,6 +64,41 @@ def escape_attribute(value):
     return value.translate(_ATTR_TABLE)
 
 
+class Stripped:
+    """*source*'s subtree as the serializer writes it without the
+    attributes named in *drop* (a frozenset).
+
+    It offers what the compact writer reads of an element, so a tree
+    may list it among its children: the source is neither copied nor
+    touched.  Listed so, it is lent, and its bytes are memoized on the
+    source root under a key of their own, valid while the source's
+    version stamp is; its descendants are views adopted by it, written
+    without a memo.
+    """
+
+    __slots__ = ("source", "drop", "tag", "attrib", "text", "parent")
+
+    def __init__(self, source, drop, parent=None):
+        self.source = source
+        self.drop = drop
+        self.tag = source.tag
+        self.attrib = {name: value for name, value in source.attrib.items()
+                       if name not in drop}
+        self.text = source.text
+        self.parent = parent
+
+    @property
+    def children(self):
+        return [Stripped(child, self.drop, self)
+                for child in self.source.children]
+
+    def cached_serialization(self, key):
+        return self.source.cached_serialization((key, self.drop))
+
+    def store_serialization(self, key, text):
+        self.source.store_serialization((key, self.drop), text)
+
+
 def _attributes_to_string(element, sort_attributes):
     names = element.attrib
     if sort_attributes:
@@ -63,8 +108,14 @@ def _attributes_to_string(element, sort_attributes):
     )
 
 
-def _compact_string(node, sort_attributes, use_cache):
-    if use_cache:
+def _compact_string(node, sort_attributes, use_cache, here=True,
+                    below=True):
+    """*node*'s compact bytes; the memo is read and written at *node*
+    when *here*, and at its adopted descendants when *below*.  A child
+    the node lists without adopting it (a lent subtree: its parent is
+    elsewhere) is memoized at its own root only."""
+    memo = use_cache and here
+    if memo:
         cached = node.cached_serialization(sort_attributes)
         if cached is not None:
             SERIALIZATION_STATS["cache_hits"] += 1
@@ -75,7 +126,12 @@ def _compact_string(node, sort_attributes, use_cache):
     if children:
         parts = [open_tag, ">"]
         for child in children:
-            parts.append(_compact_string(child, sort_attributes, use_cache))
+            if child.parent is node:
+                parts.append(_compact_string(child, sort_attributes,
+                                             use_cache, below, below))
+            else:
+                parts.append(_compact_string(child, sort_attributes,
+                                             use_cache, True, False))
         if value:
             parts.append(escape_text(value))
         parts.append(f"</{node.tag}>")
@@ -84,7 +140,7 @@ def _compact_string(node, sort_attributes, use_cache):
         text = open_tag + "/>"
     else:
         text = f"{open_tag}>{escape_text(value)}</{node.tag}>"
-    if use_cache:
+    if memo:
         node.store_serialization(sort_attributes, text)
     return text
 

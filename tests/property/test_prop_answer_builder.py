@@ -7,8 +7,14 @@ seed's builder -- exponential in depth, but the definition of what a
 fragment must look like -- is kept here, verbatim, as the oracle: for
 any site tree satisfying I1/I2 and any sequence of ``include_*`` calls,
 repeats and nested targets included, both builders must produce the
-same bytes, call ``on_missing`` with the same nodes in the same order,
-and raise the same ``CoreError`` at the same call.
+same fragment, call ``on_missing`` with the same nodes in the same
+order, and raise the same ``CoreError`` at the same call.
+
+"The same fragment" is the same receiver view: the seed rewrote
+statuses and timestamps at the sender, and the builder now ships them
+as stored and lends whole subtrees in their stored child order, so a
+fragment is compared as its receiver records it -- ``owned`` read as
+``complete``, timestamps canonical, siblings unordered (Section 3.1).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -29,7 +35,8 @@ from repro.core.status import (
     set_status,
     set_timestamp,
 )
-from repro.xmlkit import Element, Text, serialize
+from repro.xmlkit import Element, Text, parse_fragment, serialize
+from repro.xmlkit.compare import canonical_form
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +289,23 @@ def _apply(builder, call, node, missing):
     return None
 
 
+def receiver_view(fragment):
+    """*fragment* as its receiver records it, in canonical form:
+    ``owned`` read as ``complete``, timestamps canonical, siblings
+    unordered."""
+    view = parse_fragment(serialize(fragment, use_cache=False))
+    for node in view.iter():
+        if node.get("status") == "owned":
+            node.set("status", "complete")
+        stamp = node.get("timestamp")
+        if stamp is not None:
+            node.set("timestamp", repr(float(stamp)))
+    return canonical_form(view)
+
+
 def _bytes(builder):
     fragment = builder.build()
-    return None if fragment is None else serialize(fragment, use_cache=False)
+    return None if fragment is None else receiver_view(fragment)
 
 
 def _assert_same_answers(tree, calls):

@@ -15,7 +15,11 @@ properties pin what that must never change:
 * the merge -- a handed-over fragment and a copied one build the same
   database, index and invariants included, a journalled hand-over
   replays to it, and what ``store_fragment`` returns is what a reply
-  vouches for: the nodes whose local information it carried.
+  vouches for: the nodes whose local information it carried;
+* the lend -- a reply that lends stored subtrees, statuses as stored,
+  decodes to the seed's copy-built reply once ``owned`` reads as
+  ``complete``, and merging either builds the same database: the
+  receiver's rewrite makes no receiver an owner.
 """
 
 import sys
@@ -24,13 +28,16 @@ from contextlib import contextmanager
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SensorDatabase, get_status
+from repro.core import AnswerBuilder, SensorDatabase, get_status
+from repro.core.status import clean_copy
 from repro.core.idable import iter_idable_with_paths
 from repro.core.invariants import validate_deployment
 from repro.durability import apply_record, partition_fingerprint
 from repro.net import messages as m
 from repro.xmlkit import Element, Text, parse_fragment, serialize
+from repro.xmlkit.compare import canonical_form
 
+from tests.property.test_prop_answer_builder import ReferenceAnswerBuilder
 from tests.test_wire_golden import GOLDEN, _fields, instances
 
 
@@ -52,10 +59,12 @@ def _old_decode_fragment(holder):
 
 
 def _old_encode_results(results):
+    # The old encoder was handed clean copies; a user's results are now
+    # the stored matches, written without ``status``.
     holder = Element("results")
     for result in results:
         if isinstance(result, Element):
-            holder.append(result.copy())
+            holder.append(clean_copy(result))
         else:
             holder.append(Text(result.value))
     return holder
@@ -452,3 +461,63 @@ class TestMergeAdoptsWhatItIsHanded:
         assert partition_fingerprint(replayed) == \
             partition_fingerprint(live)
         _assert_sound(replayed)
+
+
+# ----------------------------------------------------------------------
+# Lent replies: the sender ships what it stores, the receiver rewrites
+# ----------------------------------------------------------------------
+def _receiver_database():
+    """A site holding only the ids of the root's children: it owns
+    nothing, so whatever it stores from a reply is a cached copy."""
+    root = Element("top", attrib={"id": "R", "status": "id-complete"})
+    for mid in range(_MIDS):
+        root.append(Element("mid", attrib={"id": f"m{mid}",
+                                           "status": "incomplete"}))
+    return SensorDatabase(root, clock=lambda: 99.0, site_id="s1")
+
+
+def _reply(builder, sender, asked):
+    """*builder*'s answer to subtree asks for the mids in *asked*."""
+    for mid in asked:
+        node = sender.find(_ROOT + (("mid", f"m{mid}"),))
+        builder.include_ancestors(node)
+        builder.include_subtree(node, on_missing=lambda _node: None)
+    return builder.build()
+
+
+def _receiver_statuses(fragment):
+    """*fragment* in canonical form, ``owned`` read as ``complete``."""
+    view = parse_fragment(serialize(fragment, use_cache=False))
+    for node in view.iter():
+        if node.get("status") == "owned":
+            node.set("status", "complete")
+    return canonical_form(view)
+
+
+class TestALentReplyIsTheCopyBuiltReply:
+    @given(st.lists(_FRAGMENT_SPECS, max_size=3),
+           st.lists(st.integers(0, _MIDS - 1), min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_decoded_and_merged_it_equals_the_copy_built_reply(
+            self, specs, asked):
+        sender = _build_database()
+        for spec in specs:
+            sender.store_fragment(_wire_fragment(spec))
+        stored = _plain(sender.root)
+        lent = _reply(AnswerBuilder(sender), sender, asked)
+        copied = _reply(ReferenceAnswerBuilder(sender), sender, asked)
+        decoded = m.Message.decode(m.AnswerMessage(
+            1, fragment=lent, sender="s0").encode()).fragment
+        assert _plain(sender.root) == stored  # lending leaves it be
+        assert _receiver_statuses(decoded) == _receiver_statuses(copied)
+
+        from_wire, by_copy = _receiver_database(), _receiver_database()
+        from_wire.store_fragment(decoded, handed_over=True)
+        by_copy.store_fragment(copied)
+        assert partition_fingerprint(from_wire) == \
+            partition_fingerprint(by_copy)
+        for database in (from_wire, by_copy):
+            assert database.owned_nodes() == []
+            assert database.debug_verify_index() == []
+            assert validate_deployment({"s1": database},
+                                       _reference_document()) == []

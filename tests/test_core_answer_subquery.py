@@ -47,11 +47,18 @@ class TestAnswerBuilder:
         shady = fragment
         for tag, identifier in OAKLAND[1:]:
             shady = shady.child(tag, id=identifier)
-        assert get_status(shady) is Status.COMPLETE
+        # The fragment carries the sender's status; its receiver
+        # records the node as a complete copy.
+        assert get_status(shady) is Status.OWNED
         assert shady.get("zipcode") == "15213"
         # Block stubs travel as incomplete.
         assert get_status(shady.child("block", id="1")) is Status.INCOMPLETE
         assert fragment_violations(fragment, paper_doc) == []
+        receiver = PartitionPlan({"top": [id_path("usRegion=NE")],
+                                  "oak": [OAKLAND]}).build_databases(
+            paper_doc)["top"]
+        receiver.store_fragment(fragment)
+        assert get_status(receiver.find(OAKLAND)) is Status.COMPLETE
 
     def test_ancestors_included_automatically(self, oak_db):
         builder = AnswerBuilder(oak_db)
@@ -76,8 +83,10 @@ class TestAnswerBuilder:
         node = fragment
         for tag, identifier in OAKLAND[1:]:
             node = node.child(tag, id=identifier)
+        # Held whole, the subtree is lent as stored.
+        assert node is oak_db.find(OAKLAND)
         space = node.child("block", id="1").child("parkingSpace", id="1")
-        assert get_status(space) is Status.COMPLETE
+        assert get_status(space) is Status.OWNED
 
     def test_include_subtree_reports_missing(self, oak_db):
         builder = AnswerBuilder(oak_db)

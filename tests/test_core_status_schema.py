@@ -81,24 +81,6 @@ class TestSchema:
         assert not schema.is_idable_tag("available-spaces")
         assert schema.children_of("neighborhood") == {"block"}
 
-    def test_descendant_tags(self, paper_schema):
-        assert paper_schema.descendant_idable_tags("city") == \
-            {"city", "neighborhood", "block", "parkingSpace"}
-        assert paper_schema.descendant_idable_tags(
-            "city", include_self=False) == \
-            {"neighborhood", "block", "parkingSpace"}
-
-    def test_local_info_required_expansion(self, paper_schema):
-        """Section 3.5's example: .../block requires {block, parkingSpace}."""
-        assert paper_schema.local_info_required({"block"}) == \
-            {"block", "parkingSpace"}
-        assert paper_schema.local_info_required({"parkingSpace"}) == \
-            {"parkingSpace"}
-
-    def test_local_info_required_wildcard(self, paper_schema):
-        assert paper_schema.local_info_required({"*"}) == \
-            paper_schema.idable_tags
-
     def test_register_and_retire(self):
         schema = HierarchySchema("root", {"root": {"a"}})
         schema.register_child("a", "b")
@@ -109,8 +91,6 @@ class TestSchema:
 
     def test_explicit_construction(self):
         schema = HierarchySchema("r", {"r": {"x", "y"}, "x": {"z"}})
-        assert schema.descendant_idable_tags("r") == {"r", "x", "y", "z"}
-
-    def test_cycle_safe(self):
-        schema = HierarchySchema("r", {"r": {"r"}})  # degenerate recursion
-        assert schema.descendant_idable_tags("r") == {"r"}
+        assert schema.children_of("r") == {"x", "y"}
+        assert schema.children_of("x") == {"z"}
+        assert schema.is_idable_tag("z")

@@ -1,10 +1,12 @@
 """An allocation budget for the wire path: counts only, no timing.
 
-A node crossing the wire is allocated once on the sending site (by the
-answer builder) and once on the receiving site (by the parser).  So one
-cold query over sockets may copy no more nodes than the same query on
-loopback, sizing a received message serializes nothing, and the size a
-decoded message reports is the length of the frame that carried it.
+A node crossing the wire is allocated at most once on the sending site
+(by the answer builder; never, when the owner holds the region whole
+and lends the stored subtree) and once on the receiving site (by the
+parser).  So one cold query over sockets copies no node with
+``Element.copy``, sizing a received message serializes nothing, and
+the size a decoded message reports is the length of the frame that
+carried it.
 
 And a node the engine builds only to ship or merge is released by its
 one owner: no query leaves an ``Element`` for the cycle collector.
@@ -124,7 +126,8 @@ def test_one_cold_query_over_sockets_allocates_like_loopback(
         assert outcome.used_remote_data
         assert _answer(results) == _answer(expected)
 
-    assert 0 < on_sockets.copies <= on_loopback.copies
+    # Both owners hold their blocks whole: the replies lend them.
+    assert on_sockets.copies == 0 <= on_loopback.copies
     # Two subqueries: a request and a reply each, serialized once where
     # they were built and never where they were received.
     assert len(on_sockets.decoded) == 4
