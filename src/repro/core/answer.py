@@ -37,8 +37,10 @@ from repro.core.errors import CoreError
 from repro.core.idable import (
     id_stub,
     idable_children,
+    iter_idable,
     node_id,
     non_idable_children,
+    subtree_materialized,
 )
 from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
 from repro.xmlkit.nodes import copy_subtree, restamp
@@ -246,40 +248,33 @@ class AnswerBuilder:
         descendants whose local information the sender lacks,
         *on_missing(descendant)* is invoked (the QEG walker emits a
         subquery there); with no callback the gap is silently included
-        as ID-only data.  A subtree without such a gap, below the root,
-        is lent whole.
+        as ID-only data.  A subtree without such a gap (its child
+        index's ``whole`` flag), below the root, is lent whole.
         """
         if id(element) in self._whole:
             return
-        region = []
-        whole = element.parent is not None
+        if element.parent is not None and subtree_materialized(element):
+            self._lend(element)
+            return
         stack = [element]
         while stack:
             node = stack.pop()
             status = get_status(node)
-            region.append((node, status))
-            if status.has_local_information:
-                stack.extend(idable_children(node))
-            else:
-                whole = False
-        if whole:
-            self._lend(element, region)
-            return
-        for node, status in region:
             if status.has_local_information:
                 self.include_local_information(node)
+                stack.extend(idable_children(node))
             else:
                 if status.has_id_information:
                     self.include_id_information(node)
                 if on_missing is not None:
                     on_missing(node)
 
-    def _lend(self, element, region):
-        """Record *element*'s subtree, every IDable node of which
-        (*region*) has local information here, as one lent entry."""
+    def _lend(self, element):
+        """Record *element*'s subtree, every IDable node of which has
+        local information here, as one lent entry."""
         self.include_ancestors(element)
         self._record(_WHOLE, element)
-        inside = [id(node) for node, _status in region]
+        inside = [id(node) for node in iter_idable(element)]
         self._whole.update(inside)
         self._id_included.update(inside)
 
@@ -315,16 +310,20 @@ class AnswerBuilder:
                 self._add_child_stubs(target, idable_children(element))
                 continue
             attrib.update(element.attrib)
-            # Non-IDable content, replacing whatever scaffolding was there.
+            # Non-IDable content, replacing whatever scaffolding was
+            # there.  The skeleton is edited in place and restamped only
+            # when the build ends, so its child index is dropped first.
             target.text = element.text
-            stale = non_idable_children(target) if target.children else ()
-            if stale:
-                for child in stale:
-                    child.parent = None
-                gone = set(map(id, stale))
-                target.children = [child for child in target.children
-                                   if id(child) not in gone]
-            # One idable_children() pass serves the content and the stubs.
+            if target.children:
+                target._kid_maps = None
+                stale = non_idable_children(target)
+                if stale:
+                    for child in stale:
+                        child.parent = None
+                    gone = set(map(id, stale))
+                    target.children = [child for child in target.children
+                                       if id(child) not in gone]
+            # One idable_children() read serves the content and the stubs.
             idable = idable_children(element)
             skip = {id(child) for child in idable}
             kids = target.children
@@ -369,6 +368,8 @@ class GapFinder(AnswerBuilder):
         stack = [element]
         while stack:
             node = stack.pop()
+            if subtree_materialized(node):
+                continue
             if get_status(node).has_local_information:
                 stack.extend(idable_children(node))
             elif on_missing is not None:

@@ -35,7 +35,7 @@ from repro.core.status import (
     set_timestamp,
 )
 from repro.xmlkit.errors import XmlStructureError
-from repro.xmlkit.nodes import Element, is_valid_name, xml_string
+from repro.xmlkit.nodes import Element, copy_subtree, is_valid_name, xml_string
 
 
 class SensorDatabase:
@@ -452,10 +452,11 @@ class SensorDatabase:
 
     def _adopt_content(self, target, incoming, incoming_status, handed_over):
         """Replace *target*'s own-level content with *incoming*'s: moved
-        out of a *handed_over* fragment (left gutted and unstamped, for
-        its owner to drop), copied out of any other.  Attributes, text
-        and the content list are swapped whole, under one stamp; the
-        status is *incoming_status*, the receiver's view."""
+        out of a *handed_over* fragment (left gutted and unstamped, its
+        child index dropped, for its owner to drop), copied out of any
+        other.  Attributes, text and the content list are swapped whole,
+        under one stamp; the status is *incoming_status*, the receiver's
+        view."""
         if not incoming_status.has_local_information:
             set_status(target, incoming_status)
             return
@@ -487,8 +488,11 @@ class SensorDatabase:
                 moved = set(map(id, adopted))
                 incoming.children = [child for child in incoming.children
                                      if id(child) not in moved]
+                incoming._kid_maps = None  # gutted under the same stamp
         else:
-            adopted = [child.copy() for child in adopted]
+            # No origin link: the stored copy must not keep the caller's
+            # fragment reachable from the database.
+            adopted = [copy_subtree(child) for child in adopted]
         for child in adopted:
             child.parent = target
         target.attrib = attrib

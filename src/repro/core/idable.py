@@ -22,7 +22,7 @@ from repro.core.status import (
     STATUS_ATTRIBUTE,
     get_status,
 )
-from repro.xmlkit.nodes import Element
+from repro.xmlkit.nodes import Element, child_index
 
 
 def node_id(element):
@@ -39,55 +39,57 @@ def is_idable(element):
     """
     current = element
     while current.parent is not None:
-        if not _locally_idable(current):
+        if not locally_idable(current):
             return False
         current = current.parent
     return True
 
 
-def _locally_idable(element):
+def locally_idable(element):
+    """Whether *element* carries an ``id`` no same-tag sibling shares,
+    read off its parent's :class:`~repro.xmlkit.nodes.ChildIndex`."""
     identifier = element.attrib.get("id")
     if identifier is None:
         return False
     parent = element.parent
     if parent is None:
         return True
-    tag = element.tag
-    for sibling in parent.children:
-        if sibling is not element and sibling.tag == tag \
-                and sibling.attrib.get("id") == identifier:
-            return False
-    return True
+    index = child_index(parent)
+    # No index: the parent no longer lists *element* (a disposed tree
+    # keeps its parent pointers), so no sibling shares its id.
+    return index is None or not index.dups \
+        or (element.tag, identifier) not in index.dups
 
 
 def idable_child_map(element):
     """``(tag, id) -> child`` over the id-bearing children of *element*,
-    in document order, from one pass.  A key two siblings share maps to
-    ``None``: neither is IDable, nor would a node grafted under it be.
+    a read-only view of its child index.  A key two siblings share maps
+    to ``None``: neither is IDable, nor would a node grafted under it be.
     """
-    keyed = {}
-    for child in element.children:
-        identifier = child.attrib.get("id")
-        if identifier is not None:
-            key = (child.tag, identifier)
-            keyed[key] = None if key in keyed else child
-    return keyed
+    index = child_index(element)
+    return {} if index is None else index.by_key()
 
 
 def idable_children(element):
-    """The IDable children of an (assumed IDable) *element*.
+    """The IDable children of an (assumed IDable) *element*, in document
+    order, as a tuple.
 
     A child is IDable here when it carries an ``id`` unique among its
     same-tag siblings.
     """
-    return [child for child in idable_child_map(element).values()
-            if child is not None]
+    index = child_index(element)
+    return () if index is None else index.idable
 
 
 def non_idable_children(element):
     """Children of *element* in its local information, beside its text."""
-    idable = {id(child) for child in idable_children(element)}
-    return [child for child in element.children if id(child) not in idable]
+    index = child_index(element)
+    if index is None:
+        return list(element.children)
+    dups = index.dups
+    return [child for child in element.children
+            if (identifier := child.attrib.get("id")) is None
+            or (child.tag, identifier) in dups]
 
 
 def id_path_of(element):
@@ -198,9 +200,23 @@ def iter_idable(root):
 
 def subtree_materialized(element):
     """Whether every IDable node at or below *element* is stored here
-    with its local information (none is a bare ID stub)."""
-    return all(get_status(node).has_local_information
-               for node in iter_idable(element))
+    with its local information (none is a bare ID stub).
+
+    The answer is the ``whole`` flag of the element's child index,
+    worked out from its IDable children's flags once per version stamp:
+    a status change below restamps the element, so the flag follows.
+    An element without id-bearing children keeps no index and is
+    decided by its own status.
+    """
+    index = child_index(element)
+    if index is None:
+        return get_status(element).has_local_information
+    whole = index.whole
+    if whole is None:
+        whole = index.whole = \
+            get_status(element).has_local_information \
+            and all(map(subtree_materialized, index.idable))
+    return whole
 
 
 def iter_idable_with_paths(root):
@@ -231,7 +247,7 @@ def lowest_idable_ancestor_or_self(element):
     """
     current = element
     while current.parent is not None:
-        if _locally_idable(current):
+        if locally_idable(current):
             return current
         current = current.parent
     return current

@@ -60,11 +60,13 @@ from repro.core.idable import (
     id_path_of,
     idable_children,
     iter_idable,
+    locally_idable,
+    lowest_idable_ancestor_or_self,
     subtree_materialized,
 )
 from repro.core.status import Status, get_status
 from repro.core.subquery import render_id_path_query, render_residual_query
-from repro.xmlkit.nodes import Element, Text
+from repro.xmlkit.nodes import Element, Text, child_index
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import (
     REF_ID,
@@ -112,7 +114,7 @@ class PatternItem:
                  "split", "pinned_ids", "pins_exact", "residual_predicates",
                  "text_check", "id_check", "rest_check", "consistency_check",
                  "node_test", "separable", "has_id_predicates",
-                 "reads_content", "touches_content", "_bound")
+                 "reads_content", "touches_content", "lookup_tag", "_bound")
 
     def __init__(self, step, descendant, is_idable_tag):
         self.step = step
@@ -143,6 +145,13 @@ class PatternItem:
         #: :meth:`bind` (a slot holds a literal either way).
         self.pins_exact = pinned_ids(split.id_predicates,
                                      exact=True) is not None
+        #: The tag a pinned child carries where the walk may look the
+        #: pins up in the parent's child index instead of testing every
+        #: child: a child step, a name test, exact pins; else ``None``.
+        self.lookup_tag = step.node_test.name \
+            if self.pins_exact and not descendant \
+            and isinstance(step.node_test, NameTest) \
+            and step.node_test.name != "*" else None
         # Predicates to re-attach when the step turns into a subquery:
         # everything except pure id pins (the id is pinned by the path).
         residual = []
@@ -202,6 +211,7 @@ class PatternItem:
         item.has_id_predicates = self.has_id_predicates
         item.reads_content = self.reads_content
         item.touches_content = self.touches_content
+        item.lookup_tag = self.lookup_tag
         item.pinned_ids = intersect_pins(binding.fill(pin_slots))
         item._bound = (self, binding)
         return item
@@ -609,9 +619,6 @@ class _Walker:
         self._text_items = {
             j for j, item in enumerate(self.items)
             if getattr(item.node_test, "node_type", None) in ("text", "node")}
-        #: ``id(parent) -> {id(child)}`` of its IDable children, one pass
-        #: per parent (the site guard holds the fragment still meanwhile).
-        self._idable_kids = {}
         self._owners = {}  # id(element) -> whether it or a descendant is owned
         #: The states of each element on the path to the node being
         #: decided, root first: where a ``//`` thread started.
@@ -634,28 +641,6 @@ class _Walker:
             self.stats["asks"] += 1
         if self.observer is not None:
             self.observer.note_ask(subquery)
-
-    def _locally_idable(self, node):
-        """:func:`repro.core.idable._locally_idable` off the per-parent
-        set, built only for a parent with an id-bearing child."""
-        if "id" not in node.attrib:
-            return False
-        parent = node.parent
-        if parent is None:
-            return True
-        kids = self._idable_kids.get(id(parent))
-        if kids is None:
-            kids = self._idable_kids[id(parent)] = set(
-                map(id, idable_children(parent)))
-        return id(node) in kids
-
-    def _lowest_idable(self, node):
-        """*node* if locally IDable, else its nearest such ancestor
-        (:func:`repro.core.idable.lowest_idable_ancestor_or_self` off the
-        per-parent sets)."""
-        while node.parent is not None and not self._locally_idable(node):
-            node = node.parent
-        return node
 
     def evaluate(self, check, node):
         """Whether *node* passes the compiled *check* (``None``: no
@@ -717,7 +702,7 @@ class _Walker:
         if not states:
             return
         n_items, collected = len(self.items), self.pattern.collect_index
-        status = get_status(element) if self._locally_idable(element) else None
+        status = get_status(element) if locally_idable(element) else None
         if status is Status.ID_COMPLETE:
             states = self._filter_states_for_id_complete(element, states)
             if not states:
@@ -728,7 +713,7 @@ class _Walker:
         # step is the collect point, whose nested predicates decide it.
         final = None if collected == n_items - 1 else {n_items}
         self._held.append(states)
-        for child in element.children:
+        for child in self._candidates(element, threads):
             child_states = set()
             for j, item in threads:
                 if item.descendant:
@@ -749,6 +734,28 @@ class _Walker:
         if element.text is not None and self._text_items:
             self._process_text(element, threads)
         self._held.pop()
+
+    def _candidates(self, element, threads):
+        """The children of *element* that *threads* may match, in
+        document order: when every thread is a pinned child name test
+        (:attr:`PatternItem.lookup_tag`), the IDable children its pins
+        name, read off *element*'s child index; else all of them.  A pin
+        two siblings share, and an EXPLAIN run, which reports the
+        verdict on every sibling, keep the scan."""
+        if self.observer is not None:
+            return element.children
+        for _j, item in threads:
+            if item.lookup_tag is None or item.pinned_ids is None:
+                return element.children
+        index = child_index(element)
+        if index is None:  # no child carries an id a pin could name
+            return ()
+        wanted = {(item.lookup_tag, pin)
+                  for _j, item in threads for pin in item.pinned_ids}
+        if index.dups and not wanted.isdisjoint(index.dups):
+            return element.children
+        return [child for child in index.idable
+                if (child.tag, child.attrib["id"]) in wanted]
 
     def _process_text(self, element, threads):
         """Match the view of *element*'s text, after its child elements,
@@ -776,7 +783,7 @@ class _Walker:
         field a predicate touched is part of the smallest correct
         superset (Section 2's numberOfFreeSpots example).
         """
-        if not self._locally_idable(child):
+        if not locally_idable(child):
             return
         status = get_status(child)
         if status.has_local_information and item.touches_content:
@@ -790,7 +797,7 @@ class _Walker:
         If *child* is an ID-only stub, its subtree may hide matches the
         site cannot see, so the scan becomes a subquery.
         """
-        if self._locally_idable(child) and \
+        if locally_idable(child) and \
                 get_status(child) is Status.INCOMPLETE:
             self._ask_at(child, j, Subquery.INCOMPLETE, scan=True)
             return
@@ -806,7 +813,6 @@ class _Walker:
         merged below the stubs must still match.
         """
         keep = set()
-        stub_tags = {child.tag for child in idable_children(element)}
         for j in states:
             if j >= len(self.items):
                 keep.add(j)
@@ -815,8 +821,9 @@ class _Walker:
             test = item.node_test
             needs_content = True
             if isinstance(test, NameTest) and test.name != "*":
-                if test.name in stub_tags or \
-                        self.pattern.is_idable_tag(test.name):
+                if self.pattern.is_idable_tag(test.name) or any(
+                        child.tag == test.name
+                        for child in idable_children(element)):
                     needs_content = False
             if needs_content:
                 self._ask_below(element, j, Subquery.ID_COMPLETE)
@@ -835,7 +842,7 @@ class _Walker:
             outcome = _NO
         else:
             outcome = self._match_item_inner(node, j)
-        if self.observer is not None and self._locally_idable(node):
+        if self.observer is not None and locally_idable(node):
             self.observer.note_decision(node, get_status(node), outcome, j)
         return outcome
 
@@ -850,14 +857,14 @@ class _Walker:
         # Nested predicates wait for the collect point (_process).
         is_result_item = (j + 1) == len(self.items)
 
-        if not self._locally_idable(node):
+        if not locally_idable(node):
             # Non-IDable content: physically present, so everything is
             # evaluable; consistency follows the enclosing IDable node.
-            anchor = self._lowest_idable(node)
+            anchor = lowest_idable_ancestor_or_self(node)
             if get_status(anchor) is Status.COMPLETE and \
                     self._stale(item, node, anchor):
                 top, k, gap = self._climb(node, j)
-                if top is not anchor and self._locally_idable(top):
+                if top is not anchor and locally_idable(top):
                     return self._ask_below(top, k, Subquery.STALE, gap)
                 # The climb did not leave the IDable anchor: ask below it.
                 return self._ask_below(anchor, j, Subquery.STALE, gap=True)
@@ -978,7 +985,7 @@ class _Walker:
         """Fetch-subtree strategy at the collect point (Section 4): the
         data below *node* is judged, and fetched, at its element's lowest
         IDable ancestor-or-self, the smallest region an id path can name."""
-        anchor = self._lowest_idable(_element_of(node))
+        anchor = lowest_idable_ancestor_or_self(_element_of(node))
         if not subtree_materialized(anchor):
             self._ask_subtree(anchor, Subquery.NESTED_FETCH)
             return
@@ -998,7 +1005,7 @@ class _Walker:
         """Include a final-step *match*'s answer region; record the match
         as a result unless part of its data is still missing here."""
         element = _element_of(match)
-        anchor = self._lowest_idable(element)
+        anchor = lowest_idable_ancestor_or_self(element)
         self.builder.include_ancestors(anchor)
         missing = []
         if anchor is element:

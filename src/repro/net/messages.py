@@ -17,7 +17,10 @@ from repro.obs.tracing import TraceContext
 from repro.xmlkit.errors import XmlError
 from repro.xmlkit.nodes import Element, Text
 from repro.xmlkit.parser import parse_fragment
-from repro.xmlkit.serializer import Stripped, serialize
+# An envelope is private and serialized once: the memo serves only the
+# payloads it lends (``serialize`` is the name benchmarks/layers times).
+from repro.xmlkit.serializer import Stripped
+from repro.xmlkit.serializer import serialize_around as serialize
 
 _SEQUENCE = itertools.count(1)
 
@@ -171,8 +174,9 @@ class Message:
         serialized only on the first call; ``encoded_size`` plus the
         actual send then share one serialization.  The envelope is
         serialized *around* its fragment and result payloads (see
-        :func:`_lend`): they are neither copied nor touched, and clean
-        subtrees contribute their memoized bytes.  A decoded message
+        :func:`_lend`): they are neither copied nor touched, clean
+        subtrees contribute their memoized bytes, and the envelope's
+        own nodes are memoized nowhere.  A decoded message
         keeps the bytes it arrived as, so sizing a received message
         serializes nothing.  The envelope is nobody else's, so it is
         disposed once serialized; its lent payloads are not its own and

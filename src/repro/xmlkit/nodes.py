@@ -34,7 +34,7 @@ _NAME_CHARS = _NAME_START | set("0123456789-.")
 #: higher than every descendant, and one without children is stamped 0.
 #: Consumers (the id-path index in :mod:`repro.core.database`, the
 #: serialization memo in :mod:`repro.xmlkit.serializer`, the
-#: per-element child maps below) compare stamps instead of hashing
+#: per-element child index below) compare stamps instead of hashing
 #: content, and rely on that order.
 _VERSION_CLOCK = itertools.count(1)
 
@@ -117,6 +117,15 @@ class Element:
     (:meth:`append`, :meth:`remove`, :meth:`set_text`, ...), which is
     what allows the XPath engine to support the ``parent`` and
     ``ancestor`` axes.
+
+    What is memoized on an element -- its serialization, its
+    :class:`ChildIndex` -- is valid while its version stamp is
+    unchanged.  Code that edits ``attrib``, ``children`` or ``text``
+    directly, bypassing the mutators (a builder filling a private
+    skeleton, a merge gutting a fragment it was handed), leaves the
+    stamp as it was: it either restamps what it edited
+    (:func:`restamp`), clears ``_kid_maps`` there, or never reads
+    either memo of the edited elements until they are restamped.
     """
 
     __slots__ = ("tag", "attrib", "children", "text", "parent",
@@ -175,7 +184,7 @@ class Element:
 
         Every ``Element`` <-> ``parent`` pair is a reference cycle, so a
         dropped tree is otherwise left to the cycle collector.  This
-        clears ``children`` (``text`` is in no cycle), the child maps and
+        clears ``children`` (``text`` is in no cycle), the child index and
         the origin link of this element and of every descendant, going
         down only into a child whose ``parent`` is the element being
         cleared: a payload the tree merely lists (a lent one, see
@@ -209,10 +218,13 @@ class Element:
         return self._version
 
     def _touch(self):
+        """Stamp this element and its ancestors afresh, dropping their
+        child indexes: none of them holds a child it no longer has."""
         stamp = next(_VERSION_CLOCK)
         node = self
         while node is not None:
             node._version = stamp
+            node._kid_maps = None
             node = node.parent
 
     # ------------------------------------------------------------------
@@ -333,23 +345,23 @@ class Element:
     def child(self, tag, id=None):
         """Return the first child element with *tag* (and *id*), or ``None``.
 
-        Lookups go through a lazily built per-element map from ``tag``
-        (and ``(tag, id)``) to the first matching child, invalidated by
-        the subtree version stamp, so resolving one hop of an ID path
-        is a hash lookup instead of a linear sibling scan.
+        With an *id*, an element whose :class:`ChildIndex` is current
+        answers by a hash probe of it (a key two siblings share falls
+        back to the scan for the first); any other lookup scans the
+        children, building nothing: an element being filled changes
+        between its lookups.
         """
-        maps = self._kid_maps
-        if maps is None or maps[0] != self._version:
-            first_by_tag = {}
-            by_key = {}
-            for node in self.children:
-                first_by_tag.setdefault(node.tag, node)
-                by_key.setdefault((node.tag, node.attrib.get("id")), node)
-            maps = (self._version, first_by_tag, by_key)
-            self._kid_maps = maps
-        if id is None:
-            return maps[1].get(tag)
-        return maps[2].get((tag, id))
+        if id is not None:
+            index = self._kid_maps
+            if index is not None and index.version == self._version:
+                key = (tag, id)
+                found = index.by_key().get(key)
+                if found is not None or key not in index.dups:
+                    return found
+        for node in self.children:
+            if node.tag == tag and (id is None or node.attrib.get("id") == id):
+                return node
+        return None
 
     def iter(self, tag=None):
         """Depth-first iterator over this element and its descendants."""
@@ -472,6 +484,86 @@ class Element:
     def __repr__(self):
         ident = f" id={self.id!r}" if self.id is not None else ""
         return f"<Element {self.tag}{ident} children={len(self.children)}>"
+
+
+#: The ``dups`` of an index whose id-bearing children all differ.
+_NO_KEYS = frozenset()
+
+
+class ChildIndex:
+    """What an element's id-bearing children answer, at one version
+    stamp of the element (:func:`child_index`).
+
+    ``idable``
+        the children whose ``(tag, id)`` no sibling shares, in
+        document order: the IDable children of an IDable element;
+    ``dups``
+        the ``(tag, id)`` keys two or more siblings share;
+    ``whole``
+        a flag :mod:`repro.core.idable` computes on its first read
+        (``None`` until then): whether every IDable node at or below
+        the element has its local information stored.
+
+    :meth:`by_key` adds the ``(tag, id) -> child`` map on first use,
+    so only an element a lookup by key reaches pays for one.
+    """
+
+    __slots__ = ("version", "idable", "dups", "keyed", "whole")
+
+    def __init__(self, version, idable, dups):
+        self.version = version
+        self.idable = idable
+        self.dups = dups
+        self.keyed = None
+        self.whole = None
+
+    def by_key(self):
+        """``(tag, id) -> child`` over the id-bearing children; a key
+        two siblings share maps to ``None``."""
+        keyed = self.keyed
+        if keyed is None:
+            keyed = {(child.tag, child.attrib["id"]): child
+                     for child in self.idable}
+            for key in self.dups:
+                keyed[key] = None
+            self.keyed = keyed
+        return keyed
+
+
+def child_index(element):
+    """*element*'s :class:`ChildIndex`, current at its version stamp, or
+    ``None`` when no child of it carries an ``id``.
+
+    Built by one pass over the children and kept in ``_kid_maps``
+    until the stamp moves (a mutator drops it then); an element without
+    id-bearing children keeps nothing and is scanned again on each call.
+    """
+    index = element._kid_maps
+    if index is not None and index.version == element._version:
+        return index
+    by_key = {}
+    shared = False
+    for child in element.children:
+        identifier = child.attrib.get("id")
+        if identifier is not None:
+            key = (child.tag, identifier)
+            if key in by_key:
+                by_key[key] = None
+                shared = True
+            else:
+                by_key[key] = child
+    if not by_key:
+        element._kid_maps = None
+        return None
+    if shared:
+        index = ChildIndex(
+            element._version,
+            tuple(child for child in by_key.values() if child is not None),
+            frozenset(key for key, child in by_key.items() if child is None))
+    else:
+        index = ChildIndex(element._version, tuple(by_key.values()), _NO_KEYS)
+    element._kid_maps = index
+    return index
 
 
 def copy_subtree(node, drop=(), carry_memo=False):

@@ -180,6 +180,14 @@ def serialize(node, pretty=False, indent="  ", sort_attributes=False,
     return _compact_string(node, sort_attributes, use_cache)
 
 
+def serialize_around(node):
+    """*node*'s compact bytes, for a private tree serialized once and
+    dropped (a message envelope): the memo is read and written only at
+    the roots of the subtrees the tree lists without adopting them, its
+    lent payloads, whose bytes a later message reuses."""
+    return _compact_string(node, False, True, here=False, below=False)
+
+
 def write_file(node, path, pretty=True):
     """Serialize *node* to the file at *path*."""
     with open(path, "w", encoding="utf-8") as handle:

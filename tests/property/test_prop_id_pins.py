@@ -15,9 +15,9 @@ it shortcuts:
     same subqueries in the same order, equal stats and an equal EXPLAIN
     decision log: where an ask is anchored reads the id predicates, not
     the pins;
-(d) ``idable_children`` / ``_locally_idable`` / the walker's per-parent
-    set agree with the definitions as they stood before the change,
-    kept below verbatim;
+(d) ``idable_children`` / ``locally_idable`` / ``Element.child``, all
+    read off the per-element child index, agree with the definitions
+    as they stood before the change, kept below verbatim;
 (e) the walker's render memo (each ask rendered once per region and
     walk) changes nothing: a walk whose memo never stores (a test-side
     patch; there is no production switch) gives byte-equal answers, the
@@ -31,9 +31,9 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import CoreError, SensorDatabase, compile_pattern
+from repro.core import CoreError, SensorDatabase
 from repro.core.idable import (
-    _locally_idable,
+    locally_idable,
     idable_child_map,
     idable_children,
     node_id,
@@ -313,7 +313,6 @@ class TestTheWalkDoesNotDependOnThePins:
 # (d) IDability, one pass per parent
 # ----------------------------------------------------------------------
 def _assert_idability_agrees(tree):
-    walker = _Walker(SensorDatabase(tree), compile_pattern("/root"), None)
     for element in tree.iter():
         expected = _reference_idable_children(element)
         assert [id(c) for c in idable_children(element)] == \
@@ -326,9 +325,11 @@ def _assert_idability_agrees(tree):
         assert [id(c) for c in non_idable_children(element)] == \
             [id(c) for c in element.children if id(c) not in idable]
         for node in [element, *element.children]:
-            assert _locally_idable(node) == _reference_locally_idable(node)
-            assert walker._locally_idable(node) == \
-                _reference_locally_idable(node)
+            assert locally_idable(node) == _reference_locally_idable(node)
+        for child in element.children:
+            first = next(c for c in element.children if c.tag == child.tag
+                         and child.id in (None, c.id))
+            assert element.child(child.tag, id=child.id) is first
 
 
 class TestIdabilityMatchesTheDefinition:

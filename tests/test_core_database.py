@@ -15,7 +15,7 @@ from repro.core import (
     structural_violations,
 )
 from repro.core.idable import node_id
-from repro.xmlkit import Element, parse_fragment
+from repro.xmlkit import Element, parse_fragment, serialize
 
 from tests.conftest import OAKLAND, SHADYSIDE, id_path
 
@@ -231,6 +231,21 @@ class TestStoreFragment:
         assert len(list(oak_db.find(SHADYSIDE).element_children(
             "block"))) == 13
         assert oak_db.debug_verify_index() == []
+
+    def test_a_copied_fragment_stays_the_callers(self, oak_db):
+        """Content copied out of a fragment keeps no origin link into it:
+        the database holds nothing of the caller's tree."""
+        fragment = self._wire_fragment()
+        serialize(fragment)  # memoized bytes the copies would carry
+        oak_db.store_fragment(fragment)
+        expected = serialize(oak_db.root, use_cache=False)
+        inside = {id(node) for node in fragment.iter()}
+        for node in oak_db.root.iter():
+            origin = node._ser_origin
+            assert origin is None or id(origin[0]) not in inside
+        assert serialize(oak_db.root) == expected
+        shady = oak_db.find(SHADYSIDE)
+        assert shady.child("available-spaces").text == "3"
 
     def test_root_mismatch_rejected(self, oak_db):
         with pytest.raises(CacheError):

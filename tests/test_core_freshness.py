@@ -11,11 +11,11 @@ ask, and a repeated query costs no more than its first posing.
 import pytest
 
 from repro.arch import hierarchical
-from repro.core import PartitionPlan, Subquery, gather, idable, qeg
+from repro.core import PartitionPlan, Subquery, gather, qeg
 from repro.net import Cluster
 from repro.net.messages import UpdateMessage
 from repro.service import ParkingConfig, build_parking_document, parking
-from repro.xmlkit import Element, canonical_form
+from repro.xmlkit import Element, canonical_form, nodes
 
 from tests.conftest import (
     OAKLAND,
@@ -191,24 +191,32 @@ def test_a_stale_value_is_asked_for_where_its_sensor_would_be():
     assert answers[0] == answers[1] == ["0", "1", "10", "11", "12", "2"]
 
 
-def test_the_walk_reads_idable_ancestors_off_its_per_parent_sets(
+def test_the_walk_reads_idability_off_each_elements_child_index(
         monkeypatch):
-    # A non-IDable match's IDable anchor is read off the sets the walker
-    # builds once per parent, not by rescanning every sibling.
+    # A non-IDable match's IDable anchor is read off its parent's child
+    # index, built at most once per element version: a repeated walk
+    # over an unchanged database builds none.
     cluster = Cluster(three_site_document(), three_site_plan())
     cluster.query("/region[@id='R']/group/sensor", at_site="top")
-    scans = []
-    rescan = idable._locally_idable
+    database = cluster.agents["top"].database
+    built = []
 
-    def counting(element):
-        scans.append(element)
-        return rescan(element)
+    class Counting(nodes.ChildIndex):
+        __slots__ = ()
 
-    monkeypatch.setattr(idable, "_locally_idable", counting)
-    walk = qeg.run_qeg(cluster.agents["top"].database,
-                       "/region[@id='R']/group/sensor/value", now=0.0)
-    assert len(walk.matches) == 6
-    assert scans == []
+        def __init__(self, version, idable, dups):
+            built.append(idable[0].parent)
+            super().__init__(version, idable, dups)
+
+    monkeypatch.setattr(nodes, "ChildIndex", Counting)
+    for node in database.root.iter():
+        node._kid_maps = None  # every index is built afresh
+    query = "/region[@id='R']/group/sensor/value"
+    assert len(qeg.run_qeg(database, query, now=0.0).matches) == 6
+    first = list(built)
+    assert first and len(set(map(id, first))) == len(first)
+    assert len(qeg.run_qeg(database, query, now=0.0).matches) == 6
+    assert built == first
 
 
 def test_a_parent_holding_owned_data_is_not_asked_for(paper_doc,

@@ -14,7 +14,7 @@ import pytest
 from repro.arch import hierarchical
 from repro.core import find_by_id_path, render_id_path_query
 from repro.net import Cluster, OAConfig, QueryMessage
-from repro.net.messages import UpdateMessage
+from repro.net.messages import AnswerMessage, UpdateMessage
 from repro.net.tcpruntime import TcpCluster
 from repro.service import (
     ParkingConfig,
@@ -22,7 +22,7 @@ from repro.service import (
     build_parking_document,
     type3_query,
 )
-from repro.xmlkit import serialize
+from repro.xmlkit import Element, parse_fragment, serialize
 
 
 def _deployment():
@@ -130,3 +130,30 @@ def test_a_loopback_reply_shares_no_node_with_the_serving_site(
                 for node in tree.iter()]
     assert received
     assert not any(id(node) in stored for node in received)
+
+
+def test_an_envelope_memoizes_its_lent_payloads_only(monkeypatch):
+    # The envelope is serialized once and dropped: only the roots of the
+    # subtrees it lends -- a fragment, a stored result -- meet the memo.
+    fragment = parse_fragment(
+        '<r id="R" status="complete"><n id="a" status="owned"><v>1</v>'
+        '</n></r>')
+    stored = parse_fragment('<block id="1" status="owned"><v>2</v></block>')
+    messages = [QueryMessage("/r[@id='R']/n", sender="a"),
+                AnswerMessage(7, fragment=fragment),
+                AnswerMessage(8, results=[stored])]
+    expected = []
+    for message in messages:
+        envelope = message.to_element()
+        expected.append(serialize(envelope, use_cache=False))
+        envelope.dispose()
+    asked = []
+    original = Element.cached_serialization
+
+    def recording(node, key):
+        asked.append(node)
+        return original(node, key)
+
+    monkeypatch.setattr(Element, "cached_serialization", recording)
+    assert [message.encode() for message in messages] == expected
+    assert [id(node) for node in asked] == [id(fragment), id(stored)]
