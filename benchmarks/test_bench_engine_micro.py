@@ -109,12 +109,12 @@ def test_fragment_merge(benchmark, config, document):
     from repro.core import PartitionPlan, compile_pattern, run_qeg
 
     plan = PartitionPlan({"one": [(("usRegion", config.region),)]})
-    db = plan.build_databases(document)["one"]
+    db = plan.partition(document)[1]["one"]
     pattern = compile_pattern(type1_query(config, "Pittsburgh", "Oakland",
                                           "1"))
     fragment = run_qeg(db, pattern).answer
 
-    target = plan.build_databases(document)["one"]
+    target = plan.partition(document)[1]["one"]
     benchmark(lambda: target.store_fragment(fragment.copy()))
 
 
@@ -136,7 +136,7 @@ def test_message_encode_decode(benchmark, config, document):
     from repro.net import AnswerMessage, Message
 
     plan = PartitionPlan({"one": [(("usRegion", config.region),)]})
-    db = plan.build_databases(document)["one"]
+    db = plan.partition(document)[1]["one"]
     pattern = compile_pattern(
         type1_query(config, "Pittsburgh", "Oakland", "1"))
     fragment = run_qeg(db, pattern).answer

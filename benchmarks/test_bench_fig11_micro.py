@@ -37,7 +37,7 @@ def _site_db(config, document):
     from repro.core import PartitionPlan
 
     plan = PartitionPlan({"one": [(("usRegion", config.region),)]})
-    return plan.build_databases(document)["one"]
+    return plan.partition(document)[1]["one"]
 
 
 def _type1_texts(config):

@@ -99,7 +99,7 @@ def test_engine_update_application_rate(benchmark, paper_config,
     from repro.service import all_space_paths
 
     plan = PartitionPlan({"one": [(("usRegion", paper_config.region),)]})
-    db = plan.build_databases(paper_document.copy())["one"]
+    db = plan.partition(paper_document.copy())[1]["one"]
     paths = all_space_paths(paper_config)
     state = {"index": 0}
 

@@ -96,7 +96,7 @@ def main():
           "(initial answer, then the new high-risk station)")
 
     print("invariant violations:",
-          cluster.validate(structural_only=True) or "none")
+          cluster.validate(None) or "none")
 
 
 if __name__ == "__main__":

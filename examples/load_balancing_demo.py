@@ -79,7 +79,7 @@ def main():
          serve(cluster, workload, 300))
 
     print("\ninvariant violations:",
-          cluster.validate(structural_only=True) or "none")
+          cluster.validate(None) or "none")
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ def main():
     print(f"\nafter space 2 frees up: {len(results)} available space(s)")
 
     # 5. Everything above preserved the storage invariants at every site.
-    problems = cluster.validate(structural_only=True)
+    problems = cluster.validate(None)
     print("\ninvariant violations:", problems or "none")
 
 

@@ -62,7 +62,7 @@ from repro.core.ownership import (
     export_local_information,
     relinquish_ownership,
 )
-from repro.core.partition import PartitionPlan, build_site_database
+from repro.core.partition import PartitionPlan
 from repro.core.qeg import CompiledPattern, QEGResult, compile_pattern, run_qeg
 from repro.core.schema import HierarchySchema
 from repro.core.status import (
@@ -79,7 +79,6 @@ __all__ = [
     "Status",
     "HierarchySchema",
     "PartitionPlan",
-    "build_site_database",
     "GatherDriver",
     "GatherOutcome",
     "GatherError",

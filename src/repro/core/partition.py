@@ -8,25 +8,33 @@ sites, the 2 cities to two sites, and the rest to one site").
 
 The plan validates the paper's two ownership constraints (every node
 has exactly one owner; only IDable nodes may be owned separately from
-their parent -- automatic here since assignments are ID paths) and
-builds each site's initial :class:`~repro.core.database.SensorDatabase`
-satisfying invariants I1 and I2.
+their parent -- automatic here since assignments are ID paths), and
+:meth:`PartitionPlan.partition` carves the logical document into every
+site's initial :class:`~repro.core.database.SensorDatabase`,
+satisfying invariants I1 and I2, in one preorder walk.
+
+The walk carries each node's ID path as its parent's plus one entry
+(the prefix labelling of PAPERS.md: a label extends its parent's, so
+no node is ever traced back to the root), and it hands a node only to
+the sites that need it: its owner, which stores the node's local
+information, and every site with an assignment below it, which stores
+its local ID information (I2).  Each of those sites already holds the
+node as the stub its parent appended, so nothing is looked up either.
+Set-up costs O(document + the ancestor chains of the assigned nodes),
+whatever the number of sites.
 """
 
 from repro.core.database import SensorDatabase
-from repro.core.errors import PartitionError, UnknownNodeError
+from repro.core.errors import PartitionError
 from repro.core.idable import (
-    find_by_id_path,
     format_id_path,
-    id_path_of,
     id_stub,
     idable_children,
-    iter_idable,
     node_id,
     non_idable_children,
 )
-from repro.core.status import Status, set_status, set_timestamp
-from repro.xpath.analysis import dns_name_for_id_path
+from repro.core.status import STATUS_ATTRIBUTE, TIMESTAMP_ATTRIBUTE, Status
+from repro.xmlkit.nodes import copy_subtree, restamp
 
 
 def _as_path(path):
@@ -60,143 +68,105 @@ class PartitionPlan:
         return sorted(self.assignments)
 
     # ------------------------------------------------------------------
-    def owner_map(self, global_root):
-        """Owner of every IDable node: nearest assigned ancestor-or-self.
+    def partition(self, root, clocks=None, default_clock=None):
+        """Carve the document at *root* into every site's database.
 
-        Returns ``{id_path: site}``.  Raises :class:`PartitionError`
-        when some node has no owner (the root is unassigned) or an
-        assigned path does not exist in the document.
+        Returns ``(owners, databases)``.  *owners* maps the ID path of
+        every IDable node, in document preorder (a parent before its
+        children), to its owner: the nearest assigned ancestor-or-self.
+        *databases* maps every site of the plan to its initial
+        :class:`~repro.core.database.SensorDatabase`: the local
+        information of each node it owns (status ``owned``, stamped by
+        the site's clock), the local ID information of their ancestors
+        (``id-complete``), and ``incomplete`` stubs for the rest.
+        *clocks* optionally maps a site name to its clock callable;
+        *default_clock* serves the others.
+
+        Raises :class:`PartitionError` when the root is unassigned
+        (some node would have no owner) or an assigned path does not
+        exist in the document.
         """
         assigned = {}
+        below = {}
         for site, paths in self.assignments.items():
             for path in paths:
-                if find_by_id_path(global_root, path) is None:
-                    raise PartitionError(
-                        f"assigned node {format_id_path(path)} does not "
-                        "exist in the document"
-                    )
                 assigned[path] = site
-
-        owners = {}
-        root_path = _as_path(id_path_of(global_root))
+                for depth in range(1, len(path)):
+                    below.setdefault(path[:depth], {})[site] = None
+        root_path = (node_id(root),)
         if root_path not in assigned:
             raise PartitionError(
                 "the document root must be assigned to a site (every node "
                 "needs exactly one owner)"
             )
 
-        def walk(element, current_owner):
-            path = _as_path(id_path_of(element))
-            current_owner = assigned.get(path, current_owner)
-            owners[path] = current_owner
-            for child in idable_children(element):
-                walk(child, current_owner)
-
-        walk(global_root, assigned[root_path])
-        return owners
-
-    # ------------------------------------------------------------------
-    def build_databases(self, global_root, clocks=None, default_clock=None):
-        """Build every site's initial database from the global document.
-
-        *clocks* optionally maps site name to that site's clock
-        callable.  Returns ``{site: SensorDatabase}``.
-        """
-        owners = self.owner_map(global_root)
-        databases = {}
-        for site in self.assignments:
-            clock = (clocks or {}).get(site, default_clock)
-            databases[site] = build_site_database(
-                global_root, site, owners, clock=clock
-            )
-        return databases
-
-    def dns_records(self, global_root, service="parking",
-                    zone="intel-iris.net"):
-        """DNS entries for every IDable node: ``{dns_name: owner site}``."""
-        owners = self.owner_map(global_root)
-        return {
-            dns_name_for_id_path(path, service=service, zone=zone): site
-            for path, site in owners.items()
+        clocks = clocks or {}
+        databases = {
+            site: SensorDatabase(id_stub(root, Status.INCOMPLETE),
+                                 clock=clocks.get(site, default_clock),
+                                 site_id=site)
+            for site in self.assignments
         }
+        owners = {}
+        # Every element the walk fills by direct edits; stamped once at
+        # the end, above the copies it lists.
+        built = []
+        owned, id_complete = Status.OWNED.value, Status.ID_COMPLETE.value
+        incomplete = Status.INCOMPLETE
+
+        def holders(path, owner):
+            return (owner, *below.get(path, ()))
+
+        root_owner = assigned[root_path]
+        stack = [(root_path, root, root_owner,
+                  {site: databases[site].root
+                   for site in holders(root_path, root_owner)})]
+        while stack:
+            path, source, owner, targets = stack.pop()
+            owners[path] = owner
+            children = idable_children(source)
+            stubs = {}
+            for site, target in targets.items():
+                kids = [id_stub(child, incomplete) for child in children]
+                attrib = target.attrib
+                if site == owner:
+                    # Local information: non-IDable content first, then
+                    # the IDable children's stubs.
+                    for name, value in source.attrib.items():
+                        if name != STATUS_ATTRIBUTE:
+                            attrib[name] = value
+                    attrib[STATUS_ATTRIBUTE] = owned
+                    attrib[TIMESTAMP_ATTRIBUTE] = \
+                        repr(float(databases[site].clock()))
+                    target.text = source.text
+                    content = [copy_subtree(child)
+                               for child in non_idable_children(source)]
+                    content += kids
+                else:
+                    attrib[STATUS_ATTRIBUTE] = id_complete
+                    content = kids
+                for node in content:
+                    node.parent = target
+                target.children = content
+                built.append(target)
+                stubs[site] = kids
+            for index in range(len(children) - 1, -1, -1):
+                child = children[index]
+                child_path = path + (node_id(child),)
+                child_owner = assigned.get(child_path, owner)
+                stack.append((child_path, child, child_owner,
+                              {site: stubs[site][index]
+                               for site in holders(child_path, child_owner)}))
+
+        missing = [path for path in assigned if path not in owners]
+        if missing:
+            raise PartitionError(
+                f"assigned node {format_id_path(missing[0])} does not "
+                "exist in the document"
+            )
+        restamp(built)
+        return owners, databases
 
     def __repr__(self):
         counts = {site: len(paths) for site, paths in self.assignments.items()}
         return f"PartitionPlan({counts})"
-
-
-def build_site_database(global_root, site, owner_map, clock=None):
-    """The initial fragment for *site* under *owner_map* (I1 + I2).
-
-    The fragment holds the local information of every node the site
-    owns (status ``owned``, timestamped) and the local ID information
-    of all their ancestors (status ``id-complete``); IDable children of
-    owned nodes that are owned elsewhere appear as ``incomplete``
-    stubs.
-    """
-    root_stub = id_stub(global_root, Status.INCOMPLETE)
-    db = SensorDatabase(root_stub, clock=clock, site_id=site)
-
-    for element in iter_idable(global_root):
-        path = _as_path(id_path_of(element))
-        if owner_map.get(path) == site:
-            _materialize_owned(db, element)
-    return db
-
-
-def _materialize_owned(db, source):
-    """Copy *source*'s local information into *db* as an owned node."""
-    target = _ensure_ancestors(db, source)
-    for name, value in source.attrib.items():
-        if name != "status":
-            target.set(name, value)
-    target.set_text(source.text)
-    for child in list(non_idable_children(target)):
-        target.remove(child)
-    for child in non_idable_children(source):
-        target.append(child.copy())
-    existing = {node_id(c) for c in idable_children(target)}
-    for child in idable_children(source):
-        if node_id(child) not in existing:
-            stub = id_stub(child, Status.INCOMPLETE)
-            target.append(stub)
-    set_status(target, Status.OWNED)
-    set_timestamp(target, db.clock())
-
-
-def _ensure_ancestors(db, source):
-    """Materialize *source*'s root path in *db* with local ID info (I2)."""
-    chain = source.path_from_root()
-    if node_id(chain[0]) != node_id(db.root):
-        raise UnknownNodeError(
-            f"document root mismatch: {node_id(chain[0])} vs "
-            f"{node_id(db.root)}"
-        )
-    target = db.root
-    for depth, source_node in enumerate(chain):
-        if depth > 0:
-            identifier = node_id(source_node)
-            found = target.child(identifier[0], id=identifier[1])
-            if found is None:
-                found = id_stub(source_node, Status.INCOMPLETE)
-                target.append(found)
-            target = found
-        is_last = depth == len(chain) - 1
-        if not is_last and not _status_at_least_id_complete(target):
-            _fill_id_information(target, source_node)
-    return target
-
-
-def _status_at_least_id_complete(element):
-    from repro.core.status import get_status
-
-    return get_status(element).has_id_information
-
-
-def _fill_id_information(target, source_node):
-    existing = {node_id(c) for c in idable_children(target)}
-    for child in idable_children(source_node):
-        if node_id(child) not in existing:
-            stub = id_stub(child, Status.INCOMPLETE)
-            target.append(stub)
-    set_status(target, Status.ID_COMPLETE)

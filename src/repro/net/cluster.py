@@ -1,6 +1,6 @@
 """Cluster assembly: wire a partitioned deployment together.
 
-A :class:`Cluster` takes the global document and a
+A :class:`Cluster` takes the logical document and a
 :class:`~repro.core.partition.PartitionPlan` and produces the whole
 running system: per-site databases, organizing agents on a loopback
 network, the authoritative DNS server with one record per IDable node,
@@ -28,7 +28,7 @@ from repro.net.transport import LoopbackNetwork
 class Cluster:
     """A complete in-process deployment of the sensor database."""
 
-    def __init__(self, global_document, plan, service="parking",
+    def __init__(self, document, plan, service="parking",
                  zone="intel-iris.net", oa_config=None, clock=None,
                  count_bytes=False, schema=None, network=None,
                  durability=None, subsystems=()):
@@ -36,21 +36,22 @@ class Cluster:
             plan = PartitionPlan(plan)
         from repro.xmlkit.nodes import Document as _Document
 
-        if isinstance(global_document, _Document):
-            global_document = global_document.root
-        self.global_document = global_document
+        if isinstance(document, _Document):
+            document = document.root
         self.plan = plan
         self.clock = clock or (lambda: 0.0)
         self.oa_config = oa_config or OAConfig()
-        self.schema = schema or HierarchySchema.from_document(global_document)
+        self.schema = schema or HierarchySchema.from_document(document)
         # An injected network (e.g. a FaultyNetwork-wrapped loopback)
         # must still expose register()/request(); anything extra is the
         # wrapper's business.
         self.network = network or LoopbackNetwork(count_bytes=count_bytes)
         self.dns = DnsServer(service=service, zone=zone)
-        self.owner_map = plan.owner_map(global_document)
-        for path, site in self.owner_map.items():
-            self.dns.register_id_path(path, site)
+        # The one walk over the logical document; the cluster keeps
+        # only its fragments.
+        self.owner_map, databases = plan.partition(
+            document, default_clock=self.clock)
+        self.dns.register_owner_map(self.owner_map)
 
         # Durability: a DurabilityConfig turns on per-site WAL +
         # checkpoints (None leaves agents exactly as before the
@@ -66,8 +67,6 @@ class Cluster:
             self.oa_config = copy.copy(self.oa_config)
             self.oa_config.subsystems += tuple(subsystems)
 
-        databases = plan.build_databases(global_document,
-                                         default_clock=self.clock)
         self.agents = {}
         for site, database in databases.items():
             self.agents[site] = self._build_agent(site, database)
@@ -385,13 +384,15 @@ class Cluster:
         if close_network:
             self.network.close()
 
-    def validate(self, structural_only=False):
+    def validate(self, reference):
         """Run invariant checks across every site.
 
-        With ``structural_only`` the site fragments are checked against
-        the invariants alone (I1/I2, status consistency) without
-        comparing content to the bootstrap document -- the right mode
-        once sensor updates have changed values.
+        The site fragments are checked against the invariants (I1/I2,
+        status consistency, one owner per node) and, unless *reference*
+        is ``None``, their content against the *reference* document
+        (an element or a :class:`~repro.xmlkit.nodes.Document`): pass
+        the bootstrap document before sensor updates have changed
+        values, and ``None`` after.
         """
         from repro.core.invariants import (
             ownership_violations,
@@ -401,14 +402,13 @@ class Cluster:
         from repro.xmlkit.nodes import Document
 
         databases = {site: a.database for site, a in self.agents.items()}
-        if structural_only:
+        if reference is None:
             problems = []
             for site, db in databases.items():
                 problems.extend(
                     f"[{site}] {p}" for p in structural_violations(db))
             problems.extend(ownership_violations(databases, self.owner_map))
             return problems
-        reference = self.global_document
         if isinstance(reference, Document):
             reference = reference.root
         return validate_deployment(databases, reference, self.owner_map)

@@ -17,7 +17,7 @@ import threading
 from collections import OrderedDict
 
 from repro.net.errors import NameNotFound
-from repro.xpath.analysis import dns_name_for_id_path
+from repro.xpath.analysis import dns_child_name, dns_name_for_id_path
 
 
 class DnsRecord:
@@ -82,6 +82,21 @@ class DnsServer:
 
     def register_id_path(self, id_path, site):
         self.register(self.name_for(id_path), site)
+
+    def register_owner_map(self, owner_map):
+        """One record per entry of *owner_map* (``{id_path: site}``).
+
+        The map lists a parent's path before its children's, as
+        :meth:`~repro.core.partition.PartitionPlan.partition` returns
+        it, so each name is built from its parent's in one pass.
+        """
+        # The names of the current entry's ancestors, zone first.
+        names = [self.name_for(())]
+        for path, site in owner_map.items():
+            del names[len(path):]
+            name = dns_child_name(names[-1], path[-1][1])
+            names.append(name)
+            self.register(name, site)
 
     def update(self, name, site):
         """Re-point an existing record (ownership migration, step 4)."""

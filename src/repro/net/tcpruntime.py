@@ -561,12 +561,12 @@ class TcpCluster:
     sites crash-recoverable via :meth:`kill_site`/:meth:`restart_site`.
     """
 
-    def __init__(self, global_document, plan, network_wrapper=None,
+    def __init__(self, document, plan, network_wrapper=None,
                  max_pending=64, **cluster_kwargs):
         from repro.net.cluster import Cluster
 
         self.tcp_network = TcpNetwork()
-        self.cluster = Cluster(global_document, plan, **cluster_kwargs)
+        self.cluster = Cluster(document, plan, **cluster_kwargs)
         self.max_pending = max_pending
         self.network = (self.tcp_network if network_wrapper is None
                         else network_wrapper(self.tcp_network))

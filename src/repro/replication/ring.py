@@ -80,8 +80,9 @@ class ReplicationRing:
             if not any(path[:len(top)] == top for top in tops):
                 tops.append(path)
         queries = [render_id_path_query(path) for path in tops]
-        root = cluster.global_document
-        database = SensorDatabase.empty(root.tag, root.get("id"),
+        (root_tag, root_id), = next(
+            path for path in cluster.owner_map if len(path) == 1)
+        database = SensorDatabase.empty(root_tag, root_id,
                                         clock=cluster.clock, site_id=site)
 
         def request(peer, message, _expect):

@@ -144,7 +144,7 @@ class CostModel:
                 config, config.city_names()[0],
                 config.neighborhood_names()[0], "1")
         plan = PartitionPlan({"one": [((document.tag, document.id),)]})
-        db = plan.build_databases(document)["one"]
+        db = plan.partition(document)[1]["one"]
         schema = HierarchySchema.from_document(document)
 
         # Naive creation bypasses every memo: a hit would report a

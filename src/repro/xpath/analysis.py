@@ -201,16 +201,23 @@ def sanitize_dns_label(value):
     return label or "x"
 
 
+def dns_child_name(parent_name, identifier):
+    """The DNS name of a node whose parent is named *parent_name*: the
+    node's sanitized id is one more, most-specific label."""
+    return f"{sanitize_dns_label(identifier)}.{parent_name}"
+
+
 def dns_name_for_id_path(id_path, service="parking", zone="intel-iris.net"):
     """DNS-style name for an ID path, most-specific label first.
 
     ``[(usRegion, NE), ..., (city, Pittsburgh)]`` becomes
-    ``pittsburgh.allegheny.pa.ne.parking.intel-iris.net``.
+    ``pittsburgh.allegheny.pa.ne.parking.intel-iris.net``; the empty
+    path names the service's zone, ``parking.intel-iris.net``.
     """
-    labels = [sanitize_dns_label(value) for _, value in reversed(id_path)]
-    labels.append(service)
-    labels.append(zone)
-    return ".".join(labels)
+    name = f"{service}.{zone}"
+    for _, identifier in id_path:
+        name = dns_child_name(name, identifier)
+    return name
 
 
 # ----------------------------------------------------------------------

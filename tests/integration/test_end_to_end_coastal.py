@@ -67,9 +67,9 @@ class TestCoastalQueries:
         assert count == 12.0
 
     def test_validate(self, coastal):
-        _document, cluster, _clock = coastal
+        document, cluster, _clock = coastal
         cluster.query(high_risk_query())
-        assert cluster.validate() == []
+        assert cluster.validate(document) == []
 
     def test_stale_tolerance_refetches_from_owner(self, coastal):
         _document, cluster, clock = coastal

@@ -189,7 +189,7 @@ class TestLoadBalancingUnderTraffic:
             if cluster.owner_map[tuple(path)] != target:
                 cluster.delegate(path, target)
             assert cluster_answer(cluster, query) == baseline
-        assert cluster.validate() == []
+        assert cluster.validate(document) == []
 
 
 class TestConcurrentRuntime:
@@ -222,7 +222,7 @@ class TestConcurrentRuntime:
         assert len(answers) == 40
         for query, answer in answers:
             assert answer == reference_answer(document, query), query
-        assert cluster.validate() == []
+        assert cluster.validate(document) == []
 
     def test_no_two_threads_share_a_site_local_phase(self, monkeypatch):
         """Named regression: a user query merged into a site while a
@@ -298,7 +298,7 @@ class TestConcurrentRuntime:
         assert len(answers) == 40
         for query, answer in answers:
             assert answer == reference_answer(document, query), query
-        assert cluster.validate() == []
+        assert cluster.validate(document) == []
 
 
 class TestReleasedTrees:
@@ -367,7 +367,7 @@ class TestReleasedTrees:
             for query in queries:
                 assert cluster_answer(cluster, query) == \
                     reference_answer(document, query), query
-            assert cluster.validate() == []
+            assert cluster.validate(document) == []
             in_databases = {id(node) for site in cluster.sites
                             for node in cluster.database(site).root.iter()}
         finally:

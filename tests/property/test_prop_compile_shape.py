@@ -126,7 +126,7 @@ class TestABoundPatternIsItsTextsPattern:
     @settings(max_examples=40, deadline=None)
     def test_distributed_queries_at_every_site(self, scenario):
         document, plan, query_list = scenario
-        databases = list(plan.build_databases(document).values())
+        databases = list(plan.partition(document)[1].values())
         for query in query_list:
             _check(query, _GLOBAL_SCHEMA, databases)
 

@@ -80,4 +80,4 @@ def test_concurrent_clients_get_the_oracle_answer(executor, scenario):
     assert len(answers) == sum(len(share) for share in shares)
     for query, answer in answers:
         assert answer == reference_answer(document, query), query
-    assert cluster.validate() == []
+    assert cluster.validate(document) == []

@@ -373,7 +373,7 @@ class TestWireFragmentInvariants:
         from repro.core import compile_pattern, fragment_violations, run_qeg
 
         document, plan, query_list = scenario
-        databases = plan.build_databases(document)
+        databases = plan.partition(document)[1]
         for query in query_list:
             for db in databases.values():
                 result = run_qeg(db, compile_pattern(query))
@@ -393,7 +393,7 @@ class TestWireFragmentInvariants:
         )
 
         document, plan, query_list = scenario
-        databases = plan.build_databases(document)
+        databases = plan.partition(document)[1]
         sites = sorted(databases)
         for query in query_list[:2]:
             for producer in sites:

@@ -713,7 +713,7 @@ class TestScenarios:
         config = quick_config()
         plan = build_plan(config)
         assert len(plan.sites) == config.site_count
-        plan.owner_map(build_document(config))  # raises if inconsistent
+        plan.partition(build_document(config))  # raises if inconsistent
 
     def test_update_stream_paths_exist(self):
         config = quick_config()

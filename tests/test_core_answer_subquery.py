@@ -31,7 +31,7 @@ def oak_db(paper_doc):
         "top": [id_path("usRegion=NE")],
         "oak": [OAKLAND],
     })
-    return plan.build_databases(paper_doc)["oak"]
+    return plan.partition(paper_doc)[1]["oak"]
 
 
 class TestAnswerBuilder:
@@ -55,8 +55,8 @@ class TestAnswerBuilder:
         assert get_status(shady.child("block", id="1")) is Status.INCOMPLETE
         assert fragment_violations(fragment, paper_doc) == []
         receiver = PartitionPlan({"top": [id_path("usRegion=NE")],
-                                  "oak": [OAKLAND]}).build_databases(
-            paper_doc)["top"]
+                                  "oak": [OAKLAND]}).partition(
+            paper_doc)[1]["top"]
         receiver.store_fragment(fragment)
         assert get_status(receiver.find(OAKLAND)) is Status.COMPLETE
 

@@ -30,8 +30,7 @@ def build_mesh(paper_doc, cache_results=True):
         "oak": [OAKLAND],
         "shady": [SHADYSIDE],
     })
-    owners = plan.owner_map(paper_doc)
-    dbs = plan.build_databases(paper_doc)
+    owners, dbs = plan.partition(paper_doc)
     schema = HierarchySchema.from_document(paper_doc)
     drivers = {}
     sent_log = []
@@ -202,7 +201,7 @@ class TestFailureModes:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        dbs = plan.build_databases(paper_doc)
+        dbs = plan.partition(paper_doc)[1]
         schema = HierarchySchema.from_document(paper_doc)
 
         def broken_send(pending):
@@ -218,7 +217,7 @@ class TestFailureModes:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        dbs = plan.build_databases(paper_doc)
+        dbs = plan.partition(paper_doc)[1]
         schema = HierarchySchema.from_document(paper_doc)
         # A remote that always returns nothing: queries still terminate
         # (absence is an acceptable answer), with empty results.

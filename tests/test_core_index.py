@@ -26,8 +26,8 @@ def oak_db(paper_doc, settable_clock):
         "top": [id_path("usRegion=NE")],
         "oak": [OAKLAND],
     })
-    return plan.build_databases(
-        paper_doc, default_clock=settable_clock)["oak"]
+    return plan.partition(
+        paper_doc, default_clock=settable_clock)[1]["oak"]
 
 
 @pytest.fixture
@@ -36,8 +36,8 @@ def top_db(paper_doc, settable_clock):
         "top": [id_path("usRegion=NE")],
         "oak": [OAKLAND],
     })
-    return plan.build_databases(
-        paper_doc, default_clock=settable_clock)["top"]
+    return plan.partition(
+        paper_doc, default_clock=settable_clock)[1]["top"]
 
 
 def _shady_fragment():

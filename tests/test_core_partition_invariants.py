@@ -14,7 +14,10 @@ from repro.core import (
     validate_deployment,
     violations_against_reference,
 )
+from repro.core.idable import iter_idable_with_paths
 from repro.core.ownership import export_local_information
+from repro.net import Cluster
+from repro.xpath.analysis import dns_name_for_id_path
 
 from tests.conftest import ETNA, OAKLAND, PITTSBURGH, SHADYSIDE, id_path
 
@@ -25,7 +28,7 @@ class TestPartitionPlan:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        owners = plan.owner_map(paper_doc)
+        owners = plan.partition(paper_doc)[0]
         assert owners[OAKLAND] == "oak"
         assert owners[OAKLAND + (("block", "1"),)] == "oak"
         assert owners[SHADYSIDE] == "top"
@@ -37,7 +40,7 @@ class TestPartitionPlan:
             "oak": [OAKLAND],
             "blk": [OAKLAND + (("block", "1"),)],
         })
-        owners = plan.owner_map(paper_doc)
+        owners = plan.partition(paper_doc)[0]
         assert owners[OAKLAND + (("block", "1"),)] == "blk"
         assert owners[OAKLAND + (("block", "1"), ("parkingSpace", "1"))] == \
             "blk"
@@ -45,8 +48,8 @@ class TestPartitionPlan:
 
     def test_root_must_be_assigned(self, paper_doc):
         plan = PartitionPlan({"oak": [OAKLAND]})
-        with pytest.raises(PartitionError):
-            plan.owner_map(paper_doc)
+        with pytest.raises(PartitionError, match="root must be assigned"):
+            plan.partition(paper_doc)
 
     def test_duplicate_assignment_rejected(self):
         with pytest.raises(PartitionError):
@@ -57,16 +60,23 @@ class TestPartitionPlan:
             "top": [id_path("usRegion=NE")],
             "bad": [id_path("usRegion=NE/state=XX")],
         })
-        with pytest.raises(PartitionError):
-            plan.owner_map(paper_doc)
+        with pytest.raises(PartitionError, match="does not exist"):
+            plan.partition(paper_doc)
 
     def test_dns_records_cover_every_idable_node(self, paper_doc):
-        plan = PartitionPlan({"top": [id_path("usRegion=NE")]})
-        records = plan.dns_records(paper_doc)
-        from repro.core.idable import iter_idable
-
-        assert len(records) == sum(1 for _ in iter_idable(paper_doc))
-        assert all(site == "top" for site in records.values())
+        cluster = Cluster(paper_doc, PartitionPlan({
+            "top": [id_path("usRegion=NE")],
+            "oak": [OAKLAND],
+            "blk": [OAKLAND + (("block", "2"),)],
+        }))
+        # One record per IDable node, under the name the one naming
+        # rule gives its path, naming the node's owner.
+        paths = [path for path, _ in iter_idable_with_paths(paper_doc)]
+        assert len(cluster.dns) == len(paths)
+        sites = [cluster.dns.lookup(dns_name_for_id_path(path)).site
+                 for path in paths]
+        assert sites == [cluster.owner_map[path] for path in paths]
+        assert set(sites) == {"top", "oak", "blk"}
 
 
 class TestBuiltDatabases:
@@ -78,8 +88,7 @@ class TestBuiltDatabases:
             "shady": [SHADYSIDE],
             "etna": [ETNA],
         })
-        return plan, plan.owner_map(paper_doc), \
-            plan.build_databases(paper_doc)
+        return (plan, *plan.partition(paper_doc))
 
     def test_every_site_valid(self, deployment, paper_doc):
         _plan, owners, dbs = deployment
@@ -120,7 +129,7 @@ class TestViolationDetection:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        return plan.build_databases(paper_doc)["oak"]
+        return plan.partition(paper_doc)[1]["oak"]
 
     def test_detects_i2_break(self, clean_db):
         # Demote an ancestor below id-complete while keeping descendants.
@@ -156,8 +165,7 @@ class TestViolationDetection:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        owners = plan.owner_map(paper_doc)
-        dbs = plan.build_databases(paper_doc)
+        owners, dbs = plan.partition(paper_doc)
         dbs["oak"].release_ownership(OAKLAND)
         problems = ownership_violations(dbs, owners)
         assert any("I1" in p for p in problems)
@@ -167,8 +175,7 @@ class TestViolationDetection:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        owners = plan.owner_map(paper_doc)
-        dbs = plan.build_databases(paper_doc)
+        owners, dbs = plan.partition(paper_doc)
         # "oak" suddenly claims Shadyside (a bare stub) as owned.
         set_status(dbs["oak"].find(SHADYSIDE), Status.OWNED)
         problems = ownership_violations(dbs, owners)
@@ -186,7 +193,8 @@ class TestDnsOwnershipDetection:
             "top": [id_path("usRegion=NE")],
             "oak": [OAKLAND],
         })
-        return plan.build_databases(paper_doc), plan.owner_map(paper_doc)
+        owners, dbs = plan.partition(paper_doc)
+        return dbs, owners
 
     def test_a_fresh_deployment_follows_dns(self, deployment):
         dbs, owners = deployment
@@ -220,3 +228,50 @@ class TestDnsOwnershipDetection:
         problems = dns_ownership_violations(live, owners.get)
         assert len(problems) == 1
         assert "owned at ['top'] but DNS names 'oak'" in problems[0]
+
+
+class TestOneWalk:
+    """``partition`` carves the document in one preorder walk: no node
+    is traced back to the root or looked up by key, and what a site
+    stores is its own, with no link back into the logical document."""
+
+    @pytest.fixture
+    def tiny(self):
+        from repro.arch.architectures import hierarchical
+        from repro.service.parking import (
+            ParkingConfig,
+            build_parking_document,
+        )
+
+        config = ParkingConfig.tiny()
+        return build_parking_document(config), hierarchical(config).plan
+
+    def test_partition_traces_no_node_to_the_root(self, tiny, monkeypatch):
+        from repro.xmlkit.nodes import Element
+
+        calls = []
+        for name in ("path_from_root", "child"):
+            original = getattr(Element, name)
+
+            def counted(self, *args, _name=name, _original=original,
+                        **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Element, name, counted)
+        document, plan = tiny
+        owners, databases = plan.partition(document)
+        assert calls == []
+        assert len(databases) == 9 and len(owners) > 9
+
+    def test_no_stored_element_links_to_the_document(self, tiny):
+        document, plan = tiny
+        cluster = Cluster(document, plan)
+        linked = [
+            (site, element.tag)
+            for site, agent in cluster.agents.items()
+            for element in agent.database.root.iter()
+            if element._ser_origin is not None
+        ]
+        assert linked == []
+        assert cluster.validate(document) == []

@@ -51,7 +51,7 @@ def dbs(paper_doc):
         "oak": [OAKLAND],
         "shady": [SHADYSIDE],
     })
-    return plan.build_databases(paper_doc)
+    return plan.partition(paper_doc)[1]
 
 
 class TestCompilePattern:
@@ -172,7 +172,7 @@ class TestPatternCompileCache:
 
         schema = HierarchySchema.from_document(paper_doc)
         plan = PartitionPlan({"one": [id_path("usRegion=NE")]})
-        db = plan.build_databases(paper_doc)["one"]
+        db = plan.partition(paper_doc)[1]["one"]
         driver = GatherDriver(db, send=lambda pending: [None] * len(pending),
                               schema=schema)
         first = driver.compile(FIGURE2_QUERY)
@@ -421,7 +421,7 @@ class TestNestingStrategies:
         whole document and cache the reply at shady."""
         [fetch] = run_qeg(dbs["shady"], pattern).subqueries
         whole = PartitionPlan({"all": [id_path("usRegion=NE")]}) \
-            .build_databases(paper_doc)["all"]
+            .partition(paper_doc)[1]["all"]
         reply = run_qeg(whole, compile_pattern(fetch.query, paper_schema))
         assert reply.is_complete
         dbs["shady"].store_fragment(reply.answer)

@@ -76,7 +76,7 @@ def dbs(paper_doc):
         "oak": [OAKLAND],
         "shady": [SHADYSIDE],
     })
-    return plan.build_databases(paper_doc)
+    return plan.partition(paper_doc)[1]
 
 
 @pytest.fixture

@@ -491,12 +491,10 @@ class TestOverloadProtection:
         from repro.net.tcpruntime import TcpSiteServer
 
         plan = PartitionPlan(PLAN)
-        databases = plan.build_databases(
+        owners, databases = plan.partition(
             parse_fragment(PAPER_DOCUMENT), default_clock=lambda: 0.0)
         dns = DnsServer()
-        for path, site in plan.owner_map(
-                parse_fragment(PAPER_DOCUMENT)).items():
-            dns.register_id_path(path, site)
+        dns.register_owner_map(owners)
         network = TcpNetwork()
         agent = OrganizingAgent("top", databases["top"], network,
                                 DnsResolver(dns), clock=lambda: 0.0)

@@ -133,7 +133,7 @@ class TestDistributedCorners:
         # Both return the block; the tight one had to visit the owner.
         assert len(results_loose) == len(results_tight) == 1
 
-    def test_deep_wildcard_everything(self, paper_cluster):
+    def test_deep_wildcard_everything(self, paper_cluster, paper_doc):
         results, _, _ = paper_cluster.query("/usRegion[@id='NE']//block")
         assert len(results) == 4
-        assert paper_cluster.validate() == []
+        assert paper_cluster.validate(paper_doc) == []

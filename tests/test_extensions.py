@@ -43,23 +43,23 @@ class TestAddIdableNode:
         assert results[0].child("note").text == "new"
 
     def test_add_requires_parent_ownership(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             add_idable_child(dbs["top"], OAKLAND, "block", "99")
 
     def test_duplicate_rejected(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             add_idable_child(dbs["oak"], OAKLAND, "block", "1")
 
     def test_reserved_attributes_rejected(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             add_idable_child(dbs["oak"], OAKLAND, "block", "77",
                              attributes={"status": "owned"})
 
     def test_invariants_hold_after_add(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         add_idable_child(dbs["oak"], OAKLAND, "block", "42")
         assert structural_violations(dbs["oak"]) == []
 
@@ -81,27 +81,27 @@ class TestRemoveIdableNode:
         assert results == []
 
     def test_remove_reports_descendants(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         removed = remove_idable_child(dbs["oak"], OAKLAND + (("block", "1"),))
         tags = {p[-1][0] for p in removed}
         assert tags == {"block", "parkingSpace"}
         assert len(removed) == 3  # the block + its two spaces
 
     def test_remove_requires_parent_ownership(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             remove_idable_child(dbs["top"],
                                 OAKLAND + (("block", "1"),))
 
     def test_cannot_remove_root(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             remove_idable_child(dbs["top"], id_path("usRegion=NE"))
 
 
 class TestRenameField:
     def test_rename_locally(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         space = OAKLAND + (("block", "1"), ("parkingSpace", "1"))
         rename_field(dbs["oak"], space, "available", "is-free")
         element = dbs["oak"].find(space)
@@ -135,14 +135,14 @@ class TestRenameField:
         reborn.close()
 
     def test_rename_requires_ownership(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             rename_field(dbs["top"],
                          OAKLAND + (("block", "1"), ("parkingSpace", "1")),
                          "available", "is-free")
 
     def test_rename_rejects_idable_child(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             rename_field(dbs["oak"], OAKLAND, "block", "zone")
 

@@ -97,7 +97,7 @@ class TestSubsumption:
             schema=paper_schema)
         top = PartitionPlan({
             "top": [id_path("usRegion=NE")], "oak": [OAKLAND],
-        }).build_databases(paper_doc)["top"]
+        }).partition(paper_doc)[1]["top"]
         [fetch] = run_qeg(top, pattern).subqueries
         assert fetch.reason == Subquery.NESTED_FETCH
         for pending in (_sq(SHADYSIDE, consumed=5),
@@ -119,7 +119,7 @@ class TestSubsumptionEndToEnd:
             "oak": [OAKLAND],
             "shady": [SHADYSIDE],
         })
-        dbs = plan.build_databases(paper_doc)
+        dbs = plan.partition(paper_doc)[1]
         drivers = {}
 
         def make_send(_site):

@@ -142,14 +142,14 @@ class TestQueries:
         cluster.query(query, at_site="top")
         assert agent.stats["subqueries_sent"] > before
 
-    def test_validate_clean_at_bootstrap(self, paper_cluster):
-        assert paper_cluster.validate() == []
+    def test_validate_clean_at_bootstrap(self, paper_cluster, paper_doc):
+        assert paper_cluster.validate(paper_doc) == []
 
-    def test_validate_clean_after_query_mix(self, paper_cluster):
+    def test_validate_clean_after_query_mix(self, paper_cluster, paper_doc):
         paper_cluster.query(FIGURE2_QUERY)
         paper_cluster.query(PREFIX + "/neighborhood[@id='Oakland']",
                             at_site="etna")
-        assert paper_cluster.validate() == []
+        assert paper_cluster.validate(paper_doc) == []
 
 
 class TestUpdates:
@@ -252,9 +252,9 @@ class TestMigration:
             paper_cluster.agent("oak").delegate(
                 SHADYSIDE, "etna", paper_cluster)
 
-    def test_migration_preserves_invariants(self, paper_cluster):
+    def test_migration_preserves_invariants(self, paper_cluster, paper_doc):
         paper_cluster.delegate(OAKLAND + (("block", "1"),), "etna")
-        assert paper_cluster.validate() == []
+        assert paper_cluster.validate(paper_doc) == []
 
 
 class TestConsistencyEndToEnd:

@@ -130,13 +130,13 @@ class TestLockingNetwork:
 
 class TestOwnershipHelpers:
     def test_export_requires_ownership(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         with pytest.raises(CoreError):
             export_local_information(dbs["top"], [OAKLAND])
 
     def test_export_accept_relinquish_roundtrip(self, paper_doc,
                                                 paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         fragment = export_local_information(dbs["oak"], [OAKLAND])
         dbs["etna"].store_fragment(fragment)
         assert get_status(dbs["etna"].find(OAKLAND)) is Status.COMPLETE
@@ -148,7 +148,7 @@ class TestOwnershipHelpers:
     def test_exported_fragment_is_cacheable(self, paper_doc, paper_plan):
         from repro.core import fragment_violations
 
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         fragment = export_local_information(dbs["oak"], [OAKLAND])
         assert fragment_violations(fragment, paper_doc) == []
 
@@ -157,7 +157,7 @@ class TestEvictAllCached:
     def test_evicts_only_cached(self, paper_doc, paper_plan):
         from repro.core import compile_pattern, run_qeg
 
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         query = ("/usRegion[@id='NE']/state[@id='PA']"
                  "/county[@id='Allegheny']/city[@id='Pittsburgh']"
                  "/neighborhood[@id='Oakland']")
@@ -173,5 +173,5 @@ class TestEvictAllCached:
         assert get_status(city) is Status.OWNED
 
     def test_noop_on_pristine_database(self, paper_doc, paper_plan):
-        dbs = paper_plan.build_databases(paper_doc)
+        dbs = paper_plan.partition(paper_doc)[1]
         assert dbs["top"].evict_all_cached() == 0

@@ -15,7 +15,7 @@ def test_save_load_roundtrip(paper_doc, tmp_path):
         "top": [id_path("usRegion=NE")],
         "oak": [OAKLAND],
     })
-    original = plan.build_databases(paper_doc)["oak"]
+    original = plan.partition(paper_doc)[1]["oak"]
     path = tmp_path / "oak.xml"
     original.save(str(path))
 
@@ -33,7 +33,7 @@ def test_restarted_database_serves_queries(paper_doc, tmp_path):
         "top": [id_path("usRegion=NE")],
         "oak": [OAKLAND],
     })
-    databases = plan.build_databases(paper_doc)
+    databases = plan.partition(paper_doc)[1]
     path = tmp_path / "oak.xml"
     databases["oak"].save(str(path))
     restored = SensorDatabase.load(str(path), site_id="oak")

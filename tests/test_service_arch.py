@@ -257,7 +257,7 @@ class TestArchitectures:
         document = build_parking_document(config)
         for arch in all_architectures(config):
             cluster = Cluster(document.copy(), arch.plan)
-            assert cluster.validate() == []
+            assert cluster.validate(document) == []
 
 
 class TestCoastal:

@@ -38,7 +38,7 @@ def test_step_2_partition_and_dns():
     cluster = build()
     record = cluster.dns.lookup("north.hq.campus.intel-iris.net")
     assert record.site == "north-site"
-    assert cluster.validate() == []
+    assert cluster.validate(parse_fragment(DOCUMENT)) == []
 
 
 def test_step_3_queries():
@@ -114,7 +114,7 @@ def test_step_7_operations():
     results, _, _ = cluster.query(
         "/campus[@id='hq']//room[occupied='no']")
     assert {r.id for r in results} == {"101", "201", "103"}
-    assert cluster.validate(structural_only=True) == []
+    assert cluster.validate(None) == []
 
 
 def test_step_8_tcp_and_persistence(tmp_path):
