@@ -496,8 +496,8 @@ class AggregationManager:
             now = float(self.agent.clock())
             with self.agent.guard:
                 value = sensor.evaluate(answer)
-            self.agent.database.apply_update(
-                sensor.node_path, values={"value": sensor.render(value)})
+                self.agent.database.apply_update(
+                    sensor.node_path, values={"value": sensor.render(value)})
             sensor.last_value = value
             with self._lock:
                 self.stats["derived_refreshes"] += 1

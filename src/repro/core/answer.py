@@ -43,7 +43,7 @@ from repro.core.idable import (
     subtree_materialized,
 )
 from repro.core.status import STATUS_ATTRIBUTE, Status, get_status
-from repro.xmlkit.nodes import copy_subtree, restamp
+from repro.xmlkit.nodes import copy_subtree, own_children, restamp
 
 
 class Subquery:
@@ -176,7 +176,7 @@ class AnswerBuilder:
             if found is None:
                 found = id_stub(db_node, Status.INCOMPLETE)
                 found.parent = current
-                current.children.append(found)
+                own_children(current).append(found)
             self._mapping[key] = found
             current = found
         return current
@@ -184,12 +184,11 @@ class AnswerBuilder:
     def _add_child_stubs(self, target, children):
         """Append an ID stub to *target* for each of *children* without one."""
         mapping = self._mapping
-        kids = target.children
         for child in children:
             if id(child) not in mapping:
                 stub = id_stub(child, Status.INCOMPLETE)
                 stub.parent = target
-                kids.append(stub)
+                own_children(target).append(stub)
                 mapping[id(child)] = stub
 
     def _record(self, kind, element):
@@ -326,12 +325,11 @@ class AnswerBuilder:
             # One idable_children() read serves the content and the stubs.
             idable = idable_children(element)
             skip = {id(child) for child in idable}
-            kids = target.children
             for child in element.children:
                 if id(child) not in skip:
                     copy = child.copy()
                     copy.parent = target
-                    kids.append(copy)
+                    own_children(target).append(copy)
             self._add_child_stubs(target, idable)
         # Stored nodes keep their stamps (so do skeleton nodes a lent
         # subtree replaced: nothing reaches them any more).

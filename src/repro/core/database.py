@@ -35,7 +35,8 @@ from repro.core.status import (
     set_timestamp,
 )
 from repro.xmlkit.errors import XmlStructureError
-from repro.xmlkit.nodes import Element, copy_subtree, is_valid_name, xml_string
+from repro.xmlkit.nodes import (
+    NO_KIDS, Element, copy_subtree, is_valid_name, xml_string)
 
 
 class SensorDatabase:
@@ -497,7 +498,7 @@ class SensorDatabase:
             child.parent = target
         target.attrib = attrib
         target.text = incoming.text
-        target.children = children + adopted
+        target.children = children + adopted or NO_KIDS
         target._touch()
 
     # ------------------------------------------------------------------

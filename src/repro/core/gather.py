@@ -269,7 +269,6 @@ class GatherDriver:
             "max_fanout": 0,
             "failed_subqueries": 0,
             "partial_gathers": 0,
-            "prewarm_queries": 0,
             "replica_served": 0,
         }
 
@@ -463,11 +462,6 @@ class GatherDriver:
             FunctionCall(ast.name, [VariableReference("matches")]),
             outcome.view.root, variables={"matches": outcome.matches},
             now=now)
-
-    def note_prewarm(self):
-        """Account one replayed prewarm query (see semcache.prewarm)."""
-        with self._stats_lock:
-            self.stats["prewarm_queries"] += 1
 
     def answer_any(self, query, now=None):
         """Dispatch a query string to subquery/scalar handling: a query

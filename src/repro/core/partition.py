@@ -34,7 +34,7 @@ from repro.core.idable import (
     non_idable_children,
 )
 from repro.core.status import STATUS_ATTRIBUTE, TIMESTAMP_ATTRIBUTE, Status
-from repro.xmlkit.nodes import copy_subtree, restamp
+from repro.xmlkit.nodes import NO_KIDS, copy_subtree, restamp
 
 
 def _as_path(path):
@@ -147,7 +147,7 @@ class PartitionPlan:
                     content = kids
                 for node in content:
                     node.parent = target
-                target.children = content
+                target.children = content or NO_KIDS
                 built.append(target)
                 stubs[site] = kids
             for index in range(len(children) - 1, -1, -1):

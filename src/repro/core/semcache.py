@@ -1,14 +1,11 @@
-"""Canonical query keys, the query log and prewarming.
+"""Canonical query keys.
 
 Exact-string keys fragment a cache: two spellings of the same XPATH
-miss each other entirely.  What this module keeps:
-
-**Canonicalization** (:func:`canonicalize`).  Equivalent queries are
-rewritten to one normal form, the key of the compile memo
-(:mod:`repro.core.qeg`) and of a query log's deduplication: whitespace
-and quoting normalize in the unparser,
-``timestamp``/``now`` sugar becomes the canonical function calls,
-redundant ``.`` steps are dropped, predicates within a step (pure
+miss each other entirely.  :func:`canonicalize` rewrites equivalent
+queries to one normal form, the key of the compile memo
+(:mod:`repro.core.qeg`): whitespace and quoting normalize in the
+unparser, ``timestamp``/``now`` sugar becomes the canonical function
+calls, redundant ``.`` steps are dropped, predicates within a step (pure
 conjunctive filters in this dialect -- ``position()``/``last()`` are
 rejected at parse time) sort deterministically, commutative operator
 chains (``or``/``and``/``|``) flatten, dedupe and sort, and
@@ -19,16 +16,9 @@ evaluates identically to the original over random documents).  The
 tightest freshness bound (``min_tolerance``) rides along: a rollup
 serves its summaries against it (:mod:`repro.agg`).
 
-**Prewarming** (:class:`QueryLog`, :func:`prewarm`).  A query log
-captured by ``service.run_live`` replays against a cold cluster to
-warm the site databases and the aggregation summaries before traffic.
-
 The memo's counters (:func:`canonicalization_stats`) report through
 the metrics registry's ``engine`` section.
 """
-
-import json
-import threading
 
 from repro.core.consistency import (
     consistency_tolerances,
@@ -41,7 +31,6 @@ from repro.xpath import parser as xpath_parser
 from repro.xpath.ast import (
     BinaryOperation,
     FilterExpression,
-    FunctionCall,
     Literal,
     LocationPath,
     NodeTypeTest,
@@ -220,130 +209,3 @@ def canonical_key(query):
 def canonicalization_stats():
     """Process-wide canonicalizer memo counters."""
     return dict(_CANON_CACHE.stats, entries=len(_CANON_CACHE))
-
-
-# ----------------------------------------------------------------------
-# Query logs and prewarming
-# ----------------------------------------------------------------------
-class QueryLog:
-    """A bounded, replayable record of served queries.
-
-    ``service.run_live`` appends to one when asked; :func:`prewarm`
-    replays one against a cold cluster.  Saved as JSONL so logs from
-    long-running deployments stream without loading whole files.
-    """
-
-    def __init__(self, max_records=100_000):
-        self.max_records = max_records
-        self._records = []
-        self._lock = threading.Lock()
-
-    def record(self, query, query_type=None, site=None):
-        entry = {"query": str(query)}
-        if query_type is not None:
-            entry["type"] = query_type
-        if site is not None:
-            entry["site"] = site
-        with self._lock:
-            self._records.append(entry)
-            if len(self._records) > self.max_records:
-                del self._records[: len(self._records) - self.max_records]
-
-    def __len__(self):
-        with self._lock:
-            return len(self._records)
-
-    def __iter__(self):
-        with self._lock:
-            return iter(list(self._records))
-
-    def save(self, path):
-        with self._lock:
-            records = list(self._records)
-        with open(path, "w", encoding="utf-8") as handle:
-            for entry in records:
-                handle.write(json.dumps(entry, sort_keys=True))
-                handle.write("\n")
-        return len(records)
-
-    @classmethod
-    def load(cls, path, max_records=100_000):
-        log = cls(max_records=max_records)
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                log.record(entry["query"], query_type=entry.get("type"),
-                           site=entry.get("site"))
-        return log
-
-    def unique_queries(self):
-        """Deduplicated queries by canonical key, first spelling wins.
-
-        Replaying 10k logged queries that canonicalize to 40 regions
-        costs 40 gathers -- deduplication is what makes prewarming
-        cheap enough to run before every deployment.
-        """
-        return unique_entries(self)
-
-
-def unique_entries(entries):
-    """*entries* (``{"query": ...}`` dicts) deduplicated by canonical key,
-    first spelling wins; a query that does not parse keys as itself."""
-    seen = {}
-    for entry in entries:
-        try:
-            key = canonical_key(entry["query"])
-        except Exception:
-            key = entry["query"]
-        seen.setdefault(key, entry)
-    return list(seen.values())
-
-
-def prewarm(cluster, log, now=None, limit=None, deduplicate=True):
-    """Replay *log* against *cluster* to warm its OA caches.
-
-    Each logged query routes to its LCA site and runs there exactly as
-    live traffic would: a path through the gather driver, filling the
-    site database (aggressive caching), a scalar through the agent's
-    scalar entry, so a rollup fills the summaries.
-    Returns a report dict: queries replayed, failures, per-site counts.
-
-    *log* may be a :class:`QueryLog` or any iterable of query strings /
-    ``{"query": ...}`` dicts.  With *deduplicate* (default) the replay
-    collapses canonical duplicates first.
-    """
-    entries = [entry if isinstance(entry, dict) else {"query": entry}
-               for entry in log]
-    if deduplicate:
-        entries = unique_entries(entries)
-    if limit is not None:
-        entries = entries[:limit]
-
-    replayed = 0
-    failures = 0
-    by_site = {}
-    for entry in entries:
-        query = entry["query"]
-        try:
-            site, _path = cluster.route_query(query)
-            agent = cluster.agent(site)
-            ast = xpath_parser.parse(query)
-            if isinstance(ast, FunctionCall):
-                agent.answer_scalar(ast, now=now)
-            else:
-                agent.driver.gather(ast, now=now, ships=False)
-            agent.driver.note_prewarm()
-        except Exception:
-            failures += 1
-            continue
-        replayed += 1
-        by_site[site] = by_site.get(site, 0) + 1
-    return {
-        "replayed": replayed,
-        "failures": failures,
-        "unique": len(entries),
-        "by_site": by_site,
-    }

@@ -236,18 +236,6 @@ class Cluster:
 
         return cluster_metrics(self)
 
-    def prewarm(self, log, now=None, limit=None):
-        """Warm every site's caches by replaying a captured query log.
-
-        *log* is a :class:`~repro.core.semcache.QueryLog` (or iterable
-        of query strings); each entry routes to its LCA site and runs
-        through that site's gather driver as live traffic would.
-        Returns the replay report dict.
-        """
-        from repro.core.semcache import prewarm
-
-        return prewarm(self, log, now=now, limit=limit)
-
     # ------------------------------------------------------------------
     # Sensing agents
     # ------------------------------------------------------------------

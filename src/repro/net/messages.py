@@ -15,7 +15,7 @@ from repro.core.status import INTERNAL_ATTRIBUTES, clean_copy
 from repro.net.errors import MessageError
 from repro.obs.tracing import TraceContext
 from repro.xmlkit.errors import XmlError
-from repro.xmlkit.nodes import Element, Text
+from repro.xmlkit.nodes import Element, Text, own_children
 from repro.xmlkit.parser import parse_fragment
 # An envelope is private and serialized once: the memo serves only the
 # payloads it lends (``serialize`` is the name benchmarks/layers times).
@@ -78,7 +78,7 @@ def _lend(holder, payload):
     the payload's own nodes (stored subtrees a reply lends among them),
     and an exception leaves nothing to undo.
     """
-    holder.children.append(payload)
+    own_children(holder).append(payload)
 
 
 def encode_fragment(fragment):

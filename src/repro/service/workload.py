@@ -113,8 +113,7 @@ class QueryWorkload:
         return [self.sample() for _ in range(count)]
 
 
-def run_live(cluster, workload, count, now=None, clock=time.monotonic,
-             query_log=None):
+def run_live(cluster, workload, count, now=None, clock=time.monotonic):
     """Drive *count* workload queries against a **live** cluster.
 
     The simulator produces the paper's throughput/latency numbers by
@@ -128,11 +127,6 @@ def run_live(cluster, workload, count, now=None, clock=time.monotonic,
     With tracing enabled each query's trace id is appended to
     ``report["traces"]`` so individual executions can be pulled out of
     the tracer afterwards.
-
-    *query_log* (a :class:`repro.core.semcache.QueryLog`) captures
-    every posed query; saved logs feed cache prewarming
-    (``Cluster.prewarm`` / ``repro.core.semcache.prewarm``) so a cold
-    deployment starts with the caches live traffic would have built.
     """
     from repro.obs.registry import cluster_metrics
     from repro.obs.tracing import TRACER
@@ -143,8 +137,6 @@ def run_live(cluster, workload, count, now=None, clock=time.monotonic,
     traces = []
     for _ in range(count):
         query, query_type = workload.sample()
-        if query_log is not None:
-            query_log.record(query, query_type=query_type)
         started = clock()
         with TRACER.span("workload-query", tags={"type": query_type}) \
                 as span:

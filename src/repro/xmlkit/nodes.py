@@ -13,6 +13,14 @@ Documents are treated as *unordered*: sibling order carries no meaning
 (Section 3.1 of the paper).  The in-memory representation necessarily
 keeps children in a list, but all comparison and caching logic in the
 rest of the system is order-insensitive.
+
+Most elements of a sensor document are leaves without attributes, so
+an element with no children holds the shared :data:`NO_KIDS` and one
+with no attributes the shared :data:`NO_ATTRS`: both read as an empty
+``list`` / ``dict``, and every mutator of theirs raises ``TypeError``.
+The :class:`Element` mutators give an element a private container on
+its first write.  Code that edits ``children`` or ``attrib`` directly
+allocates first (:func:`own_children`, or a fresh dict).
 """
 
 import functools
@@ -82,6 +90,52 @@ def xml_string(value):
     return value
 
 
+def _refuse(self, *args, **kwargs):
+    raise TypeError(
+        "a shared empty is never edited: give the element its own "
+        "container first (own_children, or a fresh dict)")
+
+
+class _NoKids(list):
+    """The type of :data:`NO_KIDS`: an empty list that stays empty."""
+
+    __slots__ = ()
+
+    append = extend = insert = remove = pop = clear = sort = reverse = \
+        __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+    def __reduce__(self):
+        return "NO_KIDS"
+
+
+class _NoAttrs(dict):
+    """The type of :data:`NO_ATTRS`: an empty dict that stays empty."""
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = pop = popitem = update = setdefault = \
+        clear = __ior__ = _refuse
+
+    def __reduce__(self):
+        return "NO_ATTRS"
+
+
+#: The ``children`` of every element built without children, and the
+#: ``attrib`` of every element built without attributes.  Copying or
+#: pickling either gives the same object back.
+NO_KIDS = _NoKids()
+NO_ATTRS = _NoAttrs()
+
+
+def own_children(element):
+    """*element*'s ``children``, made a private list if it was the
+    shared :data:`NO_KIDS`: for code that appends to it directly."""
+    children = element.children
+    if children is NO_KIDS:
+        children = element.children = []
+    return children
+
+
 class Text:
     """A character-data node, outside the tree: the XPath view of an
     element's ``text`` (``Text(element.text, element)``: the *parent*
@@ -126,6 +180,12 @@ class Element:
     stamp as it was: it either restamps what it edited
     (:func:`restamp`), clears ``_kid_maps`` there, or never reads
     either memo of the edited elements until they are restamped.
+
+    An element without children holds :data:`NO_KIDS`, and one without
+    attributes :data:`NO_ATTRS`.  A direct edit of a leaf's
+    ``children`` or ``attrib`` allocates first (:func:`own_children`)
+    or assigns a fresh container: editing a shared empty raises
+    ``TypeError``.
     """
 
     __slots__ = ("tag", "attrib", "children", "text", "parent",
@@ -135,12 +195,12 @@ class Element:
         if not is_valid_name(tag):
             raise XmlStructureError(f"invalid element name: {tag!r}")
         self.tag = tag
-        self.attrib = dict(attrib) if attrib else {}
+        self.attrib = dict(attrib) if attrib else NO_ATTRS
         for name, value in self.attrib.items():
             if not is_valid_name(name):
                 raise XmlStructureError(f"invalid attribute name: {name!r}")
             xml_string(value)
-        self.children = []
+        self.children = NO_KIDS
         self.text = None
         self.parent = None
         self._version = 0
@@ -167,16 +227,20 @@ class Element:
         """
         node = cls.__new__(cls)
         node.tag = tag
-        node.attrib = attrib
+        node.attrib = attrib or NO_ATTRS
         node.text = text
         node.parent = None
         node._ser_cache = None
         node._kid_maps = None
         node._ser_origin = None
-        node.children = children
-        for child in children:
-            child.parent = node
-        node._version = next(_VERSION_CLOCK) if children else 0
+        if children:
+            node.children = children
+            for child in children:
+                child.parent = node
+            node._version = next(_VERSION_CLOCK)
+        else:
+            node.children = NO_KIDS
+            node._version = 0
         return node
 
     def dispose(self):
@@ -198,7 +262,7 @@ class Element:
         while stack:
             node = stack.pop()
             children = node.children
-            node.children = []
+            node.children = NO_KIDS
             node._kid_maps = None
             node._ser_origin = None
             for child in children:
@@ -239,13 +303,17 @@ class Element:
         if not is_valid_name(name):
             raise XmlStructureError(f"invalid attribute name: {name!r}")
         value = xml_string(value)
-        if self.attrib.get(name, _ABSENT) != value:
-            self.attrib[name] = value
+        attrib = self.attrib
+        if attrib.get(name, _ABSENT) != value:
+            if attrib is NO_ATTRS:
+                attrib = self.attrib = {}
+            attrib[name] = value
             self._touch()
 
     def delete_attribute(self, name):
         """Remove attribute *name*; a no-op if it is absent."""
-        if self.attrib.pop(name, _ABSENT) is not _ABSENT:
+        attrib = self.attrib
+        if attrib and attrib.pop(name, _ABSENT) is not _ABSENT:
             self._touch()
 
     @property
@@ -270,7 +338,7 @@ class Element:
             raise XmlStructureError("node already has a parent; detach it first")
         else:
             node.parent = self
-            self.children.append(node)
+            own_children(self).append(node)
         self._touch()
         return node
 
@@ -283,7 +351,7 @@ class Element:
         """Detach child *node* from this element."""
         try:
             self.children.remove(node)
-        except ValueError:
+        except (ValueError, TypeError):  # TypeError: a leaf's NO_KIDS
             raise XmlStructureError("node is not a child of this element") from None
         node.parent = None
         self._touch()
@@ -300,7 +368,7 @@ class Element:
             return
         for child in self.children:
             child.parent = None
-        self.children = []
+        self.children = NO_KIDS
         self.text = None
         self._touch()
 
@@ -591,24 +659,30 @@ def copy_subtree(node, drop=(), carry_memo=False):
         clone = stack.pop()
         source = stack.pop()
         clone.tag = source.tag
-        attrib = source.attrib.copy()
-        for name in drop:
-            if name in attrib:
-                del attrib[name]
-        clone.attrib = attrib
+        attrib = source.attrib
+        if attrib:
+            attrib = attrib.copy()
+            for name in drop:
+                if name in attrib:
+                    del attrib[name]
+            clone.attrib = attrib or NO_ATTRS
+        else:
+            clone.attrib = NO_ATTRS
         clone.text = source.text
         clone._ser_cache = clone._kid_maps = clone._ser_origin = None
-        children = []
-        for child in source.children:
-            copy = new(Element)
-            copy.parent = clone
-            children.append(copy)
-            stack.append(child)
-            stack.append(copy)
-        clone.children = children
-        if children:
+        kids = source.children
+        if kids:
+            children = []
+            for child in kids:
+                copy = new(Element)
+                copy.parent = clone
+                children.append(copy)
+                stack.append(child)
+                stack.append(copy)
+            clone.children = children
             parents.append(clone)
         else:
+            clone.children = NO_KIDS
             clone._version = 0
         if carry_memo:
             pairs.append((source, clone))

@@ -6,6 +6,7 @@ from repro.core import HierarchySchema, PartitionPlan
 from repro.core.invariants import dns_ownership_violations
 from repro.net import Cluster
 from repro.xmlkit import Element, parse_fragment
+from repro.xmlkit.nodes import NO_ATTRS, NO_KIDS
 
 #: The document of the paper's Figures 3/4, extended with a second
 #: neighborhood and city so multi-site scenarios are interesting.
@@ -109,6 +110,19 @@ def three_site_plan():
 
 
 G0_S1 = (("region", "R"), ("group", "g0"), ("sensor", "s1"))
+
+
+@pytest.fixture(autouse=True)
+def shared_empties_stay_empty():
+    """Every childless element holds ``NO_KIDS`` and every attribute-less
+    one ``NO_ATTRS``: a test that leaves either filled (a bypass of its
+    refusing mutators, such as ``list.append(leaf.children, x)``) fails
+    here, and the empties are emptied again for the next test."""
+    yield
+    filled = [repr(shared) for shared in (NO_KIDS, NO_ATTRS) if shared]
+    list.clear(NO_KIDS)
+    dict.clear(NO_ATTRS)
+    assert not filled, f"a shared empty was filled: {filled}"
 
 
 @pytest.fixture

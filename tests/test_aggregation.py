@@ -11,6 +11,7 @@ query, and the wrapper evaluated over its matches.
 """
 
 import math
+import threading
 
 import pytest
 
@@ -643,6 +644,22 @@ class TestDerivedSensors:
         cluster.agents["root"].continuous.on_update(
             (("region", "R"), ("group", "g0"), ("sensor", "s0")))
         assert sensor.last_value == 37.0
+
+    def test_the_write_back_holds_the_site_guard(self, monkeypatch):
+        # The refresh at registration runs on the caller's thread, which
+        # holds no guard: the write into the site database takes it.
+        cluster = build_cluster()
+        agent = cluster.agents["root"]
+        held, write = [], agent.database.apply_update
+
+        def recording(*args, **kwargs):
+            held.append(agent.guard._owner == threading.get_ident())
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(agent.database, "apply_update", recording)
+        cluster.subsystem("aggregation").register_derived_sensor(
+            (("region", "R"),), "d0", self.FORMULA)
+        assert held == [True]
 
     @pytest.mark.parametrize("formula, expected", [
         # XPath's mod truncates toward zero: -7 mod 3 is -1, not 2.

@@ -10,6 +10,7 @@ from repro.core import (
     AnswerBuilder,
     CoreError,
     PartitionPlan,
+    SensorDatabase,
     Status,
     Subquery,
     fragment_violations,
@@ -19,7 +20,7 @@ from repro.core import (
 )
 from repro.core.idable import iter_idable
 from repro.core.qeg import compile_pattern
-from repro.xmlkit import Element
+from repro.xmlkit import Element, parse_fragment
 from repro.xpath import parse
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
@@ -110,6 +111,21 @@ class TestAnswerBuilder:
         fragment = builder.build()
         city = fragment.child("state").child("county").child("city")
         assert len(list(city.element_children("neighborhood"))) == 2
+
+
+    def test_a_node_that_is_no_idable_child_gets_a_stub_of_its_own(self):
+        # Two siblings share (tag, id), so neither is an IDable child
+        # and the parent's ID information stubs neither: including one
+        # appends its stub to the parent's still childless skeleton node.
+        database = SensorDatabase(parse_fragment(
+            "<r id='R' status='owned'><a id='x' status='owned'>1</a>"
+            "<a id='x' status='owned'>2</a></r>"))
+        builder = AnswerBuilder(database)
+        builder.include_local_information(database.root.children[1])
+        fragment = builder.build()
+        [stub] = fragment.children
+        assert (stub.tag, stub.id, stub.text) == ("a", "x", "2")
+        assert stub.parent is fragment
 
 
 class _CountingBuilder(AnswerBuilder):

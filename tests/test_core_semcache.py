@@ -1,23 +1,16 @@
-"""Canonical keys, the summary store, the query log and prewarming.
+"""Canonical keys and the summary store.
 
-Covers the pieces in ``repro.core.semcache`` in isolation (the
-canonicalizer and its bounds, the query log), the aggregation
-summaries' store (``repro.agg.summaries``), and their integration
-points: the QEG compile cache keyed by canonical form, jittered bounds
-end to end (a subquery carries the caller's own bound), prewarming a
-cold cluster, and the EXPLAIN cache section.
+Covers ``repro.core.semcache`` in isolation (the canonicalizer and its
+bounds), the aggregation summaries' store (``repro.agg.summaries``),
+and their integration points: the QEG compile cache keyed by canonical form, jittered bounds
+end to end (a subquery carries the caller's own bound), and the
+EXPLAIN cache section.
 """
 
 from repro.agg import summary_key
 from repro.agg.summaries import SUMMARY_MAX_ENTRIES, SummaryStore
 from repro.core.qeg import compile_pattern, pattern_key_stats
-from repro.core.semcache import (
-    QueryLog,
-    canonical_key,
-    canonicalize,
-    prewarm,
-    unique_entries,
-)
+from repro.core.semcache import canonical_key, canonicalize
 from repro.net import Cluster
 
 from tests.conftest import FIGURE2_QUERY
@@ -253,179 +246,6 @@ class TestCompileKeying:
         assert second.items[-1].pinned_ids == {"Shadyside"}
         assert second.source == canonical_key(
             PREFIX + "/neighborhood[@id='Shadyside']")
-
-
-# ----------------------------------------------------------------------
-# Query log and prewarming
-# ----------------------------------------------------------------------
-class TestQueryLog:
-    def test_record_and_iterate(self):
-        log = QueryLog()
-        log.record(FIGURE2_QUERY, query_type=1, site="top")
-        log.record("count(/a/b)")
-        assert len(log) == 2
-        entries = list(log)
-        assert entries[0] == {"query": FIGURE2_QUERY, "type": 1,
-                              "site": "top"}
-        assert entries[1] == {"query": "count(/a/b)"}
-
-    def test_bounded(self):
-        log = QueryLog(max_records=3)
-        for i in range(10):
-            log.record(f"/q{i}")
-        assert len(log) == 3
-        assert [e["query"] for e in log] == ["/q7", "/q8", "/q9"]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        log = QueryLog()
-        log.record(FIGURE2_QUERY, query_type=2)
-        log.record("count(/a)", site="oak")
-        path = tmp_path / "queries.jsonl"
-        assert log.save(path) == 2
-        loaded = QueryLog.load(path)
-        assert list(loaded) == list(log)
-
-    def test_unique_queries_dedupe_by_canonical_key(self):
-        log = QueryLog()
-        log.record(PREFIX + "//parkingSpace[available='yes'][price='0']")
-        log.record(PREFIX + "//parkingSpace[price='0'][available='yes']")
-        log.record(PREFIX + "//parkingSpace[ available = 'yes' ]")
-        unique = log.unique_queries()
-        assert len(unique) == 2
-        # first spelling wins
-        assert unique[0]["query"].endswith("[available='yes'][price='0']")
-
-    def test_plain_entries_dedupe_like_the_log(self):
-        # prewarm() dedupes a plain iterable with the log's own helper;
-        # a query that does not parse keys as itself.
-        queries = [PREFIX + "//parkingSpace[available='yes'][price='0']",
-                   "this is not xpath",
-                   PREFIX + "//parkingSpace[price='0'][available='yes']",
-                   "this is not xpath"]
-        log = QueryLog()
-        for query in queries:
-            log.record(query)
-        entries = [{"query": query} for query in queries]
-        assert unique_entries(entries) == log.unique_queries()
-        assert [entry["query"] for entry in unique_entries(entries)] == (
-            queries[:2])
-
-
-class TestPrewarm:
-    def test_prewarm_fills_caches_from_log(self, paper_cluster):
-        warmable = PREFIX + "/neighborhood[@id='Shadyside']/block[@id='1']"
-        log = QueryLog()
-        log.record(warmable)
-        log.record(f"count({PREFIX}//parkingSpace[available='yes'])")
-        report = prewarm(paper_cluster, log)
-        # Each query warmed its own LCA site, as live routing would.
-        assert report == {
-            "replayed": 2, "failures": 0, "unique": 2,
-            "by_site": {"shady": 1, "top": 1},
-        }
-        agent = paper_cluster.agent("shady")
-        assert agent.driver.stats["prewarm_queries"] == 1
-        assert paper_cluster.agent("top").driver.stats[
-            "prewarm_queries"] == 1
-        # The count was rolled up: its summary is warm at its LCA.
-        assert len(paper_cluster.agent("top").aggregation.summaries) == 1
-        # The warmed site serves the logged query from cache: re-asking
-        # (routed to the same LCA) sends nothing new over the wire.
-        sent = agent.stats["subqueries_sent"]
-        paper_cluster.query(warmable)
-        assert agent.stats["subqueries_sent"] == sent
-
-    def test_prewarm_deduplicates_jittered_spellings(self, paper_cluster):
-        queries = [
-            FIGURE2_QUERY,
-            FIGURE2_QUERY.replace("available='yes'",
-                                  " available = 'yes' "),
-        ]
-        report = prewarm(paper_cluster, queries)
-        assert report["unique"] == 1
-        assert report["replayed"] == 1
-
-    def test_prewarm_limit_and_bad_queries(self, paper_cluster):
-        report = prewarm(paper_cluster, ["this is not xpath",
-                                         FIGURE2_QUERY], deduplicate=False)
-        assert report["failures"] == 1
-        assert report["replayed"] == 1
-        limited = prewarm(paper_cluster, [FIGURE2_QUERY, "count(/a/b)"],
-                          limit=1)
-        assert limited["unique"] == 1
-
-    def test_cluster_prewarm_delegates(self, paper_cluster):
-        report = paper_cluster.prewarm([FIGURE2_QUERY])
-        assert report["replayed"] == 1
-
-    def test_a_saved_live_log_warms_a_fresh_deployment(self, tmp_path):
-        """Live traffic is logged and saved, and a fresh deployment is
-        prewarmed from the file: replaying the log there sends no ask
-        for most queries, more than on a cold one, and the jittered
-        spellings of logged scalars hit the summaries prewarm stored."""
-        from repro.arch import hierarchical
-        from repro.service import (
-            ParkingConfig,
-            QueryWorkload,
-            build_parking_document,
-            parking,
-            run_live,
-        )
-
-        config = ParkingConfig.tiny()
-
-        def deployment():
-            return Cluster(build_parking_document(config),
-                           hierarchical(config, n_sites=7).plan)
-
-        def summary_hits(cluster):
-            return cluster.metrics()["aggregation"]["summary"]["hits"]
-
-        def served_without_asks(cluster, entries):
-            served = 0
-            for entry in entries:
-                before = [agent.stats["subqueries_sent"]
-                          for agent in cluster.agents.values()]
-                cluster.query(entry["query"])
-                served += before == [agent.stats["subqueries_sent"]
-                                     for agent in cluster.agents.values()]
-            return served / len(entries)
-
-        base = parking.type1_query(
-            config, config.city_names()[0], config.neighborhood_names()[0],
-            config.block_ids()[0], selection="cheap")
-        spaced = base.replace("[available='yes'][price='0']",
-                              "[ price = '0' ][ available = 'yes' ]")
-        pairs = [(f"count({base})", f"count( {spaced} )"),
-                 (f"count({base}[timestamp > now - 30])",
-                  f"count({base}[timestamp > now - 28])")]
-
-        live = deployment()
-        log = QueryLog()
-        run_live(live, QueryWorkload.qw_mix(config, skew=0.8, seed=11), 40,
-                 query_log=log)
-        for stored, jitter in pairs:
-            live.scalar(stored, max_age=600)
-            live.scalar(jitter, max_age=600)
-            log.record(stored)
-        assert summary_hits(live) >= len(pairs)
-        path = tmp_path / "queries.jsonl"
-        assert log.save(path) == 40 + len(pairs)
-
-        warm = deployment()
-        loaded = QueryLog.load(path)
-        report = prewarm(warm, loaded)
-        assert report["failures"] == 0 and report["replayed"] > 0
-        paths = [entry for entry in loaded
-                 if not entry["query"].startswith("count(")]
-        warm_rate = served_without_asks(warm, paths)
-        hits = summary_hits(warm)
-        for _stored, jitter in pairs:
-            warm.scalar(jitter, max_age=600)
-        assert summary_hits(warm) - hits >= len(pairs)
-        cold_rate = served_without_asks(deployment(), paths)
-        assert warm_rate >= 0.6
-        assert warm_rate > cold_rate
 
 
 # ----------------------------------------------------------------------

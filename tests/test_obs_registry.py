@@ -149,8 +149,8 @@ SITE_SCHEMA = {
     "engine": ["canonicalizer", "compile_keys", "index_hits",
                "index_misses", "index_rebuilds", "serialization"],
     "gather": ["failed_subqueries", "local_hits", "max_fanout",
-               "partial_gathers", "prewarm_queries", "queries",
-               "replica_served", "rounds", "subqueries_sent"],
+               "partial_gathers", "queries", "replica_served",
+               "rounds", "subqueries_sent"],
     "load": ["anchors", "queries", "unattributed"],
     "oa": OA_KEYS,
 }

@@ -2,6 +2,8 @@
 its child elements: the representation a block holds, and the ``text()``
 view XPath makes of it."""
 
+import gc
+
 from repro.core.database import SensorDatabase
 from repro.core.status import Status, clean_copy, set_status
 from repro.service.parking import ParkingConfig, build_parking_document
@@ -29,6 +31,18 @@ class TestRepresentation:
             assert len(leaves) == 60
             assert all(leaf.text is not None for leaf in leaves)
             assert serialize(tree) == serialize(parsed)
+
+    def test_a_copied_block_is_one_tracked_object_per_leaf(self):
+        # The collector tracks every element and every list; a dict of
+        # strings it does not.  A leaf's children are the shared NO_KIDS
+        # and its attributes the shared NO_ATTRS (both tracked, once).
+        elements = list(clean_copy(_block()).iter())
+        tracked = {id(held) for element in elements
+                   for held in (element, element.children, element.attrib)
+                   if gc.is_tracked(held)}
+        with_children = sum(1 for element in elements if element.children)
+        assert (len(elements), with_children) == (81, 21)
+        assert len(tracked) == len(elements) + with_children + 2 == 104
 
     def test_setting_the_held_value_leaves_the_stamp_alone(self):
         block = _block()

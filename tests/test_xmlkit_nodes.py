@@ -1,7 +1,12 @@
 """Unit tests for the XML node model."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.core.idable import id_stub
+from repro.core.status import Status, clean_copy
 from repro.xmlkit import (
     Document,
     Element,
@@ -11,6 +16,7 @@ from repro.xmlkit import (
     parse_fragment,
     serialize,
 )
+from repro.xmlkit.nodes import NO_ATTRS, NO_KIDS, copy_subtree
 
 
 class TestNames:
@@ -283,6 +289,120 @@ class TestDispose:
         assert target.children == [adopted]
         assert adopted.text == "7"
         assert target.child("value") is adopted
+
+
+def _leaves(tree):
+    return [element for element in tree.iter() if not element.children]
+
+
+class TestSharedEmpties:
+    """A childless element holds the one ``NO_KIDS`` and an
+    attribute-less one the one ``NO_ATTRS``; the mutators give an
+    element containers of its own on its first write."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Element("a"),
+        lambda: Element("a", attrib={}, text="1"),
+        lambda: Element.assemble("a", {}, []),
+        lambda: parse_fragment("<r><a>1</a><b/></r>"),
+        lambda: copy_subtree(parse_fragment("<r><a>1</a><b/></r>")),
+        lambda: copy_subtree(Element("r", children=[
+            Element("a", attrib={"status": "owned"})]), drop={"status"}),
+        lambda: clean_copy(_zone_tree()).child("zone").child("value"),
+        lambda: id_stub(Element("a")),
+        lambda: Element("a", children=[Element("b")]).shallow_copy(),
+    ], ids=["init", "init-empty-attrib", "assemble", "parse", "copy",
+            "copy-drop", "clean-copy", "id-stub", "shallow-copy"])
+    def test_a_built_leaf_holds_the_shared_empties(self, build):
+        tree = build()
+        leaves = [leaf for leaf in _leaves(tree) if leaf.id is None]
+        assert leaves
+        for leaf in leaves:
+            assert leaf.children is NO_KIDS
+            assert leaf.attrib is NO_ATTRS
+
+    def test_an_id_stub_shares_only_the_children(self):
+        stub = id_stub(Element("spot", attrib={"id": "s"}), Status.INCOMPLETE)
+        assert stub.children is NO_KIDS
+        assert stub.attrib == {"id": "s", "status": "incomplete"}
+
+    def test_a_disposed_tree_holds_no_children_of_its_own(self):
+        tree = _zone_tree()
+        zone = tree.child("zone")
+        tree.dispose()
+        assert tree.children is NO_KIDS and zone.children is NO_KIDS
+
+    def test_clearing_children_gives_back_the_shared_list(self):
+        element = Element("a", children=[Element("b")], text="x")
+        element.clear_children()
+        assert element.children is NO_KIDS and element.text is None
+
+    def test_the_first_append_allocates(self):
+        leaf, other = Element("a"), Element("c")
+        child = Element("b")
+        leaf.append(child)
+        other.extend([Element("d")])
+        assert leaf.children == [child] and leaf.children is not NO_KIDS
+        assert other.children is not leaf.children
+        assert NO_KIDS == []
+
+    def test_the_first_set_allocates(self):
+        leaf, other = Element("a"), Element("c")
+        leaf.set("k", "v")
+        assert leaf.attrib == {"k": "v"} and leaf.attrib is not NO_ATTRS
+        assert other.attrib is NO_ATTRS and NO_ATTRS == {}
+
+    def test_deleting_from_a_leaf_is_a_no_op(self):
+        leaf = Element("a")
+        stamp = leaf.subtree_version
+        leaf.delete_attribute("timestamp")
+        assert leaf.attrib is NO_ATTRS and leaf.subtree_version == stamp
+
+    def test_removing_from_a_leaf_raises(self):
+        with pytest.raises(XmlStructureError):
+            Element("a").remove(Element("b"))
+
+    def test_a_leaf_refuses_direct_edits(self):
+        leaf = Element("a")
+        with pytest.raises(TypeError):
+            leaf.children.append(Element("b"))
+        with pytest.raises(TypeError):
+            leaf.attrib["k"] = "v"
+        assert leaf.children == [] and leaf.attrib == {}
+
+    @pytest.mark.parametrize("edit", [
+        lambda kids: kids.append(1), lambda kids: kids.extend([1]),
+        lambda kids: kids.insert(0, 1), lambda kids: kids.remove(1),
+        lambda kids: kids.pop(), lambda kids: kids.clear(),
+        lambda kids: kids.sort(), lambda kids: kids.reverse(),
+        lambda kids: kids.__setitem__(slice(0, 0), [1]),
+        lambda kids: kids.__delitem__(slice(None)),
+        lambda kids: kids.__iadd__([1]), lambda kids: kids.__imul__(2),
+    ])
+    def test_every_list_mutator_raises(self, edit):
+        with pytest.raises(TypeError):
+            edit(NO_KIDS)
+        assert NO_KIDS == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda attrs: attrs.__setitem__("k", "v"),
+        lambda attrs: attrs.__delitem__("k"),
+        lambda attrs: attrs.pop("k", None), lambda attrs: attrs.popitem(),
+        lambda attrs: attrs.update(k="v"), lambda attrs: attrs.setdefault("k"),
+        lambda attrs: attrs.clear(), lambda attrs: attrs.__ior__({"k": "v"}),
+    ])
+    def test_every_map_mutator_raises(self, edit):
+        with pytest.raises(TypeError):
+            edit(NO_ATTRS)
+        assert NO_ATTRS == {}
+
+    def test_a_copied_or_pickled_leaf_still_allocates_on_write(self):
+        for leaf in (copy.deepcopy(Element("a")),
+                     pickle.loads(pickle.dumps(Element("a")))):
+            assert leaf.children is NO_KIDS and leaf.attrib is NO_ATTRS
+            leaf.append(Element("b"))
+            leaf.set("k", "v")
+            assert len(leaf.children) == 1 and leaf.attrib == {"k": "v"}
 
 
 class TestDocument:
