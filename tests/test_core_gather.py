@@ -10,6 +10,7 @@ from repro.core import (
     Status,
     get_status,
 )
+from repro.core.gather import hand_over
 from repro.xmlkit import serialize
 
 from tests.conftest import (
@@ -24,7 +25,9 @@ PREFIX = ("/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
 
 
 def build_mesh(paper_doc, cache_results=True):
-    """Drivers for a 3-site deployment with direct owner routing."""
+    """Drivers for a 3-site deployment with direct owner routing.  A
+    reply goes to its receiver as :class:`~repro.net.LoopbackNetwork`
+    hands it over: the stored subtrees it lends are copied."""
     plan = PartitionPlan({
         "top": [id_path("usRegion=NE")],
         "oak": [OAKLAND],
@@ -45,7 +48,7 @@ def build_mesh(paper_doc, cache_results=True):
         def send_one(subquery):
             target = owner_site_of(subquery.anchor_path)
             sent_log.append((site, target, subquery.query))
-            return drivers[target].answer_any(subquery.query)
+            return hand_over(drivers[target].answer_any(subquery.query))
         return lambda pending: [send_one(subquery) for subquery in pending]
 
     for site, db in dbs.items():
@@ -114,6 +117,21 @@ class TestAnswering:
             "/block[@id='1' or @id='2']")
         assert len(results) == 2
         assert all("block[@id = '2']" in q for _s, _t, q in log)
+
+    @pytest.mark.parametrize("cache_results", [True, False])
+    def test_gathers_leave_every_owner_as_it_was(self, paper_doc,
+                                                 cache_results):
+        drivers, dbs, log = build_mesh(paper_doc,
+                                       cache_results=cache_results)
+        owners = {site: serialize(dbs[site].root, use_cache=False)
+                  for site in ("oak", "shady")}
+        for query in (FIGURE2_QUERY,
+                      PREFIX + "/neighborhood[@id='Oakland']/block[@id='1']",
+                      PREFIX + "/neighborhood[@id='Shadyside']/block"):
+            assert drivers["top"].answer_user_query(query)[0]
+        assert {target for _site, target, _query in log} >= {"oak", "shady"}
+        assert {site: serialize(dbs[site].root, use_cache=False)
+                for site in owners} == owners
 
     def test_empty_answer_for_nonexistent(self, paper_doc):
         drivers, _dbs, _log = build_mesh(paper_doc)

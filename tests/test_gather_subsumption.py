@@ -113,6 +113,7 @@ class TestSubsumptionEndToEnd:
         """The Section-2-style query makes exactly one subquery per
         missing neighborhood, not one per parking-space stub."""
         from repro.core import GatherDriver
+        from repro.core.gather import hand_over
 
         plan = PartitionPlan({
             "top": [id_path("usRegion=NE")],
@@ -126,7 +127,7 @@ class TestSubsumptionEndToEnd:
             def send_one(subquery):
                 path = tuple(tuple(e) for e in subquery.anchor_path)
                 target = "oak" if path[:5] == OAKLAND else "shady"
-                return drivers[target].answer_any(subquery.query)
+                return hand_over(drivers[target].answer_any(subquery.query))
             return lambda pending: [send_one(sq) for sq in pending]
 
         for site, db in dbs.items():
