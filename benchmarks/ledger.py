@@ -9,12 +9,20 @@ items included.
 
     PYTHONPATH=src:. python benchmarks/ledger.py           # paper_small
     PYTHONPATH=src:. python benchmarks/ledger.py --tiny    # the ledger
+    PYTHONPATH=src:. python benchmarks/ledger.py --tiny \
+        --check benchmarks/ledger_tiny.md                  # and compare
 
 The default is the probe table: ``ParkingConfig.paper_small()`` on nine
 sites (``site-1`` holds Pittsburgh), the seven path rows and the count
 row.  ``--tiny`` prints every ledger row on ``ParkingConfig.tiny()``,
 the dead-owner rollups included.  Wall times are this host's, for
 shape only; the counts are exact.
+
+``--check FILE`` compares the printed table with *FILE*, an earlier
+printing of the same table: every row's messages, asks and KiB must
+match (wall ms is left out), else the script names the rows that
+differ and exits 1.  ``benchmarks/ledger_tiny.md`` is the ``--tiny``
+table; a change that moves traffic on purpose prints it again.
 """
 
 import argparse
@@ -60,27 +68,67 @@ def pose(config, query, dead, scalar, n_sites):
                            in zip(posings, walls)]
 
 
+def traffic(lines):
+    """``{row: [(messages, asks, KiB), ...]}`` of a printed table, each
+    posing's cells as printed, wall ms left out."""
+    costs = {}
+    for line in lines:
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("| ") or cells[0] == "row":
+            continue
+        costs[cells[0]] = [tuple(cell.split(" / ")[:3])
+                           for cell in cells[2:]]
+    return costs
+
+
+def differences(printed, expected):
+    """The rows whose traffic in *printed* differs from *expected*'s
+    (both lists of lines), one line each."""
+    mine, theirs = traffic(printed), traffic(expected)
+    lines = []
+    if printed[:1] != expected[:1]:
+        lines.append(f"deployment: {printed[:1]} against {expected[:1]}")
+    for name in dict.fromkeys([*theirs, *mine]):
+        if mine.get(name) != theirs.get(name):
+            lines.append(f"{name}: {mine.get(name)} against "
+                         f"{theirs.get(name)}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tiny", action="store_true",
                         help="every ledger row on ParkingConfig.tiny()")
+    parser.add_argument("--check", metavar="FILE",
+                        help="exit 1 unless every row's messages, asks "
+                             "and KiB equal FILE's")
     args = parser.parse_args(argv)
     config, table = rows(args.tiny)
     n_sites = 7 if args.tiny else 9
-    print(f"{'tiny' if args.tiny else 'paper_small'}, {n_sites} sites, "
-          f"posed {ledger.POSINGS} times at the first city's site: "
-          "messages / asks / KiB / wall ms")
     header = ["row", "value"] + [f"posing {n + 1}"
                                  for n in range(ledger.POSINGS)]
-    print("| " + " | ".join(header) + " |")
-    print("|" + "---|" * len(header))
+    printed = [f"{'tiny' if args.tiny else 'paper_small'}, {n_sites} "
+               f"sites, posed {ledger.POSINGS} times at the first city's "
+               "site: messages / asks / KiB / wall ms",
+               "| " + " | ".join(header) + " |",
+               "|" + "---|" * len(header)]
+    for line in printed:
+        print(line)
     for name, query, dead, scalar in table:
         value, costs = pose(config, query, dead, scalar, n_sites)
         cells = [f"{messages} / {asks} / {size / 1024:.1f} / "
                  f"{wall * 1000:.1f}"
                  for messages, asks, size, wall in costs]
-        print(f"| {name} | {value:g} | " + " | ".join(cells) + " |")
+        printed.append(f"| {name} | {value:g} | " + " | ".join(cells) + " |")
+        print(printed[-1])
+    if args.check:
+        expected = Path(args.check).read_text().splitlines()
+        found = differences(printed, expected)
+        for line in found:
+            print(f"traffic differs from {args.check}: {line}")
+        return 1 if found else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

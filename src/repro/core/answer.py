@@ -25,7 +25,7 @@ it is stored: the reply *lends* the stored subtree, and the serializer
 writes it from the subtree's version-stamped memo.  A lent subtree
 never leaves the serving site's guard as a live object: the envelope
 is serialized inside the hold, and a receiver in the same process gets
-a copy taken there.
+the reply with a copy, taken there, in place of each lent subtree.
 
 The paper splices subquery answers into ``asksubquery`` placeholders
 inside an annotated result document; because our wire fragments are
@@ -340,16 +340,33 @@ class AnswerBuilder:
 
 
 def private_copy(fragment):
-    """A copy of a built *fragment* that its receiver may keep: the
-    skeleton and the stored subtrees it lends, copied in one pass.
+    """A built *fragment* as its receiver may keep it: the reply's
+    skeleton is kept, and each stored subtree it lends is swapped for a
+    copy.
 
     For a receiver in the serving site's process, under the serving
-    site's guard.  The skeleton is the reply's alone, so it is disposed
-    (which stops at the lent subtrees).
+    site's guard.  The skeleton is the reply's alone, so it is neither
+    copied nor disposed: each skeleton node whose children changed is
+    restamped, and the origin links its content copies keep into the
+    serving database (:meth:`Element.copy`) are dropped.  A lent child
+    is the one whose ``parent`` is not the skeleton node listing it.
     """
-    copy = copy_subtree(fragment)
-    fragment.dispose()
-    return copy
+    stack = [fragment]
+    while stack:
+        node = stack.pop()
+        node._ser_origin = None
+        swapped = False
+        kids = node.children
+        for index, child in enumerate(kids):
+            if child.parent is node:
+                stack.append(child)
+            else:
+                kids[index] = copy = copy_subtree(child)
+                copy.parent = node
+                swapped = True
+        if swapped:
+            node._touch()
+    return fragment
 
 
 class GapFinder(AnswerBuilder):

@@ -18,7 +18,6 @@ from repro.core.idable import (
     find_by_id_path,
     format_id_path,
     id_path_of,
-    id_stub,
     idable_child_map,
     idable_children,
     iter_idable_with_paths,
@@ -28,6 +27,7 @@ from repro.core.idable import (
 )
 from repro.core.status import (
     STATUS_ATTRIBUTE,
+    TIMESTAMP_ATTRIBUTE,
     Status,
     get_status,
     get_timestamp,
@@ -36,7 +36,8 @@ from repro.core.status import (
 )
 from repro.xmlkit.errors import XmlStructureError
 from repro.xmlkit.nodes import (
-    NO_KIDS, Element, copy_subtree, is_valid_name, xml_string)
+    NO_KIDS, Element, child_index, copy_subtree, is_valid_name,
+    own_children, restamp, xml_string)
 
 
 class SensorDatabase:
@@ -147,10 +148,9 @@ class SensorDatabase:
         """Whether removing/adding this non-IDable content can change
         which nodes are IDable (id-bearing elements hiding in it)."""
         for child in children:
-            if isinstance(child, Element):
-                for node in child.iter():
-                    if node.attrib.get("id") is not None:
-                        return True
+            for node in child.iter() if child.children else (child,):
+                if node.attrib.get("id") is not None:
+                    return True
         return False
 
     def debug_verify_index(self, expect_current=True):
@@ -366,10 +366,14 @@ class SensorDatabase:
           data replaces older ("replaces it if a fresh copy of the same
           data is available", Section 3.3).
 
-        Content is copied out of *fragment* unless the caller passes
-        ``handed_over=True``: a fragment nobody else holds (the gather
-        driver's owner replies) gives its non-IDable content to the
-        database and is left gutted -- only its IDable skeleton remains.
+        An IDable child the database lacks arrives whole, as a stub
+        graft and a merge into it would leave it, in one pass over the
+        region (:meth:`_settle_region`).  Content and regions are copied
+        out of *fragment* unless the caller passes ``handed_over=True``:
+        a fragment nobody else holds (the gather driver's owner replies)
+        gives them to the database.  It is left holding only the IDable
+        nodes the database already held, gutted of their non-IDable
+        content, with their statuses as the sender wrote them.
 
         Returns the stored nodes whose local information the fragment
         carried (what a reply vouches for), owned ones included, in the
@@ -417,39 +421,105 @@ class SensorDatabase:
             incoming_status.rank == target_status.rank
             and incoming_status.has_local_information
         ):
-            new_time = get_timestamp(incoming)
-            old_time = get_timestamp(target)
-            if new_time is not None and (old_time is None or new_time > old_time):
+            # Equal stamps are the common case (an unchanged copy): the
+            # strings decide it without parsing either.
+            new_time = incoming.attrib.get(TIMESTAMP_ATTRIBUTE)
+            old_time = target.attrib.get(TIMESTAMP_ATTRIBUTE)
+            if new_time is not None and new_time != old_time and (
+                    old_time is None or float(new_time) > float(old_time)):
                 self._adopt_content(target, incoming, incoming_status,
                                     handed_over)
                 self.stats["nodes_refreshed"] += 1
 
-        # Recurse into matched IDable children; graft unmatched ones.  A
-        # bare stub of a child held here would merge to nothing.
+        # Recurse into matched IDable children; bring unmatched ones in
+        # whole.  A bare stub of a child held here would merge to nothing.
+        idable = idable_children(incoming)
+        if not idable:
+            return
         keyed = idable_child_map(target)
-        for child in idable_children(incoming):
+        regions, edited = [], []
+        for child in idable:
             key = node_id(child)
             existing = keyed.get(key)
             if existing is None:
-                existing = self._graft_stub(target, child, path + (key,),
-                                            unique=key not in keyed)
-            elif not child.children and \
-                    get_status(child) is Status.INCOMPLETE:
-                continue
-            self._merge_node(existing, child, path + (key,), handed_over,
-                             carried)
+                region = child if handed_over else copy_subtree(child)
+                self._settle_region(region, path + (key,), key not in keyed,
+                                    carried, edited)
+                regions.append(region)
+            elif child.children or \
+                    get_status(child) is not Status.INCOMPLETE:
+                self._merge_node(existing, child, path + (key,),
+                                 handed_over, carried)
+        if regions:
+            if handed_over:
+                moved = set(map(id, regions))
+                incoming.children = [child for child in incoming.children
+                                     if id(child) not in moved] or NO_KIDS
+                incoming._kid_maps = None  # gutted under the same stamp
+            for region in regions:
+                region.parent = target
+            own_children(target).extend(regions)
+            restamp(edited)
+            target._touch()
 
-    def _graft_stub(self, target, incoming_child, path, unique):
-        stub = id_stub(incoming_child, Status.INCOMPLETE)
-        target.append(stub)
-        if unique:
-            self._index[path] = stub
-        else:
-            # The graft collided with same-id siblings (possible only
+    def _settle_region(self, top, path, unique, carried, edited):
+        """Store the region *top* -- an IDable child the target lacked,
+        moved or copied out of a reply, not yet attached -- as a stub
+        graft and a merge into it would: each IDable node in it, in
+        preorder, gets the receiver's view of its status, ``id`` first
+        and the other attributes in incoming order, its non-IDable
+        content before its IDable children, and an index entry; a node
+        without local information keeps only its id, status and IDable
+        children.  A key *top* shares with the target's other children
+        (not *unique*) invalidates the index.  The nodes are edited in
+        place and appended to *edited*, whose caller restamps them."""
+        if not unique:
+            # The region collides with same-id siblings (possible only
             # in degenerate trees): IDability around it changed in ways
             # not worth tracking incrementally.
             self._invalidate_index()
-        return stub
+        index = self._index
+        upgraded = 0
+        stack = [(top, path)]
+        while stack:
+            node, path = stack.pop()
+            attrib = node.attrib
+            status = get_status(node)
+            kids = child_index(node)
+            if kids is None:
+                idable, content = (), node.children
+            else:
+                idable = kids.idable
+                content = non_idable_children(node) \
+                    if len(idable) != len(node.children) else ()
+            if status.has_local_information:
+                carried.append(node)
+                if attrib[STATUS_ATTRIBUTE] != Status.COMPLETE.value or \
+                        next(iter(attrib)) != "id":
+                    attrib = {"id": attrib["id"], **attrib}
+                    attrib[STATUS_ATTRIBUTE] = Status.COMPLETE.value
+                    node.attrib = attrib
+                if content:
+                    if self._content_carries_ids(content):
+                        self._invalidate_index()
+                    if idable:
+                        node.children = content + list(idable)
+            else:
+                node.attrib = {"id": attrib["id"],
+                               STATUS_ATTRIBUTE: status.value}
+                node.text = None
+                if content:
+                    for child in content:
+                        child.parent = None
+                    node.children = list(idable) or NO_KIDS
+            if status.rank:
+                upgraded += 1
+            node._kid_maps = None
+            edited.append(node)
+            index[path] = node  # an invalidated index is rebuilt whole
+            stack.extend((child, path + (node_id(child),))
+                         for child in reversed(idable))
+        self.stats["nodes_upgraded"] += upgraded
 
     def _adopt_content(self, target, incoming, incoming_status, handed_over):
         """Replace *target*'s own-level content with *incoming*'s: moved

@@ -109,9 +109,10 @@ class PartialReply:
 def hand_over(reply):
     """*reply* -- a built fragment, ``None``, a :class:`PartialReply` or
     a scalar -- as a receiver in the serving site's process may keep
-    it: a fragment lends stored subtrees, so it goes as a
-    :func:`~repro.core.answer.private_copy`, taken under the serving
-    site's guard."""
+    it: a fragment lends stored subtrees, so they are swapped for
+    copies and its skeleton kept
+    (:func:`~repro.core.answer.private_copy`), under the serving site's
+    guard."""
     if isinstance(reply, PartialReply):
         return PartialReply(hand_over(reply.fragment), reply.failures)
     if isinstance(reply, Element):
@@ -228,7 +229,8 @@ def _subsumed_by(pending, answered, pattern):
 def _merge(view, fragment, vouched, handed_over=False):
     """Merge a reply into *view*, adding to a *vouched* set every node
     whose local information it carried (a node it only names is not).
-    The merge leaves the reply's IDable skeleton and statuses behind."""
+    A handed-over reply is left holding the IDable nodes *view* already
+    held, gutted, as the sender wrote them (:meth:`store_fragment`)."""
     carried = view.store_fragment(fragment, handed_over=handed_over)
     if vouched is not None:
         vouched.update(carried)

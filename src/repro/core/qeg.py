@@ -65,7 +65,7 @@ from repro.core.idable import (
     subtree_materialized,
 )
 from repro.core.status import Status, get_status
-from repro.core.subquery import render_id_path_query, render_residual_query
+from repro.core.subquery import render_id_path_query, render_residual_tail
 from repro.xmlkit.nodes import Element, Text, child_index
 from repro.xpath import parser as xpath_parser
 from repro.xpath.analysis import (
@@ -293,6 +293,10 @@ class CompiledPattern:
         self.items = items
         self.collect_index = collect_index
         self.is_idable_tag = is_idable_tag
+        #: ``(kind, j, gap) -> text`` of each ask tail a walk rendered:
+        #: what an ask adds after its anchor's id path, the same at
+        #: every anchor (:meth:`_Walker._render`).
+        self.tails = {}
 
     @functools.cached_property
     def ast(self):
@@ -347,6 +351,7 @@ class CompiledPattern:
                          for item, slots in zip(self.items, item_pins)]
         pattern.collect_index = self.collect_index
         pattern.is_idable_tag = self.is_idable_tag
+        pattern.tails = {}
         pattern._bound = (self, binding)
         pattern.anchor = tuple(id_path_of_pins(
             [(tag, binding.fill(slots)) for tag, slots in anchor_pins])) \
@@ -452,7 +457,8 @@ def compile_pattern(query, schema=None):
     pattern items) with a sentinel in each slot, into which the text's
     literals are bound: a new text of a known shape is neither parsed
     nor canonicalized (Section 4's fast creation, on the live path).
-    Compiled patterns are immutable and safe to share.
+    Compiled patterns are safe to share: what a walk adds to one, its
+    ask tails, is the same text whichever walk renders it first.
     """
     text = query if isinstance(query, str) else query.unparse()
     cache = PATTERN_CACHE if schema is None else schema.compiled_patterns
@@ -942,22 +948,31 @@ class _Walker:
     def _render(self, anchor, kind, j=None, gap=False):
         """``(text, anchor_path)`` of the *kind* of ask at *anchor*,
         rendered once per walk: the site guard holds the fragment still
-        meanwhile, so ``id(anchor)`` names one node throughout."""
+        meanwhile, so ``id(anchor)`` names one node throughout.  The
+        text is the anchor's id path joined to the ask's tail, which
+        the pattern keeps (:attr:`CompiledPattern.tails`)."""
         key = (id(anchor), kind, j, gap)
         rendered = self._rendered.get(key)
         if rendered is None:
             anchor_path = id_path_of(anchor)
-            if kind is _SUBTREE:
-                text = render_id_path_query(anchor_path)
-            elif kind is _BELOW:
-                text = render_residual_query(anchor_path, [], self.items[j:],
-                                             descendant_gap=gap)
-            else:
-                text = render_residual_query(
-                    anchor_path, self.items[j].residual_predicates,
-                    self.items[j + 1:])
-            rendered = self._rendered[key] = (text, anchor_path)
+            tails = self.pattern.tails
+            tail = tails.get(key[1:])
+            if tail is None:
+                tail = tails[key[1:]] = self._tail(kind, j, gap)
+            rendered = self._rendered[key] = (
+                render_id_path_query(anchor_path) + tail, anchor_path)
         return rendered
+
+    def _tail(self, kind, j, gap):
+        """What the *kind* of ask for item *j* adds after its anchor's
+        id path: item *j*'s residual predicates and the items after it
+        (a residual ask), items ``j:`` (an ask below), or nothing."""
+        if kind is _SUBTREE:
+            return ""
+        if kind is _BELOW:
+            return render_residual_tail((), self.items[j:], gap)
+        return render_residual_tail(self.items[j].residual_predicates,
+                                    self.items[j + 1:])
 
     def _stale(self, item, node, anchor):
         """Whether the cached copy *node* (data of the IDable *anchor*)

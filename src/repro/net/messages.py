@@ -417,9 +417,11 @@ class AnswerMessage(Message):
         return self.answers[0].left
 
     def hand_over(self):
-        """Swap every tree this reply lends for a private copy: a
-        fragment (its skeleton and the stored subtrees it lists) for a
-        copy, the skeleton disposed; results for clean copies.
+        """Swap every tree this reply lends for a private copy: each
+        stored subtree a fragment lists for a copy, its skeleton --
+        built for this reply alone -- kept
+        (:func:`~repro.core.answer.private_copy`); results for clean
+        copies.
 
         For a receiver in the serving site's process, which keeps what
         it is handed; called under the serving site's guard, after any

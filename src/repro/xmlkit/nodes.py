@@ -176,7 +176,8 @@ class Element:
     :class:`ChildIndex` -- is valid while its version stamp is
     unchanged.  Code that edits ``attrib``, ``children`` or ``text``
     directly, bypassing the mutators (a builder filling a private
-    skeleton, a merge gutting a fragment it was handed), leaves the
+    skeleton, a merge gutting a fragment it was handed, the merge's
+    region pass settling a region it brought in whole), leaves the
     stamp as it was: it either restamps what it edited
     (:func:`restamp`), clears ``_kid_maps`` there, or never reads
     either memo of the edited elements until they are restamped.

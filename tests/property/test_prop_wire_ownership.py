@@ -400,13 +400,14 @@ class TestMergeReturnsWhatItVouchesFor:
         database = _build_database()
         for spec in specs:
             fragment = _wire_fragment(spec)
+            # The reference: every node whose local information the
+            # fragment carried, found again by its id path.  Read before
+            # the merge: a handed-over region moves into the database.
+            paths = [path for path, node in iter_idable_with_paths(fragment)
+                     if get_status(node).has_local_information]
             carried = database.store_fragment(fragment,
                                               handed_over=handed_over)
-            # The reference: every node whose local information the
-            # fragment carried, found again by its id path.
-            reference = {database.find(path) for path, node
-                         in iter_idable_with_paths(fragment)
-                         if get_status(node).has_local_information}
+            reference = {database.find(path) for path in paths}
             assert set(map(id, carried)) == set(map(id, reference))
             assert None not in reference
             assert database.debug_verify_index() == []

@@ -1,8 +1,11 @@
 """Unit tests for the answer builder (C1/C2) and subquery rendering."""
 
+import sys
+import threading
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.core.answer as answer_module
 import repro.core.idable as idable_module
@@ -19,9 +22,17 @@ from repro.core import (
     render_residual_query,
 )
 from repro.core.idable import iter_idable
-from repro.core.qeg import compile_pattern
+from repro.core.qeg import compile_pattern, run_qeg
 from repro.xmlkit import Element, parse_fragment
 from repro.xpath import parse
+from repro.xpath.ast import (
+    BinaryOperation,
+    Literal,
+    LocationPath,
+    NameTest,
+    NodeTypeTest,
+    Step,
+)
 
 from tests.conftest import OAKLAND, PITTSBURGH, SHADYSIDE, id_path
 
@@ -269,6 +280,102 @@ class TestSubqueryRendering:
         query = render_residual_query(
             OAKLAND, [], pattern.items[1:], descendant_gap=True)
         assert "//parkingSpace" in query
+
+
+def _reference_steps(id_path, extra, items, gap):
+    """The AST steps an ask's text is the unparse of: the id path, each
+    step pinned by ``@id = '...'`` (the last one also carrying *extra*),
+    then the residual *items*, ``//`` before a descendant one and, with
+    *gap*, before the first."""
+    steps = []
+    for index, (tag, identifier) in enumerate(id_path):
+        pin = BinaryOperation("=", LocationPath(
+            absolute=False, steps=[Step("attribute", NameTest("id"))]),
+            Literal(identifier))
+        predicates = [pin] + (list(extra) if index == len(id_path) - 1
+                              else [])
+        steps.append(Step("child", NameTest(tag), predicates))
+    for index, item in enumerate(items):
+        if item.descendant or (gap and index == 0):
+            steps.append(Step("descendant-or-self", NodeTypeTest("node")))
+        steps.append(Step("child", item.step.node_test,
+                          list(item.step.predicates)))
+    return steps
+
+
+_IDS = st.text(alphabet="ab1 '\"-", min_size=1, max_size=6)
+_PREDICATES = ["", "[available='yes']", "[price > 5]",
+               "[@zone = \"o'k\"]", "[timestamp() > current-time() - 5]",
+               "[a/b or c]", "[@id='7' and price > 5][spot]"]
+_ITEMS = st.lists(st.tuples(st.sampled_from(["block", "spot", "*", "text()"]),
+                            st.booleans(), st.sampled_from(_PREDICATES)),
+                  max_size=4)
+
+
+class TestAskTextIsTheUnparseOfItsSteps:
+    @given(st.lists(st.tuples(st.sampled_from(["r", "city", "block"]), _IDS),
+                    min_size=1, max_size=4),
+           st.sampled_from(_PREDICATES), _ITEMS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_the_composed_text_equals_the_ast_unparse(
+            self, id_path, anchor_step, items, gap):
+        # The anchor step's residual predicates and the residual items
+        # come off a compiled pattern, as the walk's do.
+        query = "/r[@id='x']/anchor" + anchor_step + "".join(
+            ("//" if descendant else "/") + test + predicates
+            for test, descendant, predicates in items)
+        pattern = compile_pattern(query)
+        extra = pattern.items[1].residual_predicates
+        residual = pattern.items[2:]
+        reference = LocationPath(absolute=True, steps=_reference_steps(
+            id_path, extra, residual, gap)).unparse()
+        assert render_residual_query(id_path, extra, residual,
+                                     descendant_gap=gap) == reference
+        assert render_id_path_query(id_path, extra) == LocationPath(
+            absolute=True, steps=_reference_steps(id_path, extra, (), False)
+        ).unparse()
+
+
+def test_walks_on_many_threads_share_a_pattern_s_ask_tails(paper_doc):
+    # Each thread walks its own site database; the compiled pattern,
+    # and the ask tails it keeps, are shared.  Every text must be the
+    # one a lone walk renders.
+    pattern = compile_pattern(
+        "/usRegion[@id='NE']/state[@id='PA']/county[@id='Allegheny']"
+        "/city[@id='Pittsburgh']/neighborhood/block[@id='1' or @id='2']"
+        "/parkingSpace[price > 5]")
+
+    def database():
+        return PartitionPlan({"top": [id_path("usRegion=NE")],
+                              "oak": [OAKLAND]}).partition(paper_doc)[1]["top"]
+
+    def texts():
+        return sorted(ask.query for ask in run_qeg(database(),
+                                                   pattern).subqueries)
+
+    expected = texts()
+    assert expected
+    pattern.tails.clear()
+    seen, lock = [], threading.Lock()
+
+    def walk():
+        for _ in range(20):
+            found = texts()
+            with lock:
+                seen.append(found)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=walk) for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert seen == [expected] * 120
 
 
 class TestSubqueryObject:

@@ -145,7 +145,7 @@ def test_a_stale_block_is_rendered_once_per_walk_not_once_per_space(
     # Both of the block's stale spaces ask at the block; the second ask
     # reuses the first one's text instead of building it again.
     renders = []
-    render = qeg.render_residual_query
+    render = qeg.render_id_path_query
 
     def counting_render(*args, **kwargs):
         renders.append(args[0])
@@ -159,7 +159,7 @@ def test_a_stale_block_is_rendered_once_per_walk_not_once_per_space(
         return walks[-1]
 
     _warm(cluster, SHADY_BLOCK, settable_clock)
-    monkeypatch.setattr(qeg, "render_residual_query", counting_render)
+    monkeypatch.setattr(qeg, "render_id_path_query", counting_render)
     monkeypatch.setattr(gather, "run_qeg", spy)
     results, _, outcome = cluster.query(
         SHADY_BLOCK + "/parkingSpace[available='yes']" + BOUND, at_site="top")

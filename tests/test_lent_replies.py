@@ -157,3 +157,93 @@ def test_an_envelope_memoizes_its_lent_payloads_only(monkeypatch):
     monkeypatch.setattr(Element, "cached_serialization", recording)
     assert [message.encode() for message in messages] == expected
     assert [id(node) for node in asked] == [id(fragment), id(stored)]
+
+
+def _reachable(root):
+    """Every element reachable from *root* through ``children`` and
+    ``parent``, by ``id()``."""
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+            if node.parent is not None:
+                stack.append(node.parent)
+    return seen
+
+
+def _shared_nodes(cluster):
+    """``(site, site)`` pairs whose databases reach one element."""
+    holder, shared = {}, set()
+    for site in cluster.sites:
+        for key in _reachable(cluster.database(site).root):
+            first = holder.setdefault(key, site)
+            if first != site:
+                shared.add((first, site))
+    return shared
+
+
+def test_no_node_is_shared_after_a_fetch_into_a_stub_and_a_refresh():
+    config, document, plan = _deployment()
+    now = {"t": 1000.0}
+    cluster = Cluster(document, plan, clock=lambda: now["t"])
+    city = config.city_names()[0]
+    first, second = (
+        tuple(path) for path in sorted(
+            path for path in cluster.owner_map
+            if path[-1][0] == "block" and path[3][1] == city)[:2])
+    owner = cluster.owner_map[first]
+    receiver = cluster.owner_map[first[:1]]
+    assert owner != receiver
+    database = cluster.database(receiver)
+
+    # Block 2 brings the neighbourhood's ID information: block 1 is a
+    # bare stub at the receiver, and the next fetch fills it.
+    cluster.query(render_id_path_query(second), at_site=receiver)
+    assert database.find(first).get("status") == "incomplete"
+    served = serialize(cluster.database(owner).root, use_cache=False)
+    results, _site, outcome = cluster.query(render_id_path_query(first),
+                                            at_site=receiver)
+    assert results and outcome.used_remote_data
+    assert database.find(first).get("status") == "complete"
+    assert _shared_nodes(cluster) == set()
+    assert serialize(cluster.database(owner).root, use_cache=False) == served
+
+    # A refresh: the owner's newer space replaces the cached copy.
+    space = next(path for path in cluster.owner_map
+                 if path[:-1] == first)
+    now["t"] += 10.0
+    assert cluster.network.request("sensor", owner, UpdateMessage(
+        space, values={"price": "98765"}, sender="sensor")).ok
+    served = serialize(cluster.database(owner).root, use_cache=False)
+    now["t"] += 10.0
+    refreshed = database.stats["nodes_refreshed"]
+    cluster.query(render_id_path_query(first)
+                  + "/parkingSpace[timestamp() > current-time() - 5]",
+                  at_site=receiver)
+    assert database.stats["nodes_refreshed"] > refreshed
+    assert database.find(space).child("price").text == "98765"
+    assert _shared_nodes(cluster) == set()
+    assert serialize(cluster.database(owner).root, use_cache=False) == served
+
+
+def test_no_node_is_shared_after_a_partial_reply():
+    from tests.test_failure_injection import WIDE_VALUES, relay_cluster
+
+    cluster = relay_cluster()
+    # Each relay caches what it can reach first, so posing the query at
+    # the root changes no database but the root's.
+    for zone in ("z0", "z1", "z2"):
+        cluster.query(WIDE_VALUES.replace("/zone/", f"/zone[@id='{zone}']/",
+                                          1), at_site=f"oa-{zone}")
+    served = {site: serialize(cluster.database(site).root, use_cache=False)
+              for site in cluster.sites if site != "root"}
+    merged = cluster.database("root").stats["fragments_merged"]
+    _results, _site, outcome = cluster.query(WIDE_VALUES, at_site="root")
+    assert not outcome.complete and outcome.unreachable_paths
+    assert cluster.database("root").stats["fragments_merged"] > merged
+    assert _shared_nodes(cluster) == set()
+    assert {site: serialize(cluster.database(site).root, use_cache=False)
+            for site in served} == served

@@ -17,14 +17,17 @@ import threading
 
 import pytest
 
+import repro.core.answer as answer_module
 from repro.arch import hierarchical
-from repro.net import Cluster
+from repro.core import Status, get_status, render_id_path_query
+from repro.net import Cluster, QueryMessage
 from repro.net import messages as messages_module
 from repro.net import tcpruntime as tcp_module
 from repro.net.framing import FrameReader
 from repro.net.messages import Message
 from repro.net.tcpruntime import TcpCluster
 from repro.service import ParkingConfig, build_parking_document, type3_query
+from repro.service.parking import block_path
 from repro.xmlkit import Element, serialize
 
 
@@ -183,3 +186,63 @@ def test_cold_queries_leave_no_elements_for_the_cycle_collector(transport):
 
     assert len(held) == len(queries) and all(held)
     assert garbage == 0
+
+
+def _live_elements():
+    return sum(1 for found in gc.get_objects() if isinstance(found, Element))
+
+
+def _block_replies(count):
+    """A ``paper_small`` loopback cluster, a city's first neighbourhood's
+    first *count* block paths, their owner and the root's site."""
+    config = ParkingConfig.paper_small()
+    cluster = Cluster(build_parking_document(config),
+                      hierarchical(config).plan)
+    city = config.city_names()[0]
+    blocks = [block_path(config, city, config.neighborhood_names()[0], block)
+              for block in config.block_ids()[:count]]
+    return cluster, blocks, cluster.owner_map[blocks[0]]
+
+
+def _ask(cluster, owner, block):
+    """*owner*'s reply to a fetch of *block*, handed over on loopback."""
+    return cluster.network.request(
+        "client", owner, QueryMessage(render_id_path_query(block))).fragment
+
+
+def test_a_first_time_block_merge_builds_no_element():
+    cluster, (first, second), owner = _block_replies(2)
+    database = cluster.database(cluster.owner_map[first[:1]])
+    # Block 2's reply brings the neighbourhood's ID information, so the
+    # site holds block 1 as an ID stub.
+    database.store_fragment(_ask(cluster, owner, second), handed_over=True)
+    assert get_status(database.find(first)) is Status.INCOMPLETE
+    reply = _ask(cluster, owner, first)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = _live_elements()
+        database.store_fragment(reply, handed_over=True)
+        built = _live_elements() - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert get_status(database.find(first)) is Status.COMPLETE
+    assert database.find(first).size() == 81
+    assert built == 0  # the spaces move in whole: no stub is grafted
+
+
+def test_a_one_block_hand_over_copies_only_the_lent_block(monkeypatch):
+    cluster, [block], owner = _block_replies(1)
+    copied = []
+    copy = answer_module.copy_subtree
+
+    def counted(node, *args, **kwargs):
+        clone = copy(node, *args, **kwargs)
+        copied.append(clone.size())
+        return clone
+
+    monkeypatch.setattr(answer_module, "copy_subtree", counted)
+    fragment = _ask(cluster, owner, block)
+    assert fragment.size() == 108
+    assert copied == [81]  # the lent block; the skeleton is the reply's
